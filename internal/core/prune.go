@@ -1,7 +1,10 @@
 package core
 
 import (
+	"context"
+	"fmt"
 	"sort"
+	"time"
 
 	"repro/internal/xmldoc"
 	"repro/internal/xpath"
@@ -35,13 +38,16 @@ type PruneStats struct {
 // Prune always works from scratch; a server re-pruning every cycle against a
 // slowly drifting query set should maintain a PrunedView instead.
 func (ix *Index) Prune(queries []xpath.Path) (*Index, PruneStats, error) {
-	f := yfilter.New(queries)
-	return ix.PruneWithFilter(f)
+	return ix.PruneWithFilter(yfilter.New(queries), time.Time{})
 }
 
 // PruneWithFilter is Prune with a pre-compiled query automaton, letting the
 // broadcast server reuse one filter for both document filtering and pruning.
-func (ix *Index) PruneWithFilter(f *yfilter.Filter) (*Index, PruneStats, error) {
+//
+// A non-zero deadline makes the pass cooperative: it is checked once per
+// visited node, on the calling goroutine, and a pass still running when it
+// expires stops with an error wrapping context.DeadlineExceeded.
+func (ix *Index) PruneWithFilter(f *yfilter.Filter, until time.Time) (*Index, PruneStats, error) {
 	stats := PruneStats{
 		NodesBefore:       ix.NumNodes(),
 		AttachmentsBefore: ix.NumAttachments(),
@@ -51,12 +57,14 @@ func (ix *Index) PruneWithFilter(f *yfilter.Filter) (*Index, PruneStats, error) 
 	// gather the requested document set (union of match-node subtree docs).
 	matched := make(map[NodeID]struct{})
 	requested := make(map[xmldoc.DocID]struct{})
-	ix.forEachMatch(f, func(id NodeID, accepted []int) {
+	if !ix.forEachMatch(f, until, func(id NodeID, accepted []int) {
 		matched[id] = struct{}{}
 		for _, d := range ix.SubtreeDocs(id) {
 			requested[d] = struct{}{}
 		}
-	})
+	}) {
+		return nil, stats, errPruneDeadline
+	}
 	stats.MatchedNodes = len(matched)
 	stats.DocsRequested = len(requested)
 
@@ -77,12 +85,24 @@ func (ix *Index) PruneWithFilter(f *yfilter.Filter) (*Index, PruneStats, error) 
 	out := ix.rebuildPruned(
 		func(id NodeID) bool { _, ok := keep[id]; return ok },
 		func(d xmldoc.DocID) bool { _, ok := requested[d]; return ok },
-		nil,
+		nil, until,
 	)
+	if out == nil {
+		return nil, stats, errPruneDeadline
+	}
 
 	stats.NodesAfter = out.NumNodes()
 	stats.AttachmentsAfter = out.NumAttachments()
 	return out, stats, nil
+}
+
+// errPruneDeadline reports a prune stopped by its cooperative deadline.
+var errPruneDeadline = fmt.Errorf("core: prune: %w", context.DeadlineExceeded)
+
+// expired reports whether a cooperative deadline has passed; the zero time
+// never expires.
+func expired(until time.Time) bool {
+	return !until.IsZero() && !time.Now().Before(until)
 }
 
 // matchFrame is one step of the explicit-stack DFA walk over the trie.
@@ -94,14 +114,18 @@ type matchFrame struct {
 // forEachMatch runs the query automaton over the trie and invokes visit for
 // every node where at least one query accepts, passing the sorted accepting
 // query indices. The walk uses an explicit stack, so synthetic tries of
-// arbitrary depth cannot exhaust the goroutine stack.
-func (ix *Index) forEachMatch(f *yfilter.Filter, visit func(id NodeID, accepted []int)) {
+// arbitrary depth cannot exhaust the goroutine stack. It returns false when
+// until expired before the walk finished.
+func (ix *Index) forEachMatch(f *yfilter.Filter, until time.Time, visit func(id NodeID, accepted []int)) bool {
 	stack := make([]matchFrame, 0, 64)
 	start := f.Start()
 	for i := len(ix.Roots) - 1; i >= 0; i-- {
 		stack = append(stack, matchFrame{ix.Roots[i], start})
 	}
 	for len(stack) > 0 {
+		if expired(until) {
+			return false
+		}
 		fr := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		n := &ix.Nodes[fr.id]
@@ -116,6 +140,7 @@ func (ix *Index) forEachMatch(f *yfilter.Filter, visit func(id NodeID, accepted 
 			stack = append(stack, matchFrame{n.Children[i], next})
 		}
 	}
+	return true
 }
 
 // rebuildFrame is one step of the explicit-stack pruned rebuild: the source
@@ -133,8 +158,9 @@ type rebuildFrame struct {
 // output node, the node's sorted candidate attachment set — own tuples plus
 // bubbled tuples of dropped subtrees, before the requested filter — which is
 // what PrunedView needs to re-filter attachments without re-walking the trie.
-// Iterative throughout, so depth is bounded by heap, not stack.
-func (ix *Index) rebuildPruned(kept func(NodeID) bool, requested func(xmldoc.DocID) bool, record func(id NodeID, candidates []xmldoc.DocID)) *Index {
+// Iterative throughout, so depth is bounded by heap, not stack. It returns nil
+// when until expired before the rebuild finished.
+func (ix *Index) rebuildPruned(kept func(NodeID) bool, requested func(xmldoc.DocID) bool, record func(id NodeID, candidates []xmldoc.DocID), until time.Time) *Index {
 	out := &Index{Model: ix.Model}
 	stack := make([]rebuildFrame, 0, 64)
 	for i := len(ix.Roots) - 1; i >= 0; i-- {
@@ -143,6 +169,9 @@ func (ix *Index) rebuildPruned(kept func(NodeID) bool, requested func(xmldoc.Doc
 		}
 	}
 	for len(stack) > 0 {
+		if expired(until) {
+			return nil
+		}
 		fr := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		id := NodeID(len(out.Nodes))

@@ -7,9 +7,12 @@ package core_test
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/dtd"
@@ -17,6 +20,7 @@ import (
 	"repro/internal/wire"
 	"repro/internal/xmldoc"
 	"repro/internal/xpath"
+	"repro/internal/yfilter"
 )
 
 // encodeIndex packs and wire-encodes an index for byte-level comparison.
@@ -132,5 +136,50 @@ func TestPrunedViewEquivalenceRandomized(t *testing.T) {
 	// most steps or the property test isn't exercising it.
 	if incremental < 30 {
 		t.Errorf("only %d of 60 steps took the incremental path", incremental)
+	}
+}
+
+// TestPruneDeadlineIsCooperative: an already-expired deadline stops both
+// prune paths on the calling goroutine with context.DeadlineExceeded, at any
+// point of a delta sequence, and never leaves a half-updated view behind —
+// the next unbounded Update is a clean full prune equal to a from-scratch
+// one.
+func TestPruneDeadlineIsCooperative(t *testing.T) {
+	docs, err := gen.Documents(gen.DocConfig{Schema: dtd.NITF(), NumDocs: 12, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool, err := gen.Queries(docs, gen.QueryConfig{NumQueries: 12, MaxDepth: 5, WildcardProb: 0.15, Seed: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ci, err := core.BuildCI(docs, core.DefaultSizeModel())
+	if err != nil {
+		t.Fatal(err)
+	}
+	past := time.Now().Add(-time.Second)
+	if _, _, err := ci.PruneWithFilter(yfilter.New(pool), past); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("PruneWithFilter past its deadline: %v, want DeadlineExceeded", err)
+	}
+	view := core.NewPrunedView(0.9)
+	// Expire on the first full prune, then mid-sequence on a small delta.
+	for step, n := range []int{6, 7} {
+		if _, _, err := view.UpdateUntil(ci, pool[:n], past); !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("step %d: Update past its deadline: %v, want DeadlineExceeded", step, err)
+		}
+		got, delta, err := view.UpdateUntil(ci, pool[:n], time.Now().Add(time.Hour))
+		if err != nil {
+			t.Fatalf("step %d: Update after an expired one: %v", step, err)
+		}
+		if !delta.Full {
+			t.Errorf("step %d: update after an expired one was not a full prune: %+v", step, delta)
+		}
+		want, _, err := ci.Prune(pool[:n])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(encodeIndex(t, got), encodeIndex(t, want)) {
+			t.Errorf("step %d: view after an expired update differs from a from-scratch prune", step)
+		}
 	}
 }

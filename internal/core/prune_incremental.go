@@ -1,6 +1,8 @@
 package core
 
 import (
+	"time"
+
 	"repro/internal/xmldoc"
 	"repro/internal/xpath"
 	"repro/internal/yfilter"
@@ -126,6 +128,14 @@ func (v *PrunedView) SetChurn(churn float64) {
 // different pointer than the previous call's (the index was rebuilt after a
 // collection change) resets the view with a full prune.
 func (v *PrunedView) Update(ci *Index, queries []xpath.Path) (*Index, PruneDelta, error) {
+	return v.UpdateUntil(ci, queries, time.Time{})
+}
+
+// UpdateUntil is Update under a cooperative deadline (the zero time means
+// none), as in Index.PruneWithFilter. An update the deadline stops returns an
+// error wrapping context.DeadlineExceeded and leaves the view empty, never
+// half-updated: the next update starts over with a full prune.
+func (v *PrunedView) UpdateUntil(ci *Index, queries []xpath.Path, until time.Time) (*Index, PruneDelta, error) {
 	// Dedup the incoming set by canonical string, preserving first-seen
 	// order (Prune is insensitive to duplicates and order; the dedup makes
 	// the delta well defined).
@@ -160,7 +170,7 @@ func (v *PrunedView) Update(ci *Index, queries []xpath.Path) (*Index, PruneDelta
 		if v.ci != nil {
 			reason = PruneReasonIndexChanged
 		}
-		return v.rebuildAll(ci, deduped, delta, reason)
+		return v.rebuildAll(ci, deduped, delta, reason, until)
 	}
 	if len(added)+len(removed) == 0 {
 		delta.Reused = true
@@ -170,7 +180,7 @@ func (v *PrunedView) Update(ci *Index, queries []xpath.Path) (*Index, PruneDelta
 	// Churn check: the union of old and new sets is old ∪ added.
 	union := len(v.queries) + len(added)
 	if float64(len(added)+len(removed)) > v.churn*float64(union) {
-		return v.rebuildAll(ci, deduped, delta, PruneReasonChurn)
+		return v.rebuildAll(ci, deduped, delta, PruneReasonChurn, until)
 	}
 
 	// Apply the delta to the per-node refcounts, recording each touched
@@ -196,13 +206,15 @@ func (v *PrunedView) Update(ci *Index, queries []xpath.Path) (*Index, PruneDelta
 			addQueries[i] = want[key]
 		}
 		perQuery := make([][]NodeID, len(added))
-		ci.forEachMatch(yfilter.New(addQueries), func(id NodeID, accepted []int) {
+		if !ci.forEachMatch(yfilter.New(addQueries), until, func(id NodeID, accepted []int) {
 			note(id)
 			v.matchCount[id] += int32(len(accepted))
 			for _, qi := range accepted {
 				perQuery[qi] = append(perQuery[qi], id)
 			}
-		})
+		}) {
+			return v.abandon(delta)
+		}
 		for i, key := range added {
 			v.queries[key] = &viewQuery{query: addQueries[i], nodes: perQuery[i]}
 		}
@@ -251,7 +263,9 @@ func (v *PrunedView) Update(ci *Index, queries []xpath.Path) (*Index, PruneDelta
 
 	switch {
 	case delta.KeptChanged:
-		v.rebuildOutput()
+		if !v.rebuildOutput(until) {
+			return v.abandon(delta)
+		}
 	case len(changedDocs) > 0:
 		delta.Patched = v.patchDocs(changedDocs)
 		delta.Reused = !delta.Patched
@@ -265,7 +279,7 @@ func (v *PrunedView) Update(ci *Index, queries []xpath.Path) (*Index, PruneDelta
 // rebuildAll resets the whole view against a (possibly new) CI and query set
 // with one full prune pass, recording the per-query match lists the next
 // delta needs.
-func (v *PrunedView) rebuildAll(ci *Index, queries []xpath.Path, delta PruneDelta, reason string) (*Index, PruneDelta, error) {
+func (v *PrunedView) rebuildAll(ci *Index, queries []xpath.Path, delta PruneDelta, reason string, until time.Time) (*Index, PruneDelta, error) {
 	v.ci = ci
 	v.ciAttachments = ci.NumAttachments()
 	v.queries = make(map[string]*viewQuery, len(queries))
@@ -276,7 +290,7 @@ func (v *PrunedView) rebuildAll(ci *Index, queries []xpath.Path, delta PruneDelt
 	v.matchedNodes = 0
 
 	perQuery := make([][]NodeID, len(queries))
-	ci.forEachMatch(yfilter.New(queries), func(id NodeID, accepted []int) {
+	ok := ci.forEachMatch(yfilter.New(queries), until, func(id NodeID, accepted []int) {
 		v.matchCount[id] = int32(len(accepted))
 		for _, qi := range accepted {
 			perQuery[qi] = append(perQuery[qi], id)
@@ -292,20 +306,29 @@ func (v *PrunedView) rebuildAll(ci *Index, queries []xpath.Path, delta PruneDelt
 	for i, q := range queries {
 		v.queries[q.String()] = &viewQuery{query: q, nodes: perQuery[i]}
 	}
-
-	v.rebuildOutput()
+	if !ok || !v.rebuildOutput(until) {
+		return v.abandon(delta)
+	}
 	delta.Full = true
 	delta.Reason = reason
 	delta.Stats = v.stats()
 	return v.pci, delta, nil
 }
 
+// abandon empties a view whose update was stopped by its deadline, so the
+// half-applied refcounts are never read.
+func (v *PrunedView) abandon(delta PruneDelta) (*Index, PruneDelta, error) {
+	*v = PrunedView{churn: v.churn}
+	return nil, delta, errPruneDeadline
+}
+
 // rebuildOutput re-derives the PCI, its candidate attachment sets and the
-// document → node inverted index from the current refcounts.
-func (v *PrunedView) rebuildOutput() {
+// document → node inverted index from the current refcounts. It reports
+// false when until expired first.
+func (v *PrunedView) rebuildOutput(until time.Time) bool {
 	v.candidates = v.candidates[:0]
 	v.docNodes = make(map[xmldoc.DocID][]NodeID)
-	v.pci = v.ci.rebuildPruned(
+	pci := v.ci.rebuildPruned(
 		func(id NodeID) bool { return v.keepRef[id] > 0 },
 		func(d xmldoc.DocID) bool { return v.docRef[d] > 0 },
 		func(id NodeID, candidates []xmldoc.DocID) {
@@ -314,8 +337,14 @@ func (v *PrunedView) rebuildOutput() {
 				v.docNodes[d] = append(v.docNodes[d], id)
 			}
 		},
+		until,
 	)
-	v.attachments = v.pci.NumAttachments()
+	if pci == nil {
+		return false
+	}
+	v.pci = pci
+	v.attachments = pci.NumAttachments()
+	return true
 }
 
 // patchDocs re-filters the attachment lists of the nodes whose candidates

@@ -20,7 +20,9 @@
 package engine
 
 import (
+	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"runtime"
 	"sort"
@@ -159,8 +161,7 @@ type Engine struct {
 
 	// view maintains the PCI incrementally across cycles (keyed on the CI
 	// pointer, which the builder replaces on every collection change). nil
-	// until the first prune, after a budget overrun abandoned an update
-	// mid-flight, or permanently when pruneChurn < 0.
+	// until the first prune, or permanently when pruneChurn < 0.
 	view       *core.PrunedView
 	pruneChurn float64
 
@@ -532,12 +533,10 @@ func (e *Engine) planCycle(reqs []schedule.Request, size func(xmldoc.DocID) int,
 }
 
 // pruneWithBudget prunes the CI to the pending query set through the
-// incremental maintainer, racing the prune against Limits.BuildBudget when
-// one is set. On overrun it abandons the prune goroutine together with the
-// view it may have been mutating (a fresh view is built next cycle; the
-// straggler only reads the immutable ci snapshot and writes the orphaned
-// view) and returns the unpruned CI with degraded = true. Called with e.mu
-// held.
+// incremental maintainer. With Limits.BuildBudget set the prune runs under a
+// cooperative deadline, checked per node on this goroutine; a prune that
+// overruns it stops (the view empties itself and starts over next cycle) and
+// the unpruned CI is returned with degraded = true. Called with e.mu held.
 func (e *Engine) pruneWithBudget(ci *core.Index, queries []xpath.Path) (*core.Index, bool, error) {
 	pruneChurn := e.pruneChurn
 	if e.adaptive != nil {
@@ -550,44 +549,26 @@ func (e *Engine) pruneWithBudget(ci *core.Index, queries []xpath.Path) (*core.In
 			e.view.SetChurn(pruneChurn)
 		}
 	}
-	view := e.view // nil when incremental maintenance is disabled
-	if e.limits.BuildBudget <= 0 {
-		pci, err := e.pruneOnce(view, ci, queries)
-		if err != nil {
-			return nil, false, err
-		}
-		return pci, false, nil
+	var deadline time.Time // zero: no budget
+	if e.limits.BuildBudget > 0 {
+		deadline = time.Now().Add(e.limits.BuildBudget)
 	}
-	type pruned struct {
-		index *core.Index
-		err   error
-	}
-	done := make(chan pruned, 1)
-	go func() {
-		pci, err := e.pruneOnce(view, ci, queries)
-		done <- pruned{pci, err}
-	}()
-	timer := time.NewTimer(e.limits.BuildBudget)
-	defer timer.Stop()
-	select {
-	case r := <-done:
-		if r.err != nil {
-			return nil, false, r.err
-		}
-		return r.index, false, nil
-	case <-timer.C:
-		// The abandoned goroutine may leave view half-updated; never reuse it.
-		e.view = nil
+	pci, err := e.pruneOnce(ci, queries, deadline)
+	if errors.Is(err, context.DeadlineExceeded) {
 		return ci, true, nil
 	}
+	if err != nil {
+		return nil, false, err
+	}
+	return pci, false, nil
 }
 
 // pruneOnce produces one cycle's PCI — through the view's delta maintenance
 // when one is live, from scratch otherwise — and reports the outcome kind
 // plus, for delta updates, the StagePruneDelta sub-span.
-func (e *Engine) pruneOnce(view *core.PrunedView, ci *core.Index, queries []xpath.Path) (*core.Index, error) {
-	if view == nil {
-		pci, _, err := ci.Prune(queries)
+func (e *Engine) pruneOnce(ci *core.Index, queries []xpath.Path, deadline time.Time) (*core.Index, error) {
+	if e.view == nil { // incremental maintenance is disabled
+		pci, _, err := ci.PruneWithFilter(yfilter.New(queries), deadline)
 		if err != nil {
 			return nil, fmt.Errorf("engine: prune: %w", err)
 		}
@@ -595,7 +576,7 @@ func (e *Engine) pruneOnce(view *core.PrunedView, ci *core.Index, queries []xpat
 		return pci, nil
 	}
 	start := time.Now()
-	pci, delta, err := view.Update(ci, queries)
+	pci, delta, err := e.view.UpdateUntil(ci, queries, deadline)
 	if err != nil {
 		return nil, fmt.Errorf("engine: prune: %w", err)
 	}

@@ -132,8 +132,9 @@ func TestPruneIncrementalDisabled(t *testing.T) {
 	}
 }
 
-// TestBuildBudgetOverrunResetsView checks that a budget overrun abandons the
-// possibly half-updated view so the next cycle starts from a clean full prune.
+// TestBuildBudgetOverrunResetsView checks that a budget overrun leaves no
+// half-updated view behind: once the budget is lifted, the next cycle starts
+// from a clean full prune and carries exactly the from-scratch PCI.
 func TestBuildBudgetOverrunResetsView(t *testing.T) {
 	c, queries := fixture(t, 10, 8)
 	e, err := New(Config{Collection: c, Mode: broadcast.TwoTierMode, CycleCapacity: c.TotalSize(),
@@ -146,10 +147,22 @@ func TestBuildBudgetOverrunResetsView(t *testing.T) {
 		t.Fatal("1 ns build budget did not degrade the cycle")
 	}
 	e.mu.Lock()
-	view := e.view
+	e.limits.BuildBudget = 0
+	want, _, err := e.builder.CI().Prune(queries)
 	e.mu.Unlock()
-	if view != nil {
-		t.Error("budget overrun must reset the engine's PrunedView")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cy = assembleWith(t, e, 1, queries)
+	if cy.Degraded {
+		t.Fatal("unbudgeted cycle reported degraded")
+	}
+	if m := e.Metrics(); m.FullPrunes != 1 || m.IncrementalPrunes != 0 {
+		t.Errorf("after an overrun: %d full / %d incremental prunes, want 1/0", m.FullPrunes, m.IncrementalPrunes)
+	}
+	if cy.Index.NumNodes() != want.NumNodes() || cy.Index.NumAttachments() != want.NumAttachments() {
+		t.Errorf("PCI after an overrun has %d nodes / %d attachments, want %d / %d",
+			cy.Index.NumNodes(), cy.Index.NumAttachments(), want.NumNodes(), want.NumAttachments())
 	}
 }
 

@@ -31,6 +31,11 @@ func TestAdaptiveFloodE2E(t *testing.T) {
 		Mode:          broadcast.TwoTierMode,
 		CycleCapacity: 3 * coll.TotalSize() / coll.Len(),
 		CycleInterval: 5 * time.Millisecond,
+		// Each flood connection's opening burst alone overruns the pending
+		// cap: with the default burst of 8 the four connections admit at most
+		// 16 valid queries before the controller sheds the rate to its floor,
+		// and whether the (shrinking) cap was ever reached was a race.
+		UplinkBurst: 64,
 		Limits: engine.Limits{
 			MaxPending:            32,
 			MaxAnswerCacheEntries: 16,

@@ -1,7 +1,6 @@
 package netcast
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -16,14 +15,12 @@ import (
 	"repro/internal/xmldoc"
 )
 
-// captureMagic heads a capture file. Version 2 captures hold checksummed v2
-// frames; version 1 captures (legacy magic, plain 5-byte frame headers)
-// still parse. Version 3 captures hold transport envelopes copied verbatim
-// off a compressed downlink — byte-faithful, so a capture replays exactly
-// what was on the air.
+// captureMagic heads a capture file of checksummed v2/v3 frames, written
+// one by one as they came off a bare downlink. captureMagicV3 heads a
+// capture of transport envelopes copied verbatim off a compressed downlink —
+// byte-faithful, so a capture replays exactly what was on the air.
 const (
 	captureMagic   = "XBCAST2\n"
-	captureMagicV1 = "XBCAST1\n"
 	captureMagicV3 = "XBCAST3\n"
 )
 
@@ -43,20 +40,16 @@ func Record(ctx context.Context, broadcastAddr string, numCycles int, w io.Write
 	if deadline, ok := ctx.Deadline(); ok {
 		_ = conn.SetReadDeadline(deadline)
 	}
-	// Sniff the downlink: a compressed server opens with a transport hello,
-	// in which case the capture stores the transport envelopes verbatim
-	// (magic v3) so the file is byte-faithful to the air. A bare downlink
-	// records checksummed v2 frames as before.
-	br := bufio.NewReaderSize(conn, downlinkBufSize)
-	var tr *transport.Reader
-	if first, perr := br.Peek(4); perr == nil && transport.IsHelloPrefix(first) {
-		if _, err := transport.ReadHello(br); err != nil {
-			return 0, fmt.Errorf("netcast: record hello: %w", err)
-		}
-		tr = transport.NewReaderFromBufio(br)
+	// A compressed downlink opens with a transport hello, in which case the
+	// capture stores the transport envelopes verbatim (magic v3) so the file
+	// is byte-faithful to the air. A bare downlink records checksummed v2
+	// frames.
+	src := newFrameSource(conn)
+	if err := src.sniff(); err != nil {
+		return 0, err
 	}
 	magic := captureMagic
-	if tr != nil {
+	if src.isTransport() {
 		magic = captureMagicV3
 	}
 	if _, err := io.WriteString(w, magic); err != nil {
@@ -71,25 +64,9 @@ func Record(ctx context.Context, broadcastAddr string, numCycles int, w io.Write
 		if err := ctx.Err(); err != nil {
 			return recorded, err
 		}
-		var (
-			t       FrameType
-			payload []byte
-			raw     []byte // transport envelope bytes, verbatim
-		)
-		if tr != nil {
-			fr, err := tr.Next()
-			if err != nil {
-				return recorded, fmt.Errorf("netcast: record read: %w", err)
-			}
-			raw = fr.Raw
-			if t, payload, err = decodeInner(fr.Inner); err != nil {
-				return recorded, fmt.Errorf("netcast: record read: %w", err)
-			}
-		} else {
-			var err error
-			if t, payload, err = readFrame(br); err != nil {
-				return recorded, fmt.Errorf("netcast: record read: %w", err)
-			}
+		fr, err := src.next()
+		if err != nil {
+			return recorded, fmt.Errorf("netcast: record read: %w", err)
 		}
 		// The cycle boundary is the channel head on a multichannel stream
 		// (every channel's share opens with one), the cycle head otherwise.
@@ -97,10 +74,10 @@ func Record(ctx context.Context, broadcastAddr string, numCycles int, w io.Write
 		// cycle head only bounds cycles until then, so on the index channel
 		// — where the channel head precedes the cycle head — the cycle head
 		// never double-counts.
-		if t == FrameChannelHead {
+		if fr.t == FrameChannelHead {
 			multi = true
 		}
-		if t == FrameChannelHead || (t == FrameCycleHead && !multi) {
+		if fr.t == FrameChannelHead || (fr.t == FrameCycleHead && !multi) {
 			if inCycle {
 				recorded++
 				if recorded == numCycles {
@@ -112,11 +89,12 @@ func Record(ctx context.Context, broadcastAddr string, numCycles int, w io.Write
 		if !inCycle {
 			continue // wait for a cycle boundary before recording
 		}
-		if tr != nil {
-			if _, err := w.Write(raw); err != nil {
-				return recorded, err
-			}
-		} else if err := writeFrame(w, t, payload); err != nil {
+		if fr.raw != nil {
+			_, err = w.Write(fr.raw)
+		} else {
+			err = writeFrame(w, fr.t, fr.payload)
+		}
+		if err != nil {
 			return recorded, err
 		}
 	}
@@ -221,8 +199,8 @@ func (r *CycleRecord) SecondTier(m core.SizeModel) ([]wire.SecondTierEntry, erro
 
 // ReadCapture parses a capture file into complete cycle records. A trailing
 // partial cycle (recording cut mid-cycle) is dropped; a corrupt frame in
-// the middle of a capture is an error, never a panic. Both v2 (checksummed)
-// and legacy v1 captures are accepted.
+// the middle of a capture is an error, never a panic. The retired v1 format
+// (magic XBCAST1, unchecksummed frames) is not a capture file any more.
 func ReadCapture(r io.Reader) ([]CycleRecord, error) {
 	magic := make([]byte, len(captureMagic))
 	if _, err := io.ReadFull(r, magic); err != nil {
@@ -231,8 +209,6 @@ func ReadCapture(r io.Reader) ([]CycleRecord, error) {
 	read := readFrame
 	switch string(magic) {
 	case captureMagic:
-	case captureMagicV1:
-		read = readFrameV1
 	case captureMagicV3:
 		// Transport envelopes: unwrap each to its inner v2 frame.
 		tr := transport.NewReader(r)

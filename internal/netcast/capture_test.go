@@ -109,6 +109,12 @@ func TestReadCaptureErrors(t *testing.T) {
 	if _, err := ReadCapture(strings.NewReader("NOTMAGIC")); err == nil {
 		t.Error("bad magic parsed")
 	}
+	// The v1 format (unchecksummed frames) is retired: its magic is refused
+	// like any other unknown header, whatever follows it.
+	v1 := "XBCAST1\n" + string([]byte{byte(FrameIndex), 3, 0, 0, 0, 1, 2, 3})
+	if _, err := ReadCapture(strings.NewReader(v1)); err == nil || !strings.Contains(err.Error(), "not a capture file") {
+		t.Errorf("v1 capture: got %v, want \"not a capture file\"", err)
+	}
 	// Magic plus a truncated frame: the partial tail is dropped cleanly.
 	var buf bytes.Buffer
 	buf.WriteString(captureMagic)
@@ -131,37 +137,5 @@ func TestReadCaptureErrors(t *testing.T) {
 	raw[len(raw)-1] ^= 0xFF // corrupt the CRC trailer
 	if _, err := ReadCapture(bytes.NewReader(raw)); err == nil {
 		t.Error("corrupt capture frame accepted")
-	}
-}
-
-// TestReadCaptureV1Compat: legacy captures (XBCAST1 magic, plain 5-byte
-// frame headers, no checksums) still parse after the v2 bump.
-func TestReadCaptureV1Compat(t *testing.T) {
-	h := &cycleHead{Number: 9, TwoTier: false, NumDocs: 1, Catalog: []byte{0, 0}}
-	headBytes, err := h.encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	writeV1 := func(buf *bytes.Buffer, ft FrameType, payload []byte) {
-		var hdr [5]byte
-		hdr[0] = byte(ft)
-		hdr[1] = byte(len(payload))
-		buf.Write(hdr[:])
-		buf.Write(payload)
-	}
-	var buf bytes.Buffer
-	buf.WriteString(captureMagicV1)
-	writeV1(&buf, FrameCycleHead, headBytes)
-	writeV1(&buf, FrameIndex, []byte{1, 2, 3})
-	writeV1(&buf, FrameDoc, []byte{7, 0, '<', 'a', '/', '>'})
-	recs, err := ReadCapture(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("v1 capture: %v", err)
-	}
-	if len(recs) != 1 || recs[0].Number != 9 || len(recs[0].Docs) != 1 {
-		t.Fatalf("v1 capture parsed as %+v", recs)
-	}
-	if recs[0].DocID(0) != 7 {
-		t.Errorf("v1 doc id = %d, want 7", recs[0].DocID(0))
 	}
 }

@@ -113,20 +113,26 @@ func armIdle(ctx context.Context, conn net.Conn) {
 	_ = conn.SetReadDeadline(dl)
 }
 
-// Client is a mobile client: an uplink connection for submissions and a
-// downlink subscription to the broadcast stream. A Client is not safe for
+// chanStream is one channel's downlink: the connection, its frame source
+// (which sniffs transport-layer compression per stream) and the redial
+// target.
+type chanStream struct {
+	conn net.Conn
+	src  *frameSource // buffered downlink; recreated on redial
+	addr string
+}
+
+// Client is a mobile client: an uplink connection for submissions and one
+// downlink subscription per broadcast channel. A Client is not safe for
 // concurrent use.
 type Client struct {
-	model core.SizeModel
-	up    net.Conn
-	down  net.Conn
-	dl    *frameSource // buffered downlink; recreated on reconnect
+	model  core.SizeModel
+	up     net.Conn
+	upAddr string // redial target for recovery
 
-	upAddr, downAddr string // redial targets for recovery
-
-	// chans holds the per-channel downlink streams of a multichannel client
-	// (DialChannels); nil on a classic single-stream client. chans[0] is the
-	// index channel.
+	// chans holds the downlink streams in channel order: chans[0] is the
+	// index channel, which on a single-channel broadcast is the only stream
+	// and carries everything.
 	chans []*chanStream
 
 	// AckTimeout bounds how long Submit waits for the server's ack before
@@ -134,8 +140,8 @@ type Client struct {
 	// deadline. Dial sets it to 10 s.
 	AckTimeout time.Duration
 
-	// Clock supplies the waits between admission-control retries
-	// (SubmitRetry and resubmit backoff). Nil selects the wall clock;
+	// Clock supplies every backoff wait: admission-control retries
+	// (SubmitRetry, resubmits) and Retrieve's redials. Nil selects the wall clock;
 	// tests inject control.Fake so backoff runs deterministically without
 	// wall-clock sleeps.
 	Clock control.Clock
@@ -231,6 +237,17 @@ type ResumeStatus struct {
 
 // Dial connects to a server's uplink and broadcast addresses.
 func Dial(uplinkAddr, broadcastAddr string, model core.SizeModel) (*Client, error) {
+	return DialChannels(uplinkAddr, []string{broadcastAddr}, model)
+}
+
+// DialChannels connects to a multichannel server: one uplink plus one
+// downlink per broadcast channel, in the order reported by
+// Server.ChannelAddrs (entry 0 must be the index channel). With a single
+// address it is equivalent to Dial.
+func DialChannels(uplinkAddr string, channelAddrs []string, model core.SizeModel) (*Client, error) {
+	if len(channelAddrs) == 0 {
+		return nil, fmt.Errorf("netcast: DialChannels needs at least one broadcast address")
+	}
 	if model == (core.SizeModel{}) {
 		model = core.DefaultSizeModel()
 	}
@@ -238,29 +255,22 @@ func Dial(uplinkAddr, broadcastAddr string, model core.SizeModel) (*Client, erro
 	if err != nil {
 		return nil, fmt.Errorf("netcast: dial uplink: %w", err)
 	}
-	down, err := net.DialTimeout("tcp", broadcastAddr, 5*time.Second)
-	if err != nil {
-		up.Close()
-		return nil, fmt.Errorf("netcast: dial broadcast: %w", err)
+	c := &Client{model: model, up: up, upAddr: uplinkAddr, AckTimeout: defaultAckTimeout}
+	for i, addr := range channelAddrs {
+		conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
+		if err != nil {
+			c.Close()
+			return nil, fmt.Errorf("netcast: dial broadcast channel %d: %w", i, err)
+		}
+		c.chans = append(c.chans, &chanStream{conn: conn, src: newFrameSource(conn), addr: addr})
 	}
-	return &Client{
-		model:      model,
-		up:         up,
-		down:       down,
-		dl:         newFrameSource(down),
-		upAddr:     uplinkAddr,
-		downAddr:   broadcastAddr,
-		AckTimeout: defaultAckTimeout,
-	}, nil
+	return c, nil
 }
 
 // Close releases every connection.
 func (c *Client) Close() {
 	if c.up != nil {
 		c.up.Close()
-	}
-	if c.down != nil {
-		c.down.Close()
 	}
 	for _, cs := range c.chans {
 		cs.conn.Close()
@@ -508,251 +518,115 @@ func backoffJitter(rng *rand.Rand, hint time.Duration) time.Duration {
 // result document of q has been received, returning the parsed documents in
 // ID order. The context bounds the wait.
 //
+// One loop serves every channel count. Per cycle the single tuner reads the
+// index channel — cycle head, then the first tier until the result set is
+// known (two-tier) or every cycle (one-tier) — and then the documents: on a
+// single-channel broadcast they follow on the same stream, located by the
+// second tier (or the one-tier offsets); on K > 1 channels the channel
+// directory locates them and the tuner hops to each data channel carrying
+// one, in channel order, draining shares of cycles it has run ahead of as
+// doze.
+//
 // Retrieve survives an unreliable downlink. A corrupt, truncated or
-// undecodable frame drops the current cycle's state and rescans the byte
-// stream for the next cycle head (the protocol is self-describing; the next
-// index re-covers the query). A failed read redials the broadcast address
-// with capped exponential backoff plus jitter. Both recoveries preserve the
-// documents already received, and both resubmit q over the uplink so the
-// server rebroadcasts anything the client may have missed (the server
-// retires a request once its documents have been *sent*, not received). A
-// downlink silent for idleResubmitTimeout is treated as lost the same way:
-// an on-demand server with an empty pending set airs nothing, so silence
-// after a missed delivery must trigger re-registration, not a longer wait.
-func (c *Client) Retrieve(ctx context.Context, q xpath.Path) (_ []*xmldoc.Document, stats ClientStats, _ error) {
+// undecodable frame rescans the failing stream for its next cycle boundary
+// and, on the index channel, drops the current cycle's state (the protocol is
+// self-describing; the next index re-covers the query). A failed read redials
+// that channel with capped exponential backoff plus jitter, waited out on
+// Clock. Both recoveries preserve the documents already received, and both
+// resubmit q over the uplink so the server rebroadcasts anything the client
+// may have missed (the server retires a request once its documents have been
+// *sent*, not received). A downlink silent for idleResubmitTimeout is treated
+// as lost the same way: an on-demand server with an empty pending set airs
+// nothing, so silence after a missed delivery must trigger re-registration,
+// not a longer wait.
+func (c *Client) Retrieve(ctx context.Context, q xpath.Path) ([]*xmldoc.Document, ClientStats, error) {
+	r := &retrieval{
+		c:         c,
+		q:         q,
+		nav:       core.NewNavigator(q),
+		remaining: make(map[xmldoc.DocID]struct{}),
+		got:       make(map[xmldoc.DocID]*xmldoc.Document),
+	}
+	err := r.run(ctx)
+	for _, cs := range c.chans {
+		_ = cs.conn.SetReadDeadline(time.Time{})
+	}
 	// The resubmit-queue and resume counters are client-lifetime totals;
 	// stamp them on whatever stats this retrieval returns.
-	defer func() {
-		stats.Resubmits = c.resubmits
-		stats.ResubmitDropped = c.resubDrops
-		stats.Resumed = c.resumedCnt
-	}()
-	if len(c.chans) > 1 {
-		return c.retrieveMulti(ctx, q)
+	r.stats.Resubmits = c.resubmits
+	r.stats.ResubmitDropped = c.resubDrops
+	r.stats.Resumed = c.resumedCnt
+	if err != nil {
+		return nil, r.stats, err
 	}
-	var (
-		nav       = core.NewNavigator(q)
-		knowsDocs bool
-		remaining = make(map[xmldoc.DocID]struct{})
-		inCycle   bool // synchronised to a cycle head
-		twoTier   bool
-		head      *cycleHead
-		wantThis  map[xmldoc.DocID]struct{} // docs to catch this cycle
-		got       = make(map[xmldoc.DocID]*xmldoc.Document)
-	)
-	applyDeadline := func() { armIdle(ctx, c.down) }
-	applyDeadline()
-	defer func() { _ = c.down.SetReadDeadline(time.Time{}) }()
+	return collect(r.got), r.stats, nil
+}
 
-	// dropCycle forgets mid-cycle state after corruption or disconnect; the
-	// received-document state (got/remaining) is kept.
-	dropCycle := func() {
-		inCycle = false
-		twoTier = false
-		head = nil
-		wantThis = nil
+// retrieval is the state of one Retrieve call. The query state survives
+// every recovery; a recovery voids what the tuner knew of the stream it was
+// on, which on the index channel is the whole cycle.
+type retrieval struct {
+	c     *Client
+	q     xpath.Path
+	stats ClientStats
+
+	nav       *core.Navigator
+	knowsDocs bool // the result set is known (two-tier: first tier already read)
+	remaining map[xmldoc.DocID]struct{}
+	got       map[xmldoc.DocID]*xmldoc.Document
+
+	cycleState
+	streamState
+	cur int // the channel the single tuner is on
+}
+
+// cycleState is what the index channel said about the current cycle: its
+// head, its channel directory (K > 1 only), the documents to catch in it and
+// the data channels carrying them.
+type cycleState struct {
+	head   *cycleHead
+	dir    []wire.ChannelDirEntry
+	want   map[xmldoc.DocID]struct{}
+	onChan []bool
+}
+
+// streamState is where the tuner stands on the channel it is on: synced once
+// it has seen a cycle boundary there (frames before one are dozed) and, on a
+// data channel, how many documents of the current share are still to come
+// and whether that share is stale — of an earlier cycle than head's.
+type streamState struct {
+	synced   bool
+	docsLeft int
+	stale    bool
+}
+
+// boundary is the frame type that starts a cycle's share on every stream of
+// this client: the channel head on a multichannel broadcast, the cycle head
+// on a single stream.
+func (r *retrieval) boundary() FrameType {
+	if len(r.c.chans) > 1 {
+		return FrameChannelHead
 	}
+	return FrameCycleHead
+}
 
-	// resync recovers from in-stream corruption: count it, drop cycle
-	// state, re-register the query, and rescan for the next cycle head.
-	// Returns an I/O error if the scan hits one (caller then reconnects).
-	resync := func() error {
-		stats.Resyncs++
-		dropCycle()
-		c.resubmit(q)
-		for {
-			payload, skipped, err := c.dl.resync(FrameCycleHead)
-			stats.DozeBytes += skipped
-			if err != nil {
-				return err
-			}
-			h, derr := decodeCycleHead(payload)
-			if derr != nil {
-				// Checksum-valid but undecodable (shouldn't happen with an
-				// honest server); keep scanning.
-				stats.DozeBytes += int64(len(payload))
-				continue
-			}
-			head = h
-			inCycle = true
-			twoTier = h.TwoTier
-			stats.Cycles++
-			return nil
-		}
-	}
-
-	// reconnect redials the broadcast address with capped exponential
-	// backoff and jitter, then re-registers the query.
-	reconnect := func() error {
-		dropCycle()
-		c.down.Close()
-		delay := reconnectBaseDelay
-		for {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			conn, err := net.DialTimeout("tcp", c.downAddr, 5*time.Second)
-			if err == nil {
-				c.down = conn
-				c.dl = newFrameSource(conn)
-				applyDeadline()
-				stats.Reconnects++
-				c.resubmit(q)
-				return nil
-			}
-			jittered := delay + time.Duration(c.jitter().Int64N(int64(delay)/2+1))
-			select {
-			case <-ctx.Done():
-				return ctx.Err()
-			case <-time.After(jittered):
-			}
-			if delay *= 2; delay > reconnectMaxDelay {
-				delay = reconnectMaxDelay
-			}
-		}
-	}
-
-	// recoverStream routes a failure to the right recovery: resync within
-	// the stream for detected corruption, reconnect for connection loss.
-	recoverStream := func(err error) error {
-		if cerr := ctx.Err(); cerr != nil {
-			return cerr
-		}
-		if isCorrupt(err) {
-			err = resync()
-			if err == nil {
-				return nil
-			}
-			if cerr := ctx.Err(); cerr != nil {
-				return cerr
-			}
-		}
-		if err := reconnect(); err != nil {
-			return fmt.Errorf("netcast: broadcast reconnect: %w", err)
-		}
-		return nil
-	}
-
+// run reads frames off the tuned channel until the remaining set drains.
+func (r *retrieval) run(ctx context.Context) error {
 	for {
 		if err := ctx.Err(); err != nil {
-			return nil, stats, err
+			return err
 		}
-		applyDeadline()
-		t, payload, air, err := c.dl.next()
-		stats.DozeBytes += c.dl.takeDoze()
+		ch := r.cur
+		cs := r.c.chans[ch]
+		armIdle(ctx, cs.conn)
+		fr, err := cs.src.next()
+		r.stats.DozeBytes += cs.src.takeDoze()
+		if err == nil {
+			err = r.handle(fr)
+		}
 		if err != nil {
-			if err := recoverStream(err); err != nil {
-				return nil, stats, err
-			}
-			continue
-		}
-		switch t {
-		case FrameCycleHead:
-			h, derr := decodeCycleHead(payload)
-			if derr != nil {
-				if err := recoverStream(errFrameCorrupt); err != nil {
-					return nil, stats, err
-				}
-				continue
-			}
-			head = h
-			inCycle = true
-			twoTier = head.TwoTier
-			wantThis = nil
-			stats.Cycles++
-		case FrameIndex:
-			if !inCycle {
-				stats.DozeBytes += air
-				continue
-			}
-			if twoTier && knowsDocs {
-				// Improved protocol: the first tier was already read once.
-				stats.DozeBytes += air
-				continue
-			}
-			if head.Number < c.coveredFrom {
-				// This cycle's index predates our submission and need not
-				// cover our query; doze until a covering cycle.
-				stats.DozeBytes += air
-				continue
-			}
-			stats.TuningBytes += air
-			docs, offs, derr := c.decodeAndNavigate(payload, head, nav, twoTier)
-			if derr != nil {
-				if err := recoverStream(errFrameCorrupt); err != nil {
-					return nil, stats, err
-				}
-				continue
-			}
-			if !knowsDocs {
-				for _, d := range docs {
-					if _, done := got[d]; !done {
-						remaining[d] = struct{}{}
-					}
-				}
-				knowsDocs = true
-			}
-			if !twoTier {
-				wantThis = make(map[xmldoc.DocID]struct{})
-				for d := range offs {
-					if _, need := remaining[d]; need {
-						wantThis[d] = struct{}{}
-					}
-				}
-			}
-		case FrameSecondTier:
-			if !inCycle || !knowsDocs {
-				stats.DozeBytes += air
-				continue
-			}
-			stats.TuningBytes += air
-			entries, derr := wire.DecodeSecondTier(payload, c.model)
-			if derr != nil {
-				if err := recoverStream(errFrameCorrupt); err != nil {
-					return nil, stats, err
-				}
-				continue
-			}
-			wantThis = make(map[xmldoc.DocID]struct{})
-			for _, e := range entries {
-				if _, need := remaining[e.Doc]; need {
-					wantThis[e.Doc] = struct{}{}
-				}
-			}
-		case FrameDoc:
-			if len(payload) < 2 {
-				if err := recoverStream(errFrameCorrupt); err != nil {
-					return nil, stats, err
-				}
-				continue
-			}
-			id := xmldoc.DocID(binary.LittleEndian.Uint16(payload))
-			if _, want := wantThis[id]; !want {
-				stats.DozeBytes += air
-				continue
-			}
-			// On the bare protocol the 2 ID bytes are header, not content;
-			// a transport envelope is atomic, so its whole air cost counts.
-			cost := air
-			if !c.dl.isTransport() {
-				cost -= 2
-			}
-			stats.TuningBytes += cost
-			root, derr := xmldoc.Parse(bytes.NewReader(payload[2:]))
-			if derr != nil {
-				if err := recoverStream(errFrameCorrupt); err != nil {
-					return nil, stats, err
-				}
-				continue
-			}
-			got[id] = xmldoc.NewDocument(id, root)
-			delete(remaining, id)
-			delete(wantThis, id)
-		default:
-			// A checksum-valid frame of unknown type means version skew or a
-			// scan that locked onto the wrong boundary; resynchronise.
-			if err := recoverStream(errFrameCorrupt); err != nil {
-				return nil, stats, err
+			if err := r.recover(ctx, ch, err); err != nil {
+				return err
 			}
 			continue
 		}
@@ -760,8 +634,233 @@ func (c *Client) Retrieve(ctx context.Context, q xpath.Path) (_ []*xmldoc.Docume
 		// including right after index decode when the query's result set was
 		// already fully received, so a zero-remaining client returns
 		// immediately instead of spinning until the context deadline.
-		if knowsDocs && len(remaining) == 0 {
-			return collect(got), stats, nil
+		if r.knowsDocs && len(r.remaining) == 0 {
+			return nil
+		}
+	}
+}
+
+// handle applies one frame to the protocol state. An error satisfying
+// isCorrupt means the frame (or its place in the stream) made no sense.
+func (r *retrieval) handle(fr airFrame) error {
+	// Dozed unread: anything before the stream's first cycle boundary, and the
+	// index channel's frame types straying onto a data channel (cycle state is
+	// only ever taken from channel 0).
+	indexOnly := fr.t == FrameCycleHead || fr.t == FrameChannelDir || fr.t == FrameIndex
+	if (!r.synced && fr.t != r.boundary()) || (r.cur != 0 && indexOnly) {
+		r.stats.DozeBytes += fr.air
+		return nil
+	}
+	switch fr.t {
+	case FrameChannelHead:
+		return r.onChannelHead(fr)
+	case FrameCycleHead:
+		h, err := decodeCycleHead(fr.payload)
+		if err != nil {
+			return errFrameCorrupt
+		}
+		r.head, r.want, r.synced = h, nil, true
+		r.stats.Cycles++
+	case FrameChannelDir:
+		r.stats.TuningBytes += fr.air
+		dir, err := wire.DecodeChannelDir(fr.payload, r.c.model)
+		if err != nil {
+			return errFrameCorrupt
+		}
+		r.dir = dir
+	case FrameIndex:
+		return r.onIndex(fr)
+	case FrameSecondTier:
+		if r.cur != 0 || !r.knowsDocs {
+			// A data channel's stripe repeats what the directory already
+			// said; before the result set is known there is nothing to look up.
+			r.stats.DozeBytes += fr.air
+			return nil
+		}
+		r.stats.TuningBytes += fr.air
+		entries, err := wire.DecodeSecondTier(fr.payload, r.c.model)
+		if err != nil {
+			return errFrameCorrupt
+		}
+		r.want = make(map[xmldoc.DocID]struct{})
+		for _, e := range entries {
+			if _, need := r.remaining[e.Doc]; need {
+				r.want[e.Doc] = struct{}{}
+			}
+		}
+	case FrameDoc:
+		return r.onDoc(fr)
+	default:
+		// A checksum-valid frame of unknown type means version skew or a
+		// scan that locked onto the wrong boundary; resynchronise.
+		return errFrameCorrupt
+	}
+	return nil
+}
+
+// onChannelHead starts one channel's share of a multichannel cycle. On the
+// index channel that is a new cycle. On a data channel the share is taken if
+// it belongs to the cycle being collected, dozed if it is older, and left
+// unread for the next visit if the stream is already past that cycle (it
+// redialled ahead; the wanted documents stay in remaining for a rebroadcast).
+func (r *retrieval) onChannelHead(fr airFrame) error {
+	h, err := decodeChannelHead(fr.payload)
+	if err != nil || int(h.Channel) != r.cur || r.docsLeft > 0 {
+		// Undecodable, wrong stream (decodeChannelHead ties the role to the
+		// channel number, so this covers a mis-roled head too), or the last
+		// share ended short.
+		return errFrameCorrupt
+	}
+	r.synced = true
+	switch {
+	case r.cur == 0:
+		r.cycleState = cycleState{}
+	case h.Number > r.head.Number:
+		r.c.chans[r.cur].src.unread(fr)
+		r.hop()
+	default:
+		r.docsLeft, r.stale = int(h.NumDocs), h.Number < r.head.Number
+	}
+	return nil
+}
+
+// onIndex handles the index segment: the first tier is read once, from the
+// first cycle covering the submission (two-tier), or every cycle (one-tier,
+// whose embedded offsets change). On a multichannel cycle it closes the
+// index channel's share, so the hops are planned here.
+func (r *retrieval) onIndex(fr airFrame) error {
+	if r.head == nil || (r.head.TwoTier && r.knowsDocs) || r.head.Number < r.c.coveredFrom {
+		r.stats.DozeBytes += fr.air
+	} else {
+		r.stats.TuningBytes += fr.air
+		docs, offs, err := r.c.decodeAndNavigate(fr.payload, r.head, r.nav)
+		if err != nil {
+			return errFrameCorrupt
+		}
+		if !r.knowsDocs {
+			for _, d := range docs {
+				if _, done := r.got[d]; !done {
+					r.remaining[d] = struct{}{}
+				}
+			}
+			r.knowsDocs = true
+		}
+		if !r.head.TwoTier {
+			r.want = make(map[xmldoc.DocID]struct{})
+			for d := range offs {
+				if _, need := r.remaining[d]; need {
+					r.want[d] = struct{}{}
+				}
+			}
+		}
+	}
+	if r.dir == nil || r.head == nil {
+		return nil
+	}
+	r.want = make(map[xmldoc.DocID]struct{})
+	r.onChan = make([]bool, len(r.c.chans))
+	for _, e := range r.dir {
+		if _, need := r.remaining[e.Doc]; !need {
+			continue
+		}
+		if e.Channel == 0 || int(e.Channel) >= len(r.onChan) {
+			return errFrameCorrupt
+		}
+		r.want[e.Doc] = struct{}{}
+		r.onChan[e.Channel] = true
+	}
+	r.hop()
+	return nil
+}
+
+// hop moves the tuner to the next data channel carrying a wanted document
+// this cycle, or back to the index channel when none is left.
+func (r *retrieval) hop() {
+	next := 0
+	for ch := r.cur + 1; ch < len(r.onChan); ch++ {
+		if r.onChan[ch] {
+			next = ch
+			break
+		}
+	}
+	r.cur, r.streamState = next, streamState{}
+}
+
+// onDoc handles one document frame: wanted documents are parsed and retired,
+// the rest dozed.
+func (r *retrieval) onDoc(fr airFrame) error {
+	if len(fr.payload) < 2 {
+		return errFrameCorrupt
+	}
+	id := xmldoc.DocID(binary.LittleEndian.Uint16(fr.payload))
+	if _, want := r.want[id]; !want || r.stale {
+		r.stats.DozeBytes += fr.air
+	} else {
+		// On the bare protocol the 2 ID bytes are header, not content; a
+		// transport envelope is atomic, so its whole air cost counts.
+		cost := fr.air
+		if !r.c.chans[r.cur].src.isTransport() {
+			cost -= 2
+		}
+		r.stats.TuningBytes += cost
+		root, err := xmldoc.Parse(bytes.NewReader(fr.payload[2:]))
+		if err != nil {
+			return errFrameCorrupt
+		}
+		r.got[id] = xmldoc.NewDocument(id, root)
+		delete(r.remaining, id)
+		delete(r.want, id)
+	}
+	if r.cur != 0 {
+		if r.docsLeft--; r.docsLeft == 0 && !r.stale {
+			r.hop() // this channel's share of the cycle is through
+		}
+	}
+	return nil
+}
+
+// recover repairs channel ch's stream after err and re-registers the query:
+// detected corruption rescans the stream for its next cycle boundary (left
+// unread for the loop), connection loss — or a rescan that hits an I/O error
+// — redials with capped exponential backoff and jitter. Either way the tuner
+// starts over on that stream, and a failure of the index channel drops the
+// cycle with it; a data channel's failure costs only its own share (the
+// directory still stands, so the hops go on). Received documents are kept.
+func (r *retrieval) recover(ctx context.Context, ch int, err error) error {
+	if cerr := ctx.Err(); cerr != nil {
+		return cerr
+	}
+	c, cs := r.c, r.c.chans[ch]
+	r.streamState = streamState{}
+	if ch == 0 {
+		r.cycleState = cycleState{}
+	}
+	if isCorrupt(err) {
+		r.stats.Resyncs++
+		c.resubmit(r.q)
+		fr, skipped, err := cs.src.resync(r.boundary())
+		r.stats.DozeBytes += skipped
+		if err == nil {
+			cs.src.unread(fr)
+			return nil
+		}
+		if cerr := ctx.Err(); cerr != nil {
+			return cerr
+		}
+	}
+	cs.conn.Close()
+	for delay := reconnectBaseDelay; ; delay = min(2*delay, reconnectMaxDelay) {
+		conn, err := net.DialTimeout("tcp", cs.addr, 5*time.Second)
+		if err == nil {
+			cs.conn, cs.src = conn, newFrameSource(conn)
+			r.stats.Reconnects++
+			c.resubmit(r.q)
+			return nil
+		}
+		select {
+		case <-ctx.Done():
+			return fmt.Errorf("netcast: broadcast reconnect: %w", ctx.Err())
+		case <-control.Or(c.Clock).After(c.backoffWait(delay)):
 		}
 	}
 }
@@ -841,7 +940,7 @@ func (c *Client) flushResubmits() {
 // automaton over it, returning the result doc IDs and (one-tier) offsets.
 // Under the succinct encoding the segment is navigated in place with a
 // cursor — no core.Index is ever materialized client-side.
-func (c *Client) decodeAndNavigate(seg []byte, head *cycleHead, nav *core.Navigator, twoTier bool) ([]xmldoc.DocID, wire.DocOffsets, error) {
+func (c *Client) decodeAndNavigate(seg []byte, head *cycleHead, nav *core.Navigator) ([]xmldoc.DocID, wire.DocOffsets, error) {
 	cat, err := wire.DecodeCatalog(head.Catalog)
 	if err != nil {
 		return nil, nil, err
@@ -854,7 +953,7 @@ func (c *Client) decodeAndNavigate(seg []byte, head *cycleHead, nav *core.Naviga
 		return st.NewCursor().Lookup(nav.Filter()), nil, nil
 	}
 	tier := core.OneTier
-	if twoTier {
+	if head.TwoTier {
 		tier = core.FirstTier
 	}
 	ix, offs, err := wire.DecodeIndex(seg, c.model, tier, cat)

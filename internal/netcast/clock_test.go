@@ -46,13 +46,7 @@ func TestTokenBucketDeterministic(t *testing.T) {
 // waitForWaiter polls until a goroutine blocks on the fake clock's After.
 func waitForWaiter(t *testing.T, clk *control.Fake) {
 	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for clk.Waiters() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("no goroutine ever blocked on the injected clock")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitFor(t, "a goroutine to block on the injected clock", func() bool { return clk.Waiters() > 0 })
 }
 
 // SubmitRetry's backoff waits must run on the injected clock: against a stub
@@ -132,5 +126,86 @@ func TestSubmitRetryBackoffOnInjectedClock(t *testing.T) {
 	}
 	if got := cl.CoveredFrom(); got != 1 {
 		t.Errorf("CoveredFrom = %d, want 1 from the stub ack", got)
+	}
+}
+
+// Retrieve's reconnect backoff must run on the injected clock too: with the
+// broadcast address refusing connections, each failed redial parks the
+// retrieval on the fake clock for the capped, doubling, jittered delay, and
+// only advancing the clock lets it dial again — no wall-clock sleeps.
+func TestReconnectBackoffOnInjectedClock(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srvEnd, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The downlink dies and the address goes dark: every redial is refused.
+	srvEnd.Close()
+	ln.Close()
+
+	clk := control.NewFake(time.Unix(0, 0))
+	// A listen-only client (no uplink), so recovery has nothing to resubmit.
+	cl := &Client{
+		model: core.DefaultSizeModel(),
+		chans: []*chanStream{{conn: conn, src: newFrameSource(conn), addr: addr}},
+		Clock: clk,
+	}
+	defer cl.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	type result struct {
+		stats ClientStats
+		err   error
+	}
+	done := make(chan result, 1)
+	go func() {
+		_, stats, err := cl.Retrieve(ctx, xpath.MustParse("/nitf"))
+		done <- result{stats, err}
+	}()
+	parked := func(what string) {
+		t.Helper()
+		waitForWaiter(t, clk)
+		select {
+		case r := <-done:
+			t.Fatalf("%s: Retrieve returned instead of backing off: %v", what, r.err)
+		default:
+		}
+	}
+	// First failed redial: a wait of base + at most 50% jitter.
+	parked("first redial refused")
+	clk.Advance(reconnectBaseDelay * 3 / 2)
+	// Second failed redial: the delay doubled, so the first wait's maximum no
+	// longer covers it.
+	parked("second redial refused")
+	clk.Advance(reconnectBaseDelay * 3 / 2)
+	if clk.Waiters() != 1 {
+		t.Fatalf("doubled backoff expired within the base delay (waiters = %d)", clk.Waiters())
+	}
+	// The address comes back; the rest of the doubled wait elapses and the
+	// next redial lands.
+	ln, err = net.Listen("tcp", addr)
+	if err != nil {
+		t.Skipf("cannot rebind %s: %v", addr, err)
+	}
+	defer ln.Close()
+	clk.Advance(reconnectBaseDelay * 3 / 2)
+	_ = ln.(*net.TCPListener).SetDeadline(time.Now().Add(10 * time.Second))
+	redialed, err := ln.Accept()
+	if err != nil {
+		t.Fatalf("no redial after the backoff elapsed: %v", err)
+	}
+	cancel()
+	redialed.Close() // unblocks the read; the loop then sees the cancelled context
+	r := <-done
+	if r.err == nil || r.stats.Reconnects != 1 {
+		t.Errorf("Retrieve = %v with %d reconnects, want the context's error after exactly one", r.err, r.stats.Reconnects)
 	}
 }

@@ -19,38 +19,70 @@ import (
 )
 
 // TestRetrieveUnderChaos is the fault-tolerance acceptance test: two
-// clients retrieve through a proxy that flips bits (well over 1% of frames
-// at these rates), drops bytes (truncation that desynchronises framing),
-// and force-kills every live downlink twice. Both clients must still end up
-// with exactly their result sets, reporting the recoveries in ClientStats.
+// clients retrieve through proxies — one per broadcast channel — that flip
+// bits (well over 1% of frames at these rates), drop bytes (truncation that
+// desynchronises framing), and force-kill every live downlink twice. Both
+// clients must still end up with exactly their result sets, reporting the
+// recoveries in ClientStats. The K = 4 case drives the same loop's recovery
+// on the index channel and on every data channel the tuner hops to.
 func TestRetrieveUnderChaos(t *testing.T) {
-	for _, mode := range []broadcast.Mode{broadcast.OneTierMode, broadcast.TwoTierMode} {
-		t.Run(mode.String(), func(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		mode     broadcast.Mode
+		channels int
+	}{
+		{"one-tier", broadcast.OneTierMode, 1},
+		{"two-tier", broadcast.TwoTierMode, 1},
+		{"two-tier-k4", broadcast.TwoTierMode, 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
 			coll, err := gen.Documents(gen.DocConfig{Schema: dtd.NITF(), NumDocs: 30, Seed: 77})
 			if err != nil {
 				t.Fatalf("Documents: %v", err)
 			}
-			// Roughly one document per cycle, so a full retrieval spans many
-			// cycles and both forced disconnects land mid-retrieval.
+			// Roughly one document per cycle and data channel, so a full
+			// retrieval spans many cycles and both forced disconnects land
+			// mid-retrieval.
 			srv, err := StartServer(ServerConfig{
 				Collection:    coll,
-				Mode:          mode,
-				CycleCapacity: coll.TotalSize() / coll.Len(),
+				Mode:          tc.mode,
+				Channels:      tc.channels,
+				CycleCapacity: max(1, tc.channels-1) * coll.TotalSize() / coll.Len(),
 				CycleInterval: 5 * time.Millisecond,
 			})
 			if err != nil {
 				t.Fatalf("StartServer: %v", err)
 			}
 			defer srv.Shutdown()
-			proxy, err := chaos.NewProxy(srv.BroadcastAddr(), chaos.Config{
-				Seed:     1,
-				FlipProb: 2e-4, // ~1 flip per 5 kB: most cycles corrupted somewhere
-				DropProb: 2e-5, // occasional lost bytes: frames truncated, framing lost
-			})
-			if err != nil {
-				t.Fatalf("NewProxy: %v", err)
+			var (
+				proxies []*chaos.Proxy
+				addrs   []string
+			)
+			for ch, addr := range srv.ChannelAddrs() {
+				proxy, err := chaos.NewProxy(addr, chaos.Config{
+					Seed:     int64(1 + ch),
+					FlipProb: 2e-4, // ~1 flip per 5 kB: most cycles corrupted somewhere
+					DropProb: 2e-5, // occasional lost bytes: frames truncated, framing lost
+				})
+				if err != nil {
+					t.Fatalf("NewProxy: %v", err)
+				}
+				defer proxy.Close()
+				proxies = append(proxies, proxy)
+				addrs = append(addrs, proxy.Addr())
 			}
-			defer proxy.Close()
+			liveConns := func() (n int) {
+				for _, p := range proxies {
+					n += p.LiveConns()
+				}
+				return n
+			}
+			killAll := func() (n int) {
+				for _, p := range proxies {
+					n += p.KillAll()
+				}
+				return n
+			}
 
 			queries := []xpath.Path{
 				xpath.MustParse("/nitf"), // every document: the longest retrieval
@@ -58,7 +90,7 @@ func TestRetrieveUnderChaos(t *testing.T) {
 			}
 			clients := make([]*Client, len(queries))
 			for i, q := range queries {
-				cl, err := Dial(srv.UplinkAddr(), proxy.Addr(), core.SizeModel{})
+				cl, err := DialChannels(srv.UplinkAddr(), addrs, core.SizeModel{})
 				if err != nil {
 					t.Fatalf("Dial client %d: %v", i, err)
 				}
@@ -68,11 +100,13 @@ func TestRetrieveUnderChaos(t *testing.T) {
 				}
 				clients[i] = cl
 			}
+			links := len(clients) * len(proxies)
 
 			// Forced disconnect #1: every downlink dies before the first
-			// frame is read, so each client's very first read must recover.
-			if n := proxy.KillAll(); n != len(clients) {
-				t.Fatalf("first KillAll hit %d links, want %d", n, len(clients))
+			// frame is read, so each stream's very first read must recover.
+			waitFor(t, "the proxies to see every dialed downlink", func() bool { return liveConns() >= links })
+			if n := killAll(); n != links {
+				t.Fatalf("first kill hit %d links, want %d", n, links)
 			}
 
 			// Generous deadline: at these fault rates most cycles are corrupted
@@ -99,16 +133,11 @@ func TestRetrieveUnderChaos(t *testing.T) {
 			}
 
 			// Forced disconnect #2: once every client has re-established its
-			// downlink, kill them all again mid-retrieval.
-			deadline := time.Now().Add(30 * time.Second)
-			for proxy.LiveConns() < len(clients) {
-				if time.Now().After(deadline) {
-					t.Fatal("clients never reconnected after first kill")
-				}
-				time.Sleep(2 * time.Millisecond)
-			}
-			if proxy.KillAll() == 0 {
-				t.Fatal("second KillAll found no live links")
+			// index-channel downlink, kill every live link again mid-retrieval.
+			// (A data channel is only redialed when the tuner next hops to it.)
+			waitFor(t, "the clients to reconnect after the first kill", func() bool { return proxies[0].LiveConns() >= len(clients) })
+			if killAll() == 0 {
+				t.Fatal("second kill found no live links")
 			}
 
 			for i, q := range queries {
@@ -129,8 +158,15 @@ func TestRetrieveUnderChaos(t *testing.T) {
 					t.Errorf("client %d stats = %+v", i, o.stats)
 				}
 			}
-			if st := proxy.Stats(); st.BitFlips == 0 || st.Drops == 0 || st.Kills < 2 {
-				t.Errorf("proxy injected too little chaos: %+v", st)
+			var st chaos.Stats
+			for _, p := range proxies {
+				ps := p.Stats()
+				st.BitFlips += ps.BitFlips
+				st.Drops += ps.Drops
+				st.Kills += ps.Kills
+			}
+			if st.BitFlips == 0 || st.Drops == 0 || st.Kills < 2 {
+				t.Errorf("proxies injected too little chaos: %+v", st)
 			}
 		})
 	}
@@ -138,7 +174,7 @@ func TestRetrieveUnderChaos(t *testing.T) {
 
 // cycleFrames encodes one complete broadcast cycle the way the server does,
 // returning the frame sequence (head, index[, second tier], docs).
-func cycleFrames(t *testing.T, b *broadcast.Builder, mode broadcast.Mode, num int64, queries []xpath.Path, plan []xmldoc.DocID) []outFrame {
+func cycleFrames(t *testing.T, b *broadcast.Builder, mode broadcast.Mode, num int64, queries []xpath.Path, plan []xmldoc.DocID) []airFrame {
 	t.Helper()
 	cy, err := b.BuildCycle(num, 0, queries, plan)
 	if err != nil {
@@ -163,9 +199,9 @@ func cycleFrames(t *testing.T, b *broadcast.Builder, mode broadcast.Mode, num in
 	if err != nil {
 		t.Fatalf("head.encode: %v", err)
 	}
-	frames := []outFrame{{t: FrameCycleHead, payload: headBytes}, {t: FrameIndex, payload: indexSeg}}
+	frames := []airFrame{{t: FrameCycleHead, payload: headBytes}, {t: FrameIndex, payload: indexSeg}}
 	if stSeg != nil {
-		frames = append(frames, outFrame{t: FrameSecondTier, payload: stSeg})
+		frames = append(frames, airFrame{t: FrameSecondTier, payload: stSeg})
 	}
 	for _, p := range cy.Docs {
 		doc := b.DocByID(p.ID)
@@ -173,14 +209,14 @@ func cycleFrames(t *testing.T, b *broadcast.Builder, mode broadcast.Mode, num in
 		payload[0] = byte(p.ID)
 		payload[1] = byte(p.ID >> 8)
 		payload = append(payload, doc.Marshal()...)
-		frames = append(frames, outFrame{t: FrameDoc, payload: payload})
+		frames = append(frames, airFrame{t: FrameDoc, payload: payload})
 	}
 	return frames
 }
 
 // pipeClient builds a downlink-only client fed by a synthetic frame stream.
 // The writer loops the given frame schedule until the client hangs up.
-func pipeClient(t *testing.T, prelude, cycle []outFrame) *Client {
+func pipeClient(t *testing.T, prelude, cycle []airFrame) *Client {
 	t.Helper()
 	srvEnd, cliEnd := net.Pipe()
 	t.Cleanup(func() { srvEnd.Close(); cliEnd.Close() })
@@ -198,7 +234,7 @@ func pipeClient(t *testing.T, prelude, cycle []outFrame) *Client {
 			}
 		}
 	}()
-	return &Client{model: core.DefaultSizeModel(), down: cliEnd, dl: newFrameSource(cliEnd)}
+	return &Client{model: core.DefaultSizeModel(), chans: []*chanStream{{conn: cliEnd, src: newFrameSource(cliEnd)}}}
 }
 
 // TestMidStreamJoin: a client whose subscription starts between a cycle

@@ -108,46 +108,47 @@ func frameCRC(hdr []byte, payload []byte) uint32 {
 	return crc32.Update(crc, castagnoli, payload)
 }
 
-// writeFrame writes one v2 frame.
-func writeFrame(w io.Writer, t FrameType, payload []byte) error {
+// frameEnds returns the header and the CRC32C trailer that enclose payload
+// in a v2 frame: the wire form is hdr, payload, crc in turn. Every frame
+// encoder goes through it, so they are byte-identical by construction.
+func frameEnds(t FrameType, payload []byte) (hdr, crc []byte, err error) {
 	if len(payload) > maxFrame {
-		return fmt.Errorf("netcast: frame of %d bytes exceeds limit", len(payload))
+		return nil, nil, fmt.Errorf("netcast: frame of %d bytes exceeds limit", len(payload))
 	}
-	var hdr [frameHdrLen]byte
+	ends := make([]byte, frameHdrLen+frameCRCLen)
+	hdr, crc = ends[:frameHdrLen], ends[frameHdrLen:]
 	hdr[0] = frameSync0
 	hdr[1] = frameSync1
 	hdr[2] = byte(t)
 	binary.LittleEndian.PutUint32(hdr[3:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
+	binary.LittleEndian.PutUint32(crc, frameCRC(hdr[2:], payload))
+	return hdr, crc, nil
+}
+
+// writeFrame writes one v2 frame.
+func writeFrame(w io.Writer, t FrameType, payload []byte) error {
+	hdr, crc, err := frameEnds(t, payload)
+	if err != nil {
 		return err
 	}
-	if _, err := w.Write(payload); err != nil {
-		return err
+	for _, part := range [...][]byte{hdr, payload, crc} {
+		if _, err := w.Write(part); err != nil {
+			return err
+		}
 	}
-	var trailer [frameCRCLen]byte
-	binary.LittleEndian.PutUint32(trailer[:], frameCRC(hdr[2:], payload))
-	_, err := w.Write(trailer[:])
-	return err
+	return nil
 }
 
 // appendFrame appends one encoded v2 frame to dst, returning the extended
 // slice: the in-memory form of writeFrame, used where a complete frame must
-// exist as bytes before it goes anywhere — transport envelopes, mux frames,
-// capture files. The two encoders are byte-identical by construction.
+// exist as bytes before it goes anywhere — transport envelopes and mux
+// frames.
 func appendFrame(dst []byte, t FrameType, payload []byte) ([]byte, error) {
-	if len(payload) > maxFrame {
-		return nil, fmt.Errorf("netcast: frame of %d bytes exceeds limit", len(payload))
+	hdr, crc, err := frameEnds(t, payload)
+	if err != nil {
+		return nil, err
 	}
-	var hdr [frameHdrLen]byte
-	hdr[0] = frameSync0
-	hdr[1] = frameSync1
-	hdr[2] = byte(t)
-	binary.LittleEndian.PutUint32(hdr[3:], uint32(len(payload)))
-	dst = append(dst, hdr[:]...)
-	dst = append(dst, payload...)
-	var trailer [frameCRCLen]byte
-	binary.LittleEndian.PutUint32(trailer[:], frameCRC(hdr[2:], payload))
-	return append(dst, trailer[:]...), nil
+	return append(append(append(dst, hdr...), payload...), crc...), nil
 }
 
 // readFrame reads one v2 frame, verifying sync bytes and checksum. Corrupt
@@ -175,25 +176,6 @@ func readFrame(r io.Reader) (FrameType, []byte, error) {
 		return 0, nil, fmt.Errorf("%w: checksum %#08x, want %#08x", errFrameCorrupt, got, want)
 	}
 	return FrameType(hdr[2]), payload, nil
-}
-
-// readFrameV1 reads one legacy (protocol version 1) frame: 1 type byte,
-// 4 length bytes, payload — no sync bytes, no checksum. Kept so old capture
-// files still parse.
-func readFrameV1(r io.Reader) (FrameType, []byte, error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, nil, err
-	}
-	n := binary.LittleEndian.Uint32(hdr[1:])
-	if n > maxFrame {
-		return 0, nil, fmt.Errorf("netcast: frame of %d bytes exceeds limit", n)
-	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, nil, err
-	}
-	return FrameType(hdr[0]), payload, nil
 }
 
 // resyncFrame scans a desynchronised byte stream for the next well-formed

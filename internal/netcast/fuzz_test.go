@@ -49,7 +49,7 @@ func FuzzFrame(f *testing.F) {
 }
 
 // FuzzReadCapture: arbitrary capture bytes — including truncated and
-// corrupted v1/v2 captures — must produce records or an error, never a
+// corrupted captures — must produce records or an error, never a
 // panic.
 func FuzzReadCapture(f *testing.F) {
 	head, _ := (&cycleHead{Number: 1, TwoTier: true, NumDocs: 1, Catalog: []byte{0, 0}}).encode()
@@ -60,7 +60,7 @@ func FuzzReadCapture(f *testing.F) {
 	_ = writeFrame(&v2, FrameDoc, []byte{7, 0, 'x'})
 	f.Add(v2.Bytes())
 	f.Add(v2.Bytes()[:v2.Len()-5]) // truncated mid-frame
-	f.Add([]byte(captureMagicV1))
+	f.Add([]byte("XBCAST1\n"))     // retired v1 magic: must be refused, not parsed
 	f.Add([]byte(captureMagic))
 	f.Add([]byte("XBCAST9\njunk"))
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -243,3 +243,40 @@ func TestMultichannelCapture(t *testing.T) {
 		t.Fatal("no cycle captured on both channels")
 	}
 }
+
+// TestStrayIndexFramesOnDataChannelAreDozed pins the one-loop client's gate:
+// cycle state is only ever taken from the index channel, so a checksum-valid
+// cycle head, channel directory or first tier turning up on a data stream is
+// dozed and leaves the head, the wanted set and the tuner where they were.
+func TestStrayIndexFramesOnDataChannelAreDozed(t *testing.T) {
+	stray, err := (&cycleHead{Number: 9, TwoTier: true}).encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	head := &cycleHead{Number: 5, TwoTier: true}
+	want := map[xmldoc.DocID]struct{}{3: {}}
+	r := &retrieval{
+		c:           &Client{chans: []*chanStream{{}, {}}},
+		cycleState:  cycleState{head: head, want: want, onChan: []bool{false, true}},
+		streamState: streamState{synced: true, docsLeft: 2},
+		cur:         1,
+	}
+	var air int64
+	for _, fr := range []airFrame{
+		{t: FrameCycleHead, payload: stray, air: 40},
+		{t: FrameChannelDir, payload: []byte{0xFF}, air: 7},
+		{t: FrameIndex, payload: []byte{0xFF}, air: 11},
+	} {
+		if err := r.handle(fr); err != nil {
+			t.Fatalf("frame type %d on a data channel: %v", fr.t, err)
+		}
+		air += fr.air
+	}
+	if r.head != head || !reflect.DeepEqual(r.want, want) || r.cur != 1 || r.docsLeft != 2 || r.dir != nil {
+		t.Errorf("stray index frames changed the cycle state: head=%+v want=%v cur=%d docsLeft=%d dir=%v",
+			r.head, r.want, r.cur, r.docsLeft, r.dir)
+	}
+	if r.stats.DozeBytes != air || r.stats.TuningBytes != 0 || r.stats.Cycles != 0 {
+		t.Errorf("stats = %+v, want %d doze bytes and nothing else", r.stats, air)
+	}
+}

@@ -12,11 +12,11 @@ import (
 	"time"
 
 	"repro/internal/broadcast"
-	"repro/internal/netcast/transport"
 	"repro/internal/control"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/journal"
+	"repro/internal/netcast/transport"
 	"repro/internal/schedule"
 	"repro/internal/wire"
 	"repro/internal/xmldoc"
@@ -191,6 +191,16 @@ type Server struct {
 	pending []*srvRequest
 	nextID  int64
 	cycles  int64
+	// cycleErr is the fatal assembly error that stopped the cycle loop; nil
+	// while the loop is healthy. Once set, submissions are refused with it.
+	cycleErr error
+
+	// docMu keeps RemoveDocument (exclusive) out of the two paths that carry
+	// document IDs between the engine and the pending set (shared): a
+	// submission from resolving its result set to joining pending, and a
+	// cycle from its pending-set snapshot to the encoded documents. Without
+	// it either could hold the ID of a document the engine has dropped.
+	docMu sync.RWMutex
 
 	rejectedRate    atomic.Int64
 	rejectedPending atomic.Int64
@@ -237,6 +247,10 @@ type ServerStats struct {
 	Epoch            uint64
 	Generation       uint32
 	RecoveredPending int
+	// CycleError is the fatal cycle-assembly error that stopped the cycle
+	// loop: nothing airs any more and every submission is refused with it.
+	// Empty while the loop is healthy.
+	CycleError string
 }
 
 // subscriber is one broadcast listener: frames are queued to a buffered
@@ -251,14 +265,12 @@ type subscriber struct {
 	quitOnce sync.Once
 }
 
-// outFrame is one queued downlink frame. On a compressing server the
-// transport envelope is encoded once at fan-out and carried in wire; the
-// writer then puts those exact bytes on every subscriber's connection.
-type outFrame struct {
-	t       FrameType
-	payload []byte
-	wire    []byte // pre-encoded transport envelope; nil on a bare server
-}
+// outFrame is one queued downlink frame in wire form, produced once at
+// fan-out and written part by part to every subscriber's connection: frame
+// header, payload and CRC trailer on a bare server (the payload is the
+// engine's buffer, never copied), or a single transport envelope on a
+// compressing one.
+type outFrame [3][]byte
 
 // finish closes the subscriber's queue exactly once; its writer goroutine
 // drains and flushes what remains, then closes the connection.
@@ -297,9 +309,6 @@ func StartServer(cfg ServerConfig) (*Server, error) {
 	}
 	if cfg.Channels < 1 || cfg.Channels > 256 {
 		return nil, fmt.Errorf("netcast: ServerConfig.Channels must be in [1, 256], got %d", cfg.Channels)
-	}
-	if cfg.Channels > 1 && cfg.Mode != broadcast.TwoTierMode {
-		return nil, fmt.Errorf("netcast: multichannel broadcast requires two-tier mode")
 	}
 	if cfg.Compress && cfg.Channels > 1 {
 		// The channel directory's hop offsets index the uncompressed stream;
@@ -587,6 +596,9 @@ func (s *Server) Stats() ServerStats {
 		RejectedRate:    s.rejectedRate.Load(),
 		RejectedPending: s.rejectedPending.Load(),
 	}
+	if s.cycleErr != nil {
+		st.CycleError = s.cycleErr.Error()
+	}
 	s.mu.Unlock()
 	st.Engine = s.eng.Metrics()
 	st.Health = st.Engine.Health
@@ -800,9 +812,9 @@ func (s *Server) serveUplink(conn net.Conn) {
 			s.inflight.Done()
 			return
 		}
-		out, drop := s.uplinkRespond(t, payload, bucket)
+		rt, resp, drop := s.uplinkRespond(t, payload, bucket)
 		_ = conn.SetWriteDeadline(time.Now().Add(subWriteTimeout))
-		err = writeFrame(conn, out.t, out.payload)
+		err = writeFrame(conn, rt, resp)
 		s.inflight.Done()
 		if err != nil || drop {
 			return
@@ -815,18 +827,18 @@ func (s *Server) serveUplink(conn net.Conn) {
 // bare and multiplexed loops, so admission control, journaling and resume
 // semantics are identical regardless of framing. drop reports a protocol
 // violation: the response is still written, then the connection dies.
-func (s *Server) uplinkRespond(t FrameType, payload []byte, bucket *tokenBucket) (out outFrame, drop bool) {
+func (s *Server) uplinkRespond(t FrameType, payload []byte, bucket *tokenBucket) (rt FrameType, resp []byte, drop bool) {
 	switch t {
 	case FrameResume:
 		ids, derr := decodeResume(payload)
 		if derr != nil {
-			return outFrame{t: FrameAck, payload: []byte("err: " + derr.Error())}, false
+			return FrameAck, []byte("err: " + derr.Error()), false
 		}
 		ack, aerr := encodeResumeAck(s.epoch, s.generation, s.resumeEntries(ids))
 		if aerr != nil {
-			return outFrame{t: FrameAck, payload: []byte("err: " + aerr.Error())}, false
+			return FrameAck, []byte("err: " + aerr.Error()), false
 		}
-		return outFrame{t: FrameResumeAck, payload: ack}, false
+		return FrameResumeAck, ack, false
 	case FrameQuery:
 		if bucket != nil {
 			if s.adaptive != nil {
@@ -836,7 +848,7 @@ func (s *Server) uplinkRespond(t FrameType, payload []byte, bucket *tokenBucket)
 			}
 			if wait := bucket.take(s.clock.Now()); wait > 0 {
 				s.rejectedRate.Add(1)
-				return outFrame{t: FrameReject, payload: encodeReject(wait, "rate limited")}, false
+				return FrameReject, encodeReject(wait, "rate limited"), false
 			}
 		}
 		covered, id, err := s.submit(string(payload))
@@ -844,7 +856,7 @@ func (s *Server) uplinkRespond(t FrameType, payload []byte, bucket *tokenBucket)
 		case err == nil:
 			// The ack names the covering cycle and the durable request ID
 			// the client presents on session resume.
-			return outFrame{t: FrameAck, payload: []byte(fmt.Sprintf("ok:%d:%d", covered, id))}, false
+			return FrameAck, []byte(fmt.Sprintf("ok:%d:%d", covered, id)), false
 		case errors.Is(err, engine.ErrOverload):
 			s.rejectedPending.Add(1)
 			// The cap frees up as cycles retire requests, so the next cycle
@@ -857,12 +869,12 @@ func (s *Server) uplinkRespond(t FrameType, payload []byte, bucket *tokenBucket)
 					retry = ra
 				}
 			}
-			return outFrame{t: FrameReject, payload: encodeReject(retry, "pending set full")}, false
+			return FrameReject, encodeReject(retry, "pending set full"), false
 		default:
-			return outFrame{t: FrameAck, payload: []byte("err: " + err.Error())}, false
+			return FrameAck, []byte("err: " + err.Error()), false
 		}
 	default:
-		return outFrame{t: FrameAck, payload: []byte("err: unexpected frame")}, true
+		return FrameAck, []byte("err: unexpected frame"), true
 	}
 }
 
@@ -891,8 +903,8 @@ func (s *Server) serveUplinkMux(conn net.Conn, br *bufio.Reader, bucket *tokenBu
 	tr := transport.NewReaderFromBufio(br)
 	enc := transport.NewEncoder(grant.Compress, 0)
 	bw := bufio.NewWriterSize(conn, downlinkBufSize)
-	respond := func(stream int64, out outFrame) error {
-		inner, err := appendFrame(nil, out.t, out.payload)
+	respond := func(stream int64, t FrameType, payload []byte) error {
+		inner, err := appendFrame(nil, t, payload)
 		if err != nil {
 			return err
 		}
@@ -931,13 +943,13 @@ func (s *Server) serveUplinkMux(conn net.Conn, br *bufio.Reader, bucket *tokenBu
 		}
 		s.inflight.Add(1)
 		if s.draining.Load() {
-			_ = respond(fr.Stream, outFrame{t: FrameReject, payload: encodeReject(s.cfg.CycleInterval, "server shutting down")})
+			_ = respond(fr.Stream, FrameReject, encodeReject(s.cfg.CycleInterval, "server shutting down"))
 			_ = bw.Flush()
 			s.inflight.Done()
 			return
 		}
-		out, drop := s.uplinkRespond(t, payload, bucket)
-		err = respond(fr.Stream, out)
+		rt, resp, drop := s.uplinkRespond(t, payload, bucket)
+		err = respond(fr.Stream, rt, resp)
 		s.inflight.Done()
 		if err != nil {
 			return
@@ -994,6 +1006,10 @@ func (s *Server) submit(expr string) (int64, int64, error) {
 	if err != nil {
 		return 0, 0, err
 	}
+	// Held until the request has joined pending, so the resolved IDs cannot go
+	// stale on the way; a removal after that strips them from pending itself.
+	s.docMu.RLock()
+	defer s.docMu.RUnlock()
 	// The engine memoizes answers per canonical query string, so repeated
 	// submissions of popular queries never rescan the collection.
 	docs, err := s.eng.Resolve(q)
@@ -1040,15 +1056,16 @@ func (s *Server) maxPending() int {
 	return s.cfg.Limits.MaxPending
 }
 
-// admit is the cheap pre-resolution admission check against the pending cap.
+// admit is the cheap pre-resolution admission check: against a dead cycle
+// loop (a request admitted now would never air) and the pending cap.
 func (s *Server) admit() error {
 	max := s.maxPending()
-	if max <= 0 {
-		return nil
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(s.pending) >= max {
+	if s.cycleErr != nil {
+		return fmt.Errorf("broadcast stopped: %w", s.cycleErr)
+	}
+	if max > 0 && len(s.pending) >= max {
 		return fmt.Errorf("netcast: pending set at MaxPending %d: %w", max, engine.ErrOverload)
 	}
 	return nil
@@ -1064,7 +1081,17 @@ func (s *Server) acceptSubscribers(ln net.Listener, channel int) {
 			return
 		}
 		sub := &subscriber{conn: conn, ch: make(chan outFrame, s.cfg.SubscriberQueue), channel: channel}
+		// Shutdown and Kill close stop before they snapshot subs under mu, so
+		// a connection accepted after the teardown began is either in that
+		// snapshot or refused here — never a writer nobody will finish.
 		s.mu.Lock()
+		select {
+		case <-s.stop:
+			s.mu.Unlock()
+			conn.Close()
+			continue
+		default:
+		}
 		s.subs[sub] = struct{}{}
 		s.mu.Unlock()
 		s.wg.Add(1)
@@ -1092,12 +1119,10 @@ func (s *Server) serveSubscriber(sub *subscriber) {
 	}
 	for f := range sub.ch {
 		_ = sub.conn.SetWriteDeadline(time.Now().Add(subWriteTimeout))
-		if f.wire != nil {
-			if _, err := bw.Write(f.wire); err != nil {
+		for _, part := range f {
+			if _, err := bw.Write(part); err != nil {
 				return
 			}
-		} else if err := writeFrame(bw, f.t, f.payload); err != nil {
-			return
 		}
 		if len(sub.ch) == 0 {
 			if err := bw.Flush(); err != nil {
@@ -1122,8 +1147,11 @@ func (s *Server) cycleLoop() {
 			return
 		case <-ticker.C:
 			if err := s.broadcastCycle(); err != nil {
-				// Cycle assembly failures are fatal design errors; surface
-				// by stopping the loop (subscribers observe EOF).
+				// Cycle assembly failures are fatal design errors: the loop
+				// stops, Stats reports why, and submissions are refused.
+				s.mu.Lock()
+				s.cycleErr = err
+				s.mu.Unlock()
 				return
 			}
 		}
@@ -1133,9 +1161,14 @@ func (s *Server) cycleLoop() {
 // broadcastCycle plans, encodes and fans out one cycle through the shared
 // assembly engine.
 func (s *Server) broadcastCycle() error {
+	// docMu is held from the snapshot through the encode — the stretch that
+	// dereferences the snapshot's document IDs — and not across the fan-out or
+	// the journal commit, so a removal waits out an assembly, never a cycle.
+	s.docMu.RLock()
 	s.mu.Lock()
 	if len(s.pending) == 0 {
 		s.mu.Unlock()
+		s.docMu.RUnlock()
 		return nil
 	}
 	snapshot := append([]*srvRequest(nil), s.pending...)
@@ -1157,10 +1190,11 @@ func (s *Server) broadcastCycle() error {
 	// The server's clock is the cycle number: arrivals are stamped with it,
 	// and the scheduler's "now" follows the same unit.
 	cy, err := s.eng.AssembleCycle(num, num, pending)
-	if err != nil {
-		return err
+	var enc *engine.Encoded
+	if err == nil {
+		enc, err = s.eng.EncodeCycle(cy)
 	}
-	enc, err := s.eng.EncodeCycle(cy)
+	s.docMu.RUnlock()
 	if err != nil {
 		return err
 	}
@@ -1274,16 +1308,24 @@ func (s *Server) broadcastCycle() error {
 // whose queue is full has stalled past what its buffer and write deadline
 // absorb; it is dropped so the broadcast never blocks on one receiver.
 func (s *Server) fanOut(channel int, t FrameType, payload []byte) {
-	var wireBytes []byte
+	// Frame once: header and checksum (and the envelope, when compressing)
+	// are computed here, not per subscriber, and every subscriber gets the
+	// identical bytes.
+	hdr, crc, err := frameEnds(t, payload)
+	if err != nil {
+		return // payload exceeds the frame limit; unreachable by construction
+	}
+	f := outFrame{hdr, payload, crc}
 	if s.downEnc != nil {
-		// Compress once; every subscriber gets the identical envelope.
-		inner, err := appendFrame(make([]byte, 0, len(payload)+frameHdrLen+frameCRCLen), t, payload)
-		if err == nil {
-			wireBytes, err = s.downEnc.Encode(transport.NoStream, inner)
+		inner := make([]byte, 0, len(hdr)+len(payload)+len(crc))
+		for _, part := range f {
+			inner = append(inner, part...)
 		}
+		env, err := s.downEnc.Encode(transport.NoStream, inner)
 		if err != nil {
-			return // payload exceeds the frame limit; unreachable by construction
+			return
 		}
+		f = outFrame{env}
 	}
 	s.mu.Lock()
 	subs := make([]*subscriber, 0, len(s.subs))
@@ -1295,7 +1337,7 @@ func (s *Server) fanOut(channel int, t FrameType, payload []byte) {
 	s.mu.Unlock()
 	for _, sub := range subs {
 		select {
-		case sub.ch <- outFrame{t: t, payload: payload, wire: wireBytes}:
+		case sub.ch <- f:
 		default:
 			s.mu.Lock()
 			delete(s.subs, sub)
@@ -1329,6 +1371,8 @@ func (s *Server) AddDocument(d *xmldoc.Document) error {
 // satisfied are retired. A journaled server records the removal, whose
 // replay shrinks recovered remaining sets the same way.
 func (s *Server) RemoveDocument(id xmldoc.DocID) error {
+	s.docMu.Lock()
+	defer s.docMu.Unlock()
 	if err := s.eng.RemoveDocument(id); err != nil {
 		return err
 	}

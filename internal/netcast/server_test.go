@@ -1,0 +1,262 @@
+package netcast
+
+import (
+	"bytes"
+	"io"
+	"net"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/dtd"
+	"repro/internal/gen"
+	"repro/internal/netcast/transport"
+	"repro/internal/schedule"
+	"repro/internal/xmldoc"
+	"repro/internal/xpath"
+)
+
+// waitFor polls cond until it holds or the deadline passes.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(30 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+// TestFanOutFramesOnce: every subscriber of a channel receives the same
+// bytes, and they are exactly the frames' wire form — appendFrame's output on
+// a bare server, the hello plus one transport envelope per frame on a
+// compressing one. The frames are pushed through fanOut directly on an idle
+// server (nothing pending, so the cycle loop never calls it).
+func TestFanOutFramesOnce(t *testing.T) {
+	frames := []airFrame{
+		{t: FrameCycleHead, payload: []byte("head")},
+		{t: FrameIndex, payload: bytes.Repeat([]byte("index segment "), 40)},
+		{t: FrameSecondTier, payload: nil},
+		{t: FrameDoc, payload: bytes.Repeat([]byte{7, 0, '<', 'a', '/', '>'}, 500)},
+	}
+	for _, compress := range []bool{false, true} {
+		name := map[bool]string{false: "bare", true: "compressed"}[compress]
+		t.Run(name, func(t *testing.T) {
+			srv, err := StartServer(ServerConfig{Collection: testCollection(t), CycleCapacity: 50_000, Compress: compress})
+			if err != nil {
+				t.Fatalf("StartServer: %v", err)
+			}
+			defer srv.Shutdown()
+
+			var want []byte
+			enc := transport.NewEncoder(true, 0)
+			if compress {
+				var hello bytes.Buffer
+				if err := transport.WriteHello(&hello, transport.Hello{Compress: true}); err != nil {
+					t.Fatal(err)
+				}
+				want = hello.Bytes()
+			}
+			for _, f := range frames {
+				frame, err := appendFrame(nil, f.t, f.payload)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if compress {
+					if frame, err = enc.Encode(transport.NoStream, frame); err != nil {
+						t.Fatal(err)
+					}
+				}
+				want = append(want, frame...)
+			}
+
+			const subscribers = 8
+			conns := make([]net.Conn, subscribers)
+			for i := range conns {
+				if conns[i], err = net.Dial("tcp", srv.BroadcastAddr()); err != nil {
+					t.Fatal(err)
+				}
+				defer conns[i].Close()
+			}
+			waitFor(t, "subscribers to register", func() bool { return srv.Stats().Subscribers == subscribers })
+			for _, f := range frames {
+				srv.fanOut(0, f.t, f.payload)
+			}
+			for i, conn := range conns {
+				got := make([]byte, len(want))
+				_ = conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+				if _, err := io.ReadFull(conn, got); err != nil {
+					t.Fatalf("subscriber %d: %v", i, err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Errorf("subscriber %d received a stream that differs from the frames' wire form", i)
+				}
+			}
+		})
+	}
+}
+
+// TestRemoveDocumentDuringCycles: removing documents while cycles assemble
+// must never let a cycle size or encode a document the engine has already
+// dropped. The pending set is kept deep (every request wants every document)
+// so the cycle loop spends most of its time between its pending-set snapshot
+// and the engine's assembly — the window a removal used to slip into.
+func TestRemoveDocumentDuringCycles(t *testing.T) {
+	coll, err := gen.Documents(gen.DocConfig{Schema: dtd.NITF(), NumDocs: 60, Seed: 77})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := StartServer(ServerConfig{
+		Collection:    coll,
+		CycleCapacity: coll.TotalSize() / coll.Len(),
+		CycleInterval: time.Millisecond,
+	})
+	if err != nil {
+		t.Fatalf("StartServer: %v", err)
+	}
+	defer srv.Shutdown()
+
+	stop := make(chan struct{})
+	var feeder sync.WaitGroup
+	feeder.Add(1)
+	go func() {
+		defer feeder.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if srv.Pending() < 400 {
+				_, _, _ = srv.submit("/nitf")
+			} else {
+				time.Sleep(100 * time.Microsecond)
+			}
+		}
+	}()
+	waitFor(t, "a deep pending set", func() bool { return srv.Pending() >= 300 })
+	ids := xpath.MustParse("/nitf").MatchingDocs(coll)
+	for _, id := range ids[:50] {
+		if err := srv.RemoveDocument(id); err != nil {
+			t.Fatalf("RemoveDocument(%d): %v", id, err)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// The feeder is still submitting, so a live loop has cycles to air.
+	before := srv.Cycles()
+	waitFor(t, "cycles to keep airing after the removals", func() bool { return srv.Cycles() > before })
+	close(stop)
+	feeder.Wait()
+	if st := srv.Stats(); st.CycleError != "" {
+		t.Fatalf("cycle loop died: %s", st.CycleError)
+	}
+	if got, want := srv.NumDocs(), coll.Len()-50; got != want {
+		t.Errorf("NumDocs = %d, want %d", got, want)
+	}
+}
+
+// TestShutdownWithSubscribersArriving: Shutdown must return even when
+// broadcast connections are being accepted while it tears down. A connection
+// accepted after the teardown snapshotted the subscriber set used to get a
+// writer goroutine nobody would ever finish, and Shutdown waited on it
+// forever.
+func TestShutdownWithSubscribersArriving(t *testing.T) {
+	coll := testCollection(t)
+	for trial := 0; trial < 60; trial++ {
+		srv, err := StartServer(ServerConfig{Collection: coll, CycleCapacity: 50_000})
+		if err != nil {
+			t.Fatalf("StartServer: %v", err)
+		}
+		addr := srv.BroadcastAddr()
+		var (
+			dialers sync.WaitGroup
+			dialed  atomic.Int64
+			mu      sync.Mutex
+			conns   []net.Conn
+		)
+		for d := 0; d < 4; d++ {
+			dialers.Add(1)
+			go func() {
+				defer dialers.Done()
+				for {
+					conn, err := net.Dial("tcp", addr)
+					if err != nil {
+						return // the listener is gone
+					}
+					dialed.Add(1)
+					mu.Lock()
+					conns = append(conns, conn)
+					mu.Unlock()
+				}
+			}()
+		}
+		waitFor(t, "the first subscribers", func() bool { return dialed.Load() >= 8 })
+		done := make(chan struct{})
+		go func() { srv.Shutdown(); close(done) }()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("trial %d: Shutdown hung with subscribers still arriving", trial)
+		}
+		dialers.Wait()
+		for _, conn := range conns {
+			conn.Close()
+		}
+	}
+}
+
+// emptyPlanner is a scheduler that can be switched to planning nothing,
+// which the engine reports as a fatal assembly error.
+type emptyPlanner struct {
+	schedule.LeeLo
+	broken atomic.Bool
+}
+
+func (p *emptyPlanner) PlanCycle(pending []schedule.Request, size func(xmldoc.DocID) int, capacity int, now int64) []xmldoc.DocID {
+	if p.broken.Load() {
+		return nil
+	}
+	return p.LeeLo.PlanCycle(pending, size, capacity, now)
+}
+
+// TestFatalCycleErrorIsSurfaced: a fatal cycle-assembly error stops the
+// cycle loop, and must not do so silently — Stats names the error and later
+// submissions are refused with it instead of being acked into a pending set
+// nothing will ever air.
+func TestFatalCycleErrorIsSurfaced(t *testing.T) {
+	planner := &emptyPlanner{}
+	srv, err := StartServer(ServerConfig{
+		Collection:    testCollection(t),
+		Scheduler:     planner,
+		CycleCapacity: 50_000,
+		CycleInterval: 2 * time.Millisecond,
+		ScheduleChurn: -1, // plan through PlanCycle, not the demand index
+	})
+	if err != nil {
+		t.Fatalf("StartServer: %v", err)
+	}
+	defer srv.Shutdown()
+	cl, err := Dial(srv.UplinkAddr(), srv.BroadcastAddr(), core.SizeModel{})
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer cl.Close()
+	q := xpath.MustParse("/nitf")
+	if st := srv.Stats(); st.CycleError != "" {
+		t.Fatalf("healthy server reports CycleError %q", st.CycleError)
+	}
+	planner.broken.Store(true)
+	if err := cl.Submit(q); err != nil {
+		t.Fatalf("Submit before the failure: %v", err)
+	}
+	waitFor(t, "the cycle loop to report its error", func() bool { return srv.Stats().CycleError != "" })
+	if st := srv.Stats(); !strings.Contains(st.CycleError, "empty cycle") {
+		t.Errorf("CycleError = %q, want the engine's empty-cycle error", st.CycleError)
+	}
+	err = cl.Submit(q)
+	if err == nil || !strings.Contains(err.Error(), "broadcast stopped") || !strings.Contains(err.Error(), "empty cycle") {
+		t.Errorf("Submit after the failure = %v, want a refusal naming the stopped broadcast and its cause", err)
+	}
+}

@@ -30,13 +30,22 @@ type frameSource struct {
 	// the caller's stats.
 	doze int64
 
-	// A transport-level resync leaves the recovered frame stashed here so
-	// the corruption error can surface to the protocol layer (which must
-	// count the resync and drop its cycle state) without losing the frame.
-	hasStash bool
-	stashT   FrameType
-	stashP   []byte
-	stashAir int64
+	// held is a frame already off the stream that the next read returns
+	// first: one the reader put back (unread), or the frame a
+	// transport-level resync recovered — stashed so the corruption error can
+	// surface to the protocol layer (which must count the resync and drop
+	// its cycle state) without losing the frame.
+	held *airFrame
+}
+
+// airFrame is one protocol frame off a downlink with its air cost. raw is
+// the transport envelope exactly as read, for byte-faithful capture: nil on
+// the bare protocol, valid only until the source's next read.
+type airFrame struct {
+	t       FrameType
+	payload []byte
+	air     int64
+	raw     []byte
 }
 
 // newFrameSource wraps a downlink connection.
@@ -53,11 +62,10 @@ func (fs *frameSource) sniff() error {
 	}
 	p, err := fs.br.Peek(4)
 	if err == nil && transport.IsHelloPrefix(p) {
-		h, err := transport.ReadHello(fs.br)
-		if err != nil {
+		// The downlink hello only announces framing; nothing to grant.
+		if _, err := transport.ReadHello(fs.br); err != nil {
 			return fmt.Errorf("netcast: transport hello: %w", err)
 		}
-		_ = h // the downlink hello only announces framing; nothing to grant
 		fs.tr = transport.NewReaderFromBufio(fs.br)
 	}
 	fs.sniffed = true
@@ -75,73 +83,85 @@ func (fs *frameSource) takeDoze() int64 {
 	return d
 }
 
+// unread puts back the frame the last read returned, for a reader that
+// turns out to have run into the next cycle's share.
+func (fs *frameSource) unread(fr airFrame) { fs.held = &fr }
+
 // next reads one protocol frame and its air cost. Corruption — at either
 // the transport or the frame layer — satisfies isCorrupt; in transport
 // mode the stream is realigned internally first (the recovered frame is
-// stashed for the following call), so the protocol layer's recovery logic
+// held for the following call), so the protocol layer's recovery logic
 // never has to know which layer detected the damage.
-func (fs *frameSource) next() (t FrameType, payload []byte, air int64, err error) {
+func (fs *frameSource) next() (airFrame, error) {
+	if fr := fs.held; fr != nil {
+		fs.held = nil
+		return *fr, nil
+	}
 	if err := fs.sniff(); err != nil {
-		return 0, nil, 0, err
+		return airFrame{}, err
 	}
 	if fs.tr == nil {
-		t, payload, err = readFrame(fs.br)
-		return t, payload, int64(len(payload)), err
+		t, payload, err := readFrame(fs.br)
+		return airFrame{t: t, payload: payload, air: int64(len(payload))}, err
 	}
-	if fs.hasStash {
-		fs.hasStash = false
-		return fs.stashT, fs.stashP, fs.stashAir, nil
-	}
-	fr, err := fs.tr.Next()
+	env, err := fs.tr.Next()
 	if err != nil {
 		if !transport.IsCorrupt(err) {
-			return 0, nil, 0, err
+			return airFrame{}, err
 		}
 		// Realign at the transport layer now; surface the corruption once.
-		rfr, skipped, rerr := fs.tr.Resync()
+		renv, skipped, rerr := fs.tr.Resync()
 		fs.doze += skipped
 		if rerr != nil {
-			return 0, nil, 0, rerr
+			return airFrame{}, rerr
 		}
-		if st, sp, derr := decodeInner(rfr.Inner); derr == nil {
-			fs.stashT, fs.stashP, fs.stashAir, fs.hasStash = st, sp, int64(rfr.Wire), true
+		if fr, derr := unwrap(renv); derr == nil {
+			fs.held = &fr
 		} else {
-			fs.doze += int64(rfr.Wire)
+			fs.doze += int64(renv.Wire)
 		}
-		return 0, nil, 0, fmt.Errorf("%w: %v", errFrameCorrupt, err)
+		return airFrame{}, fmt.Errorf("%w: %v", errFrameCorrupt, err)
 	}
-	t, payload, derr := decodeInner(fr.Inner)
+	fr, derr := unwrap(env)
 	if derr != nil {
 		// A CRC-valid envelope wrapping an undecodable inner frame; the
 		// stream itself is still aligned.
-		return 0, nil, 0, fmt.Errorf("%w: inner frame: %v", errFrameCorrupt, derr)
+		return airFrame{}, fmt.Errorf("%w: inner frame: %v", errFrameCorrupt, derr)
 	}
-	return t, payload, int64(fr.Wire), nil
+	return fr, nil
 }
 
-// resync scans for the next frame of type want, returning the bytes skipped
-// on the way (the caller adds them to doze accounting).
-func (fs *frameSource) resync(want FrameType) (payload []byte, skipped int64, err error) {
+// resync scans for the next frame of type want, returning it and the bytes
+// skipped on the way (the caller adds them to doze accounting).
+func (fs *frameSource) resync(want FrameType) (fr airFrame, skipped int64, err error) {
 	if err := fs.sniff(); err != nil {
-		return nil, 0, err
+		return airFrame{}, 0, err
 	}
 	if fs.tr == nil {
-		return resyncFrame(fs.br, want)
+		payload, skipped, err := resyncFrame(fs.br, want)
+		return airFrame{t: want, payload: payload, air: int64(len(payload))}, skipped, err
 	}
 	for {
-		t, p, air, err := fs.next()
+		fr, err := fs.next()
 		skipped += fs.takeDoze()
 		if err != nil {
 			if isCorrupt(err) {
 				continue
 			}
-			return nil, skipped, err
+			return airFrame{}, skipped, err
 		}
-		if t == want {
-			return p, skipped, nil
+		if fr.t == want {
+			return fr, skipped, nil
 		}
-		skipped += air
+		skipped += fr.air
 	}
+}
+
+// unwrap parses the protocol frame a transport envelope carries; its air
+// cost is the envelope's size on the wire.
+func unwrap(env transport.Frame) (airFrame, error) {
+	t, payload, err := decodeInner(env.Inner)
+	return airFrame{t: t, payload: payload, air: int64(env.Wire), raw: env.Raw}, err
 }
 
 // decodeInner parses the protocol frame wrapped by a transport envelope.

@@ -73,7 +73,7 @@ func TestCompressedEndToEndRetrieve(t *testing.T) {
 			if !reflect.DeepEqual(gotIDs, want) {
 				t.Errorf("retrieved %v, want %v", gotIDs, want)
 			}
-			if !cl.dl.isTransport() {
+			if !cl.chans[0].src.isTransport() {
 				t.Error("client did not negotiate the transport layer")
 			}
 			if stats.TuningBytes <= 0 || stats.Cycles == 0 {

@@ -76,25 +76,59 @@ func TestCompressionOneTier(t *testing.T) {
 }
 
 // TestCompressRejectsUnsupportedCombos pins the validation: the compressed
-// model is single-channel and lossless, so Channels > 1 or LossProb > 0
-// alongside Compress is a configuration error, not a silent fallback.
+// model is single-channel, so Channels > 1 alongside Compress is a
+// configuration error, not a silent fallback.
 func TestCompressRejectsUnsupportedCombos(t *testing.T) {
 	c, reqs := workload(t, 5, 3, 7)
-	base := Config{
+	multi := Config{
+		Collection:    c,
+		Mode:          broadcast.TwoTierMode,
+		CycleCapacity: capacityFor(c),
+		Requests:      reqs,
+		Compress:      true,
+		Channels:      3,
+	}
+	if _, err := Run(multi); err == nil {
+		t.Error("Compress + Channels=3 accepted, want configuration error")
+	}
+}
+
+// TestCompressWithLoss: loss injection composes with the compressed model —
+// every client still ends with exactly its result set, a lost envelope costs
+// tuning and cycles over the lossless compressed run, and the run stays
+// deterministic under its seed.
+func TestCompressWithLoss(t *testing.T) {
+	c, reqs := workload(t, 12, 8, 7)
+	cfg := Config{
 		Collection:    c,
 		Mode:          broadcast.TwoTierMode,
 		CycleCapacity: capacityFor(c),
 		Requests:      reqs,
 		Compress:      true,
 	}
-	multi := base
-	multi.Channels = 3
-	if _, err := Run(multi); err == nil {
-		t.Error("Compress + Channels=3 accepted, want configuration error")
+	clean, err := Run(cfg)
+	if err != nil {
+		t.Fatalf("Run lossless: %v", err)
 	}
-	lossy := base
-	lossy.LossProb = 0.1
-	if _, err := Run(lossy); err == nil {
-		t.Error("Compress + LossProb accepted, want configuration error")
+	cfg.LossProb, cfg.LossSeed = 0.3, 11
+	lossy, err := Run(cfg)
+	if err != nil {
+		t.Fatalf("Run lossy: %v", err)
+	}
+	again, err := Run(cfg)
+	if err != nil {
+		t.Fatalf("Run lossy again: %v", err)
+	}
+	for i, cl := range lossy.Clients {
+		if want := reqs[i].Query.MatchingDocs(c); !reflect.DeepEqual(cl.Docs, want) {
+			t.Errorf("client %d docs = %v, want %v", i, cl.Docs, want)
+		}
+	}
+	if lossy.MeanTuningBytes() <= clean.MeanTuningBytes() || lossy.NumCycles() <= clean.NumCycles() {
+		t.Errorf("30%% loss cost nothing: tuning %.0f vs %.0f, cycles %d vs %d",
+			lossy.MeanTuningBytes(), clean.MeanTuningBytes(), lossy.NumCycles(), clean.NumCycles())
+	}
+	if lossy.MeanAccessBytes() != again.MeanAccessBytes() || lossy.MeanTuningBytes() != again.MeanTuningBytes() {
+		t.Error("lossy compressed run is not deterministic under its seed")
 	}
 }

@@ -134,9 +134,9 @@ type Config struct {
 	// — and therefore access time at fixed bandwidth — advances by
 	// compressed bytes. Compressed frames are atomic: a client reads whole
 	// segments, so index tuning counts the whole compressed tier rather
-	// than navigated packets. The model is single-channel and lossless;
-	// Channels > 1 or LossProb > 0 alongside Compress is a configuration
-	// error.
+	// than navigated packets, and a lost reception (LossProb) costs the
+	// whole envelope. The model is single-channel; Channels > 1 alongside
+	// Compress is a configuration error.
 	Compress bool
 }
 
@@ -171,17 +171,8 @@ func (c *Config) validate() error {
 	if c.Channels < 0 {
 		return fmt.Errorf("sim: Config.Channels must be >= 0, got %d", c.Channels)
 	}
-	if c.Channels > 1 && c.Mode != broadcast.TwoTierMode {
-		return fmt.Errorf("sim: Config.Channels > 1 requires TwoTierMode")
-	}
-	if c.IndexEncoding == core.EncodingSuccinct && c.Mode != broadcast.TwoTierMode {
-		return fmt.Errorf("sim: succinct index encoding requires TwoTierMode")
-	}
 	if c.Compress && c.Channels > 1 {
 		return fmt.Errorf("sim: Config.Compress does not support multichannel runs")
-	}
-	if c.Compress && c.LossProb > 0 {
-		return fmt.Errorf("sim: Config.Compress does not support loss injection")
 	}
 	return c.Model.Validate()
 }
@@ -574,9 +565,37 @@ func (a *airEncoder) measure(cy *broadcast.Cycle, enc *engine.Encoded) (*cycleAi
 	return air, nil
 }
 
-// docStart is the absolute byte-time the compressed doc region begins.
-func (air *cycleAir) docStart(cy *broadcast.Cycle) int64 {
-	return cy.Start + int64(air.head+air.index+air.secondTier)
+// The three accessors below are the single-channel client's view of one
+// cycle's sizes: the plan's own on the bare wire (nil receiver), the measured
+// envelopes' on a compressed one.
+
+// indexRead is the cost of one index navigation. A compressed frame is
+// atomic — the radio must hold a whole envelope to inflate it — so it costs
+// the full compressed segment, whole-tier by construction.
+func (air *cycleAir) indexRead(cl *client, cy *broadcast.Cycle, cfg Config, sr *succinctReader) int {
+	if air == nil {
+		return indexReadBytes(cl, cy, cfg, sr)
+	}
+	return air.index
+}
+
+// secondTierRead is the cost of the per-cycle second-tier read.
+func (air *cycleAir) secondTierRead(cy *broadcast.Cycle) int {
+	if air == nil {
+		return cy.SecondTierBytes
+	}
+	return air.secondTier
+}
+
+// docRead is the download cost of the cycle's i-th document and the absolute
+// byte-time its last byte airs; on a compressed cycle that falls on an
+// envelope boundary.
+func (air *cycleAir) docRead(cy *broadcast.Cycle, i int) (size int, end int64) {
+	if air == nil {
+		p := cy.Docs[i]
+		return p.Size, cy.DocStart() + int64(p.Offset+p.Size)
+	}
+	return air.doc[i], cy.Start + int64(air.head+air.index+air.secondTier) + air.docEnd[i]
 }
 
 // lossProcess draws independent reception failures.
@@ -595,14 +614,12 @@ func (l *lossProcess) fail() bool {
 // still cost tuning bytes (the radio was awake) but deliver nothing: a lost
 // first-tier read is retried next cycle, a lost per-cycle index read skips
 // this cycle's documents, and a lost document stays in the remaining set and
-// is rescheduled by the server.
+// is rescheduled by the server. air is the compressed layout of a
+// single-channel cycle, nil on the bare wire; segment sizes and document end
+// times are read through it either way.
 func attendCycle(cl *client, cy *broadcast.Cycle, cfg Config, loss *lossProcess, sr *succinctReader, air *cycleAir) {
 	if len(cy.Channels) > 1 {
 		attendMultichannel(cl, cy, cfg, loss, sr)
-		return
-	}
-	if air != nil {
-		attendCompressed(cl, cy, cfg, air)
 		return
 	}
 	cl.stats.CyclesListened++
@@ -612,7 +629,7 @@ func attendCycle(cl *client, cy *broadcast.Cycle, cfg Config, loss *lossProcess,
 		// First-tier index search: once, on the client's first cycle
 		// (§3.4 improved access protocol).
 		if !cl.knowsDocs {
-			cl.stats.IndexTuningBytes += int64(indexReadBytes(cl, cy, cfg, sr))
+			cl.stats.IndexTuningBytes += int64(air.indexRead(cl, cy, cfg, sr))
 			if loss.fail() {
 				indexOK = false
 			} else {
@@ -620,14 +637,14 @@ func attendCycle(cl *client, cy *broadcast.Cycle, cfg Config, loss *lossProcess,
 			}
 		}
 		// Second-tier index search: every cycle.
-		cl.stats.IndexTuningBytes += int64(cy.SecondTierBytes)
+		cl.stats.IndexTuningBytes += int64(air.secondTierRead(cy))
 		if loss.fail() {
 			indexOK = false
 		}
 	case broadcast.OneTierMode:
 		// The embedded offsets change every cycle, so the index must be
 		// re-navigated every cycle.
-		cl.stats.IndexTuningBytes += int64(indexReadBytes(cl, cy, cfg, sr))
+		cl.stats.IndexTuningBytes += int64(air.indexRead(cl, cy, cfg, sr))
 		if loss.fail() {
 			indexOK = false
 		}
@@ -637,47 +654,18 @@ func attendCycle(cl *client, cy *broadcast.Cycle, cfg Config, loss *lossProcess,
 	// successful index read this cycle the client has no offsets and must
 	// doze until the next cycle.
 	if indexOK {
-		for _, p := range cy.Docs {
+		for i, p := range cy.Docs {
 			if _, need := cl.remaining[p.ID]; !need {
 				continue
 			}
-			cl.stats.DocTuningBytes += int64(p.Size)
+			size, end := air.docRead(cy, i)
+			cl.stats.DocTuningBytes += int64(size)
 			if loss.fail() {
 				continue // stays remaining; the server reschedules it
 			}
 			delete(cl.remaining, p.ID)
-			cl.receive(p.ID, cy.DocStart()+int64(p.Offset+p.Size))
+			cl.receive(p.ID, end)
 		}
-	}
-	cl.done = len(cl.remaining) == 0
-}
-
-// attendCompressed plays one client's protocol over a compressed cycle.
-// Compressed frames are atomic — the radio must hold a whole envelope to
-// inflate it — so every index read costs the full compressed segment
-// (whole-tier by construction) and every document download costs its
-// envelope. Completion times fall on compressed frame boundaries. The
-// compressed model is lossless, so no reception ever fails.
-func attendCompressed(cl *client, cy *broadcast.Cycle, cfg Config, air *cycleAir) {
-	cl.stats.CyclesListened++
-	switch cfg.Mode {
-	case broadcast.TwoTierMode:
-		if !cl.knowsDocs {
-			cl.stats.IndexTuningBytes += int64(air.index)
-			cl.knowsDocs = true
-		}
-		cl.stats.IndexTuningBytes += int64(air.secondTier)
-	case broadcast.OneTierMode:
-		cl.stats.IndexTuningBytes += int64(air.index)
-	}
-	docStart := air.docStart(cy)
-	for i, p := range cy.Docs {
-		if _, need := cl.remaining[p.ID]; !need {
-			continue
-		}
-		cl.stats.DocTuningBytes += int64(air.doc[i])
-		delete(cl.remaining, p.ID)
-		cl.receive(p.ID, docStart+air.docEnd[i])
 	}
 	cl.done = len(cl.remaining) == 0
 }

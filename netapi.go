@@ -108,9 +108,9 @@ func RecordBroadcast(ctx context.Context, broadcastAddr string, numCycles int, w
 }
 
 // ReadBroadcastCapture parses a capture file into cycle records whose index
-// and offset segments can be decoded and inspected. Current (XBCAST2,
-// checksummed frames), compressed-transport (XBCAST3, verbatim transport
-// envelopes) and legacy (XBCAST1) captures are all accepted.
+// and offset segments can be decoded and inspected. Bare (XBCAST2,
+// checksummed frames) and compressed-transport (XBCAST3, verbatim transport
+// envelopes) captures are accepted; the retired XBCAST1 format is not.
 func ReadBroadcastCapture(r io.Reader) ([]CycleRecord, error) {
 	return netcast.ReadCapture(r)
 }
