@@ -23,7 +23,9 @@
 package broadcast
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -413,38 +415,32 @@ type Commitment struct {
 	Start, End int64
 }
 
-// Receivable selects the wanted documents a single-tuner client can receive
-// from this cycle: every airing (replays included) of every wanted document
-// is a candidate interval, committed greedily by earliest end (ties to
-// earliest start, then lowest doc ID), skipping intervals that overlap a
-// commitment or that start before the client holds the directory — DirEnd
-// for a returning client, IndexEnd for one still reading the first tier
-// (firstCycle). On a single-channel cycle every wanted document is
-// receivable, since the serial layout airs all documents after the index.
+// Commitments selects the wanted documents a single-tuner client can receive
+// from this cycle — the receivable commitment — and appends them, with the
+// chosen airing intervals, to dst: every airing (replays included) of every
+// wanted document is a candidate interval, committed greedily by earliest end
+// (ties to earliest start, then lowest doc ID), skipping intervals that
+// overlap a commitment or that start before the client holds the directory —
+// DirEnd for a returning client, IndexEnd for one still reading the first
+// tier (firstCycle). On a single-channel cycle every wanted document is
+// receivable, in plan order, since the serial layout airs all documents after
+// the index.
+//
+// want is the request's outstanding set in its one representation: sorted
+// ascending, duplicate-free (see xmldoc.HasID). It is only read. Nothing is
+// allocated when dst has room for the cycle's airings of the wanted
+// documents, so a caller retiring many requests reuses one buffer.
 //
 // Both the simulator's client model and the networked server's request
 // retirement use this commitment, so the two drivers' pending-set evolution
 // stays identical: a document no single-tuner client could have caught is
 // rescheduled by the server instead of being counted as delivered.
-func (c *Cycle) Receivable(want map[xmldoc.DocID]struct{}, firstCycle bool) []DocPlacement {
-	cms := c.Commitments(want, firstCycle)
-	out := make([]DocPlacement, len(cms))
-	for i, cm := range cms {
-		out[i] = cm.DocPlacement
-	}
-	return out
-}
-
-// Commitments is Receivable returning the chosen airing intervals.
-func (c *Cycle) Commitments(want map[xmldoc.DocID]struct{}, firstCycle bool) []Commitment {
-	if len(c.Channels) <= 1 {
-		return c.commitSerial(want)
-	}
+func (c *Cycle) Commitments(dst []Commitment, want []xmldoc.DocID, firstCycle bool) []Commitment {
 	ready := c.DirEnd()
 	if firstCycle {
 		ready = c.IndexEnd()
 	}
-	return c.commit(want, ready, nil)
+	return c.CommitmentsFrom(dst, want, ready, nil)
 }
 
 // AirInterval is one absolute byte-time span a tuner is busy receiving.
@@ -458,36 +454,26 @@ type AirInterval struct {
 // doc airings starting at or after ready that do not overlap busy or an
 // earlier commitment. It lets a client that synced mid-cycle on an index
 // repetition catch documents opportunistically beyond the server's
-// conservative Receivable commitment.
-func (c *Cycle) CommitmentsFrom(want map[xmldoc.DocID]struct{}, ready int64, busy []AirInterval) []Commitment {
+// conservative commitment.
+func (c *Cycle) CommitmentsFrom(dst []Commitment, want []xmldoc.DocID, ready int64, busy []AirInterval) []Commitment {
 	if len(c.Channels) <= 1 {
-		return c.commitSerial(want)
-	}
-	return c.commit(want, ready, busy)
-}
-
-// commitSerial covers the single-channel case: a serial program airs every
-// document after the index, so all wanted documents are receivable in plan
-// order.
-func (c *Cycle) commitSerial(want map[xmldoc.DocID]struct{}) []Commitment {
-	out := make([]Commitment, 0, len(want))
-	for _, p := range c.Docs {
-		if _, ok := want[p.ID]; ok {
-			start, end := c.DocAirInterval(p)
-			out = append(out, Commitment{p, start, end})
+		// A serial program airs every document after the index, so all wanted
+		// documents are receivable in plan order.
+		for _, p := range c.Docs {
+			if xmldoc.HasID(want, p.ID) {
+				start, end := c.DocAirInterval(p)
+				dst = append(dst, Commitment{p, start, end})
+			}
 		}
+		return dst
 	}
-	return out
-}
-
-// commit runs the greedy earliest-end interval selection shared by
-// Commitments and CommitmentsFrom, over every airing of every wanted
-// document: its data-channel airing (plus replays, if the channel is light
-// enough to replay its unit) and, for the hot set, every index-channel
-// repetition's copy, all starting at or after ready.
-func (c *Cycle) commit(want map[xmldoc.DocID]struct{}, ready int64, busy []AirInterval) []Commitment {
+	// Candidates are every airing of every wanted document at or after ready:
+	// its data-channel airing (plus replays, if the channel is light enough to
+	// replay its unit) and, for the hot set, every index-channel repetition's
+	// copy. They are gathered behind dst's existing entries, ordered, and the
+	// chosen ones compacted to the front of that tail.
+	base := len(dst)
 	k := int64(len(c.Channels))
-	cand := make([]Commitment, 0, len(want))
 	addAirings := func(p DocPlacement, s0, unit, reps int64) {
 		r := int64(0)
 		if ready > s0 && unit > 0 {
@@ -499,11 +485,11 @@ func (c *Cycle) commit(want map[xmldoc.DocID]struct{}, ready int64, busy []AirIn
 			if start < ready {
 				break // unit == 0 degenerate guard
 			}
-			cand = append(cand, Commitment{p, start, start + int64(p.Size)*k})
+			dst = append(dst, Commitment{p, start, start + int64(p.Size)*k})
 		}
 	}
 	for _, p := range c.Docs {
-		if _, ok := want[p.ID]; !ok {
+		if !xmldoc.HasID(want, p.ID) {
 			continue
 		}
 		s0, _ := c.DocAirInterval(p)
@@ -512,44 +498,29 @@ func (c *Cycle) commit(want map[xmldoc.DocID]struct{}, ready int64, busy []AirIn
 	}
 	hotStart := int64(c.channelLead() + c.IndexBytes)
 	for _, p := range c.HotDocs {
-		if _, ok := want[p.ID]; !ok {
+		if !xmldoc.HasID(want, p.ID) {
 			continue
 		}
 		s0 := c.Start + k*(hotStart+int64(p.Offset))
 		addAirings(p, s0, k*int64(c.indexUnit()), int64(c.IndexRepetitions()))
 	}
-	sort.Slice(cand, func(i, j int) bool {
-		if cand[i].End != cand[j].End {
-			return cand[i].End < cand[j].End
-		}
-		if cand[i].Start != cand[j].Start {
-			return cand[i].Start < cand[j].Start
-		}
-		return cand[i].ID < cand[j].ID
+	slices.SortFunc(dst[base:], func(a, b Commitment) int {
+		return cmp.Or(cmp.Compare(a.End, b.End), cmp.Compare(a.Start, b.Start), cmp.Compare(a.ID, b.ID))
 	})
-	committed := make([]AirInterval, 0, len(busy)+4)
-	committed = append(committed, busy...)
-	taken := make(map[xmldoc.DocID]struct{}, len(want))
-	var out []Commitment
-	for _, w := range cand {
-		if _, dup := taken[w.ID]; dup {
-			continue // an earlier airing of this doc is already committed
+	n := base
+	for _, w := range dst[base:] {
+		// Single tuner: skip an airing that overlaps a busy span or a
+		// commitment, and any later airing of a document already committed.
+		free := !slices.ContainsFunc(busy, func(b AirInterval) bool { return w.Start < b.End && b.Start < w.End }) &&
+			!slices.ContainsFunc(dst[base:n], func(cm Commitment) bool {
+				return cm.ID == w.ID || (w.Start < cm.End && cm.Start < w.End)
+			})
+		if free {
+			dst[n] = w
+			n++
 		}
-		conflict := false
-		for _, cm := range committed {
-			if w.Start < cm.End && cm.Start < w.End {
-				conflict = true
-				break
-			}
-		}
-		if conflict {
-			continue // single tuner: busy on another channel
-		}
-		committed = append(committed, AirInterval{w.Start, w.End})
-		taken[w.ID] = struct{}{}
-		out = append(out, w)
 	}
-	return out
+	return dst[:n]
 }
 
 // ChannelDir builds the channel-directory entries for the cycle's plan

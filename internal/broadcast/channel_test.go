@@ -335,11 +335,11 @@ func TestCommitmentsHotAirings(t *testing.T) {
 	if !ok {
 		t.Fatal("no sync point at the last repetition")
 	}
-	want := make(map[xmldoc.DocID]struct{}, len(cy.HotDocs))
+	var want []xmldoc.DocID
 	for _, p := range cy.HotDocs {
-		want[p.ID] = struct{}{}
+		want = xmldoc.InsertID(want, p.ID)
 	}
-	got := cy.CommitmentsFrom(want, ready, nil)
+	got := cy.CommitmentsFrom(nil, want, ready, nil)
 	if len(got) != len(want) {
 		t.Fatalf("late sync commits %d of %d hot docs", len(got), len(want))
 	}
@@ -367,8 +367,8 @@ func TestReceivableSingleChannel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := map[xmldoc.DocID]struct{}{plan[0]: {}, plan[3]: {}}
-	got := cy.Receivable(want, true)
+	want := []xmldoc.DocID{plan[0], plan[3]} // collection order is ID order
+	got := cy.Commitments(nil, want, true)
 	if len(got) != len(want) {
 		t.Errorf("single channel: %d of %d wanted docs receivable", len(got), len(want))
 	}
@@ -376,11 +376,11 @@ func TestReceivableSingleChannel(t *testing.T) {
 
 func TestReceivableMultichannel(t *testing.T) {
 	_, cy := buildMultichannel(t, 3)
-	want := make(map[xmldoc.DocID]struct{}, len(cy.Docs))
+	var want []xmldoc.DocID
 	for _, p := range cy.Docs {
-		want[p.ID] = struct{}{}
+		want = xmldoc.InsertID(want, p.ID)
 	}
-	got := cy.Commitments(want, false)
+	got := cy.Commitments(nil, want, false)
 	if len(got) == 0 {
 		t.Fatal("returning client receives nothing")
 	}
@@ -407,7 +407,7 @@ func TestReceivableMultichannel(t *testing.T) {
 	}
 	// A first-cycle client is busy on the first tier longer, so it can
 	// never receive more than a returning client.
-	first := cy.Receivable(want, true)
+	first := cy.Commitments(nil, want, true)
 	if len(first) > len(got) {
 		t.Errorf("first-cycle client receives %d docs, returning client %d", len(first), len(got))
 	}

@@ -3,7 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/xmldoc"
@@ -230,6 +230,6 @@ func sortedDocSet(set map[xmldoc.DocID]struct{}) []xmldoc.DocID {
 	for d := range set {
 		out = append(out, d)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }

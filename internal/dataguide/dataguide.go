@@ -14,6 +14,7 @@ package dataguide
 
 import (
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
@@ -289,6 +290,6 @@ func sortedIDs(set map[xmldoc.DocID]struct{}) []xmldoc.DocID {
 	for id := range set {
 		out = append(out, id)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }

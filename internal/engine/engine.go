@@ -103,8 +103,12 @@ type Pending struct {
 	// Arrival is the request's arrival time in the driver's clock units
 	// (byte-time in sim, cycle number in netcast).
 	Arrival int64
-	// Remaining are the result documents not yet delivered. Order is
-	// irrelevant; the engine sorts a copy.
+	// Remaining are the result documents not yet delivered, sorted ascending
+	// without duplicates. The engine borrows the slice for the duration of
+	// AssembleCycle — no copy, no sort — so the driver must not mutate it
+	// until the call returns, and may mutate it in place afterwards. The
+	// scheduling code that reads it rejects an unsorted or duplicated set
+	// with an error naming the request.
 	Remaining []xmldoc.DocID
 }
 
@@ -416,9 +420,7 @@ func (e *Engine) AssembleCycleAt(number, start, schedNow int64, pending []Pendin
 	queries := make([]xpath.Path, 0, len(pending))
 	seen := make(map[string]struct{}, len(pending))
 	for _, p := range pending {
-		rem := append([]xmldoc.DocID(nil), p.Remaining...)
-		sort.Slice(rem, func(i, j int) bool { return rem[i] < rem[j] })
-		reqs = append(reqs, schedule.Request{ID: p.ID, Arrival: p.Arrival, Docs: rem})
+		reqs = append(reqs, schedule.Request{ID: p.ID, Arrival: p.Arrival, Docs: p.Remaining})
 		if _, ok := seen[p.Query.String()]; !ok {
 			seen[p.Query.String()] = struct{}{}
 			queries = append(queries, p.Query)
@@ -430,7 +432,10 @@ func (e *Engine) AssembleCycleAt(number, start, schedNow int64, pending []Pendin
 
 	schedStart := time.Now()
 	size := func(d xmldoc.DocID) int { return e.builder.DocByID(d).Size() }
-	plan := e.planCycle(reqs, size, schedNow)
+	plan, err := e.planCycle(reqs, size, schedNow)
+	if err != nil {
+		return nil, fmt.Errorf("engine: %w", err)
+	}
 	e.probe.StageDone(StageSchedule, time.Since(schedStart), len(reqs), len(plan))
 	if len(plan) == 0 {
 		return nil, fmt.Errorf("engine: scheduler %q planned an empty cycle with %d pending", e.scheduler.Name(), len(reqs))
@@ -471,10 +476,15 @@ func (e *Engine) AssembleCycleAt(number, start, schedNow int64, pending []Pendin
 // zombies until the next pending set confirms them, which lets a lossy
 // delivery resurrect a request without perturbing LeeLo's summation order.
 // Called with e.mu held.
-func (e *Engine) planCycle(reqs []schedule.Request, size func(xmldoc.DocID) int, now int64) []xmldoc.DocID {
+func (e *Engine) planCycle(reqs []schedule.Request, size func(xmldoc.DocID) int, now int64) ([]xmldoc.DocID, error) {
 	if e.isched == nil {
+		for i := range reqs {
+			if err := reqs[i].Validate(); err != nil {
+				return nil, err
+			}
+		}
 		e.probe.ScheduleDone(ScheduleFull)
-		return e.scheduler.PlanCycle(reqs, size, e.capacity, now)
+		return e.scheduler.PlanCycle(reqs, size, e.capacity, now), nil
 	}
 	if e.demand == nil {
 		e.demand = schedule.NewDemandIndex()
@@ -501,12 +511,16 @@ func (e *Engine) planCycle(reqs []schedule.Request, size func(xmldoc.DocID) int,
 		schedChurn = e.adaptive.ScheduleChurn()
 	}
 	if x.Len() == 0 || float64(churn) > schedChurn*float64(len(reqs)+removed) {
-		x.Rebuild(reqs, size, e.workers)
+		if err := x.Rebuild(reqs, size, e.workers); err != nil {
+			return nil, err
+		}
 		x.TakeEdits()
 		e.probe.ScheduleDone(ScheduleFull)
 	} else {
 		for _, i := range changed {
-			x.Apply(reqs[i], size)
+			if err := x.Apply(reqs[i], size); err != nil {
+				return nil, err
+			}
 		}
 		if removed > 0 {
 			if x.Zombies() == removed {
@@ -529,7 +543,7 @@ func (e *Engine) planCycle(reqs []schedule.Request, size func(xmldoc.DocID) int,
 	for _, d := range plan {
 		x.DeliverDoc(d)
 	}
-	return plan
+	return plan, nil
 }
 
 // pruneWithBudget prunes the CI to the pending query set through the

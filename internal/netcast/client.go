@@ -541,11 +541,10 @@ func backoffJitter(rng *rand.Rand, hint time.Duration) time.Duration {
 // not a longer wait.
 func (c *Client) Retrieve(ctx context.Context, q xpath.Path) ([]*xmldoc.Document, ClientStats, error) {
 	r := &retrieval{
-		c:         c,
-		q:         q,
-		nav:       core.NewNavigator(q),
-		remaining: make(map[xmldoc.DocID]struct{}),
-		got:       make(map[xmldoc.DocID]*xmldoc.Document),
+		c:   c,
+		q:   q,
+		nav: core.NewNavigator(q),
+		got: make(map[xmldoc.DocID]*xmldoc.Document),
 	}
 	err := r.run(ctx)
 	for _, cs := range c.chans {
@@ -571,8 +570,8 @@ type retrieval struct {
 	stats ClientStats
 
 	nav       *core.Navigator
-	knowsDocs bool // the result set is known (two-tier: first tier already read)
-	remaining map[xmldoc.DocID]struct{}
+	knowsDocs bool           // the result set is known (two-tier: first tier already read)
+	remaining []xmldoc.DocID // result documents not yet received; sorted, distinct
 	got       map[xmldoc.DocID]*xmldoc.Document
 
 	cycleState
@@ -684,7 +683,7 @@ func (r *retrieval) handle(fr airFrame) error {
 		}
 		r.want = make(map[xmldoc.DocID]struct{})
 		for _, e := range entries {
-			if _, need := r.remaining[e.Doc]; need {
+			if xmldoc.HasID(r.remaining, e.Doc) {
 				r.want[e.Doc] = struct{}{}
 			}
 		}
@@ -740,7 +739,7 @@ func (r *retrieval) onIndex(fr airFrame) error {
 		if !r.knowsDocs {
 			for _, d := range docs {
 				if _, done := r.got[d]; !done {
-					r.remaining[d] = struct{}{}
+					r.remaining = xmldoc.InsertID(r.remaining, d)
 				}
 			}
 			r.knowsDocs = true
@@ -748,7 +747,7 @@ func (r *retrieval) onIndex(fr airFrame) error {
 		if !r.head.TwoTier {
 			r.want = make(map[xmldoc.DocID]struct{})
 			for d := range offs {
-				if _, need := r.remaining[d]; need {
+				if xmldoc.HasID(r.remaining, d) {
 					r.want[d] = struct{}{}
 				}
 			}
@@ -760,7 +759,7 @@ func (r *retrieval) onIndex(fr airFrame) error {
 	r.want = make(map[xmldoc.DocID]struct{})
 	r.onChan = make([]bool, len(r.c.chans))
 	for _, e := range r.dir {
-		if _, need := r.remaining[e.Doc]; !need {
+		if !xmldoc.HasID(r.remaining, e.Doc) {
 			continue
 		}
 		if e.Channel == 0 || int(e.Channel) >= len(r.onChan) {
@@ -808,7 +807,7 @@ func (r *retrieval) onDoc(fr airFrame) error {
 			return errFrameCorrupt
 		}
 		r.got[id] = xmldoc.NewDocument(id, root)
-		delete(r.remaining, id)
+		r.remaining = xmldoc.RemoveID(r.remaining, id)
 		delete(r.want, id)
 	}
 	if r.cur != 0 {

@@ -16,6 +16,7 @@ package netcast
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -155,6 +156,14 @@ func appendFrame(dst []byte, t FrameType, payload []byte) ([]byte, error) {
 // frames return an error satisfying isCorrupt; I/O failures pass through
 // unwrapped so callers can distinguish resync from reconnect.
 func readFrame(r io.Reader) (FrameType, []byte, error) {
+	var buf []byte
+	return readFrameInto(r, &buf)
+}
+
+// readFrameInto is readFrame with the body read into *buf, which is regrown
+// when too small: the payload aliases it and is overwritten by the next call
+// with the same buffer.
+func readFrameInto(r io.Reader, buf *[]byte) (FrameType, []byte, error) {
 	var hdr [frameHdrLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, nil, err
@@ -166,7 +175,11 @@ func readFrame(r io.Reader) (FrameType, []byte, error) {
 	if n > maxFrame {
 		return 0, nil, fmt.Errorf("%w: frame of %d bytes exceeds limit", errFrameCorrupt, n)
 	}
-	body := make([]byte, n+frameCRCLen)
+	need := int(n) + frameCRCLen
+	if cap(*buf) < need {
+		*buf = make([]byte, need)
+	}
+	body := (*buf)[:need]
 	if _, err := io.ReadFull(r, body); err != nil {
 		return 0, nil, err
 	}
@@ -510,6 +523,7 @@ func decodeCycleHead(data []byte) (*cycleHead, error) {
 	if pos+cl > len(data) {
 		return nil, fmt.Errorf("netcast: cycle head catalog truncated")
 	}
-	h.Catalog = data[pos : pos+cl]
+	// Copied: the head outlives the frame buffer it was decoded from.
+	h.Catalog = bytes.Clone(data[pos : pos+cl])
 	return h, nil
 }

@@ -1,6 +1,7 @@
 package netcast
 
 import (
+	"bytes"
 	"context"
 	"reflect"
 	"testing"
@@ -218,6 +219,45 @@ func TestFrameRoundTrip(t *testing.T) {
 		!reflect.DeepEqual(back.RootLabels, h.RootLabels) ||
 		!reflect.DeepEqual(back.Catalog, h.Catalog) {
 		t.Errorf("round trip = %+v", back)
+	}
+}
+
+// TestFrameSourceReusesBuffer: a downlink source reads every frame into one
+// buffer, so a payload is overwritten by the next read — and a decoded cycle
+// head, which outlives its frame, must hold its own copy of the catalog.
+func TestFrameSourceReusesBuffer(t *testing.T) {
+	h := &cycleHead{Number: 42, TwoTier: true, Catalog: []byte{1, 2, 3, 4, 5, 6, 7, 8}}
+	headBytes, err := h.encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stream bytes.Buffer
+	for _, f := range []struct {
+		t FrameType
+		p []byte
+	}{{FrameCycleHead, headBytes}, {FrameDoc, bytes.Repeat([]byte{0xEE}, len(headBytes))}} {
+		if err := writeFrame(&stream, f.t, f.p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	src := newFrameSource(&stream)
+	first, err := src.next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := decodeCycleHead(first.payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := src.next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &first.payload[0] != &second.payload[0] {
+		t.Error("second frame was read into a new buffer")
+	}
+	if !bytes.Equal(back.Catalog, h.Catalog) {
+		t.Errorf("cycle head catalog = %v after the next read, want %v", back.Catalog, h.Catalog)
 	}
 }
 

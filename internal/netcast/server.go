@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -47,8 +48,10 @@ type ServerConfig struct {
 	Channels int
 	// CycleCapacity is the per-cycle document budget in bytes. Required.
 	CycleCapacity int
-	// CycleInterval paces cycles in wall-clock time; the server also emits
-	// a cycle as soon as requests are pending. Default 50 ms.
+	// CycleInterval is the wall-clock period of the cycle ticker: each tick
+	// airs one cycle if requests are pending and nothing otherwise, so a
+	// submission waits up to one interval for its covering cycle. Default
+	// 50 ms.
 	CycleInterval time.Duration
 	// UplinkAddr and BroadcastAddr are TCP listen addresses; use ":0" (or
 	// "127.0.0.1:0") to pick free ports.
@@ -195,6 +198,12 @@ type Server struct {
 	// while the loop is healthy. Once set, submissions are refused with it.
 	cycleErr error
 
+	// Per-cycle scratch, reused across cycles; only the cycle-loop goroutine
+	// touches it.
+	snapshot  []engine.Pending
+	recv      []broadcast.Commitment
+	delivered []uint16
+
 	// docMu keeps RemoveDocument (exclusive) out of the two paths that carry
 	// document IDs between the engine and the pending set (shared): a
 	// submission from resolving its result set to joining pending, and a
@@ -278,12 +287,17 @@ func (sub *subscriber) finish() {
 	sub.quitOnce.Do(func() { close(sub.ch) })
 }
 
-// srvRequest is one uplink request's server-side state.
+// srvRequest is one uplink request's server-side state. remaining is the
+// request's own sorted, duplicate-free set of undelivered documents, shrunk in
+// place by the cycle loop's retire pass (under mu) and by RemoveDocument
+// (under docMu held exclusively, and mu). The engine reads it without a copy
+// while a cycle is assembled; that stretch runs under docMu held shared, on
+// the goroutine that does the retiring, so nothing writes it meanwhile.
 type srvRequest struct {
 	id        int64
 	query     xpath.Path
 	arrival   int64
-	remaining map[xmldoc.DocID]struct{}
+	remaining []xmldoc.DocID
 }
 
 // StartServer binds the uplink and broadcast listeners and starts the cycle
@@ -496,28 +510,23 @@ func restorePending(jn *journal.Journal, eng *engine.Engine, st *journal.State) 
 			}
 			continue
 		}
-		rem := make(map[xmldoc.DocID]struct{}, len(jr.Remaining))
+		// The journal stores what submit handed it, but it is a file: sort
+		// and deduplicate instead of trusting it.
+		rem := make([]xmldoc.DocID, len(jr.Remaining))
+		for i, d := range jr.Remaining {
+			rem[i] = xmldoc.DocID(d)
+		}
+		slices.Sort(rem)
+		rem = slices.Compact(rem)
 		if drifted {
-			docs, err := eng.Resolve(q)
+			docs, err := eng.Resolve(q) // sorted
 			if err != nil {
 				if err := drop(); err != nil {
 					return nil, err
 				}
 				continue
 			}
-			now := make(map[xmldoc.DocID]struct{}, len(docs))
-			for _, d := range docs {
-				now[d] = struct{}{}
-			}
-			for _, d := range jr.Remaining {
-				if _, ok := now[xmldoc.DocID(d)]; ok {
-					rem[xmldoc.DocID(d)] = struct{}{}
-				}
-			}
-		} else {
-			for _, d := range jr.Remaining {
-				rem[xmldoc.DocID(d)] = struct{}{}
-			}
+			rem = slices.DeleteFunc(rem, func(d xmldoc.DocID) bool { return !xmldoc.HasID(docs, d) })
 		}
 		if len(rem) == 0 {
 			if err := drop(); err != nil {
@@ -1019,10 +1028,6 @@ func (s *Server) submit(expr string) (int64, int64, error) {
 	if len(docs) == 0 {
 		return 0, 0, errors.New("query has an empty result set")
 	}
-	rem := make(map[xmldoc.DocID]struct{}, len(docs))
-	for _, d := range docs {
-		rem[d] = struct{}{}
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if max := s.maxPending(); max > 0 && len(s.pending) >= max {
@@ -1042,7 +1047,9 @@ func (s *Server) submit(expr string) (int64, int64, error) {
 		}
 	}
 	s.nextID = id
-	s.pending = append(s.pending, &srvRequest{id: id, query: q, arrival: s.cycles, remaining: rem})
+	// The answer is the engine's cached slice (sorted, yfilter emits it so);
+	// the request owns a copy because it shrinks in place.
+	s.pending = append(s.pending, &srvRequest{id: id, query: q, arrival: s.cycles, remaining: slices.Clone(docs)})
 	// The next snapshot (cycle number s.cycles) will include this request.
 	return s.cycles, id, nil
 }
@@ -1134,8 +1141,9 @@ func (s *Server) serveSubscriber(sub *subscriber) {
 	_ = bw.Flush()
 }
 
-// cycleLoop emits one broadcast cycle per interval whenever requests are
-// pending.
+// cycleLoop is ticker-driven only: every CycleInterval it airs one cycle if
+// requests are pending and idles otherwise. A submission never triggers a
+// cycle; it joins the next tick's snapshot.
 func (s *Server) cycleLoop() {
 	defer s.wg.Done()
 	defer close(s.loopDone)
@@ -1171,15 +1179,16 @@ func (s *Server) broadcastCycle() error {
 		s.docMu.RUnlock()
 		return nil
 	}
-	snapshot := append([]*srvRequest(nil), s.pending...)
-	pending := make([]engine.Pending, 0, len(snapshot))
-	for _, r := range snapshot {
-		rem := make([]xmldoc.DocID, 0, len(r.remaining))
-		for d := range r.remaining {
-			rem = append(rem, d)
-		}
-		pending = append(pending, engine.Pending{ID: r.id, Query: r.query, Arrival: r.arrival, Remaining: rem})
+	// The snapshot lends each request's remaining set to the engine (see
+	// srvRequest). IDs are handed out in increasing order under mu, and the
+	// journal recovers nextID at or past every recovered ID, so nextID is a
+	// watermark: a request is in this snapshot iff its ID is at most that.
+	pending := s.snapshot[:0]
+	for _, r := range s.pending {
+		pending = append(pending, engine.Pending{ID: r.id, Query: r.query, Arrival: r.arrival, Remaining: r.remaining})
 	}
+	s.snapshot = pending
+	watermark := s.nextID
 	// The cycle number is claimed under the same lock that snapshots the
 	// pending set, so a submission observing cycles == k is guaranteed to
 	// be covered by the snapshot of cycle k.
@@ -1264,36 +1273,37 @@ func (s *Server) broadcastCycle() error {
 	// this pending set; a crash before the commit re-airs cycle num from
 	// the unchanged durable state instead.
 	s.mu.Lock()
-	inSnapshot := make(map[int64]struct{}, len(snapshot))
-	for _, r := range snapshot {
-		inSnapshot[r.id] = struct{}{}
-	}
-	var live []*srvRequest
+	live := s.pending[:0]
 	var deliveries []journal.Delivery
+	delivered := s.delivered[:0]
 	for _, r := range s.pending {
-		if _, ok := inSnapshot[r.id]; ok {
+		if r.id <= watermark {
 			// Multichannel cycles retire only what a single-tuner client
-			// could actually have received (the Receivable commitment); the
+			// could actually have received (the receivable commitment); the
 			// rest stays pending and is rescheduled. The request's admission
 			// cycle is its first covering cycle, where the client is still
 			// reading the first tier.
-			recv := cy.Receivable(r.remaining, num == r.arrival)
-			for _, p := range recv {
-				delete(r.remaining, p.ID)
+			s.recv = cy.Commitments(s.recv[:0], r.remaining, num == r.arrival)
+			for _, cm := range s.recv {
+				r.remaining = xmldoc.RemoveID(r.remaining, cm.ID)
 			}
-			if s.jn != nil && len(recv) > 0 {
-				d := journal.Delivery{ID: r.id, Docs: make([]uint16, 0, len(recv)), Retired: len(r.remaining) == 0}
-				for _, p := range recv {
-					d.Docs = append(d.Docs, uint16(p.ID))
+			if s.jn != nil && len(s.recv) > 0 {
+				// Commit encodes the deliveries before it returns, so their
+				// document lists share one buffer reused across cycles.
+				from := len(delivered)
+				for _, cm := range s.recv {
+					delivered = append(delivered, uint16(cm.ID))
 				}
-				deliveries = append(deliveries, d)
+				deliveries = append(deliveries, journal.Delivery{ID: r.id, Docs: delivered[from:], Retired: len(r.remaining) == 0})
 			}
 		}
 		if len(r.remaining) > 0 {
 			live = append(live, r)
 		}
 	}
+	clear(s.pending[len(live):])
 	s.pending = live
+	s.delivered = delivered
 	if s.jn != nil {
 		if err := s.jn.Commit(num, deliveries); err != nil {
 			s.mu.Unlock()
@@ -1378,13 +1388,14 @@ func (s *Server) RemoveDocument(id xmldoc.DocID) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var live []*srvRequest
+	live := s.pending[:0]
 	for _, r := range s.pending {
-		delete(r.remaining, id)
+		r.remaining = xmldoc.RemoveID(r.remaining, id)
 		if len(r.remaining) > 0 {
 			live = append(live, r)
 		}
 	}
+	clear(s.pending[len(live):])
 	s.pending = live
 	if s.jn != nil {
 		return s.jn.DocRemoved(uint16(id), s.eng.CollectionFingerprint())

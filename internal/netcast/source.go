@@ -36,11 +36,17 @@ type frameSource struct {
 	// surface to the protocol layer (which must count the resync and drop
 	// its cycle state) without losing the frame.
 	held *airFrame
+
+	// buf holds the payload of the frame read last; every read reuses it.
+	buf []byte
 }
 
-// airFrame is one protocol frame off a downlink with its air cost. raw is
-// the transport envelope exactly as read, for byte-faithful capture: nil on
-// the bare protocol, valid only until the source's next read.
+// airFrame is one protocol frame off a downlink with its air cost. payload
+// lives in the source's frame buffer and raw — the transport envelope exactly
+// as read, for byte-faithful capture, nil on the bare protocol — in the
+// transport reader's: both are valid only until the source's next read off
+// the stream (a held frame comes back without one), so whatever outlives the
+// frame is copied out of it.
 type airFrame struct {
 	t       FrameType
 	payload []byte
@@ -101,7 +107,7 @@ func (fs *frameSource) next() (airFrame, error) {
 		return airFrame{}, err
 	}
 	if fs.tr == nil {
-		t, payload, err := readFrame(fs.br)
+		t, payload, err := readFrameInto(fs.br, &fs.buf)
 		return airFrame{t: t, payload: payload, air: int64(len(payload))}, err
 	}
 	env, err := fs.tr.Next()
@@ -115,14 +121,14 @@ func (fs *frameSource) next() (airFrame, error) {
 		if rerr != nil {
 			return airFrame{}, rerr
 		}
-		if fr, derr := unwrap(renv); derr == nil {
+		if fr, derr := fs.unwrap(renv); derr == nil {
 			fs.held = &fr
 		} else {
 			fs.doze += int64(renv.Wire)
 		}
 		return airFrame{}, fmt.Errorf("%w: %v", errFrameCorrupt, err)
 	}
-	fr, derr := unwrap(env)
+	fr, derr := fs.unwrap(env)
 	if derr != nil {
 		// A CRC-valid envelope wrapping an undecodable inner frame; the
 		// stream itself is still aligned.
@@ -159,8 +165,8 @@ func (fs *frameSource) resync(want FrameType) (fr airFrame, skipped int64, err e
 
 // unwrap parses the protocol frame a transport envelope carries; its air
 // cost is the envelope's size on the wire.
-func unwrap(env transport.Frame) (airFrame, error) {
-	t, payload, err := decodeInner(env.Inner)
+func (fs *frameSource) unwrap(env transport.Frame) (airFrame, error) {
+	t, payload, err := readFrameInto(bytes.NewReader(env.Inner), &fs.buf)
 	return airFrame{t: t, payload: payload, air: int64(env.Wire), raw: env.Raw}, err
 }
 

@@ -76,7 +76,9 @@ type docHeapEntry struct {
 //
 // Contracts, matching how the engine's drivers behave:
 //   - Request.Docs handed to Apply/Rebuild are sorted ascending without
-//     duplicates and non-empty.
+//     duplicates (checked: a violation is an error naming the request) and
+//     non-empty. The index copies them, so callers may lend a slice they
+//     mutate between calls.
 //   - A request keeps its arrival time for its whole life; between
 //     consecutive reconciles of the same ID its doc set only shrinks
 //     (documents are delivered, never re-demanded with others swapped in at
@@ -198,16 +200,20 @@ func (x *DemandIndex) TakeEdits() int {
 // reconciled against the incoming doc set (documents delivered elsewhere
 // are detached, lost documents re-attached) preserving the request's seq so
 // summation order is stable. An arrival change is treated as a new request.
-func (x *DemandIndex) Apply(r Request, size func(xmldoc.DocID) int) {
+// A request violating the Docs contract is refused and the index left as is.
+func (x *DemandIndex) Apply(r Request, size func(xmldoc.DocID) int) error {
+	if err := r.Validate(); err != nil {
+		return err
+	}
 	rs := x.reqs[r.ID]
 	if rs == nil {
 		x.addRequest(r, size)
-		return
+		return nil
 	}
 	if rs.arrival != r.Arrival {
 		x.Remove(r.ID)
 		x.addRequest(r, size)
-		return
+		return nil
 	}
 	if rs.zombie {
 		rs.zombie = false
@@ -239,6 +245,7 @@ func (x *DemandIndex) Apply(r Request, size func(xmldoc.DocID) int) {
 			x.markDirty(x.doc(d))
 		}
 	}
+	return nil
 }
 
 // Remove drops one tracked request (driver abandoned or retired it).
@@ -451,8 +458,14 @@ func grow[T any](s []T, n int) []T {
 // across workers; per-document aggregation is a serial counting sort into
 // slab-backed requester lists (document sizes are resolved serially because
 // xmldoc.Document.Size caches lazily), and remaining-byte sums are sharded
-// again. All scratch is retained and reused by later rebuilds.
-func (x *DemandIndex) Rebuild(reqs []Request, size func(xmldoc.DocID) int, workers int) {
+// again. All scratch is retained and reused by later rebuilds. A request
+// violating the Docs contract fails the rebuild before the index is touched.
+func (x *DemandIndex) Rebuild(reqs []Request, size func(xmldoc.DocID) int, workers int) error {
+	for i := range reqs {
+		if err := reqs[i].Validate(); err != nil {
+			return err
+		}
+	}
 	clear(x.reqs)
 	clear(x.docTab)
 	x.ndocs = 0
@@ -466,7 +479,7 @@ func (x *DemandIndex) Rebuild(reqs []Request, size func(xmldoc.DocID) int, worke
 
 	n := len(reqs)
 	if n == 0 {
-		return
+		return nil
 	}
 	x.offs = grow(x.offs, n+1)
 	total := 0
@@ -586,6 +599,7 @@ func (x *DemandIndex) Rebuild(reqs []Request, size func(xmldoc.DocID) int, worke
 		}
 	}
 	x.edits += total
+	return nil
 }
 
 // runShards runs fn over [0,n) in contiguous ranges of the given width,

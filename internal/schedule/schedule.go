@@ -21,8 +21,23 @@ type Request struct {
 	ID int64
 	// Arrival is the byte-time the request reached the server.
 	Arrival int64
-	// Docs are the still-missing result documents.
+	// Docs are the still-missing result documents, sorted ascending without
+	// duplicates. Schedulers only read them during the call, so a driver may
+	// lend its own slice (see Validate).
 	Docs []xmldoc.DocID
+}
+
+// Validate checks the Docs contract. Plans depend on it — FCFS packs a
+// request's documents in Docs order, and the demand index merges Docs against
+// its own sorted copy — so the code that reads Docs rejects a violation
+// instead of planning from it.
+func (r Request) Validate() error {
+	for i := 1; i < len(r.Docs); i++ {
+		if r.Docs[i-1] >= r.Docs[i] {
+			return fmt.Errorf("schedule: request %d: documents not sorted and distinct (%d before %d)", r.ID, r.Docs[i-1], r.Docs[i])
+		}
+	}
+	return nil
 }
 
 // Scheduler plans the document content of broadcast cycles.

@@ -5,7 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/broadcast"
@@ -96,12 +96,13 @@ type RestartResult struct {
 	RecoveredTruncated bool
 }
 
-// restartReq is one pending request of the restart driver.
+// restartReq is one pending request of the restart driver; rem is its own
+// sorted, duplicate-free set of undelivered documents.
 type restartReq struct {
 	id      int64
 	arrival int64
 	query   xpath.Path
-	rem     map[xmldoc.DocID]struct{}
+	rem     []xmldoc.DocID
 }
 
 // RunRestart executes a deterministic cycle-clocked broadcast run over a
@@ -213,11 +214,12 @@ func restartLeg(cfg RestartConfig, res *RestartResult, recovery bool) (crashed b
 		if perr != nil {
 			return false, fmt.Errorf("sim: recovered query %q: %w", jr.Query, perr)
 		}
-		rem := make(map[xmldoc.DocID]struct{}, len(jr.Remaining))
-		for _, d := range jr.Remaining {
-			rem[xmldoc.DocID(d)] = struct{}{}
+		rem := make([]xmldoc.DocID, len(jr.Remaining))
+		for i, d := range jr.Remaining {
+			rem[i] = xmldoc.DocID(d)
 		}
-		pending = append(pending, &restartReq{id: jr.ID, arrival: jr.Arrival, query: q, rem: rem})
+		slices.Sort(rem)
+		pending = append(pending, &restartReq{id: jr.ID, arrival: jr.Arrival, query: q, rem: slices.Compact(rem)})
 	}
 	nextID := st.NextID
 	// Admissions are journaled one by one in script order, so the durable
@@ -265,12 +267,8 @@ func restartLeg(cfg RestartConfig, res *RestartResult, recovery bool) (crashed b
 			if aerr := jn.Admit(journal.Request{ID: id, Arrival: cycle, Query: e.Query.String(), Remaining: jrem}); aerr != nil {
 				return crashExit(cycle, "journal-append", aerr)
 			}
-			rem := make(map[xmldoc.DocID]struct{}, len(docs))
-			for _, d := range docs {
-				rem[d] = struct{}{}
-			}
 			nextID = id
-			pending = append(pending, &restartReq{id: id, arrival: cycle, query: e.Query, rem: rem})
+			pending = append(pending, &restartReq{id: id, arrival: cycle, query: e.Query, rem: slices.Clone(docs)})
 			si++
 		}
 		if len(pending) == 0 {
@@ -286,12 +284,7 @@ func restartLeg(cfg RestartConfig, res *RestartResult, recovery bool) (crashed b
 
 		eps := make([]engine.Pending, 0, len(pending))
 		for _, r := range pending {
-			rem := make([]xmldoc.DocID, 0, len(r.rem))
-			for d := range r.rem {
-				rem = append(rem, d)
-			}
-			sort.Slice(rem, func(i, j int) bool { return rem[i] < rem[j] })
-			eps = append(eps, engine.Pending{ID: r.id, Query: r.query, Arrival: r.arrival, Remaining: rem})
+			eps = append(eps, engine.Pending{ID: r.id, Query: r.query, Arrival: r.arrival, Remaining: r.rem})
 		}
 		cy, err := eng.AssembleCycle(cycle, cycle, eps)
 		if err != nil {
@@ -313,7 +306,7 @@ func restartLeg(cfg RestartConfig, res *RestartResult, recovery bool) (crashed b
 		plan := make([][]xmldoc.DocID, len(pending))
 		var deliveries []journal.Delivery
 		for i, r := range pending {
-			recv := cy.Receivable(r.rem, cycle == r.arrival)
+			recv := cy.Commitments(nil, r.rem, cycle == r.arrival)
 			if len(recv) == 0 {
 				continue
 			}
@@ -332,7 +325,7 @@ func restartLeg(cfg RestartConfig, res *RestartResult, recovery bool) (crashed b
 		var live []*restartReq
 		for i, r := range pending {
 			for _, d := range plan[i] {
-				delete(r.rem, d)
+				r.rem = xmldoc.RemoveID(r.rem, d)
 			}
 			if len(r.rem) == 0 {
 				res.ServedCycle[r.id] = cycle
@@ -404,12 +397,7 @@ func hashCycleWire(cy *engine.Cycle, enc *engine.Encoded) (uint64, error) {
 func pendingKey(pending []*restartReq) string {
 	var b strings.Builder
 	for _, r := range pending {
-		rem := make([]int, 0, len(r.rem))
-		for d := range r.rem {
-			rem = append(rem, int(d))
-		}
-		sort.Ints(rem)
-		fmt.Fprintf(&b, "%d@%d:%v;", r.id, r.arrival, rem)
+		fmt.Fprintf(&b, "%d@%d:%v;", r.id, r.arrival, r.rem)
 	}
 	return b.String()
 }

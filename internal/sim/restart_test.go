@@ -205,16 +205,16 @@ func TestRestartEavesdropAfterRecovery(t *testing.T) {
 	}
 	// The eavesdropper wants everything this cycle airs; whatever commits
 	// after the sync point is catchable before the server even admits it.
-	needed := make(map[xmldoc.DocID]struct{}, len(first.Docs))
+	var needed []xmldoc.DocID
 	for _, p := range first.Docs {
-		needed[p.ID] = struct{}{}
+		needed = xmldoc.InsertID(needed, p.ID)
 	}
-	cms := first.CommitmentsFrom(needed, sync, nil)
+	cms := first.CommitmentsFrom(nil, needed, sync, nil)
 	if len(cms) == 0 {
 		t.Fatalf("restarted server's cycle offers no eavesdroppable commitments after sync %d", sync)
 	}
 	for _, cm := range cms {
-		if _, want := needed[cm.ID]; !want {
+		if !xmldoc.HasID(needed, cm.ID) {
 			t.Errorf("commitment for unneeded doc %d", cm.ID)
 		}
 		if cm.Start < sync {

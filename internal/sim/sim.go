@@ -9,6 +9,7 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 
@@ -241,21 +242,22 @@ type Result struct {
 }
 
 // client is the in-flight state of one request. Two outstanding-document sets
-// evolve side by side: remaining is the server's belief (retired by the same
-// Receivable commitment the networked server applies, so scheduling matches
-// the netcast driver cycle for cycle), while needed is what the client has
-// actually downloaded. On multichannel runs a client that synced mid-cycle on
-// an index repetition can catch documents beyond the server's conservative
-// commitment, so needed can drain ahead of remaining; the server keeps a
-// request active until its belief drains, exactly as the networked server
-// does for a subscriber it cannot observe.
+// evolve side by side, each the client's own sorted, duplicate-free slice:
+// remaining is the server's belief (retired by the same receivable commitment
+// the networked server applies, so scheduling matches the netcast driver cycle
+// for cycle; lent to the engine while a cycle assembles), while needed is what
+// the client has yet to download. On multichannel runs a client that synced
+// mid-cycle on an index repetition can catch documents beyond the server's
+// conservative commitment, so needed can drain ahead of remaining; the server
+// keeps a request active until its belief drains, exactly as the networked
+// server does for a subscriber it cannot observe.
 type client struct {
 	id        int64
 	req       ClientRequest
 	nav       *core.Navigator
 	docs      []xmldoc.DocID // full result set, known after first index read
-	remaining map[xmldoc.DocID]struct{}
-	needed    map[xmldoc.DocID]struct{}
+	remaining []xmldoc.DocID
+	needed    []xmldoc.DocID
 	admit     int64 // cycle number that first covered the request
 	knowsDocs bool  // two-tier: first-tier already read
 	stats     ClientStats
@@ -264,7 +266,7 @@ type client struct {
 
 // receive records one successful document download.
 func (cl *client) receive(id xmldoc.DocID, end int64) {
-	delete(cl.needed, id)
+	cl.needed = xmldoc.RemoveID(cl.needed, id)
 	if end > cl.stats.Completed {
 		cl.stats.Completed = end
 	}
@@ -319,19 +321,13 @@ func Run(cfg Config) (*Result, error) {
 	clients := make([]*client, len(cfg.Requests))
 	for i, r := range cfg.Requests {
 		docs := answers[r.Query.String()]
-		rem := make(map[xmldoc.DocID]struct{}, len(docs))
-		need := make(map[xmldoc.DocID]struct{}, len(docs))
-		for _, d := range docs {
-			rem[d] = struct{}{}
-			need[d] = struct{}{}
-		}
 		clients[i] = &client{
 			id:        int64(i),
 			req:       r,
 			nav:       core.NewNavigator(r.Query),
 			docs:      docs,
-			remaining: rem,
-			needed:    need,
+			remaining: slices.Clone(docs), // answers are sorted, and shared
+			needed:    slices.Clone(docs),
 			stats:     ClientStats{Query: r.Query, Arrival: r.Arrival, Docs: docs},
 		}
 	}
@@ -352,6 +348,7 @@ func Run(cfg Config) (*Result, error) {
 		now       int64
 		admitted  int // prefix of byArrival already active
 		active    []*client
+		pending   []engine.Pending // reused across cycles
 		cycleNum  int64
 		completed int
 	)
@@ -378,17 +375,13 @@ func Run(cfg Config) (*Result, error) {
 		// scheduler's clock follows cfg.ScheduleClock; cycle layout stays
 		// in byte-time regardless.
 		schedNow := now
-		pending := make([]engine.Pending, 0, len(active))
+		pending = pending[:0]
 		for _, cl := range active {
-			rem := make([]xmldoc.DocID, 0, len(cl.remaining))
-			for d := range cl.remaining {
-				rem = append(rem, d)
-			}
 			arrival := cl.req.Arrival
 			if cfg.ScheduleClock == ClockCycles {
 				arrival = cl.admit
 			}
-			pending = append(pending, engine.Pending{ID: cl.id, Query: cl.req.Query, Arrival: arrival, Remaining: rem})
+			pending = append(pending, engine.Pending{ID: cl.id, Query: cl.req.Query, Arrival: arrival, Remaining: cl.remaining})
 		}
 		if cfg.ScheduleClock == ClockCycles {
 			schedNow = cycleNum
@@ -655,7 +648,7 @@ func attendCycle(cl *client, cy *broadcast.Cycle, cfg Config, loss *lossProcess,
 	// doze until the next cycle.
 	if indexOK {
 		for i, p := range cy.Docs {
-			if _, need := cl.remaining[p.ID]; !need {
+			if !xmldoc.HasID(cl.remaining, p.ID) {
 				continue
 			}
 			size, end := air.docRead(cy, i)
@@ -663,7 +656,7 @@ func attendCycle(cl *client, cy *broadcast.Cycle, cfg Config, loss *lossProcess,
 			if loss.fail() {
 				continue // stays remaining; the server reschedules it
 			}
-			delete(cl.remaining, p.ID)
+			cl.remaining = xmldoc.RemoveID(cl.remaining, p.ID)
 			cl.receive(p.ID, end)
 		}
 	}
@@ -672,7 +665,7 @@ func attendCycle(cl *client, cy *broadcast.Cycle, cfg Config, loss *lossProcess,
 
 // attendMultichannel plays one client's protocol over a K-channel cycle with
 // a single tuner. The server's belief (cl.remaining) retires by the cycle's
-// Receivable commitment — the same rule the networked server applies, keyed
+// receivable commitment — the same rule the networked server applies, keyed
 // on the admission cycle — so the pending view driving the scheduler evolves
 // identically across drivers. The client executes that commitment for the
 // documents it still needs (no commitment is ever starved) and then fills
@@ -680,9 +673,9 @@ func attendCycle(cl *client, cy *broadcast.Cycle, cfg Config, loss *lossProcess,
 // commitment skipped but that a client already holding the directory — e.g.
 // one that synced mid-cycle on an index repetition — can still receive.
 func attendMultichannel(cl *client, cy *broadcast.Cycle, cfg Config, loss *lossProcess, sr *succinctReader) {
-	commit := cy.Commitments(cl.remaining, cy.Number == cl.admit)
+	commit := cy.Commitments(nil, cl.remaining, cy.Number == cl.admit)
 	for _, p := range commit {
-		delete(cl.remaining, p.ID)
+		cl.remaining = xmldoc.RemoveID(cl.remaining, p.ID)
 	}
 	defer func() { cl.done = len(cl.remaining) == 0 }()
 
@@ -709,8 +702,8 @@ func attendMultichannel(cl *client, cy *broadcast.Cycle, cfg Config, loss *lossP
 		// Lost the directory: nothing received this cycle. Still-needed
 		// committed documents are re-requested over the uplink.
 		for _, p := range commit {
-			if _, need := cl.needed[p.ID]; need {
-				cl.remaining[p.ID] = struct{}{}
+			if xmldoc.HasID(cl.needed, p.ID) {
+				cl.remaining = xmldoc.InsertID(cl.remaining, p.ID)
 			}
 		}
 		return
@@ -721,29 +714,26 @@ func attendMultichannel(cl *client, cy *broadcast.Cycle, cfg Config, loss *lossP
 		busy = append(busy, broadcast.AirInterval{Start: cm.Start, End: cm.End})
 		cl.stats.DocTuningBytes += int64(cm.Size)
 		if loss.fail() {
-			cl.remaining[cm.ID] = struct{}{} // re-requested; rescheduled
+			cl.remaining = xmldoc.InsertID(cl.remaining, cm.ID) // re-requested; rescheduled
 			return
 		}
 		cl.receive(cm.ID, cm.End)
 	}
-	extra := make(map[xmldoc.DocID]struct{}, len(cl.needed))
-	for d := range cl.needed {
-		extra[d] = struct{}{}
-	}
+	extra := slices.Clone(cl.needed)
 	for _, cm := range commit {
-		if _, need := cl.needed[cm.ID]; !need {
+		if !xmldoc.HasID(cl.needed, cm.ID) {
 			continue // already caught earlier; the tuner stays free
 		}
-		delete(extra, cm.ID)
+		extra = xmldoc.RemoveID(extra, cm.ID)
 		if cm.Start < ready {
 			// Committed before this client could actually act on the
 			// directory (a lost earlier first-tier read); re-requested.
-			cl.remaining[cm.ID] = struct{}{}
+			cl.remaining = xmldoc.InsertID(cl.remaining, cm.ID)
 			continue
 		}
 		download(cm)
 	}
-	for _, cm := range cy.CommitmentsFrom(extra, ready, busy) {
+	for _, cm := range cy.CommitmentsFrom(nil, extra, ready, busy) {
 		download(cm)
 	}
 }
@@ -769,7 +759,7 @@ func eavesdropCycle(cl *client, cy *broadcast.Cycle, cfg Config, loss *lossProce
 		return
 	}
 	cl.knowsDocs = true
-	for _, cm := range cy.CommitmentsFrom(cl.needed, sync, nil) {
+	for _, cm := range cy.CommitmentsFrom(nil, cl.needed, sync, nil) {
 		cl.stats.DocTuningBytes += int64(cm.Size)
 		if loss.fail() {
 			continue // still in the server's belief; rescheduled

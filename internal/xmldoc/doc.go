@@ -10,6 +10,7 @@ package xmldoc
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -17,6 +18,32 @@ import (
 // DocID identifies a document within a collection. The paper allocates two
 // bytes per document identifier on air, which this type mirrors.
 type DocID uint16
+
+// A request's outstanding result documents are kept as one []DocID, sorted
+// ascending without duplicates, from submission to retirement; the three
+// helpers below work on that form and keep it.
+
+// HasID reports whether the sorted set holds id.
+func HasID(set []DocID, id DocID) bool {
+	_, ok := slices.BinarySearch(set, id)
+	return ok
+}
+
+// InsertID adds id to the sorted set in place, unless it is already there.
+func InsertID(set []DocID, id DocID) []DocID {
+	if i, ok := slices.BinarySearch(set, id); !ok {
+		set = slices.Insert(set, i, id)
+	}
+	return set
+}
+
+// RemoveID drops id from the sorted set in place, if it is there.
+func RemoveID(set []DocID, id DocID) []DocID {
+	if i, ok := slices.BinarySearch(set, id); ok {
+		set = slices.Delete(set, i, i+1)
+	}
+	return set
+}
 
 // Node is a single element node in a document tree.
 type Node struct {
