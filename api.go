@@ -142,25 +142,3 @@ func RunExperiment(id string, cfg ExperimentConfig) (*ResultTable, error) {
 // RunAllExperiments executes every experiment and writes the rendered
 // tables to w.
 func RunAllExperiments(w io.Writer, cfg ExperimentConfig) error { return exp.RunAll(w, cfg) }
-
-// EngineBenchResult reports the assembly engine's concurrency profile:
-// serial-vs-parallel timings for document matching and DataGuide merging,
-// full-vs-incremental PCI re-pruning under query churn, full-vs-incremental
-// cycle planning under pending-set churn, plus the per-stage telemetry of a
-// full simulation.
-type EngineBenchResult = exp.EngineBenchResult
-
-// RunEngineBenchmark measures the engine's concurrent stages on the
-// configured workload (cmd/bcast-exp -bench-engine writes the result as
-// BENCH_engine.json).
-func RunEngineBenchmark(cfg ExperimentConfig) (*EngineBenchResult, error) {
-	return exp.RunEngineBench(cfg)
-}
-
-// CompareEngineBenchmarks gates a fresh engine benchmark against a recorded
-// baseline, returning an error when the build-stage or schedule-stage mean
-// regressed by more than tolerance (a fraction, e.g. 0.25 for 25%). Used by
-// CI via cmd/bcast-exp -bench-baseline.
-func CompareEngineBenchmarks(baseline, current *EngineBenchResult, tolerance float64) (string, error) {
-	return exp.CompareEngineBench(baseline, current, tolerance)
-}

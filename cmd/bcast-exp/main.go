@@ -33,13 +33,9 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("bcast-exp", flag.ContinueOnError)
 	var (
-		list      = fs.Bool("list", false, "list available experiments and exit")
-		expID     = fs.String("exp", "", "experiment ID to run (see -list)")
-		all       = fs.Bool("all", false, "run every experiment")
-		benchEng  = fs.Bool("bench-engine", false, "benchmark the assembly engine and write BENCH_engine.json")
-		benchPath = fs.String("bench-out", "BENCH_engine.json", "output path for -bench-engine")
-		benchBase = fs.String("bench-baseline", "", "baseline BENCH_engine.json to compare against; exit non-zero on regression")
-		benchTol  = fs.Float64("bench-tolerance", 0.25, "allowed fractional regression of the build- and schedule-stage means for -bench-baseline")
+		list  = fs.Bool("list", false, "list available experiments and exit")
+		expID = fs.String("exp", "", "experiment ID to run (see -list)")
+		all   = fs.Bool("all", false, "run every experiment")
 
 		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
 		memProfile = fs.String("memprofile", "", "write a heap profile at exit to this file (go tool pprof)")
@@ -49,9 +45,9 @@ func run(args []string) error {
 		p          = fs.Float64("p", -1, "P: wildcard probability")
 		dq         = fs.Int("dq", 0, "D_Q: maximum query depth")
 		cap        = fs.Int("capacity", 0, "cycle document budget in bytes")
-		channels   = fs.Int("channels", 0, "parallel broadcast channels K for experiment runs (two-tier legs only; -bench-engine always measures at K=1)")
-		compress   = fs.Bool("compress", false, "model the transport's per-frame DEFLATE in experiment runs (K=1 only; -bench-engine always measures both legs)")
-		indexEnc   = fs.String("index-enc", "", "first-tier wire layout for experiment runs: node or succinct (two-tier legs only; -bench-engine always measures both)")
+		channels   = fs.Int("channels", 0, "parallel broadcast channels K for experiment runs (two-tier legs only)")
+		compress   = fs.Bool("compress", false, "model the transport's per-frame DEFLATE in experiment runs (K=1 only)")
+		indexEnc   = fs.String("index-enc", "", "first-tier wire layout for experiment runs: node or succinct (two-tier legs only)")
 		sched      = fs.String("scheduler", "", "scheduler: leelo, fcfs, mrf or rxw")
 		docSeed    = fs.Int64("doc-seed", 0, "document generation seed")
 		qSeed      = fs.Int64("query-seed", 0, "query generation seed")
@@ -61,7 +57,7 @@ func run(args []string) error {
 		answerCache = fs.Int("answer-cache", 0, "max memoized query answers, LRU-evicted (0 = unlimited)")
 		payloadMB   = fs.Int("payload-cache", 0, "max cached document payload megabytes, LRU-evicted (0 = unlimited)")
 		buildBudget = fs.Duration("build-budget", 0, "per-cycle index-pruning deadline; overruns broadcast the unpruned CI (0 = none)")
-		adaptive    = fs.Bool("adaptive", false, "enable the self-tuning admission controller in experiment runs (never in -bench-engine)")
+		adaptive    = fs.Bool("adaptive", false, "enable the self-tuning admission controller in experiment runs")
 		targetLat   = fs.Duration("target-latency", 0, "adaptive controller's per-cycle assembly-latency goal (0 = default)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -150,52 +146,6 @@ func run(args []string) error {
 	}
 
 	switch {
-	case *benchEng:
-		res, err := repro.RunEngineBenchmark(cfg)
-		if err != nil {
-			return err
-		}
-		data, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(*benchPath, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s (GOMAXPROCS=%d, filter speedup %.2fx, merge speedup %.2fx, prune speedup %.2fx, schedule speedup %.2fx, %d cycles)\n",
-			*benchPath, res.GOMAXPROCS, res.FilterSpeedup, res.MergeSpeedup, res.PruneSpeedup, res.ScheduleSpeedup, res.Cycles)
-		if mb := res.Multichannel; mb != nil {
-			fmt.Printf("multichannel K=%d: mean access %.0f B vs K=1 %.0f B (%.1f%% reduction, %d/%d clients eavesdropped)\n",
-				mb.Channels, mb.MeanAccessBytesK, mb.MeanAccessBytesK1, mb.AccessReductionPct, mb.EavesdropClients, mb.Clients)
-		}
-		if sb := res.Succinct; sb != nil {
-			fmt.Printf("succinct tier: %d B vs node %d B (%.1f%% smaller), index tuning %.0f B vs %.0f B (%.1f%% less), encode %d ns vs %d ns\n",
-				sb.FirstTierBytesSuccinct, sb.FirstTierBytesNode, sb.FirstTierReductionPct,
-				sb.MeanIndexTuningBytesSuccinct, sb.MeanIndexTuningBytesNode, sb.TuningReductionPct,
-				sb.EncodeSuccinctNS, sb.EncodeNodeNS)
-		}
-		if tb := res.Transport; tb != nil {
-			fmt.Printf("transport: cycle %.0f B compressed vs %.0f B plain (%.1f%% smaller), ratios index %.2f / tier %.2f / doc %.2f, encode %d ns, decode %d ns, mux fan-in %.0f frames/s\n",
-				tb.MeanCycleBytesCompressed, tb.MeanCycleBytesPlain, tb.CycleReductionPct,
-				tb.IndexRatio, tb.SecondTierRatio, tb.DocRatio,
-				tb.EncodeFrameNS, tb.DecodeFrameNS, tb.MuxFanInFramesPerSec)
-		}
-		if *benchBase != "" {
-			baseData, err := os.ReadFile(*benchBase)
-			if err != nil {
-				return err
-			}
-			var base repro.EngineBenchResult
-			if err := json.Unmarshal(baseData, &base); err != nil {
-				return fmt.Errorf("parse %s: %w", *benchBase, err)
-			}
-			summary, err := repro.CompareEngineBenchmarks(&base, res, *benchTol)
-			if err != nil {
-				return err
-			}
-			fmt.Println(summary)
-		}
-		return nil
 	case *all:
 		return repro.RunAllExperiments(os.Stdout, cfg)
 	case *expID != "":

@@ -6,19 +6,19 @@ import (
 	"testing"
 )
 
-// capture runs run() with stdout redirected to a pipe and returns the
-// output.
+// capture runs run() with stdout and stderr (where flag prints usage)
+// redirected to a pipe and returns the output.
 func capture(t *testing.T, args []string) (string, error) {
 	t.Helper()
-	old := os.Stdout
+	oldOut, oldErr := os.Stdout, os.Stderr
 	r, w, err := os.Pipe()
 	if err != nil {
 		t.Fatalf("pipe: %v", err)
 	}
-	os.Stdout = w
+	os.Stdout, os.Stderr = w, w
 	runErr := run(args)
 	w.Close()
-	os.Stdout = old
+	os.Stdout, os.Stderr = oldOut, oldErr
 	var sb strings.Builder
 	buf := make([]byte, 4096)
 	for {
@@ -98,5 +98,41 @@ func TestFormats(t *testing.T) {
 	}
 	if _, err := capture(t, []string{"-exp", "setup", "-docs", "10", "-format", "yaml"}); err == nil {
 		t.Error("unknown format accepted")
+	}
+}
+
+// -p 0 is the first point of the paper's P sweep, not "unset".
+func TestZeroWildcardProbabilitySurvives(t *testing.T) {
+	out, err := capture(t, []string{"-exp", "setup", "-docs", "10", "-p", "0"})
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if !strings.Contains(out, "0.000") || strings.Contains(out, "0.100") {
+		t.Errorf("-p 0 did not reach the setup table:\n%s", out)
+	}
+}
+
+// The engine benchmark moved to bench/ (go run ./bench); its flags are gone,
+// not ignored, and nothing the command prints still advertises them.
+func TestRetiredBenchFlagsRejected(t *testing.T) {
+	for _, name := range []string{"engine", "out=x", "baseline=x", "tolerance=0.1"} {
+		flag := "-bench-" + name
+		_, err := capture(t, []string{flag, "-list"})
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("%s: err = %v, want unknown-flag error", flag, err)
+		}
+	}
+	list, err := capture(t, []string{"-list"})
+	if err != nil {
+		t.Fatalf("-list: %v", err)
+	}
+	usage, err := capture(t, []string{"-h"})
+	if err == nil || !strings.Contains(usage, "-channels") {
+		t.Fatalf("-h: err = %v, usage not captured:\n%s", err, usage)
+	}
+	for name, text := range map[string]string{"-list": list, "usage": usage} {
+		if strings.Contains(text, "bench") || strings.Contains(text, "BENCH") {
+			t.Errorf("%s output still mentions the retired benchmark:\n%s", name, text)
+		}
 	}
 }

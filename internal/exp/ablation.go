@@ -130,18 +130,9 @@ func AblationAccounting(cfg Config) (*stats.Table, error) {
 	for _, whole := range []bool{false, true} {
 		var tt [2]float64
 		for i, mode := range []broadcast.Mode{broadcast.OneTierMode, broadcast.TwoTierMode} {
-			res, err := sim.Run(sim.Config{
-				Collection:     coll,
-				Model:          cfg.Model,
-				Mode:           mode,
-				Scheduler:      sched,
-				CycleCapacity:  cfg.CycleCapacity,
-				Requests:       cfg.requests(queries),
-				WholeTierRead:  whole,
-				Limits:         cfg.Limits,
-				Adaptive:       cfg.Adaptive,
-				AdaptiveTarget: cfg.AdaptiveTarget,
-			})
+			sc := cfg.simConfig(coll, mode, sched, cfg.requests(queries))
+			sc.WholeTierRead = whole
+			res, err := sim.Run(sc)
 			if err != nil {
 				return nil, err
 			}

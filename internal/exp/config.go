@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/broadcast"
 	"repro/internal/core"
 	"repro/internal/dtd"
 	"repro/internal/engine"
@@ -58,7 +59,8 @@ type Config struct {
 	TextScale float64
 	// NQ is the default number of pending queries (N_Q).
 	NQ int
-	// P is the default wildcard probability.
+	// P is the default wildcard probability. Zero is a legal value (no
+	// wildcard steps), so only the wholly zero Config takes Default's P.
 	P float64
 	// DQ is the default maximum query depth (D_Q).
 	DQ int
@@ -68,14 +70,10 @@ type Config struct {
 	// Channels is the number of parallel broadcast channels K at fixed
 	// aggregate bandwidth (sim.Config.Channels). Zero or one keeps the
 	// paper's single-channel model; K > 1 applies to two-tier runs only.
-	// The engine benchmark ignores this and always measures at K=1 so
-	// BENCH_engine.json baselines stay comparable across machines.
 	Channels int
 	// IndexEncoding selects the first-tier wire layout of two-tier runs
 	// (sim.Config.IndexEncoding): the node-pointer stream (zero value) or
-	// the succinct balanced-parentheses tier. One-tier legs ignore it. The
-	// engine benchmark ignores it too — its succinct section always measures
-	// both encodings.
+	// the succinct balanced-parentheses tier. One-tier legs ignore it.
 	IndexEncoding core.IndexEncoding
 	// Scheduler names the scheduling policy (default "leelo", the paper's
 	// choice [8]).
@@ -98,14 +96,11 @@ type Config struct {
 	// Compress models the netcast transport's per-frame DEFLATE in every
 	// simulation this config drives (sim.Config.Compress): cycles are
 	// accounted at transport-envelope size and index reads are whole
-	// compressed segments. Incompatible with Channels > 1. The engine
-	// benchmark ignores it — its transport section always measures both
-	// legs.
+	// compressed segments. Incompatible with Channels > 1.
 	Compress bool
 	// Adaptive enables the self-tuning admission controller in every
 	// simulation this config drives (see sim.Config.Adaptive). Off by
-	// default; the engine benchmark harness always runs with the
-	// controller off so bench baselines stay comparable.
+	// default.
 	Adaptive bool
 	// AdaptiveTarget is the controller's per-cycle assembly-latency goal;
 	// zero selects the default derivation. Ignored unless Adaptive.
@@ -164,6 +159,32 @@ func (c Config) requests(queries []xpath.Path) []sim.ClientRequest {
 	return reqs
 }
 
+// simConfig is the one place an experiment Config becomes a simulator
+// Config: every knob the harness threads through (size model, capacity,
+// limits, adaptive controller, compression, channel count, index encoding)
+// is copied here, so an experiment overrides only the field it sweeps. The
+// one-tier organisation has no channel directory to hop with and no succinct
+// layout, so Channels and IndexEncoding apply to two-tier legs only.
+func (c Config) simConfig(coll *xmldoc.Collection, mode broadcast.Mode, sched schedule.Scheduler, reqs []sim.ClientRequest) sim.Config {
+	sc := sim.Config{
+		Collection:     coll,
+		Model:          c.Model,
+		Mode:           mode,
+		Scheduler:      sched,
+		CycleCapacity:  c.CycleCapacity,
+		Requests:       reqs,
+		Limits:         c.Limits,
+		Adaptive:       c.Adaptive,
+		AdaptiveTarget: c.AdaptiveTarget,
+		Compress:       c.Compress,
+	}
+	if mode == broadcast.TwoTierMode {
+		sc.Channels = c.Channels
+		sc.IndexEncoding = c.IndexEncoding
+	}
+	return sc
+}
+
 // scheduler resolves the configured policy.
 func (c Config) scheduler() (schedule.Scheduler, error) {
 	name := c.Scheduler
@@ -173,9 +194,14 @@ func (c Config) scheduler() (schedule.Scheduler, error) {
 	return schedule.New(name)
 }
 
-// withDefaults fills zero fields from Default.
+// withDefaults fills zero fields from Default. P is the exception: an
+// explicit zero is meaningful, so it is defaulted only when the whole Config
+// is the zero value.
 func (c Config) withDefaults() Config {
 	d := Default()
+	if c == (Config{}) {
+		return d
+	}
 	if c.Schema == "" {
 		c.Schema = d.Schema
 	}
@@ -187,9 +213,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.NQ == 0 {
 		c.NQ = d.NQ
-	}
-	if c.P == 0 {
-		c.P = d.P
 	}
 	if c.DQ == 0 {
 		c.DQ = d.DQ

@@ -5,6 +5,11 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/broadcast"
+	"repro/internal/core"
+	"repro/internal/engine"
 )
 
 // small returns a configuration scaled down for fast tests while keeping the
@@ -268,5 +273,113 @@ func TestWithDefaultsFillsEverything(t *testing.T) {
 	}
 	if got.NQ != want.NQ || got.CycleCapacity != want.CycleCapacity {
 		t.Errorf("withDefaults missed defaults: %+v", got)
+	}
+	// An explicit P = 0 is a workload, not an unset field (bcast-exp -p 0
+	// starts from Default and assigns it).
+	noWild := Default()
+	noWild.P = 0
+	if got = noWild.withDefaults(); got.P != 0 {
+		t.Errorf("withDefaults turned an explicit P = 0 into %v", got.P)
+	}
+}
+
+// P = 0 is the first point of the paper's P sweep: it must reach the query
+// generator as zero, so the batch has no * or // step at all.
+func TestZeroPGeneratesNoWildcards(t *testing.T) {
+	for _, p := range []float64{0, 0.3} {
+		cfg := small()
+		cfg.P = p
+		cfg = cfg.withDefaults()
+		coll, err := cfg.documents()
+		if err != nil {
+			t.Fatal(err)
+		}
+		queries, err := cfg.queries(coll, cfg.NQ, cfg.P, cfg.DQ)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wild := 0
+		for _, q := range queries {
+			if q.HasWildcards() {
+				wild++
+			}
+		}
+		if (p == 0) != (wild == 0) {
+			t.Errorf("P = %v: %d of %d queries have wildcards", p, wild, len(queries))
+		}
+	}
+}
+
+// simConfig is the only bridge from the harness's Config to the simulator's:
+// limits and the adaptive controller always cross it, the layout knobs cross
+// it on two-tier legs only, and Compress follows the config on both.
+func TestSimConfig(t *testing.T) {
+	cfg := small()
+	cfg.Channels = 4
+	cfg.IndexEncoding = core.EncodingSuccinct
+	cfg.Compress = true
+	cfg.Limits = engine.Limits{MaxPending: 9, BuildBudget: time.Second}
+	cfg.Adaptive = true
+	cfg.AdaptiveTarget = 3 * time.Millisecond
+	coll, err := cfg.documents()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched, err := cfg.scheduler()
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries, err := cfg.queries(coll, 5, cfg.P, cfg.DQ)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs := cfg.requests(queries)
+
+	for _, mode := range []broadcast.Mode{broadcast.OneTierMode, broadcast.TwoTierMode} {
+		sc := cfg.simConfig(coll, mode, sched, reqs)
+		if sc.Collection != coll || sc.Mode != mode || sc.Scheduler != sched || len(sc.Requests) != len(reqs) {
+			t.Errorf("%v: arguments not carried: %+v", mode, sc)
+		}
+		if sc.Model != cfg.Model || sc.CycleCapacity != cfg.CycleCapacity {
+			t.Errorf("%v: model/capacity = %+v/%d", mode, sc.Model, sc.CycleCapacity)
+		}
+		if sc.Limits != cfg.Limits || !sc.Adaptive || sc.AdaptiveTarget != cfg.AdaptiveTarget || !sc.Compress {
+			t.Errorf("%v: limits/adaptive/compress dropped: %+v", mode, sc)
+		}
+		wantK, wantEnc := 0, core.EncodingNode
+		if mode == broadcast.TwoTierMode {
+			wantK, wantEnc = cfg.Channels, cfg.IndexEncoding
+		}
+		if sc.Channels != wantK || sc.IndexEncoding != wantEnc {
+			t.Errorf("%v: Channels/IndexEncoding = %d/%v, want %d/%v", mode, sc.Channels, sc.IndexEncoding, wantK, wantEnc)
+		}
+		// What the harness never sets stays at the simulator's default.
+		if sc.WholeTierRead || sc.LossProb != 0 || sc.LossSeed != 0 {
+			t.Errorf("%v: swept fields preset: %+v", mode, sc)
+		}
+	}
+}
+
+// The layout flags reach every experiment that simulates, not only the
+// figures: K = 4 must change ext-loss's two-tier access column and leave its
+// one-tier column alone.
+func TestLayoutReachesExtensions(t *testing.T) {
+	base := small()
+	base.NQ = 20
+	k4 := base
+	k4.Channels = 4
+	one, err := ChannelLoss(base, []float64{0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	four, err := ChannelLoss(k4, []float64{0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if one.Rows[0][4] != four.Rows[0][4] {
+		t.Errorf("one-tier access moved with Channels: %s vs %s", one.Rows[0][4], four.Rows[0][4])
+	}
+	if one.Rows[0][5] == four.Rows[0][5] {
+		t.Errorf("two-tier access ignored Channels = 4: %s both times", one.Rows[0][5])
 	}
 }

@@ -43,17 +43,7 @@ func QuerySkew(cfg Config, skews []float64) (*stats.Table, error) {
 		reqs := cfg.requests(qs)
 		var results [2]*sim.Result
 		for i, mode := range []broadcast.Mode{broadcast.OneTierMode, broadcast.TwoTierMode} {
-			results[i], err = sim.Run(sim.Config{
-				Collection:     coll,
-				Model:          cfg.Model,
-				Mode:           mode,
-				Scheduler:      sched,
-				CycleCapacity:  cfg.CycleCapacity,
-				Requests:       reqs,
-				Limits:         cfg.Limits,
-				Adaptive:       cfg.Adaptive,
-				AdaptiveTarget: cfg.AdaptiveTarget,
-			})
+			results[i], err = sim.Run(cfg.simConfig(coll, mode, sched, reqs))
 			if err != nil {
 				return nil, fmt.Errorf("exp: skew %v: %w", s, err)
 			}
@@ -94,19 +84,10 @@ func ChannelLoss(cfg Config, probs []float64) (*stats.Table, error) {
 	for _, p := range probs {
 		var tt, access [2]float64
 		for i, mode := range []broadcast.Mode{broadcast.OneTierMode, broadcast.TwoTierMode} {
-			res, err := sim.Run(sim.Config{
-				Collection:     coll,
-				Model:          cfg.Model,
-				Mode:           mode,
-				Scheduler:      sched,
-				CycleCapacity:  cfg.CycleCapacity,
-				Requests:       cfg.requests(queries),
-				LossProb:       p,
-				LossSeed:       cfg.QuerySeed + 13,
-				Limits:         cfg.Limits,
-				Adaptive:       cfg.Adaptive,
-				AdaptiveTarget: cfg.AdaptiveTarget,
-			})
+			sc := cfg.simConfig(coll, mode, sched, cfg.requests(queries))
+			sc.LossProb = p
+			sc.LossSeed = cfg.QuerySeed + 13
+			res, err := sim.Run(sc)
 			if err != nil {
 				return nil, fmt.Errorf("exp: loss %v: %w", p, err)
 			}
@@ -159,17 +140,7 @@ func ArrivalPattern(cfg Config) (*stats.Table, error) {
 		}
 		var tt, access [2]float64
 		for i, mode := range []broadcast.Mode{broadcast.OneTierMode, broadcast.TwoTierMode} {
-			res, err := sim.Run(sim.Config{
-				Collection:     coll,
-				Model:          cfg.Model,
-				Mode:           mode,
-				Scheduler:      sched,
-				CycleCapacity:  cfg.CycleCapacity,
-				Requests:       reqs,
-				Limits:         cfg.Limits,
-				Adaptive:       cfg.Adaptive,
-				AdaptiveTarget: cfg.AdaptiveTarget,
-			})
+			res, err := sim.Run(cfg.simConfig(coll, mode, sched, reqs))
 			if err != nil {
 				return nil, fmt.Errorf("exp: arrivals %s: %w", pat.name, err)
 			}

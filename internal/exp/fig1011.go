@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/broadcast"
-	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -23,28 +22,7 @@ func (c Config) modeRun(mode broadcast.Mode, nq int, p float64, dq int) (*sim.Re
 	if err != nil {
 		return nil, err
 	}
-	channels := 0
-	var enc core.IndexEncoding
-	if mode == broadcast.TwoTierMode {
-		// The one-tier organisation has no channel directory to hop with and
-		// no succinct layout; both knobs apply to two-tier runs only.
-		channels = c.Channels
-		enc = c.IndexEncoding
-	}
-	return sim.Run(sim.Config{
-		Collection:     coll,
-		Model:          c.Model,
-		Mode:           mode,
-		IndexEncoding:  enc,
-		Channels:       channels,
-		Scheduler:      sched,
-		CycleCapacity:  c.CycleCapacity,
-		Requests:       c.requests(queries),
-		Limits:         c.Limits,
-		Adaptive:       c.Adaptive,
-		AdaptiveTarget: c.AdaptiveTarget,
-		Compress:       c.Compress,
-	})
+	return sim.Run(c.simConfig(coll, mode, sched, c.requests(queries)))
 }
 
 // Fig10 reproduces Fig. 10: the per-cycle index size broadcast under the

@@ -109,7 +109,9 @@ func Setup(cfg Config) (*stats.Table, error) {
 	tbl.AddRow("data", "document set size (bytes)", coll.TotalSize())
 	tbl.AddRow("avg doc", "average document size (bytes)", coll.TotalSize()/coll.Len())
 	tbl.AddRow("N_Q", "pending queries per broadcast period", cfg.NQ)
-	tbl.AddRow("P", "probability of * and // in queries", cfg.P)
+	// A probability, so 0 and 1 keep their decimals (AddRow drops them
+	// from integer-valued floats).
+	tbl.AddRow("P", "probability of * and // in queries", fmt.Sprintf("%.3f", cfg.P))
 	tbl.AddRow("D_Q", "maximum depth of queries", cfg.DQ)
 	tbl.AddRow("cycle", "document budget per cycle (bytes)", cfg.CycleCapacity)
 	tbl.AddRow("docID", "bytes per document ID", cfg.Model.DocIDBytes)

@@ -44,18 +44,9 @@ func SuccinctEncoding(cfg Config, numDocs []int) (*stats.Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			results[i], err = sim.Run(sim.Config{
-				Collection:     coll,
-				Model:          c.Model,
-				Mode:           broadcast.TwoTierMode,
-				IndexEncoding:  enc,
-				Scheduler:      sched,
-				CycleCapacity:  c.CycleCapacity,
-				Requests:       c.requests(queries),
-				Limits:         c.Limits,
-				Adaptive:       c.Adaptive,
-				AdaptiveTarget: c.AdaptiveTarget,
-			})
+			sc := c.simConfig(coll, broadcast.TwoTierMode, sched, c.requests(queries))
+			sc.IndexEncoding = enc
+			results[i], err = sim.Run(sc)
 			if err != nil {
 				return nil, fmt.Errorf("exp: succinct docs=%d enc=%s: %w", n, enc, err)
 			}

@@ -1,214 +1,12 @@
 package exp
 
 import (
-	"bytes"
 	"fmt"
-	"time"
 
 	"repro/internal/broadcast"
-	"repro/internal/engine"
-	"repro/internal/netcast/transport"
 	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/xmldoc"
-	"repro/internal/xpath"
 )
-
-// TransportBench reports the compressed-transport comparison: per-frame-type
-// compression ratios over one representative cycle's wire segments, the
-// encode/decode cost per frame, in-memory mux fan-in throughput, and the
-// compressed-vs-plain simulation legs of the benchmark workload. Byte counts
-// and ratios are deterministic for a fixed workload; *_ns and throughput
-// fields vary by machine like every other timing.
-type TransportBench struct {
-	// *Ratio is compressed wire bytes over plain wire bytes (envelope and
-	// frame overhead included) per frame type; below 1.0 means compression
-	// wins air time.
-	IndexRatio      float64 `json:"index_ratio"`
-	SecondTierRatio float64 `json:"second_tier_ratio"`
-	DocRatio        float64 `json:"doc_ratio"`
-	// EncodeFrameNS / DecodeFrameNS are the mean per-frame DEFLATE encode
-	// and inflate-and-verify decode costs over the cycle's frames (best of
-	// rounds).
-	EncodeFrameNS int64 `json:"encode_frame_ns"`
-	DecodeFrameNS int64 `json:"decode_frame_ns"`
-	// MuxFanInFramesPerSec is the in-memory multiplexing rate: small
-	// stream-stamped query frames encoded and decoded back-to-back across
-	// many logical streams, the per-frame work a mux uplink performs.
-	MuxFanInFramesPerSec float64 `json:"mux_fanin_frames_per_sec"`
-	// Simulation legs: the same workload with and without Compress.
-	MeanCycleBytesPlain       float64 `json:"mean_cycle_bytes_plain"`
-	MeanCycleBytesCompressed  float64 `json:"mean_cycle_bytes_compressed"`
-	CycleReductionPct         float64 `json:"cycle_reduction_pct"`
-	MeanAccessBytesPlain      float64 `json:"mean_access_bytes_plain"`
-	MeanAccessBytesCompressed float64 `json:"mean_access_bytes_compressed"`
-}
-
-// transportInnerOverhead mirrors the v2 frame bytes around each payload
-// (7-byte header plus 4-byte checksum), the same approximation the
-// simulator's compression model uses.
-const transportInnerOverhead = 11
-
-// wrapInner pads a payload into an inner-frame-shaped buffer.
-func wrapInner(buf, payload []byte) []byte {
-	var pad [transportInnerOverhead]byte
-	buf = append(buf[:0], pad[:7]...)
-	buf = append(buf, payload...)
-	return append(buf, pad[:4]...)
-}
-
-// benchTransport fills the Transport section: frame-level compression ratios
-// and codec timings from one representative assembled cycle, mux fan-in
-// throughput, and a compressed rerun of the benchmark simulation against the
-// plain leg already measured.
-func benchTransport(cfg Config, coll *xmldoc.Collection, queries []xpath.Path, nodeRun *sim.Result, res *EngineBenchResult) error {
-	sched, err := cfg.scheduler()
-	if err != nil {
-		return err
-	}
-	eng, err := engine.New(engine.Config{
-		Collection:    coll,
-		Model:         cfg.Model,
-		Mode:          broadcast.TwoTierMode,
-		Scheduler:     sched,
-		CycleCapacity: cfg.CycleCapacity,
-	})
-	if err != nil {
-		return err
-	}
-	answers, err := eng.ResolveAll(queries)
-	if err != nil {
-		return err
-	}
-	pending := make([]engine.Pending, 0, len(queries))
-	for i, q := range queries {
-		pending = append(pending, engine.Pending{ID: int64(i), Query: q, Arrival: 0, Remaining: answers[q.String()]})
-	}
-	cy, err := eng.AssembleCycleAt(0, 0, 0, pending)
-	if err != nil {
-		return err
-	}
-	enc, err := eng.EncodeCycle(cy)
-	if err != nil {
-		return err
-	}
-
-	tb := &TransportBench{}
-	tenc := transport.NewEncoder(true, 0)
-	var inner []byte
-	ratio := func(payload []byte) (float64, []byte, error) {
-		inner = wrapInner(inner, payload)
-		env, err := tenc.Encode(transport.NoStream, inner)
-		if err != nil {
-			return 0, nil, err
-		}
-		return float64(len(env)) / float64(len(inner)), env, nil
-	}
-	var envs []byte // every envelope back to back, for the decode timing
-	var env []byte
-	if tb.IndexRatio, env, err = ratio(enc.Index); err != nil {
-		return err
-	}
-	envs = append(envs, env...)
-	if enc.SecondTier != nil {
-		if tb.SecondTierRatio, env, err = ratio(enc.SecondTier); err != nil {
-			return err
-		}
-		envs = append(envs, env...)
-	}
-	var docPlain, docComp int
-	for _, p := range enc.Docs {
-		_, env, err := ratio(p)
-		if err != nil {
-			return err
-		}
-		docPlain += len(p) + transportInnerOverhead
-		docComp += len(env)
-		envs = append(envs, env...)
-	}
-	if docPlain > 0 {
-		tb.DocRatio = float64(docComp) / float64(docPlain)
-	}
-	frames := 1 + len(enc.Docs)
-	if enc.SecondTier != nil {
-		frames++
-	}
-
-	// Codec timings: encode every frame of the cycle per round, decode the
-	// concatenated envelopes per round; report the per-frame mean of the
-	// best round.
-	tb.EncodeFrameNS = bestOf(engineBenchRounds, func() {
-		all := append([][]byte{enc.Index}, enc.Docs...)
-		if enc.SecondTier != nil {
-			all = append(all, enc.SecondTier)
-		}
-		for _, p := range all {
-			inner = wrapInner(inner, p)
-			if _, err := tenc.Encode(transport.NoStream, inner); err != nil {
-				panic(err)
-			}
-		}
-	}) / int64(frames)
-	tb.DecodeFrameNS = bestOf(engineBenchRounds, func() {
-		tr := transport.NewReader(bytes.NewReader(envs))
-		for i := 0; i < frames; i++ {
-			if _, err := tr.Next(); err != nil {
-				panic(err)
-			}
-		}
-	}) / int64(frames)
-	eng.Recycle(enc)
-
-	// Mux fan-in: stream-stamped query-sized frames through the codec, the
-	// per-frame work of a multiplexed uplink (raw below the compression
-	// floor, exactly like live queries).
-	const muxFrames, muxStreams = 4096, 64
-	query := wrapInner(nil, []byte("/nitf/body/body.content/block"))
-	muxNS := bestOf(engineBenchRounds, func() {
-		var buf bytes.Buffer
-		menc := transport.NewEncoder(true, 0)
-		for i := 0; i < muxFrames; i++ {
-			env, err := menc.Encode(int64(i%muxStreams), query)
-			if err != nil {
-				panic(err)
-			}
-			buf.Write(env)
-		}
-		tr := transport.NewReader(&buf)
-		for i := 0; i < muxFrames; i++ {
-			if _, err := tr.Next(); err != nil {
-				panic(err)
-			}
-		}
-	})
-	if muxNS > 0 {
-		tb.MuxFanInFramesPerSec = float64(muxFrames) / (float64(muxNS) / float64(time.Second.Nanoseconds()))
-	}
-
-	// The compressed simulation leg against the plain one already measured.
-	compRun, err := sim.Run(sim.Config{
-		Collection:    coll,
-		Model:         cfg.Model,
-		Mode:          broadcast.TwoTierMode,
-		Scheduler:     sched,
-		CycleCapacity: cfg.CycleCapacity,
-		Requests:      cfg.requests(queries),
-		Limits:        cfg.Limits,
-		Compress:      true,
-	})
-	if err != nil {
-		return fmt.Errorf("exp: transport bench compressed run: %w", err)
-	}
-	tb.MeanCycleBytesPlain = nodeRun.MeanCycleBytes()
-	tb.MeanCycleBytesCompressed = compRun.MeanCycleBytes()
-	if tb.MeanCycleBytesPlain > 0 {
-		tb.CycleReductionPct = 100 * (1 - tb.MeanCycleBytesCompressed/tb.MeanCycleBytesPlain)
-	}
-	tb.MeanAccessBytesPlain = nodeRun.MeanAccessBytes()
-	tb.MeanAccessBytesCompressed = compRun.MeanAccessBytes()
-	res.Transport = tb
-	return nil
-}
 
 // TransportCompression is the ext-transport experiment: the same workload
 // simulated with the transport's per-frame DEFLATE off and on across a
@@ -243,18 +41,9 @@ func TransportCompression(cfg Config, textScales []float64) (*stats.Table, error
 			if err != nil {
 				return nil, err
 			}
-			results[i], err = sim.Run(sim.Config{
-				Collection:     coll,
-				Model:          c.Model,
-				Mode:           broadcast.TwoTierMode,
-				Scheduler:      sched,
-				CycleCapacity:  c.CycleCapacity,
-				Requests:       c.requests(queries),
-				Limits:         c.Limits,
-				Adaptive:       c.Adaptive,
-				AdaptiveTarget: c.AdaptiveTarget,
-				Compress:       compress,
-			})
+			sc := c.simConfig(coll, broadcast.TwoTierMode, sched, c.requests(queries))
+			sc.Compress = compress
+			results[i], err = sim.Run(sc)
 			if err != nil {
 				return nil, fmt.Errorf("exp: transport scale=%g compress=%v: %w", scale, compress, err)
 			}

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"compress/flate"
 	"encoding/binary"
+	"flag"
 	"hash/crc32"
 	"io"
 	"strings"
@@ -350,5 +351,56 @@ func TestEncoderReuseDoesNotLeakBetweenFrames(t *testing.T) {
 	// Decode frame 4 alone, too.
 	if _, err := NewReader(bytes.NewReader(envs[4])).Next(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// BenchmarkMuxFanIn is the in-memory multiplexing rate: per op, 4096
+// stream-stamped query-sized frames over 64 logical streams are encoded and
+// decoded back to back — the per-frame work of a multiplexed uplink (raw
+// below the compression floor, exactly like live queries).
+func BenchmarkMuxFanIn(b *testing.B) {
+	const frames, streams = 4096, 64
+	// A query inside a v2 inner frame: 7-byte header, payload, 4-byte checksum.
+	query := append(make([]byte, 7), "/nitf/body/body.content/block"...)
+	query = append(query, 0, 0, 0, 0)
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		var buf bytes.Buffer
+		enc := NewEncoder(true, 0)
+		for i := 0; i < frames; i++ {
+			env, err := enc.Encode(int64(i%streams), query)
+			if err != nil {
+				b.Fatal(err)
+			}
+			buf.Write(env)
+		}
+		r := NewReader(&buf)
+		for i := 0; i < frames; i++ {
+			fr, err := r.Next()
+			if err != nil {
+				b.Fatal(err)
+			}
+			if fr.Stream != int64(i%streams) {
+				b.Fatalf("frame %d: stream = %d, want %d", i, fr.Stream, i%streams)
+			}
+		}
+	}
+	b.ReportMetric(float64(frames)*float64(b.N)/b.Elapsed().Seconds(), "frames/s")
+}
+
+// The fan-in rate is the one number the retired engine benchmark held that
+// bench/ does not measure; it must keep being reported.
+func TestMuxFanInBenchmarkReports(t *testing.T) {
+	// One iteration, as CI's bench smoke runs it, not testing.Benchmark's
+	// default second.
+	benchtime := flag.Lookup("test.benchtime")
+	old := benchtime.Value.String()
+	if err := benchtime.Value.Set("1x"); err != nil {
+		t.Fatal(err)
+	}
+	defer benchtime.Value.Set(old)
+	res := testing.Benchmark(BenchmarkMuxFanIn)
+	if rate := res.Extra["frames/s"]; rate <= 0 {
+		t.Fatalf("BenchmarkMuxFanIn reported frames/s = %v (N = %d), want > 0", rate, res.N)
 	}
 }

@@ -57,9 +57,9 @@ const benchChurnSwap = 500 // of 10k pending: 5% churn per cycle
 
 // BenchmarkScheduleIncremental compares one cycle of LeeLo planning under
 // 5% pending-set churn: the full per-cycle rebuild the reference oracle
-// performs versus delta maintenance of a persistent DemandIndex. The
-// engine bench records the same ratio as schedule_speedup in
-// BENCH_engine.json (target ≥5×).
+// performs versus delta maintenance of a persistent DemandIndex (target
+// ≥5×). bench/ replays the same pair at the benchmark's own scale as
+// schedule.plan_full_us / schedule.plan_indexed_us.
 func BenchmarkScheduleIncremental(b *testing.B) {
 	b.Run("full", func(b *testing.B) {
 		pending, size, r := benchChurnFixture()

@@ -53,32 +53,6 @@ func (r *Result) MeanSecondTierBytes() float64 {
 // NumCycles reports how many cycles the run broadcast.
 func (r *Result) NumCycles() int { return len(r.Cycles) }
 
-// MeanChannelBytes is the per-channel mean payload per cycle, indexed by
-// channel number (channel 0 is the index channel). Nil on single-channel
-// runs. Cycles that aired fewer channels contribute zero to the missing ones,
-// which cannot happen under a fixed-K run.
-func (r *Result) MeanChannelBytes() []float64 {
-	k := 0
-	for _, c := range r.Cycles {
-		if len(c.ChannelBytes) > k {
-			k = len(c.ChannelBytes)
-		}
-	}
-	if k == 0 || len(r.Cycles) == 0 {
-		return nil
-	}
-	out := make([]float64, k)
-	for _, c := range r.Cycles {
-		for ch, b := range c.ChannelBytes {
-			out[ch] += float64(b)
-		}
-	}
-	for ch := range out {
-		out[ch] /= float64(len(r.Cycles))
-	}
-	return out
-}
-
 // MeanIndexRepetitions is the mean number of complete index-channel
 // repetition units aired per cycle (1.0 on single-channel runs).
 func (r *Result) MeanIndexRepetitions() float64 {
