@@ -673,7 +673,7 @@ func (e *Engine) EncodeCycle(c *Cycle) (_ *Encoded, err error) {
 			}
 			payload = make([]byte, 2, 2+doc.Size())
 			binary.LittleEndian.PutUint16(payload, uint16(p.ID))
-			payload = append(payload, doc.Marshal()...)
+			payload = doc.AppendMarshal(payload)
 			evicted += e.payloads.put(p.ID, payload)
 		}
 		enc.Docs = append(enc.Docs, payload)

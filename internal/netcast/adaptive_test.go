@@ -1,7 +1,6 @@
 package netcast
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -98,14 +97,7 @@ func TestAdaptiveFloodE2E(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Retrieve during flood: %v", err)
 	}
-	if len(docs) != len(want) {
-		t.Fatalf("retrieved %d docs, want %d", len(docs), len(want))
-	}
-	for i, d := range docs {
-		if d.ID != want[i] || !bytes.Equal(d.Marshal(), coll.ByID(want[i]).Marshal()) {
-			t.Errorf("doc %d corrupted during flood", d.ID)
-		}
-	}
+	checkRetrieved(t, coll, docs, want)
 
 	flood := <-floodDone
 	st := srv.Stats()

@@ -1,7 +1,6 @@
 package netcast
 
 import (
-	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -802,7 +801,7 @@ func (r *retrieval) onDoc(fr airFrame) error {
 			cost -= 2
 		}
 		r.stats.TuningBytes += cost
-		root, err := xmldoc.Parse(bytes.NewReader(fr.payload[2:]))
+		root, err := xmldoc.ParseBytes(fr.payload[2:])
 		if err != nil {
 			return errFrameCorrupt
 		}

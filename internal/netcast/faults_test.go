@@ -115,7 +115,7 @@ func TestRetrieveUnderChaos(t *testing.T) {
 			ctx, cancel := context.WithTimeout(context.Background(), 180*time.Second)
 			defer cancel()
 			type outcome struct {
-				ids   []xmldoc.DocID
+				docs  []*xmldoc.Document
 				stats ClientStats
 				err   error
 			}
@@ -124,11 +124,7 @@ func TestRetrieveUnderChaos(t *testing.T) {
 				results[i] = make(chan outcome, 1)
 				go func(cl *Client, q xpath.Path, ch chan<- outcome) {
 					docs, stats, err := cl.Retrieve(ctx, q)
-					ids := make([]xmldoc.DocID, len(docs))
-					for j, d := range docs {
-						ids[j] = d.ID
-					}
-					ch <- outcome{ids: ids, stats: stats, err: err}
+					ch <- outcome{docs: docs, stats: stats, err: err}
 				}(clients[i], queries[i], results[i])
 			}
 
@@ -145,9 +141,7 @@ func TestRetrieveUnderChaos(t *testing.T) {
 				if o.err != nil {
 					t.Fatalf("client %d Retrieve: %v (stats %+v)", i, o.err, o.stats)
 				}
-				if want := q.MatchingDocs(coll); !reflect.DeepEqual(o.ids, want) {
-					t.Errorf("client %d retrieved %v, want %v", i, o.ids, want)
-				}
+				checkRetrieved(t, coll, o.docs, q.MatchingDocs(coll))
 				if o.stats.Reconnects < 2 {
 					t.Errorf("client %d Reconnects = %d, want >= 2 (stats %+v)", i, o.stats.Reconnects, o.stats)
 				}

@@ -100,18 +100,7 @@ func TestMultichannelRetrieve(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Retrieve: %v", err)
 			}
-			gotIDs := make([]xmldoc.DocID, len(docs))
-			for i, d := range docs {
-				gotIDs[i] = d.ID
-			}
-			if !reflect.DeepEqual(gotIDs, want) {
-				t.Errorf("retrieved %v, want %v", gotIDs, want)
-			}
-			for _, d := range docs {
-				if d.Root == nil || d.Root.Label != "nitf" {
-					t.Errorf("doc %d has bad root", d.ID)
-				}
-			}
+			checkRetrieved(t, coll, docs, want)
 			if stats.TuningBytes <= 0 || stats.Cycles == 0 {
 				t.Errorf("stats = %+v", stats)
 			}

@@ -40,6 +40,26 @@ func startServer(t *testing.T, mode broadcast.Mode) (*Server, *xmldoc.Collection
 	return srv, coll
 }
 
+// checkRetrieved fails the test unless docs are the documents want names, in
+// that order, each serialising byte for byte as the collection's own. IDs
+// alone would not do: the client parses every document out of one reused
+// frame buffer, and a tree still pointing into it would keep its ID and lose
+// its text to the next frame.
+func checkRetrieved(t *testing.T, coll *xmldoc.Collection, docs []*xmldoc.Document, want []xmldoc.DocID) {
+	t.Helper()
+	if len(docs) != len(want) {
+		t.Fatalf("retrieved %d docs, want %d", len(docs), len(want))
+	}
+	for i, d := range docs {
+		if d.ID != want[i] {
+			t.Fatalf("doc %d: ID %d, want %d", i, d.ID, want[i])
+		}
+		if !bytes.Equal(d.Marshal(), coll.ByID(d.ID).Marshal()) {
+			t.Errorf("doc %d bytes differ from the source document", d.ID)
+		}
+	}
+}
+
 func TestEndToEndRetrieve(t *testing.T) {
 	for _, mode := range []broadcast.Mode{broadcast.OneTierMode, broadcast.TwoTierMode} {
 		t.Run(mode.String(), func(t *testing.T) {
@@ -64,19 +84,7 @@ func TestEndToEndRetrieve(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Retrieve: %v", err)
 			}
-			gotIDs := make([]xmldoc.DocID, len(docs))
-			for i, d := range docs {
-				gotIDs[i] = d.ID
-			}
-			if !reflect.DeepEqual(gotIDs, want) {
-				t.Errorf("retrieved %v, want %v", gotIDs, want)
-			}
-			// The retrieved documents decode to real trees.
-			for _, d := range docs {
-				if d.Root == nil || d.Root.Label != "nitf" {
-					t.Errorf("doc %d has bad root", d.ID)
-				}
-			}
+			checkRetrieved(t, coll, docs, want)
 			if stats.TuningBytes <= 0 || stats.Cycles == 0 {
 				t.Errorf("stats = %+v", stats)
 			}
@@ -90,7 +98,7 @@ func TestTwoClientsShareBroadcast(t *testing.T) {
 	q2 := xpath.MustParse("/nitf//p")
 
 	type outcome struct {
-		ids  []xmldoc.DocID
+		docs []*xmldoc.Document
 		err  error
 		doze int64
 	}
@@ -112,11 +120,7 @@ func TestTwoClientsShareBroadcast(t *testing.T) {
 			ch <- outcome{err: err}
 			return
 		}
-		ids := make([]xmldoc.DocID, len(docs))
-		for i, d := range docs {
-			ids[i] = d.ID
-		}
-		ch <- outcome{ids: ids, doze: stats.DozeBytes}
+		ch <- outcome{docs: docs, doze: stats.DozeBytes}
 	}
 	ch1 := make(chan outcome, 1)
 	ch2 := make(chan outcome, 1)
@@ -126,12 +130,8 @@ func TestTwoClientsShareBroadcast(t *testing.T) {
 	if o1.err != nil || o2.err != nil {
 		t.Fatalf("client errors: %v / %v", o1.err, o2.err)
 	}
-	if !reflect.DeepEqual(o1.ids, q1.MatchingDocs(coll)) {
-		t.Errorf("client 1 ids = %v, want %v", o1.ids, q1.MatchingDocs(coll))
-	}
-	if !reflect.DeepEqual(o2.ids, q2.MatchingDocs(coll)) {
-		t.Errorf("client 2 ids = %v, want %v", o2.ids, q2.MatchingDocs(coll))
-	}
+	checkRetrieved(t, coll, o1.docs, q1.MatchingDocs(coll))
+	checkRetrieved(t, coll, o2.docs, q2.MatchingDocs(coll))
 }
 
 func TestSubmitRejectsBadQueries(t *testing.T) {

@@ -1,7 +1,6 @@
 package netcast
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -152,17 +151,7 @@ func TestDegradedCycleStillServes(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Retrieve over degraded cycles: %v", err)
 	}
-	if len(docs) != len(want) {
-		t.Fatalf("retrieved %d docs, want %d", len(docs), len(want))
-	}
-	for i, d := range docs {
-		if d.ID != want[i] {
-			t.Fatalf("doc %d: ID %d, want %d", i, d.ID, want[i])
-		}
-		if !bytes.Equal(d.Marshal(), coll.ByID(want[i]).Marshal()) {
-			t.Errorf("doc %d bytes differ from the source document", d.ID)
-		}
-	}
+	checkRetrieved(t, coll, docs, want)
 	if st := srv.Stats(); st.Engine.DegradedCycles == 0 {
 		t.Errorf("engine metrics = %+v, want DegradedCycles > 0", st.Engine)
 	}
@@ -250,14 +239,7 @@ func TestOverloadFlood(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Retrieve during flood: %v", err)
 	}
-	if len(docs) != len(want) {
-		t.Fatalf("retrieved %d docs, want %d", len(docs), len(want))
-	}
-	for i, d := range docs {
-		if d.ID != want[i] || !bytes.Equal(d.Marshal(), coll.ByID(want[i]).Marshal()) {
-			t.Errorf("doc %d corrupted during flood", d.ID)
-		}
-	}
+	checkRetrieved(t, coll, docs, want)
 
 	flood := <-floodDone
 	st := srv.Stats()

@@ -66,13 +66,7 @@ func TestCompressedEndToEndRetrieve(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Retrieve: %v", err)
 			}
-			gotIDs := make([]xmldoc.DocID, len(docs))
-			for i, d := range docs {
-				gotIDs[i] = d.ID
-			}
-			if !reflect.DeepEqual(gotIDs, want) {
-				t.Errorf("retrieved %v, want %v", gotIDs, want)
-			}
+			checkRetrieved(t, coll, docs, want)
 			if !cl.chans[0].src.isTransport() {
 				t.Error("client did not negotiate the transport layer")
 			}

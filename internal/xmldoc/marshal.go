@@ -3,102 +3,52 @@ package xmldoc
 import (
 	"bytes"
 	"encoding/xml"
-	"fmt"
-	"io"
-	"strings"
 )
 
 // Marshal serialises the document as a compact XML byte string (no
 // indentation, no XML declaration). The serialised length is what Size
 // reports and what the broadcast scheduler budgets against.
 func (d *Document) Marshal() []byte {
-	var buf bytes.Buffer
-	if d.Root != nil {
-		writeNode(&buf, d.Root)
-	}
-	return buf.Bytes()
+	return d.AppendMarshal(make([]byte, 0, d.size))
 }
 
-func writeNode(buf *bytes.Buffer, n *Node) {
-	buf.WriteByte('<')
-	buf.WriteString(n.Label)
-	if n.Text == "" && len(n.Children) == 0 {
-		buf.WriteString("/>")
-		return
+// AppendMarshal appends the document's serialisation — the bytes Marshal
+// returns — to dst and returns the extended slice.
+func (d *Document) AppendMarshal(dst []byte) []byte {
+	if d.Root != nil {
+		dst = appendNode(dst, d.Root)
 	}
-	buf.WriteByte('>')
+	return dst
+}
+
+func appendNode(dst []byte, n *Node) []byte {
+	dst = append(dst, '<')
+	dst = append(dst, n.Label...)
+	if n.Text == "" && len(n.Children) == 0 {
+		return append(dst, "/>"...)
+	}
+	dst = append(dst, '>')
 	if n.Text != "" {
-		// Errors from EscapeText are impossible on a bytes.Buffer.
-		_ = xml.EscapeText(buf, []byte(n.Text))
+		dst = appendText(dst, n.Text)
 	}
 	for _, c := range n.Children {
-		writeNode(buf, c)
+		dst = appendNode(dst, c)
 	}
-	buf.WriteString("</")
-	buf.WriteString(n.Label)
-	buf.WriteByte('>')
+	dst = append(dst, "</"...)
+	dst = append(dst, n.Label...)
+	return append(dst, '>')
 }
 
-// Parse reads one XML document from r and returns its element tree.
-// Attributes, comments and processing instructions are discarded; character
-// data is trimmed and attached to the enclosing element.
-func Parse(r io.Reader) (*Node, error) {
-	dec := xml.NewDecoder(r)
-	var (
-		stack []*Node
-		root  *Node
-	)
-	for {
-		tok, err := dec.Token()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("xmldoc: parse: %w", err)
-		}
-		switch t := tok.(type) {
-		case xml.StartElement:
-			n := &Node{Label: t.Name.Local}
-			if len(stack) == 0 {
-				if root != nil {
-					return nil, fmt.Errorf("xmldoc: parse: multiple root elements")
-				}
-				root = n
-			} else {
-				parent := stack[len(stack)-1]
-				parent.Children = append(parent.Children, n)
-			}
-			stack = append(stack, n)
-		case xml.EndElement:
-			if len(stack) == 0 {
-				return nil, fmt.Errorf("xmldoc: parse: unbalanced end element </%s>", t.Name.Local)
-			}
-			stack = stack[:len(stack)-1]
-		case xml.CharData:
-			if len(stack) == 0 {
-				continue
-			}
-			text := strings.TrimSpace(string(t))
-			if text == "" {
-				continue
-			}
-			top := stack[len(stack)-1]
-			if top.Text != "" {
-				top.Text += " "
-			}
-			top.Text += text
+// appendText appends s escaped as xml.EscapeText escapes it. Text that is
+// all printable ASCII with nothing to escape is that already.
+func appendText(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x7F || c == '&' || c == '<' || c == '>' || c == '"' || c == '\'' {
+			buf := bytes.NewBuffer(dst)
+			// Errors from EscapeText are impossible on a bytes.Buffer.
+			_ = xml.EscapeText(buf, []byte(s))
+			return buf.Bytes()
 		}
 	}
-	if len(stack) != 0 {
-		return nil, fmt.Errorf("xmldoc: parse: unclosed element <%s>", stack[len(stack)-1].Label)
-	}
-	if root == nil {
-		return nil, fmt.Errorf("xmldoc: parse: empty document")
-	}
-	return root, nil
-}
-
-// ParseString is Parse over a string.
-func ParseString(s string) (*Node, error) {
-	return Parse(strings.NewReader(s))
+	return append(dst, s...)
 }
