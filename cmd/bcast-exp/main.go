@@ -55,7 +55,7 @@ func run(args []string) error {
 
 		maxPending  = fs.Int("max-pending", 0, "engine admission cap on the pending set (0 = unlimited)")
 		answerCache = fs.Int("answer-cache", 0, "max memoized query answers, LRU-evicted (0 = unlimited)")
-		payloadMB   = fs.Int("payload-cache", 0, "max cached document payload megabytes, LRU-evicted (0 = unlimited)")
+		payloadMB   = fs.Int("payload-cache", 0, "max cached document megabytes (payloads plus, when compressing, their envelopes), LRU-evicted (0 = unlimited)")
 		buildBudget = fs.Duration("build-budget", 0, "per-cycle index-pruning deadline; overruns broadcast the unpruned CI (0 = none)")
 		adaptive    = fs.Bool("adaptive", false, "enable the self-tuning admission controller in experiment runs")
 		targetLat   = fs.Duration("target-latency", 0, "adaptive controller's per-cycle assembly-latency goal (0 = default)")

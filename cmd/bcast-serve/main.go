@@ -53,7 +53,7 @@ func run(args []string) error {
 
 		maxPending  = fs.Int("max-pending", 0, "admission cap on the pending query set (0 = unlimited)")
 		answerCache = fs.Int("answer-cache", 0, "max memoized query answers, LRU-evicted (0 = unlimited)")
-		payloadMB   = fs.Int("payload-cache", 0, "max cached document payload megabytes, LRU-evicted (0 = unlimited)")
+		payloadMB   = fs.Int("payload-cache", 0, "max cached document megabytes (payloads plus, when compressing, their envelopes), LRU-evicted (0 = unlimited)")
 		buildBudget = fs.Duration("build-budget", 0, "per-cycle index-pruning deadline; overruns broadcast the unpruned CI (0 = none)")
 		uplinkRate  = fs.Float64("uplink-rate", 0, "per-connection query rate limit in queries/s (0 = unlimited)")
 		uplinkBurst = fs.Int("uplink-burst", 0, "token-bucket burst for -uplink-rate (default 8)")

@@ -120,8 +120,9 @@ type Cycle = broadcast.Cycle
 // Encoded holds one cycle's wire segments. The index and offset segments
 // share one pooled backing buffer: callers that fully consume them may return
 // it with Engine.Recycle, callers that retain them (e.g. broadcast fan-out
-// queues) simply let the GC take it. Docs entries point into the engine's
-// per-document payload cache and are shared, immutable, and never recycled.
+// queues) simply let the GC take it. Docs entries, and the on-air forms Air
+// returns, point into the engine's per-document cache and are shared,
+// immutable, and never recycled.
 type Encoded struct {
 	// Index is the packed index segment.
 	Index []byte
@@ -140,7 +141,18 @@ type Encoded struct {
 	// marshalled document.
 	Docs [][]byte
 
-	buf []byte // pooled backing of the index and offset segments
+	air [][]byte // parallel to Docs once anything is attached; see Air
+	buf []byte   // pooled backing of the index and offset segments
+}
+
+// Air returns the on-air form cached beside Docs[i] when the cycle was
+// encoded — whatever the driver last gave AttachAir for that payload, which
+// the engine never looks inside — or nil when nothing is attached to it yet.
+func (enc *Encoded) Air(i int) []byte {
+	if enc.air == nil {
+		return nil
+	}
+	return enc.air[i]
 }
 
 // Engine owns the cycle-assembly pipeline over a dynamic collection. All
@@ -612,8 +624,9 @@ func (e *Engine) pruneOnce(ci *core.Index, queries []xpath.Path, deadline time.T
 // second-tier offset list (two-tier mode; one stripe per data channel in
 // multichannel cycles, plus the channel directory) and one framed payload per
 // scheduled document. Index/offset bytes come from a buffer pool; document
-// payloads are cached across cycles, so rebroadcasting a document costs no
-// allocation. See Encoded for the buffer ownership rules.
+// payloads are cached across cycles, each with the on-air form its driver
+// attached, so rebroadcasting a document costs no allocation. See Encoded for
+// the buffer ownership rules.
 func (e *Engine) EncodeCycle(c *Cycle) (_ *Encoded, err error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -664,9 +677,19 @@ func (e *Engine) EncodeCycle(c *Cycle) (_ *Encoded, err error) {
 	total := len(buf)
 	enc.Docs = make([][]byte, 0, len(c.Docs))
 	evicted := 0
-	for _, p := range c.Docs {
-		payload, ok := e.payloads.get(p.ID)
-		if !ok {
+	for i, p := range c.Docs {
+		var payload []byte
+		if en := e.payloads.get(p.ID); en != nil {
+			payload = en.payload
+			if en.air != nil {
+				// Allocated only once a driver has attached something, so an
+				// engine nobody attaches to pays nothing per cycle for the slot.
+				if enc.air == nil {
+					enc.air = make([][]byte, len(c.Docs))
+				}
+				enc.air[i] = en.air
+			}
+		} else {
 			doc := e.builder.DocByID(p.ID)
 			if doc == nil {
 				return nil, fmt.Errorf("engine: document %d scheduled but not in collection", p.ID)
@@ -686,9 +709,27 @@ func (e *Engine) EncodeCycle(c *Cycle) (_ *Encoded, err error) {
 	return enc, nil
 }
 
+// AttachAir caches air, the driver's on-air form of enc.Docs[i], beside that
+// payload: later EncodeCycle calls hand it back through Encoded.Air for as
+// long as the payload itself stays cached — it counts against
+// Limits.MaxPayloadCacheBytes, is evicted with the payload and is dropped by
+// RemoveDocument. The call does nothing when the payload is no longer the
+// cache's own (evicted, removed, or removed and re-added since enc was
+// encoded). air must not be written afterwards. The driver builds air outside
+// the engine's lock and calls this after, so a slow build (a DEFLATE pass)
+// never blocks Resolve or a collection update.
+func (e *Engine) AttachAir(enc *Encoded, i int, air []byte) {
+	e.mu.Lock()
+	evicted := e.payloads.attach(enc.Docs[i], air)
+	e.mu.Unlock()
+	if evicted > 0 {
+		e.probe.CacheEvicted(EvictPayload, evicted)
+	}
+}
+
 // Recycle returns an Encoded's pooled buffer for reuse. Only call it when the
-// index and offset segment slices are fully consumed; the Docs payloads are
-// cache entries and remain valid.
+// index and offset segment slices are fully consumed; the Docs payloads and
+// their on-air forms are cache entries and remain valid.
 func (e *Engine) Recycle(enc *Encoded) {
 	if enc == nil || enc.buf == nil {
 		return

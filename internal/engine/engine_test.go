@@ -241,6 +241,18 @@ func TestEncodeCycleReusesPayloadCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	docs1 := append([][]byte(nil), enc1.Docs...)
+	// Nothing is attached on a fresh engine; attach an on-air form to every
+	// document but the last.
+	airs := make([][]byte, len(docs1)-1)
+	for i := range docs1 {
+		if enc1.Air(i) != nil {
+			t.Errorf("doc %d has an on-air form before anything was attached", i)
+		}
+		if i < len(airs) {
+			airs[i] = []byte{byte(i), 'a', 'i', 'r'}
+			e.AttachAir(enc1, i, airs[i])
+		}
+	}
 	e.Recycle(enc1)
 	enc2, err := e.EncodeCycle(cy)
 	if err != nil {
@@ -249,6 +261,12 @@ func TestEncodeCycleReusesPayloadCache(t *testing.T) {
 	for i := range docs1 {
 		if &docs1[i][0] != &enc2.Docs[i][0] {
 			t.Errorf("doc payload %d was re-allocated instead of served from cache", i)
+		}
+		switch air := enc2.Air(i); {
+		case i < len(airs) && (len(air) == 0 || &air[0] != &airs[i][0]):
+			t.Errorf("doc %d: the attached on-air form did not survive to the next cycle", i)
+		case i >= len(airs) && air != nil:
+			t.Errorf("doc %d: on-air form %q, nothing was attached", i, air)
 		}
 	}
 	e.Recycle(enc2)

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"container/list"
+	"encoding/binary"
 	"errors"
 	"time"
 
@@ -26,9 +27,11 @@ type Limits struct {
 	// MaxAnswerCacheEntries caps the memoized query answers; the least
 	// recently used entry is evicted on overflow. Zero means unlimited.
 	MaxAnswerCacheEntries int
-	// MaxPayloadCacheBytes caps the total bytes of cached document
-	// payloads; least recently broadcast payloads are evicted on overflow.
-	// Zero means unlimited.
+	// MaxPayloadCacheBytes caps the total bytes of the document cache: each
+	// entry's marshalled payload plus the on-air form a driver attached to it
+	// (Engine.AttachAir; the transport envelope on a compressing server). The
+	// least recently broadcast entries are evicted on overflow, payload and
+	// on-air form together. Zero means unlimited.
 	MaxPayloadCacheBytes int
 	// BuildBudget is the wall-time deadline for the build stage's PCI
 	// pruning. When pruning overruns it, the cycle degrades gracefully:
@@ -109,14 +112,19 @@ func (c *answerCache) entries() []*answerEntry {
 	return out
 }
 
-// payloadEntry is one cached wire payload for a document.
+// payloadEntry is one cached document: the wire payload the engine marshals
+// and, beside it, the on-air form a driver attached (Engine.AttachAir) — nil
+// until one does. The two share the entry's key and LRU position and leave
+// the cache together.
 type payloadEntry struct {
 	id      xmldoc.DocID
 	payload []byte
+	air     []byte
 }
 
-// payloadCache is an LRU cache of encoded document payloads bounded by total
-// payload bytes. maxBytes <= 0 means unbounded. Not safe for concurrent use.
+// payloadCache is an LRU cache of encoded document payloads and their on-air
+// forms, bounded by the total bytes of both. maxBytes <= 0 means unbounded.
+// Not safe for concurrent use.
 type payloadCache struct {
 	maxBytes int
 	bytes    int
@@ -128,28 +136,51 @@ func newPayloadCache(maxBytes int) *payloadCache {
 	return &payloadCache{maxBytes: maxBytes, ll: list.New(), byID: make(map[xmldoc.DocID]*list.Element)}
 }
 
-func (c *payloadCache) get(id xmldoc.DocID) ([]byte, bool) {
+// get returns the document's entry, or nil when it is not cached.
+func (c *payloadCache) get(id xmldoc.DocID) *payloadEntry {
 	el, ok := c.byID[id]
 	if !ok {
-		return nil, false
+		return nil
 	}
 	c.ll.MoveToFront(el)
-	return el.Value.(*payloadEntry).payload, true
+	return el.Value.(*payloadEntry)
 }
 
 // put caches a payload and returns how many entries were evicted to fit
-// maxBytes. A payload alone larger than maxBytes is still cached (it is the
-// only entry left after eviction); it will be evicted by the next put.
+// maxBytes. A payload replacing an older one for the same document starts
+// with no on-air form.
 func (c *payloadCache) put(id xmldoc.DocID, payload []byte) int {
-	if el, ok := c.byID[id]; ok {
-		e := el.Value.(*payloadEntry)
-		c.bytes += len(payload) - len(e.payload)
-		e.payload = payload
-		c.ll.MoveToFront(el)
-	} else {
-		c.byID[id] = c.ll.PushFront(&payloadEntry{id: id, payload: payload})
-		c.bytes += len(payload)
+	c.remove(id)
+	c.byID[id] = c.ll.PushFront(&payloadEntry{id: id, payload: payload})
+	c.bytes += len(payload)
+	return c.evict()
+}
+
+// attach stores air beside payload and returns how many entries were evicted
+// to fit maxBytes with it counted. It does nothing unless payload is still the
+// cache's own slice for its document (whose ID is the payload's first two
+// bytes): an entry evicted, removed or replaced since the payload was handed
+// out has nothing to attach to.
+func (c *payloadCache) attach(payload, air []byte) int {
+	el, ok := c.byID[xmldoc.DocID(binary.LittleEndian.Uint16(payload))]
+	if !ok {
+		return 0
 	}
+	e := el.Value.(*payloadEntry)
+	if &e.payload[0] != &payload[0] {
+		return 0
+	}
+	c.bytes += len(air) - len(e.air)
+	e.air = air
+	c.ll.MoveToFront(el)
+	return c.evict()
+}
+
+// evict drops least recently used entries until the cache fits maxBytes and
+// returns how many went. The front entry — the one just inserted or attached
+// to — is never evicted: larger than maxBytes on its own, it stays as the only
+// entry until the next put or attach.
+func (c *payloadCache) evict() int {
 	evicted := 0
 	for c.maxBytes > 0 && c.bytes > c.maxBytes && c.ll.Len() > 1 {
 		c.removeElement(c.ll.Back())
@@ -168,5 +199,5 @@ func (c *payloadCache) removeElement(el *list.Element) {
 	e := el.Value.(*payloadEntry)
 	c.ll.Remove(el)
 	delete(c.byID, e.id)
-	c.bytes -= len(e.payload)
+	c.bytes -= len(e.payload) + len(e.air)
 }

@@ -132,7 +132,9 @@ type ServerConfig struct {
 	// stream opens with a transport hello and carries per-frame DEFLATE
 	// envelopes (frames below the size floor, and frames deflate cannot
 	// shrink, ship raw inside the envelope). Each frame is compressed once
-	// at fan-out and the identical bytes go to every subscriber. Uplink
+	// and the identical bytes go to every subscriber; a document's envelope
+	// is moreover kept beside its payload in the engine's cache, so it is
+	// compressed once per cache lifetime, not once per airing. Uplink
 	// compression is granted to clients that request it in their hello.
 	// Off, not a single downlink byte differs from the bare protocol.
 	Compress bool
@@ -170,10 +172,13 @@ type Server struct {
 	// have exactly one.
 	bcLns []net.Listener
 
-	// downEnc compresses downlink frames once at fan-out; nil without
-	// ServerConfig.Compress. It lives on the cycle-loop goroutine (the only
-	// fanOut caller), so it needs no lock. downHello is the pre-encoded
-	// transport hello every subscriber stream opens with.
+	// downEnc builds the downlink's transport envelopes; nil without
+	// ServerConfig.Compress. Per-cycle frames (heads, index, second tier) go
+	// through it every cycle; a document goes through it when it airs with no
+	// envelope cached beside its payload (see docFrame). It lives on the
+	// cycle-loop goroutine (the only wireForm caller), so it needs no lock.
+	// downHello is the pre-encoded transport hello every subscriber stream
+	// opens with.
 	downEnc   *transport.Encoder
 	downHello []byte
 
@@ -274,11 +279,12 @@ type subscriber struct {
 	quitOnce sync.Once
 }
 
-// outFrame is one queued downlink frame in wire form, produced once at
-// fan-out and written part by part to every subscriber's connection: frame
+// outFrame is one queued downlink frame in wire form, produced once (see
+// wireForm) and written part by part to every subscriber's connection: frame
 // header, payload and CRC trailer on a bare server (the payload is the
 // engine's buffer, never copied), or a single transport envelope on a
-// compressing one.
+// compressing one. The parts are shared by every queue — a document's
+// envelope by the engine's cache and later cycles too — and never written.
 type outFrame [3][]byte
 
 // finish closes the subscriber's queue exactly once; its writer goroutine
@@ -308,6 +314,11 @@ func StartServer(cfg ServerConfig) (*Server, error) {
 	}
 	if cfg.CycleCapacity <= 0 {
 		return nil, fmt.Errorf("netcast: ServerConfig.CycleCapacity must be positive")
+	}
+	for _, d := range cfg.Collection.Docs() {
+		if err := checkDocFits(d); err != nil {
+			return nil, err
+		}
 	}
 	if cfg.Model == (core.SizeModel{}) {
 		cfg.Model = core.DefaultSizeModel()
@@ -1226,43 +1237,8 @@ func (s *Server) broadcastCycle() error {
 
 	// The encoded segments are retained by subscriber queues, so they are
 	// never recycled here; the GC reclaims them once every writer is done.
-	if len(cy.Channels) > 1 {
-		// Multichannel cycle (protocol v3): each channel's share opens with
-		// a channel head. Channel 0 carries the cycle head, channel
-		// directory and first tier; data channel c carries its second-tier
-		// stripe and its documents in stripe order.
-		k := uint8(len(cy.Channels))
-		ch0 := &channelHead{Number: uint32(num), Channel: 0, Channels: k,
-			Role: channelRoleIndex, NumDocs: uint16(len(cy.Docs))}
-		s.fanOut(0, FrameChannelHead, ch0.encode())
-		s.fanOut(0, FrameCycleHead, headBytes)
-		s.fanOut(0, FrameChannelDir, enc.ChannelDir)
-		s.fanOut(0, FrameIndex, enc.Index)
-		// enc.Docs is in aggregate plan order (cy.Docs order); map IDs back
-		// to payloads so each stripe fans out in its own channel order.
-		byID := make(map[xmldoc.DocID][]byte, len(cy.Docs))
-		for i, p := range cy.Docs {
-			byID[p.ID] = enc.Docs[i]
-		}
-		for c := 1; c < len(cy.Channels); c++ {
-			lay := cy.Channels[c]
-			chc := &channelHead{Number: uint32(num), Channel: uint8(c), Channels: k,
-				Role: channelRoleData, NumDocs: uint16(len(lay.Docs))}
-			s.fanOut(c, FrameChannelHead, chc.encode())
-			s.fanOut(c, FrameSecondTier, enc.SecondTiers[c-1])
-			for _, p := range lay.Docs {
-				s.fanOut(c, FrameDoc, byID[p.ID])
-			}
-		}
-	} else {
-		s.fanOut(0, FrameCycleHead, headBytes)
-		s.fanOut(0, FrameIndex, enc.Index)
-		if enc.SecondTier != nil {
-			s.fanOut(0, FrameSecondTier, enc.SecondTier)
-		}
-		for _, payload := range enc.Docs {
-			s.fanOut(0, FrameDoc, payload)
-		}
+	if err := s.airCycle(cy, enc, headBytes); err != nil {
+		return fmt.Errorf("netcast: cycle %d: %w", num, err)
 	}
 
 	// Mark deliveries on the snapshotted requests only (requests submitted
@@ -1314,29 +1290,131 @@ func (s *Server) broadcastCycle() error {
 	return nil
 }
 
-// fanOut enqueues one frame to every subscriber of one channel. A subscriber
-// whose queue is full has stalled past what its buffer and write deadline
-// absorb; it is dropped so the broadcast never blocks on one receiver.
-func (s *Server) fanOut(channel int, t FrameType, payload []byte) {
-	// Frame once: header and checksum (and the envelope, when compressing)
-	// are computed here, not per subscriber, and every subscriber gets the
-	// identical bytes.
+// airCycle puts one encoded cycle on air, frame by frame. A frame that cannot
+// be put in wire form stops the cycle there and is the cycle's error: nothing
+// may be retired as delivered that was not sent.
+func (s *Server) airCycle(cy *engine.Cycle, enc *engine.Encoded, headBytes []byte) error {
+	num := uint32(cy.Number)
+	if len(cy.Channels) > 1 {
+		// Multichannel cycle (protocol v3): each channel's share opens with
+		// a channel head. Channel 0 carries the cycle head, channel
+		// directory and first tier; data channel c carries its second-tier
+		// stripe and its documents in stripe order.
+		k := uint8(len(cy.Channels))
+		ch0 := &channelHead{Number: num, Channel: 0, Channels: k,
+			Role: channelRoleIndex, NumDocs: uint16(len(cy.Docs))}
+		if err := s.fanOut(0, FrameChannelHead, ch0.encode()); err != nil {
+			return err
+		}
+		if err := s.fanOut(0, FrameCycleHead, headBytes); err != nil {
+			return err
+		}
+		if err := s.fanOut(0, FrameChannelDir, enc.ChannelDir); err != nil {
+			return err
+		}
+		if err := s.fanOut(0, FrameIndex, enc.Index); err != nil {
+			return err
+		}
+		// enc.Docs is in aggregate plan order (cy.Docs order); map IDs back
+		// to payloads so each stripe fans out in its own channel order.
+		byID := make(map[xmldoc.DocID][]byte, len(cy.Docs))
+		for i, p := range cy.Docs {
+			byID[p.ID] = enc.Docs[i]
+		}
+		for c := 1; c < len(cy.Channels); c++ {
+			lay := cy.Channels[c]
+			chc := &channelHead{Number: num, Channel: uint8(c), Channels: k,
+				Role: channelRoleData, NumDocs: uint16(len(lay.Docs))}
+			if err := s.fanOut(c, FrameChannelHead, chc.encode()); err != nil {
+				return err
+			}
+			if err := s.fanOut(c, FrameSecondTier, enc.SecondTiers[c-1]); err != nil {
+				return err
+			}
+			for _, p := range lay.Docs {
+				if err := s.fanOut(c, FrameDoc, byID[p.ID]); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	}
+	if err := s.fanOut(0, FrameCycleHead, headBytes); err != nil {
+		return err
+	}
+	if err := s.fanOut(0, FrameIndex, enc.Index); err != nil {
+		return err
+	}
+	if enc.SecondTier != nil {
+		if err := s.fanOut(0, FrameSecondTier, enc.SecondTier); err != nil {
+			return err
+		}
+	}
+	for i := range enc.Docs {
+		f, err := s.docFrame(enc, i)
+		if err != nil {
+			return err
+		}
+		s.enqueue(0, f)
+	}
+	return nil
+}
+
+// docFrame is the wire form of a single-channel cycle's i-th document. A
+// compressing server builds a document's envelope the first time it airs and
+// leaves it beside the payload in the engine's cache; every later airing, for
+// as long as the payload stays cached, queues that same envelope again. A
+// document airs in cycle after cycle until its requesters drain, and its
+// envelope is a pure function of its payload, so all but the first DEFLATE
+// pass would be repeated work. Running here — on the cycle goroutine, holding
+// neither docMu nor the engine's lock — a first airing's pass delays no
+// submission, resolution or removal.
+func (s *Server) docFrame(enc *engine.Encoded, i int) (outFrame, error) {
+	if air := enc.Air(i); air != nil {
+		return outFrame{air}, nil
+	}
+	f, err := s.wireForm(FrameDoc, enc.Docs[i])
+	if err == nil && s.downEnc != nil {
+		s.eng.AttachAir(enc, i, f[0])
+	}
+	return f, err
+}
+
+// wireForm frames one payload for the downlink, once for all subscribers:
+// header and checksum — and on a compressing server the transport envelope
+// around the whole frame — are computed here, not per subscriber.
+func (s *Server) wireForm(t FrameType, payload []byte) (outFrame, error) {
 	hdr, crc, err := frameEnds(t, payload)
 	if err != nil {
-		return // payload exceeds the frame limit; unreachable by construction
+		return outFrame{}, err
 	}
-	f := outFrame{hdr, payload, crc}
-	if s.downEnc != nil {
-		inner := make([]byte, 0, len(hdr)+len(payload)+len(crc))
-		for _, part := range f {
-			inner = append(inner, part...)
-		}
-		env, err := s.downEnc.Encode(transport.NoStream, inner)
-		if err != nil {
-			return
-		}
-		f = outFrame{env}
+	if s.downEnc == nil {
+		return outFrame{hdr, payload, crc}, nil
 	}
+	inner := make([]byte, 0, len(hdr)+len(payload)+len(crc))
+	inner = append(append(append(inner, hdr...), payload...), crc...)
+	env, err := s.downEnc.Encode(transport.NoStream, inner)
+	if err != nil {
+		return outFrame{}, err
+	}
+	return outFrame{env}, nil
+}
+
+// fanOut frames one payload and queues it to every subscriber of one channel.
+func (s *Server) fanOut(channel int, t FrameType, payload []byte) error {
+	f, err := s.wireForm(t, payload)
+	if err != nil {
+		return err
+	}
+	s.enqueue(channel, f)
+	return nil
+}
+
+// enqueue queues one frame, the identical bytes, to every subscriber of one
+// channel. A subscriber whose queue is full has stalled past what its buffer
+// and write deadline absorb; it is dropped so the broadcast never blocks on
+// one receiver.
+func (s *Server) enqueue(channel int, f outFrame) {
 	s.mu.Lock()
 	subs := make([]*subscriber, 0, len(s.subs))
 	for sub := range s.subs {
@@ -1360,11 +1438,29 @@ func (s *Server) fanOut(channel int, t FrameType, payload []byte) {
 	}
 }
 
+// checkDocFits refuses a document that could never air: its FrameDoc payload
+// is two ID bytes and the marshalled text, and a frame carries at most
+// maxFrame bytes. Admitted, it would be scheduled and listed in the second
+// tier of a cycle that cannot be framed.
+func checkDocFits(d *xmldoc.Document) error {
+	if d == nil {
+		return nil // the engine refuses it
+	}
+	if n := 2 + d.Size(); n > maxFrame {
+		return fmt.Errorf("netcast: document %d needs a frame payload of %d bytes, limit %d", d.ID, n, maxFrame)
+	}
+	return nil
+}
+
 // AddDocument admits a new document to the live collection; it becomes
 // visible to queries and schedulable from the next cycle. The engine
 // invalidates its answer cache; a journaled server records the grown
-// collection's fingerprint so recovery can detect drift.
+// collection's fingerprint so recovery can detect drift. A document too large
+// for one frame is refused, with nothing changed.
 func (s *Server) AddDocument(d *xmldoc.Document) error {
+	if err := checkDocFits(d); err != nil {
+		return err
+	}
 	if err := s.eng.AddDocument(d); err != nil {
 		return err
 	}

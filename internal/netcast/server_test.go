@@ -2,6 +2,8 @@ package netcast
 
 import (
 	"bytes"
+	"context"
+	"fmt"
 	"io"
 	"net"
 	"strings"
@@ -102,8 +104,19 @@ func TestFanOutFramesOnce(t *testing.T) {
 // must never let a cycle size or encode a document the engine has already
 // dropped. The pending set is kept deep (every request wants every document)
 // so the cycle loop spends most of its time between its pending-set snapshot
-// and the engine's assembly — the window a removal used to slip into.
+// and the engine's assembly — the window a removal used to slip into. Some of
+// the removed IDs come straight back with different text: whatever the server
+// cached for the old document (its payload and, when compressing, the
+// envelope beside it) must be gone, or a retrieval gets the old bytes under
+// the new document's ID.
 func TestRemoveDocumentDuringCycles(t *testing.T) {
+	for _, compress := range []bool{false, true} {
+		name := map[bool]string{false: "bare", true: "compressed"}[compress]
+		t.Run(name, func(t *testing.T) { removeDocumentDuringCycles(t, compress) })
+	}
+}
+
+func removeDocumentDuringCycles(t *testing.T, compress bool) {
 	coll, err := gen.Documents(gen.DocConfig{Schema: dtd.NITF(), NumDocs: 60, Seed: 77})
 	if err != nil {
 		t.Fatal(err)
@@ -112,6 +125,7 @@ func TestRemoveDocumentDuringCycles(t *testing.T) {
 		Collection:    coll,
 		CycleCapacity: coll.TotalSize() / coll.Len(),
 		CycleInterval: time.Millisecond,
+		Compress:      compress,
 	})
 	if err != nil {
 		t.Fatalf("StartServer: %v", err)
@@ -136,23 +150,61 @@ func TestRemoveDocumentDuringCycles(t *testing.T) {
 			}
 		}
 	}()
+	defer func() {
+		close(stop)
+		feeder.Wait()
+	}()
 	waitFor(t, "a deep pending set", func() bool { return srv.Pending() >= 300 })
 	ids := xpath.MustParse("/nitf").MatchingDocs(coll)
-	for _, id := range ids[:50] {
+	var swapped []*xmldoc.Document
+	for i, id := range ids[:50] {
 		if err := srv.RemoveDocument(id); err != nil {
 			t.Fatalf("RemoveDocument(%d): %v", id, err)
+		}
+		if i%5 == 0 {
+			// Same ID, other content, while the old document may still be in
+			// the cycle being aired.
+			d := xmldoc.NewDocument(id, xmldoc.El("nitf",
+				xmldoc.TextEl("swapped", strings.Repeat(fmt.Sprintf("(new text of document %d)", id), 20))))
+			if err := srv.AddDocument(d); err != nil {
+				t.Fatalf("AddDocument(%d) after its removal: %v", id, err)
+			}
+			swapped = append(swapped, d)
 		}
 		time.Sleep(time.Millisecond)
 	}
 	// The feeder is still submitting, so a live loop has cycles to air.
 	before := srv.Cycles()
 	waitFor(t, "cycles to keep airing after the removals", func() bool { return srv.Cycles() > before })
-	close(stop)
-	feeder.Wait()
+
+	// Every re-added document is retrieved as its new self.
+	fresh, err := xmldoc.NewCollection(swapped)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, err := Dial(srv.UplinkAddr(), srv.BroadcastAddr(), core.SizeModel{})
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer cl.Close()
+	q := xpath.MustParse("/nitf/swapped")
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	for round := 0; round < 2; round++ {
+		if err := cl.Submit(q); err != nil {
+			t.Fatalf("Submit: %v", err)
+		}
+		docs, _, err := cl.Retrieve(ctx, q)
+		if err != nil {
+			t.Fatalf("Retrieve: %v", err)
+		}
+		checkRetrieved(t, fresh, docs, q.MatchingDocs(fresh))
+	}
+
 	if st := srv.Stats(); st.CycleError != "" {
 		t.Fatalf("cycle loop died: %s", st.CycleError)
 	}
-	if got, want := srv.NumDocs(), coll.Len()-50; got != want {
+	if got, want := srv.NumDocs(), coll.Len()-50+len(swapped); got != want {
 		t.Errorf("NumDocs = %d, want %d", got, want)
 	}
 }

@@ -15,11 +15,14 @@
 // lets a receiver that lost framing rescan for the next transport boundary.
 //
 // Every frame's DEFLATE stream is independent — no shared dictionary across
-// frames — so a broadcast server compresses each frame once and fans the
-// identical bytes out to every subscriber regardless of join time, and a
-// corrupted frame never poisons the decode of later ones. The encoder is
-// reused per connection (flate.Writer.Reset), so steady-state compression
-// allocates nothing.
+// frames — so an envelope is a pure function of its inner frame: a broadcast
+// server builds each one once, fans the identical bytes out to every
+// subscriber regardless of join time, may keep it to air again (netcast
+// caches a document's envelope beside its payload), and a corrupted frame
+// never poisons the decode of later ones. The encoder is reused per
+// connection (flate.Writer.Reset), so the compressor's state and scratch are
+// allocated once; each Encode allocates only the envelope it returns, which
+// the caller owns and may retain.
 //
 // Negotiation happens at hello: the initiating side writes a Hello naming
 // the features it wants, the accepting side replies with the intersection it

@@ -312,9 +312,9 @@ func TestHelloRejectsLegacyAndGarbage(t *testing.T) {
 		t.Fatal("sync bytes misread as hello")
 	}
 	for _, bad := range []string{
-		"XBT9\x01\x00\x00",          // wrong magic
-		"XBT1\x02\x00\x00",          // unsupported version
-		"XBT1\x01\xF0\x00",          // unknown flags
+		"XBT9\x01\x00\x00",                      // wrong magic
+		"XBT1\x02\x00\x00",                      // unsupported version
+		"XBT1\x01\xF0\x00",                      // unknown flags
 		"XBT1\x01\x03" + "\xff\xff\xff\xff\x7f", // insane credit
 	} {
 		if _, err := ReadHello(bufio.NewReader(strings.NewReader(bad))); err == nil {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/broadcast"
+	"repro/internal/engine"
 )
 
 // TestCompressionShrinksCyclesAndAccess pins the transport compression win
@@ -15,7 +16,7 @@ import (
 // result document lands sooner.
 func TestCompressionShrinksCyclesAndAccess(t *testing.T) {
 	c, reqs := workload(t, 40, 60, 7)
-	run := func(compress bool) *Result {
+	run := func(compress bool, limits engine.Limits) *Result {
 		t.Helper()
 		res, err := Run(Config{
 			Collection:    c,
@@ -23,14 +24,35 @@ func TestCompressionShrinksCyclesAndAccess(t *testing.T) {
 			CycleCapacity: capacityFor(c),
 			Requests:      reqs,
 			Compress:      compress,
+			Limits:        limits,
 		})
 		if err != nil {
 			t.Fatalf("Run(compress=%v): %v", compress, err)
 		}
 		return res
 	}
-	plain := run(false)
-	comp := run(true)
+	plain := run(false, engine.Limits{})
+	comp := run(true, engine.Limits{})
+
+	// A document's envelope is measured once and cached beside its payload.
+	// Bounded to one byte the cache keeps one entry at a time, so nearly every
+	// airing is measured afresh: the counts must not depend on which it was.
+	uncached := run(true, engine.Limits{MaxPayloadCacheBytes: 1})
+	if uncached.Engine.PayloadEvictions == 0 {
+		t.Error("a one-byte payload cache evicted nothing")
+	}
+	for i := range comp.Cycles {
+		if comp.Cycles[i].DurationBytes != uncached.Cycles[i].DurationBytes {
+			t.Fatalf("cycle %d airs %d B with envelopes cached, %d B without", i, comp.Cycles[i].DurationBytes, uncached.Cycles[i].DurationBytes)
+		}
+	}
+	for i := range comp.Clients {
+		a, b := comp.Clients[i], uncached.Clients[i]
+		if a.AccessBytes != b.AccessBytes || a.IndexTuningBytes != b.IndexTuningBytes || a.DocTuningBytes != b.DocTuningBytes {
+			t.Fatalf("client %d: access/index/doc bytes %d/%d/%d with envelopes cached, %d/%d/%d without",
+				i, a.AccessBytes, a.IndexTuningBytes, a.DocTuningBytes, b.AccessBytes, b.IndexTuningBytes, b.DocTuningBytes)
+		}
+	}
 
 	for i := range plain.Clients {
 		if !reflect.DeepEqual(plain.Clients[i].Docs, comp.Clients[i].Docs) {

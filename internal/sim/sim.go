@@ -342,7 +342,7 @@ func Run(cfg Config) (*Result, error) {
 	}
 	var airEnc *airEncoder
 	if cfg.Compress {
-		airEnc = newAirEncoder()
+		airEnc = newAirEncoder(eng)
 	}
 	var (
 		now       int64
@@ -484,28 +484,29 @@ const innerFrameOverhead = 11
 // accounting. One reused encoder per run mirrors the per-connection encoder
 // of the networked transport; the inner frame's header and checksum bytes
 // are modelled as zeros (their exact values move a compressed frame's size
-// by at most a byte or two).
+// by at most a byte or two). As on the networked server, a document's
+// envelope is built the first time it airs and kept beside its payload in the
+// engine's cache; index and second tier change every cycle and are deflated
+// every cycle.
 type airEncoder struct {
+	eng *engine.Engine
 	enc *transport.Encoder
 	buf []byte
 }
 
-func newAirEncoder() *airEncoder {
-	return &airEncoder{enc: transport.NewEncoder(true, 0)}
+func newAirEncoder(eng *engine.Engine) *airEncoder {
+	return &airEncoder{eng: eng, enc: transport.NewEncoder(true, 0)}
 }
 
-// frameAir is the on-air size of one wire segment: the transport envelope
-// around the deflated (or raw, when incompressible) inner frame.
-func (a *airEncoder) frameAir(payload []byte) (int, error) {
+// frameAir is the on-air form of one wire segment: the transport envelope
+// around the deflated (or raw, when incompressible) inner frame. The model
+// only ever reads its length.
+func (a *airEncoder) frameAir(payload []byte) ([]byte, error) {
 	var pad [innerFrameOverhead]byte
 	a.buf = append(a.buf[:0], pad[:7]...) // frame header
 	a.buf = append(a.buf, payload...)
 	a.buf = append(a.buf, pad[:4]...) // frame checksum
-	env, err := a.enc.Encode(transport.NoStream, a.buf)
-	if err != nil {
-		return 0, err
-	}
-	return len(env), nil
+	return a.enc.Encode(transport.NoStream, a.buf)
 }
 
 // rawEnvLen is the transport envelope length of an n-byte inner frame sent
@@ -533,25 +534,29 @@ type cycleAir struct {
 // would send it.
 func (a *airEncoder) measure(cy *broadcast.Cycle, enc *engine.Encoded) (*cycleAir, error) {
 	air := &cycleAir{head: rawEnvLen(cy.HeadBytes + innerFrameOverhead)}
-	var err error
-	if air.index, err = a.frameAir(enc.Index); err != nil {
+	env, err := a.frameAir(enc.Index)
+	if err != nil {
 		return nil, err
 	}
+	air.index = len(env)
 	if enc.SecondTier != nil {
-		if air.secondTier, err = a.frameAir(enc.SecondTier); err != nil {
+		if env, err = a.frameAir(enc.SecondTier); err != nil {
 			return nil, err
 		}
+		air.secondTier = len(env)
 	}
 	air.doc = make([]int, len(enc.Docs))
 	air.docEnd = make([]int64, len(enc.Docs))
 	off := int64(0)
 	for i, p := range enc.Docs {
-		n, err := a.frameAir(p)
-		if err != nil {
-			return nil, err
+		if env = enc.Air(i); env == nil {
+			if env, err = a.frameAir(p); err != nil {
+				return nil, err
+			}
+			a.eng.AttachAir(enc, i, env)
 		}
-		air.doc[i] = n
-		off += int64(n)
+		air.doc[i] = len(env)
+		off += int64(len(env))
 		air.docEnd[i] = off
 	}
 	air.total = int64(air.head+air.index+air.secondTier) + off

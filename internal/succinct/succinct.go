@@ -70,11 +70,11 @@ type layout struct {
 	supers   int // BP superblocks
 	attWords int // 64-bit attach words
 
-	bpOff, dirOff, superOff  int
-	labOff                   int
-	attOff, attDirOff        int
-	endsOff, docsOff         int
-	size                     int
+	bpOff, dirOff, superOff int
+	labOff                  int
+	attOff, attDirOff       int
+	endsOff, docsOff        int
+	size                    int
 }
 
 // labelBitsFor is the bit width of one label ID over a numLabels-entry
