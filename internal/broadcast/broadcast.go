@@ -26,7 +26,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/dataguide"
@@ -555,10 +554,8 @@ type Builder struct {
 	docs   map[xmldoc.DocID]*xmldoc.Document
 	forest *dataguide.Forest
 
-	// snapshot caches an immutable Collection view over docs; ci caches
-	// the CI built from forest. Both invalidate on mutation.
-	snapshot *xmldoc.Collection
-	ci       *core.Index
+	// ci caches the CI built from forest; a mutation drops it.
+	ci *core.Index
 }
 
 // NewBuilder prepares a builder over the initial collection.
@@ -579,7 +576,6 @@ func NewBuilder(c *xmldoc.Collection, m core.SizeModel, mode Mode) (*Builder, er
 	for _, d := range c.Docs() {
 		b.docs[d.ID] = d
 	}
-	b.snapshot = c
 	return b, nil
 }
 
@@ -594,7 +590,7 @@ func (b *Builder) AddDocument(d *xmldoc.Document) error {
 	}
 	b.forest.Add(d)
 	b.docs[d.ID] = d
-	b.invalidate()
+	b.ci = nil
 	return nil
 }
 
@@ -608,35 +604,8 @@ func (b *Builder) RemoveDocument(id xmldoc.DocID) error {
 		return fmt.Errorf("broadcast: %w", err)
 	}
 	delete(b.docs, id)
-	b.invalidate()
-	return nil
-}
-
-func (b *Builder) invalidate() {
-	b.snapshot = nil
 	b.ci = nil
-}
-
-// Collection returns an immutable snapshot view of the current documents.
-func (b *Builder) Collection() (*xmldoc.Collection, error) {
-	if b.snapshot != nil {
-		return b.snapshot, nil
-	}
-	ids := make([]int, 0, len(b.docs))
-	for id := range b.docs {
-		ids = append(ids, int(id))
-	}
-	sort.Ints(ids)
-	docs := make([]*xmldoc.Document, 0, len(ids))
-	for _, id := range ids {
-		docs = append(docs, b.docs[xmldoc.DocID(id)])
-	}
-	c, err := xmldoc.NewCollection(docs)
-	if err != nil {
-		return nil, err
-	}
-	b.snapshot = c
-	return c, nil
+	return nil
 }
 
 // DocByID returns a current document, or nil.

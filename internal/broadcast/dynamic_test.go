@@ -76,11 +76,11 @@ func TestBuilderRemoveDocument(t *testing.T) {
 		}
 	}
 	// The maintained CI equals a fresh build over the survivors.
-	snap, err := b.Collection()
+	survivors, err := xmldoc.NewCollection(c.Docs()[1:])
 	if err != nil {
-		t.Fatalf("Collection: %v", err)
+		t.Fatalf("NewCollection: %v", err)
 	}
-	fresh, err := core.BuildCI(snap, core.DefaultSizeModel())
+	fresh, err := core.BuildCI(survivors, core.DefaultSizeModel())
 	if err != nil {
 		t.Fatalf("BuildCI: %v", err)
 	}
@@ -97,30 +97,33 @@ func TestBuilderRemoveDocument(t *testing.T) {
 	}
 }
 
-func TestBuilderCollectionSnapshotCaching(t *testing.T) {
+// TestBuilderAccessorsTrackUpdates: NumDocs and DocByID are the builder's view
+// of the live collection — they follow every add and remove, and a document
+// re-added under a retired ID is the new one.
+func TestBuilderAccessorsTrackUpdates(t *testing.T) {
 	b, c := dynBuilder(t)
-	s1, err := b.Collection()
-	if err != nil {
-		t.Fatalf("Collection: %v", err)
+	for _, d := range c.Docs() {
+		if b.DocByID(d.ID) != d {
+			t.Fatalf("DocByID(%d) is not the constructor's document", d.ID)
+		}
 	}
-	if s1 != c {
-		t.Error("initial snapshot should be the constructor collection")
-	}
-	if err := b.RemoveDocument(c.Docs()[1].ID); err != nil {
+	victim := c.Docs()[1]
+	if err := b.RemoveDocument(victim.ID); err != nil {
 		t.Fatalf("RemoveDocument: %v", err)
 	}
-	s2, err := b.Collection()
-	if err != nil {
-		t.Fatalf("Collection: %v", err)
+	if b.NumDocs() != c.Len()-1 || b.DocByID(victim.ID) != nil {
+		t.Errorf("after remove: NumDocs = %d, DocByID(%d) = %v", b.NumDocs(), victim.ID, b.DocByID(victim.ID))
 	}
-	if s2 == s1 || s2.Len() != c.Len()-1 {
-		t.Error("snapshot not refreshed after mutation")
+	for _, d := range c.Docs() {
+		if d != victim && b.DocByID(d.ID) != d {
+			t.Errorf("removing %d disturbed document %d", victim.ID, d.ID)
+		}
 	}
-	s3, err := b.Collection()
-	if err != nil {
-		t.Fatalf("Collection: %v", err)
+	again := xmldoc.NewDocument(victim.ID, xmldoc.El("nitf", xmldoc.El("readded")))
+	if err := b.AddDocument(again); err != nil {
+		t.Fatalf("re-add under a retired ID: %v", err)
 	}
-	if s3 != s2 {
-		t.Error("snapshot not cached between mutations")
+	if b.NumDocs() != c.Len() || b.DocByID(victim.ID) != again {
+		t.Errorf("after re-add: NumDocs = %d, DocByID returns the old document: %v", b.NumDocs(), b.DocByID(victim.ID) == victim)
 	}
 }

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"slices"
+	"time"
+
 	"repro/internal/xmldoc"
 	"repro/internal/xpath"
 	"repro/internal/yfilter"
@@ -89,4 +92,74 @@ func (nav *Navigator) Lookup(ix *Index) LookupResult {
 // navigation for q.
 func (ix *Index) Lookup(q xpath.Path) LookupResult {
 	return NewNavigator(q).Lookup(ix)
+}
+
+// Answers evaluates every query of f over the index at once: entry i is the
+// answer of f's query i — the union of the document tuples in the subtrees of
+// its match nodes (§3.1) — sorted ascending without duplicates, or nil when
+// nothing matches, exactly as yfilter's Filter answers over the indexed
+// documents. This is how the server answers from the CI it already holds
+// instead of scanning the documents; over a PCI it gives the same answers for
+// the queries the PCI was pruned to.
+//
+// The index must be stored in DFS pre-order, as BuildCI and Prune produce it:
+// a subtree is then a contiguous run of Nodes.
+func (ix *Index) Answers(f *yfilter.Filter) [][]xmldoc.DocID {
+	// Per query, the subtree runs [start, end) of its outermost match nodes as
+	// flattened pairs. The walk visits nodes in ascending ID, so a match below
+	// a node already taken for the same query starts before that run ends.
+	runs := make([][]NodeID, f.NumQueries())
+	ix.forEachMatch(f, time.Time{}, func(id NodeID, accepted []int) {
+		end := NoNode
+		for _, qi := range accepted {
+			r := runs[qi]
+			if len(r) > 0 && id < r[len(r)-1] {
+				continue
+			}
+			if end == NoNode {
+				end = ix.subtreeEnd(id)
+			}
+			runs[qi] = append(r, id, end)
+		}
+	})
+
+	// A document hangs at each of its maximal paths, so it recurs within and
+	// across runs; stamp[d] == qi+1 once d is in query qi's answer, which
+	// de-duplicates before the sort without a set per query.
+	out := make([][]xmldoc.DocID, len(runs))
+	var stamp []int32
+	for qi, r := range runs {
+		mark := int32(qi + 1)
+		var docs []xmldoc.DocID
+		for k := 0; k < len(r); k += 2 {
+			for i := r[k]; i < r[k+1]; i++ {
+				tuples := ix.Nodes[i].Docs // sorted: the last is the largest
+				if n := len(tuples); n > 0 && int(tuples[n-1]) >= len(stamp) {
+					stamp = append(stamp, make([]int32, int(tuples[n-1])+1-len(stamp))...)
+				}
+				for _, d := range tuples {
+					if stamp[d] != mark {
+						stamp[d] = mark
+						docs = append(docs, d)
+					}
+				}
+			}
+		}
+		slices.Sort(docs)
+		out[qi] = docs
+	}
+	return out
+}
+
+// subtreeEnd returns the ID one past the last node of id's subtree: in DFS
+// pre-order the subtree is the run that ends after its rightmost leaf. The
+// descent is a loop, so depth is no concern.
+func (ix *Index) subtreeEnd(id NodeID) NodeID {
+	for {
+		children := ix.Nodes[id].Children
+		if len(children) == 0 {
+			return id + 1
+		}
+		id = children[len(children)-1]
+	}
 }

@@ -1,14 +1,15 @@
 // Package engine is the server-side cycle-assembly pipeline shared by the
 // discrete-event simulator (internal/sim) and the networked broadcast server
-// (internal/netcast). It owns the per-cycle loop of §3.4 Fig. 8 — resolve
-// pending queries through the shared NFA filter, schedule result documents
-// into the cycle budget, prune and pack the air index, and encode the wire
-// segments — so the two drivers cannot drift apart, and it runs the
-// profitable stages concurrently:
+// (internal/netcast). It owns the per-cycle loop of §3.4 Fig. 8 — answer
+// pending queries from the Compact Index, schedule result documents into the
+// cycle budget, prune and pack the air index, and encode the wire segments —
+// so the two drivers cannot drift apart:
 //
-//   - query answering is memoized per canonical query string and, on misses,
-//     batch-evaluated by one shared automaton with document matching sharded
-//     across GOMAXPROCS workers (yfilter.FilterParallel);
+//   - a query's answer is what §3.1 defines it to be, the document tuples under
+//     its match nodes in the unpruned CI: memoized per canonical query string,
+//     read off the CI in one walk per batch of misses (core.Index.Answers),
+//     and patched — not dropped — when a document is added or removed. The
+//     engine never scans documents to answer a query;
 //   - the builder's merged DataGuide is constructed with per-document guides
 //     built in parallel (dataguide.MergeParallel via broadcast.NewBuilder);
 //   - wire encoding reuses pooled buffers and a per-document payload cache,
@@ -25,7 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -57,8 +58,9 @@ type Config struct {
 	// Probe receives pipeline telemetry in addition to the engine's own
 	// collector. Optional.
 	Probe Probe
-	// Workers bounds the filter/build parallelism. Zero selects
-	// runtime.GOMAXPROCS(0).
+	// Workers bounds the sharding of the demand index's full rebuild
+	// (schedule.DemandIndex.Rebuild), the one stage the engine still runs
+	// across goroutines. Zero selects runtime.GOMAXPROCS(0).
 	Workers int
 	// Limits bounds the engine's memory and per-cycle latency; see Limits.
 	// The zero value imposes no limits.
@@ -167,13 +169,11 @@ type Engine struct {
 	adaptive  *AdaptiveLimiter // nil without Config.Adaptive
 
 	// mu serialises builder access (the Builder is not concurrent-safe) and
-	// guards the caches; epoch invalidates in-flight resolutions racing a
-	// collection update.
+	// guards the caches.
 	mu       sync.Mutex
 	builder  *broadcast.Builder
 	answers  *answerCache
 	payloads *payloadCache
-	epoch    uint64
 
 	// view maintains the PCI incrementally across cycles (keyed on the CI
 	// pointer, which the builder replaces on every collection change). nil
@@ -318,8 +318,8 @@ func (e *Engine) Metrics() Metrics {
 }
 
 // Resolve answers one query: the sorted IDs of matching documents. Answers
-// are memoized by canonical query string until the collection changes, so
-// repeated submissions of popular queries never rescan documents.
+// are memoized by canonical query string and kept current across collection
+// updates; see ResolveAll.
 func (e *Engine) Resolve(q xpath.Path) ([]xmldoc.DocID, error) {
 	answers, err := e.ResolveAll([]xpath.Path{q})
 	if err != nil {
@@ -330,13 +330,18 @@ func (e *Engine) Resolve(q xpath.Path) ([]xmldoc.DocID, error) {
 
 // ResolveAll answers a query batch, keyed by canonical query string. Cached
 // answers are served from the memo; the misses are compiled into one shared
-// NFA and matched against the collection with document matching sharded
-// across the engine's workers.
+// NFA and read off the unpruned CI in a single walk (core.Index.Answers) —
+// the paper's definition of an answer, at a cost independent of the number
+// and size of the documents. The walk runs under the engine's lock, so what
+// it caches is never stale; the first miss after a collection update also
+// pays the CI's lazy rebuild there, as the next cycle otherwise would. The
+// returned slices are shared with the cache and never written again: treat
+// them as read-only.
 func (e *Engine) ResolveAll(queries []xpath.Path) (map[string][]xmldoc.DocID, error) {
 	out := make(map[string][]xmldoc.DocID, len(queries))
 
 	e.mu.Lock()
-	epoch := e.epoch
+	defer e.mu.Unlock()
 	var misses []xpath.Path
 	for _, q := range queries {
 		key := q.String()
@@ -353,35 +358,19 @@ func (e *Engine) ResolveAll(queries []xpath.Path) (map[string][]xmldoc.DocID, er
 		}
 	}
 	if len(misses) == 0 {
-		e.mu.Unlock()
 		return out, nil
 	}
-	coll, err := e.builder.Collection()
-	e.mu.Unlock()
-	if err != nil {
-		return nil, err
-	}
 
-	// Match outside the lock: the snapshot is immutable, and the epoch check
-	// below discards results that raced a collection update.
 	start := time.Now()
-	perQuery := yfilter.New(misses).FilterParallel(coll, e.workers)
-	matched := 0
-	for _, docs := range perQuery {
-		matched += len(docs)
+	perQuery := e.builder.CI().Answers(yfilter.New(misses))
+	matched, evicted := 0, 0
+	for i, q := range misses {
+		key := q.String()
+		out[key] = perQuery[i]
+		matched += len(perQuery[i])
+		evicted += e.answers.put(key, q, perQuery[i])
 	}
 	e.probe.StageDone(StageResolve, time.Since(start), len(misses), matched)
-
-	e.mu.Lock()
-	fresh := e.epoch == epoch
-	evicted := 0
-	for i, q := range misses {
-		out[q.String()] = perQuery[i]
-		if fresh {
-			evicted += e.answers.put(q.String(), q, perQuery[i])
-		}
-	}
-	e.mu.Unlock()
 	if evicted > 0 {
 		e.probe.CacheEvicted(EvictAnswer, evicted)
 	}
@@ -741,18 +730,17 @@ func (e *Engine) Recycle(enc *Encoded) {
 }
 
 // AddDocument admits a new document to the live collection; it becomes
-// visible to queries and schedulable from the next cycle. Invalidation is
-// incremental: only cached answers whose query matches the new document are
-// evicted; the rest stay warm and exactly correct.
+// visible to queries and schedulable from the next cycle. Cached answers are
+// patched, not dropped: one NFA pass over the document finds the cached
+// queries it matches and its ID is inserted into a fresh copy of each of
+// their answers (slices already handed out by Resolve stay as they were).
+// Every entry stays cached and keeps its LRU position.
 func (e *Engine) AddDocument(d *xmldoc.Document) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if err := e.builder.AddDocument(d); err != nil {
 		return err
 	}
-	// The epoch still advances on every update: it fences in-flight
-	// ResolveAll write-backs computed against the pre-update snapshot.
-	e.epoch++
 	e.fp ^= journal.DocHash(uint16(d.ID), d.Size())
 	e.fpSizes[d.ID] = d.Size()
 	e.probe.CacheInvalidated()
@@ -765,27 +753,23 @@ func (e *Engine) AddDocument(d *xmldoc.Document) error {
 	for i, en := range entries {
 		queries[i] = en.query
 	}
-	evicted := 0
 	for _, qi := range yfilter.New(queries).MatchDocument(d) {
-		e.answers.remove(entries[qi].key)
-		evicted++
-	}
-	if evicted > 0 {
-		e.probe.CacheEvicted(EvictAnswer, evicted)
+		en := entries[qi]
+		en.docs = xmldoc.InsertID(slices.Clone(en.docs), d.ID)
 	}
 	return nil
 }
 
-// RemoveDocument retires a document from the live collection. Invalidation
-// is incremental: only cached answers that contain the removed document (and
-// its payload-cache entry) are evicted.
+// RemoveDocument retires a document from the live collection and drops its
+// payload-cache entry. Cached answers are patched, not dropped: every answer
+// that contains the ID (a binary search per entry) is replaced by a copy
+// without it, and one the removal empties stays cached as empty.
 func (e *Engine) RemoveDocument(id xmldoc.DocID) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if err := e.builder.RemoveDocument(id); err != nil {
 		return err
 	}
-	e.epoch++
 	if sz, ok := e.fpSizes[id]; ok {
 		e.fp ^= journal.DocHash(uint16(id), sz)
 		delete(e.fpSizes, id)
@@ -793,17 +777,10 @@ func (e *Engine) RemoveDocument(id xmldoc.DocID) error {
 	e.probe.CacheInvalidated()
 	e.payloads.remove(id)
 
-	evicted := 0
 	for _, en := range e.answers.entries() {
-		// Answers are sorted DocID slices (yfilter emits them sorted).
-		i := sort.Search(len(en.docs), func(i int) bool { return en.docs[i] >= id })
-		if i < len(en.docs) && en.docs[i] == id {
-			e.answers.remove(en.key)
-			evicted++
+		if xmldoc.HasID(en.docs, id) {
+			en.docs = xmldoc.RemoveID(slices.Clone(en.docs), id)
 		}
-	}
-	if evicted > 0 {
-		e.probe.CacheEvicted(EvictAnswer, evicted)
 	}
 	if e.demand != nil {
 		// Purge the doc from the demand index the same way a delivery

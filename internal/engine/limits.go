@@ -42,8 +42,9 @@ type Limits struct {
 }
 
 // answerEntry is one memoized query answer. The parsed query is retained so
-// collection updates can re-match only the changed document against the
-// cached queries (incremental invalidation).
+// a collection update can match the one changed document against the cached
+// queries and patch their answers. docs is shared with every caller it was
+// returned to, so an update replaces the slice and never writes through it.
 type answerEntry struct {
 	key   string
 	query xpath.Path
@@ -91,19 +92,14 @@ func (c *answerCache) put(key string, q xpath.Path, docs []xmldoc.DocID) int {
 	return evicted
 }
 
-func (c *answerCache) remove(key string) {
-	if el, ok := c.byKey[key]; ok {
-		c.removeElement(el)
-	}
-}
-
 func (c *answerCache) removeElement(el *list.Element) {
 	c.ll.Remove(el)
 	delete(c.byKey, el.Value.(*answerEntry).key)
 }
 
-// entries returns the cached entries in no particular order. The returned
-// slice is fresh; the entries are the cache's own (do not mutate).
+// entries returns the cached entries, most recently used first. The returned
+// slice is fresh; the entries are the cache's own, for a collection update to
+// patch (see answerEntry.docs). Walking them does not count as a use.
 func (c *answerCache) entries() []*answerEntry {
 	out := make([]*answerEntry, 0, c.ll.Len())
 	for el := c.ll.Front(); el != nil; el = el.Next() {

@@ -2,13 +2,17 @@ package engine
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/broadcast"
+	"repro/internal/dtd"
+	"repro/internal/gen"
 	"repro/internal/xmldoc"
 	"repro/internal/xpath"
+	"repro/internal/yfilter"
 )
 
 func limitedEngine(t testing.TB, numDocs, numQueries int, lim Limits) (*Engine, []Pending) {
@@ -83,6 +87,40 @@ func TestAnswerCacheLRUEviction(t *testing.T) {
 			t.Fatalf("query %s: %d docs after eviction, want %d", q, len(got), len(want))
 		}
 	}
+
+	// A collection update patches the entries a bounded cache holds where
+	// they are: same entries, same LRU order, no eviction.
+	lruKeys := func() (keys []string) {
+		for _, en := range e.answers.entries() { // most recently used first
+			keys = append(keys, en.key)
+		}
+		return keys
+	}
+	order, evictions := lruKeys(), e.Metrics().AnswerEvictions
+	if len(order) != cacheCap {
+		t.Fatalf("bounded cache holds %d entries after the sweep, want %d", len(order), cacheCap)
+	}
+	live := newLiveDocs(c)
+	victim := c.Docs()[0]
+	delete(live, victim.ID)
+	if err := e.RemoveDocument(victim.ID); err != nil {
+		t.Fatal(err)
+	}
+	more, err := gen.Documents(gen.DocConfig{Schema: dtd.NITF(), NumDocs: 1, Seed: 78, FirstID: 600})
+	if err != nil {
+		t.Fatal(err)
+	}
+	live[600] = more.Docs()[0]
+	if err := e.AddDocument(more.Docs()[0]); err != nil {
+		t.Fatal(err)
+	}
+	if got := lruKeys(); !slices.Equal(got, order) {
+		t.Errorf("updates reordered or resized the bounded cache: %v -> %v", order, got)
+	}
+	if got := e.Metrics().AnswerEvictions; got != evictions {
+		t.Errorf("updates evicted answers: %d -> %d", evictions, got)
+	}
+	checkCacheAgainstScan(t, e, live)
 }
 
 // payloadCacheBytes recounts the cache's contents: payloads and attached
@@ -280,116 +318,147 @@ func TestBuildBudgetDegradesToFullCI(t *testing.T) {
 	}
 }
 
-func TestIncrementalInvalidationOnAdd(t *testing.T) {
+// applyPatched runs one collection update against a warm engine and checks
+// that the answer cache was patched rather than invalidated: every warm query
+// is still cached, its cached answer is what a scan of the updated collection
+// gives, nothing was evicted or added, the update consumed no cache accesses,
+// and re-resolving the whole set afterwards is pure hits that return those
+// same answers. live is the collection as it stands after the update.
+func applyPatched(t *testing.T, e *Engine, queries []xpath.Path, live liveDocs, update func() error) {
+	t.Helper()
+	size, before := e.answers.len(), e.Metrics()
+	if err := update(); err != nil {
+		t.Fatal(err)
+	}
+	after := e.Metrics()
+	if e.answers.len() != size || after.AnswerEvictions != before.AnswerEvictions {
+		t.Errorf("update changed the cache: %d -> %d entries, %d -> %d evictions",
+			size, e.answers.len(), before.AnswerEvictions, after.AnswerEvictions)
+	}
+	if after.CacheInvalidations != before.CacheInvalidations+1 {
+		t.Errorf("CacheInvalidations = %d, want %d", after.CacheInvalidations, before.CacheInvalidations+1)
+	}
+	if after.CacheHits != before.CacheHits || after.CacheMisses != before.CacheMisses {
+		t.Error("an update should not consume cache accesses")
+	}
+	want := yfilter.New(queries).Filter(live.collection(t))
+	for i, q := range queries {
+		el, ok := e.answers.byKey[q.String()]
+		if !ok {
+			t.Errorf("query %s is no longer cached", q)
+			continue
+		}
+		if got := el.Value.(*answerEntry).docs; !slices.Equal(got, want[i]) {
+			t.Errorf("query %s: cached answer %v, a fresh scan gives %v", q, got, want[i])
+		}
+	}
+	resolved, err := e.ResolveAll(queries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := e.Metrics(); m.CacheMisses != after.CacheMisses {
+		t.Errorf("re-resolve after the update missed: %d -> %d", after.CacheMisses, m.CacheMisses)
+	}
+	for i, q := range queries {
+		if got := resolved[q.String()]; !slices.Equal(got, want[i]) {
+			t.Errorf("query %s: resolved %v, a fresh scan gives %v", q, got, want[i])
+		}
+	}
+}
+
+func TestAnswersPatchedOnAdd(t *testing.T) {
 	c, queries := fixture(t, 10, 8)
 	e := newEngine(t, c, 100_000)
 	if _, err := e.ResolveAll(queries); err != nil {
 		t.Fatal(err)
 	}
-	warm := e.answers.len()
-	if warm == 0 {
+	if e.answers.len() == 0 {
 		t.Fatal("no warm entries")
 	}
+	live := newLiveDocs(c)
 
-	// A document no NITF query matches: unrelated root, so every warm
-	// entry must survive.
+	// A document no NITF query matches: unrelated root, so no answer moves.
 	root, err := xmldoc.Parse(strings.NewReader("<zzz><unmatched/></zzz>"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	alien := xmldoc.NewDocument(9001, root)
-	before := e.Metrics()
-	if err := e.AddDocument(alien); err != nil {
-		t.Fatal(err)
-	}
-	after := e.Metrics()
-	if e.answers.len() != warm {
-		t.Errorf("unrelated AddDocument evicted entries: %d -> %d", warm, e.answers.len())
-	}
-	if after.CacheInvalidations != before.CacheInvalidations+1 {
-		t.Errorf("CacheInvalidations = %d, want %d", after.CacheInvalidations, before.CacheInvalidations+1)
-	}
-	if after.CacheHits+after.CacheMisses != before.CacheHits+before.CacheMisses {
-		t.Error("invalidation should not consume cache accesses")
-	}
-	// Re-resolving everything must be pure hits.
-	if _, err := e.ResolveAll(queries); err != nil {
-		t.Fatal(err)
-	}
-	if m := e.Metrics(); m.CacheMisses != after.CacheMisses {
-		t.Errorf("re-resolve after unrelated add missed: %d -> %d", after.CacheMisses, m.CacheMisses)
-	}
+	live[alien.ID] = alien
+	applyPatched(t, e, queries, live, func() error { return e.AddDocument(alien) })
 
-	// Re-adding a fixture document (same schema) must evict exactly the
-	// queries that match it — and those must re-resolve to include it.
-	victimQuery := queries[0]
-	docs, err := e.Resolve(victimQuery)
+	// A new document of the fixture's schema: the answers it matches gain it.
+	more, err := gen.Documents(gen.DocConfig{Schema: dtd.NITF(), NumDocs: 1, Seed: 77, FirstID: 500})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(docs) == 0 {
-		t.Skip("fixture query 0 matches nothing")
-	}
-	matched := c.ByID(docs[0])
-	if err := e.RemoveDocument(matched.ID); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := e.answers.get(victimQuery.String()); ok {
-		t.Error("removing a result document left its answer cached")
-	}
-	if err := e.AddDocument(matched); err != nil {
-		t.Fatal(err)
-	}
-	restored, err := e.Resolve(victimQuery)
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, d := range restored {
-		if d == matched.ID {
-			found = true
+	fresh := more.Docs()[0]
+	live[fresh.ID] = fresh
+	applyPatched(t, e, queries, live, func() error { return e.AddDocument(fresh) })
+	gained := 0
+	for _, q := range queries {
+		if docs, _ := e.Resolve(q); xmldoc.HasID(docs, fresh.ID) {
+			gained++
 		}
 	}
-	if !found {
-		t.Errorf("re-added document %d missing from re-resolved answer %v", matched.ID, restored)
+	if gained == 0 {
+		t.Fatal("the added document matches no warm query: the patch was not exercised")
+	}
+
+	// Removing a result document and adding it back restores the answer.
+	victimQuery := queries[0]
+	original, err := e.Resolve(victimQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(original) == 0 {
+		t.Fatal("fixture query 0 matches nothing")
+	}
+	matched := c.ByID(original[0])
+	delete(live, matched.ID)
+	applyPatched(t, e, queries, live, func() error { return e.RemoveDocument(matched.ID) })
+	live[matched.ID] = matched
+	applyPatched(t, e, queries, live, func() error { return e.AddDocument(matched) })
+	if restored, _ := e.Resolve(victimQuery); !slices.Equal(restored, original) {
+		t.Errorf("after remove and re-add: %v, want %v", restored, original)
 	}
 }
 
-func TestIncrementalInvalidationOnRemove(t *testing.T) {
+func TestAnswersPatchedOnRemove(t *testing.T) {
 	c, queries := fixture(t, 10, 8)
 	e := newEngine(t, c, 100_000)
 	answers, err := e.ResolveAll(queries)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Pick a document and partition the cached queries by whether their
-	// answer contains it.
-	var victim = c.Docs()[0].ID
-	contains := make(map[string]bool)
+	live := newLiveDocs(c)
+	victim := c.Docs()[0].ID
+	contained := 0
 	for _, q := range queries {
-		for _, d := range answers[q.String()] {
-			if d == victim {
-				contains[q.String()] = true
-			}
+		if xmldoc.HasID(answers[q.String()], victim) {
+			contained++
 		}
 	}
-	before := e.answers.len()
-	if err := e.RemoveDocument(victim); err != nil {
+	if contained == 0 {
+		t.Fatalf("document %d is in no warm answer: the patch was not exercised", victim)
+	}
+	delete(live, victim)
+	applyPatched(t, e, queries, live, func() error { return e.RemoveDocument(victim) })
+
+	// Removing every result of one query leaves it cached with an empty
+	// answer, which is what admission refuses a query on.
+	q := xpath.MustParse("/nitf/head/onlyhere")
+	only := xmldoc.NewDocument(9002, xmldoc.El("nitf", xmldoc.El("head", xmldoc.El("onlyhere"))))
+	live[only.ID] = only
+	if err := e.AddDocument(only); err != nil {
 		t.Fatal(err)
 	}
-	evicted := 0
-	for _, q := range queries {
-		_, cached := e.answers.get(q.String())
-		if contains[q.String()] {
-			if cached {
-				t.Errorf("query %s contains removed doc %d but stayed cached", q, victim)
-			}
-			evicted++
-		} else if !cached {
-			t.Errorf("query %s unaffected by doc %d but was evicted", q, victim)
-		}
+	queries = append(slices.Clone(queries), q)
+	if docs, _ := e.Resolve(q); !slices.Equal(docs, []xmldoc.DocID{only.ID}) {
+		t.Fatalf("Resolve(%s) = %v, want [%d]", q, docs, only.ID)
 	}
-	if got := before - e.answers.len(); evicted == 0 && got != 0 {
-		t.Errorf("expected no evictions, lost %d entries", got)
+	delete(live, only.ID)
+	applyPatched(t, e, queries, live, func() error { return e.RemoveDocument(only.ID) })
+	if docs, err := e.Resolve(q); err != nil || len(docs) != 0 {
+		t.Errorf("Resolve(%s) after its only result left = %v, %v", q, docs, err)
 	}
 }

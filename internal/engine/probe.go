@@ -14,10 +14,10 @@ import (
 // schedule then build; EncodeCycle runs encode; Resolve/ResolveAll run
 // resolve for cache misses.
 const (
-	// StageResolve is query answering: the shared NFA filter (or the
-	// answer cache) maps pending queries to result-document sets. Input is
-	// the number of queries resolved against the collection (cache misses),
-	// output the total matched document count.
+	// StageResolve is query answering for the queries the answer cache does
+	// not hold: one walk of the unpruned CI with their shared NFA. Input is
+	// the number of queries in the batch of misses, output the total matched
+	// document count.
 	StageResolve = "resolve"
 	// StageSchedule is cycle planning. Input is the number of pending
 	// requests, output the number of planned documents.
@@ -87,13 +87,12 @@ type Probe interface {
 	StageDone(stage string, wall time.Duration, in, out int)
 	// CacheAccess reports one answer-cache lookup.
 	CacheAccess(hit bool)
-	// CacheInvalidated reports one collection update that invalidated
-	// cached state; the entries it actually dropped are reported through
-	// CacheEvicted.
+	// CacheInvalidated reports one collection update. The update patches
+	// the cached answers it changes and drops a removed document's payload;
+	// it evicts no answer, so nothing follows through CacheEvicted.
 	CacheInvalidated()
 	// CacheEvicted reports n entries dropped from the named cache
-	// (EvictAnswer or EvictPayload), whether by an LRU bound or by
-	// targeted invalidation after a collection update.
+	// (EvictAnswer or EvictPayload) by its LRU bound.
 	CacheEvicted(kind string, n int)
 	// PruneDone reports how one cycle's PCI was produced: kind is
 	// PruneIncremental, PruneFull or PruneFallback. Degraded cycles (budget
@@ -161,11 +160,11 @@ type Metrics struct {
 	Stages map[string]StageStats
 	// CacheHits and CacheMisses count answer-cache lookups.
 	CacheHits, CacheMisses int64
-	// CacheInvalidations counts collection updates that invalidated cached
-	// state.
+	// CacheInvalidations counts collection updates, each of which brought
+	// the cached answers up to date in place.
 	CacheInvalidations int64
 	// AnswerEvictions and PayloadEvictions count entries dropped from the
-	// answer and payload caches, by LRU bounds or targeted invalidation.
+	// answer and payload caches by their LRU bounds.
 	AnswerEvictions, PayloadEvictions int64
 	// Cycles counts assembled broadcast cycles.
 	Cycles int64

@@ -1030,8 +1030,9 @@ func (s *Server) submit(expr string) (int64, int64, error) {
 	// stale on the way; a removal after that strips them from pending itself.
 	s.docMu.RLock()
 	defer s.docMu.RUnlock()
-	// The engine memoizes answers per canonical query string, so repeated
-	// submissions of popular queries never rescan the collection.
+	// The engine memoizes answers per canonical query string and keeps them
+	// current across collection updates: a repeated submission is a lookup,
+	// a first one a walk of the CI.
 	docs, err := s.eng.Resolve(q)
 	if err != nil {
 		return 0, 0, err
@@ -1058,7 +1059,7 @@ func (s *Server) submit(expr string) (int64, int64, error) {
 		}
 	}
 	s.nextID = id
-	// The answer is the engine's cached slice (sorted, yfilter emits it so);
+	// The answer is the engine's cached slice (sorted, duplicate-free);
 	// the request owns a copy because it shrinks in place.
 	s.pending = append(s.pending, &srvRequest{id: id, query: q, arrival: s.cycles, remaining: slices.Clone(docs)})
 	// The next snapshot (cycle number s.cycles) will include this request.
@@ -1453,8 +1454,9 @@ func checkDocFits(d *xmldoc.Document) error {
 }
 
 // AddDocument admits a new document to the live collection; it becomes
-// visible to queries and schedulable from the next cycle. The engine
-// invalidates its answer cache; a journaled server records the grown
+// visible to queries and schedulable from the next cycle. The engine patches
+// its cached answers, so a submission after this returns sees the document
+// without a re-resolve; a journaled server records the grown
 // collection's fingerprint so recovery can detect drift. A document too large
 // for one frame is refused, with nothing changed.
 func (s *Server) AddDocument(d *xmldoc.Document) error {

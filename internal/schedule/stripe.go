@@ -35,49 +35,3 @@ func Stripe(plan []xmldoc.DocID, size func(xmldoc.DocID) int, k int) [][]xmldoc.
 	}
 	return stripes
 }
-
-// StripeSkewed partitions a plan across k data channels with deliberately
-// unequal byte budgets: stripe 0 gets weight 1 and every other stripe weight
-// k, so stripe 0 carries roughly 1/(1+k(k-1)) of the cycle's bytes. The plan
-// arrives in the policy's delivery order — demand-ranked first under the
-// on-demand policies — and the split is contiguous, so the hottest documents
-// land together on the small stripe. In the air-time model a channel lighter
-// than the cycle's heaviest replays its unit through the slack
-// (broadcast.Cycle.ChannelRepetitions), so the small hot stripe repeats
-// several times per cycle: the broadcast-disk allocation, with repetition
-// frequency skewed toward demand. The deliberate imbalance lengthens the
-// cycle (k times the heaviest stripe), which the repetitions of the hot set
-// must buy back; a skewed workload is what makes the trade profitable.
-//
-// k <= 1 returns the plan as a single stripe; k == 2 degenerates to a
-// contiguous half split.
-func StripeSkewed(plan []xmldoc.DocID, size func(xmldoc.DocID) int, k int) [][]xmldoc.DocID {
-	if k <= 1 {
-		return [][]xmldoc.DocID{plan}
-	}
-	total := 0
-	for _, d := range plan {
-		total += size(d)
-	}
-	weights := make([]int, k)
-	sum := 0
-	for c := range weights {
-		weights[c] = k
-		if c == 0 {
-			weights[c] = 1
-		}
-		sum += weights[c]
-	}
-	stripes := make([][]xmldoc.DocID, k)
-	c, load := 0, 0
-	for _, d := range plan {
-		// Advance to the next stripe once this one's budget is filled; the
-		// last stripe takes the remainder.
-		for c < k-1 && load >= total*weights[c]/sum {
-			c, load = c+1, 0
-		}
-		stripes[c] = append(stripes[c], d)
-		load += size(d)
-	}
-	return stripes
-}

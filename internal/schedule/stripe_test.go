@@ -78,46 +78,6 @@ func TestStripeBalance(t *testing.T) {
 	}
 }
 
-func TestStripeSkewed(t *testing.T) {
-	size := func(xmldoc.DocID) int { return 100 }
-	plan := make([]xmldoc.DocID, 130)
-	for i := range plan {
-		plan[i] = xmldoc.DocID(i)
-	}
-	for _, k := range []int{0, 1} {
-		got := StripeSkewed(plan, size, k)
-		if len(got) != 1 || !reflect.DeepEqual(got[0], plan) {
-			t.Errorf("StripeSkewed(k=%d) returned %d stripes, want the plan as one", k, len(got))
-		}
-	}
-
-	const k = 4
-	stripes := StripeSkewed(plan, size, k)
-	if len(stripes) != k {
-		t.Fatalf("got %d stripes, want %d", len(stripes), k)
-	}
-	// The split is contiguous in delivery order: concatenating the stripes
-	// reproduces the plan, so the hottest prefix lands on stripe 0.
-	var cat []xmldoc.DocID
-	for _, s := range stripes {
-		cat = append(cat, s...)
-	}
-	if !reflect.DeepEqual(cat, plan) {
-		t.Errorf("stripes are not a contiguous split of the plan")
-	}
-	// Stripe 0 has weight 1 against k for the rest: it carries roughly
-	// 1/(1+k(k-1)) of the bytes, so with uniform sizes it must be the
-	// smallest stripe by a wide margin.
-	if got, want := len(stripes[0]), len(plan)/(1+k*(k-1)); got != want {
-		t.Errorf("hot stripe carries %d docs, want %d", got, want)
-	}
-	for c := 1; c < k; c++ {
-		if len(stripes[c]) <= len(stripes[0]) {
-			t.Errorf("stripe %d (%d docs) not larger than hot stripe (%d docs)", c, len(stripes[c]), len(stripes[0]))
-		}
-	}
-}
-
 func TestStripeDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	sizes := make(map[xmldoc.DocID]int)

@@ -82,8 +82,8 @@ type Config struct {
 	// Probe receives engine pipeline telemetry in addition to the built-in
 	// collector that fills Result.Engine. Optional.
 	Probe engine.Probe
-	// Workers bounds the engine's filter/build parallelism. Zero selects
-	// GOMAXPROCS.
+	// Workers is the engine's Config.Workers (the demand index's sharded
+	// rebuild). Zero selects GOMAXPROCS.
 	Workers int
 	// Limits bounds engine memory and per-cycle latency (see
 	// engine.Limits); degraded cycles and evictions surface in
