@@ -57,8 +57,6 @@ func run(args []string) error {
 		answerCache = fs.Int("answer-cache", 0, "max memoized query answers, LRU-evicted (0 = unlimited)")
 		payloadMB   = fs.Int("payload-cache", 0, "max cached document megabytes (payloads plus, when compressing, their envelopes), LRU-evicted (0 = unlimited)")
 		buildBudget = fs.Duration("build-budget", 0, "per-cycle index-pruning deadline; overruns broadcast the unpruned CI (0 = none)")
-		adaptive    = fs.Bool("adaptive", false, "enable the self-tuning admission controller in experiment runs")
-		targetLat   = fs.Duration("target-latency", 0, "adaptive controller's per-cycle assembly-latency goal (0 = default)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -116,8 +114,6 @@ func run(args []string) error {
 		MaxPayloadCacheBytes:  *payloadMB << 20,
 		BuildBudget:           *buildBudget,
 	}
-	cfg.Adaptive = *adaptive
-	cfg.AdaptiveTarget = *targetLat
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)

@@ -79,6 +79,14 @@ func TestErrors(t *testing.T) {
 	if _, err := capture(t, []string{"-bogusflag"}); err == nil {
 		t.Error("bogus flag succeeded")
 	}
+	// The simulator has no admission controller: its flags are gone, not
+	// ignored.
+	for _, args := range [][]string{{"-adaptive"}, {"-target-latency", "5ms"}} {
+		_, err := capture(t, append(args, "-list"))
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("args %v: err = %v, want unknown-flag error", args, err)
+		}
+	}
 }
 
 func TestFormats(t *testing.T) {

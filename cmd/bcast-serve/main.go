@@ -57,9 +57,7 @@ func run(args []string) error {
 		buildBudget = fs.Duration("build-budget", 0, "per-cycle index-pruning deadline; overruns broadcast the unpruned CI (0 = none)")
 		uplinkRate  = fs.Float64("uplink-rate", 0, "per-connection query rate limit in queries/s (0 = unlimited)")
 		uplinkBurst = fs.Int("uplink-burst", 0, "token-bucket burst for -uplink-rate (default 8)")
-		pruneChurn  = fs.Float64("prune-churn", 0, "query-churn fraction forcing a full re-prune (0 = default, negative = always re-prune from scratch)")
-		schedChurn  = fs.Float64("sched-churn", 0, "pending-churn fraction forcing a demand-index rebuild (0 = default, negative = replan from scratch every cycle)")
-		adaptive    = fs.Bool("adaptive", false, "self-tune the admission limits (AIMD over -max-pending/-uplink-rate, auto-picked churn thresholds); static values become seeds")
+		adaptive    = fs.Bool("adaptive", false, "self-tune the admission limits (AIMD over -max-pending/-uplink-rate); static values become seeds")
 		targetLat   = fs.Duration("target-latency", 0, "adaptive controller's per-cycle assembly-latency goal (0 = derive from -build-budget or default)")
 		pprofAddr   = fs.String("pprof", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060; empty = disabled)")
 
@@ -70,14 +68,9 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	var bm repro.BroadcastMode
-	switch *mode {
-	case "one-tier":
-		bm = repro.OneTierMode
-	case "two-tier":
-		bm = repro.TwoTierMode
-	default:
-		return fmt.Errorf("unknown mode %q", *mode)
+	bm, err := repro.ParseBroadcastMode(*mode)
+	if err != nil {
+		return err
 	}
 	enc, err := repro.ParseIndexEncoding(*indexEnc)
 	if err != nil {
@@ -111,8 +104,6 @@ func run(args []string) error {
 		MuxCredit:      *muxCredit,
 		UplinkRate:     *uplinkRate,
 		UplinkBurst:    *uplinkBurst,
-		PruneChurn:     *pruneChurn,
-		ScheduleChurn:  *schedChurn,
 		Adaptive:       *adaptive,
 		AdaptiveTarget: *targetLat,
 		StateDir:       *stateDir,

@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -22,17 +23,30 @@ func TestServeWithDataDir(t *testing.T) {
 	}
 }
 
-func TestServeErrors(t *testing.T) {
-	tests := [][]string{
-		{"-mode", "three-tier"},
-		{"-schema", "bogus"},
-		{"-data", "/does/not/exist"},
-		{"-bogus"},
-		{"-uplink", "256.0.0.1:99999"},
+func TestServeAdaptive(t *testing.T) {
+	if err := run([]string{"-docs", "8", "-selfdrive", "-interval", "5ms", "-for", "100ms", "-adaptive"}); err != nil {
+		t.Fatalf("run: %v", err)
 	}
-	for _, args := range tests {
-		if err := run(args); err == nil {
-			t.Errorf("args %v succeeded, want error", args)
+}
+
+func TestServeErrors(t *testing.T) {
+	const undefined = "flag provided but not defined"
+	tests := []struct {
+		args []string
+		want string // substring of the error
+	}{
+		{[]string{"-mode", "three-tier"}, "unknown mode"},
+		{[]string{"-schema", "bogus"}, ""},
+		{[]string{"-data", "/does/not/exist"}, ""},
+		{[]string{"-bogus"}, undefined},
+		{[]string{"-uplink", "256.0.0.1:99999"}, ""},
+		// The churn thresholds are constants: their flags are gone, not ignored.
+		{[]string{"-prune-churn", "0.5"}, undefined},
+		{[]string{"-sched-churn", "-1"}, undefined},
+	}
+	for _, tc := range tests {
+		if err := run(tc.args); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("args %v: err = %v, want an error containing %q", tc.args, err, tc.want)
 		}
 	}
 }

@@ -27,22 +27,20 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("bcast-sim", flag.ContinueOnError)
 	var (
-		mode      = fs.String("mode", "two-tier", "index organisation: one-tier or two-tier")
-		indexEnc  = fs.String("index-enc", "node", "first-tier wire layout: node or succinct (two-tier only)")
-		channels  = fs.Int("channels", 1, "parallel broadcast channels K at fixed aggregate bandwidth (two-tier only)")
-		schema    = fs.String("schema", "nitf", "document schema: nitf or nasa")
-		dataDir   = fs.String("data", "", "directory of .xml files to broadcast (overrides -schema/-docs)")
-		docs      = fs.Int("docs", 50, "number of generated documents")
-		nq        = fs.Int("nq", 100, "number of client requests")
-		p         = fs.Float64("p", 0.1, "wildcard probability")
-		dq        = fs.Int("dq", 5, "maximum query depth")
-		capacity  = fs.Int("capacity", 100_000, "cycle document budget in bytes")
-		compress  = fs.Bool("compress", false, "model the transport's per-frame DEFLATE: cycles accounted at compressed air size (K=1 only)")
-		sched     = fs.String("scheduler", "leelo", "scheduler: leelo, fcfs, mrf or rxw")
-		seed      = fs.Int64("seed", 1, "random seed")
-		adaptive  = fs.Bool("adaptive", false, "enable the self-tuning admission controller (auto-picked churn thresholds; health in the engine line)")
-		targetLat = fs.Duration("target-latency", 0, "adaptive controller's per-cycle assembly-latency goal (0 = default)")
-		verbose   = fs.Bool("v", false, "print per-cycle and per-client detail")
+		mode     = fs.String("mode", "two-tier", "index organisation: one-tier or two-tier")
+		indexEnc = fs.String("index-enc", "node", "first-tier wire layout: node or succinct (two-tier only)")
+		channels = fs.Int("channels", 1, "parallel broadcast channels K at fixed aggregate bandwidth (two-tier only)")
+		schema   = fs.String("schema", "nitf", "document schema: nitf or nasa")
+		dataDir  = fs.String("data", "", "directory of .xml files to broadcast (overrides -schema/-docs)")
+		docs     = fs.Int("docs", 50, "number of generated documents")
+		nq       = fs.Int("nq", 100, "number of client requests")
+		p        = fs.Float64("p", 0.1, "wildcard probability")
+		dq       = fs.Int("dq", 5, "maximum query depth")
+		capacity = fs.Int("capacity", 100_000, "cycle document budget in bytes")
+		compress = fs.Bool("compress", false, "model the transport's per-frame DEFLATE: cycles accounted at compressed air size (K=1 only)")
+		sched    = fs.String("scheduler", "leelo", "scheduler: leelo, fcfs, mrf or rxw")
+		seed     = fs.Int64("seed", 1, "random seed")
+		verbose  = fs.Bool("v", false, "print per-cycle and per-client detail")
 
 		restart   = fs.Bool("restart-check", false, "run the crash-restart equivalence check instead of the metrics simulation: a crashed-and-recovered journaled run must be wire-identical to a crash-free control")
 		crashSeed = fs.Int64("crash-seed", 1, "seed choosing the injected crash's pipeline stage and cycle (-restart-check)")
@@ -55,14 +53,9 @@ func run(args []string) error {
 		return err
 	}
 
-	var bm repro.BroadcastMode
-	switch *mode {
-	case "one-tier":
-		bm = repro.OneTierMode
-	case "two-tier":
-		bm = repro.TwoTierMode
-	default:
-		return fmt.Errorf("unknown mode %q", *mode)
+	bm, err := repro.ParseBroadcastMode(*mode)
+	if err != nil {
+		return err
 	}
 	enc, err := repro.ParseIndexEncoding(*indexEnc)
 	if err != nil {
@@ -104,16 +97,14 @@ func run(args []string) error {
 		return err
 	}
 	res, err := repro.Simulate(repro.SimulationConfig{
-		Collection:     coll,
-		Mode:           bm,
-		IndexEncoding:  enc,
-		Channels:       *channels,
-		Scheduler:      scheduler,
-		CycleCapacity:  *capacity,
-		Requests:       reqs,
-		Compress:       *compress,
-		Adaptive:       *adaptive,
-		AdaptiveTarget: *targetLat,
+		Collection:    coll,
+		Mode:          bm,
+		IndexEncoding: enc,
+		Channels:      *channels,
+		Scheduler:     scheduler,
+		CycleCapacity: *capacity,
+		Requests:      reqs,
+		Compress:      *compress,
 	})
 	if err != nil {
 		return err

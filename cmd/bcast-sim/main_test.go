@@ -64,15 +64,23 @@ func TestSchedulers(t *testing.T) {
 }
 
 func TestErrors(t *testing.T) {
-	tests := [][]string{
-		{"-mode", "three-tier"},
-		{"-schema", "bogus"},
-		{"-scheduler", "bogus", "-docs", "5", "-nq", "3"},
-		{"-bogusflag"},
+	const undefined = "flag provided but not defined"
+	tests := []struct {
+		args []string
+		want string // substring of the error
+	}{
+		{[]string{"-mode", "three-tier"}, "unknown mode"},
+		{[]string{"-schema", "bogus"}, ""},
+		{[]string{"-scheduler", "bogus", "-docs", "5", "-nq", "3"}, ""},
+		{[]string{"-bogusflag"}, undefined},
+		// The simulator has no admission controller: its flags are gone, not
+		// ignored.
+		{[]string{"-adaptive"}, undefined},
+		{[]string{"-target-latency", "5ms"}, undefined},
 	}
-	for _, args := range tests {
-		if _, err := capture(t, args); err == nil {
-			t.Errorf("args %v succeeded, want error", args)
+	for _, tc := range tests {
+		if _, err := capture(t, tc.args); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("args %v: err = %v, want an error containing %q", tc.args, err, tc.want)
 		}
 	}
 }

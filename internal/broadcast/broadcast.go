@@ -58,6 +58,16 @@ func (m Mode) String() string {
 	}
 }
 
+// ParseMode resolves a -mode flag value, the inverse of Mode.String.
+func ParseMode(s string) (Mode, error) {
+	for _, m := range []Mode{OneTierMode, TwoTierMode} {
+		if s == m.String() {
+			return m, nil
+		}
+	}
+	return 0, fmt.Errorf("broadcast: unknown mode %q (want one-tier or two-tier)", s)
+}
+
 // DocPlacement locates one document inside a cycle's document section.
 type DocPlacement struct {
 	ID xmldoc.DocID

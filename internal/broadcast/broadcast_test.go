@@ -1,6 +1,7 @@
 package broadcast
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -37,6 +38,19 @@ func TestModeString(t *testing.T) {
 	}
 	if got := Mode(7).String(); got != "Mode(7)" {
 		t.Errorf("unknown mode = %q", got)
+	}
+}
+
+func TestParseMode(t *testing.T) {
+	for _, m := range []Mode{OneTierMode, TwoTierMode} {
+		if got, err := ParseMode(m.String()); err != nil || got != m {
+			t.Errorf("ParseMode(%q) = %v, %v", m.String(), got, err)
+		}
+	}
+	for _, bad := range []string{"", "three-tier", "Mode(1)", "Two-Tier"} {
+		if _, err := ParseMode(bad); err == nil || !strings.Contains(err.Error(), "unknown mode") {
+			t.Errorf("ParseMode(%q) error = %v, want an unknown-mode error", bad, err)
+		}
 	}
 }
 

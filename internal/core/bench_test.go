@@ -36,18 +36,6 @@ func BenchmarkBuildCI(b *testing.B) {
 	}
 }
 
-// BenchmarkBuildCIParallel measures CI construction with the per-document
-// DataGuides built across all available workers (the engine's default path).
-func BenchmarkBuildCIParallel(b *testing.B) {
-	c, _, _ := benchFixture(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := BuildCIParallel(c, DefaultSizeModel(), 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkPrune200Queries(b *testing.B) {
 	_, ix, queries := benchFixture(b)
 	b.ResetTimer()

@@ -68,13 +68,6 @@ func BuildCI(c *xmldoc.Collection, m SizeModel) (*Index, error) {
 	return BuildCIFromForest(dataguide.Merge(c), m)
 }
 
-// BuildCIParallel is BuildCI with the per-document DataGuides built
-// concurrently across workers goroutines (GOMAXPROCS when workers <= 0)
-// before the serial merge. The result is identical to BuildCI's.
-func BuildCIParallel(c *xmldoc.Collection, m SizeModel, workers int) (*Index, error) {
-	return BuildCIFromForest(dataguide.MergeParallel(c, workers), m)
-}
-
 // BuildCIFromForest builds the CI over an already-merged DataGuide forest.
 func BuildCIFromForest(f *dataguide.Forest, m SizeModel) (*Index, error) {
 	if err := m.Validate(); err != nil {

@@ -113,16 +113,6 @@ func NewPrunedView(churn float64) *PrunedView {
 	return &PrunedView{churn: churn}
 }
 
-// SetChurn retunes the fallback threshold for subsequent Updates, with the
-// same interpretation as NewPrunedView's churn. The engine's adaptive
-// controller calls this each cycle with its measured breakeven.
-func (v *PrunedView) SetChurn(churn float64) {
-	if churn <= 0 {
-		churn = DefaultPruneChurn
-	}
-	v.churn = churn
-}
-
 // Update re-prunes the index to the given query set, reusing the previous
 // cycle's work where the delta allows. ci must be the caller's current CI; a
 // different pointer than the previous call's (the index was rebuilt after a

@@ -4,10 +4,7 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/broadcast"
 	"repro/internal/control"
-	"repro/internal/core"
-	"repro/internal/schedule"
 )
 
 // Health is the adaptive admission controller's three-state load signal,
@@ -28,15 +25,11 @@ const (
 	Degraded Health = "degraded"
 )
 
-// Adaptive controller defaults. The zero AdaptiveConfig selects all of them.
+// Adaptive controller defaults.
 const (
 	// DefaultAdaptiveTarget is the per-cycle assembly-latency goal when
 	// neither TargetLatency nor a BuildBudget to derive it from is set.
 	DefaultAdaptiveTarget = 20 * time.Millisecond
-	// DefaultTargetFraction of Limits.BuildBudget becomes the latency
-	// target when TargetLatency is zero, leaving headroom so shedding
-	// engages before cycles start degrading.
-	DefaultTargetFraction = 0.5
 	// DefaultAdaptivePending seeds MaxPending for drivers that enable the
 	// controller without a configured cap.
 	DefaultAdaptivePending = 256
@@ -45,21 +38,31 @@ const (
 	DefaultAdaptiveUplinkRate = 128
 )
 
+// The control loop's fixed parameters.
 const (
-	defaultAdaptiveAlpha  = 0.3
-	defaultDecreaseFactor = 0.5
-	defaultHoldCycles     = 8
-	defaultRecoverCycles  = 12
-	defaultDegradedStreak = 3
-	// Auto-picked churn thresholds stay inside [minAutoChurn, maxAutoChurn]
-	// so one skewed measurement can neither pin the engine to full rebuilds
-	// nor to delta paths.
-	minAutoChurn = 0.05
-	maxAutoChurn = 0.95
+	// targetFraction of Limits.BuildBudget becomes the latency target when
+	// TargetLatency is zero, leaving headroom so shedding engages before
+	// cycles start degrading.
+	targetFraction = 0.5
+	// adaptiveAlpha is the EWMA smoothing factor of both latency estimators.
+	adaptiveAlpha = 0.3
+	// decreaseFactor is the multiplicative shed factor.
+	decreaseFactor = 0.5
+	// holdCycles is the hysteresis window after a shed during which neither
+	// further soft sheds nor growth happen.
+	holdCycles = 8
+	// recoverCycles is the consecutive-good-cycle streak required to report
+	// Healthy again.
+	recoverCycles = 12
+	// degradedStreak is the consecutive degraded-cycle count that flips
+	// health from Shedding to Degraded.
+	degradedStreak = 3
 )
 
-// AdaptiveConfig parameterises NewAdaptiveLimiter. Only the seeds need
-// thought; every control parameter has a sensible default.
+// AdaptiveConfig parameterises NewAdaptiveLimiter: the seeds the loop starts
+// from and the latency it steers towards. The loop's own parameters are
+// constants; growth steps, floors and ceilings derive from the seeds (see
+// NewAdaptiveLimiter).
 type AdaptiveConfig struct {
 	// Limits seeds MaxPending and, through BuildBudget, the default latency
 	// target. A zero MaxPending leaves pending-cap tuning off (no cap).
@@ -67,44 +70,10 @@ type AdaptiveConfig struct {
 	// UplinkRate seeds the per-connection uplink rate (queries/sec). Zero
 	// leaves rate tuning off.
 	UplinkRate float64
-	// PruneChurn seeds the incremental-prune fallback threshold. Zero
-	// selects core.DefaultPruneChurn; negative disables the incremental
-	// path and its tuning, mirroring Config.PruneChurn.
-	PruneChurn float64
-	// ScheduleChurn seeds the incremental-scheduling fallback threshold.
-	// Zero selects schedule.DefaultScheduleChurn; negative disables.
-	ScheduleChurn float64
 	// TargetLatency is the per-cycle assembly-latency goal. Zero derives
-	// TargetFraction×Limits.BuildBudget, or DefaultAdaptiveTarget when no
-	// budget is set.
+	// half of Limits.BuildBudget, or DefaultAdaptiveTarget when no budget is
+	// set.
 	TargetLatency time.Duration
-	// TargetFraction overrides DefaultTargetFraction for the derivation
-	// above. Ignored when TargetLatency is set.
-	TargetFraction float64
-	// Alpha is the EWMA smoothing factor for all estimators; zero selects
-	// 0.3.
-	Alpha float64
-	// DecreaseFactor is the multiplicative shed factor in (0, 1); zero
-	// selects 0.5.
-	DecreaseFactor float64
-	// PendingStep and RateStep are the additive growth increments; zero
-	// selects seed/64 (min 1) and seed/16 respectively.
-	PendingStep int
-	RateStep    float64
-	// PendingFloor/PendingCeil bound MaxPending; zero selects min(8, seed)
-	// and max(4096, 16×seed). RateFloor/RateCeil bound UplinkRate; zero
-	// selects seed/64 (min 1) and 16×seed.
-	PendingFloor, PendingCeil int
-	RateFloor, RateCeil       float64
-	// HoldCycles is the hysteresis window after a shed during which neither
-	// further soft sheds nor growth happen; zero selects 8.
-	HoldCycles int
-	// RecoverCycles is the consecutive-good-cycle streak required to report
-	// Healthy again; zero selects 12.
-	RecoverCycles int
-	// DegradedStreak is the consecutive degraded-cycle count that flips
-	// health from Shedding to Degraded; zero selects 3.
-	DegradedStreak int
 	// Clock drives the controller's inter-cycle latency estimate. Nil
 	// selects the wall clock; tests inject control.Fake.
 	Clock control.Clock
@@ -120,8 +89,6 @@ type AdaptiveState struct {
 	// MaxPending and UplinkRate are the live limit values (0 = untuned).
 	MaxPending int
 	UplinkRate float64
-	// PruneChurn and ScheduleChurn are the live fallback thresholds.
-	PruneChurn, ScheduleChurn float64
 	// AssemblyLatency is the EWMA of per-cycle stage wall time (schedule +
 	// build + encode); CycleLatency the EWMA of observed spacing between
 	// assembled cycles, which prices FrameReject retry-after hints.
@@ -134,10 +101,10 @@ type AdaptiveState struct {
 // AdaptiveLimiter closes the loop between the engine's Probe telemetry and
 // its admission limits: additive-increase/multiplicative-decrease (AIMD)
 // with hysteresis over MaxPending and the uplink rate, steering the
-// per-cycle assembly latency towards a target fraction of BuildBudget, plus
-// measurement-driven auto-picking of the incremental-vs-full churn
-// thresholds. It implements Probe; wire it via Config.Adaptive and it sees
-// every pipeline event. All methods are safe for concurrent use.
+// per-cycle assembly latency towards a target fraction of BuildBudget. It
+// implements Probe — acting on the stage walls, degraded cycles and cycle
+// ends, ignoring the rest; wire it via Config.Adaptive and it sees every
+// pipeline event. All methods are safe for concurrent use.
 //
 // Enforcement split: the controller only computes limits. Drivers enforce
 // MaxPending/UplinkRate at admission time (netcast's submit path); the
@@ -145,45 +112,32 @@ type AdaptiveState struct {
 // controller is wired, so work that was already admitted always assembles
 // even right after a shed.
 type AdaptiveLimiter struct {
+	NopProbe // the cache, prune-kind, schedule-kind and channel events carry no load signal
+
 	mu    sync.Mutex
 	clock control.Clock
 
 	target       time.Duration
-	factor       float64
 	stepPending  int
 	stepRate     float64
 	pendingFloor int
 	pendingCeil  int
 	rateFloor    float64
 	rateCeil     float64
-	hold         int
-	recoverAfter int
-	degStreakMax int
 
 	// Live limit values.
-	maxPending           int
-	uplinkRate           float64
-	pruneChurn           float64
-	schedChurn           float64
-	tunePrune, tuneSched bool
-	health               Health
+	maxPending int
+	uplinkRate float64
+	health     Health
 
 	// Per-cycle accumulation between CycleDone events.
-	cycleWall     time.Duration
-	sawDegraded   bool
-	pendingDepth  int
-	lastSchedKind string
-	lastPruneKind string
+	cycleWall   time.Duration
+	sawDegraded bool
 
 	// Estimators.
-	assembly       control.EWMA // per-cycle assembly wall
-	interCycle     control.EWMA // spacing between CycleDone events
-	setSize        control.EWMA // pending-set depth at schedule time
-	schedFull      control.EWMA // full-rebuild schedule stage wall
-	schedPerChange control.EWMA // per-request delta-schedule cost
-	pruneFull      control.EWMA // full-prune build stage wall
-	prunePerChange control.EWMA // per-query delta-prune cost
-	lastCycleAt    time.Time
+	assembly    control.EWMA // per-cycle assembly wall
+	interCycle  control.EWMA // spacing between CycleDone events
+	lastCycleAt time.Time
 
 	holdLeft      int
 	healthyStreak int
@@ -191,93 +145,37 @@ type AdaptiveLimiter struct {
 	sheds, grows  int64
 }
 
-// NewAdaptiveLimiter builds a controller from seeds and defaults; see
-// AdaptiveConfig.
+// NewAdaptiveLimiter builds a controller from its seeds. A tuned axis grows
+// by seed/64 (min 1) pending requests or seed/16 queries/sec per step, between
+// a floor of min(8, seed) requests or seed/64 (min 1) queries/sec and a
+// ceiling of max(4096, 16×seed) requests or 16×seed queries/sec.
 func NewAdaptiveLimiter(cfg AdaptiveConfig) *AdaptiveLimiter {
 	target := cfg.TargetLatency
 	if target <= 0 {
-		if cfg.Limits.BuildBudget > 0 {
-			frac := cfg.TargetFraction
-			if frac <= 0 || frac >= 1 {
-				frac = DefaultTargetFraction
-			}
-			target = time.Duration(frac * float64(cfg.Limits.BuildBudget))
-		}
+		target = time.Duration(targetFraction * float64(cfg.Limits.BuildBudget))
 		if target <= 0 {
 			target = DefaultAdaptiveTarget
 		}
 	}
-	alpha := cfg.Alpha
-	factor := cfg.DecreaseFactor
-	if factor <= 0 || factor >= 1 {
-		factor = defaultDecreaseFactor
-	}
 	a := &AdaptiveLimiter{
-		clock:        control.Or(cfg.Clock),
-		target:       target,
-		factor:       factor,
-		hold:         cfg.HoldCycles,
-		recoverAfter: cfg.RecoverCycles,
-		degStreakMax: cfg.DegradedStreak,
-		maxPending:   cfg.Limits.MaxPending,
-		uplinkRate:   cfg.UplinkRate,
-		health:       Healthy,
-
-		assembly:       control.NewEWMA(alpha),
-		interCycle:     control.NewEWMA(alpha),
-		setSize:        control.NewEWMA(alpha),
-		schedFull:      control.NewEWMA(alpha),
-		schedPerChange: control.NewEWMA(alpha),
-		pruneFull:      control.NewEWMA(alpha),
-		prunePerChange: control.NewEWMA(alpha),
-	}
-	if a.hold <= 0 {
-		a.hold = defaultHoldCycles
-	}
-	if a.recoverAfter <= 0 {
-		a.recoverAfter = defaultRecoverCycles
-	}
-	if a.degStreakMax <= 0 {
-		a.degStreakMax = defaultDegradedStreak
+		clock:      control.Or(cfg.Clock),
+		target:     target,
+		maxPending: cfg.Limits.MaxPending,
+		uplinkRate: cfg.UplinkRate,
+		health:     Healthy,
+		assembly:   control.NewEWMA(adaptiveAlpha),
+		interCycle: control.NewEWMA(adaptiveAlpha),
 	}
 	if a.maxPending > 0 {
-		a.stepPending = cfg.PendingStep
-		if a.stepPending <= 0 {
-			a.stepPending = max(1, a.maxPending/64)
-		}
-		a.pendingFloor = cfg.PendingFloor
-		if a.pendingFloor <= 0 {
-			a.pendingFloor = max(1, min(8, a.maxPending))
-		}
-		a.pendingCeil = cfg.PendingCeil
-		if a.pendingCeil <= 0 {
-			a.pendingCeil = max(4096, 16*a.maxPending)
-		}
+		a.stepPending = max(1, a.maxPending/64)
+		a.pendingFloor = min(8, a.maxPending)
+		a.pendingCeil = max(4096, 16*a.maxPending)
 	}
 	if a.uplinkRate > 0 {
-		a.stepRate = cfg.RateStep
-		if a.stepRate <= 0 {
-			a.stepRate = a.uplinkRate / 16
-		}
-		a.rateFloor = cfg.RateFloor
-		if a.rateFloor <= 0 {
-			a.rateFloor = max(1, a.uplinkRate/64)
-		}
-		a.rateCeil = cfg.RateCeil
-		if a.rateCeil <= 0 {
-			a.rateCeil = 16 * a.uplinkRate
-		}
+		a.stepRate = a.uplinkRate / 16
+		a.rateFloor = max(1, a.uplinkRate/64)
+		a.rateCeil = 16 * a.uplinkRate
 	}
-	a.pruneChurn = cfg.PruneChurn
-	if a.pruneChurn == 0 {
-		a.pruneChurn = core.DefaultPruneChurn
-	}
-	a.tunePrune = a.pruneChurn > 0
-	a.schedChurn = cfg.ScheduleChurn
-	if a.schedChurn == 0 {
-		a.schedChurn = schedule.DefaultScheduleChurn
-	}
-	a.tuneSched = a.schedChurn > 0
 	return a
 }
 
@@ -295,22 +193,6 @@ func (a *AdaptiveLimiter) UplinkRate() float64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.uplinkRate
-}
-
-// PruneChurn is the live incremental-prune fallback threshold (negative =
-// incremental maintenance disabled).
-func (a *AdaptiveLimiter) PruneChurn() float64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.pruneChurn
-}
-
-// ScheduleChurn is the live incremental-scheduling fallback threshold
-// (negative = disabled).
-func (a *AdaptiveLimiter) ScheduleChurn() float64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.schedChurn
 }
 
 // Health is the current three-state load signal.
@@ -346,8 +228,6 @@ func (a *AdaptiveLimiter) State() AdaptiveState {
 		Target:          a.target,
 		MaxPending:      a.maxPending,
 		UplinkRate:      a.uplinkRate,
-		PruneChurn:      a.pruneChurn,
-		ScheduleChurn:   a.schedChurn,
 		AssemblyLatency: a.assembly.Duration(),
 		CycleLatency:    a.interCycle.Duration(),
 		Sheds:           a.sheds,
@@ -355,65 +235,18 @@ func (a *AdaptiveLimiter) State() AdaptiveState {
 	}
 }
 
-// StageDone implements Probe: accumulate this cycle's assembly wall and feed
-// the incremental-vs-full cost estimators. StageResolve is excluded — it is
-// driven by uplink concurrency, not the cycle loop.
-func (a *AdaptiveLimiter) StageDone(stage string, wall time.Duration, in, out int) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
+// StageDone implements Probe: accumulate this cycle's assembly wall.
+// StageResolve is excluded — it is driven by uplink concurrency, not the cycle
+// loop — and the delta stages are sub-spans of the two they sit inside.
+func (a *AdaptiveLimiter) StageDone(stage string, wall time.Duration, _, _ int) {
 	switch stage {
-	case StageSchedule:
-		a.cycleWall += wall
-		a.pendingDepth = in
-		a.setSize.Observe(float64(in))
-		// ScheduleDone fires before StageDone(StageSchedule), so the kind
-		// attributes this stage's wall.
-		if a.lastSchedKind == ScheduleFull {
-			a.schedFull.ObserveDuration(wall)
-		}
-		a.lastSchedKind = ""
-	case StageScheduleDelta:
-		if in > 0 {
-			a.schedPerChange.Observe(float64(wall) / float64(in))
-		}
-	case StageBuild:
-		a.cycleWall += wall
-		if a.lastPruneKind == PruneFull || a.lastPruneKind == PruneFallback {
-			a.pruneFull.ObserveDuration(wall)
-		}
-		a.lastPruneKind = ""
-	case StagePruneDelta:
-		if in > 0 {
-			a.prunePerChange.Observe(float64(wall) / float64(in))
-		}
-	case StageEncode:
+	case StageSchedule, StageBuild, StageEncode:
 		// Encode runs after the cycle's CycleDone, so its wall lands in the
 		// next control step — a one-cycle smear the EWMA absorbs.
+		a.mu.Lock()
 		a.cycleWall += wall
+		a.mu.Unlock()
 	}
-}
-
-// CacheAccess implements Probe.
-func (a *AdaptiveLimiter) CacheAccess(bool) {}
-
-// CacheInvalidated implements Probe.
-func (a *AdaptiveLimiter) CacheInvalidated() {}
-
-// CacheEvicted implements Probe.
-func (a *AdaptiveLimiter) CacheEvicted(string, int) {}
-
-// PruneDone implements Probe.
-func (a *AdaptiveLimiter) PruneDone(kind string) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.lastPruneKind = kind
-}
-
-// ScheduleDone implements Probe.
-func (a *AdaptiveLimiter) ScheduleDone(kind string) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.lastSchedKind = kind
 }
 
 // CycleDegraded implements Probe.
@@ -423,19 +256,15 @@ func (a *AdaptiveLimiter) CycleDegraded() {
 	a.sawDegraded = true
 }
 
-// ChannelDone implements Probe. Per-channel byte counts carry no load signal
-// the controller acts on; the cycle-level stages drive the control loop.
-func (a *AdaptiveLimiter) ChannelDone(int, broadcast.ChannelRole, int64, bool) {}
-
 // CycleDone implements Probe and runs one control step:
 //
 //   - a degraded cycle always sheds multiplicatively (hard signal);
 //   - assembly latency over target sheds too, but at most once per
-//     HoldCycles window (soft signal with hysteresis), so the EWMA's memory
+//     holdCycles window (soft signal with hysteresis), so the EWMA's memory
 //     of a burst cannot cascade limits to the floor;
 //   - latency under target with the hold window drained grows additively;
 //   - health transitions Shedding→Degraded on a degraded streak and back to
-//     Healthy after RecoverCycles consecutive good cycles.
+//     Healthy after recoverCycles consecutive good cycles.
 func (a *AdaptiveLimiter) CycleDone() {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -460,9 +289,9 @@ func (a *AdaptiveLimiter) CycleDone() {
 	switch {
 	case deg || (over && a.holdLeft == 0):
 		a.shed()
-		a.holdLeft = a.hold
+		a.holdLeft = holdCycles
 		a.healthyStreak = 0
-		if a.degStreak >= a.degStreakMax {
+		if a.degStreak >= degradedStreak {
 			a.health = Degraded
 		} else {
 			a.health = Shedding
@@ -479,21 +308,20 @@ func (a *AdaptiveLimiter) CycleDone() {
 			a.grow()
 		}
 		a.healthyStreak++
-		if a.health != Healthy && a.healthyStreak >= a.recoverAfter {
+		if a.health != Healthy && a.healthyStreak >= recoverCycles {
 			a.health = Healthy
 		}
 	}
-	a.retuneChurn()
 }
 
 // shed applies one multiplicative decrease. Called with a.mu held.
 func (a *AdaptiveLimiter) shed() {
 	a.sheds++
 	if a.maxPending > 0 {
-		a.maxPending = max(a.pendingFloor, int(float64(a.maxPending)*a.factor))
+		a.maxPending = max(a.pendingFloor, int(float64(a.maxPending)*decreaseFactor))
 	}
 	if a.uplinkRate > 0 {
-		a.uplinkRate = max(a.rateFloor, a.uplinkRate*a.factor)
+		a.uplinkRate = max(a.rateFloor, a.uplinkRate*decreaseFactor)
 	}
 }
 
@@ -512,34 +340,4 @@ func (a *AdaptiveLimiter) grow() {
 	if moved {
 		a.grows++
 	}
-}
-
-// retuneChurn picks the incremental-vs-full fallback thresholds from
-// measured costs: a delta path is worth taking while
-// churn × setSize × perChangeCost < fullCost, so the breakeven churn is
-// fullCost / (perChangeCost × setSize), clamped to [0.05, 0.95]. The
-// pending-set depth stands in for the query-set size on the prune side — a
-// proxy, but the two scale together under both drivers. Called with a.mu
-// held.
-func (a *AdaptiveLimiter) retuneChurn() {
-	set := a.setSize.Value()
-	if set < 1 {
-		return
-	}
-	if a.tuneSched && a.schedFull.Seeded() && a.schedPerChange.Seeded() && a.schedPerChange.Value() > 0 {
-		a.schedChurn = clampChurn(a.schedFull.Value() / (a.schedPerChange.Value() * set))
-	}
-	if a.tunePrune && a.pruneFull.Seeded() && a.prunePerChange.Seeded() && a.prunePerChange.Value() > 0 {
-		a.pruneChurn = clampChurn(a.pruneFull.Value() / (a.prunePerChange.Value() * set))
-	}
-}
-
-func clampChurn(x float64) float64 {
-	if x < minAutoChurn {
-		return minAutoChurn
-	}
-	if x > maxAutoChurn {
-		return maxAutoChurn
-	}
-	return x
 }

@@ -2,14 +2,11 @@ package engine
 
 import (
 	"errors"
-	"math"
 	"testing"
 	"time"
 
 	"repro/internal/broadcast"
 	"repro/internal/control"
-	"repro/internal/core"
-	"repro/internal/schedule"
 )
 
 // driveCycle feeds the limiter one synthetic assembly cycle: offered requests
@@ -23,9 +20,7 @@ func driveCycle(al *AdaptiveLimiter, clk *control.Fake, offered int, perReq, bud
 		admitted = cap
 	}
 	wall := time.Duration(admitted) * perReq
-	al.ScheduleDone(ScheduleFull)
 	al.StageDone(StageSchedule, wall/2, admitted, admitted)
-	al.PruneDone(PruneFull)
 	al.StageDone(StageBuild, wall-wall/2, admitted, admitted)
 	degraded = budget > 0 && wall > budget
 	if degraded {
@@ -44,7 +39,6 @@ func TestAdaptiveTargetDerivation(t *testing.T) {
 	}{
 		{"explicit", AdaptiveConfig{TargetLatency: 5 * time.Millisecond}, 5 * time.Millisecond},
 		{"from budget", AdaptiveConfig{Limits: Limits{BuildBudget: 12 * time.Millisecond}}, 6 * time.Millisecond},
-		{"custom fraction", AdaptiveConfig{Limits: Limits{BuildBudget: 10 * time.Millisecond}, TargetFraction: 0.8}, 8 * time.Millisecond},
 		{"no budget", AdaptiveConfig{}, DefaultAdaptiveTarget},
 		// A degenerate 1ns budget derives a 0ns target, which falls through
 		// to the default rather than demanding the impossible.
@@ -54,20 +48,6 @@ func TestAdaptiveTargetDerivation(t *testing.T) {
 		if got := NewAdaptiveLimiter(tc.cfg).State().Target; got != tc.want {
 			t.Errorf("%s: target = %v, want %v", tc.name, got, tc.want)
 		}
-	}
-}
-
-func TestAdaptiveChurnSeeds(t *testing.T) {
-	al := NewAdaptiveLimiter(AdaptiveConfig{})
-	if got := al.PruneChurn(); got != core.DefaultPruneChurn {
-		t.Errorf("zero seed: PruneChurn = %v, want %v", got, core.DefaultPruneChurn)
-	}
-	if got := al.ScheduleChurn(); got != schedule.DefaultScheduleChurn {
-		t.Errorf("zero seed: ScheduleChurn = %v, want %v", got, schedule.DefaultScheduleChurn)
-	}
-	al = NewAdaptiveLimiter(AdaptiveConfig{PruneChurn: 0.6, ScheduleChurn: 0.7})
-	if al.PruneChurn() != 0.6 || al.ScheduleChurn() != 0.7 {
-		t.Errorf("explicit seeds not kept: %v/%v", al.PruneChurn(), al.ScheduleChurn())
 	}
 }
 
@@ -181,7 +161,6 @@ func TestAdaptiveSoftShedHysteresis(t *testing.T) {
 	al := NewAdaptiveLimiter(AdaptiveConfig{
 		Limits:        Limits{MaxPending: 1024},
 		TargetLatency: 10 * time.Millisecond,
-		HoldCycles:    8,
 		Clock:         clk,
 	})
 	over := func() {
@@ -211,7 +190,6 @@ func TestAdaptiveDegradedShedsThroughHold(t *testing.T) {
 	al := NewAdaptiveLimiter(AdaptiveConfig{
 		Limits:        Limits{MaxPending: 1024},
 		TargetLatency: 10 * time.Millisecond,
-		HoldCycles:    8,
 		Clock:         clk,
 	})
 	al.StageDone(StageBuild, 12*time.Millisecond, 100, 100)
@@ -268,67 +246,6 @@ func TestAdaptiveRetryAfter(t *testing.T) {
 	}
 	if got := fast.RetryAfter(); got != time.Millisecond {
 		t.Errorf("sub-ms RetryAfter = %v, want clamped to 1ms", got)
-	}
-}
-
-// driveChurnSamples feeds the limiter one full and one incremental cycle with
-// the given stage costs over a pending set of setSize requests, then lets
-// CycleDone retune the breakeven thresholds.
-func driveChurnSamples(al *AdaptiveLimiter, clk *control.Fake, setSize int, fullWall, perChange time.Duration) {
-	// Full cycle: both stages rebuilt from scratch.
-	al.ScheduleDone(ScheduleFull)
-	al.StageDone(StageSchedule, fullWall, setSize, setSize)
-	al.PruneDone(PruneFull)
-	al.StageDone(StageBuild, fullWall, setSize, setSize)
-	clk.Advance(time.Millisecond)
-	al.CycleDone()
-	// Incremental cycle: delta sub-spans report the per-change cost.
-	deltaWall := time.Duration(setSize) * perChange
-	al.ScheduleDone(ScheduleIncremental)
-	al.StageDone(StageScheduleDelta, deltaWall, setSize, setSize)
-	al.StageDone(StageSchedule, deltaWall, setSize, setSize)
-	al.PruneDone(PruneIncremental)
-	al.StageDone(StagePruneDelta, deltaWall, setSize, setSize)
-	al.StageDone(StageBuild, deltaWall, setSize, setSize)
-	clk.Advance(time.Millisecond)
-	al.CycleDone()
-}
-
-func TestAdaptiveChurnAutotune(t *testing.T) {
-	cases := []struct {
-		name      string
-		setSize   int
-		fullWall  time.Duration
-		perChange time.Duration
-		want      float64
-	}{
-		// breakeven = full / (perChange × set)
-		{"mid", 500, 2500 * time.Microsecond, 10 * time.Microsecond, 0.5},
-		{"clamp high", 500, 100 * time.Millisecond, 10 * time.Microsecond, 0.95},
-		{"clamp low", 500, 10 * time.Microsecond, 10 * time.Microsecond, 0.05},
-	}
-	for _, tc := range cases {
-		clk := control.NewFake(time.Unix(0, 0))
-		al := NewAdaptiveLimiter(AdaptiveConfig{Clock: clk})
-		driveChurnSamples(al, clk, tc.setSize, tc.fullWall, tc.perChange)
-		if got := al.ScheduleChurn(); math.Abs(got-tc.want) > 1e-9 {
-			t.Errorf("%s: ScheduleChurn = %v, want %v", tc.name, got, tc.want)
-		}
-		if got := al.PruneChurn(); math.Abs(got-tc.want) > 1e-9 {
-			t.Errorf("%s: PruneChurn = %v, want %v", tc.name, got, tc.want)
-		}
-	}
-}
-
-func TestAdaptiveChurnOptOut(t *testing.T) {
-	clk := control.NewFake(time.Unix(0, 0))
-	al := NewAdaptiveLimiter(AdaptiveConfig{PruneChurn: -1, ScheduleChurn: -1, Clock: clk})
-	driveChurnSamples(al, clk, 500, 100*time.Millisecond, 10*time.Microsecond)
-	if got := al.PruneChurn(); got != -1 {
-		t.Errorf("PruneChurn = %v, want -1 passed through (tuning disabled)", got)
-	}
-	if got := al.ScheduleChurn(); got != -1 {
-		t.Errorf("ScheduleChurn = %v, want -1 passed through (tuning disabled)", got)
 	}
 }
 
@@ -390,40 +307,5 @@ func TestEngineAdaptiveSkipsHardPendingReject(t *testing.T) {
 	}
 	if plain.Metrics().Health != "" || plain.Metrics().Adaptive != nil {
 		t.Error("plain engine reports adaptive state")
-	}
-}
-
-// The controller's live churn thresholds must reach the engine's incremental
-// machinery: an opt-out seed (-1) forces the reference full-prune path even
-// though the engine would default to incremental maintenance.
-func TestEngineAdaptiveChurnFlowsIntoPrune(t *testing.T) {
-	c, queries := fixture(t, 10, 6)
-	al := NewAdaptiveLimiter(AdaptiveConfig{PruneChurn: -1, ScheduleChurn: -1})
-	e, err := New(Config{Collection: c, Mode: broadcast.TwoTierMode, CycleCapacity: 100_000, Adaptive: al})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var pending []Pending
-	for i, q := range queries {
-		docs, err := e.Resolve(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(docs) == 0 {
-			continue
-		}
-		pending = append(pending, Pending{ID: int64(i), Query: q, Arrival: int64(i), Remaining: docs})
-	}
-	for cycle := int64(1); cycle <= 3; cycle++ {
-		if _, err := e.AssembleCycle(cycle, cycle, pending); err != nil {
-			t.Fatal(err)
-		}
-	}
-	m := e.Metrics()
-	if m.IncrementalPrunes != 0 {
-		t.Errorf("IncrementalPrunes = %d, want 0 (controller churn -1 disables the view)", m.IncrementalPrunes)
-	}
-	if m.FullPrunes != 3 {
-		t.Errorf("FullPrunes = %d, want 3", m.FullPrunes)
 	}
 }

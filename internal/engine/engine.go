@@ -12,6 +12,11 @@
 //     engine never scans documents to answer a query;
 //   - the builder's merged DataGuide is constructed with per-document guides
 //     built in parallel (dataguide.MergeParallel via broadcast.NewBuilder);
+//   - there is one way to plan and one way to prune, and no option selects
+//     between ways: the demand index and the pruned view are maintained by
+//     deltas across cycles and rebuilt in full when the churn they observe
+//     exceeds a fixed quarter of the set. The references they are defined
+//     against (Scheduler.PlanCycle, core.Index.Prune) are what tests call;
 //   - wire encoding reuses pooled buffers and a per-document payload cache,
 //     so steady-state cycles allocate O(1) buffers instead of O(docs).
 //
@@ -58,31 +63,14 @@ type Config struct {
 	// Probe receives pipeline telemetry in addition to the engine's own
 	// collector. Optional.
 	Probe Probe
-	// Workers bounds the sharding of the demand index's full rebuild
-	// (schedule.DemandIndex.Rebuild), the one stage the engine still runs
-	// across goroutines. Zero selects runtime.GOMAXPROCS(0).
-	Workers int
 	// Limits bounds the engine's memory and per-cycle latency; see Limits.
 	// The zero value imposes no limits.
 	Limits Limits
-	// PruneChurn is the query-churn fraction above which the incremental
-	// PCI maintainer falls back to a full prune (see core.PrunedView). Zero
-	// selects core.DefaultPruneChurn; a negative value disables incremental
-	// maintenance entirely, re-pruning from scratch every cycle.
-	PruneChurn float64
-	// ScheduleChurn is the pending-set churn fraction above which the
-	// incremental demand index falls back to a sharded full rebuild (see
-	// schedule.DemandIndex). Zero selects schedule.DefaultScheduleChurn; a
-	// negative value disables incremental scheduling entirely, planning
-	// every cycle from the pending slice alone.
-	ScheduleChurn float64
 	// Adaptive wires a self-tuning admission controller into the probe
-	// stream. When set, the controller's live values supersede the static
-	// PruneChurn/ScheduleChurn each cycle, Metrics carries its health and
-	// state, and AssembleCycle stops hard-rejecting on Limits.MaxPending —
-	// the driver enforces the controller's cap at admission time instead,
-	// so already-admitted work still assembles right after a shed.
-	// Optional.
+	// stream. When set, Metrics carries its health and state, and
+	// AssembleCycle stops hard-rejecting on Limits.MaxPending — the driver
+	// enforces the controller's cap at admission time instead, so
+	// already-admitted work still assembles right after a shed. Optional.
 	Adaptive *AdaptiveLimiter
 	// Channels selects the broadcast layout: 0 or 1 (the default) emits the
 	// serial single-channel program; K > 1 splits each cycle across K
@@ -162,7 +150,6 @@ func (enc *Encoded) Air(i int) []byte {
 type Engine struct {
 	scheduler schedule.Scheduler
 	capacity  int
-	workers   int
 	limits    Limits
 	probe     probes
 	collector *Collector
@@ -176,20 +163,15 @@ type Engine struct {
 	payloads *payloadCache
 
 	// view maintains the PCI incrementally across cycles (keyed on the CI
-	// pointer, which the builder replaces on every collection change). nil
-	// until the first prune, or permanently when pruneChurn < 0.
-	view       *core.PrunedView
-	pruneChurn float64
+	// pointer, which the builder replaces on every collection change).
+	view *core.PrunedView
 
 	// demand maintains per-document demand aggregation across cycles by
-	// pending-set deltas; nil until the first plan, or permanently when
-	// schedChurn < 0 or the scheduler is not incremental. changeIdx and
-	// keepIDs are per-cycle diff scratch, reused under mu.
-	demand     *schedule.DemandIndex
-	isched     schedule.IncrementalScheduler // nil when unsupported
-	schedChurn float64
-	changeIdx  []int
-	keepIDs    map[int64]struct{}
+	// pending-set deltas. changeIdx and keepIDs are per-cycle diff scratch,
+	// reused under mu.
+	demand    *schedule.DemandIndex
+	changeIdx []int
+	keepIDs   map[int64]struct{}
 
 	// fp is the order-independent collection fingerprint (XOR of
 	// journal.DocHash per live document), maintained incrementally so the
@@ -216,9 +198,6 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.Scheduler == nil {
 		cfg.Scheduler = schedule.LeeLo{}
 	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
 	builder, err := broadcast.NewBuilder(cfg.Collection, cfg.Model, cfg.Mode)
 	if err != nil {
 		return nil, err
@@ -233,25 +212,17 @@ func New(cfg Config) (*Engine, error) {
 			return nil, fmt.Errorf("engine: %w", err)
 		}
 	}
-	schedChurn := cfg.ScheduleChurn
-	if schedChurn == 0 {
-		schedChurn = schedule.DefaultScheduleChurn
-	}
 	e := &Engine{
-		scheduler:  cfg.Scheduler,
-		capacity:   cfg.CycleCapacity,
-		workers:    cfg.Workers,
-		limits:     cfg.Limits,
-		adaptive:   cfg.Adaptive,
-		pruneChurn: cfg.PruneChurn,
-		schedChurn: schedChurn,
-		collector:  NewCollector(),
-		builder:    builder,
-		answers:    newAnswerCache(cfg.Limits.MaxAnswerCacheEntries),
-		payloads:   newPayloadCache(cfg.Limits.MaxPayloadCacheBytes),
-	}
-	if schedChurn >= 0 {
-		e.isched, _ = cfg.Scheduler.(schedule.IncrementalScheduler)
+		scheduler: cfg.Scheduler,
+		capacity:  cfg.CycleCapacity,
+		limits:    cfg.Limits,
+		adaptive:  cfg.Adaptive,
+		collector: NewCollector(),
+		builder:   builder,
+		answers:   newAnswerCache(cfg.Limits.MaxAnswerCacheEntries),
+		payloads:  newPayloadCache(cfg.Limits.MaxPayloadCacheBytes),
+		view:      core.NewPrunedView(0),
+		demand:    schedule.NewDemandIndex(),
 	}
 	e.fpSizes = make(map[xmldoc.DocID]int, cfg.Collection.Len())
 	for _, d := range cfg.Collection.Docs() {
@@ -403,8 +374,7 @@ func (e *Engine) AssembleCycle(number, start int64, pending []Pending) (*Cycle, 
 // ID and arrival, its Remaining set only shrinks, every Remaining is
 // non-empty, and new requests are appended after surviving ones. Both
 // drivers satisfy this; callers that mutate pending arbitrarily between
-// cycles still get correct plans whenever a count or arrival changes, and
-// can force reference behaviour with a negative Config.ScheduleChurn.
+// cycles still get correct plans whenever a count or arrival changes.
 func (e *Engine) AssembleCycleAt(number, start, schedNow int64, pending []Pending) (*Cycle, error) {
 	if len(pending) == 0 {
 		return nil, fmt.Errorf("engine: AssembleCycle with no pending requests")
@@ -468,28 +438,17 @@ func (e *Engine) AssembleCycleAt(number, start, schedNow int64, pending []Pendin
 	return cy, nil
 }
 
-// planCycle produces one cycle's document plan. With an incremental
-// scheduler it diffs the pending set against the persistent demand index —
-// cheap (count, arrival) probes decide between applying the delta and a
-// sharded full rebuild when churn exceeds schedChurn — then plans from the
-// index and applies the plan's predicted deliveries, so the next diff is
+// planCycle produces one cycle's document plan. It diffs the pending set
+// against the persistent demand index — cheap (count, arrival) probes decide
+// between applying the delta and a sharded full rebuild when churn exceeds
+// schedule.DefaultScheduleChurn — then plans from the index (the scheduler's
+// PlanIndexed, defined to equal its reference PlanCycle over the same pending
+// set) and applies the plan's predicted deliveries, so the next diff is
 // no-op-sized for well-behaved drivers. Requests that complete are kept as
 // zombies until the next pending set confirms them, which lets a lossy
 // delivery resurrect a request without perturbing LeeLo's summation order.
 // Called with e.mu held.
 func (e *Engine) planCycle(reqs []schedule.Request, size func(xmldoc.DocID) int, now int64) ([]xmldoc.DocID, error) {
-	if e.isched == nil {
-		for i := range reqs {
-			if err := reqs[i].Validate(); err != nil {
-				return nil, err
-			}
-		}
-		e.probe.ScheduleDone(ScheduleFull)
-		return e.scheduler.PlanCycle(reqs, size, e.capacity, now), nil
-	}
-	if e.demand == nil {
-		e.demand = schedule.NewDemandIndex()
-	}
 	x := e.demand
 	deltaStart := time.Now()
 	changed := e.changeIdx[:0]
@@ -507,12 +466,9 @@ func (e *Engine) planCycle(reqs []schedule.Request, size func(xmldoc.DocID) int,
 	e.changeIdx = changed
 	removed := x.Len() - matched
 	churn := len(changed) + removed
-	schedChurn := e.schedChurn
-	if e.adaptive != nil {
-		schedChurn = e.adaptive.ScheduleChurn()
-	}
-	if x.Len() == 0 || float64(churn) > schedChurn*float64(len(reqs)+removed) {
-		if err := x.Rebuild(reqs, size, e.workers); err != nil {
+	if x.Len() == 0 || float64(churn) > schedule.DefaultScheduleChurn*float64(len(reqs)+removed) {
+		// Rebuild caps its own sharding at one worker per 512 requests.
+		if err := x.Rebuild(reqs, size, runtime.GOMAXPROCS(0)); err != nil {
 			return nil, err
 		}
 		x.TakeEdits()
@@ -540,7 +496,7 @@ func (e *Engine) planCycle(reqs []schedule.Request, size func(xmldoc.DocID) int,
 		e.probe.StageDone(StageScheduleDelta, time.Since(deltaStart), churn, x.TakeEdits())
 		e.probe.ScheduleDone(ScheduleIncremental)
 	}
-	plan := e.isched.PlanIndexed(x, e.capacity, now)
+	plan := e.scheduler.PlanIndexed(x, e.capacity, now)
 	for _, d := range plan {
 		x.DeliverDoc(d)
 	}
@@ -553,17 +509,6 @@ func (e *Engine) planCycle(reqs []schedule.Request, size func(xmldoc.DocID) int,
 // overruns it stops (the view empties itself and starts over next cycle) and
 // the unpruned CI is returned with degraded = true. Called with e.mu held.
 func (e *Engine) pruneWithBudget(ci *core.Index, queries []xpath.Path) (*core.Index, bool, error) {
-	pruneChurn := e.pruneChurn
-	if e.adaptive != nil {
-		pruneChurn = e.adaptive.PruneChurn()
-	}
-	if pruneChurn >= 0 {
-		if e.view == nil {
-			e.view = core.NewPrunedView(pruneChurn)
-		} else if e.adaptive != nil {
-			e.view.SetChurn(pruneChurn)
-		}
-	}
 	var deadline time.Time // zero: no budget
 	if e.limits.BuildBudget > 0 {
 		deadline = time.Now().Add(e.limits.BuildBudget)
@@ -578,18 +523,11 @@ func (e *Engine) pruneWithBudget(ci *core.Index, queries []xpath.Path) (*core.In
 	return pci, false, nil
 }
 
-// pruneOnce produces one cycle's PCI — through the view's delta maintenance
-// when one is live, from scratch otherwise — and reports the outcome kind
-// plus, for delta updates, the StagePruneDelta sub-span.
+// pruneOnce produces one cycle's PCI through the view — a delta update, or a
+// full prune when the view is empty, the CI was rebuilt or query churn exceeds
+// core.DefaultPruneChurn — and reports the outcome kind plus, for delta
+// updates, the StagePruneDelta sub-span.
 func (e *Engine) pruneOnce(ci *core.Index, queries []xpath.Path, deadline time.Time) (*core.Index, error) {
-	if e.view == nil { // incremental maintenance is disabled
-		pci, _, err := ci.PruneWithFilter(yfilter.New(queries), deadline)
-		if err != nil {
-			return nil, fmt.Errorf("engine: prune: %w", err)
-		}
-		e.probe.PruneDone(PruneFull)
-		return pci, nil
-	}
 	start := time.Now()
 	pci, delta, err := e.view.UpdateUntil(ci, queries, deadline)
 	if err != nil {
@@ -782,11 +720,9 @@ func (e *Engine) RemoveDocument(id xmldoc.DocID) error {
 			en.docs = xmldoc.RemoveID(slices.Clone(en.docs), id)
 		}
 	}
-	if e.demand != nil {
-		// Purge the doc from the demand index the same way a delivery
-		// would: requesters stop missing it, and requests it completed
-		// become zombies until the drivers' pending sets confirm.
-		e.demand.DeliverDoc(id)
-	}
+	// Purge the doc from the demand index the same way a delivery would:
+	// requesters stop missing it, and requests it completed become zombies
+	// until the drivers' pending sets confirm.
+	e.demand.DeliverDoc(id)
 	return nil
 }

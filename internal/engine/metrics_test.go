@@ -82,8 +82,6 @@ func TestMetricsStringAdaptive(t *testing.T) {
 			Health:          Shedding,
 			MaxPending:      128,
 			UplinkRate:      16,
-			PruneChurn:      0.25,
-			ScheduleChurn:   0.5,
 			AssemblyLatency: 9 * time.Millisecond,
 			Sheds:           3,
 			Grows:           11,
@@ -92,7 +90,7 @@ func TestMetricsStringAdaptive(t *testing.T) {
 	s := m.String()
 	for _, want := range []string{
 		"health=shedding",
-		"adaptive{pend=128 rate=16 churn=0.25/0.50 lat=9ms sheds=3 grows=11}",
+		"adaptive{pend=128 rate=16 lat=9ms sheds=3 grows=11}",
 	} {
 		if !strings.Contains(s, want) {
 			t.Errorf("snapshot %q missing %q", s, want)

@@ -99,20 +99,18 @@ func TestAssembleCycleCostIndependentOfAnswerSize(t *testing.T) {
 // TestUnsortedRemainingRejected: the engine borrows Remaining without sorting
 // it, so the scheduling code that reads it must refuse a set that is out of
 // order or holds a duplicate — on the demand index's rebuild and delta paths
-// and on the reference path alike — with an error naming the request.
+// alike — with an error naming the request.
 func TestUnsortedRemainingRejected(t *testing.T) {
 	for _, tc := range []struct {
-		name  string
-		churn float64
-		bad   []xmldoc.DocID
+		name string
+		bad  []xmldoc.DocID
 	}{
-		{"rebuild/unsorted", 0, []xmldoc.DocID{5, 3, 9}},
-		{"rebuild/duplicate", 0, []xmldoc.DocID{3, 3, 9}},
-		{"reference/unsorted", -1, []xmldoc.DocID{5, 3, 9}},
+		{"rebuild/unsorted", []xmldoc.DocID{5, 3, 9}},
+		{"rebuild/duplicate", []xmldoc.DocID{3, 3, 9}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c, pending := pendingOf(t, 8, 10)
-			eng, err := New(Config{Collection: c, Mode: broadcast.TwoTierMode, CycleCapacity: 40_000, ScheduleChurn: tc.churn})
+			eng, err := New(Config{Collection: c, Mode: broadcast.TwoTierMode, CycleCapacity: 40_000})
 			if err != nil {
 				t.Fatal(err)
 			}

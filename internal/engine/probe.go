@@ -52,8 +52,7 @@ const (
 	// demand index.
 	ScheduleIncremental = "incremental"
 	// ScheduleFull is a cycle planned after a from-scratch demand
-	// aggregation: the index's first cycle, a churn fallback rebuild, or
-	// incremental scheduling disabled (including non-indexable policies).
+	// aggregation: the index's first cycle or a churn fallback rebuild.
 	ScheduleFull = "full"
 )
 
@@ -71,7 +70,7 @@ const (
 	// maintainer (a delta update, including the degenerate no-change reuse).
 	PruneIncremental = "incremental"
 	// PruneFull is a from-scratch prune with no usable prior state: the
-	// view's first cycle, or incremental maintenance disabled.
+	// view's first cycle, or the first after a budget overrun emptied it.
 	PruneFull = "full"
 	// PruneFallback is a from-scratch prune forced on a live view — the
 	// query-set churn exceeded the threshold or the CI itself changed.
@@ -178,8 +177,7 @@ type Metrics struct {
 	IncrementalPrunes, FullPrunes, PruneFallbacks int64
 	// IncrementalSchedules counts cycles planned from the delta-maintained
 	// demand index; FullSchedules counts cycles planned after a
-	// from-scratch demand aggregation (cold start, churn fallback, or
-	// incremental scheduling disabled).
+	// from-scratch demand aggregation (cold start or churn fallback).
 	IncrementalSchedules, FullSchedules int64
 	// Channels holds per-channel aggregates, indexed by channel ID; empty
 	// on single-channel runs.
@@ -253,9 +251,8 @@ func (m Metrics) String() string {
 		fmt.Fprintf(&b, " health=%s", m.Health)
 	}
 	if a := m.Adaptive; a != nil {
-		fmt.Fprintf(&b, " adaptive{pend=%d rate=%.3g churn=%.2f/%.2f lat=%s sheds=%d grows=%d}",
-			a.MaxPending, a.UplinkRate, a.PruneChurn, a.ScheduleChurn,
-			a.AssemblyLatency.Round(time.Microsecond), a.Sheds, a.Grows)
+		fmt.Fprintf(&b, " adaptive{pend=%d rate=%.3g lat=%s sheds=%d grows=%d}",
+			a.MaxPending, a.UplinkRate, a.AssemblyLatency.Round(time.Microsecond), a.Sheds, a.Grows)
 	}
 	names := make([]string, 0, len(m.Stages))
 	for name := range m.Stages {

@@ -7,12 +7,14 @@ import (
 	"time"
 
 	"repro/internal/broadcast"
+	"repro/internal/core"
+	"repro/internal/schedule"
+	"repro/internal/xmldoc"
 	"repro/internal/xpath"
 )
 
-// assembleWith resolves the given queries and assembles one cycle pending
-// exactly that set.
-func assembleWith(t *testing.T, e *Engine, number int64, queries []xpath.Path) *Cycle {
+// pendingFor resolves the given queries into one pending request each.
+func pendingFor(t *testing.T, e *Engine, queries []xpath.Path) []Pending {
 	t.Helper()
 	answers, err := e.ResolveAll(queries)
 	if err != nil {
@@ -22,11 +24,57 @@ func assembleWith(t *testing.T, e *Engine, number int64, queries []xpath.Path) *
 	for i, q := range queries {
 		pending = append(pending, Pending{ID: int64(i), Query: q, Arrival: 0, Remaining: answers[q.String()]})
 	}
-	cy, err := e.AssembleCycle(number, 0, pending)
+	return pending
+}
+
+// assembleWith resolves the given queries and assembles one cycle pending
+// exactly that set.
+func assembleWith(t *testing.T, e *Engine, number int64, queries []xpath.Path) *Cycle {
+	t.Helper()
+	cy, err := e.AssembleCycle(number, 0, pendingFor(t, e, queries))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return cy
+}
+
+// referenceBuilder is the bare two-tier builder referenceCycle lays cycles out
+// with.
+func referenceBuilder(t *testing.T, c *xmldoc.Collection) *broadcast.Builder {
+	t.Helper()
+	b, err := broadcast.NewBuilder(c, core.DefaultSizeModel(), broadcast.TwoTierMode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// referenceCycle assembles and encodes pending the way the engine is specified
+// to, through the exported references alone: the scheduler's PlanCycle over
+// the pending slice, Index.Prune over the distinct queries, and a bare
+// broadcast.Builder for layout and wire segments.
+func referenceCycle(t *testing.T, b *broadcast.Builder, sched schedule.Scheduler, capacity int, number, now int64, pending []Pending) (cy *Cycle, index, secondTier []byte) {
+	t.Helper()
+	reqs := make([]schedule.Request, len(pending))
+	var queries []xpath.Path
+	seen := make(map[string]bool, len(pending))
+	for i, p := range pending {
+		reqs[i] = schedule.Request{ID: p.ID, Arrival: p.Arrival, Docs: p.Remaining}
+		if !seen[p.Query.String()] {
+			seen[p.Query.String()] = true
+			queries = append(queries, p.Query)
+		}
+	}
+	size := func(d xmldoc.DocID) int { return b.DocByID(d).Size() }
+	cy, err := b.BuildCycle(number, now, queries, sched.PlanCycle(reqs, size, capacity, now))
+	if err != nil {
+		t.Fatal(err)
+	}
+	index, secondTier, err = b.Encode(cy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cy, index, secondTier
 }
 
 // TestPruneIncrementalAcrossCycles drives the engine through a drifting query
@@ -55,26 +103,19 @@ func TestPruneIncrementalAcrossCycles(t *testing.T) {
 		t.Error("delta update did not report StagePruneDelta")
 	}
 
-	// The incremental PCI must be exactly what a from-scratch engine prunes.
-	ref := newEngine(t, c, c.TotalSize())
-	ref.pruneChurn = -1 // full prune every cycle
-	want := assembleWith(t, ref, 1, drifted)
+	// The incremental PCI must air exactly what a from-scratch prune airs.
+	_, wantIndex, wantSecondTier := referenceCycle(t, referenceBuilder(t, c), e.Scheduler(), c.TotalSize(), 1, 0, pendingFor(t, e, drifted))
 	encGot, err := e.EncodeCycle(cy)
 	if err != nil {
 		t.Fatal(err)
 	}
-	encWant, err := ref.EncodeCycle(want)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(encGot.Index, encWant.Index) {
+	if !bytes.Equal(encGot.Index, wantIndex) {
 		t.Error("incremental PCI index segment differs from from-scratch prune")
 	}
-	if !bytes.Equal(encGot.SecondTier, encWant.SecondTier) {
+	if !bytes.Equal(encGot.SecondTier, wantSecondTier) {
 		t.Error("incremental second-tier segment differs from from-scratch prune")
 	}
 	e.Recycle(encGot)
-	ref.Recycle(encWant)
 
 	// An unchanged query set is the degenerate incremental update.
 	assembleWith(t, e, 2, drifted)
@@ -110,25 +151,6 @@ func TestPruneChurnFallback(t *testing.T) {
 	}
 	if m.IncrementalPrunes != 0 {
 		t.Errorf("IncrementalPrunes = %d, want 0", m.IncrementalPrunes)
-	}
-}
-
-// TestPruneIncrementalDisabled checks that a negative PruneChurn re-prunes
-// from scratch every cycle and never creates a view.
-func TestPruneIncrementalDisabled(t *testing.T) {
-	c, queries := fixture(t, 10, 6)
-	e, err := New(Config{Collection: c, Mode: broadcast.TwoTierMode, CycleCapacity: c.TotalSize(), PruneChurn: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assembleWith(t, e, 0, queries[:4])
-	assembleWith(t, e, 1, queries[:4])
-	m := e.Metrics()
-	if m.FullPrunes != 2 || m.IncrementalPrunes != 0 {
-		t.Errorf("disabled maintainer: %d full / %d incremental, want 2/0", m.FullPrunes, m.IncrementalPrunes)
-	}
-	if e.view != nil {
-		t.Error("disabled maintainer still built a PrunedView")
 	}
 }
 

@@ -8,7 +8,6 @@ package exp
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/broadcast"
 	"repro/internal/core"
@@ -98,13 +97,6 @@ type Config struct {
 	// accounted at transport-envelope size and index reads are whole
 	// compressed segments. Incompatible with Channels > 1.
 	Compress bool
-	// Adaptive enables the self-tuning admission controller in every
-	// simulation this config drives (see sim.Config.Adaptive). Off by
-	// default.
-	Adaptive bool
-	// AdaptiveTarget is the controller's per-cycle assembly-latency goal;
-	// zero selects the default derivation. Ignored unless Adaptive.
-	AdaptiveTarget time.Duration
 }
 
 // Default returns the reconstructed Table 2 setup.
@@ -167,16 +159,14 @@ func (c Config) requests(queries []xpath.Path) []sim.ClientRequest {
 // layout, so Channels and IndexEncoding apply to two-tier legs only.
 func (c Config) simConfig(coll *xmldoc.Collection, mode broadcast.Mode, sched schedule.Scheduler, reqs []sim.ClientRequest) sim.Config {
 	sc := sim.Config{
-		Collection:     coll,
-		Model:          c.Model,
-		Mode:           mode,
-		Scheduler:      sched,
-		CycleCapacity:  c.CycleCapacity,
-		Requests:       reqs,
-		Limits:         c.Limits,
-		Adaptive:       c.Adaptive,
-		AdaptiveTarget: c.AdaptiveTarget,
-		Compress:       c.Compress,
+		Collection:    coll,
+		Model:         c.Model,
+		Mode:          mode,
+		Scheduler:     sched,
+		CycleCapacity: c.CycleCapacity,
+		Requests:      reqs,
+		Limits:        c.Limits,
+		Compress:      c.Compress,
 	}
 	if mode == broadcast.TwoTierMode {
 		sc.Channels = c.Channels

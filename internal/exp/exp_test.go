@@ -311,7 +311,7 @@ func TestZeroPGeneratesNoWildcards(t *testing.T) {
 }
 
 // simConfig is the only bridge from the harness's Config to the simulator's:
-// limits and the adaptive controller always cross it, the layout knobs cross
+// limits always cross it, the layout knobs cross
 // it on two-tier legs only, and Compress follows the config on both.
 func TestSimConfig(t *testing.T) {
 	cfg := small()
@@ -319,8 +319,6 @@ func TestSimConfig(t *testing.T) {
 	cfg.IndexEncoding = core.EncodingSuccinct
 	cfg.Compress = true
 	cfg.Limits = engine.Limits{MaxPending: 9, BuildBudget: time.Second}
-	cfg.Adaptive = true
-	cfg.AdaptiveTarget = 3 * time.Millisecond
 	coll, err := cfg.documents()
 	if err != nil {
 		t.Fatal(err)
@@ -343,8 +341,8 @@ func TestSimConfig(t *testing.T) {
 		if sc.Model != cfg.Model || sc.CycleCapacity != cfg.CycleCapacity {
 			t.Errorf("%v: model/capacity = %+v/%d", mode, sc.Model, sc.CycleCapacity)
 		}
-		if sc.Limits != cfg.Limits || !sc.Adaptive || sc.AdaptiveTarget != cfg.AdaptiveTarget || !sc.Compress {
-			t.Errorf("%v: limits/adaptive/compress dropped: %+v", mode, sc)
+		if sc.Limits != cfg.Limits || !sc.Compress {
+			t.Errorf("%v: limits/compress dropped: %+v", mode, sc)
 		}
 		wantK, wantEnc := 0, core.EncodingNode
 		if mode == broadcast.TwoTierMode {

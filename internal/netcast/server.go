@@ -82,23 +82,11 @@ type ServerConfig struct {
 	// UplinkBurst is the token-bucket burst size. Default 8 when
 	// UplinkRate is set.
 	UplinkBurst int
-	// PruneChurn is the query-churn fraction above which the engine's
-	// incremental PCI maintainer falls back to a full prune. Zero selects
-	// the default; negative disables incremental maintenance (see
-	// engine.Config.PruneChurn). Prune-path counters surface in
-	// Stats().Engine.
-	PruneChurn float64
-	// ScheduleChurn is the pending-set churn fraction above which the
-	// engine rebuilds its demand index from scratch instead of applying
-	// deltas. Zero selects the default; negative disables incremental
-	// scheduling (see engine.Config.ScheduleChurn). Schedule-path counters
-	// surface in Stats().Engine.
-	ScheduleChurn float64
 	// Adaptive replaces the static admission knobs with a self-tuning
-	// control loop (engine.AdaptiveLimiter): Limits.MaxPending, UplinkRate
-	// and the churn thresholds become seeds the controller retunes from
-	// observed cycle latency, and FrameReject retry-after hints come from
-	// its cycle-latency estimate. A zero MaxPending seeds
+	// control loop (engine.AdaptiveLimiter): Limits.MaxPending and
+	// UplinkRate become seeds the controller retunes from observed cycle
+	// latency, and FrameReject retry-after hints come from its
+	// cycle-latency estimate. A zero MaxPending seeds
 	// engine.DefaultAdaptivePending; a zero UplinkRate seeds
 	// engine.DefaultAdaptiveUplinkRate. Health surfaces in Stats.
 	Adaptive bool
@@ -371,8 +359,6 @@ func StartServer(cfg ServerConfig) (*Server, error) {
 		adaptive = engine.NewAdaptiveLimiter(engine.AdaptiveConfig{
 			Limits:        cfg.Limits,
 			UplinkRate:    cfg.UplinkRate,
-			PruneChurn:    cfg.PruneChurn,
-			ScheduleChurn: cfg.ScheduleChurn,
 			TargetLatency: cfg.AdaptiveTarget,
 			Clock:         clock,
 		})
@@ -390,8 +376,6 @@ func StartServer(cfg ServerConfig) (*Server, error) {
 		CycleCapacity: cfg.CycleCapacity,
 		Probe:         cfg.Probe,
 		Limits:        cfg.Limits,
-		PruneChurn:    cfg.PruneChurn,
-		ScheduleChurn: cfg.ScheduleChurn,
 		Adaptive:      adaptive,
 	})
 	if err != nil {

@@ -266,11 +266,11 @@ type emptyPlanner struct {
 	broken atomic.Bool
 }
 
-func (p *emptyPlanner) PlanCycle(pending []schedule.Request, size func(xmldoc.DocID) int, capacity int, now int64) []xmldoc.DocID {
+func (p *emptyPlanner) PlanIndexed(x *schedule.DemandIndex, capacity int, now int64) []xmldoc.DocID {
 	if p.broken.Load() {
 		return nil
 	}
-	return p.LeeLo.PlanCycle(pending, size, capacity, now)
+	return p.LeeLo.PlanIndexed(x, capacity, now)
 }
 
 // TestFatalCycleErrorIsSurfaced: a fatal cycle-assembly error stops the
@@ -284,7 +284,6 @@ func TestFatalCycleErrorIsSurfaced(t *testing.T) {
 		Scheduler:     planner,
 		CycleCapacity: 50_000,
 		CycleInterval: 2 * time.Millisecond,
-		ScheduleChurn: -1, // plan through PlanCycle, not the demand index
 	})
 	if err != nil {
 		t.Fatalf("StartServer: %v", err)

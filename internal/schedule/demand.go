@@ -69,10 +69,9 @@ type docHeapEntry struct {
 // across broadcast cycles by pending-set deltas instead of being rebuilt
 // from each cycle's full pending slice: per-document requester lists with
 // refcounts-by-construction, arrival extrema for RxW, and cached LeeLo
-// scores with dirty tracking. The incremental schedulers (PlanIndexed on
-// each policy) plan directly from it and are defined to produce exactly the
-// plan the reference PlanCycle would produce for the equivalent pending
-// slice.
+// scores with dirty tracking. Every policy's PlanIndexed plans directly from
+// it and is defined to produce exactly the plan the reference PlanCycle would
+// produce for the equivalent pending slice.
 //
 // Contracts, matching how the engine's drivers behave:
 //   - Request.Docs handed to Apply/Rebuild are sorted ascending without

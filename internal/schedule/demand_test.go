@@ -159,8 +159,6 @@ func TestIncrementalMatchesReferenceUnderChurn(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			inc := sched.(IncrementalScheduler)
-			ref := sched
 			for seed := int64(1); seed <= 3; seed++ {
 				rng := rand.New(rand.NewSource(seed))
 				const nDocs, capacity = 50, 5000
@@ -200,8 +198,8 @@ func TestIncrementalMatchesReferenceUnderChurn(t *testing.T) {
 						continue
 					}
 
-					want := ref.PlanCycle(mirror, size, capacity, now)
-					got := inc.PlanIndexed(x, capacity, now)
+					want := sched.PlanCycle(mirror, size, capacity, now)
+					got := sched.PlanIndexed(x, capacity, now)
 					if !reflect.DeepEqual(want, got) {
 						t.Fatalf("seed %d step %d: PlanIndexed = %v, reference = %v",
 							seed, step, got, want)
@@ -282,7 +280,7 @@ func TestIncrementalContractsAtScale(t *testing.T) {
 		}
 		for _, name := range Names() {
 			sched, _ := New(name)
-			plan := sched.(IncrementalScheduler).PlanIndexed(x, capacity, now)
+			plan := sched.PlanIndexed(x, capacity, now)
 			seen := make(map[xmldoc.DocID]struct{}, len(plan))
 			used := 0
 			for _, d := range plan {

@@ -96,7 +96,7 @@ func FuzzDemandIndex(f *testing.F) {
 				for _, name := range Names() {
 					sched, _ := New(name)
 					want := sched.PlanCycle(mirror, size, capacity, now)
-					got := sched.(IncrementalScheduler).PlanIndexed(x, capacity, now)
+					got := sched.PlanIndexed(x, capacity, now)
 					if !reflect.DeepEqual(want, got) {
 						t.Fatalf("%s: PlanIndexed = %v, reference = %v", name, got, want)
 					}

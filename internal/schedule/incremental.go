@@ -6,37 +6,19 @@ import (
 	"repro/internal/xmldoc"
 )
 
-// IncrementalScheduler is a Scheduler that can plan directly from a
-// maintained DemandIndex instead of a per-cycle pending slice. The plan is
-// defined to be identical to PlanCycle over the equivalent pending set (see
-// the DemandIndex contracts); all four built-in policies implement it.
-type IncrementalScheduler interface {
-	Scheduler
-	// PlanIndexed chooses the next cycle's documents from the index under
-	// PlanCycle's capacity, duplicate and oversized-document rules.
-	PlanIndexed(x *DemandIndex, capacity int, now int64) []xmldoc.DocID
-}
-
-var (
-	_ IncrementalScheduler = LeeLo{}
-	_ IncrementalScheduler = FCFS{}
-	_ IncrementalScheduler = MRF{}
-	_ IncrementalScheduler = RxW{}
-)
-
-// PlanIndexed implements IncrementalScheduler.
+// PlanIndexed implements Scheduler.
 func (FCFS) PlanIndexed(x *DemandIndex, capacity int, _ int64) []xmldoc.DocID {
 	return x.planFCFS(capacity)
 }
 
-// PlanIndexed implements IncrementalScheduler.
+// PlanIndexed implements Scheduler.
 func (MRF) PlanIndexed(x *DemandIndex, capacity int, _ int64) []xmldoc.DocID {
 	return x.planByCount(capacity, func(ds *demandDoc) int64 {
 		return int64(len(ds.reqs))
 	})
 }
 
-// PlanIndexed implements IncrementalScheduler. The oldest wait per document
+// PlanIndexed implements Scheduler. The oldest wait per document
 // is read off the maintained min-arrival extremum instead of a per-cycle
 // scan.
 func (RxW) PlanIndexed(x *DemandIndex, capacity int, now int64) []xmldoc.DocID {
@@ -49,7 +31,7 @@ func (RxW) PlanIndexed(x *DemandIndex, capacity int, now int64) []xmldoc.DocID {
 	})
 }
 
-// PlanIndexed implements IncrementalScheduler.
+// PlanIndexed implements Scheduler.
 func (LeeLo) PlanIndexed(x *DemandIndex, capacity int, _ int64) []xmldoc.DocID {
 	return x.planLeeLo(capacity)
 }

@@ -3,7 +3,10 @@
 // multi-data-item allocation of Lee & Lo (MONET 2003) [8]; that policy is the
 // default here, alongside classic on-demand baselines (FCFS, MRF, RxW) used
 // by the repository's ablation experiments to show the index comparison is
-// scheduler-robust.
+// scheduler-robust. Every policy has two forms defined to return the same
+// plan: PlanCycle, the reference over one cycle's pending slice, and
+// PlanIndexed over a DemandIndex maintained across cycles, which is the one
+// the engine runs.
 package schedule
 
 import (
@@ -50,6 +53,12 @@ type Scheduler interface {
 	// exceeds the capacity on an otherwise empty plan it is scheduled
 	// alone, so oversized documents cannot starve.
 	PlanCycle(pending []Request, size func(xmldoc.DocID) int, capacity int, now int64) []xmldoc.DocID
+	// PlanIndexed chooses the next cycle's documents from a maintained
+	// DemandIndex instead of a per-cycle pending slice. The plan is defined
+	// to be identical to PlanCycle over the equivalent pending set (see the
+	// DemandIndex contracts): PlanCycle is the reference, PlanIndexed is what
+	// the engine runs.
+	PlanIndexed(x *DemandIndex, capacity int, now int64) []xmldoc.DocID
 }
 
 // New returns a scheduler by name: "leelo" (default policy of the paper's

@@ -94,6 +94,9 @@ type RestartResult struct {
 	// RecoveredTruncated reports that recovery dropped a torn log tail.
 	RecoveredPending   int
 	RecoveredTruncated bool
+	// Engine is the pipeline telemetry of the run's last leg: the whole run
+	// when it did not crash, the cold recovered engine's share otherwise.
+	Engine engine.Metrics
 }
 
 // restartReq is one pending request of the restart driver; rem is its own
@@ -189,9 +192,10 @@ func restartLeg(cfg RestartConfig, res *RestartResult, recovery bool) (crashed b
 	if !recovery && cfg.TornAfter > 0 {
 		jn.CrashAfter(cfg.TornAfter)
 	}
-	// Incremental prune/schedule maintenance is disabled so both legs run
-	// the reference pipeline: the recovered engine starts cold, and the
-	// equivalence claim is about state, not about warm incremental caches.
+	// The recovered engine starts cold — an empty demand index and pruned
+	// view — while an uncrashed control has maintained both by deltas since
+	// cycle 0, so equivalence between the two also says the delta paths air
+	// what a fresh engine computes from the recovered state alone.
 	eng, err := engine.New(engine.Config{
 		Collection:    cfg.Collection,
 		Model:         cfg.Model,
@@ -200,12 +204,11 @@ func restartLeg(cfg RestartConfig, res *RestartResult, recovery bool) (crashed b
 		Channels:      cfg.Channels,
 		CycleCapacity: cfg.CycleCapacity,
 		Probe:         probe,
-		PruneChurn:    -1,
-		ScheduleChurn: -1,
 	})
 	if err != nil {
 		return false, err
 	}
+	defer func() { res.Engine = eng.Metrics() }()
 
 	// Restore the recovered pending set; replay order is admission order.
 	pending := make([]*restartReq, 0, len(st.Pending))

@@ -75,7 +75,9 @@ func assertEquivalent(t *testing.T, control, crashed *RestartResult) {
 // seed-randomized pipeline stage and recovered from its journal commits the
 // same cycle wire bytes and pending sets as an uncrashed control, at K=1 and
 // K=4 — no acked admission is lost and every multichannel commitment is
-// honored across the restart.
+// honored across the restart. The control maintains its demand index and
+// pruned view by deltas throughout (asserted), the recovered engine rebuilds
+// both cold, so this is cold-recovered ≡ warm-uninterrupted.
 func TestRestartEquivalence(t *testing.T) {
 	const cycles = 60
 	for _, k := range []int{1, 4} {
@@ -105,6 +107,10 @@ func TestRestartEquivalence(t *testing.T) {
 			}
 			if len(control.ServedCycle) == 0 {
 				t.Fatalf("control run served nothing")
+			}
+			if m := control.Engine; m.IncrementalSchedules == 0 || m.IncrementalPrunes == 0 {
+				t.Fatalf("control run took %d incremental schedules and %d incremental prunes; both must be > 0 or the comparison is reference against reference",
+					m.IncrementalSchedules, m.IncrementalPrunes)
 			}
 			for i, key := range control.PendingKeys {
 				if key == "" {

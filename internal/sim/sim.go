@@ -11,7 +11,6 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
-	"time"
 
 	"repro/internal/broadcast"
 	"repro/internal/core"
@@ -82,34 +81,12 @@ type Config struct {
 	// Probe receives engine pipeline telemetry in addition to the built-in
 	// collector that fills Result.Engine. Optional.
 	Probe engine.Probe
-	// Workers is the engine's Config.Workers (the demand index's sharded
-	// rebuild). Zero selects GOMAXPROCS.
-	Workers int
 	// Limits bounds engine memory and per-cycle latency (see
 	// engine.Limits); degraded cycles and evictions surface in
-	// Result.Engine. The zero value imposes no limits.
+	// Result.Engine. The zero value imposes no limits. The simulator admits
+	// every configured request, so a pending set over Limits.MaxPending
+	// fails the run with engine.ErrOverload rather than being shed.
 	Limits engine.Limits
-	// PruneChurn is the query-churn fraction above which the engine's
-	// incremental PCI maintainer falls back to a full prune. Zero selects
-	// the default; negative disables incremental maintenance (see
-	// engine.Config.PruneChurn). Prune-path counters surface in
-	// Result.Engine.
-	PruneChurn float64
-	// ScheduleChurn is the pending-set churn fraction above which the
-	// engine's incremental demand index falls back to a full rebuild. Zero
-	// selects the default; negative disables incremental scheduling (see
-	// engine.Config.ScheduleChurn). Schedule-path counters surface in
-	// Result.Engine.
-	ScheduleChurn float64
-	// Adaptive wires the self-tuning admission controller into the engine
-	// (see engine.AdaptiveLimiter): churn thresholds retune from measured
-	// incremental-vs-full costs and Result.Engine carries the controller's
-	// health and state. The simulator admits every configured request
-	// regardless, so results stay workload-deterministic.
-	Adaptive bool
-	// AdaptiveTarget is the controller's per-cycle assembly-latency goal;
-	// zero selects the default derivation. Ignored unless Adaptive.
-	AdaptiveTarget time.Duration
 	// ScheduleClock selects the clock unit the scheduler sees. The default
 	// ClockBytes hands it the simulator's native byte-time; ClockCycles
 	// hands it admission cycle numbers and the current cycle number,
@@ -282,15 +259,6 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 
-	var adaptive *engine.AdaptiveLimiter
-	if cfg.Adaptive {
-		adaptive = engine.NewAdaptiveLimiter(engine.AdaptiveConfig{
-			Limits:        cfg.Limits,
-			PruneChurn:    cfg.PruneChurn,
-			ScheduleChurn: cfg.ScheduleChurn,
-			TargetLatency: cfg.AdaptiveTarget,
-		})
-	}
 	eng, err := engine.New(engine.Config{
 		Collection:    cfg.Collection,
 		Model:         cfg.Model,
@@ -299,11 +267,7 @@ func Run(cfg Config) (*Result, error) {
 		Scheduler:     cfg.Scheduler,
 		CycleCapacity: cfg.CycleCapacity,
 		Probe:         cfg.Probe,
-		Workers:       cfg.Workers,
 		Limits:        cfg.Limits,
-		PruneChurn:    cfg.PruneChurn,
-		ScheduleChurn: cfg.ScheduleChurn,
-		Adaptive:      adaptive,
 		Channels:      cfg.Channels,
 	})
 	if err != nil {

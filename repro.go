@@ -93,6 +93,11 @@ const (
 // BroadcastMode selects the index organisation of a simulation.
 type BroadcastMode = broadcast.Mode
 
+// ParseBroadcastMode parses a mode name: "one-tier" or "two-tier".
+func ParseBroadcastMode(s string) (BroadcastMode, error) {
+	return broadcast.ParseMode(s)
+}
+
 // IndexEncoding selects the first tier's wire layout (see
 // SimulationConfig.IndexEncoding and BroadcastServerConfig.IndexEncoding).
 type IndexEncoding = core.IndexEncoding
@@ -171,8 +176,7 @@ type (
 	// EngineHealth is the adaptive admission controller's three-state load
 	// signal (EngineHealthy, EngineShedding, EngineDegraded), carried by
 	// EngineMetrics.Health and BroadcastServerStats.Health when the
-	// controller is enabled (SimulationConfig.Adaptive or
-	// BroadcastServerConfig.Adaptive).
+	// controller is enabled (BroadcastServerConfig.Adaptive).
 	EngineHealth = engine.Health
 	// EngineAdaptiveState snapshots the controller's live limits, latency
 	// estimates and shed/grow counters (EngineMetrics.Adaptive).
