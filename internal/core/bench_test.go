@@ -9,7 +9,7 @@ import (
 	"repro/internal/xpath"
 )
 
-func benchFixture(b *testing.B) (*xmldoc.Collection, *Index, []xpath.Path) {
+func benchFixture(b testing.TB) (*xmldoc.Collection, *Index, []xpath.Path) {
 	b.Helper()
 	c, err := gen.Documents(gen.DocConfig{Schema: dtd.NITF(), NumDocs: 50, Seed: 1})
 	if err != nil {
@@ -90,6 +90,7 @@ func BenchmarkNavigatorLookup(b *testing.B) {
 	for i, q := range queries {
 		navs[i] = NewNavigator(q)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		navs[i%len(navs)].Lookup(ix)

@@ -26,11 +26,17 @@ type LookupResult struct {
 type Navigator struct {
 	query xpath.Path
 	f     *yfilter.Filter
+	start yfilter.StateSet
+	// stamp[d] == gen once document d is in the answer of the lookup in
+	// progress, which de-duplicates tuples without a set per lookup.
+	stamp []uint32
+	gen   uint32
 }
 
 // NewNavigator compiles a navigator for the query.
 func NewNavigator(q xpath.Path) *Navigator {
-	return &Navigator{query: q, f: yfilter.New([]xpath.Path{q})}
+	f := yfilter.New([]xpath.Path{q})
+	return &Navigator{query: q, f: f, start: f.Start()}
 }
 
 // Query returns the navigator's query.
@@ -46,46 +52,62 @@ func (nav *Navigator) Filter() *yfilter.Filter { return nav.f }
 // to descend only into children whose label keeps the automaton alive. At a
 // node where the query accepts, the client reads the whole subtree to
 // collect document tuples and descends no further there.
+//
+// The index must be stored in DFS pre-order (see Index.Answers). Lookup
+// allocates only the growth of the result's two slices.
 func (nav *Navigator) Lookup(ix *Index) LookupResult {
-	var res LookupResult
-	docs := make(map[xmldoc.DocID]struct{})
-	var visit func(id NodeID, s yfilter.StateSet)
-	visit = func(id NodeID, s yfilter.StateSet) {
-		n := &ix.Nodes[id]
-		res.Visited = append(res.Visited, id)
-		next := nav.f.Step(s, n.Label)
-		if next.Empty() {
-			return
-		}
-		if nav.f.HasAccepting(next) {
-			for _, d := range n.Docs {
-				docs[d] = struct{}{}
-			}
-			for _, c := range n.Children {
-				ix.walkSubtree(c, func(sub *Node) {
-					res.Visited = append(res.Visited, sub.ID)
-					for _, d := range sub.Docs {
-						docs[d] = struct{}{}
-					}
-				})
-			}
-			return
-		}
-		for _, c := range n.Children {
-			// The child's label is known from this node's entry list, so
-			// the client steps the automaton before deciding to read it.
-			if !nav.f.Step(next, ix.Nodes[c].Label).Empty() {
-				visit(c, next)
-			}
-		}
+	if nav.gen++; nav.gen == 0 { // wrapped: stale stamps could alias
+		clear(nav.stamp)
+		nav.gen = 1
 	}
+	var res LookupResult
 	for _, r := range ix.Roots {
 		// The root's label is part of the index head, but the root node
 		// itself must be read to obtain its entry list.
-		visit(r, nav.f.Start())
+		nav.visit(ix, r, nav.start, &res)
 	}
-	res.Docs = sortedDocSet(docs)
+	slices.Sort(res.Docs)
 	return res
+}
+
+func (nav *Navigator) visit(ix *Index, id NodeID, s yfilter.StateSet, res *LookupResult) {
+	n := &ix.Nodes[id]
+	res.Visited = append(res.Visited, id)
+	next := nav.f.Step(s, n.Label)
+	if next.Empty() {
+		return
+	}
+	if nav.f.HasAccepting(next) {
+		// The match node's subtree is the pre-order run after it; the
+		// client reads all of it in that order.
+		nav.collect(n.Docs, res)
+		for i, end := id+1, ix.subtreeEnd(id); i < end; i++ {
+			res.Visited = append(res.Visited, i)
+			nav.collect(ix.Nodes[i].Docs, res)
+		}
+		return
+	}
+	for _, c := range n.Children {
+		// The child's label is known from this node's entry list, so the
+		// client steps the automaton before deciding to read it.
+		if !nav.f.Step(next, ix.Nodes[c].Label).Empty() {
+			nav.visit(ix, c, next, res)
+		}
+	}
+}
+
+// collect appends the node's document tuples not yet in the answer. Tuples
+// are sorted, so the last is the largest.
+func (nav *Navigator) collect(docs []xmldoc.DocID, res *LookupResult) {
+	if n := len(docs); n > 0 && int(docs[n-1]) >= len(nav.stamp) {
+		nav.stamp = append(nav.stamp, make([]uint32, int(docs[n-1])+1-len(nav.stamp))...)
+	}
+	for _, d := range docs {
+		if nav.stamp[d] != nav.gen {
+			nav.stamp[d] = nav.gen
+			res.Docs = append(res.Docs, d)
+		}
+	}
 }
 
 // Lookup is a convenience wrapper that compiles and runs a one-off

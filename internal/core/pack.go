@@ -124,16 +124,25 @@ func (p *Packing) PacketRange(id NodeID) (first, last int) {
 }
 
 // PacketsFor counts the distinct packets covering the given nodes — the
-// client's tuning cost for reading them, in packets.
+// client's tuning cost for reading them, in packets. Node offsets need not
+// grow with node ID (PackBFS), so packets are counted in a bitset.
 func (p *Packing) PacketsFor(nodes []NodeID) int {
-	seen := make(map[int]struct{})
+	if len(nodes) == 0 {
+		return 0
+	}
+	// One bit per packet; the spare covers an empty node at the stream's end.
+	seen := make([]uint64, p.NumPackets/64+1)
+	n := 0
 	for _, id := range nodes {
 		first, last := p.PacketRange(id)
 		for pk := first; pk <= last; pk++ {
-			seen[pk] = struct{}{}
+			if w, b := pk/64, uint64(1)<<(pk%64); seen[w]&b == 0 {
+				seen[w] |= b
+				n++
+			}
 		}
 	}
-	return len(seen)
+	return n
 }
 
 // BytesFor is PacketsFor expressed in bytes (packets × packet size): data

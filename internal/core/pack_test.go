@@ -168,7 +168,10 @@ func TestQuickPackingInvariants(t *testing.T) {
 }
 
 // TestQuickLookupMatchesReference: CI lookup answers equal the naive
-// evaluator for random workloads (the index is accurate, §3.1).
+// evaluator for random workloads (the index is accurate, §3.1), and a reused
+// navigator reads exactly what the set-based reference navigation reads — the
+// same answer (nil when empty), the same nodes in the same order, the same
+// packets under either layout order — over the CI and over a PCI.
 func TestQuickLookupMatchesReference(t *testing.T) {
 	f := func(seed int64) bool {
 		c, err := gen.Documents(gen.DocConfig{Schema: dtd.NITF(), NumDocs: 6, Seed: seed, MaxDepth: 7})
@@ -183,14 +186,25 @@ func TestQuickLookupMatchesReference(t *testing.T) {
 		if err != nil {
 			return false
 		}
+		pci, _, err := ix.Prune(queries[:len(queries)/2])
+		if err != nil {
+			return false
+		}
 		for _, q := range queries {
 			want := q.MatchingDocs(c)
-			got := ix.Lookup(q).Docs
+			nav := NewNavigator(q)
+			got := nav.Lookup(ix).Docs
 			if len(got) != len(want) {
 				return false
 			}
 			for i := range got {
 				if got[i] != want[i] {
+					return false
+				}
+			}
+			for _, over := range []*Index{ix, pci, ix} {
+				if !lookupMatchesReference(t, nav, over) {
+					t.Logf("seed %d query %s", seed, q)
 					return false
 				}
 			}

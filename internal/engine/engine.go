@@ -173,6 +173,12 @@ type Engine struct {
 	changeIdx []int
 	keepIDs   map[int64]struct{}
 
+	// reqs, distinct and seenQuery are AssembleCycleAt's pending-view
+	// scratch, reused under mu.
+	reqs      []schedule.Request
+	distinct  []xpath.Path
+	seenQuery map[string]struct{}
+
 	// fp is the order-independent collection fingerprint (XOR of
 	// journal.DocHash per live document), maintained incrementally so the
 	// durability layer can cheaply detect collection drift across restarts.
@@ -387,19 +393,28 @@ func (e *Engine) AssembleCycleAt(number, start, schedNow int64, pending []Pendin
 		return nil, fmt.Errorf("engine: %d pending requests exceed MaxPending %d: %w",
 			len(pending), e.limits.MaxPending, ErrOverload)
 	}
-	reqs := make([]schedule.Request, 0, len(pending))
-	queries := make([]xpath.Path, 0, len(pending))
-	seen := make(map[string]struct{}, len(pending))
-	for _, p := range pending {
-		reqs = append(reqs, schedule.Request{ID: p.ID, Arrival: p.Arrival, Docs: p.Remaining})
-		if _, ok := seen[p.Query.String()]; !ok {
-			seen[p.Query.String()] = struct{}{}
-			queries = append(queries, p.Query)
-		}
-	}
 
 	e.mu.Lock()
 	defer e.mu.Unlock()
+
+	// The pending view is built in scratch reused under mu; only queries,
+	// which Cycle.Queries keeps, is the cycle's own.
+	reqs, distinct := e.reqs[:0], e.distinct[:0]
+	if e.seenQuery == nil {
+		e.seenQuery = make(map[string]struct{})
+	}
+	clear(e.seenQuery)
+	for _, p := range pending {
+		reqs = append(reqs, schedule.Request{ID: p.ID, Arrival: p.Arrival, Docs: p.Remaining})
+		key := p.Query.String()
+		if _, ok := e.seenQuery[key]; !ok {
+			e.seenQuery[key] = struct{}{}
+			distinct = append(distinct, p.Query)
+		}
+	}
+	e.reqs, e.distinct = reqs, distinct
+	queries := make([]xpath.Path, len(distinct))
+	copy(queries, distinct)
 
 	schedStart := time.Now()
 	size := func(d xmldoc.DocID) int { return e.builder.DocByID(d).Size() }

@@ -306,10 +306,19 @@ func (x *DemandIndex) ExpireZombies() {
 // DeliverDoc applies one planned document's predicted delivery: the
 // document leaves every requester's missing set (and the index), and
 // requesters left with nothing become zombies until the driver confirms.
+// The documents whose scores go stale are found as planLeeLo finds a pick's
+// sharers (sharersFromTable); a cached score recomputed without cause comes
+// out the same.
 func (x *DemandIndex) DeliverDoc(d xmldoc.DocID) {
 	ds := x.doc(d)
 	if ds == nil {
 		return
+	}
+	dirtyAll := x.sharersFromTable(ds)
+	if dirtyAll {
+		for _, o := range x.docTab {
+			x.markDirty(o)
+		}
 	}
 	for _, rs := range ds.reqs {
 		i := sort.Search(len(rs.docs), func(i int) bool { return rs.docs[i] >= d })
@@ -323,8 +332,10 @@ func (x *DemandIndex) DeliverDoc(d xmldoc.DocID) {
 			x.zombies = append(x.zombies, rs)
 			continue
 		}
-		for _, d2 := range rs.docs {
-			x.markDirty(x.doc(d2))
+		if !dirtyAll {
+			for _, d2 := range rs.docs {
+				x.markDirty(x.doc(d2))
+			}
 		}
 	}
 	x.delDoc(d)

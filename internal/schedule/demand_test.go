@@ -3,6 +3,7 @@ package schedule
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/xmldoc"
@@ -319,4 +320,70 @@ func TestIncrementalContractsAtScale(t *testing.T) {
 		verify(round)
 	}
 	checkInvariants(t, x)
+}
+
+// TestLeeLoSharerPaths: planLeeLo finds a pick's sharers from the pick's
+// requester→document links, or from the document table when the links
+// outnumber the live documents. Both must plan exactly as the reference, cycle
+// after cycle of predicted deliveries. The dense pending set (every request
+// wants about half of a small collection) takes the table path; the sparse
+// one (groups of requests with disjoint answers) the link path.
+func TestLeeLoSharerPaths(t *testing.T) {
+	const nDocs, capacity = 40, 6000
+	rng := rand.New(rand.NewSource(11))
+	sizes := make([]int, nDocs)
+	for d := range sizes {
+		sizes[d] = 300 + rng.Intn(1500)
+	}
+	size := func(d xmldoc.DocID) int { return sizes[d] }
+
+	var dense, sparse []Request
+	for i := 0; i < 60; i++ {
+		dense = append(dense, Request{ID: int64(i), Arrival: int64(i), Docs: randomSortedDocs(rng, nDocs, 15+rng.Intn(10))})
+	}
+	for i := 0; i < 3*nDocs/2; i++ {
+		g := xmldoc.DocID(i / 3 * 2) // three requests per two-document answer
+		sparse = append(sparse, Request{ID: int64(i), Arrival: int64(i), Docs: []xmldoc.DocID{g, g + 1}})
+	}
+
+	for _, tc := range []struct {
+		name      string
+		pending   []Request
+		wantTable bool
+	}{{"dense", dense, true}, {"sparse", sparse, false}} {
+		t.Run(tc.name, func(t *testing.T) {
+			x := NewDemandIndex()
+			var mirror []Request
+			for _, r := range tc.pending {
+				r.Docs = slices.Clone(r.Docs)
+				mirror = append(mirror, r)
+				if err := x.Apply(r, size); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for cycle := 0; len(mirror) > 0; cycle++ {
+				now := int64(100 + cycle)
+				want := LeeLo{}.PlanCycle(mirror, size, capacity, now)
+				if table := x.sharersFromTable(x.doc(want[0])); cycle == 0 && table != tc.wantTable {
+					t.Fatalf("first pick of %d documents: table path %v, want %v", x.NumDocs(), table, tc.wantTable)
+				}
+				if got := (LeeLo{}).PlanIndexed(x, capacity, now); !reflect.DeepEqual(got, want) {
+					t.Fatalf("cycle %d: PlanIndexed = %v, reference = %v", cycle, got, want)
+				}
+				for _, d := range want {
+					x.DeliverDoc(d)
+				}
+				live := mirror[:0]
+				for _, r := range mirror {
+					r.Docs = slices.DeleteFunc(r.Docs, func(d xmldoc.DocID) bool { return slices.Contains(want, d) })
+					if len(r.Docs) > 0 {
+						live = append(live, r)
+					}
+				}
+				mirror = live
+				x.ExpireZombies()
+				checkInvariants(t, x)
+			}
+		})
+	}
 }

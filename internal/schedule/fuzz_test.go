@@ -16,6 +16,9 @@ func FuzzDemandIndex(f *testing.F) {
 	f.Add([]byte{0x10, 0x23, 0x31, 0x42, 0x00, 0x57, 0x68})
 	f.Add([]byte{0x00, 0x00, 0x10, 0x20, 0x30, 0x40, 0x50, 0x60, 0x70, 0x80})
 	f.Add([]byte{0x0f, 0x1f, 0x2f, 0x3f, 0x4f, 0x5f, 0x6f, 0x7f})
+	// Dense: three requests for documents {0, 1}, so a pick's requester links
+	// (6) outnumber the live documents (2) and LeeLo rescores from the table.
+	f.Add([]byte{0x00, 0x10, 0x00, 0x10, 0x00, 0x10, 0x04, 0x00, 0x03, 0x00, 0x04, 0x00})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const nDocs, capacity = 16, 900
 		size := func(d xmldoc.DocID) int { return 100 + 37*int(d) }

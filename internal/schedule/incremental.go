@@ -169,17 +169,21 @@ func (x *DemandIndex) planLeeLo(capacity int) []xmldoc.DocID {
 		}
 		// Rescore sharers only after every requester's delta is applied:
 		// a doc sharing several requesters with the pick must see all of
-		// them shrink before its fresh entry is scored.
-		for _, rs := range ds.reqs {
-			for _, d2 := range rs.docs {
-				o := x.doc(d2)
-				if o == ds || o.rescoredAt == x.op ||
-					o.pickedAt == x.plan || o.droppedAt == x.plan {
-					continue
+		// them shrink before its fresh entry is scored. Rescoring a
+		// document that shares no requester re-sums the same terms in the
+		// same order, so its fresh entry equals its live one and the pop
+		// order — and the plan — is the same on either path.
+		if x.sharersFromTable(ds) {
+			for _, o := range x.docTab {
+				if o != nil {
+					h = x.rescore(h, ds, o)
 				}
-				o.rescoredAt = x.op
-				o.hver++
-				h = heapPush(h, docHeapEntry{fscore: x.planScore(o), doc: o.id, ver: o.hver}, lessLeeLo)
+			}
+		} else {
+			for _, rs := range ds.reqs {
+				for _, d2 := range rs.docs {
+					h = x.rescore(h, ds, x.doc(d2))
+				}
 			}
 		}
 		if used >= capacity {
@@ -192,6 +196,30 @@ func (x *DemandIndex) planLeeLo(capacity int) []xmldoc.DocID {
 	x.touched = touched[:0]
 	x.heap, x.out = h[:0], out
 	return append([]xmldoc.DocID(nil), out...)
+}
+
+// sharersFromTable reports whether the documents sharing a requester with ds
+// are found faster by walking the live documents than by following ds's
+// requester→document links: whether the links outnumber them.
+func (x *DemandIndex) sharersFromTable(ds *demandDoc) bool {
+	links := 0
+	for _, rs := range ds.reqs {
+		if links += len(rs.docs); links > x.ndocs {
+			return true
+		}
+	}
+	return false
+}
+
+// rescore pushes a fresh versioned entry for o against the plan being built,
+// once per pick, unless o is the pick itself or already out of the plan.
+func (x *DemandIndex) rescore(h []docHeapEntry, pick, o *demandDoc) []docHeapEntry {
+	if o == pick || o.rescoredAt == x.op || o.pickedAt == x.plan || o.droppedAt == x.plan {
+		return h
+	}
+	o.rescoredAt = x.op
+	o.hver++
+	return heapPush(h, docHeapEntry{fscore: x.planScore(o), doc: o.id, ver: o.hver}, lessLeeLo)
 }
 
 // lessLeeLo orders heap entries by float score descending, doc ascending —

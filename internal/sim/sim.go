@@ -4,6 +4,10 @@
 // them; and clients that follow the one-tier or two-tier access protocol,
 // accounting tuning time and access time in bytes at constant bandwidth,
 // exactly as the paper measures them.
+//
+// An index read's cost depends only on the cycle and the query (§3.4), so
+// the clients of one query share one navigator and the index is navigated
+// once per (cycle, query), however many of them read it.
 package sim
 
 import (
@@ -227,11 +231,12 @@ type Result struct {
 // mid-cycle on an index repetition can catch documents beyond the server's
 // conservative commitment, so needed can drain ahead of remaining; the server
 // keeps a request active until its belief drains, exactly as the networked
-// server does for a subscriber it cannot observe.
+// server does for a subscriber it cannot observe. read is shared with every
+// other client of the same query.
 type client struct {
 	id        int64
 	req       ClientRequest
-	nav       *core.Navigator
+	read      *queryRead
 	docs      []xmldoc.DocID // full result set, known after first index read
 	remaining []xmldoc.DocID
 	needed    []xmldoc.DocID
@@ -282,13 +287,21 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	// Clients sorted by arrival; original order retained for reporting.
+	// Clients of one query share its navigator and index read.
 	clients := make([]*client, len(cfg.Requests))
+	reads := make(map[string]*queryRead, len(answers))
 	for i, r := range cfg.Requests {
-		docs := answers[r.Query.String()]
+		key := r.Query.String()
+		docs := answers[key]
+		read := reads[key]
+		if read == nil {
+			read = &queryRead{nav: core.NewNavigator(r.Query), cycle: -1}
+			reads[key] = read
+		}
 		clients[i] = &client{
 			id:        int64(i),
 			req:       r,
-			nav:       core.NewNavigator(r.Query),
+			read:      read,
 			docs:      docs,
 			remaining: slices.Clone(docs), // answers are sorted, and shared
 			needed:    slices.Clone(docs),
@@ -298,7 +311,7 @@ func Run(cfg Config) (*Result, error) {
 	byArrival := append([]*client(nil), clients...)
 	sort.SliceStable(byArrival, func(i, j int) bool { return byArrival[i].req.Arrival < byArrival[j].req.Arrival })
 
-	res := &Result{Mode: cfg.Mode}
+	res := &Result{Mode: cfg.Mode, Clients: make([]ClientStats, 0, len(clients))}
 	sr := &succinctReader{}
 	var loss *lossProcess
 	if cfg.LossProb > 0 {
@@ -410,7 +423,7 @@ func Run(cfg Config) (*Result, error) {
 				stillActive = append(stillActive, cl)
 			}
 		}
-		active = append([]*client(nil), stillActive...)
+		active = stillActive
 
 		// Clients whose requests arrive while this cycle is on air eavesdrop
 		// on the index channel: they sync at the next index repetition and
@@ -738,20 +751,36 @@ func eavesdropCycle(cl *client, cy *broadcast.Cycle, cfg Config, loss *lossProce
 	}
 }
 
+// queryRead is one distinct query's navigator and the cost of its latest
+// index read, shared by every client of the query.
+type queryRead struct {
+	nav   *core.Navigator
+	cycle int64 // number of the cycle bytes was read on; -1 before any read
+	bytes int
+}
+
 // indexReadBytes is the cost of one index navigation: whole tier under
 // WholeTierRead, otherwise the distinct packets the lookup touches — of the
 // materialized index under node encoding, of the balanced-parentheses blob
-// (header, directories, BP words, labels, doc groups) under succinct.
+// (header, directories, BP words, labels, doc groups) under succinct. The
+// cost depends only on the cycle and the query, so the first client of a
+// query to read a cycle navigates it and the others reuse the count.
 func indexReadBytes(cl *client, cy *broadcast.Cycle, cfg Config, sr *succinctReader) int {
 	if cfg.WholeTierRead {
 		return cy.IndexBytes
 	}
-	if cfg.IndexEncoding == core.EncodingSuccinct {
-		sr.cursor.Lookup(cl.nav.Filter())
-		return sr.cursor.TouchedBytes()
+	r := cl.read
+	if r.cycle == cy.Number {
+		return r.bytes
 	}
-	lr := cl.nav.Lookup(cy.Index)
-	return cy.Packing.BytesFor(lr.Visited)
+	if cfg.IndexEncoding == core.EncodingSuccinct {
+		sr.cursor.Lookup(r.nav.Filter())
+		r.bytes = sr.cursor.TouchedBytes()
+	} else {
+		r.bytes = cy.Packing.BytesFor(r.nav.Lookup(cy.Index).Visited)
+	}
+	r.cycle = cy.Number
+	return r.bytes
 }
 
 // succinctReader caches the encoded-and-parsed succinct tier plus a reusable
