@@ -226,18 +226,8 @@ func restartCheck(coll *repro.Collection, queries []repro.Query, cfg restartChec
 	} else {
 		fmt.Printf("crash:     seed %d never reached its probe point (run was crash-free)\n", cfg.crashSeed)
 	}
-	if len(control.CycleHashes) != len(crashed.CycleHashes) {
-		return fmt.Errorf("restart-check: control committed %d cycles, crashed run %d",
-			len(control.CycleHashes), len(crashed.CycleHashes))
-	}
-	for i := range control.CycleHashes {
-		if control.CycleHashes[i] != crashed.CycleHashes[i] {
-			return fmt.Errorf("restart-check: cycle %d wire hash diverged: control %016x, recovered %016x",
-				i, control.CycleHashes[i], crashed.CycleHashes[i])
-		}
-		if control.PendingKeys[i] != crashed.PendingKeys[i] {
-			return fmt.Errorf("restart-check: cycle %d pending set diverged", i)
-		}
+	if err := crashed.DivergesFrom(control); err != nil {
+		return fmt.Errorf("restart-check: %w", err)
 	}
 	if cfg.verbose {
 		fmt.Println("\ncycle  wire hash         pending")

@@ -275,11 +275,24 @@ func (e *Engine) NumDocs() int {
 // size), maintained incrementally across AddDocument/RemoveDocument. The
 // durability layer journals it with collection events so a restarted server
 // can detect that the collection drifted while it was down and re-resolve
-// recovered queries instead of trusting their recorded result sets.
+// recovered queries instead of trusting their recorded result sets (see
+// NewLedger).
 func (e *Engine) CollectionFingerprint() uint64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.fp
+}
+
+// docIDs lists the live collection's document IDs in ascending order.
+func (e *Engine) docIDs() []xmldoc.DocID {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	ids := make([]xmldoc.DocID, 0, len(e.fpSizes))
+	for id := range e.fpSizes {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	return ids
 }
 
 // Metrics snapshots the engine's accumulated telemetry, including the

@@ -1,0 +1,167 @@
+package engine
+
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"strings"
+	"testing"
+
+	"repro/internal/broadcast"
+	"repro/internal/journal"
+	"repro/internal/xmldoc"
+	"repro/internal/xpath"
+)
+
+// TestLedgerMatchesJournal drives a journaled ledger through seeded random
+// sequences of admissions, cycle snapshots, commits, document removals and
+// kill-and-reopen restarts — no sockets, no clock — and checks after every
+// step that the ledger's pending set is the journal's mirrored one, which is
+// what a recovery at that instant rebuilds; a restart must recover exactly
+// the pending set the killed ledger held. It also checks the watermark: a
+// request admitted between a cycle's snapshot and its commit loses nothing to
+// that commit, and the next cycle is the one that covers it.
+func TestLedgerMatchesJournal(t *testing.T) {
+	c, queries := fixture(t, 30, 20)
+	for seed := int64(1); seed <= 6; seed++ {
+		t.Run(fmt.Sprint(seed), func(t *testing.T) { ledgerWalk(t, c, queries, seed) })
+	}
+}
+
+func ledgerWalk(t *testing.T, c *xmldoc.Collection, queries []xpath.Path, seed int64) {
+	rng := rand.New(rand.NewSource(seed))
+	dir := t.TempDir()
+	live := slices.Clone(c.Docs())
+	var (
+		jn *journal.Journal
+		l  *Ledger
+	)
+	open := func() {
+		var st *journal.State
+		var err error
+		if jn, st, err = journal.Open(journal.Options{Dir: dir, SnapshotEvery: 16}); err != nil {
+			t.Fatal(err)
+		}
+		coll, err := xmldoc.NewCollection(live)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := New(Config{Collection: coll, Mode: broadcast.TwoTierMode, CycleCapacity: 2 * c.TotalSize() / c.Len()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if l, err = NewLedger(eng, jn, st); err != nil {
+			t.Fatal(err)
+		}
+	}
+	open()
+	defer func() { jn.Kill() }()
+
+	var (
+		inflight *Cycle
+		late     []int64 // admitted while inflight was assembled and not yet committed
+		covered  = map[int64]int64{}
+	)
+	for step := 0; step < 400; step++ {
+		op := rng.Intn(20)
+		switch {
+		case op < 8:
+			q := queries[rng.Intn(len(queries))]
+			cycle, id, err := l.Admit(q, 0)
+			if err != nil {
+				if strings.Contains(err.Error(), "empty result set") {
+					break // a removal emptied its answer
+				}
+				t.Fatalf("step %d: Admit: %v", step, err)
+			}
+			if cycle != l.Cycles() {
+				t.Fatalf("step %d: request %d covered from cycle %d, the next cycle is %d", step, id, cycle, l.Cycles())
+			}
+			covered[id] = cycle
+			if inflight != nil {
+				late = append(late, id)
+			}
+		case op < 12:
+			if inflight != nil {
+				break
+			}
+			cy, enc, err := l.Assemble()
+			if err != nil {
+				t.Fatalf("step %d: Assemble: %v", step, err)
+			}
+			if cy == nil {
+				break
+			}
+			l.eng.Recycle(enc)
+			inflight = cy
+			for _, p := range l.Pending() { // the snapshot: nothing changed since
+				if want, ok := covered[p.ID]; ok && want != cy.Number {
+					t.Fatalf("step %d: request %d first snapshotted by cycle %d, promised cycle %d", step, p.ID, cy.Number, want)
+				}
+				delete(covered, p.ID)
+			}
+		case op < 16:
+			if inflight == nil {
+				break
+			}
+			before := l.Pending()
+			if _, err := l.Commit(inflight); err != nil {
+				t.Fatalf("step %d: Commit: %v", step, err)
+			}
+			after := l.Pending()
+			for _, id := range late {
+				if i, j := pendingIndex(before, id), pendingIndex(after, id); i >= 0 && (j < 0 || !slices.Equal(before[i].Remaining, after[j].Remaining)) {
+					t.Fatalf("step %d: cycle %d's commit took documents from request %d, admitted after its snapshot", step, inflight.Number, id)
+				}
+			}
+			inflight, late = nil, nil
+		case op < 19:
+			if len(live) <= 5 {
+				break
+			}
+			i := rng.Intn(len(live))
+			if err := l.RemoveDocument(live[i].ID); err != nil {
+				t.Fatalf("step %d: RemoveDocument(%d): %v", step, live[i].ID, err)
+			}
+			live = slices.Delete(live, i, i+1)
+			pending := l.Pending()
+			for id := range covered {
+				if pendingIndex(pending, id) < 0 {
+					delete(covered, id) // drained by the removal
+				}
+			}
+		default:
+			before := l.Pending()
+			jn.Kill()
+			open()
+			inflight, late = nil, nil
+			clear(covered)
+			if !samePending(l.Pending(), before) {
+				t.Fatalf("step %d: recovered %v, the killed ledger held %v", step, l.Pending(), before)
+			}
+		}
+		if got, want := l.Pending(), jn.MirrorState().Pending; !mirrors(got, want) {
+			t.Fatalf("step %d (op %d): ledger pending %v, journal mirror %v", step, op, got, want)
+		}
+	}
+}
+
+// pendingIndex locates request id in ps, or -1.
+func pendingIndex(ps []Pending, id int64) int {
+	return slices.IndexFunc(ps, func(p Pending) bool { return p.ID == id })
+}
+
+// samePending compares two pending sets request by request.
+func samePending(a, b []Pending) bool {
+	return slices.EqualFunc(a, b, func(x, y Pending) bool {
+		return x.ID == y.ID && x.Arrival == y.Arrival && x.Query.String() == y.Query.String() && slices.Equal(x.Remaining, y.Remaining)
+	})
+}
+
+// mirrors reports whether the journal's mirrored pending set is the ledger's.
+func mirrors(ps []Pending, js []journal.Request) bool {
+	return slices.EqualFunc(ps, js, func(p Pending, r journal.Request) bool {
+		return p.ID == r.ID && p.Arrival == r.Arrival && p.Query.String() == r.Query &&
+			slices.EqualFunc(p.Remaining, r.Remaining, func(d xmldoc.DocID, u uint16) bool { return uint16(d) == u })
+	})
+}

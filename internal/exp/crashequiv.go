@@ -101,23 +101,9 @@ func addEquivRow(tbl *stats.Table, k int, fault string, control, crashed *sim.Re
 		stage = crashed.CrashStage
 		cycle = fmt.Sprintf("%d", crashed.CrashCycle)
 	}
-	tbl.AddRow(k, fault, stage, cycle, crashed.RecoveredPending, len(crashed.CycleHashes),
-		equivVerdict(control, crashed))
-}
-
-// equivVerdict reports "yes" when every cycle's wire hash and post-commit
-// pending key match the control, or names the first divergence.
-func equivVerdict(control, crashed *sim.RestartResult) string {
-	if len(control.CycleHashes) != len(crashed.CycleHashes) {
-		return fmt.Sprintf("no: %d vs %d cycles", len(control.CycleHashes), len(crashed.CycleHashes))
+	verdict := "yes"
+	if err := crashed.DivergesFrom(control); err != nil {
+		verdict = "no: " + err.Error()
 	}
-	for i := range control.CycleHashes {
-		if control.CycleHashes[i] != crashed.CycleHashes[i] {
-			return fmt.Sprintf("no: wire hash @%d", i)
-		}
-		if control.PendingKeys[i] != crashed.PendingKeys[i] {
-			return fmt.Sprintf("no: pending set @%d", i)
-		}
-	}
-	return "yes"
+	tbl.AddRow(k, fault, stage, cycle, crashed.RecoveredPending, len(crashed.CycleHashes), verdict)
 }

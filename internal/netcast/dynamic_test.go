@@ -319,13 +319,11 @@ func TestRestartOverDriftedCollection(t *testing.T) {
 	if srv2.RecoveredPending() != len(want) {
 		t.Errorf("recovered %d pending, want %d", srv2.RecoveredPending(), len(want))
 	}
-	srv2.mu.Lock()
-	for _, r := range srv2.pending {
-		if !slices.Equal(r.remaining, want[r.query.String()]) {
-			t.Errorf("recovered %s: remaining %v, a fresh scan leaves %v", r.query, r.remaining, want[r.query.String()])
+	for _, r := range srv2.ledger.Pending() {
+		if !slices.Equal(r.Remaining, want[r.Query.String()]) {
+			t.Errorf("recovered %s: remaining %v, a fresh scan leaves %v", r.Query, r.Remaining, want[r.Query.String()])
 		}
 	}
-	srv2.mu.Unlock()
 	if m := srv2.Stats().Engine; m.CacheMisses != int64(len(queries)) || m.CacheHits != 0 {
 		t.Errorf("recovery resolved with %d misses and %d hits, want one CI walk per recovered query (%d)", m.CacheMisses, m.CacheHits, len(queries))
 	}
@@ -338,5 +336,59 @@ func TestRestartOverDriftedCollection(t *testing.T) {
 	}
 	if st := srv2.Stats(); st.Pending != 0 || st.CycleError != "" {
 		t.Errorf("recovered requests not served: %d pending, cycle error %q", st.Pending, st.CycleError)
+	}
+}
+
+// TestRestartAfterDriftedRecovery: what a recovery over a drifted collection
+// cuts from the recovered remaining sets is journaled. A further restart —
+// after a clean Shutdown, over the same collection, so there is no drift left
+// to detect — must start from the cut sets, not from stale ones naming
+// documents the collection no longer holds, and serve them to the end.
+func TestRestartAfterDriftedRecovery(t *testing.T) {
+	coll := testCollection(t)
+	dir := t.TempDir()
+	srv := startJournaledServer(t, coll, dir, time.Minute, 1)
+	if _, _, err := srv.submit("/nitf//p"); err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	srv.Kill()
+
+	more, err := gen.Documents(gen.DocConfig{Schema: dtd.NITF(), NumDocs: 2, Seed: 79, FirstID: 300})
+	if err != nil {
+		t.Fatal(err)
+	}
+	drifted, err := xmldoc.NewCollection(append(slices.Clone(coll.Docs()[3:]), more.Docs()...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv2 := startJournaledServer(t, drifted, dir, time.Minute, 1)
+	// The journal's own state, which Shutdown snapshots, holds the cut sets.
+	for _, r := range srv2.jn.MirrorState().Pending {
+		for _, d := range r.Remaining {
+			if drifted.ByID(xmldoc.DocID(d)) == nil {
+				t.Errorf("journal still holds document %d for %s after the recovery cut it", d, r.Query)
+			}
+		}
+	}
+	srv2.Shutdown()
+
+	srv3 := startJournaledServer(t, drifted, dir, 5*time.Millisecond, 1)
+	defer srv3.Shutdown()
+	if srv3.RecoveredPending() != 1 {
+		t.Fatalf("third start recovered %d pending, want 1", srv3.RecoveredPending())
+	}
+	for _, r := range srv3.ledger.Pending() {
+		for _, id := range r.Remaining {
+			if drifted.ByID(id) == nil {
+				t.Errorf("recovered %s still wants document %d, which the collection does not hold", r.Query, id)
+			}
+		}
+	}
+	waitFor(t, "the recovered request to be served", func() bool {
+		st := srv3.Stats()
+		return st.Pending == 0 || st.CycleError != ""
+	})
+	if st := srv3.Stats(); st.CycleError != "" {
+		t.Errorf("cycle loop died: %s", st.CycleError)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -66,7 +65,8 @@ type ServerConfig struct {
 	// Default 256 frames.
 	SubscriberQueue int
 	// Probe receives engine pipeline telemetry in addition to the built-in
-	// collector surfaced by Stats. Optional.
+	// collector surfaced by Stats. Optional. Its callbacks run while the cycle
+	// holds the request ledger's lock, so they must not call the server back.
 	Probe engine.Probe
 	// Limits bounds engine memory and per-cycle latency (see engine.Limits).
 	// Limits.MaxPending doubles as the server's global admission cap: a
@@ -150,6 +150,10 @@ type Server struct {
 	// eng owns cycle assembly, the memoized query answers and the dynamic
 	// collection; it is internally synchronised.
 	eng *engine.Engine
+	// ledger owns the request lifecycle — admission, each cycle's snapshot and
+	// commit, document removal — and writes every journal record; it is
+	// internally synchronised.
+	ledger *engine.Ledger
 	// adaptive is the self-tuning admission controller; nil unless
 	// ServerConfig.Adaptive. Its live MaxPending/UplinkRate supersede the
 	// static config at every admission decision.
@@ -170,12 +174,11 @@ type Server struct {
 	downEnc   *transport.Encoder
 	downHello []byte
 
-	// jn is the durability journal; nil without ServerConfig.StateDir.
-	// Journal appends happen under mu, so the log's record order always
-	// matches the order state changed. epoch and generation identify this
-	// journal lineage and restart in the session-resume handshake (both
-	// zero on an in-memory server). recovered counts pending requests
-	// restored at startup.
+	// jn is the durability journal; nil without ServerConfig.StateDir. The
+	// ledger writes its records; the server only closes, kills or arms it.
+	// epoch and generation identify this journal lineage and restart in the
+	// session-resume handshake (both zero on an in-memory server). recovered
+	// counts pending requests restored at startup.
 	jn         *journal.Journal
 	epoch      uint64
 	generation uint32
@@ -184,25 +187,9 @@ type Server struct {
 	mu      sync.Mutex
 	subs    map[*subscriber]struct{}
 	uplinks map[net.Conn]struct{}
-	pending []*srvRequest
-	nextID  int64
-	cycles  int64
 	// cycleErr is the fatal assembly error that stopped the cycle loop; nil
 	// while the loop is healthy. Once set, submissions are refused with it.
 	cycleErr error
-
-	// Per-cycle scratch, reused across cycles; only the cycle-loop goroutine
-	// touches it.
-	snapshot  []engine.Pending
-	recv      []broadcast.Commitment
-	delivered []uint16
-
-	// docMu keeps RemoveDocument (exclusive) out of the two paths that carry
-	// document IDs between the engine and the pending set (shared): a
-	// submission from resolving its result set to joining pending, and a
-	// cycle from its pending-set snapshot to the encoded documents. Without
-	// it either could hold the ID of a document the engine has dropped.
-	docMu sync.RWMutex
 
 	rejectedRate    atomic.Int64
 	rejectedPending atomic.Int64
@@ -279,19 +266,6 @@ type outFrame [3][]byte
 // drains and flushes what remains, then closes the connection.
 func (sub *subscriber) finish() {
 	sub.quitOnce.Do(func() { close(sub.ch) })
-}
-
-// srvRequest is one uplink request's server-side state. remaining is the
-// request's own sorted, duplicate-free set of undelivered documents, shrunk in
-// place by the cycle loop's retire pass (under mu) and by RemoveDocument
-// (under docMu held exclusively, and mu). The engine reads it without a copy
-// while a cycle is assembled; that stretch runs under docMu held shared, on
-// the goroutine that does the retiring, so nothing writes it meanwhile.
-type srvRequest struct {
-	id        int64
-	query     xpath.Path
-	arrival   int64
-	remaining []xmldoc.DocID
 }
 
 // StartServer binds the uplink and broadcast listeners and starts the cycle
@@ -382,15 +356,10 @@ func StartServer(cfg ServerConfig) (*Server, error) {
 		return nil, err
 	}
 	var (
-		jn         *journal.Journal
-		recovered  []*srvRequest
-		epoch      uint64
-		generation uint32
-		nextID     int64
-		cycles     int64
+		jn *journal.Journal
+		st = &journal.State{}
 	)
 	if cfg.StateDir != "" {
-		var st *journal.State
 		jn, st, err = journal.Open(journal.Options{
 			Dir:           cfg.StateDir,
 			Fsync:         cfg.Fsync,
@@ -399,13 +368,11 @@ func StartServer(cfg ServerConfig) (*Server, error) {
 		if err != nil {
 			return nil, err
 		}
-		epoch, generation = st.Epoch, st.Generation
-		nextID, cycles = st.NextID, st.Cycles
-		recovered, err = restorePending(jn, eng, st)
-		if err != nil {
-			jn.Close()
-			return nil, err
-		}
+	}
+	ledger, err := engine.NewLedger(eng, jn, st)
+	if err != nil {
+		jn.Close() // only a journal append fails NewLedger
+		return nil, err
 	}
 	upLn, err := net.Listen("tcp", cfg.UplinkAddr)
 	if err != nil {
@@ -449,15 +416,13 @@ func StartServer(cfg ServerConfig) (*Server, error) {
 		clock:      clock,
 		adaptive:   adaptive,
 		eng:        eng,
+		ledger:     ledger,
 		upLn:       upLn,
 		bcLns:      bcLns,
 		jn:         jn,
-		epoch:      epoch,
-		generation: generation,
-		recovered:  len(recovered),
-		pending:    recovered,
-		nextID:     nextID,
-		cycles:     cycles,
+		epoch:      st.Epoch,
+		generation: st.Generation,
+		recovered:  ledger.Len(),
 		subs:       make(map[*subscriber]struct{}),
 		uplinks:    make(map[net.Conn]struct{}),
 		stop:       make(chan struct{}),
@@ -484,61 +449,6 @@ func StartServer(cfg ServerConfig) (*Server, error) {
 		close(s.done)
 	}()
 	return s, nil
-}
-
-// restorePending turns a recovered journal state back into live server
-// requests. Queries are re-parsed from their canonical strings; when the
-// collection fingerprint drifted while the server was down (documents added
-// or removed under a different process), each recovered remaining set is
-// re-intersected with the query's current result set so the schedule never
-// chases documents that no longer exist. Requests that no longer parse,
-// resolve, or retain any remaining documents are removed from the journal.
-func restorePending(jn *journal.Journal, eng *engine.Engine, st *journal.State) ([]*srvRequest, error) {
-	drifted := st.Fingerprint != 0 && st.Fingerprint != eng.CollectionFingerprint()
-	out := make([]*srvRequest, 0, len(st.Pending))
-	for _, jr := range st.Pending {
-		drop := func() error { return jn.Remove(jr.ID) }
-		q, err := xpath.Parse(jr.Query)
-		if err != nil {
-			if err := drop(); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		// The journal stores what submit handed it, but it is a file: sort
-		// and deduplicate instead of trusting it.
-		rem := make([]xmldoc.DocID, len(jr.Remaining))
-		for i, d := range jr.Remaining {
-			rem[i] = xmldoc.DocID(d)
-		}
-		slices.Sort(rem)
-		rem = slices.Compact(rem)
-		if drifted {
-			docs, err := eng.Resolve(q) // sorted
-			if err != nil {
-				if err := drop(); err != nil {
-					return nil, err
-				}
-				continue
-			}
-			rem = slices.DeleteFunc(rem, func(d xmldoc.DocID) bool { return !xmldoc.HasID(docs, d) })
-		}
-		if len(rem) == 0 {
-			if err := drop(); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		out = append(out, &srvRequest{id: jr.ID, query: q, arrival: jr.Arrival, remaining: rem})
-	}
-	// Re-stamp the journal's fingerprint to the live collection, so the
-	// next recovery compares against what this process actually served.
-	if fp := eng.CollectionFingerprint(); st.Fingerprint != fp {
-		if err := jn.DocAdded(fp); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
 }
 
 // UplinkAddr is the bound uplink address.
@@ -576,30 +486,22 @@ func (s *Server) ChannelAddrs() []string {
 func (s *Server) Channels() int { return len(s.bcLns) }
 
 // Cycles reports how many cycles have been broadcast.
-func (s *Server) Cycles() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.cycles
-}
+func (s *Server) Cycles() int64 { return s.ledger.Cycles() }
 
 // Pending reports the number of outstanding requests.
-func (s *Server) Pending() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.pending)
-}
+func (s *Server) Pending() int { return s.ledger.Len() }
 
 // Stats snapshots the server's counters and the assembly engine's pipeline
 // telemetry.
 func (s *Server) Stats() ServerStats {
-	s.mu.Lock()
 	st := ServerStats{
-		Cycles:          s.cycles,
-		Pending:         len(s.pending),
-		Subscribers:     len(s.subs),
+		Cycles:          s.ledger.Cycles(),
+		Pending:         s.ledger.Len(),
 		RejectedRate:    s.rejectedRate.Load(),
 		RejectedPending: s.rejectedPending.Load(),
 	}
+	s.mu.Lock()
+	st.Subscribers = len(s.subs)
 	if s.cycleErr != nil {
 		st.CycleError = s.cycleErr.Error()
 	}
@@ -971,107 +873,44 @@ func (s *Server) serveUplinkMux(conn net.Conn, br *bufio.Reader, bucket *tokenBu
 // journal's horizon (detail names the retiring cycle), or must be
 // resubmitted.
 func (s *Server) resumeEntries(ids []int64) []resumeEntry {
-	s.mu.Lock()
-	pending := make(map[int64]struct{}, len(s.pending))
-	for _, r := range s.pending {
-		pending[r.id] = struct{}{}
-	}
-	next := s.cycles
-	s.mu.Unlock()
 	entries := make([]resumeEntry, 0, len(ids))
 	for _, id := range ids {
 		e := resumeEntry{ID: id, Status: ResumeResubmit}
-		if _, ok := pending[id]; ok {
-			e.Status, e.Detail = ResumeResumed, next
-		} else if s.jn != nil {
-			if cyc, ok := s.jn.Served(id); ok {
-				e.Status, e.Detail = ResumeServed, cyc
-			}
+		switch pending, served, cyc := s.ledger.Lookup(id); {
+		case pending:
+			e.Status, e.Detail = ResumeResumed, cyc
+		case served:
+			e.Status, e.Detail = ResumeServed, cyc
 		}
 		entries = append(entries, e)
 	}
 	return entries
 }
 
-// submit registers one query, resolving its result set server-side, and
-// returns the number of the first broadcast cycle whose index is guaranteed
-// to cover it plus the request's durable ID. With Limits.MaxPending set, a
-// submission that would grow the pending set past the cap is refused with a
-// wrapped engine.ErrOverload — checked before resolution so floods cannot
-// buy NFA work, and re-checked at the append because the set may have grown
-// while resolving. On a journaled server the admit record is durably
-// appended before submit returns, so the caller's ack never outruns the
-// journal: a crash after the ack recovers the request.
+// submit registers one query through the ledger and returns the number of the
+// first broadcast cycle whose index is guaranteed to cover it plus the
+// request's durable ID. A dead cycle loop refuses it (a request admitted now
+// would never air), and so does a pending set at the live cap (the adaptive
+// controller's, or Limits.MaxPending), with a wrapped engine.ErrOverload. On a
+// journaled server the admit record is durable before submit returns, so the
+// caller's ack never outruns the journal: a crash after the ack recovers the
+// request.
 func (s *Server) submit(expr string) (int64, int64, error) {
-	if err := s.admit(); err != nil {
-		return 0, 0, err
+	s.mu.Lock()
+	cycleErr := s.cycleErr
+	s.mu.Unlock()
+	if cycleErr != nil {
+		return 0, 0, fmt.Errorf("broadcast stopped: %w", cycleErr)
 	}
 	q, err := xpath.Parse(strings.TrimSpace(expr))
 	if err != nil {
 		return 0, 0, err
 	}
-	// Held until the request has joined pending, so the resolved IDs cannot go
-	// stale on the way; a removal after that strips them from pending itself.
-	s.docMu.RLock()
-	defer s.docMu.RUnlock()
-	// The engine memoizes answers per canonical query string and keeps them
-	// current across collection updates: a repeated submission is a lookup,
-	// a first one a walk of the CI.
-	docs, err := s.eng.Resolve(q)
-	if err != nil {
-		return 0, 0, err
-	}
-	if len(docs) == 0 {
-		return 0, 0, errors.New("query has an empty result set")
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if max := s.maxPending(); max > 0 && len(s.pending) >= max {
-		return 0, 0, fmt.Errorf("netcast: pending set at MaxPending %d: %w", max, engine.ErrOverload)
-	}
-	id := s.nextID + 1
-	if s.jn != nil {
-		// Journaling under mu keeps the log's admit order identical to ID
-		// order; the fsync cost (when configured) is the price of the
-		// ack-after-durability guarantee.
-		jrem := make([]uint16, 0, len(docs))
-		for _, d := range docs {
-			jrem = append(jrem, uint16(d))
-		}
-		if err := s.jn.Admit(journal.Request{ID: id, Arrival: s.cycles, Query: q.String(), Remaining: jrem}); err != nil {
-			return 0, 0, err
-		}
-	}
-	s.nextID = id
-	// The answer is the engine's cached slice (sorted, duplicate-free);
-	// the request owns a copy because it shrinks in place.
-	s.pending = append(s.pending, &srvRequest{id: id, query: q, arrival: s.cycles, remaining: slices.Clone(docs)})
-	// The next snapshot (cycle number s.cycles) will include this request.
-	return s.cycles, id, nil
-}
-
-// maxPending is the live pending-set cap: the adaptive controller's value
-// when one is running, the static Limits.MaxPending otherwise.
-func (s *Server) maxPending() int {
+	max := s.cfg.Limits.MaxPending
 	if s.adaptive != nil {
-		return s.adaptive.MaxPending()
+		max = s.adaptive.MaxPending()
 	}
-	return s.cfg.Limits.MaxPending
-}
-
-// admit is the cheap pre-resolution admission check: against a dead cycle
-// loop (a request admitted now would never air) and the pending cap.
-func (s *Server) admit() error {
-	max := s.maxPending()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.cycleErr != nil {
-		return fmt.Errorf("broadcast stopped: %w", s.cycleErr)
-	}
-	if max > 0 && len(s.pending) >= max {
-		return fmt.Errorf("netcast: pending set at MaxPending %d: %w", max, engine.ErrOverload)
-	}
-	return nil
+	return s.ledger.Admit(q, max)
 }
 
 // acceptSubscribers registers broadcast listeners on one channel's listener,
@@ -1165,44 +1004,15 @@ func (s *Server) cycleLoop() {
 // broadcastCycle plans, encodes and fans out one cycle through the shared
 // assembly engine.
 func (s *Server) broadcastCycle() error {
-	// docMu is held from the snapshot through the encode — the stretch that
-	// dereferences the snapshot's document IDs — and not across the fan-out or
-	// the journal commit, so a removal waits out an assembly, never a cycle.
-	s.docMu.RLock()
-	s.mu.Lock()
-	if len(s.pending) == 0 {
-		s.mu.Unlock()
-		s.docMu.RUnlock()
-		return nil
-	}
-	// The snapshot lends each request's remaining set to the engine (see
-	// srvRequest). IDs are handed out in increasing order under mu, and the
-	// journal recovers nextID at or past every recovered ID, so nextID is a
-	// watermark: a request is in this snapshot iff its ID is at most that.
-	pending := s.snapshot[:0]
-	for _, r := range s.pending {
-		pending = append(pending, engine.Pending{ID: r.id, Query: r.query, Arrival: r.arrival, Remaining: r.remaining})
-	}
-	s.snapshot = pending
-	watermark := s.nextID
-	// The cycle number is claimed under the same lock that snapshots the
-	// pending set, so a submission observing cycles == k is guaranteed to
-	// be covered by the snapshot of cycle k.
-	num := s.cycles
-	s.cycles++
-	s.mu.Unlock()
-
-	// The server's clock is the cycle number: arrivals are stamped with it,
-	// and the scheduler's "now" follows the same unit.
-	cy, err := s.eng.AssembleCycle(num, num, pending)
-	var enc *engine.Encoded
-	if err == nil {
-		enc, err = s.eng.EncodeCycle(cy)
-	}
-	s.docMu.RUnlock()
-	if err != nil {
+	// The ledger holds its lock from the snapshot through the encode — the
+	// stretch that reads the snapshot's document IDs — and not across the
+	// fan-out, so an admission or a removal waits out an assembly, never a
+	// cycle.
+	cy, enc, err := s.ledger.Assemble()
+	if cy == nil || err != nil {
 		return err
 	}
+	num := cy.Number
 	catBytes, err := cy.Catalog.Encode()
 	if err != nil {
 		return err
@@ -1226,53 +1036,11 @@ func (s *Server) broadcastCycle() error {
 		return fmt.Errorf("netcast: cycle %d: %w", num, err)
 	}
 
-	// Mark deliveries on the snapshotted requests only (requests submitted
-	// mid-cycle did not have their documents announced in this index) and
-	// retire completed ones. On a journaled server the whole cycle commits
-	// as one record — per-request deliveries, retirements and the cycle
-	// counter advance — so recovery resumes at cycle num+1 with exactly
-	// this pending set; a crash before the commit re-airs cycle num from
-	// the unchanged durable state instead.
-	s.mu.Lock()
-	live := s.pending[:0]
-	var deliveries []journal.Delivery
-	delivered := s.delivered[:0]
-	for _, r := range s.pending {
-		if r.id <= watermark {
-			// Multichannel cycles retire only what a single-tuner client
-			// could actually have received (the receivable commitment); the
-			// rest stays pending and is rescheduled. The request's admission
-			// cycle is its first covering cycle, where the client is still
-			// reading the first tier.
-			s.recv = cy.Commitments(s.recv[:0], r.remaining, num == r.arrival)
-			for _, cm := range s.recv {
-				r.remaining = xmldoc.RemoveID(r.remaining, cm.ID)
-			}
-			if s.jn != nil && len(s.recv) > 0 {
-				// Commit encodes the deliveries before it returns, so their
-				// document lists share one buffer reused across cycles.
-				from := len(delivered)
-				for _, cm := range s.recv {
-					delivered = append(delivered, uint16(cm.ID))
-				}
-				deliveries = append(deliveries, journal.Delivery{ID: r.id, Docs: delivered[from:], Retired: len(r.remaining) == 0})
-			}
-		}
-		if len(r.remaining) > 0 {
-			live = append(live, r)
-		}
-	}
-	clear(s.pending[len(live):])
-	s.pending = live
-	s.delivered = delivered
-	if s.jn != nil {
-		if err := s.jn.Commit(num, deliveries); err != nil {
-			s.mu.Unlock()
-			return err
-		}
-	}
-	s.mu.Unlock()
-	return nil
+	// On a journaled server the whole cycle commits as one record, so
+	// recovery resumes at cycle num+1 with exactly the pending set the commit
+	// leaves; a crash before it re-airs cycle num from the unchanged state.
+	_, err = s.ledger.Commit(cy)
+	return err
 }
 
 // airCycle puts one encoded cycle on air, frame by frame. A frame that cannot
@@ -1352,7 +1120,7 @@ func (s *Server) airCycle(cy *engine.Cycle, enc *engine.Encoded, headBytes []byt
 // document airs in cycle after cycle until its requesters drain, and its
 // envelope is a pure function of its payload, so all but the first DEFLATE
 // pass would be repeated work. Running here — on the cycle goroutine, holding
-// neither docMu nor the engine's lock — a first airing's pass delays no
+// neither the ledger's lock nor the engine's — a first airing's pass delays no
 // submission, resolution or removal.
 func (s *Server) docFrame(enc *engine.Encoded, i int) (outFrame, error) {
 	if air := enc.Air(i); air != nil {
@@ -1447,15 +1215,7 @@ func (s *Server) AddDocument(d *xmldoc.Document) error {
 	if err := checkDocFits(d); err != nil {
 		return err
 	}
-	if err := s.eng.AddDocument(d); err != nil {
-		return err
-	}
-	if s.jn != nil {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return s.jn.DocAdded(s.eng.CollectionFingerprint())
-	}
-	return nil
+	return s.ledger.AddDocument(d)
 }
 
 // RemoveDocument retires a document from the live collection. Pending
@@ -1463,26 +1223,7 @@ func (s *Server) AddDocument(d *xmldoc.Document) error {
 // satisfied are retired. A journaled server records the removal, whose
 // replay shrinks recovered remaining sets the same way.
 func (s *Server) RemoveDocument(id xmldoc.DocID) error {
-	s.docMu.Lock()
-	defer s.docMu.Unlock()
-	if err := s.eng.RemoveDocument(id); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	live := s.pending[:0]
-	for _, r := range s.pending {
-		r.remaining = xmldoc.RemoveID(r.remaining, id)
-		if len(r.remaining) > 0 {
-			live = append(live, r)
-		}
-	}
-	clear(s.pending[len(live):])
-	s.pending = live
-	if s.jn != nil {
-		return s.jn.DocRemoved(uint16(id), s.eng.CollectionFingerprint())
-	}
-	return nil
+	return s.ledger.RemoveDocument(id)
 }
 
 // NumDocs reports the current collection size.

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"slices"
 	"strings"
 
 	"repro/internal/broadcast"
@@ -99,17 +98,28 @@ type RestartResult struct {
 	Engine engine.Metrics
 }
 
-// restartReq is one pending request of the restart driver; rem is its own
-// sorted, duplicate-free set of undelivered documents.
-type restartReq struct {
-	id      int64
-	arrival int64
-	query   xpath.Path
-	rem     []xmldoc.DocID
+// DivergesFrom names the first place r departs from control — the number of
+// committed cycles, a cycle's wire hash, or the pending set after its commit —
+// or returns nil when the two runs are equivalent.
+func (r *RestartResult) DivergesFrom(control *RestartResult) error {
+	if len(control.CycleHashes) != len(r.CycleHashes) {
+		return fmt.Errorf("control committed %d cycles, crashed run %d", len(control.CycleHashes), len(r.CycleHashes))
+	}
+	for i := range control.CycleHashes {
+		if control.CycleHashes[i] != r.CycleHashes[i] {
+			return fmt.Errorf("cycle %d wire hash diverged: control %016x, recovered %016x", i, control.CycleHashes[i], r.CycleHashes[i])
+		}
+		if control.PendingKeys[i] != r.PendingKeys[i] {
+			return fmt.Errorf("cycle %d pending set diverged", i)
+		}
+	}
+	return nil
 }
 
 // RunRestart executes a deterministic cycle-clocked broadcast run over a
-// durability journal. With CrashSeed or TornAfter set, the run is killed
+// durability journal. It is a scripted driver of engine.Ledger, the request
+// lifecycle the networked server runs, so what it crashes is the code that
+// serves. With CrashSeed or TornAfter set, the run is killed
 // mid-pipeline, recovered from the journal, and resumed — admissions the
 // journal already holds are skipped by durable-ID prefix, so the recovered
 // run re-airs the uncommitted cycle from exactly the pending set the crash
@@ -159,8 +169,8 @@ func RunRestart(cfg RestartConfig) (*RestartResult, error) {
 	return res, nil
 }
 
-// restartLeg runs one process lifetime: open (recover) the journal, restore
-// the pending set, and commit cycles until cfg.Cycles or the injected crash.
+// restartLeg runs one process lifetime: open (recover) the journal, recover
+// the ledger, and commit cycles until cfg.Cycles or the injected crash.
 // Reports whether the leg ended in a crash.
 func restartLeg(cfg RestartConfig, res *RestartResult, recovery bool) (crashed bool, err error) {
 	jn, st, err := journal.Open(journal.Options{
@@ -189,9 +199,6 @@ func restartLeg(cfg RestartConfig, res *RestartResult, recovery bool) (crashed b
 		crasher = chaos.NewCrasher(cfg.CrashSeed, int(cfg.Cycles), jn.Kill)
 		probe = crasher
 	}
-	if !recovery && cfg.TornAfter > 0 {
-		jn.CrashAfter(cfg.TornAfter)
-	}
 	// The recovered engine starts cold — an empty demand index and pruned
 	// view — while an uncrashed control has maintained both by deltas since
 	// cycle 0, so equivalence between the two also says the delta paths air
@@ -209,32 +216,23 @@ func restartLeg(cfg RestartConfig, res *RestartResult, recovery bool) (crashed b
 		return false, err
 	}
 	defer func() { res.Engine = eng.Metrics() }()
-
-	// Restore the recovered pending set; replay order is admission order.
-	pending := make([]*restartReq, 0, len(st.Pending))
-	for _, jr := range st.Pending {
-		q, perr := xpath.Parse(jr.Query)
-		if perr != nil {
-			return false, fmt.Errorf("sim: recovered query %q: %w", jr.Query, perr)
-		}
-		rem := make([]xmldoc.DocID, len(jr.Remaining))
-		for i, d := range jr.Remaining {
-			rem[i] = xmldoc.DocID(d)
-		}
-		slices.Sort(rem)
-		pending = append(pending, &restartReq{id: jr.ID, arrival: jr.Arrival, query: q, rem: slices.Compact(rem)})
+	led, err := engine.NewLedger(eng, jn, st)
+	if err != nil {
+		return false, err
 	}
-	nextID := st.NextID
+	if !recovery && cfg.TornAfter > 0 {
+		jn.CrashAfter(cfg.TornAfter)
+	}
 	// Admissions are journaled one by one in script order, so the durable
 	// NextID is exactly the length of the already-admitted script prefix.
-	si := int(nextID)
+	si := int(st.NextID)
 	if si > len(cfg.Script) {
-		return false, fmt.Errorf("sim: journal NextID %d exceeds script length %d", nextID, len(cfg.Script))
+		return false, fmt.Errorf("sim: journal NextID %d exceeds script length %d", st.NextID, len(cfg.Script))
 	}
 
 	// crashExit classifies a journal append failure: the injected crash ends
 	// the leg, anything else is a real error.
-	crashExit := func(cycle int64, stage string, aerr error) (bool, error) {
+	crashExit := func(cycle int64, aerr error) (bool, error) {
 		if !errors.Is(aerr, journal.ErrClosed) {
 			return false, aerr
 		}
@@ -242,104 +240,44 @@ func restartLeg(cfg RestartConfig, res *RestartResult, recovery bool) (crashed b
 			return true, nil
 		}
 		res.CrashCycle = cycle
+		res.CrashStage = "journal-append"
 		if crasher != nil && crasher.Fired() {
-			stage = crasher.Stage()
+			res.CrashStage = crasher.Stage()
 		}
-		res.CrashStage = stage
 		return true, nil
 	}
 
-	for cycle := st.Cycles; cycle < cfg.Cycles; cycle++ {
-		// Admit this cycle's scripted arrivals. The admit record is durable
-		// before the request enters the in-memory pending set — the driver
-		// analogue of ack-after-durability.
-		for si < len(cfg.Script) && cfg.Script[si].Cycle <= cycle {
-			e := cfg.Script[si]
-			docs, rerr := eng.Resolve(e.Query)
-			if rerr != nil {
-				return false, rerr
+	for cycle := led.Cycles(); cycle < cfg.Cycles; cycle = led.Cycles() {
+		// Admit this cycle's scripted arrivals.
+		for ; si < len(cfg.Script) && cfg.Script[si].Cycle <= cycle; si++ {
+			if _, _, aerr := led.Admit(cfg.Script[si].Query, 0); aerr != nil {
+				return crashExit(cycle, aerr)
 			}
-			if len(docs) == 0 {
-				return false, fmt.Errorf("sim: scripted query %q has an empty result set", e.Query)
-			}
-			id := nextID + 1
-			jrem := make([]uint16, len(docs))
-			for k, d := range docs {
-				jrem[k] = uint16(d)
-			}
-			if aerr := jn.Admit(journal.Request{ID: id, Arrival: cycle, Query: e.Query.String(), Remaining: jrem}); aerr != nil {
-				return crashExit(cycle, "journal-append", aerr)
-			}
-			nextID = id
-			pending = append(pending, &restartReq{id: id, arrival: cycle, query: e.Query, rem: slices.Clone(docs)})
-			si++
 		}
-		if len(pending) == 0 {
-			// Nothing to air: commit an empty cycle so the cycle counter
-			// stays aligned with the journal across a crash here.
-			if cerr := jn.Commit(cycle, nil); cerr != nil {
-				return crashExit(cycle, "journal-append", cerr)
-			}
-			res.CycleHashes = append(res.CycleHashes, emptyCycleHash(cycle))
-			res.PendingKeys = append(res.PendingKeys, "")
-			continue
-		}
-
-		eps := make([]engine.Pending, 0, len(pending))
-		for _, r := range pending {
-			eps = append(eps, engine.Pending{ID: r.id, Query: r.query, Arrival: r.arrival, Remaining: r.rem})
-		}
-		cy, err := eng.AssembleCycle(cycle, cycle, eps)
+		// With nothing pending the driver still commits the cycle, empty, so
+		// the cycle counter stays aligned with the journal across a crash.
+		cy, enc, err := led.Assemble()
 		if err != nil {
 			return false, err
 		}
-		enc, err := eng.EncodeCycle(cy)
-		if err != nil {
-			return false, err
-		}
-		h, err := hashCycleWire(cy, enc)
-		eng.Recycle(enc)
-		if err != nil {
-			return false, err
-		}
-
-		// Plan retirement without mutating: the shrinkage applies only once
-		// the commit is durable, so a crash here re-airs this cycle from the
-		// unchanged pending set.
-		plan := make([][]xmldoc.DocID, len(pending))
-		var deliveries []journal.Delivery
-		for i, r := range pending {
-			recv := cy.Commitments(nil, r.rem, cycle == r.arrival)
-			if len(recv) == 0 {
-				continue
-			}
-			ids := make([]xmldoc.DocID, len(recv))
-			docs := make([]uint16, len(recv))
-			for k, p := range recv {
-				ids[k] = p.ID
-				docs[k] = uint16(p.ID)
-			}
-			plan[i] = ids
-			deliveries = append(deliveries, journal.Delivery{ID: r.id, Docs: docs, Retired: len(ids) == len(r.rem)})
-		}
-		if cerr := jn.Commit(cycle, deliveries); cerr != nil {
-			return crashExit(cycle, "journal-append", cerr)
-		}
-		var live []*restartReq
-		for i, r := range pending {
-			for _, d := range plan[i] {
-				r.rem = xmldoc.RemoveID(r.rem, d)
-			}
-			if len(r.rem) == 0 {
-				res.ServedCycle[r.id] = cycle
-			} else {
-				live = append(live, r)
+		h := emptyCycleHash(cycle)
+		if cy != nil {
+			h, err = hashCycleWire(cy, enc)
+			eng.Recycle(enc)
+			if err != nil {
+				return false, err
 			}
 		}
-		pending = live
+		retired, cerr := led.Commit(cy)
+		if cerr != nil {
+			return crashExit(cycle, cerr)
+		}
+		for _, id := range retired {
+			res.ServedCycle[id] = cycle
+		}
 		res.CycleHashes = append(res.CycleHashes, h)
-		res.PendingKeys = append(res.PendingKeys, pendingKey(pending))
-		if cfg.Observer != nil {
+		res.PendingKeys = append(res.PendingKeys, pendingKey(led.Pending()))
+		if cy != nil && cfg.Observer != nil {
 			cfg.Observer(recovery, cy)
 		}
 	}
@@ -397,10 +335,10 @@ func hashCycleWire(cy *engine.Cycle, enc *engine.Encoded) (uint64, error) {
 
 // pendingKey canonicalises a pending set: requests in admission order, each
 // with its sorted remaining documents.
-func pendingKey(pending []*restartReq) string {
+func pendingKey(pending []engine.Pending) string {
 	var b strings.Builder
 	for _, r := range pending {
-		fmt.Fprintf(&b, "%d@%d:%v;", r.id, r.arrival, r.rem)
+		fmt.Fprintf(&b, "%d@%d:%v;", r.ID, r.Arrival, r.Remaining)
 	}
 	return b.String()
 }
