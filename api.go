@@ -125,6 +125,13 @@ func Simulate(cfg SimulationConfig) (*SimulationResult, error) { return sim.Run(
 // script (the crash-equivalence property the journal guarantees).
 func RunRestartSim(cfg RestartSimConfig) (*RestartSimResult, error) { return sim.RunRestart(cfg) }
 
+// RestartScript builds RunRestartSim's admission script from a query set:
+// queries that match nothing are dropped and the rest are dealt over the
+// first two thirds of the cycles.
+func RestartScript(c *Collection, queries []Query, cycles int64) []ScriptedRequest {
+	return sim.RestartScript(c, queries, cycles)
+}
+
 // Experiments lists every reproducible table and figure of the paper's
 // evaluation (plus this repository's ablations) in execution order.
 func Experiments() []Experiment { return exp.Experiments() }

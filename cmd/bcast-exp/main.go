@@ -21,6 +21,7 @@ import (
 	"runtime/pprof"
 
 	"repro"
+	"repro/internal/cliflags"
 )
 
 func main() {
@@ -32,6 +33,19 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("bcast-exp", flag.ContinueOnError)
+	cfg := repro.DefaultExperimentConfig()
+	layout := cliflags.Layout{Encoding: cfg.IndexEncoding, Channels: cfg.Channels, Compress: cfg.Compress,
+		Scheduler: cfg.Scheduler, Capacity: cfg.CycleCapacity}
+	layout.Register(fs, "mode")
+	var limits cliflags.Limits
+	limits.Register(fs)
+	fs.StringVar(&cfg.Schema, "schema", cfg.Schema, "document schema: nitf or nasa")
+	fs.IntVar(&cfg.NumDocs, "docs", cfg.NumDocs, "number of generated documents")
+	fs.IntVar(&cfg.NQ, "nq", cfg.NQ, "N_Q: pending queries")
+	fs.Float64Var(&cfg.P, "p", cfg.P, "P: wildcard probability")
+	fs.IntVar(&cfg.DQ, "dq", cfg.DQ, "D_Q: maximum query depth")
+	fs.Int64Var(&cfg.DocSeed, "doc-seed", cfg.DocSeed, "document generation seed")
+	fs.Int64Var(&cfg.QuerySeed, "query-seed", cfg.QuerySeed, "query generation seed")
 	var (
 		list  = fs.Bool("list", false, "list available experiments and exit")
 		expID = fs.String("exp", "", "experiment ID to run (see -list)")
@@ -39,24 +53,7 @@ func run(args []string) error {
 
 		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
 		memProfile = fs.String("memprofile", "", "write a heap profile at exit to this file (go tool pprof)")
-		schema     = fs.String("schema", "", "document schema: nitf or nasa")
-		docs       = fs.Int("docs", 0, "number of generated documents")
-		nq         = fs.Int("nq", 0, "N_Q: pending queries")
-		p          = fs.Float64("p", -1, "P: wildcard probability")
-		dq         = fs.Int("dq", 0, "D_Q: maximum query depth")
-		cap        = fs.Int("capacity", 0, "cycle document budget in bytes")
-		channels   = fs.Int("channels", 0, "parallel broadcast channels K for experiment runs (two-tier legs only)")
-		compress   = fs.Bool("compress", false, "model the transport's per-frame DEFLATE in experiment runs (K=1 only)")
-		indexEnc   = fs.String("index-enc", "", "first-tier wire layout for experiment runs: node or succinct (two-tier legs only)")
-		sched      = fs.String("scheduler", "", "scheduler: leelo, fcfs, mrf or rxw")
-		docSeed    = fs.Int64("doc-seed", 0, "document generation seed")
-		qSeed      = fs.Int64("query-seed", 0, "query generation seed")
 		format     = fs.String("format", "table", "output format for -exp: table, csv or json")
-
-		maxPending  = fs.Int("max-pending", 0, "engine admission cap on the pending set (0 = unlimited)")
-		answerCache = fs.Int("answer-cache", 0, "max memoized query answers, LRU-evicted (0 = unlimited)")
-		payloadMB   = fs.Int("payload-cache", 0, "max cached document megabytes (payloads plus, when compressing, their envelopes), LRU-evicted (0 = unlimited)")
-		buildBudget = fs.Duration("build-budget", 0, "per-cycle index-pruning deadline; overruns broadcast the unpruned CI (0 = none)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -68,52 +65,9 @@ func run(args []string) error {
 		}
 		return nil
 	}
-
-	cfg := repro.DefaultExperimentConfig()
-	if *schema != "" {
-		cfg.Schema = *schema
-	}
-	if *docs > 0 {
-		cfg.NumDocs = *docs
-	}
-	if *nq > 0 {
-		cfg.NQ = *nq
-	}
-	if *p >= 0 {
-		cfg.P = *p
-	}
-	if *dq > 0 {
-		cfg.DQ = *dq
-	}
-	if *cap > 0 {
-		cfg.CycleCapacity = *cap
-	}
-	if *channels > 0 {
-		cfg.Channels = *channels
-	}
-	cfg.Compress = *compress
-	if *indexEnc != "" {
-		enc, err := repro.ParseIndexEncoding(*indexEnc)
-		if err != nil {
-			return err
-		}
-		cfg.IndexEncoding = enc
-	}
-	if *sched != "" {
-		cfg.Scheduler = *sched
-	}
-	if *docSeed != 0 {
-		cfg.DocSeed = *docSeed
-	}
-	if *qSeed != 0 {
-		cfg.QuerySeed = *qSeed
-	}
-	cfg.Limits = repro.EngineLimits{
-		MaxPending:            *maxPending,
-		MaxAnswerCacheEntries: *answerCache,
-		MaxPayloadCacheBytes:  *payloadMB << 20,
-		BuildBudget:           *buildBudget,
-	}
+	cfg.IndexEncoding, cfg.Channels, cfg.Compress = layout.Encoding, layout.Channels, layout.Compress
+	cfg.Scheduler, cfg.CycleCapacity = layout.Scheduler, layout.Capacity
+	cfg.Limits = limits.Engine()
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)

@@ -79,6 +79,11 @@ func TestErrors(t *testing.T) {
 	if _, err := capture(t, []string{"-bogusflag"}); err == nil {
 		t.Error("bogus flag succeeded")
 	}
+	// The Compress × K rule, in the words bcast-sim and bcast-serve use.
+	args := []string{"-exp", "fig11a", "-docs", "10", "-nq", "10", "-compress", "-channels", "4"}
+	if _, err := capture(t, args); err == nil || !strings.Contains(err.Error(), "compression requires a single channel, got K=4") {
+		t.Errorf("args %v: err = %v, want the single-channel rule", args, err)
+	}
 	// The simulator has no admission controller: its flags are gone, not
 	// ignored.
 	for _, args := range [][]string{{"-adaptive"}, {"-target-latency", "5ms"}} {

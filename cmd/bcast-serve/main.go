@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/cliflags"
 )
 
 func main() {
@@ -33,28 +34,21 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("bcast-serve", flag.ContinueOnError)
+	layout := cliflags.Layout{Mode: repro.TwoTierMode, Channels: 1, Capacity: 100_000}
+	layout.Register(fs, "scheduler")
+	src := cliflags.Source{Schema: "nitf", Docs: 50, Seed: 1}
+	src.Register(fs)
+	var limits cliflags.Limits
+	limits.Register(fs)
 	var (
 		uplink    = fs.String("uplink", "127.0.0.1:0", "uplink listen address")
 		bcast     = fs.String("broadcast", "127.0.0.1:0", "broadcast listen address")
-		schema    = fs.String("schema", "nitf", "document schema: nitf or nasa")
-		dataDir   = fs.String("data", "", "directory of .xml files to broadcast (overrides -schema/-docs)")
-		docs      = fs.Int("docs", 50, "number of generated documents")
-		capacity  = fs.Int("capacity", 100_000, "cycle document budget in bytes")
-		mode      = fs.String("mode", "two-tier", "index organisation: one-tier or two-tier")
-		indexEnc  = fs.String("index-enc", "node", "first-tier wire layout: node or succinct (two-tier only)")
-		channels  = fs.Int("channels", 1, "parallel broadcast channels K (two-tier only; K>1 streams protocol v3)")
-		compress  = fs.Bool("compress", false, "per-frame DEFLATE on the downlink and for willing uplinks (K=1 only)")
 		muxCredit = fs.Int("mux-credit", 0, "per-stream flow-control window granted to multiplexed uplinks (0 = default)")
 		muxCli    = fs.Int("mux-clients", 0, "with -selfdrive: fan the request trickle over this many logical clients on one multiplexed uplink connection (0 = plain client)")
 		interval  = fs.Duration("interval", 100*time.Millisecond, "cycle pacing")
-		seed      = fs.Int64("seed", 1, "random seed")
 		selfdrive = fs.Bool("selfdrive", false, "submit synthetic requests continuously")
 		duration  = fs.Duration("for", 0, "stop after this long (default: run until interrupted)")
 
-		maxPending  = fs.Int("max-pending", 0, "admission cap on the pending query set (0 = unlimited)")
-		answerCache = fs.Int("answer-cache", 0, "max memoized query answers, LRU-evicted (0 = unlimited)")
-		payloadMB   = fs.Int("payload-cache", 0, "max cached document megabytes (payloads plus, when compressing, their envelopes), LRU-evicted (0 = unlimited)")
-		buildBudget = fs.Duration("build-budget", 0, "per-cycle index-pruning deadline; overruns broadcast the unpruned CI (0 = none)")
 		uplinkRate  = fs.Float64("uplink-rate", 0, "per-connection query rate limit in queries/s (0 = unlimited)")
 		uplinkBurst = fs.Int("uplink-burst", 0, "token-bucket burst for -uplink-rate (default 8)")
 		adaptive    = fs.Bool("adaptive", false, "self-tune the admission limits (AIMD over -max-pending/-uplink-rate); static values become seeds")
@@ -68,39 +62,21 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	bm, err := repro.ParseBroadcastMode(*mode)
-	if err != nil {
-		return err
-	}
-	enc, err := repro.ParseIndexEncoding(*indexEnc)
-	if err != nil {
-		return err
-	}
-	var coll *repro.Collection
-	if *dataDir != "" {
-		coll, err = repro.LoadCollection(*dataDir)
-	} else {
-		coll, err = repro.GenerateDocuments(*schema, *docs, *seed)
-	}
+	coll, err := src.Load()
 	if err != nil {
 		return err
 	}
 	srv, err := repro.StartBroadcastServer(repro.BroadcastServerConfig{
-		Collection:    coll,
-		Mode:          bm,
-		IndexEncoding: enc,
-		Channels:      *channels,
-		CycleCapacity: *capacity,
-		CycleInterval: *interval,
-		UplinkAddr:    *uplink,
-		BroadcastAddr: *bcast,
-		Limits: repro.EngineLimits{
-			MaxPending:            *maxPending,
-			MaxAnswerCacheEntries: *answerCache,
-			MaxPayloadCacheBytes:  *payloadMB << 20,
-			BuildBudget:           *buildBudget,
-		},
-		Compress:       *compress,
+		Collection:     coll,
+		Mode:           layout.Mode,
+		IndexEncoding:  layout.Encoding,
+		Channels:       layout.Channels,
+		CycleCapacity:  layout.Capacity,
+		CycleInterval:  *interval,
+		UplinkAddr:     *uplink,
+		BroadcastAddr:  *bcast,
+		Limits:         limits.Engine(),
+		Compress:       layout.Compress,
 		MuxCredit:      *muxCredit,
 		UplinkRate:     *uplinkRate,
 		UplinkBurst:    *uplinkBurst,
@@ -134,8 +110,8 @@ func run(args []string) error {
 		}()
 	}
 	fmt.Printf("serving %d documents (%d bytes) in %s mode, %s index encoding\n",
-		coll.Len(), coll.TotalSize(), *mode, enc)
-	if *compress {
+		coll.Len(), coll.TotalSize(), layout.Mode, layout.Encoding)
+	if layout.Compress {
 		fmt.Println("transport per-frame DEFLATE on (downlink compressed; uplinks negotiate at hello)")
 	}
 	fmt.Printf("uplink    %s\n", srv.UplinkAddr())
@@ -153,7 +129,7 @@ func run(args []string) error {
 	driverDone := make(chan struct{})
 	driverStop := make(chan struct{})
 	if *selfdrive {
-		pool, err := repro.GenerateQueries(coll, 30, 5, 0.1, *seed+1)
+		pool, err := repro.GenerateQueries(coll, 30, 5, 0.1, src.Seed+1)
 		if err != nil {
 			return err
 		}
@@ -163,7 +139,7 @@ func run(args []string) error {
 			// Fan the trickle over logical clients sharing one multiplexed
 			// uplink connection, exercising the stream framing the way a
 			// gateway proxying many mobile clients would.
-			mx, err := repro.DialBroadcastMux(srv.UplinkAddr(), repro.BroadcastMuxConfig{Compress: *compress})
+			mx, err := repro.DialBroadcastMux(srv.UplinkAddr(), repro.BroadcastMuxConfig{Compress: layout.Compress})
 			if err != nil {
 				return err
 			}

@@ -43,6 +43,8 @@ func TestServeErrors(t *testing.T) {
 		// The churn thresholds are constants: their flags are gone, not ignored.
 		{[]string{"-prune-churn", "0.5"}, undefined},
 		{[]string{"-sched-churn", "-1"}, undefined},
+		// The Compress × K rule, in the words bcast-sim and bcast-exp use.
+		{[]string{"-docs", "5", "-compress", "-channels", "4"}, "compression requires a single channel, got K=4"},
 	}
 	for _, tc := range tests {
 		if err := run(tc.args); err == nil || !strings.Contains(err.Error(), tc.want) {

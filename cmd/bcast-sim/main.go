@@ -15,6 +15,7 @@ import (
 	"strings"
 
 	"repro"
+	"repro/internal/cliflags"
 )
 
 func main() {
@@ -26,21 +27,15 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("bcast-sim", flag.ContinueOnError)
+	layout := cliflags.Layout{Mode: repro.TwoTierMode, Channels: 1, Scheduler: "leelo", Capacity: 100_000}
+	layout.Register(fs)
+	src := cliflags.Source{Schema: "nitf", Docs: 50, Seed: 1}
+	src.Register(fs)
 	var (
-		mode     = fs.String("mode", "two-tier", "index organisation: one-tier or two-tier")
-		indexEnc = fs.String("index-enc", "node", "first-tier wire layout: node or succinct (two-tier only)")
-		channels = fs.Int("channels", 1, "parallel broadcast channels K at fixed aggregate bandwidth (two-tier only)")
-		schema   = fs.String("schema", "nitf", "document schema: nitf or nasa")
-		dataDir  = fs.String("data", "", "directory of .xml files to broadcast (overrides -schema/-docs)")
-		docs     = fs.Int("docs", 50, "number of generated documents")
-		nq       = fs.Int("nq", 100, "number of client requests")
-		p        = fs.Float64("p", 0.1, "wildcard probability")
-		dq       = fs.Int("dq", 5, "maximum query depth")
-		capacity = fs.Int("capacity", 100_000, "cycle document budget in bytes")
-		compress = fs.Bool("compress", false, "model the transport's per-frame DEFLATE: cycles accounted at compressed air size (K=1 only)")
-		sched    = fs.String("scheduler", "leelo", "scheduler: leelo, fcfs, mrf or rxw")
-		seed     = fs.Int64("seed", 1, "random seed")
-		verbose  = fs.Bool("v", false, "print per-cycle and per-client detail")
+		nq      = fs.Int("nq", 100, "number of client requests")
+		p       = fs.Float64("p", 0.1, "wildcard probability")
+		dq      = fs.Int("dq", 5, "maximum query depth")
+		verbose = fs.Bool("v", false, "print per-cycle and per-client detail")
 
 		restart   = fs.Bool("restart-check", false, "run the crash-restart equivalence check instead of the metrics simulation: a crashed-and-recovered journaled run must be wire-identical to a crash-free control")
 		crashSeed = fs.Int64("crash-seed", 1, "seed choosing the injected crash's pipeline stage and cycle (-restart-check)")
@@ -52,66 +47,64 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-
-	bm, err := repro.ParseBroadcastMode(*mode)
+	coll, err := src.Load()
 	if err != nil {
 		return err
 	}
-	enc, err := repro.ParseIndexEncoding(*indexEnc)
+	queries, err := repro.GenerateQueries(coll, *nq, *dq, *p, src.Seed+1)
 	if err != nil {
 		return err
 	}
-
-	var coll *repro.Collection
-	if *dataDir != "" {
-		coll, err = repro.LoadCollection(*dataDir)
-	} else {
-		coll, err = repro.GenerateDocuments(*schema, *docs, *seed)
-	}
-	if err != nil {
-		return err
-	}
-	queries, err := repro.GenerateQueries(coll, *nq, *dq, *p, *seed+1)
-	if err != nil {
-		return err
+	if *restart {
+		// The check runs the two-tier, node-encoded, bare program: a layout
+		// flag it would ignore is refused instead.
+		var refused error
+		fs.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "mode", "index-enc", "compress":
+				if refused == nil && f.Value.String() != f.DefValue {
+					refused = fmt.Errorf("-restart-check runs two-tier, node-encoded and uncompressed; it does not take -%s %s", f.Name, f.Value)
+				}
+			}
+		})
+		if refused != nil {
+			return refused
+		}
+		return restartCheck(repro.RestartSimConfig{
+			Collection:    coll,
+			Channels:      layout.Channels,
+			CycleCapacity: layout.Capacity,
+			Script:        repro.RestartScript(coll, queries, int64(*cycles)),
+			Cycles:        int64(*cycles),
+			Fsync:         *fsync,
+			SnapshotEvery: *snapEvery,
+			CrashSeed:     *crashSeed,
+		}, layout.Scheduler, *stateDir, *verbose)
 	}
 	reqs := make([]repro.ClientRequest, len(queries))
 	for i, q := range queries {
 		reqs[i] = repro.ClientRequest{Query: q, Arrival: int64(i) * 100}
 	}
-	if *restart {
-		return restartCheck(coll, queries, restartCheckConfig{
-			sched:     *sched,
-			channels:  *channels,
-			capacity:  *capacity,
-			cycles:    *cycles,
-			crashSeed: *crashSeed,
-			stateDir:  *stateDir,
-			fsync:     *fsync,
-			snapEvery: *snapEvery,
-			verbose:   *verbose,
-		})
-	}
-	scheduler, err := repro.NewScheduler(*sched)
+	scheduler, err := repro.NewScheduler(layout.Scheduler)
 	if err != nil {
 		return err
 	}
 	res, err := repro.Simulate(repro.SimulationConfig{
 		Collection:    coll,
-		Mode:          bm,
-		IndexEncoding: enc,
-		Channels:      *channels,
+		Mode:          layout.Mode,
+		IndexEncoding: layout.Encoding,
+		Channels:      layout.Channels,
 		Scheduler:     scheduler,
-		CycleCapacity: *capacity,
+		CycleCapacity: layout.Capacity,
 		Requests:      reqs,
-		Compress:      *compress,
+		Compress:      layout.Compress,
 	})
 	if err != nil {
 		return err
 	}
 
 	fmt.Printf("mode=%s enc=%s schema=%s docs=%d data=%dB requests=%d scheduler=%s channels=%d compress=%v\n",
-		*mode, enc, *schema, coll.Len(), coll.TotalSize(), len(reqs), *sched, *channels, *compress)
+		layout.Mode, layout.Encoding, src.Schema, coll.Len(), coll.TotalSize(), len(reqs), layout.Scheduler, layout.Channels, layout.Compress)
 	fmt.Printf("cycles broadcast:        %d\n", res.NumCycles())
 	fmt.Printf("mean cycle length:       %.0f B\n", res.MeanCycleBytes())
 	fmt.Printf("mean index size (L_I):   %.0f B\n", res.MeanIndexBytes())
@@ -141,46 +134,14 @@ func run(args []string) error {
 	return nil
 }
 
-type restartCheckConfig struct {
-	sched     string
-	channels  int
-	capacity  int
-	cycles    int
-	crashSeed int64
-	stateDir  string
-	fsync     bool
-	snapEvery int
-	verbose   bool
-}
-
-// restartCheck runs the same admission script twice over a durability
-// journal — once crash-free, once with a seed-chosen mid-pipeline crash
+// restartCheck runs cfg's admission script twice over a durability journal
+// under root — once crash-free, once with the seed-chosen mid-pipeline crash
 // followed by warm recovery — and verifies the two runs are wire-identical
 // cycle by cycle.
-func restartCheck(coll *repro.Collection, queries []repro.Query, cfg restartCheckConfig) error {
-	// Queries with empty result sets never enter the pending set; the
-	// remainder are admitted evenly across the first two thirds of the run
-	// so the crash window always has live pending state around it.
-	matches := repro.FilterDocuments(coll, queries)
-	var live []repro.Query
-	for i, q := range queries {
-		if len(matches[i]) > 0 {
-			live = append(live, q)
-		}
-	}
-	if len(live) == 0 {
+func restartCheck(cfg repro.RestartSimConfig, sched, root string, verbose bool) error {
+	if len(cfg.Script) == 0 {
 		return fmt.Errorf("restart-check: no query in the workload matches any document")
 	}
-	span := cfg.cycles * 2 / 3
-	if span < 1 {
-		span = 1
-	}
-	script := make([]repro.ScriptedRequest, len(live))
-	for i, q := range live {
-		script[i] = repro.ScriptedRequest{Cycle: int64(i * span / len(live)), Query: q}
-	}
-
-	root := cfg.stateDir
 	if root == "" {
 		tmp, err := os.MkdirTemp("", "bcast-sim-restart")
 		if err != nil {
@@ -191,45 +152,36 @@ func restartCheck(coll *repro.Collection, queries []repro.Query, cfg restartChec
 	}
 
 	leg := func(dir string, crashSeed int64) (*repro.RestartSimResult, error) {
-		scheduler, err := repro.NewScheduler(cfg.sched)
+		scheduler, err := repro.NewScheduler(sched)
 		if err != nil {
 			return nil, err
 		}
-		return repro.RunRestartSim(repro.RestartSimConfig{
-			Collection:    coll,
-			Scheduler:     scheduler,
-			Channels:      cfg.channels,
-			CycleCapacity: cfg.capacity,
-			Script:        script,
-			Cycles:        int64(cfg.cycles),
-			StateDir:      dir,
-			Fsync:         cfg.fsync,
-			SnapshotEvery: cfg.snapEvery,
-			CrashSeed:     crashSeed,
-		})
+		c := cfg
+		c.Scheduler, c.StateDir, c.CrashSeed = scheduler, dir, crashSeed
+		return repro.RunRestartSim(c)
 	}
 	control, err := leg(filepath.Join(root, "control"), 0)
 	if err != nil {
 		return err
 	}
-	crashed, err := leg(filepath.Join(root, "crash"), cfg.crashSeed)
+	crashed, err := leg(filepath.Join(root, "crash"), cfg.CrashSeed)
 	if err != nil {
 		return err
 	}
 
 	fmt.Printf("restart-check: %d requests over %d cycles, K=%d, seed-%d crash\n",
-		len(script), cfg.cycles, cfg.channels, cfg.crashSeed)
+		len(cfg.Script), cfg.Cycles, cfg.Channels, cfg.CrashSeed)
 	if crashed.Crashed {
 		fmt.Printf("crash:     stage %s, cycle %d\n", crashed.CrashStage, crashed.CrashCycle)
 		fmt.Printf("recovery:  generation %d, %d pending restored, truncated=%v\n",
 			crashed.Generation, crashed.RecoveredPending, crashed.RecoveredTruncated)
 	} else {
-		fmt.Printf("crash:     seed %d never reached its probe point (run was crash-free)\n", cfg.crashSeed)
+		fmt.Printf("crash:     seed %d never reached its probe point (run was crash-free)\n", cfg.CrashSeed)
 	}
 	if err := crashed.DivergesFrom(control); err != nil {
 		return fmt.Errorf("restart-check: %w", err)
 	}
-	if cfg.verbose {
+	if verbose {
 		fmt.Println("\ncycle  wire hash         pending")
 		for i, h := range control.CycleHashes {
 			n := 0

@@ -77,6 +77,12 @@ func TestErrors(t *testing.T) {
 		// ignored.
 		{[]string{"-adaptive"}, undefined},
 		{[]string{"-target-latency", "5ms"}, undefined},
+		// -restart-check runs one layout; it refuses the flags it would ignore.
+		{[]string{"-restart-check", "-mode", "one-tier"}, "-mode one-tier"},
+		{[]string{"-restart-check", "-index-enc", "succinct"}, "-index-enc succinct"},
+		{[]string{"-restart-check", "-compress"}, "-compress true"},
+		// The Compress × K rule, in the words bcast-serve and bcast-exp use.
+		{[]string{"-compress", "-channels", "4", "-docs", "5", "-nq", "3"}, "compression requires a single channel, got K=4"},
 	}
 	for _, tc := range tests {
 		if _, err := capture(t, tc.args); err == nil || !strings.Contains(err.Error(), tc.want) {

@@ -58,14 +58,18 @@ func (m Mode) String() string {
 	}
 }
 
-// ParseMode resolves a -mode flag value, the inverse of Mode.String.
-func ParseMode(s string) (Mode, error) {
-	for _, m := range []Mode{OneTierMode, TwoTierMode} {
-		if s == m.String() {
-			return m, nil
+// MarshalText is String as text, so a Mode can back a flag (flag.TextVar).
+func (m Mode) MarshalText() ([]byte, error) { return []byte(m.String()), nil }
+
+// UnmarshalText parses a mode name, the inverse of String.
+func (m *Mode) UnmarshalText(b []byte) error {
+	for _, v := range []Mode{OneTierMode, TwoTierMode} {
+		if string(b) == v.String() {
+			*m = v
+			return nil
 		}
 	}
-	return 0, fmt.Errorf("broadcast: unknown mode %q (want one-tier or two-tier)", s)
+	return fmt.Errorf("broadcast: unknown mode %q (want one-tier or two-tier)", b)
 }
 
 // DocPlacement locates one document inside a cycle's document section.
@@ -652,6 +656,17 @@ func (b *Builder) SetChannels(k int) error {
 		return fmt.Errorf("broadcast: multichannel layout requires two-tier mode")
 	}
 	b.channels = k
+	return nil
+}
+
+// CheckCompress states the transport rule beside the layout rules above:
+// per-frame compression needs a single channel, because the channel
+// directory's hop offsets index the uncompressed stream and envelope sizes
+// would invalidate them.
+func CheckCompress(channels int, compress bool) error {
+	if compress && channels > 1 {
+		return fmt.Errorf("broadcast: compression requires a single channel, got K=%d", channels)
+	}
 	return nil
 }
 

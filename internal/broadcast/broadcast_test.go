@@ -41,16 +41,33 @@ func TestModeString(t *testing.T) {
 	}
 }
 
+// A -mode flag value parses through UnmarshalText, the inverse of String.
 func TestParseMode(t *testing.T) {
 	for _, m := range []Mode{OneTierMode, TwoTierMode} {
-		if got, err := ParseMode(m.String()); err != nil || got != m {
-			t.Errorf("ParseMode(%q) = %v, %v", m.String(), got, err)
+		var got Mode
+		if err := got.UnmarshalText([]byte(m.String())); err != nil || got != m {
+			t.Errorf("UnmarshalText(%q) = %v, %v", m.String(), got, err)
 		}
 	}
 	for _, bad := range []string{"", "three-tier", "Mode(1)", "Two-Tier"} {
-		if _, err := ParseMode(bad); err == nil || !strings.Contains(err.Error(), "unknown mode") {
-			t.Errorf("ParseMode(%q) error = %v, want an unknown-mode error", bad, err)
+		var m Mode
+		if err := m.UnmarshalText([]byte(bad)); err == nil || !strings.Contains(err.Error(), "unknown mode") {
+			t.Errorf("UnmarshalText(%q) error = %v, want an unknown-mode error", bad, err)
 		}
+	}
+}
+
+func TestCheckCompress(t *testing.T) {
+	for _, k := range []int{0, 1} {
+		if err := CheckCompress(k, true); err != nil {
+			t.Errorf("K=%d compressed: %v", k, err)
+		}
+	}
+	if err := CheckCompress(4, false); err != nil {
+		t.Errorf("K=4 bare: %v", err)
+	}
+	if err := CheckCompress(4, true); err == nil || !strings.Contains(err.Error(), "single channel") {
+		t.Errorf("K=4 compressed: err = %v, want the single-channel rule", err)
 	}
 }
 

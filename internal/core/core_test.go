@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/xmldoc"
@@ -329,5 +330,23 @@ func TestValidateDetectsCorruption(t *testing.T) {
 				t.Error("Validate passed on corrupted index")
 			}
 		})
+	}
+}
+
+// An -index-enc flag value parses through UnmarshalText, the inverse of
+// String; the empty string is the default node layout.
+func TestIndexEncodingText(t *testing.T) {
+	for _, e := range []IndexEncoding{EncodingNode, EncodingSuccinct} {
+		var got IndexEncoding
+		if err := got.UnmarshalText([]byte(e.String())); err != nil || got != e {
+			t.Errorf("UnmarshalText(%q) = %v, %v", e.String(), got, err)
+		}
+	}
+	got := EncodingSuccinct
+	if err := got.UnmarshalText(nil); err != nil || got != EncodingNode {
+		t.Errorf("UnmarshalText(\"\") = %v, %v, want node", got, err)
+	}
+	if err := got.UnmarshalText([]byte("bp")); err == nil || !strings.Contains(err.Error(), "unknown index encoding") {
+		t.Errorf("UnmarshalText(\"bp\") error = %v, want an unknown-encoding error", err)
 	}
 }

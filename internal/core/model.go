@@ -114,17 +114,22 @@ func (e IndexEncoding) String() string {
 	}
 }
 
-// ParseIndexEncoding resolves a -index-enc flag value; the empty string
-// means the default node layout.
-func ParseIndexEncoding(s string) (IndexEncoding, error) {
-	switch s {
+// MarshalText is String as text, so an IndexEncoding can back a flag
+// (flag.TextVar).
+func (e IndexEncoding) MarshalText() ([]byte, error) { return []byte(e.String()), nil }
+
+// UnmarshalText parses an encoding name, the inverse of String; the empty
+// string means the default node layout.
+func (e *IndexEncoding) UnmarshalText(b []byte) error {
+	switch string(b) {
 	case "", "node":
-		return EncodingNode, nil
+		*e = EncodingNode
 	case "succinct":
-		return EncodingSuccinct, nil
+		*e = EncodingSuccinct
 	default:
-		return 0, fmt.Errorf("core: unknown index encoding %q (want node or succinct)", s)
+		return fmt.Errorf("core: unknown index encoding %q (want node or succinct)", b)
 	}
+	return nil
 }
 
 // NodeKind classifies index nodes, mirroring the paper's flag block: a root,

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -29,17 +28,7 @@ func CrashEquivalence(cfg Config) (*stats.Table, error) {
 		return nil, err
 	}
 	const cycles = 30
-	var script []sim.ScriptedRequest
-	for _, q := range queries {
-		if len(q.MatchingDocs(coll)) == 0 {
-			continue
-		}
-		script = append(script, sim.ScriptedRequest{Cycle: int64(len(script)) % (cycles * 2 / 3), Query: q})
-	}
-	// Script order is admission order and must be cycle-sorted; the stable
-	// sort keeps same-cycle entries in generation order, which is part of
-	// the equivalence claim (IDs are assigned in script order).
-	sort.SliceStable(script, func(i, j int) bool { return script[i].Cycle < script[j].Cycle })
+	script := sim.RestartScript(coll, queries, cycles)
 	if len(script) == 0 {
 		return nil, fmt.Errorf("exp: crash-equivalence workload matched no documents")
 	}

@@ -9,20 +9,16 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/netcast/transport"
 	"repro/internal/succinct"
 	"repro/internal/wire"
 	"repro/internal/xmldoc"
 )
 
-// captureMagic heads a capture file of checksummed v2/v3 frames, written
-// one by one as they came off a bare downlink. captureMagicV3 heads a
-// capture of transport envelopes copied verbatim off a compressed downlink —
-// byte-faithful, so a capture replays exactly what was on the air.
-const (
-	captureMagic   = "XBCAST2\n"
-	captureMagicV3 = "XBCAST3\n"
-)
+// captureMagic heads a capture file. What follows it is the downlink's bytes
+// exactly as they came off the air from the first cycle boundary on — on a
+// compressed stream preceded by the transport hello the stream opens with —
+// so a capture reads back through the client's own downlink reader.
+const captureMagic = "XBCAST4\n"
 
 // Record subscribes to a broadcast address and copies numCycles complete
 // cycles (from cycle head to the last document frame) into w, producing a
@@ -40,19 +36,14 @@ func Record(ctx context.Context, broadcastAddr string, numCycles int, w io.Write
 	if deadline, ok := ctx.Deadline(); ok {
 		_ = conn.SetReadDeadline(deadline)
 	}
-	// A compressed downlink opens with a transport hello, in which case the
-	// capture stores the transport envelopes verbatim (magic v3) so the file
-	// is byte-faithful to the air. A bare downlink records checksummed v2
-	// frames.
 	src := newFrameSource(conn)
 	if err := src.sniff(); err != nil {
 		return 0, err
 	}
-	magic := captureMagic
-	if src.isTransport() {
-		magic = captureMagicV3
+	if _, err := io.WriteString(w, captureMagic); err != nil {
+		return 0, err
 	}
-	if _, err := io.WriteString(w, magic); err != nil {
+	if _, err := w.Write(src.hello); err != nil {
 		return 0, err
 	}
 	var (
@@ -89,12 +80,7 @@ func Record(ctx context.Context, broadcastAddr string, numCycles int, w io.Write
 		if !inCycle {
 			continue // wait for a cycle boundary before recording
 		}
-		if fr.raw != nil {
-			_, err = w.Write(fr.raw)
-		} else {
-			err = writeFrame(w, fr.t, fr.payload)
-		}
-		if err != nil {
+		if _, err := w.Write(fr.raw); err != nil {
 			return recorded, err
 		}
 	}
@@ -197,47 +183,35 @@ func (r *CycleRecord) SecondTier(m core.SizeModel) ([]wire.SecondTierEntry, erro
 	return wire.DecodeSecondTier(r.SecondTierSeg, m)
 }
 
-// ReadCapture parses a capture file into complete cycle records. A trailing
-// partial cycle (recording cut mid-cycle) is dropped; a corrupt frame in
-// the middle of a capture is an error, never a panic. The retired v1 format
-// (magic XBCAST1, unchecksummed frames) is not a capture file any more.
+// ReadCapture parses a capture file into complete cycle records, reading
+// the frames through the same downlink reader a client uses. A trailing
+// partial cycle (recording cut mid-cycle) is dropped; a corrupt frame in the
+// middle of a capture is an error, never a panic. Files of the retired
+// formats (magics XBCAST1 to XBCAST3) are not capture files.
 func ReadCapture(r io.Reader) ([]CycleRecord, error) {
 	magic := make([]byte, len(captureMagic))
 	if _, err := io.ReadFull(r, magic); err != nil {
 		return nil, fmt.Errorf("netcast: capture header: %w", err)
 	}
-	read := readFrame
-	switch string(magic) {
-	case captureMagic:
-	case captureMagicV3:
-		// Transport envelopes: unwrap each to its inner v2 frame.
-		tr := transport.NewReader(r)
-		read = func(io.Reader) (FrameType, []byte, error) {
-			fr, err := tr.Next()
-			if err != nil {
-				return 0, nil, err
-			}
-			return decodeInner(fr.Inner)
-		}
-	default:
+	if string(magic) != captureMagic {
 		return nil, fmt.Errorf("netcast: not a capture file")
 	}
+	src := newFrameSource(r)
 	var (
 		records []CycleRecord
 		cur     *CycleRecord
 	)
 	for {
-		t, payload, err := read(r)
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil && errors.Is(err, io.ErrUnexpectedEOF) {
-			break // truncated trailing frame
+		src.buf = nil // each frame reads into a buffer of its own, which its record keeps
+		fr, err := src.next()
+		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+			break // end of capture, or a truncated trailing frame
 		}
 		if err != nil {
 			return nil, err
 		}
-		switch t {
+		payload := fr.payload
+		switch fr.t {
 		case FrameChannelHead:
 			if cur != nil {
 				records = append(records, *cur)
@@ -290,7 +264,7 @@ func ReadCapture(r io.Reader) ([]CycleRecord, error) {
 				cur.Docs = append(cur.Docs, payload)
 			}
 		default:
-			return nil, fmt.Errorf("netcast: unexpected frame type %d in capture", t)
+			return nil, fmt.Errorf("netcast: unexpected frame type %d in capture", fr.t)
 		}
 	}
 	if cur != nil && cur.complete() {

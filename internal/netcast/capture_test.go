@@ -3,6 +3,7 @@ package netcast
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -12,54 +13,68 @@ import (
 	"repro/internal/xpath"
 )
 
-func TestRecordAndReadCapture(t *testing.T) {
-	srv, coll := startServer(t, broadcast.TwoTierMode)
-	// Seed a request so the server broadcasts.
+// recordFresh subscribes a recorder to srv before anything is pending and
+// then submits q as the only request, so the capture holds the first cycles
+// of a pending set fixed by q alone.
+func recordFresh(t *testing.T, srv *Server, q xpath.Path, cycles int) []byte {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
+	defer cancel()
+	var buf bytes.Buffer
+	done := make(chan error, 1)
+	go func() {
+		n, err := Record(ctx, srv.BroadcastAddr(), cycles, &buf)
+		if err == nil && n != cycles {
+			err = fmt.Errorf("recorded %d cycles, want %d", n, cycles)
+		}
+		done <- err
+	}()
+	for srv.Stats().Subscribers < 1 {
+		select {
+		case <-ctx.Done():
+			t.Fatal("timed out waiting for the recorder's subscription")
+		case <-time.After(2 * time.Millisecond):
+		}
+	}
 	cl, err := Dial(srv.UplinkAddr(), srv.BroadcastAddr(), core.SizeModel{})
 	if err != nil {
 		t.Fatalf("Dial: %v", err)
 	}
 	defer cl.Close()
-	// Keep the channel busy for the whole recording: a drained pending set
-	// stops the cycle loop and would starve the recorder of cycle heads.
-	feederStop := make(chan struct{})
-	feederDone := make(chan struct{})
-	t.Cleanup(func() { close(feederStop); <-feederDone })
-	go func() {
-		defer close(feederDone)
-		q := xpath.MustParse("/nitf")
-		for {
-			select {
-			case <-feederStop:
-				return
-			default:
-			}
-			if err := cl.Submit(q); err != nil {
-				return
-			}
-			time.Sleep(10 * time.Millisecond)
-		}
-	}()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-	defer cancel()
-	var buf bytes.Buffer
-	n, err := Record(ctx, srv.BroadcastAddr(), 2, &buf)
-	if err != nil {
+	if err := cl.Submit(q); err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	if err := <-done; err != nil {
 		t.Fatalf("Record: %v", err)
 	}
-	if n != 2 {
-		t.Fatalf("recorded %d cycles, want 2", n)
-	}
+	return buf.Bytes()
+}
 
-	records, err := ReadCapture(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("ReadCapture: %v", err)
+// A bare and a compressed server airing the same collection for the same
+// request capture the same cycles: compression changes the envelopes, never
+// the segments inside them.
+func TestRecordAndReadCapture(t *testing.T) {
+	// "/nitf" matches all ten documents, about three to a cycle: the query
+	// stays pending past the two recorded cycles and the boundary after them.
+	q := xpath.MustParse("/nitf")
+	bareSrv, coll := startServer(t, broadcast.TwoTierMode)
+	compSrv, _ := startCompressedServer(t, broadcast.TwoTierMode)
+	captures := map[string][]byte{
+		"bare":       recordFresh(t, bareSrv, q, 2),
+		"compressed": recordFresh(t, compSrv, q, 2),
 	}
-	if len(records) < 2 {
-		t.Fatalf("parsed %d records, want >= 2", len(records))
+	recs := map[string][]CycleRecord{}
+	for name, raw := range captures {
+		records, err := ReadCapture(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatalf("%s ReadCapture: %v", name, err)
+		}
+		if len(records) != 2 {
+			t.Fatalf("%s: parsed %d records, want 2", name, len(records))
+		}
+		recs[name] = records
 	}
-	for _, rec := range records[:2] {
+	for _, rec := range recs["bare"] {
 		if !rec.TwoTier {
 			t.Error("record not two-tier")
 		}
@@ -88,6 +103,20 @@ func TestRecordAndReadCapture(t *testing.T) {
 			}
 		}
 	}
+	for i, b := range recs["bare"] {
+		c := recs["compressed"][i]
+		if b.Number != c.Number || !bytes.Equal(b.IndexSeg, c.IndexSeg) || !bytes.Equal(b.SecondTierSeg, c.SecondTierSeg) {
+			t.Errorf("cycle %d: bare and compressed captures differ in head or segments", i)
+		}
+		if len(b.Docs) != len(c.Docs) {
+			t.Fatalf("cycle %d: %d bare docs, %d compressed", i, len(b.Docs), len(c.Docs))
+		}
+		for j := range b.Docs {
+			if !bytes.Equal(b.Docs[j], c.Docs[j]) {
+				t.Errorf("cycle %d doc %d: bare and compressed payloads differ", i, j)
+			}
+		}
+	}
 }
 
 func TestRecordValidation(t *testing.T) {
@@ -109,11 +138,18 @@ func TestReadCaptureErrors(t *testing.T) {
 	if _, err := ReadCapture(strings.NewReader("NOTMAGIC")); err == nil {
 		t.Error("bad magic parsed")
 	}
-	// The v1 format (unchecksummed frames) is retired: its magic is refused
-	// like any other unknown header, whatever follows it.
-	v1 := "XBCAST1\n" + string([]byte{byte(FrameIndex), 3, 0, 0, 0, 1, 2, 3})
-	if _, err := ReadCapture(strings.NewReader(v1)); err == nil || !strings.Contains(err.Error(), "not a capture file") {
-		t.Errorf("v1 capture: got %v, want \"not a capture file\"", err)
+	// The retired formats are refused like any other unknown header,
+	// whatever follows it: v1 (unchecksummed frames), v2 (re-encoded bare
+	// frames) and v3 (transport envelopes without their hello).
+	var frame bytes.Buffer
+	if err := writeFrame(&frame, FrameIndex, []byte{1, 2, 3}); err != nil {
+		t.Fatal(err)
+	}
+	for _, magic := range []string{"XBCAST1\n", "XBCAST2\n", "XBCAST3\n"} {
+		old := magic + frame.String()
+		if _, err := ReadCapture(strings.NewReader(old)); err == nil || !strings.Contains(err.Error(), "not a capture file") {
+			t.Errorf("%q capture: got %v, want \"not a capture file\"", magic, err)
+		}
 	}
 	// Magic plus a truncated frame: the partial tail is dropped cleanly.
 	var buf bytes.Buffer

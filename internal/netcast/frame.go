@@ -160,9 +160,10 @@ func readFrame(r io.Reader) (FrameType, []byte, error) {
 	return readFrameInto(r, &buf)
 }
 
-// readFrameInto is readFrame with the body read into *buf, which is regrown
-// when too small: the payload aliases it and is overwritten by the next call
-// with the same buffer.
+// readFrameInto is readFrame with the whole frame — header, payload and
+// trailer, exactly as read — in *buf, which is regrown when too small: the
+// payload aliases it and is overwritten by the next call with the same
+// buffer.
 func readFrameInto(r io.Reader, buf *[]byte) (FrameType, []byte, error) {
 	var hdr [frameHdrLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -175,16 +176,17 @@ func readFrameInto(r io.Reader, buf *[]byte) (FrameType, []byte, error) {
 	if n > maxFrame {
 		return 0, nil, fmt.Errorf("%w: frame of %d bytes exceeds limit", errFrameCorrupt, n)
 	}
-	need := int(n) + frameCRCLen
+	need := frameHdrLen + int(n) + frameCRCLen
 	if cap(*buf) < need {
 		*buf = make([]byte, need)
 	}
-	body := (*buf)[:need]
-	if _, err := io.ReadFull(r, body); err != nil {
+	frame := (*buf)[:need]
+	copy(frame, hdr[:])
+	if _, err := io.ReadFull(r, frame[frameHdrLen:]); err != nil {
 		return 0, nil, err
 	}
-	payload := body[:n]
-	got := binary.LittleEndian.Uint32(body[n:])
+	payload := frame[frameHdrLen : frameHdrLen+n]
+	got := binary.LittleEndian.Uint32(frame[frameHdrLen+n:])
 	if want := frameCRC(hdr[2:], payload); got != want {
 		return 0, nil, fmt.Errorf("%w: checksum %#08x, want %#08x", errFrameCorrupt, got, want)
 	}

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"testing"
 	"time"
+
+	"repro/internal/netcast/transport"
 )
 
 // FuzzFrame: flipping any single bit of a well-formed frame — in the sync
@@ -50,19 +52,28 @@ func FuzzFrame(f *testing.F) {
 
 // FuzzReadCapture: arbitrary capture bytes — including truncated and
 // corrupted captures — must produce records or an error, never a
-// panic.
+// panic. The capture reader is the client's downlink reader, so this fuzzes
+// both; one seed is a bare stream, one a compressed stream with its hello.
 func FuzzReadCapture(f *testing.F) {
 	head, _ := (&cycleHead{Number: 1, TwoTier: true, NumDocs: 1, Catalog: []byte{0, 0}}).encode()
-	var v2 bytes.Buffer
-	v2.WriteString(captureMagic)
-	_ = writeFrame(&v2, FrameCycleHead, head)
-	_ = writeFrame(&v2, FrameIndex, []byte{1, 2, 3})
-	_ = writeFrame(&v2, FrameDoc, []byte{7, 0, 'x'})
-	f.Add(v2.Bytes())
-	f.Add(v2.Bytes()[:v2.Len()-5]) // truncated mid-frame
-	f.Add([]byte("XBCAST1\n"))     // retired v1 magic: must be refused, not parsed
+	doc := append([]byte{7, 0}, bytes.Repeat([]byte("<x/>"), 64)...) // long enough to deflate
+	bare := []byte(captureMagic)
+	compressed := bytes.NewBufferString(captureMagic)
+	_ = transport.WriteHello(compressed, transport.Hello{Compress: true})
+	tw := transport.NewWriter(compressed, true, 0)
+	for _, fr := range []struct {
+		t       FrameType
+		payload []byte
+	}{{FrameCycleHead, head}, {FrameIndex, []byte{1, 2, 3}}, {FrameDoc, doc}} {
+		inner, _ := appendFrame(nil, fr.t, fr.payload)
+		bare = append(bare, inner...)
+		_ = tw.WriteFrame(transport.NoStream, inner)
+	}
+	f.Add(bare)
+	f.Add(bare[:len(bare)-5]) // truncated mid-frame
+	f.Add(compressed.Bytes())
+	f.Add(append([]byte("XBCAST2\n"), bare[len(captureMagic):]...)) // retired magic: refused, not parsed
 	f.Add([]byte(captureMagic))
-	f.Add([]byte("XBCAST9\njunk"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		recs, err := ReadCapture(bytes.NewReader(data))
 		if err == nil {

@@ -297,11 +297,8 @@ func StartServer(cfg ServerConfig) (*Server, error) {
 	if cfg.Channels < 1 || cfg.Channels > 256 {
 		return nil, fmt.Errorf("netcast: ServerConfig.Channels must be in [1, 256], got %d", cfg.Channels)
 	}
-	if cfg.Compress && cfg.Channels > 1 {
-		// The channel directory's hop offsets index the uncompressed stream;
-		// envelope sizes would invalidate them. Same restriction as
-		// sim.Config.Compress.
-		return nil, fmt.Errorf("netcast: Compress requires a single broadcast channel, got K=%d", cfg.Channels)
+	if err := broadcast.CheckCompress(cfg.Channels, cfg.Compress); err != nil {
+		return nil, fmt.Errorf("netcast: %w", err)
 	}
 	if cfg.CycleInterval == 0 {
 		cfg.CycleInterval = 50 * time.Millisecond
@@ -536,25 +533,7 @@ func (s *Server) Shutdown() {
 		if s.jn != nil {
 			s.jn.Close()
 		}
-		for _, ln := range s.bcLns {
-			ln.Close()
-		}
-		s.mu.Lock()
-		subs := make([]*subscriber, 0, len(s.subs))
-		for sub := range s.subs {
-			subs = append(subs, sub)
-		}
-		uplinks := make([]net.Conn, 0, len(s.uplinks))
-		for c := range s.uplinks {
-			uplinks = append(uplinks, c)
-		}
-		s.mu.Unlock()
-		for _, sub := range subs {
-			sub.finish()
-		}
-		for _, c := range uplinks {
-			c.Close()
-		}
+		s.closeConns()
 	})
 	<-s.done
 }
@@ -574,27 +553,34 @@ func (s *Server) Kill() {
 		close(s.stop)
 		<-s.loopDone
 		s.upLn.Close()
-		for _, ln := range s.bcLns {
-			ln.Close()
-		}
-		s.mu.Lock()
-		subs := make([]*subscriber, 0, len(s.subs))
-		for sub := range s.subs {
-			subs = append(subs, sub)
-		}
-		uplinks := make([]net.Conn, 0, len(s.uplinks))
-		for c := range s.uplinks {
-			uplinks = append(uplinks, c)
-		}
-		s.mu.Unlock()
-		for _, sub := range subs {
-			sub.finish()
-		}
-		for _, c := range uplinks {
-			c.Close()
-		}
+		s.closeConns()
 	})
 	<-s.done
+}
+
+// closeConns is the tail both teardowns share: the broadcast listeners
+// close, then every subscriber queue finishes and every uplink connection
+// closes.
+func (s *Server) closeConns() {
+	for _, ln := range s.bcLns {
+		ln.Close()
+	}
+	s.mu.Lock()
+	subs := make([]*subscriber, 0, len(s.subs))
+	for sub := range s.subs {
+		subs = append(subs, sub)
+	}
+	uplinks := make([]net.Conn, 0, len(s.uplinks))
+	for c := range s.uplinks {
+		uplinks = append(uplinks, c)
+	}
+	s.mu.Unlock()
+	for _, sub := range subs {
+		sub.finish()
+	}
+	for _, c := range uplinks {
+		c.Close()
+	}
 }
 
 // Crash simulates the process dying from inside the assembly pipeline — the

@@ -23,6 +23,7 @@ import (
 type frameSource struct {
 	br      *bufio.Reader
 	tr      *transport.Reader // non-nil once a transport hello was sniffed
+	hello   []byte            // the sniffed hello exactly as read
 	sniffed bool
 
 	// doze accumulates bytes the source skipped internally while
@@ -41,12 +42,13 @@ type frameSource struct {
 	buf []byte
 }
 
-// airFrame is one protocol frame off a downlink with its air cost. payload
-// lives in the source's frame buffer and raw — the transport envelope exactly
-// as read, for byte-faithful capture, nil on the bare protocol — in the
-// transport reader's: both are valid only until the source's next read off
-// the stream (a held frame comes back without one), so whatever outlives the
-// frame is copied out of it.
+// airFrame is one protocol frame off a downlink with its air cost. raw is
+// the frame exactly as it came off the air, for byte-faithful capture: the
+// bare frame, or the transport envelope around it. payload and raw live in
+// the source's (or the transport reader's) buffers and are valid only until
+// the source's next read off the stream (a frame a bare-stream resync
+// recovers comes back without raw), so whatever outlives the frame is copied
+// out of it.
 type airFrame struct {
 	t       FrameType
 	payload []byte
@@ -69,9 +71,11 @@ func (fs *frameSource) sniff() error {
 	p, err := fs.br.Peek(4)
 	if err == nil && transport.IsHelloPrefix(p) {
 		// The downlink hello only announces framing; nothing to grant.
-		if _, err := transport.ReadHello(fs.br); err != nil {
+		rec := &helloRecorder{br: fs.br}
+		if _, err := transport.ReadHello(rec); err != nil {
 			return fmt.Errorf("netcast: transport hello: %w", err)
 		}
+		fs.hello = rec.got
 		fs.tr = transport.NewReaderFromBufio(fs.br)
 	}
 	fs.sniffed = true
@@ -108,7 +112,11 @@ func (fs *frameSource) next() (airFrame, error) {
 	}
 	if fs.tr == nil {
 		t, payload, err := readFrameInto(fs.br, &fs.buf)
-		return airFrame{t: t, payload: payload, air: int64(len(payload))}, err
+		if err != nil {
+			return airFrame{}, err
+		}
+		raw := fs.buf[:frameHdrLen+len(payload)+frameCRCLen]
+		return airFrame{t: t, payload: payload, air: int64(len(payload)), raw: raw}, nil
 	}
 	env, err := fs.tr.Next()
 	if err != nil {
@@ -179,4 +187,16 @@ func decodeInner(inner []byte) (FrameType, []byte, error) {
 		return 0, nil, err
 	}
 	return t, payload, nil
+}
+
+// helloRecorder keeps a copy of the bytes a hello parse reads.
+type helloRecorder struct {
+	br  *bufio.Reader
+	got []byte
+}
+
+func (r *helloRecorder) ReadByte() (byte, error) {
+	b, err := r.br.ReadByte()
+	r.got = append(r.got, b)
+	return b, err
 }

@@ -145,11 +145,14 @@ func WriteHello(w io.Writer, h Hello) error {
 	return err
 }
 
-// ReadHello parses a hello off br.
-func ReadHello(br *bufio.Reader) (Hello, error) {
+// ReadHello parses a hello off br (a *bufio.Reader, typically).
+func ReadHello(br io.ByteReader) (Hello, error) {
 	var hdr [len(helloMagic) + 2]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return Hello{}, err
+	for i := range hdr {
+		var err error
+		if hdr[i], err = br.ReadByte(); err != nil {
+			return Hello{}, err
+		}
 	}
 	if string(hdr[:len(helloMagic)]) != helloMagic {
 		return Hello{}, fmt.Errorf("transport: bad hello magic %q", hdr[:len(helloMagic)])

@@ -250,8 +250,8 @@ func TestCompressOffKeepsBareWire(t *testing.T) {
 	}
 }
 
-// TestRecordCompressedCapture records a compressed broadcast into a v3
-// capture (transport envelopes verbatim) and reads it back: the records
+// TestRecordCompressedCapture records a compressed broadcast (hello and
+// transport envelopes verbatim) and reads it back: the records
 // must decode to the same index and documents a live client would see.
 func TestRecordCompressedCapture(t *testing.T) {
 	srv, coll := startCompressedServer(t, broadcast.TwoTierMode)
@@ -275,8 +275,10 @@ func TestRecordCompressedCapture(t *testing.T) {
 	if n != 2 {
 		t.Fatalf("recorded %d cycles, want 2", n)
 	}
-	if !bytes.HasPrefix(buf.Bytes(), []byte(captureMagicV3)) {
-		t.Fatalf("capture magic = %q, want %q", buf.Bytes()[:8], captureMagicV3)
+	// The capture is the air itself: the magic, then the transport hello the
+	// compressed downlink opens with.
+	if !bytes.HasPrefix(buf.Bytes(), []byte(captureMagic)) || !transport.IsHelloPrefix(buf.Bytes()[len(captureMagic):]) {
+		t.Fatalf("capture opens %q, want %q and a transport hello", buf.Bytes()[:12], captureMagic)
 	}
 	records, err := ReadCapture(&buf)
 	if err != nil {

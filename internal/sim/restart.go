@@ -1,10 +1,12 @@
 package sim
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"strings"
 
 	"repro/internal/broadcast"
@@ -27,6 +29,23 @@ type ScriptedRequest struct {
 	Cycle int64
 	// Query is the client's XPath request; its result set must be non-empty.
 	Query xpath.Path
+}
+
+// RestartScript builds the admission script of a restart check: queries
+// whose result set is empty never enter the pending set and are dropped; the
+// rest are dealt round-robin over the first two thirds of cycles, so a crash
+// always has live pending state around it. Same-cycle entries keep their
+// order in queries, which fixes the request IDs.
+func RestartScript(c *xmldoc.Collection, queries []xpath.Path, cycles int64) []ScriptedRequest {
+	span := max(cycles*2/3, 1)
+	var script []ScriptedRequest
+	for _, q := range queries {
+		if len(q.MatchingDocs(c)) > 0 {
+			script = append(script, ScriptedRequest{Cycle: int64(len(script)) % span, Query: q})
+		}
+	}
+	slices.SortStableFunc(script, func(a, b ScriptedRequest) int { return cmp.Compare(a.Cycle, b.Cycle) })
+	return script
 }
 
 // RestartConfig parameterises RunRestart: a deterministic, cycle-clocked

@@ -117,8 +117,7 @@ type Config struct {
 	// compressed bytes. Compressed frames are atomic: a client reads whole
 	// segments, so index tuning counts the whole compressed tier rather
 	// than navigated packets, and a lost reception (LossProb) costs the
-	// whole envelope. The model is single-channel; Channels > 1 alongside
-	// Compress is a configuration error.
+	// whole envelope (see broadcast.CheckCompress for the channel rule).
 	Compress bool
 }
 
@@ -153,8 +152,8 @@ func (c *Config) validate() error {
 	if c.Channels < 0 {
 		return fmt.Errorf("sim: Config.Channels must be >= 0, got %d", c.Channels)
 	}
-	if c.Compress && c.Channels > 1 {
-		return fmt.Errorf("sim: Config.Compress does not support multichannel runs")
+	if err := broadcast.CheckCompress(c.Channels, c.Compress); err != nil {
+		return fmt.Errorf("sim: %w", err)
 	}
 	return c.Model.Validate()
 }

@@ -108,9 +108,9 @@ func RecordBroadcast(ctx context.Context, broadcastAddr string, numCycles int, w
 }
 
 // ReadBroadcastCapture parses a capture file into cycle records whose index
-// and offset segments can be decoded and inspected. Bare (XBCAST2,
-// checksummed frames) and compressed-transport (XBCAST3, verbatim transport
-// envelopes) captures are accepted; the retired XBCAST1 format is not.
+// and offset segments can be decoded and inspected. A capture is the
+// downlink's bytes as they came off the air, bare or compressed, behind one
+// header; files of the retired XBCAST1 to XBCAST3 formats are refused.
 func ReadBroadcastCapture(r io.Reader) ([]CycleRecord, error) {
 	return netcast.ReadCapture(r)
 }

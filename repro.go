@@ -93,11 +93,6 @@ const (
 // BroadcastMode selects the index organisation of a simulation.
 type BroadcastMode = broadcast.Mode
 
-// ParseBroadcastMode parses a mode name: "one-tier" or "two-tier".
-func ParseBroadcastMode(s string) (BroadcastMode, error) {
-	return broadcast.ParseMode(s)
-}
-
 // IndexEncoding selects the first tier's wire layout (see
 // SimulationConfig.IndexEncoding and BroadcastServerConfig.IndexEncoding).
 type IndexEncoding = core.IndexEncoding
@@ -110,12 +105,6 @@ const (
 	// (two-tier mode only): smaller on air, navigated in place by clients.
 	EncodingSuccinct = core.EncodingSuccinct
 )
-
-// ParseIndexEncoding parses an encoding name: "node" (or empty) and
-// "succinct".
-func ParseIndexEncoding(s string) (IndexEncoding, error) {
-	return core.ParseIndexEncoding(s)
-}
 
 // Simulation types.
 type (
