@@ -210,5 +210,8 @@ func run(args []string) error {
 	if st.RejectedRate > 0 || st.RejectedPending > 0 {
 		fmt.Printf("rejected: %d rate-limited, %d over pending cap\n", st.RejectedRate, st.RejectedPending)
 	}
+	if st.SubscribersDropped > 0 {
+		fmt.Printf("subscribers dropped: %d (full queue or failed write)\n", st.SubscribersDropped)
+	}
 	return nil
 }

@@ -23,33 +23,40 @@ import (
 	"repro/internal/xpath"
 )
 
-// handDriven is a compressing server whose ticker never fires, with raw
-// subscribers attached: the test calls broadcastCycle itself, so it is the
-// only goroutine on the cycle path (downEnc and the per-cycle scratch are
-// its own) and what airs in which cycle is decided, not timed.
+// handDriven is a server whose ticker never fires, with raw subscribers
+// attached: the test calls broadcastCycle itself, so it is the only goroutine
+// on the cycle path (downEnc and the per-cycle scratch are its own) and what
+// airs in which cycle is decided, not timed.
 type handDriven struct {
 	srv     *Server
 	streams []chan []byte // each subscriber's whole stream, sent at EOF
 }
 
+// startHandDriven starts a compressing single-channel server over coll.
 func startHandDriven(t *testing.T, coll *xmldoc.Collection, subscribers int) *handDriven {
 	t.Helper()
-	srv, err := StartServer(ServerConfig{
-		Collection:    coll,
-		CycleCapacity: 3 * coll.TotalSize() / coll.Len(),
-		CycleInterval: time.Hour,
-		Compress:      true,
-		// Every cycle of a test fits in the queue: no subscriber is ever
-		// dropped for being slow under the race detector.
-		SubscriberQueue: 1024,
-	})
+	return handDrive(t, ServerConfig{Collection: coll, Compress: true}, subscribers)
+}
+
+// handDrive starts cfg's server and dials subscribers to it, subscriber i to
+// channel i mod K.
+func handDrive(t *testing.T, cfg ServerConfig, subscribers int) *handDriven {
+	t.Helper()
+	coll := cfg.Collection
+	cfg.CycleCapacity = 3 * coll.TotalSize() / coll.Len()
+	cfg.CycleInterval = time.Hour
+	// Every cycle of a test fits in the queue: no subscriber is ever
+	// dropped for being slow under the race detector.
+	cfg.SubscriberQueue = 64
+	srv, err := StartServer(cfg)
 	if err != nil {
 		t.Fatalf("StartServer: %v", err)
 	}
 	t.Cleanup(srv.Shutdown)
 	h := &handDriven{srv: srv}
+	addrs := srv.ChannelAddrs()
 	for i := 0; i < subscribers; i++ {
-		conn, err := net.Dial("tcp", srv.BroadcastAddr())
+		conn, err := net.Dial("tcp", addrs[i%len(addrs)])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,24 +92,33 @@ type airedFrame struct {
 	compressed bool
 }
 
-// finish shuts the server down — flushing every subscriber queue — and walks
-// each subscriber's stream: every stream must be the same bytes, and every
-// envelope must be exactly what a fresh encoder makes of its own inner
-// frame, whether it was built this cycle or served from the cache.
-func (h *handDriven) finish(t *testing.T) []airedFrame {
+// ended shuts the server down — flushing every subscriber queue — and
+// returns each subscriber's whole stream.
+func (h *handDriven) ended(t *testing.T) [][]byte {
 	t.Helper()
 	h.srv.Shutdown()
-	var first []byte
+	streams := make([][]byte, len(h.streams))
 	for i, ch := range h.streams {
 		select {
-		case got := <-ch:
-			if i == 0 {
-				first = got
-			} else if !bytes.Equal(got, first) {
-				t.Errorf("subscriber %d received a stream that differs from subscriber 0's", i)
-			}
+		case streams[i] = <-ch:
 		case <-time.After(30 * time.Second):
 			t.Fatalf("subscriber %d: stream never ended", i)
+		}
+	}
+	return streams
+}
+
+// finish ends the streams of a compressing single-channel server and walks
+// them: every stream must be the same bytes, and every envelope must be
+// exactly what a fresh encoder makes of its own inner frame, whether it was
+// built this cycle or served from the cache.
+func (h *handDriven) finish(t *testing.T) []airedFrame {
+	t.Helper()
+	streams := h.ended(t)
+	first := streams[0]
+	for i, got := range streams[1:] {
+		if !bytes.Equal(got, first) {
+			t.Errorf("subscriber %d received a stream that differs from subscriber 0's", i+1)
 		}
 	}
 	br := bufio.NewReader(bytes.NewReader(first))
@@ -177,7 +193,7 @@ func TestDocumentDeflatedOncePerLifetime(t *testing.T) {
 
 // TestDocEnvelopeSharedAcrossCycles is TestFanOutFramesOnce's sibling for the
 // cached path, which is reached through a cycle's Encoded and not through a
-// bare fanOut call: one document airing in three consecutive cycles reaches
+// bare wireForm call: one document airing in three consecutive cycles reaches
 // all eight subscribers as the identical envelope each time, and that
 // envelope is the fresh encoding of the document's frame.
 func TestDocEnvelopeSharedAcrossCycles(t *testing.T) {
@@ -358,7 +374,7 @@ func BenchmarkCompressedDocAiring(b *testing.B) {
 		return enc
 	}
 	// An in-process subscriber, drained in the loop.
-	sub := &subscriber{ch: make(chan outFrame, 1)}
+	sub := &subscriber{ch: make(chan net.Buffers, 1)}
 	srv.mu.Lock()
 	srv.subs[sub] = struct{}{}
 	srv.mu.Unlock()
@@ -368,7 +384,7 @@ func BenchmarkCompressedDocAiring(b *testing.B) {
 		srv.mu.Unlock()
 	}()
 
-	run := func(b *testing.B, frame func() (outFrame, error)) {
+	run := func(b *testing.B, frame func() (net.Buffers, error)) {
 		b.SetBytes(int64(coll.TotalSize()))
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -383,16 +399,16 @@ func BenchmarkCompressedDocAiring(b *testing.B) {
 	}
 	b.Run("cold", func(b *testing.B) {
 		enc := encode()
-		run(b, func() (outFrame, error) { return srv.wireForm(FrameDoc, enc.Docs[0]) })
+		run(b, func() (net.Buffers, error) { return srv.wireForm(nil, FrameDoc, enc.Docs[0]) })
 	})
 	b.Run("warm", func(b *testing.B) {
-		if _, err := srv.docFrame(encode(), 0); err != nil { // first airing: builds and attaches
+		if _, err := srv.docFrame(nil, encode(), 0); err != nil { // first airing: builds and attaches
 			b.Fatal(err)
 		}
 		enc := encode()
 		if enc.Air(0) == nil {
 			b.Fatal("no envelope cached after the first airing")
 		}
-		run(b, func() (outFrame, error) { return srv.docFrame(enc, 0) })
+		run(b, func() (net.Buffers, error) { return srv.docFrame(nil, enc, 0) })
 	})
 }

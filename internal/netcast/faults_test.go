@@ -351,7 +351,7 @@ func TestServerDropsStalledSubscriber(t *testing.T) {
 		Collection:      coll,
 		CycleCapacity:   3 * coll.TotalSize() / coll.Len(),
 		CycleInterval:   2 * time.Millisecond,
-		SubscriberQueue: 32, // small queue so the stall is detected quickly
+		SubscriberQueue: 3, // small queue so the stall is detected quickly
 	})
 	if err != nil {
 		t.Fatalf("StartServer: %v", err)

@@ -59,10 +59,11 @@ type ServerConfig struct {
 	// long, so dead clients cannot pin server goroutines. Default 60 s;
 	// negative disables the deadline.
 	UplinkIdleTimeout time.Duration
-	// SubscriberQueue is the per-subscriber outgoing frame buffer. A
-	// subscriber whose queue overflows (stalled beyond what the buffer and
-	// write deadline absorb) is dropped; clients reconnect and resync.
-	// Default 256 frames.
+	// SubscriberQueue is the per-subscriber outgoing queue, counted in
+	// cycles: each cycle queues one batch per channel. A subscriber whose
+	// queue overflows (stalled beyond what the queue and write deadline
+	// absorb) is dropped; clients reconnect and resync. Default 20 cycles:
+	// about 256 frames at the ≈ 12 frames of a paced two-tier cycle.
 	SubscriberQueue int
 	// Probe receives engine pipeline telemetry in addition to the built-in
 	// collector surfaced by Stats. Optional. Its callbacks run while the cycle
@@ -138,7 +139,7 @@ type ServerConfig struct {
 // uplinks when ServerConfig.MuxCredit is zero.
 const defaultMuxCredit = 32
 
-// subWriteTimeout bounds each frame write to one subscriber.
+// subWriteTimeout bounds each write to one subscriber: one cycle's batch.
 const subWriteTimeout = 2 * time.Second
 
 // Server is a running broadcast station. Create with StartServer, stop with
@@ -187,6 +188,8 @@ type Server struct {
 	mu      sync.Mutex
 	subs    map[*subscriber]struct{}
 	uplinks map[net.Conn]struct{}
+	// dropped counts subscribers evicted for a full queue or a failed write.
+	dropped int64
 	// cycleErr is the fatal assembly error that stopped the cycle loop; nil
 	// while the loop is healthy. Once set, submissions are refused with it.
 	cycleErr error
@@ -218,6 +221,9 @@ type ServerStats struct {
 	Pending int
 	// Subscribers is the number of connected broadcast listeners.
 	Subscribers int
+	// SubscribersDropped counts listeners the server evicted: for a full
+	// queue, or a write that failed or outran its deadline.
+	SubscribersDropped int64
 	// RejectedRate counts uplink queries refused by per-connection rate
 	// limiting; RejectedPending counts queries refused by the global
 	// pending-set cap (Limits.MaxPending).
@@ -242,30 +248,39 @@ type ServerStats struct {
 	CycleError string
 }
 
-// subscriber is one broadcast listener: frames are queued to a buffered
-// channel and written by a dedicated goroutine, so one stalled connection
-// cannot delay the cycle loop or the other subscribers.
+// subscriber is one broadcast listener: each cycle's frames for its channel
+// are queued as one batch to a buffered channel and written by a dedicated
+// goroutine, so one stalled connection cannot delay the cycle loop or the
+// other subscribers.
 type subscriber struct {
 	conn net.Conn
-	ch   chan outFrame
+	// ch holds whole cycles in wire form (see wireForm), shared by every
+	// subscriber of the channel and never written.
+	ch chan net.Buffers
 	// channel is the broadcast channel this listener subscribed to (by
 	// dialing its address); always 0 on a single-channel server.
-	channel  int
-	quitOnce sync.Once
+	channel int
+	// out is the writer's reused copy of the batch: WriteTo consumes (and
+	// on TCP nils) the slice it is called on, so it runs on unsent, a copy
+	// of out's header kept as a field so it does not escape per batch.
+	out, unsent net.Buffers
+	quitOnce    sync.Once
 }
 
-// outFrame is one queued downlink frame in wire form, produced once (see
-// wireForm) and written part by part to every subscriber's connection: frame
-// header, payload and CRC trailer on a bare server (the payload is the
-// engine's buffer, never copied), or a single transport envelope on a
-// compressing one. The parts are shared by every queue — a document's
-// envelope by the engine's cache and later cycles too — and never written.
-type outFrame [3][]byte
-
 // finish closes the subscriber's queue exactly once; its writer goroutine
-// drains and flushes what remains, then closes the connection.
+// writes what remains, then closes the connection.
 func (sub *subscriber) finish() {
 	sub.quitOnce.Do(func() { close(sub.ch) })
+}
+
+// write puts one batch on the connection — one writev on TCP, straight from
+// the shared slices — under one deadline.
+func (sub *subscriber) write(batch net.Buffers) error {
+	_ = sub.conn.SetWriteDeadline(time.Now().Add(subWriteTimeout))
+	sub.out = append(sub.out[:0], batch...)
+	sub.unsent = sub.out
+	_, err := sub.unsent.WriteTo(sub.conn)
+	return err
 }
 
 // StartServer binds the uplink and broadcast listeners and starts the cycle
@@ -313,7 +328,7 @@ func StartServer(cfg ServerConfig) (*Server, error) {
 		cfg.UplinkIdleTimeout = 60 * time.Second
 	}
 	if cfg.SubscriberQueue <= 0 {
-		cfg.SubscriberQueue = 256
+		cfg.SubscriberQueue = 20
 	}
 	if cfg.MuxCredit <= 0 {
 		cfg.MuxCredit = defaultMuxCredit
@@ -499,6 +514,7 @@ func (s *Server) Stats() ServerStats {
 	}
 	s.mu.Lock()
 	st.Subscribers = len(s.subs)
+	st.SubscribersDropped = s.dropped
 	if s.cycleErr != nil {
 		st.CycleError = s.cycleErr.Error()
 	}
@@ -900,7 +916,7 @@ func (s *Server) submit(expr string) (int64, int64, error) {
 }
 
 // acceptSubscribers registers broadcast listeners on one channel's listener,
-// each with its own buffered writer goroutine.
+// each with its own writer goroutine.
 func (s *Server) acceptSubscribers(ln net.Listener, channel int) {
 	defer s.wg.Done()
 	for {
@@ -908,7 +924,7 @@ func (s *Server) acceptSubscribers(ln net.Listener, channel int) {
 		if err != nil {
 			return
 		}
-		sub := &subscriber{conn: conn, ch: make(chan outFrame, s.cfg.SubscriberQueue), channel: channel}
+		sub := &subscriber{conn: conn, ch: make(chan net.Buffers, s.cfg.SubscriberQueue), channel: channel}
 		// Shutdown and Kill close stop before they snapshot subs under mu, so
 		// a connection accepted after the teardown began is either in that
 		// snapshot or refused here — never a writer nobody will finish.
@@ -927,39 +943,31 @@ func (s *Server) acceptSubscribers(ln net.Listener, channel int) {
 	}
 }
 
-// serveSubscriber drains one subscriber's frame queue onto its connection.
-// It exits when the queue is closed (drop or shutdown) or a write fails,
-// flushing whatever was buffered.
+// serveSubscriber writes the transport hello, if any, then one subscriber's
+// queued batches onto its connection. It exits when the queue is closed (drop
+// or shutdown) or a write fails; a failed write evicts the subscriber.
 func (s *Server) serveSubscriber(sub *subscriber) {
 	defer s.wg.Done()
-	defer func() {
-		s.mu.Lock()
-		delete(s.subs, sub)
-		s.mu.Unlock()
-		sub.conn.Close()
-	}()
-	bw := bufio.NewWriterSize(sub.conn, 64<<10)
+	var err error
 	if s.downHello != nil {
-		_ = sub.conn.SetWriteDeadline(time.Now().Add(subWriteTimeout))
-		if _, err := bw.Write(s.downHello); err != nil {
-			return
-		}
+		err = sub.write(net.Buffers{s.downHello})
 	}
-	for f := range sub.ch {
-		_ = sub.conn.SetWriteDeadline(time.Now().Add(subWriteTimeout))
-		for _, part := range f {
-			if _, err := bw.Write(part); err != nil {
-				return
-			}
-		}
-		if len(sub.ch) == 0 {
-			if err := bw.Flush(); err != nil {
-				return
+	if err == nil {
+		for batch := range sub.ch {
+			if err = sub.write(batch); err != nil {
+				break
 			}
 		}
 	}
-	_ = sub.conn.SetWriteDeadline(time.Now().Add(subWriteTimeout))
-	_ = bw.Flush()
+	s.mu.Lock()
+	if _, ok := s.subs[sub]; ok {
+		delete(s.subs, sub)
+		if err != nil {
+			s.dropped++
+		}
+	}
+	s.mu.Unlock()
+	sub.conn.Close()
 }
 
 // cycleLoop is ticker-driven only: every CycleInterval it airs one cycle if
@@ -1029,11 +1037,19 @@ func (s *Server) broadcastCycle() error {
 	return err
 }
 
-// airCycle puts one encoded cycle on air, frame by frame. A frame that cannot
-// be put in wire form stops the cycle there and is the cycle's error: nothing
-// may be retired as delivered that was not sent.
+// airCycle puts one encoded cycle on air: each frame's wire form is appended
+// to its channel's batch, then every batch is queued once. A frame that cannot
+// be put in wire form is the cycle's error and nothing is queued: nothing may
+// be retired as delivered that was not sent.
 func (s *Server) airCycle(cy *engine.Cycle, enc *engine.Encoded, headBytes []byte) error {
 	num := uint32(cy.Number)
+	batches := make([]net.Buffers, max(1, len(cy.Channels)))
+	var err error
+	add := func(c int, t FrameType, payload []byte) {
+		if err == nil {
+			batches[c], err = s.wireForm(batches[c], t, payload)
+		}
+	}
 	if len(cy.Channels) > 1 {
 		// Multichannel cycle (protocol v3): each channel's share opens with
 		// a channel head. Channel 0 carries the cycle head, channel
@@ -1042,20 +1058,12 @@ func (s *Server) airCycle(cy *engine.Cycle, enc *engine.Encoded, headBytes []byt
 		k := uint8(len(cy.Channels))
 		ch0 := &channelHead{Number: num, Channel: 0, Channels: k,
 			Role: channelRoleIndex, NumDocs: uint16(len(cy.Docs))}
-		if err := s.fanOut(0, FrameChannelHead, ch0.encode()); err != nil {
-			return err
-		}
-		if err := s.fanOut(0, FrameCycleHead, headBytes); err != nil {
-			return err
-		}
-		if err := s.fanOut(0, FrameChannelDir, enc.ChannelDir); err != nil {
-			return err
-		}
-		if err := s.fanOut(0, FrameIndex, enc.Index); err != nil {
-			return err
-		}
+		add(0, FrameChannelHead, ch0.encode())
+		add(0, FrameCycleHead, headBytes)
+		add(0, FrameChannelDir, enc.ChannelDir)
+		add(0, FrameIndex, enc.Index)
 		// enc.Docs is in aggregate plan order (cy.Docs order); map IDs back
-		// to payloads so each stripe fans out in its own channel order.
+		// to payloads so each stripe airs in its own channel order.
 		byID := make(map[xmldoc.DocID][]byte, len(cy.Docs))
 		for i, p := range cy.Docs {
 			byID[p.ID] = enc.Docs[i]
@@ -1064,96 +1072,80 @@ func (s *Server) airCycle(cy *engine.Cycle, enc *engine.Encoded, headBytes []byt
 			lay := cy.Channels[c]
 			chc := &channelHead{Number: num, Channel: uint8(c), Channels: k,
 				Role: channelRoleData, NumDocs: uint16(len(lay.Docs))}
-			if err := s.fanOut(c, FrameChannelHead, chc.encode()); err != nil {
-				return err
-			}
-			if err := s.fanOut(c, FrameSecondTier, enc.SecondTiers[c-1]); err != nil {
-				return err
-			}
+			add(c, FrameChannelHead, chc.encode())
+			add(c, FrameSecondTier, enc.SecondTiers[c-1])
 			for _, p := range lay.Docs {
-				if err := s.fanOut(c, FrameDoc, byID[p.ID]); err != nil {
-					return err
-				}
+				add(c, FrameDoc, byID[p.ID])
 			}
 		}
-		return nil
-	}
-	if err := s.fanOut(0, FrameCycleHead, headBytes); err != nil {
-		return err
-	}
-	if err := s.fanOut(0, FrameIndex, enc.Index); err != nil {
-		return err
-	}
-	if enc.SecondTier != nil {
-		if err := s.fanOut(0, FrameSecondTier, enc.SecondTier); err != nil {
-			return err
+	} else {
+		batches[0] = make(net.Buffers, 0, 3*(3+len(enc.Docs)))
+		add(0, FrameCycleHead, headBytes)
+		add(0, FrameIndex, enc.Index)
+		if enc.SecondTier != nil {
+			add(0, FrameSecondTier, enc.SecondTier)
+		}
+		for i := range enc.Docs {
+			if err == nil {
+				batches[0], err = s.docFrame(batches[0], enc, i)
+			}
 		}
 	}
-	for i := range enc.Docs {
-		f, err := s.docFrame(enc, i)
-		if err != nil {
-			return err
-		}
-		s.enqueue(0, f)
+	if err != nil {
+		return err
+	}
+	for c, b := range batches {
+		s.enqueue(c, b)
 	}
 	return nil
 }
 
-// docFrame is the wire form of a single-channel cycle's i-th document. A
-// compressing server builds a document's envelope the first time it airs and
-// leaves it beside the payload in the engine's cache; every later airing, for
-// as long as the payload stays cached, queues that same envelope again. A
-// document airs in cycle after cycle until its requesters drain, and its
-// envelope is a pure function of its payload, so all but the first DEFLATE
-// pass would be repeated work. Running here — on the cycle goroutine, holding
-// neither the ledger's lock nor the engine's — a first airing's pass delays no
-// submission, resolution or removal.
-func (s *Server) docFrame(enc *engine.Encoded, i int) (outFrame, error) {
+// docFrame appends the wire form of a single-channel cycle's i-th document to
+// a batch. A compressing server builds a document's envelope the first time it
+// airs and leaves it beside the payload in the engine's cache; every later
+// airing, for as long as the payload stays cached, queues that same envelope
+// again. A document airs in cycle after cycle until its requesters drain, and
+// its envelope is a pure function of its payload, so all but the first
+// DEFLATE pass would be repeated work. Running here — on the cycle goroutine,
+// holding neither the ledger's lock nor the engine's — a first airing's pass
+// delays no submission, resolution or removal.
+func (s *Server) docFrame(b net.Buffers, enc *engine.Encoded, i int) (net.Buffers, error) {
 	if air := enc.Air(i); air != nil {
-		return outFrame{air}, nil
+		return append(b, air), nil
 	}
-	f, err := s.wireForm(FrameDoc, enc.Docs[i])
+	b, err := s.wireForm(b, FrameDoc, enc.Docs[i])
 	if err == nil && s.downEnc != nil {
-		s.eng.AttachAir(enc, i, f[0])
+		s.eng.AttachAir(enc, i, b[len(b)-1])
 	}
-	return f, err
+	return b, err
 }
 
-// wireForm frames one payload for the downlink, once for all subscribers:
-// header and checksum — and on a compressing server the transport envelope
-// around the whole frame — are computed here, not per subscriber.
-func (s *Server) wireForm(t FrameType, payload []byte) (outFrame, error) {
+// wireForm appends one payload's downlink wire form to a batch, once for all
+// subscribers: header and checksum — and on a compressing server the
+// transport envelope around the whole frame — are computed here, not per
+// subscriber. On a bare server the payload itself is appended, never copied.
+func (s *Server) wireForm(b net.Buffers, t FrameType, payload []byte) (net.Buffers, error) {
 	hdr, crc, err := frameEnds(t, payload)
 	if err != nil {
-		return outFrame{}, err
+		return b, err
 	}
 	if s.downEnc == nil {
-		return outFrame{hdr, payload, crc}, nil
+		return append(b, hdr, payload, crc), nil
 	}
 	inner := make([]byte, 0, len(hdr)+len(payload)+len(crc))
 	inner = append(append(append(inner, hdr...), payload...), crc...)
 	env, err := s.downEnc.Encode(transport.NoStream, inner)
 	if err != nil {
-		return outFrame{}, err
+		return b, err
 	}
-	return outFrame{env}, nil
+	return append(b, env), nil
 }
 
-// fanOut frames one payload and queues it to every subscriber of one channel.
-func (s *Server) fanOut(channel int, t FrameType, payload []byte) error {
-	f, err := s.wireForm(t, payload)
-	if err != nil {
-		return err
-	}
-	s.enqueue(channel, f)
-	return nil
-}
-
-// enqueue queues one frame, the identical bytes, to every subscriber of one
-// channel. A subscriber whose queue is full has stalled past what its buffer
-// and write deadline absorb; it is dropped so the broadcast never blocks on
-// one receiver.
-func (s *Server) enqueue(channel int, f outFrame) {
+// enqueue queues one cycle's batch for one channel, the identical slices, to
+// every subscriber of that channel. A subscriber whose queue is full has
+// stalled past what its queue and write deadline absorb; it is dropped so the
+// broadcast never blocks on one receiver.
+func (s *Server) enqueue(channel int, batch net.Buffers) {
 	s.mu.Lock()
 	subs := make([]*subscriber, 0, len(s.subs))
 	for sub := range s.subs {
@@ -1164,13 +1156,16 @@ func (s *Server) enqueue(channel int, f outFrame) {
 	s.mu.Unlock()
 	for _, sub := range subs {
 		select {
-		case sub.ch <- f:
+		case sub.ch <- batch:
 		default:
 			s.mu.Lock()
-			delete(s.subs, sub)
+			if _, ok := s.subs[sub]; ok {
+				delete(s.subs, sub)
+				s.dropped++
+			}
 			s.mu.Unlock()
 			sub.finish()
-			// Unblock a writer stuck mid-write; its deferred cleanup
+			// Unblock a writer stuck mid-write; its cleanup
 			// tolerates the double Close.
 			sub.conn.Close()
 		}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -34,8 +35,12 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // TestFanOutFramesOnce: every subscriber of a channel receives the same
 // bytes, and they are exactly the frames' wire form — appendFrame's output on
 // a bare server, the hello plus one transport envelope per frame on a
-// compressing one. The frames are pushed through fanOut directly on an idle
-// server (nothing pending, so the cycle loop never calls it).
+// compressing one. The frames are queued as one batch directly on an idle
+// server (nothing pending, so the cycle loop never queues one). The cycle
+// cases air one hand-driven cycle to eight subscribers instead: every stream
+// is the hello, when compressing, then the cycle's frames in airCycle order
+// and nothing else; at K = 2 each channel's subscribers get exactly that
+// channel's share.
 func TestFanOutFramesOnce(t *testing.T) {
 	frames := []airFrame{
 		{t: FrameCycleHead, payload: []byte("head")},
@@ -52,28 +57,7 @@ func TestFanOutFramesOnce(t *testing.T) {
 			}
 			defer srv.Shutdown()
 
-			var want []byte
-			enc := transport.NewEncoder(true, 0)
-			if compress {
-				var hello bytes.Buffer
-				if err := transport.WriteHello(&hello, transport.Hello{Compress: true}); err != nil {
-					t.Fatal(err)
-				}
-				want = hello.Bytes()
-			}
-			for _, f := range frames {
-				frame, err := appendFrame(nil, f.t, f.payload)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if compress {
-					if frame, err = enc.Encode(transport.NoStream, frame); err != nil {
-						t.Fatal(err)
-					}
-				}
-				want = append(want, frame...)
-			}
-
+			want := wireStream(t, frames, compress)
 			const subscribers = 8
 			conns := make([]net.Conn, subscribers)
 			for i := range conns {
@@ -83,9 +67,13 @@ func TestFanOutFramesOnce(t *testing.T) {
 				defer conns[i].Close()
 			}
 			waitFor(t, "subscribers to register", func() bool { return srv.Stats().Subscribers == subscribers })
+			var batch net.Buffers
 			for _, f := range frames {
-				srv.fanOut(0, f.t, f.payload)
+				if batch, err = srv.wireForm(batch, f.t, f.payload); err != nil {
+					t.Fatal(err)
+				}
 			}
+			srv.enqueue(0, batch)
 			for i, conn := range conns {
 				got := make([]byte, len(want))
 				_ = conn.SetReadDeadline(time.Now().Add(10 * time.Second))
@@ -97,6 +85,202 @@ func TestFanOutFramesOnce(t *testing.T) {
 				}
 			}
 		})
+		t.Run(name+"/cycle", func(t *testing.T) {
+			fanOutCycle(t, ServerConfig{Collection: testCollection(t), Compress: compress},
+				[][]FrameType{{FrameCycleHead, FrameIndex, FrameSecondTier}})
+		})
+	}
+	t.Run("k2/cycle", func(t *testing.T) {
+		fanOutCycle(t, ServerConfig{Collection: testCollection(t), Channels: 2}, [][]FrameType{
+			{FrameChannelHead, FrameCycleHead, FrameChannelDir, FrameIndex},
+			{FrameChannelHead, FrameSecondTier},
+		})
+	})
+}
+
+// wireStream is what a subscriber receives for frames: the hello when
+// compressing, then each frame's wire form.
+func wireStream(t *testing.T, frames []airFrame, compress bool) []byte {
+	t.Helper()
+	var want []byte
+	enc := transport.NewEncoder(true, 0)
+	if compress {
+		var hello bytes.Buffer
+		if err := transport.WriteHello(&hello, transport.Hello{Compress: true}); err != nil {
+			t.Fatal(err)
+		}
+		want = hello.Bytes()
+	}
+	for _, f := range frames {
+		frame, err := appendFrame(nil, f.t, f.payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if compress {
+			if frame, err = enc.Encode(transport.NoStream, frame); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want = append(want, frame...)
+	}
+	return want
+}
+
+// fanOutCycle airs one hand-driven cycle to four subscribers per channel and
+// checks every stream: the same bytes on each of a channel's subscribers,
+// and those bytes the wire form of the channel's head frames (heads[c], in
+// airCycle order) followed by as many documents as its head announces.
+func fanOutCycle(t *testing.T, cfg ServerConfig, heads [][]FrameType) {
+	h := handDrive(t, cfg, 4*len(heads))
+	h.cycle(t, "/nitf")
+	streams := h.ended(t)
+	for c, want := range heads {
+		stream := streams[c]
+		for i := c + len(heads); i < len(streams); i += len(heads) {
+			if !bytes.Equal(streams[i], stream) {
+				t.Errorf("channel %d: subscriber %d received a stream that differs from subscriber %d's", c, i, c)
+			}
+		}
+		fs := newFrameSource(bytes.NewReader(stream))
+		var frames []airFrame
+		for {
+			fr, err := fs.next()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatalf("channel %d, frame %d: %v", c, len(frames), err)
+			}
+			frames = append(frames, airFrame{t: fr.t, payload: bytes.Clone(fr.payload)})
+		}
+		if !bytes.Equal(wireStream(t, frames, cfg.Compress), stream) {
+			t.Errorf("channel %d: the stream is not the hello and its frames' wire form", c)
+		}
+		if len(frames) < len(want) {
+			t.Fatalf("channel %d: %d frames, want at least %d", c, len(frames), len(want))
+		}
+		var docs int
+		switch head := frames[0]; head.t {
+		case FrameCycleHead:
+			ch, err := decodeCycleHead(head.payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			docs = int(ch.NumDocs)
+		case FrameChannelHead:
+			ch, err := decodeChannelHead(head.payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if int(ch.Channel) != c {
+				t.Errorf("channel %d airs channel %d's head", c, ch.Channel)
+			}
+			if ch.Role == channelRoleData {
+				docs = int(ch.NumDocs)
+			}
+		}
+		if c == len(heads)-1 && docs == 0 {
+			t.Fatalf("channel %d airs no documents; the test needs some", c)
+		}
+		for i := 0; i < docs; i++ {
+			want = append(want, FrameDoc)
+		}
+		got := make([]FrameType, len(frames))
+		for i, f := range frames {
+			got[i] = f.t
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("channel %d aired frames %v, want %v", c, got, want)
+		}
+	}
+}
+
+// TestEnqueueEvictsFullQueue: a subscriber whose writer has stopped keeps its
+// place while its queue holds SubscriberQueue cycles and is dropped on the
+// next one — its queue closed behind the cycles it holds, its connection
+// closed and the eviction counted.
+func TestEnqueueEvictsFullQueue(t *testing.T) {
+	srv, err := StartServer(ServerConfig{Collection: testCollection(t), CycleCapacity: 50_000, CycleInterval: time.Hour})
+	if err != nil {
+		t.Fatalf("StartServer: %v", err)
+	}
+	defer srv.Shutdown()
+	conn, peer := net.Pipe()
+	defer peer.Close()
+	n := srv.cfg.SubscriberQueue
+	sub := &subscriber{conn: conn, ch: make(chan net.Buffers, n)}
+	srv.mu.Lock()
+	srv.subs[sub] = struct{}{}
+	srv.mu.Unlock()
+
+	batch := net.Buffers{[]byte("one cycle")}
+	for i := 0; i < n; i++ {
+		srv.enqueue(0, batch)
+	}
+	if st := srv.Stats(); st.Subscribers != 1 || st.SubscribersDropped != 0 {
+		t.Fatalf("after %d cycles: %d subscribers, %d dropped; want 1 and 0", n, st.Subscribers, st.SubscribersDropped)
+	}
+	srv.enqueue(0, batch)
+	if st := srv.Stats(); st.Subscribers != 0 || st.SubscribersDropped != 1 {
+		t.Fatalf("after %d cycles: %d subscribers, %d dropped; want 0 and 1", n+1, st.Subscribers, st.SubscribersDropped)
+	}
+	for i := 0; i < n; i++ {
+		if _, ok := <-sub.ch; !ok {
+			t.Fatalf("queue closed after %d of its %d cycles", i, n)
+		}
+	}
+	if _, ok := <-sub.ch; ok {
+		t.Error("the dropped subscriber's queue is still open")
+	}
+	if _, err := peer.Read(make([]byte, 1)); err != io.EOF {
+		t.Errorf("read from the dropped subscriber's connection = %v, want EOF", err)
+	}
+}
+
+// TestSubscriberWriteAllocFree: a warm subscriber writes a many-part batch to
+// a TCP connection without allocating. WriteTo consumes the slice it is
+// called on; handed the writer's reused copy itself, the copy would lose its
+// capacity and every batch would allocate it anew.
+func TestSubscriberWriteAllocFree(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	peer, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	drained := make(chan struct{})
+	go func() {
+		defer close(drained)
+		_, _ = io.Copy(io.Discard, peer)
+	}()
+	defer func() {
+		conn.Close()
+		<-drained
+		peer.Close()
+	}()
+
+	var batch net.Buffers
+	for i := 0; i < 8; i++ {
+		batch = append(batch, []byte("header"), bytes.Repeat([]byte{byte(i)}, 1000*i), []byte("crc"))
+	}
+	sub := &subscriber{conn: conn}
+	if err := sub.write(batch); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := sub.write(batch); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("a warm batch write allocates %.1f times, want 0", allocs)
 	}
 }
 
