@@ -43,26 +43,23 @@ type demandDoc struct {
 	reqs       []*demandReq
 	minArrival int64
 	// score is the cached LeeLo base score Σ 1/remaining over reqs, valid
-	// when dirty is false.
+	// when dirty is false. Plans never write it.
 	score float64
 	dirty bool
-	// hver versions heap entries pushed for this doc during a plan; a
-	// popped entry with a stale version is discarded (a fresher entry was
-	// pushed when a sharing requester's pick changed the score).
-	hver uint32
-	// pickedAt/droppedAt/rescoredAt are plan-local stamps compared against
-	// the index's plan and op counters, avoiding per-plan clearing.
-	pickedAt   int64
-	droppedAt  int64
-	rescoredAt uint64
+	// pscore is the doc's LeeLo score as last summed within the plan being
+	// built, at pick stamp summedAt (the index's op counter); grow bounds
+	// what the plan's picks since have added to it, the last at grownAt
+	// (see planLeeLo).
+	pscore   float64
+	grow     float64
+	summedAt uint64
+	grownAt  uint64
 }
 
-// docHeapEntry is one candidate document in a policy's selection heap.
+// docHeapEntry is one candidate document in MRF's and RxW's selection heap.
 type docHeapEntry struct {
-	fscore float64 // LeeLo score
-	iscore int64   // MRF count / RxW count×wait
+	iscore int64 // MRF count / RxW count×wait
 	doc    xmldoc.DocID
-	ver    uint32
 }
 
 // DemandIndex is persistent per-document demand aggregation maintained
@@ -113,11 +110,13 @@ type DemandIndex struct {
 	seen    []uint32 // FCFS dedup bitmap, generation-stamped
 	seenGen uint32
 
-	plan int64  // plan stamp epoch (LeeLo pickedAt/droppedAt)
-	op   uint64 // per-pick stamp epoch (LeeLo rescoredAt)
+	op uint64 // per-pick stamp epoch (LeeLo summedAt, grownAt)
+	// resums counts LeeLo's exact score re-summations within plans.
+	resums int
 
 	// plan scratch, reused across cycles
 	heap    []docHeapEntry
+	cands   []*demandDoc
 	out     []xmldoc.DocID
 	touched []*demandReq
 
@@ -229,7 +228,7 @@ func (x *DemandIndex) Apply(r Request, size func(xmldoc.DocID) int) error {
 			i++
 			changed = true
 		case i == len(old) || old[i] > incoming[j]:
-			x.attach(rs, incoming[j], size(incoming[j]))
+			x.attach(rs, incoming[j], size)
 			j++
 			changed = true
 		default:
@@ -346,7 +345,7 @@ func (x *DemandIndex) addRequest(r Request, size func(xmldoc.DocID) int) {
 	x.seq++
 	rs.docs = append(make([]xmldoc.DocID, 0, len(r.Docs)), r.Docs...)
 	for _, d := range r.Docs {
-		x.attach(rs, d, size(d))
+		x.attach(rs, d, size)
 	}
 	x.reqs[r.ID] = rs
 	if n := len(x.byArrival); n > 0 {
@@ -359,11 +358,13 @@ func (x *DemandIndex) addRequest(r Request, size func(xmldoc.DocID) int) {
 }
 
 // attach adds rs to d's requester list at its seq position and folds the
-// doc's size into the request's remaining bytes.
-func (x *DemandIndex) attach(rs *demandReq, d xmldoc.DocID, size int) {
+// doc's size into the request's remaining bytes. Only a document new to the
+// index asks size for it; the newest request (always, from addRequest)
+// appends.
+func (x *DemandIndex) attach(rs *demandReq, d xmldoc.DocID, size func(xmldoc.DocID) int) {
 	ds := x.doc(d)
 	if ds == nil {
-		ds = &demandDoc{id: d, size: size, minArrival: rs.arrival}
+		ds = &demandDoc{id: d, size: size(d), minArrival: rs.arrival}
 		x.putDoc(d, ds)
 		if d > x.maxDoc {
 			x.maxDoc = d
@@ -371,11 +372,15 @@ func (x *DemandIndex) attach(rs *demandReq, d xmldoc.DocID, size int) {
 	} else if rs.arrival < ds.minArrival {
 		ds.minArrival = rs.arrival
 	}
-	i := sort.Search(len(ds.reqs), func(i int) bool { return ds.reqs[i].seq > rs.seq })
-	ds.reqs = append(ds.reqs, nil)
-	copy(ds.reqs[i+1:], ds.reqs[i:])
-	ds.reqs[i] = rs
-	rs.remaining += size
+	if n := len(ds.reqs); n == 0 || ds.reqs[n-1].seq < rs.seq {
+		ds.reqs = append(ds.reqs, rs)
+	} else {
+		i := sort.Search(n, func(i int) bool { return ds.reqs[i].seq > rs.seq })
+		ds.reqs = append(ds.reqs, nil)
+		copy(ds.reqs[i+1:], ds.reqs[i:])
+		ds.reqs[i] = rs
+	}
+	rs.remaining += ds.size
 	x.markDirty(ds)
 	x.edits++
 }

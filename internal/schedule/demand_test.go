@@ -167,24 +167,44 @@ func TestIncrementalMatchesReferenceUnderChurn(t *testing.T) {
 				for d := range sizes {
 					sizes[d] = 300 + rng.Intn(4200)
 				}
-				sizes[nDocs-1] = capacity + 1000 // exercise the oversized rule
+				// Scripted requests beside the random ones: the last two
+				// documents are only ever requested together, so their
+				// scores tie exactly and the lower ID goes first; a burst
+				// for the oversized document makes it a plan's first and
+				// only pick; and a burst for document 0 alone completes
+				// inside the plan that picks it, so those terms fall to 0.
+				const oversized, tieA, tieB = nDocs - 3, nDocs - 2, nDocs - 1
+				sizes[oversized] = capacity + 1000
 				size := func(d xmldoc.DocID) int { return sizes[d] }
 
 				x := NewDemandIndex()
 				var mirror []Request
 				nextID := int64(0)
 				now := int64(0)
+				add := func(docs ...xmldoc.DocID) {
+					r := Request{ID: nextID, Arrival: now - int64(rng.Intn(200)), Docs: docs}
+					nextID++
+					mirror = append(mirror, r)
+					x.Apply(r, size)
+				}
+				oversizedAlone := 0
 				for step := 0; step < 45; step++ {
 					now += int64(400 + rng.Intn(600))
 					for k := 1 + rng.Intn(5); k > 0; k-- {
-						r := Request{
-							ID:      nextID,
-							Arrival: now - int64(rng.Intn(200)),
-							Docs:    randomSortedDocs(rng, nDocs, 1+rng.Intn(4)),
+						add(randomSortedDocs(rng, oversized+1, 1+rng.Intn(4))...)
+					}
+					switch step % 15 {
+					case 3:
+						add(tieA, tieB)
+						add(tieA, tieB)
+					case 8:
+						for k := 0; k < 40; k++ {
+							add(oversized)
 						}
-						nextID++
-						mirror = append(mirror, r)
-						x.Apply(r, size)
+					case 13:
+						for k := 0; k < 10; k++ {
+							add(0)
+						}
 					}
 					if len(mirror) > 0 && rng.Intn(4) == 0 { // abandon
 						i := rng.Intn(len(mirror))
@@ -204,6 +224,9 @@ func TestIncrementalMatchesReferenceUnderChurn(t *testing.T) {
 					if !reflect.DeepEqual(want, got) {
 						t.Fatalf("seed %d step %d: PlanIndexed = %v, reference = %v",
 							seed, step, got, want)
+					}
+					if len(got) == 1 && got[0] == oversized {
+						oversizedAlone++
 					}
 					checkInvariants(t, x)
 
@@ -234,6 +257,9 @@ func TestIncrementalMatchesReferenceUnderChurn(t *testing.T) {
 					mirror = liveMirror
 					x.ExpireZombies()
 					checkInvariants(t, x)
+				}
+				if name == "leelo" && oversizedAlone == 0 {
+					t.Fatalf("seed %d: the oversized document never made a plan alone", seed)
 				}
 			}
 		})
@@ -322,12 +348,17 @@ func TestIncrementalContractsAtScale(t *testing.T) {
 	checkInvariants(t, x)
 }
 
-// TestLeeLoSharerPaths: planLeeLo finds a pick's sharers from the pick's
-// requester→document links, or from the document table when the links
-// outnumber the live documents. Both must plan exactly as the reference, cycle
-// after cycle of predicted deliveries. The dense pending set (every request
-// wants about half of a small collection) takes the table path; the sparse
-// one (groups of requests with disjoint answers) the link path.
+// TestLeeLoSharerPaths: planLeeLo re-sums a document's score only while a
+// bound on it can still win the pick, and must plan exactly as the
+// reference, cycle after cycle of predicted deliveries, whether requests
+// share most of their answers (dense: every request wants about half of a
+// small collection, and a pick's growth goes to every candidate) or none
+// (sparse: groups of requests with disjoint answers, and the growth goes to
+// the pick's sharers found by its links). On the dense set the exact
+// re-summations are counted: at least one per pick, and fewer per pick than
+// the live documents. The rounding set is three documents where a bound
+// without its float slack μ, or without the growth term, breaks a tie the
+// wrong way.
 func TestLeeLoSharerPaths(t *testing.T) {
 	const nDocs, capacity = 40, 6000
 	rng := rand.New(rand.NewSource(11))
@@ -346,43 +377,82 @@ func TestLeeLoSharerPaths(t *testing.T) {
 		sparse = append(sparse, Request{ID: int64(i), Arrival: int64(i), Docs: []xmldoc.DocID{g, g + 1}})
 	}
 
+	// Rounding: request 0 wants documents {0, 1}, requests 1–4 want 1 alone
+	// and request 5 wants 2 alone; documents 0 and 2 are a bytes, 1 is b.
+	// Document 1 goes first, then 0 and 2 tie at 1/a and 0 wins on ID. The
+	// sizes are the first for which 0's bound without slack, 1/(a+b) plus
+	// the rounded rise to 1/a, rounds below 1/a.
+	a, b := 0, 0
+	for try := 1000; a == 0 && try < 2000; try++ {
+		lo, hi := 1/float64(3*try+1), 1/float64(try) // b = 2a+1: the rise is a rounded difference
+		if lo+(hi-lo) < hi {
+			a, b = try, 2*try+1
+		}
+	}
+	if a == 0 {
+		t.Fatal("no sizes make the bound without slack round below the tie")
+	}
+	roundSizes := []int{a, b, a}
+	rounding := []Request{{ID: 0, Docs: []xmldoc.DocID{0, 1}}}
+	for id := int64(1); id <= 4; id++ {
+		rounding = append(rounding, Request{ID: id, Docs: []xmldoc.DocID{1}})
+	}
+	rounding = append(rounding, Request{ID: 5, Docs: []xmldoc.DocID{2}})
+
 	for _, tc := range []struct {
-		name      string
-		pending   []Request
-		wantTable bool
-	}{{"dense", dense, true}, {"sparse", sparse, false}} {
+		name     string
+		pending  []Request
+		size     func(xmldoc.DocID) int
+		capacity int
+		counted  bool
+	}{
+		{"dense", dense, size, capacity, true},
+		{"sparse", sparse, size, capacity, false},
+		{"rounding", rounding, func(d xmldoc.DocID) int { return roundSizes[d] }, 2*a + b, false},
+	} {
 		t.Run(tc.name, func(t *testing.T) {
 			x := NewDemandIndex()
 			var mirror []Request
 			for _, r := range tc.pending {
 				r.Docs = slices.Clone(r.Docs)
 				mirror = append(mirror, r)
-				if err := x.Apply(r, size); err != nil {
+				if err := x.Apply(r, tc.size); err != nil {
 					t.Fatal(err)
 				}
 			}
+			resums, picks := 0, 0
 			for cycle := 0; len(mirror) > 0; cycle++ {
 				now := int64(100 + cycle)
-				want := LeeLo{}.PlanCycle(mirror, size, capacity, now)
-				if table := x.sharersFromTable(x.doc(want[0])); cycle == 0 && table != tc.wantTable {
-					t.Fatalf("first pick of %d documents: table path %v, want %v", x.NumDocs(), table, tc.wantTable)
-				}
-				if got := (LeeLo{}).PlanIndexed(x, capacity, now); !reflect.DeepEqual(got, want) {
+				want := LeeLo{}.PlanCycle(mirror, tc.size, tc.capacity, now)
+				live, before := x.NumDocs(), x.resums
+				if got := (LeeLo{}).PlanIndexed(x, tc.capacity, now); !reflect.DeepEqual(got, want) {
 					t.Fatalf("cycle %d: PlanIndexed = %v, reference = %v", cycle, got, want)
 				}
+				n := x.resums - before
+				if tc.counted && n >= len(want)*live {
+					t.Fatalf("cycle %d: %d re-summations for %d picks of %d live documents", cycle, n, len(want), live)
+				}
+				resums += n
+				picks += len(want)
 				for _, d := range want {
 					x.DeliverDoc(d)
 				}
-				live := mirror[:0]
+				rest := mirror[:0]
 				for _, r := range mirror {
 					r.Docs = slices.DeleteFunc(r.Docs, func(d xmldoc.DocID) bool { return slices.Contains(want, d) })
 					if len(r.Docs) > 0 {
-						live = append(live, r)
+						rest = append(rest, r)
 					}
 				}
-				mirror = live
+				mirror = rest
 				x.ExpireZombies()
 				checkInvariants(t, x)
+			}
+			if tc.counted {
+				t.Logf("%d exact re-summations over %d picks", resums, picks)
+				if resums < picks {
+					t.Fatalf("%d exact re-summations over %d picks: fewer than one per pick", resums, picks)
+				}
 			}
 		})
 	}

@@ -17,8 +17,18 @@ func FuzzDemandIndex(f *testing.F) {
 	f.Add([]byte{0x00, 0x00, 0x10, 0x20, 0x30, 0x40, 0x50, 0x60, 0x70, 0x80})
 	f.Add([]byte{0x0f, 0x1f, 0x2f, 0x3f, 0x4f, 0x5f, 0x6f, 0x7f})
 	// Dense: three requests for documents {0, 1}, so a pick's requester links
-	// (6) outnumber the live documents (2) and LeeLo rescores from the table.
+	// (6) outnumber the live documents (2) and LeeLo's growth goes to the
+	// whole table.
 	f.Add([]byte{0x00, 0x10, 0x00, 0x10, 0x00, 0x10, 0x04, 0x00, 0x03, 0x00, 0x04, 0x00})
+	// One request for documents {0, 3}, then two plans with no delivery
+	// between: a plan that kept its scores in the cached base score started
+	// the second plan from the first one's.
+	f.Add([]byte("00X0X"))
+	// An exact tie settled mid-plan: three requests for document 3 alone make
+	// it the first pick, and one request for {1, 2} gives documents 1 and 2
+	// the same requester list, so both are re-summed to equal scores and 1
+	// must come before 2.
+	f.Add([]byte{0x00, 0x33, 0x00, 0x33, 0x00, 0x33, 0x00, 0x21, 0x04, 0x00})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const nDocs, capacity = 16, 900
 		size := func(d xmldoc.DocID) int { return 100 + 37*int(d) }

@@ -121,80 +121,94 @@ func (x *DemandIndex) planByCount(capacity int, score func(*demandDoc) int64) []
 	return append([]xmldoc.DocID(nil), out...)
 }
 
-// planLeeLo is the greedy Lee & Lo allocation over a lazy max-heap of
-// document scores. Because scores only grow while a plan accrues picks
-// (remaining bytes shrink), stale heap entries underestimate: picking a
-// document therefore eagerly re-scores every document sharing a requester
-// with it and pushes a fresh versioned entry (invalidate-and-repush), so
-// the heap top with a current version is always the true maximum and stale
-// pops are simply discarded. Non-fitting documents are dropped permanently
-// (used bytes only grow), and per-request plan deltas are rolled back on
-// exit.
+// planLeeLo is the greedy Lee & Lo allocation with an exact lazy pick. A
+// pick shrinks its requesters' remaining bytes, so it raises the score of a
+// document sharing a requester with it by at most the pick's growth: the
+// sum, over the pick's requesters, of the rise of their term
+// 1/(remaining − planDelta). A requester the pick completes loses its term,
+// and that fall stays out of the growth. Every candidate keeps its last
+// exactly summed plan score and the growth of the picks since that shared a
+// requester with it, so (pscore + grow)·(1+μ) bounds its current score
+// (leeLoSlack derives μ). The sharers are found from the shorter list, as
+// DeliverDoc finds stale scores: when the pick's requester→document links
+// outnumber the live documents, every candidate takes the growth.
+//
+// Each pick re-sums the candidate leeLoFirst ranks first with planScore
+// (the reference's terms in its order) until the first is exact. It then
+// outranks every other candidate's current score under (score desc, doc
+// asc) — the order the reference's ascending strict-max scan picks in — so
+// the plan is PlanCycle's. Documents that no longer fit are dropped for
+// good (used bytes only grow), and per-request plan deltas are rolled back
+// on exit.
 func (x *DemandIndex) planLeeLo(capacity int) []xmldoc.DocID {
 	x.refreshScores()
-	x.plan++
-	h := x.heap[:0]
+	x.op++
+	cands := x.cands[:0]
 	for _, ds := range x.docTab {
-		if ds == nil {
-			continue
+		if ds != nil {
+			ds.pscore, ds.grow, ds.summedAt = ds.score, 0, x.op
+			cands = append(cands, ds)
 		}
-		h = append(h, docHeapEntry{fscore: ds.score, doc: ds.id, ver: ds.hver})
 	}
-	heapify(h, lessLeeLo)
+	onePlusMu := 1 + leeLoSlack(len(x.reqs)+len(cands))
 	out := x.out[:0]
 	used := 0
 	touched := x.touched[:0]
-	for len(h) > 0 {
-		var e docHeapEntry
-		e, h = heapPop(h, lessLeeLo)
-		ds := x.doc(e.doc)
-		if ds == nil || ds.pickedAt == x.plan || ds.droppedAt == x.plan || e.ver != ds.hver {
-			continue
+	for {
+		best := leeLoFirst(cands, onePlusMu)
+		for best >= 0 && cands[best].grownAt > cands[best].summedAt {
+			o := cands[best]
+			o.pscore, o.grow, o.summedAt = x.planScore(o), 0, x.op
+			x.resums++
+			best = leeLoFirst(cands, onePlusMu)
 		}
-		s := ds.size
-		if used+s > capacity && !(used == 0 && s > capacity) {
-			ds.droppedAt = x.plan
-			continue
+		if best < 0 {
+			break
 		}
-		ds.pickedAt = x.plan
+		ds := cands[best]
+		cands[best] = cands[len(cands)-1]
+		cands = cands[:len(cands)-1]
 		out = append(out, ds.id)
-		used += s
-		x.op++
-		ds.rescoredAt = x.op
+		s := ds.size
+		if used += s; used >= capacity {
+			break
+		}
+		g := 0.0
 		for _, rs := range ds.reqs {
 			if rs.planDelta == 0 {
 				touched = append(touched, rs)
 			}
+			rem := rs.remaining - rs.planDelta // ≥ s: rs still missed ds
 			rs.planDelta += s
-		}
-		// Rescore sharers only after every requester's delta is applied:
-		// a doc sharing several requesters with the pick must see all of
-		// them shrink before its fresh entry is scored. Rescoring a
-		// document that shares no requester re-sums the same terms in the
-		// same order, so its fresh entry equals its live one and the pop
-		// order — and the plan — is the same on either path.
-		if x.sharersFromTable(ds) {
-			for _, o := range x.docTab {
-				if o != nil {
-					h = x.rescore(h, ds, o)
-				}
+			if rem > s {
+				g += 1/float64(rem-s) - 1/float64(rem)
 			}
-		} else {
+		}
+		x.op++
+		table := x.sharersFromTable(ds)
+		if !table {
 			for _, rs := range ds.reqs {
 				for _, d2 := range rs.docs {
-					h = x.rescore(h, ds, x.doc(d2))
+					x.addGrowth(x.doc(d2), g)
 				}
 			}
 		}
-		if used >= capacity {
-			break
+		kept := cands[:0]
+		for _, o := range cands {
+			if used+o.size <= capacity {
+				if table {
+					x.addGrowth(o, g)
+				}
+				kept = append(kept, o)
+			}
 		}
+		cands = kept
 	}
 	for _, rs := range touched {
 		rs.planDelta = 0
 	}
 	x.touched = touched[:0]
-	x.heap, x.out = h[:0], out
+	x.cands, x.out = cands[:0], out
 	return append([]xmldoc.DocID(nil), out...)
 }
 
@@ -211,24 +225,50 @@ func (x *DemandIndex) sharersFromTable(ds *demandDoc) bool {
 	return false
 }
 
-// rescore pushes a fresh versioned entry for o against the plan being built,
-// once per pick, unless o is the pick itself or already out of the plan.
-func (x *DemandIndex) rescore(h []docHeapEntry, pick, o *demandDoc) []docHeapEntry {
-	if o == pick || o.rescoredAt == x.op || o.pickedAt == x.plan || o.droppedAt == x.plan {
-		return h
+// addGrowth adds the current pick's growth g to o's bound, once per pick.
+func (x *DemandIndex) addGrowth(o *demandDoc, g float64) {
+	if o.grownAt != x.op {
+		o.grow += g
+		o.grownAt = x.op
 	}
-	o.rescoredAt = x.op
-	o.hver++
-	return heapPush(h, docHeapEntry{fscore: x.planScore(o), doc: o.id, ver: o.hver}, lessLeeLo)
 }
 
-// lessLeeLo orders heap entries by float score descending, doc ascending —
-// the pop order the reference's ascending strict-max scan produces.
-func lessLeeLo(a, b docHeapEntry) bool {
-	if a.fscore != b.fscore {
-		return a.fscore > b.fscore
+// leeLoFirst returns the index of the candidate ranked first under (score
+// desc, doc asc), reading pscore where it is exact (no pick since its
+// summation shared a requester with it) and the bound (pscore + grow)·(1+μ)
+// elsewhere, or -1 when there is none.
+func leeLoFirst(cands []*demandDoc, onePlusMu float64) int {
+	best, top := -1, 0.0
+	for i, o := range cands {
+		key := o.pscore
+		if o.grownAt > o.summedAt {
+			key = (o.pscore + o.grow) * onePlusMu
+		}
+		if best < 0 || key > top || key == top && o.id < cands[best].id {
+			best, top = i, key
+		}
 	}
-	return a.doc < b.doc
+	return best
+}
+
+// leeLoSlack returns μ for planLeeLo's bound, given n at least the
+// requesters of any document and the picks of a plan.
+//
+// With u = 2⁻⁵³ and γ = γₙ = n·u/(1 − n·u), a float sum of at most n
+// non-negative terms is within a factor 1 ± γ of their exact sum. Both
+// planners add the same float terms 1/rem; let S be their exact sum. A
+// summed score s is then at least (1−γ)·S. Until the next summation S rises
+// by at most the exact growth of the picks since: a shared requester's rise
+// is part of its pick's growth, and a term that falls only lowers S. grow
+// is at least (1−u)(1−γ)² of that growth (each rise is a rounded
+// difference, summed per pick and then over picks). The current score is
+// therefore at most (1+γ)·(s/(1−γ) + grow/(1−γ)³) ≤ (1+γ)/(1−γ)³·(s + grow),
+// while the bound's add, the rounding of 1+μ and its multiply each lose at
+// most a factor 1−u ≥ 1−γ. The bound holds when 1+μ ≥ (1+γ)/(1−γ)⁶, which
+// μ = 8γ meets for γ ≤ 1/64 (n ≤ 2⁴⁶). There 16·n·u ≥ 8γ, and n·2⁻⁴⁹ is
+// exact in floating point.
+func leeLoSlack(n int) float64 {
+	return float64(n) * 0x1p-49
 }
 
 // lessByCount orders heap entries by integer score descending, doc
@@ -244,20 +284,6 @@ func heapify(h []docHeapEntry, less func(a, b docHeapEntry) bool) {
 	for i := len(h)/2 - 1; i >= 0; i-- {
 		siftDown(h, i, less)
 	}
-}
-
-func heapPush(h []docHeapEntry, e docHeapEntry, less func(a, b docHeapEntry) bool) []docHeapEntry {
-	h = append(h, e)
-	i := len(h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !less(h[i], h[parent]) {
-			break
-		}
-		h[i], h[parent] = h[parent], h[i]
-		i = parent
-	}
-	return h
 }
 
 func heapPop(h []docHeapEntry, less func(a, b docHeapEntry) bool) (docHeapEntry, []docHeapEntry) {
