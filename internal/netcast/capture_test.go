@@ -141,12 +141,12 @@ func TestReadCaptureErrors(t *testing.T) {
 	// The retired formats are refused like any other unknown header,
 	// whatever follows it: v1 (unchecksummed frames), v2 (re-encoded bare
 	// frames) and v3 (transport envelopes without their hello).
-	var frame bytes.Buffer
-	if err := writeFrame(&frame, FrameIndex, []byte{1, 2, 3}); err != nil {
+	frame, err := appendFrame(nil, FrameIndex, []byte{1, 2, 3})
+	if err != nil {
 		t.Fatal(err)
 	}
 	for _, magic := range []string{"XBCAST1\n", "XBCAST2\n", "XBCAST3\n"} {
-		old := magic + frame.String()
+		old := magic + string(frame)
 		if _, err := ReadCapture(strings.NewReader(old)); err == nil || !strings.Contains(err.Error(), "not a capture file") {
 			t.Errorf("%q capture: got %v, want \"not a capture file\"", magic, err)
 		}
@@ -164,12 +164,10 @@ func TestReadCaptureErrors(t *testing.T) {
 	}
 	// A corrupt (checksum-failing) frame mid-capture is an error, not a
 	// panic and not silent acceptance.
-	buf.Reset()
-	buf.WriteString(captureMagic)
-	if err := writeFrame(&buf, FrameCycleHead, []byte("payload")); err != nil {
+	raw, err := appendFrame([]byte(captureMagic), FrameCycleHead, []byte("payload"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	raw := buf.Bytes()
 	raw[len(raw)-1] ^= 0xFF // corrupt the CRC trailer
 	if _, err := ReadCapture(bytes.NewReader(raw)); err == nil {
 		t.Error("corrupt capture frame accepted")

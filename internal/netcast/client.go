@@ -121,22 +121,24 @@ type chanStream struct {
 	addr string
 }
 
-// Client is a mobile client: an uplink connection for submissions and one
-// downlink subscription per broadcast channel. A Client is not safe for
-// concurrent use.
+// Client is a mobile client: an uplink for submissions and one downlink
+// subscription per broadcast channel. The uplink is the one stream of a
+// private, uncompressed Mux, so a Client and a LogicalClient submit through
+// the same round trip. A Client is not safe for concurrent use.
 type Client struct {
 	model  core.SizeModel
-	up     net.Conn
-	upAddr string // redial target for recovery
+	up     *LogicalClient // nil on a listen-only client
+	upAddr string         // redial target for recovery
 
 	// chans holds the downlink streams in channel order: chans[0] is the
 	// index channel, which on a single-channel broadcast is the only stream
 	// and carries everything.
 	chans []*chanStream
 
-	// AckTimeout bounds how long Submit waits for the server's ack before
-	// failing instead of hanging on a stalled server. Zero disables the
-	// deadline. Dial sets it to 10 s.
+	// AckTimeout bounds how long Submit and Resume wait, on the wall clock,
+	// for the server's ack before failing instead of hanging on a stalled
+	// server, and how long a redial of the uplink waits for the hello
+	// reply. Zero disables the deadline. Dial sets it to 10 s.
 	AckTimeout time.Duration
 
 	// Clock supplies every backoff wait: admission-control retries
@@ -151,10 +153,8 @@ type Client struct {
 	coveredFrom uint32
 
 	// session tracks acked submissions (durable request IDs) for the
-	// session-resume handshake; resumeCapable is set once an ack carries a
-	// request ID, gating resume frames to servers that understand them.
-	session       *ClientSession
-	resumeCapable bool
+	// session-resume handshake.
+	session *ClientSession
 
 	// resubq queues queries whose re-registration failed while the uplink
 	// was down, bounded at resubmitQueueCap with drop-oldest. The counters
@@ -250,9 +250,9 @@ func DialChannels(uplinkAddr string, channelAddrs []string, model core.SizeModel
 	if model == (core.SizeModel{}) {
 		model = core.DefaultSizeModel()
 	}
-	up, err := net.DialTimeout("tcp", uplinkAddr, 5*time.Second)
+	up, err := dialUplink(uplinkAddr, defaultAckTimeout)
 	if err != nil {
-		return nil, fmt.Errorf("netcast: dial uplink: %w", err)
+		return nil, err
 	}
 	c := &Client{model: model, up: up, upAddr: uplinkAddr, AckTimeout: defaultAckTimeout}
 	for i, addr := range channelAddrs {
@@ -266,10 +266,26 @@ func DialChannels(uplinkAddr string, channelAddrs []string, model core.SizeModel
 	return c, nil
 }
 
+// dialUplink opens a client's private uplink: a Mux that requests no
+// compression, with the one stream the client submits on. ackTimeout bounds
+// the hello handshake (zero: no bound).
+func dialUplink(addr string, ackTimeout time.Duration) (*LogicalClient, error) {
+	m, err := dialMux(addr, MuxConfig{AckTimeout: ackTimeout})
+	if err != nil {
+		return nil, err
+	}
+	lc, err := m.Open()
+	if err != nil {
+		m.Close()
+		return nil, err
+	}
+	return lc, nil
+}
+
 // Close releases every connection.
 func (c *Client) Close() {
 	if c.up != nil {
-		c.up.Close()
+		c.up.mux.Close()
 	}
 	for _, cs := range c.chans {
 		cs.conn.Close()
@@ -279,68 +295,47 @@ func (c *Client) Close() {
 // Submit sends one query over the uplink and waits for the server's ack,
 // for at most AckTimeout.
 func (c *Client) Submit(q xpath.Path) error {
-	if err := writeFrame(c.up, FrameQuery, []byte(q.String())); err != nil {
-		return fmt.Errorf("netcast: submit: %w", err)
-	}
-	if c.AckTimeout > 0 {
-		_ = c.up.SetReadDeadline(time.Now().Add(c.AckTimeout))
-		defer c.up.SetReadDeadline(time.Time{})
-	}
-	t, payload, err := readFrame(c.up)
-	if err != nil {
-		return fmt.Errorf("netcast: submit ack: %w", err)
-	}
-	covered, id, hasID, err := parseSubmitAck(t, payload)
+	covered, id, err := c.up.submit(q, c.AckTimeout, control.Real{})
 	if err != nil {
 		return err
 	}
-	if hasID {
-		c.recordSession(id, q.String())
-		c.resumeCapable = true
-	}
+	c.recordSession(id, q.String())
 	c.coveredFrom = covered
 	return nil
 }
 
-// parseSubmitAck interprets one uplink response to a query submission —
-// shared by Client.Submit and the multiplexed LogicalClient. hasID reports
-// the durable-request-ID ack form ("ok:<covered>:<id>") from a
-// journal-aware server.
-func parseSubmitAck(t FrameType, payload []byte) (covered uint32, id int64, hasID bool, err error) {
+// parseSubmitAck interprets one uplink response to a query submission: an
+// ack "ok:<covered>:<id>" names the covering cycle and the durable request
+// ID the client presents on session resume.
+func parseSubmitAck(t FrameType, payload []byte) (covered uint32, id int64, err error) {
 	if t == FrameReject {
-		retryAfter, reason, derr := decodeReject(payload)
-		if derr != nil {
-			return 0, 0, false, fmt.Errorf("netcast: submit ack: %w", derr)
-		}
-		return 0, 0, false, &RejectedError{RetryAfter: retryAfter, Reason: reason}
+		return 0, 0, rejectError(payload)
 	}
 	if t != FrameAck {
-		return 0, 0, false, fmt.Errorf("netcast: unexpected ack frame type %d", t)
+		return 0, 0, fmt.Errorf("netcast: unexpected ack frame type %d", t)
 	}
 	msg := string(payload)
 	if strings.HasPrefix(msg, "err:") {
-		return 0, 0, false, fmt.Errorf("netcast: server rejected query: %s", strings.TrimSpace(msg[4:]))
+		return 0, 0, fmt.Errorf("netcast: server rejected query: %s", strings.TrimSpace(msg[4:]))
 	}
-	if rest, ok := strings.CutPrefix(msg, "ok:"); ok {
-		// Two ack forms: "ok:<covered>" (legacy) and "ok:<covered>:<id>"
-		// from a durability-aware server, where <id> is the journaled
-		// request ID the client presents on session resume.
-		cov := rest
-		if i := strings.IndexByte(rest, ':'); i >= 0 {
-			cov = rest[:i]
-			id, err = strconv.ParseInt(rest[i+1:], 10, 64)
-			if err != nil {
-				return 0, 0, false, fmt.Errorf("netcast: malformed ack %q", msg)
-			}
-			hasID = true
-		}
-		n, err := strconv.ParseUint(cov, 10, 32)
-		if err != nil {
-			return 0, 0, false, fmt.Errorf("netcast: malformed ack %q", msg)
-		}
-		return uint32(n), id, hasID, nil
+	rest, isOK := strings.CutPrefix(msg, "ok:")
+	cov, idStr, _ := strings.Cut(rest, ":")
+	n, cerr := strconv.ParseUint(cov, 10, 32)
+	id, ierr := strconv.ParseInt(idStr, 10, 64)
+	if !isOK || cerr != nil || ierr != nil {
+		return 0, 0, fmt.Errorf("netcast: malformed ack %q", msg)
 	}
-	return 0, 0, false, fmt.Errorf("netcast: malformed ack %q", msg)
+	return uint32(n), id, nil
+}
+
+// rejectError decodes a FrameReject payload into the RejectedError it
+// reports.
+func rejectError(payload []byte) error {
+	retryAfter, reason, err := decodeReject(payload)
+	if err != nil {
+		return fmt.Errorf("netcast: reject: %w", err)
+	}
+	return &RejectedError{RetryAfter: retryAfter, Reason: reason}
 }
 
 // recordSession remembers an acked submission for session resumption. A
@@ -367,17 +362,13 @@ func (c *Client) recordSession(id int64, query string) {
 }
 
 // Session deep-copies the client's resumable session state: the acked
-// request IDs and the last seen server identity. Nil until an ack carried a
-// request ID.
+// request IDs and the last seen server identity. Nil until the first ack.
 func (c *Client) Session() *ClientSession { return c.session.clone() }
 
 // AdoptSession installs a session extracted from another client (typically
-// one whose server restarted at new addresses), making this client
-// resume-capable with that session's request IDs.
-func (c *Client) AdoptSession(s *ClientSession) {
-	c.session = s.clone()
-	c.resumeCapable = c.session != nil && len(c.session.Entries) > 0
-}
+// one whose server restarted at new addresses), so Resume presents that
+// session's request IDs.
+func (c *Client) AdoptSession(s *ClientSession) { c.session = s.clone() }
 
 // Resume runs the session-resume handshake: it presents every acked request
 // ID over the uplink and applies the server's per-query dispositions —
@@ -401,28 +392,17 @@ func (c *Client) Resume() ([]ResumeStatus, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := writeFrame(c.up, FrameResume, payload); err != nil {
+	r, err := c.up.roundTrip(FrameResume, payload, c.AckTimeout, control.Real{})
+	if err != nil {
 		return nil, fmt.Errorf("netcast: resume: %w", err)
 	}
-	if c.AckTimeout > 0 {
-		_ = c.up.SetReadDeadline(time.Now().Add(c.AckTimeout))
-		defer c.up.SetReadDeadline(time.Time{})
+	if r.t == FrameReject {
+		return nil, rejectError(r.payload)
 	}
-	t, ack, err := readFrame(c.up)
-	if err != nil {
-		return nil, fmt.Errorf("netcast: resume ack: %w", err)
+	if r.t != FrameResumeAck {
+		return nil, fmt.Errorf("netcast: unexpected resume ack frame type %d", r.t)
 	}
-	if t == FrameReject {
-		retryAfter, reason, derr := decodeReject(ack)
-		if derr != nil {
-			return nil, fmt.Errorf("netcast: resume ack: %w", derr)
-		}
-		return nil, &RejectedError{RetryAfter: retryAfter, Reason: reason}
-	}
-	if t != FrameResumeAck {
-		return nil, fmt.Errorf("netcast: unexpected resume ack frame type %d", t)
-	}
-	epoch, generation, srv, err := decodeResumeAck(ack)
+	epoch, generation, srv, err := decodeResumeAck(r.payload)
 	if err != nil {
 		return nil, err
 	}
@@ -480,8 +460,15 @@ func (c *Client) CoveredFrom() int64 { return int64(c.coveredFrom) }
 // re-flooded in lockstep) until the query is admitted, a non-overload error
 // occurs, or the context expires.
 func (c *Client) SubmitRetry(ctx context.Context, q xpath.Path) error {
+	return submitRetry(ctx, control.Or(c.Clock), c.jitter(), func() error { return c.Submit(q) })
+}
+
+// submitRetry is SubmitRetry for both client types: it calls submit until
+// it returns anything but a RejectedError, waiting out each rejection on clk
+// for the jittered retry-after hint, or until ctx expires.
+func submitRetry(ctx context.Context, clk control.Clock, rng *rand.Rand, submit func() error) error {
 	for {
-		err := c.Submit(q)
+		err := submit()
 		var rej *RejectedError
 		if !errors.As(err, &rej) {
 			return err
@@ -489,16 +476,9 @@ func (c *Client) SubmitRetry(ctx context.Context, q xpath.Path) error {
 		select {
 		case <-ctx.Done():
 			return ctx.Err()
-		case <-control.Or(c.Clock).After(c.backoffWait(rej.RetryAfter)):
+		case <-clk.After(backoffJitter(rng, rej.RetryAfter)):
 		}
 	}
-}
-
-// backoffWait turns a server retry-after hint into a client wait: clamped to
-// the reconnect backoff bounds, with up to 50% random jitter added from this
-// client's own source.
-func (c *Client) backoffWait(hint time.Duration) time.Duration {
-	return backoffJitter(c.jitter(), hint)
 }
 
 // backoffJitter clamps hint to the reconnect backoff bounds and adds up to
@@ -858,7 +838,7 @@ func (r *retrieval) recover(ctx context.Context, ch int, err error) error {
 		select {
 		case <-ctx.Done():
 			return fmt.Errorf("netcast: broadcast reconnect: %w", ctx.Err())
-		case <-control.Or(c.Clock).After(c.backoffWait(delay)):
+		case <-control.Or(c.Clock).After(backoffJitter(c.jitter(), delay)):
 		}
 	}
 }
@@ -917,17 +897,17 @@ func (c *Client) flushResubmits() {
 			// instead of redialing (which would only add connection churn
 			// to an overloaded server).
 			backedOff = true
-			<-control.Or(c.Clock).After(c.backoffWait(rej.RetryAfter))
+			<-control.Or(c.Clock).After(backoffJitter(c.jitter(), rej.RetryAfter))
 		case errors.As(err, &rej):
 			return // still shedding after one wait; try again next recovery
 		case !redialed:
 			redialed = true
-			conn, derr := net.DialTimeout("tcp", c.upAddr, 5*time.Second)
+			up, derr := dialUplink(c.upAddr, c.AckTimeout)
 			if derr != nil {
 				return // uplink unreachable; the queue holds the backlog
 			}
-			c.up.Close()
-			c.up = conn
+			c.up.mux.Close()
+			c.up = up
 		default:
 			return // redialed and still failing
 		}

@@ -54,47 +54,23 @@ func waitForWaiter(t *testing.T, clk *control.Fake) {
 // fake clock (observable via Waiters) and completes only as the test advances
 // it — no wall-clock sleeps.
 func TestSubmitRetryBackoffOnInjectedClock(t *testing.T) {
-	upLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer upLn.Close()
-	bcLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer bcLn.Close()
-	go func() {
-		// Broadcast side: hold the connection open, send nothing.
-		conn, err := bcLn.Accept()
-		if err != nil {
-			return
-		}
-		defer conn.Close()
-		<-make(chan struct{})
-	}()
-
 	const rejects = 2
-	go func() {
-		conn, err := upLn.Accept()
-		if err != nil {
-			return
-		}
-		defer conn.Close()
+	upAddr := stubUplink(t, 1, func(sc *stubConn) {
 		for i := 0; ; i++ {
-			if _, _, err := readFrame(conn); err != nil {
+			stream, _, _, err := sc.next()
+			if err != nil {
 				return
 			}
 			if i < rejects {
-				_ = writeFrame(conn, FrameReject, encodeReject(100*time.Millisecond, "busy"))
+				_ = sc.respond(stream, FrameReject, encodeReject(100*time.Millisecond, "busy"))
 			} else {
-				_ = writeFrame(conn, FrameAck, []byte("ok:1"))
-				return
+				_ = sc.respond(stream, FrameAck, []byte("ok:1:7"))
 			}
 		}
-	}()
+	})
 
-	cl, err := Dial(upLn.Addr().String(), bcLn.Addr().String(), core.SizeModel{})
+	// The broadcast side is never read: a mute listener will do.
+	cl, err := Dial(upAddr, muteListener(t), core.SizeModel{})
 	if err != nil {
 		t.Fatalf("Dial: %v", err)
 	}
@@ -126,6 +102,9 @@ func TestSubmitRetryBackoffOnInjectedClock(t *testing.T) {
 	}
 	if got := cl.CoveredFrom(); got != 1 {
 		t.Errorf("CoveredFrom = %d, want 1 from the stub ack", got)
+	}
+	if s := cl.Session(); s == nil || len(s.Entries) != 1 || s.Entries[0].ID != 7 {
+		t.Errorf("session = %+v, want the stub ack's request ID 7", s)
 	}
 }
 

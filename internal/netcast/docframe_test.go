@@ -125,7 +125,7 @@ func (h *handDriven) finish(t *testing.T) []airedFrame {
 	if _, err := transport.ReadHello(br); err != nil {
 		t.Fatalf("stream does not open with a transport hello: %v", err)
 	}
-	tr := transport.NewReaderFromBufio(br)
+	tr := transport.NewReader(br)
 	fresh := transport.NewEncoder(true, 0)
 	var frames []airedFrame
 	for {

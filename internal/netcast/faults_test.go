@@ -2,7 +2,6 @@ package netcast
 
 import (
 	"context"
-	"io"
 	"net"
 	"reflect"
 	"testing"
@@ -214,15 +213,22 @@ func pipeClient(t *testing.T, prelude, cycle []airFrame) *Client {
 	t.Helper()
 	srvEnd, cliEnd := net.Pipe()
 	t.Cleanup(func() { srvEnd.Close(); cliEnd.Close() })
+	write := func(f airFrame) bool {
+		b, err := appendFrame(nil, f.t, f.payload)
+		if err == nil {
+			_, err = srvEnd.Write(b)
+		}
+		return err == nil
+	}
 	go func() {
 		for _, f := range prelude {
-			if writeFrame(srvEnd, f.t, f.payload) != nil {
+			if !write(f) {
 				return
 			}
 		}
 		for {
 			for _, f := range cycle {
-				if writeFrame(srvEnd, f.t, f.payload) != nil {
+				if !write(f) {
 					return
 				}
 			}
@@ -312,26 +318,20 @@ func TestZeroRemainingReturnsImmediately(t *testing.T) {
 // TestSubmitTimesOutOnStalledServer: a server that accepts the query but
 // never acks must not hang Submit forever.
 func TestSubmitTimesOutOnStalledServer(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go func() {
+	// The stub grants the hello, then swallows every query unanswered.
+	upAddr := stubUplink(t, 1, func(sc *stubConn) {
 		for {
-			conn, err := ln.Accept()
-			if err != nil {
+			if _, _, _, err := sc.next(); err != nil {
 				return
 			}
-			go io.Copy(io.Discard, conn) // swallow the query, never ack
 		}
-	}()
-	conn, err := net.Dial("tcp", ln.Addr().String())
+	})
+	cl, err := Dial(upAddr, muteListener(t), core.SizeModel{})
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("Dial: %v", err)
 	}
-	defer conn.Close()
-	cl := &Client{up: conn, AckTimeout: 200 * time.Millisecond}
+	defer cl.Close()
+	cl.AckTimeout = 200 * time.Millisecond
 	start := time.Now()
 	if err := cl.Submit(xpath.MustParse("/nitf")); err == nil {
 		t.Fatal("Submit succeeded against a mute server")

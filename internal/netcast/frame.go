@@ -126,24 +126,9 @@ func frameEnds(t FrameType, payload []byte) (hdr, crc []byte, err error) {
 	return hdr, crc, nil
 }
 
-// writeFrame writes one v2 frame.
-func writeFrame(w io.Writer, t FrameType, payload []byte) error {
-	hdr, crc, err := frameEnds(t, payload)
-	if err != nil {
-		return err
-	}
-	for _, part := range [...][]byte{hdr, payload, crc} {
-		if _, err := w.Write(part); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // appendFrame appends one encoded v2 frame to dst, returning the extended
-// slice: the in-memory form of writeFrame, used where a complete frame must
-// exist as bytes before it goes anywhere — transport envelopes and mux
-// frames.
+// slice: used where a complete frame must exist as bytes before it goes
+// anywhere — transport envelopes and uplink frames.
 func appendFrame(dst []byte, t FrameType, payload []byte) ([]byte, error) {
 	hdr, crc, err := frameEnds(t, payload)
 	if err != nil {

@@ -19,11 +19,10 @@ func FuzzFrame(f *testing.F) {
 	f.Add([]byte{}, uint16(3))
 	f.Add([]byte{0xB5, 0xCA, 0xB5, 0xCA}, uint16(40)) // payload full of sync bytes
 	f.Fuzz(func(t *testing.T, payload []byte, bitPick uint16) {
-		var buf bytes.Buffer
-		if err := writeFrame(&buf, FrameDoc, payload); err != nil {
+		enc, err := appendFrame(nil, FrameDoc, payload)
+		if err != nil {
 			return // oversized payload; nothing to assert
 		}
-		enc := buf.Bytes()
 
 		// Unmutated: must round-trip exactly.
 		ft, back, err := readFrame(bytes.NewReader(enc))
@@ -60,14 +59,15 @@ func FuzzReadCapture(f *testing.F) {
 	bare := []byte(captureMagic)
 	compressed := bytes.NewBufferString(captureMagic)
 	_ = transport.WriteHello(compressed, transport.Hello{Compress: true})
-	tw := transport.NewWriter(compressed, true, 0)
+	enc := transport.NewEncoder(true, 0)
 	for _, fr := range []struct {
 		t       FrameType
 		payload []byte
 	}{{FrameCycleHead, head}, {FrameIndex, []byte{1, 2, 3}}, {FrameDoc, doc}} {
 		inner, _ := appendFrame(nil, fr.t, fr.payload)
 		bare = append(bare, inner...)
-		_ = tw.WriteFrame(transport.NoStream, inner)
+		env, _ := enc.Encode(transport.NoStream, inner)
+		compressed.Write(env)
 	}
 	f.Add(bare)
 	f.Add(bare[:len(bare)-5]) // truncated mid-frame

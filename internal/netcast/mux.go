@@ -21,11 +21,12 @@ type MuxConfig struct {
 	// Compress requests per-frame DEFLATE on the uplink; granted only if
 	// the server enables compression too.
 	Compress bool
-	// AckTimeout bounds each logical client's wait for its ack. Zero
-	// selects the Submit default.
+	// AckTimeout bounds the handshake's wait for the server's hello reply
+	// and each logical client's wait for its ack. Zero selects the Submit
+	// default.
 	AckTimeout time.Duration
-	// Clock supplies backoff waits (SubmitRetry). Nil selects the wall
-	// clock.
+	// Clock supplies the logical clients' ack timeouts and backoff waits
+	// (SubmitRetry). Nil selects the wall clock.
 	Clock control.Clock
 }
 
@@ -35,7 +36,8 @@ type MuxConfig struct {
 // frames one stream may have in flight, and a writer goroutine drains the
 // streams' queues in fair round-robin so a chatty stream cannot starve the
 // rest. This is how a load generator drives tens of thousands of clients
-// over a handful of sockets.
+// over a handful of sockets, and it is the only uplink there is: a Client
+// submits on the one stream of a private Mux.
 //
 // The Mux itself is safe for concurrent use; each LogicalClient serves one
 // goroutine.
@@ -89,47 +91,55 @@ type LogicalClient struct {
 
 	coveredFrom uint32
 	closed      bool
+
+	// late counts requests that timed out before their response arrived;
+	// that many responses are still due ahead of the next request's.
+	late int
 }
 
 // DialMux opens a multiplexed uplink to a server. The hello handshake
 // negotiates compression (if both sides want it) and learns the per-stream
-// credit; Open then mints logical clients.
+// credit, waiting at most cfg.AckTimeout for the server's reply; Open then
+// mints logical clients.
 func DialMux(uplinkAddr string, cfg MuxConfig) (*Mux, error) {
+	if cfg.AckTimeout == 0 {
+		cfg.AckTimeout = defaultAckTimeout
+	}
+	return dialMux(uplinkAddr, cfg)
+}
+
+// dialMux is DialMux with cfg taken as given: a zero AckTimeout leaves the
+// handshake unbounded, the meaning Client.AckTimeout gives it.
+func dialMux(uplinkAddr string, cfg MuxConfig) (*Mux, error) {
 	conn, err := net.DialTimeout("tcp", uplinkAddr, 5*time.Second)
 	if err != nil {
-		return nil, fmt.Errorf("netcast: dial mux uplink: %w", err)
+		return nil, fmt.Errorf("netcast: dial uplink: %w", err)
 	}
 	if err := transport.WriteHello(conn, transport.Hello{Compress: cfg.Compress, Mux: true}); err != nil {
 		conn.Close()
-		return nil, fmt.Errorf("netcast: mux hello: %w", err)
+		return nil, fmt.Errorf("netcast: uplink hello: %w", err)
 	}
 	br := bufio.NewReaderSize(conn, downlinkBufSize)
-	_ = conn.SetReadDeadline(time.Now().Add(defaultAckTimeout))
+	if cfg.AckTimeout > 0 {
+		_ = conn.SetReadDeadline(time.Now().Add(cfg.AckTimeout))
+	}
 	grant, err := transport.ReadHello(br)
 	if err != nil {
 		conn.Close()
-		return nil, fmt.Errorf("netcast: mux hello reply: %w", err)
+		return nil, fmt.Errorf("netcast: uplink hello reply: %w", err)
 	}
 	_ = conn.SetReadDeadline(time.Time{})
 	if !grant.Mux {
 		conn.Close()
 		return nil, fmt.Errorf("netcast: server refused multiplexing")
 	}
-	credit := int(grant.Credit)
-	if credit <= 0 {
-		credit = 1
-	}
-	ackTimeout := cfg.AckTimeout
-	if ackTimeout == 0 {
-		ackTimeout = defaultAckTimeout
-	}
 	m := &Mux{
 		conn:       conn,
 		enc:        transport.NewEncoder(grant.Compress, 0),
 		bw:         bufio.NewWriterSize(conn, downlinkBufSize),
-		credit:     credit,
+		credit:     max(int(grant.Credit), 1),
 		compress:   grant.Compress,
-		ackTimeout: ackTimeout,
+		ackTimeout: cfg.AckTimeout,
 		clock:      control.Or(cfg.Clock),
 		streams:    make(map[int64]*LogicalClient),
 		notify:     make(chan struct{}, 1),
@@ -265,7 +275,7 @@ func (m *Mux) kick() {
 // protocol violation, also dropped. Any read failure fails the whole mux.
 func (m *Mux) readLoop(br *bufio.Reader) {
 	defer m.wg.Done()
-	tr := transport.NewReaderFromBufio(br)
+	tr := transport.NewReader(br)
 	for {
 		fr, err := tr.Next()
 		if err != nil {
@@ -322,44 +332,12 @@ func (lc *LogicalClient) Close() {
 // spending one flow-control credit for the round trip. Mirrors
 // Client.Submit's semantics (including RejectedError on admission refusal).
 func (lc *LogicalClient) Submit(q xpath.Path) error {
-	m := lc.mux
-	// One credit per in-flight frame: when the window is exhausted the
-	// submit waits for an earlier response to return a token.
-	select {
-	case <-lc.tokens:
-	case <-m.done:
-		return lc.muxDead()
-	case <-m.clock.After(m.ackTimeout):
-		return fmt.Errorf("netcast: submit: stream %d credit window exhausted", lc.id)
-	}
-	inner, err := appendFrame(nil, FrameQuery, []byte(q.String()))
+	covered, _, err := lc.submit(q, lc.mux.ackTimeout, lc.mux.clock)
 	if err != nil {
-		lc.tokens <- struct{}{}
-		return fmt.Errorf("netcast: submit: %w", err)
+		return err
 	}
-	select {
-	case lc.sendq <- inner:
-	case <-m.done:
-		lc.tokens <- struct{}{}
-		return lc.muxDead()
-	}
-	m.kick()
-	select {
-	case r := <-lc.resp:
-		lc.tokens <- struct{}{}
-		covered, _, _, err := parseSubmitAck(r.t, r.payload)
-		if err != nil {
-			return err
-		}
-		lc.coveredFrom = covered
-		return nil
-	case <-m.done:
-		return lc.muxDead()
-	case <-m.clock.After(m.ackTimeout):
-		// The response may still arrive later; the credit stays spent so
-		// the window keeps bounding what is truly in flight.
-		return fmt.Errorf("netcast: submit: stream %d ack timeout", lc.id)
-	}
+	lc.coveredFrom = covered
+	return nil
 }
 
 // SubmitRetry submits q, waiting out admission-control rejections with the
@@ -367,16 +345,75 @@ func (lc *LogicalClient) Submit(q xpath.Path) error {
 // client's own rand source) until admitted, a non-overload error occurs,
 // or the context expires.
 func (lc *LogicalClient) SubmitRetry(ctx context.Context, q xpath.Path) error {
+	return submitRetry(ctx, lc.mux.clock, lc.rng, func() error { return lc.Submit(q) })
+}
+
+// submit is the one query submission of both client types: a round trip
+// of q's FrameQuery, returning the acked covering cycle and durable request
+// ID.
+func (lc *LogicalClient) submit(q xpath.Path, timeout time.Duration, clk control.Clock) (covered uint32, id int64, err error) {
+	r, err := lc.roundTrip(FrameQuery, []byte(q.String()), timeout, clk)
+	if err != nil {
+		return 0, 0, fmt.Errorf("netcast: submit: %w", err)
+	}
+	return parseSubmitAck(r.t, r.payload)
+}
+
+// roundTrip sends one frame on lc's stream and returns the server's
+// response, spending one flow-control credit for the exchange and waiting at
+// most timeout on clk (zero: no limit) for both the credit and the response.
+//
+// The server answers a stream's frames in order, so a response that arrives
+// after its request timed out answers that request, not the next one: lc
+// counts the timed-out requests and discards that many responses ahead of
+// its own, each returning the credit its request spent.
+func (lc *LogicalClient) roundTrip(t FrameType, payload []byte, timeout time.Duration, clk control.Clock) (muxResp, error) {
+	m := lc.mux
+	var expire <-chan time.Time
+	if timeout > 0 {
+		expire = clk.After(timeout)
+	}
+	var late <-chan muxResp // a late response frees a credit too
+	if lc.late > 0 {
+		late = lc.resp
+	}
+	select {
+	case <-lc.tokens:
+	case <-late:
+		lc.late-- // its credit passes straight to this request
+	case <-m.done:
+		return muxResp{}, lc.muxDead()
+	case <-expire:
+		return muxResp{}, fmt.Errorf("stream %d credit window exhausted", lc.id)
+	}
+	inner, err := appendFrame(nil, t, payload)
+	if err != nil {
+		lc.tokens <- struct{}{}
+		return muxResp{}, err
+	}
+	select {
+	case lc.sendq <- inner:
+	case <-m.done:
+		lc.tokens <- struct{}{}
+		return muxResp{}, lc.muxDead()
+	}
+	m.kick()
 	for {
-		err := lc.Submit(q)
-		var rej *RejectedError
-		if !errors.As(err, &rej) {
-			return err
-		}
 		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-lc.mux.clock.After(backoffJitter(lc.rng, rej.RetryAfter)):
+		case r := <-lc.resp:
+			lc.tokens <- struct{}{}
+			if lc.late > 0 {
+				lc.late--
+				continue
+			}
+			return r, nil
+		case <-m.done:
+			return muxResp{}, lc.muxDead()
+		case <-expire:
+			// The response may still arrive; until it does, its credit
+			// stays spent so the window keeps bounding what is in flight.
+			lc.late++
+			return muxResp{}, fmt.Errorf("stream %d ack timeout", lc.id)
 		}
 	}
 }
@@ -389,5 +426,5 @@ func (lc *LogicalClient) muxDead() error {
 	if err == nil {
 		err = errors.New("netcast: mux closed")
 	}
-	return fmt.Errorf("netcast: submit: %w", err)
+	return err
 }

@@ -231,16 +231,16 @@ func TestFrameSourceReusesBuffer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var stream bytes.Buffer
+	var stream []byte
 	for _, f := range []struct {
 		t FrameType
 		p []byte
 	}{{FrameCycleHead, headBytes}, {FrameDoc, bytes.Repeat([]byte{0xEE}, len(headBytes))}} {
-		if err := writeFrame(&stream, f.t, f.p); err != nil {
+		if stream, err = appendFrame(stream, f.t, f.p); err != nil {
 			t.Fatal(err)
 		}
 	}
-	src := newFrameSource(&stream)
+	src := newFrameSource(bytes.NewReader(stream))
 	first, err := src.next()
 	if err != nil {
 		t.Fatal(err)

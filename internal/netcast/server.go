@@ -669,12 +669,17 @@ func (b *tokenBucket) take(now time.Time) time.Duration {
 	return time.Duration((1 - b.tokens) / b.rate * float64(time.Second))
 }
 
-// serveUplink handles one uplink connection: QUERY frames in, ACK or REJECT
-// frames out. An idle deadline reaps dead clients; a token bucket sheds
-// per-connection floods without dropping the connection. The connection's
-// first bytes are sniffed once: a transport hello switches it to the
-// multiplexed loop (serveUplinkMux), anything else is served as the bare
-// lockstep protocol, byte for byte.
+// serveUplink handles one uplink connection. It must open with a transport
+// hello, which the server grants (compression only if the server enables it
+// too, plus the per-stream flow-control credit); a connection that opens
+// with anything else is closed unanswered. Then QUERY and RESUME frames come
+// in on many logical streams, each tagged by a varint stream ID, and every
+// response — ACK, REJECT or RESUMEACK — goes out on its request's stream. An
+// idle deadline reaps dead clients; a token bucket sheds per-connection
+// floods without dropping the connection. Responses batch in a buffered
+// writer that flushes whenever the read side would block, so fan-in
+// throughput scales with pipelining depth while a lone query still acks
+// promptly.
 func (s *Server) serveUplink(conn net.Conn) {
 	defer s.wg.Done()
 	s.mu.Lock()
@@ -694,19 +699,60 @@ func (s *Server) serveUplink(conn net.Conn) {
 	if s.cfg.UplinkIdleTimeout > 0 {
 		_ = conn.SetReadDeadline(time.Now().Add(s.cfg.UplinkIdleTimeout))
 	}
-	if p, err := br.Peek(4); err == nil && transport.IsHelloPrefix(p) {
-		s.serveUplinkMux(conn, br, bucket)
+	h, err := transport.ReadHello(br)
+	if err != nil {
 		return
+	}
+	grant := transport.Hello{
+		Compress: h.Compress && s.cfg.Compress,
+		Mux:      h.Mux,
+		Credit:   uint32(s.cfg.MuxCredit),
+	}
+	_ = conn.SetWriteDeadline(time.Now().Add(subWriteTimeout))
+	if err := transport.WriteHello(conn, grant); err != nil {
+		return
+	}
+	_ = conn.SetWriteDeadline(time.Time{})
+	tr := transport.NewReader(br)
+	enc := transport.NewEncoder(grant.Compress, 0)
+	bw := bufio.NewWriterSize(conn, downlinkBufSize)
+	respond := func(stream int64, t FrameType, payload []byte) error {
+		inner, err := appendFrame(nil, t, payload)
+		if err != nil {
+			return err
+		}
+		env, err := enc.Encode(stream, inner)
+		if err != nil {
+			return err
+		}
+		_ = conn.SetWriteDeadline(time.Now().Add(subWriteTimeout))
+		if _, err := bw.Write(env); err != nil {
+			return err
+		}
+		if br.Buffered() == 0 {
+			// Nothing more to read without blocking: put the batched
+			// responses on the wire before waiting.
+			if err := bw.Flush(); err != nil {
+				return err
+			}
+		}
+		_ = conn.SetWriteDeadline(time.Time{})
+		return nil
 	}
 	for {
 		if s.cfg.UplinkIdleTimeout > 0 {
 			_ = conn.SetReadDeadline(time.Now().Add(s.cfg.UplinkIdleTimeout))
 		}
-		t, payload, err := readFrame(br)
+		fr, err := tr.Next()
 		if err != nil {
-			// Corrupt frame, idle timeout or disconnect: the uplink is a
-			// lockstep request/ack protocol, so drop the connection and let
-			// the client redial rather than guess at framing.
+			// Corrupt frame, idle timeout or disconnect: drop the connection
+			// and let the client redial. Corruption here means the client
+			// side is broken (TCP already ordered the bytes), so guessing at
+			// framing buys nothing.
+			return
+		}
+		t, payload, derr := decodeInner(fr.Inner)
+		if derr != nil {
 			return
 		}
 		// The frame is in flight from here: Shutdown waits for its response
@@ -715,25 +761,26 @@ func (s *Server) serveUplink(conn net.Conn) {
 		// refused with a retry-after hint instead of a dropped connection.
 		s.inflight.Add(1)
 		if s.draining.Load() {
-			_ = conn.SetWriteDeadline(time.Now().Add(subWriteTimeout))
-			_ = writeFrame(conn, FrameReject, encodeReject(s.cfg.CycleInterval, "server shutting down"))
+			_ = respond(fr.Stream, FrameReject, encodeReject(s.cfg.CycleInterval, "server shutting down"))
+			_ = bw.Flush()
 			s.inflight.Done()
 			return
 		}
 		rt, resp, drop := s.uplinkRespond(t, payload, bucket)
-		_ = conn.SetWriteDeadline(time.Now().Add(subWriteTimeout))
-		err = writeFrame(conn, rt, resp)
+		err = respond(fr.Stream, rt, resp)
 		s.inflight.Done()
-		if err != nil || drop {
+		if err != nil {
 			return
 		}
-		_ = conn.SetWriteDeadline(time.Time{})
+		if drop {
+			_ = bw.Flush()
+			return
+		}
 	}
 }
 
-// uplinkRespond computes the response to one uplink frame — shared by the
-// bare and multiplexed loops, so admission control, journaling and resume
-// semantics are identical regardless of framing. drop reports a protocol
+// uplinkRespond computes the response to one uplink frame: admission
+// control, journaling and session resume. drop reports a protocol
 // violation: the response is still written, then the connection dies.
 func (s *Server) uplinkRespond(t FrameType, payload []byte, bucket *tokenBucket) (rt FrameType, resp []byte, drop bool) {
 	switch t {
@@ -783,89 +830,6 @@ func (s *Server) uplinkRespond(t FrameType, payload []byte, bucket *tokenBucket)
 		}
 	default:
 		return FrameAck, []byte("err: unexpected frame"), true
-	}
-}
-
-// serveUplinkMux is the multiplexed uplink loop: one TCP connection carries
-// many logical clients, each tagged by a varint stream ID on its transport
-// frames. The server grants the client's hello (compression only if the
-// server enables it too), then answers each inner frame on its own stream.
-// Responses batch in a buffered writer that flushes whenever the read side
-// would block, so fan-in throughput scales with pipelining depth while a
-// lone query still acks promptly.
-func (s *Server) serveUplinkMux(conn net.Conn, br *bufio.Reader, bucket *tokenBucket) {
-	h, err := transport.ReadHello(br)
-	if err != nil {
-		return
-	}
-	grant := transport.Hello{
-		Compress: h.Compress && s.cfg.Compress,
-		Mux:      h.Mux,
-		Credit:   uint32(s.cfg.MuxCredit),
-	}
-	_ = conn.SetWriteDeadline(time.Now().Add(subWriteTimeout))
-	if err := transport.WriteHello(conn, grant); err != nil {
-		return
-	}
-	_ = conn.SetWriteDeadline(time.Time{})
-	tr := transport.NewReaderFromBufio(br)
-	enc := transport.NewEncoder(grant.Compress, 0)
-	bw := bufio.NewWriterSize(conn, downlinkBufSize)
-	respond := func(stream int64, t FrameType, payload []byte) error {
-		inner, err := appendFrame(nil, t, payload)
-		if err != nil {
-			return err
-		}
-		env, err := enc.Encode(stream, inner)
-		if err != nil {
-			return err
-		}
-		_ = conn.SetWriteDeadline(time.Now().Add(subWriteTimeout))
-		if _, err := bw.Write(env); err != nil {
-			return err
-		}
-		if br.Buffered() == 0 {
-			// Nothing more to read without blocking: put the batched
-			// responses on the wire before waiting.
-			if err := bw.Flush(); err != nil {
-				return err
-			}
-		}
-		_ = conn.SetWriteDeadline(time.Time{})
-		return nil
-	}
-	for {
-		if s.cfg.UplinkIdleTimeout > 0 {
-			_ = conn.SetReadDeadline(time.Now().Add(s.cfg.UplinkIdleTimeout))
-		}
-		fr, err := tr.Next()
-		if err != nil {
-			// The mux uplink stays drop-and-redial like the bare protocol:
-			// corruption here means the client side is broken (TCP already
-			// ordered the bytes), so guessing at framing buys nothing.
-			return
-		}
-		t, payload, derr := decodeInner(fr.Inner)
-		if derr != nil {
-			return
-		}
-		s.inflight.Add(1)
-		if s.draining.Load() {
-			_ = respond(fr.Stream, FrameReject, encodeReject(s.cfg.CycleInterval, "server shutting down"))
-			_ = bw.Flush()
-			s.inflight.Done()
-			return
-		}
-		rt, resp, drop := s.uplinkRespond(t, payload, bucket)
-		err = respond(fr.Stream, rt, resp)
-		s.inflight.Done()
-		if err != nil {
-			return
-		}
-		if drop {
-			_ = bw.Flush()
-			return
-		}
 	}
 }
 

@@ -76,7 +76,7 @@ func (fs *frameSource) sniff() error {
 			return fmt.Errorf("netcast: transport hello: %w", err)
 		}
 		fs.hello = rec.got
-		fs.tr = transport.NewReaderFromBufio(fs.br)
+		fs.tr = transport.NewReader(fs.br)
 	}
 	fs.sniffed = true
 	return nil
@@ -182,11 +182,7 @@ func (fs *frameSource) unwrap(env transport.Frame) (airFrame, error) {
 // readFrame copies the payload out, so the result outlives the transport
 // reader's buffer reuse.
 func decodeInner(inner []byte) (FrameType, []byte, error) {
-	t, payload, err := readFrame(bytes.NewReader(inner))
-	if err != nil {
-		return 0, nil, err
-	}
-	return t, payload, nil
+	return readFrame(bytes.NewReader(inner))
 }
 
 // helloRecorder keeps a copy of the bytes a hello parse reads.

@@ -26,10 +26,12 @@
 //
 // Negotiation happens at hello: the initiating side writes a Hello naming
 // the features it wants, the accepting side replies with the intersection it
-// grants (plus the per-stream flow-control credit for mux). The hello magic
-// shares no prefix with the inner protocol's sync bytes, so an accepting
-// side peeks one conservative prefix and serves legacy peers unchanged —
-// with compression off, not a single byte differs from the bare protocol.
+// grants (plus the per-stream flow-control credit for mux). Every uplink
+// opens with one. On the downlink the server sends a hello only when it
+// compresses: the hello magic shares no prefix with the inner protocol's
+// sync bytes, so a subscriber peeks one conservative prefix and reads a bare
+// downlink unchanged — with compression off, not a single downlink byte
+// differs from the bare protocol.
 package transport
 
 import (
@@ -266,31 +268,6 @@ func (e *Encoder) Encode(stream int64, inner []byte) ([]byte, error) {
 	return out, nil
 }
 
-// Writer couples an Encoder to an io.Writer.
-type Writer struct {
-	enc *Encoder
-	w   io.Writer
-}
-
-// NewWriter returns a frame writer over w; see NewEncoder for the
-// compression knobs.
-func NewWriter(w io.Writer, compress bool, floor int) *Writer {
-	return &Writer{enc: NewEncoder(compress, floor), w: w}
-}
-
-// Stats snapshots the underlying encoder's counters.
-func (tw *Writer) Stats() EncoderStats { return tw.enc.Stats() }
-
-// WriteFrame encodes and writes one frame.
-func (tw *Writer) WriteFrame(stream int64, inner []byte) error {
-	env, err := tw.enc.Encode(stream, inner)
-	if err != nil {
-		return err
-	}
-	_, err = tw.w.Write(env)
-	return err
-}
-
 // Frame is one decoded transport frame.
 type Frame struct {
 	// Stream is the logical-stream ID, or NoStream when the frame carried
@@ -319,7 +296,8 @@ type Reader struct {
 	inf io.ReadCloser // flate reader, reused via flate.Resetter
 }
 
-// NewReader returns a frame reader over r.
+// NewReader returns a frame reader over r. A *bufio.Reader is used as it
+// is, so bytes already peeked into its buffer are read first.
 func NewReader(r io.Reader) *Reader {
 	br, ok := r.(*bufio.Reader)
 	if !ok {
@@ -327,10 +305,6 @@ func NewReader(r io.Reader) *Reader {
 	}
 	return &Reader{br: br}
 }
-
-// NewReaderFromBufio wraps an existing buffered reader (whose buffer may
-// already hold peeked bytes) without another buffering layer.
-func NewReaderFromBufio(br *bufio.Reader) *Reader { return &Reader{br: br} }
 
 // Next reads one transport frame. Corruption returns an error satisfying
 // IsCorrupt (the caller rescans with Resync); I/O errors pass through

@@ -24,14 +24,16 @@ func repetitive(n int) []byte {
 func TestRoundTripCompressed(t *testing.T) {
 	inner := repetitive(4096)
 	var buf bytes.Buffer
-	tw := NewWriter(&buf, true, 0)
-	if err := tw.WriteFrame(NoStream, inner); err != nil {
+	enc := NewEncoder(true, 0)
+	env, err := enc.Encode(NoStream, inner)
+	if err != nil {
 		t.Fatal(err)
 	}
+	buf.Write(env)
 	if buf.Len() >= len(inner) {
 		t.Fatalf("compressible frame did not shrink: %d wire vs %d inner", buf.Len(), len(inner))
 	}
-	st := tw.Stats()
+	st := enc.Stats()
 	if st.Frames != 1 || st.Compressed != 1 {
 		t.Fatalf("stats = %+v, want 1 frame 1 compressed", st)
 	}
@@ -65,10 +67,12 @@ func TestRoundTripRawFallback(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	tw := NewWriter(&buf, true, 0)
-	if err := tw.WriteFrame(NoStream, inner); err != nil {
+	enc := NewEncoder(true, 0)
+	env, err := enc.Encode(NoStream, inner)
+	if err != nil {
 		t.Fatal(err)
 	}
+	buf.Write(env)
 	if buf.Len() > len(inner)+16 {
 		t.Fatalf("incompressible frame regressed: %d wire vs %d inner", buf.Len(), len(inner))
 	}
@@ -86,12 +90,14 @@ func TestRoundTripRawFallback(t *testing.T) {
 
 func TestCompressFloor(t *testing.T) {
 	var buf bytes.Buffer
-	tw := NewWriter(&buf, true, 0)
+	enc := NewEncoder(true, 0)
 	small := repetitive(CompressFloor - 1)
-	if err := tw.WriteFrame(NoStream, small); err != nil {
+	env, err := enc.Encode(NoStream, small)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if st := tw.Stats(); st.Compressed != 0 {
+	buf.Write(env)
+	if st := enc.Stats(); st.Compressed != 0 {
 		t.Fatalf("frame below floor was compressed: %+v", st)
 	}
 	fr, err := NewReader(&buf).Next()
@@ -133,13 +139,11 @@ func TestStreamIDs(t *testing.T) {
 
 func TestRawIsByteFaithful(t *testing.T) {
 	inner := repetitive(2048)
-	var buf bytes.Buffer
-	tw := NewWriter(&buf, true, 0)
-	if err := tw.WriteFrame(7, inner); err != nil {
+	wire, err := NewEncoder(true, 0).Encode(7, inner)
+	if err != nil {
 		t.Fatal(err)
 	}
-	wire := append([]byte(nil), buf.Bytes()...)
-	fr, err := NewReader(&buf).Next()
+	fr, err := NewReader(bytes.NewReader(wire)).Next()
 	if err != nil {
 		t.Fatal(err)
 	}

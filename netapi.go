@@ -9,7 +9,9 @@ import (
 
 // Networked broadcast (package netcast): the paper's Fig. 1 system over real
 // TCP sockets — an uplink for query submission and a broadcast downlink
-// streaming cycle frames in the wire format. Every frame carries a CRC32C
+// streaming cycle frames in the wire format. Every uplink is a multiplexed
+// connection (BroadcastMux) that opens with a transport hello; a
+// BroadcastClient submits on the one stream of a private one. Every frame carries a CRC32C
 // trailer; clients survive corruption by rescanning for the next cycle head
 // and survive connection loss by redialling with capped backoff, so a lossy
 // channel costs extra cycles, never wrong results.
@@ -20,7 +22,8 @@ type (
 	// the uplink idle timeout and per-subscriber send queue depth.
 	BroadcastServerConfig = netcast.ServerConfig
 	// BroadcastClient is a mobile client over TCP. Its AckTimeout bounds
-	// the wait for submission acks.
+	// the wait for submission acks and, when it redials its uplink, for the
+	// server's hello reply.
 	BroadcastClient = netcast.Client
 	// BroadcastClientStats accounts one networked retrieval, including the
 	// Resyncs and Reconnects spent recovering from channel faults.
@@ -48,7 +51,8 @@ type (
 	// flow-control credit. Open logical clients with (*BroadcastMux).Open.
 	BroadcastMux = netcast.Mux
 	// BroadcastMuxConfig parameterises DialBroadcastMux, including whether to
-	// request per-frame DEFLATE on the uplink.
+	// request per-frame DEFLATE on the uplink and the ack timeout, which
+	// also bounds the hello handshake.
 	BroadcastMuxConfig = netcast.MuxConfig
 	// BroadcastLogicalClient is one logical client on a multiplexed uplink:
 	// it submits queries under its own stream ID and sees only its own acks.
@@ -75,8 +79,9 @@ func StartBroadcastServer(cfg BroadcastServerConfig) (*BroadcastServer, error) {
 }
 
 // DialBroadcast connects a client to a server's uplink and broadcast
-// addresses. A zero SizeModel selects the default widths (which must match
-// the server's).
+// addresses; the uplink is a private, uncompressed mux with one stream. A
+// zero SizeModel selects the default widths (which must match the
+// server's).
 func DialBroadcast(uplinkAddr, broadcastAddr string, model SizeModel) (*BroadcastClient, error) {
 	return netcast.Dial(uplinkAddr, broadcastAddr, model)
 }
