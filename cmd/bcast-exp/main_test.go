@@ -84,9 +84,9 @@ func TestErrors(t *testing.T) {
 	if _, err := capture(t, args); err == nil || !strings.Contains(err.Error(), "compression requires a single channel, got K=4") {
 		t.Errorf("args %v: err = %v, want the single-channel rule", args, err)
 	}
-	// The simulator has no admission controller: its flags are gone, not
+	// The simulator admits every request: the admission flags are gone, not
 	// ignored.
-	for _, args := range [][]string{{"-adaptive"}, {"-target-latency", "5ms"}} {
+	for _, args := range [][]string{{"-adaptive"}, {"-target-latency", "5ms"}, {"-max-pending", "9"}} {
 		_, err := capture(t, append(args, "-list"))
 		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
 			t.Errorf("args %v: err = %v, want unknown-flag error", args, err)

@@ -49,6 +49,7 @@ func run(args []string) error {
 		selfdrive = fs.Bool("selfdrive", false, "submit synthetic requests continuously")
 		duration  = fs.Duration("for", 0, "stop after this long (default: run until interrupted)")
 
+		maxPending  = fs.Int("max-pending", 0, "admission cap on the pending query set (0 = unlimited)")
 		uplinkRate  = fs.Float64("uplink-rate", 0, "per-connection query rate limit in queries/s (0 = unlimited)")
 		uplinkBurst = fs.Int("uplink-burst", 0, "token-bucket burst for -uplink-rate (default 8)")
 		adaptive    = fs.Bool("adaptive", false, "self-tune the admission limits (AIMD over -max-pending/-uplink-rate); static values become seeds")
@@ -76,6 +77,7 @@ func run(args []string) error {
 		UplinkAddr:     *uplink,
 		BroadcastAddr:  *bcast,
 		Limits:         limits.Engine(),
+		MaxPending:     *maxPending,
 		Compress:       layout.Compress,
 		MuxCredit:      *muxCredit,
 		UplinkRate:     *uplinkRate,
@@ -204,8 +206,8 @@ func run(args []string) error {
 	st := srv.Stats()
 	fmt.Printf("shutting down after %d cycles\n", st.Cycles)
 	fmt.Printf("engine: %s\n", st.Engine)
-	if st.Health != "" {
-		fmt.Printf("health: %s\n", st.Health)
+	if a := st.Adaptive; a != nil {
+		fmt.Printf("health: %s %s\n", a.Health, a)
 	}
 	if st.RejectedRate > 0 || st.RejectedPending > 0 {
 		fmt.Printf("rejected: %d rate-limited, %d over pending cap\n", st.RejectedRate, st.RejectedPending)

@@ -1,8 +1,10 @@
 package main
 
 import (
+	"io"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -23,10 +25,36 @@ func TestServeWithDataDir(t *testing.T) {
 	}
 }
 
+// TestServeAdaptive runs the controller and requires its shutdown report.
 func TestServeAdaptive(t *testing.T) {
-	if err := run([]string{"-docs", "8", "-selfdrive", "-interval", "5ms", "-for", "100ms", "-adaptive"}); err != nil {
+	out, err := capture(t, []string{"-docs", "8", "-selfdrive", "-interval", "5ms", "-for", "100ms", "-adaptive", "-max-pending", "64"})
+	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
+	report := regexp.MustCompile(`(?m)^health: (healthy|shedding|degraded) adaptive\{pend=\d+ rate=\S+ lat=\S+ sheds=\d+ grows=\d+\}$`)
+	if !report.MatchString(out) {
+		t.Errorf("output lacks the controller report:\n%s", out)
+	}
+}
+
+// capture runs the command with stdout redirected and returns what it wrote.
+func capture(t *testing.T, args []string) (string, error) {
+	t.Helper()
+	old := os.Stdout
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatalf("pipe: %v", err)
+	}
+	os.Stdout = w
+	out := make(chan []byte)
+	go func() {
+		b, _ := io.ReadAll(r)
+		out <- b
+	}()
+	runErr := run(args)
+	w.Close()
+	os.Stdout = old
+	return string(<-out), runErr
 }
 
 func TestServeErrors(t *testing.T) {

@@ -638,9 +638,6 @@ func (b *Builder) CI() *core.Index {
 	return b.ci
 }
 
-// Mode reports the builder's index organisation.
-func (b *Builder) Mode() Mode { return b.mode }
-
 // SetChannels selects the cycle layout: 1 (the default) builds the serial
 // single-channel program; k > 1 builds one index channel plus k-1 data
 // channels. Multichannel layout requires TwoTierMode, and k-1 data channels
@@ -670,9 +667,6 @@ func CheckCompress(channels int, compress bool) error {
 	return nil
 }
 
-// Channels reports the configured channel count.
-func (b *Builder) Channels() int { return b.channels }
-
 // SetEncoding selects the first tier's wire layout. The succinct encoding
 // requires TwoTierMode: the one-tier index embeds per-node document
 // offsets, which the balanced-parentheses form does not carry.
@@ -689,9 +683,6 @@ func (b *Builder) SetEncoding(e core.IndexEncoding) error {
 	b.encoding = e
 	return nil
 }
-
-// Encoding reports the configured first-tier wire layout.
-func (b *Builder) Encoding() core.IndexEncoding { return b.encoding }
 
 // BuildCycle lays out one cycle: the CI is pruned to the pending query set,
 // packed under the mode's tier, and the scheduled documents are placed after

@@ -1,5 +1,7 @@
 // Package cliflags is the flag block the commands share: the broadcast
-// layout, the document collection and the engine limits. Each group
+// layout, the document collection and the engine limits. Admission (the
+// pending cap, the uplink rate, the adaptive controller) is a live server's
+// alone, and bcast-serve registers its flags itself. Each group
 // registers into a command's own flag.FlagSet with the values it holds as
 // the defaults, so a command states its defaults once, in the struct literal
 // it registers.
@@ -82,10 +84,8 @@ type Limits struct {
 	PayloadMB int
 }
 
-// Register adds -max-pending, -answer-cache, -payload-cache and
-// -build-budget to fs.
+// Register adds -answer-cache, -payload-cache and -build-budget to fs.
 func (l *Limits) Register(fs *flag.FlagSet) {
-	fs.IntVar(&l.MaxPending, "max-pending", l.MaxPending, "admission cap on the pending query set (0 = unlimited)")
 	fs.IntVar(&l.MaxAnswerCacheEntries, "answer-cache", l.MaxAnswerCacheEntries, "max memoized query answers, LRU-evicted (0 = unlimited)")
 	fs.IntVar(&l.PayloadMB, "payload-cache", l.PayloadMB, "max cached document megabytes (payloads plus, when compressing, their envelopes), LRU-evicted (0 = unlimited)")
 	fs.DurationVar(&l.BuildBudget, "build-budget", l.BuildBudget, "per-cycle index-pruning deadline; overruns broadcast the unpruned CI (0 = none)")

@@ -1,8 +1,10 @@
 // Package control holds the small time-and-estimation primitives behind the
-// engine's adaptive admission controller: an injectable clock with a
-// deterministic fake for tests, and an exponentially weighted moving average.
-// It deliberately has no dependency on the rest of the repository so every
-// layer (engine, netcast, tests) can share one clock abstraction.
+// networked server's admission (its token buckets and adaptive controller,
+// netcast.AdaptiveLimiter) and its clients' timeouts and backoff: an
+// injectable clock with a deterministic fake for tests, and an exponentially
+// weighted moving average. It deliberately has no dependency on the rest of
+// the repository so every layer and its tests can share one clock
+// abstraction.
 package control
 
 import (

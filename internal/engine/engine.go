@@ -60,18 +60,12 @@ type Config struct {
 	Scheduler schedule.Scheduler
 	// CycleCapacity is the document-byte budget per cycle. Required (> 0).
 	CycleCapacity int
-	// Probe receives pipeline telemetry in addition to the engine's own
-	// collector. Optional.
-	Probe Probe
+	// Probes receive pipeline telemetry, in order, after the engine's own
+	// collector. Nil entries are skipped. Optional.
+	Probes []Probe
 	// Limits bounds the engine's memory and per-cycle latency; see Limits.
 	// The zero value imposes no limits.
 	Limits Limits
-	// Adaptive wires a self-tuning admission controller into the probe
-	// stream. When set, Metrics carries its health and state, and
-	// AssembleCycle stops hard-rejecting on Limits.MaxPending — the driver
-	// enforces the controller's cap at admission time instead, so
-	// already-admitted work still assembles right after a shed. Optional.
-	Adaptive *AdaptiveLimiter
 	// Channels selects the broadcast layout: 0 or 1 (the default) emits the
 	// serial single-channel program; K > 1 splits each cycle across K
 	// parallel streams sharing the aggregate bandwidth — channel 0 carries
@@ -148,12 +142,11 @@ func (enc *Encoded) Air(i int) []byte {
 // Engine owns the cycle-assembly pipeline over a dynamic collection. All
 // methods are safe for concurrent use.
 type Engine struct {
-	scheduler schedule.Scheduler
-	capacity  int
-	limits    Limits
-	probe     probes
-	collector *Collector
-	adaptive  *AdaptiveLimiter // nil without Config.Adaptive
+	scheduler   schedule.Scheduler
+	capacity    int
+	buildBudget time.Duration
+	probe       probes
+	collector   *Collector
 
 	// mu serialises builder access (the Builder is not concurrent-safe) and
 	// guards the caches.
@@ -219,16 +212,15 @@ func New(cfg Config) (*Engine, error) {
 		}
 	}
 	e := &Engine{
-		scheduler: cfg.Scheduler,
-		capacity:  cfg.CycleCapacity,
-		limits:    cfg.Limits,
-		adaptive:  cfg.Adaptive,
-		collector: NewCollector(),
-		builder:   builder,
-		answers:   newAnswerCache(cfg.Limits.MaxAnswerCacheEntries),
-		payloads:  newPayloadCache(cfg.Limits.MaxPayloadCacheBytes),
-		view:      core.NewPrunedView(0),
-		demand:    schedule.NewDemandIndex(),
+		scheduler:   cfg.Scheduler,
+		capacity:    cfg.CycleCapacity,
+		buildBudget: cfg.Limits.BuildBudget,
+		collector:   NewCollector(),
+		builder:     builder,
+		answers:     newAnswerCache(cfg.Limits.MaxAnswerCacheEntries),
+		payloads:    newPayloadCache(cfg.Limits.MaxPayloadCacheBytes),
+		view:        core.NewPrunedView(0),
+		demand:      schedule.NewDemandIndex(),
 	}
 	e.fpSizes = make(map[xmldoc.DocID]int, cfg.Collection.Len())
 	for _, d := range cfg.Collection.Docs() {
@@ -236,32 +228,17 @@ func New(cfg Config) (*Engine, error) {
 		e.fp ^= journal.DocHash(uint16(d.ID), d.Size())
 	}
 	e.probe = probes{e.collector}
-	if cfg.Probe != nil {
-		e.probe = append(e.probe, cfg.Probe)
-	}
-	if e.adaptive != nil {
-		e.probe = append(e.probe, e.adaptive)
+	for _, p := range cfg.Probes {
+		if p != nil {
+			e.probe = append(e.probe, p)
+		}
 	}
 	e.segPool.New = func() any { b := make([]byte, 0, 4096); return &b }
 	return e, nil
 }
 
-// Mode reports the engine's index organisation.
-func (e *Engine) Mode() broadcast.Mode {
-	return e.builder.Mode()
-}
-
-// Channels reports the configured broadcast channel count (1 = serial).
-func (e *Engine) Channels() int { return e.builder.Channels() }
-
-// Encoding reports the first tier's wire layout.
-func (e *Engine) Encoding() core.IndexEncoding { return e.builder.Encoding() }
-
 // Scheduler reports the planning policy.
 func (e *Engine) Scheduler() schedule.Scheduler { return e.scheduler }
-
-// Limits reports the configured resource bounds.
-func (e *Engine) Limits() Limits { return e.limits }
 
 // NumDocs reports the current collection size.
 func (e *Engine) NumDocs() int {
@@ -295,17 +272,8 @@ func (e *Engine) docIDs() []xmldoc.DocID {
 	return ids
 }
 
-// Metrics snapshots the engine's accumulated telemetry, including the
-// adaptive controller's health and state when one is wired.
-func (e *Engine) Metrics() Metrics {
-	m := e.collector.Metrics()
-	if e.adaptive != nil {
-		st := e.adaptive.State()
-		m.Health = st.Health
-		m.Adaptive = &st
-	}
-	return m
-}
+// Metrics snapshots the engine's accumulated telemetry.
+func (e *Engine) Metrics() Metrics { return e.collector.Metrics() }
 
 // Resolve answers one query: the sorted IDs of matching documents. Answers
 // are memoized by canonical query string and kept current across collection
@@ -373,10 +341,10 @@ func (e *Engine) ResolveAll(queries []xpath.Path) (map[string][]xmldoc.DocID, er
 // tier. start is both the cycle's start time and the scheduler's "now", in
 // the driver's clock units.
 //
-// With Limits.MaxPending set, a larger pending set is rejected with a wrapped
-// ErrOverload before any scheduling work. With Limits.BuildBudget set, a
-// pruning pass that overruns the budget degrades the cycle to the unpruned CI
-// (see Cycle.Degraded).
+// The engine assembles whatever pending set it is given: admission, and with
+// it any cap on the pending set, is the driver's (Ledger.Admit). With
+// Limits.BuildBudget set, a pruning pass that overruns the budget degrades the
+// cycle to the unpruned CI (see Cycle.Degraded).
 func (e *Engine) AssembleCycle(number, start int64, pending []Pending) (*Cycle, error) {
 	return e.AssembleCycleAt(number, start, start, pending)
 }
@@ -398,15 +366,6 @@ func (e *Engine) AssembleCycleAt(number, start, schedNow int64, pending []Pendin
 	if len(pending) == 0 {
 		return nil, fmt.Errorf("engine: AssembleCycle with no pending requests")
 	}
-	// With an adaptive controller the cap is the driver's to enforce at
-	// admission time; assembly never refuses a pending set it already
-	// admitted (a post-shed cap below the admitted depth would otherwise
-	// kill the cycle loop).
-	if e.adaptive == nil && e.limits.MaxPending > 0 && len(pending) > e.limits.MaxPending {
-		return nil, fmt.Errorf("engine: %d pending requests exceed MaxPending %d: %w",
-			len(pending), e.limits.MaxPending, ErrOverload)
-	}
-
 	e.mu.Lock()
 	defer e.mu.Unlock()
 
@@ -538,8 +497,8 @@ func (e *Engine) planCycle(reqs []schedule.Request, size func(xmldoc.DocID) int,
 // the unpruned CI is returned with degraded = true. Called with e.mu held.
 func (e *Engine) pruneWithBudget(ci *core.Index, queries []xpath.Path) (*core.Index, bool, error) {
 	var deadline time.Time // zero: no budget
-	if e.limits.BuildBudget > 0 {
-		deadline = time.Now().Add(e.limits.BuildBudget)
+	if e.buildBudget > 0 {
+		deadline = time.Now().Add(e.buildBudget)
 	}
 	pci, err := e.pruneOnce(ci, queries, deadline)
 	if errors.Is(err, context.DeadlineExceeded) {

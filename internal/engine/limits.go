@@ -10,20 +10,17 @@ import (
 	"repro/internal/xpath"
 )
 
-// ErrOverload is returned (wrapped) when a configured Limits bound rejects
-// work: AssembleCycle refuses a pending set larger than MaxPending, and
-// admission layers built on the engine (netcast.Server) wrap it for their own
-// rejections. Callers test with errors.Is(err, ErrOverload).
+// ErrOverload is returned (wrapped) when admission refuses work: Ledger.Admit
+// refuses a request while the pending set is at its cap, and admission layers
+// built on the ledger (netcast.Server) wrap it for their own rejections.
+// Callers test with errors.Is(err, ErrOverload).
 var ErrOverload = errors.New("engine: overloaded")
 
 // Limits bounds the engine's memory and per-cycle latency. The zero value
-// imposes no limits, preserving the unbounded pre-Limits behaviour.
+// imposes no limits, preserving the unbounded pre-Limits behaviour. The
+// pending set is not among them: the engine assembles whatever it is given,
+// and the cap on it is the admitting driver's (Ledger.Admit).
 type Limits struct {
-	// MaxPending caps the pending-request set AssembleCycle accepts; a
-	// larger set is rejected with ErrOverload before any scheduling work.
-	// Admission layers reuse it as their submit-path cap. Zero means
-	// unlimited.
-	MaxPending int
 	// MaxAnswerCacheEntries caps the memoized query answers; the least
 	// recently used entry is evicted on overflow. Zero means unlimited.
 	MaxAnswerCacheEntries int

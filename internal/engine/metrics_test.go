@@ -75,29 +75,6 @@ func TestMetricsStringPartial(t *testing.T) {
 	}
 }
 
-func TestMetricsStringAdaptive(t *testing.T) {
-	m := Metrics{
-		Health: Shedding,
-		Adaptive: &AdaptiveState{
-			Health:          Shedding,
-			MaxPending:      128,
-			UplinkRate:      16,
-			AssemblyLatency: 9 * time.Millisecond,
-			Sheds:           3,
-			Grows:           11,
-		},
-	}
-	s := m.String()
-	for _, want := range []string{
-		"health=shedding",
-		"adaptive{pend=128 rate=16 lat=9ms sheds=3 grows=11}",
-	} {
-		if !strings.Contains(s, want) {
-			t.Errorf("snapshot %q missing %q", s, want)
-		}
-	}
-}
-
 func TestCollectorAggregation(t *testing.T) {
 	c := NewCollector()
 

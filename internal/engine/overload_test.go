@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"errors"
 	"slices"
 	"strings"
 	"testing"
@@ -36,17 +35,6 @@ func limitedEngine(t testing.TB, numDocs, numQueries int, lim Limits) (*Engine, 
 		t.Fatalf("fixture yielded only %d non-empty queries", len(pending))
 	}
 	return e, pending
-}
-
-func TestAssembleCycleRejectsOverMaxPending(t *testing.T) {
-	e, pending := limitedEngine(t, 10, 10, Limits{MaxPending: 1})
-	if _, err := e.AssembleCycle(0, 0, pending); !errors.Is(err, ErrOverload) {
-		t.Fatalf("AssembleCycle with %d pending over cap 1: err = %v, want ErrOverload", len(pending), err)
-	}
-	// At the cap is admitted, not rejected.
-	if _, err := e.AssembleCycle(0, 0, pending[:1]); err != nil {
-		t.Fatalf("AssembleCycle at the cap: %v", err)
-	}
 }
 
 func TestAnswerCacheLRUEviction(t *testing.T) {

@@ -182,12 +182,6 @@ type Metrics struct {
 	// Channels holds per-channel aggregates, indexed by channel ID; empty
 	// on single-channel runs.
 	Channels []ChannelMetrics
-	// Health is the adaptive admission controller's three-state load
-	// signal; empty when no controller is wired (see Config.Adaptive).
-	Health Health
-	// Adaptive snapshots the controller's live limits and estimators; nil
-	// when no controller is wired.
-	Adaptive *AdaptiveState
 }
 
 // ChannelMetrics accumulates one broadcast channel's share of the
@@ -246,13 +240,6 @@ func (m Metrics) String() string {
 			fmt.Fprintf(&b, "%d:%s %dB/cycle", i, ch.Role, ch.LastCycleBytes)
 		}
 		b.WriteByte(']')
-	}
-	if m.Health != "" {
-		fmt.Fprintf(&b, " health=%s", m.Health)
-	}
-	if a := m.Adaptive; a != nil {
-		fmt.Fprintf(&b, " adaptive{pend=%d rate=%.3g lat=%s sheds=%d grows=%d}",
-			a.MaxPending, a.UplinkRate, a.AssemblyLatency.Round(time.Microsecond), a.Sheds, a.Grows)
 	}
 	names := make([]string, 0, len(m.Stages))
 	for name := range m.Stages {
@@ -393,8 +380,8 @@ func (c *Collector) Metrics() Metrics {
 	return out
 }
 
-// probes fans telemetry out to the internal collector plus an optional
-// user probe.
+// probes fans telemetry out to the internal collector plus the configured
+// probes (Config.Probes).
 type probes []Probe
 
 func (p probes) StageDone(stage string, wall time.Duration, in, out int) {

@@ -169,7 +169,7 @@ func TestBuildBudgetOverrunResetsView(t *testing.T) {
 		t.Fatal("1 ns build budget did not degrade the cycle")
 	}
 	e.mu.Lock()
-	e.limits.BuildBudget = 0
+	e.buildBudget = 0
 	want, _, err := e.builder.CI().Prune(queries)
 	e.mu.Unlock()
 	if err != nil {

@@ -318,7 +318,7 @@ func TestSimConfig(t *testing.T) {
 	cfg.Channels = 4
 	cfg.IndexEncoding = core.EncodingSuccinct
 	cfg.Compress = true
-	cfg.Limits = engine.Limits{MaxPending: 9, BuildBudget: time.Second}
+	cfg.Limits = engine.Limits{MaxAnswerCacheEntries: 9, BuildBudget: time.Second}
 	coll, err := cfg.documents()
 	if err != nil {
 		t.Fatal(err)

@@ -16,7 +16,7 @@ import (
 )
 
 // TestSubmitRejectedByPendingCap pins the typed overload path: a submission
-// over MaxPending comes back as a RejectedError matching engine.ErrOverload
+// over ServerConfig.MaxPending comes back as a RejectedError matching engine.ErrOverload
 // (not a generic ack error), the connection survives the rejection, and
 // SubmitRetry is admitted once the cycle retires the blocking request.
 func TestSubmitRejectedByPendingCap(t *testing.T) {
@@ -26,7 +26,7 @@ func TestSubmitRejectedByPendingCap(t *testing.T) {
 		Mode:          broadcast.TwoTierMode,
 		CycleCapacity: coll.TotalSize(), // one cycle retires any request
 		CycleInterval: 300 * time.Millisecond,
-		Limits:        engine.Limits{MaxPending: 1},
+		MaxPending:    1,
 	})
 	if err != nil {
 		t.Fatalf("StartServer: %v", err)
@@ -171,8 +171,8 @@ func TestOverloadFlood(t *testing.T) {
 		Mode:          broadcast.TwoTierMode,
 		CycleCapacity: 3 * coll.TotalSize() / coll.Len(),
 		CycleInterval: 5 * time.Millisecond,
+		MaxPending:    8,
 		Limits: engine.Limits{
-			MaxPending:            8,
 			MaxAnswerCacheEntries: 16,
 			MaxPayloadCacheBytes:  64 << 10,
 		},

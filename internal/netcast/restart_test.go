@@ -2,6 +2,7 @@ package netcast
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"testing"
@@ -9,6 +10,7 @@ import (
 
 	"repro/internal/broadcast"
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/journal"
 	"repro/internal/netcast/chaos"
 	"repro/internal/xmldoc"
@@ -131,19 +133,35 @@ func TestServerRestartResumePending(t *testing.T) {
 	// All three recovered requests air on the same cycles, so the
 	// retrievals must listen concurrently: the resumed client takes one
 	// query, fresh listen-only dials take the others.
-	clients := []*Client{cl2}
-	for range queries[1:] {
-		cl, err := Dial(srv2.UplinkAddr(), srv2.BroadcastAddr(), core.SizeModel{})
+	retrieveConcurrently(t, coll, listeners(t, srv2, cl2, len(queries)), queries)()
+}
+
+// listeners returns first followed by n-1 fresh listen-only clients of srv,
+// closed when the test ends.
+func listeners(t *testing.T, srv *Server, first *Client, n int) []*Client {
+	t.Helper()
+	clients := []*Client{first}
+	for len(clients) < n {
+		cl, err := Dial(srv.UplinkAddr(), srv.BroadcastAddr(), core.SizeModel{})
 		if err != nil {
 			t.Fatalf("Dial listener: %v", err)
 		}
-		defer cl.Close()
+		t.Cleanup(func() { cl.Close() })
 		clients = append(clients, cl)
 	}
+	return clients
+}
+
+// retrieveConcurrently starts retrieving queries[i] on clients[i] and returns
+// a function that waits for every retrieval and checks it byte for byte
+// against coll. Requests that air on the same cycles must be listened for at
+// once: a client that starts listening after its request retired would wait
+// forever.
+func retrieveConcurrently(t *testing.T, coll *xmldoc.Collection, clients []*Client, queries []xpath.Path) (wait func()) {
 	type result struct {
-		q   xpath.Path
-		ids []xmldoc.DocID
-		err error
+		q    xpath.Path
+		docs []*xmldoc.Document
+		err  error
 	}
 	results := make(chan result, len(queries))
 	for i, q := range queries {
@@ -151,22 +169,117 @@ func TestServerRestartResumePending(t *testing.T) {
 			ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 			defer cancel()
 			docs, _, err := cl.Retrieve(ctx, q)
-			r := result{q: q, err: err}
-			for _, d := range docs {
-				r.ids = append(r.ids, d.ID)
-			}
-			results <- r
+			results <- result{q: q, docs: docs, err: err}
 		}(clients[i], q)
 	}
-	for range queries {
-		r := <-results
-		if r.err != nil {
-			t.Errorf("Retrieve %s: %v", r.q, r.err)
-			continue
+	return func() {
+		t.Helper()
+		for range queries {
+			r := <-results
+			if r.err != nil {
+				t.Errorf("Retrieve %s: %v", r.q, r.err)
+				continue
+			}
+			checkRetrieved(t, coll, r.docs, r.q.MatchingDocs(coll))
 		}
-		if want := r.q.MatchingDocs(coll); !reflect.DeepEqual(r.ids, want) {
-			t.Errorf("%s: retrieved %v, want %v", r.q, r.ids, want)
+	}
+}
+
+// TestRestartUnderLowerPendingCap restarts a journaled server with a pending
+// cap below the number of requests it recovers. The cap is admission's alone:
+// the recovered set still airs in full, to a resumed client, and new
+// submissions are refused with a retryable reject only while the set is at
+// the cap, then admitted.
+func TestRestartUnderLowerPendingCap(t *testing.T) {
+	coll := testCollection(t)
+	dir := t.TempDir()
+	srv := startJournaledServer(t, coll, dir, time.Minute, 1)
+	cl, err := Dial(srv.UplinkAddr(), srv.BroadcastAddr(), core.SizeModel{})
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	queries := []xpath.Path{
+		xpath.MustParse("/nitf/body/body.content/block"),
+		xpath.MustParse("/nitf/head/title"),
+		xpath.MustParse("/nitf//p"),
+	}
+	for _, q := range queries {
+		if err := cl.Submit(q); err != nil {
+			t.Fatalf("Submit %s: %v", q, err)
 		}
+	}
+	session := cl.Session()
+	cl.Close()
+	srv.Kill()
+
+	const maxPending = 2
+	srv2, err := StartServer(ServerConfig{
+		Collection:    coll,
+		Mode:          broadcast.TwoTierMode,
+		CycleCapacity: 3 * coll.TotalSize() / coll.Len(),
+		CycleInterval: 250 * time.Millisecond,
+		StateDir:      dir,
+		MaxPending:    maxPending,
+	})
+	if err != nil {
+		t.Fatalf("restart: %v", err)
+	}
+	defer srv2.Shutdown()
+	if got := srv2.RecoveredPending(); got != len(queries) {
+		t.Fatalf("recovered %d pending, want %d", got, len(queries))
+	}
+
+	cl2, err := Dial(srv2.UplinkAddr(), srv2.BroadcastAddr(), core.SizeModel{})
+	if err != nil {
+		t.Fatalf("Dial restarted: %v", err)
+	}
+	defer cl2.Close()
+	cl2.AdoptSession(session)
+	statuses, err := cl2.Resume()
+	if err != nil {
+		t.Fatalf("Resume: %v", err)
+	}
+	for _, rs := range statuses {
+		if rs.Status != ResumeResumed {
+			t.Errorf("request %d (%s) status = %d, want resumed", rs.ID, rs.Query, rs.Status)
+		}
+	}
+	wait := retrieveConcurrently(t, coll, listeners(t, srv2, cl2, len(queries)), queries)
+
+	// Over the cap, before the first cycle retires anything: refused, with a
+	// hint to come back.
+	late, err := Dial(srv2.UplinkAddr(), srv2.BroadcastAddr(), core.SizeModel{})
+	if err != nil {
+		t.Fatalf("Dial late: %v", err)
+	}
+	defer late.Close()
+	q := xpath.MustParse("/nitf/head")
+	err = late.Submit(q)
+	var rej *RejectedError
+	if !errors.As(err, &rej) || !errors.Is(err, engine.ErrOverload) || rej.RetryAfter <= 0 {
+		t.Fatalf("Submit over the cap: err = %v, want a RejectedError with a retry-after hint", err)
+	}
+
+	// The cap is admission's: the first cycle airs the whole recovered set.
+	for deadline := time.Now().Add(10 * time.Second); srv2.Stats().Engine.Cycles == 0; time.Sleep(5 * time.Millisecond) {
+		if st := srv2.Stats(); st.CycleError != "" || time.Now().After(deadline) {
+			t.Fatalf("no cycle assembled: cycle error %q", st.CycleError)
+		}
+	}
+
+	// Admitted once the recovered set drains below the cap.
+	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
+	defer cancel()
+	if err := late.SubmitRetry(ctx, q); err != nil {
+		t.Fatalf("SubmitRetry: %v (stats %+v)", err, srv2.Stats())
+	}
+	if st := srv2.Stats(); st.Pending > maxPending {
+		t.Errorf("pending %d after an admission, cap %d", st.Pending, maxPending)
+	}
+	wait()
+	retrieveConcurrently(t, coll, []*Client{late}, []xpath.Path{q})()
+	if st := srv2.Stats(); st.CycleError != "" || st.RejectedPending == 0 {
+		t.Errorf("stats = %+v, want a live cycle loop and a pending-cap rejection", st)
 	}
 }
 

@@ -3,6 +3,7 @@ package netcast
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 	"net"
@@ -70,11 +71,14 @@ type ServerConfig struct {
 	// holds the request ledger's lock, so they must not call the server back.
 	Probe engine.Probe
 	// Limits bounds engine memory and per-cycle latency (see engine.Limits).
-	// Limits.MaxPending doubles as the server's global admission cap: a
-	// submission that would grow the pending set past it is refused with
-	// FrameReject before any resolution work. The zero value imposes no
-	// limits.
+	// The zero value imposes no limits.
 	Limits engine.Limits
+	// MaxPending is the server's one cap on the pending set, checked at
+	// admission only (engine.Ledger.Admit): a submission arriving while the
+	// set holds MaxPending requests is refused with FrameReject before any
+	// resolution work. Requests already pending — a restart may recover more
+	// than the cap — always air. Zero means unlimited.
+	MaxPending int
 	// UplinkRate is the per-connection sustained submission rate in
 	// queries per second, enforced by a token bucket of UplinkBurst
 	// capacity; queries beyond the budget are refused with FrameReject
@@ -84,16 +88,16 @@ type ServerConfig struct {
 	// UplinkRate is set.
 	UplinkBurst int
 	// Adaptive replaces the static admission knobs with a self-tuning
-	// control loop (engine.AdaptiveLimiter): Limits.MaxPending and
-	// UplinkRate become seeds the controller retunes from observed cycle
-	// latency, and FrameReject retry-after hints come from its
-	// cycle-latency estimate. A zero MaxPending seeds
-	// engine.DefaultAdaptivePending; a zero UplinkRate seeds
-	// engine.DefaultAdaptiveUplinkRate. Health surfaces in Stats.
+	// control loop (AdaptiveLimiter): MaxPending and UplinkRate become seeds
+	// the controller retunes from observed cycle latency, and FrameReject
+	// retry-after hints come from its cycle-latency estimate. A zero
+	// MaxPending seeds DefaultAdaptivePending; a zero UplinkRate seeds
+	// DefaultAdaptiveUplinkRate. Health and the controller's state surface
+	// in Stats.
 	Adaptive bool
 	// AdaptiveTarget is the controller's per-cycle assembly-latency goal;
 	// zero derives it from Limits.BuildBudget or the default (see
-	// engine.AdaptiveConfig.TargetLatency). Ignored unless Adaptive.
+	// AdaptiveConfig.TargetLatency). Ignored unless Adaptive.
 	AdaptiveTarget time.Duration
 	// Clock drives admission timing (token buckets, the controller's
 	// latency estimate). Nil selects the wall clock; tests inject
@@ -155,10 +159,11 @@ type Server struct {
 	// commit, document removal — and writes every journal record; it is
 	// internally synchronised.
 	ledger *engine.Ledger
-	// adaptive is the self-tuning admission controller; nil unless
-	// ServerConfig.Adaptive. Its live MaxPending/UplinkRate supersede the
-	// static config at every admission decision.
-	adaptive *engine.AdaptiveLimiter
+	// admit holds the admission limits every submission reads: the pending
+	// cap, the uplink rate and the retry-after hint. Built from the static
+	// configuration; under ServerConfig.Adaptive it also sees the engine's
+	// probe events and retunes them.
+	admit *AdaptiveLimiter
 
 	upLn net.Listener
 	// bcLns holds one broadcast listener per channel; single-channel servers
@@ -226,7 +231,7 @@ type ServerStats struct {
 	SubscribersDropped int64
 	// RejectedRate counts uplink queries refused by per-connection rate
 	// limiting; RejectedPending counts queries refused by the global
-	// pending-set cap (Limits.MaxPending).
+	// pending-set cap (ServerConfig.MaxPending).
 	RejectedRate, RejectedPending int64
 	// Engine holds per-stage wall times and sizes, answer-cache hit rate,
 	// eviction and degraded-cycle counters from the shared assembly
@@ -234,7 +239,10 @@ type ServerStats struct {
 	Engine engine.Metrics
 	// Health is the adaptive admission controller's three-state load
 	// signal; empty unless ServerConfig.Adaptive.
-	Health engine.Health
+	Health Health
+	// Adaptive snapshots the controller's live limits and estimators; nil
+	// unless ServerConfig.Adaptive.
+	Adaptive *AdaptiveState
 	// Epoch and Generation identify the durability journal's lineage and
 	// restart count (1 = fresh state directory); zero on an in-memory
 	// server. RecoveredPending counts requests restored from the journal at
@@ -334,23 +342,27 @@ func StartServer(cfg ServerConfig) (*Server, error) {
 		cfg.MuxCredit = defaultMuxCredit
 	}
 	clock := control.Or(cfg.Clock)
-	var adaptive *engine.AdaptiveLimiter
 	if cfg.Adaptive {
-		if cfg.Limits.MaxPending <= 0 {
-			cfg.Limits.MaxPending = engine.DefaultAdaptivePending
+		if cfg.MaxPending <= 0 {
+			cfg.MaxPending = DefaultAdaptivePending
 		}
 		if cfg.UplinkRate <= 0 {
-			cfg.UplinkRate = engine.DefaultAdaptiveUplinkRate
+			cfg.UplinkRate = DefaultAdaptiveUplinkRate
 		}
-		adaptive = engine.NewAdaptiveLimiter(engine.AdaptiveConfig{
-			Limits:        cfg.Limits,
-			UplinkRate:    cfg.UplinkRate,
-			TargetLatency: cfg.AdaptiveTarget,
-			Clock:         clock,
-		})
 	}
 	if cfg.UplinkRate > 0 && cfg.UplinkBurst <= 0 {
 		cfg.UplinkBurst = 8
+	}
+	admit := NewAdaptiveLimiter(AdaptiveConfig{
+		MaxPending:    cfg.MaxPending,
+		UplinkRate:    cfg.UplinkRate,
+		TargetLatency: cfg.AdaptiveTarget,
+		BuildBudget:   cfg.Limits.BuildBudget,
+		Clock:         clock,
+	})
+	probes := []engine.Probe{cfg.Probe}
+	if cfg.Adaptive {
+		probes = append(probes, admit)
 	}
 	eng, err := engine.New(engine.Config{
 		Collection:    cfg.Collection,
@@ -360,9 +372,8 @@ func StartServer(cfg ServerConfig) (*Server, error) {
 		Scheduler:     cfg.Scheduler,
 		Channels:      cfg.Channels,
 		CycleCapacity: cfg.CycleCapacity,
-		Probe:         cfg.Probe,
+		Probes:        probes,
 		Limits:        cfg.Limits,
-		Adaptive:      adaptive,
 	})
 	if err != nil {
 		return nil, err
@@ -426,7 +437,7 @@ func StartServer(cfg ServerConfig) (*Server, error) {
 	s := &Server{
 		cfg:        cfg,
 		clock:      clock,
-		adaptive:   adaptive,
+		admit:      admit,
 		eng:        eng,
 		ledger:     ledger,
 		upLn:       upLn,
@@ -520,7 +531,10 @@ func (s *Server) Stats() ServerStats {
 	}
 	s.mu.Unlock()
 	st.Engine = s.eng.Metrics()
-	st.Health = st.Engine.Health
+	if s.cfg.Adaptive {
+		a := s.admit.State()
+		st.Health, st.Adaptive = a.Health, &a
+	}
 	st.Epoch = s.epoch
 	st.Generation = s.generation
 	st.RecoveredPending = s.recovered
@@ -638,35 +652,6 @@ func (s *Server) acceptUplink() {
 		s.wg.Add(1)
 		go s.serveUplink(conn)
 	}
-}
-
-// tokenBucket is a per-uplink-connection rate limiter. Each query costs one
-// token; tokens refill at rate per second up to burst. Used by a single
-// goroutine, so no locking.
-type tokenBucket struct {
-	rate   float64
-	burst  float64
-	tokens float64
-	last   time.Time
-}
-
-func newTokenBucket(rate float64, burst int, now time.Time) *tokenBucket {
-	return &tokenBucket{rate: rate, burst: float64(burst), tokens: float64(burst), last: now}
-}
-
-// take spends one token if available and returns 0; otherwise it returns how
-// long until the next token accrues (the retry-after hint).
-func (b *tokenBucket) take(now time.Time) time.Duration {
-	b.tokens += now.Sub(b.last).Seconds() * b.rate
-	b.last = now
-	if b.tokens > b.burst {
-		b.tokens = b.burst
-	}
-	if b.tokens >= 1 {
-		b.tokens--
-		return 0
-	}
-	return time.Duration((1 - b.tokens) / b.rate * float64(time.Second))
 }
 
 // serveUplink handles one uplink connection. It must open with a transport
@@ -796,11 +781,9 @@ func (s *Server) uplinkRespond(t FrameType, payload []byte, bucket *tokenBucket)
 		return FrameResumeAck, ack, false
 	case FrameQuery:
 		if bucket != nil {
-			if s.adaptive != nil {
-				// The controller retunes the sustained rate; the burst
-				// capacity stays as configured.
-				bucket.rate = s.adaptive.UplinkRate()
-			}
+			// The sustained rate is the admission limiter's (retuned under
+			// Adaptive); the burst capacity stays as configured.
+			bucket.rate = s.admit.UplinkRate()
 			if wait := bucket.take(s.clock.Now()); wait > 0 {
 				s.rejectedRate.Add(1)
 				return FrameReject, encodeReject(wait, "rate limited"), false
@@ -815,15 +798,10 @@ func (s *Server) uplinkRespond(t FrameType, payload []byte, bucket *tokenBucket)
 		case errors.Is(err, engine.ErrOverload):
 			s.rejectedPending.Add(1)
 			// The cap frees up as cycles retire requests, so the next cycle
-			// boundary is the natural retry point: the configured interval,
-			// or the controller's measured cycle latency when one is running
-			// (under load cycles retire slower than the interval promises).
-			retry := s.cfg.CycleInterval
-			if s.adaptive != nil {
-				if ra := s.adaptive.RetryAfter(); ra > 0 {
-					retry = ra
-				}
-			}
+			// boundary is the natural retry point: the controller's measured
+			// cycle latency once it has one (under load cycles retire slower
+			// than the interval promises), else the configured interval.
+			retry := cmp.Or(s.admit.RetryAfter(), s.cfg.CycleInterval)
 			return FrameReject, encodeReject(retry, "pending set full"), false
 		default:
 			return FrameAck, []byte("err: " + err.Error()), false
@@ -856,11 +834,11 @@ func (s *Server) resumeEntries(ids []int64) []resumeEntry {
 // submit registers one query through the ledger and returns the number of the
 // first broadcast cycle whose index is guaranteed to cover it plus the
 // request's durable ID. A dead cycle loop refuses it (a request admitted now
-// would never air), and so does a pending set at the live cap (the adaptive
-// controller's, or Limits.MaxPending), with a wrapped engine.ErrOverload. On a
-// journaled server the admit record is durable before submit returns, so the
-// caller's ack never outruns the journal: a crash after the ack recovers the
-// request.
+// would never air), and so does a pending set at the live cap (the admission
+// limiter's: ServerConfig.MaxPending, retuned under Adaptive), with a wrapped
+// engine.ErrOverload. On a journaled server the admit record is durable
+// before submit returns, so the caller's ack never outruns the journal: a
+// crash after the ack recovers the request.
 func (s *Server) submit(expr string) (int64, int64, error) {
 	s.mu.Lock()
 	cycleErr := s.cycleErr
@@ -872,11 +850,7 @@ func (s *Server) submit(expr string) (int64, int64, error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	max := s.cfg.Limits.MaxPending
-	if s.adaptive != nil {
-		max = s.adaptive.MaxPending()
-	}
-	return s.ledger.Admit(q, max)
+	return s.ledger.Admit(q, s.admit.MaxPending())
 }
 
 // acceptSubscribers registers broadcast listeners on one channel's listener,

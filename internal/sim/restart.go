@@ -229,7 +229,7 @@ func restartLeg(cfg RestartConfig, res *RestartResult, recovery bool) (crashed b
 		Scheduler:     cfg.Scheduler,
 		Channels:      cfg.Channels,
 		CycleCapacity: cfg.CycleCapacity,
-		Probe:         probe,
+		Probes:        []engine.Probe{probe},
 	})
 	if err != nil {
 		return false, err

@@ -88,8 +88,7 @@ type Config struct {
 	// Limits bounds engine memory and per-cycle latency (see
 	// engine.Limits); degraded cycles and evictions surface in
 	// Result.Engine. The zero value imposes no limits. The simulator admits
-	// every configured request, so a pending set over Limits.MaxPending
-	// fails the run with engine.ErrOverload rather than being shed.
+	// every configured request: there is no pending cap to shed against.
 	Limits engine.Limits
 	// ScheduleClock selects the clock unit the scheduler sees. The default
 	// ClockBytes hands it the simulator's native byte-time; ClockCycles
@@ -270,7 +269,7 @@ func Run(cfg Config) (*Result, error) {
 		IndexEncoding: cfg.IndexEncoding,
 		Scheduler:     cfg.Scheduler,
 		CycleCapacity: cfg.CycleCapacity,
-		Probe:         cfg.Probe,
+		Probes:        []engine.Probe{cfg.Probe},
 		Limits:        cfg.Limits,
 		Channels:      cfg.Channels,
 	})

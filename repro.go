@@ -158,33 +158,16 @@ type (
 	EngineStageStats = engine.StageStats
 	// EngineProbe receives pipeline events as they happen.
 	EngineProbe = engine.Probe
-	// EngineLimits bounds engine memory (LRU answer/payload caches,
-	// pending-set cap) and per-cycle build latency; wire it through
-	// SimulationConfig.Limits or BroadcastServerConfig.Limits.
+	// EngineLimits bounds engine memory (LRU answer/payload caches) and
+	// per-cycle build latency; wire it through SimulationConfig.Limits or
+	// BroadcastServerConfig.Limits. The pending-set cap is admission's:
+	// BroadcastServerConfig.MaxPending.
 	EngineLimits = engine.Limits
-	// EngineHealth is the adaptive admission controller's three-state load
-	// signal (EngineHealthy, EngineShedding, EngineDegraded), carried by
-	// EngineMetrics.Health and BroadcastServerStats.Health when the
-	// controller is enabled (BroadcastServerConfig.Adaptive).
-	EngineHealth = engine.Health
-	// EngineAdaptiveState snapshots the controller's live limits, latency
-	// estimates and shed/grow counters (EngineMetrics.Adaptive).
-	EngineAdaptiveState = engine.AdaptiveState
-)
-
-// Adaptive controller health states.
-const (
-	// EngineHealthy: latency under target, limits opening additively.
-	EngineHealthy = engine.Healthy
-	// EngineShedding: limits recently cut and held down until recovery.
-	EngineShedding = engine.Shedding
-	// EngineDegraded: cycles blowing their build budget despite shedding.
-	EngineDegraded = engine.Degraded
 )
 
 // EngineOverload is the sentinel matched (via errors.Is) by every
-// admission-control rejection: engine MaxPending refusals and the networked
-// server's FrameReject responses (BroadcastRejectedError).
+// admission-control rejection: the ledger's pending-cap refusals and the
+// networked server's FrameReject responses (BroadcastRejectedError).
 var EngineOverload = engine.ErrOverload
 
 // Experiment harness types.
