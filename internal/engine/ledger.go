@@ -38,6 +38,12 @@ type Ledger struct {
 	// watermark is nextID at the in-flight cycle's snapshot: that cycle saw
 	// exactly the requests whose ID is at most this.
 	watermark int64
+	// committed is the journal's cycle counter, the last committed cycle + 1:
+	// while a cycle is in flight it is one behind cycles.
+	committed int64
+	// served remembers retired requests for Lookup, as replay does
+	// (journaled ledgers only).
+	served journal.ServedMemory
 
 	// Per-cycle scratch, reused across cycles.
 	recv       []broadcast.Commitment
@@ -47,20 +53,21 @@ type Ledger struct {
 }
 
 // NewLedger starts the request lifecycle over eng. With a journal, st is the
-// state journal.Open recovered, and the ID counter, cycle number and pending
-// set resume from it. Every recovered query is re-parsed, and its remaining
-// set sorted, deduplicated and cut to the documents the live collection holds
-// — to the query's current answer when the collection's fingerprint drifted
-// while the server was down. The cut is journaled (a request it empties is
-// removed, the others shrink), so the journal's state and every snapshot
-// written from it agree with the ledger, and the live collection's
-// fingerprint is stamped for the next recovery to compare against.
+// state journal.Open recovered, and the ID counter, cycle number, pending set
+// and served memory resume from it (the ledger takes st.Served over). Every
+// recovered query is re-parsed, and its remaining set sorted, deduplicated
+// and cut to the documents the live collection holds — to the query's
+// current answer when the collection's fingerprint drifted while the server
+// was down. The cut is journaled (a request it empties is removed, the others
+// shrink), so the state the journal recovers to, and every snapshot folded
+// from it, agree with the ledger, and the live collection's fingerprint is
+// stamped for the next recovery to compare against.
 func NewLedger(eng *Engine, jn *journal.Journal, st *journal.State) (*Ledger, error) {
 	l := &Ledger{eng: eng, jn: jn}
 	if jn == nil {
 		return l, nil
 	}
-	l.nextID, l.cycles = st.NextID, st.Cycles
+	l.nextID, l.cycles, l.committed, l.served = st.NextID, st.Cycles, st.Cycles, st.Served
 	fp := eng.CollectionFingerprint()
 	drifted := st.Fingerprint != 0 && st.Fingerprint != fp
 	held := eng.docIDs()
@@ -211,6 +218,7 @@ func (l *Ledger) Commit(cy *Cycle) (retired []int64, err error) {
 		if err := l.jn.Commit(num, deliveries); err != nil {
 			return nil, err
 		}
+		l.committed = max(l.committed, num+1)
 	}
 	for i := range l.pending {
 		if r := &l.pending[i]; len(deliveries) > 0 && deliveries[0].ID == r.ID {
@@ -221,13 +229,14 @@ func (l *Ledger) Commit(cy *Cycle) (retired []int64, err error) {
 		}
 	}
 	l.retired = l.drain(l.retired[:0])
+	l.remember(l.retired, num)
 	return l.retired, nil
 }
 
 // RemoveDocument retires document id from the live collection: every pending
-// request loses it, requests it drains retire, and the removal is journaled,
-// whose replay shrinks the journal's state the same way. It waits out an
-// in-flight assembly, which may be reading the document.
+// request loses it, requests it drains retire as served at the journal's next
+// cycle, and the removal is journaled, whose replay does the same. It waits
+// out an in-flight assembly, which may be reading the document.
 func (l *Ledger) RemoveDocument(id xmldoc.DocID) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -237,7 +246,7 @@ func (l *Ledger) RemoveDocument(id xmldoc.DocID) error {
 	for i := range l.pending {
 		l.pending[i].Remaining = xmldoc.RemoveID(l.pending[i].Remaining, id)
 	}
-	l.drain(nil)
+	l.remember(l.drain(nil), l.committed)
 	if l.jn != nil {
 		return l.jn.DocRemoved(uint16(id), l.eng.CollectionFingerprint())
 	}
@@ -260,6 +269,17 @@ func (l *Ledger) drain(retired []int64) []int64 {
 	return retired
 }
 
+// remember records the requests ids as retired by cycle. An in-memory ledger
+// remembers nothing: it has no lineage for a client to resume.
+func (l *Ledger) remember(ids []int64, cycle int64) {
+	if l.jn == nil {
+		return
+	}
+	for _, id := range ids {
+		l.served.Retire(id, cycle)
+	}
+}
+
 // AddDocument admits d to the live collection, visible to queries and
 // schedulable from the next cycle, and journals the grown collection's
 // fingerprint so that recovery can detect drift.
@@ -278,18 +298,16 @@ func (l *Ledger) AddDocument(d *xmldoc.Document) error {
 }
 
 // Lookup reports where request id stands: still pending (cycle is the next
-// cycle, which covers every pending request), retired within the journal's
-// served horizon (cycle is the one that retired it), or neither — never
-// admitted here, or forgotten — and to be resubmitted.
+// cycle, which covers every pending request), retired within the served
+// horizon (cycle is the one that retired it), or neither — never admitted
+// here, or forgotten — and to be resubmitted.
 func (l *Ledger) Lookup(id int64) (pending, served bool, cycle int64) {
 	l.mu.Lock()
-	_, pending = slices.BinarySearchFunc(l.pending, id, func(r Pending, id int64) int { return cmp.Compare(r.ID, id) })
-	cycle = l.cycles
-	l.mu.Unlock()
-	if pending || l.jn == nil {
-		return pending, false, cycle
+	defer l.mu.Unlock()
+	if _, pending = slices.BinarySearchFunc(l.pending, id, func(r Pending, id int64) int { return cmp.Compare(r.ID, id) }); pending {
+		return true, false, l.cycles
 	}
-	cycle, served = l.jn.Served(id)
+	cycle, served = l.served.Lookup(id)
 	return false, served, cycle
 }
 

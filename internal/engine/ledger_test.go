@@ -16,9 +16,10 @@ import (
 // TestLedgerMatchesJournal drives a journaled ledger through seeded random
 // sequences of admissions, cycle snapshots, commits, document removals and
 // kill-and-reopen restarts — no sockets, no clock — and checks after every
-// step that the ledger's pending set is the journal's mirrored one, which is
-// what a recovery at that instant rebuilds; a restart must recover exactly
-// the pending set the killed ledger held. It also checks the watermark: a
+// step that the ledger's pending set and served memory are what a recovery
+// at that instant rebuilds from the state directory (journal.ReadState), with
+// compactions every 16 records inside the walk; a restart must recover
+// exactly the pending set the killed ledger held. It also checks the watermark: a
 // request admitted between a cycle's snapshot and its commit loses nothing to
 // that commit, and the next cycle is the one that covers it.
 func TestLedgerMatchesJournal(t *testing.T) {
@@ -140,9 +141,69 @@ func ledgerWalk(t *testing.T, c *xmldoc.Collection, queries []xpath.Path, seed i
 				t.Fatalf("step %d: recovered %v, the killed ledger held %v", step, l.Pending(), before)
 			}
 		}
-		if got, want := l.Pending(), jn.MirrorState().Pending; !mirrors(got, want) {
-			t.Fatalf("step %d (op %d): ledger pending %v, journal mirror %v", step, op, got, want)
+		st, err := journal.ReadState(dir)
+		if err != nil {
+			t.Fatalf("step %d: ReadState: %v", step, err)
 		}
+		if got, want := l.Pending(), st.Pending; !matchesJournal(got, want) {
+			t.Fatalf("step %d (op %d): ledger pending %v, journal %v", step, op, got, want)
+		}
+		if got, want := l.served.Entries(), st.Served.Entries(); !slices.Equal(got, want) {
+			t.Fatalf("step %d (op %d): ledger served %v, journal %v", step, op, got, want)
+		}
+	}
+}
+
+// TestLedgerServedHorizon retires more requests than the served horizon holds:
+// the ledger must remember the retirements replay remembers, in the same
+// order, forget the oldest and still answer for the newest.
+func TestLedgerServedHorizon(t *testing.T) {
+	c, queries := fixture(t, 30, 20)
+	dir := t.TempDir()
+	jn, st, err := journal.Open(journal.Options{Dir: dir, SnapshotEvery: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jn.Kill()
+	eng, err := New(Config{Collection: c, Mode: broadcast.TwoTierMode, CycleCapacity: c.TotalSize()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := NewLedger(eng, jn, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []int64
+	for len(ids) < journal.DefaultServedHorizon+40 {
+		for _, q := range queries {
+			_, id, err := l.Admit(q, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids = append(ids, id)
+		}
+		for l.Len() > 0 {
+			cy, enc, err := l.Assemble()
+			if err != nil {
+				t.Fatal(err)
+			}
+			l.eng.Recycle(enc)
+			if _, err := l.Commit(cy); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if st, err = journal.ReadState(dir); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := l.served.Entries(), st.Served.Entries(); len(got) != journal.DefaultServedHorizon || !slices.Equal(got, want) {
+		t.Fatalf("ledger serves %d retirements, journal %d; equal: %v", len(got), len(want), slices.Equal(got, want))
+	}
+	if _, served, _ := l.Lookup(ids[0]); served {
+		t.Errorf("request %d served past the horizon", ids[0])
+	}
+	if _, served, _ := l.Lookup(ids[len(ids)-1]); !served {
+		t.Errorf("newest request %d not served", ids[len(ids)-1])
 	}
 }
 
@@ -158,8 +219,8 @@ func samePending(a, b []Pending) bool {
 	})
 }
 
-// mirrors reports whether the journal's mirrored pending set is the ledger's.
-func mirrors(ps []Pending, js []journal.Request) bool {
+// matchesJournal reports whether the journal's pending set is the ledger's.
+func matchesJournal(ps []Pending, js []journal.Request) bool {
 	return slices.EqualFunc(ps, js, func(p Pending, r journal.Request) bool {
 		return p.ID == r.ID && p.Arrival == r.Arrival && p.Query.String() == r.Query &&
 			slices.EqualFunc(p.Remaining, r.Remaining, func(d xmldoc.DocID, u uint16) bool { return uint16(d) == u })

@@ -55,13 +55,11 @@ func FuzzJournalRecover(f *testing.F) {
 			return
 		}
 		// Whatever was recovered must be internally consistent: pending IDs
-		// unique and within NextID.
-		seen := make(map[int64]bool, len(st.Pending))
-		for _, r := range st.Pending {
-			if seen[r.ID] {
-				t.Fatalf("duplicate pending ID %d", r.ID)
+		// strictly increasing and within NextID.
+		for i, r := range st.Pending {
+			if i > 0 && r.ID <= st.Pending[i-1].ID {
+				t.Fatalf("pending IDs out of order: %v", pendingIDs(st))
 			}
-			seen[r.ID] = true
 			if r.ID > st.NextID {
 				t.Fatalf("pending ID %d above NextID %d", r.ID, st.NextID)
 			}
@@ -76,8 +74,8 @@ func FuzzJournalRecover(f *testing.F) {
 		if err != nil {
 			t.Fatalf("second recovery: %v", err)
 		}
-		if !j2.PendingID(st.NextID + 1) {
-			t.Fatalf("record appended after recovery lost (pending %v)", st2.SortedPendingIDs())
+		if ids := pendingIDs(st2); len(ids) == 0 || ids[len(ids)-1] != st.NextID+1 {
+			t.Fatalf("record appended after recovery lost (pending %v)", ids)
 		}
 		j2.Close()
 	})

@@ -9,11 +9,12 @@
 //
 //   - every state change is appended to wal.log as a sync-byte + CRC32C
 //     framed record carrying a monotonically increasing sequence number;
-//   - every Options.SnapshotEvery records (and on clean Close) the full
-//     state is written to state.snap via write-to-temp + atomic rename, and
-//     the log is truncated — replay after a checkpoint skips records whose
-//     sequence the snapshot already covers, so a crash between rename and
-//     truncate never double-applies;
+//   - every Options.SnapshotEvery records (and on clean Close) the snapshot
+//     and the log are folded by the recovery code into a new state.snap,
+//     written via write-to-temp + atomic rename, and the log is truncated —
+//     replay after a checkpoint skips records whose sequence the snapshot
+//     already covers, so a crash between rename and truncate never
+//     double-applies. The journal keeps no state of its own between folds;
 //   - recovery (Open on a non-empty directory) loads the snapshot, replays
 //     the log, and stops at the first torn or corrupt record, truncating the
 //     tail — a crash mid-append loses at most the record being written,
@@ -26,6 +27,7 @@
 package journal
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -33,7 +35,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 )
@@ -79,8 +81,9 @@ const (
 	// DefaultSnapshotEvery is the number of appended records between
 	// automatic compacting snapshots.
 	DefaultSnapshotEvery = 256
-	// DefaultServedHorizon is how many recently retired requests the journal
-	// remembers for the session-resume handshake's "already served" answers.
+	// DefaultServedHorizon is how many recently retired requests a
+	// ServedMemory keeps for the session-resume handshake's "already served"
+	// answers.
 	DefaultServedHorizon = 1024
 )
 
@@ -111,9 +114,6 @@ type Options struct {
 	// Epoch identifies the journal lineage in the session-resume handshake.
 	// Used only when the directory is fresh; zero draws from the clock.
 	Epoch uint64
-	// ServedHorizon bounds the retired-request memory used to answer
-	// "already served" on session resume. Zero selects DefaultServedHorizon.
-	ServedHorizon int
 }
 
 // Request is one pending request as the journal records it.
@@ -146,7 +146,44 @@ type ServedEntry struct {
 	Cycle int64
 }
 
-// State is the recovered (or live mirrored) journal state.
+// ServedMemory is the bounded memory of retired requests that the
+// session-resume handshake answers "already served" from: the last
+// DefaultServedHorizon retirements, the oldest evicted first. Replay and the
+// ledger each keep one, so both forget the same requests. The zero value is
+// empty.
+type ServedMemory struct {
+	ring []ServedEntry
+	head int // the oldest entry, once the ring is full
+}
+
+// Retire remembers request id as completed by cycle.
+func (m *ServedMemory) Retire(id, cycle int64) {
+	e := ServedEntry{ID: id, Cycle: cycle}
+	if len(m.ring) < DefaultServedHorizon {
+		m.ring = append(m.ring, e)
+		return
+	}
+	m.ring[m.head] = e
+	m.head = (m.head + 1) % len(m.ring)
+}
+
+// Lookup reports the cycle that completed request id, if it is remembered.
+func (m *ServedMemory) Lookup(id int64) (cycle int64, ok bool) {
+	for _, e := range m.ring {
+		if e.ID == id {
+			return e.Cycle, true
+		}
+	}
+	return 0, false
+}
+
+// Entries copies the remembered retirements, oldest first.
+func (m *ServedMemory) Entries() []ServedEntry {
+	return append(slices.Clone(m.ring[m.head:]), m.ring[:m.head]...)
+}
+
+// State is what a state directory holds: the snapshot with the log's intact
+// prefix replayed over it.
 type State struct {
 	// Epoch identifies the journal lineage; it survives restarts.
 	Epoch uint64
@@ -159,67 +196,57 @@ type State struct {
 	// Fingerprint is the document-collection fingerprint at the last
 	// recorded epoch event (see Fingerprint).
 	Fingerprint uint64
-	// Pending holds the outstanding requests in admission order.
+	// Pending holds the outstanding requests in admission order, which is
+	// increasing ID order.
 	Pending []Request
-	// Served holds recently retired requests, oldest first.
-	Served []ServedEntry
-	// Truncated reports that recovery dropped a torn or corrupt log tail.
+	// Served remembers recently retired requests.
+	Served ServedMemory
+	// Truncated reports that a torn or corrupt tail follows the log records
+	// replayed.
 	Truncated bool
-	// Replayed is the number of log records applied during recovery.
+	// Replayed is the number of log records applied.
 	Replayed int
 
-	// seqFloor is the snapshot's sequence watermark: replay skips records at
-	// or below it. replayCount counts records applied during recovery.
-	seqFloor    uint64
-	replayCount int
-}
-
-// clone deep-copies the state for handing outside the journal's lock.
-func (s *State) clone() *State {
-	out := *s
-	out.Pending = make([]Request, len(s.Pending))
-	for i, r := range s.Pending {
-		r.Remaining = append([]uint16(nil), r.Remaining...)
-		out.Pending[i] = r
-	}
-	out.Served = append([]ServedEntry(nil), s.Served...)
-	return &out
+	// seq is the last sequence number loaded: the snapshot's watermark, then
+	// each replayed record's. intact is the byte length of the log prefix
+	// replay read.
+	seq    uint64
+	intact int64
 }
 
 // pendingIndex locates a request by ID, or -1.
 func (s *State) pendingIndex(id int64) int {
-	for i := range s.Pending {
-		if s.Pending[i].ID == id {
-			return i
-		}
+	i, ok := slices.BinarySearchFunc(s.Pending, id, func(r Request, id int64) int { return cmp.Compare(r.ID, id) })
+	if !ok {
+		return -1
 	}
-	return -1
+	return i
 }
 
-// Journal is an open write-ahead log plus its mirrored in-memory state. All
-// methods are safe for concurrent use.
+// Journal is an open write-ahead log. It keeps no copy of the state it logs:
+// a compaction folds the files on disk through the recovery code. All methods
+// are safe for concurrent use.
 type Journal struct {
 	mu   sync.Mutex
 	dir  string
 	opts Options
 
-	f   *os.File
-	w   io.Writer // f, or a crash-injecting wrapper
-	buf []byte    // frame scratch
+	f   *os.File // the log; nil once the journal is dead
+	buf []byte   // frame scratch
 
-	state    State
 	seq      uint64 // last assigned record sequence number
+	lastID   int64  // the last request ID handed to the log: replay refuses an admit at or below it
 	appended int    // records since the last snapshot
 
 	// crashBudget, when >= 0, is the number of bytes the log will still
 	// accept before the journal dies mid-write (torn append). -1 disables.
 	crashBudget int64
-	dead        bool
 }
 
-// Open recovers the journal in dir (creating it when missing), bumps the
-// restart generation, checkpoints the recovered state, and returns the
-// journal ready for appends plus a deep copy of the recovered state.
+// Open recovers the journal in dir (creating it when missing), truncates the
+// log's torn tail, bumps the restart generation, checkpoints the recovered
+// state, and returns the journal ready for appends plus that state, which the
+// journal does not keep.
 func Open(opts Options) (*Journal, *State, error) {
 	if opts.Dir == "" {
 		return nil, nil, fmt.Errorf("journal: Options.Dir is required")
@@ -227,81 +254,86 @@ func Open(opts Options) (*Journal, *State, error) {
 	if opts.SnapshotEvery == 0 {
 		opts.SnapshotEvery = DefaultSnapshotEvery
 	}
-	if opts.ServedHorizon <= 0 {
-		opts.ServedHorizon = DefaultServedHorizon
-	}
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("journal: %w", err)
 	}
-	j := &Journal{dir: opts.Dir, opts: opts, crashBudget: -1}
-
-	fresh, err := j.recover()
+	st, fresh, err := load(opts.Dir)
 	if err != nil {
 		return nil, nil, err
 	}
-	if fresh {
-		j.state.Epoch = opts.Epoch
-		if j.state.Epoch == 0 {
-			j.state.Epoch = uint64(time.Now().UnixNano())
+	walPath := filepath.Join(opts.Dir, walName)
+	if st.Truncated {
+		if err := os.Truncate(walPath, st.intact); err != nil {
+			return nil, nil, fmt.Errorf("journal: truncate torn tail: %w", err)
 		}
 	}
-	j.state.Generation++
+	if fresh {
+		st.Epoch = opts.Epoch
+		if st.Epoch == 0 {
+			st.Epoch = uint64(time.Now().UnixNano())
+		}
+	}
+	st.Generation++
 
 	// Checkpoint immediately: the bumped generation (and the compacted
 	// recovered state) must be durable before any new appends.
-	if err := j.checkpointLocked(); err != nil {
+	j := &Journal{dir: opts.Dir, opts: opts, seq: st.seq, lastID: st.NextID, crashBudget: -1}
+	if err := j.checkpoint(st); err != nil {
 		return nil, nil, err
 	}
-	f, err := os.OpenFile(filepath.Join(opts.Dir, walName), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(walPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, nil, fmt.Errorf("journal: open log: %w", err)
 	}
 	j.f = f
-	j.w = f
-	return j, j.state.clone(), nil
+	return j, st, nil
 }
 
-// recover loads the snapshot and replays the log into j.state, truncating
-// any torn tail. Reports whether the directory held no prior state.
-func (j *Journal) recover() (fresh bool, err error) {
-	snapPath := filepath.Join(j.dir, snapName)
-	snapData, err := os.ReadFile(snapPath)
+// ReadState reads the state a recovery of dir would start from — the
+// snapshot with the log's intact prefix replayed over it — and changes
+// nothing on disk: no tail truncation, no generation bump. A directory
+// without a journal reads as the zero State.
+func ReadState(dir string) (*State, error) {
+	st, _, err := load(dir)
+	return st, err
+}
+
+// load is recovery's read half, shared by Open, ReadState and compaction: it
+// decodes the snapshot and replays the log over it up to the first torn or
+// corrupt record, setting Truncated when bytes follow that point. Reports
+// whether the directory held no prior state.
+func load(dir string) (st *State, fresh bool, err error) {
+	st = &State{}
+	snapData, err := os.ReadFile(filepath.Join(dir, snapName))
 	switch {
 	case errors.Is(err, os.ErrNotExist):
 		fresh = true
 	case err != nil:
-		return false, fmt.Errorf("journal: read snapshot: %w", err)
+		return nil, false, fmt.Errorf("journal: read snapshot: %w", err)
 	default:
-		if err := decodeSnapshot(snapData, &j.state); err != nil {
-			return false, fmt.Errorf("journal: %w", err)
+		if err := decodeSnapshot(snapData, st); err != nil {
+			return nil, false, fmt.Errorf("journal: %w", err)
 		}
-		j.seq = j.state.seqFloor
 	}
 
-	walPath := filepath.Join(j.dir, walName)
-	walData, err := os.ReadFile(walPath)
+	walData, err := os.ReadFile(filepath.Join(dir, walName))
 	if errors.Is(err, os.ErrNotExist) {
-		return fresh, nil
+		return st, fresh, nil
 	}
 	if err != nil {
-		return false, fmt.Errorf("journal: read log: %w", err)
+		return nil, false, fmt.Errorf("journal: read log: %w", err)
 	}
 	if len(walData) > 0 {
 		fresh = false
 	}
-	good := replay(walData, &j.state, &j.seq, j.opts.ServedHorizon)
-	j.state.Replayed = j.state.replayCount
-	if good < len(walData) {
-		j.state.Truncated = true
-		if err := os.Truncate(walPath, int64(good)); err != nil {
-			return false, fmt.Errorf("journal: truncate torn tail: %w", err)
-		}
-	}
-	return fresh, nil
+	st.intact = int64(replay(walData, st))
+	st.Truncated = st.intact < int64(len(walData))
+	return st, fresh, nil
 }
 
 // Admit appends one admission. The request is durably logged before Admit
-// returns, so callers may acknowledge it to the client afterwards.
+// returns, so callers may acknowledge it to the client afterwards. IDs must
+// increase: an admission at or below the last one is refused, unwritten.
 func (j *Journal) Admit(r Request) error {
 	p := make([]byte, 0, 64+len(r.Query)+2*len(r.Remaining))
 	p = binary.LittleEndian.AppendUint64(p, uint64(r.ID))
@@ -318,7 +350,15 @@ func (j *Journal) Admit(r Request) error {
 	for _, d := range r.Remaining {
 		p = binary.LittleEndian.AppendUint16(p, d)
 	}
-	return j.append(recAdmit, p)
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if r.ID <= j.lastID {
+		return fmt.Errorf("journal: admit of request %d after request %d", r.ID, j.lastID)
+	}
+	// Claimed before the write: whatever appendLocked reports, the record
+	// may be on disk, and any error it returns leaves the journal dead.
+	j.lastID = r.ID
+	return j.appendLocked(recAdmit, p)
 }
 
 // Commit appends one cycle's deliveries: the remaining-set shrinkage per
@@ -369,85 +409,28 @@ func (j *Journal) DocRemoved(doc uint16, fingerprint uint64) error {
 	return j.append(recDocRemove, p)
 }
 
-// Served reports the retire cycle of a recently completed request, if it is
-// still within the served horizon.
-func (j *Journal) Served(id int64) (int64, bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	for i := len(j.state.Served) - 1; i >= 0; i-- {
-		if j.state.Served[i].ID == id {
-			return j.state.Served[i].Cycle, true
-		}
-	}
-	return 0, false
-}
-
-// PendingID reports whether a request is still outstanding.
-func (j *Journal) PendingID(id int64) bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.state.pendingIndex(id) >= 0
-}
-
-// Epoch reports the journal lineage ID.
-func (j *Journal) Epoch() uint64 {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.state.Epoch
-}
-
-// Generation reports the restart generation (1 = fresh directory).
-func (j *Journal) Generation() uint32 {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.state.Generation
-}
-
-// MirrorState deep-copies the journal's live mirrored state, exactly what a
-// recovery at this instant would reconstruct (modulo an unsynced tail).
-func (j *Journal) MirrorState() *State {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.state.clone()
-}
-
-// Snapshot checkpoints the state now and truncates the log.
+// Snapshot compacts now: the snapshot and the log fold into a new snapshot
+// and the log is truncated. A failed compaction kills the journal.
 func (j *Journal) Snapshot() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.dead {
-		return ErrClosed
-	}
-	return j.checkpointLocked()
-}
-
-// Sync flushes and (regardless of Options.Fsync) fsyncs the log.
-func (j *Journal) Sync() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.dead {
-		return ErrClosed
-	}
 	if j.f == nil {
-		return nil
+		return ErrClosed
 	}
-	return j.f.Sync()
+	return j.compactLocked()
 }
 
-// Close checkpoints, fsyncs and closes the journal. Further appends fail
-// with ErrClosed.
+// Close compacts and closes the journal. Further appends fail with
+// ErrClosed.
 func (j *Journal) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.dead {
+	if j.f == nil {
 		return nil
 	}
-	err := j.checkpointLocked()
-	j.dead = true
+	err := j.compactLocked()
 	if j.f != nil {
-		if serr := j.f.Close(); err == nil {
-			err = serr
-		}
+		err = cmp.Or(err, j.f.Close())
 		j.f = nil
 	}
 	return err
@@ -459,7 +442,12 @@ func (j *Journal) Close() error {
 func (j *Journal) Kill() {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.dead = true
+	j.die()
+}
+
+// die closes the log in place, so every later call fails with ErrClosed.
+// Called with j.mu held.
+func (j *Journal) die() {
 	if j.f != nil {
 		j.f.Close()
 		j.f = nil
@@ -476,93 +464,98 @@ func (j *Journal) CrashAfter(n int64) {
 	j.crashBudget = n
 }
 
-// append frames, mirrors and writes one record; the caller-visible error is
-// nil only once the bytes reached the OS (and the disk under Fsync).
+// append frames and writes one record.
 func (j *Journal) append(typ byte, payload []byte) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.dead || j.f == nil {
+	return j.appendLocked(typ, payload)
+}
+
+// appendLocked frames and writes one record, then compacts when one is due;
+// the caller-visible error is nil only once the bytes reached the OS (and the
+// disk under Fsync). Every error leaves the journal dead. Called with j.mu
+// held.
+func (j *Journal) appendLocked(typ byte, payload []byte) error {
+	if j.f == nil {
 		return ErrClosed
 	}
 	j.seq++
 	frame := appendRecord(j.buf[:0], typ, j.seq, payload)
 	j.buf = frame[:0]
 
-	// Mirror first: a write failure below kills the journal anyway, so the
-	// mirror can never run behind a record that was durably acknowledged.
-	if err := applyRecord(&j.state, typ, payload, j.opts.ServedHorizon); err != nil {
-		j.seq--
-		return err
-	}
-
 	if j.crashBudget >= 0 && int64(len(frame)) > j.crashBudget {
 		// Torn write: part of the frame lands, then the "machine" dies.
 		_, _ = j.f.Write(frame[:j.crashBudget])
-		j.dead = true
-		j.f.Close()
-		j.f = nil
+		j.die()
 		return fmt.Errorf("journal: %w (crash point)", ErrClosed)
 	}
 	if j.crashBudget >= 0 {
 		j.crashBudget -= int64(len(frame))
 	}
 	if _, err := j.f.Write(frame); err != nil {
-		j.dead = true
+		j.die()
 		return fmt.Errorf("journal: append: %w", err)
 	}
 	if j.opts.Fsync {
 		if err := j.f.Sync(); err != nil {
-			j.dead = true
+			j.die()
 			return fmt.Errorf("journal: fsync: %w", err)
 		}
 	}
 	j.appended++
 	if j.opts.SnapshotEvery > 0 && j.appended >= j.opts.SnapshotEvery {
-		if err := j.checkpointLocked(); err != nil {
-			return err
-		}
+		return j.compactLocked()
 	}
 	return nil
 }
 
-// checkpointLocked writes the snapshot atomically and truncates the log.
-// Called with j.mu held.
-func (j *Journal) checkpointLocked() error {
-	snap := encodeSnapshot(&j.state, j.seq)
+// compactLocked folds the snapshot and the log through load, the code Open
+// recovers with, and checkpoints the result. The log must read back to the
+// last record this journal wrote: a fold that stops short leaves both files
+// as they are, for Open to recover the intact prefix. A failed compaction
+// kills the journal, like a failed append: the records it could not fold
+// are on disk, and a live journal would re-read an ever longer log. Called
+// with j.mu held.
+func (j *Journal) compactLocked() error {
+	st, _, err := load(j.dir)
+	if err == nil && (st.Truncated || st.seq != j.seq) {
+		err = fmt.Errorf("journal: compaction read the log back to record %d of %d", st.seq, j.seq)
+	}
+	if err == nil {
+		err = j.checkpoint(st)
+	}
+	if err != nil {
+		j.die()
+	}
+	return err
+}
+
+// checkpoint writes st as the snapshot at j.seq, atomically, and truncates
+// the log. Called with j.mu held, or by Open before the log is open.
+func (j *Journal) checkpoint(st *State) error {
+	snap := encodeSnapshot(st, j.seq)
 	tmp := filepath.Join(j.dir, snapTempName)
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return fmt.Errorf("journal: snapshot: %w", err)
 	}
-	if _, err := f.Write(snap); err != nil {
-		f.Close()
+	_, err = f.Write(snap)
+	if err == nil {
+		err = f.Sync()
+	}
+	if err = cmp.Or(err, f.Close()); err == nil {
+		err = os.Rename(tmp, filepath.Join(j.dir, snapName))
+	}
+	if err != nil {
 		return fmt.Errorf("journal: snapshot: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("journal: snapshot fsync: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("journal: snapshot: %w", err)
-	}
-	if err := os.Rename(tmp, filepath.Join(j.dir, snapName)); err != nil {
-		return fmt.Errorf("journal: snapshot rename: %w", err)
 	}
 	syncDir(j.dir)
-	// The snapshot covers every logged record; restart the log. A crash
+	// The snapshot covers every logged record; restart the log (it is open
+	// for appending, so the next write lands at the new end). A crash
 	// between the rename and this truncate double-covers records, which
 	// replay skips by sequence number.
-	if j.f != nil {
-		if err := j.f.Truncate(0); err != nil {
-			return fmt.Errorf("journal: truncate log: %w", err)
-		}
-		if _, err := j.f.Seek(0, io.SeekStart); err != nil {
-			return fmt.Errorf("journal: truncate log: %w", err)
-		}
-	} else {
-		if err := os.Truncate(filepath.Join(j.dir, walName), 0); err != nil && !errors.Is(err, os.ErrNotExist) {
-			return fmt.Errorf("journal: truncate log: %w", err)
-		}
+	if err := os.Truncate(filepath.Join(j.dir, walName), 0); err != nil && !errors.Is(err, os.ErrNotExist) {
+		return fmt.Errorf("journal: truncate log: %w", err)
 	}
 	j.appended = 0
 	return nil
@@ -624,45 +617,44 @@ func readRecord(data []byte, off int) (typ byte, seq uint64, payload []byte, nex
 
 // replay applies log records to st, skipping records the snapshot already
 // covers, and returns the byte offset of the last good record boundary.
-func replay(data []byte, st *State, seq *uint64, servedHorizon int) (good int) {
+func replay(data []byte, st *State) (good int) {
 	off := 0
 	for {
 		typ, recSeq, payload, next, err := readRecord(data, off)
 		if err != nil {
 			return off
 		}
-		if recSeq > *seq {
-			if recSeq != *seq+1 {
+		if recSeq > st.seq {
+			if recSeq != st.seq+1 {
 				// A gap means the log is not the snapshot's continuation;
 				// treat everything from here as corrupt.
 				return off
 			}
-			if err := applyRecord(st, typ, payload, servedHorizon); err != nil {
+			if err := applyRecord(st, typ, payload); err != nil {
 				return off
 			}
-			*seq = recSeq
-			st.replayCount++
+			st.seq = recSeq
+			st.Replayed++
 		}
 		off = next
 	}
 }
 
-// applyRecord applies one record's payload to the mirrored state. Decode
-// errors leave st untouched and report errCorrupt.
-func applyRecord(st *State, typ byte, p []byte, servedHorizon int) error {
+// applyRecord applies one record's payload to st. Decode errors, and an
+// admission whose ID does not exceed every ID before it, leave st untouched
+// and report errCorrupt.
+func applyRecord(st *State, typ byte, p []byte) error {
 	switch typ {
 	case recAdmit:
 		r, err := decodeAdmit(p)
 		if err != nil {
 			return err
 		}
-		if st.pendingIndex(r.ID) >= 0 {
-			return fmt.Errorf("%w: duplicate admit %d", errCorrupt, r.ID)
+		if r.ID <= st.NextID {
+			return fmt.Errorf("%w: admit %d after request %d", errCorrupt, r.ID, st.NextID)
 		}
 		st.Pending = append(st.Pending, r)
-		if r.ID > st.NextID {
-			st.NextID = r.ID
-		}
+		st.NextID = r.ID
 	case recCommit:
 		cycle, deliveries, err := decodeCommit(p)
 		if err != nil {
@@ -688,7 +680,7 @@ func applyRecord(st *State, typ byte, p []byte, servedHorizon int) error {
 				req.Remaining = kept
 			}
 			if d.Retired || len(req.Remaining) == 0 {
-				st.retire(i, cycle, servedHorizon)
+				st.retire(i, cycle)
 			}
 		}
 		if cycle+1 > st.Cycles {
@@ -723,7 +715,7 @@ func applyRecord(st *State, typ byte, p []byte, servedHorizon int) error {
 			}
 			req.Remaining = kept
 			if len(kept) == 0 {
-				st.retire(i, st.Cycles, servedHorizon)
+				st.retire(i, st.Cycles)
 				continue
 			}
 			i++
@@ -734,14 +726,10 @@ func applyRecord(st *State, typ byte, p []byte, servedHorizon int) error {
 	return nil
 }
 
-// retire moves Pending[i] into the bounded served memory.
-func (s *State) retire(i int, cycle int64, horizon int) {
-	id := s.Pending[i].ID
+// retire moves Pending[i] into the served memory.
+func (s *State) retire(i int, cycle int64) {
+	s.Served.Retire(s.Pending[i].ID, cycle)
 	s.Pending = append(s.Pending[:i], s.Pending[i+1:]...)
-	s.Served = append(s.Served, ServedEntry{ID: id, Cycle: cycle})
-	if horizon > 0 && len(s.Served) > horizon {
-		s.Served = append(s.Served[:0], s.Served[len(s.Served)-horizon:]...)
-	}
 }
 
 func decodeAdmit(p []byte) (Request, error) {
@@ -809,7 +797,8 @@ func decodeCommit(p []byte) (int64, []Delivery, error) {
 // encodeSnapshot serialises the full state as the snapshot magic followed by
 // one framed recSnapshot record whose sequence is the log floor.
 func encodeSnapshot(st *State, seq uint64) []byte {
-	p := make([]byte, 0, 64+64*len(st.Pending)+16*len(st.Served))
+	served := st.Served.Entries()
+	p := make([]byte, 0, 64+64*len(st.Pending)+16*len(served))
 	p = binary.LittleEndian.AppendUint64(p, st.Epoch)
 	p = binary.LittleEndian.AppendUint32(p, st.Generation)
 	p = binary.LittleEndian.AppendUint64(p, uint64(st.NextID))
@@ -826,8 +815,8 @@ func encodeSnapshot(st *State, seq uint64) []byte {
 			p = binary.LittleEndian.AppendUint16(p, d)
 		}
 	}
-	p = binary.LittleEndian.AppendUint32(p, uint32(len(st.Served)))
-	for _, e := range st.Served {
+	p = binary.LittleEndian.AppendUint32(p, uint32(len(served)))
+	for _, e := range served {
 		p = binary.LittleEndian.AppendUint64(p, uint64(e.ID))
 		p = binary.LittleEndian.AppendUint64(p, uint64(e.Cycle))
 	}
@@ -835,8 +824,9 @@ func encodeSnapshot(st *State, seq uint64) []byte {
 	return appendRecord(out, recSnapshot, seq, p)
 }
 
-// decodeSnapshot is the inverse of encodeSnapshot. It fills st and its
-// seqFloor from the framed record.
+// decodeSnapshot is the inverse of encodeSnapshot. It fills st, a zero
+// State, and its seq from the framed record. Pending IDs must increase and
+// not exceed NextID: the ledger serves the pending set in ID order.
 func decodeSnapshot(data []byte, st *State) error {
 	if len(data) < len(snapMagic) || string(data[:len(snapMagic)]) != string(snapMagic) {
 		return fmt.Errorf("%w: bad snapshot magic", errCorrupt)
@@ -870,7 +860,6 @@ func decodeSnapshot(data []byte, st *State) error {
 	if n > maxRecord {
 		return fmt.Errorf("%w: snapshot pending count %d", errCorrupt, n)
 	}
-	st.Pending = nil
 	for i := 0; i < n; i++ {
 		hdr, ok := read(18)
 		if !ok {
@@ -878,6 +867,9 @@ func decodeSnapshot(data []byte, st *State) error {
 		}
 		var r Request
 		r.ID = int64(binary.LittleEndian.Uint64(hdr))
+		if r.ID > st.NextID || len(st.Pending) > 0 && r.ID <= st.Pending[len(st.Pending)-1].ID {
+			return fmt.Errorf("%w: snapshot pending request %d out of order", errCorrupt, r.ID)
+		}
 		r.Arrival = int64(binary.LittleEndian.Uint64(hdr[8:]))
 		qb, ok := read(int(binary.LittleEndian.Uint16(hdr[16:])))
 		if !ok {
@@ -907,21 +899,17 @@ func decodeSnapshot(data []byte, st *State) error {
 	if n > maxRecord {
 		return fmt.Errorf("%w: snapshot served count %d", errCorrupt, n)
 	}
-	st.Served = nil
 	for i := 0; i < n; i++ {
 		eb, ok := read(16)
 		if !ok {
 			return fmt.Errorf("%w: snapshot served truncated", errCorrupt)
 		}
-		st.Served = append(st.Served, ServedEntry{
-			ID:    int64(binary.LittleEndian.Uint64(eb)),
-			Cycle: int64(binary.LittleEndian.Uint64(eb[8:])),
-		})
+		st.Served.Retire(int64(binary.LittleEndian.Uint64(eb)), int64(binary.LittleEndian.Uint64(eb[8:])))
 	}
 	if len(p) != 0 {
 		return fmt.Errorf("%w: snapshot trailing bytes", errCorrupt)
 	}
-	st.seqFloor = seq
+	st.seq = seq
 	return nil
 }
 
@@ -943,15 +931,4 @@ func DocHash(id uint16, size int) uint64 {
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
 	return x ^ (x >> 31)
-}
-
-// SortedPendingIDs is a test/diagnostic helper: the pending request IDs in
-// ascending order.
-func (s *State) SortedPendingIDs() []int64 {
-	ids := make([]int64, 0, len(s.Pending))
-	for _, r := range s.Pending {
-		ids = append(ids, r.ID)
-	}
-	sort.Slice(ids, func(i, k int) bool { return ids[i] < ids[k] })
-	return ids
 }

@@ -2,6 +2,8 @@ package journal
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -21,8 +23,32 @@ func req(id int64, arrival int64, q string, rem ...uint16) Request {
 	return Request{ID: id, Arrival: arrival, Query: q, Remaining: rem}
 }
 
+func mustRead(t *testing.T, dir string) *State {
+	t.Helper()
+	st, err := ReadState(dir)
+	if err != nil {
+		t.Fatalf("ReadState: %v", err)
+	}
+	return st
+}
+
+// pendingIDs lists the pending request IDs in the state's order.
+func pendingIDs(st *State) []int64 {
+	ids := make([]int64, 0, len(st.Pending))
+	for _, r := range st.Pending {
+		ids = append(ids, r.ID)
+	}
+	return ids
+}
+
+// served reports whether the state remembers request id as retired.
+func served(st *State, id int64) bool {
+	_, ok := st.Served.Lookup(id)
+	return ok
+}
+
 // TestRoundTrip admits, commits, kills and recovers: the recovered state
-// must match the live mirror at the kill point.
+// must be what the records add up to.
 func TestRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	j, st := mustOpen(t, Options{Dir: dir, Epoch: 42})
@@ -45,7 +71,6 @@ func TestRoundTrip(t *testing.T) {
 	if err := j.DocAdded(0xDEAD); err != nil {
 		t.Fatal(err)
 	}
-	want := j.MirrorState()
 	j.Kill()
 
 	j2, got := mustOpen(t, Options{Dir: dir})
@@ -65,17 +90,11 @@ func TestRoundTrip(t *testing.T) {
 	if got.Fingerprint != 0xDEAD {
 		t.Errorf("fingerprint: got %#x want 0xDEAD", got.Fingerprint)
 	}
-	if !reflect.DeepEqual(got.Pending, want.Pending) {
-		t.Errorf("pending mismatch:\n got  %+v\n want %+v", got.Pending, want.Pending)
+	if want := []Request{req(1, 0, "/a/b", 3, 9), req(3, 1, "/x", 7)}; !reflect.DeepEqual(got.Pending, want) {
+		t.Errorf("pending mismatch:\n got  %+v\n want %+v", got.Pending, want)
 	}
-	if !reflect.DeepEqual(got.Served, want.Served) {
-		t.Errorf("served mismatch:\n got  %+v\n want %+v", got.Served, want.Served)
-	}
-	if _, ok := j2.Served(2); !ok {
-		t.Errorf("request 2 not in served memory after recovery")
-	}
-	if !j2.PendingID(1) || !j2.PendingID(3) {
-		t.Errorf("pending IDs lost: 1=%v 3=%v", j2.PendingID(1), j2.PendingID(3))
+	if want := []ServedEntry{{ID: 2, Cycle: 0}}; !reflect.DeepEqual(got.Served.Entries(), want) {
+		t.Errorf("served mismatch:\n got  %+v\n want %+v", got.Served.Entries(), want)
 	}
 }
 
@@ -114,8 +133,8 @@ func TestTornTailTruncated(t *testing.T) {
 		if cut > len(prefix) && !st.Truncated {
 			t.Errorf("cut=%d: torn tail not reported", cut)
 		}
-		if want := []int64{1}; !reflect.DeepEqual(st.SortedPendingIDs(), want) {
-			t.Errorf("cut=%d: pending IDs %v, want %v", cut, st.SortedPendingIDs(), want)
+		if want := []int64{1}; !reflect.DeepEqual(pendingIDs(st), want) {
+			t.Errorf("cut=%d: pending IDs %v, want %v", cut, pendingIDs(st), want)
 		}
 		j2.Close()
 	}
@@ -157,6 +176,10 @@ func TestCorruptMiddleStopsReplay(t *testing.T) {
 func TestSnapshotCompaction(t *testing.T) {
 	dir := t.TempDir()
 	j, _ := mustOpen(t, Options{Dir: dir, SnapshotEvery: 8})
+	// Every fifth admission commits a cycle that retires the request
+	// admitted four before it: requests 1, 6, …, 36 retire at cycles 0…7.
+	var want []Request
+	var wantServed []ServedEntry
 	for i := int64(1); i <= 40; i++ {
 		if err := j.Admit(req(i, i/4, "/q", uint16(i), uint16(i+1))); err != nil {
 			t.Fatal(err)
@@ -166,8 +189,12 @@ func TestSnapshotCompaction(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		if i%5 == 1 {
+			wantServed = append(wantServed, ServedEntry{ID: i, Cycle: i / 5})
+		} else {
+			want = append(want, req(i, i/4, "/q", uint16(i), uint16(i+1)))
+		}
 	}
-	want := j.MirrorState()
 	fi, err := os.Stat(filepath.Join(dir, walName))
 	if err != nil {
 		t.Fatal(err)
@@ -181,12 +208,14 @@ func TestSnapshotCompaction(t *testing.T) {
 
 	j2, got := mustOpen(t, Options{Dir: dir})
 	defer j2.Close()
-	if !reflect.DeepEqual(got.Pending, want.Pending) {
-		t.Errorf("pending mismatch after compaction:\n got  %+v\n want %+v", got.Pending, want.Pending)
+	if !reflect.DeepEqual(got.Pending, want) {
+		t.Errorf("pending mismatch after compaction:\n got  %+v\n want %+v", got.Pending, want)
 	}
-	if got.Cycles != want.Cycles || got.NextID != want.NextID {
-		t.Errorf("counters: got cycles=%d nextID=%d want cycles=%d nextID=%d",
-			got.Cycles, got.NextID, want.Cycles, want.NextID)
+	if !reflect.DeepEqual(got.Served.Entries(), wantServed) {
+		t.Errorf("served mismatch after compaction:\n got  %+v\n want %+v", got.Served.Entries(), wantServed)
+	}
+	if got.Cycles != 8 || got.NextID != 40 {
+		t.Errorf("counters: got cycles=%d nextID=%d want cycles=8 nextID=40", got.Cycles, got.NextID)
 	}
 }
 
@@ -223,8 +252,8 @@ func TestCrashAfterTornWrite(t *testing.T) {
 	if !st.Truncated {
 		t.Error("torn write not reported")
 	}
-	if want := []int64{1}; !reflect.DeepEqual(st.SortedPendingIDs(), want) {
-		t.Errorf("pending IDs %v, want %v", st.SortedPendingIDs(), want)
+	if want := []int64{1}; !reflect.DeepEqual(pendingIDs(st), want) {
+		t.Errorf("pending IDs %v, want %v", pendingIDs(st), want)
 	}
 }
 
@@ -250,7 +279,6 @@ func TestCrashBetweenSnapshotAndTruncate(t *testing.T) {
 	if err := j.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
-	want := j.MirrorState()
 	j.Kill()
 	if err := os.WriteFile(walPath, stale, 0o644); err != nil {
 		t.Fatal(err)
@@ -261,16 +289,18 @@ func TestCrashBetweenSnapshotAndTruncate(t *testing.T) {
 	if got.Replayed != 0 {
 		t.Errorf("replayed %d records the snapshot already covers", got.Replayed)
 	}
-	if !reflect.DeepEqual(got.Pending, want.Pending) {
-		t.Errorf("double-apply:\n got  %+v\n want %+v", got.Pending, want.Pending)
+	if want := []Request{req(1, 0, "/a", 3)}; !reflect.DeepEqual(got.Pending, want) {
+		t.Errorf("double-apply:\n got  %+v\n want %+v", got.Pending, want)
 	}
 }
 
-// TestServedHorizonBounded retires more requests than the horizon holds.
+// TestServedHorizonBounded retires more requests than the horizon holds,
+// across several compactions.
 func TestServedHorizonBounded(t *testing.T) {
 	dir := t.TempDir()
-	j, _ := mustOpen(t, Options{Dir: dir, ServedHorizon: 4})
-	for i := int64(1); i <= 10; i++ {
+	j, _ := mustOpen(t, Options{Dir: dir, SnapshotEvery: 64})
+	const n = DefaultServedHorizon + 6
+	for i := int64(1); i <= n; i++ {
 		if err := j.Admit(req(i, 0, "/q", 1)); err != nil {
 			t.Fatal(err)
 		}
@@ -278,14 +308,20 @@ func TestServedHorizonBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st := j.MirrorState()
-	if len(st.Served) != 4 {
-		t.Fatalf("served memory holds %d, want 4", len(st.Served))
+	st := mustRead(t, dir)
+	entries := st.Served.Entries()
+	if len(entries) != DefaultServedHorizon {
+		t.Fatalf("served memory holds %d, want %d", len(entries), DefaultServedHorizon)
 	}
-	if _, ok := j.Served(10); !ok {
-		t.Error("newest retiree evicted")
+	for k, e := range entries {
+		if want := (ServedEntry{ID: int64(k) + 7, Cycle: int64(k) + 6}); e != want {
+			t.Fatalf("served entry %d is %+v, want %+v (oldest first)", k, e, want)
+		}
 	}
-	if _, ok := j.Served(5); ok {
+	if cycle, ok := st.Served.Lookup(7); !ok || cycle != 6 {
+		t.Errorf("Lookup(7) = %d, %v; want 6, true", cycle, ok)
+	}
+	if served(st, 6) {
 		t.Error("old retiree survived past the horizon")
 	}
 	j.Close()
@@ -309,13 +345,13 @@ func TestDocRemoveShrinksPending(t *testing.T) {
 
 	j2, st := mustOpen(t, Options{Dir: dir})
 	defer j2.Close()
-	if want := []int64{2}; !reflect.DeepEqual(st.SortedPendingIDs(), want) {
-		t.Errorf("pending IDs %v, want %v", st.SortedPendingIDs(), want)
+	if want := []int64{2}; !reflect.DeepEqual(pendingIDs(st), want) {
+		t.Errorf("pending IDs %v, want %v", pendingIDs(st), want)
 	}
 	if !reflect.DeepEqual(st.Pending[0].Remaining, []uint16{9}) {
 		t.Errorf("remaining %v, want [9]", st.Pending[0].Remaining)
 	}
-	if _, ok := j2.Served(1); !ok {
+	if !served(st, 1) {
 		t.Error("request satisfied by doc removal not in served memory")
 	}
 	if st.Fingerprint != 0xBEEF {
@@ -355,8 +391,8 @@ func TestMissingSnapshotWalOnly(t *testing.T) {
 	}
 	j2, st := mustOpen(t, Options{Dir: dir})
 	defer j2.Close()
-	if want := []int64{1}; !reflect.DeepEqual(st.SortedPendingIDs(), want) {
-		t.Errorf("pending IDs %v, want %v", st.SortedPendingIDs(), want)
+	if want := []int64{1}; !reflect.DeepEqual(pendingIDs(st), want) {
+		t.Errorf("pending IDs %v, want %v", pendingIDs(st), want)
 	}
 	// The snapshot held the epoch; without it a fresh one is drawn, but the
 	// log's records must still be applied. (Directories that lose their
@@ -409,5 +445,166 @@ func TestRecordFraming(t *testing.T) {
 		if _, _, _, _, err := readRecord(mut, 0); err == nil {
 			t.Errorf("corruption at byte %d accepted", i)
 		}
+	}
+}
+
+// TestRecoveryRefusesOutOfOrderIDs: the ledger serves the pending set in ID
+// order, so recovery must not hand it anything else. A snapshot whose
+// pending IDs do not increase, or exceed NextID, is refused; a log admission
+// at or below an earlier ID is a corrupt tail.
+func TestRecoveryRefusesOutOfOrderIDs(t *testing.T) {
+	for name, ids := range map[string][]int64{"descending": {3, 1}, "duplicate": {2, 2}, "above NextID": {1, 4}} {
+		dir := t.TempDir()
+		st := &State{Epoch: 1, Generation: 1, NextID: 3}
+		for _, id := range ids {
+			st.Pending = append(st.Pending, req(id, 0, "/a", 2))
+		}
+		if err := os.WriteFile(filepath.Join(dir, snapName), encodeSnapshot(st, 0), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if j, st, err := Open(Options{Dir: dir}); err == nil {
+			j.Kill()
+			t.Errorf("%s: snapshot with pending IDs %v recovered as %v", name, ids, pendingIDs(st))
+		}
+	}
+
+	// Admissions 2 then 1: Admit refuses the second, so it is framed by
+	// hand.
+	dir := t.TempDir()
+	j, _ := mustOpen(t, Options{Dir: dir, SnapshotEvery: -1})
+	if err := j.Admit(req(2, 0, "/a", 2)); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Admit(req(1, 0, "/a", 2)); err == nil {
+		t.Error("the journal wrote admission 1 after admission 2")
+	}
+	j.Kill()
+	walPath := filepath.Join(dir, walName)
+	wal, err := os.ReadFile(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, seq, payload, _, err := readRecord(wal, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload = bytes.Clone(payload)
+	binary.LittleEndian.PutUint64(payload, 1)
+	if err := os.WriteFile(walPath, appendRecord(wal, recAdmit, seq+1, payload), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j2, st := mustOpen(t, Options{Dir: dir})
+	defer j2.Close()
+	if !st.Truncated || !reflect.DeepEqual(pendingIDs(st), []int64{2}) {
+		t.Errorf("log admitting 2 then 1 recovered pending %v (truncated %v), want [2] truncated", pendingIDs(st), st.Truncated)
+	}
+}
+
+// TestFailedAppendClosesLog forces a write error: the journal dies and closes
+// its log, so nothing is left open for Close to skip.
+func TestFailedAppendClosesLog(t *testing.T) {
+	dir := t.TempDir()
+	j, _ := mustOpen(t, Options{Dir: dir})
+	ro, err := os.Open(filepath.Join(dir, walName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.f.Close()
+	j.f = ro // every write fails
+	if err := j.Admit(req(1, 0, "/a", 2)); err == nil {
+		t.Fatal("append to a read-only log succeeded")
+	}
+	if err := j.Admit(req(2, 0, "/b", 2)); !errors.Is(err, ErrClosed) {
+		t.Errorf("append after a failed write: %v, want ErrClosed", err)
+	}
+	j.Close()
+	if err := ro.Close(); !errors.Is(err, os.ErrClosed) {
+		t.Errorf("the failed journal left its log open (Close: %v)", err)
+	}
+}
+
+// TestCompactionRefusesUnreadableLog corrupts a live journal's log: a
+// compaction cannot read it back to the last record written, so it must
+// fail and kill the journal, leave the log as it is, and let Open recover
+// the intact prefix.
+func TestCompactionRefusesUnreadableLog(t *testing.T) {
+	dir := t.TempDir()
+	j, _ := mustOpen(t, Options{Dir: dir, SnapshotEvery: -1})
+	walPath := filepath.Join(dir, walName)
+	if err := j.Admit(req(1, 0, "/a", 2)); err != nil {
+		t.Fatal(err)
+	}
+	prefix, err := os.ReadFile(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id := int64(2); id <= 3; id++ {
+		if err := j.Admit(req(id, 0, "/b", 4)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	data, err := os.ReadFile(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(prefix)+recHdrLen+3] ^= 0xFF // inside the second record's body
+	if err := os.WriteFile(walPath, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Snapshot(); err == nil {
+		t.Fatal("compaction over a corrupt log succeeded")
+	}
+	if got, err := os.ReadFile(walPath); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("failed compaction changed the log (%d bytes, want %d; %v)", len(got), len(data), err)
+	}
+	if err := j.Admit(req(4, 0, "/c", 6)); !errors.Is(err, ErrClosed) {
+		t.Errorf("append after a failed compaction: %v, want ErrClosed", err)
+	}
+	j2, st := mustOpen(t, Options{Dir: dir})
+	defer j2.Close()
+	if !st.Truncated || !reflect.DeepEqual(pendingIDs(st), []int64{1}) {
+		t.Errorf("recovered pending %v (truncated %v), want [1] truncated", pendingIDs(st), st.Truncated)
+	}
+}
+
+// TestFailedCheckpointWritesNoIDTwice makes an automatic compaction fail
+// after its append reached the log: the journal must die, so a caller that
+// retries the refused admission under the same ID writes nothing, and the
+// log still recovers every record it holds.
+func TestFailedCheckpointWritesNoIDTwice(t *testing.T) {
+	dir := t.TempDir()
+	j, _ := mustOpen(t, Options{Dir: dir, SnapshotEvery: 2})
+	// The checkpoint cannot create its temporary file.
+	if err := os.Mkdir(filepath.Join(dir, snapTempName), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Admit(req(1, 0, "/a", 2)); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Admit(req(2, 0, "/b", 4)); err == nil {
+		t.Fatal("admission whose checkpoint failed succeeded")
+	}
+	walPath := filepath.Join(dir, walName)
+	wal, err := os.ReadFile(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Admit(req(2, 0, "/b", 4)); err == nil {
+		t.Error("retried admission succeeded after a failed checkpoint")
+	}
+	if err := j.Admit(req(3, 0, "/c", 6)); !errors.Is(err, ErrClosed) {
+		t.Errorf("append after a failed checkpoint: %v, want ErrClosed", err)
+	}
+	if got, err := os.ReadFile(walPath); err != nil || !bytes.Equal(got, wal) {
+		t.Fatalf("the log changed after the failed checkpoint (%d bytes, want %d; %v)", len(got), len(wal), err)
+	}
+	j.Close()
+	if err := os.Remove(filepath.Join(dir, snapTempName)); err != nil {
+		t.Fatal(err)
+	}
+	j2, st := mustOpen(t, Options{Dir: dir})
+	defer j2.Close()
+	if want := []Request{req(1, 0, "/a", 2), req(2, 0, "/b", 4)}; st.Truncated || !reflect.DeepEqual(st.Pending, want) {
+		t.Errorf("recovered pending %+v (truncated %v), want %+v", st.Pending, st.Truncated, want)
 	}
 }

@@ -18,6 +18,7 @@ import (
 	"repro/internal/dtd"
 	"repro/internal/engine"
 	"repro/internal/gen"
+	"repro/internal/journal"
 	"repro/internal/netcast/transport"
 	"repro/internal/xmldoc"
 	"repro/internal/xpath"
@@ -301,13 +302,21 @@ func TestOversizedDocumentRefused(t *testing.T) {
 		t.Errorf("StartServer error %q does not name the document and the limit", err)
 	}
 
-	srv, err := StartServer(ServerConfig{Collection: coll, CycleCapacity: 50_000, StateDir: t.TempDir()})
+	dir := t.TempDir()
+	srv, err := StartServer(ServerConfig{Collection: coll, CycleCapacity: 50_000, StateDir: dir})
 	if err != nil {
 		t.Fatalf("StartServer: %v", err)
 	}
 	defer srv.Shutdown()
-	// The journal's mirror is what a recovery at this instant would rebuild.
-	numDocs, fp, journaled := srv.NumDocs(), srv.eng.CollectionFingerprint(), srv.jn.MirrorState()
+	// What a recovery at this instant would rebuild.
+	journaled := func() *journal.State {
+		st, err := journal.ReadState(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	numDocs, fp, before := srv.NumDocs(), srv.eng.CollectionFingerprint(), journaled()
 	err = srv.AddDocument(tooBig)
 	if err == nil || !strings.Contains(err.Error(), "document 9000") || !strings.Contains(err.Error(), "16777216") {
 		t.Errorf("AddDocument of an oversized document = %v, want a refusal naming the document and the limit", err)
@@ -315,13 +324,13 @@ func TestOversizedDocumentRefused(t *testing.T) {
 	if srv.NumDocs() != numDocs || srv.eng.CollectionFingerprint() != fp {
 		t.Error("a refused document changed the collection")
 	}
-	if !reflect.DeepEqual(srv.jn.MirrorState(), journaled) {
+	if !reflect.DeepEqual(journaled(), before) {
 		t.Error("a refused document reached the journal")
 	}
 	if err := srv.AddDocument(sized(9001, maxFrame-3)); err != nil {
 		t.Errorf("AddDocument of a document 3 bytes under the limit: %v", err)
 	}
-	if srv.NumDocs() != numDocs+1 || reflect.DeepEqual(srv.jn.MirrorState(), journaled) {
+	if srv.NumDocs() != numDocs+1 || reflect.DeepEqual(journaled(), before) {
 		t.Error("an accepted document did not reach the collection and the journal")
 	}
 }

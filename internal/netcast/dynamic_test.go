@@ -12,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dtd"
 	"repro/internal/gen"
+	"repro/internal/journal"
 	"repro/internal/xmldoc"
 	"repro/internal/xpath"
 )
@@ -362,8 +363,12 @@ func TestRestartAfterDriftedRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv2 := startJournaledServer(t, drifted, dir, time.Minute, 1)
-	// The journal's own state, which Shutdown snapshots, holds the cut sets.
-	for _, r := range srv2.jn.MirrorState().Pending {
+	// The state directory, which Shutdown compacts, holds the cut sets.
+	st, err := journal.ReadState(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range st.Pending {
 		for _, d := range r.Remaining {
 			if drifted.ByID(xmldoc.DocID(d)) == nil {
 				t.Errorf("journal still holds document %d for %s after the recovery cut it", d, r.Query)
