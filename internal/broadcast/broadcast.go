@@ -556,9 +556,8 @@ func (c *Cycle) ChannelDir() []wire.ChannelDirEntry {
 // Builder assembles cycles over a document collection. The collection is
 // dynamic: documents can be added and removed between cycles (the merged
 // DataGuide is maintained incrementally) and the CI is rebuilt lazily from
-// the maintained forest. A Builder is not safe for concurrent use; callers
-// broadcasting from multiple goroutines (e.g. netcast.Server) serialise
-// access.
+// the maintained forest. A Builder is not safe for concurrent use; the engine
+// that owns it is driven from one goroutine.
 type Builder struct {
 	model    core.SizeModel
 	mode     Mode

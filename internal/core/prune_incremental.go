@@ -79,8 +79,8 @@ type viewQuery struct {
 // churn threshold is exceeded. The produced PCI is defined to be node-,
 // attachment- and packing-identical to Prune of the same query set.
 //
-// A PrunedView is not safe for concurrent use; the engine guards it with its
-// assembly mutex. Returned indexes are immutable and remain valid after
+// A PrunedView is not safe for concurrent use; the engine drives it from one
+// goroutine. Returned indexes are immutable and remain valid after
 // further updates.
 type PrunedView struct {
 	churn float64

@@ -139,8 +139,10 @@ func (enc *Encoded) Air(i int) []byte {
 	return enc.air[i]
 }
 
-// Engine owns the cycle-assembly pipeline over a dynamic collection. All
-// methods are safe for concurrent use.
+// Engine owns the cycle-assembly pipeline over a dynamic collection. It is
+// not safe for concurrent use: one goroutine drives it (the simulator's run,
+// the networked server's cycle loop), so resolution, collection writes and
+// cycle assembly are ordered by the calls themselves.
 type Engine struct {
 	scheduler   schedule.Scheduler
 	capacity    int
@@ -148,9 +150,6 @@ type Engine struct {
 	probe       probes
 	collector   *Collector
 
-	// mu serialises builder access (the Builder is not concurrent-safe) and
-	// guards the caches.
-	mu       sync.Mutex
 	builder  *broadcast.Builder
 	answers  *answerCache
 	payloads *payloadCache
@@ -160,14 +159,13 @@ type Engine struct {
 	view *core.PrunedView
 
 	// demand maintains per-document demand aggregation across cycles by
-	// pending-set deltas. changeIdx and keepIDs are per-cycle diff scratch,
-	// reused under mu.
+	// pending-set deltas. changeIdx and keepIDs are per-cycle diff scratch.
 	demand    *schedule.DemandIndex
 	changeIdx []int
 	keepIDs   map[int64]struct{}
 
 	// reqs, distinct and seenQuery are AssembleCycleAt's pending-view
-	// scratch, reused under mu.
+	// scratch.
 	reqs      []schedule.Request
 	distinct  []xpath.Path
 	seenQuery map[string]struct{}
@@ -175,7 +173,7 @@ type Engine struct {
 	// fp is the order-independent collection fingerprint (XOR of
 	// journal.DocHash per live document), maintained incrementally so the
 	// durability layer can cheaply detect collection drift across restarts.
-	// fpSizes remembers each live document's size for removal. Guarded by mu.
+	// fpSizes remembers each live document's size for removal.
 	fp      uint64
 	fpSizes map[xmldoc.DocID]int
 
@@ -241,11 +239,7 @@ func New(cfg Config) (*Engine, error) {
 func (e *Engine) Scheduler() schedule.Scheduler { return e.scheduler }
 
 // NumDocs reports the current collection size.
-func (e *Engine) NumDocs() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.builder.NumDocs()
-}
+func (e *Engine) NumDocs() int { return e.builder.NumDocs() }
 
 // CollectionFingerprint is the order-independent fingerprint of the live
 // document collection (XOR of journal.DocHash over every document's ID and
@@ -254,16 +248,10 @@ func (e *Engine) NumDocs() int {
 // can detect that the collection drifted while it was down and re-resolve
 // recovered queries instead of trusting their recorded result sets (see
 // NewLedger).
-func (e *Engine) CollectionFingerprint() uint64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.fp
-}
+func (e *Engine) CollectionFingerprint() uint64 { return e.fp }
 
 // docIDs lists the live collection's document IDs in ascending order.
 func (e *Engine) docIDs() []xmldoc.DocID {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	ids := make([]xmldoc.DocID, 0, len(e.fpSizes))
 	for id := range e.fpSizes {
 		ids = append(ids, id)
@@ -290,16 +278,12 @@ func (e *Engine) Resolve(q xpath.Path) ([]xmldoc.DocID, error) {
 // answers are served from the memo; the misses are compiled into one shared
 // NFA and read off the unpruned CI in a single walk (core.Index.Answers) —
 // the paper's definition of an answer, at a cost independent of the number
-// and size of the documents. The walk runs under the engine's lock, so what
-// it caches is never stale; the first miss after a collection update also
-// pays the CI's lazy rebuild there, as the next cycle otherwise would. The
+// and size of the documents. The first miss after a collection update also
+// pays the CI's lazy rebuild, as the next cycle otherwise would. The
 // returned slices are shared with the cache and never written again: treat
 // them as read-only.
 func (e *Engine) ResolveAll(queries []xpath.Path) (map[string][]xmldoc.DocID, error) {
 	out := make(map[string][]xmldoc.DocID, len(queries))
-
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	var misses []xpath.Path
 	for _, q := range queries {
 		key := q.String()
@@ -366,11 +350,9 @@ func (e *Engine) AssembleCycleAt(number, start, schedNow int64, pending []Pendin
 	if len(pending) == 0 {
 		return nil, fmt.Errorf("engine: AssembleCycle with no pending requests")
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
 
-	// The pending view is built in scratch reused under mu; only queries,
-	// which Cycle.Queries keeps, is the cycle's own.
+	// The pending view is built in scratch reused across cycles; only
+	// queries, which Cycle.Queries keeps, is the cycle's own.
 	reqs, distinct := e.reqs[:0], e.distinct[:0]
 	if e.seenQuery == nil {
 		e.seenQuery = make(map[string]struct{})
@@ -434,7 +416,6 @@ func (e *Engine) AssembleCycleAt(number, start, schedNow int64, pending []Pendin
 // no-op-sized for well-behaved drivers. Requests that complete are kept as
 // zombies until the next pending set confirms them, which lets a lossy
 // delivery resurrect a request without perturbing LeeLo's summation order.
-// Called with e.mu held.
 func (e *Engine) planCycle(reqs []schedule.Request, size func(xmldoc.DocID) int, now int64) ([]xmldoc.DocID, error) {
 	x := e.demand
 	deltaStart := time.Now()
@@ -494,7 +475,7 @@ func (e *Engine) planCycle(reqs []schedule.Request, size func(xmldoc.DocID) int,
 // incremental maintainer. With Limits.BuildBudget set the prune runs under a
 // cooperative deadline, checked per node on this goroutine; a prune that
 // overruns it stops (the view empties itself and starts over next cycle) and
-// the unpruned CI is returned with degraded = true. Called with e.mu held.
+// the unpruned CI is returned with degraded = true.
 func (e *Engine) pruneWithBudget(ci *core.Index, queries []xpath.Path) (*core.Index, bool, error) {
 	var deadline time.Time // zero: no budget
 	if e.buildBudget > 0 {
@@ -542,9 +523,6 @@ func (e *Engine) pruneOnce(ci *core.Index, queries []xpath.Path, deadline time.T
 // attached, so rebroadcasting a document costs no allocation. See Encoded for
 // the buffer ownership rules.
 func (e *Engine) EncodeCycle(c *Cycle) (_ *Encoded, err error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-
 	start := time.Now()
 	bufp := e.segPool.Get().(*[]byte)
 	buf := (*bufp)[:0]
@@ -629,14 +607,9 @@ func (e *Engine) EncodeCycle(c *Cycle) (_ *Encoded, err error) {
 // Limits.MaxPayloadCacheBytes, is evicted with the payload and is dropped by
 // RemoveDocument. The call does nothing when the payload is no longer the
 // cache's own (evicted, removed, or removed and re-added since enc was
-// encoded). air must not be written afterwards. The driver builds air outside
-// the engine's lock and calls this after, so a slow build (a DEFLATE pass)
-// never blocks Resolve or a collection update.
+// encoded). air must not be written afterwards.
 func (e *Engine) AttachAir(enc *Encoded, i int, air []byte) {
-	e.mu.Lock()
-	evicted := e.payloads.attach(enc.Docs[i], air)
-	e.mu.Unlock()
-	if evicted > 0 {
+	if evicted := e.payloads.attach(enc.Docs[i], air); evicted > 0 {
 		e.probe.CacheEvicted(EvictPayload, evicted)
 	}
 }
@@ -661,8 +634,6 @@ func (e *Engine) Recycle(enc *Encoded) {
 // their answers (slices already handed out by Resolve stay as they were).
 // Every entry stays cached and keeps its LRU position.
 func (e *Engine) AddDocument(d *xmldoc.Document) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	if err := e.builder.AddDocument(d); err != nil {
 		return err
 	}
@@ -690,8 +661,6 @@ func (e *Engine) AddDocument(d *xmldoc.Document) error {
 // that contains the ID (a binary search per entry) is replaced by a copy
 // without it, and one the removal empties stays cached as empty.
 func (e *Engine) RemoveDocument(id xmldoc.DocID) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	if err := e.builder.RemoveDocument(id); err != nil {
 		return err
 	}

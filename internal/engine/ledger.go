@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sync"
 
 	"repro/internal/broadcast"
 	"repro/internal/journal"
@@ -18,17 +17,16 @@ import (
 // and the restart driver both serve requests through it, so admission, the
 // cycle snapshot and commit, document removal and recovery are written once,
 // each journaling before it changes the pending set (the journal is optional;
-// without one the lifecycle is in memory). All request state sits behind one
-// lock, which Assemble holds from its snapshot through the encode: no
-// admission or removal touches the document IDs a cycle is reading, and an
-// admission that arrives mid-assembly waits it out — it is covered by the
-// next cycle, as it would have been anyway. One cycle is in flight at a time:
-// Assemble and Commit alternate on one goroutine.
+// without one the lifecycle is in memory). Like the engine below it, a
+// Ledger is not safe for concurrent use: one goroutine owns it (the restart
+// driver's script, the server's cycle loop) and every other goroutine asks
+// that owner. Assemble and Commit alternate there with one cycle in flight,
+// and an admission or a document write that the owner runs between them is
+// covered by the next cycle, as it would have been anyway.
 type Ledger struct {
 	eng *Engine
 	jn  *journal.Journal // nil: in memory
 
-	mu sync.Mutex
 	// pending is in admission order, which is ID order. Each Remaining is the
 	// request's own sorted, duplicate-free set of undelivered documents: lent
 	// to the engine as is while a cycle assembles, shrunk in place otherwise.
@@ -127,8 +125,6 @@ func NewLedger(eng *Engine, jn *journal.Journal, st *journal.State) (*Ledger, er
 // the admission is durable before Admit returns, so an ack sent after it never
 // outruns the journal.
 func (l *Ledger) Admit(q xpath.Path, max int) (cycle, id int64, err error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	if max > 0 && len(l.pending) >= max {
 		return 0, 0, fmt.Errorf("engine: pending set at MaxPending %d: %w", max, ErrOverload)
 	}
@@ -156,13 +152,10 @@ func (l *Ledger) Admit(q xpath.Path, max int) (cycle, id int64, err error) {
 	return l.cycles, id, nil
 }
 
-// Assemble snapshots the pending set — lends it to the engine, under the lock
-// — claims the next cycle number and assembles and encodes that cycle; the
+// Assemble snapshots the pending set — lends it to the engine — claims the next cycle number and assembles and encodes that cycle; the
 // cycle number is the scheduler's clock as well as the cycle's start. While
 // nothing is pending it claims no number and returns a nil cycle.
 func (l *Ledger) Assemble() (*Cycle, *Encoded, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	if len(l.pending) == 0 {
 		return nil, nil, nil
 	}
@@ -188,8 +181,6 @@ func (l *Ledger) Assemble() (*Cycle, *Encoded, error) {
 // number and journals no deliveries. retired lists the requests the cycle
 // drained, in ID order, and is valid until the next Commit.
 func (l *Ledger) Commit(cy *Cycle) (retired []int64, err error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	num := l.cycles
 	deliveries, delivered := l.deliveries[:0], l.delivered[:0]
 	if cy == nil {
@@ -235,11 +226,8 @@ func (l *Ledger) Commit(cy *Cycle) (retired []int64, err error) {
 
 // RemoveDocument retires document id from the live collection: every pending
 // request loses it, requests it drains retire as served at the journal's next
-// cycle, and the removal is journaled, whose replay does the same. It waits
-// out an in-flight assembly, which may be reading the document.
+// cycle, and the removal is journaled, whose replay does the same.
 func (l *Ledger) RemoveDocument(id xmldoc.DocID) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	if err := l.eng.RemoveDocument(id); err != nil {
 		return err
 	}
@@ -290,10 +278,6 @@ func (l *Ledger) AddDocument(d *xmldoc.Document) error {
 	if l.jn == nil {
 		return nil
 	}
-	// Under the lock, so that concurrent writes journal fingerprints in the
-	// order they read them.
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	return l.jn.DocAdded(l.eng.CollectionFingerprint())
 }
 
@@ -302,8 +286,6 @@ func (l *Ledger) AddDocument(d *xmldoc.Document) error {
 // horizon (cycle is the one that retired it), or neither — never admitted
 // here, or forgotten — and to be resubmitted.
 func (l *Ledger) Lookup(id int64) (pending, served bool, cycle int64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	if _, pending = slices.BinarySearchFunc(l.pending, id, func(r Pending, id int64) int { return cmp.Compare(r.ID, id) }); pending {
 		return true, false, l.cycles
 	}
@@ -312,25 +294,15 @@ func (l *Ledger) Lookup(id int64) (pending, served bool, cycle int64) {
 }
 
 // Len reports the number of pending requests.
-func (l *Ledger) Len() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.pending)
-}
+func (l *Ledger) Len() int { return len(l.pending) }
 
 // Cycles reports how many cycle numbers have been claimed: the next cycle's
 // number.
-func (l *Ledger) Cycles() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.cycles
-}
+func (l *Ledger) Cycles() int64 { return l.cycles }
 
 // Pending copies the pending set in admission order; every Remaining is the
 // caller's own.
 func (l *Ledger) Pending() []Pending {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	out := slices.Clone(l.pending)
 	for i := range out {
 		out[i].Remaining = slices.Clone(out[i].Remaining)

@@ -49,8 +49,8 @@ type answerEntry struct {
 }
 
 // answerCache is an LRU memo of query answers keyed by canonical query
-// string. maxEntries <= 0 means unbounded. Not safe for concurrent use; the
-// engine guards it with its mutex.
+// string. maxEntries <= 0 means unbounded. Not safe for concurrent use, like
+// the engine that owns it.
 type answerCache struct {
 	maxEntries int
 	ll         *list.List // front = most recently used; values are *answerEntry

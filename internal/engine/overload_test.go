@@ -271,10 +271,7 @@ func TestBuildBudgetDegradesToFullCI(t *testing.T) {
 	if !cy.Degraded {
 		t.Fatal("1 ns build budget did not degrade the cycle")
 	}
-	e.mu.Lock()
-	ciNodes := e.builder.CI().NumNodes()
-	e.mu.Unlock()
-	if cy.Index.NumNodes() != ciNodes {
+	if ciNodes := e.builder.CI().NumNodes(); cy.Index.NumNodes() != ciNodes {
 		t.Errorf("degraded cycle carries %d index nodes, want the full CI's %d", cy.Index.NumNodes(), ciNodes)
 	}
 	if m := e.Metrics(); m.DegradedCycles != 1 {

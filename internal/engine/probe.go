@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/broadcast"
@@ -77,9 +76,9 @@ const (
 	PruneFallback = "fallback"
 )
 
-// Probe receives engine telemetry. Implementations must be safe for
-// concurrent use; the engine may report from multiple goroutines. The
-// zero-cost default is NopProbe.
+// Probe receives engine telemetry. The engine reports on the one goroutine
+// that drives it; an implementation whose state other goroutines read
+// synchronises that itself. The zero-cost default is NopProbe.
 type Probe interface {
 	// StageDone reports one completed pipeline stage with its wall time and
 	// the stage's input/output sizes (see the Stage* constants for units).
@@ -253,10 +252,11 @@ func (m Metrics) String() string {
 	return b.String()
 }
 
-// Collector is a Probe that accumulates Metrics. Safe for concurrent use.
+// Collector is a Probe that accumulates Metrics. It is not safe for
+// concurrent use: it runs on the goroutine that drives its engine, and
+// Metrics is read there too.
 type Collector struct {
-	mu sync.Mutex
-	m  Metrics
+	m Metrics
 }
 
 // NewCollector returns an empty collector.
@@ -266,8 +266,6 @@ func NewCollector() *Collector {
 
 // StageDone implements Probe.
 func (c *Collector) StageDone(stage string, wall time.Duration, in, out int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	s := c.m.Stages[stage]
 	s.Count++
 	s.Wall += wall
@@ -278,8 +276,6 @@ func (c *Collector) StageDone(stage string, wall time.Duration, in, out int) {
 
 // CacheAccess implements Probe.
 func (c *Collector) CacheAccess(hit bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if hit {
 		c.m.CacheHits++
 	} else {
@@ -289,15 +285,11 @@ func (c *Collector) CacheAccess(hit bool) {
 
 // CacheInvalidated implements Probe.
 func (c *Collector) CacheInvalidated() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.m.CacheInvalidations++
 }
 
 // CacheEvicted implements Probe.
 func (c *Collector) CacheEvicted(kind string, n int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	switch kind {
 	case EvictAnswer:
 		c.m.AnswerEvictions += int64(n)
@@ -308,8 +300,6 @@ func (c *Collector) CacheEvicted(kind string, n int) {
 
 // PruneDone implements Probe.
 func (c *Collector) PruneDone(kind string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	switch kind {
 	case PruneIncremental:
 		c.m.IncrementalPrunes++
@@ -323,8 +313,6 @@ func (c *Collector) PruneDone(kind string) {
 
 // ScheduleDone implements Probe.
 func (c *Collector) ScheduleDone(kind string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	switch kind {
 	case ScheduleIncremental:
 		c.m.IncrementalSchedules++
@@ -335,15 +323,11 @@ func (c *Collector) ScheduleDone(kind string) {
 
 // CycleDegraded implements Probe.
 func (c *Collector) CycleDegraded() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.m.DegradedCycles++
 }
 
 // ChannelDone implements Probe.
 func (c *Collector) ChannelDone(channel int, role broadcast.ChannelRole, bytes int64, degraded bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	for len(c.m.Channels) <= channel {
 		c.m.Channels = append(c.m.Channels, ChannelMetrics{})
 	}
@@ -362,15 +346,11 @@ func (c *Collector) ChannelDone(channel int, role broadcast.ChannelRole, bytes i
 
 // CycleDone implements Probe.
 func (c *Collector) CycleDone() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.m.Cycles++
 }
 
 // Metrics returns a deep-copied snapshot.
 func (c *Collector) Metrics() Metrics {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	out := c.m
 	out.Stages = make(map[string]StageStats, len(c.m.Stages))
 	for k, v := range c.m.Stages {

@@ -168,10 +168,8 @@ func TestBuildBudgetOverrunResetsView(t *testing.T) {
 	if !cy.Degraded {
 		t.Fatal("1 ns build budget did not degrade the cycle")
 	}
-	e.mu.Lock()
 	e.buildBudget = 0
 	want, _, err := e.builder.CI().Prune(queries)
-	e.mu.Unlock()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,8 +53,6 @@ func (l liveDocs) collection(t testing.TB) *xmldoc.Collection {
 func checkCacheAgainstScan(t *testing.T, e *Engine, live liveDocs) {
 	t.Helper()
 	coll := live.collection(t)
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	for _, en := range e.answers.entries() {
 		want := yfilter.New([]xpath.Path{en.query}).Filter(coll)[0]
 		if !slices.Equal(en.docs, want) {
@@ -129,11 +127,13 @@ func TestResolveResultImmutableAcrossUpdates(t *testing.T) {
 	}
 }
 
-// TestConcurrentResolveAndUpdates runs resolvers, two writers and a cycle
-// assembler against one engine. Under -race it shows that patching in place
-// of a fenced re-scan left no unsynchronised access; when the goroutines
-// join, every cached answer must equal a fresh scan of what the writers left.
-func TestConcurrentResolveAndUpdates(t *testing.T) {
+// TestInterleavedResolveAndUpdates drives one engine, on one goroutine as its
+// owner does, through a seeded interleaving of single and batch resolves, two
+// writers adding, removing and re-adding their own IDs with a different tree
+// each time, and cycle assembly and encoding over the documents no writer
+// touches. Every cached answer must equal a fresh scan of what the writers
+// have left, at every assembly and at the end.
+func TestInterleavedResolveAndUpdates(t *testing.T) {
 	for _, bound := range []int{0, 4} {
 		t.Run(fmt.Sprintf("cache=%d", bound), func(t *testing.T) {
 			c, queries := fixture(t, 12, 24)
@@ -147,88 +147,62 @@ func TestConcurrentResolveAndUpdates(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-
-			const rounds = 60
-			var wg sync.WaitGroup
-			for r := 0; r < 2; r++ { // resolvers: single queries and batches
-				wg.Add(1)
-				go func(r int) {
-					defer wg.Done()
-					rng := rand.New(rand.NewSource(int64(r)))
-					for i := 0; i < rounds; i++ {
-						if _, err := e.Resolve(queries[rng.Intn(len(queries))]); err != nil {
-							t.Error(err)
-						}
-						lo := rng.Intn(len(queries))
-						if _, err := e.ResolveAll(queries[lo:min(lo+5, len(queries))]); err != nil {
-							t.Error(err)
-						}
+			live := newLiveDocs(c)
+			rng := rand.New(rand.NewSource(int64(7 + bound)))
+			writes, cycles := 0, 0
+			for step := 0; step < 600; step++ {
+				switch op := rng.Intn(10); {
+				case op < 4: // a single query, then a batch
+					if _, err := e.Resolve(queries[rng.Intn(len(queries))]); err != nil {
+						t.Fatal(err)
 					}
-				}(r)
-			}
-			// Writers: each owns four IDs and keeps adding, removing and
-			// re-adding them with a different tree each time.
-			finals := make([]liveDocs, 2)
-			for w := range finals {
-				finals[w] = make(liveDocs)
-				wg.Add(1)
-				go func(w int, mine liveDocs) {
-					defer wg.Done()
-					rng := rand.New(rand.NewSource(int64(100 + w)))
-					for i := 0; i < rounds; i++ {
-						id := xmldoc.DocID(2000 + 4*w + rng.Intn(4))
-						if _, ok := mine[id]; ok {
-							if err := e.RemoveDocument(id); err != nil {
-								t.Error(err)
-							}
-							delete(mine, id)
-							continue
+					lo := rng.Intn(len(queries))
+					if _, err := e.ResolveAll(queries[lo:min(lo+5, len(queries))]); err != nil {
+						t.Fatal(err)
+					}
+				case op < 8: // writer w owns four IDs
+					w := rng.Intn(2)
+					id := xmldoc.DocID(2000 + 4*w + rng.Intn(4))
+					if _, ok := live[id]; ok {
+						if err := e.RemoveDocument(id); err != nil {
+							t.Fatal(err)
 						}
+						delete(live, id)
+					} else {
 						d := xmldoc.NewDocument(id, spare.Docs()[rng.Intn(spare.Len())].Root)
 						if err := e.AddDocument(d); err != nil {
-							t.Error(err)
+							t.Fatal(err)
 						}
-						mine[id] = d
+						live[id] = d
 					}
-				}(w, finals[w])
-			}
-			wg.Add(1)
-			go func() { // the cycle loop, over the documents no writer touches
-				defer wg.Done()
-				for i := 0; i < rounds/4; i++ {
+					writes++
+				default: // a cycle over the fixture's own documents
 					answers, err := e.ResolveAll(queries[:6])
 					if err != nil {
-						t.Error(err)
-						return
+						t.Fatal(err)
 					}
 					var pending []Pending
 					for j, q := range queries[:6] {
 						docs := answers[q.String()]
-						n, _ := slices.BinarySearch(docs, base+1)
-						if n > 0 {
+						if n, _ := slices.BinarySearch(docs, base+1); n > 0 {
 							pending = append(pending, Pending{ID: int64(j), Query: q, Remaining: docs[:n]})
 						}
 					}
-					cy, err := e.AssembleCycle(int64(i), int64(i), pending)
+					cy, err := e.AssembleCycle(int64(cycles), int64(cycles), pending)
 					if err != nil {
-						t.Error(err)
-						return
+						t.Fatal(err)
 					}
 					enc, err := e.EncodeCycle(cy)
 					if err != nil {
-						t.Error(err)
-						return
+						t.Fatal(err)
 					}
 					e.Recycle(enc)
+					cycles++
+					checkCacheAgainstScan(t, e, live)
 				}
-			}()
-			wg.Wait()
-
-			live := newLiveDocs(c)
-			for _, mine := range finals {
-				for id, d := range mine {
-					live[id] = d
-				}
+			}
+			if writes < 100 || cycles < 50 {
+				t.Fatalf("the interleaving ran %d writes and %d cycles: too few to exercise it", writes, cycles)
 			}
 			if e.NumDocs() != len(live) {
 				t.Fatalf("engine holds %d documents, the writers left %d", e.NumDocs(), len(live))
@@ -474,7 +448,7 @@ var benchSink int
 // query (a submission that misses) and the whole pool as one batch (a
 // simulator's set-up, a restarted server re-resolving over a drifted
 // collection). The ci legs are the engine's path — a fresh filter over the
-// misses, then core.Index.Answers under the lock. The scan legs are the
+// misses, then core.Index.Answers. The scan legs are the
 // reference the engine's answers are specified against, yfilter.Filter over
 // every document; they are not an engine path.
 func BenchmarkResolveMiss(b *testing.B) {

@@ -25,8 +25,7 @@ import (
 )
 
 // handDriven is a server whose ticker never fires, with raw subscribers
-// attached: the test calls broadcastCycle itself, so it is the only goroutine
-// on the cycle path (downEnc and the per-cycle scratch are its own) and what
+// attached: the test hands broadcastCycle to the cycle loop itself, so what
 // airs in which cycle is decided, not timed.
 type handDriven struct {
 	srv     *Server
@@ -80,9 +79,7 @@ func (h *handDriven) cycle(t *testing.T, query string) {
 	if _, _, err := h.srv.submit(query); err != nil {
 		t.Fatalf("submit %s: %v", query, err)
 	}
-	if err := h.srv.broadcastCycle(); err != nil {
-		t.Fatalf("broadcastCycle: %v", err)
-	}
+	onLoop(t, h.srv, h.srv.broadcastCycle)
 }
 
 // airedFrame is one envelope read back off a subscriber's stream.
@@ -316,12 +313,16 @@ func TestOversizedDocumentRefused(t *testing.T) {
 		}
 		return st
 	}
-	numDocs, fp, before := srv.NumDocs(), srv.eng.CollectionFingerprint(), journaled()
+	fingerprint := func() (fp uint64) {
+		onLoop(t, srv, func() error { fp = srv.eng.CollectionFingerprint(); return nil })
+		return fp
+	}
+	numDocs, fp, before := srv.NumDocs(), fingerprint(), journaled()
 	err = srv.AddDocument(tooBig)
 	if err == nil || !strings.Contains(err.Error(), "document 9000") || !strings.Contains(err.Error(), "16777216") {
 		t.Errorf("AddDocument of an oversized document = %v, want a refusal naming the document and the limit", err)
 	}
-	if srv.NumDocs() != numDocs || srv.eng.CollectionFingerprint() != fp {
+	if srv.NumDocs() != numDocs || fingerprint() != fp {
 		t.Error("a refused document changed the collection")
 	}
 	if !reflect.DeepEqual(journaled(), before) {
@@ -358,28 +359,29 @@ func BenchmarkCompressedDocAiring(b *testing.B) {
 	srv, err := StartServer(ServerConfig{
 		Collection:    coll,
 		CycleCapacity: coll.TotalSize(),
-		CycleInterval: time.Hour, // never ticks: the benchmark is the cycle goroutine
+		CycleInterval: time.Hour, // never ticks: only the benchmark frames documents
 		Compress:      true,
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer srv.Shutdown()
+	// The engine is the cycle loop's: the benchmark hands it what it encodes
+	// and the first airing, which attaches the envelope there.
 	q := xpath.MustParse("/nitf")
-	docs, err := srv.eng.Resolve(q)
-	if err != nil {
-		b.Fatal(err)
-	}
-	pending := []engine.Pending{{ID: 1, Query: q, Remaining: docs}}
-	encode := func() *engine.Encoded {
-		cy, err := srv.eng.AssembleCycle(0, 0, pending)
-		if err != nil {
-			b.Fatal(err)
-		}
-		enc, err := srv.eng.EncodeCycle(cy)
-		if err != nil {
-			b.Fatal(err)
-		}
+	encode := func() (enc *engine.Encoded) {
+		onLoop(b, srv, func() error {
+			docs, err := srv.eng.Resolve(q)
+			if err != nil {
+				return err
+			}
+			cy, err := srv.eng.AssembleCycle(0, 0, []engine.Pending{{ID: 1, Query: q, Remaining: docs}})
+			if err != nil {
+				return err
+			}
+			enc, err = srv.eng.EncodeCycle(cy)
+			return err
+		})
 		return enc
 	}
 	// An in-process subscriber, drained in the loop.
@@ -411,10 +413,12 @@ func BenchmarkCompressedDocAiring(b *testing.B) {
 		run(b, func() (net.Buffers, error) { return srv.wireForm(nil, FrameDoc, enc.Docs[0]) })
 	})
 	b.Run("warm", func(b *testing.B) {
-		if _, err := srv.docFrame(nil, encode(), 0); err != nil { // first airing: builds and attaches
-			b.Fatal(err)
-		}
 		enc := encode()
+		onLoop(b, srv, func() error { // first airing: builds and attaches
+			_, err := srv.docFrame(nil, enc, 0)
+			return err
+		})
+		enc = encode()
 		if enc.Air(0) == nil {
 			b.Fatal("no envelope cached after the first airing")
 		}

@@ -320,7 +320,7 @@ func TestRestartOverDriftedCollection(t *testing.T) {
 	if srv2.RecoveredPending() != len(want) {
 		t.Errorf("recovered %d pending, want %d", srv2.RecoveredPending(), len(want))
 	}
-	for _, r := range srv2.ledger.Pending() {
+	for _, r := range pendingOf(t, srv2) {
 		if !slices.Equal(r.Remaining, want[r.Query.String()]) {
 			t.Errorf("recovered %s: remaining %v, a fresh scan leaves %v", r.Query, r.Remaining, want[r.Query.String()])
 		}
@@ -382,7 +382,7 @@ func TestRestartAfterDriftedRecovery(t *testing.T) {
 	if srv3.RecoveredPending() != 1 {
 		t.Fatalf("third start recovered %d pending, want 1", srv3.RecoveredPending())
 	}
-	for _, r := range srv3.ledger.Pending() {
+	for _, r := range pendingOf(t, srv3) {
 		for _, id := range r.Remaining {
 			if drifted.ByID(id) == nil {
 				t.Errorf("recovered %s still wants document %d, which the collection does not hold", r.Query, id)

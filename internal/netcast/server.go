@@ -67,8 +67,9 @@ type ServerConfig struct {
 	// about 256 frames at the ≈ 12 frames of a paced two-tier cycle.
 	SubscriberQueue int
 	// Probe receives engine pipeline telemetry in addition to the built-in
-	// collector surfaced by Stats. Optional. Its callbacks run while the cycle
-	// holds the request ledger's lock, so they must not call the server back.
+	// collector surfaced by Stats. Optional. Its callbacks run on the server's
+	// cycle loop, the one goroutine that drives the engine, and the loop waits
+	// for them, so they must not call the server back.
 	Probe engine.Probe
 	// Limits bounds engine memory and per-cycle latency (see engine.Limits).
 	// The zero value imposes no limits.
@@ -153,11 +154,11 @@ type Server struct {
 	clock control.Clock
 
 	// eng owns cycle assembly, the memoized query answers and the dynamic
-	// collection; it is internally synchronised.
-	eng *engine.Engine
-	// ledger owns the request lifecycle — admission, each cycle's snapshot and
-	// commit, document removal — and writes every journal record; it is
-	// internally synchronised.
+	// collection; ledger owns the request lifecycle — admission, each cycle's
+	// snapshot and commit, document removal — and writes every journal
+	// record. Neither takes a lock: once StartServer returns, only the cycle
+	// loop calls them, and every other goroutine hands it an event (see do).
+	eng    *engine.Engine
 	ledger *engine.Ledger
 	// admit holds the admission limits every submission reads: the pending
 	// cap, the uplink rate and the retry-after hint. Built from the static
@@ -190,25 +191,26 @@ type Server struct {
 	generation uint32
 	recovered  int
 
+	// events carries work for the cycle loop, which runs each event between
+	// two cycles and hands it the error that stopped the broadcast, if any.
+	events chan func(stopped error)
+
 	mu      sync.Mutex
 	subs    map[*subscriber]struct{}
 	uplinks map[net.Conn]struct{}
 	// dropped counts subscribers evicted for a full queue or a failed write.
 	dropped int64
-	// cycleErr is the fatal assembly error that stopped the cycle loop; nil
-	// while the loop is healthy. Once set, submissions are refused with it.
-	cycleErr error
+	// draining gates the uplink during Shutdown and Kill: a frame that arrives
+	// once it is set is refused with a retry-after reject instead of a dropped
+	// connection. inflight counts the frames being processed, so that Shutdown
+	// writes (and journals) their acks before it stops the cycle loop. A frame
+	// joins inflight under mu, and only while draining is unset, so no Add
+	// follows the start of Shutdown's Wait.
+	draining bool
+	inflight sync.WaitGroup
 
 	rejectedRate    atomic.Int64
 	rejectedPending atomic.Int64
-
-	// draining gates the uplink during Shutdown: frames that arrive after
-	// the drain starts are refused with a retry-after reject instead of a
-	// dropped connection, and inflight tracks frames already being
-	// processed so their acks are written (and journaled) before the
-	// journal and the connections close.
-	draining atomic.Bool
-	inflight sync.WaitGroup
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -250,9 +252,10 @@ type ServerStats struct {
 	Epoch            uint64
 	Generation       uint32
 	RecoveredPending int
-	// CycleError is the fatal cycle-assembly error that stopped the cycle
-	// loop: nothing airs any more and every submission is refused with it.
-	// Empty while the loop is healthy.
+	// CycleError is the fatal cycle-assembly error that stopped the
+	// broadcast: nothing airs any more and every submission is refused with
+	// it. Empty while the broadcast is healthy, and once the server has shut
+	// down.
 	CycleError string
 }
 
@@ -448,6 +451,7 @@ func StartServer(cfg ServerConfig) (*Server, error) {
 		recovered:  ledger.Len(),
 		subs:       make(map[*subscriber]struct{}),
 		uplinks:    make(map[net.Conn]struct{}),
+		events:     make(chan func(error)),
 		stop:       make(chan struct{}),
 		loopDone:   make(chan struct{}),
 		done:       make(chan struct{}),
@@ -508,58 +512,87 @@ func (s *Server) ChannelAddrs() []string {
 // Channels reports the number of broadcast channels.
 func (s *Server) Channels() int { return len(s.bcLns) }
 
+// errStopped refuses a write that reaches the server after its cycle loop
+// has exited.
+var errStopped = errors.New("netcast: server stopped")
+
+// do runs f on the cycle loop, between two cycles, and returns f's error; f
+// is handed the error that stopped the broadcast, if one did. Once the loop
+// has exited, do runs nothing and returns errStopped.
+func (s *Server) do(f func(stopped error) error) error {
+	var err error
+	done := make(chan struct{})
+	select {
+	case s.events <- func(stopped error) { err = f(stopped); close(done) }:
+		<-done
+		return err
+	case <-s.loopDone:
+		return errStopped
+	}
+}
+
+// read runs f as do does, or on the caller once the loop has exited: nothing
+// changes the ledger or the engine after that.
+func (s *Server) read(f func(stopped error)) {
+	if s.do(func(stopped error) error { f(stopped); return nil }) != nil {
+		f(nil)
+	}
+}
+
 // Cycles reports how many cycles have been broadcast.
-func (s *Server) Cycles() int64 { return s.ledger.Cycles() }
+func (s *Server) Cycles() (n int64) {
+	s.read(func(error) { n = s.ledger.Cycles() })
+	return n
+}
 
 // Pending reports the number of outstanding requests.
-func (s *Server) Pending() int { return s.ledger.Len() }
+func (s *Server) Pending() (n int) {
+	s.read(func(error) { n = s.ledger.Len() })
+	return n
+}
 
 // Stats snapshots the server's counters and the assembly engine's pipeline
-// telemetry.
+// telemetry, all read in one turn of the cycle loop.
 func (s *Server) Stats() ServerStats {
-	st := ServerStats{
-		Cycles:          s.ledger.Cycles(),
-		Pending:         s.ledger.Len(),
-		RejectedRate:    s.rejectedRate.Load(),
-		RejectedPending: s.rejectedPending.Load(),
-	}
-	s.mu.Lock()
-	st.Subscribers = len(s.subs)
-	st.SubscribersDropped = s.dropped
-	if s.cycleErr != nil {
-		st.CycleError = s.cycleErr.Error()
-	}
-	s.mu.Unlock()
-	st.Engine = s.eng.Metrics()
+	st := ServerStats{Epoch: s.epoch, Generation: s.generation, RecoveredPending: s.recovered}
+	s.read(func(stopped error) {
+		st.Cycles, st.Pending, st.Engine = s.ledger.Cycles(), s.ledger.Len(), s.eng.Metrics()
+		if stopped != nil {
+			st.CycleError = stopped.Error()
+		}
+		st.RejectedRate, st.RejectedPending = s.rejectedRate.Load(), s.rejectedPending.Load()
+		s.mu.Lock()
+		st.Subscribers, st.SubscribersDropped = len(s.subs), s.dropped
+		s.mu.Unlock()
+	})
 	if s.cfg.Adaptive {
 		a := s.admit.State()
 		st.Health, st.Adaptive = a.Health, &a
 	}
-	st.Epoch = s.epoch
-	st.Generation = s.generation
-	st.RecoveredPending = s.recovered
 	return st
 }
 
-// Shutdown stops the server gracefully: the cycle loop finishes and flushes
-// the in-flight cycle to every subscriber queue, uplink frames already being
-// processed get their acks (new ones are refused with a retry-after reject,
-// never a dropped connection mid-ack), the journal absorbs those final admit
-// records and closes with a flushed, fsynced snapshot, then the listeners
-// and every connection close. Safe to call more than once and from multiple
+// Shutdown stops the server gracefully: uplink frames already being
+// processed are admitted and get their acks (new ones are refused with a
+// retry-after reject, never a dropped connection mid-ack), the cycle loop
+// finishes and flushes the in-flight cycle to every subscriber queue, the
+// journal closes with a flushed, fsynced snapshot, then the listeners and
+// every connection close. Safe to call more than once and from multiple
 // goroutines; every call waits for the full teardown.
 func (s *Server) Shutdown() {
 	s.stopOnce.Do(func() {
-		close(s.stop)
-		// Let an in-flight broadcastCycle finish enqueueing its frames (and
-		// its journal commit) before the subscriber queues are closed.
-		<-s.loopDone
-		// Drain the uplink: no new work is accepted, frames mid-processing
-		// complete and write their acks. Their admit records land before
-		// the journal closes below, so every acked submission is durable.
-		s.draining.Store(true)
+		// Drain the uplink while the cycle loop still runs: frames
+		// mid-processing are admitted by the loop and write their acks, so
+		// every acked submission is journaled.
+		s.mu.Lock()
+		s.draining = true
+		s.mu.Unlock()
 		s.upLn.Close()
 		s.inflight.Wait()
+		// Then let an in-flight broadcastCycle finish enqueueing its frames
+		// (and its journal commit) before the subscriber queues are closed.
+		close(s.stop)
+		<-s.loopDone
 		if s.jn != nil {
 			s.jn.Close()
 		}
@@ -579,7 +612,9 @@ func (s *Server) Kill() {
 		if s.jn != nil {
 			s.jn.Kill()
 		}
-		s.draining.Store(true)
+		s.mu.Lock()
+		s.draining = true
+		s.mu.Unlock()
 		close(s.stop)
 		<-s.loopDone
 		s.upLn.Close()
@@ -741,14 +776,18 @@ func (s *Server) serveUplink(conn net.Conn) {
 			return
 		}
 		// The frame is in flight from here: Shutdown waits for its response
-		// (and any journal append) before closing the journal and the
-		// connections. A frame that arrives once the drain has started is
-		// refused with a retry-after hint instead of a dropped connection.
-		s.inflight.Add(1)
-		if s.draining.Load() {
+		// (and any journal append) before it stops the cycle loop. A frame
+		// that arrives once the drain has started is refused with a
+		// retry-after hint instead of a dropped connection.
+		s.mu.Lock()
+		draining := s.draining
+		if !draining {
+			s.inflight.Add(1)
+		}
+		s.mu.Unlock()
+		if draining {
 			_ = respond(fr.Stream, FrameReject, encodeReject(s.cfg.CycleInterval, "server shutting down"))
 			_ = bw.Flush()
-			s.inflight.Done()
 			return
 		}
 		rt, resp, drop := s.uplinkRespond(t, payload, bucket)
@@ -818,39 +857,42 @@ func (s *Server) uplinkRespond(t FrameType, payload []byte, bucket *tokenBucket)
 // resubmitted.
 func (s *Server) resumeEntries(ids []int64) []resumeEntry {
 	entries := make([]resumeEntry, 0, len(ids))
-	for _, id := range ids {
-		e := resumeEntry{ID: id, Status: ResumeResubmit}
-		switch pending, served, cyc := s.ledger.Lookup(id); {
-		case pending:
-			e.Status, e.Detail = ResumeResumed, cyc
-		case served:
-			e.Status, e.Detail = ResumeServed, cyc
+	s.read(func(error) {
+		for _, id := range ids {
+			e := resumeEntry{ID: id, Status: ResumeResubmit}
+			switch pending, served, cyc := s.ledger.Lookup(id); {
+			case pending:
+				e.Status, e.Detail = ResumeResumed, cyc
+			case served:
+				e.Status, e.Detail = ResumeServed, cyc
+			}
+			entries = append(entries, e)
 		}
-		entries = append(entries, e)
-	}
+	})
 	return entries
 }
 
-// submit registers one query through the ledger and returns the number of the
-// first broadcast cycle whose index is guaranteed to cover it plus the
-// request's durable ID. A dead cycle loop refuses it (a request admitted now
-// would never air), and so does a pending set at the live cap (the admission
-// limiter's: ServerConfig.MaxPending, retuned under Adaptive), with a wrapped
-// engine.ErrOverload. On a journaled server the admit record is durable
-// before submit returns, so the caller's ack never outruns the journal: a
-// crash after the ack recovers the request.
-func (s *Server) submit(expr string) (int64, int64, error) {
-	s.mu.Lock()
-	cycleErr := s.cycleErr
-	s.mu.Unlock()
-	if cycleErr != nil {
-		return 0, 0, fmt.Errorf("broadcast stopped: %w", cycleErr)
-	}
+// submit registers one query through the ledger, on the cycle loop, and
+// returns the number of the first broadcast cycle whose index is guaranteed
+// to cover it plus the request's durable ID. A stopped broadcast refuses it (a
+// request admitted now would never air), and so does a pending set at the
+// live cap (the admission limiter's: ServerConfig.MaxPending, retuned under
+// Adaptive), with a wrapped engine.ErrOverload. On a journaled server the
+// admit record is durable before submit returns, so the caller's ack never
+// outruns the journal: a crash after the ack recovers the request.
+func (s *Server) submit(expr string) (covered, id int64, err error) {
 	q, err := xpath.Parse(strings.TrimSpace(expr))
 	if err != nil {
 		return 0, 0, err
 	}
-	return s.ledger.Admit(q, s.admit.MaxPending())
+	err = s.do(func(stopped error) (err error) {
+		if stopped != nil {
+			return fmt.Errorf("broadcast stopped: %w", stopped)
+		}
+		covered, id, err = s.ledger.Admit(q, s.admit.MaxPending())
+		return err
+	})
+	return covered, id, err
 }
 
 // acceptSubscribers registers broadcast listeners on one channel's listener,
@@ -908,26 +950,32 @@ func (s *Server) serveSubscriber(sub *subscriber) {
 	sub.conn.Close()
 }
 
-// cycleLoop is ticker-driven only: every CycleInterval it airs one cycle if
-// requests are pending and idles otherwise. A submission never triggers a
-// cycle; it joins the next tick's snapshot.
+// cycleLoop is the one goroutine that drives the ledger and the engine. It
+// serves events (admissions, resume lookups, document writes, reads) in the
+// order they arrive, and every CycleInterval it airs one cycle if requests
+// are pending: assemble, air and commit in one turn, so no event lands inside
+// a cycle. A submission never triggers a cycle; it joins the next tick's
+// snapshot.
 func (s *Server) cycleLoop() {
 	defer s.wg.Done()
 	defer close(s.loopDone)
 	ticker := time.NewTicker(s.cfg.CycleInterval)
 	defer ticker.Stop()
+	tick := ticker.C
+	// stopped is the fatal cycle error that ended the broadcast. Cycle
+	// assembly failures are design errors: nothing airs any more, but the
+	// loop keeps serving events — Stats reports the error, resume lookups
+	// answer, and submissions are refused with it.
+	var stopped error
 	for {
 		select {
 		case <-s.stop:
 			return
-		case <-ticker.C:
-			if err := s.broadcastCycle(); err != nil {
-				// Cycle assembly failures are fatal design errors: the loop
-				// stops, Stats reports why, and submissions are refused.
-				s.mu.Lock()
-				s.cycleErr = err
-				s.mu.Unlock()
-				return
+		case ev := <-s.events:
+			ev(stopped)
+		case <-tick:
+			if stopped = s.broadcastCycle(); stopped != nil {
+				tick = nil
 			}
 		}
 	}
@@ -936,10 +984,6 @@ func (s *Server) cycleLoop() {
 // broadcastCycle plans, encodes and fans out one cycle through the shared
 // assembly engine.
 func (s *Server) broadcastCycle() error {
-	// The ledger holds its lock from the snapshot through the encode — the
-	// stretch that reads the snapshot's document IDs — and not across the
-	// fan-out, so an admission or a removal waits out an assembly, never a
-	// cycle.
 	cy, enc, err := s.ledger.Assemble()
 	if cy == nil || err != nil {
 		return err
@@ -1044,9 +1088,7 @@ func (s *Server) airCycle(cy *engine.Cycle, enc *engine.Encoded, headBytes []byt
 // airing, for as long as the payload stays cached, queues that same envelope
 // again. A document airs in cycle after cycle until its requesters drain, and
 // its envelope is a pure function of its payload, so all but the first
-// DEFLATE pass would be repeated work. Running here — on the cycle goroutine,
-// holding neither the ledger's lock nor the engine's — a first airing's pass
-// delays no submission, resolution or removal.
+// DEFLATE pass would be repeated work.
 func (s *Server) docFrame(b net.Buffers, enc *engine.Encoded, i int) (net.Buffers, error) {
 	if air := enc.Air(i); air != nil {
 		return append(b, air), nil
@@ -1134,7 +1176,7 @@ func (s *Server) AddDocument(d *xmldoc.Document) error {
 	if err := checkDocFits(d); err != nil {
 		return err
 	}
-	return s.ledger.AddDocument(d)
+	return s.do(func(error) error { return s.ledger.AddDocument(d) })
 }
 
 // RemoveDocument retires a document from the live collection. Pending
@@ -1142,10 +1184,11 @@ func (s *Server) AddDocument(d *xmldoc.Document) error {
 // satisfied are retired. A journaled server records the removal, whose
 // replay shrinks recovered remaining sets the same way.
 func (s *Server) RemoveDocument(id xmldoc.DocID) error {
-	return s.ledger.RemoveDocument(id)
+	return s.do(func(error) error { return s.ledger.RemoveDocument(id) })
 }
 
 // NumDocs reports the current collection size.
-func (s *Server) NumDocs() int {
-	return s.eng.NumDocs()
+func (s *Server) NumDocs() (n int) {
+	s.read(func(error) { n = s.eng.NumDocs() })
+	return n
 }

@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dtd"
+	"repro/internal/engine"
 	"repro/internal/gen"
 	"repro/internal/netcast/transport"
 	"repro/internal/schedule"
@@ -30,6 +31,22 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 			t.Fatalf("timed out waiting for %s", what)
 		}
 	}
+}
+
+// onLoop runs f on srv's cycle loop, the one goroutine that may touch its
+// ledger and engine, and fails the test, on the test's goroutine, if f fails.
+func onLoop(t testing.TB, srv *Server, f func() error) {
+	t.Helper()
+	if err := srv.do(func(error) error { return f() }); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// pendingOf copies srv's pending set, read on its cycle loop.
+func pendingOf(t *testing.T, srv *Server) (pending []engine.Pending) {
+	t.Helper()
+	onLoop(t, srv, func() error { pending = srv.ledger.Pending(); return nil })
+	return pending
 }
 
 // TestFanOutFramesOnce: every subscriber of a channel receives the same

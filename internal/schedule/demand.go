@@ -83,8 +83,7 @@ type docHeapEntry struct {
 //     must present pending slices with new requests appended after old ones
 //     for LeeLo plan identity with the reference oracle.
 //
-// Not safe for concurrent use; the engine serialises access under its
-// mutex.
+// Not safe for concurrent use; the engine drives it from one goroutine.
 type DemandIndex struct {
 	reqs map[int64]*demandReq
 	// docTab is the per-document state, dense-indexed by DocID (a uint16):
