@@ -5,9 +5,10 @@
 //	one-tier:  [head][one-tier index with embedded offsets][documents]
 //	two-tier:  [head][first-tier index][second-tier offsets][documents]
 //
-// The head carries the label catalog, root labels and segment lengths. All
-// segment sizes are real encodable bytes (package wire), so the simulator's
-// byte clock matches what a receiver would download.
+// The head (wire.CycleHead) carries the cycle number, the organisation, the
+// document count, the root labels and the label catalog. All segment sizes
+// are real encodable bytes (package wire), so the simulator's byte clock
+// matches what a receiver would download.
 //
 // With K > 1 channels the two tiers split across parallel streams sharing the
 // aggregate bandwidth (each channel runs at 1/K of it):
@@ -150,8 +151,10 @@ type Cycle struct {
 	// Catalog is the label dictionary for the index.
 	Catalog *wire.Catalog
 
-	// HeadBytes is the size of the cycle head (catalog, root labels,
-	// segment lengths).
+	// Head is the cycle head as it airs: cycle number, organisation,
+	// document count, root labels and the encoded catalog.
+	Head wire.CycleHead
+	// HeadBytes is the head's encoded size.
 	HeadBytes int
 	// IndexBytes is the on-air size of the packed index (L_I).
 	IndexBytes int
@@ -754,16 +757,19 @@ func (b *Builder) BuildCycleWithIndex(number, start int64, index *core.Index, do
 		cycle.SecondTierBytes = wire.SecondTierSize(len(docPlan), b.model)
 	}
 
-	// Head: encoded catalog + root labels + three segment lengths.
 	catBytes, err := cycle.Catalog.Encode()
 	if err != nil {
 		return nil, fmt.Errorf("broadcast: encode catalog: %w", err)
 	}
-	head := len(catBytes) + 3*b.model.PointerBytes
-	for _, l := range wire.RootLabels(index) {
-		head += 1 + len(l)
+	cycle.Head = wire.CycleHead{
+		Number:     uint32(number),
+		TwoTier:    b.mode == TwoTierMode,
+		Succinct:   b.encoding == core.EncodingSuccinct,
+		NumDocs:    uint16(len(docPlan)),
+		RootLabels: wire.RootLabels(index),
+		Catalog:    catBytes,
 	}
-	cycle.HeadBytes = head
+	cycle.HeadBytes = cycle.Head.Size()
 	if b.channels > 1 {
 		cycle.Channels[0].Bytes = cycle.HeadBytes + cycle.DirBytes + cycle.IndexBytes
 		selectHotDocs(cycle)
@@ -839,38 +845,20 @@ func (b *Builder) layoutChannels(cycle *Cycle, docPlan []xmldoc.DocID) {
 	}
 }
 
-// Encode produces the real byte stream of the cycle's index and second-tier
-// segments (the decodable air image used by examples and round-trip tests).
-// It returns the index segment and, in two-tier mode, the second-tier
-// segment.
-func (b *Builder) Encode(c *Cycle) (indexSeg, secondTierSeg []byte, err error) {
-	buf, err := b.AppendEncoded(nil, c)
-	if err != nil {
-		return nil, nil, err
-	}
-	cut := c.IndexStreamBytes()
-	indexSeg = buf[:cut:cut]
-	if len(buf) > cut {
-		secondTierSeg = buf[cut:]
-	}
-	return indexSeg, secondTierSeg, nil
-}
-
-// AppendEncoded appends the cycle's index segment followed by, in two-tier
-// mode, its second-tier segment to dst and returns the extended slice. The
-// index segment occupies exactly c.IndexStreamBytes(); callers reusing
-// pooled buffers slice the segments apart at that boundary. Single-channel
-// cycles only; multichannel cycles encode through AppendEncodedChannels.
+// AppendEncoded appends the cycle's index-and-offset segments to dst in the
+// order they air and returns the extended slice: the index, then — in
+// two-tier mode — the channel directory when K > 1 and the second-tier
+// offset list of every stream that carries documents (the one serial stream,
+// or data channels 1..K-1). Each segment is exactly the cycle's own size for
+// it (IndexStreamBytes, DirBytes, each stream's SecondTierBytes), so callers
+// slice a pooled buffer apart at those sizes.
 func (b *Builder) AppendEncoded(dst []byte, c *Cycle) ([]byte, error) {
-	if len(c.Channels) > 1 {
-		return nil, fmt.Errorf("broadcast: AppendEncoded on a %d-channel cycle", len(c.Channels))
-	}
 	var err error
 	if c.Encoding == core.EncodingSuccinct {
 		dst, err = succinct.AppendTier(dst, c.Index, c.Catalog, b.model)
 	} else {
 		var offs wire.DocOffsets
-		if b.mode == OneTierMode {
+		if c.Mode == OneTierMode {
 			offs = c.Offsets
 		}
 		dst, err = wire.AppendIndex(dst, c.Index, c.Packing, c.Catalog, offs)
@@ -878,55 +866,34 @@ func (b *Builder) AppendEncoded(dst []byte, c *Cycle) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("broadcast: encode index: %w", err)
 	}
-	if b.mode == TwoTierMode {
-		entries := make([]wire.SecondTierEntry, 0, len(c.Docs))
-		for _, p := range c.Docs {
-			entries = append(entries, wire.SecondTierEntry{Doc: p.ID, Offset: uint64(p.Offset)})
-		}
-		dst, err = wire.AppendSecondTier(dst, entries, b.model)
-		if err != nil {
-			return nil, fmt.Errorf("broadcast: encode second tier: %w", err)
+	switch {
+	case c.Mode == OneTierMode:
+		return dst, nil
+	case len(c.Channels) == 0:
+		return b.appendSecondTier(dst, c.Docs)
+	}
+	if dst, err = wire.AppendChannelDir(dst, c.ChannelDir(), b.model); err != nil {
+		return nil, fmt.Errorf("broadcast: encode channel dir: %w", err)
+	}
+	for _, lay := range c.Channels[1:] {
+		if dst, err = b.appendSecondTier(dst, lay.Docs); err != nil {
+			return nil, err
 		}
 	}
 	return dst, nil
 }
 
-// AppendEncodedChannels appends a multichannel cycle's index-and-offset
-// segments to dst: the packed first tier, the channel directory, then each
-// data channel's second-tier stripe. cuts holds the cumulative end offset of
-// every appended segment (index, directory, stripe 1, ..., stripe K-1)
-// relative to the start of this cycle's data, so callers slicing a pooled
-// buffer can take the segments apart without re-measuring them.
-func (b *Builder) AppendEncodedChannels(dst []byte, c *Cycle) (_ []byte, cuts []int, err error) {
-	if len(c.Channels) < 2 {
-		return nil, nil, fmt.Errorf("broadcast: AppendEncodedChannels on a single-channel cycle")
+// appendSecondTier appends the offset list of one stream's documents, handed
+// to the wire encoder sorted by document ID as the format lists them.
+func (b *Builder) appendSecondTier(dst []byte, docs []DocPlacement) ([]byte, error) {
+	entries := make([]wire.SecondTierEntry, len(docs))
+	for i, p := range docs {
+		entries[i] = wire.SecondTierEntry{Doc: p.ID, Offset: uint64(p.Offset)}
 	}
-	base := len(dst)
-	cuts = make([]int, 0, 1+len(c.Channels))
-	if c.Encoding == core.EncodingSuccinct {
-		dst, err = succinct.AppendTier(dst, c.Index, c.Catalog, b.model)
-	} else {
-		dst, err = wire.AppendIndex(dst, c.Index, c.Packing, c.Catalog, nil)
-	}
+	slices.SortFunc(entries, func(x, y wire.SecondTierEntry) int { return cmp.Compare(x.Doc, y.Doc) })
+	dst, err := wire.AppendSecondTier(dst, entries, b.model)
 	if err != nil {
-		return nil, nil, fmt.Errorf("broadcast: encode index: %w", err)
+		return nil, fmt.Errorf("broadcast: encode second tier: %w", err)
 	}
-	cuts = append(cuts, len(dst)-base)
-	dst, err = wire.AppendChannelDir(dst, c.ChannelDir(), b.model)
-	if err != nil {
-		return nil, nil, fmt.Errorf("broadcast: encode channel dir: %w", err)
-	}
-	cuts = append(cuts, len(dst)-base)
-	for _, lay := range c.Channels[1:] {
-		entries := make([]wire.SecondTierEntry, 0, len(lay.Docs))
-		for _, p := range lay.Docs {
-			entries = append(entries, wire.SecondTierEntry{Doc: p.ID, Offset: uint64(p.Offset)})
-		}
-		dst, err = wire.AppendSecondTier(dst, entries, b.model)
-		if err != nil {
-			return nil, nil, fmt.Errorf("broadcast: encode second tier (channel %d): %w", lay.ID, err)
-		}
-		cuts = append(cuts, len(dst)-base)
-	}
-	return dst, cuts, nil
+	return dst, nil
 }

@@ -165,13 +165,14 @@ func TestEncodeCycleRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("BuildCycle: %v", err)
 			}
-			indexSeg, stSeg, err := b.Encode(cy)
+			buf, err := b.AppendEncoded(nil, cy)
 			if err != nil {
-				t.Fatalf("Encode: %v", err)
+				t.Fatalf("AppendEncoded: %v", err)
 			}
-			if len(indexSeg) != cy.Packing.StreamBytes {
-				t.Errorf("index segment %d bytes, want %d", len(indexSeg), cy.Packing.StreamBytes)
+			if want := cy.Packing.StreamBytes + cy.SecondTierBytes; len(buf) != want {
+				t.Fatalf("encoded %d bytes, want index %d + second tier %d", len(buf), cy.Packing.StreamBytes, cy.SecondTierBytes)
 			}
+			indexSeg, stSeg := buf[:cy.Packing.StreamBytes], buf[cy.Packing.StreamBytes:]
 			tier := core.OneTier
 			if mode == TwoTierMode {
 				tier = core.FirstTier
@@ -193,7 +194,7 @@ func TestEncodeCycleRoundTrip(t *testing.T) {
 						t.Errorf("decoded offset for doc %d = %d,%v want %d", p.ID, got, ok, p.Offset)
 					}
 				}
-				if stSeg != nil {
+				if len(stSeg) != 0 {
 					t.Error("one-tier produced a second tier")
 				}
 			} else {

@@ -70,8 +70,8 @@ type Config struct {
 	// serial single-channel program; K > 1 splits each cycle across K
 	// parallel streams sharing the aggregate bandwidth — channel 0 carries
 	// the cycle head, channel directory and first tier, channels 1..K-1
-	// carry second-tier stripes and documents. Requires TwoTierMode when
-	// greater than 1.
+	// carry second-tier stripes and documents. broadcast.Builder.SetChannels
+	// states which counts are legal.
 	Channels int
 }
 
@@ -101,23 +101,25 @@ type Pending struct {
 // single channel-aware plan type of package broadcast.
 type Cycle = broadcast.Cycle
 
-// Encoded holds one cycle's wire segments. The index and offset segments
-// share one pooled backing buffer: callers that fully consume them may return
-// it with Engine.Recycle, callers that retain them (e.g. broadcast fan-out
-// queues) simply let the GC take it. Docs entries, and the on-air forms Air
-// returns, point into the engine's per-document cache and are shared,
-// immutable, and never recycled.
+// Encoded holds one cycle's wire segments, every one the cycle airs, in the
+// order it airs them. The head, index and offset segments share one pooled
+// backing buffer: callers that fully consume them may return it with
+// Engine.Recycle, callers that retain them (e.g. broadcast fan-out queues)
+// simply let the GC take it. Docs entries, and the on-air forms Air returns,
+// point into the engine's per-document cache and are shared, immutable, and
+// never recycled.
 type Encoded struct {
-	// Index is the packed index segment.
+	// Head is the cycle head (wire.CycleHead), Cycle.HeadBytes long.
+	Head []byte
+	// Index is the packed index segment, Cycle.IndexStreamBytes long.
 	Index []byte
-	// SecondTier is the offset-list segment; nil in one-tier mode and in
-	// multichannel cycles (which stripe it into SecondTiers).
-	SecondTier []byte
-	// ChannelDir is the channel-directory segment; nil in single-channel
-	// cycles.
+	// ChannelDir is the channel-directory segment, Cycle.DirBytes long:
+	// empty in single-channel cycles.
 	ChannelDir []byte
-	// SecondTiers holds each data channel's second-tier stripe (entry i is
-	// channel i+1); nil in single-channel cycles.
+	// SecondTiers holds one offset list per stream that carries documents:
+	// the serial stream's at K = 1 (Cycle.SecondTierBytes long), data
+	// channel i+1's stripe at K > 1 (its ChannelLayout.SecondTierBytes). In
+	// one-tier mode the single entry is empty: the offsets ride in the index.
 	SecondTiers [][]byte
 	// Docs holds one payload per scheduled document, in broadcast order
 	// (Cycle.Docs order — in multichannel cycles entry i rides the channel
@@ -126,7 +128,7 @@ type Encoded struct {
 	Docs [][]byte
 
 	air [][]byte // parallel to Docs once anything is attached; see Air
-	buf []byte   // pooled backing of the index and offset segments
+	buf []byte   // pooled backing of the head, index and offset segments
 }
 
 // Air returns the on-air form cached beside Docs[i] when the cycle was
@@ -199,10 +201,11 @@ func New(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Channels > 1 {
-		if err := builder.SetChannels(cfg.Channels); err != nil {
-			return nil, fmt.Errorf("engine: %w", err)
-		}
+	if cfg.Channels == 0 {
+		cfg.Channels = 1
+	}
+	if err := builder.SetChannels(cfg.Channels); err != nil {
+		return nil, fmt.Errorf("engine: %w", err)
 	}
 	if cfg.IndexEncoding != core.EncodingNode {
 		if err := builder.SetEncoding(cfg.IndexEncoding); err != nil {
@@ -515,57 +518,54 @@ func (e *Engine) pruneOnce(ci *core.Index, queries []xpath.Path, deadline time.T
 	return pci, nil
 }
 
-// EncodeCycle produces the cycle's wire segments: the packed index, the
-// second-tier offset list (two-tier mode; one stripe per data channel in
-// multichannel cycles, plus the channel directory) and one framed payload per
-// scheduled document. Index/offset bytes come from a buffer pool; document
-// payloads are cached across cycles, each with the on-air form its driver
-// attached, so rebroadcasting a document costs no allocation. See Encoded for
-// the buffer ownership rules.
+// EncodeCycle produces every wire segment the cycle airs: the head, the
+// packed index, the channel directory (K > 1) and one second-tier offset list
+// per stream that carries documents (two-tier mode), cut apart at the
+// cycle's own sizes, and one framed payload per scheduled document. Head,
+// index and offset bytes come from a buffer pool; document payloads are
+// cached across cycles, each with the on-air form its driver attached, so
+// rebroadcasting a document costs no allocation. See Encoded for the buffer
+// ownership rules.
 func (e *Engine) EncodeCycle(c *Cycle) (_ *Encoded, err error) {
 	start := time.Now()
 	bufp := e.segPool.Get().(*[]byte)
 	buf := (*bufp)[:0]
 	// Every error return must hand the pooled buffer back; buf may have been
-	// regrown by AppendEncoded, so re-point bufp at the latest backing.
+	// regrown by the appends, so re-point bufp at the latest backing.
 	defer func() {
 		if err != nil {
 			*bufp = buf[:0]
 			e.segPool.Put(bufp)
 		}
 	}()
-	enc := &Encoded{}
-	segments := 1 + len(c.Docs)
-	if len(c.Channels) > 1 {
-		var cuts []int
-		buf, cuts, err = e.builder.AppendEncodedChannels(buf, c)
-		if err != nil {
-			return nil, err
-		}
-		enc.buf = buf
-		segs := make([][]byte, len(cuts))
-		prev := 0
-		for i, cut := range cuts {
-			segs[i] = buf[prev:cut:cut]
-			prev = cut
-		}
-		enc.Index = segs[0]
-		enc.ChannelDir = segs[1]
-		enc.SecondTiers = segs[2:]
-		segments += 1 + len(enc.SecondTiers)
+	if buf, err = c.Head.Append(buf); err != nil {
+		return nil, fmt.Errorf("engine: encode cycle head: %w", err)
+	}
+	if buf, err = e.builder.AppendEncoded(buf, c); err != nil {
+		return nil, err
+	}
+	if want := c.HeadBytes + c.IndexStreamBytes() + c.DirBytes + c.SecondTierBytes; len(buf) != want {
+		return nil, fmt.Errorf("engine: cycle %d encodes to %d bytes, its sizes sum to %d", c.Number, len(buf), want)
+	}
+	enc := &Encoded{buf: buf}
+	off := 0
+	cut := func(n int) []byte {
+		seg := buf[off : off+n : off+n]
+		off += n
+		return seg
+	}
+	enc.Head = cut(c.HeadBytes)
+	enc.Index = cut(c.IndexStreamBytes())
+	enc.ChannelDir = cut(c.DirBytes)
+	if len(c.Channels) == 0 {
+		enc.SecondTiers = [][]byte{cut(c.SecondTierBytes)}
 	} else {
-		buf, err = e.builder.AppendEncoded(buf, c)
-		if err != nil {
-			return nil, err
-		}
-		enc.buf = buf
-		indexLen := c.IndexStreamBytes()
-		enc.Index = buf[:indexLen:indexLen]
-		if len(buf) > indexLen {
-			enc.SecondTier = buf[indexLen:len(buf):len(buf)]
-			segments++
+		enc.SecondTiers = make([][]byte, len(c.Channels)-1)
+		for i := range enc.SecondTiers {
+			enc.SecondTiers[i] = cut(c.Channels[i+1].SecondTierBytes)
 		}
 	}
+	segments := 3 + len(enc.SecondTiers) + len(c.Docs)
 	total := len(buf)
 	enc.Docs = make([][]byte, 0, len(c.Docs))
 	evicted := 0
@@ -615,15 +615,14 @@ func (e *Engine) AttachAir(enc *Encoded, i int, air []byte) {
 }
 
 // Recycle returns an Encoded's pooled buffer for reuse. Only call it when the
-// index and offset segment slices are fully consumed; the Docs payloads and
-// their on-air forms are cache entries and remain valid.
+// head, index and offset segment slices are fully consumed; the Docs payloads
+// and their on-air forms are cache entries and remain valid.
 func (e *Engine) Recycle(enc *Encoded) {
 	if enc == nil || enc.buf == nil {
 		return
 	}
 	buf := enc.buf
-	enc.buf, enc.Index, enc.SecondTier = nil, nil, nil
-	enc.ChannelDir, enc.SecondTiers = nil, nil
+	enc.buf, enc.Head, enc.Index, enc.ChannelDir, enc.SecondTiers = nil, nil, nil, nil, nil
 	e.segPool.Put(&buf)
 }
 

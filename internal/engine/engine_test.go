@@ -10,6 +10,7 @@ import (
 	"repro/internal/dtd"
 	"repro/internal/gen"
 	"repro/internal/schedule"
+	"repro/internal/wire"
 	"repro/internal/xmldoc"
 	"repro/internal/xpath"
 	"repro/internal/yfilter"
@@ -47,6 +48,75 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := New(Config{Collection: c, Mode: 0, CycleCapacity: 1000}); err == nil {
 		t.Error("invalid mode should fail")
+	}
+	for _, tc := range []struct {
+		mode     broadcast.Mode
+		channels int
+	}{{broadcast.TwoTierMode, -1}, {broadcast.TwoTierMode, 257}, {broadcast.OneTierMode, 2}} {
+		if _, err := New(Config{Collection: c, Mode: tc.mode, Channels: tc.channels, CycleCapacity: 1000}); err == nil {
+			t.Errorf("%s with %d channels should fail", tc.mode, tc.channels)
+		}
+	}
+}
+
+// TestEncodedSegmentsMatchCycleSizes encodes a cycle for every index
+// organisation at K = 1, 2 and 4 and checks that each segment EncodeCycle
+// cuts is exactly the size the cycle's layout accounts for — the sizes the
+// simulator's byte clock runs on — and that the head decodes to the cycle.
+func TestEncodedSegmentsMatchCycleSizes(t *testing.T) {
+	c, queries := fixture(t, 20, 12)
+	for _, org := range []struct {
+		name string
+		mode broadcast.Mode
+		enc  core.IndexEncoding
+	}{
+		{"one-tier", broadcast.OneTierMode, core.EncodingNode},
+		{"two-tier-node", broadcast.TwoTierMode, core.EncodingNode},
+		{"two-tier-succinct", broadcast.TwoTierMode, core.EncodingSuccinct},
+	} {
+		for _, k := range []int{1, 2, 4} {
+			if org.mode == broadcast.OneTierMode && k > 1 {
+				continue // refused: see TestNewValidation
+			}
+			e, err := New(Config{Collection: c, Mode: org.mode, IndexEncoding: org.enc, Channels: k, CycleCapacity: c.TotalSize() / 2})
+			if err != nil {
+				t.Fatalf("%s K=%d: %v", org.name, k, err)
+			}
+			cy, err := e.AssembleCycle(3, 0, pendingFor(t, e, queries))
+			if err != nil {
+				t.Fatalf("%s K=%d: %v", org.name, k, err)
+			}
+			enc, err := e.EncodeCycle(cy)
+			if err != nil {
+				t.Fatalf("%s K=%d: %v", org.name, k, err)
+			}
+			if len(enc.Head) != cy.HeadBytes || len(enc.Index) != cy.IndexStreamBytes() || len(enc.ChannelDir) != cy.DirBytes {
+				t.Errorf("%s K=%d: head/index/directory are %d/%d/%d bytes, the cycle sizes them %d/%d/%d", org.name, k,
+					len(enc.Head), len(enc.Index), len(enc.ChannelDir), cy.HeadBytes, cy.IndexStreamBytes(), cy.DirBytes)
+			}
+			want := []int{cy.SecondTierBytes}
+			if k > 1 {
+				want = want[:0]
+				for _, lay := range cy.Channels[1:] {
+					want = append(want, lay.SecondTierBytes)
+				}
+			}
+			got := make([]int, len(enc.SecondTiers))
+			for i, st := range enc.SecondTiers {
+				got[i] = len(st)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s K=%d: second tiers are %v bytes, the cycle sizes them %v", org.name, k, got, want)
+			}
+			h, err := wire.DecodeCycleHead(enc.Head)
+			if err != nil {
+				t.Fatalf("%s K=%d: head: %v", org.name, k, err)
+			}
+			if !reflect.DeepEqual(*h, cy.Head) || h.Number != 3 || int(h.NumDocs) != len(cy.Docs) {
+				t.Errorf("%s K=%d: head decodes to %+v, the cycle's is %+v", org.name, k, *h, cy.Head)
+			}
+			e.Recycle(enc)
+		}
 	}
 }
 
@@ -189,14 +259,13 @@ func TestAssembleCycleMatchesDirectBuilder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantIdx, wantST, err := builder.Encode(want)
+	wantSegs, err := builder.AppendEncoded(nil, want)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(enc.Index, wantIdx) {
+	if n := want.IndexStreamBytes(); !bytes.Equal(enc.Index, wantSegs[:n]) {
 		t.Error("index segments differ")
-	}
-	if !bytes.Equal(enc.SecondTier, wantST) {
+	} else if !bytes.Equal(enc.SecondTiers[0], wantSegs[n:]) {
 		t.Error("second-tier segments differ")
 	}
 	if len(enc.Docs) != len(cy.Docs) {

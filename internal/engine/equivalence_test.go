@@ -23,10 +23,9 @@ import (
 // Multichannel cycles also carry the channel directory and each data
 // channel's second-tier stripe and documents (stripe order).
 type capturedCycle struct {
-	number     int64
-	index      []byte
-	secondTier []byte
-	docs       [][]byte
+	number int64
+	index  []byte
+	docs   [][]byte
 
 	channelDir  []byte
 	secondTiers [][]byte
@@ -41,7 +40,6 @@ func captureSink(out *[]capturedCycle) func(*engine.Cycle, *engine.Encoded) {
 		cc := capturedCycle{
 			number:     cy.Number,
 			index:      append([]byte(nil), enc.Index...),
-			secondTier: append([]byte(nil), enc.SecondTier...),
 			channelDir: append([]byte(nil), enc.ChannelDir...),
 		}
 		for _, d := range enc.Docs {
@@ -107,8 +105,8 @@ func compareCycles(t *testing.T, simCycles []capturedCycle, netCycles []netcast.
 		if !bytes.Equal(got.IndexSeg, want.index) {
 			t.Errorf("cycle %d: index segments differ (%d vs %d bytes)", i, len(got.IndexSeg), len(want.index))
 		}
-		if !bytes.Equal(got.SecondTierSeg, want.secondTier) {
-			t.Errorf("cycle %d: second-tier segments differ (%d vs %d bytes)", i, len(got.SecondTierSeg), len(want.secondTier))
+		if !bytes.Equal(got.SecondTierSeg, want.secondTiers[0]) {
+			t.Errorf("cycle %d: second-tier segments differ (%d vs %d bytes)", i, len(got.SecondTierSeg), len(want.secondTiers[0]))
 		}
 		if len(got.Docs) != len(want.docs) {
 			t.Fatalf("cycle %d: netcast carried %d documents, sim %d", i, len(got.Docs), len(want.docs))

@@ -75,7 +75,7 @@ func goldenCycles(t *testing.T) []byte {
 			t.Fatal(err)
 		}
 		writeSeg(enc.Index)
-		writeSeg(enc.SecondTier)
+		writeSeg(enc.SecondTiers[0])
 		var n [4]byte
 		binary.LittleEndian.PutUint32(n[:], uint32(len(enc.Docs)))
 		out.Write(n[:])

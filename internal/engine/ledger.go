@@ -20,9 +20,9 @@ import (
 // without one the lifecycle is in memory). Like the engine below it, a
 // Ledger is not safe for concurrent use: one goroutine owns it (the restart
 // driver's script, the server's cycle loop) and every other goroutine asks
-// that owner. Assemble and Commit alternate there with one cycle in flight,
-// and an admission or a document write that the owner runs between them is
-// covered by the next cycle, as it would have been anyway.
+// that owner. A cycle is one call, Air, from snapshot to commit, so nothing
+// the owner runs lands inside a cycle: an admission or a document write is
+// covered by the next one.
 type Ledger struct {
 	eng *Engine
 	jn  *journal.Journal // nil: in memory
@@ -32,13 +32,9 @@ type Ledger struct {
 	// to the engine as is while a cycle assembles, shrunk in place otherwise.
 	pending []Pending
 	nextID  int64 // the last ID assigned
-	cycles  int64 // the next cycle number
-	// watermark is nextID at the in-flight cycle's snapshot: that cycle saw
-	// exactly the requests whose ID is at most this.
-	watermark int64
-	// committed is the journal's cycle counter, the last committed cycle + 1:
-	// while a cycle is in flight it is one behind cycles.
-	committed int64
+	// cycles is the next cycle number: the last committed cycle + 1, which
+	// is also the journal's cycle counter.
+	cycles int64
 	// served remembers retired requests for Lookup, as replay does
 	// (journaled ledgers only).
 	served journal.ServedMemory
@@ -65,7 +61,7 @@ func NewLedger(eng *Engine, jn *journal.Journal, st *journal.State) (*Ledger, er
 	if jn == nil {
 		return l, nil
 	}
-	l.nextID, l.cycles, l.committed, l.served = st.NextID, st.Cycles, st.Cycles, st.Served
+	l.nextID, l.cycles, l.served = st.NextID, st.Cycles, st.Served
 	fp := eng.CollectionFingerprint()
 	drifted := st.Fingerprint != 0 && st.Fingerprint != fp
 	held := eng.docIDs()
@@ -152,45 +148,53 @@ func (l *Ledger) Admit(q xpath.Path, max int) (cycle, id int64, err error) {
 	return l.cycles, id, nil
 }
 
-// Assemble snapshots the pending set — lends it to the engine — claims the next cycle number and assembles and encodes that cycle; the
-// cycle number is the scheduler's clock as well as the cycle's start. While
-// nothing is pending it claims no number and returns a nil cycle.
-func (l *Ledger) Assemble() (*Cycle, *Encoded, error) {
+// Air runs one cycle over the pending set, snapshot to commit: it lends the
+// set to the engine, assembles and encodes the next cycle — its number is the
+// scheduler's clock as well as the cycle's start — hands it to air, and
+// commits it once air returns. Every pending request loses what the cycle
+// committed to it (Cycle.Commitments: on a multichannel cycle only what a
+// single tuner could receive; the request's admission cycle is its first
+// covering cycle, where its client is still reading the first tier). The
+// commit is journaled first. A cycle that fails to assemble, air or commit
+// leaves the pending set and the cycle number as they were, so the cycle
+// re-airs. While nothing is pending Air does nothing and returns a nil
+// cycle. retired lists the requests the cycle drained, in ID order, and is
+// valid until the next commit.
+func (l *Ledger) Air(air func(*Cycle, *Encoded) error) (cy *Cycle, retired []int64, err error) {
 	if len(l.pending) == 0 {
 		return nil, nil, nil
 	}
-	l.watermark = l.nextID
 	num := l.cycles
-	l.cycles++
-	cy, err := l.eng.AssembleCycle(num, num, l.pending)
-	if err != nil {
+	if cy, err = l.eng.AssembleCycle(num, num, l.pending); err != nil {
 		return nil, nil, err
 	}
 	enc, err := l.eng.EncodeCycle(cy)
-	return cy, enc, err
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := air(cy, enc); err != nil {
+		return nil, nil, err
+	}
+	retired, err = l.commit(num, cy)
+	return cy, retired, err
 }
 
-// Commit closes cy, the cycle Assemble returned. Every request in the cycle's
-// snapshot loses what the cycle committed to it (Cycle.Commitments: on a
-// multichannel cycle only what a single tuner could receive; the request's
-// admission cycle is its first covering cycle, where its client is still
-// reading the first tier). A request admitted since the snapshot loses
-// nothing: its documents were not announced in this index. The commit is
-// journaled first; a commit that fails leaves the pending set as it was, so
-// the cycle re-airs. A nil cy commits an idle cycle: it claims the next cycle
-// number and journals no deliveries. retired lists the requests the cycle
-// drained, in ID order, and is valid until the next Commit.
-func (l *Ledger) Commit(cy *Cycle) (retired []int64, err error) {
-	num := l.cycles
+// Idle commits an empty cycle: it claims the next cycle number and journals
+// no deliveries. A driver that counts cycles while nothing is pending (the
+// restart driver keeps its cycle counter aligned with the journal this way)
+// commits one instead of calling Air.
+func (l *Ledger) Idle() error {
+	_, err := l.commit(l.cycles, nil)
+	return err
+}
+
+// commit journals cycle num's deliveries — none for an idle cycle (nil cy) —
+// then shrinks the pending set by them, retires the requests they drain and
+// advances the cycle number past num.
+func (l *Ledger) commit(num int64, cy *Cycle) ([]int64, error) {
 	deliveries, delivered := l.deliveries[:0], l.delivered[:0]
-	if cy == nil {
-		l.cycles++
-	} else {
-		num = cy.Number
+	if cy != nil {
 		for _, r := range l.pending {
-			if r.ID > l.watermark {
-				continue
-			}
 			l.recv = cy.Commitments(l.recv[:0], r.Remaining, num == r.Arrival)
 			if len(l.recv) == 0 {
 				continue
@@ -209,8 +213,8 @@ func (l *Ledger) Commit(cy *Cycle) (retired []int64, err error) {
 		if err := l.jn.Commit(num, deliveries); err != nil {
 			return nil, err
 		}
-		l.committed = max(l.committed, num+1)
 	}
+	l.cycles = num + 1
 	for i := range l.pending {
 		if r := &l.pending[i]; len(deliveries) > 0 && deliveries[0].ID == r.ID {
 			for _, d := range deliveries[0].Docs {
@@ -234,7 +238,7 @@ func (l *Ledger) RemoveDocument(id xmldoc.DocID) error {
 	for i := range l.pending {
 		l.pending[i].Remaining = xmldoc.RemoveID(l.pending[i].Remaining, id)
 	}
-	l.remember(l.drain(nil), l.committed)
+	l.remember(l.drain(nil), l.cycles)
 	if l.jn != nil {
 		return l.jn.DocRemoved(uint16(id), l.eng.CollectionFingerprint())
 	}
@@ -296,7 +300,7 @@ func (l *Ledger) Lookup(id int64) (pending, served bool, cycle int64) {
 // Len reports the number of pending requests.
 func (l *Ledger) Len() int { return len(l.pending) }
 
-// Cycles reports how many cycle numbers have been claimed: the next cycle's
+// Cycles reports how many cycles have been committed: the next cycle's
 // number.
 func (l *Ledger) Cycles() int64 { return l.cycles }
 

@@ -14,14 +14,13 @@ import (
 )
 
 // TestLedgerMatchesJournal drives a journaled ledger through seeded random
-// sequences of admissions, cycle snapshots, commits, document removals and
-// kill-and-reopen restarts — no sockets, no clock — and checks after every
-// step that the ledger's pending set and served memory are what a recovery
-// at that instant rebuilds from the state directory (journal.ReadState), with
-// compactions every 16 records inside the walk; a restart must recover
-// exactly the pending set the killed ledger held. It also checks the watermark: a
-// request admitted between a cycle's snapshot and its commit loses nothing to
-// that commit, and the next cycle is the one that covers it.
+// sequences of admissions, cycles, document removals and kill-and-reopen
+// restarts — no sockets, no clock — and checks after every step that the
+// ledger's pending set and served memory are what a recovery at that instant
+// rebuilds from the state directory (journal.ReadState), with compactions
+// every 16 records inside the walk; a restart must recover exactly the
+// pending set the killed ledger held. It also checks that the cycle Admit
+// promises is the one that first covers the request.
 func TestLedgerMatchesJournal(t *testing.T) {
 	c, queries := fixture(t, 30, 20)
 	for seed := int64(1); seed <= 6; seed++ {
@@ -58,11 +57,7 @@ func ledgerWalk(t *testing.T, c *xmldoc.Collection, queries []xpath.Path, seed i
 	open()
 	defer func() { jn.Kill() }()
 
-	var (
-		inflight *Cycle
-		late     []int64 // admitted while inflight was assembled and not yet committed
-		covered  = map[int64]int64{}
-	)
+	covered := map[int64]int64{}
 	for step := 0; step < 400; step++ {
 		op := rng.Intn(20)
 		switch {
@@ -79,43 +74,20 @@ func ledgerWalk(t *testing.T, c *xmldoc.Collection, queries []xpath.Path, seed i
 				t.Fatalf("step %d: request %d covered from cycle %d, the next cycle is %d", step, id, cycle, l.Cycles())
 			}
 			covered[id] = cycle
-			if inflight != nil {
-				late = append(late, id)
-			}
-		case op < 12:
-			if inflight != nil {
-				break
-			}
-			cy, enc, err := l.Assemble()
-			if err != nil {
-				t.Fatalf("step %d: Assemble: %v", step, err)
-			}
-			if cy == nil {
-				break
-			}
-			l.eng.Recycle(enc)
-			inflight = cy
-			for _, p := range l.Pending() { // the snapshot: nothing changed since
-				if want, ok := covered[p.ID]; ok && want != cy.Number {
-					t.Fatalf("step %d: request %d first snapshotted by cycle %d, promised cycle %d", step, p.ID, cy.Number, want)
-				}
-				delete(covered, p.ID)
-			}
 		case op < 16:
-			if inflight == nil {
-				break
-			}
-			before := l.Pending()
-			if _, err := l.Commit(inflight); err != nil {
-				t.Fatalf("step %d: Commit: %v", step, err)
-			}
-			after := l.Pending()
-			for _, id := range late {
-				if i, j := pendingIndex(before, id), pendingIndex(after, id); i >= 0 && (j < 0 || !slices.Equal(before[i].Remaining, after[j].Remaining)) {
-					t.Fatalf("step %d: cycle %d's commit took documents from request %d, admitted after its snapshot", step, inflight.Number, id)
+			_, _, err := l.Air(func(cy *Cycle, enc *Encoded) error {
+				l.eng.Recycle(enc)
+				for _, p := range l.Pending() { // the snapshot: nothing changed since
+					if want, ok := covered[p.ID]; ok && want != cy.Number {
+						t.Fatalf("step %d: request %d first snapshotted by cycle %d, promised cycle %d", step, p.ID, cy.Number, want)
+					}
+					delete(covered, p.ID)
 				}
+				return nil
+			})
+			if err != nil {
+				t.Fatalf("step %d: Air: %v", step, err)
 			}
-			inflight, late = nil, nil
 		case op < 19:
 			if len(live) <= 5 {
 				break
@@ -135,7 +107,6 @@ func ledgerWalk(t *testing.T, c *xmldoc.Collection, queries []xpath.Path, seed i
 			before := l.Pending()
 			jn.Kill()
 			open()
-			inflight, late = nil, nil
 			clear(covered)
 			if !samePending(l.Pending(), before) {
 				t.Fatalf("step %d: recovered %v, the killed ledger held %v", step, l.Pending(), before)
@@ -183,12 +154,7 @@ func TestLedgerServedHorizon(t *testing.T) {
 			ids = append(ids, id)
 		}
 		for l.Len() > 0 {
-			cy, enc, err := l.Assemble()
-			if err != nil {
-				t.Fatal(err)
-			}
-			l.eng.Recycle(enc)
-			if _, err := l.Commit(cy); err != nil {
+			if _, _, err := l.Air(func(_ *Cycle, enc *Encoded) error { l.eng.Recycle(enc); return nil }); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -70,11 +70,12 @@ func referenceCycle(t *testing.T, b *broadcast.Builder, sched schedule.Scheduler
 	if err != nil {
 		t.Fatal(err)
 	}
-	index, secondTier, err = b.Encode(cy)
+	segs, err := b.AppendEncoded(nil, cy)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return cy, index, secondTier
+	n := cy.IndexStreamBytes()
+	return cy, segs[:n], segs[n:]
 }
 
 // TestPruneIncrementalAcrossCycles drives the engine through a drifting query
@@ -112,7 +113,7 @@ func TestPruneIncrementalAcrossCycles(t *testing.T) {
 	if !bytes.Equal(encGot.Index, wantIndex) {
 		t.Error("incremental PCI index segment differs from from-scratch prune")
 	}
-	if !bytes.Equal(encGot.SecondTier, wantSecondTier) {
+	if !bytes.Equal(encGot.SecondTiers[0], wantSecondTier) {
 		t.Error("incremental second-tier segment differs from from-scratch prune")
 	}
 	e.Recycle(encGot)

@@ -284,8 +284,9 @@ func (a *AdaptiveLimiter) State() AdaptiveState {
 }
 
 // StageDone implements engine.Probe: accumulate this cycle's assembly wall.
-// StageResolve is excluded — it is driven by uplink concurrency, not the cycle
-// loop — and the delta stages are sub-spans of the two they sit inside.
+// StageResolve is excluded — it runs on the cycle loop too, but it is
+// admission work, priced per submission, not cycle assembly — and the delta
+// stages are sub-spans of the two they sit inside.
 func (a *AdaptiveLimiter) StageDone(stage string, wall time.Duration, _, _ int) {
 	switch stage {
 	case engine.StageSchedule, engine.StageBuild, engine.StageEncode:

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/succinct"
 	"repro/internal/wire"
 	"repro/internal/xmldoc"
 )
@@ -117,7 +116,7 @@ type CycleRecord struct {
 	// Docs holds each document frame's payload: 2 ID bytes then XML.
 	Docs [][]byte
 
-	head *cycleHead
+	head *wire.CycleHead
 }
 
 // ChannelDir decodes the captured channel directory; nil for single-channel
@@ -150,29 +149,11 @@ func (r *CycleRecord) DecodeIndex(m core.SizeModel) (*core.Index, error) {
 	if r.head == nil {
 		return nil, fmt.Errorf("netcast: record carries no index (data channel capture)")
 	}
-	cat, err := wire.DecodeCatalog(r.head.Catalog)
-	if err != nil {
-		return nil, err
+	ix, st, _, err := decodeIndexSeg(r.IndexSeg, r.head, m)
+	if err != nil || st == nil {
+		return ix, err
 	}
-	if r.Succinct {
-		st, err := succinct.Parse(r.IndexSeg, m, cat)
-		if err != nil {
-			return nil, err
-		}
-		return st.Decode()
-	}
-	tier := core.OneTier
-	if r.TwoTier {
-		tier = core.FirstTier
-	}
-	ix, _, err := wire.DecodeIndex(r.IndexSeg, m, tier, cat)
-	if err != nil {
-		return nil, err
-	}
-	if err := wire.ApplyRootLabels(ix, r.head.RootLabels); err != nil {
-		return nil, err
-	}
-	return ix, nil
+	return st.Decode()
 }
 
 // SecondTier decodes the captured offset list.
@@ -228,7 +209,7 @@ func ReadCapture(r io.Reader) ([]CycleRecord, error) {
 				NumDocs:  ch.NumDocs,
 			}
 		case FrameCycleHead:
-			head, err := decodeCycleHead(payload)
+			head, err := wire.DecodeCycleHead(payload)
 			if err != nil {
 				return nil, err
 			}

@@ -562,7 +562,7 @@ type retrieval struct {
 // head, its channel directory (K > 1 only), the documents to catch in it and
 // the data channels carrying them.
 type cycleState struct {
-	head   *cycleHead
+	head   *wire.CycleHead
 	dir    []wire.ChannelDirEntry
 	want   map[xmldoc.DocID]struct{}
 	onChan []bool
@@ -633,7 +633,7 @@ func (r *retrieval) handle(fr airFrame) error {
 	case FrameChannelHead:
 		return r.onChannelHead(fr)
 	case FrameCycleHead:
-		h, err := decodeCycleHead(fr.payload)
+		h, err := wire.DecodeCycleHead(fr.payload)
 		if err != nil {
 			return errFrameCorrupt
 		}
@@ -918,31 +918,41 @@ func (c *Client) flushResubmits() {
 // automaton over it, returning the result doc IDs and (one-tier) offsets.
 // Under the succinct encoding the segment is navigated in place with a
 // cursor — no core.Index is ever materialized client-side.
-func (c *Client) decodeAndNavigate(seg []byte, head *cycleHead, nav *core.Navigator) ([]xmldoc.DocID, wire.DocOffsets, error) {
-	cat, err := wire.DecodeCatalog(head.Catalog)
+func (c *Client) decodeAndNavigate(seg []byte, head *wire.CycleHead, nav *core.Navigator) ([]xmldoc.DocID, wire.DocOffsets, error) {
+	ix, st, offs, err := decodeIndexSeg(seg, head, c.model)
 	if err != nil {
 		return nil, nil, err
 	}
-	if head.Succinct {
-		st, err := succinct.Parse(seg, c.model, cat)
-		if err != nil {
-			return nil, nil, err
-		}
+	if st != nil {
 		return st.NewCursor().Lookup(nav.Filter()), nil, nil
+	}
+	return nav.Lookup(ix).Docs, offs, nil
+}
+
+// decodeIndexSeg decodes a cycle's index segment as its head describes it:
+// the head's catalog, the tier its organisation names, its root labels. A
+// succinct first tier comes back parsed but not materialized (st); any other
+// index decoded (ix), with the document offsets a one-tier index embeds.
+func decodeIndexSeg(seg []byte, head *wire.CycleHead, m core.SizeModel) (ix *core.Index, st *succinct.Tier, offs wire.DocOffsets, err error) {
+	cat, err := wire.DecodeCatalog(head.Catalog)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	if head.Succinct {
+		st, err = succinct.Parse(seg, m, cat)
+		return nil, st, nil, err
 	}
 	tier := core.OneTier
 	if head.TwoTier {
 		tier = core.FirstTier
 	}
-	ix, offs, err := wire.DecodeIndex(seg, c.model, tier, cat)
-	if err != nil {
-		return nil, nil, err
+	if ix, offs, err = wire.DecodeIndex(seg, m, tier, cat); err != nil {
+		return nil, nil, nil, err
 	}
 	if err := wire.ApplyRootLabels(ix, head.RootLabels); err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	res := nav.Lookup(ix)
-	return res.Docs, offs, nil
+	return ix, nil, offs, nil
 }
 
 // collect returns the received documents sorted by ID.

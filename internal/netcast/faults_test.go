@@ -12,7 +12,6 @@ import (
 	"repro/internal/dtd"
 	"repro/internal/gen"
 	"repro/internal/netcast/chaos"
-	"repro/internal/wire"
 	"repro/internal/xmldoc"
 	"repro/internal/xpath"
 )
@@ -173,28 +172,18 @@ func cycleFrames(t *testing.T, b *broadcast.Builder, mode broadcast.Mode, num in
 	if err != nil {
 		t.Fatalf("BuildCycle: %v", err)
 	}
-	indexSeg, stSeg, err := b.Encode(cy)
+	headBytes, err := cy.Head.Append(nil)
 	if err != nil {
-		t.Fatalf("Encode: %v", err)
+		t.Fatalf("Head.Append: %v", err)
 	}
-	catBytes, err := cy.Catalog.Encode()
+	segs, err := b.AppendEncoded(nil, cy)
 	if err != nil {
-		t.Fatalf("Catalog.Encode: %v", err)
+		t.Fatalf("AppendEncoded: %v", err)
 	}
-	head := &cycleHead{
-		Number:     uint32(num),
-		TwoTier:    mode == broadcast.TwoTierMode,
-		NumDocs:    uint16(len(cy.Docs)),
-		Catalog:    catBytes,
-		RootLabels: wire.RootLabels(cy.Index),
-	}
-	headBytes, err := head.encode()
-	if err != nil {
-		t.Fatalf("head.encode: %v", err)
-	}
-	frames := []airFrame{{t: FrameCycleHead, payload: headBytes}, {t: FrameIndex, payload: indexSeg}}
-	if stSeg != nil {
-		frames = append(frames, airFrame{t: FrameSecondTier, payload: stSeg})
+	n := cy.IndexStreamBytes()
+	frames := []airFrame{{t: FrameCycleHead, payload: headBytes}, {t: FrameIndex, payload: segs[:n]}}
+	if mode == broadcast.TwoTierMode {
+		frames = append(frames, airFrame{t: FrameSecondTier, payload: segs[n:]})
 	}
 	for _, p := range cy.Docs {
 		doc := b.DocByID(p.ID)

@@ -16,7 +16,6 @@ package netcast
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -34,7 +33,7 @@ const (
 	// FrameAck acknowledges an uplink request: payload is "ok" or an error
 	// message prefixed with "err:".
 	FrameAck
-	// FrameCycleHead starts a cycle: payload is the encoded cycleHead.
+	// FrameCycleHead starts a cycle: payload is the encoded wire.CycleHead.
 	FrameCycleHead
 	// FrameIndex carries the packed index segment.
 	FrameIndex
@@ -418,99 +417,5 @@ func decodeChannelHead(data []byte) (*channelHead, error) {
 	if (h.Role == channelRoleIndex) != (h.Channel == 0) {
 		return nil, fmt.Errorf("netcast: channel %d with role %d", h.Channel, h.Role)
 	}
-	return h, nil
-}
-
-// cycleHead is the decoded head segment of one cycle. The organisation byte
-// (offset 4) negotiates the index layout per cycle: 0 = one-tier, 1 =
-// two-tier with the node-pointer index, 2 = two-tier with the succinct
-// balanced-parentheses tier. Clients that predate value 2 reject the head
-// cleanly instead of mis-decoding the index segment.
-type cycleHead struct {
-	Number     uint32
-	TwoTier    bool
-	Succinct   bool // first tier is the succinct encoding (implies TwoTier)
-	NumDocs    uint16
-	Catalog    []byte   // encoded wire.Catalog
-	RootLabels []string // labels of index roots, in root order
-}
-
-// encode serialises the head.
-func (h *cycleHead) encode() ([]byte, error) {
-	if len(h.RootLabels) > 0xFF {
-		return nil, fmt.Errorf("netcast: %d root labels exceed limit", len(h.RootLabels))
-	}
-	out := make([]byte, 0, 16+len(h.Catalog))
-	var num [4]byte
-	binary.LittleEndian.PutUint32(num[:], h.Number)
-	out = append(out, num[:]...)
-	switch {
-	case h.Succinct:
-		if !h.TwoTier {
-			return nil, fmt.Errorf("netcast: succinct cycle head requires two-tier")
-		}
-		out = append(out, 2)
-	case h.TwoTier:
-		out = append(out, 1)
-	default:
-		out = append(out, 0)
-	}
-	var nd [2]byte
-	binary.LittleEndian.PutUint16(nd[:], h.NumDocs)
-	out = append(out, nd[:]...)
-	out = append(out, byte(len(h.RootLabels)))
-	for _, l := range h.RootLabels {
-		if len(l) > 0xFF {
-			return nil, fmt.Errorf("netcast: root label %q too long", l)
-		}
-		out = append(out, byte(len(l)))
-		out = append(out, l...)
-	}
-	var cl [4]byte
-	binary.LittleEndian.PutUint32(cl[:], uint32(len(h.Catalog)))
-	out = append(out, cl[:]...)
-	out = append(out, h.Catalog...)
-	return out, nil
-}
-
-// decodeCycleHead is the inverse of encode.
-func decodeCycleHead(data []byte) (*cycleHead, error) {
-	if len(data) < 8 {
-		return nil, fmt.Errorf("netcast: cycle head truncated")
-	}
-	if data[4] > 2 {
-		return nil, fmt.Errorf("netcast: cycle head organisation %d unknown", data[4])
-	}
-	h := &cycleHead{
-		Number:   binary.LittleEndian.Uint32(data),
-		TwoTier:  data[4] >= 1,
-		Succinct: data[4] == 2,
-		NumDocs:  binary.LittleEndian.Uint16(data[5:]),
-	}
-	pos := 7
-	nRoots := int(data[pos])
-	pos++
-	for i := 0; i < nRoots; i++ {
-		if pos >= len(data) {
-			return nil, fmt.Errorf("netcast: cycle head truncated at root %d", i)
-		}
-		l := int(data[pos])
-		pos++
-		if pos+l > len(data) {
-			return nil, fmt.Errorf("netcast: root label %d truncated", i)
-		}
-		h.RootLabels = append(h.RootLabels, string(data[pos:pos+l]))
-		pos += l
-	}
-	if pos+4 > len(data) {
-		return nil, fmt.Errorf("netcast: cycle head catalog length truncated")
-	}
-	cl := int(binary.LittleEndian.Uint32(data[pos:]))
-	pos += 4
-	if pos+cl > len(data) {
-		return nil, fmt.Errorf("netcast: cycle head catalog truncated")
-	}
-	// Copied: the head outlives the frame buffer it was decoded from.
-	h.Catalog = bytes.Clone(data[pos : pos+cl])
 	return h, nil
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/netcast/transport"
+	"repro/internal/wire"
 )
 
 // FuzzFrame: flipping any single bit of a well-formed frame — in the sync
@@ -54,7 +55,7 @@ func FuzzFrame(f *testing.F) {
 // panic. The capture reader is the client's downlink reader, so this fuzzes
 // both; one seed is a bare stream, one a compressed stream with its hello.
 func FuzzReadCapture(f *testing.F) {
-	head, _ := (&cycleHead{Number: 1, TwoTier: true, NumDocs: 1, Catalog: []byte{0, 0}}).encode()
+	head, _ := (&wire.CycleHead{Number: 1, TwoTier: true, NumDocs: 1, Catalog: []byte{0, 0}}).Append(nil)
 	doc := append([]byte{7, 0}, bytes.Repeat([]byte("<x/>"), 64)...) // long enough to deflate
 	bare := []byte(captureMagic)
 	compressed := bytes.NewBufferString(captureMagic)
@@ -122,42 +123,6 @@ func FuzzDecodeReject(f *testing.F) {
 		// once the first decode has already truncated to milliseconds.
 		if again != retryAfter || reason2 != reason {
 			t.Fatalf("reject round trip unstable: %s/%q -> %s/%q", retryAfter, reason, again, reason2)
-		}
-	})
-}
-
-// FuzzDecodeCycleHead must never panic, and what it accepts must re-encode
-// and decode to the same head.
-func FuzzDecodeCycleHead(f *testing.F) {
-	good, err := (&cycleHead{Number: 3, TwoTier: true, NumDocs: 2, Catalog: []byte{9}, RootLabels: []string{"a"}}).encode()
-	if err != nil {
-		f.Fatal(err)
-	}
-	succ, err := (&cycleHead{Number: 4, TwoTier: true, Succinct: true, NumDocs: 1, Catalog: []byte{9}}).encode()
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(good)
-	f.Add(succ)
-	f.Add([]byte{})
-	f.Add([]byte{1, 0, 0, 0, 1, 2, 0, 1, 3})
-	f.Add([]byte{1, 0, 0, 0, 3, 2, 0, 0, 0, 0, 0, 0}) // organisation byte 3: unknown
-	f.Fuzz(func(t *testing.T, data []byte) {
-		h, err := decodeCycleHead(data)
-		if err != nil {
-			return
-		}
-		back, err := h.encode()
-		if err != nil {
-			t.Fatalf("re-encode of accepted head failed: %v", err)
-		}
-		again, err := decodeCycleHead(back)
-		if err != nil {
-			t.Fatalf("round trip decode failed: %v", err)
-		}
-		if again.Number != h.Number || again.TwoTier != h.TwoTier || again.Succinct != h.Succinct ||
-			again.NumDocs != h.NumDocs || len(again.RootLabels) != len(h.RootLabels) {
-			t.Fatal("cycle head round trip unstable")
 		}
 	})
 }

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/broadcast"
 	"repro/internal/core"
+	"repro/internal/wire"
 	"repro/internal/xmldoc"
 	"repro/internal/xpath"
 )
@@ -238,11 +239,11 @@ func TestMultichannelCapture(t *testing.T) {
 // cycle head, channel directory or first tier turning up on a data stream is
 // dozed and leaves the head, the wanted set and the tuner where they were.
 func TestStrayIndexFramesOnDataChannelAreDozed(t *testing.T) {
-	stray, err := (&cycleHead{Number: 9, TwoTier: true}).encode()
+	stray, err := (&wire.CycleHead{Number: 9, TwoTier: true}).Append(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	head := &cycleHead{Number: 5, TwoTier: true}
+	head := &wire.CycleHead{Number: 5, TwoTier: true}
 	want := map[xmldoc.DocID]struct{}{3: {}}
 	r := &retrieval{
 		c:           &Client{chans: []*chanStream{{}, {}}},

@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dtd"
 	"repro/internal/gen"
+	"repro/internal/wire"
 	"repro/internal/xmldoc"
 	"repro/internal/xpath"
 )
@@ -205,20 +206,28 @@ func TestServerProgress(t *testing.T) {
 	}
 }
 
+// TestFrameRoundTrip carries a cycle head through the frame layer: framed,
+// read back and decoded, it is the head that was sent.
 func TestFrameRoundTrip(t *testing.T) {
-	h := &cycleHead{Number: 42, TwoTier: true, NumDocs: 7, Catalog: []byte{1, 2, 3}, RootLabels: []string{"nitf", "x"}}
-	data, err := h.encode()
+	h := &wire.CycleHead{Number: 42, TwoTier: true, NumDocs: 7, Catalog: []byte{1, 2, 3}, RootLabels: []string{"nitf", "x"}}
+	data, err := h.Append(nil)
 	if err != nil {
-		t.Fatalf("encode: %v", err)
+		t.Fatalf("Append: %v", err)
 	}
-	back, err := decodeCycleHead(data)
+	stream, err := appendFrame(nil, FrameCycleHead, data)
+	if err != nil {
+		t.Fatalf("appendFrame: %v", err)
+	}
+	ft, payload, err := readFrame(bytes.NewReader(stream))
+	if err != nil || ft != FrameCycleHead {
+		t.Fatalf("readFrame = type %d, %v", ft, err)
+	}
+	back, err := wire.DecodeCycleHead(payload)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	if back.Number != 42 || !back.TwoTier || back.NumDocs != 7 ||
-		!reflect.DeepEqual(back.RootLabels, h.RootLabels) ||
-		!reflect.DeepEqual(back.Catalog, h.Catalog) {
-		t.Errorf("round trip = %+v", back)
+	if !reflect.DeepEqual(back, h) {
+		t.Errorf("round trip = %+v, want %+v", back, h)
 	}
 }
 
@@ -226,8 +235,8 @@ func TestFrameRoundTrip(t *testing.T) {
 // buffer, so a payload is overwritten by the next read — and a decoded cycle
 // head, which outlives its frame, must hold its own copy of the catalog.
 func TestFrameSourceReusesBuffer(t *testing.T) {
-	h := &cycleHead{Number: 42, TwoTier: true, Catalog: []byte{1, 2, 3, 4, 5, 6, 7, 8}}
-	headBytes, err := h.encode()
+	h := &wire.CycleHead{Number: 42, TwoTier: true, Catalog: []byte{1, 2, 3, 4, 5, 6, 7, 8}}
+	headBytes, err := h.Append(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +254,7 @@ func TestFrameSourceReusesBuffer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := decodeCycleHead(first.payload)
+	back, err := wire.DecodeCycleHead(first.payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,18 +267,5 @@ func TestFrameSourceReusesBuffer(t *testing.T) {
 	}
 	if !bytes.Equal(back.Catalog, h.Catalog) {
 		t.Errorf("cycle head catalog = %v after the next read, want %v", back.Catalog, h.Catalog)
-	}
-}
-
-func TestDecodeCycleHeadErrors(t *testing.T) {
-	tests := [][]byte{
-		nil,
-		{1, 2, 3},
-		{1, 0, 0, 0, 1, 0, 0, 2, 5}, // truncated root label
-	}
-	for i, data := range tests {
-		if _, err := decodeCycleHead(data); err == nil {
-			t.Errorf("case %d decoded", i)
-		}
 	}
 }

@@ -19,7 +19,6 @@ import (
 	"repro/internal/journal"
 	"repro/internal/netcast/transport"
 	"repro/internal/schedule"
-	"repro/internal/wire"
 	"repro/internal/xmldoc"
 	"repro/internal/xpath"
 )
@@ -320,9 +319,6 @@ func StartServer(cfg ServerConfig) (*Server, error) {
 	if cfg.Channels == 0 {
 		cfg.Channels = 1
 	}
-	if cfg.Channels < 1 || cfg.Channels > 256 {
-		return nil, fmt.Errorf("netcast: ServerConfig.Channels must be in [1, 256], got %d", cfg.Channels)
-	}
 	if err := broadcast.CheckCompress(cfg.Channels, cfg.Compress); err != nil {
 		return nil, fmt.Errorf("netcast: %w", err)
 	}
@@ -564,11 +560,13 @@ func (s *Server) Stats() ServerStats {
 		s.mu.Lock()
 		st.Subscribers, st.SubscribersDropped = len(s.subs), s.dropped
 		s.mu.Unlock()
+		// The controller steps on the loop (it is an engine probe), so its
+		// state is read in the same turn as the cycle count.
+		if s.cfg.Adaptive {
+			a := s.admit.State()
+			st.Health, st.Adaptive = a.Health, &a
+		}
 	})
-	if s.cfg.Adaptive {
-		a := s.admit.State()
-		st.Health, st.Adaptive = a.Health, &a
-	}
 	return st
 }
 
@@ -982,99 +980,76 @@ func (s *Server) cycleLoop() {
 }
 
 // broadcastCycle plans, encodes and fans out one cycle through the shared
-// assembly engine.
+// assembly engine. On a journaled server the whole cycle commits as one
+// record once it is queued, so recovery resumes at the next cycle with
+// exactly the pending set the commit leaves; a crash before it re-airs the
+// cycle from the unchanged state.
 func (s *Server) broadcastCycle() error {
-	cy, enc, err := s.ledger.Assemble()
-	if cy == nil || err != nil {
-		return err
-	}
-	num := cy.Number
-	catBytes, err := cy.Catalog.Encode()
-	if err != nil {
-		return err
-	}
-	head := &cycleHead{
-		Number:     uint32(num),
-		TwoTier:    s.cfg.Mode == broadcast.TwoTierMode,
-		Succinct:   cy.Encoding == core.EncodingSuccinct,
-		NumDocs:    uint16(len(cy.Docs)),
-		Catalog:    catBytes,
-		RootLabels: wire.RootLabels(cy.Index),
-	}
-	headBytes, err := head.encode()
-	if err != nil {
-		return err
-	}
-
-	// The encoded segments are retained by subscriber queues, so they are
-	// never recycled here; the GC reclaims them once every writer is done.
-	if err := s.airCycle(cy, enc, headBytes); err != nil {
-		return fmt.Errorf("netcast: cycle %d: %w", num, err)
-	}
-
-	// On a journaled server the whole cycle commits as one record, so
-	// recovery resumes at cycle num+1 with exactly the pending set the commit
-	// leaves; a crash before it re-airs cycle num from the unchanged state.
-	_, err = s.ledger.Commit(cy)
+	_, _, err := s.ledger.Air(s.airCycle)
 	return err
 }
 
 // airCycle puts one encoded cycle on air: each frame's wire form is appended
-// to its channel's batch, then every batch is queued once. A frame that cannot
+// to its channel's batch, then every batch is queued once. The encoded
+// segments are retained by subscriber queues, so they are never recycled
+// here; the GC reclaims them once every writer is done. A frame that cannot
 // be put in wire form is the cycle's error and nothing is queued: nothing may
 // be retired as delivered that was not sent.
-func (s *Server) airCycle(cy *engine.Cycle, enc *engine.Encoded, headBytes []byte) error {
-	num := uint32(cy.Number)
-	batches := make([]net.Buffers, max(1, len(cy.Channels)))
+func (s *Server) airCycle(cy *engine.Cycle, enc *engine.Encoded) error {
+	k := cy.ChannelCount()
+	batches := make([]net.Buffers, k)
 	var err error
 	add := func(c int, t FrameType, payload []byte) {
 		if err == nil {
 			batches[c], err = s.wireForm(batches[c], t, payload)
 		}
 	}
-	if len(cy.Channels) > 1 {
-		// Multichannel cycle (protocol v3): each channel's share opens with
-		// a channel head. Channel 0 carries the cycle head, channel
-		// directory and first tier; data channel c carries its second-tier
-		// stripe and its documents in stripe order.
-		k := uint8(len(cy.Channels))
-		ch0 := &channelHead{Number: num, Channel: 0, Channels: k,
-			Role: channelRoleIndex, NumDocs: uint16(len(cy.Docs))}
-		add(0, FrameChannelHead, ch0.encode())
-		add(0, FrameCycleHead, headBytes)
-		add(0, FrameChannelDir, enc.ChannelDir)
-		add(0, FrameIndex, enc.Index)
-		// enc.Docs is in aggregate plan order (cy.Docs order); map IDs back
-		// to payloads so each stripe airs in its own channel order.
-		byID := make(map[xmldoc.DocID][]byte, len(cy.Docs))
-		for i, p := range cy.Docs {
-			byID[p.ID] = enc.Docs[i]
+	// Channel 0 opens with the cycle head and carries the index; the
+	// streams that carry documents (the one stream at K = 1, data channels
+	// 1..K-1 otherwise) follow with their second tier and documents in plan
+	// order. A multichannel cycle (protocol v3) adds a channel head to
+	// every channel's share and the channel directory before the index.
+	firstData := 0 // the channel of enc.SecondTiers[0]
+	if k > 1 {
+		firstData = 1
+	}
+	for c := 0; c < k; c++ {
+		docs := len(cy.Docs)
+		if k > 1 {
+			docs = len(cy.Channels[c].Docs)
 		}
-		for c := 1; c < len(cy.Channels); c++ {
-			lay := cy.Channels[c]
-			chc := &channelHead{Number: num, Channel: uint8(c), Channels: k,
-				Role: channelRoleData, NumDocs: uint16(len(lay.Docs))}
-			add(c, FrameChannelHead, chc.encode())
-			add(c, FrameSecondTier, enc.SecondTiers[c-1])
-			for _, p := range lay.Docs {
-				add(c, FrameDoc, byID[p.ID])
+		// Three slices a frame (header, payload, checksum), at most four
+		// frames besides the documents.
+		batches[c] = make(net.Buffers, 0, 3*(4+docs))
+		if k > 1 {
+			h := &channelHead{Number: uint32(cy.Number), Channel: uint8(c), Channels: uint8(k),
+				Role: channelRoleIndex, NumDocs: uint16(len(cy.Docs))}
+			if c > 0 {
+				h.Role, h.NumDocs = channelRoleData, uint16(docs)
 			}
+			add(c, FrameChannelHead, h.encode())
 		}
-	} else {
-		batches[0] = make(net.Buffers, 0, 3*(3+len(enc.Docs)))
-		add(0, FrameCycleHead, headBytes)
-		add(0, FrameIndex, enc.Index)
-		if enc.SecondTier != nil {
-			add(0, FrameSecondTier, enc.SecondTier)
+		if c == 0 {
+			add(0, FrameCycleHead, enc.Head)
+			if k > 1 {
+				add(0, FrameChannelDir, enc.ChannelDir)
+			}
+			add(0, FrameIndex, enc.Index)
 		}
-		for i := range enc.Docs {
-			if err == nil {
-				batches[0], err = s.docFrame(batches[0], enc, i)
+		if c < firstData {
+			continue
+		}
+		if st := enc.SecondTiers[c-firstData]; len(st) > 0 {
+			add(c, FrameSecondTier, st)
+		}
+		for i, p := range cy.Docs {
+			if err == nil && p.Channel == c {
+				batches[c], err = s.docFrame(batches[c], enc, i)
 			}
 		}
 	}
 	if err != nil {
-		return err
+		return fmt.Errorf("netcast: cycle %d: %w", cy.Number, err)
 	}
 	for c, b := range batches {
 		s.enqueue(c, b)
@@ -1082,9 +1057,9 @@ func (s *Server) airCycle(cy *engine.Cycle, enc *engine.Encoded, headBytes []byt
 	return nil
 }
 
-// docFrame appends the wire form of a single-channel cycle's i-th document to
-// a batch. A compressing server builds a document's envelope the first time it
-// airs and leaves it beside the payload in the engine's cache; every later
+// docFrame appends the wire form of a cycle's i-th document to a batch. A
+// compressing server builds a document's envelope the first time it airs and
+// leaves it beside the payload in the engine's cache; every later
 // airing, for as long as the payload stays cached, queues that same envelope
 // again. A document airs in cycle after cycle until its requesters drain, and
 // its envelope is a pure function of its payload, so all but the first

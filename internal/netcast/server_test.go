@@ -19,6 +19,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/netcast/transport"
 	"repro/internal/schedule"
+	"repro/internal/wire"
 	"repro/internal/xmldoc"
 	"repro/internal/xpath"
 )
@@ -179,7 +180,7 @@ func fanOutCycle(t *testing.T, cfg ServerConfig, heads [][]FrameType) {
 		var docs int
 		switch head := frames[0]; head.t {
 		case FrameCycleHead:
-			ch, err := decodeCycleHead(head.payload)
+			ch, err := wire.DecodeCycleHead(head.payload)
 			if err != nil {
 				t.Fatal(err)
 			}

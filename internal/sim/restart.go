@@ -273,23 +273,20 @@ func restartLeg(cfg RestartConfig, res *RestartResult, recovery bool) (crashed b
 				return crashExit(cycle, aerr)
 			}
 		}
-		// With nothing pending the driver still commits the cycle, empty, so
-		// the cycle counter stays aligned with the journal across a crash.
-		cy, enc, err := led.Assemble()
-		if err != nil {
-			return false, err
-		}
 		h := emptyCycleHash(cycle)
-		if cy != nil {
-			h, err = hashCycleWire(cy, enc)
+		cy, retired, err := led.Air(func(cy *engine.Cycle, enc *engine.Encoded) error {
+			h = hashCycleWire(cy, enc)
 			eng.Recycle(enc)
-			if err != nil {
-				return false, err
-			}
+			return nil
+		})
+		if err == nil && cy == nil {
+			// With nothing pending the driver still commits the cycle, empty,
+			// so the cycle counter stays aligned with the journal across a
+			// crash.
+			err = led.Idle()
 		}
-		retired, cerr := led.Commit(cy)
-		if cerr != nil {
-			return crashExit(cycle, cerr)
+		if err != nil {
+			return crashExit(cycle, err)
 		}
 		for _, id := range retired {
 			res.ServedCycle[id] = cycle
@@ -313,10 +310,10 @@ func emptyCycleHash(number int64) uint64 {
 	return h.Sum64()
 }
 
-// hashCycleWire fingerprints everything a cycle puts on air: the catalog,
-// every encoded segment in broadcast order, and the per-channel document
+// hashCycleWire fingerprints everything a cycle puts on air: every encoded
+// segment in broadcast order, head first, and the per-channel document
 // layout. Two cycles with equal hashes are wire-identical.
-func hashCycleWire(cy *engine.Cycle, enc *engine.Encoded) (uint64, error) {
+func hashCycleWire(cy *engine.Cycle, enc *engine.Encoded) uint64 {
 	h := fnv.New64a()
 	var scratch [8]byte
 	writeInt := func(v int64) {
@@ -327,16 +324,9 @@ func hashCycleWire(cy *engine.Cycle, enc *engine.Encoded) (uint64, error) {
 		writeInt(int64(len(b)))
 		h.Write(b)
 	}
-	writeInt(cy.Number)
-	writeInt(int64(len(cy.Docs)))
-	cat, err := cy.Catalog.Encode()
-	if err != nil {
-		return 0, err
-	}
-	seg(cat)
+	seg(enc.Head)
 	seg(enc.ChannelDir)
 	seg(enc.Index)
-	seg(enc.SecondTier)
 	for _, st := range enc.SecondTiers {
 		seg(st)
 	}
@@ -349,7 +339,7 @@ func hashCycleWire(cy *engine.Cycle, enc *engine.Encoded) (uint64, error) {
 			writeInt(int64(p.ID))
 		}
 	}
-	return h.Sum64(), nil
+	return h.Sum64()
 }
 
 // pendingKey canonicalises a pending set: requests in admission order, each

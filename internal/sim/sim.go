@@ -148,9 +148,6 @@ func (c *Config) validate() error {
 	if c.LossProb < 0 || c.LossProb >= 1 {
 		return fmt.Errorf("sim: Config.LossProb must be in [0, 1), got %g", c.LossProb)
 	}
-	if c.Channels < 0 {
-		return fmt.Errorf("sim: Config.Channels must be >= 0, got %d", c.Channels)
-	}
 	if err := broadcast.CheckCompress(c.Channels, c.Compress); err != nil {
 		return fmt.Errorf("sim: %w", err)
 	}
@@ -377,7 +374,7 @@ func Run(cfg Config) (*Result, error) {
 				return nil, fmt.Errorf("sim: %w", err)
 			}
 			if cfg.Compress {
-				if air, err = airEnc.measure(ecy, enc); err != nil {
+				if air, err = airEnc.measure(enc); err != nil {
 					return nil, fmt.Errorf("sim: %w", err)
 				}
 			}
@@ -503,22 +500,26 @@ type cycleAir struct {
 	total                   int64
 }
 
-// measure computes a cycle's compressed layout from its encoded wire
-// segments. The cycle head — short, high-entropy metadata — is modelled as
-// a raw envelope; every other segment is deflated exactly as the transport
-// would send it.
-func (a *airEncoder) measure(cy *broadcast.Cycle, enc *engine.Encoded) (*cycleAir, error) {
-	air := &cycleAir{head: rawEnvLen(cy.HeadBytes + innerFrameOverhead)}
+// measure computes a single-channel cycle's compressed layout from its
+// encoded wire segments, walked in the order they air. The cycle head —
+// short, high-entropy metadata — is modelled as a raw envelope; every other
+// segment is deflated exactly as the transport would send it, and an empty
+// second tier (one-tier mode) does not air.
+func (a *airEncoder) measure(enc *engine.Encoded) (*cycleAir, error) {
+	air := &cycleAir{head: rawEnvLen(len(enc.Head) + innerFrameOverhead)}
 	env, err := a.frameAir(enc.Index)
 	if err != nil {
 		return nil, err
 	}
 	air.index = len(env)
-	if enc.SecondTier != nil {
-		if env, err = a.frameAir(enc.SecondTier); err != nil {
+	for _, st := range enc.SecondTiers {
+		if len(st) == 0 {
+			continue
+		}
+		if env, err = a.frameAir(st); err != nil {
 			return nil, err
 		}
-		air.secondTier = len(env)
+		air.secondTier += len(env)
 	}
 	air.doc = make([]int, len(enc.Docs))
 	air.docEnd = make([]int64, len(enc.Docs))

@@ -188,6 +188,9 @@ func TestRunConfigErrors(t *testing.T) {
 		{"no mode", Config{Collection: c, CycleCapacity: 1000, Requests: reqs}},
 		{"no capacity", Config{Collection: c, Mode: broadcast.TwoTierMode, Requests: reqs}},
 		{"no requests", Config{Collection: c, Mode: broadcast.TwoTierMode, CycleCapacity: 1000}},
+		{"negative channels", Config{Collection: c, Mode: broadcast.TwoTierMode, CycleCapacity: 1000, Requests: reqs, Channels: -1}},
+		{"too many channels", Config{Collection: c, Mode: broadcast.TwoTierMode, CycleCapacity: 1000, Requests: reqs, Channels: 257}},
+		{"one-tier multichannel", Config{Collection: c, Mode: broadcast.OneTierMode, CycleCapacity: 1000, Requests: reqs, Channels: 2}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
