@@ -53,7 +53,7 @@ func run(args []string) error {
 		uplinkRate  = fs.Float64("uplink-rate", 0, "per-connection query rate limit in queries/s (0 = unlimited)")
 		uplinkBurst = fs.Int("uplink-burst", 0, "token-bucket burst for -uplink-rate (default 8)")
 		adaptive    = fs.Bool("adaptive", false, "self-tune the admission limits (AIMD over -max-pending/-uplink-rate); static values become seeds")
-		targetLat   = fs.Duration("target-latency", 0, "adaptive controller's per-cycle assembly-latency goal (0 = derive from -build-budget or default)")
+		targetLat   = fs.Duration("target-latency", 0, "adaptive controller's per-cycle assembly-latency goal (0 = default 20ms)")
 		pprofAddr   = fs.String("pprof", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060; empty = disabled)")
 
 		stateDir  = fs.String("state-dir", "", "durability journal directory: ack-after-durability admissions, warm restart on the same directory (empty = in-memory)")

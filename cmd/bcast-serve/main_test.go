@@ -31,7 +31,7 @@ func TestServeAdaptive(t *testing.T) {
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	report := regexp.MustCompile(`(?m)^health: (healthy|shedding|degraded) adaptive\{pend=\d+ rate=\S+ lat=\S+ sheds=\d+ grows=\d+\}$`)
+	report := regexp.MustCompile(`(?m)^health: (healthy|shedding) adaptive\{pend=\d+ rate=\S+ lat=\S+ sheds=\d+ grows=\d+\}$`)
 	if !report.MatchString(out) {
 		t.Errorf("output lacks the controller report:\n%s", out)
 	}

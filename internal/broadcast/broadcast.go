@@ -194,14 +194,10 @@ type Cycle struct {
 	Channels []ChannelLayout
 
 	// Queries are the distinct pending queries, in first-seen order; the
-	// index was pruned to exactly this set (unless Degraded).
+	// index was pruned to exactly this set.
 	Queries []xpath.Path
 	// NumPending is the number of pending requests the plan drew from.
 	NumPending int
-	// Degraded reports that PCI pruning blew the build budget and the
-	// cycle carries the unpruned CI instead (a strict superset of the
-	// PCI; clients decode it unchanged).
-	Degraded bool
 }
 
 // IndexStreamBytes is the byte length of the cycle's index segment in the
@@ -690,16 +686,12 @@ func (b *Builder) SetEncoding(e core.IndexEncoding) error {
 // packed under the mode's tier, and the scheduled documents are placed after
 // it. docPlan must not contain duplicates or unknown documents.
 func (b *Builder) BuildCycle(number, start int64, pending []xpath.Path, docPlan []xmldoc.DocID) (*Cycle, error) {
-	pci, _, err := b.CI().Prune(pending)
-	if err != nil {
-		return nil, fmt.Errorf("broadcast: prune: %w", err)
-	}
+	pci, _, _ := b.CI().Prune(pending) // the error is always nil
 	return b.BuildCycleWithIndex(number, start, pci, docPlan)
 }
 
-// BuildCycleWithIndex lays out one cycle around an already-chosen air index
-// (a pruned PCI, or the full CI when a build deadline forced a degraded
-// cycle — the CI is a strict superset of any PCI, so clients decode either).
+// BuildCycleWithIndex lays out one cycle around an already-pruned air index
+// (the engine's PCI, maintained across cycles by its PrunedView).
 // docPlan must not contain duplicates or unknown documents.
 func (b *Builder) BuildCycleWithIndex(number, start int64, index *core.Index, docPlan []xmldoc.DocID) (*Cycle, error) {
 	cycle := &Cycle{

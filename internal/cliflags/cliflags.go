@@ -77,18 +77,17 @@ func (s *Source) Load() (*xmldoc.Collection, error) {
 	return gen.Documents(gen.DocConfig{Schema: schema, NumDocs: s.Docs, Seed: s.Seed})
 }
 
-// Limits are the engine's memory and latency bounds; zero means unlimited.
+// Limits are the engine's memory bounds; zero means unlimited.
 // The payload cache is set in megabytes.
 type Limits struct {
 	engine.Limits
 	PayloadMB int
 }
 
-// Register adds -answer-cache, -payload-cache and -build-budget to fs.
+// Register adds -answer-cache and -payload-cache to fs.
 func (l *Limits) Register(fs *flag.FlagSet) {
 	fs.IntVar(&l.MaxAnswerCacheEntries, "answer-cache", l.MaxAnswerCacheEntries, "max memoized query answers, LRU-evicted (0 = unlimited)")
 	fs.IntVar(&l.PayloadMB, "payload-cache", l.PayloadMB, "max cached document megabytes (payloads plus, when compressing, their envelopes), LRU-evicted (0 = unlimited)")
-	fs.DurationVar(&l.BuildBudget, "build-budget", l.BuildBudget, "per-cycle index-pruning deadline; overruns broadcast the unpruned CI (0 = none)")
 }
 
 // Engine is the engine's limits with the payload cache in bytes.

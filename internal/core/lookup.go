@@ -2,7 +2,6 @@ package core
 
 import (
 	"slices"
-	"time"
 
 	"repro/internal/xmldoc"
 	"repro/internal/xpath"
@@ -131,7 +130,7 @@ func (ix *Index) Answers(f *yfilter.Filter) [][]xmldoc.DocID {
 	// flattened pairs. The walk visits nodes in ascending ID, so a match below
 	// a node already taken for the same query starts before that run ends.
 	runs := make([][]NodeID, f.NumQueries())
-	ix.forEachMatch(f, time.Time{}, func(id NodeID, accepted []int) {
+	ix.forEachMatch(f, func(id NodeID, accepted []int) {
 		end := NoNode
 		for _, qi := range accepted {
 			r := runs[qi]

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"time"
-
 	"repro/internal/xmldoc"
 	"repro/internal/xpath"
 	"repro/internal/yfilter"
@@ -116,16 +114,9 @@ func NewPrunedView(churn float64) *PrunedView {
 // Update re-prunes the index to the given query set, reusing the previous
 // cycle's work where the delta allows. ci must be the caller's current CI; a
 // different pointer than the previous call's (the index was rebuilt after a
-// collection change) resets the view with a full prune.
+// collection change) resets the view with a full prune. The error is always
+// nil.
 func (v *PrunedView) Update(ci *Index, queries []xpath.Path) (*Index, PruneDelta, error) {
-	return v.UpdateUntil(ci, queries, time.Time{})
-}
-
-// UpdateUntil is Update under a cooperative deadline (the zero time means
-// none), as in Index.PruneWithFilter. An update the deadline stops returns an
-// error wrapping context.DeadlineExceeded and leaves the view empty, never
-// half-updated: the next update starts over with a full prune.
-func (v *PrunedView) UpdateUntil(ci *Index, queries []xpath.Path, until time.Time) (*Index, PruneDelta, error) {
 	// Dedup the incoming set by canonical string, preserving first-seen
 	// order (Prune is insensitive to duplicates and order; the dedup makes
 	// the delta well defined).
@@ -160,7 +151,8 @@ func (v *PrunedView) UpdateUntil(ci *Index, queries []xpath.Path, until time.Tim
 		if v.ci != nil {
 			reason = PruneReasonIndexChanged
 		}
-		return v.rebuildAll(ci, deduped, delta, reason, until)
+		delta = v.rebuildAll(ci, deduped, delta, reason)
+		return v.pci, delta, nil
 	}
 	if len(added)+len(removed) == 0 {
 		delta.Reused = true
@@ -170,7 +162,8 @@ func (v *PrunedView) UpdateUntil(ci *Index, queries []xpath.Path, until time.Tim
 	// Churn check: the union of old and new sets is old ∪ added.
 	union := len(v.queries) + len(added)
 	if float64(len(added)+len(removed)) > v.churn*float64(union) {
-		return v.rebuildAll(ci, deduped, delta, PruneReasonChurn, until)
+		delta = v.rebuildAll(ci, deduped, delta, PruneReasonChurn)
+		return v.pci, delta, nil
 	}
 
 	// Apply the delta to the per-node refcounts, recording each touched
@@ -196,15 +189,13 @@ func (v *PrunedView) UpdateUntil(ci *Index, queries []xpath.Path, until time.Tim
 			addQueries[i] = want[key]
 		}
 		perQuery := make([][]NodeID, len(added))
-		if !ci.forEachMatch(yfilter.New(addQueries), until, func(id NodeID, accepted []int) {
+		ci.forEachMatch(yfilter.New(addQueries), func(id NodeID, accepted []int) {
 			note(id)
 			v.matchCount[id] += int32(len(accepted))
 			for _, qi := range accepted {
 				perQuery[qi] = append(perQuery[qi], id)
 			}
-		}) {
-			return v.abandon(delta)
-		}
+		})
 		for i, key := range added {
 			v.queries[key] = &viewQuery{query: addQueries[i], nodes: perQuery[i]}
 		}
@@ -253,9 +244,7 @@ func (v *PrunedView) UpdateUntil(ci *Index, queries []xpath.Path, until time.Tim
 
 	switch {
 	case delta.KeptChanged:
-		if !v.rebuildOutput(until) {
-			return v.abandon(delta)
-		}
+		v.rebuildOutput()
 	case len(changedDocs) > 0:
 		delta.Patched = v.patchDocs(changedDocs)
 		delta.Reused = !delta.Patched
@@ -268,8 +257,9 @@ func (v *PrunedView) UpdateUntil(ci *Index, queries []xpath.Path, until time.Tim
 
 // rebuildAll resets the whole view against a (possibly new) CI and query set
 // with one full prune pass, recording the per-query match lists the next
-// delta needs.
-func (v *PrunedView) rebuildAll(ci *Index, queries []xpath.Path, delta PruneDelta, reason string, until time.Time) (*Index, PruneDelta, error) {
+// delta needs. It returns delta completed with the full prune's reason and
+// statistics; the new PCI is v.pci.
+func (v *PrunedView) rebuildAll(ci *Index, queries []xpath.Path, delta PruneDelta, reason string) PruneDelta {
 	v.ci = ci
 	v.ciAttachments = ci.NumAttachments()
 	v.queries = make(map[string]*viewQuery, len(queries))
@@ -280,7 +270,7 @@ func (v *PrunedView) rebuildAll(ci *Index, queries []xpath.Path, delta PruneDelt
 	v.matchedNodes = 0
 
 	perQuery := make([][]NodeID, len(queries))
-	ok := ci.forEachMatch(yfilter.New(queries), until, func(id NodeID, accepted []int) {
+	ci.forEachMatch(yfilter.New(queries), func(id NodeID, accepted []int) {
 		v.matchCount[id] = int32(len(accepted))
 		for _, qi := range accepted {
 			perQuery[qi] = append(perQuery[qi], id)
@@ -296,29 +286,19 @@ func (v *PrunedView) rebuildAll(ci *Index, queries []xpath.Path, delta PruneDelt
 	for i, q := range queries {
 		v.queries[q.String()] = &viewQuery{query: q, nodes: perQuery[i]}
 	}
-	if !ok || !v.rebuildOutput(until) {
-		return v.abandon(delta)
-	}
+	v.rebuildOutput()
 	delta.Full = true
 	delta.Reason = reason
 	delta.Stats = v.stats()
-	return v.pci, delta, nil
-}
-
-// abandon empties a view whose update was stopped by its deadline, so the
-// half-applied refcounts are never read.
-func (v *PrunedView) abandon(delta PruneDelta) (*Index, PruneDelta, error) {
-	*v = PrunedView{churn: v.churn}
-	return nil, delta, errPruneDeadline
+	return delta
 }
 
 // rebuildOutput re-derives the PCI, its candidate attachment sets and the
-// document → node inverted index from the current refcounts. It reports
-// false when until expired first.
-func (v *PrunedView) rebuildOutput(until time.Time) bool {
+// document → node inverted index from the current refcounts.
+func (v *PrunedView) rebuildOutput() {
 	v.candidates = v.candidates[:0]
 	v.docNodes = make(map[xmldoc.DocID][]NodeID)
-	pci := v.ci.rebuildPruned(
+	v.pci = v.ci.rebuildPruned(
 		func(id NodeID) bool { return v.keepRef[id] > 0 },
 		func(d xmldoc.DocID) bool { return v.docRef[d] > 0 },
 		func(id NodeID, candidates []xmldoc.DocID) {
@@ -327,14 +307,8 @@ func (v *PrunedView) rebuildOutput(until time.Time) bool {
 				v.docNodes[d] = append(v.docNodes[d], id)
 			}
 		},
-		until,
 	)
-	if pci == nil {
-		return false
-	}
-	v.pci = pci
-	v.attachments = pci.NumAttachments()
-	return true
+	v.attachments = v.pci.NumAttachments()
 }
 
 // patchDocs re-filters the attachment lists of the nodes whose candidates

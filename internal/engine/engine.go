@@ -26,9 +26,7 @@
 package engine
 
 import (
-	"context"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"runtime"
 	"slices"
@@ -63,7 +61,7 @@ type Config struct {
 	// Probes receive pipeline telemetry, in order, after the engine's own
 	// collector. Nil entries are skipped. Optional.
 	Probes []Probe
-	// Limits bounds the engine's memory and per-cycle latency; see Limits.
+	// Limits bounds the engine's memory; see Limits.
 	// The zero value imposes no limits.
 	Limits Limits
 	// Channels selects the broadcast layout: 0 or 1 (the default) emits the
@@ -146,11 +144,10 @@ func (enc *Encoded) Air(i int) []byte {
 // the networked server's cycle loop), so resolution, collection writes and
 // cycle assembly are ordered by the calls themselves.
 type Engine struct {
-	scheduler   schedule.Scheduler
-	capacity    int
-	buildBudget time.Duration
-	probe       probes
-	collector   *Collector
+	scheduler schedule.Scheduler
+	capacity  int
+	probe     probes
+	collector *Collector
 
 	builder  *broadcast.Builder
 	answers  *answerCache
@@ -213,15 +210,14 @@ func New(cfg Config) (*Engine, error) {
 		}
 	}
 	e := &Engine{
-		scheduler:   cfg.Scheduler,
-		capacity:    cfg.CycleCapacity,
-		buildBudget: cfg.Limits.BuildBudget,
-		collector:   NewCollector(),
-		builder:     builder,
-		answers:     newAnswerCache(cfg.Limits.MaxAnswerCacheEntries),
-		payloads:    newPayloadCache(cfg.Limits.MaxPayloadCacheBytes),
-		view:        core.NewPrunedView(0),
-		demand:      schedule.NewDemandIndex(),
+		scheduler: cfg.Scheduler,
+		capacity:  cfg.CycleCapacity,
+		collector: NewCollector(),
+		builder:   builder,
+		answers:   newAnswerCache(cfg.Limits.MaxAnswerCacheEntries),
+		payloads:  newPayloadCache(cfg.Limits.MaxPayloadCacheBytes),
+		view:      core.NewPrunedView(0),
+		demand:    schedule.NewDemandIndex(),
 	}
 	e.fpSizes = make(map[xmldoc.DocID]int, cfg.Collection.Len())
 	for _, d := range cfg.Collection.Docs() {
@@ -329,9 +325,8 @@ func (e *Engine) ResolveAll(queries []xpath.Path) (map[string][]xmldoc.DocID, er
 // the driver's clock units.
 //
 // The engine assembles whatever pending set it is given: admission, and with
-// it any cap on the pending set, is the driver's (Ledger.Admit). With
-// Limits.BuildBudget set, a pruning pass that overruns the budget degrades the
-// cycle to the unpruned CI (see Cycle.Degraded).
+// it any cap on the pending set, is the driver's (Ledger.Admit). Every cycle
+// is pruned, so its bytes depend only on its inputs.
 func (e *Engine) AssembleCycle(number, start int64, pending []Pending) (*Cycle, error) {
 	return e.AssembleCycleAt(number, start, start, pending)
 }
@@ -387,24 +382,16 @@ func (e *Engine) AssembleCycleAt(number, start, schedNow int64, pending []Pendin
 	buildStart := time.Now()
 	ci := e.builder.CI()
 	ciNodes := ci.NumNodes()
-	index, degraded, err := e.pruneWithBudget(ci, queries)
-	if err != nil {
-		return nil, err
-	}
-	cy, err := e.builder.BuildCycleWithIndex(number, start, index, plan)
+	cy, err := e.builder.BuildCycleWithIndex(number, start, e.prune(ci, queries), plan)
 	if err != nil {
 		return nil, err
 	}
 	e.probe.StageDone(StageBuild, time.Since(buildStart), ciNodes, cy.Index.NumNodes())
-	if degraded {
-		e.probe.CycleDegraded()
-	}
 	cy.Queries = queries
 	cy.NumPending = len(pending)
-	cy.Degraded = degraded
 	for i := range cy.Channels {
 		lay := &cy.Channels[i]
-		e.probe.ChannelDone(lay.ID, lay.Role, int64(lay.Bytes), degraded)
+		e.probe.ChannelDone(lay.ID, lay.Role, int64(lay.Bytes), false)
 	}
 	e.probe.CycleDone()
 	return cy, nil
@@ -474,40 +461,17 @@ func (e *Engine) planCycle(reqs []schedule.Request, size func(xmldoc.DocID) int,
 	return plan, nil
 }
 
-// pruneWithBudget prunes the CI to the pending query set through the
-// incremental maintainer. With Limits.BuildBudget set the prune runs under a
-// cooperative deadline, checked per node on this goroutine; a prune that
-// overruns it stops (the view empties itself and starts over next cycle) and
-// the unpruned CI is returned with degraded = true.
-func (e *Engine) pruneWithBudget(ci *core.Index, queries []xpath.Path) (*core.Index, bool, error) {
-	var deadline time.Time // zero: no budget
-	if e.buildBudget > 0 {
-		deadline = time.Now().Add(e.buildBudget)
-	}
-	pci, err := e.pruneOnce(ci, queries, deadline)
-	if errors.Is(err, context.DeadlineExceeded) {
-		return ci, true, nil
-	}
-	if err != nil {
-		return nil, false, err
-	}
-	return pci, false, nil
-}
-
-// pruneOnce produces one cycle's PCI through the view — a delta update, or a
-// full prune when the view is empty, the CI was rebuilt or query churn exceeds
-// core.DefaultPruneChurn — and reports the outcome kind plus, for delta
-// updates, the StagePruneDelta sub-span.
-func (e *Engine) pruneOnce(ci *core.Index, queries []xpath.Path, deadline time.Time) (*core.Index, error) {
+// prune produces one cycle's PCI through the view — a delta update, or a
+// full prune on the view's first cycle, after the CI was rebuilt or when query
+// churn exceeds core.DefaultPruneChurn — and reports the outcome kind plus,
+// for delta updates, the StagePruneDelta sub-span.
+func (e *Engine) prune(ci *core.Index, queries []xpath.Path) *core.Index {
 	start := time.Now()
-	pci, delta, err := e.view.UpdateUntil(ci, queries, deadline)
-	if err != nil {
-		return nil, fmt.Errorf("engine: prune: %w", err)
-	}
+	pci, delta, _ := e.view.Update(ci, queries) // the error is always nil
 	if !delta.Full {
 		e.probe.StageDone(StagePruneDelta, time.Since(start), delta.Added+delta.Removed, delta.FlippedMatches)
 		e.probe.PruneDone(PruneIncremental)
-		return pci, nil
+		return pci
 	}
 	switch delta.Reason {
 	case core.PruneReasonChurn, core.PruneReasonIndexChanged:
@@ -515,7 +479,7 @@ func (e *Engine) pruneOnce(ci *core.Index, queries []xpath.Path, deadline time.T
 	default:
 		e.probe.PruneDone(PruneFull)
 	}
-	return pci, nil
+	return pci
 }
 
 // EncodeCycle produces every wire segment the cycle airs: the head, the

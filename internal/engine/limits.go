@@ -4,7 +4,6 @@ import (
 	"container/list"
 	"encoding/binary"
 	"errors"
-	"time"
 
 	"repro/internal/xmldoc"
 	"repro/internal/xpath"
@@ -16,7 +15,7 @@ import (
 // Callers test with errors.Is(err, ErrOverload).
 var ErrOverload = errors.New("engine: overloaded")
 
-// Limits bounds the engine's memory and per-cycle latency. The zero value
+// Limits bounds the engine's memory. The zero value
 // imposes no limits, preserving the unbounded pre-Limits behaviour. The
 // pending set is not among them: the engine assembles whatever it is given,
 // and the cap on it is the admitting driver's (Ledger.Admit).
@@ -30,12 +29,6 @@ type Limits struct {
 	// least recently broadcast entries are evicted on overflow, payload and
 	// on-air form together. Zero means unlimited.
 	MaxPayloadCacheBytes int
-	// BuildBudget is the wall-time deadline for the build stage's PCI
-	// pruning. When pruning overruns it, the cycle degrades gracefully:
-	// the unpruned CI is packed and broadcast instead (a strict superset
-	// of the PCI, so clients decode it unchanged) and the cycle is
-	// reported through Probe.CycleDegraded. Zero means no deadline.
-	BuildBudget time.Duration
 }
 
 // answerEntry is one memoized query answer. The parsed query is retained so

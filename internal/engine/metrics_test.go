@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/broadcast"
 )
 
 func TestCacheHitRate(t *testing.T) {
@@ -31,7 +33,7 @@ func TestMetricsStringEmpty(t *testing.T) {
 	if !strings.Contains(s, "cycles=0") {
 		t.Errorf("zero snapshot = %q, want cycles=0", s)
 	}
-	for _, forbidden := range []string{"degraded=", "evicted=", "prunes=", "scheds=", "health=", "adaptive{"} {
+	for _, forbidden := range []string{"evicted=", "prunes=", "scheds=", "health=", "adaptive{", "channels="} {
 		if strings.Contains(s, forbidden) {
 			t.Errorf("zero snapshot includes %q: %q", forbidden, s)
 		}
@@ -43,7 +45,6 @@ func TestMetricsStringPartial(t *testing.T) {
 		Cycles:         7,
 		CacheHits:      3,
 		CacheMisses:    1,
-		DegradedCycles: 2,
 		FullPrunes:     4,
 		PruneFallbacks: 1,
 		Stages: map[string]StageStats{
@@ -55,7 +56,6 @@ func TestMetricsStringPartial(t *testing.T) {
 	for _, want := range []string{
 		"cycles=7",
 		"cache=3/4 (75% hit)",
-		"degraded=2",
 		"prunes=0 incr/4 full (1 fallback)",
 		"build{n=7 wall=3ms in=700 out=70}",
 		"schedule{n=7 wall=1ms in=70 out=7}",
@@ -68,10 +68,23 @@ func TestMetricsStringPartial(t *testing.T) {
 	if strings.Index(s, "build{") > strings.Index(s, "schedule{") {
 		t.Errorf("stages not sorted: %q", s)
 	}
-	for _, forbidden := range []string{"evicted=", "scheds=", "health=", "adaptive{"} {
+	for _, forbidden := range []string{"evicted=", "scheds=", "health=", "adaptive{", "channels="} {
 		if strings.Contains(s, forbidden) {
 			t.Errorf("snapshot includes unset section %q: %q", forbidden, s)
 		}
+	}
+
+	// Per-channel figures are the mean and the max over every cycle, not
+	// the last one: a run's final (drain) cycle is typically tiny and must
+	// not stand for the channel.
+	c := NewCollector()
+	for _, bytes := range []int64{99_000, 99_000, 2} {
+		c.ChannelDone(0, broadcast.IndexChannelRole, 1_000, false)
+		c.ChannelDone(1, broadcast.DataChannelRole, bytes, false)
+	}
+	s = c.Metrics().String()
+	if want := "channels=[0:index 1000B/cycle (max 1000B) 1:data 66000B/cycle (max 99000B)]"; !strings.Contains(s, want) {
+		t.Errorf("snapshot %q missing %q", s, want)
 	}
 }
 
@@ -98,7 +111,6 @@ func TestCollectorAggregation(t *testing.T) {
 	c.PruneDone(PruneFallback)
 	c.ScheduleDone(ScheduleIncremental)
 	c.ScheduleDone(ScheduleFull)
-	c.CycleDegraded()
 	c.CycleDone()
 	c.CycleDone()
 
@@ -124,8 +136,8 @@ func TestCollectorAggregation(t *testing.T) {
 	if m.IncrementalSchedules != 1 || m.FullSchedules != 1 {
 		t.Errorf("schedules = %d/%d, want 1/1", m.IncrementalSchedules, m.FullSchedules)
 	}
-	if m.Cycles != 2 || m.DegradedCycles != 1 {
-		t.Errorf("cycles = %d (%d degraded), want 2 (1)", m.Cycles, m.DegradedCycles)
+	if m.Cycles != 2 {
+		t.Errorf("cycles = %d, want 2", m.Cycles)
 	}
 }
 

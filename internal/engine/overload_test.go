@@ -4,7 +4,6 @@ import (
 	"slices"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/broadcast"
 	"repro/internal/dtd"
@@ -260,47 +259,6 @@ func TestAttachAirAfterRemoveIsDropped(t *testing.T) {
 	e.Recycle(enc)
 	e.Recycle(enc2)
 	e.Recycle(enc3)
-}
-
-func TestBuildBudgetDegradesToFullCI(t *testing.T) {
-	e, pending := limitedEngine(t, 10, 8, Limits{BuildBudget: time.Nanosecond})
-	cy, err := e.AssembleCycle(0, 0, pending)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !cy.Degraded {
-		t.Fatal("1 ns build budget did not degrade the cycle")
-	}
-	if ciNodes := e.builder.CI().NumNodes(); cy.Index.NumNodes() != ciNodes {
-		t.Errorf("degraded cycle carries %d index nodes, want the full CI's %d", cy.Index.NumNodes(), ciNodes)
-	}
-	if m := e.Metrics(); m.DegradedCycles != 1 {
-		t.Errorf("DegradedCycles = %d, want 1", m.DegradedCycles)
-	}
-	// The degraded cycle must still encode (clients decode the CI exactly
-	// like a PCI — same wire format, more nodes).
-	enc, err := e.EncodeCycle(cy)
-	if err != nil {
-		t.Fatalf("EncodeCycle on degraded cycle: %v", err)
-	}
-	if len(enc.Index) == 0 {
-		t.Error("degraded cycle encoded an empty index segment")
-	}
-	e.Recycle(enc)
-
-	// Without a budget the same inputs build a pruned, non-degraded cycle.
-	e2, pending2 := limitedEngine(t, 10, 8, Limits{})
-	cy2, err := e2.AssembleCycle(0, 0, pending2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cy2.Degraded {
-		t.Error("unbudgeted cycle reported degraded")
-	}
-	if cy2.Index.NumNodes() > cy.Index.NumNodes() {
-		t.Errorf("pruned index (%d nodes) larger than unpruned CI (%d nodes)",
-			cy2.Index.NumNodes(), cy.Index.NumNodes())
-	}
 }
 
 // applyPatched runs one collection update against a warm engine and checks

@@ -69,7 +69,7 @@ const (
 	// maintainer (a delta update, including the degenerate no-change reuse).
 	PruneIncremental = "incremental"
 	// PruneFull is a from-scratch prune with no usable prior state: the
-	// view's first cycle, or the first after a budget overrun emptied it.
+	// view's first cycle.
 	PruneFull = "full"
 	// PruneFallback is a from-scratch prune forced on a live view — the
 	// query-set churn exceeded the threshold or the CI itself changed.
@@ -93,19 +93,15 @@ type Probe interface {
 	// (EvictAnswer or EvictPayload) by its LRU bound.
 	CacheEvicted(kind string, n int)
 	// PruneDone reports how one cycle's PCI was produced: kind is
-	// PruneIncremental, PruneFull or PruneFallback. Degraded cycles (budget
-	// overrun, no prune completed) report CycleDegraded instead.
+	// PruneIncremental, PruneFull or PruneFallback.
 	PruneDone(kind string)
 	// ScheduleDone reports how one cycle's plan was produced: kind is
 	// ScheduleIncremental or ScheduleFull.
 	ScheduleDone(kind string)
-	// CycleDegraded reports one cycle whose build stage blew its
-	// Limits.BuildBudget and fell back to broadcasting the unpruned CI.
-	CycleDegraded()
 	// ChannelDone reports one channel's share of an assembled multichannel
-	// cycle: its payload bytes this cycle and whether the cycle was
-	// degraded. Single-channel cycles do not report it (their figures are
-	// the cycle aggregates already carried by StageDone and CycleDone).
+	// cycle: its payload bytes this cycle. Single-channel cycles do not
+	// report it (their figures are the cycle aggregates already carried by
+	// StageDone and CycleDone). degraded is always false.
 	ChannelDone(channel int, role broadcast.ChannelRole, bytes int64, degraded bool)
 	// CycleDone reports one fully assembled broadcast cycle.
 	CycleDone()
@@ -131,9 +127,6 @@ func (NopProbe) PruneDone(string) {}
 
 // ScheduleDone implements Probe.
 func (NopProbe) ScheduleDone(string) {}
-
-// CycleDegraded implements Probe.
-func (NopProbe) CycleDegraded() {}
 
 // ChannelDone implements Probe.
 func (NopProbe) ChannelDone(int, broadcast.ChannelRole, int64, bool) {}
@@ -166,9 +159,6 @@ type Metrics struct {
 	AnswerEvictions, PayloadEvictions int64
 	// Cycles counts assembled broadcast cycles.
 	Cycles int64
-	// DegradedCycles counts cycles that blew Limits.BuildBudget and were
-	// broadcast with the unpruned CI instead of the PCI.
-	DegradedCycles int64
 	// IncrementalPrunes counts cycles whose PCI came from the incremental
 	// maintainer's delta path; FullPrunes counts from-scratch prunes.
 	// PruneFallbacks is the subset of FullPrunes forced on a live view by
@@ -192,12 +182,9 @@ type ChannelMetrics struct {
 	Cycles int64 `json:"cycles"`
 	// Bytes is the channel's cumulative payload.
 	Bytes int64 `json:"bytes"`
-	// LastCycleBytes and MaxCycleBytes track the channel's per-cycle
-	// payload (its cycle length at channel pace).
-	LastCycleBytes int64 `json:"last_cycle_bytes"`
-	MaxCycleBytes  int64 `json:"max_cycle_bytes"`
-	// DegradedCycles counts the channel's share of degraded cycles.
-	DegradedCycles int64 `json:"degraded_cycles"`
+	// MaxCycleBytes is the channel's largest per-cycle payload (its cycle
+	// length at channel pace); Bytes/Cycles is the mean.
+	MaxCycleBytes int64 `json:"max_cycle_bytes"`
 }
 
 // CacheHitRate is the fraction of answer-cache lookups that hit, or 0 when
@@ -215,9 +202,6 @@ func (m Metrics) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "cycles=%d cache=%d/%d (%.0f%% hit)",
 		m.Cycles, m.CacheHits, m.CacheHits+m.CacheMisses, 100*m.CacheHitRate())
-	if m.DegradedCycles > 0 {
-		fmt.Fprintf(&b, " degraded=%d", m.DegradedCycles)
-	}
 	if m.AnswerEvictions > 0 || m.PayloadEvictions > 0 {
 		fmt.Fprintf(&b, " evicted=%d/%d", m.AnswerEvictions, m.PayloadEvictions)
 	}
@@ -236,7 +220,7 @@ func (m Metrics) String() string {
 			if i > 0 {
 				b.WriteByte(' ')
 			}
-			fmt.Fprintf(&b, "%d:%s %dB/cycle", i, ch.Role, ch.LastCycleBytes)
+			fmt.Fprintf(&b, "%d:%s %dB/cycle (max %dB)", i, ch.Role, ch.Bytes/max(ch.Cycles, 1), ch.MaxCycleBytes)
 		}
 		b.WriteByte(']')
 	}
@@ -321,13 +305,8 @@ func (c *Collector) ScheduleDone(kind string) {
 	}
 }
 
-// CycleDegraded implements Probe.
-func (c *Collector) CycleDegraded() {
-	c.m.DegradedCycles++
-}
-
 // ChannelDone implements Probe.
-func (c *Collector) ChannelDone(channel int, role broadcast.ChannelRole, bytes int64, degraded bool) {
+func (c *Collector) ChannelDone(channel int, role broadcast.ChannelRole, bytes int64, _ bool) {
 	for len(c.m.Channels) <= channel {
 		c.m.Channels = append(c.m.Channels, ChannelMetrics{})
 	}
@@ -335,13 +314,7 @@ func (c *Collector) ChannelDone(channel int, role broadcast.ChannelRole, bytes i
 	ch.Role = role.String()
 	ch.Cycles++
 	ch.Bytes += bytes
-	ch.LastCycleBytes = bytes
-	if bytes > ch.MaxCycleBytes {
-		ch.MaxCycleBytes = bytes
-	}
-	if degraded {
-		ch.DegradedCycles++
-	}
+	ch.MaxCycleBytes = max(ch.MaxCycleBytes, bytes)
 }
 
 // CycleDone implements Probe.
@@ -397,12 +370,6 @@ func (p probes) PruneDone(kind string) {
 func (p probes) ScheduleDone(kind string) {
 	for _, pr := range p {
 		pr.ScheduleDone(kind)
-	}
-}
-
-func (p probes) CycleDegraded() {
-	for _, pr := range p {
-		pr.CycleDegraded()
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"runtime/debug"
 	"testing"
-	"time"
 
 	"repro/internal/broadcast"
 	"repro/internal/core"
@@ -152,38 +151,6 @@ func TestPruneChurnFallback(t *testing.T) {
 	}
 	if m.IncrementalPrunes != 0 {
 		t.Errorf("IncrementalPrunes = %d, want 0", m.IncrementalPrunes)
-	}
-}
-
-// TestBuildBudgetOverrunResetsView checks that a budget overrun leaves no
-// half-updated view behind: once the budget is lifted, the next cycle starts
-// from a clean full prune and carries exactly the from-scratch PCI.
-func TestBuildBudgetOverrunResetsView(t *testing.T) {
-	c, queries := fixture(t, 10, 8)
-	e, err := New(Config{Collection: c, Mode: broadcast.TwoTierMode, CycleCapacity: c.TotalSize(),
-		Limits: Limits{BuildBudget: time.Nanosecond}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cy := assembleWith(t, e, 0, queries)
-	if !cy.Degraded {
-		t.Fatal("1 ns build budget did not degrade the cycle")
-	}
-	e.buildBudget = 0
-	want, _, err := e.builder.CI().Prune(queries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cy = assembleWith(t, e, 1, queries)
-	if cy.Degraded {
-		t.Fatal("unbudgeted cycle reported degraded")
-	}
-	if m := e.Metrics(); m.FullPrunes != 1 || m.IncrementalPrunes != 0 {
-		t.Errorf("after an overrun: %d full / %d incremental prunes, want 1/0", m.FullPrunes, m.IncrementalPrunes)
-	}
-	if cy.Index.NumNodes() != want.NumNodes() || cy.Index.NumAttachments() != want.NumAttachments() {
-		t.Errorf("PCI after an overrun has %d nodes / %d attachments, want %d / %d",
-			cy.Index.NumNodes(), cy.Index.NumAttachments(), want.NumNodes(), want.NumAttachments())
 	}
 }
 

@@ -88,9 +88,8 @@ type Config struct {
 	ArrivalSpacing int64
 	// DocSeed and QuerySeed make runs reproducible.
 	DocSeed, QuerySeed int64
-	// Limits bounds engine memory and per-cycle latency in every
-	// simulation this config drives (see engine.Limits). The zero value
-	// imposes no limits.
+	// Limits bounds engine memory in every simulation this config drives
+	// (see engine.Limits). The zero value imposes no limits.
 	Limits engine.Limits
 	// Compress models the netcast transport's per-frame DEFLATE in every
 	// simulation this config drives (sim.Config.Compress): cycles are

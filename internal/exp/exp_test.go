@@ -5,7 +5,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/broadcast"
 	"repro/internal/core"
@@ -318,7 +317,7 @@ func TestSimConfig(t *testing.T) {
 	cfg.Channels = 4
 	cfg.IndexEncoding = core.EncodingSuccinct
 	cfg.Compress = true
-	cfg.Limits = engine.Limits{MaxAnswerCacheEntries: 9, BuildBudget: time.Second}
+	cfg.Limits = engine.Limits{MaxAnswerCacheEntries: 9, MaxPayloadCacheBytes: 1 << 20}
 	coll, err := cfg.documents()
 	if err != nil {
 		t.Fatal(err)

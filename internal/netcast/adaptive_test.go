@@ -17,10 +17,10 @@ import (
 )
 
 // TestAdaptiveFloodE2E is the controller's chaos acceptance test: with an
-// impossible build budget every cycle degrades, so the controller must shed
-// the seeded limits multiplicatively while a flood hammers admission — and a
-// concurrent legitimate client, admitted before the flood, still retrieves
-// byte-correct results. The heap stays inside a fixed envelope throughout.
+// impossible latency target every cycle overshoots, so the controller must
+// shed the seeded limits multiplicatively while a flood hammers admission —
+// and a concurrent legitimate client, admitted before the flood, still
+// retrieves byte-correct results. The heap stays inside a fixed envelope throughout.
 func TestAdaptiveFloodE2E(t *testing.T) {
 	if testing.Short() {
 		t.Skip("flood test takes ~2s")
@@ -40,9 +40,10 @@ func TestAdaptiveFloodE2E(t *testing.T) {
 		Limits: engine.Limits{
 			MaxAnswerCacheEntries: 16,
 			MaxPayloadCacheBytes:  64 << 10,
-			BuildBudget:           time.Nanosecond, // every cycle degrades
 		},
-		Adaptive: true,
+		Adaptive:       true,
+		AdaptiveTarget: time.Nanosecond, // every cycle overshoots
+
 	})
 	if err != nil {
 		t.Fatalf("StartServer: %v", err)
@@ -91,7 +92,7 @@ func TestAdaptiveFloodE2E(t *testing.T) {
 			func(err error) bool { return errors.Is(err, engine.ErrOverload) })
 	}()
 
-	// The legit retrieval proceeds mid-flood over degraded (unpruned) cycles.
+	// The legit retrieval proceeds mid-flood while the limits shed.
 	rctx, rcancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer rcancel()
 	docs, _, err := legit.Retrieve(rctx, q)
@@ -109,9 +110,6 @@ func TestAdaptiveFloodE2E(t *testing.T) {
 	if flood.Rejected == 0 || st.RejectedPending == 0 {
 		t.Errorf("flood drove no admission rejections: flood=%+v stats=%+v", flood, st)
 	}
-	if st.Engine.DegradedCycles == 0 {
-		t.Error("impossible build budget produced no degraded cycles")
-	}
 	// The controller converged: limits shed below the seeds, health left
 	// Healthy, and the pending set stayed bounded by the (shrinking) cap.
 	ad := st.Adaptive
@@ -119,13 +117,13 @@ func TestAdaptiveFloodE2E(t *testing.T) {
 		t.Fatal("ServerStats carries no adaptive state with Adaptive enabled")
 	}
 	if ad.Sheds == 0 {
-		t.Error("sustained degraded cycles recorded no sheds")
+		t.Error("sustained over-target cycles recorded no sheds")
 	}
 	if ad.MaxPending >= 32 {
 		t.Errorf("MaxPending = %d, want shed below the 32 seed", ad.MaxPending)
 	}
-	if st.Health != Shedding && st.Health != Degraded {
-		t.Errorf("health = %q, want shedding or degraded under flood", st.Health)
+	if st.Health != Shedding {
+		t.Errorf("health = %q, want shedding under flood", st.Health)
 	}
 	if st.Health != ad.Health {
 		t.Errorf("ServerStats.Health %q != Adaptive.Health %q", st.Health, ad.Health)
@@ -193,22 +191,19 @@ func TestAdaptiveRecoveryE2E(t *testing.T) {
 // arrive, the live MaxPending cap admits n of them, and each admitted request
 // costs perReq of stage wall time (split across schedule and build, like the
 // real pipeline). The injected clock advances by interCycle between cycles,
-// so every run is deterministic.
-func driveCycle(al *AdaptiveLimiter, clk *control.Fake, offered int, perReq, budget, interCycle time.Duration) (admitted int, degraded bool) {
+// so every run is deterministic. It returns the admitted count and the
+// cycle's assembly wall.
+func driveCycle(al *AdaptiveLimiter, clk *control.Fake, offered int, perReq, interCycle time.Duration) (admitted int, wall time.Duration) {
 	admitted = offered
 	if cap := al.MaxPending(); cap > 0 && admitted > cap {
 		admitted = cap
 	}
-	wall := time.Duration(admitted) * perReq
+	wall = time.Duration(admitted) * perReq
 	al.StageDone(engine.StageSchedule, wall/2, admitted, admitted)
 	al.StageDone(engine.StageBuild, wall-wall/2, admitted, admitted)
-	degraded = budget > 0 && wall > budget
-	if degraded {
-		al.CycleDegraded()
-	}
 	clk.Advance(interCycle)
 	al.CycleDone()
-	return admitted, degraded
+	return admitted, wall
 }
 
 func TestAdaptiveTargetDerivation(t *testing.T) {
@@ -218,11 +213,7 @@ func TestAdaptiveTargetDerivation(t *testing.T) {
 		want time.Duration
 	}{
 		{"explicit", AdaptiveConfig{TargetLatency: 5 * time.Millisecond}, 5 * time.Millisecond},
-		{"from budget", AdaptiveConfig{BuildBudget: 12 * time.Millisecond}, 6 * time.Millisecond},
-		{"no budget", AdaptiveConfig{}, DefaultAdaptiveTarget},
-		// A degenerate 1ns budget derives a 0ns target, which falls through
-		// to the default rather than demanding the impossible.
-		{"degenerate budget", AdaptiveConfig{BuildBudget: 1}, DefaultAdaptiveTarget},
+		{"default", AdaptiveConfig{}, DefaultAdaptiveTarget},
 	}
 	for _, tc := range cases {
 		if got := NewAdaptiveLimiter(tc.cfg).State().Target; got != tc.want {
@@ -232,71 +223,61 @@ func TestAdaptiveTargetDerivation(t *testing.T) {
 }
 
 // A flood the admission cap cannot hope to serve: the controller must shed
-// multiplicatively out of the degraded regime, then settle into a bounded
-// sawtooth under the build budget (DegradedCycles plateau) instead of
-// oscillating back into it.
+// multiplicatively down from the seed, then settle into a bounded sawtooth
+// under the latency target — every overshoot answered by a shed in the same
+// control step — instead of oscillating far above it.
 func TestAdaptiveFloodRampConverges(t *testing.T) {
 	const (
 		seedPending = 1024
 		seedRate    = 128.0
 		offered     = 10_000
 		perReq      = 50 * time.Microsecond
-		budget      = 12 * time.Millisecond // degraded above 240 admitted
-		target      = 10 * time.Millisecond // soft shed above 200 admitted
+		target      = 10 * time.Millisecond // over target above 200 admitted
+		step        = seedPending / 64      // the pending cap's additive step
+		boundary    = int(target / perReq)
 	)
 	clk := control.NewFake(time.Unix(0, 0))
 	al := NewAdaptiveLimiter(AdaptiveConfig{
 		MaxPending:    seedPending,
-		BuildBudget:   budget,
 		UplinkRate:    seedRate,
 		TargetLatency: target,
 		Clock:         clk,
 	})
 
-	var degTotal, degLate int
-	sawDegradedHealth := false
+	// The ramp-down: 1024 -> 512 -> 256 -> 128 admitted, one shed per hold
+	// window, so the first three windows run over target.
+	const converged = 3 * (holdCycles + 1)
+	var overLate, shedsAtConverged int64
 	maxAdmittedLate := 0
 	for cycle := 0; cycle < 200; cycle++ {
-		admitted, deg := driveCycle(al, clk, offered, perReq, budget, 20*time.Millisecond)
-		if deg {
-			degTotal++
-			if cycle >= 10 {
-				degLate++
+		if cycle == converged {
+			shedsAtConverged = al.State().Sheds
+		}
+		admitted, wall := driveCycle(al, clk, offered, perReq, 20*time.Millisecond)
+		if cycle >= converged {
+			maxAdmittedLate = max(maxAdmittedLate, admitted)
+			if wall > target {
+				overLate++
 			}
-		}
-		if al.Health() == Degraded {
-			sawDegradedHealth = true
-		}
-		if cycle >= 10 && admitted > maxAdmittedLate {
-			maxAdmittedLate = admitted
 		}
 	}
 	st := al.State()
 
-	// The ramp-down: 1024 -> 512 -> 256 admitted all blow the 240-request
-	// budget boundary; 128 does not. Exactly those cycles degrade, and the
-	// streak is long enough to surface Degraded health.
-	if degTotal != 3 {
-		t.Errorf("degraded cycles = %d, want 3 (the initial ramp only)", degTotal)
+	// Converged operating regime: the cap grows one step at a time towards
+	// the target and sheds on the first cycle past it, so the admitted depth
+	// never exceeds the boundary by more than one step.
+	if maxAdmittedLate <= boundary-step || maxAdmittedLate > boundary+step {
+		t.Errorf("admitted depth peaked at %d after convergence, want within (%d, %d]", maxAdmittedLate, boundary-step, boundary+step)
 	}
-	if degLate != 0 {
-		t.Errorf("%d degraded cycles after convergence, want a plateau", degLate)
+	if overLate == 0 {
+		t.Error("the sawtooth never reached the target after convergence")
 	}
-	if !sawDegradedHealth {
-		t.Error("health never reported Degraded during the ramp")
+	if shedsLate := st.Sheds - shedsAtConverged; shedsLate != overLate {
+		t.Errorf("%d over-target cycles after convergence but %d sheds, want one shed each", overLate, shedsLate)
 	}
-	if st.Health == Degraded {
-		t.Errorf("health still Degraded after convergence: %+v", st)
-	}
-
-	// Converged operating regime: the sawtooth grows towards the soft
-	// target and sheds before the budget boundary, so the admitted depth
-	// stays bounded strictly under it.
-	if maxAdmittedLate >= 240 {
-		t.Errorf("admitted depth reached %d, want < 240 (budget boundary)", maxAdmittedLate)
-	}
-	if st.MaxPending < 8 || st.MaxPending >= 240 {
-		t.Errorf("MaxPending = %d, want within [8, 240)", st.MaxPending)
+	t.Logf("after convergence: peak %d admitted, %d over-target cycles", maxAdmittedLate, overLate)
+	if st.MaxPending < 8 || st.MaxPending > boundary {
+		t.Errorf("MaxPending = %d, want within [8, %d]", st.MaxPending, boundary)
 	}
 	if st.UplinkRate >= seedRate {
 		t.Errorf("UplinkRate = %v, want shed below seed %v", st.UplinkRate, seedRate)
@@ -316,8 +297,8 @@ func TestAdaptiveFloodRampConverges(t *testing.T) {
 	floodPending := st.MaxPending
 	floodRate := st.UplinkRate
 	for cycle := 0; cycle < 150; cycle++ {
-		if _, deg := driveCycle(al, clk, 50, perReq, budget, 20*time.Millisecond); deg {
-			t.Fatalf("cycle %d degraded under light load", cycle)
+		if _, wall := driveCycle(al, clk, 50, perReq, 20*time.Millisecond); wall > target {
+			t.Fatalf("cycle %d over target under light load", cycle)
 		}
 	}
 	st = al.State()
@@ -335,8 +316,8 @@ func TestAdaptiveFloodRampConverges(t *testing.T) {
 	}
 }
 
-// A soft (over-target but not degraded) signal sheds at most once per hold
-// window, so the EWMA's memory of a burst cannot cascade limits to the floor.
+// An over-target cycle sheds at most once per hold window, so the EWMA's
+// memory of a burst cannot cascade limits to the floor.
 func TestAdaptiveSoftShedHysteresis(t *testing.T) {
 	clk := control.NewFake(time.Unix(0, 0))
 	al := NewAdaptiveLimiter(AdaptiveConfig{
@@ -365,38 +346,17 @@ func TestAdaptiveSoftShedHysteresis(t *testing.T) {
 	}
 }
 
-// A degraded cycle is a hard signal: it sheds even inside the hold window.
-func TestAdaptiveDegradedShedsThroughHold(t *testing.T) {
-	clk := control.NewFake(time.Unix(0, 0))
-	al := NewAdaptiveLimiter(AdaptiveConfig{
-		MaxPending:    1024,
-		TargetLatency: 10 * time.Millisecond,
-		Clock:         clk,
-	})
-	al.StageDone(engine.StageBuild, 12*time.Millisecond, 100, 100)
-	clk.Advance(time.Millisecond)
-	al.CycleDone() // soft shed, hold window opens
-	al.StageDone(engine.StageBuild, 12*time.Millisecond, 100, 100)
-	al.CycleDegraded()
-	clk.Advance(time.Millisecond)
-	al.CycleDone()
-	if got := al.State().Sheds; got != 2 {
-		t.Errorf("Sheds = %d, want 2 (degraded cycle ignores the hold window)", got)
-	}
-}
-
 func TestAdaptiveUntunedAxesStayOff(t *testing.T) {
 	clk := control.NewFake(time.Unix(0, 0))
 	al := NewAdaptiveLimiter(AdaptiveConfig{TargetLatency: time.Millisecond, Clock: clk})
 	for i := 0; i < 20; i++ {
-		al.StageDone(engine.StageBuild, 10*time.Millisecond, 100, 100)
-		al.CycleDegraded()
+		al.StageDone(engine.StageBuild, 10*time.Millisecond, 100, 100) // ten times the target
 		clk.Advance(time.Millisecond)
 		al.CycleDone()
 	}
 	st := al.State()
 	if st.Sheds == 0 {
-		t.Fatal("degraded cycles recorded no sheds")
+		t.Fatal("over-target cycles recorded no sheds")
 	}
 	if st.MaxPending != 0 || st.UplinkRate != 0 {
 		t.Errorf("untuned axes moved: pending=%d rate=%v, want 0/0", st.MaxPending, st.UplinkRate)

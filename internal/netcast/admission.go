@@ -46,7 +46,7 @@ func (b *tokenBucket) take(now time.Time) time.Duration {
 	return time.Duration((1 - b.tokens) / b.rate * float64(time.Second))
 }
 
-// Health is the adaptive admission controller's three-state load signal,
+// Health is the adaptive admission controller's two-state load signal,
 // surfaced through ServerStats.
 type Health string
 
@@ -58,16 +58,12 @@ const (
 	// Shedding: the controller recently cut limits multiplicatively and is
 	// holding them down (hysteresis) until latency recovers.
 	Shedding Health = "shedding"
-	// Degraded: cycles are blowing the build budget faster than shedding
-	// relieves them — the engine is broadcasting unpruned indexes and the
-	// controller is at or racing towards its floors.
-	Degraded Health = "degraded"
 )
 
 // Adaptive controller defaults.
 const (
 	// DefaultAdaptiveTarget is the per-cycle assembly-latency goal when
-	// neither TargetLatency nor a BuildBudget to derive it from is set.
+	// TargetLatency is zero.
 	DefaultAdaptiveTarget = 20 * time.Millisecond
 	// DefaultAdaptivePending seeds the pending cap of a server that enables
 	// the controller without a configured ServerConfig.MaxPending.
@@ -79,10 +75,6 @@ const (
 
 // The control loop's fixed parameters.
 const (
-	// targetFraction of the build budget becomes the latency target when
-	// TargetLatency is zero, leaving headroom so shedding engages before
-	// cycles start degrading.
-	targetFraction = 0.5
 	// adaptiveAlpha is the EWMA smoothing factor of both latency estimators.
 	adaptiveAlpha = 0.3
 	// decreaseFactor is the multiplicative shed factor.
@@ -93,9 +85,6 @@ const (
 	// recoverCycles is the consecutive-good-cycle streak required to report
 	// Healthy again.
 	recoverCycles = 12
-	// degradedStreak is the consecutive degraded-cycle count that flips
-	// health from Shedding to Degraded.
-	degradedStreak = 3
 )
 
 // AdaptiveConfig parameterises NewAdaptiveLimiter: the seeds the loop starts
@@ -109,12 +98,9 @@ type AdaptiveConfig struct {
 	// UplinkRate seeds the per-connection uplink rate (queries/sec). Zero
 	// leaves rate tuning off.
 	UplinkRate float64
-	// TargetLatency is the per-cycle assembly-latency goal. Zero derives
-	// half of BuildBudget, or DefaultAdaptiveTarget when no budget is set.
+	// TargetLatency is the per-cycle assembly-latency goal. Zero selects
+	// DefaultAdaptiveTarget.
 	TargetLatency time.Duration
-	// BuildBudget is the engine's per-cycle pruning deadline
-	// (engine.Limits.BuildBudget), from which a zero TargetLatency derives.
-	BuildBudget time.Duration
 	// Clock drives the controller's inter-cycle latency estimate. Nil
 	// selects the wall clock; tests inject control.Fake.
 	Clock control.Clock
@@ -123,7 +109,7 @@ type AdaptiveConfig struct {
 // AdaptiveState is a point-in-time snapshot of the controller, exported
 // through ServerStats.Adaptive.
 type AdaptiveState struct {
-	// Health is the three-state load signal.
+	// Health is the two-state load signal.
 	Health Health
 	// Target is the assembly-latency goal the loop steers towards.
 	Target time.Duration
@@ -149,9 +135,8 @@ func (s AdaptiveState) String() string {
 // AdaptiveLimiter closes the loop between the engine's probe telemetry and
 // the server's admission limits: additive-increase/multiplicative-decrease
 // (AIMD) with hysteresis over the pending cap and the uplink rate, steering
-// the per-cycle assembly latency towards a target fraction of the build
-// budget. It implements engine.Probe — acting on the stage walls, degraded
-// cycles and cycle ends, ignoring the rest. Fed no events, it holds its seeds:
+// the per-cycle assembly latency towards a target. It implements
+// engine.Probe — acting on the stage walls and cycle ends, ignoring the rest. Fed no events, it holds its seeds:
 // that is the server's static admission. All methods are safe for concurrent
 // use.
 //
@@ -178,9 +163,8 @@ type AdaptiveLimiter struct {
 	uplinkRate float64
 	health     Health
 
-	// Per-cycle accumulation between CycleDone events.
-	cycleWall   time.Duration
-	sawDegraded bool
+	// Per-cycle assembly wall accumulated between CycleDone events.
+	cycleWall time.Duration
 
 	// Estimators.
 	assembly    control.EWMA // per-cycle assembly wall
@@ -189,7 +173,6 @@ type AdaptiveLimiter struct {
 
 	holdLeft      int
 	healthyStreak int
-	degStreak     int
 	sheds, grows  int64
 }
 
@@ -200,10 +183,7 @@ type AdaptiveLimiter struct {
 func NewAdaptiveLimiter(cfg AdaptiveConfig) *AdaptiveLimiter {
 	target := cfg.TargetLatency
 	if target <= 0 {
-		target = time.Duration(targetFraction * float64(cfg.BuildBudget))
-		if target <= 0 {
-			target = DefaultAdaptiveTarget
-		}
+		target = DefaultAdaptiveTarget
 	}
 	a := &AdaptiveLimiter{
 		clock:      control.Or(cfg.Clock),
@@ -243,7 +223,7 @@ func (a *AdaptiveLimiter) UplinkRate() float64 {
 	return a.uplinkRate
 }
 
-// Health is the current three-state load signal.
+// Health is the current two-state load signal.
 func (a *AdaptiveLimiter) Health() Health {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -298,22 +278,14 @@ func (a *AdaptiveLimiter) StageDone(stage string, wall time.Duration, _, _ int) 
 	}
 }
 
-// CycleDegraded implements engine.Probe.
-func (a *AdaptiveLimiter) CycleDegraded() {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.sawDegraded = true
-}
-
 // CycleDone implements engine.Probe and runs one control step:
 //
-//   - a degraded cycle always sheds multiplicatively (hard signal);
-//   - assembly latency over target sheds too, but at most once per
-//     holdCycles window (soft signal with hysteresis), so the EWMA's memory
-//     of a burst cannot cascade limits to the floor;
+//   - assembly latency over target sheds multiplicatively, but at most once
+//     per holdCycles window (hysteresis), so the EWMA's memory of a burst
+//     cannot cascade limits to the floor;
 //   - latency under target with the hold window drained grows additively;
-//   - health transitions Shedding→Degraded on a degraded streak and back to
-//     Healthy after recoverCycles consecutive good cycles.
+//   - health turns Shedding on a shed and back to Healthy after
+//     recoverCycles consecutive good cycles.
 func (a *AdaptiveLimiter) CycleDone() {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -326,25 +298,14 @@ func (a *AdaptiveLimiter) CycleDone() {
 	inst := a.cycleWall
 	a.cycleWall = 0
 	lat := a.assembly.ObserveDuration(inst)
-	deg := a.sawDegraded
-	a.sawDegraded = false
-	if deg {
-		a.degStreak++
-	} else {
-		a.degStreak = 0
-	}
 
 	over := inst > a.target || lat > a.target
 	switch {
-	case deg || (over && a.holdLeft == 0):
+	case over && a.holdLeft == 0:
 		a.shed()
 		a.holdLeft = holdCycles
 		a.healthyStreak = 0
-		if a.degStreak >= degradedStreak {
-			a.health = Degraded
-		} else {
-			a.health = Shedding
-		}
+		a.health = Shedding
 	case over:
 		// Over target inside the hold window: let the last shed take
 		// effect before cutting again.

@@ -114,49 +114,6 @@ func TestUplinkRateLimit(t *testing.T) {
 	}
 }
 
-// TestDegradedCycleStillServes pins graceful degradation end to end: with an
-// impossible build budget every cycle falls back to the unpruned CI, and an
-// unmodified client still decodes the broadcast and retrieves byte-correct
-// results.
-func TestDegradedCycleStillServes(t *testing.T) {
-	coll := testCollection(t)
-	srv, err := StartServer(ServerConfig{
-		Collection:    coll,
-		Mode:          broadcast.TwoTierMode,
-		CycleCapacity: 3 * coll.TotalSize() / coll.Len(),
-		CycleInterval: 5 * time.Millisecond,
-		Limits:        engine.Limits{BuildBudget: time.Nanosecond},
-	})
-	if err != nil {
-		t.Fatalf("StartServer: %v", err)
-	}
-	defer srv.Shutdown()
-
-	cl, err := Dial(srv.UplinkAddr(), srv.BroadcastAddr(), core.SizeModel{})
-	if err != nil {
-		t.Fatalf("Dial: %v", err)
-	}
-	defer cl.Close()
-	q := xpath.MustParse("/nitf/body/body.content/block")
-	want := q.MatchingDocs(coll)
-	if len(want) == 0 {
-		t.Fatal("test query matches nothing")
-	}
-	if err := cl.Submit(q); err != nil {
-		t.Fatalf("Submit: %v", err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-	defer cancel()
-	docs, _, err := cl.Retrieve(ctx, q)
-	if err != nil {
-		t.Fatalf("Retrieve over degraded cycles: %v", err)
-	}
-	checkRetrieved(t, coll, docs, want)
-	if st := srv.Stats(); st.Engine.DegradedCycles == 0 {
-		t.Errorf("engine metrics = %+v, want DegradedCycles > 0", st.Engine)
-	}
-}
-
 // TestOverloadFlood is the chaos acceptance test: a multi-worker flood of
 // submissions (valid, duplicate and junk queries) drives sustained
 // rejections while the bounded caches hold the heap inside a fixed envelope,

@@ -70,7 +70,7 @@ type ServerConfig struct {
 	// cycle loop, the one goroutine that drives the engine, and the loop waits
 	// for them, so they must not call the server back.
 	Probe engine.Probe
-	// Limits bounds engine memory and per-cycle latency (see engine.Limits).
+	// Limits bounds engine memory (see engine.Limits).
 	// The zero value imposes no limits.
 	Limits engine.Limits
 	// MaxPending is the server's one cap on the pending set, checked at
@@ -96,8 +96,7 @@ type ServerConfig struct {
 	// in Stats.
 	Adaptive bool
 	// AdaptiveTarget is the controller's per-cycle assembly-latency goal;
-	// zero derives it from Limits.BuildBudget or the default (see
-	// AdaptiveConfig.TargetLatency). Ignored unless Adaptive.
+	// zero selects DefaultAdaptiveTarget. Ignored unless Adaptive.
 	AdaptiveTarget time.Duration
 	// Clock drives admission timing (token buckets, the controller's
 	// latency estimate). Nil selects the wall clock; tests inject
@@ -234,11 +233,10 @@ type ServerStats struct {
 	// limiting; RejectedPending counts queries refused by the global
 	// pending-set cap (ServerConfig.MaxPending).
 	RejectedRate, RejectedPending int64
-	// Engine holds per-stage wall times and sizes, answer-cache hit rate,
-	// eviction and degraded-cycle counters from the shared assembly
-	// engine.
+	// Engine holds per-stage wall times and sizes, answer-cache hit rate
+	// and eviction counters from the shared assembly engine.
 	Engine engine.Metrics
-	// Health is the adaptive admission controller's three-state load
+	// Health is the adaptive admission controller's two-state load
 	// signal; empty unless ServerConfig.Adaptive.
 	Health Health
 	// Adaptive snapshots the controller's live limits and estimators; nil
@@ -356,7 +354,6 @@ func StartServer(cfg ServerConfig) (*Server, error) {
 		MaxPending:    cfg.MaxPending,
 		UplinkRate:    cfg.UplinkRate,
 		TargetLatency: cfg.AdaptiveTarget,
-		BuildBudget:   cfg.Limits.BuildBudget,
 		Clock:         clock,
 	})
 	probes := []engine.Probe{cfg.Probe}

@@ -3,59 +3,10 @@ package sim
 import (
 	"reflect"
 	"testing"
-	"time"
 
 	"repro/internal/broadcast"
 	"repro/internal/engine"
 )
-
-// TestDegradedCyclesStillComplete pins graceful degradation in the byte-time
-// driver: with an impossible build budget every cycle broadcasts the
-// unpruned CI, which is a superset of the PCI — so every client still
-// completes with exactly the right documents, and Result.Engine surfaces the
-// degradation.
-func TestDegradedCyclesStillComplete(t *testing.T) {
-	c, reqs := workload(t, 10, 12, 7)
-	res, err := Run(Config{
-		Collection:    c,
-		Mode:          broadcast.TwoTierMode,
-		CycleCapacity: capacityFor(c),
-		Requests:      reqs,
-		Limits:        engine.Limits{BuildBudget: time.Nanosecond},
-	})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if res.Engine.DegradedCycles == 0 {
-		t.Fatalf("engine metrics report no degraded cycles: %s", res.Engine)
-	}
-	if res.Engine.DegradedCycles != res.Engine.Cycles {
-		t.Errorf("1 ns budget degraded %d of %d cycles, want all", res.Engine.DegradedCycles, res.Engine.Cycles)
-	}
-	for i, cl := range res.Clients {
-		if want := reqs[i].Query.MatchingDocs(c); !reflect.DeepEqual(cl.Docs, want) {
-			t.Errorf("client %d docs = %v, want %v", i, cl.Docs, want)
-		}
-	}
-
-	// Degradation trades index size for build latency: the degraded run's
-	// index bytes per cycle must be at least the pruned run's.
-	pruned, err := Run(Config{
-		Collection:    c,
-		Mode:          broadcast.TwoTierMode,
-		CycleCapacity: capacityFor(c),
-		Requests:      reqs,
-	})
-	if err != nil {
-		t.Fatalf("Run (pruned): %v", err)
-	}
-	if pruned.Engine.DegradedCycles != 0 {
-		t.Errorf("unbudgeted run degraded %d cycles", pruned.Engine.DegradedCycles)
-	}
-	if res.MeanIndexBytes() < pruned.MeanIndexBytes() {
-		t.Errorf("degraded index bytes %.0f below pruned %.0f", res.MeanIndexBytes(), pruned.MeanIndexBytes())
-	}
-}
 
 // TestSimLimitsBoundCaches exercises the LRU bounds through the simulator
 // driver: tight caps keep the run correct while forcing evictions.

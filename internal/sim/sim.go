@@ -85,8 +85,7 @@ type Config struct {
 	// Probe receives engine pipeline telemetry in addition to the built-in
 	// collector that fills Result.Engine. Optional.
 	Probe engine.Probe
-	// Limits bounds engine memory and per-cycle latency (see
-	// engine.Limits); degraded cycles and evictions surface in
+	// Limits bounds engine memory (see engine.Limits); evictions surface in
 	// Result.Engine. The zero value imposes no limits. The simulator admits
 	// every configured request: there is no pending cap to shed against.
 	Limits engine.Limits

@@ -58,8 +58,7 @@ type (
 	// it submits queries under its own stream ID and sees only its own acks.
 	BroadcastLogicalClient = netcast.LogicalClient
 	// EngineHealth is the server's adaptive admission controller's
-	// three-state load signal (EngineHealthy, EngineShedding,
-	// EngineDegraded), carried by BroadcastServerStats.Health when the
+	// two-state load signal (EngineHealthy, EngineShedding), carried by BroadcastServerStats.Health when the
 	// controller is enabled (BroadcastServerConfig.Adaptive).
 	EngineHealth = netcast.Health
 	// EngineAdaptiveState snapshots the controller's live limits, latency
@@ -73,8 +72,6 @@ const (
 	EngineHealthy = netcast.Healthy
 	// EngineShedding: limits recently cut and held down until recovery.
 	EngineShedding = netcast.Shedding
-	// EngineDegraded: cycles blowing their build budget despite shedding.
-	EngineDegraded = netcast.Degraded
 )
 
 // Session-resume dispositions ((*BroadcastClient).Resume).
