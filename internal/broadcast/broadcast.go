@@ -347,15 +347,6 @@ func (c *Cycle) IndexStart() int64 {
 	return c.Start + int64(c.HeadBytes)
 }
 
-// DirStart is the absolute byte-time of the channel directory (multichannel
-// cycles only; it equals IndexStart otherwise, since the directory is empty).
-func (c *Cycle) DirStart() int64 {
-	if k := len(c.Channels); k > 1 {
-		return c.Start + int64(k*c.HeadBytes)
-	}
-	return c.Start + int64(c.HeadBytes)
-}
-
 // SecondTierStart is the absolute byte-time of the second-tier segment.
 // Meaningful in single-channel cycles only (each data channel carries its own
 // stripe at its own pace otherwise).

@@ -2,8 +2,8 @@
 // discrete-event simulator (internal/sim) and the networked broadcast server
 // (internal/netcast). It owns the per-cycle loop of §3.4 Fig. 8 — answer
 // pending queries from the Compact Index, schedule result documents into the
-// cycle budget, prune and pack the air index, and encode the wire segments —
-// so the two drivers cannot drift apart:
+// cycle budget, prune and pack the air index, and frame the cycle exactly as
+// it airs — so the two drivers cannot drift apart:
 //
 //   - a query's answer is what §3.1 defines it to be, the document tuples under
 //     its match nodes in the unpruned CI: memoized per canonical query string,
@@ -17,8 +17,10 @@
 //     deltas across cycles and rebuilt in full when the churn they observe
 //     exceeds a fixed quarter of the set. The references they are defined
 //     against (Scheduler.PlanCycle, core.Index.Prune) are what tests call;
-//   - wire encoding reuses pooled buffers and a per-document payload cache,
-//     so steady-state cycles allocate O(1) buffers instead of O(docs).
+//   - framing reuses pooled buffers and a per-document cache of frames (and,
+//     on a compressing engine, their transport envelopes), so steady-state
+//     cycles allocate O(1) buffers instead of O(docs) and deflate no
+//     document twice.
 //
 // Every stage reports wall time and input/output sizes through a Probe;
 // the default probe collects Metrics surfaced in netcast.ServerStats and
@@ -36,7 +38,9 @@ import (
 	"repro/internal/broadcast"
 	"repro/internal/core"
 	"repro/internal/journal"
+	"repro/internal/netcast/transport"
 	"repro/internal/schedule"
+	"repro/internal/wire"
 	"repro/internal/xmldoc"
 	"repro/internal/xpath"
 	"repro/internal/yfilter"
@@ -71,6 +75,11 @@ type Config struct {
 	// carry second-tier stripes and documents. broadcast.Builder.SetChannels
 	// states which counts are legal.
 	Channels int
+	// Compress wraps every frame the engine airs in the transport envelope
+	// (per-frame DEFLATE; see package transport), so that Encoded.Frames are
+	// what a compressing downlink sends. broadcast.CheckCompress states the
+	// channel counts it allows.
+	Compress bool
 }
 
 // Pending is one outstanding request as the scheduler sees it: the query (for
@@ -99,44 +108,28 @@ type Pending struct {
 // single channel-aware plan type of package broadcast.
 type Cycle = broadcast.Cycle
 
-// Encoded holds one cycle's wire segments, every one the cycle airs, in the
-// order it airs them. The head, index and offset segments share one pooled
-// backing buffer: callers that fully consume them may return it with
+// Encoded is one cycle's air program: every frame the cycle airs, per
+// channel and in the order the channel airs it, each in its wire form — the
+// frame's header, payload and CRC32C (wire.AppendFrame), or on a compressing
+// engine the transport envelope around them. A driver puts Frames[c] on
+// channel c as it is; the frames' lengths are the cycle's bytes on air.
+//
+// The head, index, directory, offset and channel-head frames share one
+// pooled backing buffer: callers that fully consume them may return it with
 // Engine.Recycle, callers that retain them (e.g. broadcast fan-out queues)
-// simply let the GC take it. Docs entries, and the on-air forms Air returns,
-// point into the engine's per-document cache and are shared, immutable, and
-// never recycled.
+// simply let the GC take it. Document frames come out of the engine's
+// per-document cache and are shared, immutable, and never recycled.
 type Encoded struct {
-	// Head is the cycle head (wire.CycleHead), Cycle.HeadBytes long.
-	Head []byte
-	// Index is the packed index segment, Cycle.IndexStreamBytes long.
-	Index []byte
-	// ChannelDir is the channel-directory segment, Cycle.DirBytes long:
-	// empty in single-channel cycles.
-	ChannelDir []byte
-	// SecondTiers holds one offset list per stream that carries documents:
-	// the serial stream's at K = 1 (Cycle.SecondTierBytes long), data
-	// channel i+1's stripe at K > 1 (its ChannelLayout.SecondTierBytes). In
-	// one-tier mode the single entry is empty: the offsets ride in the index.
-	SecondTiers [][]byte
-	// Docs holds one payload per scheduled document, in broadcast order
-	// (Cycle.Docs order — in multichannel cycles entry i rides the channel
-	// of Cycle.Docs[i]): 2 little-endian ID bytes followed by the
-	// marshalled document.
-	Docs [][]byte
+	// Frames holds one list per channel (one at K = 1). Channel 0 airs the
+	// cycle head, then the index, and at K = 1 the second tier and the
+	// documents after them; at K > 1 it airs the channel directory between
+	// head and index, data channel c its second-tier stripe and the
+	// documents Cycle.Docs places on it, in Cycle.Docs order, and every
+	// channel opens with its channel head. An empty second tier (one-tier
+	// mode) does not air.
+	Frames [][][]byte
 
-	air [][]byte // parallel to Docs once anything is attached; see Air
-	buf []byte   // pooled backing of the head, index and offset segments
-}
-
-// Air returns the on-air form cached beside Docs[i] when the cycle was
-// encoded — whatever the driver last gave AttachAir for that payload, which
-// the engine never looks inside — or nil when nothing is attached to it yet.
-func (enc *Encoded) Air(i int) []byte {
-	if enc.air == nil {
-		return nil
-	}
-	return enc.air[i]
+	buf []byte // pooled backing of every frame but the documents'
 }
 
 // Engine owns the cycle-assembly pipeline over a dynamic collection. It is
@@ -176,7 +169,12 @@ type Engine struct {
 	fp      uint64
 	fpSizes map[xmldoc.DocID]int
 
-	segPool sync.Pool // *[]byte scratch for encoded index/second-tier segments
+	// segs is EncodeCycle's scratch for the cycle's segments before they are
+	// framed; framePool recycles the frames' backing buffers. env builds the
+	// transport envelopes; nil unless Config.Compress.
+	segs      []byte
+	framePool sync.Pool // *[]byte
+	env       *transport.Encoder
 }
 
 // New validates the configuration and builds the engine (including the
@@ -202,6 +200,9 @@ func New(cfg Config) (*Engine, error) {
 		cfg.Channels = 1
 	}
 	if err := builder.SetChannels(cfg.Channels); err != nil {
+		return nil, fmt.Errorf("engine: %w", err)
+	}
+	if err := broadcast.CheckCompress(cfg.Channels, cfg.Compress); err != nil {
 		return nil, fmt.Errorf("engine: %w", err)
 	}
 	if cfg.IndexEncoding != core.EncodingNode {
@@ -230,7 +231,10 @@ func New(cfg Config) (*Engine, error) {
 			e.probe = append(e.probe, p)
 		}
 	}
-	e.segPool.New = func() any { b := make([]byte, 0, 4096); return &b }
+	e.framePool.New = func() any { b := make([]byte, 0, 4096); return &b }
+	if cfg.Compress {
+		e.env = transport.NewEncoder(true, 0)
+	}
 	return e, nil
 }
 
@@ -482,112 +486,172 @@ func (e *Engine) prune(ci *core.Index, queries []xpath.Path) *core.Index {
 	return pci
 }
 
-// EncodeCycle produces every wire segment the cycle airs: the head, the
-// packed index, the channel directory (K > 1) and one second-tier offset list
-// per stream that carries documents (two-tier mode), cut apart at the
-// cycle's own sizes, and one framed payload per scheduled document. Head,
-// index and offset bytes come from a buffer pool; document payloads are
-// cached across cycles, each with the on-air form its driver attached, so
-// rebroadcasting a document costs no allocation. See Encoded for the buffer
-// ownership rules.
+// EncodeCycle frames everything the cycle airs — the head, the packed
+// index, the channel directory (K > 1), one second-tier offset list per
+// stream that carries documents (two-tier mode), the channel heads (K > 1)
+// and one frame per scheduled document — in air order per channel, each in
+// its wire form (see Encoded). The segments are encoded into scratch the
+// engine reuses, cut at the cycle's own sizes and framed into a pooled
+// buffer; a document is framed, and on a compressing engine deflated, once
+// per stay in the payload cache, so rebroadcasting it costs no allocation
+// and no DEFLATE pass.
 func (e *Engine) EncodeCycle(c *Cycle) (_ *Encoded, err error) {
 	start := time.Now()
-	bufp := e.segPool.Get().(*[]byte)
-	buf := (*bufp)[:0]
-	// Every error return must hand the pooled buffer back; buf may have been
-	// regrown by the appends, so re-point bufp at the latest backing.
+	segs, err := c.Head.Append(e.segs[:0])
+	if err != nil {
+		return nil, fmt.Errorf("engine: encode cycle head: %w", err)
+	}
+	if segs, err = e.builder.AppendEncoded(segs, c); err != nil {
+		return nil, err
+	}
+	e.segs = segs
+	if want := c.HeadBytes + c.IndexStreamBytes() + c.DirBytes + c.SecondTierBytes; len(segs) != want {
+		return nil, fmt.Errorf("engine: cycle %d encodes to %d bytes, its sizes sum to %d", c.Number, len(segs), want)
+	}
+	// segs holds the head, the index, the directory and the offset lists in
+	// stream order.
+	cut := func(n int) []byte {
+		seg := segs[:n]
+		segs = segs[n:]
+		return seg
+	}
+	head, index, dir := cut(c.HeadBytes), cut(c.IndexStreamBytes()), cut(c.DirBytes)
+	k := c.ChannelCount()
+
+	// The frames other than documents go into one pooled buffer grown once
+	// to hold them all — at most a channel head and a second tier per
+	// channel besides head, directory and index — so none moves.
+	bufp := e.framePool.Get().(*[]byte)
+	buf := slices.Grow((*bufp)[:0], c.HeadBytes+c.IndexStreamBytes()+c.DirBytes+c.SecondTierBytes+
+		k*wire.ChannelHeadLen+(2*k+3)*(wire.FrameHeaderLen+wire.FrameTrailerLen))
+	// Every error return must hand the pooled buffer back.
 	defer func() {
 		if err != nil {
 			*bufp = buf[:0]
-			e.segPool.Put(bufp)
+			e.framePool.Put(bufp)
 		}
 	}()
-	if buf, err = c.Head.Append(buf); err != nil {
-		return nil, fmt.Errorf("engine: encode cycle head: %w", err)
+	all := make([][]byte, 0, 2*k+3+len(c.Docs))
+	total, evicted := 0, 0
+	onAir := func(fr []byte) {
+		all = append(all, fr)
+		total += len(fr)
 	}
-	if buf, err = e.builder.AppendEncoded(buf, c); err != nil {
+	// frame frames one segment into buf and airs it; after a failure it
+	// does nothing, and err holds the failure.
+	frame := func(t wire.FrameType, payload []byte) {
+		if err != nil {
+			return
+		}
+		from := len(buf)
+		if buf, err = wire.AppendFrame(buf, t, payload); err != nil {
+			return
+		}
+		fr := buf[from:len(buf):len(buf)]
+		if e.env != nil {
+			if fr, err = e.env.Encode(transport.NoStream, fr); err != nil {
+				return
+			}
+		}
+		onAir(fr)
+	}
+	enc := &Encoded{Frames: make([][][]byte, k)}
+	for ch := 0; ch < k; ch++ {
+		from := len(all)
+		if k > 1 {
+			h := wire.ChannelHead{Number: uint32(c.Number), Channel: uint8(ch), Channels: uint8(k),
+				Role: wire.ChannelRoleIndex, NumDocs: uint16(len(c.Docs))}
+			if ch > 0 {
+				h.Role, h.NumDocs = wire.ChannelRoleData, uint16(len(c.Channels[ch].Docs))
+			}
+			var hb [wire.ChannelHeadLen]byte
+			frame(wire.FrameChannelHead, h.Append(hb[:0]))
+		}
+		if ch == 0 {
+			frame(wire.FrameCycleHead, head)
+			if k > 1 {
+				frame(wire.FrameChannelDir, dir)
+			}
+			frame(wire.FrameIndex, index)
+		}
+		if ch > 0 || k == 1 {
+			n := c.SecondTierBytes
+			if k > 1 {
+				n = c.Channels[ch].SecondTierBytes
+			}
+			if st := cut(n); len(st) > 0 {
+				frame(wire.FrameSecondTier, st)
+			}
+			for _, p := range c.Docs {
+				if p.Channel != ch || err != nil {
+					continue
+				}
+				en := e.payloads.get(p.ID)
+				if en == nil {
+					if en, err = e.docEntry(p.ID); err != nil {
+						break
+					}
+					evicted += e.payloads.put(en)
+				}
+				onAir(en.onAir())
+			}
+		}
+		enc.Frames[ch] = all[from:len(all):len(all)]
+	}
+	if err != nil {
 		return nil, err
 	}
-	if want := c.HeadBytes + c.IndexStreamBytes() + c.DirBytes + c.SecondTierBytes; len(buf) != want {
-		return nil, fmt.Errorf("engine: cycle %d encodes to %d bytes, its sizes sum to %d", c.Number, len(buf), want)
-	}
-	enc := &Encoded{buf: buf}
-	off := 0
-	cut := func(n int) []byte {
-		seg := buf[off : off+n : off+n]
-		off += n
-		return seg
-	}
-	enc.Head = cut(c.HeadBytes)
-	enc.Index = cut(c.IndexStreamBytes())
-	enc.ChannelDir = cut(c.DirBytes)
-	if len(c.Channels) == 0 {
-		enc.SecondTiers = [][]byte{cut(c.SecondTierBytes)}
-	} else {
-		enc.SecondTiers = make([][]byte, len(c.Channels)-1)
-		for i := range enc.SecondTiers {
-			enc.SecondTiers[i] = cut(c.Channels[i+1].SecondTierBytes)
-		}
-	}
-	segments := 3 + len(enc.SecondTiers) + len(c.Docs)
-	total := len(buf)
-	enc.Docs = make([][]byte, 0, len(c.Docs))
-	evicted := 0
-	for i, p := range c.Docs {
-		var payload []byte
-		if en := e.payloads.get(p.ID); en != nil {
-			payload = en.payload
-			if en.air != nil {
-				// Allocated only once a driver has attached something, so an
-				// engine nobody attaches to pays nothing per cycle for the slot.
-				if enc.air == nil {
-					enc.air = make([][]byte, len(c.Docs))
-				}
-				enc.air[i] = en.air
-			}
-		} else {
-			doc := e.builder.DocByID(p.ID)
-			if doc == nil {
-				return nil, fmt.Errorf("engine: document %d scheduled but not in collection", p.ID)
-			}
-			payload = make([]byte, 2, 2+doc.Size())
-			binary.LittleEndian.PutUint16(payload, uint16(p.ID))
-			payload = doc.AppendMarshal(payload)
-			evicted += e.payloads.put(p.ID, payload)
-		}
-		enc.Docs = append(enc.Docs, payload)
-		total += len(payload)
-	}
-	e.probe.StageDone(StageEncode, time.Since(start), segments, total)
+	enc.buf = buf
+	e.probe.StageDone(StageEncode, time.Since(start), len(all), total)
 	if evicted > 0 {
 		e.probe.CacheEvicted(EvictPayload, evicted)
 	}
 	return enc, nil
 }
 
-// AttachAir caches air, the driver's on-air form of enc.Docs[i], beside that
-// payload: later EncodeCycle calls hand it back through Encoded.Air for as
-// long as the payload itself stays cached — it counts against
-// Limits.MaxPayloadCacheBytes, is evicted with the payload and is dropped by
-// RemoveDocument. The call does nothing when the payload is no longer the
-// cache's own (evicted, removed, or removed and re-added since enc was
-// encoded). air must not be written afterwards.
-func (e *Engine) AttachAir(enc *Encoded, i int, air []byte) {
-	if evicted := e.payloads.attach(enc.Docs[i], air); evicted > 0 {
-		e.probe.CacheEvicted(EvictPayload, evicted)
+// docEntry frames a document — its payload marshalled straight into the
+// frame — and on a compressing engine builds the envelope it airs in: the
+// entry the payload cache keeps for as long as the document stays cached.
+func (e *Engine) docEntry(id xmldoc.DocID) (*payloadEntry, error) {
+	doc := e.builder.DocByID(id)
+	if doc == nil {
+		return nil, fmt.Errorf("engine: document %d scheduled but not in collection", id)
 	}
+	fr, start := wire.StartFrame(make([]byte, 0, wire.FrameHeaderLen+2+doc.Size()+wire.FrameTrailerLen))
+	fr = doc.AppendMarshal(binary.LittleEndian.AppendUint16(fr, uint16(id)))
+	fr, err := wire.FinishFrame(fr, start, wire.FrameDoc)
+	if err != nil {
+		return nil, fmt.Errorf("engine: document %d: %w", id, err)
+	}
+	en := &payloadEntry{id: id, frame: fr}
+	if e.env != nil {
+		if en.env, err = e.env.Encode(transport.NoStream, fr); err != nil {
+			return nil, fmt.Errorf("engine: document %d: %w", id, err)
+		}
+	}
+	return en, nil
 }
 
-// Recycle returns an Encoded's pooled buffer for reuse. Only call it when the
-// head, index and offset segment slices are fully consumed; the Docs payloads
-// and their on-air forms are cache entries and remain valid.
+// TransportStats reports a compressing engine's envelope counters: every
+// frame it wrapped and how many of them shipped deflated. Zero when the
+// engine does not compress.
+func (e *Engine) TransportStats() transport.EncoderStats {
+	if e.env == nil {
+		return transport.EncoderStats{}
+	}
+	return e.env.Stats()
+}
+
+// Recycle returns an Encoded's pooled buffer for reuse. Only call it when its
+// frames are fully consumed; the document frames are cache entries and stay
+// valid, the others do not.
 func (e *Engine) Recycle(enc *Encoded) {
 	if enc == nil || enc.buf == nil {
 		return
 	}
-	buf := enc.buf
-	enc.buf, enc.Head, enc.Index, enc.ChannelDir, enc.SecondTiers = nil, nil, nil, nil, nil
-	e.segPool.Put(&buf)
+	buf := enc.buf[:0]
+	enc.buf, enc.Frames = nil, nil
+	e.framePool.Put(&buf)
 }
 
 // AddDocument admits a new document to the live collection; it becomes

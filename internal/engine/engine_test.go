@@ -2,7 +2,9 @@ package engine
 
 import (
 	"bytes"
+	"cmp"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/broadcast"
@@ -59,11 +61,33 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// payloads lists the payloads of the frames of type ft that channel ch of a
+// bare cycle airs, in air order, checking every frame of the channel.
+func payloads(t *testing.T, enc *Encoded, ch int, ft wire.FrameType) [][]byte {
+	t.Helper()
+	var out [][]byte
+	for i, fr := range enc.Frames[ch] {
+		got, payload, err := wire.ReadFrame(bytes.NewReader(fr))
+		if err != nil {
+			t.Fatalf("channel %d frame %d: %v", ch, i, err)
+		}
+		if got == ft {
+			out = append(out, payload)
+		}
+	}
+	return out
+}
+
 // TestEncodedSegmentsMatchCycleSizes encodes a cycle for every index
-// organisation at K = 1, 2 and 4 and checks that each segment EncodeCycle
-// cuts is exactly the size the cycle's layout accounts for — the sizes the
-// simulator's byte clock runs on — and that the head decodes to the cycle.
+// organisation at K = 1, 2 and 4 and checks the air program frame by frame:
+// each channel airs the frames its layout names, in air order, each payload
+// exactly the size the cycle accounts for — the sizes the simulator's byte
+// clock runs on — and the head decodes to the cycle.
 func TestEncodedSegmentsMatchCycleSizes(t *testing.T) {
+	type frame struct {
+		t wire.FrameType
+		n int
+	}
 	c, queries := fixture(t, 20, 12)
 	for _, org := range []struct {
 		name string
@@ -90,25 +114,47 @@ func TestEncodedSegmentsMatchCycleSizes(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s K=%d: %v", org.name, k, err)
 			}
-			if len(enc.Head) != cy.HeadBytes || len(enc.Index) != cy.IndexStreamBytes() || len(enc.ChannelDir) != cy.DirBytes {
-				t.Errorf("%s K=%d: head/index/directory are %d/%d/%d bytes, the cycle sizes them %d/%d/%d", org.name, k,
-					len(enc.Head), len(enc.Index), len(enc.ChannelDir), cy.HeadBytes, cy.IndexStreamBytes(), cy.DirBytes)
+			if len(enc.Frames) != k {
+				t.Fatalf("%s K=%d: %d channels of frames", org.name, k, len(enc.Frames))
 			}
-			want := []int{cy.SecondTierBytes}
-			if k > 1 {
-				want = want[:0]
-				for _, lay := range cy.Channels[1:] {
-					want = append(want, lay.SecondTierBytes)
+			for ch, frames := range enc.Frames {
+				var want, got []frame
+				if k > 1 {
+					want = append(want, frame{wire.FrameChannelHead, wire.ChannelHeadLen})
+				}
+				if ch == 0 {
+					want = append(want, frame{wire.FrameCycleHead, cy.HeadBytes})
+					if k > 1 {
+						want = append(want, frame{wire.FrameChannelDir, cy.DirBytes})
+					}
+					want = append(want, frame{wire.FrameIndex, cy.IndexStreamBytes()})
+				}
+				if ch > 0 || k == 1 {
+					st := cy.SecondTierBytes
+					if k > 1 {
+						st = cy.Channels[ch].SecondTierBytes
+					}
+					if st > 0 {
+						want = append(want, frame{wire.FrameSecondTier, st})
+					}
+					for _, p := range cy.Docs {
+						if p.Channel == ch {
+							want = append(want, frame{wire.FrameDoc, 2 + p.Size})
+						}
+					}
+				}
+				for i, fr := range frames {
+					ft, payload, err := wire.ReadFrame(bytes.NewReader(fr))
+					if err != nil {
+						t.Fatalf("%s K=%d channel %d frame %d: %v", org.name, k, ch, i, err)
+					}
+					got = append(got, frame{ft, len(payload)})
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s K=%d channel %d airs (type, payload bytes) %v, the cycle lays out %v", org.name, k, ch, got, want)
 				}
 			}
-			got := make([]int, len(enc.SecondTiers))
-			for i, st := range enc.SecondTiers {
-				got[i] = len(st)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%s K=%d: second tiers are %v bytes, the cycle sizes them %v", org.name, k, got, want)
-			}
-			h, err := wire.DecodeCycleHead(enc.Head)
+			h, err := wire.DecodeCycleHead(payloads(t, enc, 0, wire.FrameCycleHead)[0])
 			if err != nil {
 				t.Fatalf("%s K=%d: head: %v", org.name, k, err)
 			}
@@ -263,16 +309,17 @@ func TestAssembleCycleMatchesDirectBuilder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := want.IndexStreamBytes(); !bytes.Equal(enc.Index, wantSegs[:n]) {
+	if n := want.IndexStreamBytes(); !bytes.Equal(payloads(t, enc, 0, wire.FrameIndex)[0], wantSegs[:n]) {
 		t.Error("index segments differ")
-	} else if !bytes.Equal(enc.SecondTiers[0], wantSegs[n:]) {
+	} else if !bytes.Equal(payloads(t, enc, 0, wire.FrameSecondTier)[0], wantSegs[n:]) {
 		t.Error("second-tier segments differ")
 	}
-	if len(enc.Docs) != len(cy.Docs) {
-		t.Fatalf("%d doc payloads for %d placements", len(enc.Docs), len(cy.Docs))
+	docs := payloads(t, enc, 0, wire.FrameDoc)
+	if len(docs) != len(cy.Docs) {
+		t.Fatalf("%d doc payloads for %d placements", len(docs), len(cy.Docs))
 	}
 	for i, p := range cy.Docs {
-		payload := enc.Docs[i]
+		payload := docs[i]
 		if got := xmldoc.DocID(uint16(payload[0]) | uint16(payload[1])<<8); got != p.ID {
 			t.Errorf("doc %d payload carries ID %d, want %d", i, got, p.ID)
 		}
@@ -293,54 +340,50 @@ func TestAssembleCycleMatchesDirectBuilder(t *testing.T) {
 	}
 }
 
+// TestEncodeCycleReusesPayloadCache: a document is framed — and on a
+// compressing engine deflated — once per stay in the payload cache; the next
+// cycle that schedules it airs the very same bytes.
 func TestEncodeCycleReusesPayloadCache(t *testing.T) {
 	c, queries := fixture(t, 6, 6)
-	e := newEngine(t, c, c.TotalSize())
-	answers, err := e.ResolveAll(queries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pending := []Pending{{ID: 1, Query: queries[0], Arrival: 0, Remaining: answers[queries[0].String()]}}
-	cy, err := e.AssembleCycle(0, 0, pending)
-	if err != nil {
-		t.Fatal(err)
-	}
-	enc1, err := e.EncodeCycle(cy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	docs1 := append([][]byte(nil), enc1.Docs...)
-	// Nothing is attached on a fresh engine; attach an on-air form to every
-	// document but the last.
-	airs := make([][]byte, len(docs1)-1)
-	for i := range docs1 {
-		if enc1.Air(i) != nil {
-			t.Errorf("doc %d has an on-air form before anything was attached", i)
+	for _, compress := range []bool{false, true} {
+		e, err := New(Config{Collection: c, Mode: broadcast.TwoTierMode, CycleCapacity: c.TotalSize(), Compress: compress})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if i < len(airs) {
-			airs[i] = []byte{byte(i), 'a', 'i', 'r'}
-			e.AttachAir(enc1, i, airs[i])
+		answers, err := e.ResolveAll(queries)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	e.Recycle(enc1)
-	enc2, err := e.EncodeCycle(cy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range docs1 {
-		if &docs1[i][0] != &enc2.Docs[i][0] {
-			t.Errorf("doc payload %d was re-allocated instead of served from cache", i)
+		pending := []Pending{{ID: 1, Query: queries[0], Arrival: 0, Remaining: answers[queries[0].String()]}}
+		cy, err := e.AssembleCycle(0, 0, pending)
+		if err != nil {
+			t.Fatal(err)
 		}
-		switch air := enc2.Air(i); {
-		case i < len(airs) && (len(air) == 0 || &air[0] != &airs[i][0]):
-			t.Errorf("doc %d: the attached on-air form did not survive to the next cycle", i)
-		case i >= len(airs) && air != nil:
-			t.Errorf("doc %d: on-air form %q, nothing was attached", i, air)
+		enc1, err := e.EncodeCycle(cy)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	e.Recycle(enc2)
-	if enc2.Index != nil || enc2.buf != nil {
-		t.Error("Recycle must clear the pooled segment references")
+		// At K = 1 the documents are the channel's last frames.
+		docFrames := func(enc *Encoded) [][]byte { return enc.Frames[0][len(enc.Frames[0])-len(cy.Docs):] }
+		frames1 := slices.Clone(docFrames(enc1))
+		wrapped := e.TransportStats().Frames
+		e.Recycle(enc1)
+		enc2, err := e.EncodeCycle(cy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, fr := range docFrames(enc2) {
+			if &fr[0] != &frames1[i][0] {
+				t.Errorf("compress=%v: doc %d was framed again instead of served from cache", compress, i)
+			}
+		}
+		if got, want := e.TransportStats().Frames-wrapped, len(enc2.Frames[0])-len(cy.Docs); compress && got != int64(want) {
+			t.Errorf("the second cycle wrapped %d frames, want its %d frames besides the documents", got, want)
+		}
+		e.Recycle(enc2)
+		if enc2.Frames != nil || enc2.buf != nil {
+			t.Error("Recycle must clear the pooled frame references")
+		}
 	}
 }
 
@@ -350,4 +393,53 @@ func TestAssembleCycleEmptyPending(t *testing.T) {
 	if _, err := e.AssembleCycle(0, 0, nil); err == nil {
 		t.Error("empty pending must error")
 	}
+}
+
+// BenchmarkCompressedDocAiring is the per-airing cost of one ≈ 11 KB document
+// on a compressing engine: cold frames and deflates it, as its first airing
+// in a stay in the payload cache does; warm is every later airing, served
+// from the cache.
+func BenchmarkCompressedDocAiring(b *testing.B) {
+	// The benchmark's collection (bench/inputs.go: NITF at text scale 2.1,
+	// 11 KB per document on average); the document nearest that mean.
+	all, err := gen.Documents(gen.DocConfig{Schema: dtd.NITF(), NumDocs: 100, TextScale: 2.1, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	doc := slices.MinFunc(all.Docs(), func(a, b *xmldoc.Document) int {
+		da, db := a.Size()-11_000, b.Size()-11_000
+		return cmp.Compare(da*da, db*db)
+	})
+	coll, err := xmldoc.NewCollection([]*xmldoc.Document{doc})
+	if err != nil {
+		b.Fatal(err)
+	}
+	e, err := New(Config{Collection: coll, Mode: broadcast.TwoTierMode, CycleCapacity: coll.TotalSize(), Compress: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("cold", func(b *testing.B) {
+		b.SetBytes(int64(doc.Size()))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := e.docEntry(doc.ID); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("warm", func(b *testing.B) {
+		en, err := e.docEntry(doc.ID)
+		if err != nil {
+			b.Fatal(err)
+		}
+		e.payloads.put(en)
+		b.SetBytes(int64(doc.Size()))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if e.payloads.get(doc.ID).onAir() == nil {
+				b.Fatal("no envelope cached")
+			}
+		}
+	})
 }

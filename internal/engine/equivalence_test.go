@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
+	"slices"
 	"testing"
 	"time"
 
@@ -13,52 +15,29 @@ import (
 	"repro/internal/engine"
 	"repro/internal/gen"
 	"repro/internal/netcast"
+	"repro/internal/netcast/transport"
 	"repro/internal/schedule"
 	"repro/internal/sim"
+	"repro/internal/wire"
 	"repro/internal/xmldoc"
 	"repro/internal/xpath"
 )
 
-// capturedCycle is one cycle's wire image, deep-copied out of the pipeline.
-// Multichannel cycles also carry the channel directory and each data
-// channel's second-tier stripe and documents (stripe order).
+// capturedCycle is one cycle's air program, deep-copied out of the
+// simulator: each channel's frames, concatenated in air order.
 type capturedCycle struct {
-	number int64
-	index  []byte
-	docs   [][]byte
-
-	channelDir  []byte
-	secondTiers [][]byte
-	chanDocs    [][][]byte
+	number   int64
+	duration int64 // sim.CycleStats.DurationBytes
+	air      [][]byte
 }
 
 // captureSink returns a Config.CycleSink that deep-copies every cycle's
-// encoded segments — including, for multichannel cycles, the per-channel
-// stripes and doc payloads — into out.
+// frames into out.
 func captureSink(out *[]capturedCycle) func(*engine.Cycle, *engine.Encoded) {
 	return func(cy *engine.Cycle, enc *engine.Encoded) {
-		cc := capturedCycle{
-			number:     cy.Number,
-			index:      append([]byte(nil), enc.Index...),
-			channelDir: append([]byte(nil), enc.ChannelDir...),
-		}
-		for _, d := range enc.Docs {
-			cc.docs = append(cc.docs, append([]byte(nil), d...))
-		}
-		for _, st := range enc.SecondTiers {
-			cc.secondTiers = append(cc.secondTiers, append([]byte(nil), st...))
-		}
-		if len(cy.Channels) > 1 {
-			byID := make(map[xmldoc.DocID][]byte, len(cy.Docs))
-			for i, p := range cy.Docs {
-				byID[p.ID] = cc.docs[i]
-			}
-			cc.chanDocs = make([][][]byte, len(cy.Channels))
-			for c := 1; c < len(cy.Channels); c++ {
-				for _, p := range cy.Channels[c].Docs {
-					cc.chanDocs[c] = append(cc.chanDocs[c], byID[p.ID])
-				}
-			}
+		cc := capturedCycle{number: cy.Number}
+		for _, frames := range enc.Frames {
+			cc.air = append(cc.air, slices.Concat(frames...))
 		}
 		*out = append(*out, cc)
 	}
@@ -82,44 +61,100 @@ func TestSimNetcastCycleEquivalence(t *testing.T) {
 	}
 	capacity := c.TotalSize() / 4 // force a multi-cycle broadcast
 
-	simCycles := runSimCapture(t, c, queries, capacity)
+	simCycles := runSimCapture(t, sim.Config{Collection: c, Mode: broadcast.TwoTierMode, CycleCapacity: capacity}, queries)
 	if len(simCycles) < 2 {
 		t.Fatalf("fixture produced %d cycles; want a multi-cycle run", len(simCycles))
 	}
-	netCycles := runNetcastCapture(t, c, queries, capacity, len(simCycles))
-	compareCycles(t, simCycles, netCycles)
+	stream := runNetcastCapture(t, netcast.ServerConfig{Collection: c, Mode: broadcast.TwoTierMode, CycleCapacity: capacity}, queries, len(simCycles))
+	compareCycles(t, simCycles, [][]byte{stream})
 }
 
-// compareCycles asserts the netcast capture is a byte-identical replay of the
-// simulator's cycles.
-func compareCycles(t *testing.T, simCycles []capturedCycle, netCycles []netcast.CycleRecord) {
+// compareCycles asserts that each channel's netcast stream is the
+// simulator's frames for that channel, cycle after cycle, and nothing more.
+func compareCycles(t *testing.T, simCycles []capturedCycle, streams [][]byte) {
 	t.Helper()
-	if len(netCycles) < len(simCycles) {
-		t.Fatalf("netcast broadcast %d cycles, sim %d", len(netCycles), len(simCycles))
-	}
-	for i, want := range simCycles {
-		got := netCycles[i]
-		if int64(got.Number) != want.number {
-			t.Errorf("cycle %d: netcast number %d, sim number %d", i, got.Number, want.number)
-		}
-		if !bytes.Equal(got.IndexSeg, want.index) {
-			t.Errorf("cycle %d: index segments differ (%d vs %d bytes)", i, len(got.IndexSeg), len(want.index))
-		}
-		if !bytes.Equal(got.SecondTierSeg, want.secondTiers[0]) {
-			t.Errorf("cycle %d: second-tier segments differ (%d vs %d bytes)", i, len(got.SecondTierSeg), len(want.secondTiers[0]))
-		}
-		if len(got.Docs) != len(want.docs) {
-			t.Fatalf("cycle %d: netcast carried %d documents, sim %d", i, len(got.Docs), len(want.docs))
-		}
-		for j := range want.docs {
-			if !bytes.Equal(got.Docs[j], want.docs[j]) {
-				t.Errorf("cycle %d doc %d: payloads differ", i, j)
+	for ch, stream := range streams {
+		for i, want := range simCycles {
+			w := want.air[ch]
+			if len(stream) < len(w) || !bytes.Equal(stream[:len(w)], w) {
+				t.Fatalf("channel %d, cycle %d (number %d): netcast did not air the simulator's %d bytes", ch, i, want.number, len(w))
 			}
+			stream = stream[len(w):]
+		}
+		if len(stream) > 0 {
+			t.Errorf("channel %d: netcast aired %d bytes after the sim's pending set drained", ch, len(stream))
 		}
 	}
-	if len(netCycles) > len(simCycles) {
-		t.Errorf("netcast emitted %d extra cycles after the sim's pending set drained", len(netCycles)-len(simCycles))
+}
+
+// TestSimNetcastCompressedAirEquivalence: a compressed simulation times the
+// frames a compressing server sends. At K = 1, for every index organisation,
+// each cycle's DurationBytes is the bytes the netcast capture shows that cycle
+// aired — split at the cycle heads of the capture itself — and those bytes
+// are the simulator's frames.
+func TestSimNetcastCompressedAirEquivalence(t *testing.T) {
+	c, err := gen.Documents(gen.DocConfig{Schema: dtd.NITF(), NumDocs: 15, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
 	}
+	queries, err := gen.Queries(c, gen.QueryConfig{NumQueries: 8, MaxDepth: 5, WildcardProb: 0.1, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	capacity := c.TotalSize() / 4 // force a multi-cycle broadcast
+	for _, org := range []struct {
+		name string
+		mode broadcast.Mode
+		enc  core.IndexEncoding
+	}{
+		{"one-tier", broadcast.OneTierMode, core.EncodingNode},
+		{"two-tier-node", broadcast.TwoTierMode, core.EncodingNode},
+		{"two-tier-succinct", broadcast.TwoTierMode, core.EncodingSuccinct},
+	} {
+		t.Run(org.name, func(t *testing.T) {
+			simCycles := runSimCapture(t, sim.Config{Collection: c, Mode: org.mode, IndexEncoding: org.enc, CycleCapacity: capacity, Compress: true}, queries)
+			if len(simCycles) < 2 {
+				t.Fatalf("fixture produced %d cycles; want a multi-cycle run", len(simCycles))
+			}
+			stream := runNetcastCapture(t, netcast.ServerConfig{Collection: c, Mode: org.mode, IndexEncoding: org.enc, CycleCapacity: capacity, Compress: true},
+				queries, len(simCycles))
+			aired := airedCycles(t, stream)
+			if len(aired) != len(simCycles) {
+				t.Fatalf("netcast aired %d cycles, sim %d", len(aired), len(simCycles))
+			}
+			for i, cc := range simCycles {
+				if cc.duration != int64(len(aired[i])) {
+					t.Errorf("cycle %d: sim times %d B on air, netcast aired %d B", i, cc.duration, len(aired[i]))
+				}
+			}
+			compareCycles(t, simCycles, [][]byte{stream})
+		})
+	}
+}
+
+// airedCycles splits a compressed downlink stream at its cycle heads.
+func airedCycles(t *testing.T, stream []byte) [][]byte {
+	t.Helper()
+	tr := transport.NewReader(bytes.NewReader(stream))
+	var cycles [][]byte
+	start, off := 0, 0
+	for {
+		fr, err := tr.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatalf("envelope at byte %d: %v", off, err)
+		}
+		if ft, _, err := wire.ReadFrame(bytes.NewReader(fr.Inner)); err != nil {
+			t.Fatalf("frame at byte %d: %v", off, err)
+		} else if ft == wire.FrameCycleHead && off > 0 {
+			cycles = append(cycles, stream[start:off])
+			start = off
+		}
+		off += fr.Wire
+	}
+	return append(cycles, stream[start:off])
 }
 
 // TestSimNetcastStaggeredEquivalence extends the equivalence check to
@@ -211,62 +246,7 @@ func testStaggeredEquivalence(t *testing.T, policy string, clock sim.ClockUnit, 
 	if len(simCycles) <= numWaves {
 		t.Fatalf("staggered fixture produced %d cycles; want more than %d", len(simCycles), numWaves)
 	}
-	netChans := runStaggeredNetcast(t, c, queries, waveSize, capacity, len(simCycles), policy, channels)
-	if channels == 1 {
-		compareCycles(t, simCycles, netChans[0])
-		return
-	}
-	compareMultiCycles(t, simCycles, netChans)
-}
-
-// compareMultiCycles asserts each of the server's K channel streams is a
-// byte-identical replay of the simulator's per-channel cycle shares.
-func compareMultiCycles(t *testing.T, simCycles []capturedCycle, netChans [][]netcast.CycleRecord) {
-	t.Helper()
-	for ch, records := range netChans {
-		if len(records) < len(simCycles) {
-			t.Fatalf("channel %d captured %d cycles, sim broadcast %d", ch, len(records), len(simCycles))
-		}
-		if len(records) > len(simCycles) {
-			t.Errorf("channel %d captured %d extra cycles after the sim's pending set drained", ch, len(records)-len(simCycles))
-		}
-	}
-	for i, want := range simCycles {
-		ix := netChans[0][i]
-		if int64(ix.Number) != want.number {
-			t.Errorf("cycle %d: netcast number %d, sim number %d", i, ix.Number, want.number)
-		}
-		if ix.IsData || int(ix.Channels) != len(netChans) {
-			t.Errorf("cycle %d: index-channel head misdescribes the stream: %+v", i, ix)
-		}
-		if !bytes.Equal(ix.IndexSeg, want.index) {
-			t.Errorf("cycle %d: index segments differ (%d vs %d bytes)", i, len(ix.IndexSeg), len(want.index))
-		}
-		if !bytes.Equal(ix.DirSeg, want.channelDir) {
-			t.Errorf("cycle %d: channel directories differ (%d vs %d bytes)", i, len(ix.DirSeg), len(want.channelDir))
-		}
-		for ch := 1; ch < len(netChans); ch++ {
-			got := netChans[ch][i]
-			if int64(got.Number) != want.number || !got.IsData {
-				t.Errorf("cycle %d channel %d: head %+v does not match sim cycle %d", i, ch, got, want.number)
-			}
-			if !bytes.Equal(got.SecondTierSeg, want.secondTiers[ch-1]) {
-				t.Errorf("cycle %d channel %d: second-tier stripes differ (%d vs %d bytes)", i, ch, len(got.SecondTierSeg), len(want.secondTiers[ch-1]))
-			}
-			var wantDocs [][]byte
-			if want.chanDocs != nil {
-				wantDocs = want.chanDocs[ch]
-			}
-			if len(got.Docs) != len(wantDocs) {
-				t.Fatalf("cycle %d channel %d: netcast carried %d documents, sim %d", i, ch, len(got.Docs), len(wantDocs))
-			}
-			for j := range wantDocs {
-				if !bytes.Equal(got.Docs[j], wantDocs[j]) {
-					t.Errorf("cycle %d channel %d doc %d: payloads differ", i, ch, j)
-				}
-			}
-		}
-	}
+	compareCycles(t, simCycles, runStaggeredNetcast(t, c, queries, waveSize, capacity, len(simCycles), policy, channels))
 }
 
 // runStaggeredSim runs the simulator with per-request byte-time arrivals and
@@ -302,7 +282,7 @@ func runStaggeredSim(t *testing.T, c *xmldoc.Collection, queries []xpath.Path, a
 // wave until the server has broadcast exactly one cycle per earlier wave, and
 // asserts every ack's covered cycle equals the wave number — the explicit
 // cycle-number half of the arrival-clock mapping.
-func runStaggeredNetcast(t *testing.T, c *xmldoc.Collection, queries []xpath.Path, waveSize, capacity, wantCycles int, policy string, channels int) [][]netcast.CycleRecord {
+func runStaggeredNetcast(t *testing.T, c *xmldoc.Collection, queries []xpath.Path, waveSize, capacity, wantCycles int, policy string, channels int) [][]byte {
 	t.Helper()
 	sched, err := schedule.New(policy)
 	if err != nil {
@@ -363,50 +343,39 @@ func runStaggeredNetcast(t *testing.T, c *xmldoc.Collection, queries []xpath.Pat
 		}
 	}
 
-	out := make([][]netcast.CycleRecord, len(addrs))
+	out := make([][]byte, len(addrs))
 	for i := range bufs {
-		records, err := netcast.ReadCapture(bytes.NewReader(bufs[i].Bytes()))
-		if err != nil {
-			t.Fatalf("channel %d capture: %v", i, err)
-		}
-		out[i] = records
+		out[i] = airedStream(t, bufs[i].Bytes())
 	}
 	return out
 }
 
-// runSimCapture runs the simulator with every request arriving at time 0 and
-// deep-copies each cycle's encoded segments through Config.CycleSink.
-func runSimCapture(t *testing.T, c *xmldoc.Collection, queries []xpath.Path, capacity int) []capturedCycle {
+// runSimCapture runs the simulator over cfg with every request arriving at
+// time 0 and deep-copies each cycle's frames through Config.CycleSink.
+func runSimCapture(t *testing.T, cfg sim.Config, queries []xpath.Path) []capturedCycle {
 	t.Helper()
-	reqs := make([]sim.ClientRequest, 0, len(queries))
 	for _, q := range queries {
-		reqs = append(reqs, sim.ClientRequest{Query: q, Arrival: 0})
+		cfg.Requests = append(cfg.Requests, sim.ClientRequest{Query: q, Arrival: 0})
 	}
 	var out []capturedCycle
-	_, err := sim.Run(sim.Config{
-		Collection:    c,
-		Mode:          broadcast.TwoTierMode,
-		CycleCapacity: capacity,
-		Requests:      reqs,
-		CycleSink:     captureSink(&out),
-	})
+	cfg.CycleSink = captureSink(&out)
+	res, err := sim.Run(cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for i := range out {
+		out[i].duration = res.Cycles[i].DurationBytes
 	}
 	return out
 }
 
 // runNetcastCapture boots a real server over TCP, submits the same queries
-// (all before the first cycle fires), records the broadcast stream and parses
-// it back into cycles.
-func runNetcastCapture(t *testing.T, c *xmldoc.Collection, queries []xpath.Path, capacity, wantCycles int) []netcast.CycleRecord {
+// (all before the first cycle fires), records the broadcast stream and
+// returns what it aired.
+func runNetcastCapture(t *testing.T, cfg netcast.ServerConfig, queries []xpath.Path, wantCycles int) []byte {
 	t.Helper()
-	srv, err := netcast.StartServer(netcast.ServerConfig{
-		Collection:    c,
-		Mode:          broadcast.TwoTierMode,
-		CycleCapacity: capacity,
-		CycleInterval: 250 * time.Millisecond, // wide enough to land every submission before cycle 0
-	})
+	cfg.CycleInterval = 250 * time.Millisecond // wide enough to land every submission before cycle 0
+	srv, err := netcast.StartServer(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,7 +389,7 @@ func runNetcastCapture(t *testing.T, c *xmldoc.Collection, queries []xpath.Path,
 	go func() {
 		// One more cycle than expected: the recorder only closes a cycle on the
 		// next head, so it keeps reading until the shutdown below cuts the
-		// stream; ReadCapture then salvages the final complete cycle.
+		// stream.
 		_, err := netcast.Record(ctx, srv.BroadcastAddr(), wantCycles+1, &buf)
 		recDone <- err
 	}()
@@ -448,11 +417,26 @@ func runNetcastCapture(t *testing.T, c *xmldoc.Collection, queries []xpath.Path,
 		t.Fatal("recorder finished early: server emitted more cycles than the sim")
 	}
 
-	records, err := netcast.ReadCapture(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
+	return airedStream(t, buf.Bytes())
+}
+
+// airedStream is what a capture recorded off the air from its first cycle
+// on: the capture file (docs/WIRE.md) without its magic and, on a
+// compressed stream, without the transport hello.
+func airedStream(t *testing.T, capture []byte) []byte {
+	t.Helper()
+	stream, ok := bytes.CutPrefix(capture, []byte("XBCAST4\n"))
+	if !ok {
+		t.Fatal("not a capture file")
 	}
-	return records
+	if transport.IsHelloPrefix(stream) {
+		r := bytes.NewReader(stream)
+		if _, err := transport.ReadHello(r); err != nil {
+			t.Fatal(err)
+		}
+		stream = stream[len(stream)-r.Len():]
+	}
+	return stream
 }
 
 // waitFor polls cond until it holds or the context expires.

@@ -12,6 +12,7 @@ import (
 	"repro/internal/broadcast"
 	"repro/internal/dtd"
 	"repro/internal/gen"
+	"repro/internal/wire"
 	"repro/internal/xmldoc"
 )
 
@@ -74,12 +75,13 @@ func goldenCycles(t *testing.T) []byte {
 		if err != nil {
 			t.Fatal(err)
 		}
-		writeSeg(enc.Index)
-		writeSeg(enc.SecondTiers[0])
+		writeSeg(payloads(t, enc, 0, wire.FrameIndex)[0])
+		writeSeg(payloads(t, enc, 0, wire.FrameSecondTier)[0])
+		docs := payloads(t, enc, 0, wire.FrameDoc)
 		var n [4]byte
-		binary.LittleEndian.PutUint32(n[:], uint32(len(enc.Docs)))
+		binary.LittleEndian.PutUint32(n[:], uint32(len(docs)))
 		out.Write(n[:])
-		for _, d := range enc.Docs {
+		for _, d := range docs {
 			writeSeg(d)
 		}
 		eng.Recycle(enc)

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"container/list"
-	"encoding/binary"
 	"errors"
 
 	"repro/internal/xmldoc"
@@ -24,10 +23,10 @@ type Limits struct {
 	// recently used entry is evicted on overflow. Zero means unlimited.
 	MaxAnswerCacheEntries int
 	// MaxPayloadCacheBytes caps the total bytes of the document cache: each
-	// entry's marshalled payload plus the on-air form a driver attached to it
-	// (Engine.AttachAir; the transport envelope on a compressing server). The
-	// least recently broadcast entries are evicted on overflow, payload and
-	// on-air form together. Zero means unlimited.
+	// entry's frame (the marshalled payload between header and checksum) plus,
+	// on a compressing engine, the transport envelope it airs in. The least
+	// recently broadcast entries are evicted on overflow, frame and envelope
+	// together. Zero means unlimited.
 	MaxPayloadCacheBytes int
 }
 
@@ -98,19 +97,31 @@ func (c *answerCache) entries() []*answerEntry {
 	return out
 }
 
-// payloadEntry is one cached document: the wire payload the engine marshals
-// and, beside it, the on-air form a driver attached (Engine.AttachAir) — nil
-// until one does. The two share the entry's key and LRU position and leave
-// the cache together.
+// payloadEntry is one cached document: its frame, the payload marshalled in
+// place between header and checksum, and on a compressing engine the
+// transport envelope the frame airs in. The two share the entry's key and LRU
+// position and leave the cache together.
 type payloadEntry struct {
-	id      xmldoc.DocID
-	payload []byte
-	air     []byte
+	id    xmldoc.DocID
+	frame []byte
+	env   []byte
 }
 
-// payloadCache is an LRU cache of encoded document payloads and their on-air
-// forms, bounded by the total bytes of both. maxBytes <= 0 means unbounded.
-// Not safe for concurrent use.
+// onAir is the entry's on-air form: the envelope when there is one, the bare
+// frame otherwise.
+func (en *payloadEntry) onAir() []byte {
+	if en.env != nil {
+		return en.env
+	}
+	return en.frame
+}
+
+// size is what the entry counts against the cache's byte bound.
+func (en *payloadEntry) size() int { return len(en.frame) + len(en.env) }
+
+// payloadCache is an LRU cache of framed documents, bounded by the total
+// bytes of their frames and envelopes. maxBytes <= 0 means unbounded. Not
+// safe for concurrent use.
 type payloadCache struct {
 	maxBytes int
 	bytes    int
@@ -132,41 +143,14 @@ func (c *payloadCache) get(id xmldoc.DocID) *payloadEntry {
 	return el.Value.(*payloadEntry)
 }
 
-// put caches a payload and returns how many entries were evicted to fit
-// maxBytes. A payload replacing an older one for the same document starts
-// with no on-air form.
-func (c *payloadCache) put(id xmldoc.DocID, payload []byte) int {
-	c.remove(id)
-	c.byID[id] = c.ll.PushFront(&payloadEntry{id: id, payload: payload})
-	c.bytes += len(payload)
-	return c.evict()
-}
-
-// attach stores air beside payload and returns how many entries were evicted
-// to fit maxBytes with it counted. It does nothing unless payload is still the
-// cache's own slice for its document (whose ID is the payload's first two
-// bytes): an entry evicted, removed or replaced since the payload was handed
-// out has nothing to attach to.
-func (c *payloadCache) attach(payload, air []byte) int {
-	el, ok := c.byID[xmldoc.DocID(binary.LittleEndian.Uint16(payload))]
-	if !ok {
-		return 0
-	}
-	e := el.Value.(*payloadEntry)
-	if &e.payload[0] != &payload[0] {
-		return 0
-	}
-	c.bytes += len(air) - len(e.air)
-	e.air = air
-	c.ll.MoveToFront(el)
-	return c.evict()
-}
-
-// evict drops least recently used entries until the cache fits maxBytes and
-// returns how many went. The front entry — the one just inserted or attached
-// to — is never evicted: larger than maxBytes on its own, it stays as the only
-// entry until the next put or attach.
-func (c *payloadCache) evict() int {
+// put caches an entry, replacing any older one for its document, and returns
+// how many least recently used entries were evicted to fit maxBytes. The
+// entry just put is never evicted: larger than maxBytes on its own, it stays
+// as the only entry until the next put.
+func (c *payloadCache) put(en *payloadEntry) int {
+	c.remove(en.id)
+	c.byID[en.id] = c.ll.PushFront(en)
+	c.bytes += en.size()
 	evicted := 0
 	for c.maxBytes > 0 && c.bytes > c.maxBytes && c.ll.Len() > 1 {
 		c.removeElement(c.ll.Back())
@@ -182,8 +166,8 @@ func (c *payloadCache) remove(id xmldoc.DocID) {
 }
 
 func (c *payloadCache) removeElement(el *list.Element) {
-	e := el.Value.(*payloadEntry)
+	en := el.Value.(*payloadEntry)
 	c.ll.Remove(el)
-	delete(c.byID, e.id)
-	c.bytes -= len(e.payload) + len(e.air)
+	delete(c.byID, en.id)
+	c.bytes -= en.size()
 }

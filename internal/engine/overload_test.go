@@ -13,10 +13,10 @@ import (
 	"repro/internal/yfilter"
 )
 
-func limitedEngine(t testing.TB, numDocs, numQueries int, lim Limits) (*Engine, []Pending) {
+func limitedEngine(t testing.TB, numDocs, numQueries int, lim Limits, compress bool) (*Engine, []Pending) {
 	t.Helper()
 	c, queries := fixture(t, numDocs, numQueries)
-	e, err := New(Config{Collection: c, Mode: broadcast.TwoTierMode, CycleCapacity: c.TotalSize(), Limits: lim})
+	e, err := New(Config{Collection: c, Mode: broadcast.TwoTierMode, CycleCapacity: c.TotalSize(), Limits: lim, Compress: compress})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,22 +110,21 @@ func TestAnswerCacheLRUEviction(t *testing.T) {
 	checkCacheAgainstScan(t, e, live)
 }
 
-// payloadCacheBytes recounts the cache's contents: payloads and attached
-// on-air forms.
-func payloadCacheBytes(e *Engine) (payloads, airs int) {
+// payloadCacheBytes recounts the cache's contents: frames and envelopes.
+func payloadCacheBytes(e *Engine) (frames, envs int) {
 	for el := e.payloads.ll.Front(); el != nil; el = el.Next() {
 		en := el.Value.(*payloadEntry)
-		payloads += len(en.payload)
-		airs += len(en.air)
+		frames += len(en.frame)
+		envs += len(en.env)
 	}
-	return payloads, airs
+	return frames, envs
 }
 
 func TestPayloadCacheByteBound(t *testing.T) {
 	const maxBytes = 4 << 10
-	e, pending := limitedEngine(t, 12, 12, Limits{MaxPayloadCacheBytes: maxBytes})
-	// Each document gets an on-air form a quarter of its payload, as a
-	// compressing driver would attach; the bound covers both.
+	// A compressing engine: every entry holds a frame and its envelope, and
+	// the bound covers both.
+	e, pending := limitedEngine(t, 12, 12, Limits{MaxPayloadCacheBytes: maxBytes}, true)
 	for i := 0; i < 3; i++ {
 		cy, err := e.AssembleCycle(int64(i), int64(i), pending)
 		if err != nil {
@@ -135,130 +134,37 @@ func TestPayloadCacheByteBound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for j, payload := range enc.Docs {
-			e.AttachAir(enc, j, make([]byte, len(payload)/4))
-			if got := e.payloads.bytes; got > maxBytes && e.payloads.ll.Len() > 1 {
-				t.Fatalf("cycle %d doc %d: cache holds %d bytes in %d entries, cap %d", i, j, got, e.payloads.ll.Len(), maxBytes)
-			}
+		if got := e.payloads.bytes; got > maxBytes && e.payloads.ll.Len() > 1 {
+			t.Fatalf("cycle %d: cache holds %d bytes in %d entries, cap %d", i, got, e.payloads.ll.Len(), maxBytes)
 		}
 		e.Recycle(enc)
 	}
 	// Documents average ~1 KB+, so a 4 KB bound forces evictions while the
 	// cycle rebroadcasts every scheduled document.
-	payloads, airs := payloadCacheBytes(e)
-	if got := e.payloads.bytes; got != payloads+airs || got > maxBytes {
-		t.Errorf("payload cache counts %d bytes, holds %d + %d, cap %d", got, payloads, airs, maxBytes)
+	frames, envs := payloadCacheBytes(e)
+	if got := e.payloads.bytes; got != frames+envs || got > maxBytes {
+		t.Errorf("payload cache counts %d bytes, holds %d + %d, cap %d", got, frames, envs, maxBytes)
 	}
-	if airs == 0 {
-		t.Error("no attached on-air form left in the cache: the bound was not exercised with them counted")
+	if envs == 0 {
+		t.Error("no envelope left in the cache: the bound was not exercised with them counted")
 	}
 	if m := e.Metrics(); m.PayloadEvictions == 0 {
 		t.Error("no payload evictions recorded under a tight byte bound")
 	}
 
-	// The entry attached to is never the one evicted, even when the on-air
-	// form alone exceeds the bound: it stays as the only entry.
-	cy, err := e.AssembleCycle(3, 3, pending)
-	if err != nil {
-		t.Fatal(err)
-	}
-	enc, err := e.EncodeCycle(cy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Recycle(enc)
-	last := len(enc.Docs) - 1 // most recently inserted, so certainly cached
-	big := make([]byte, 2*maxBytes)
-	e.AttachAir(enc, last, big)
+	// The entry just put is never the one evicted, even when it alone
+	// exceeds the bound: it stays as the only entry.
+	big := &payloadEntry{id: 9999, frame: make([]byte, maxBytes), env: make([]byte, maxBytes)}
+	e.payloads.put(big)
 	if n := e.payloads.ll.Len(); n != 1 {
 		t.Fatalf("%d entries left beside an over-sized one, want it alone", n)
 	}
-	if en := e.payloads.ll.Front().Value.(*payloadEntry); &en.payload[0] != &enc.Docs[last][0] || len(en.air) != len(big) {
-		t.Error("the entry attached to was evicted")
+	if e.payloads.ll.Front().Value.(*payloadEntry) != big {
+		t.Error("the entry just put was evicted")
 	}
-	if got, want := e.payloads.bytes, len(enc.Docs[last])+len(big); got != want {
+	if got, want := e.payloads.bytes, big.size(); got != want {
 		t.Errorf("cache counts %d bytes, want %d", got, want)
 	}
-}
-
-// TestAttachAirAfterRemoveIsDropped: an on-air form built from a payload the
-// cache no longer holds — the document was removed, or removed and re-added
-// under the same ID with other content, between EncodeCycle and AttachAir —
-// must not be cached: it would air stale bytes for the new document.
-func TestAttachAirAfterRemoveIsDropped(t *testing.T) {
-	e, pending := limitedEngine(t, 6, 6, Limits{})
-	cy, err := e.AssembleCycle(0, 0, pending)
-	if err != nil {
-		t.Fatal(err)
-	}
-	enc, err := e.EncodeCycle(cy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(enc.Docs) < 3 {
-		t.Fatalf("cycle schedules %d documents, need 3", len(enc.Docs))
-	}
-	gone, swapped, kept := cy.Docs[0].ID, cy.Docs[1].ID, cy.Docs[2].ID
-	if err := e.RemoveDocument(gone); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.RemoveDocument(swapped); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.AddDocument(xmldoc.NewDocument(swapped, xmldoc.TextEl("nitf", "other text"))); err != nil {
-		t.Fatal(err)
-	}
-	// Re-encode a cycle holding the re-added document so its new payload is
-	// cached when the stale attach arrives.
-	answers, err := e.ResolveAll([]xpath.Path{xpath.MustParse("/nitf")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cy2, err := e.AssembleCycle(1, 1, []Pending{{ID: 100, Query: xpath.MustParse("/nitf"), Arrival: 1, Remaining: answers["/nitf"]}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	enc2, err := e.EncodeCycle(cy2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := e.payloads.bytes
-	for i := 0; i < 3; i++ {
-		e.AttachAir(enc, i, []byte("envelope of the old payload"))
-	}
-	if got, want := e.payloads.bytes, before+len("envelope of the old payload"); got != want {
-		t.Errorf("cache grew by %d bytes, want %d: only the surviving document's entry may take its on-air form", got-before, want-before)
-	}
-	enc3, err := e.EncodeCycle(cy2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := 0
-	for i, p := range cy2.Docs {
-		switch air := enc3.Air(i); p.ID {
-		case gone:
-			t.Errorf("removed document %d is scheduled", gone)
-		case swapped:
-			seen++
-			if air != nil {
-				t.Errorf("re-added document %d carries the on-air form of its old content", swapped)
-			}
-			if &enc3.Docs[i][0] == &enc.Docs[1][0] {
-				t.Errorf("re-added document %d still airs its old payload", swapped)
-			}
-		case kept:
-			seen++
-			if string(air) != "envelope of the old payload" {
-				t.Errorf("surviving document %d lost its on-air form: %q", kept, air)
-			}
-		}
-	}
-	if seen != 2 {
-		t.Fatalf("the second cycle schedules %d of the re-added and the surviving document, want both", seen)
-	}
-	e.Recycle(enc)
-	e.Recycle(enc2)
-	e.Recycle(enc3)
 }
 
 // applyPatched runs one collection update against a warm engine and checks

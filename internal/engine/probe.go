@@ -39,9 +39,11 @@ const (
 	// edits applied. Full rebuilds do not report this stage; their time
 	// lands in StageSchedule only.
 	StageScheduleDelta = "schedule-delta"
-	// StageEncode is wire encoding of the index, second-tier and document
-	// segments. Input is the number of encoded segments, output the total
-	// encoded bytes.
+	// StageEncode is framing the cycle as it airs: encoding and framing the
+	// head, index, directory and second-tier segments, framing the
+	// documents the payload cache misses, and on a compressing engine the
+	// DEFLATE of every frame it builds. Input is the number of frames the
+	// cycle airs, output their bytes on air.
 	StageEncode = "encode"
 )
 

@@ -8,6 +8,7 @@ import (
 	"repro/internal/broadcast"
 	"repro/internal/core"
 	"repro/internal/schedule"
+	"repro/internal/wire"
 	"repro/internal/xmldoc"
 	"repro/internal/xpath"
 )
@@ -109,10 +110,10 @@ func TestPruneIncrementalAcrossCycles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(encGot.Index, wantIndex) {
+	if !bytes.Equal(payloads(t, encGot, 0, wire.FrameIndex)[0], wantIndex) {
 		t.Error("incremental PCI index segment differs from from-scratch prune")
 	}
-	if !bytes.Equal(encGot.SecondTiers[0], wantSecondTier) {
+	if !bytes.Equal(payloads(t, encGot, 0, wire.FrameSecondTier)[0], wantSecondTier) {
 		t.Error("incremental second-tier segment differs from from-scratch prune")
 	}
 	e.Recycle(encGot)
@@ -175,7 +176,7 @@ func TestEncodeCycleErrorRecyclesBuffer(t *testing.T) {
 	}
 
 	misses := 0
-	e.segPool.New = func() any {
+	e.framePool.New = func() any {
 		misses++
 		b := make([]byte, 0, 4096)
 		return &b

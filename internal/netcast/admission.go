@@ -118,7 +118,7 @@ type AdaptiveState struct {
 	UplinkRate float64
 	// AssemblyLatency is the EWMA of per-cycle stage wall time (schedule +
 	// build + encode); CycleLatency the EWMA of observed spacing between
-	// assembled cycles, which prices FrameReject retry-after hints.
+	// assembled cycles, which prices wire.FrameReject retry-after hints.
 	AssemblyLatency, CycleLatency time.Duration
 	// Sheds counts multiplicative-decrease decisions; Grows counts
 	// additive increases that actually moved a limit.
@@ -230,7 +230,7 @@ func (a *AdaptiveLimiter) Health() Health {
 	return a.health
 }
 
-// RetryAfter prices a FrameReject retry-after hint from the controller's
+// RetryAfter prices a wire.FrameReject retry-after hint from the controller's
 // inter-cycle latency estimate: how long until the next cycle retires
 // pending work. Returns 0 before the estimate is seeded (callers fall back
 // to their static hint).

@@ -64,10 +64,10 @@ func Record(ctx context.Context, broadcastAddr string, numCycles int, w io.Write
 		// cycle head only bounds cycles until then, so on the index channel
 		// — where the channel head precedes the cycle head — the cycle head
 		// never double-counts.
-		if fr.t == FrameChannelHead {
+		if fr.t == wire.FrameChannelHead {
 			multi = true
 		}
-		if fr.t == FrameChannelHead || (fr.t == FrameCycleHead && !multi) {
+		if fr.t == wire.FrameChannelHead || (fr.t == wire.FrameCycleHead && !multi) {
 			if inCycle {
 				recorded++
 				if recorded == numCycles {
@@ -193,11 +193,11 @@ func ReadCapture(r io.Reader) ([]CycleRecord, error) {
 		}
 		payload := fr.payload
 		switch fr.t {
-		case FrameChannelHead:
+		case wire.FrameChannelHead:
 			if cur != nil {
 				records = append(records, *cur)
 			}
-			ch, err := decodeChannelHead(payload)
+			ch, err := wire.DecodeChannelHead(payload)
 			if err != nil {
 				return nil, err
 			}
@@ -205,10 +205,10 @@ func ReadCapture(r io.Reader) ([]CycleRecord, error) {
 				Number:   ch.Number,
 				Channel:  ch.Channel,
 				Channels: ch.Channels,
-				IsData:   ch.Role == channelRoleData,
+				IsData:   ch.Role == wire.ChannelRoleData,
 				NumDocs:  ch.NumDocs,
 			}
-		case FrameCycleHead:
+		case wire.FrameCycleHead:
 			head, err := wire.DecodeCycleHead(payload)
 			if err != nil {
 				return nil, err
@@ -225,19 +225,19 @@ func ReadCapture(r io.Reader) ([]CycleRecord, error) {
 				records = append(records, *cur)
 			}
 			cur = &CycleRecord{Number: head.Number, TwoTier: head.TwoTier, Succinct: head.Succinct, head: head}
-		case FrameChannelDir:
+		case wire.FrameChannelDir:
 			if cur != nil {
 				cur.DirSeg = payload
 			}
-		case FrameIndex:
+		case wire.FrameIndex:
 			if cur != nil {
 				cur.IndexSeg = payload
 			}
-		case FrameSecondTier:
+		case wire.FrameSecondTier:
 			if cur != nil {
 				cur.SecondTierSeg = payload
 			}
-		case FrameDoc:
+		case wire.FrameDoc:
 			if cur != nil {
 				if len(payload) < 2 {
 					return nil, fmt.Errorf("netcast: short doc frame in capture")

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/broadcast"
 	"repro/internal/core"
+	"repro/internal/wire"
 	"repro/internal/xpath"
 )
 
@@ -141,7 +142,7 @@ func TestReadCaptureErrors(t *testing.T) {
 	// The retired formats are refused like any other unknown header,
 	// whatever follows it: v1 (unchecksummed frames), v2 (re-encoded bare
 	// frames) and v3 (transport envelopes without their hello).
-	frame, err := appendFrame(nil, FrameIndex, []byte{1, 2, 3})
+	frame, err := wire.AppendFrame(nil, wire.FrameIndex, []byte{1, 2, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +155,7 @@ func TestReadCaptureErrors(t *testing.T) {
 	// Magic plus a truncated frame: the partial tail is dropped cleanly.
 	var buf bytes.Buffer
 	buf.WriteString(captureMagic)
-	buf.Write([]byte{frameSync0, frameSync1, byte(FrameCycleHead), 200, 0, 0, 0, 1, 2})
+	buf.Write([]byte{wire.FrameSync0, wire.FrameSync1, byte(wire.FrameCycleHead), 200, 0, 0, 0, 1, 2})
 	recs, err := ReadCapture(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatalf("truncated capture: %v", err)
@@ -164,7 +165,7 @@ func TestReadCaptureErrors(t *testing.T) {
 	}
 	// A corrupt (checksum-failing) frame mid-capture is an error, not a
 	// panic and not silent acceptance.
-	raw, err := appendFrame([]byte(captureMagic), FrameCycleHead, []byte("payload"))
+	raw, err := wire.AppendFrame([]byte(captureMagic), wire.FrameCycleHead, []byte("payload"))
 	if err != nil {
 		t.Fatal(err)
 	}

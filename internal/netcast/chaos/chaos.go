@@ -38,8 +38,7 @@ type Config struct {
 	MaxDelay time.Duration
 }
 
-// Stats counts injected faults across all connections of a Listener or
-// Proxy.
+// Stats counts injected faults across all connections of a Proxy.
 type Stats struct {
 	// Conns is the number of connections fault-injected so far.
 	Conns int64
@@ -166,34 +165,6 @@ func (c *Conn) Read(p []byte) (int, error) {
 	}
 	return len(out), err
 }
-
-// Listener wraps a net.Listener so every accepted connection is
-// fault-injected on its read side.
-type Listener struct {
-	net.Listener
-	cfg  Config
-	ctr  counters
-	next atomic.Int64
-}
-
-// WrapListener fault-injects every connection accepted from ln.
-func WrapListener(ln net.Listener, cfg Config) *Listener {
-	return &Listener{Listener: ln, cfg: cfg}
-}
-
-// Accept accepts the next connection wrapped with a per-connection fault
-// pattern.
-func (l *Listener) Accept() (net.Conn, error) {
-	conn, err := l.Listener.Accept()
-	if err != nil {
-		return nil, err
-	}
-	l.ctr.conns.Add(1)
-	return &Conn{Conn: conn, f: newFaulter(l.cfg, l.next.Add(1), &l.ctr)}, nil
-}
-
-// Stats reports fault counts across all accepted connections.
-func (l *Listener) Stats() Stats { return l.ctr.snapshot() }
 
 // Proxy is a TCP proxy that forwards the client→server direction verbatim
 // and fault-injects the server→client direction — a lossy wireless downlink

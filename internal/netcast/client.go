@@ -22,7 +22,7 @@ import (
 )
 
 // RejectedError reports a query refused by the server's admission control
-// (FrameReject): the uplink is healthy and the query was valid, the server
+// (wire.FrameReject): the uplink is healthy and the query was valid, the server
 // is just shedding load. It matches errors.Is(err, engine.ErrOverload), so
 // callers distinguish overload from network failure and back off instead of
 // redialing.
@@ -201,7 +201,7 @@ type SessionEntry struct {
 // AdoptSession to resume where the old session stopped.
 type ClientSession struct {
 	// Epoch and Generation are the server's journal lineage and restart
-	// generation from the last FrameResumeAck; zero before any resume.
+	// generation from the last wire.FrameResumeAck; zero before any resume.
 	Epoch      uint64
 	Generation uint32
 	// Entries holds acked submissions in submission order, newest last.
@@ -307,11 +307,11 @@ func (c *Client) Submit(q xpath.Path) error {
 // parseSubmitAck interprets one uplink response to a query submission: an
 // ack "ok:<covered>:<id>" names the covering cycle and the durable request
 // ID the client presents on session resume.
-func parseSubmitAck(t FrameType, payload []byte) (covered uint32, id int64, err error) {
-	if t == FrameReject {
+func parseSubmitAck(t wire.FrameType, payload []byte) (covered uint32, id int64, err error) {
+	if t == wire.FrameReject {
 		return 0, 0, rejectError(payload)
 	}
-	if t != FrameAck {
+	if t != wire.FrameAck {
 		return 0, 0, fmt.Errorf("netcast: unexpected ack frame type %d", t)
 	}
 	msg := string(payload)
@@ -328,7 +328,7 @@ func parseSubmitAck(t FrameType, payload []byte) (covered uint32, id int64, err 
 	return uint32(n), id, nil
 }
 
-// rejectError decodes a FrameReject payload into the RejectedError it
+// rejectError decodes a wire.FrameReject payload into the RejectedError it
 // reports.
 func rejectError(payload []byte) error {
 	retryAfter, reason, err := decodeReject(payload)
@@ -392,14 +392,14 @@ func (c *Client) Resume() ([]ResumeStatus, error) {
 	if err != nil {
 		return nil, err
 	}
-	r, err := c.up.roundTrip(FrameResume, payload, c.AckTimeout, control.Real{})
+	r, err := c.up.roundTrip(wire.FrameResume, payload, c.AckTimeout, control.Real{})
 	if err != nil {
 		return nil, fmt.Errorf("netcast: resume: %w", err)
 	}
-	if r.t == FrameReject {
+	if r.t == wire.FrameReject {
 		return nil, rejectError(r.payload)
 	}
-	if r.t != FrameResumeAck {
+	if r.t != wire.FrameResumeAck {
 		return nil, fmt.Errorf("netcast: unexpected resume ack frame type %d", r.t)
 	}
 	epoch, generation, srv, err := decodeResumeAck(r.payload)
@@ -581,11 +581,11 @@ type streamState struct {
 // boundary is the frame type that starts a cycle's share on every stream of
 // this client: the channel head on a multichannel broadcast, the cycle head
 // on a single stream.
-func (r *retrieval) boundary() FrameType {
+func (r *retrieval) boundary() wire.FrameType {
 	if len(r.c.chans) > 1 {
-		return FrameChannelHead
+		return wire.FrameChannelHead
 	}
-	return FrameCycleHead
+	return wire.FrameCycleHead
 }
 
 // run reads frames off the tuned channel until the remaining set drains.
@@ -619,36 +619,36 @@ func (r *retrieval) run(ctx context.Context) error {
 }
 
 // handle applies one frame to the protocol state. An error satisfying
-// isCorrupt means the frame (or its place in the stream) made no sense.
+// wire.IsCorrupt means the frame (or its place in the stream) made no sense.
 func (r *retrieval) handle(fr airFrame) error {
 	// Dozed unread: anything before the stream's first cycle boundary, and the
 	// index channel's frame types straying onto a data channel (cycle state is
 	// only ever taken from channel 0).
-	indexOnly := fr.t == FrameCycleHead || fr.t == FrameChannelDir || fr.t == FrameIndex
+	indexOnly := fr.t == wire.FrameCycleHead || fr.t == wire.FrameChannelDir || fr.t == wire.FrameIndex
 	if (!r.synced && fr.t != r.boundary()) || (r.cur != 0 && indexOnly) {
 		r.stats.DozeBytes += fr.air
 		return nil
 	}
 	switch fr.t {
-	case FrameChannelHead:
+	case wire.FrameChannelHead:
 		return r.onChannelHead(fr)
-	case FrameCycleHead:
+	case wire.FrameCycleHead:
 		h, err := wire.DecodeCycleHead(fr.payload)
 		if err != nil {
-			return errFrameCorrupt
+			return wire.ErrFrameCorrupt
 		}
 		r.head, r.want, r.synced = h, nil, true
 		r.stats.Cycles++
-	case FrameChannelDir:
+	case wire.FrameChannelDir:
 		r.stats.TuningBytes += fr.air
 		dir, err := wire.DecodeChannelDir(fr.payload, r.c.model)
 		if err != nil {
-			return errFrameCorrupt
+			return wire.ErrFrameCorrupt
 		}
 		r.dir = dir
-	case FrameIndex:
+	case wire.FrameIndex:
 		return r.onIndex(fr)
-	case FrameSecondTier:
+	case wire.FrameSecondTier:
 		if r.cur != 0 || !r.knowsDocs {
 			// A data channel's stripe repeats what the directory already
 			// said; before the result set is known there is nothing to look up.
@@ -658,7 +658,7 @@ func (r *retrieval) handle(fr airFrame) error {
 		r.stats.TuningBytes += fr.air
 		entries, err := wire.DecodeSecondTier(fr.payload, r.c.model)
 		if err != nil {
-			return errFrameCorrupt
+			return wire.ErrFrameCorrupt
 		}
 		r.want = make(map[xmldoc.DocID]struct{})
 		for _, e := range entries {
@@ -666,12 +666,12 @@ func (r *retrieval) handle(fr airFrame) error {
 				r.want[e.Doc] = struct{}{}
 			}
 		}
-	case FrameDoc:
+	case wire.FrameDoc:
 		return r.onDoc(fr)
 	default:
 		// A checksum-valid frame of unknown type means version skew or a
 		// scan that locked onto the wrong boundary; resynchronise.
-		return errFrameCorrupt
+		return wire.ErrFrameCorrupt
 	}
 	return nil
 }
@@ -682,12 +682,12 @@ func (r *retrieval) handle(fr airFrame) error {
 // unread for the next visit if the stream is already past that cycle (it
 // redialled ahead; the wanted documents stay in remaining for a rebroadcast).
 func (r *retrieval) onChannelHead(fr airFrame) error {
-	h, err := decodeChannelHead(fr.payload)
+	h, err := wire.DecodeChannelHead(fr.payload)
 	if err != nil || int(h.Channel) != r.cur || r.docsLeft > 0 {
-		// Undecodable, wrong stream (decodeChannelHead ties the role to the
+		// Undecodable, wrong stream (wire.DecodeChannelHead ties the role to the
 		// channel number, so this covers a mis-roled head too), or the last
 		// share ended short.
-		return errFrameCorrupt
+		return wire.ErrFrameCorrupt
 	}
 	r.synced = true
 	switch {
@@ -713,7 +713,7 @@ func (r *retrieval) onIndex(fr airFrame) error {
 		r.stats.TuningBytes += fr.air
 		docs, offs, err := r.c.decodeAndNavigate(fr.payload, r.head, r.nav)
 		if err != nil {
-			return errFrameCorrupt
+			return wire.ErrFrameCorrupt
 		}
 		if !r.knowsDocs {
 			for _, d := range docs {
@@ -742,7 +742,7 @@ func (r *retrieval) onIndex(fr airFrame) error {
 			continue
 		}
 		if e.Channel == 0 || int(e.Channel) >= len(r.onChan) {
-			return errFrameCorrupt
+			return wire.ErrFrameCorrupt
 		}
 		r.want[e.Doc] = struct{}{}
 		r.onChan[e.Channel] = true
@@ -768,7 +768,7 @@ func (r *retrieval) hop() {
 // the rest dozed.
 func (r *retrieval) onDoc(fr airFrame) error {
 	if len(fr.payload) < 2 {
-		return errFrameCorrupt
+		return wire.ErrFrameCorrupt
 	}
 	id := xmldoc.DocID(binary.LittleEndian.Uint16(fr.payload))
 	if _, want := r.want[id]; !want || r.stale {
@@ -783,7 +783,7 @@ func (r *retrieval) onDoc(fr airFrame) error {
 		r.stats.TuningBytes += cost
 		root, err := xmldoc.ParseBytes(fr.payload[2:])
 		if err != nil {
-			return errFrameCorrupt
+			return wire.ErrFrameCorrupt
 		}
 		r.got[id] = xmldoc.NewDocument(id, root)
 		r.remaining = xmldoc.RemoveID(r.remaining, id)
@@ -813,7 +813,7 @@ func (r *retrieval) recover(ctx context.Context, ch int, err error) error {
 	if ch == 0 {
 		r.cycleState = cycleState{}
 	}
-	if isCorrupt(err) {
+	if wire.IsCorrupt(err) {
 		r.stats.Resyncs++
 		c.resubmit(r.q)
 		fr, skipped, err := cs.src.resync(r.boundary())

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/control"
 	"repro/internal/core"
+	"repro/internal/wire"
 	"repro/internal/xpath"
 )
 
@@ -62,9 +63,9 @@ func TestSubmitRetryBackoffOnInjectedClock(t *testing.T) {
 				return
 			}
 			if i < rejects {
-				_ = sc.respond(stream, FrameReject, encodeReject(100*time.Millisecond, "busy"))
+				_ = sc.respond(stream, wire.FrameReject, encodeReject(100*time.Millisecond, "busy"))
 			} else {
-				_ = sc.respond(stream, FrameAck, []byte("ok:1:7"))
+				_ = sc.respond(stream, wire.FrameAck, []byte("ok:1:7"))
 			}
 		}
 	})

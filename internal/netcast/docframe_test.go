@@ -3,23 +3,20 @@ package netcast
 import (
 	"bufio"
 	"bytes"
-	"cmp"
 	"context"
 	"encoding/binary"
 	"io"
 	"net"
 	"reflect"
-	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/dtd"
 	"repro/internal/engine"
-	"repro/internal/gen"
 	"repro/internal/journal"
 	"repro/internal/netcast/transport"
+	"repro/internal/wire"
 	"repro/internal/xmldoc"
 	"repro/internal/xpath"
 )
@@ -84,7 +81,7 @@ func (h *handDriven) cycle(t *testing.T, query string) {
 
 // airedFrame is one envelope read back off a subscriber's stream.
 type airedFrame struct {
-	t          FrameType
+	t          wire.FrameType
 	payload    []byte
 	raw        []byte
 	compressed bool
@@ -162,14 +159,15 @@ func TestDocumentDeflatedOncePerLifetime(t *testing.T) {
 	for i := 0; i < cycles; i++ {
 		h.cycle(t, "/nitf") // one more request for every document, every cycle
 	}
-	stats := h.srv.downEnc.Stats()
+	var stats transport.EncoderStats
+	onLoop(t, h.srv, func() error { stats = h.srv.eng.TransportStats(); return nil })
 	frames := h.finish(t)
 
 	var perCycleDeflated, docAirings int64
 	docs := map[xmldoc.DocID]bool{}
 	for _, f := range frames {
 		switch {
-		case f.t != FrameDoc:
+		case f.t != wire.FrameDoc:
 			if f.compressed {
 				perCycleDeflated++
 			}
@@ -190,9 +188,8 @@ func TestDocumentDeflatedOncePerLifetime(t *testing.T) {
 }
 
 // TestDocEnvelopeSharedAcrossCycles is TestFanOutFramesOnce's sibling for the
-// cached path, which is reached through a cycle's Encoded and not through a
-// bare wireForm call: one document airing in three consecutive cycles reaches
-// all eight subscribers as the identical envelope each time, and that
+// engine's document cache: one document airing in three consecutive cycles
+// reaches all eight subscribers as the identical envelope each time, and that
 // envelope is the fresh encoding of the document's frame.
 func TestDocEnvelopeSharedAcrossCycles(t *testing.T) {
 	coll := testCollection(t)
@@ -207,7 +204,7 @@ func TestDocEnvelopeSharedAcrossCycles(t *testing.T) {
 	}
 	frames := h.finish(t)
 
-	inner, err := appendFrame(nil, FrameDoc, lone.AppendMarshal(binary.LittleEndian.AppendUint16(nil, uint16(lone.ID))))
+	inner, err := wire.AppendFrame(nil, wire.FrameDoc, lone.AppendMarshal(binary.LittleEndian.AppendUint16(nil, uint16(lone.ID))))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +214,7 @@ func TestDocEnvelopeSharedAcrossCycles(t *testing.T) {
 	}
 	airings := 0
 	for _, f := range frames {
-		if f.t != FrameDoc {
+		if f.t != wire.FrameDoc {
 			continue
 		}
 		airings++
@@ -285,7 +282,7 @@ func TestOversizedDocumentRefused(t *testing.T) {
 		}
 		return d
 	}
-	tooBig := sized(9000, maxFrame+1)
+	tooBig := sized(9000, wire.MaxFramePayload+1)
 	coll := testCollection(t)
 
 	withIt, err := xmldoc.NewCollection(append(coll.Docs()[:coll.Len():coll.Len()], tooBig))
@@ -328,100 +325,10 @@ func TestOversizedDocumentRefused(t *testing.T) {
 	if !reflect.DeepEqual(journaled(), before) {
 		t.Error("a refused document reached the journal")
 	}
-	if err := srv.AddDocument(sized(9001, maxFrame-3)); err != nil {
+	if err := srv.AddDocument(sized(9001, wire.MaxFramePayload-3)); err != nil {
 		t.Errorf("AddDocument of a document 3 bytes under the limit: %v", err)
 	}
 	if srv.NumDocs() != numDocs+1 || reflect.DeepEqual(journaled(), before) {
 		t.Error("an accepted document did not reach the collection and the journal")
 	}
-}
-
-// BenchmarkCompressedDocAiring is the per-airing cost of one ≈ 11 KB document
-// on a compressing server, up to and including the queue entry of one
-// subscriber: cold builds the wire form (frame, DEFLATE, envelope) as every
-// airing did before envelopes were cached and a first airing still does; warm
-// is every later airing, served from the slot beside the payload.
-func BenchmarkCompressedDocAiring(b *testing.B) {
-	// The benchmark's collection (bench/inputs.go: NITF at text scale 2.1,
-	// 11 KB per document on average); the document nearest that mean.
-	all, err := gen.Documents(gen.DocConfig{Schema: dtd.NITF(), NumDocs: 100, TextScale: 2.1, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	doc := slices.MinFunc(all.Docs(), func(a, b *xmldoc.Document) int {
-		da, db := a.Size()-11_000, b.Size()-11_000
-		return cmp.Compare(da*da, db*db)
-	})
-	coll, err := xmldoc.NewCollection([]*xmldoc.Document{doc})
-	if err != nil {
-		b.Fatal(err)
-	}
-	srv, err := StartServer(ServerConfig{
-		Collection:    coll,
-		CycleCapacity: coll.TotalSize(),
-		CycleInterval: time.Hour, // never ticks: only the benchmark frames documents
-		Compress:      true,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer srv.Shutdown()
-	// The engine is the cycle loop's: the benchmark hands it what it encodes
-	// and the first airing, which attaches the envelope there.
-	q := xpath.MustParse("/nitf")
-	encode := func() (enc *engine.Encoded) {
-		onLoop(b, srv, func() error {
-			docs, err := srv.eng.Resolve(q)
-			if err != nil {
-				return err
-			}
-			cy, err := srv.eng.AssembleCycle(0, 0, []engine.Pending{{ID: 1, Query: q, Remaining: docs}})
-			if err != nil {
-				return err
-			}
-			enc, err = srv.eng.EncodeCycle(cy)
-			return err
-		})
-		return enc
-	}
-	// An in-process subscriber, drained in the loop.
-	sub := &subscriber{ch: make(chan net.Buffers, 1)}
-	srv.mu.Lock()
-	srv.subs[sub] = struct{}{}
-	srv.mu.Unlock()
-	defer func() {
-		srv.mu.Lock()
-		delete(srv.subs, sub)
-		srv.mu.Unlock()
-	}()
-
-	run := func(b *testing.B, frame func() (net.Buffers, error)) {
-		b.SetBytes(int64(coll.TotalSize()))
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			f, err := frame()
-			if err != nil {
-				b.Fatal(err)
-			}
-			srv.enqueue(0, f)
-			<-sub.ch
-		}
-	}
-	b.Run("cold", func(b *testing.B) {
-		enc := encode()
-		run(b, func() (net.Buffers, error) { return srv.wireForm(nil, FrameDoc, enc.Docs[0]) })
-	})
-	b.Run("warm", func(b *testing.B) {
-		enc := encode()
-		onLoop(b, srv, func() error { // first airing: builds and attaches
-			_, err := srv.docFrame(nil, enc, 0)
-			return err
-		})
-		enc = encode()
-		if enc.Air(0) == nil {
-			b.Fatal("no envelope cached after the first airing")
-		}
-		run(b, func() (net.Buffers, error) { return srv.docFrame(nil, enc, 0) })
-	})
 }

@@ -12,6 +12,7 @@ import (
 	"repro/internal/dtd"
 	"repro/internal/gen"
 	"repro/internal/netcast/chaos"
+	"repro/internal/wire"
 	"repro/internal/xmldoc"
 	"repro/internal/xpath"
 )
@@ -181,9 +182,9 @@ func cycleFrames(t *testing.T, b *broadcast.Builder, mode broadcast.Mode, num in
 		t.Fatalf("AppendEncoded: %v", err)
 	}
 	n := cy.IndexStreamBytes()
-	frames := []airFrame{{t: FrameCycleHead, payload: headBytes}, {t: FrameIndex, payload: segs[:n]}}
+	frames := []airFrame{{t: wire.FrameCycleHead, payload: headBytes}, {t: wire.FrameIndex, payload: segs[:n]}}
 	if mode == broadcast.TwoTierMode {
-		frames = append(frames, airFrame{t: FrameSecondTier, payload: segs[n:]})
+		frames = append(frames, airFrame{t: wire.FrameSecondTier, payload: segs[n:]})
 	}
 	for _, p := range cy.Docs {
 		doc := b.DocByID(p.ID)
@@ -191,7 +192,7 @@ func cycleFrames(t *testing.T, b *broadcast.Builder, mode broadcast.Mode, num in
 		payload[0] = byte(p.ID)
 		payload[1] = byte(p.ID >> 8)
 		payload = append(payload, doc.Marshal()...)
-		frames = append(frames, airFrame{t: FrameDoc, payload: payload})
+		frames = append(frames, airFrame{t: wire.FrameDoc, payload: payload})
 	}
 	return frames
 }
@@ -203,7 +204,7 @@ func pipeClient(t *testing.T, prelude, cycle []airFrame) *Client {
 	srvEnd, cliEnd := net.Pipe()
 	t.Cleanup(func() { srvEnd.Close(); cliEnd.Close() })
 	write := func(f airFrame) bool {
-		b, err := appendFrame(nil, f.t, f.payload)
+		b, err := wire.AppendFrame(nil, f.t, f.payload)
 		if err == nil {
 			_, err = srvEnd.Write(b)
 		}

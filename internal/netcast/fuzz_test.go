@@ -20,31 +20,31 @@ func FuzzFrame(f *testing.F) {
 	f.Add([]byte{}, uint16(3))
 	f.Add([]byte{0xB5, 0xCA, 0xB5, 0xCA}, uint16(40)) // payload full of sync bytes
 	f.Fuzz(func(t *testing.T, payload []byte, bitPick uint16) {
-		enc, err := appendFrame(nil, FrameDoc, payload)
+		enc, err := wire.AppendFrame(nil, wire.FrameDoc, payload)
 		if err != nil {
 			return // oversized payload; nothing to assert
 		}
 
 		// Unmutated: must round-trip exactly.
-		ft, back, err := readFrame(bytes.NewReader(enc))
+		ft, back, err := wire.ReadFrame(bytes.NewReader(enc))
 		if err != nil {
 			t.Fatalf("clean frame rejected: %v", err)
 		}
-		if ft != FrameDoc || !bytes.Equal(back, payload) {
+		if ft != wire.FrameDoc || !bytes.Equal(back, payload) {
 			t.Fatalf("clean frame round trip changed the payload")
 		}
 
 		// Mutated: pick a bit outside the 4 length bytes (enc[3:7]).
 		mutable := make([]int, 0, len(enc)-4)
 		for i := range enc {
-			if i < 3 || i >= frameHdrLen {
+			if i < 3 || i >= wire.FrameHeaderLen {
 				mutable = append(mutable, i)
 			}
 		}
 		idx := mutable[int(bitPick)%len(mutable)]
 		bit := byte(1) << ((bitPick / uint16(len(mutable))) % 8)
 		enc[idx] ^= bit
-		if _, _, err := readFrame(bytes.NewReader(enc)); err == nil {
+		if _, _, err := wire.ReadFrame(bytes.NewReader(enc)); err == nil {
 			t.Fatalf("single-bit flip at byte %d bit %02x accepted", idx, bit)
 		}
 	})
@@ -62,10 +62,10 @@ func FuzzReadCapture(f *testing.F) {
 	_ = transport.WriteHello(compressed, transport.Hello{Compress: true})
 	enc := transport.NewEncoder(true, 0)
 	for _, fr := range []struct {
-		t       FrameType
+		t       wire.FrameType
 		payload []byte
-	}{{FrameCycleHead, head}, {FrameIndex, []byte{1, 2, 3}}, {FrameDoc, doc}} {
-		inner, _ := appendFrame(nil, fr.t, fr.payload)
+	}{{wire.FrameCycleHead, head}, {wire.FrameIndex, []byte{1, 2, 3}}, {wire.FrameDoc, doc}} {
+		inner, _ := wire.AppendFrame(nil, fr.t, fr.payload)
 		bare = append(bare, inner...)
 		env, _ := enc.Encode(transport.NoStream, inner)
 		compressed.Write(env)
@@ -88,7 +88,7 @@ func FuzzReadCapture(f *testing.F) {
 	})
 }
 
-// FuzzDecodeReject: arbitrary FrameReject payloads must never panic, every
+// FuzzDecodeReject: arbitrary wire.FrameReject payloads must never panic, every
 // accepted payload must decode to a retry-after inside the clamp bounds, and
 // re-encoding what was decoded must be stable.
 func FuzzDecodeReject(f *testing.F) {

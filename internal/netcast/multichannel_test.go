@@ -253,9 +253,9 @@ func TestStrayIndexFramesOnDataChannelAreDozed(t *testing.T) {
 	}
 	var air int64
 	for _, fr := range []airFrame{
-		{t: FrameCycleHead, payload: stray, air: 40},
-		{t: FrameChannelDir, payload: []byte{0xFF}, air: 7},
-		{t: FrameIndex, payload: []byte{0xFF}, air: 11},
+		{t: wire.FrameCycleHead, payload: stray, air: 40},
+		{t: wire.FrameChannelDir, payload: []byte{0xFF}, air: 7},
+		{t: wire.FrameIndex, payload: []byte{0xFF}, air: 11},
 	} {
 		if err := r.handle(fr); err != nil {
 			t.Fatalf("frame type %d on a data channel: %v", fr.t, err)

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/control"
 	"repro/internal/netcast/transport"
+	"repro/internal/wire"
 	"repro/internal/xpath"
 )
 
@@ -69,7 +70,7 @@ type Mux struct {
 
 // muxResp is one uplink response delivered to a logical client.
 type muxResp struct {
-	t       FrameType
+	t       wire.FrameType
 	payload []byte
 }
 
@@ -349,10 +350,10 @@ func (lc *LogicalClient) SubmitRetry(ctx context.Context, q xpath.Path) error {
 }
 
 // submit is the one query submission of both client types: a round trip
-// of q's FrameQuery, returning the acked covering cycle and durable request
-// ID.
+// of q's wire.FrameQuery, returning the acked covering cycle and durable
+// request ID.
 func (lc *LogicalClient) submit(q xpath.Path, timeout time.Duration, clk control.Clock) (covered uint32, id int64, err error) {
-	r, err := lc.roundTrip(FrameQuery, []byte(q.String()), timeout, clk)
+	r, err := lc.roundTrip(wire.FrameQuery, []byte(q.String()), timeout, clk)
 	if err != nil {
 		return 0, 0, fmt.Errorf("netcast: submit: %w", err)
 	}
@@ -367,7 +368,7 @@ func (lc *LogicalClient) submit(q xpath.Path, timeout time.Duration, clk control
 // after its request timed out answers that request, not the next one: lc
 // counts the timed-out requests and discards that many responses ahead of
 // its own, each returning the credit its request spent.
-func (lc *LogicalClient) roundTrip(t FrameType, payload []byte, timeout time.Duration, clk control.Clock) (muxResp, error) {
+func (lc *LogicalClient) roundTrip(t wire.FrameType, payload []byte, timeout time.Duration, clk control.Clock) (muxResp, error) {
 	m := lc.mux
 	var expire <-chan time.Time
 	if timeout > 0 {
@@ -386,7 +387,7 @@ func (lc *LogicalClient) roundTrip(t FrameType, payload []byte, timeout time.Dur
 	case <-expire:
 		return muxResp{}, fmt.Errorf("stream %d credit window exhausted", lc.id)
 	}
-	inner, err := appendFrame(nil, t, payload)
+	inner, err := wire.AppendFrame(nil, t, payload)
 	if err != nil {
 		lc.tokens <- struct{}{}
 		return muxResp{}, err

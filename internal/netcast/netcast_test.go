@@ -214,13 +214,13 @@ func TestFrameRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Append: %v", err)
 	}
-	stream, err := appendFrame(nil, FrameCycleHead, data)
+	stream, err := wire.AppendFrame(nil, wire.FrameCycleHead, data)
 	if err != nil {
-		t.Fatalf("appendFrame: %v", err)
+		t.Fatalf("wire.AppendFrame: %v", err)
 	}
-	ft, payload, err := readFrame(bytes.NewReader(stream))
-	if err != nil || ft != FrameCycleHead {
-		t.Fatalf("readFrame = type %d, %v", ft, err)
+	ft, payload, err := wire.ReadFrame(bytes.NewReader(stream))
+	if err != nil || ft != wire.FrameCycleHead {
+		t.Fatalf("wire.ReadFrame = type %d, %v", ft, err)
 	}
 	back, err := wire.DecodeCycleHead(payload)
 	if err != nil {
@@ -242,10 +242,10 @@ func TestFrameSourceReusesBuffer(t *testing.T) {
 	}
 	var stream []byte
 	for _, f := range []struct {
-		t FrameType
+		t wire.FrameType
 		p []byte
-	}{{FrameCycleHead, headBytes}, {FrameDoc, bytes.Repeat([]byte{0xEE}, len(headBytes))}} {
-		if stream, err = appendFrame(stream, f.t, f.p); err != nil {
+	}{{wire.FrameCycleHead, headBytes}, {wire.FrameDoc, bytes.Repeat([]byte{0xEE}, len(headBytes))}} {
+		if stream, err = wire.AppendFrame(stream, f.t, f.p); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -19,6 +19,7 @@ import (
 	"repro/internal/journal"
 	"repro/internal/netcast/transport"
 	"repro/internal/schedule"
+	"repro/internal/wire"
 	"repro/internal/xmldoc"
 	"repro/internal/xpath"
 )
@@ -75,13 +76,13 @@ type ServerConfig struct {
 	Limits engine.Limits
 	// MaxPending is the server's one cap on the pending set, checked at
 	// admission only (engine.Ledger.Admit): a submission arriving while the
-	// set holds MaxPending requests is refused with FrameReject before any
-	// resolution work. Requests already pending — a restart may recover more
+	// set holds MaxPending requests is refused with wire.FrameReject before
+	// any resolution work. Requests already pending — a restart may recover more
 	// than the cap — always air. Zero means unlimited.
 	MaxPending int
 	// UplinkRate is the per-connection sustained submission rate in
 	// queries per second, enforced by a token bucket of UplinkBurst
-	// capacity; queries beyond the budget are refused with FrameReject
+	// capacity; queries beyond the budget are refused with wire.FrameReject
 	// carrying a retry-after hint. Zero disables rate limiting.
 	UplinkRate float64
 	// UplinkBurst is the token-bucket burst size. Default 8 when
@@ -89,8 +90,9 @@ type ServerConfig struct {
 	UplinkBurst int
 	// Adaptive replaces the static admission knobs with a self-tuning
 	// control loop (AdaptiveLimiter): MaxPending and UplinkRate become seeds
-	// the controller retunes from observed cycle latency, and FrameReject
-	// retry-after hints come from its cycle-latency estimate. A zero
+	// the controller retunes from observed cycle latency, and
+	// wire.FrameReject retry-after hints come from its cycle-latency
+	// estimate. A zero
 	// MaxPending seeds DefaultAdaptivePending; a zero UplinkRate seeds
 	// DefaultAdaptiveUplinkRate. Health and the controller's state surface
 	// in Stats.
@@ -123,11 +125,12 @@ type ServerConfig struct {
 	// Compress enables the transport layer on the downlink: every broadcast
 	// stream opens with a transport hello and carries per-frame DEFLATE
 	// envelopes (frames below the size floor, and frames deflate cannot
-	// shrink, ship raw inside the envelope). Each frame is compressed once
-	// and the identical bytes go to every subscriber; a document's envelope
-	// is moreover kept beside its payload in the engine's cache, so it is
-	// compressed once per cache lifetime, not once per airing. Uplink
-	// compression is granted to clients that request it in their hello.
+	// shrink, ship raw inside the envelope). The engine builds every
+	// envelope (engine.Config.Compress) and the identical bytes go to every
+	// subscriber; a document's envelope stays in the engine's payload
+	// cache, so it is compressed once per cache lifetime, not once per
+	// airing. Uplink compression is granted to clients that request it in
+	// their hello.
 	// Off, not a single downlink byte differs from the bare protocol.
 	Compress bool
 	// MuxCredit is the per-stream flow-control window granted to
@@ -169,14 +172,9 @@ type Server struct {
 	// have exactly one.
 	bcLns []net.Listener
 
-	// downEnc builds the downlink's transport envelopes; nil without
-	// ServerConfig.Compress. Per-cycle frames (heads, index, second tier) go
-	// through it every cycle; a document goes through it when it airs with no
-	// envelope cached beside its payload (see docFrame). It lives on the
-	// cycle-loop goroutine (the only wireForm caller), so it needs no lock.
 	// downHello is the pre-encoded transport hello every subscriber stream
-	// opens with.
-	downEnc   *transport.Encoder
+	// of a compressing server opens with; nil without ServerConfig.Compress.
+	// The envelopes themselves are the engine's (engine.Config.Compress).
 	downHello []byte
 
 	// jn is the durability journal; nil without ServerConfig.StateDir. The
@@ -262,8 +260,8 @@ type ServerStats struct {
 // other subscribers.
 type subscriber struct {
 	conn net.Conn
-	// ch holds whole cycles in wire form (see wireForm), shared by every
-	// subscriber of the channel and never written.
+	// ch holds whole cycles, the engine's frames (engine.Encoded), shared
+	// by every subscriber of the channel and never written.
 	ch chan net.Buffers
 	// channel is the broadcast channel this listener subscribed to (by
 	// dialing its address); always 0 on a single-channel server.
@@ -317,9 +315,6 @@ func StartServer(cfg ServerConfig) (*Server, error) {
 	if cfg.Channels == 0 {
 		cfg.Channels = 1
 	}
-	if err := broadcast.CheckCompress(cfg.Channels, cfg.Compress); err != nil {
-		return nil, fmt.Errorf("netcast: %w", err)
-	}
 	if cfg.CycleInterval == 0 {
 		cfg.CycleInterval = 50 * time.Millisecond
 	}
@@ -370,6 +365,7 @@ func StartServer(cfg ServerConfig) (*Server, error) {
 		CycleCapacity: cfg.CycleCapacity,
 		Probes:        probes,
 		Limits:        cfg.Limits,
+		Compress:      cfg.Compress,
 	})
 	if err != nil {
 		return nil, err
@@ -450,7 +446,6 @@ func StartServer(cfg ServerConfig) (*Server, error) {
 		done:       make(chan struct{}),
 	}
 	if cfg.Compress {
-		s.downEnc = transport.NewEncoder(true, 0)
 		var hb bytes.Buffer
 		if err := transport.WriteHello(&hb, transport.Hello{Compress: true}); err != nil {
 			closeAll()
@@ -731,8 +726,8 @@ func (s *Server) serveUplink(conn net.Conn) {
 	tr := transport.NewReader(br)
 	enc := transport.NewEncoder(grant.Compress, 0)
 	bw := bufio.NewWriterSize(conn, downlinkBufSize)
-	respond := func(stream int64, t FrameType, payload []byte) error {
-		inner, err := appendFrame(nil, t, payload)
+	respond := func(stream int64, t wire.FrameType, payload []byte) error {
+		inner, err := wire.AppendFrame(nil, t, payload)
 		if err != nil {
 			return err
 		}
@@ -781,7 +776,7 @@ func (s *Server) serveUplink(conn net.Conn) {
 		}
 		s.mu.Unlock()
 		if draining {
-			_ = respond(fr.Stream, FrameReject, encodeReject(s.cfg.CycleInterval, "server shutting down"))
+			_ = respond(fr.Stream, wire.FrameReject, encodeReject(s.cfg.CycleInterval, "server shutting down"))
 			_ = bw.Flush()
 			return
 		}
@@ -801,26 +796,26 @@ func (s *Server) serveUplink(conn net.Conn) {
 // uplinkRespond computes the response to one uplink frame: admission
 // control, journaling and session resume. drop reports a protocol
 // violation: the response is still written, then the connection dies.
-func (s *Server) uplinkRespond(t FrameType, payload []byte, bucket *tokenBucket) (rt FrameType, resp []byte, drop bool) {
+func (s *Server) uplinkRespond(t wire.FrameType, payload []byte, bucket *tokenBucket) (rt wire.FrameType, resp []byte, drop bool) {
 	switch t {
-	case FrameResume:
+	case wire.FrameResume:
 		ids, derr := decodeResume(payload)
 		if derr != nil {
-			return FrameAck, []byte("err: " + derr.Error()), false
+			return wire.FrameAck, []byte("err: " + derr.Error()), false
 		}
 		ack, aerr := encodeResumeAck(s.epoch, s.generation, s.resumeEntries(ids))
 		if aerr != nil {
-			return FrameAck, []byte("err: " + aerr.Error()), false
+			return wire.FrameAck, []byte("err: " + aerr.Error()), false
 		}
-		return FrameResumeAck, ack, false
-	case FrameQuery:
+		return wire.FrameResumeAck, ack, false
+	case wire.FrameQuery:
 		if bucket != nil {
 			// The sustained rate is the admission limiter's (retuned under
 			// Adaptive); the burst capacity stays as configured.
 			bucket.rate = s.admit.UplinkRate()
 			if wait := bucket.take(s.clock.Now()); wait > 0 {
 				s.rejectedRate.Add(1)
-				return FrameReject, encodeReject(wait, "rate limited"), false
+				return wire.FrameReject, encodeReject(wait, "rate limited"), false
 			}
 		}
 		covered, id, err := s.submit(string(payload))
@@ -828,7 +823,7 @@ func (s *Server) uplinkRespond(t FrameType, payload []byte, bucket *tokenBucket)
 		case err == nil:
 			// The ack names the covering cycle and the durable request ID
 			// the client presents on session resume.
-			return FrameAck, []byte(fmt.Sprintf("ok:%d:%d", covered, id)), false
+			return wire.FrameAck, []byte(fmt.Sprintf("ok:%d:%d", covered, id)), false
 		case errors.Is(err, engine.ErrOverload):
 			s.rejectedPending.Add(1)
 			// The cap frees up as cycles retire requests, so the next cycle
@@ -836,12 +831,12 @@ func (s *Server) uplinkRespond(t FrameType, payload []byte, bucket *tokenBucket)
 			// cycle latency once it has one (under load cycles retire slower
 			// than the interval promises), else the configured interval.
 			retry := cmp.Or(s.admit.RetryAfter(), s.cfg.CycleInterval)
-			return FrameReject, encodeReject(retry, "pending set full"), false
+			return wire.FrameReject, encodeReject(retry, "pending set full"), false
 		default:
-			return FrameAck, []byte("err: " + err.Error()), false
+			return wire.FrameAck, []byte("err: " + err.Error()), false
 		}
 	default:
-		return FrameAck, []byte("err: unexpected frame"), true
+		return wire.FrameAck, []byte("err: unexpected frame"), true
 	}
 }
 
@@ -986,111 +981,15 @@ func (s *Server) broadcastCycle() error {
 	return err
 }
 
-// airCycle puts one encoded cycle on air: each frame's wire form is appended
-// to its channel's batch, then every batch is queued once. The encoded
-// segments are retained by subscriber queues, so they are never recycled
-// here; the GC reclaims them once every writer is done. A frame that cannot
-// be put in wire form is the cycle's error and nothing is queued: nothing may
-// be retired as delivered that was not sent.
-func (s *Server) airCycle(cy *engine.Cycle, enc *engine.Encoded) error {
-	k := cy.ChannelCount()
-	batches := make([]net.Buffers, k)
-	var err error
-	add := func(c int, t FrameType, payload []byte) {
-		if err == nil {
-			batches[c], err = s.wireForm(batches[c], t, payload)
-		}
-	}
-	// Channel 0 opens with the cycle head and carries the index; the
-	// streams that carry documents (the one stream at K = 1, data channels
-	// 1..K-1 otherwise) follow with their second tier and documents in plan
-	// order. A multichannel cycle (protocol v3) adds a channel head to
-	// every channel's share and the channel directory before the index.
-	firstData := 0 // the channel of enc.SecondTiers[0]
-	if k > 1 {
-		firstData = 1
-	}
-	for c := 0; c < k; c++ {
-		docs := len(cy.Docs)
-		if k > 1 {
-			docs = len(cy.Channels[c].Docs)
-		}
-		// Three slices a frame (header, payload, checksum), at most four
-		// frames besides the documents.
-		batches[c] = make(net.Buffers, 0, 3*(4+docs))
-		if k > 1 {
-			h := &channelHead{Number: uint32(cy.Number), Channel: uint8(c), Channels: uint8(k),
-				Role: channelRoleIndex, NumDocs: uint16(len(cy.Docs))}
-			if c > 0 {
-				h.Role, h.NumDocs = channelRoleData, uint16(docs)
-			}
-			add(c, FrameChannelHead, h.encode())
-		}
-		if c == 0 {
-			add(0, FrameCycleHead, enc.Head)
-			if k > 1 {
-				add(0, FrameChannelDir, enc.ChannelDir)
-			}
-			add(0, FrameIndex, enc.Index)
-		}
-		if c < firstData {
-			continue
-		}
-		if st := enc.SecondTiers[c-firstData]; len(st) > 0 {
-			add(c, FrameSecondTier, st)
-		}
-		for i, p := range cy.Docs {
-			if err == nil && p.Channel == c {
-				batches[c], err = s.docFrame(batches[c], enc, i)
-			}
-		}
-	}
-	if err != nil {
-		return fmt.Errorf("netcast: cycle %d: %w", cy.Number, err)
-	}
-	for c, b := range batches {
-		s.enqueue(c, b)
+// airCycle puts one encoded cycle on air: each channel's frames, exactly as
+// the engine framed them, are queued once to that channel's subscribers. The
+// frames are retained by subscriber queues, so they are never recycled here;
+// the GC reclaims them once every writer is done.
+func (s *Server) airCycle(_ *engine.Cycle, enc *engine.Encoded) error {
+	for c, frames := range enc.Frames {
+		s.enqueue(c, frames)
 	}
 	return nil
-}
-
-// docFrame appends the wire form of a cycle's i-th document to a batch. A
-// compressing server builds a document's envelope the first time it airs and
-// leaves it beside the payload in the engine's cache; every later
-// airing, for as long as the payload stays cached, queues that same envelope
-// again. A document airs in cycle after cycle until its requesters drain, and
-// its envelope is a pure function of its payload, so all but the first
-// DEFLATE pass would be repeated work.
-func (s *Server) docFrame(b net.Buffers, enc *engine.Encoded, i int) (net.Buffers, error) {
-	if air := enc.Air(i); air != nil {
-		return append(b, air), nil
-	}
-	b, err := s.wireForm(b, FrameDoc, enc.Docs[i])
-	if err == nil && s.downEnc != nil {
-		s.eng.AttachAir(enc, i, b[len(b)-1])
-	}
-	return b, err
-}
-
-// wireForm appends one payload's downlink wire form to a batch, once for all
-// subscribers: header and checksum — and on a compressing server the
-// transport envelope around the whole frame — are computed here, not per
-// subscriber. On a bare server the payload itself is appended, never copied.
-func (s *Server) wireForm(b net.Buffers, t FrameType, payload []byte) (net.Buffers, error) {
-	hdr, crc, err := frameEnds(t, payload)
-	if err != nil {
-		return b, err
-	}
-	if s.downEnc == nil {
-		return append(b, hdr, payload, crc), nil
-	}
-	inner := make([]byte, 0, len(hdr)+len(payload)+len(crc))
-	inner = append(append(append(inner, hdr...), payload...), crc...)
-	env, err := s.downEnc.Encode(transport.NoStream, inner)
-	if err != nil {
-		return b, err
-	}
-	return append(b, env), nil
 }
 
 // enqueue queues one cycle's batch for one channel, the identical slices, to
@@ -1124,16 +1023,16 @@ func (s *Server) enqueue(channel int, batch net.Buffers) {
 	}
 }
 
-// checkDocFits refuses a document that could never air: its FrameDoc payload
-// is two ID bytes and the marshalled text, and a frame carries at most
-// maxFrame bytes. Admitted, it would be scheduled and listed in the second
-// tier of a cycle that cannot be framed.
+// checkDocFits refuses a document that could never air: its wire.FrameDoc
+// payload is two ID bytes and the marshalled text, and a frame carries at
+// most wire.MaxFramePayload bytes. Admitted, it would be scheduled and listed
+// in the second tier of a cycle that cannot be framed.
 func checkDocFits(d *xmldoc.Document) error {
 	if d == nil {
 		return nil // the engine refuses it
 	}
-	if n := 2 + d.Size(); n > maxFrame {
-		return fmt.Errorf("netcast: document %d needs a frame payload of %d bytes, limit %d", d.ID, n, maxFrame)
+	if n := 2 + d.Size(); n > wire.MaxFramePayload {
+		return fmt.Errorf("netcast: document %d needs a frame payload of %d bytes, limit %d", d.ID, n, wire.MaxFramePayload)
 	}
 	return nil
 }

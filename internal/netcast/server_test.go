@@ -51,9 +51,9 @@ func pendingOf(t *testing.T, srv *Server) (pending []engine.Pending) {
 }
 
 // TestFanOutFramesOnce: every subscriber of a channel receives the same
-// bytes, and they are exactly the frames' wire form — appendFrame's output on
-// a bare server, the hello plus one transport envelope per frame on a
-// compressing one. The frames are queued as one batch directly on an idle
+// bytes, and they are exactly the frames' wire form — wire.AppendFrame's
+// output on a bare server, the hello plus one transport envelope per frame on
+// a compressing one. The frames are queued as one batch directly on an idle
 // server (nothing pending, so the cycle loop never queues one). The cycle
 // cases air one hand-driven cycle to eight subscribers instead: every stream
 // is the hello, when compressing, then the cycle's frames in airCycle order
@@ -61,10 +61,10 @@ func pendingOf(t *testing.T, srv *Server) (pending []engine.Pending) {
 // channel's share.
 func TestFanOutFramesOnce(t *testing.T) {
 	frames := []airFrame{
-		{t: FrameCycleHead, payload: []byte("head")},
-		{t: FrameIndex, payload: bytes.Repeat([]byte("index segment "), 40)},
-		{t: FrameSecondTier, payload: nil},
-		{t: FrameDoc, payload: bytes.Repeat([]byte{7, 0, '<', 'a', '/', '>'}, 500)},
+		{t: wire.FrameCycleHead, payload: []byte("head")},
+		{t: wire.FrameIndex, payload: bytes.Repeat([]byte("index segment "), 40)},
+		{t: wire.FrameSecondTier, payload: nil},
+		{t: wire.FrameDoc, payload: bytes.Repeat([]byte{7, 0, '<', 'a', '/', '>'}, 500)},
 	}
 	for _, compress := range []bool{false, true} {
 		name := map[bool]string{false: "bare", true: "compressed"}[compress]
@@ -85,12 +85,7 @@ func TestFanOutFramesOnce(t *testing.T) {
 				defer conns[i].Close()
 			}
 			waitFor(t, "subscribers to register", func() bool { return srv.Stats().Subscribers == subscribers })
-			var batch net.Buffers
-			for _, f := range frames {
-				if batch, err = srv.wireForm(batch, f.t, f.payload); err != nil {
-					t.Fatal(err)
-				}
-			}
+			_, batch := wireFrames(t, frames, compress)
 			srv.enqueue(0, batch)
 			for i, conn := range conns {
 				got := make([]byte, len(want))
@@ -105,13 +100,13 @@ func TestFanOutFramesOnce(t *testing.T) {
 		})
 		t.Run(name+"/cycle", func(t *testing.T) {
 			fanOutCycle(t, ServerConfig{Collection: testCollection(t), Compress: compress},
-				[][]FrameType{{FrameCycleHead, FrameIndex, FrameSecondTier}})
+				[][]wire.FrameType{{wire.FrameCycleHead, wire.FrameIndex, wire.FrameSecondTier}})
 		})
 	}
 	t.Run("k2/cycle", func(t *testing.T) {
-		fanOutCycle(t, ServerConfig{Collection: testCollection(t), Channels: 2}, [][]FrameType{
-			{FrameChannelHead, FrameCycleHead, FrameChannelDir, FrameIndex},
-			{FrameChannelHead, FrameSecondTier},
+		fanOutCycle(t, ServerConfig{Collection: testCollection(t), Channels: 2}, [][]wire.FrameType{
+			{wire.FrameChannelHead, wire.FrameCycleHead, wire.FrameChannelDir, wire.FrameIndex},
+			{wire.FrameChannelHead, wire.FrameSecondTier},
 		})
 	})
 }
@@ -120,17 +115,25 @@ func TestFanOutFramesOnce(t *testing.T) {
 // compressing, then each frame's wire form.
 func wireStream(t *testing.T, frames []airFrame, compress bool) []byte {
 	t.Helper()
-	var want []byte
+	hello, batch := wireFrames(t, frames, compress)
+	return slices.Concat(append([][]byte{hello}, batch...)...)
+}
+
+// wireFrames is the hello a subscriber of a compressing server receives (nil
+// for a bare one) and the wire form of each frame: the frame itself, or the
+// transport envelope a fresh encoder makes of it.
+func wireFrames(t *testing.T, frames []airFrame, compress bool) (hello []byte, batch net.Buffers) {
+	t.Helper()
 	enc := transport.NewEncoder(true, 0)
 	if compress {
-		var hello bytes.Buffer
-		if err := transport.WriteHello(&hello, transport.Hello{Compress: true}); err != nil {
+		var hb bytes.Buffer
+		if err := transport.WriteHello(&hb, transport.Hello{Compress: true}); err != nil {
 			t.Fatal(err)
 		}
-		want = hello.Bytes()
+		hello = hb.Bytes()
 	}
 	for _, f := range frames {
-		frame, err := appendFrame(nil, f.t, f.payload)
+		frame, err := wire.AppendFrame(nil, f.t, f.payload)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,16 +142,16 @@ func wireStream(t *testing.T, frames []airFrame, compress bool) []byte {
 				t.Fatal(err)
 			}
 		}
-		want = append(want, frame...)
+		batch = append(batch, frame)
 	}
-	return want
+	return hello, batch
 }
 
 // fanOutCycle airs one hand-driven cycle to four subscribers per channel and
 // checks every stream: the same bytes on each of a channel's subscribers,
 // and those bytes the wire form of the channel's head frames (heads[c], in
 // airCycle order) followed by as many documents as its head announces.
-func fanOutCycle(t *testing.T, cfg ServerConfig, heads [][]FrameType) {
+func fanOutCycle(t *testing.T, cfg ServerConfig, heads [][]wire.FrameType) {
 	h := handDrive(t, cfg, 4*len(heads))
 	h.cycle(t, "/nitf")
 	streams := h.ended(t)
@@ -179,21 +182,21 @@ func fanOutCycle(t *testing.T, cfg ServerConfig, heads [][]FrameType) {
 		}
 		var docs int
 		switch head := frames[0]; head.t {
-		case FrameCycleHead:
+		case wire.FrameCycleHead:
 			ch, err := wire.DecodeCycleHead(head.payload)
 			if err != nil {
 				t.Fatal(err)
 			}
 			docs = int(ch.NumDocs)
-		case FrameChannelHead:
-			ch, err := decodeChannelHead(head.payload)
+		case wire.FrameChannelHead:
+			ch, err := wire.DecodeChannelHead(head.payload)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if int(ch.Channel) != c {
 				t.Errorf("channel %d airs channel %d's head", c, ch.Channel)
 			}
-			if ch.Role == channelRoleData {
+			if ch.Role == wire.ChannelRoleData {
 				docs = int(ch.NumDocs)
 			}
 		}
@@ -201,9 +204,9 @@ func fanOutCycle(t *testing.T, cfg ServerConfig, heads [][]FrameType) {
 			t.Fatalf("channel %d airs no documents; the test needs some", c)
 		}
 		for i := 0; i < docs; i++ {
-			want = append(want, FrameDoc)
+			want = append(want, wire.FrameDoc)
 		}
-		got := make([]FrameType, len(frames))
+		got := make([]wire.FrameType, len(frames))
 		for i, f := range frames {
 			got[i] = f.t
 		}

@@ -7,6 +7,7 @@ import (
 	"io"
 
 	"repro/internal/netcast/transport"
+	"repro/internal/wire"
 )
 
 // frameSource adapts one downlink connection to frame-at-a-time reads. The
@@ -50,7 +51,7 @@ type frameSource struct {
 // recovers comes back without raw), so whatever outlives the frame is copied
 // out of it.
 type airFrame struct {
-	t       FrameType
+	t       wire.FrameType
 	payload []byte
 	air     int64
 	raw     []byte
@@ -98,7 +99,7 @@ func (fs *frameSource) takeDoze() int64 {
 func (fs *frameSource) unread(fr airFrame) { fs.held = &fr }
 
 // next reads one protocol frame and its air cost. Corruption — at either
-// the transport or the frame layer — satisfies isCorrupt; in transport
+// the transport or the frame layer — satisfies wire.IsCorrupt; in transport
 // mode the stream is realigned internally first (the recovered frame is
 // held for the following call), so the protocol layer's recovery logic
 // never has to know which layer detected the damage.
@@ -111,11 +112,11 @@ func (fs *frameSource) next() (airFrame, error) {
 		return airFrame{}, err
 	}
 	if fs.tr == nil {
-		t, payload, err := readFrameInto(fs.br, &fs.buf)
+		t, payload, err := wire.ReadFrameInto(fs.br, &fs.buf)
 		if err != nil {
 			return airFrame{}, err
 		}
-		raw := fs.buf[:frameHdrLen+len(payload)+frameCRCLen]
+		raw := fs.buf[:wire.FrameHeaderLen+len(payload)+wire.FrameTrailerLen]
 		return airFrame{t: t, payload: payload, air: int64(len(payload)), raw: raw}, nil
 	}
 	env, err := fs.tr.Next()
@@ -134,32 +135,32 @@ func (fs *frameSource) next() (airFrame, error) {
 		} else {
 			fs.doze += int64(renv.Wire)
 		}
-		return airFrame{}, fmt.Errorf("%w: %v", errFrameCorrupt, err)
+		return airFrame{}, fmt.Errorf("%w: %v", wire.ErrFrameCorrupt, err)
 	}
 	fr, derr := fs.unwrap(env)
 	if derr != nil {
 		// A CRC-valid envelope wrapping an undecodable inner frame; the
 		// stream itself is still aligned.
-		return airFrame{}, fmt.Errorf("%w: inner frame: %v", errFrameCorrupt, derr)
+		return airFrame{}, fmt.Errorf("%w: inner frame: %v", wire.ErrFrameCorrupt, derr)
 	}
 	return fr, nil
 }
 
 // resync scans for the next frame of type want, returning it and the bytes
 // skipped on the way (the caller adds them to doze accounting).
-func (fs *frameSource) resync(want FrameType) (fr airFrame, skipped int64, err error) {
+func (fs *frameSource) resync(want wire.FrameType) (fr airFrame, skipped int64, err error) {
 	if err := fs.sniff(); err != nil {
 		return airFrame{}, 0, err
 	}
 	if fs.tr == nil {
-		payload, skipped, err := resyncFrame(fs.br, want)
+		payload, skipped, err := wire.ResyncFrame(fs.br, want)
 		return airFrame{t: want, payload: payload, air: int64(len(payload))}, skipped, err
 	}
 	for {
 		fr, err := fs.next()
 		skipped += fs.takeDoze()
 		if err != nil {
-			if isCorrupt(err) {
+			if wire.IsCorrupt(err) {
 				continue
 			}
 			return airFrame{}, skipped, err
@@ -174,15 +175,15 @@ func (fs *frameSource) resync(want FrameType) (fr airFrame, skipped int64, err e
 // unwrap parses the protocol frame a transport envelope carries; its air
 // cost is the envelope's size on the wire.
 func (fs *frameSource) unwrap(env transport.Frame) (airFrame, error) {
-	t, payload, err := readFrameInto(bytes.NewReader(env.Inner), &fs.buf)
+	t, payload, err := wire.ReadFrameInto(bytes.NewReader(env.Inner), &fs.buf)
 	return airFrame{t: t, payload: payload, air: int64(env.Wire), raw: env.Raw}, err
 }
 
 // decodeInner parses the protocol frame wrapped by a transport envelope.
-// readFrame copies the payload out, so the result outlives the transport
+// wire.ReadFrame copies the payload out, so the result outlives the transport
 // reader's buffer reuse.
-func decodeInner(inner []byte) (FrameType, []byte, error) {
-	return readFrame(bytes.NewReader(inner))
+func decodeInner(inner []byte) (wire.FrameType, []byte, error) {
+	return wire.ReadFrame(bytes.NewReader(inner))
 }
 
 // helloRecorder keeps a copy of the bytes a hello parse reads.

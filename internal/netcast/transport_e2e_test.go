@@ -17,6 +17,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/netcast/chaos"
 	"repro/internal/netcast/transport"
+	"repro/internal/wire"
 	"repro/internal/xmldoc"
 	"repro/internal/xpath"
 )
@@ -241,8 +242,8 @@ func TestCompressOffKeepsBareWire(t *testing.T) {
 		return buf
 	}
 	bare, _ := startServer(t, broadcast.TwoTierMode)
-	if b := read4(bare); b[0] != frameSync0 || b[1] != frameSync1 {
-		t.Errorf("bare downlink opens %x, want v2 frame sync %x %x", b, frameSync0, frameSync1)
+	if b := read4(bare); b[0] != wire.FrameSync0 || b[1] != wire.FrameSync1 {
+		t.Errorf("bare downlink opens %x, want v2 frame sync %x %x", b, wire.FrameSync0, wire.FrameSync1)
 	}
 	comp, _ := startCompressedServer(t, broadcast.TwoTierMode)
 	if b := read4(comp); !transport.IsHelloPrefix(b) {

@@ -12,6 +12,7 @@ import (
 	"repro/internal/broadcast"
 	"repro/internal/control"
 	"repro/internal/netcast/transport"
+	"repro/internal/wire"
 	"repro/internal/xpath"
 )
 
@@ -24,7 +25,7 @@ type stubConn struct {
 }
 
 // next reads one request and the stream it came on.
-func (sc *stubConn) next() (stream int64, t FrameType, payload []byte, err error) {
+func (sc *stubConn) next() (stream int64, t wire.FrameType, payload []byte, err error) {
 	fr, err := sc.tr.Next()
 	if err != nil {
 		return 0, 0, nil, err
@@ -34,8 +35,8 @@ func (sc *stubConn) next() (stream int64, t FrameType, payload []byte, err error
 }
 
 // respond answers on stream.
-func (sc *stubConn) respond(stream int64, t FrameType, payload []byte) error {
-	inner, err := appendFrame(nil, t, payload)
+func (sc *stubConn) respond(stream int64, t wire.FrameType, payload []byte) error {
+	inner, err := wire.AppendFrame(nil, t, payload)
 	if err != nil {
 		return err
 	}
@@ -120,7 +121,7 @@ func TestLateAckIsNotCreditedToTheNextQuery(t *testing.T) {
 				<-releaseFirst // the first ack goes out only after its timeout
 			}
 			// Ack i names cycle 10·i and request ID i.
-			if sc.respond(stream, FrameAck, []byte(fmt.Sprintf("ok:%d:%d", 10*i, i))) != nil {
+			if sc.respond(stream, wire.FrameAck, []byte(fmt.Sprintf("ok:%d:%d", 10*i, i))) != nil {
 				return
 			}
 		}
@@ -204,7 +205,7 @@ func TestServerRefusesUplinkWithoutHello(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	query, err := appendFrame(nil, FrameQuery, []byte("/nitf"))
+	query, err := wire.AppendFrame(nil, wire.FrameQuery, []byte("/nitf"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,9 +34,9 @@ func TestCompressionShrinksCyclesAndAccess(t *testing.T) {
 	plain := run(false, engine.Limits{})
 	comp := run(true, engine.Limits{})
 
-	// A document's envelope is measured once and cached beside its payload.
-	// Bounded to one byte the cache keeps one entry at a time, so nearly every
-	// airing is measured afresh: the counts must not depend on which it was.
+	// A document's envelope is built once and cached with its frame. Bounded
+	// to one byte the cache keeps one entry at a time, so nearly every airing
+	// is built afresh: the counts must not depend on which it was.
 	uncached := run(true, engine.Limits{MaxPayloadCacheBytes: 1})
 	if uncached.Engine.PayloadEvictions == 0 {
 		t.Error("a one-byte payload cache evicted nothing")

@@ -275,7 +275,7 @@ func restartLeg(cfg RestartConfig, res *RestartResult, recovery bool) (crashed b
 		}
 		h := emptyCycleHash(cycle)
 		cy, retired, err := led.Air(func(cy *engine.Cycle, enc *engine.Encoded) error {
-			h = hashCycleWire(cy, enc)
+			h = hashCycleWire(enc)
 			eng.Recycle(enc)
 			return nil
 		})
@@ -310,33 +310,17 @@ func emptyCycleHash(number int64) uint64 {
 	return h.Sum64()
 }
 
-// hashCycleWire fingerprints everything a cycle puts on air: every encoded
-// segment in broadcast order, head first, and the per-channel document
-// layout. Two cycles with equal hashes are wire-identical.
-func hashCycleWire(cy *engine.Cycle, enc *engine.Encoded) uint64 {
+// hashCycleWire fingerprints everything a cycle puts on air: every channel's
+// frames in air order. Frames carry their own lengths, so two cycles with
+// equal hashes are wire-identical.
+func hashCycleWire(enc *engine.Encoded) uint64 {
 	h := fnv.New64a()
 	var scratch [8]byte
-	writeInt := func(v int64) {
-		binary.LittleEndian.PutUint64(scratch[:], uint64(v))
+	for _, frames := range enc.Frames {
+		binary.LittleEndian.PutUint64(scratch[:], uint64(len(frames)))
 		h.Write(scratch[:])
-	}
-	seg := func(b []byte) {
-		writeInt(int64(len(b)))
-		h.Write(b)
-	}
-	seg(enc.Head)
-	seg(enc.ChannelDir)
-	seg(enc.Index)
-	for _, st := range enc.SecondTiers {
-		seg(st)
-	}
-	for _, d := range enc.Docs {
-		seg(d)
-	}
-	for _, lay := range cy.Channels {
-		writeInt(int64(len(lay.Docs)))
-		for _, p := range lay.Docs {
-			writeInt(int64(p.ID))
+		for _, f := range frames {
+			h.Write(f)
 		}
 	}
 	return h.Sum64()

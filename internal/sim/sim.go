@@ -19,7 +19,6 @@ import (
 	"repro/internal/broadcast"
 	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/netcast/transport"
 	"repro/internal/schedule"
 	"repro/internal/succinct"
 	"repro/internal/xmldoc"
@@ -108,14 +107,15 @@ type Config struct {
 	// clients hop channels with a single tuner. 0 or 1 (the default) is the
 	// serial single-channel program. Requires TwoTierMode when > 1.
 	Channels int
-	// Compress models the netcast transport's per-frame DEFLATE on the
-	// downlink: every wire segment is encoded, deflated and accounted at
-	// its transport-envelope size, so cycles occupy less air and the clock
-	// — and therefore access time at fixed bandwidth — advances by
-	// compressed bytes. Compressed frames are atomic: a client reads whole
-	// segments, so index tuning counts the whole compressed tier rather
-	// than navigated packets, and a lost reception (LossProb) costs the
-	// whole envelope (see broadcast.CheckCompress for the channel rule).
+	// Compress runs the engine's compressing transport (engine.Config.Compress):
+	// every cycle is framed and deflated exactly as a compressing netcast
+	// server airs it, and its layout is read off those frames' lengths, so
+	// cycles occupy less air and the clock — and therefore access time at
+	// fixed bandwidth — advances by the bytes the server sends. Compressed
+	// frames are atomic: a client reads whole segments, so index tuning
+	// counts the whole compressed tier rather than navigated packets, and a
+	// lost reception (LossProb) costs the whole envelope (see
+	// broadcast.CheckCompress for the channel rule).
 	Compress bool
 }
 
@@ -146,9 +146,6 @@ func (c *Config) validate() error {
 	}
 	if c.LossProb < 0 || c.LossProb >= 1 {
 		return fmt.Errorf("sim: Config.LossProb must be in [0, 1), got %g", c.LossProb)
-	}
-	if err := broadcast.CheckCompress(c.Channels, c.Compress); err != nil {
-		return fmt.Errorf("sim: %w", err)
 	}
 	return c.Model.Validate()
 }
@@ -268,6 +265,7 @@ func Run(cfg Config) (*Result, error) {
 		Probes:        []engine.Probe{cfg.Probe},
 		Limits:        cfg.Limits,
 		Channels:      cfg.Channels,
+		Compress:      cfg.Compress,
 	})
 	if err != nil {
 		return nil, err
@@ -310,10 +308,6 @@ func Run(cfg Config) (*Result, error) {
 	var loss *lossProcess
 	if cfg.LossProb > 0 {
 		loss = &lossProcess{p: cfg.LossProb, rng: rand.New(rand.NewSource(cfg.LossSeed))}
-	}
-	var airEnc *airEncoder
-	if cfg.Compress {
-		airEnc = newAirEncoder(eng)
 	}
 	var (
 		now       int64
@@ -373,9 +367,7 @@ func Run(cfg Config) (*Result, error) {
 				return nil, fmt.Errorf("sim: %w", err)
 			}
 			if cfg.Compress {
-				if air, err = airEnc.measure(enc); err != nil {
-					return nil, fmt.Errorf("sim: %w", err)
-				}
+				air = newCycleAir(ecy, enc)
 			}
 			if cfg.CycleSink != nil {
 				cfg.CycleSink(ecy, enc)
@@ -445,53 +437,9 @@ func Run(cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// innerFrameOverhead models the v2 frame bytes wrapped around each wire
-// segment on a compressed downlink: the 7-byte header (sync, type, length)
-// plus the 4-byte checksum. The transport layer deflates the whole inner
-// frame, so this overhead rides inside the compressed body.
-const innerFrameOverhead = 11
-
-// airEncoder models the transport layer's per-frame DEFLATE for byte-time
-// accounting. One reused encoder per run mirrors the per-connection encoder
-// of the networked transport; the inner frame's header and checksum bytes
-// are modelled as zeros (their exact values move a compressed frame's size
-// by at most a byte or two). As on the networked server, a document's
-// envelope is built the first time it airs and kept beside its payload in the
-// engine's cache; index and second tier change every cycle and are deflated
-// every cycle.
-type airEncoder struct {
-	eng *engine.Engine
-	enc *transport.Encoder
-	buf []byte
-}
-
-func newAirEncoder(eng *engine.Engine) *airEncoder {
-	return &airEncoder{eng: eng, enc: transport.NewEncoder(true, 0)}
-}
-
-// frameAir is the on-air form of one wire segment: the transport envelope
-// around the deflated (or raw, when incompressible) inner frame. The model
-// only ever reads its length.
-func (a *airEncoder) frameAir(payload []byte) ([]byte, error) {
-	var pad [innerFrameOverhead]byte
-	a.buf = append(a.buf[:0], pad[:7]...) // frame header
-	a.buf = append(a.buf, payload...)
-	a.buf = append(a.buf, pad[:4]...) // frame checksum
-	return a.enc.Encode(transport.NoStream, a.buf)
-}
-
-// rawEnvLen is the transport envelope length of an n-byte inner frame sent
-// raw: sync (2), flags (1), uvarint body length, body, checksum (4).
-func rawEnvLen(n int) int {
-	l := 1
-	for v := uint64(n); v >= 0x80; v >>= 7 {
-		l++
-	}
-	return 2 + 1 + l + n + 4
-}
-
-// cycleAir is one cycle's compressed on-air layout: per-segment envelope
-// sizes plus each document frame's end offset within the doc region.
+// cycleAir is one compressed single-channel cycle's on-air layout: its
+// segments' envelope sizes plus each document frame's end offset within the
+// doc region.
 type cycleAir struct {
 	head, index, secondTier int
 	doc                     []int
@@ -499,43 +447,26 @@ type cycleAir struct {
 	total                   int64
 }
 
-// measure computes a single-channel cycle's compressed layout from its
-// encoded wire segments, walked in the order they air. The cycle head —
-// short, high-entropy metadata — is modelled as a raw envelope; every other
-// segment is deflated exactly as the transport would send it, and an empty
-// second tier (one-tier mode) does not air.
-func (a *airEncoder) measure(enc *engine.Encoded) (*cycleAir, error) {
-	air := &cycleAir{head: rawEnvLen(len(enc.Head) + innerFrameOverhead)}
-	env, err := a.frameAir(enc.Index)
-	if err != nil {
-		return nil, err
+// newCycleAir reads a compressed cycle's layout off the lengths of the frames
+// the engine airs, in air order: the head, the index, the second tier when it
+// airs (two-tier mode), then one frame per document.
+func newCycleAir(cy *broadcast.Cycle, enc *engine.Encoded) *cycleAir {
+	frames := enc.Frames[0]
+	docs := frames[len(frames)-len(cy.Docs):]
+	air := &cycleAir{head: len(frames[0]), index: len(frames[1])}
+	for _, f := range frames[2 : len(frames)-len(docs)] {
+		air.secondTier += len(f)
 	}
-	air.index = len(env)
-	for _, st := range enc.SecondTiers {
-		if len(st) == 0 {
-			continue
-		}
-		if env, err = a.frameAir(st); err != nil {
-			return nil, err
-		}
-		air.secondTier += len(env)
-	}
-	air.doc = make([]int, len(enc.Docs))
-	air.docEnd = make([]int64, len(enc.Docs))
+	air.doc = make([]int, len(docs))
+	air.docEnd = make([]int64, len(docs))
 	off := int64(0)
-	for i, p := range enc.Docs {
-		if env = enc.Air(i); env == nil {
-			if env, err = a.frameAir(p); err != nil {
-				return nil, err
-			}
-			a.eng.AttachAir(enc, i, env)
-		}
-		air.doc[i] = len(env)
-		off += int64(len(env))
+	for i, f := range docs {
+		air.doc[i] = len(f)
+		off += int64(len(f))
 		air.docEnd[i] = off
 	}
 	air.total = int64(air.head+air.index+air.secondTier) + off
-	return air, nil
+	return air
 }
 
 // The three accessors below are the single-channel client's view of one

@@ -205,9 +205,6 @@ func (t *Tier) checkBitPadding(off, used, end int, what string) error {
 // NumNodes reports the node count.
 func (t *Tier) NumNodes() int { return t.lay.n }
 
-// NumDocTuples reports the total document tuple count.
-func (t *Tier) NumDocTuples() int { return t.lay.d }
-
 // Size reports the encoded tier length in bytes.
 func (t *Tier) Size() int { return len(t.data) }
 
