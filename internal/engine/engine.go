@@ -156,11 +156,12 @@ type Engine struct {
 	changeIdx []int
 	keepIDs   map[int64]struct{}
 
-	// reqs, distinct and seenQuery are AssembleCycleAt's pending-view
-	// scratch.
+	// reqs, distinct, seenQuery and queryKey are AssembleCycleAt's
+	// pending-view scratch.
 	reqs      []schedule.Request
 	distinct  []xpath.Path
 	seenQuery map[string]struct{}
+	queryKey  []byte
 
 	// fp is the order-independent collection fingerprint (XOR of
 	// journal.DocHash per live document), maintained incrementally so the
@@ -362,9 +363,11 @@ func (e *Engine) AssembleCycleAt(number, start, schedNow int64, pending []Pendin
 	clear(e.seenQuery)
 	for _, p := range pending {
 		reqs = append(reqs, schedule.Request{ID: p.ID, Arrival: p.Arrival, Docs: p.Remaining})
-		key := p.Query.String()
-		if _, ok := e.seenQuery[key]; !ok {
-			e.seenQuery[key] = struct{}{}
+		// A lookup keyed by string(e.queryKey) copies nothing; only a
+		// query new to this cycle allocates its key.
+		e.queryKey = p.Query.AppendString(e.queryKey[:0])
+		if _, ok := e.seenQuery[string(e.queryKey)]; !ok {
+			e.seenQuery[string(e.queryKey)] = struct{}{}
 			distinct = append(distinct, p.Query)
 		}
 	}

@@ -33,11 +33,11 @@ func benchScheduler(b *testing.B, s Scheduler) {
 }
 
 // benchChurnFixture builds the incremental-scheduling workload: a 10k
-// pending set over a wide document universe (sparse requester sharing, the
-// regime the demand index targets) with ~5% of requests swapped per cycle.
-func benchChurnFixture() ([]Request, func(xmldoc.DocID) int, *rand.Rand) {
+// pending set over a wide document universe of nDocs (sparse requester
+// sharing, the regime the demand index targets) with ~5% of requests swapped
+// per cycle.
+func benchChurnFixture(nDocs int) ([]Request, func(xmldoc.DocID) int, *rand.Rand) {
 	r := rand.New(rand.NewSource(2))
-	const nDocs = 4000
 	sizes := make([]int, nDocs)
 	for d := range sizes {
 		sizes[d] = 2000 + r.Intn(18000)
@@ -58,48 +58,54 @@ const benchChurnSwap = 500 // of 10k pending: 5% churn per cycle
 // BenchmarkScheduleIncremental compares one cycle of LeeLo planning under
 // 5% pending-set churn: the full per-cycle rebuild the reference oracle
 // performs versus delta maintenance of a persistent DemandIndex (target
-// ≥5×). bench/ replays the same pair at the benchmark's own scale as
+// ≥5×), over 4 000 documents and, sparser still, over 10 000. bench/
+// replays the 4 000-document pair at the benchmark's own scale as
 // schedule.plan_full_us / schedule.plan_indexed_us.
 func BenchmarkScheduleIncremental(b *testing.B) {
-	b.Run("full", func(b *testing.B) {
-		pending, size, r := benchChurnFixture()
-		nextID := int64(len(pending))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for k := 0; k < benchChurnSwap; k++ {
-				pending = pending[1:]
-				pending = append(pending, Request{
-					ID:      nextID,
-					Arrival: int64(i),
-					Docs:    randomSortedDocs(r, 4000, 1+r.Intn(4)),
-				})
-				nextID++
-			}
-			LeeLo{}.PlanCycle(pending, size, 400_000, int64(i))
-		}
-	})
-	b.Run("incremental", func(b *testing.B) {
-		pending, size, r := benchChurnFixture()
-		x := NewDemandIndex()
-		x.Rebuild(pending, size, 8)
-		nextID := int64(len(pending))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for k := 0; k < benchChurnSwap; k++ {
-				x.Remove(pending[0].ID)
-				pending = pending[1:]
-				nr := Request{
-					ID:      nextID,
-					Arrival: int64(i),
-					Docs:    randomSortedDocs(r, 4000, 1+r.Intn(4)),
+	for _, v := range []struct {
+		suffix string
+		nDocs  int
+	}{{"", 4000}, {"-10k-docs", 10_000}} {
+		b.Run("full"+v.suffix, func(b *testing.B) {
+			pending, size, r := benchChurnFixture(v.nDocs)
+			nextID := int64(len(pending))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for k := 0; k < benchChurnSwap; k++ {
+					pending = pending[1:]
+					pending = append(pending, Request{
+						ID:      nextID,
+						Arrival: int64(i),
+						Docs:    randomSortedDocs(r, v.nDocs, 1+r.Intn(4)),
+					})
+					nextID++
 				}
-				nextID++
-				pending = append(pending, nr)
-				x.Apply(nr, size)
+				LeeLo{}.PlanCycle(pending, size, 400_000, int64(i))
 			}
-			LeeLo{}.PlanIndexed(x, 400_000, int64(i))
-		}
-	})
+		})
+		b.Run("incremental"+v.suffix, func(b *testing.B) {
+			pending, size, r := benchChurnFixture(v.nDocs)
+			x := NewDemandIndex()
+			x.Rebuild(pending, size, 8)
+			nextID := int64(len(pending))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for k := 0; k < benchChurnSwap; k++ {
+					x.Remove(pending[0].ID)
+					pending = pending[1:]
+					nr := Request{
+						ID:      nextID,
+						Arrival: int64(i),
+						Docs:    randomSortedDocs(r, v.nDocs, 1+r.Intn(4)),
+					}
+					nextID++
+					pending = append(pending, nr)
+					x.Apply(nr, size)
+				}
+				LeeLo{}.PlanIndexed(x, 400_000, int64(i))
+			}
+		})
+	}
 }
 
 func BenchmarkLeeLo(b *testing.B) { benchScheduler(b, LeeLo{}) }

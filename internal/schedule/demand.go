@@ -35,12 +35,58 @@ type demandReq struct {
 	dead   bool // removed; awaiting byArrival compaction
 }
 
+// reqChunkLen is the number of requesters one chunk of a requester list
+// holds. Every chunk has this size, so a chunk one document frees serves any
+// other.
+const reqChunkLen = 128
+
+type reqChunk [reqChunkLen]*demandReq
+
+// reqList is a document's requesters in seq order (see demandReq.seq): the
+// first n slots of its chunks, in directory order. Chunks come from the
+// index's free list and go back to it, cleared, as the list shrinks; the
+// directory keeps its capacity, so a document demanded again reuses it.
+type reqList struct {
+	chunks []*reqChunk // len(chunks) == ⌈n / reqChunkLen⌉
+	n      int
+}
+
+func (l *reqList) at(i int) *demandReq { return l.chunks[i/reqChunkLen][i%reqChunkLen] }
+
+// part returns the used slots of chunk c. Walking part(0), part(1), … visits
+// the requesters in seq order.
+func (l *reqList) part(c int) []*demandReq {
+	if end := l.n - c*reqChunkLen; end < reqChunkLen {
+		return l.chunks[c][:end]
+	}
+	return l.chunks[c][:]
+}
+
+// search returns the position of the first requester whose seq is at least
+// seq.
+func (l *reqList) search(seq int64) int {
+	return sort.Search(l.n, func(i int) bool { return l.at(i).seq >= seq })
+}
+
+// minArrival returns the earliest arrival among the requesters of a
+// non-empty list.
+func (l *reqList) minArrival() int64 {
+	min := l.at(0).arrival
+	for c := range l.chunks {
+		for _, r := range l.part(c) {
+			if r.arrival < min {
+				min = r.arrival
+			}
+		}
+	}
+	return min
+}
+
 // demandDoc is one demanded document's aggregation inside a DemandIndex.
 type demandDoc struct {
-	id   xmldoc.DocID
-	size int
-	// reqs lists the requesters in seq order (see demandReq.seq).
-	reqs       []*demandReq
+	id         xmldoc.DocID
+	size       int
+	reqs       reqList
 	minArrival int64
 	// score is the cached LeeLo base score Σ 1/remaining over reqs, valid
 	// when dirty is false. Plans never write it.
@@ -54,6 +100,10 @@ type demandDoc struct {
 	grow     float64
 	summedAt uint64
 	grownAt  uint64
+	// key is the doc's rank key in planLeeLo's pick heap and hpos its
+	// position there (-1 once popped); both are valid only within a plan.
+	key  float64
+	hpos int
 }
 
 // docHeapEntry is one candidate document in MRF's and RxW's selection heap.
@@ -91,6 +141,15 @@ type DemandIndex struct {
 	// dominated the dense-sharing profile. nil slots are undemanded docs.
 	docTab []*demandDoc
 	ndocs  int
+	// docMem holds the state of every document ever demanded, by DocID,
+	// whether demanded now or not, so a document's requester-list directory
+	// outlives its demand and a Rebuild.
+	docMem []*demandDoc
+	// free holds the cleared requester-list chunks no list uses.
+	free []*reqChunk
+	// listAllocs counts requester-list storage allocations, new chunks and
+	// directory growth, for the tests that pin their reuse.
+	listAllocs int
 
 	// byArrival holds live requests plus tombstones in (arrival, id) order
 	// when sortDirty is false; FCFS streams it directly.
@@ -120,15 +179,9 @@ type DemandIndex struct {
 	touched []*demandReq
 
 	// rebuild scratch, reused across rebuilds
-	reqSlab    []demandReq
-	docSlab    []demandDoc
-	docIDSlab  []xmldoc.DocID
-	reqPtrSlab []*demandReq
-	offs       []int
-	gcount     []int32 // per-doc counts, zeroed again after each rebuild
-	doff       []int32 // per-doc fill cursors, init-before-use per rebuild
-	dsize      []int   // per-doc sizes, init-before-use per rebuild
-	rebuilt    []xmldoc.DocID
+	reqSlab   []demandReq
+	docIDSlab []xmldoc.DocID
+	offs      []int
 }
 
 // NewDemandIndex returns an empty index.
@@ -144,23 +197,101 @@ func (x *DemandIndex) doc(d xmldoc.DocID) *demandDoc {
 	return x.docTab[d]
 }
 
-func (x *DemandIndex) putDoc(d xmldoc.DocID, ds *demandDoc) {
+// newDoc makes d demanded with no requesters yet. Its state comes from
+// docMem, keeping the requester-list directory it had before.
+func (x *DemandIndex) newDoc(d xmldoc.DocID, size int, minArrival int64) *demandDoc {
 	if int(d) >= len(x.docTab) {
 		n := 2 * len(x.docTab)
 		if n <= int(d) {
 			n = int(d) + 1
 		}
-		grown := make([]*demandDoc, n)
-		copy(grown, x.docTab)
-		x.docTab = grown
+		x.docTab = append(x.docTab, make([]*demandDoc, n-len(x.docTab))...)
+		x.docMem = append(x.docMem, make([]*demandDoc, n-len(x.docMem))...)
 	}
+	ds := x.docMem[d]
+	if ds == nil {
+		ds = new(demandDoc)
+		x.docMem[d] = ds
+	}
+	*ds = demandDoc{id: d, size: size, minArrival: minArrival, reqs: reqList{chunks: ds.reqs.chunks}}
 	x.docTab[d] = ds
 	x.ndocs++
+	if d > x.maxDoc {
+		x.maxDoc = d
+	}
+	return ds
 }
 
 func (x *DemandIndex) delDoc(d xmldoc.DocID) {
+	x.release(&x.docTab[d].reqs)
 	x.docTab[d] = nil
 	x.ndocs--
+}
+
+// push appends rs to l.
+func (x *DemandIndex) push(l *reqList, rs *demandReq) {
+	if l.n == len(l.chunks)*reqChunkLen {
+		if len(l.chunks) == cap(l.chunks) {
+			x.listAllocs++
+		}
+		var c *reqChunk
+		if k := len(x.free); k > 0 {
+			c, x.free = x.free[k-1], x.free[:k-1]
+		} else {
+			c = new(reqChunk)
+			x.listAllocs++
+		}
+		l.chunks = append(l.chunks, c)
+	}
+	l.chunks[l.n/reqChunkLen][l.n%reqChunkLen] = rs
+	l.n++
+}
+
+// insertAt puts rs at position i of l, moving the requesters from i on one
+// slot up.
+func (x *DemandIndex) insertAt(l *reqList, i int, rs *demandReq) {
+	x.push(l, nil)
+	last := len(l.chunks) - 1
+	c, k := i/reqChunkLen, i%reqChunkLen
+	for ; last > c; last-- {
+		ch := l.part(last)
+		copy(ch[1:], ch)
+		ch[0] = l.chunks[last-1][reqChunkLen-1]
+	}
+	ch := l.part(c)
+	copy(ch[k+1:], ch[k:])
+	ch[k] = rs
+}
+
+// removeAt deletes position i of l, moving the requesters after it one slot
+// down, and frees the last chunk once it is empty.
+func (x *DemandIndex) removeAt(l *reqList, i int) {
+	last := len(l.chunks) - 1
+	c, k := i/reqChunkLen, i%reqChunkLen
+	for ; c < last; c, k = c+1, 0 {
+		ch := l.chunks[c]
+		copy(ch[k:], ch[k+1:])
+		ch[reqChunkLen-1] = l.chunks[c+1][0]
+	}
+	ch := l.part(last)
+	copy(ch[k:], ch[k+1:])
+	ch[len(ch)-1] = nil
+	l.n--
+	if len(ch) == 1 {
+		x.free = append(x.free, l.chunks[last])
+		l.chunks[last] = nil
+		l.chunks = l.chunks[:last]
+	}
+}
+
+// release empties l, returning its chunks to the free list cleared.
+func (x *DemandIndex) release(l *reqList) {
+	for c := range l.chunks {
+		clear(l.part(c))
+		x.free = append(x.free, l.chunks[c])
+		l.chunks[c] = nil
+	}
+	l.chunks, l.n = l.chunks[:0], 0
 }
 
 // Len is the number of tracked requests, including zombies awaiting their
@@ -318,21 +449,23 @@ func (x *DemandIndex) DeliverDoc(d xmldoc.DocID) {
 			x.markDirty(o)
 		}
 	}
-	for _, rs := range ds.reqs {
-		i := sort.Search(len(rs.docs), func(i int) bool { return rs.docs[i] >= d })
-		copy(rs.docs[i:], rs.docs[i+1:])
-		rs.docs = rs.docs[:len(rs.docs)-1]
-		rs.remaining -= ds.size
-		x.edits++
-		if len(rs.docs) == 0 {
-			rs.zombie = true
-			x.nzombie++
-			x.zombies = append(x.zombies, rs)
-			continue
-		}
-		if !dirtyAll {
-			for _, d2 := range rs.docs {
-				x.markDirty(x.doc(d2))
+	for c := range ds.reqs.chunks {
+		for _, rs := range ds.reqs.part(c) {
+			i := sort.Search(len(rs.docs), func(i int) bool { return rs.docs[i] >= d })
+			copy(rs.docs[i:], rs.docs[i+1:])
+			rs.docs = rs.docs[:len(rs.docs)-1]
+			rs.remaining -= ds.size
+			x.edits++
+			if len(rs.docs) == 0 {
+				rs.zombie = true
+				x.nzombie++
+				x.zombies = append(x.zombies, rs)
+				continue
+			}
+			if !dirtyAll {
+				for _, d2 := range rs.docs {
+					x.markDirty(x.doc(d2))
+				}
 			}
 		}
 	}
@@ -363,21 +496,14 @@ func (x *DemandIndex) addRequest(r Request, size func(xmldoc.DocID) int) {
 func (x *DemandIndex) attach(rs *demandReq, d xmldoc.DocID, size func(xmldoc.DocID) int) {
 	ds := x.doc(d)
 	if ds == nil {
-		ds = &demandDoc{id: d, size: size(d), minArrival: rs.arrival}
-		x.putDoc(d, ds)
-		if d > x.maxDoc {
-			x.maxDoc = d
-		}
+		ds = x.newDoc(d, size(d), rs.arrival)
 	} else if rs.arrival < ds.minArrival {
 		ds.minArrival = rs.arrival
 	}
-	if n := len(ds.reqs); n == 0 || ds.reqs[n-1].seq < rs.seq {
-		ds.reqs = append(ds.reqs, rs)
+	if n := ds.reqs.n; n == 0 || ds.reqs.at(n-1).seq < rs.seq {
+		x.push(&ds.reqs, rs)
 	} else {
-		i := sort.Search(n, func(i int) bool { return ds.reqs[i].seq > rs.seq })
-		ds.reqs = append(ds.reqs, nil)
-		copy(ds.reqs[i+1:], ds.reqs[i:])
-		ds.reqs[i] = rs
+		x.insertAt(&ds.reqs, ds.reqs.search(rs.seq), rs)
 	}
 	rs.remaining += ds.size
 	x.markDirty(ds)
@@ -388,23 +514,15 @@ func (x *DemandIndex) attach(rs *demandReq, d xmldoc.DocID, size func(xmldoc.Doc
 // extremum when rs held it, and drops the doc once undemanded.
 func (x *DemandIndex) detach(rs *demandReq, d xmldoc.DocID) {
 	ds := x.doc(d)
-	i := sort.Search(len(ds.reqs), func(i int) bool { return ds.reqs[i].seq >= rs.seq })
-	copy(ds.reqs[i:], ds.reqs[i+1:])
-	ds.reqs = ds.reqs[:len(ds.reqs)-1]
+	x.removeAt(&ds.reqs, ds.reqs.search(rs.seq))
 	rs.remaining -= ds.size
 	x.edits++
-	if len(ds.reqs) == 0 {
+	if ds.reqs.n == 0 {
 		x.delDoc(d)
 		return
 	}
 	if rs.arrival == ds.minArrival {
-		min := ds.reqs[0].arrival
-		for _, r := range ds.reqs[1:] {
-			if r.arrival < min {
-				min = r.arrival
-			}
-		}
-		ds.minArrival = min
+		ds.minArrival = ds.reqs.minArrival()
 	}
 	x.markDirty(ds)
 }
@@ -434,9 +552,11 @@ func (x *DemandIndex) refreshScores() {
 // Σ 1/(remaining − planDelta) over requesters, in seq order.
 func (x *DemandIndex) planScore(ds *demandDoc) float64 {
 	s := 0.0
-	for _, rs := range ds.reqs {
-		if rem := rs.remaining - rs.planDelta; rem > 0 {
-			s += 1 / float64(rem)
+	for c := range ds.reqs.chunks {
+		for _, rs := range ds.reqs.part(c) {
+			if rem := rs.remaining - rs.planDelta; rem > 0 {
+				s += 1 / float64(rem)
+			}
 		}
 	}
 	return s
@@ -469,11 +589,13 @@ func grow[T any](s []T, n int) []T {
 
 // Rebuild replaces the index content from a full pending slice: the cold
 // start and high-churn fallback path. Request state construction is sharded
-// across workers; per-document aggregation is a serial counting sort into
-// slab-backed requester lists (document sizes are resolved serially because
-// xmldoc.Document.Size caches lazily), and remaining-byte sums are sharded
-// again. All scratch is retained and reused by later rebuilds. A request
-// violating the Docs contract fails the rebuild before the index is touched.
+// across workers; per-document aggregation is serial (document sizes are
+// resolved serially because xmldoc.Document.Size caches lazily): every
+// requester list goes back to the free list and is laid out again by
+// appending the requests in seq order. Remaining-byte sums are sharded
+// again. All scratch, the chunks and every document's chunk directory are
+// retained and reused by later rebuilds. A request violating the Docs
+// contract fails the rebuild before the index is touched.
 func (x *DemandIndex) Rebuild(reqs []Request, size func(xmldoc.DocID) int, workers int) error {
 	for i := range reqs {
 		if err := reqs[i].Validate(); err != nil {
@@ -481,6 +603,11 @@ func (x *DemandIndex) Rebuild(reqs []Request, size func(xmldoc.DocID) int, worke
 		}
 	}
 	clear(x.reqs)
+	for _, ds := range x.docTab {
+		if ds != nil {
+			x.release(&ds.reqs)
+		}
+	}
 	clear(x.docTab)
 	x.ndocs = 0
 	x.byArrival = x.byArrival[:0]
@@ -524,63 +651,20 @@ func (x *DemandIndex) Rebuild(reqs []Request, size func(xmldoc.DocID) int, worke
 		}
 	})
 
-	// Phase 2 (serial): count demand per doc, resolve sizes, lay out
-	// requester lists by counting sort — shard-ascending fill order keeps
-	// every list in seq order.
-	maxDoc := xmldoc.DocID(0)
-	for _, d := range x.docIDSlab[:total] {
-		if d > maxDoc {
-			maxDoc = d
-		}
-	}
-	if maxDoc > x.maxDoc {
-		x.maxDoc = maxDoc
-	}
-	if int(maxDoc) >= len(x.gcount) {
-		x.gcount = make([]int32, int(maxDoc)+1)
-		x.doff = make([]int32, int(maxDoc)+1)
-		x.dsize = make([]int, int(maxDoc)+1)
-	}
-	distinct := x.rebuilt[:0]
-	for _, d := range x.docIDSlab[:total] {
-		if x.gcount[d] == 0 {
-			distinct = append(distinct, d)
-		}
-		x.gcount[d]++
-	}
-	x.rebuilt = distinct
-	x.docSlab = grow(x.docSlab, len(distinct))
-	x.reqPtrSlab = grow(x.reqPtrSlab, total)
-	cur := int32(0)
-	for di, d := range distinct {
-		x.doff[d] = cur
-		cur += x.gcount[d]
-		x.dsize[d] = size(d)
-		x.docSlab[di] = demandDoc{id: d, size: x.dsize[d]}
-		x.putDoc(d, &x.docSlab[di])
-	}
-	for i := 0; i < n; i++ {
+	// Phase 2 (serial): resolve sizes and lay out the requester lists.
+	// Appending in request order keeps every list in seq order.
+	for i := range x.reqSlab[:n] {
 		rs := &x.reqSlab[i]
 		for _, d := range rs.docs {
-			x.reqPtrSlab[x.doff[d]] = rs
-			x.doff[d]++
-		}
-	}
-	for di, d := range distinct {
-		ds := &x.docSlab[di]
-		end := x.doff[d]
-		start := end - x.gcount[d]
-		ds.reqs = x.reqPtrSlab[start:end:end]
-		min := ds.reqs[0].arrival
-		for _, r := range ds.reqs[1:] {
-			if r.arrival < min {
-				min = r.arrival
+			ds := x.doc(d)
+			if ds == nil {
+				ds = x.newDoc(d, size(d), rs.arrival)
+				x.markDirty(ds)
+			} else if rs.arrival < ds.minArrival {
+				ds.minArrival = rs.arrival
 			}
+			x.push(&ds.reqs, rs)
 		}
-		ds.minArrival = min
-		ds.dirty = true
-		x.dirty = append(x.dirty, d)
-		x.gcount[d] = 0 // restore the zeroed-counts invariant
 	}
 
 	// Phase 3 (sharded): remaining-byte sums and the reqs map refill.
@@ -590,7 +674,7 @@ func (x *DemandIndex) Rebuild(reqs []Request, size func(xmldoc.DocID) int, worke
 			rs := &x.reqSlab[i]
 			sum := 0
 			for _, d := range rs.docs {
-				sum += x.dsize[d]
+				sum += x.docTab[d].size
 			}
 			rs.remaining = sum
 		}

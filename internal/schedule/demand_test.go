@@ -10,11 +10,80 @@ import (
 )
 
 // checkInvariants verifies the DemandIndex's internal consistency: doc
-// lists sorted, requester lists in seq order, remaining-byte sums exact,
-// arrival extrema correct, zombie accounting balanced, plan deltas rolled
-// back, and the FCFS order sorted whenever it claims to be.
+// lists sorted, requester lists in seq order in well-formed chunks, a
+// cleared free list, remaining-byte sums exact, arrival extrema correct,
+// zombie accounting balanced, plan deltas rolled back, and the FCFS order
+// sorted whenever it claims to be. It runs in time linear in the links and
+// chunks, so the fuzzer can call it after every op.
 func checkInvariants(t *testing.T, x *DemandIndex) {
 	t.Helper()
+	// listed counts the requester lists each request appears in. Each list
+	// holds a request at most once (seq order is strict) and only for a
+	// document it demands, so a count equal to its doc count means it is on
+	// every list it should be.
+	listed := make(map[*demandReq]int, len(x.reqs))
+	ndocs := 0
+	for i, ds := range x.docTab {
+		if ds == nil {
+			continue
+		}
+		ndocs++
+		d := xmldoc.DocID(i)
+		if ds.id != d {
+			t.Fatalf("doc slot %d holds id %d", d, ds.id)
+		}
+		if x.docMem[d] != ds {
+			t.Fatalf("doc %d state is not its docMem slot", d)
+		}
+		l := &ds.reqs
+		if l.n == 0 {
+			t.Fatalf("doc %d has empty requester list", d)
+		}
+		if want := (l.n + reqChunkLen - 1) / reqChunkLen; len(l.chunks) != want {
+			t.Fatalf("doc %d: %d requesters in %d chunks, want %d", d, l.n, len(l.chunks), want)
+		}
+		if tail := l.chunks[len(l.chunks)-1][len(l.part(len(l.chunks)-1)):]; slices.ContainsFunc(tail, func(r *demandReq) bool { return r != nil }) {
+			t.Fatalf("doc %d: requester slots past the list end are not cleared", d)
+		}
+		min := l.at(0).arrival
+		var prev *demandReq
+		for c := range l.chunks {
+			for _, rs := range l.part(c) {
+				if rs == nil {
+					t.Fatalf("doc %d requester list holds nil", d)
+				}
+				if prev != nil && prev.seq >= rs.seq {
+					t.Fatalf("doc %d requester list not in seq order", d)
+				}
+				prev = rs
+				if rs.arrival < min {
+					min = rs.arrival
+				}
+				if rs.dead {
+					t.Fatalf("doc %d lists dead request %d", d, rs.id)
+				}
+				if x.reqs[rs.id] != rs {
+					t.Fatalf("doc %d lists untracked request %d", d, rs.id)
+				}
+				if _, ok := slices.BinarySearch(rs.docs, d); !ok {
+					t.Fatalf("doc %d lists request %d that no longer demands it", d, rs.id)
+				}
+				listed[rs]++
+			}
+		}
+		if min != ds.minArrival {
+			t.Fatalf("doc %d minArrival %d, want %d", d, ds.minArrival, min)
+		}
+	}
+	if ndocs != x.ndocs {
+		t.Fatalf("ndocs %d, counted %d", x.ndocs, ndocs)
+	}
+	for _, c := range x.free {
+		if slices.ContainsFunc(c[:], func(r *demandReq) bool { return r != nil }) {
+			t.Fatal("a chunk on the free list is not cleared")
+		}
+	}
+
 	live, nz := 0, 0
 	for id, rs := range x.reqs {
 		if rs.dead {
@@ -42,16 +111,9 @@ func checkInvariants(t *testing.T, x *DemandIndex) {
 				t.Fatalf("request %d demands doc %d missing from index", id, d)
 			}
 			sum += ds.size
-			found := false
-			for _, r := range ds.reqs {
-				if r == rs {
-					found = true
-					break
-				}
-			}
-			if !found {
-				t.Fatalf("doc %d requester list misses request %d", d, id)
-			}
+		}
+		if listed[rs] != len(rs.docs) {
+			t.Fatalf("request %d is on %d requester lists, demands %d docs", id, listed[rs], len(rs.docs))
 		}
 		if sum != rs.remaining {
 			t.Fatalf("request %d remaining %d, want %d", id, rs.remaining, sum)
@@ -60,51 +122,6 @@ func checkInvariants(t *testing.T, x *DemandIndex) {
 	}
 	if nz != x.nzombie {
 		t.Fatalf("nzombie %d, counted %d", x.nzombie, nz)
-	}
-	ndocs := 0
-	for i, ds := range x.docTab {
-		if ds == nil {
-			continue
-		}
-		ndocs++
-		d := xmldoc.DocID(i)
-		if ds.id != d {
-			t.Fatalf("doc slot %d holds id %d", d, ds.id)
-		}
-		if len(ds.reqs) == 0 {
-			t.Fatalf("doc %d has empty requester list", d)
-		}
-		min := ds.reqs[0].arrival
-		for k, rs := range ds.reqs {
-			if k > 0 && ds.reqs[k-1].seq >= rs.seq {
-				t.Fatalf("doc %d requester list not in seq order", d)
-			}
-			if rs.arrival < min {
-				min = rs.arrival
-			}
-			if rs.dead {
-				t.Fatalf("doc %d lists dead request %d", d, rs.id)
-			}
-			if x.reqs[rs.id] != rs {
-				t.Fatalf("doc %d lists untracked request %d", d, rs.id)
-			}
-			has := false
-			for _, rd := range rs.docs {
-				if rd == d {
-					has = true
-					break
-				}
-			}
-			if !has {
-				t.Fatalf("doc %d lists request %d that no longer demands it", d, rs.id)
-			}
-		}
-		if min != ds.minArrival {
-			t.Fatalf("doc %d minArrival %d, want %d", d, ds.minArrival, min)
-		}
-	}
-	if ndocs != x.ndocs {
-		t.Fatalf("ndocs %d, counted %d", x.ndocs, ndocs)
 	}
 	seen := 0
 	for _, rs := range x.byArrival {
@@ -358,7 +375,9 @@ func TestIncrementalContractsAtScale(t *testing.T) {
 // re-summations are counted: at least one per pick, and fewer per pick than
 // the live documents. The rounding set is three documents where a bound
 // without its float slack μ, or without the growth term, breaks a tie the
-// wrong way.
+// wrong way. The tie set is one where the whole table takes a pick's growth
+// and rounding then ties the bounds of two documents whose scores differ, so
+// the pick heap's order between them turns over (see tableTieCase).
 func TestLeeLoSharerPaths(t *testing.T) {
 	const nDocs, capacity = 40, 6000
 	rng := rand.New(rand.NewSource(11))
@@ -399,16 +418,11 @@ func TestLeeLoSharerPaths(t *testing.T) {
 	}
 	rounding = append(rounding, Request{ID: 5, Docs: []xmldoc.DocID{2}})
 
-	for _, tc := range []struct {
-		name     string
-		pending  []Request
-		size     func(xmldoc.DocID) int
-		capacity int
-		counted  bool
-	}{
+	for _, tc := range []sharerCase{
 		{"dense", dense, size, capacity, true},
 		{"sparse", sparse, size, capacity, false},
 		{"rounding", rounding, func(d xmldoc.DocID) int { return roundSizes[d] }, 2*a + b, false},
+		tableTieCase(t),
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			x := NewDemandIndex()
@@ -456,4 +470,192 @@ func TestLeeLoSharerPaths(t *testing.T) {
 			}
 		})
 	}
+}
+
+type sharerCase struct {
+	name     string
+	pending  []Request
+	size     func(xmldoc.DocID) int
+	capacity int
+	counted  bool
+}
+
+// tableTieCase builds TestLeeLoSharerPaths' tie set. Thirty requests want
+// documents P = 0 and Q = 3, so P goes first, its links outnumber the seven
+// live documents and every candidate takes its growth g; Q (4·P's size) then
+// no longer fits. Documents A = 2 and B = 1 have three requesters each with
+// the same three terms, A's summed in the order 1/(a+d₁), 1/(a+d₂), 1/(a+d₃)
+// and B's in the reverse order, over documents D₁..D₃ = 4..6. The sizes are
+// the first for which A's float score exceeds B's while their bounds after g
+// round to the same key: the heap now ranks B first on its ID, and A must
+// still be the second pick.
+func tableTieCase(t *testing.T) sharerCase {
+	const p, a, nP = 1000, 1000, 30
+	const docP, docB, docA, docQ = 0, 1, 2, 3
+	var pending []Request
+	for id := int64(0); id < nP; id++ {
+		pending = append(pending, Request{ID: id, Docs: []xmldoc.DocID{docP, docQ}})
+	}
+	for i, d := range []xmldoc.DocID{4, 5, 6} {
+		pending = append(pending, Request{ID: int64(nP + i), Docs: []xmldoc.DocID{docA, d}})
+	}
+	for i, d := range []xmldoc.DocID{6, 5, 4} {
+		pending = append(pending, Request{ID: int64(nP + 3 + i), Docs: []xmldoc.DocID{docB, d}})
+	}
+	rise := 1/float64(4*p) - 1/float64(5*p) // rem = p + 4p, less the pick's p
+	g := 0.0
+	for i := 0; i < nP; i++ {
+		g += rise
+	}
+	onePlusMu := 1 + leeLoSlack(len(pending)+7)
+	for d1 := 900; d1 < 1000; d1++ {
+		for d3 := d1 + 1; d3 < 1000; d3++ {
+			const d2 = 1000
+			sA := 1/float64(a+d1) + 1/float64(a+d2) + 1/float64(a+d3)
+			sB := 1/float64(a+d3) + 1/float64(a+d2) + 1/float64(a+d1)
+			if sA > sB && (sA+g)*onePlusMu == (sB+g)*onePlusMu {
+				sizes := []int{p, a, a, 4 * p, d1, d2, d3}
+				return sharerCase{"tie", pending, func(d xmldoc.DocID) int { return sizes[d] }, 3 * p, false}
+			}
+		}
+	}
+	t.Fatal("no sizes make the table growth tie two bounds of different scores")
+	return sharerCase{}
+}
+
+// TestReqListChunks drives one requester list across several chunks through
+// appends, inserts and removals at every position against a plain slice,
+// checking after each op the order, the chunk count, the cleared slots past
+// the end and the cleared free list. A second rise to the same length takes
+// every chunk and directory slot from storage the first one left behind.
+func TestReqListChunks(t *testing.T) {
+	x := NewDemandIndex()
+	rng := rand.New(rand.NewSource(3))
+	pool := make([]demandReq, 8*reqChunkLen)
+	var l reqList
+	var model []*demandReq
+	check := func(op string) {
+		t.Helper()
+		if l.n != len(model) {
+			t.Fatalf("%s: list holds %d, model %d", op, l.n, len(model))
+		}
+		if want := (l.n + reqChunkLen - 1) / reqChunkLen; len(l.chunks) != want {
+			t.Fatalf("%s: %d requesters in %d chunks, want %d", op, l.n, len(l.chunks), want)
+		}
+		for i, rs := range model {
+			if l.at(i) != rs {
+				t.Fatalf("%s: position %d differs from the model", op, i)
+			}
+		}
+		if c := len(l.chunks) - 1; c >= 0 && slices.ContainsFunc(l.chunks[c][len(l.part(c)):], func(r *demandReq) bool { return r != nil }) {
+			t.Fatalf("%s: slots past the list end are not cleared", op)
+		}
+		for _, c := range x.free {
+			if slices.ContainsFunc(c[:], func(r *demandReq) bool { return r != nil }) {
+				t.Fatalf("%s: a chunk on the free list is not cleared", op)
+			}
+		}
+	}
+	rise := func(to int) {
+		for len(model) < to {
+			rs := &pool[rng.Intn(len(pool))]
+			if i := rng.Intn(len(model) + 1); i == len(model) {
+				x.push(&l, rs)
+				model = append(model, rs)
+			} else {
+				x.insertAt(&l, i, rs)
+				model = slices.Insert(model, i, rs)
+			}
+			check("insert")
+		}
+	}
+	fall := func(to int) {
+		for len(model) > to {
+			i := rng.Intn(len(model))
+			x.removeAt(&l, i)
+			model = slices.Delete(model, i, i+1)
+			check("remove")
+		}
+	}
+	const peak = 3*reqChunkLen + reqChunkLen/2
+	rise(peak)
+	fall(reqChunkLen / 3)
+	warm := x.listAllocs
+	rise(peak)
+	if x.listAllocs != warm {
+		t.Errorf("second rise to %d requesters made %d list allocations", peak, x.listAllocs-warm)
+	}
+	fall(0)
+	if len(l.chunks) != 0 || len(x.free) != (peak+reqChunkLen-1)/reqChunkLen {
+		t.Fatalf("emptied list keeps %d chunks, free list %d", len(l.chunks), len(x.free))
+	}
+	rise(2 * reqChunkLen)
+	x.release(&l)
+	model = model[:0]
+	check("release")
+}
+
+// TestListStorageRecycled pins the requester lists' storage to the index:
+// driver-shaped cycles over a pending set topped up to a fixed size —
+// arrivals appended, a LeeLo plan, its predicted deliveries, the driver's
+// retirements and zombie expiry — replayed on an index that has run them
+// once take every chunk and directory from storage it already holds, and a
+// Rebuild of the same pending set allocates none either.
+func TestListStorageRecycled(t *testing.T) {
+	const nDocs, nPending, capacity, cycles = 60, 3000, 40_000, 60
+	rng := rand.New(rand.NewSource(5))
+	sizes := make([]int, nDocs)
+	for d := range sizes {
+		sizes[d] = 2000 + rng.Intn(6000)
+	}
+	size := func(d xmldoc.DocID) int { return sizes[d] }
+	x := NewDemandIndex()
+	var pending []Request
+	run := func() {
+		rng := rand.New(rand.NewSource(6))
+		pending = pending[:0]
+		nextID := int64(0)
+		for c := int64(0); c < cycles; c++ {
+			for len(pending) < nPending {
+				r := Request{ID: nextID, Arrival: c, Docs: randomSortedDocs(rng, nDocs, 1+rng.Intn(3))}
+				nextID++
+				pending = append(pending, r)
+				if err := x.Apply(r, size); err != nil {
+					t.Fatal(err)
+				}
+			}
+			plan := LeeLo{}.PlanIndexed(x, capacity, c)
+			for _, d := range plan {
+				x.DeliverDoc(d)
+			}
+			rest := pending[:0]
+			for _, r := range pending {
+				r.Docs = slices.DeleteFunc(r.Docs, func(d xmldoc.DocID) bool { return slices.Contains(plan, d) })
+				if len(r.Docs) > 0 {
+					rest = append(rest, r)
+				}
+			}
+			pending = rest
+			x.ExpireZombies()
+		}
+		checkInvariants(t, x)
+	}
+	run()
+	warm := x.listAllocs
+	if err := x.Rebuild(nil, size, 1); err != nil { // every list back on the free list
+		t.Fatal(err)
+	}
+	run()
+	if x.listAllocs != warm {
+		t.Errorf("replayed cycles made %d requester-list allocations", x.listAllocs-warm)
+	}
+	for i := 0; i < 3; i++ {
+		if err := x.Rebuild(pending, size, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if x.listAllocs != warm {
+		t.Errorf("rebuilding the same pending set made %d requester-list allocations", x.listAllocs-warm)
+	}
+	checkInvariants(t, x)
 }

@@ -14,7 +14,7 @@ func (FCFS) PlanIndexed(x *DemandIndex, capacity int, _ int64) []xmldoc.DocID {
 // PlanIndexed implements Scheduler.
 func (MRF) PlanIndexed(x *DemandIndex, capacity int, _ int64) []xmldoc.DocID {
 	return x.planByCount(capacity, func(ds *demandDoc) int64 {
-		return int64(len(ds.reqs))
+		return int64(ds.reqs.n)
 	})
 }
 
@@ -27,7 +27,7 @@ func (RxW) PlanIndexed(x *DemandIndex, capacity int, now int64) []xmldoc.DocID {
 		if oldest < 1 {
 			oldest = 1 // fresh requests still compete on R
 		}
-		return int64(len(ds.reqs)) * oldest
+		return int64(ds.reqs.n) * oldest
 	})
 }
 
@@ -133,82 +133,99 @@ func (x *DemandIndex) planByCount(capacity int, score func(*demandDoc) int64) []
 // DeliverDoc finds stale scores: when the pick's requester→document links
 // outnumber the live documents, every candidate takes the growth.
 //
-// Each pick re-sums the candidate leeLoFirst ranks first with planScore
-// (the reference's terms in its order) until the first is exact. It then
-// outranks every other candidate's current score under (score desc, doc
-// asc) — the order the reference's ascending strict-max scan picks in — so
-// the plan is PlanCycle's. Documents that no longer fit are dropped for
-// good (used bytes only grow), and per-request plan deltas are rolled back
-// on exit.
+// The candidates sit in a max-heap on their rank key under (key desc, doc
+// asc): pscore where it is exact (no pick since its summation shared a
+// requester with it), the bound elsewhere. Each pick re-sums the top with
+// planScore (the reference's terms in its order) until the top is exact. It
+// then outranks every other candidate's current score under (score desc,
+// doc asc) — the order the reference's ascending strict-max scan picks in —
+// so the plan is PlanCycle's. Re-summing lowers the top's key, so it sifts
+// down. Growth on the link path only raises keys, so each sharer sifts up.
+// Growth for the whole table turns exact keys into bounds and is rounded
+// into each candidate's own grow term, so it can tie or reorder keys and the
+// heap is rebuilt; that growth visits every candidate already, so the
+// rebuild adds work of the same order. A
+// document that no longer fits is dropped when it reaches the top (used
+// bytes only grow), and per-request plan deltas are rolled back on exit.
 func (x *DemandIndex) planLeeLo(capacity int) []xmldoc.DocID {
 	x.refreshScores()
 	x.op++
-	cands := x.cands[:0]
+	h := x.cands[:0]
+	minSize := int(^uint(0) >> 1)
 	for _, ds := range x.docTab {
 		if ds != nil {
-			ds.pscore, ds.grow, ds.summedAt = ds.score, 0, x.op
-			cands = append(cands, ds)
+			ds.pscore, ds.grow, ds.summedAt, ds.key = ds.score, 0, x.op, ds.score
+			h = append(h, ds)
+			if ds.size < minSize {
+				minSize = ds.size
+			}
 		}
 	}
-	onePlusMu := 1 + leeLoSlack(len(x.reqs)+len(cands))
+	onePlusMu := 1 + leeLoSlack(len(x.reqs)+len(h))
+	leeLoHeapify(h)
 	out := x.out[:0]
 	used := 0
 	touched := x.touched[:0]
-	for {
-		best := leeLoFirst(cands, onePlusMu)
-		for best >= 0 && cands[best].grownAt > cands[best].summedAt {
-			o := cands[best]
-			o.pscore, o.grow, o.summedAt = x.planScore(o), 0, x.op
+	for len(h) > 0 {
+		if used > 0 && capacity-used < minSize {
+			break // nothing left can fit
+		}
+		ds := h[0]
+		if used > 0 && used+ds.size > capacity {
+			h = leeLoPop(h)
+			continue
+		}
+		if ds.grownAt > ds.summedAt {
+			ds.pscore, ds.grow, ds.summedAt = x.planScore(ds), 0, x.op
+			ds.key = ds.pscore
 			x.resums++
-			best = leeLoFirst(cands, onePlusMu)
+			leeLoDown(h, 0)
+			continue
 		}
-		if best < 0 {
-			break
-		}
-		ds := cands[best]
-		cands[best] = cands[len(cands)-1]
-		cands = cands[:len(cands)-1]
+		h = leeLoPop(h)
 		out = append(out, ds.id)
 		s := ds.size
 		if used += s; used >= capacity {
 			break
 		}
 		g := 0.0
-		for _, rs := range ds.reqs {
-			if rs.planDelta == 0 {
-				touched = append(touched, rs)
-			}
-			rem := rs.remaining - rs.planDelta // ≥ s: rs still missed ds
-			rs.planDelta += s
-			if rem > s {
-				g += 1/float64(rem-s) - 1/float64(rem)
+		for c := range ds.reqs.chunks {
+			for _, rs := range ds.reqs.part(c) {
+				if rs.planDelta == 0 {
+					touched = append(touched, rs)
+				}
+				rem := rs.remaining - rs.planDelta // ≥ s: rs still missed ds
+				rs.planDelta += s
+				if rem > s {
+					g += 1/float64(rem-s) - 1/float64(rem)
+				}
 			}
 		}
 		x.op++
-		table := x.sharersFromTable(ds)
-		if !table {
-			for _, rs := range ds.reqs {
+		if x.sharersFromTable(ds) {
+			for _, o := range h {
+				x.addGrowth(o, g)
+				o.key = (o.pscore + o.grow) * onePlusMu
+			}
+			leeLoHeapify(h)
+			continue
+		}
+		for c := range ds.reqs.chunks {
+			for _, rs := range ds.reqs.part(c) {
 				for _, d2 := range rs.docs {
-					x.addGrowth(x.doc(d2), g)
+					if o := x.doc(d2); x.addGrowth(o, g) && o.hpos >= 0 {
+						o.key = (o.pscore + o.grow) * onePlusMu
+						leeLoUp(h, o.hpos)
+					}
 				}
 			}
 		}
-		kept := cands[:0]
-		for _, o := range cands {
-			if used+o.size <= capacity {
-				if table {
-					x.addGrowth(o, g)
-				}
-				kept = append(kept, o)
-			}
-		}
-		cands = kept
 	}
 	for _, rs := range touched {
 		rs.planDelta = 0
 	}
 	x.touched = touched[:0]
-	x.cands, x.out = cands[:0], out
+	x.cands, x.out = h[:0], out
 	return append([]xmldoc.DocID(nil), out...)
 }
 
@@ -217,38 +234,88 @@ func (x *DemandIndex) planLeeLo(capacity int) []xmldoc.DocID {
 // requester→document links: whether the links outnumber them.
 func (x *DemandIndex) sharersFromTable(ds *demandDoc) bool {
 	links := 0
-	for _, rs := range ds.reqs {
-		if links += len(rs.docs); links > x.ndocs {
-			return true
+	for c := range ds.reqs.chunks {
+		for _, rs := range ds.reqs.part(c) {
+			if links += len(rs.docs); links > x.ndocs {
+				return true
+			}
 		}
 	}
 	return false
 }
 
-// addGrowth adds the current pick's growth g to o's bound, once per pick.
-func (x *DemandIndex) addGrowth(o *demandDoc, g float64) {
-	if o.grownAt != x.op {
-		o.grow += g
-		o.grownAt = x.op
+// addGrowth adds the current pick's growth g to o's bound, once per pick,
+// and reports whether it did.
+func (x *DemandIndex) addGrowth(o *demandDoc, g float64) bool {
+	if o.grownAt == x.op {
+		return false
+	}
+	o.grow += g
+	o.grownAt = x.op
+	return true
+}
+
+// leeLoAbove reports whether a ranks before b in planLeeLo's heap: key
+// descending, doc ascending.
+func leeLoAbove(a, b *demandDoc) bool {
+	return a.key > b.key || a.key == b.key && a.id < b.id
+}
+
+func leeLoHeapify(h []*demandDoc) {
+	for i, o := range h {
+		o.hpos = i
+	}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		leeLoDown(h, i)
 	}
 }
 
-// leeLoFirst returns the index of the candidate ranked first under (score
-// desc, doc asc), reading pscore where it is exact (no pick since its
-// summation shared a requester with it) and the bound (pscore + grow)·(1+μ)
-// elsewhere, or -1 when there is none.
-func leeLoFirst(cands []*demandDoc, onePlusMu float64) int {
-	best, top := -1, 0.0
-	for i, o := range cands {
-		key := o.pscore
-		if o.grownAt > o.summedAt {
-			key = (o.pscore + o.grow) * onePlusMu
-		}
-		if best < 0 || key > top || key == top && o.id < cands[best].id {
-			best, top = i, key
-		}
+// leeLoPop removes the top of h.
+func leeLoPop(h []*demandDoc) []*demandDoc {
+	h[0].hpos = -1
+	n := len(h) - 1
+	h[0] = h[n]
+	h = h[:n]
+	if n > 0 {
+		leeLoDown(h, 0)
 	}
-	return best
+	return h
+}
+
+func leeLoUp(h []*demandDoc, i int) {
+	o := h[i]
+	for i > 0 {
+		p := (i - 1) / 2
+		if !leeLoAbove(o, h[p]) {
+			break
+		}
+		h[i] = h[p]
+		h[i].hpos = i
+		i = p
+	}
+	h[i] = o
+	o.hpos = i
+}
+
+func leeLoDown(h []*demandDoc, i int) {
+	o := h[i]
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if c+1 < len(h) && leeLoAbove(h[c+1], h[c]) {
+			c++
+		}
+		if !leeLoAbove(h[c], o) {
+			break
+		}
+		h[i] = h[c]
+		h[i].hpos = i
+		i = c
+	}
+	h[i] = o
+	o.hpos = i
 }
 
 // leeLoSlack returns μ for planLeeLo's bound, given n at least the

@@ -310,10 +310,12 @@ func Run(cfg Config) (*Result, error) {
 		loss = &lossProcess{p: cfg.LossProb, rng: rand.New(rand.NewSource(cfg.LossSeed))}
 	}
 	var (
-		now       int64
-		admitted  int // prefix of byArrival already active
-		active    []*client
-		pending   []engine.Pending // reused across cycles
+		now      int64
+		admitted int // prefix of byArrival already active
+		// active and pending, reused across cycles, never outgrow the
+		// clients, so they are sized once.
+		active    = make([]*client, 0, len(clients))
+		pending   = make([]engine.Pending, 0, len(clients))
 		cycleNum  int64
 		completed int
 	)

@@ -13,7 +13,6 @@ package xpath
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/xmldoc"
 )
@@ -59,14 +58,17 @@ type Path struct {
 	Steps []Step
 }
 
-// String renders the path in XPath syntax, the inverse of Parse.
-func (p Path) String() string {
-	var b strings.Builder
+// String renders the path in XPath syntax, the inverse of Parse. The
+// 64-byte buffer stays on the stack, so a path that fits costs one string.
+func (p Path) String() string { return string(p.AppendString(make([]byte, 0, 64))) }
+
+// AppendString appends the path's XPath syntax, as String renders it, to b.
+func (p Path) AppendString(b []byte) []byte {
 	for _, s := range p.Steps {
-		b.WriteString(s.Axis.String())
-		b.WriteString(s.Label)
+		b = append(b, s.Axis.String()...)
+		b = append(b, s.Label...)
 	}
-	return b.String()
+	return b
 }
 
 // Equal reports structural equality of two paths.
