@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -140,8 +142,8 @@ func TestFindPathAndSubtreeDocs(t *testing.T) {
 		if id == NoNode {
 			t.Fatalf("FindPath(%v) = NoNode", tt.path)
 		}
-		if got := ix.SubtreeDocs(id); !reflect.DeepEqual(got, tt.want) {
-			t.Errorf("SubtreeDocs(%v) = %v, want %v", tt.path, got, tt.want)
+		if got := subtreeDocs(ix, id); !reflect.DeepEqual(got, tt.want) {
+			t.Errorf("subtreeDocs(%v) = %v, want %v", tt.path, got, tt.want)
 		}
 	}
 	if got := ix.FindPath([]string{"a", "zz"}); got != NoNode {
@@ -243,6 +245,64 @@ func TestPrunePaperExample(t *testing.T) {
 	}
 }
 
+// TestPrunedViewOutputs walks a view on the running example through both
+// ways an Update produces its PCI, checking every step against the reference
+// prune. Adding /a/b to /a/b/a matches a node that was already kept (as
+// /a/b/a's parent) and requests documents 3 and 5: the kept set stands but
+// attachments change, so the PCI is rebuilt. /*/b then matches nothing new:
+// the previous PCI, reused. /a/c keeps a new node: a rebuild.
+func TestPrunedViewOutputs(t *testing.T) {
+	ix := paperCI(t)
+	view := NewPrunedView(1)
+	var queries []xpath.Path
+	var prev *Index
+	update := func(label string) (reused bool) {
+		t.Helper()
+		got, delta, err := view.Update(ix, queries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, wantStats := referencePrune(ix, queries)
+		if !reflect.DeepEqual(got.Nodes, want.Nodes) || !reflect.DeepEqual(got.Roots, want.Roots) || delta.Stats != wantStats {
+			t.Fatalf("%s: PCI %+v (%+v), reference %+v (%+v)", label, got.Nodes, delta.Stats, want.Nodes, wantStats)
+		}
+		reused, prev = got == prev, got
+		return reused
+	}
+	for _, step := range []struct {
+		add    string
+		reused bool
+	}{{"/a/b/a", false}, {"/a/b", false}, {"/*/b", true}, {"/a/c", false}} {
+		queries = append(queries, xpath.MustParse(step.add))
+		if got := update("+" + step.add); got != step.reused {
+			t.Errorf("+%s: PCI reused = %v, want %v", step.add, got, step.reused)
+		}
+	}
+
+	// The same on random drift over the example's query table: both outputs
+	// occur.
+	pool := []string{"/a/b/a", "/a/c/a", "/a//c", "/a/b", "/a/c/*", "//a", "/a//a", "//b", "//c//b", "/*/*/a", "/zzz"}
+	rng := rand.New(rand.NewSource(1))
+	in := make([]bool, len(pool))
+	outputs := map[bool]int{}
+	for step := 0; step < 300; step++ {
+		for n := 1 + rng.Intn(2); n > 0; n-- {
+			i := rng.Intn(len(pool))
+			in[i] = !in[i]
+		}
+		queries = queries[:0]
+		for i, q := range pool {
+			if in[i] {
+				queries = append(queries, xpath.MustParse(q))
+			}
+		}
+		outputs[update(fmt.Sprintf("drift step %d %v", step, queries))]++
+	}
+	if outputs[false] == 0 || outputs[true] == 0 {
+		t.Errorf("drift: %d rebuilds, %d reuses; want both", outputs[false], outputs[true])
+	}
+}
+
 func TestPruneEmptyQuerySet(t *testing.T) {
 	ix := paperCI(t)
 	pci, stats, err := ix.Prune(nil)
@@ -330,6 +390,32 @@ func TestValidateDetectsCorruption(t *testing.T) {
 				t.Error("Validate passed on corrupted index")
 			}
 		})
+	}
+}
+
+// The prune emits kept nodes in ID order, so Validate must refuse an index
+// whose children are label-sorted but not stored in DFS pre-order; the same
+// tree stored in pre-order passes.
+func TestValidateRejectsNonPreorder(t *testing.T) {
+	node := func(id, parent NodeID, label string, children ...NodeID) Node {
+		return Node{ID: id, Parent: parent, Label: label, Children: children}
+	}
+	for _, tt := range []struct {
+		name  string
+		nodes []Node
+		roots []NodeID
+		ok    bool
+	}{
+		{"children descending", []Node{node(0, NoNode, "r", 2, 1), node(1, 0, "b"), node(2, 0, "a")}, []NodeID{0}, false},
+		{"children ascending", []Node{node(0, NoNode, "r", 1, 2), node(1, 0, "a"), node(2, 0, "b")}, []NodeID{0}, true},
+		{"breadth-first", []Node{node(0, NoNode, "r", 1, 2), node(1, 0, "a", 3), node(2, 0, "b"), node(3, 1, "c")}, []NodeID{0}, false},
+		{"roots descending", []Node{node(0, NoNode, "b"), node(1, NoNode, "a")}, []NodeID{1, 0}, false},
+		{"root missing", []Node{node(0, NoNode, "a"), node(1, NoNode, "b")}, []NodeID{0}, false},
+	} {
+		ix := &Index{Nodes: tt.nodes, Roots: tt.roots, Model: DefaultSizeModel()}
+		if err := ix.Validate(); (err == nil) != tt.ok {
+			t.Errorf("%s: Validate = %v, want ok = %v", tt.name, err, tt.ok)
+		}
 	}
 }
 

@@ -182,48 +182,9 @@ func (ix *Index) FindPath(labels []string) NodeID {
 	return cur
 }
 
-// SubtreeDocs returns the union of document tuples in the subtree of id,
-// sorted. It is the answer set of a query matching at id.
-func (ix *Index) SubtreeDocs(id NodeID) []xmldoc.DocID {
-	set := make(map[xmldoc.DocID]struct{})
-	ix.walkSubtree(id, func(n *Node) {
-		for _, d := range n.Docs {
-			set[d] = struct{}{}
-		}
-	})
-	if len(set) == 0 {
-		return nil
-	}
-	out := make([]xmldoc.DocID, 0, len(set))
-	for d := range set {
-		out = append(out, d)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// walkSubtree visits the subtree of id in DFS pre-order. The walk keeps an
-// explicit stack so pathologically deep tries cannot exhaust the goroutine
-// stack.
-func (ix *Index) walkSubtree(id NodeID, visit func(*Node)) {
-	if id == NoNode {
-		return
-	}
-	stack := make([]NodeID, 0, 64)
-	stack = append(stack, id)
-	for len(stack) > 0 {
-		cur := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		visit(&ix.Nodes[cur])
-		children := ix.Nodes[cur].Children
-		for i := len(children) - 1; i >= 0; i-- {
-			stack = append(stack, children[i])
-		}
-	}
-}
-
-// Validate checks structural invariants: DFS-pre-order storage, consistent
-// parent/child links, sorted children and document lists. It is used by
+// Validate checks structural invariants: DFS-pre-order storage (a walk from
+// the roots, children in list order, meets the nodes in ID order), consistent
+// parent/child links, label-sorted children and sorted document lists. It is used by
 // tests and by the wire decoder.
 func (ix *Index) Validate() error {
 	if err := ix.Model.Validate(); err != nil {
@@ -301,6 +262,26 @@ func (ix *Index) Validate() error {
 			return fmt.Errorf("core: duplicate root %d", r)
 		}
 		seen[r] = struct{}{}
+	}
+	// A walk from the roots in list order must meet the nodes in storage
+	// order: PrunedView emits kept nodes by ascending ID and relies on it.
+	next, stack := NodeID(0), make([]NodeID, 0, 64)
+	for i := len(ix.Roots) - 1; i >= 0; i-- {
+		stack = append(stack, ix.Roots[i])
+	}
+	for len(stack) > 0 {
+		id := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if id != next {
+			return fmt.Errorf("core: node %d not in pre-order: the walk from the roots reaches it at %d", id, next)
+		}
+		next++
+		for i := len(ix.Nodes[id].Children) - 1; i >= 0; i-- {
+			stack = append(stack, ix.Nodes[id].Children[i])
+		}
+	}
+	if int(next) != len(ix.Nodes) {
+		return fmt.Errorf("core: %d nodes unreachable from the roots", len(ix.Nodes)-int(next))
 	}
 	return nil
 }

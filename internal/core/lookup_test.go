@@ -29,7 +29,7 @@ func referenceLookup(q xpath.Path, ix *Index) LookupResult {
 				docs[d] = struct{}{}
 			}
 			for _, c := range n.Children {
-				ix.walkSubtree(c, func(sub *Node) {
+				walkSubtree(ix, c, func(sub *Node) {
 					res.Visited = append(res.Visited, sub.ID)
 					for _, d := range sub.Docs {
 						docs[d] = struct{}{}

@@ -1,9 +1,6 @@
 package core
 
 import (
-	"slices"
-
-	"repro/internal/xmldoc"
 	"repro/internal/xpath"
 	"repro/internal/yfilter"
 )
@@ -32,51 +29,14 @@ type PruneStats struct {
 // Pruning is transparent to clients: lookups over the PCI use the same
 // protocol as over the CI.
 //
-// Prune always works from scratch; a server re-pruning every cycle against a
-// slowly drifting query set should maintain a PrunedView instead. The error
-// is always nil.
+// Prune is a fresh PrunedView's first Update; a server re-pruning every cycle
+// against a slowly drifting query set should keep the view instead. ix must
+// pass Validate (BuildCI's indexes do): the PCI lists kept nodes in ix's
+// storage order, which is DFS pre-order only if ix's is. The error is always
+// nil.
 func (ix *Index) Prune(queries []xpath.Path) (*Index, PruneStats, error) {
-	stats := PruneStats{
-		NodesBefore:       ix.NumNodes(),
-		AttachmentsBefore: ix.NumAttachments(),
-	}
-
-	// Pass 1: run the query DFA over the trie to find match nodes, and
-	// gather the requested document set (union of match-node subtree docs).
-	matched := make(map[NodeID]struct{})
-	requested := make(map[xmldoc.DocID]struct{})
-	ix.forEachMatch(yfilter.New(queries), func(id NodeID, accepted []int) {
-		matched[id] = struct{}{}
-		for _, d := range ix.SubtreeDocs(id) {
-			requested[d] = struct{}{}
-		}
-	})
-	stats.MatchedNodes = len(matched)
-	stats.DocsRequested = len(requested)
-
-	// Pass 2: keep = matched ∪ ancestors(matched).
-	keep := make(map[NodeID]struct{}, len(matched)*2)
-	for id := range matched {
-		for cur := id; cur != NoNode; cur = ix.Nodes[cur].Parent {
-			if _, ok := keep[cur]; ok {
-				break
-			}
-			keep[cur] = struct{}{}
-		}
-	}
-
-	// Pass 3: rebuild in DFS pre-order over kept nodes, filtering document
-	// tuples to requested documents and bubbling orphaned tuples up to the
-	// nearest kept ancestor.
-	out := ix.rebuildPruned(
-		func(id NodeID) bool { _, ok := keep[id]; return ok },
-		func(d xmldoc.DocID) bool { _, ok := requested[d]; return ok },
-		nil,
-	)
-
-	stats.NodesAfter = out.NumNodes()
-	stats.AttachmentsAfter = out.NumAttachments()
-	return out, stats, nil
+	pci, delta, err := NewPrunedView(0).Update(ix, queries)
+	return pci, delta.Stats, err
 }
 
 // matchFrame is one step of the explicit-stack DFA walk over the trie.
@@ -110,91 +70,4 @@ func (ix *Index) forEachMatch(f *yfilter.Filter, visit func(id NodeID, accepted 
 			stack = append(stack, matchFrame{n.Children[i], next})
 		}
 	}
-}
-
-// rebuildFrame is one step of the explicit-stack pruned rebuild: the source
-// node and its already-created parent in the output index.
-type rebuildFrame struct {
-	old    NodeID
-	parent NodeID
-}
-
-// rebuildPruned rebuilds the kept part of the index in DFS pre-order:
-// kept nodes are copied, an unkept node's whole subtree is dropped (any kept
-// descendant would have kept it as an ancestor) with its document tuples
-// bubbled up to the nearest kept ancestor, and each node's attachment list is
-// filtered to requested documents. When record is non-nil it receives, per
-// output node, the node's sorted candidate attachment set — own tuples plus
-// bubbled tuples of dropped subtrees, before the requested filter — which is
-// what PrunedView needs to re-filter attachments without re-walking the trie.
-// Iterative throughout, so depth is bounded by heap, not stack.
-func (ix *Index) rebuildPruned(kept func(NodeID) bool, requested func(xmldoc.DocID) bool, record func(id NodeID, candidates []xmldoc.DocID)) *Index {
-	out := &Index{Model: ix.Model}
-	stack := make([]rebuildFrame, 0, 64)
-	for i := len(ix.Roots) - 1; i >= 0; i-- {
-		if kept(ix.Roots[i]) {
-			stack = append(stack, rebuildFrame{ix.Roots[i], NoNode})
-		}
-	}
-	for len(stack) > 0 {
-		fr := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		id := NodeID(len(out.Nodes))
-		n := &ix.Nodes[fr.old]
-		out.Nodes = append(out.Nodes, Node{ID: id, Label: n.Label, Parent: fr.parent})
-		if fr.parent == NoNode {
-			out.Roots = append(out.Roots, id)
-		} else {
-			out.Nodes[fr.parent].Children = append(out.Nodes[fr.parent].Children, id)
-		}
-
-		set := make(map[xmldoc.DocID]struct{}, len(n.Docs))
-		for _, d := range n.Docs {
-			set[d] = struct{}{}
-		}
-		// Children pushed in reverse so they pop — and get their output IDs —
-		// in original child order, preserving the DFS pre-order layout.
-		for i := len(n.Children) - 1; i >= 0; i-- {
-			c := n.Children[i]
-			if kept(c) {
-				stack = append(stack, rebuildFrame{c, id})
-				continue
-			}
-			ix.walkSubtree(c, func(dropped *Node) {
-				for _, d := range dropped.Docs {
-					set[d] = struct{}{}
-				}
-			})
-		}
-		candidates := sortedDocSet(set)
-		if record != nil {
-			record(id, candidates)
-		}
-		out.Nodes[id].Docs = filterDocs(candidates, requested)
-	}
-	return out
-}
-
-// filterDocs returns the requested subset of a sorted candidate list, or nil
-// when none qualify (matching sortedDocSet's nil-for-empty convention).
-func filterDocs(candidates []xmldoc.DocID, requested func(xmldoc.DocID) bool) []xmldoc.DocID {
-	var out []xmldoc.DocID
-	for _, d := range candidates {
-		if requested(d) {
-			out = append(out, d)
-		}
-	}
-	return out
-}
-
-func sortedDocSet(set map[xmldoc.DocID]struct{}) []xmldoc.DocID {
-	if len(set) == 0 {
-		return nil
-	}
-	out := make([]xmldoc.DocID, 0, len(set))
-	for d := range set {
-		out = append(out, d)
-	}
-	slices.Sort(out)
-	return out
 }

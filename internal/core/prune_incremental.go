@@ -38,16 +38,6 @@ type PruneDelta struct {
 	// FlippedMatches counts CI nodes whose matched status (≥1 accepting
 	// query) flipped under the delta.
 	FlippedMatches int
-	// KeptChanged reports that the kept-node set changed, forcing a
-	// structural rebuild of the PCI rather than an attachment patch.
-	KeptChanged bool
-	// DocsChanged counts documents whose requested status flipped.
-	DocsChanged int
-	// Reused reports that the delta left the PCI identical to the previous
-	// cycle's, which was returned as-is. Patched reports that only the
-	// attachment lists of affected nodes were re-filtered on the previous
-	// structure.
-	Reused, Patched bool
 	// Stats are the full-prune-equivalent statistics for the returned PCI.
 	Stats PruneStats
 }
@@ -57,46 +47,82 @@ type PruneDelta struct {
 type viewQuery struct {
 	query xpath.Path
 	nodes []NodeID
+	seen  uint64 // the last Update whose query set held it
 }
 
-// PrunedView maintains a PCI incrementally across broadcast cycles. A full
-// Prune re-runs the whole query automaton over the CI every cycle; a view
-// instead keeps per-node and per-document refcounts so that when the pending
-// query set drifts by a few queries, only the delta is re-evaluated:
+// nodeSnap and docSnap record a count as it stood when an Update first
+// touched it, so that changes which cancel out within the Update flip nothing.
+type nodeSnap struct {
+	id     NodeID
+	before int32
+}
+
+type docSnap struct {
+	doc    xmldoc.DocID
+	before int32
+}
+
+// PrunedView derives the PCI (§3.2) for a pending query set and keeps it
+// current as the set drifts, in time proportional to the query delta plus the
+// PCI it emits. Its state, sized when the CI changes:
 //
-//   - removed queries subtract their recorded match nodes (no automaton walk);
-//   - added queries run a small automaton of just themselves over the trie;
-//   - refcount flips re-mark only the affected root-to-match paths
-//     (kept-node counts) and re-bubble only the attachments of documents
-//     whose requested status flipped.
+//   - dense refcounts: per CI node the active queries accepting there
+//     (matched) and the matched nodes in its subtree (kept), per DocID the
+//     matched nodes whose subtree holds it (requested); every query keeps its
+//     match nodes, so removing it is refcount arithmetic;
+//   - per CI node its subtree's document set, merged once per CI from its
+//     children's sets, and per kept node its candidate set — own tuples plus
+//     the subtree sets of its unkept children, where the tuples of dropped
+//     subtrees bubble to — cached until a child's kept status flips.
 //
-// When the delta changes no kept node, the previous PCI is either returned
-// unchanged or patched copy-on-write (affected attachment lists re-filtered
-// from cached candidate sets); only a kept-set change rebuilds the output
-// index. Update falls back to a full prune when the CI pointer changes or the
-// churn threshold is exceeded. The produced PCI is defined to be node-,
-// attachment- and packing-identical to Prune of the same query set.
+// An Update subtracts the removed queries' match nodes, runs an automaton of
+// just the added queries over the trie, and follows each matched-status flip
+// up its root path and across its subtree set, stamping the nodes and
+// documents it touches with the Update's epoch. Then it returns the previous
+// PCI as it was when no kept node and no document flipped, and otherwise
+// writes a new PCI into three exact-size slabs (nodes, child IDs, document
+// IDs), listing the kept nodes in CI order, so the CI must be stored in DFS
+// pre-order as Validate checks. Returned indexes are never written again, so
+// earlier cycles' PCIs stay valid. A new CI pointer or query churn above the
+// view's threshold clears the refcounts and adds every query afresh: a full
+// prune, which is all Index.Prune is. The PCI is node-, attachment- and
+// byte-identical however it was produced.
 //
 // A PrunedView is not safe for concurrent use; the engine drives it from one
-// goroutine. Returned indexes are immutable and remain valid after
-// further updates.
+// goroutine.
 type PrunedView struct {
 	churn float64
+	epoch uint64 // numbers Updates
 
-	// Source-CI state, rebuilt whenever ci changes.
+	queries map[string]*viewQuery
+	key     []byte       // the dedup key of the query in hand
+	active  []*viewQuery // this Update's distinct queries, first-seen order
+	added   []*viewQuery // the ones among them new to the view
+	paths   []xpath.Path // the automaton's input
+	touched []nodeSnap   // nodes whose matched count moved this Update
+	docs    []docSnap    // documents whose requested count moved
+
+	// Per-CI state.
 	ci            *Index
 	ciAttachments int
-	queries       map[string]*viewQuery
-	matchCount    []int32 // per CI node: active queries accepting there
-	keepRef       []int32 // per CI node: matched nodes in its subtree (self incl.)
-	docRef        map[xmldoc.DocID]int32
-	subtree       [][]xmldoc.DocID // lazy per-node subtree-doc cache
+	matchCount    []int32
+	keepRef       []int32
+	nodeMark      []uint64 // the epoch that last touched the node
+	subtree       [][]xmldoc.DocID
+	subtreeSlab   []xmldoc.DocID
+	cand          [][]xmldoc.DocID
+	candOK        []bool
+	outID         []NodeID // PCI ID of each kept CI node
+	docRef        []int32
+	docMark       []uint64 // the epoch that last touched the document
 	matchedNodes  int
+	requested     int
+	merge         [2][]xmldoc.DocID // union scratch
 
 	// Output state.
 	pci         *Index
-	candidates  [][]xmldoc.DocID // per PCI node: unfiltered attachment candidates
-	docNodes    map[xmldoc.DocID][]NodeID
+	ends        []int32        // where each PCI node's run in filtered ends
+	filtered    []xmldoc.DocID // the requested candidates, node after node
 	attachments int
 }
 
@@ -108,109 +134,88 @@ func NewPrunedView(churn float64) *PrunedView {
 	if churn <= 0 {
 		churn = DefaultPruneChurn
 	}
-	return &PrunedView{churn: churn}
+	return &PrunedView{churn: churn, queries: make(map[string]*viewQuery)}
 }
 
 // Update re-prunes the index to the given query set, reusing the previous
-// cycle's work where the delta allows. ci must be the caller's current CI; a
+// cycle's work where the delta allows. ci must be the caller's current CI and
+// pass Validate, whose pre-order check the output order rests on; a
 // different pointer than the previous call's (the index was rebuilt after a
-// collection change) resets the view with a full prune. The error is always
-// nil.
+// collection change) resets the view with a full prune. Duplicates and order
+// in queries do not matter. The error is always nil.
 func (v *PrunedView) Update(ci *Index, queries []xpath.Path) (*Index, PruneDelta, error) {
-	// Dedup the incoming set by canonical string, preserving first-seen
-	// order (Prune is insensitive to duplicates and order; the dedup makes
-	// the delta well defined).
-	want := make(map[string]xpath.Path, len(queries))
-	order := make([]string, 0, len(queries))
-	deduped := make([]xpath.Path, 0, len(queries))
+	// Dedup by canonical string; only a query new to the view allocates.
+	v.epoch++
+	old := len(v.queries)
+	v.active, v.added = v.active[:0], v.added[:0]
 	for _, q := range queries {
-		key := q.String()
-		if _, dup := want[key]; dup {
+		v.key = q.AppendString(v.key[:0])
+		vq, ok := v.queries[string(v.key)]
+		if !ok {
+			vq = &viewQuery{query: q}
+			v.queries[string(v.key)] = vq
+			v.added = append(v.added, vq)
+		} else if vq.seen == v.epoch {
 			continue
 		}
-		want[key] = q
-		order = append(order, key)
-		deduped = append(deduped, q)
+		vq.seen = v.epoch
+		v.active = append(v.active, vq)
 	}
+	delta := PruneDelta{Added: len(v.added), Removed: old - (len(v.active) - len(v.added))}
 
-	var added, removed []string
-	for _, key := range order {
-		if _, ok := v.queries[key]; !ok {
-			added = append(added, key)
-		}
-	}
-	for key := range v.queries {
-		if _, ok := want[key]; !ok {
-			removed = append(removed, key)
-		}
-	}
-	delta := PruneDelta{Added: len(added), Removed: len(removed)}
-
-	if ci != v.ci {
-		reason := PruneReasonInitial
+	switch churn := delta.Added + delta.Removed; {
+	case ci != v.ci:
+		delta.Full, delta.Reason = true, PruneReasonInitial
 		if v.ci != nil {
-			reason = PruneReasonIndexChanged
+			delta.Reason = PruneReasonIndexChanged
 		}
-		delta = v.rebuildAll(ci, deduped, delta, reason)
-		return v.pci, delta, nil
-	}
-	if len(added)+len(removed) == 0 {
-		delta.Reused = true
+		v.reset(ci)
+	case churn == 0:
 		delta.Stats = v.stats()
 		return v.pci, delta, nil
-	}
-	// Churn check: the union of old and new sets is old ∪ added.
-	union := len(v.queries) + len(added)
-	if float64(len(added)+len(removed)) > v.churn*float64(union) {
-		delta = v.rebuildAll(ci, deduped, delta, PruneReasonChurn)
-		return v.pci, delta, nil
+	case float64(churn) > v.churn*float64(old+delta.Added): // old ∪ added
+		delta.Full, delta.Reason = true, PruneReasonChurn
+		v.clearRefs()
 	}
 
-	// Apply the delta to the per-node refcounts, recording each touched
-	// node's pre-update count so a node removed by one query and re-added by
-	// another nets out to no flip.
-	touched := make(map[NodeID]int32)
-	note := func(id NodeID) {
-		if _, ok := touched[id]; !ok {
-			touched[id] = v.matchCount[id]
+	// Removed queries subtract their match nodes; a full prune has cleared
+	// the counts and re-adds every query.
+	for key, vq := range v.queries {
+		if vq.seen == v.epoch {
+			continue
 		}
-	}
-	for _, key := range removed {
-		vq := v.queries[key]
-		for _, id := range vq.nodes {
-			note(id)
-			v.matchCount[id]--
+		if !delta.Full {
+			for _, id := range vq.nodes {
+				v.touch(id)
+				v.matchCount[id]--
+			}
 		}
 		delete(v.queries, key)
 	}
-	if len(added) > 0 {
-		addQueries := make([]xpath.Path, len(added))
-		for i, key := range added {
-			addQueries[i] = want[key]
+	add := v.added
+	if delta.Full {
+		add = v.active
+	}
+	if len(add) > 0 {
+		v.paths = v.paths[:0]
+		for _, vq := range add {
+			vq.nodes = vq.nodes[:0]
+			v.paths = append(v.paths, vq.query)
 		}
-		perQuery := make([][]NodeID, len(added))
-		ci.forEachMatch(yfilter.New(addQueries), func(id NodeID, accepted []int) {
-			note(id)
+		ci.forEachMatch(yfilter.New(v.paths), func(id NodeID, accepted []int) {
+			v.touch(id)
 			v.matchCount[id] += int32(len(accepted))
 			for _, qi := range accepted {
-				perQuery[qi] = append(perQuery[qi], id)
+				add[qi].nodes = append(add[qi].nodes, id)
 			}
 		})
-		for i, key := range added {
-			v.queries[key] = &viewQuery{query: addQueries[i], nodes: perQuery[i]}
-		}
 	}
 
-	// Propagate match flips into the kept-path and requested-doc refcounts,
-	// again netting flips through pre-update snapshots.
-	touchedDocs := make(map[xmldoc.DocID]int32)
-	noteDoc := func(d xmldoc.DocID) {
-		if _, ok := touchedDocs[d]; !ok {
-			touchedDocs[d] = v.docRef[d]
-		}
-	}
-	for id, before := range touched {
-		was, is := before > 0, v.matchCount[id] > 0
+	// Follow each matched-status flip up its root path (kept counts) and
+	// across its subtree set (requested counts).
+	keptChanged := delta.Full
+	for _, t := range v.touched {
+		was, is := t.before > 0, v.matchCount[t.id] > 0
 		if was == is {
 			continue
 		}
@@ -220,149 +225,227 @@ func (v *PrunedView) Update(ci *Index, queries []xpath.Path) (*Index, PruneDelta
 			dir = -1
 		}
 		v.matchedNodes += int(dir)
-		for cur := id; cur != NoNode; cur = ci.Nodes[cur].Parent {
+		for cur := t.id; cur != NoNode; cur = ci.Nodes[cur].Parent {
 			v.keepRef[cur] += dir
-			if v.keepRef[cur] == 0 || (dir > 0 && v.keepRef[cur] == 1) {
-				delta.KeptChanged = true
+			if now := v.keepRef[cur]; now == 0 || (dir > 0 && now == 1) {
+				keptChanged = true
+				if p := ci.Nodes[cur].Parent; p != NoNode {
+					v.candOK[p] = false
+				}
 			}
 		}
-		for _, d := range v.subtreeDocs(id) {
-			noteDoc(d)
+		for _, d := range v.subtree[t.id] {
+			if v.docMark[d] != v.epoch {
+				v.docMark[d] = v.epoch
+				v.docs = append(v.docs, docSnap{d, v.docRef[d]})
+			}
 			v.docRef[d] += dir
 		}
 	}
-	changedDocs := make([]xmldoc.DocID, 0, len(touchedDocs))
-	for d, before := range touchedDocs {
-		if (before > 0) != (v.docRef[d] > 0) {
-			changedDocs = append(changedDocs, d)
-		}
-		if v.docRef[d] == 0 {
-			delete(v.docRef, d)
+	docsChanged := false
+	for _, s := range v.docs {
+		if is := v.docRef[s.doc] > 0; is != (s.before > 0) {
+			docsChanged = true
+			if is {
+				v.requested++
+			} else {
+				v.requested--
+			}
 		}
 	}
-	delta.DocsChanged = len(changedDocs)
+	v.touched, v.docs = v.touched[:0], v.docs[:0]
 
-	switch {
-	case delta.KeptChanged:
+	if keptChanged || docsChanged {
 		v.rebuildOutput()
-	case len(changedDocs) > 0:
-		delta.Patched = v.patchDocs(changedDocs)
-		delta.Reused = !delta.Patched
-	default:
-		delta.Reused = true
 	}
 	delta.Stats = v.stats()
 	return v.pci, delta, nil
 }
 
-// rebuildAll resets the whole view against a (possibly new) CI and query set
-// with one full prune pass, recording the per-query match lists the next
-// delta needs. It returns delta completed with the full prune's reason and
-// statistics; the new PCI is v.pci.
-func (v *PrunedView) rebuildAll(ci *Index, queries []xpath.Path, delta PruneDelta, reason string) PruneDelta {
-	v.ci = ci
-	v.ciAttachments = ci.NumAttachments()
-	v.queries = make(map[string]*viewQuery, len(queries))
-	v.matchCount = make([]int32, len(ci.Nodes))
-	v.keepRef = make([]int32, len(ci.Nodes))
-	v.docRef = make(map[xmldoc.DocID]int32)
-	v.subtree = nil
-	v.matchedNodes = 0
-
-	perQuery := make([][]NodeID, len(queries))
-	ci.forEachMatch(yfilter.New(queries), func(id NodeID, accepted []int) {
-		v.matchCount[id] = int32(len(accepted))
-		for _, qi := range accepted {
-			perQuery[qi] = append(perQuery[qi], id)
-		}
-		v.matchedNodes++
-		for cur := id; cur != NoNode; cur = ci.Nodes[cur].Parent {
-			v.keepRef[cur]++
-		}
-		for _, d := range v.subtreeDocs(id) {
-			v.docRef[d]++
-		}
-	})
-	for i, q := range queries {
-		v.queries[q.String()] = &viewQuery{query: q, nodes: perQuery[i]}
+// touch snapshots a node's matched count the first time this Update moves it.
+func (v *PrunedView) touch(id NodeID) {
+	if v.nodeMark[id] != v.epoch {
+		v.nodeMark[id] = v.epoch
+		v.touched = append(v.touched, nodeSnap{id, v.matchCount[id]})
 	}
-	v.rebuildOutput()
-	delta.Full = true
-	delta.Reason = reason
-	delta.Stats = v.stats()
-	return delta
 }
 
-// rebuildOutput re-derives the PCI, its candidate attachment sets and the
-// document → node inverted index from the current refcounts.
+// reset sizes the per-CI state for ci and merges every node's subtree set,
+// leaves first: in pre-order a node's children follow it.
+func (v *PrunedView) reset(ci *Index) {
+	n := len(ci.Nodes)
+	v.ci, v.ciAttachments = ci, ci.NumAttachments()
+	// Old contents survive resizing: clearRefs zeroes the counts, a stale
+	// stamp is an earlier Update's, and a candidate list is only storage
+	// until merged again.
+	v.matchCount = resized(v.matchCount, n)
+	v.keepRef = resized(v.keepRef, n)
+	v.candOK = resized(v.candOK, n)
+	v.nodeMark = resized(v.nodeMark, n)
+	v.outID = resized(v.outID, n)
+	v.subtree = resized(v.subtree, n)
+	v.cand = resized(v.cand, n)
+
+	slab, maxDoc := v.subtreeSlab[:0], -1
+	for i := n - 1; i >= 0; i-- {
+		nd := &ci.Nodes[i]
+		set := v.union(nd.Docs, nd.Children, false)
+		start := len(slab)
+		slab = append(slab, set...)
+		v.subtree[i] = slab[start:]
+		if len(set) > 0 {
+			maxDoc = max(maxDoc, int(set[len(set)-1]))
+		}
+	}
+	// The slab may have moved while it grew: point every set into its
+	// final storage.
+	for i, off := n-1, 0; i >= 0; i-- {
+		end := off + len(v.subtree[i])
+		v.subtree[i] = slab[off:end:end]
+		off = end
+	}
+	v.subtreeSlab = slab
+	v.docRef = resized(v.docRef, maxDoc+1)
+	v.docMark = resized(v.docMark, maxDoc+1)
+	v.clearRefs()
+}
+
+// clearRefs zeroes every refcount and marks every candidate set stale, for a
+// full prune.
+func (v *PrunedView) clearRefs() {
+	clear(v.matchCount)
+	clear(v.keepRef)
+	clear(v.candOK)
+	clear(v.docRef)
+	v.matchedNodes, v.requested = 0, 0
+}
+
+// union returns own ∪ the subtree sets of children — all of them, or with
+// unkeptOnly those not kept — in scratch that the next call overwrites.
+func (v *PrunedView) union(own []xmldoc.DocID, children []NodeID, unkeptOnly bool) []xmldoc.DocID {
+	acc, other := append(v.merge[0][:0], own...), v.merge[1]
+	for _, c := range children {
+		if unkeptOnly && v.keepRef[c] > 0 {
+			continue
+		}
+		other = unionSorted(other[:0], acc, v.subtree[c])
+		acc, other = other, acc
+	}
+	v.merge[0], v.merge[1] = acc, other
+	return acc
+}
+
+// unionSorted appends the union of two ascending duplicate-free lists to dst.
+func unionSorted(dst, a, b []xmldoc.DocID) []xmldoc.DocID {
+	for len(a) > 0 && len(b) > 0 {
+		switch {
+		case a[0] < b[0]:
+			dst, a = append(dst, a[0]), a[1:]
+		case a[0] > b[0]:
+			dst, b = append(dst, b[0]), b[1:]
+		default:
+			dst, a, b = append(dst, a[0]), a[1:], b[1:]
+		}
+	}
+	return append(append(dst, a...), b...)
+}
+
+// candidates returns a kept node's candidate set, merging it again if a
+// child's kept status flipped since it was last merged.
+func (v *PrunedView) candidates(id NodeID) []xmldoc.DocID {
+	if !v.candOK[id] {
+		n := &v.ci.Nodes[id]
+		v.cand[id] = append(v.cand[id][:0], v.union(n.Docs, n.Children, true)...)
+		v.candOK[id] = true
+	}
+	return v.cand[id]
+}
+
+// rebuildOutput writes the PCI of the current refcounts: the kept CI nodes in
+// ascending ID order, which is the kept forest's DFS pre-order, with their
+// kept children and requested candidates. Nodes without children or tuples
+// get nil lists, as the reference prune leaves them.
 func (v *PrunedView) rebuildOutput() {
-	v.candidates = v.candidates[:0]
-	v.docNodes = make(map[xmldoc.DocID][]NodeID)
-	v.pci = v.ci.rebuildPruned(
-		func(id NodeID) bool { return v.keepRef[id] > 0 },
-		func(d xmldoc.DocID) bool { return v.docRef[d] > 0 },
-		func(id NodeID, candidates []xmldoc.DocID) {
-			v.candidates = append(v.candidates, candidates)
-			for _, d := range candidates {
-				v.docNodes[d] = append(v.docNodes[d], id)
+	ci := v.ci
+	v.ends, v.filtered = v.ends[:0], v.filtered[:0]
+	roots := 0
+	for i := range ci.Nodes {
+		id := NodeID(i)
+		if v.keepRef[id] == 0 {
+			continue
+		}
+		if ci.Nodes[id].Parent == NoNode {
+			roots++
+		}
+		v.outID[id] = NodeID(len(v.ends))
+		for _, d := range v.candidates(id) {
+			if v.docRef[d] > 0 {
+				v.filtered = append(v.filtered, d)
 			}
-		},
-	)
-	v.attachments = v.pci.NumAttachments()
-}
-
-// patchDocs re-filters the attachment lists of the nodes whose candidates
-// contain a document whose requested status flipped. The structure (kept set)
-// is unchanged, so the previous PCI is cloned copy-on-write: fresh Nodes
-// slice, fresh Docs for affected nodes, everything else shared — previously
-// returned indexes stay valid. Returns false when no node was affected (the
-// previous PCI was returned unchanged).
-func (v *PrunedView) patchDocs(changedDocs []xmldoc.DocID) bool {
-	affected := make(map[NodeID]struct{})
-	for _, d := range changedDocs {
-		for _, id := range v.docNodes[d] {
-			affected[id] = struct{}{}
 		}
+		v.ends = append(v.ends, int32(len(v.filtered)))
 	}
-	if len(affected) == 0 {
-		return false
+	v.pci, v.attachments = &Index{Model: ci.Model}, len(v.filtered)
+	if len(v.ends) == 0 {
+		return
 	}
-	nodes := append([]Node(nil), v.pci.Nodes...)
-	for id := range affected {
-		docs := filterDocs(v.candidates[id], func(d xmldoc.DocID) bool { return v.docRef[d] > 0 })
-		v.attachments += len(docs) - len(nodes[id].Docs)
-		nodes[id].Docs = docs
+	// Every kept node is a root or one kept node's child, so the roots and
+	// the child lists share one slab of exactly len(ends) IDs.
+	nodes := make([]Node, len(v.ends))
+	ids := make([]NodeID, len(v.ends))
+	var docs []xmldoc.DocID
+	if len(v.filtered) > 0 {
+		docs = append(make([]xmldoc.DocID, 0, len(v.filtered)), v.filtered...)
 	}
-	v.pci = &Index{Nodes: nodes, Roots: v.pci.Roots, Model: v.pci.Model}
-	return true
-}
-
-// subtreeDocs returns the (cached) sorted subtree document union of a CI
-// node. The CI is immutable for the view's lifetime, so entries never
-// invalidate; a zero-length sentinel distinguishes "computed, empty" from
-// "not yet computed".
-func (v *PrunedView) subtreeDocs(id NodeID) []xmldoc.DocID {
-	if v.subtree == nil {
-		v.subtree = make([][]xmldoc.DocID, len(v.ci.Nodes))
-	}
-	if v.subtree[id] == nil {
-		docs := v.ci.SubtreeDocs(id)
-		if docs == nil {
-			docs = []xmldoc.DocID{}
+	nextRoot, nextChild, start := 0, roots, int32(0)
+	for i := range ci.Nodes {
+		if v.keepRef[i] == 0 {
+			continue
 		}
-		v.subtree[id] = docs
+		src, j := &ci.Nodes[i], v.outID[i]
+		out := &nodes[j]
+		out.ID, out.Label, out.Parent = j, src.Label, NoNode
+		if src.Parent == NoNode {
+			ids[nextRoot] = j
+			nextRoot++
+		} else {
+			out.Parent = v.outID[src.Parent]
+		}
+		first := nextChild
+		for _, c := range src.Children {
+			if v.keepRef[c] > 0 {
+				ids[nextChild] = v.outID[c]
+				nextChild++
+			}
+		}
+		if nextChild > first {
+			out.Children = ids[first:nextChild:nextChild]
+		}
+		if end := v.ends[j]; end > start {
+			out.Docs = docs[start:end:end]
+		}
+		start = v.ends[j]
 	}
-	return v.subtree[id]
+	v.pci.Nodes, v.pci.Roots = nodes, ids[:roots:roots]
 }
 
 // stats derives the full-prune-equivalent PruneStats from tracked state.
 func (v *PrunedView) stats() PruneStats {
 	return PruneStats{
-		NodesBefore:       v.ci.NumNodes(),
+		NodesBefore:       len(v.ci.Nodes),
 		AttachmentsBefore: v.ciAttachments,
-		NodesAfter:        v.pci.NumNodes(),
+		NodesAfter:        len(v.pci.Nodes),
 		AttachmentsAfter:  v.attachments,
-		DocsRequested:     len(v.docRef),
+		DocsRequested:     v.requested,
 		MatchedNodes:      v.matchedNodes,
 	}
+}
+
+// resized returns s with length n, reusing its storage and keeping whatever
+// the reused elements held.
+func resized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return append(s[:cap(s)], make([]T, n-cap(s))...)
+	}
+	return s[:n]
 }
