@@ -174,9 +174,6 @@ type Cycle struct {
 
 	// Docs are the scheduled documents in broadcast order.
 	Docs []DocPlacement
-	// Offsets maps each scheduled document to its offset in the document
-	// section (its channel's document section when K > 1).
-	Offsets wire.DocOffsets
 
 	// HotDocs is the index channel's replication set (multichannel cycles
 	// only): a prefix of the plan in delivery order — the most-demanded
@@ -192,12 +189,6 @@ type Cycle struct {
 
 	// Channels is the per-channel layout; nil in single-channel cycles.
 	Channels []ChannelLayout
-
-	// Queries are the distinct pending queries, in first-seen order; the
-	// index was pruned to exactly this set.
-	Queries []xpath.Path
-	// NumPending is the number of pending requests the plan drew from.
-	NumPending int
 }
 
 // IndexStreamBytes is the byte length of the cycle's index segment in the
@@ -692,7 +683,6 @@ func (b *Builder) BuildCycleWithIndex(number, start int64, index *core.Index, do
 		Encoding: b.encoding,
 		Index:    index,
 		Catalog:  wire.BuildCatalog(index),
-		Offsets:  make(wire.DocOffsets, len(docPlan)),
 	}
 
 	// Document section layout.
@@ -713,7 +703,6 @@ func (b *Builder) BuildCycleWithIndex(number, start int64, index *core.Index, do
 		for _, id := range docPlan {
 			doc := b.docs[id]
 			cycle.Docs = append(cycle.Docs, DocPlacement{ID: id, Offset: offset, Size: doc.Size()})
-			cycle.Offsets[id] = uint64(offset)
 			offset += doc.Size()
 		}
 		cycle.DocBytes = offset
@@ -812,7 +801,6 @@ func (b *Builder) layoutChannels(cycle *Cycle, docPlan []xmldoc.DocID) {
 			p := DocPlacement{ID: id, Offset: offset, Size: b.docs[id].Size(), Channel: ch}
 			lay.Docs = append(lay.Docs, p)
 			byID[id] = p
-			cycle.Offsets[id] = uint64(offset)
 			offset += p.Size
 		}
 		lay.DocBytes = offset
@@ -840,9 +828,13 @@ func (b *Builder) AppendEncoded(dst []byte, c *Cycle) ([]byte, error) {
 	if c.Encoding == core.EncodingSuccinct {
 		dst, err = succinct.AppendTier(dst, c.Index, c.Catalog, b.model)
 	} else {
+		// A one-tier index carries each document's offset in its tuples.
 		var offs wire.DocOffsets
 		if c.Mode == OneTierMode {
-			offs = c.Offsets
+			offs = make(wire.DocOffsets, len(c.Docs))
+			for _, p := range c.Docs {
+				offs[p.ID] = uint64(p.Offset)
+			}
 		}
 		dst, err = wire.AppendIndex(dst, c.Index, c.Packing, c.Catalog, offs)
 	}

@@ -11,32 +11,29 @@ import (
 	"repro/internal/yfilter"
 )
 
-// checkAnswers compares one Answers batch over ix with the two document-side
-// evaluators over the collection ix indexes: the NFA filter (entry for entry,
-// nil for nil) and the reference path matcher.
-func checkAnswers(t *testing.T, ix *Index, c *xmldoc.Collection, queries []xpath.Path) [][]xmldoc.DocID {
+// checkLookupAnswers compares each query's Lookup over ix with the two
+// document-side evaluators over the collection ix indexes: the NFA filter
+// (nil for nil) and the reference path matcher.
+func checkLookupAnswers(t *testing.T, ix *Index, c *xmldoc.Collection, queries []xpath.Path) [][]xmldoc.DocID {
 	t.Helper()
-	f := yfilter.New(queries)
-	got := ix.Answers(f)
-	want := f.Filter(c)
-	if len(got) != len(queries) {
-		t.Fatalf("Answers returned %d entries for %d queries", len(got), len(queries))
-	}
+	want := yfilter.New(queries).Filter(c)
+	got := make([][]xmldoc.DocID, len(queries))
 	for i, q := range queries {
+		got[i] = NewNavigator(q).Lookup(ix).Docs
 		if !slices.Equal(got[i], want[i]) || (got[i] == nil) != (want[i] == nil) {
-			t.Errorf("%s: Answers = %v, Filter = %v", q, got[i], want[i])
+			t.Errorf("%s: Lookup = %v, Filter = %v", q, got[i], want[i])
 		}
 		if ref := q.MatchingDocs(c); !slices.Equal(got[i], ref) {
-			t.Errorf("%s: Answers = %v, MatchingDocs = %v", q, got[i], ref)
+			t.Errorf("%s: Lookup = %v, MatchingDocs = %v", q, got[i], ref)
 		}
 	}
 	return got
 }
 
-// TestAnswersPaperExample pins Answers on the running example (Fig. 2): the
-// query/answer table, and the shapes the CI walk has to get right — a `//a`
-// that matches /a and, nested inside it, /a/b/a and /a/c/a; a `//c` whose two
-// match subtrees both hold d2; a query that matches nothing.
+// TestAnswersPaperExample pins the answers a lookup reads on the running
+// example (Fig. 2): the query/answer table, and the shapes the walk has to get
+// right — a `//a` that matches /a and, nested inside it, /a/b/a and /a/c/a; a
+// `//c` whose two match subtrees both hold d2; a query that matches nothing.
 func TestAnswersPaperExample(t *testing.T) {
 	c := paperCollection(t)
 	ix := paperCI(t)
@@ -62,27 +59,18 @@ func TestAnswersPaperExample(t *testing.T) {
 	for i, tt := range tests {
 		queries[i] = xpath.MustParse(tt.expr)
 	}
-	got := checkAnswers(t, ix, c, queries)
+	got := checkLookupAnswers(t, ix, c, queries)
 	for i, tt := range tests {
 		if !slices.Equal(got[i], tt.want) {
-			t.Errorf("Answers(%s) = %v, want %v", tt.expr, got[i], tt.want)
+			t.Errorf("Lookup(%s) = %v, want %v", tt.expr, got[i], tt.want)
 		}
-	}
-	// One query at a time reads the same answers as the batch.
-	for i, q := range queries {
-		if one := ix.Answers(yfilter.New([]xpath.Path{q}))[0]; !slices.Equal(one, got[i]) {
-			t.Errorf("Answers(%s) alone = %v, in the batch %v", q, one, got[i])
-		}
-	}
-	if got := ix.Answers(yfilter.New(nil)); len(got) != 0 {
-		t.Errorf("Answers of an empty query set = %v", got)
 	}
 }
 
-// TestAnswersOverGeneratedCollections: two schemas in one collection (two CI
-// roots), queries with `//` and `*`, and the property the air index rests on —
-// pruning preserves the answer of every query it was pruned to, so the PCI a
-// client navigates and the CI the server answers from agree.
+// TestAnswersOverGeneratedCollections: two schemas in one collection
+// (two CI roots), queries with `//` and `*`, and the property the air index
+// rests on — pruning preserves the answer of every query it was pruned to, so
+// the PCI a client navigates and the CI the server answers from agree.
 func TestAnswersOverGeneratedCollections(t *testing.T) {
 	nitf, err := gen.Documents(gen.DocConfig{Schema: dtd.NITF(), NumDocs: 15, Seed: 5})
 	if err != nil {
@@ -104,7 +92,7 @@ func TestAnswersOverGeneratedCollections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := checkAnswers(t, ci, c, queries)
+	want := checkLookupAnswers(t, ci, c, queries)
 
 	for _, n := range []int{1, 7, 40} {
 		subset := queries[:n]
@@ -112,10 +100,9 @@ func TestAnswersOverGeneratedCollections(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := pci.Answers(yfilter.New(subset))
 		for i, q := range subset {
-			if !slices.Equal(got[i], want[i]) {
-				t.Errorf("pruned to %d queries, %s: PCI answers %v, CI answers %v", n, q, got[i], want[i])
+			if got := pci.Lookup(q).Docs; !slices.Equal(got, want[i]) {
+				t.Errorf("pruned to %d queries, %s: PCI answers %v, CI answers %v", n, q, got, want[i])
 			}
 		}
 	}
@@ -126,14 +113,16 @@ func TestAnswersOverGeneratedCollections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := yfilter.New(pq)
-	if got, want := pci.Answers(f), paper.Answers(f); !slices.EqualFunc(got, want, slices.Equal[[]xmldoc.DocID]) {
-		t.Errorf("paper PCI answers %v, CI answers %v", got, want)
+	for _, q := range pq {
+		if got, want := pci.Lookup(q).Docs, paper.Lookup(q).Docs; !slices.Equal(got, want) {
+			t.Errorf("%s: paper PCI answers %v, CI answers %v", q, got, want)
+		}
 	}
 }
 
-// TestAnswersDeepTrie: on a 20 000-level chain `//a` matches at every level,
-// each match nested in the first; the walk and the subtree bound must neither
+// TestAnswersDeepTrie: on a 20 000-level chain `//a` matches at every
+// level, each match nested in the first, and `//leaf` keeps the automaton
+// alive down the whole chain; the walk and the subtree bound must neither
 // recurse per level nor re-read the chain per match.
 func TestAnswersDeepTrie(t *testing.T) {
 	const depth = 20_000
@@ -144,11 +133,22 @@ func TestAnswersDeepTrie(t *testing.T) {
 	if end := ix.subtreeEnd(depth - 1); end != depth {
 		t.Fatalf("subtreeEnd(leaf) = %d, want %d", end, depth)
 	}
-	queries := []xpath.Path{xpath.MustParse("//a"), xpath.MustParse("//leaf"), xpath.MustParse("//a//a//leaf"), xpath.MustParse("/leaf")}
-	got := ix.Answers(yfilter.New(queries))
-	for i, want := range [][]xmldoc.DocID{{7}, {7}, {7}, nil} {
-		if !slices.Equal(got[i], want) {
-			t.Errorf("Answers(%s) = %v, want %v", queries[i], got[i], want)
+	for _, tt := range []struct {
+		expr    string
+		want    []xmldoc.DocID
+		visited int
+	}{
+		{"//a", []xmldoc.DocID{7}, depth},
+		{"//leaf", []xmldoc.DocID{7}, depth},
+		{"//a//a//leaf", []xmldoc.DocID{7}, depth},
+		{"/leaf", nil, 1},
+	} {
+		res := ix.Lookup(xpath.MustParse(tt.expr))
+		if !slices.Equal(res.Docs, tt.want) {
+			t.Errorf("Lookup(%s) = %v, want %v", tt.expr, res.Docs, tt.want)
+		}
+		if len(res.Visited) != tt.visited {
+			t.Errorf("Lookup(%s) read %d nodes, want %d", tt.expr, len(res.Visited), tt.visited)
 		}
 	}
 }

@@ -30,6 +30,8 @@ type Navigator struct {
 	// progress, which de-duplicates tuples without a set per lookup.
 	stamp []uint32
 	gen   uint32
+	// stack is the walk's scratch, kept across lookups.
+	stack []matchFrame
 }
 
 // NewNavigator compiles a navigator for the query.
@@ -50,9 +52,13 @@ func (nav *Navigator) Filter() *yfilter.Filter { return nav.f }
 // automaton on the node's label, and uses the node's <entry, pointer> tuples
 // to descend only into children whose label keeps the automaton alive. At a
 // node where the query accepts, the client reads the whole subtree to
-// collect document tuples and descends no further there.
+// collect document tuples and descends no further there. Docs is the
+// query's answer as §3.1 defines it, nil when nothing matches; over a PCI it
+// is the CI's answer for every query the PCI was pruned to.
 //
-// The index must be stored in DFS pre-order (see Index.Answers). Lookup
+// The index must be stored in DFS pre-order, as BuildCI and Prune produce
+// it: a subtree is then a contiguous run of Nodes. The walk keeps its own
+// stack, so no depth of index exhausts the goroutine's, and a warm Lookup
 // allocates only the growth of the result's two slices.
 func (nav *Navigator) Lookup(ix *Index) LookupResult {
 	if nav.gen++; nav.gen == 0 { // wrapped: stale stamps could alias
@@ -60,39 +66,46 @@ func (nav *Navigator) Lookup(ix *Index) LookupResult {
 		nav.gen = 1
 	}
 	var res LookupResult
-	for _, r := range ix.Roots {
+	// A frame is a node the client reads next and the automaton's state
+	// after the node's label; popping children pushed in reverse reads the
+	// nodes in pre-order.
+	stack := nav.stack[:0]
+	for i := len(ix.Roots) - 1; i >= 0; i-- {
 		// The root's label is part of the index head, but the root node
 		// itself must be read to obtain its entry list.
-		nav.visit(ix, r, nav.start, &res)
+		r := ix.Roots[i]
+		stack = append(stack, matchFrame{r, nav.f.Step(nav.start, ix.Nodes[r].Label)})
 	}
+	for len(stack) > 0 {
+		fr := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		res.Visited = append(res.Visited, fr.id)
+		if fr.s.Empty() {
+			continue
+		}
+		if nav.f.HasAccepting(fr.s) {
+			// The match node's subtree is the pre-order run from it; the
+			// client reads all of it in that order.
+			nav.collect(ix.Nodes[fr.id].Docs, &res)
+			for i, end := fr.id+1, ix.subtreeEnd(fr.id); i < end; i++ {
+				res.Visited = append(res.Visited, i)
+				nav.collect(ix.Nodes[i].Docs, &res)
+			}
+			continue
+		}
+		children := ix.Nodes[fr.id].Children
+		for i := len(children) - 1; i >= 0; i-- {
+			// The child's label is known from this node's entry list, so the
+			// client steps the automaton before deciding to read it.
+			c := children[i]
+			if s := nav.f.Step(fr.s, ix.Nodes[c].Label); !s.Empty() {
+				stack = append(stack, matchFrame{c, s})
+			}
+		}
+	}
+	nav.stack = stack
 	slices.Sort(res.Docs)
 	return res
-}
-
-func (nav *Navigator) visit(ix *Index, id NodeID, s yfilter.StateSet, res *LookupResult) {
-	n := &ix.Nodes[id]
-	res.Visited = append(res.Visited, id)
-	next := nav.f.Step(s, n.Label)
-	if next.Empty() {
-		return
-	}
-	if nav.f.HasAccepting(next) {
-		// The match node's subtree is the pre-order run after it; the
-		// client reads all of it in that order.
-		nav.collect(n.Docs, res)
-		for i, end := id+1, ix.subtreeEnd(id); i < end; i++ {
-			res.Visited = append(res.Visited, i)
-			nav.collect(ix.Nodes[i].Docs, res)
-		}
-		return
-	}
-	for _, c := range n.Children {
-		// The child's label is known from this node's entry list, so the
-		// client steps the automaton before deciding to read it.
-		if !nav.f.Step(next, ix.Nodes[c].Label).Empty() {
-			nav.visit(ix, c, next, res)
-		}
-	}
 }
 
 // collect appends the node's document tuples not yet in the answer. Tuples
@@ -113,63 +126,6 @@ func (nav *Navigator) collect(docs []xmldoc.DocID, res *LookupResult) {
 // navigation for q.
 func (ix *Index) Lookup(q xpath.Path) LookupResult {
 	return NewNavigator(q).Lookup(ix)
-}
-
-// Answers evaluates every query of f over the index at once: entry i is the
-// answer of f's query i — the union of the document tuples in the subtrees of
-// its match nodes (§3.1) — sorted ascending without duplicates, or nil when
-// nothing matches, exactly as yfilter's Filter answers over the indexed
-// documents. This is how the server answers from the CI it already holds
-// instead of scanning the documents; over a PCI it gives the same answers for
-// the queries the PCI was pruned to.
-//
-// The index must be stored in DFS pre-order, as BuildCI and Prune produce it:
-// a subtree is then a contiguous run of Nodes.
-func (ix *Index) Answers(f *yfilter.Filter) [][]xmldoc.DocID {
-	// Per query, the subtree runs [start, end) of its outermost match nodes as
-	// flattened pairs. The walk visits nodes in ascending ID, so a match below
-	// a node already taken for the same query starts before that run ends.
-	runs := make([][]NodeID, f.NumQueries())
-	ix.forEachMatch(f, func(id NodeID, accepted []int) {
-		end := NoNode
-		for _, qi := range accepted {
-			r := runs[qi]
-			if len(r) > 0 && id < r[len(r)-1] {
-				continue
-			}
-			if end == NoNode {
-				end = ix.subtreeEnd(id)
-			}
-			runs[qi] = append(r, id, end)
-		}
-	})
-
-	// A document hangs at each of its maximal paths, so it recurs within and
-	// across runs; stamp[d] == qi+1 once d is in query qi's answer, which
-	// de-duplicates before the sort without a set per query.
-	out := make([][]xmldoc.DocID, len(runs))
-	var stamp []int32
-	for qi, r := range runs {
-		mark := int32(qi + 1)
-		var docs []xmldoc.DocID
-		for k := 0; k < len(r); k += 2 {
-			for i := r[k]; i < r[k+1]; i++ {
-				tuples := ix.Nodes[i].Docs // sorted: the last is the largest
-				if n := len(tuples); n > 0 && int(tuples[n-1]) >= len(stamp) {
-					stamp = append(stamp, make([]int32, int(tuples[n-1])+1-len(stamp))...)
-				}
-				for _, d := range tuples {
-					if stamp[d] != mark {
-						stamp[d] = mark
-						docs = append(docs, d)
-					}
-				}
-			}
-		}
-		slices.Sort(docs)
-		out[qi] = docs
-	}
-	return out
 }
 
 // subtreeEnd returns the ID one past the last node of id's subtree: in DFS

@@ -39,7 +39,9 @@ func (ix *Index) Prune(queries []xpath.Path) (*Index, PruneStats, error) {
 	return pci, delta.Stats, err
 }
 
-// matchFrame is one step of the explicit-stack DFA walk over the trie.
+// matchFrame is one step of an explicit-stack DFA walk over the trie: a node
+// and an automaton state — before the node's label in forEachMatch, after it
+// in Navigator.Lookup.
 type matchFrame struct {
 	id NodeID
 	s  yfilter.StateSet

@@ -133,25 +133,6 @@ func (g *Guide) Paths() []string {
 	return out
 }
 
-// SubtreeDocs returns the union of document attachments in the subtree rooted
-// at g, sorted by ID. This is the answer set of a query whose match node is g.
-func (g *Guide) SubtreeDocs() []xmldoc.DocID {
-	set := make(map[xmldoc.DocID]struct{})
-	var walk func(*Guide)
-	walk = func(n *Guide) {
-		for _, id := range n.Docs {
-			set[id] = struct{}{}
-		}
-		for _, c := range n.Children {
-			walk(c)
-		}
-	}
-	if g != nil {
-		walk(g)
-	}
-	return sortedIDs(set)
-}
-
 // Merge combines the DataGuides of all documents in the collection into one
 // guide (the paper's combined DataGuide / RoXSum structure). Documents whose
 // root labels differ merge under distinct roots; in that case Merge returns a

@@ -64,9 +64,6 @@ func TestBuildNilRoot(t *testing.T) {
 	if g.NumNodes() != 0 {
 		t.Error("nil guide NumNodes != 0")
 	}
-	if docs := g.SubtreeDocs(); docs != nil {
-		t.Errorf("nil guide SubtreeDocs = %v", docs)
-	}
 }
 
 func TestMergePaperExample(t *testing.T) {
@@ -78,7 +75,8 @@ func TestMergePaperExample(t *testing.T) {
 	// The paper's Fig. 3(b) CI has nine nodes for its Fig. 2 documents; our
 	// reconstruction (from the query/answer table, since the figure is not
 	// machine-readable) yields the seven distinct paths below. All answer
-	// sets still match the paper's table (see TestSubtreeDocsPaperAnswers).
+	// sets still match the paper's table (see core's
+	// TestAnswersPaperExample).
 	got := g.Paths()
 	want := []string{"/a", "/a/b", "/a/b/a", "/a/b/c", "/a/c", "/a/c/a", "/a/c/b"}
 	if !reflect.DeepEqual(got, want) {
@@ -122,33 +120,6 @@ func TestMergePaperExample(t *testing.T) {
 	})
 	if count != 3 {
 		t.Errorf("d2 appears %d times, want 3", count)
-	}
-}
-
-func TestSubtreeDocsPaperAnswers(t *testing.T) {
-	f := Merge(paperDocs(t))
-	g := f.Roots[0]
-	tests := []struct {
-		path string
-		want []xmldoc.DocID
-	}{
-		// q1 = /a/b/a → d1, d2
-		{"/a/b/a", []xmldoc.DocID{1, 2}},
-		// q2 = /a/c/a → d4, d5
-		{"/a/c/a", []xmldoc.DocID{4, 5}},
-		// q4 = /a/b → d1, d2, d3, d5 (subtree of /a/b)
-		{"/a/b", []xmldoc.DocID{1, 2, 3, 5}},
-		// whole tree → all docs
-		{"/a", []xmldoc.DocID{1, 2, 3, 4, 5}},
-	}
-	for _, tt := range tests {
-		node := findPath(g, tt.path)
-		if node == nil {
-			t.Fatalf("path %s missing", tt.path)
-		}
-		if got := node.SubtreeDocs(); !reflect.DeepEqual(got, tt.want) {
-			t.Errorf("SubtreeDocs(%s) = %v, want %v", tt.path, got, tt.want)
-		}
 	}
 }
 

@@ -7,7 +7,7 @@
 //
 //   - a query's answer is what §3.1 defines it to be, the document tuples under
 //     its match nodes in the unpruned CI: memoized per canonical query string,
-//     read off the CI in one walk per batch of misses (core.Index.Answers),
+//     read on a miss with the client's own navigator (core.Navigator.Lookup),
 //     and patched — not dropped — when a document is added or removed. The
 //     engine never scans documents to answer a query;
 //   - the builder's merged DataGuide is constructed with per-document guides
@@ -156,12 +156,9 @@ type Engine struct {
 	changeIdx []int
 	keepIDs   map[int64]struct{}
 
-	// reqs, distinct, seenQuery and queryKey are AssembleCycleAt's
-	// pending-view scratch.
-	reqs      []schedule.Request
-	distinct  []xpath.Path
-	seenQuery map[string]struct{}
-	queryKey  []byte
+	// reqs and queries are AssembleCycleAt's pending-view scratch.
+	reqs    []schedule.Request
+	queries []xpath.Path
 
 	// fp is the order-independent collection fingerprint (XOR of
 	// journal.DocHash per live document), maintained incrementally so the
@@ -267,60 +264,26 @@ func (e *Engine) docIDs() []xmldoc.DocID {
 // Metrics snapshots the engine's accumulated telemetry.
 func (e *Engine) Metrics() Metrics { return e.collector.Metrics() }
 
-// Resolve answers one query: the sorted IDs of matching documents. Answers
-// are memoized by canonical query string and kept current across collection
-// updates; see ResolveAll.
-func (e *Engine) Resolve(q xpath.Path) ([]xmldoc.DocID, error) {
-	answers, err := e.ResolveAll([]xpath.Path{q})
-	if err != nil {
-		return nil, err
+// Resolve answers one query: the sorted IDs of the documents that match it,
+// the tuples under its match nodes in the unpruned CI (§3.1). Answers are
+// memoized by canonical query string and kept current across collection
+// updates. A miss reads the CI as a client reads its air index, with the
+// query's core.Navigator, at a cost independent of the number and size of
+// the documents; the first miss after a collection update also pays the CI's
+// lazy rebuild, as the next cycle otherwise would. The returned slice is
+// shared with the cache and never written again: treat it as read-only.
+func (e *Engine) Resolve(q xpath.Path) []xmldoc.DocID {
+	key := q.String()
+	if docs, ok := e.answers.get(key); ok {
+		e.probe.CacheAccess(true)
+		return docs
 	}
-	return answers[q.String()], nil
-}
-
-// ResolveAll answers a query batch, keyed by canonical query string. Cached
-// answers are served from the memo; the misses are compiled into one shared
-// NFA and read off the unpruned CI in a single walk (core.Index.Answers) —
-// the paper's definition of an answer, at a cost independent of the number
-// and size of the documents. The first miss after a collection update also
-// pays the CI's lazy rebuild, as the next cycle otherwise would. The
-// returned slices are shared with the cache and never written again: treat
-// them as read-only.
-func (e *Engine) ResolveAll(queries []xpath.Path) (map[string][]xmldoc.DocID, error) {
-	out := make(map[string][]xmldoc.DocID, len(queries))
-	var misses []xpath.Path
-	for _, q := range queries {
-		key := q.String()
-		if _, dup := out[key]; dup {
-			continue
-		}
-		if docs, ok := e.answers.get(key); ok {
-			out[key] = docs
-			e.probe.CacheAccess(true)
-		} else {
-			out[key] = nil
-			misses = append(misses, q)
-			e.probe.CacheAccess(false)
-		}
-	}
-	if len(misses) == 0 {
-		return out, nil
-	}
-
+	e.probe.CacheAccess(false)
 	start := time.Now()
-	perQuery := e.builder.CI().Answers(yfilter.New(misses))
-	matched, evicted := 0, 0
-	for i, q := range misses {
-		key := q.String()
-		out[key] = perQuery[i]
-		matched += len(perQuery[i])
-		evicted += e.answers.put(key, q, perQuery[i])
-	}
-	e.probe.StageDone(StageResolve, time.Since(start), len(misses), matched)
-	if evicted > 0 {
-		e.probe.CacheEvicted(EvictAnswer, evicted)
-	}
-	return out, nil
+	docs := core.NewNavigator(q).Lookup(e.builder.CI()).Docs
+	e.collector.m.AnswerEvictions += int64(e.answers.put(key, q, docs))
+	e.probe.StageDone(StageResolve, time.Since(start), 1, len(docs))
+	return docs
 }
 
 // AssembleCycle plans and lays out one broadcast cycle: the scheduler fills
@@ -354,26 +317,14 @@ func (e *Engine) AssembleCycleAt(number, start, schedNow int64, pending []Pendin
 		return nil, fmt.Errorf("engine: AssembleCycle with no pending requests")
 	}
 
-	// The pending view is built in scratch reused across cycles; only
-	// queries, which Cycle.Queries keeps, is the cycle's own.
-	reqs, distinct := e.reqs[:0], e.distinct[:0]
-	if e.seenQuery == nil {
-		e.seenQuery = make(map[string]struct{})
-	}
-	clear(e.seenQuery)
+	// The pending view is built in scratch reused across cycles. The view
+	// dedups the queries itself.
+	reqs, queries := e.reqs[:0], e.queries[:0]
 	for _, p := range pending {
 		reqs = append(reqs, schedule.Request{ID: p.ID, Arrival: p.Arrival, Docs: p.Remaining})
-		// A lookup keyed by string(e.queryKey) copies nothing; only a
-		// query new to this cycle allocates its key.
-		e.queryKey = p.Query.AppendString(e.queryKey[:0])
-		if _, ok := e.seenQuery[string(e.queryKey)]; !ok {
-			e.seenQuery[string(e.queryKey)] = struct{}{}
-			distinct = append(distinct, p.Query)
-		}
+		queries = append(queries, p.Query)
 	}
-	e.reqs, e.distinct = reqs, distinct
-	queries := make([]xpath.Path, len(distinct))
-	copy(queries, distinct)
+	e.reqs, e.queries = reqs, queries
 
 	schedStart := time.Now()
 	size := func(d xmldoc.DocID) int { return e.builder.DocByID(d).Size() }
@@ -394,11 +345,8 @@ func (e *Engine) AssembleCycleAt(number, start, schedNow int64, pending []Pendin
 		return nil, err
 	}
 	e.probe.StageDone(StageBuild, time.Since(buildStart), ciNodes, cy.Index.NumNodes())
-	cy.Queries = queries
-	cy.NumPending = len(pending)
 	for i := range cy.Channels {
-		lay := &cy.Channels[i]
-		e.probe.ChannelDone(lay.ID, lay.Role, int64(lay.Bytes), false)
+		e.collector.channelAired(&cy.Channels[i])
 	}
 	e.probe.CycleDone()
 	return cy, nil
@@ -606,9 +554,7 @@ func (e *Engine) EncodeCycle(c *Cycle) (_ *Encoded, err error) {
 	}
 	enc.buf = buf
 	e.probe.StageDone(StageEncode, time.Since(start), len(all), total)
-	if evicted > 0 {
-		e.probe.CacheEvicted(EvictPayload, evicted)
-	}
+	e.collector.m.PayloadEvictions += int64(evicted)
 	return enc, nil
 }
 

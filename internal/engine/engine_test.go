@@ -40,6 +40,18 @@ func newEngine(t testing.TB, c *xmldoc.Collection, capacity int) *Engine {
 	return e
 }
 
+// resolveAll resolves each distinct query once and keys the answers by
+// canonical query string, as a driver with a batch of queries does.
+func resolveAll(e *Engine, queries []xpath.Path) map[string][]xmldoc.DocID {
+	out := make(map[string][]xmldoc.DocID, len(queries))
+	for _, q := range queries {
+		if _, ok := out[q.String()]; !ok {
+			out[q.String()] = e.Resolve(q)
+		}
+	}
+	return out
+}
+
 func TestNewValidation(t *testing.T) {
 	c, _ := fixture(t, 3, 5)
 	if _, err := New(Config{Mode: broadcast.TwoTierMode, CycleCapacity: 1}); err == nil {
@@ -171,10 +183,7 @@ func TestResolveMatchesFilter(t *testing.T) {
 	e := newEngine(t, c, 100_000)
 	want := yfilter.New(queries).Filter(c)
 	for i, q := range queries {
-		got, err := e.Resolve(q)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := e.Resolve(q)
 		if !reflect.DeepEqual(got, want[i]) {
 			t.Fatalf("query %s: Resolve = %v, Filter = %v", q, got, want[i])
 		}
@@ -184,9 +193,7 @@ func TestResolveMatchesFilter(t *testing.T) {
 func TestResolveMemoization(t *testing.T) {
 	c, queries := fixture(t, 10, 8)
 	e := newEngine(t, c, 100_000)
-	if _, err := e.ResolveAll(queries); err != nil {
-		t.Fatal(err)
-	}
+	resolveAll(e, queries)
 	m := e.Metrics()
 	if m.CacheHits != 0 {
 		t.Errorf("first resolve: %d hits, want 0", m.CacheHits)
@@ -196,9 +203,7 @@ func TestResolveMemoization(t *testing.T) {
 		t.Fatal("first resolve recorded no misses")
 	}
 	// Second pass: every distinct query must hit.
-	if _, err := e.ResolveAll(queries); err != nil {
-		t.Fatal(err)
-	}
+	resolveAll(e, queries)
 	m = e.Metrics()
 	if m.CacheMisses != misses {
 		t.Errorf("second resolve added misses: %d -> %d", misses, m.CacheMisses)
@@ -215,19 +220,13 @@ func TestResolveInvalidationOnCollectionUpdate(t *testing.T) {
 	c, queries := fixture(t, 10, 5)
 	e := newEngine(t, c, 100_000)
 	q := queries[0]
-	before, err := e.Resolve(q)
-	if err != nil {
-		t.Fatal(err)
-	}
+	before := e.Resolve(q)
 	// Removing a result document must drop it from the re-resolved answer.
 	victim := before[0]
 	if err := e.RemoveDocument(victim); err != nil {
 		t.Fatal(err)
 	}
-	after, err := e.Resolve(q)
-	if err != nil {
-		t.Fatal(err)
-	}
+	after := e.Resolve(q)
 	for _, d := range after {
 		if d == victim {
 			t.Fatalf("removed document %d still in answer %v", victim, after)
@@ -241,10 +240,7 @@ func TestResolveInvalidationOnCollectionUpdate(t *testing.T) {
 	if err := e.AddDocument(doc); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := e.Resolve(q)
-	if err != nil {
-		t.Fatal(err)
-	}
+	restored := e.Resolve(q)
 	if !reflect.DeepEqual(restored, before) {
 		t.Fatalf("after re-add: %v, want %v", restored, before)
 	}
@@ -255,10 +251,7 @@ func TestAssembleCycleMatchesDirectBuilder(t *testing.T) {
 	capacity := c.TotalSize() / 3
 	e := newEngine(t, c, capacity)
 
-	answers, err := e.ResolveAll(queries)
-	if err != nil {
-		t.Fatal(err)
-	}
+	answers := resolveAll(e, queries)
 	pending := make([]Pending, 0, len(queries))
 	for i, q := range queries {
 		pending = append(pending, Pending{ID: int64(i), Query: q, Arrival: 0, Remaining: answers[q.String()]})
@@ -266,9 +259,6 @@ func TestAssembleCycleMatchesDirectBuilder(t *testing.T) {
 	cy, err := e.AssembleCycle(0, 0, pending)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if cy.NumPending != len(pending) {
-		t.Errorf("NumPending = %d, want %d", cy.NumPending, len(pending))
 	}
 
 	// Replay the same inputs against a standalone builder + scheduler: the
@@ -350,10 +340,7 @@ func TestEncodeCycleReusesPayloadCache(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		answers, err := e.ResolveAll(queries)
-		if err != nil {
-			t.Fatal(err)
-		}
+		answers := resolveAll(e, queries)
 		pending := []Pending{{ID: 1, Query: queries[0], Arrival: 0, Remaining: answers[queries[0].String()]}}
 		cy, err := e.AssembleCycle(0, 0, pending)
 		if err != nil {

@@ -68,14 +68,14 @@ func NewLedger(eng *Engine, jn *journal.Journal, st *journal.State) (*Ledger, er
 	var shrinks []journal.Delivery
 	for _, jr := range st.Pending {
 		// valid is what the request may keep: the live collection, or on drift
-		// the query's answer over it; nothing, if either fails.
+		// the query's answer over it; nothing, if the query does not parse.
 		q, err := xpath.Parse(jr.Query)
 		valid := held
-		if err == nil && drifted {
-			valid, err = eng.Resolve(q)
-		}
-		if err != nil {
+		switch {
+		case err != nil:
 			valid = nil
+		case drifted:
+			valid = eng.Resolve(q)
 		}
 		var kept []xmldoc.DocID
 		var dropped []uint16
@@ -124,10 +124,7 @@ func (l *Ledger) Admit(q xpath.Path, max int) (cycle, id int64, err error) {
 	if max > 0 && len(l.pending) >= max {
 		return 0, 0, fmt.Errorf("engine: pending set at MaxPending %d: %w", max, ErrOverload)
 	}
-	docs, err := l.eng.Resolve(q)
-	if err != nil {
-		return 0, 0, err
-	}
+	docs := l.eng.Resolve(q)
 	if len(docs) == 0 {
 		return 0, 0, errors.New("query has an empty result set")
 	}

@@ -78,9 +78,9 @@ func TestMetricsStringPartial(t *testing.T) {
 	// the last one: a run's final (drain) cycle is typically tiny and must
 	// not stand for the channel.
 	c := NewCollector()
-	for _, bytes := range []int64{99_000, 99_000, 2} {
-		c.ChannelDone(0, broadcast.IndexChannelRole, 1_000, false)
-		c.ChannelDone(1, broadcast.DataChannelRole, bytes, false)
+	for _, bytes := range []int{99_000, 99_000, 2} {
+		c.channelAired(&broadcast.ChannelLayout{ID: 0, Role: broadcast.IndexChannelRole, Bytes: 1_000})
+		c.channelAired(&broadcast.ChannelLayout{ID: 1, Role: broadcast.DataChannelRole, Bytes: bytes})
 	}
 	s = c.Metrics().String()
 	if want := "channels=[0:index 1000B/cycle (max 1000B) 1:data 66000B/cycle (max 99000B)]"; !strings.Contains(s, want) {
@@ -103,9 +103,6 @@ func TestCollectorAggregation(t *testing.T) {
 	c.CacheAccess(true)
 	c.CacheAccess(false)
 	c.CacheInvalidated()
-	c.CacheEvicted(EvictAnswer, 2)
-	c.CacheEvicted(EvictPayload, 3)
-	c.CacheEvicted("unknown", 99) // ignored, not a crash
 	c.PruneDone(PruneIncremental)
 	c.PruneDone(PruneFull)
 	c.PruneDone(PruneFallback)
@@ -124,9 +121,6 @@ func TestCollectorAggregation(t *testing.T) {
 	}
 	if m.CacheHits != 1 || m.CacheMisses != 1 || m.CacheInvalidations != 1 {
 		t.Errorf("cache counters = %d/%d/%d", m.CacheHits, m.CacheMisses, m.CacheInvalidations)
-	}
-	if m.AnswerEvictions != 2 || m.PayloadEvictions != 3 {
-		t.Errorf("evictions = %d/%d, want 2/3", m.AnswerEvictions, m.PayloadEvictions)
 	}
 	// PruneFallback counts as a full prune plus the fallback sub-counter.
 	if m.IncrementalPrunes != 1 || m.FullPrunes != 2 || m.PruneFallbacks != 1 {

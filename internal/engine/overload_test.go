@@ -20,10 +20,7 @@ func limitedEngine(t testing.TB, numDocs, numQueries int, lim Limits, compress b
 	if err != nil {
 		t.Fatal(err)
 	}
-	answers, err := e.ResolveAll(queries)
-	if err != nil {
-		t.Fatal(err)
-	}
+	answers := resolveAll(e, queries)
 	pending := make([]Pending, 0, len(queries))
 	for i, q := range queries {
 		if docs := answers[q.String()]; len(docs) > 0 {
@@ -44,9 +41,7 @@ func TestAnswerCacheLRUEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.ResolveAll(queries); err != nil {
-		t.Fatal(err)
-	}
+	resolveAll(e, queries)
 	if n := e.answers.len(); n > cacheCap {
 		t.Errorf("answer cache holds %d entries, cap %d", n, cacheCap)
 	}
@@ -62,14 +57,8 @@ func TestAnswerCacheLRUEviction(t *testing.T) {
 	// same result as an unbounded engine.
 	ref := newEngine(t, c, c.TotalSize())
 	for _, q := range queries {
-		got, err := e.Resolve(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := ref.Resolve(q)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := e.Resolve(q)
+		want := ref.Resolve(q)
 		if len(got) != len(want) {
 			t.Fatalf("query %s: %d docs after eviction, want %d", q, len(got), len(want))
 		}
@@ -201,10 +190,7 @@ func applyPatched(t *testing.T, e *Engine, queries []xpath.Path, live liveDocs, 
 			t.Errorf("query %s: cached answer %v, a fresh scan gives %v", q, got, want[i])
 		}
 	}
-	resolved, err := e.ResolveAll(queries)
-	if err != nil {
-		t.Fatal(err)
-	}
+	resolved := resolveAll(e, queries)
 	if m := e.Metrics(); m.CacheMisses != after.CacheMisses {
 		t.Errorf("re-resolve after the update missed: %d -> %d", after.CacheMisses, m.CacheMisses)
 	}
@@ -218,9 +204,7 @@ func applyPatched(t *testing.T, e *Engine, queries []xpath.Path, live liveDocs, 
 func TestAnswersPatchedOnAdd(t *testing.T) {
 	c, queries := fixture(t, 10, 8)
 	e := newEngine(t, c, 100_000)
-	if _, err := e.ResolveAll(queries); err != nil {
-		t.Fatal(err)
-	}
+	resolveAll(e, queries)
 	if e.answers.len() == 0 {
 		t.Fatal("no warm entries")
 	}
@@ -245,7 +229,7 @@ func TestAnswersPatchedOnAdd(t *testing.T) {
 	applyPatched(t, e, queries, live, func() error { return e.AddDocument(fresh) })
 	gained := 0
 	for _, q := range queries {
-		if docs, _ := e.Resolve(q); xmldoc.HasID(docs, fresh.ID) {
+		if docs := e.Resolve(q); xmldoc.HasID(docs, fresh.ID) {
 			gained++
 		}
 	}
@@ -255,10 +239,7 @@ func TestAnswersPatchedOnAdd(t *testing.T) {
 
 	// Removing a result document and adding it back restores the answer.
 	victimQuery := queries[0]
-	original, err := e.Resolve(victimQuery)
-	if err != nil {
-		t.Fatal(err)
-	}
+	original := e.Resolve(victimQuery)
 	if len(original) == 0 {
 		t.Fatal("fixture query 0 matches nothing")
 	}
@@ -267,7 +248,7 @@ func TestAnswersPatchedOnAdd(t *testing.T) {
 	applyPatched(t, e, queries, live, func() error { return e.RemoveDocument(matched.ID) })
 	live[matched.ID] = matched
 	applyPatched(t, e, queries, live, func() error { return e.AddDocument(matched) })
-	if restored, _ := e.Resolve(victimQuery); !slices.Equal(restored, original) {
+	if restored := e.Resolve(victimQuery); !slices.Equal(restored, original) {
 		t.Errorf("after remove and re-add: %v, want %v", restored, original)
 	}
 }
@@ -275,10 +256,7 @@ func TestAnswersPatchedOnAdd(t *testing.T) {
 func TestAnswersPatchedOnRemove(t *testing.T) {
 	c, queries := fixture(t, 10, 8)
 	e := newEngine(t, c, 100_000)
-	answers, err := e.ResolveAll(queries)
-	if err != nil {
-		t.Fatal(err)
-	}
+	answers := resolveAll(e, queries)
 	live := newLiveDocs(c)
 	victim := c.Docs()[0].ID
 	contained := 0
@@ -302,12 +280,12 @@ func TestAnswersPatchedOnRemove(t *testing.T) {
 		t.Fatal(err)
 	}
 	queries = append(slices.Clone(queries), q)
-	if docs, _ := e.Resolve(q); !slices.Equal(docs, []xmldoc.DocID{only.ID}) {
+	if docs := e.Resolve(q); !slices.Equal(docs, []xmldoc.DocID{only.ID}) {
 		t.Fatalf("Resolve(%s) = %v, want [%d]", q, docs, only.ID)
 	}
 	delete(live, only.ID)
 	applyPatched(t, e, queries, live, func() error { return e.RemoveDocument(only.ID) })
-	if docs, err := e.Resolve(q); err != nil || len(docs) != 0 {
-		t.Errorf("Resolve(%s) after its only result left = %v, %v", q, docs, err)
+	if docs := e.Resolve(q); len(docs) != 0 {
+		t.Errorf("Resolve(%s) after its only result left = %v", q, docs)
 	}
 }

@@ -10,13 +10,12 @@ import (
 )
 
 // Pipeline stage names reported through Probe. Each AssembleCycle runs
-// schedule then build; EncodeCycle runs encode; Resolve/ResolveAll run
-// resolve for cache misses.
+// schedule then build; EncodeCycle runs encode; Resolve runs resolve on a
+// cache miss.
 const (
-	// StageResolve is query answering for the queries the answer cache does
-	// not hold: one walk of the unpruned CI with their shared NFA. Input is
-	// the number of queries in the batch of misses, output the total matched
-	// document count.
+	// StageResolve is answering one query the answer cache does not hold:
+	// one navigator lookup over the unpruned CI. Input is 1, the query,
+	// output the number of documents it matched.
 	StageResolve = "resolve"
 	// StageSchedule is cycle planning. Input is the number of pending
 	// requests, output the number of planned documents.
@@ -57,14 +56,6 @@ const (
 	ScheduleFull = "full"
 )
 
-// Cache kinds reported through Probe.CacheEvicted.
-const (
-	// EvictAnswer identifies the memoized query-answer cache.
-	EvictAnswer = "answer"
-	// EvictPayload identifies the per-document payload cache.
-	EvictPayload = "payload"
-)
-
 // Prune kinds reported through Probe.PruneDone.
 const (
 	// PruneIncremental is a cycle whose PCI came from the incremental
@@ -89,22 +80,14 @@ type Probe interface {
 	CacheAccess(hit bool)
 	// CacheInvalidated reports one collection update. The update patches
 	// the cached answers it changes and drops a removed document's payload;
-	// it evicts no answer, so nothing follows through CacheEvicted.
+	// it evicts no answer.
 	CacheInvalidated()
-	// CacheEvicted reports n entries dropped from the named cache
-	// (EvictAnswer or EvictPayload) by its LRU bound.
-	CacheEvicted(kind string, n int)
 	// PruneDone reports how one cycle's PCI was produced: kind is
 	// PruneIncremental, PruneFull or PruneFallback.
 	PruneDone(kind string)
 	// ScheduleDone reports how one cycle's plan was produced: kind is
 	// ScheduleIncremental or ScheduleFull.
 	ScheduleDone(kind string)
-	// ChannelDone reports one channel's share of an assembled multichannel
-	// cycle: its payload bytes this cycle. Single-channel cycles do not
-	// report it (their figures are the cycle aggregates already carried by
-	// StageDone and CycleDone). degraded is always false.
-	ChannelDone(channel int, role broadcast.ChannelRole, bytes int64, degraded bool)
 	// CycleDone reports one fully assembled broadcast cycle.
 	CycleDone()
 }
@@ -121,17 +104,11 @@ func (NopProbe) CacheAccess(bool) {}
 // CacheInvalidated implements Probe.
 func (NopProbe) CacheInvalidated() {}
 
-// CacheEvicted implements Probe.
-func (NopProbe) CacheEvicted(string, int) {}
-
 // PruneDone implements Probe.
 func (NopProbe) PruneDone(string) {}
 
 // ScheduleDone implements Probe.
 func (NopProbe) ScheduleDone(string) {}
-
-// ChannelDone implements Probe.
-func (NopProbe) ChannelDone(int, broadcast.ChannelRole, int64, bool) {}
 
 // CycleDone implements Probe.
 func (NopProbe) CycleDone() {}
@@ -157,7 +134,8 @@ type Metrics struct {
 	// the cached answers up to date in place.
 	CacheInvalidations int64
 	// AnswerEvictions and PayloadEvictions count entries dropped from the
-	// answer and payload caches by their LRU bounds.
+	// answer and payload caches by their LRU bounds; the engine adds them
+	// itself, no Probe event carries them.
 	AnswerEvictions, PayloadEvictions int64
 	// Cycles counts assembled broadcast cycles.
 	Cycles int64
@@ -171,7 +149,8 @@ type Metrics struct {
 	// from-scratch demand aggregation (cold start or churn fallback).
 	IncrementalSchedules, FullSchedules int64
 	// Channels holds per-channel aggregates, indexed by channel ID; empty
-	// on single-channel runs.
+	// on single-channel runs. The engine adds them itself, no Probe event
+	// carries them.
 	Channels []ChannelMetrics
 }
 
@@ -274,16 +253,6 @@ func (c *Collector) CacheInvalidated() {
 	c.m.CacheInvalidations++
 }
 
-// CacheEvicted implements Probe.
-func (c *Collector) CacheEvicted(kind string, n int) {
-	switch kind {
-	case EvictAnswer:
-		c.m.AnswerEvictions += int64(n)
-	case EvictPayload:
-		c.m.PayloadEvictions += int64(n)
-	}
-}
-
 // PruneDone implements Probe.
 func (c *Collector) PruneDone(kind string) {
 	switch kind {
@@ -307,16 +276,16 @@ func (c *Collector) ScheduleDone(kind string) {
 	}
 }
 
-// ChannelDone implements Probe.
-func (c *Collector) ChannelDone(channel int, role broadcast.ChannelRole, bytes int64, _ bool) {
-	for len(c.m.Channels) <= channel {
+// channelAired adds one channel's share of an assembled multichannel cycle.
+func (c *Collector) channelAired(lay *broadcast.ChannelLayout) {
+	for len(c.m.Channels) <= lay.ID {
 		c.m.Channels = append(c.m.Channels, ChannelMetrics{})
 	}
-	ch := &c.m.Channels[channel]
-	ch.Role = role.String()
+	ch := &c.m.Channels[lay.ID]
+	ch.Role = lay.Role.String()
 	ch.Cycles++
-	ch.Bytes += bytes
-	ch.MaxCycleBytes = max(ch.MaxCycleBytes, bytes)
+	ch.Bytes += int64(lay.Bytes)
+	ch.MaxCycleBytes = max(ch.MaxCycleBytes, int64(lay.Bytes))
 }
 
 // CycleDone implements Probe.
@@ -357,12 +326,6 @@ func (p probes) CacheInvalidated() {
 	}
 }
 
-func (p probes) CacheEvicted(kind string, n int) {
-	for _, pr := range p {
-		pr.CacheEvicted(kind, n)
-	}
-}
-
 func (p probes) PruneDone(kind string) {
 	for _, pr := range p {
 		pr.PruneDone(kind)
@@ -372,12 +335,6 @@ func (p probes) PruneDone(kind string) {
 func (p probes) ScheduleDone(kind string) {
 	for _, pr := range p {
 		pr.ScheduleDone(kind)
-	}
-}
-
-func (p probes) ChannelDone(channel int, role broadcast.ChannelRole, bytes int64, degraded bool) {
-	for _, pr := range p {
-		pr.ChannelDone(channel, role, bytes, degraded)
 	}
 }
 

@@ -16,10 +16,7 @@ import (
 // pendingFor resolves the given queries into one pending request each.
 func pendingFor(t *testing.T, e *Engine, queries []xpath.Path) []Pending {
 	t.Helper()
-	answers, err := e.ResolveAll(queries)
-	if err != nil {
-		t.Fatal(err)
-	}
+	answers := resolveAll(e, queries)
 	pending := make([]Pending, 0, len(queries))
 	for i, q := range queries {
 		pending = append(pending, Pending{ID: int64(i), Query: q, Arrival: 0, Remaining: answers[q.String()]})

@@ -99,10 +99,7 @@ func TestResolveResultImmutableAcrossUpdates(t *testing.T) {
 	var held []handedOut
 	changed := 0
 	for step, update := range updates {
-		answers, err := e.ResolveAll(queries)
-		if err != nil {
-			t.Fatal(err)
-		}
+		answers := resolveAll(e, queries)
 		for key, docs := range answers {
 			held = append(held, handedOut{key, docs, slices.Clone(docs), slices.Clone(docs[:cap(docs)])})
 		}
@@ -116,7 +113,7 @@ func TestResolveResultImmutableAcrossUpdates(t *testing.T) {
 			}
 		}
 		for key, docs := range answers {
-			if now, _ := e.Resolve(xpath.MustParse(key)); !slices.Equal(now, docs) {
+			if now := e.Resolve(xpath.MustParse(key)); !slices.Equal(now, docs) {
 				changed++
 			}
 		}
@@ -153,13 +150,9 @@ func TestInterleavedResolveAndUpdates(t *testing.T) {
 			for step := 0; step < 600; step++ {
 				switch op := rng.Intn(10); {
 				case op < 4: // a single query, then a batch
-					if _, err := e.Resolve(queries[rng.Intn(len(queries))]); err != nil {
-						t.Fatal(err)
-					}
+					e.Resolve(queries[rng.Intn(len(queries))])
 					lo := rng.Intn(len(queries))
-					if _, err := e.ResolveAll(queries[lo:min(lo+5, len(queries))]); err != nil {
-						t.Fatal(err)
-					}
+					resolveAll(e, queries[lo:min(lo+5, len(queries))])
 				case op < 8: // writer w owns four IDs
 					w := rng.Intn(2)
 					id := xmldoc.DocID(2000 + 4*w + rng.Intn(4))
@@ -177,10 +170,7 @@ func TestInterleavedResolveAndUpdates(t *testing.T) {
 					}
 					writes++
 				default: // a cycle over the fixture's own documents
-					answers, err := e.ResolveAll(queries[:6])
-					if err != nil {
-						t.Fatal(err)
-					}
+					answers := resolveAll(e, queries[:6])
 					var pending []Pending
 					for j, q := range queries[:6] {
 						docs := answers[q.String()]
@@ -362,23 +352,8 @@ func runResolveDifferential(t *testing.T, data []byte) {
 		coll := live.collection(t)
 		scan := yfilter.New(asked).Filter(coll)
 		for ei, e := range engines {
-			// Alternate batch and single resolves so both entry points and
-			// both miss-batch shapes are compared.
-			var got map[string][]xmldoc.DocID
-			if step%2 == 0 {
-				var err error
-				if got, err = e.ResolveAll(asked); err != nil {
-					t.Fatal(err)
-				}
-			}
 			for qi, q := range asked {
-				docs, ok := got[q.String()]
-				if !ok {
-					var err error
-					if docs, err = e.Resolve(q); err != nil {
-						t.Fatal(err)
-					}
-				}
+				docs := e.Resolve(q)
 				if !slices.Equal(docs, scan[qi]) {
 					t.Fatalf("step %d, engine %d, %s: resolved %v, yfilter.Filter gives %v", step, ei, q, docs, scan[qi])
 				}
@@ -421,7 +396,7 @@ func FuzzResolveDifferential(f *testing.F) {
 // missFixture is the package benchmarks' collection and query pool: the
 // benchmark workloads' shape, 100 NITF documents under a 500-query pool, of
 // which the distinct queries are returned (a batch resolves each once).
-func missFixture(b *testing.B) (*xmldoc.Collection, []xpath.Path) {
+func missFixture(b testing.TB) (*xmldoc.Collection, []xpath.Path) {
 	b.Helper()
 	c, err := gen.Documents(gen.DocConfig{Schema: dtd.NITF(), NumDocs: 100, Seed: 1})
 	if err != nil {
@@ -444,13 +419,38 @@ func missFixture(b *testing.B) (*xmldoc.Collection, []xpath.Path) {
 
 var benchSink int
 
+// TestResolveMissAllocs pins what a miss costs on the benchmarks' fixture: a
+// fresh navigator for the query and one lookup of the CI, about 90
+// allocations. A one-entry cache keeps every resolve of the distinct pool a
+// miss.
+func TestResolveMissAllocs(t *testing.T) {
+	c, pool := missFixture(t)
+	e, err := New(Config{Collection: c, Mode: broadcast.TwoTierMode, CycleCapacity: c.TotalSize(),
+		Limits: Limits{MaxAnswerCacheEntries: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Resolve(pool[len(pool)-1]) // builds the CI
+	i := 0
+	allocs := testing.AllocsPerRun(len(pool)-1, func() {
+		benchSink += len(e.Resolve(pool[i]))
+		i++
+	})
+	if m := e.Metrics(); m.CacheHits != 0 {
+		t.Fatalf("%d of %d resolves hit the cache: the test did not measure misses", m.CacheHits, m.CacheHits+m.CacheMisses)
+	}
+	if allocs > 110 {
+		t.Errorf("a resolve miss allocates %.0f times, want at most 110", allocs)
+	}
+}
+
 // BenchmarkResolveMiss is the cost of answering queries nobody has cached: one
-// query (a submission that misses) and the whole pool as one batch (a
-// simulator's set-up, a restarted server re-resolving over a drifted
-// collection). The ci legs are the engine's path — a fresh filter over the
-// misses, then core.Index.Answers. The scan legs are the
-// reference the engine's answers are specified against, yfilter.Filter over
-// every document; they are not an engine path.
+// query (a submission that misses) and the whole pool one query after another
+// (a simulator's set-up, a restarted server re-resolving over a drifted
+// collection). The ci legs are the engine's path — per miss a fresh
+// core.Navigator and one Lookup of the CI. The scan legs are the reference
+// the engine's answers are specified against, yfilter.Filter over every
+// document; they are not an engine path.
 func BenchmarkResolveMiss(b *testing.B) {
 	c, pool := missFixture(b)
 	for _, leg := range []struct {
@@ -475,21 +475,15 @@ func BenchmarkResolveMiss(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := e.Resolve(pool[len(pool)-1]); err != nil { // builds the CI
-				b.Fatal(err)
-			}
+			e.Resolve(pool[len(pool)-1]) // builds the CI
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				q := leg.queries
-				if len(q) == 1 {
-					q = pool[i%len(pool) : i%len(pool)+1]
+				if len(leg.queries) == 1 {
+					benchSink += len(e.Resolve(pool[i%len(pool)]))
+				} else {
+					benchSink += len(resolveAll(e, leg.queries))
 				}
-				answers, err := e.ResolveAll(q)
-				if err != nil {
-					b.Fatal(err)
-				}
-				benchSink += len(answers)
 			}
 			if m := e.Metrics(); m.CacheHits*50 > m.CacheMisses {
 				b.Fatalf("%d hits beside %d misses: the leg did not measure misses", m.CacheHits, m.CacheMisses)
@@ -505,9 +499,7 @@ func BenchmarkResolveMiss(b *testing.B) {
 func BenchmarkAddDocumentWarmCache(b *testing.B) {
 	c, pool := missFixture(b)
 	e := newEngine(b, c, c.TotalSize())
-	if _, err := e.ResolveAll(pool); err != nil {
-		b.Fatal(err)
-	}
+	resolveAll(e, pool)
 	extra, err := gen.Documents(gen.DocConfig{Schema: dtd.NITF(), NumDocs: 8, Seed: 3, FirstID: 5000})
 	if err != nil {
 		b.Fatal(err)
@@ -520,10 +512,7 @@ func BenchmarkAddDocumentWarmCache(b *testing.B) {
 		if err := e.AddDocument(d); err != nil {
 			b.Fatal(err)
 		}
-		answers, err := e.ResolveAll(pool)
-		if err != nil {
-			b.Fatal(err)
-		}
+		answers := resolveAll(e, pool)
 		benchSink += len(answers)
 		b.StopTimer()
 		if err := e.RemoveDocument(d.ID); err != nil {

@@ -38,10 +38,7 @@ func TestIncrementalScheduleMatchesReference(t *testing.T) {
 
 			ref := referenceBuilder(t, c)
 
-			answers, err := inc.ResolveAll(queries)
-			if err != nil {
-				t.Fatal(err)
-			}
+			answers := resolveAll(inc, queries)
 
 			rng := rand.New(rand.NewSource(7))
 			type client struct {

@@ -152,10 +152,10 @@ func (c Config) requests(queries []xpath.Path) []sim.ClientRequest {
 
 // simConfig is the one place an experiment Config becomes a simulator
 // Config: every knob the harness threads through (size model, capacity,
-// limits, adaptive controller, compression, channel count, index encoding)
-// is copied here, so an experiment overrides only the field it sweeps. The
-// one-tier organisation has no channel directory to hop with and no succinct
-// layout, so Channels and IndexEncoding apply to two-tier legs only.
+// limits, compression, channel count, index encoding) is copied here, so an
+// experiment overrides only the field it sweeps. The one-tier organisation
+// has no channel directory to hop with and no succinct layout, so Channels
+// and IndexEncoding apply to two-tier legs only.
 func (c Config) simConfig(coll *xmldoc.Collection, mode broadcast.Mode, sched schedule.Scheduler, reqs []sim.ClientRequest) sim.Config {
 	sc := sim.Config{
 		Collection:    coll,

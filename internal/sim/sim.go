@@ -271,8 +271,8 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 
-	// Resolve every distinct query's answer once, server-side, via the
-	// engine's shared memoized matcher.
+	// Resolve every distinct query's answer once, server-side, through the
+	// engine.
 	answers, err := resolveAnswers(eng, cfg.Requests)
 	if err != nil {
 		return nil, err
@@ -740,19 +740,16 @@ func (s *succinctReader) load(cy *broadcast.Cycle) error {
 	return nil
 }
 
-// resolveAnswers evaluates every distinct query once through the engine's
-// memoized matcher.
+// resolveAnswers resolves every distinct query once through the engine's
+// memoized resolver.
 func resolveAnswers(eng *engine.Engine, reqs []ClientRequest) (map[string][]xmldoc.DocID, error) {
-	queries := make([]xpath.Path, 0, len(reqs))
+	out := make(map[string][]xmldoc.DocID, len(reqs))
 	for _, r := range reqs {
-		queries = append(queries, r.Query)
-	}
-	out, err := eng.ResolveAll(queries)
-	if err != nil {
-		return nil, err
-	}
-	for key, docs := range out {
-		if len(docs) == 0 {
+		key := r.Query.String()
+		if _, ok := out[key]; ok {
+			continue
+		}
+		if out[key] = eng.Resolve(r.Query); len(out[key]) == 0 {
 			return nil, fmt.Errorf("sim: query %s has an empty result set; the paper assumes satisfiable requests", key)
 		}
 	}

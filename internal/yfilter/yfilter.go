@@ -6,17 +6,18 @@
 //
 // The automaton exposes a stepping API (Start/Step/Accepting) so that the
 // same machine drives three consumers: document filtering here, CI-node
-// matching for index pruning in package core, and client-side index
-// navigation in the simulator.
+// matching for index pruning in package core, and index navigation
+// (core.Navigator), which is how clients and the server alike read a query's
+// answer.
 package yfilter
 
 import (
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/dataguide"
 	"repro/internal/xmldoc"
 	"repro/internal/xpath"
 )
@@ -160,31 +161,25 @@ func (f *Filter) Start() StateSet {
 }
 
 // closure adds ε-reachable descendant states and returns the normalised set.
+// A state's ε-edges form a chain (desc), so the closure is the union of the
+// chains from ids.
 func (f *Filter) closure(ids []int32) StateSet {
-	seen := make(map[int32]struct{}, len(ids)*2)
-	work := append([]int32(nil), ids...)
-	for len(work) > 0 {
-		id := work[len(work)-1]
-		work = work[:len(work)-1]
-		if _, ok := seen[id]; ok {
-			continue
-		}
-		seen[id] = struct{}{}
-		if d := f.states[id].desc; d >= 0 {
-			work = append(work, int32(d))
+	if len(ids) == 0 {
+		return StateSet{}
+	}
+	out := make([]int32, 0, 2*len(ids))
+	for _, id := range ids {
+		for d := int(id); d >= 0; d = f.states[d].desc {
+			out = append(out, int32(d))
 		}
 	}
-	out := make([]int32, 0, len(seen))
-	for id := range seen {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return StateSet{ids: out}
+	slices.Sort(out)
+	return StateSet{ids: slices.Compact(out)}
 }
 
 // Step consumes one element label and returns the next state set. Results
-// are memoised (lazy DFA), so repeated structure — ubiquitous when scanning
-// DataGuides — costs one map hit per (set, label) pair.
+// are memoised (lazy DFA), so repeated structure — ubiquitous in documents
+// and index tries — costs one map hit per (set, label) pair.
 func (f *Filter) Step(s StateSet, label string) StateSet {
 	if s.Empty() {
 		return s
@@ -317,18 +312,38 @@ func (f *Filter) MatchDocument(d *xmldoc.Document) []int {
 }
 
 // matchDocument is MatchDocument stepping through the given step resolver
-// (the shared locked memo, or a worker-private stepper).
+// (the shared locked memo, or a worker-private stepper). It runs the
+// automaton down the document's element tree with an explicit stack;
+// repeated structure costs one memo hit per element.
 func (f *Filter) matchDocument(d *xmldoc.Document, step stepFunc) []int {
-	g := dataguide.Build(d)
-	matched := make(map[int]struct{})
-	f.walkGuide(g, f.Start(), step, func(_ *dataguide.Guide, accepted []int) {
-		for _, qi := range accepted {
-			matched[qi] = struct{}{}
+	if d.Root == nil {
+		return nil
+	}
+	type frame struct {
+		n *xmldoc.Node
+		s StateSet
+	}
+	var out []int
+	matched := make([]bool, len(f.queries))
+	stack := []frame{{d.Root, f.Start()}}
+	for len(stack) > 0 {
+		fr := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		next := step(fr.s, fr.n.Label)
+		if next.Empty() {
+			continue
 		}
-	})
-	out := make([]int, 0, len(matched))
-	for qi := range matched {
-		out = append(out, qi)
+		for _, id := range next.ids {
+			for _, qi := range f.states[id].accept {
+				if !matched[qi] {
+					matched[qi] = true
+					out = append(out, qi)
+				}
+			}
+		}
+		for _, c := range fr.n.Children {
+			stack = append(stack, frame{c, next})
+		}
 	}
 	sort.Ints(out)
 	return out
@@ -348,8 +363,8 @@ func (f *Filter) Filter(c *xmldoc.Collection) [][]xmldoc.DocID {
 
 // FilterParallel is Filter with document matching sharded across workers
 // goroutines (runtime.GOMAXPROCS(0) when workers <= 0) over the shared
-// automaton. Per-document matching — DataGuide construction plus the NFA
-// walk — dominates the cost and is independent per document, so throughput
+// automaton. Per-document matching — the NFA walk down the element tree —
+// dominates the cost and is independent per document, so throughput
 // scales with cores. The result is identical to Filter's.
 func (f *Filter) FilterParallel(c *xmldoc.Collection, workers int) [][]xmldoc.DocID {
 	if workers <= 0 {
@@ -408,35 +423,4 @@ func (f *Filter) FilterParallel(c *xmldoc.Collection, workers int) [][]xmldoc.Do
 		sort.Slice(results[qi], func(i, j int) bool { return results[qi][i] < results[qi][j] })
 	}
 	return results
-}
-
-// MatchGuideNodes runs the automaton over a merged DataGuide and invokes
-// visit for every node where at least one query accepts, passing the
-// accepting query indices. This is the "check each node in CI against the
-// query DFA" step of the paper's pruning procedure.
-func (f *Filter) MatchGuideNodes(forest *dataguide.Forest, visit func(node *dataguide.Guide, queries []int)) {
-	for _, root := range forest.Roots {
-		f.walkGuide(root, f.Start(), f.Step, func(n *dataguide.Guide, accepted []int) {
-			if len(accepted) > 0 {
-				visit(n, accepted)
-			}
-		})
-	}
-}
-
-// walkGuide advances the automaton down a guide trie through the given step
-// resolver, invoking visit at every node with the queries accepting there
-// (possibly none).
-func (f *Filter) walkGuide(g *dataguide.Guide, s StateSet, step stepFunc, visit func(node *dataguide.Guide, accepted []int)) {
-	if g == nil || s.Empty() {
-		return
-	}
-	next := step(s, g.Label)
-	if next.Empty() {
-		return
-	}
-	visit(g, f.Accepting(next))
-	for _, c := range g.Children {
-		f.walkGuide(c, next, step, visit)
-	}
 }

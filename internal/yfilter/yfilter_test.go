@@ -5,7 +5,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/dataguide"
 	"repro/internal/dtd"
 	"repro/internal/gen"
 	"repro/internal/xmldoc"
@@ -106,30 +105,6 @@ func TestStepMemoisationStable(t *testing.T) {
 	second := f.Step(s, "a")
 	if !reflect.DeepEqual(first, second) {
 		t.Error("memoised step differs from first computation")
-	}
-}
-
-func TestMatchGuideNodes(t *testing.T) {
-	c := paperDocs(t)
-	forest := dataguide.Merge(c)
-	f := New([]xpath.Path{
-		xpath.MustParse("/a/b"),
-		xpath.MustParse("/a/b/c"),
-	})
-	gotMatches := make(map[string][]int)
-	f.MatchGuideNodes(forest, func(n *dataguide.Guide, queries []int) {
-		// Reconstruct the path by searching (test-only convenience).
-		gotMatches[n.Label] = append([]int(nil), queries...)
-	})
-	// /a/b matches q0 (node label "b"), /a/b/c matches q1 (label "c").
-	if !reflect.DeepEqual(gotMatches["b"], []int{0}) {
-		t.Errorf("matches at b = %v, want [0]", gotMatches["b"])
-	}
-	if !reflect.DeepEqual(gotMatches["c"], []int{1}) {
-		t.Errorf("matches at c = %v, want [1]", gotMatches["c"])
-	}
-	if _, ok := gotMatches["a"]; ok {
-		t.Error("root should not match any query")
 	}
 }
 
