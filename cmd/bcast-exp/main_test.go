@@ -86,7 +86,7 @@ func TestErrors(t *testing.T) {
 	}
 	// The simulator admits every request: the admission flags are gone, not
 	// ignored.
-	for _, args := range [][]string{{"-adaptive"}, {"-target-latency", "5ms"}, {"-max-pending", "9"}} {
+	for _, args := range [][]string{{"-adaptive"}, {"-max-pending", "9"}} {
 		_, err := capture(t, append(args, "-list"))
 		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
 			t.Errorf("args %v: err = %v, want unknown-flag error", args, err)

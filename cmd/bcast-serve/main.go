@@ -52,8 +52,6 @@ func run(args []string) error {
 		maxPending  = fs.Int("max-pending", 0, "admission cap on the pending query set (0 = unlimited)")
 		uplinkRate  = fs.Float64("uplink-rate", 0, "per-connection query rate limit in queries/s (0 = unlimited)")
 		uplinkBurst = fs.Int("uplink-burst", 0, "token-bucket burst for -uplink-rate (default 8)")
-		adaptive    = fs.Bool("adaptive", false, "self-tune the admission limits (AIMD over -max-pending/-uplink-rate); static values become seeds")
-		targetLat   = fs.Duration("target-latency", 0, "adaptive controller's per-cycle assembly-latency goal (0 = default 20ms)")
 		pprofAddr   = fs.String("pprof", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060; empty = disabled)")
 
 		stateDir  = fs.String("state-dir", "", "durability journal directory: ack-after-durability admissions, warm restart on the same directory (empty = in-memory)")
@@ -68,25 +66,23 @@ func run(args []string) error {
 		return err
 	}
 	srv, err := repro.StartBroadcastServer(repro.BroadcastServerConfig{
-		Collection:     coll,
-		Mode:           layout.Mode,
-		IndexEncoding:  layout.Encoding,
-		Channels:       layout.Channels,
-		CycleCapacity:  layout.Capacity,
-		CycleInterval:  *interval,
-		UplinkAddr:     *uplink,
-		BroadcastAddr:  *bcast,
-		Limits:         limits.Engine(),
-		MaxPending:     *maxPending,
-		Compress:       layout.Compress,
-		MuxCredit:      *muxCredit,
-		UplinkRate:     *uplinkRate,
-		UplinkBurst:    *uplinkBurst,
-		Adaptive:       *adaptive,
-		AdaptiveTarget: *targetLat,
-		StateDir:       *stateDir,
-		Fsync:          *fsync,
-		SnapshotEvery:  *snapEvery,
+		Collection:    coll,
+		Mode:          layout.Mode,
+		IndexEncoding: layout.Encoding,
+		Channels:      layout.Channels,
+		CycleCapacity: layout.Capacity,
+		CycleInterval: *interval,
+		UplinkAddr:    *uplink,
+		BroadcastAddr: *bcast,
+		Limits:        limits.Engine(),
+		MaxPending:    *maxPending,
+		Compress:      layout.Compress,
+		MuxCredit:     *muxCredit,
+		UplinkRate:    *uplinkRate,
+		UplinkBurst:   *uplinkBurst,
+		StateDir:      *stateDir,
+		Fsync:         *fsync,
+		SnapshotEvery: *snapEvery,
 	})
 	if err != nil {
 		return err
@@ -206,9 +202,6 @@ func run(args []string) error {
 	st := srv.Stats()
 	fmt.Printf("shutting down after %d cycles\n", st.Cycles)
 	fmt.Printf("engine: %s\n", st.Engine)
-	if a := st.Adaptive; a != nil {
-		fmt.Printf("health: %s %s\n", a.Health, a)
-	}
 	if st.RejectedRate > 0 || st.RejectedPending > 0 {
 		fmt.Printf("rejected: %d rate-limited, %d over pending cap\n", st.RejectedRate, st.RejectedPending)
 	}

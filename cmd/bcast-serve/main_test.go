@@ -1,10 +1,8 @@
 package main
 
 import (
-	"io"
 	"os"
 	"path/filepath"
-	"regexp"
 	"strings"
 	"testing"
 )
@@ -25,38 +23,6 @@ func TestServeWithDataDir(t *testing.T) {
 	}
 }
 
-// TestServeAdaptive runs the controller and requires its shutdown report.
-func TestServeAdaptive(t *testing.T) {
-	out, err := capture(t, []string{"-docs", "8", "-selfdrive", "-interval", "5ms", "-for", "100ms", "-adaptive", "-max-pending", "64"})
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	report := regexp.MustCompile(`(?m)^health: (healthy|shedding) adaptive\{pend=\d+ rate=\S+ lat=\S+ sheds=\d+ grows=\d+\}$`)
-	if !report.MatchString(out) {
-		t.Errorf("output lacks the controller report:\n%s", out)
-	}
-}
-
-// capture runs the command with stdout redirected and returns what it wrote.
-func capture(t *testing.T, args []string) (string, error) {
-	t.Helper()
-	old := os.Stdout
-	r, w, err := os.Pipe()
-	if err != nil {
-		t.Fatalf("pipe: %v", err)
-	}
-	os.Stdout = w
-	out := make(chan []byte)
-	go func() {
-		b, _ := io.ReadAll(r)
-		out <- b
-	}()
-	runErr := run(args)
-	w.Close()
-	os.Stdout = old
-	return string(<-out), runErr
-}
-
 func TestServeErrors(t *testing.T) {
 	const undefined = "flag provided but not defined"
 	tests := []struct {
@@ -71,6 +37,8 @@ func TestServeErrors(t *testing.T) {
 		// The churn thresholds are constants: their flags are gone, not ignored.
 		{[]string{"-prune-churn", "0.5"}, undefined},
 		{[]string{"-sched-churn", "-1"}, undefined},
+		// Admission is static: the controller's flag is gone, not ignored.
+		{[]string{"-adaptive"}, undefined},
 		// The Compress × K rule, in the words bcast-sim and bcast-exp use.
 		{[]string{"-docs", "5", "-compress", "-channels", "4"}, "compression requires a single channel, got K=4"},
 	}

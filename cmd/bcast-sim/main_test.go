@@ -73,10 +73,10 @@ func TestErrors(t *testing.T) {
 		{[]string{"-schema", "bogus"}, ""},
 		{[]string{"-scheduler", "bogus", "-docs", "5", "-nq", "3"}, ""},
 		{[]string{"-bogusflag"}, undefined},
-		// The simulator has no admission controller: its flags are gone, not
-		// ignored.
+		// The simulator admits every request: the admission flags are gone,
+		// not ignored.
 		{[]string{"-adaptive"}, undefined},
-		{[]string{"-target-latency", "5ms"}, undefined},
+		{[]string{"-max-pending", "9"}, undefined},
 		// -restart-check runs one layout; it refuses the flags it would ignore.
 		{[]string{"-restart-check", "-mode", "one-tier"}, "-mode one-tier"},
 		{[]string{"-restart-check", "-index-enc", "succinct"}, "-index-enc succinct"},

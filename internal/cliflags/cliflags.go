@@ -1,10 +1,9 @@
 // Package cliflags is the flag block the commands share: the broadcast
 // layout, the document collection and the engine limits. Admission (the
-// pending cap, the uplink rate, the adaptive controller) is a live server's
-// alone, and bcast-serve registers its flags itself. Each group
-// registers into a command's own flag.FlagSet with the values it holds as
-// the defaults, so a command states its defaults once, in the struct literal
-// it registers.
+// pending cap and the uplink rate) is a live server's alone, and bcast-serve
+// registers its flags itself. Each group registers into a command's own
+// flag.FlagSet with the values it holds as the defaults, so a command states
+// its defaults once, in the struct literal it registers.
 package cliflags
 
 import (

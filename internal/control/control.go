@@ -1,9 +1,7 @@
-// Package control holds the small time-and-estimation primitives behind the
-// networked server's admission (its token buckets and adaptive controller,
-// netcast.AdaptiveLimiter) and its clients' timeouts and backoff: an
-// injectable clock with a deterministic fake for tests, and an exponentially
-// weighted moving average. It deliberately has no dependency on the rest of
-// the repository so every layer and its tests can share one clock
+// Package control holds the clock behind the networked server's uplink token
+// buckets and its clients' timeouts and backoff: an injectable clock with a
+// deterministic fake for tests. It deliberately has no dependency on the rest
+// of the repository so every layer and its tests can share one clock
 // abstraction.
 package control
 
@@ -13,8 +11,8 @@ import (
 )
 
 // Clock supplies the current time and timer channels. Production code uses
-// Real; tests inject a Fake and advance it explicitly, so admission and
-// controller behaviour is deterministic instead of wall-clock dependent.
+// Real; tests inject a Fake and advance it explicitly, so rate limiting and
+// backoff are deterministic instead of wall-clock dependent.
 type Clock interface {
 	// Now returns the current time in the clock's frame.
 	Now() time.Time
@@ -109,48 +107,3 @@ func (f *Fake) Advance(d time.Duration) {
 		w.ch <- now
 	}
 }
-
-// EWMA is an exponentially weighted moving average. The zero value is
-// unusable; construct with NewEWMA. Not safe for concurrent use — callers
-// (the adaptive limiter) guard it with their own lock.
-type EWMA struct {
-	alpha float64
-	v     float64
-	n     int64
-}
-
-// NewEWMA returns an empty average with the given smoothing factor in
-// (0, 1]; out-of-range values select 0.3. Larger alpha weights recent
-// observations more.
-func NewEWMA(alpha float64) EWMA {
-	if alpha <= 0 || alpha > 1 {
-		alpha = 0.3
-	}
-	return EWMA{alpha: alpha}
-}
-
-// Observe folds one sample in and returns the updated average. The first
-// sample seeds the average directly.
-func (e *EWMA) Observe(x float64) float64 {
-	e.n++
-	if e.n == 1 {
-		e.v = x
-	} else {
-		e.v = (1-e.alpha)*e.v + e.alpha*x
-	}
-	return e.v
-}
-
-// ObserveDuration is Observe over a time.Duration sample.
-func (e *EWMA) ObserveDuration(d time.Duration) time.Duration {
-	return time.Duration(e.Observe(float64(d)))
-}
-
-// Value returns the current average (0 before any observation).
-func (e *EWMA) Value() float64 { return e.v }
-
-// Duration returns the current average as a time.Duration.
-func (e *EWMA) Duration() time.Duration { return time.Duration(e.v) }
-
-// Seeded reports whether at least one sample has been observed.
-func (e *EWMA) Seeded() bool { return e.n > 0 }

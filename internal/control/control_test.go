@@ -91,41 +91,3 @@ func TestOrDefaultsToRealClock(t *testing.T) {
 		t.Fatal("Or(clk) did not pass the clock through")
 	}
 }
-
-func TestEWMASeedAndSmooth(t *testing.T) {
-	e := NewEWMA(0.5)
-	if e.Seeded() {
-		t.Fatal("empty EWMA reports Seeded")
-	}
-	if got := e.Observe(10); got != 10 {
-		t.Fatalf("first observation = %v, want 10 (seeds directly)", got)
-	}
-	if got := e.Observe(20); got != 15 {
-		t.Fatalf("second observation = %v, want 15", got)
-	}
-	if e.Value() != 15 || !e.Seeded() {
-		t.Fatalf("Value = %v Seeded = %v", e.Value(), e.Seeded())
-	}
-}
-
-func TestEWMADurationHelpers(t *testing.T) {
-	e := NewEWMA(0.5)
-	if got := e.ObserveDuration(10 * time.Millisecond); got != 10*time.Millisecond {
-		t.Fatalf("ObserveDuration seed = %v", got)
-	}
-	e.ObserveDuration(20 * time.Millisecond)
-	if got := e.Duration(); got != 15*time.Millisecond {
-		t.Fatalf("Duration = %v, want 15ms", got)
-	}
-}
-
-func TestEWMAInvalidAlphaDefaults(t *testing.T) {
-	for _, alpha := range []float64{0, -1, 1.5} {
-		e := NewEWMA(alpha)
-		e.Observe(100)
-		got := e.Observe(0)
-		if got != 70 { // (1-0.3)*100
-			t.Fatalf("alpha %v: second observation = %v, want 70 (default alpha 0.3)", alpha, got)
-		}
-	}
-}

@@ -33,7 +33,7 @@ func TestMetricsStringEmpty(t *testing.T) {
 	if !strings.Contains(s, "cycles=0") {
 		t.Errorf("zero snapshot = %q, want cycles=0", s)
 	}
-	for _, forbidden := range []string{"evicted=", "prunes=", "scheds=", "health=", "adaptive{", "channels="} {
+	for _, forbidden := range []string{"evicted=", "prunes=", "scheds=", "channels="} {
 		if strings.Contains(s, forbidden) {
 			t.Errorf("zero snapshot includes %q: %q", forbidden, s)
 		}
@@ -68,7 +68,7 @@ func TestMetricsStringPartial(t *testing.T) {
 	if strings.Index(s, "build{") > strings.Index(s, "schedule{") {
 		t.Errorf("stages not sorted: %q", s)
 	}
-	for _, forbidden := range []string{"evicted=", "scheds=", "health=", "adaptive{", "channels="} {
+	for _, forbidden := range []string{"evicted=", "scheds=", "channels="} {
 		if strings.Contains(s, forbidden) {
 			t.Errorf("snapshot includes unset section %q: %q", forbidden, s)
 		}

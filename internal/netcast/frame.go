@@ -27,7 +27,9 @@ const rejectHdrLen = 4
 const maxRetryAfter = time.Hour
 
 // encodeReject serialises a FrameReject payload: retry-after hint (clamped
-// to [0, maxRetryAfter], millisecond granularity) then the reason text.
+// to [0, maxRetryAfter], rounded up to whole milliseconds) then the reason
+// text. Rounding up keeps a positive hint positive on the wire: a token-bucket
+// wait under a millisecond must not read as "retry now".
 func encodeReject(retryAfter time.Duration, reason string) []byte {
 	if retryAfter < 0 {
 		retryAfter = 0
@@ -36,7 +38,7 @@ func encodeReject(retryAfter time.Duration, reason string) []byte {
 		retryAfter = maxRetryAfter
 	}
 	out := make([]byte, rejectHdrLen, rejectHdrLen+len(reason))
-	binary.LittleEndian.PutUint32(out, uint32(retryAfter/time.Millisecond))
+	binary.LittleEndian.PutUint32(out, uint32((retryAfter+time.Millisecond-1)/time.Millisecond))
 	return append(out, reason...)
 }
 

@@ -95,10 +95,9 @@ func FuzzDecodeReject(f *testing.F) {
 	f.Add(encodeReject(0, ""))
 	f.Add(encodeReject(time.Second, "rate limited"))
 	f.Add(encodeReject(2*time.Hour, "pending set full")) // encoder clamps to maxRetryAfter
-	// Controller-priced hints: the adaptive limiter emits its measured
-	// inter-cycle latency, so odd sub-second durations (truncated to wire
-	// milliseconds), its 1ms floor, and sub-ms values that truncate to 0
-	// all cross the wire.
+	// Token-bucket waits are odd durations, sub-millisecond ones included
+	// (any uplink rate above 1 000 q/s): the encoder rounds them up to
+	// whole wire milliseconds.
 	f.Add(encodeReject(time.Millisecond, "pending set full"))
 	f.Add(encodeReject(500*time.Microsecond, "pending set full"))
 	f.Add(encodeReject(20*time.Millisecond+617*time.Microsecond, "pending set full"))
@@ -119,8 +118,8 @@ func FuzzDecodeReject(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encode of accepted reject failed to decode: %v", err)
 		}
-		// Millisecond wire granularity: a round trip through encode is exact
-		// once the first decode has already truncated to milliseconds.
+		// Millisecond wire granularity: a decoded hint is whole milliseconds,
+		// so encoding it again rounds nothing and the round trip is exact.
 		if again != retryAfter || reason2 != reason {
 			t.Fatalf("reject round trip unstable: %s/%q -> %s/%q", retryAfter, reason, again, reason2)
 		}

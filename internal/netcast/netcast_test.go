@@ -231,6 +231,22 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// TestEncodeRejectRoundsUp: the wire carries whole milliseconds, and a
+// positive retry-after hint rounds up so it never reads as "retry now".
+func TestEncodeRejectRoundsUp(t *testing.T) {
+	for _, tc := range []struct{ hint, want time.Duration }{
+		{500 * time.Microsecond, time.Millisecond},
+		{20*time.Millisecond + 617*time.Microsecond, 21 * time.Millisecond},
+		{300 * time.Millisecond, 300 * time.Millisecond},
+		{0, 0},
+	} {
+		got, reason, err := decodeReject(encodeReject(tc.hint, "busy"))
+		if err != nil || got != tc.want || reason != "busy" {
+			t.Errorf("hint %s: decoded %s/%q/%v, want %s/\"busy\"", tc.hint, got, reason, err, tc.want)
+		}
+	}
+}
+
 // TestFrameSourceReusesBuffer: a downlink source reads every frame into one
 // buffer, so a payload is overwritten by the next read — and a decoded cycle
 // head, which outlives its frame, must hold its own copy of the catalog.

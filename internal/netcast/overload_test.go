@@ -17,8 +17,9 @@ import (
 
 // TestSubmitRejectedByPendingCap pins the typed overload path: a submission
 // over ServerConfig.MaxPending comes back as a RejectedError matching engine.ErrOverload
-// (not a generic ack error), the connection survives the rejection, and
-// SubmitRetry is admitted once the cycle retires the blocking request.
+// (not a generic ack error) whose hint is the cycle interval, the connection
+// survives the rejection, and SubmitRetry is admitted once the cycle retires
+// the blocking request.
 func TestSubmitRejectedByPendingCap(t *testing.T) {
 	coll := testCollection(t)
 	srv, err := StartServer(ServerConfig{
@@ -56,8 +57,8 @@ func TestSubmitRejectedByPendingCap(t *testing.T) {
 	if !errors.Is(err, engine.ErrOverload) {
 		t.Error("RejectedError does not match engine.ErrOverload")
 	}
-	if rej.RetryAfter <= 0 {
-		t.Errorf("RetryAfter = %s, want a positive hint", rej.RetryAfter)
+	if rej.RetryAfter != 300*time.Millisecond {
+		t.Errorf("RetryAfter = %s, want the 300ms cycle interval", rej.RetryAfter)
 	}
 	if st := srv.Stats(); st.RejectedPending == 0 {
 		t.Errorf("stats = %+v, want RejectedPending > 0", st)
@@ -106,8 +107,8 @@ func TestUplinkRateLimit(t *testing.T) {
 	if rejected == nil {
 		t.Fatal("3 rapid submissions against burst 2 were all admitted")
 	}
-	if rejected.RetryAfter <= 0 {
-		t.Errorf("RetryAfter = %s, want a positive hint", rejected.RetryAfter)
+	if rejected.RetryAfter < time.Millisecond {
+		t.Errorf("RetryAfter = %s, want a hint of at least 1ms", rejected.RetryAfter)
 	}
 	if st := srv.Stats(); st.RejectedRate == 0 {
 		t.Errorf("stats = %+v, want RejectedRate > 0", st)
@@ -118,10 +119,27 @@ func TestUplinkRateLimit(t *testing.T) {
 // submissions (valid, duplicate and junk queries) drives sustained
 // rejections while the bounded caches hold the heap inside a fixed envelope,
 // and a concurrent legitimate client still retrieves byte-correct results.
+// It floods a server with the pending cap alone, and one that also
+// rate-limits every uplink connection.
 func TestOverloadFlood(t *testing.T) {
 	if testing.Short() {
-		t.Skip("flood test takes ~2s")
+		t.Skip("flood test takes ~3s")
 	}
+	for _, tc := range []struct {
+		name  string
+		rate  float64
+		burst int
+	}{
+		{name: "pending-cap"},
+		// Each connection's opening burst alone overruns the pending cap;
+		// past it the bucket refuses most of the flood.
+		{name: "rate-limited", rate: 100, burst: 64},
+	} {
+		t.Run(tc.name, func(t *testing.T) { overloadFlood(t, tc.rate, tc.burst) })
+	}
+}
+
+func overloadFlood(t *testing.T, rate float64, burst int) {
 	coll := testCollection(t)
 	srv, err := StartServer(ServerConfig{
 		Collection:    coll,
@@ -129,6 +147,8 @@ func TestOverloadFlood(t *testing.T) {
 		CycleCapacity: 3 * coll.TotalSize() / coll.Len(),
 		CycleInterval: 5 * time.Millisecond,
 		MaxPending:    8,
+		UplinkRate:    rate,
+		UplinkBurst:   burst,
 		Limits: engine.Limits{
 			MaxAnswerCacheEntries: 16,
 			MaxPayloadCacheBytes:  64 << 10,
@@ -204,6 +224,9 @@ func TestOverloadFlood(t *testing.T) {
 	t.Logf("server: rejectedPending=%d rejectedRate=%d engine{%s}", st.RejectedPending, st.RejectedRate, st.Engine)
 	if flood.Rejected == 0 || st.RejectedPending == 0 {
 		t.Errorf("flood drove no admission rejections: flood=%+v stats=%+v", flood, st)
+	}
+	if limited := st.RejectedRate > 0; limited != (rate > 0) {
+		t.Errorf("RejectedRate = %d with uplink rate %g", st.RejectedRate, rate)
 	}
 	if flood.Accepted == 0 {
 		t.Error("flood had zero accepted submissions; the test exercised only the cheap reject path")

@@ -257,32 +257,23 @@ func TestShutdownUnderSubmitFlood(t *testing.T) {
 }
 
 // TestStatsIsOneSnapshot samples Stats for two seconds while one client keeps
-// a fast in-memory server airing. Stats reads the ledger's cycle count, the
-// engine's and — under Adaptive — the controller's state in one turn of the
-// cycle loop, so they agree in every sample: a cycle is assembled, aired and
-// committed within one turn, and the controller steps once per cycle. The
-// adaptive server's target is out of reach and its limits far from their
-// ceilings, so every step grows them: Grows counts the cycles.
+// a fast in-memory server airing. Stats reads the ledger's cycle count and the
+// engine's in one turn of the cycle loop, so they agree in every sample: a
+// cycle is assembled, aired and committed within one turn.
 func TestStatsIsOneSnapshot(t *testing.T) {
-	for _, adaptive := range []bool{false, true} {
-		t.Run(map[bool]string{false: "static", true: "adaptive"}[adaptive], func(t *testing.T) {
-			coll := testCollection(t)
-			cfg := ServerConfig{
-				Collection:    coll,
-				CycleCapacity: 3 * coll.TotalSize() / coll.Len(),
-				CycleInterval: 5 * time.Millisecond,
-			}
-			if adaptive {
-				cfg.Adaptive, cfg.AdaptiveTarget, cfg.UplinkRate = true, time.Hour, 1e6
-			}
-			srv, err := StartServer(cfg)
-			if err != nil {
-				t.Fatalf("StartServer: %v", err)
-			}
-			defer srv.Shutdown()
-			sampleStats(t, srv)
+	t.Run("static", func(t *testing.T) {
+		coll := testCollection(t)
+		srv, err := StartServer(ServerConfig{
+			Collection:    coll,
+			CycleCapacity: 3 * coll.TotalSize() / coll.Len(),
+			CycleInterval: 5 * time.Millisecond,
 		})
-	}
+		if err != nil {
+			t.Fatalf("StartServer: %v", err)
+		}
+		defer srv.Shutdown()
+		sampleStats(t, srv)
+	})
 }
 
 // sampleStats keeps srv airing from one client and checks every Stats sample
@@ -313,12 +304,8 @@ func sampleStats(t *testing.T, srv *Server) {
 	}()
 	samples, first := 0, srv.Cycles()
 	for deadline := time.Now().Add(2 * time.Second); time.Now().Before(deadline); samples++ {
-		st := srv.Stats()
-		if st.Cycles != st.Engine.Cycles {
+		if st := srv.Stats(); st.Cycles != st.Engine.Cycles {
 			t.Fatalf("sample %d: Stats reports %d cycles, its engine metrics %d", samples, st.Cycles, st.Engine.Cycles)
-		}
-		if a := st.Adaptive; a != nil && (a.Grows != st.Cycles || a.Sheds != 0) {
-			t.Fatalf("sample %d: Stats reports %d cycles, the controller %d grows and %d sheds", samples, st.Cycles, a.Grows, a.Sheds)
 		}
 	}
 	close(stop)

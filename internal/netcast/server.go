@@ -3,7 +3,6 @@ package netcast
 import (
 	"bufio"
 	"bytes"
-	"cmp"
 	"errors"
 	"fmt"
 	"net"
@@ -88,21 +87,8 @@ type ServerConfig struct {
 	// UplinkBurst is the token-bucket burst size. Default 8 when
 	// UplinkRate is set.
 	UplinkBurst int
-	// Adaptive replaces the static admission knobs with a self-tuning
-	// control loop (AdaptiveLimiter): MaxPending and UplinkRate become seeds
-	// the controller retunes from observed cycle latency, and
-	// wire.FrameReject retry-after hints come from its cycle-latency
-	// estimate. A zero
-	// MaxPending seeds DefaultAdaptivePending; a zero UplinkRate seeds
-	// DefaultAdaptiveUplinkRate. Health and the controller's state surface
-	// in Stats.
-	Adaptive bool
-	// AdaptiveTarget is the controller's per-cycle assembly-latency goal;
-	// zero selects DefaultAdaptiveTarget. Ignored unless Adaptive.
-	AdaptiveTarget time.Duration
-	// Clock drives admission timing (token buckets, the controller's
-	// latency estimate). Nil selects the wall clock; tests inject
-	// control.Fake.
+	// Clock drives the uplink token buckets. Nil selects the wall clock;
+	// tests inject control.Fake.
 	Clock control.Clock
 	// StateDir enables crash-safe durability: admissions and cycle commits
 	// are journaled to an append-only CRC-framed log under this directory
@@ -161,11 +147,6 @@ type Server struct {
 	// loop calls them, and every other goroutine hands it an event (see do).
 	eng    *engine.Engine
 	ledger *engine.Ledger
-	// admit holds the admission limits every submission reads: the pending
-	// cap, the uplink rate and the retry-after hint. Built from the static
-	// configuration; under ServerConfig.Adaptive it also sees the engine's
-	// probe events and retunes them.
-	admit *AdaptiveLimiter
 
 	upLn net.Listener
 	// bcLns holds one broadcast listener per channel; single-channel servers
@@ -234,12 +215,6 @@ type ServerStats struct {
 	// Engine holds per-stage wall times and sizes, answer-cache hit rate
 	// and eviction counters from the shared assembly engine.
 	Engine engine.Metrics
-	// Health is the adaptive admission controller's two-state load
-	// signal; empty unless ServerConfig.Adaptive.
-	Health Health
-	// Adaptive snapshots the controller's live limits and estimators; nil
-	// unless ServerConfig.Adaptive.
-	Adaptive *AdaptiveState
 	// Epoch and Generation identify the durability journal's lineage and
 	// restart count (1 = fresh state directory); zero on an in-memory
 	// server. RecoveredPending counts requests restored from the journal at
@@ -333,27 +308,8 @@ func StartServer(cfg ServerConfig) (*Server, error) {
 	if cfg.MuxCredit <= 0 {
 		cfg.MuxCredit = defaultMuxCredit
 	}
-	clock := control.Or(cfg.Clock)
-	if cfg.Adaptive {
-		if cfg.MaxPending <= 0 {
-			cfg.MaxPending = DefaultAdaptivePending
-		}
-		if cfg.UplinkRate <= 0 {
-			cfg.UplinkRate = DefaultAdaptiveUplinkRate
-		}
-	}
 	if cfg.UplinkRate > 0 && cfg.UplinkBurst <= 0 {
 		cfg.UplinkBurst = 8
-	}
-	admit := NewAdaptiveLimiter(AdaptiveConfig{
-		MaxPending:    cfg.MaxPending,
-		UplinkRate:    cfg.UplinkRate,
-		TargetLatency: cfg.AdaptiveTarget,
-		Clock:         clock,
-	})
-	probes := []engine.Probe{cfg.Probe}
-	if cfg.Adaptive {
-		probes = append(probes, admit)
 	}
 	eng, err := engine.New(engine.Config{
 		Collection:    cfg.Collection,
@@ -363,7 +319,7 @@ func StartServer(cfg ServerConfig) (*Server, error) {
 		Scheduler:     cfg.Scheduler,
 		Channels:      cfg.Channels,
 		CycleCapacity: cfg.CycleCapacity,
-		Probes:        probes,
+		Probes:        []engine.Probe{cfg.Probe},
 		Limits:        cfg.Limits,
 		Compress:      cfg.Compress,
 	})
@@ -428,8 +384,7 @@ func StartServer(cfg ServerConfig) (*Server, error) {
 	}
 	s := &Server{
 		cfg:        cfg,
-		clock:      clock,
-		admit:      admit,
+		clock:      control.Or(cfg.Clock),
 		eng:        eng,
 		ledger:     ledger,
 		upLn:       upLn,
@@ -552,12 +507,6 @@ func (s *Server) Stats() ServerStats {
 		s.mu.Lock()
 		st.Subscribers, st.SubscribersDropped = len(s.subs), s.dropped
 		s.mu.Unlock()
-		// The controller steps on the loop (it is an engine probe), so its
-		// state is read in the same turn as the cycle count.
-		if s.cfg.Adaptive {
-			a := s.admit.State()
-			st.Health, st.Adaptive = a.Health, &a
-		}
 	})
 	return st
 }
@@ -810,9 +759,6 @@ func (s *Server) uplinkRespond(t wire.FrameType, payload []byte, bucket *tokenBu
 		return wire.FrameResumeAck, ack, false
 	case wire.FrameQuery:
 		if bucket != nil {
-			// The sustained rate is the admission limiter's (retuned under
-			// Adaptive); the burst capacity stays as configured.
-			bucket.rate = s.admit.UplinkRate()
 			if wait := bucket.take(s.clock.Now()); wait > 0 {
 				s.rejectedRate.Add(1)
 				return wire.FrameReject, encodeReject(wait, "rate limited"), false
@@ -827,11 +773,8 @@ func (s *Server) uplinkRespond(t wire.FrameType, payload []byte, bucket *tokenBu
 		case errors.Is(err, engine.ErrOverload):
 			s.rejectedPending.Add(1)
 			// The cap frees up as cycles retire requests, so the next cycle
-			// boundary is the natural retry point: the controller's measured
-			// cycle latency once it has one (under load cycles retire slower
-			// than the interval promises), else the configured interval.
-			retry := cmp.Or(s.admit.RetryAfter(), s.cfg.CycleInterval)
-			return wire.FrameReject, encodeReject(retry, "pending set full"), false
+			// boundary is the natural retry point.
+			return wire.FrameReject, encodeReject(s.cfg.CycleInterval, "pending set full"), false
 		default:
 			return wire.FrameAck, []byte("err: " + err.Error()), false
 		}
@@ -865,11 +808,10 @@ func (s *Server) resumeEntries(ids []int64) []resumeEntry {
 // submit registers one query through the ledger, on the cycle loop, and
 // returns the number of the first broadcast cycle whose index is guaranteed
 // to cover it plus the request's durable ID. A stopped broadcast refuses it (a
-// request admitted now would never air), and so does a pending set at the
-// live cap (the admission limiter's: ServerConfig.MaxPending, retuned under
-// Adaptive), with a wrapped engine.ErrOverload. On a journaled server the
-// admit record is durable before submit returns, so the caller's ack never
-// outruns the journal: a crash after the ack recovers the request.
+// request admitted now would never air), and so does a pending set at
+// ServerConfig.MaxPending, with a wrapped engine.ErrOverload. On a journaled
+// server the admit record is durable before submit returns, so the caller's
+// ack never outruns the journal: a crash after the ack recovers the request.
 func (s *Server) submit(expr string) (covered, id int64, err error) {
 	q, err := xpath.Parse(strings.TrimSpace(expr))
 	if err != nil {
@@ -879,7 +821,7 @@ func (s *Server) submit(expr string) (covered, id int64, err error) {
 		if stopped != nil {
 			return fmt.Errorf("broadcast stopped: %w", stopped)
 		}
-		covered, id, err = s.ledger.Admit(q, s.admit.MaxPending())
+		covered, id, err = s.ledger.Admit(q, s.cfg.MaxPending)
 		return err
 	})
 	return covered, id, err

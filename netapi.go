@@ -57,21 +57,6 @@ type (
 	// BroadcastLogicalClient is one logical client on a multiplexed uplink:
 	// it submits queries under its own stream ID and sees only its own acks.
 	BroadcastLogicalClient = netcast.LogicalClient
-	// EngineHealth is the server's adaptive admission controller's
-	// two-state load signal (EngineHealthy, EngineShedding), carried by BroadcastServerStats.Health when the
-	// controller is enabled (BroadcastServerConfig.Adaptive).
-	EngineHealth = netcast.Health
-	// EngineAdaptiveState snapshots the controller's live limits, latency
-	// estimates and shed/grow counters (BroadcastServerStats.Adaptive).
-	EngineAdaptiveState = netcast.AdaptiveState
-)
-
-// Adaptive admission controller health states.
-const (
-	// EngineHealthy: latency under target, limits opening additively.
-	EngineHealthy = netcast.Healthy
-	// EngineShedding: limits recently cut and held down until recovery.
-	EngineShedding = netcast.Shedding
 )
 
 // Session-resume dispositions ((*BroadcastClient).Resume).
