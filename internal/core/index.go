@@ -45,9 +45,17 @@ func (n *Node) Kind() NodeKind {
 	}
 }
 
-// Size reports the node's on-air byte size under the model and tier.
+// Size reports the node's on-air byte size under the model and tier,
+// escaped counts included (SizeModel.FlagCountMax).
 func (n *Node) Size(m SizeModel, t Tier) int {
-	return m.FlagBytes + len(n.Children)*m.EntryBytes() + len(n.Docs)*m.DocTupleBytes(t)
+	size := m.FlagBytes + len(n.Children)*m.EntryBytes() + len(n.Docs)*m.DocTupleBytes(t)
+	if len(n.Children) >= m.FlagCountMax() {
+		size += m.EntryLabelBytes
+	}
+	if len(n.Docs) >= m.FlagCountMax() {
+		size += m.DocIDBytes
+	}
+	return size
 }
 
 // Index is a CI or PCI: the merged-DataGuide trie annotated with document

@@ -83,6 +83,12 @@ func (m SizeModel) DocTupleBytes(t Tier) int {
 	return m.DocIDBytes + m.PointerBytes
 }
 
+// FlagCountMax is the largest child or document count a node's flag block
+// holds in place. A count at or above it is escaped: the flag block holds
+// FlagCountMax and the explicit count follows it, EntryLabelBytes wide for
+// children and DocIDBytes wide for documents (package wire).
+func (m SizeModel) FlagCountMax() int { return 1<<((m.FlagBytes*8-2)/2) - 1 }
+
 // SecondTierEntryBytes is the width of one (docID, offset) entry in the
 // second-tier list.
 func (m SizeModel) SecondTierEntryBytes() int { return m.DocIDBytes + m.PointerBytes }

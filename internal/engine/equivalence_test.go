@@ -61,11 +61,11 @@ func TestSimNetcastCycleEquivalence(t *testing.T) {
 	}
 	capacity := c.TotalSize() / 4 // force a multi-cycle broadcast
 
-	simCycles := runSimCapture(t, sim.Config{Collection: c, Mode: broadcast.TwoTierMode, CycleCapacity: capacity}, queries)
+	simCycles, _ := runSimCapture(t, sim.Config{Collection: c, Mode: broadcast.TwoTierMode, CycleCapacity: capacity}, queries)
 	if len(simCycles) < 2 {
 		t.Fatalf("fixture produced %d cycles; want a multi-cycle run", len(simCycles))
 	}
-	stream := runNetcastCapture(t, netcast.ServerConfig{Collection: c, Mode: broadcast.TwoTierMode, CycleCapacity: capacity}, queries, len(simCycles))
+	stream, _ := runNetcastCapture(t, netcast.ServerConfig{Collection: c, Mode: broadcast.TwoTierMode, CycleCapacity: capacity}, queries, len(simCycles))
 	compareCycles(t, simCycles, [][]byte{stream})
 }
 
@@ -91,7 +91,10 @@ func compareCycles(t *testing.T, simCycles []capturedCycle, streams [][]byte) {
 // frames a compressing server sends. At K = 1, for every index organisation,
 // each cycle's DurationBytes is the bytes the netcast capture shows that cycle
 // aired — split at the cycle heads of the capture itself — and those bytes
-// are the simulator's frames.
+// are the simulator's frames. On the bare wire and compressed alike, both
+// drivers' clients read those frames with one reader: a netcast client
+// covered from the first cycle tunes exactly the simulated client's index
+// and document tuning.
 func TestSimNetcastCompressedAirEquivalence(t *testing.T) {
 	c, err := gen.Documents(gen.DocConfig{Schema: dtd.NITF(), NumDocs: 15, Seed: 7})
 	if err != nil {
@@ -103,28 +106,47 @@ func TestSimNetcastCompressedAirEquivalence(t *testing.T) {
 	}
 	capacity := c.TotalSize() / 4 // force a multi-cycle broadcast
 	for _, org := range []struct {
-		name string
-		mode broadcast.Mode
-		enc  core.IndexEncoding
+		name     string
+		mode     broadcast.Mode
+		enc      core.IndexEncoding
+		compress bool
 	}{
-		{"one-tier", broadcast.OneTierMode, core.EncodingNode},
-		{"two-tier-node", broadcast.TwoTierMode, core.EncodingNode},
-		{"two-tier-succinct", broadcast.TwoTierMode, core.EncodingSuccinct},
+		{"one-tier", broadcast.OneTierMode, core.EncodingNode, true},
+		{"two-tier-node", broadcast.TwoTierMode, core.EncodingNode, true},
+		{"two-tier-succinct", broadcast.TwoTierMode, core.EncodingSuccinct, true},
+		{"one-tier-bare", broadcast.OneTierMode, core.EncodingNode, false},
+		{"two-tier-node-bare", broadcast.TwoTierMode, core.EncodingNode, false},
+		{"two-tier-succinct-bare", broadcast.TwoTierMode, core.EncodingSuccinct, false},
 	} {
 		t.Run(org.name, func(t *testing.T) {
-			simCycles := runSimCapture(t, sim.Config{Collection: c, Mode: org.mode, IndexEncoding: org.enc, CycleCapacity: capacity, Compress: true}, queries)
+			simCycles, res := runSimCapture(t, sim.Config{Collection: c, Mode: org.mode, IndexEncoding: org.enc, CycleCapacity: capacity, Compress: org.compress}, queries)
 			if len(simCycles) < 2 {
 				t.Fatalf("fixture produced %d cycles; want a multi-cycle run", len(simCycles))
 			}
-			stream := runNetcastCapture(t, netcast.ServerConfig{Collection: c, Mode: org.mode, IndexEncoding: org.enc, CycleCapacity: capacity, Compress: true},
+			stream, tuning := runNetcastCapture(t, netcast.ServerConfig{Collection: c, Mode: org.mode, IndexEncoding: org.enc, CycleCapacity: capacity, Compress: org.compress},
 				queries, len(simCycles))
-			aired := airedCycles(t, stream)
-			if len(aired) != len(simCycles) {
-				t.Fatalf("netcast aired %d cycles, sim %d", len(aired), len(simCycles))
+			covered := 0
+			for i, tb := range tuning {
+				if tb < 0 {
+					continue // acked past the first cycle: not the simulated client
+				}
+				covered++
+				if cl := res.Clients[i]; tb != cl.IndexTuningBytes+cl.DocTuningBytes {
+					t.Errorf("%s: netcast tuned %d B, the simulator %d B index + %d B documents", queries[i], tb, cl.IndexTuningBytes, cl.DocTuningBytes)
+				}
 			}
-			for i, cc := range simCycles {
-				if cc.duration != int64(len(aired[i])) {
-					t.Errorf("cycle %d: sim times %d B on air, netcast aired %d B", i, cc.duration, len(aired[i]))
+			if covered < len(queries)/2 {
+				t.Errorf("only %d of %d netcast clients were covered from the first cycle", covered, len(queries))
+			}
+			if org.compress {
+				aired := airedCycles(t, stream)
+				if len(aired) != len(simCycles) {
+					t.Fatalf("netcast aired %d cycles, sim %d", len(aired), len(simCycles))
+				}
+				for i, cc := range simCycles {
+					if cc.duration != int64(len(aired[i])) {
+						t.Errorf("cycle %d: sim times %d B on air, netcast aired %d B", i, cc.duration, len(aired[i]))
+					}
 				}
 			}
 			compareCycles(t, simCycles, [][]byte{stream})
@@ -352,7 +374,7 @@ func runStaggeredNetcast(t *testing.T, c *xmldoc.Collection, queries []xpath.Pat
 
 // runSimCapture runs the simulator over cfg with every request arriving at
 // time 0 and deep-copies each cycle's frames through Config.CycleSink.
-func runSimCapture(t *testing.T, cfg sim.Config, queries []xpath.Path) []capturedCycle {
+func runSimCapture(t *testing.T, cfg sim.Config, queries []xpath.Path) ([]capturedCycle, *sim.Result) {
 	t.Helper()
 	for _, q := range queries {
 		cfg.Requests = append(cfg.Requests, sim.ClientRequest{Query: q, Arrival: 0})
@@ -366,13 +388,14 @@ func runSimCapture(t *testing.T, cfg sim.Config, queries []xpath.Path) []capture
 	for i := range out {
 		out[i].duration = res.Cycles[i].DurationBytes
 	}
-	return out
+	return out, res
 }
 
-// runNetcastCapture boots a real server over TCP, submits the same queries
-// (all before the first cycle fires), records the broadcast stream and
-// returns what it aired.
-func runNetcastCapture(t *testing.T, cfg netcast.ServerConfig, queries []xpath.Path, wantCycles int) []byte {
+// runNetcastCapture boots a real server over TCP, has one client per query
+// submit it (all before the first cycle fires) and retrieve it, records the
+// broadcast stream and returns what it aired with each client's tuning bytes
+// — -1 for a client the server acked past the first cycle.
+func runNetcastCapture(t *testing.T, cfg netcast.ServerConfig, queries []xpath.Path, wantCycles int) ([]byte, []int64) {
 	t.Helper()
 	cfg.CycleInterval = 250 * time.Millisecond // wide enough to land every submission before cycle 0
 	srv, err := netcast.StartServer(cfg)
@@ -395,14 +418,33 @@ func runNetcastCapture(t *testing.T, cfg netcast.ServerConfig, queries []xpath.P
 	}()
 	waitFor(t, ctx, "recorder subscription", func() bool { return srv.Stats().Subscribers >= 1 })
 
-	cl, err := netcast.Dial(srv.UplinkAddr(), srv.BroadcastAddr(), core.SizeModel{})
-	if err != nil {
-		t.Fatal(err)
+	clients := make([]*netcast.Client, len(queries))
+	for i := range clients {
+		if clients[i], err = netcast.Dial(srv.UplinkAddr(), srv.BroadcastAddr(), core.SizeModel{}); err != nil {
+			t.Fatal(err)
+		}
+		defer clients[i].Close()
 	}
-	defer cl.Close()
-	for _, q := range queries {
-		if err := cl.Submit(q); err != nil {
+	waitFor(t, ctx, "client subscriptions", func() bool { return srv.Stats().Subscribers >= 1+len(clients) })
+	for i, q := range queries {
+		if err := clients[i].Submit(q); err != nil {
 			t.Fatalf("submit %s: %v", q, err)
+		}
+	}
+	tuning := make([]int64, len(queries))
+	done := make(chan error, len(queries))
+	for i, q := range queries {
+		go func(i int, q xpath.Path) {
+			_, st, err := clients[i].Retrieve(ctx, q)
+			if tuning[i] = st.TuningBytes; clients[i].CoveredFrom() != 0 {
+				tuning[i] = -1
+			}
+			done <- err
+		}(i, q)
+	}
+	for range queries {
+		if err := <-done; err != nil {
+			t.Fatalf("retrieve: %v", err)
 		}
 	}
 
@@ -417,7 +459,7 @@ func runNetcastCapture(t *testing.T, cfg netcast.ServerConfig, queries []xpath.P
 		t.Fatal("recorder finished early: server emitted more cycles than the sim")
 	}
 
-	return airedStream(t, buf.Bytes())
+	return airedStream(t, buf.Bytes()), tuning
 }
 
 // airedStream is what a capture recorded off the air from its first cycle

@@ -8,6 +8,7 @@ import (
 	"net"
 	"time"
 
+	"repro/internal/access"
 	"repro/internal/core"
 	"repro/internal/wire"
 	"repro/internal/xmldoc"
@@ -149,11 +150,7 @@ func (r *CycleRecord) DecodeIndex(m core.SizeModel) (*core.Index, error) {
 	if r.head == nil {
 		return nil, fmt.Errorf("netcast: record carries no index (data channel capture)")
 	}
-	ix, st, _, err := decodeIndexSeg(r.IndexSeg, r.head, m)
-	if err != nil || st == nil {
-		return ix, err
-	}
-	return st.Decode()
+	return access.DecodeIndex(r.IndexSeg, r.head, m)
 }
 
 // SecondTier decodes the captured offset list.

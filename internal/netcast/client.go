@@ -2,20 +2,19 @@ package netcast
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand/v2"
 	"net"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
 
+	"repro/internal/access"
 	"repro/internal/control"
 	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/succinct"
 	"repro/internal/wire"
 	"repro/internal/xmldoc"
 	"repro/internal/xpath"
@@ -44,8 +43,12 @@ func (e *RejectedError) Is(target error) bool { return target == engine.ErrOverl
 // ClientStats accounts one retrieval, mirroring the simulator's metrics on
 // the real byte stream.
 type ClientStats struct {
-	// TuningBytes counts bytes the client actually downloaded: index
-	// segments, second tiers and matching documents.
+	// TuningBytes counts the air the client tuned into, as the paper counts
+	// tuning time: the index as its lookup touched it (the packets of the
+	// node stream, the blob bytes of the succinct tier, a compressed index's
+	// whole envelope), the second tiers and channel directories, and the
+	// matching documents. For the same air it is the simulator's
+	// IndexTuningBytes + DocTuningBytes.
 	TuningBytes int64
 	// DozeBytes counts broadcast bytes the client slept through (frames it
 	// skipped without reading their payloads into the protocol), plus bytes
@@ -493,18 +496,10 @@ func backoffJitter(rng *rand.Rand, hint time.Duration) time.Duration {
 	return hint + time.Duration(rng.Int64N(int64(hint)/2+1))
 }
 
-// Retrieve follows the access protocol over the broadcast stream until every
-// result document of q has been received, returning the parsed documents in
-// ID order. The context bounds the wait.
-//
-// One loop serves every channel count. Per cycle the single tuner reads the
-// index channel — cycle head, then the first tier until the result set is
-// known (two-tier) or every cycle (one-tier) — and then the documents: on a
-// single-channel broadcast they follow on the same stream, located by the
-// second tier (or the one-tier offsets); on K > 1 channels the channel
-// directory locates them and the tuner hops to each data channel carrying
-// one, in channel order, draining shares of cycles it has run ahead of as
-// doze.
+// Retrieve follows the access protocol (package access's reader, one tuner
+// over every channel) over the broadcast until every result document of q
+// has been received, returning the parsed documents in ID order. The context
+// bounds the wait.
 //
 // Retrieve survives an unreliable downlink. A corrupt, truncated or
 // undecodable frame rescans the failing stream for its next cycle boundary
@@ -519,16 +514,16 @@ func backoffJitter(rng *rand.Rand, hint time.Duration) time.Duration {
 // nothing, so silence after a missed delivery must trigger re-registration,
 // not a longer wait.
 func (c *Client) Retrieve(ctx context.Context, q xpath.Path) ([]*xmldoc.Document, ClientStats, error) {
-	r := &retrieval{
-		c:   c,
-		q:   q,
-		nav: core.NewNavigator(q),
-		got: make(map[xmldoc.DocID]*xmldoc.Document),
-	}
+	r := &retrieval{c: c, q: q}
+	r.rd.Init(core.NewNavigator(q), len(c.chans), r)
 	err := r.run(ctx)
 	for _, cs := range c.chans {
 		_ = cs.conn.SetReadDeadline(time.Time{})
 	}
+	st := r.rd.Stats()
+	r.stats.TuningBytes = st.IndexTuning + st.DocTuning
+	r.stats.DozeBytes += st.Doze
+	r.stats.Cycles = st.Cycles
 	// The resubmit-queue and resume counters are client-lifetime totals;
 	// stamp them on whatever stats this retrieval returns.
 	r.stats.Resubmits = c.resubmits
@@ -537,264 +532,80 @@ func (c *Client) Retrieve(ctx context.Context, q xpath.Path) ([]*xmldoc.Document
 	if err != nil {
 		return nil, r.stats, err
 	}
-	return collect(r.got), r.stats, nil
+	slices.SortFunc(r.got, func(a, b *xmldoc.Document) int { return int(a.ID) - int(b.ID) })
+	return r.got, r.stats, nil
 }
 
-// retrieval is the state of one Retrieve call. The query state survives
-// every recovery; a recovery voids what the tuner knew of the stream it was
-// on, which on the index channel is the whole cycle.
+// retrieval is one Retrieve call: the access protocol's reader, which keeps
+// the query's state across every recovery, around the client's connections.
 type retrieval struct {
 	c     *Client
 	q     xpath.Path
-	stats ClientStats
-
-	nav       *core.Navigator
-	knowsDocs bool           // the result set is known (two-tier: first tier already read)
-	remaining []xmldoc.DocID // result documents not yet received; sorted, distinct
-	got       map[xmldoc.DocID]*xmldoc.Document
-
-	cycleState
-	streamState
-	cur int // the channel the single tuner is on
+	rd    access.Reader
+	f     access.Frame       // the frame being fed
+	stats ClientStats        // the connection's counters; the reader keeps the rest
+	got   []*xmldoc.Document // the reader hands each document over once
 }
 
-// cycleState is what the index channel said about the current cycle: its
-// head, its channel directory (K > 1 only), the documents to catch in it and
-// the data channels carrying them.
-type cycleState struct {
-	head   *wire.CycleHead
-	dir    []wire.ChannelDirEntry
-	want   map[xmldoc.DocID]struct{}
-	onChan []bool
-}
+// Lost implements access.Sink: a frame that arrived intact was received.
+func (r *retrieval) Lost() bool { return false }
 
-// streamState is where the tuner stands on the channel it is on: synced once
-// it has seen a cycle boundary there (frames before one are dozed) and, on a
-// data channel, how many documents of the current share are still to come
-// and whether that share is stale — of an earlier cycle than head's.
-type streamState struct {
-	synced   bool
-	docsLeft int
-	stale    bool
-}
-
-// boundary is the frame type that starts a cycle's share on every stream of
-// this client: the channel head on a multichannel broadcast, the cycle head
-// on a single stream.
-func (r *retrieval) boundary() wire.FrameType {
-	if len(r.c.chans) > 1 {
-		return wire.FrameChannelHead
+// Receive implements access.Sink: a wanted document is parsed and kept.
+func (r *retrieval) Receive(f *access.Frame) error {
+	root, err := xmldoc.ParseBytes(f.Body)
+	if err != nil {
+		return wire.ErrFrameCorrupt
 	}
-	return wire.FrameCycleHead
+	r.got = append(r.got, xmldoc.NewDocument(f.Doc, root))
+	return nil
 }
 
-// run reads frames off the tuned channel until the remaining set drains.
+// run feeds the reader frames off the channel it is tuned to until the
+// result set is received — right after the index, when it already was.
 func (r *retrieval) run(ctx context.Context) error {
-	for {
+	for !r.rd.Done() {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		ch := r.cur
+		ch := r.rd.Channel()
 		cs := r.c.chans[ch]
 		armIdle(ctx, cs.conn)
 		fr, err := cs.src.next()
 		r.stats.DozeBytes += cs.src.takeDoze()
 		if err == nil {
-			err = r.handle(fr)
+			err = r.feed(cs, fr)
 		}
 		if err != nil {
 			if err := r.recover(ctx, ch, err); err != nil {
 				return err
 			}
-			continue
-		}
-		// The retrieval is complete as soon as the remaining set drains —
-		// including right after index decode when the query's result set was
-		// already fully received, so a zero-remaining client returns
-		// immediately instead of spinning until the context deadline.
-		if r.knowsDocs && len(r.remaining) == 0 {
-			return nil
 		}
 	}
+	return nil
 }
 
-// handle applies one frame to the protocol state. An error satisfying
-// wire.IsCorrupt means the frame (or its place in the stream) made no sense.
-func (r *retrieval) handle(fr airFrame) error {
-	// Dozed unread: anything before the stream's first cycle boundary, and the
-	// index channel's frame types straying onto a data channel (cycle state is
-	// only ever taken from channel 0).
-	indexOnly := fr.t == wire.FrameCycleHead || fr.t == wire.FrameChannelDir || fr.t == wire.FrameIndex
-	if (!r.synced && fr.t != r.boundary()) || (r.cur != 0 && indexOnly) {
-		r.stats.DozeBytes += fr.air
+// feed hands the reader one frame off cs, decoded unless the reader dozes it
+// unread. On the bare protocol a frame's air is access.Air's; a transport
+// envelope costs its wire size and is read whole. The query is covered from
+// the cycle its latest registration's ack named: a resubmit moves it.
+func (r *retrieval) feed(cs *chanStream, fr airFrame) error {
+	air, whole := fr.air, cs.src.isTransport()
+	if !whole {
+		air = access.Air(fr.t, fr.payload, r.c.model)
+	}
+	if r.rd.Skip(fr.t, air) {
 		return nil
 	}
-	switch fr.t {
-	case wire.FrameChannelHead:
-		return r.onChannelHead(fr)
-	case wire.FrameCycleHead:
-		h, err := wire.DecodeCycleHead(fr.payload)
-		if err != nil {
-			return wire.ErrFrameCorrupt
-		}
-		r.head, r.want, r.synced = h, nil, true
-		r.stats.Cycles++
-	case wire.FrameChannelDir:
-		r.stats.TuningBytes += fr.air
-		dir, err := wire.DecodeChannelDir(fr.payload, r.c.model)
-		if err != nil {
-			return wire.ErrFrameCorrupt
-		}
-		r.dir = dir
-	case wire.FrameIndex:
-		return r.onIndex(fr)
-	case wire.FrameSecondTier:
-		if r.cur != 0 || !r.knowsDocs {
-			// A data channel's stripe repeats what the directory already
-			// said; before the result set is known there is nothing to look up.
-			r.stats.DozeBytes += fr.air
-			return nil
-		}
-		r.stats.TuningBytes += fr.air
-		entries, err := wire.DecodeSecondTier(fr.payload, r.c.model)
-		if err != nil {
-			return wire.ErrFrameCorrupt
-		}
-		r.want = make(map[xmldoc.DocID]struct{})
-		for _, e := range entries {
-			if xmldoc.HasID(r.remaining, e.Doc) {
-				r.want[e.Doc] = struct{}{}
-			}
-		}
-	case wire.FrameDoc:
-		return r.onDoc(fr)
-	default:
-		// A checksum-valid frame of unknown type means version skew or a
-		// scan that locked onto the wrong boundary; resynchronise.
-		return wire.ErrFrameCorrupt
+	var err error
+	if r.f, err = access.Decode(fr.t, fr.payload, air, r.c.model); err != nil {
+		return err
 	}
-	return nil
-}
-
-// onChannelHead starts one channel's share of a multichannel cycle. On the
-// index channel that is a new cycle. On a data channel the share is taken if
-// it belongs to the cycle being collected, dozed if it is older, and left
-// unread for the next visit if the stream is already past that cycle (it
-// redialled ahead; the wanted documents stay in remaining for a rebroadcast).
-func (r *retrieval) onChannelHead(fr airFrame) error {
-	h, err := wire.DecodeChannelHead(fr.payload)
-	if err != nil || int(h.Channel) != r.cur || r.docsLeft > 0 {
-		// Undecodable, wrong stream (wire.DecodeChannelHead ties the role to the
-		// channel number, so this covers a mis-roled head too), or the last
-		// share ended short.
-		return wire.ErrFrameCorrupt
+	r.f.Whole, r.rd.CoveredFrom = whole, r.c.coveredFrom
+	ahead, err := r.rd.Feed(&r.f)
+	if ahead {
+		cs.src.unread(fr)
 	}
-	r.synced = true
-	switch {
-	case r.cur == 0:
-		r.cycleState = cycleState{}
-	case h.Number > r.head.Number:
-		r.c.chans[r.cur].src.unread(fr)
-		r.hop()
-	default:
-		r.docsLeft, r.stale = int(h.NumDocs), h.Number < r.head.Number
-	}
-	return nil
-}
-
-// onIndex handles the index segment: the first tier is read once, from the
-// first cycle covering the submission (two-tier), or every cycle (one-tier,
-// whose embedded offsets change). On a multichannel cycle it closes the
-// index channel's share, so the hops are planned here.
-func (r *retrieval) onIndex(fr airFrame) error {
-	if r.head == nil || (r.head.TwoTier && r.knowsDocs) || r.head.Number < r.c.coveredFrom {
-		r.stats.DozeBytes += fr.air
-	} else {
-		r.stats.TuningBytes += fr.air
-		docs, offs, err := r.c.decodeAndNavigate(fr.payload, r.head, r.nav)
-		if err != nil {
-			return wire.ErrFrameCorrupt
-		}
-		if !r.knowsDocs {
-			for _, d := range docs {
-				if _, done := r.got[d]; !done {
-					r.remaining = xmldoc.InsertID(r.remaining, d)
-				}
-			}
-			r.knowsDocs = true
-		}
-		if !r.head.TwoTier {
-			r.want = make(map[xmldoc.DocID]struct{})
-			for d := range offs {
-				if xmldoc.HasID(r.remaining, d) {
-					r.want[d] = struct{}{}
-				}
-			}
-		}
-	}
-	if r.dir == nil || r.head == nil {
-		return nil
-	}
-	r.want = make(map[xmldoc.DocID]struct{})
-	r.onChan = make([]bool, len(r.c.chans))
-	for _, e := range r.dir {
-		if !xmldoc.HasID(r.remaining, e.Doc) {
-			continue
-		}
-		if e.Channel == 0 || int(e.Channel) >= len(r.onChan) {
-			return wire.ErrFrameCorrupt
-		}
-		r.want[e.Doc] = struct{}{}
-		r.onChan[e.Channel] = true
-	}
-	r.hop()
-	return nil
-}
-
-// hop moves the tuner to the next data channel carrying a wanted document
-// this cycle, or back to the index channel when none is left.
-func (r *retrieval) hop() {
-	next := 0
-	for ch := r.cur + 1; ch < len(r.onChan); ch++ {
-		if r.onChan[ch] {
-			next = ch
-			break
-		}
-	}
-	r.cur, r.streamState = next, streamState{}
-}
-
-// onDoc handles one document frame: wanted documents are parsed and retired,
-// the rest dozed.
-func (r *retrieval) onDoc(fr airFrame) error {
-	if len(fr.payload) < 2 {
-		return wire.ErrFrameCorrupt
-	}
-	id := xmldoc.DocID(binary.LittleEndian.Uint16(fr.payload))
-	if _, want := r.want[id]; !want || r.stale {
-		r.stats.DozeBytes += fr.air
-	} else {
-		// On the bare protocol the 2 ID bytes are header, not content; a
-		// transport envelope is atomic, so its whole air cost counts.
-		cost := fr.air
-		if !r.c.chans[r.cur].src.isTransport() {
-			cost -= 2
-		}
-		r.stats.TuningBytes += cost
-		root, err := xmldoc.ParseBytes(fr.payload[2:])
-		if err != nil {
-			return wire.ErrFrameCorrupt
-		}
-		r.got[id] = xmldoc.NewDocument(id, root)
-		r.remaining = xmldoc.RemoveID(r.remaining, id)
-		delete(r.want, id)
-	}
-	if r.cur != 0 {
-		if r.docsLeft--; r.docsLeft == 0 && !r.stale {
-			r.hop() // this channel's share of the cycle is through
-		}
-	}
-	return nil
+	return err
 }
 
 // recover repairs channel ch's stream after err and re-registers the query:
@@ -809,14 +620,11 @@ func (r *retrieval) recover(ctx context.Context, ch int, err error) error {
 		return cerr
 	}
 	c, cs := r.c, r.c.chans[ch]
-	r.streamState = streamState{}
-	if ch == 0 {
-		r.cycleState = cycleState{}
-	}
+	r.rd.Resync(ch)
 	if wire.IsCorrupt(err) {
 		r.stats.Resyncs++
 		c.resubmit(r.q)
-		fr, skipped, err := cs.src.resync(r.boundary())
+		fr, skipped, err := cs.src.resync(r.rd.Boundary())
 		r.stats.DozeBytes += skipped
 		if err == nil {
 			cs.src.unread(fr)
@@ -912,59 +720,4 @@ func (c *Client) flushResubmits() {
 			return // redialed and still failing
 		}
 	}
-}
-
-// decodeAndNavigate decodes an index segment and runs the client's query
-// automaton over it, returning the result doc IDs and (one-tier) offsets.
-// Under the succinct encoding the segment is navigated in place with a
-// cursor — no core.Index is ever materialized client-side.
-func (c *Client) decodeAndNavigate(seg []byte, head *wire.CycleHead, nav *core.Navigator) ([]xmldoc.DocID, wire.DocOffsets, error) {
-	ix, st, offs, err := decodeIndexSeg(seg, head, c.model)
-	if err != nil {
-		return nil, nil, err
-	}
-	if st != nil {
-		return st.NewCursor().Lookup(nav.Filter()), nil, nil
-	}
-	return nav.Lookup(ix).Docs, offs, nil
-}
-
-// decodeIndexSeg decodes a cycle's index segment as its head describes it:
-// the head's catalog, the tier its organisation names, its root labels. A
-// succinct first tier comes back parsed but not materialized (st); any other
-// index decoded (ix), with the document offsets a one-tier index embeds.
-func decodeIndexSeg(seg []byte, head *wire.CycleHead, m core.SizeModel) (ix *core.Index, st *succinct.Tier, offs wire.DocOffsets, err error) {
-	cat, err := wire.DecodeCatalog(head.Catalog)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	if head.Succinct {
-		st, err = succinct.Parse(seg, m, cat)
-		return nil, st, nil, err
-	}
-	tier := core.OneTier
-	if head.TwoTier {
-		tier = core.FirstTier
-	}
-	if ix, offs, err = wire.DecodeIndex(seg, m, tier, cat); err != nil {
-		return nil, nil, nil, err
-	}
-	if err := wire.ApplyRootLabels(ix, head.RootLabels); err != nil {
-		return nil, nil, nil, err
-	}
-	return ix, nil, offs, nil
-}
-
-// collect returns the received documents sorted by ID.
-func collect(got map[xmldoc.DocID]*xmldoc.Document) []*xmldoc.Document {
-	ids := make([]int, 0, len(got))
-	for id := range got {
-		ids = append(ids, int(id))
-	}
-	sort.Ints(ids)
-	out := make([]*xmldoc.Document, 0, len(ids))
-	for _, id := range ids {
-		out = append(out, got[xmldoc.DocID(id)])
-	}
-	return out
 }

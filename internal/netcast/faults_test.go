@@ -4,6 +4,7 @@ import (
 	"context"
 	"net"
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -270,6 +271,61 @@ func TestMidStreamJoin(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestResyncMovesCoveringCycle: a resync before the first index read
+// resubmits the query, and the server's ack names a later covering cycle.
+// The retrieval must doze to that cycle, not read the index of one covered
+// by the first registration's ack only: cycle 6's index is pruned for
+// another query and holds none of this one's documents, so reading it would
+// end the retrieval with an empty answer and no error.
+func TestResyncMovesCoveringCycle(t *testing.T) {
+	coll := testCollection(t)
+	b, err := broadcast.NewBuilder(coll, core.DefaultSizeModel(), broadcast.TwoTierMode)
+	if err != nil {
+		t.Fatalf("NewBuilder: %v", err)
+	}
+	q, other := xpath.MustParse("/nitf/body/body.content/block"), xpath.MustParse("/nitf/head/title")
+	want := q.MatchingDocs(coll)
+	var submits atomic.Int32 // the first registration is covered from 5, every later one from 8
+	upAddr := stubUplink(t, 4, func(sc *stubConn) {
+		for {
+			stream, _, _, err := sc.next()
+			if err != nil {
+				return
+			}
+			ack := "ok:8:2"
+			if submits.Add(1) == 1 {
+				ack = "ok:5:1"
+			}
+			if sc.respond(stream, wire.FrameAck, []byte(ack)) != nil {
+				return
+			}
+		}
+	})
+	// An undecodable cycle head forces a resync; cycle 6 airs, then 8 over
+	// and over.
+	prelude := append([]airFrame{{t: wire.FrameCycleHead, payload: []byte{0xFF}}},
+		cycleFrames(t, b, broadcast.TwoTierMode, 6, []xpath.Path{other}, other.MatchingDocs(coll))...)
+	cl := pipeClient(t, prelude, cycleFrames(t, b, broadcast.TwoTierMode, 8, []xpath.Path{q}, want))
+	cl.upAddr, cl.AckTimeout = upAddr, 10*time.Second
+	if cl.up, err = dialUplink(upAddr, cl.AckTimeout); err != nil {
+		t.Fatalf("dialUplink: %v", err)
+	}
+	defer cl.up.mux.Close()
+	if err := cl.Submit(q); err != nil || cl.CoveredFrom() != 5 {
+		t.Fatalf("Submit: %v, covered from %d, want 5", err, cl.CoveredFrom())
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
+	defer cancel()
+	docs, stats, err := cl.Retrieve(ctx, q)
+	if err != nil {
+		t.Fatalf("Retrieve: %v (stats %+v)", err, stats)
+	}
+	if stats.Resyncs != 1 || cl.CoveredFrom() != 8 {
+		t.Fatalf("%d resyncs, covered from %d; want 1 and the resubmit's 8", stats.Resyncs, cl.CoveredFrom())
+	}
+	checkRetrieved(t, coll, docs, want)
 }
 
 // TestZeroRemainingReturnsImmediately: when the decoded index shows the

@@ -2,8 +2,8 @@
 // broadcast server with a TCP uplink for XPath requests and a TCP downlink
 // that streams broadcast cycles — cycle head, air index (in the wire
 // format), second-tier offset list and documents — to every subscriber.
-// Clients implement the §3.4 access protocols against the decoded byte
-// stream, so the whole pipeline (index build → prune → pack → encode →
+// Clients follow the §3.4 access protocols with package access's reader over
+// the decoded byte stream, so the whole pipeline (index build → prune → pack → encode →
 // decode → navigate → retrieve) is exercised end to end on the wire.
 //
 // The frame format (protocol version 2, with the channel head of version 3)

@@ -285,3 +285,43 @@ func TestFrameSourceReusesBuffer(t *testing.T) {
 		t.Errorf("cycle head catalog = %v after the next read, want %v", back.Catalog, h.Catalog)
 	}
 }
+
+// TestLargeCollectionRetrieve: 200 documents pass the node header's 127-count
+// flag capacity — every document sits under /nitf/head/title — and the server
+// airs the escaped first tier, over the node stream in either tiering, that a
+// client reads back to the exact answer.
+func TestLargeCollectionRetrieve(t *testing.T) {
+	coll, err := gen.Documents(gen.DocConfig{Schema: dtd.NITF(), NumDocs: 200, Seed: 3, TextScale: 0.01})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := xpath.MustParse("/nitf/head/title")
+	want := q.MatchingDocs(coll)
+	if len(want) < 128 {
+		t.Fatalf("the query matches %d documents, not past the flag capacity", len(want))
+	}
+	for _, mode := range []broadcast.Mode{broadcast.OneTierMode, broadcast.TwoTierMode} {
+		t.Run(mode.String(), func(t *testing.T) {
+			srv, err := StartServer(ServerConfig{Collection: coll, Mode: mode, CycleCapacity: coll.TotalSize() / 2, CycleInterval: 5 * time.Millisecond})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Shutdown()
+			cl, err := Dial(srv.UplinkAddr(), srv.BroadcastAddr(), core.SizeModel{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
+			if err := cl.Submit(q); err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
+			defer cancel()
+			docs, _, err := cl.Retrieve(ctx, q)
+			if err != nil {
+				t.Fatalf("Retrieve: %v", err)
+			}
+			checkRetrieved(t, coll, docs, want)
+		})
+	}
+}

@@ -21,9 +21,6 @@ func TestSimLimitsBoundCaches(t *testing.T) {
 			MaxAnswerCacheEntries: 2,
 			MaxPayloadCacheBytes:  2 << 10,
 		},
-		// Encoding (and with it the payload cache) only runs when the
-		// cycles are actually consumed.
-		CycleSink: func(*engine.Cycle, *engine.Encoded) {},
 	})
 	if err != nil {
 		t.Fatalf("Run: %v", err)

@@ -5,22 +5,28 @@
 // accounting tuning time and access time in bytes at constant bandwidth,
 // exactly as the paper measures them.
 //
-// An index read's cost depends only on the cycle and the query (§3.4), so
-// the clients of one query share one navigator and the index is navigated
-// once per (cycle, query), however many of them read it.
+// Every cycle is encoded into the frames a netcast server airs, and on a
+// single channel every client reads them with netcast's own reader
+// (package access), on the simulator's byte clock. A cycle's frames are
+// decoded once for all of its clients, and since an index read depends only
+// on the cycle and the query (§3.4), the clients of one query share one
+// navigator and the index is navigated once per (cycle, query).
 package sim
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"slices"
 	"sort"
 
+	"repro/internal/access"
 	"repro/internal/broadcast"
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/netcast/transport"
 	"repro/internal/schedule"
-	"repro/internal/succinct"
+	"repro/internal/wire"
 	"repro/internal/xmldoc"
 	"repro/internal/xpath"
 )
@@ -96,9 +102,9 @@ type Config struct {
 	// layout and client accounting are unaffected.
 	ScheduleClock ClockUnit
 	// CycleSink, if non-nil, receives every assembled cycle together with
-	// its encoded wire segments, exactly as the networked server broadcasts
-	// them. Encoding is skipped when nil, so plain simulations pay no wire
-	// cost. The Encoded's segments are only valid during the call.
+	// its encoded frames, exactly as the networked server broadcasts them
+	// and the simulated clients read them. The Encoded's frames are only
+	// valid during the call.
 	CycleSink func(*engine.Cycle, *engine.Encoded)
 	// Channels splits each cycle across K parallel broadcast channels
 	// sharing the aggregate bandwidth (each channel airs one byte per K
@@ -109,13 +115,12 @@ type Config struct {
 	Channels int
 	// Compress runs the engine's compressing transport (engine.Config.Compress):
 	// every cycle is framed and deflated exactly as a compressing netcast
-	// server airs it, and its layout is read off those frames' lengths, so
-	// cycles occupy less air and the clock — and therefore access time at
-	// fixed bandwidth — advances by the bytes the server sends. Compressed
-	// frames are atomic: a client reads whole segments, so index tuning
-	// counts the whole compressed tier rather than navigated packets, and a
-	// lost reception (LossProb) costs the whole envelope (see
-	// broadcast.CheckCompress for the channel rule).
+	// server airs it, and clients read the envelopes, so cycles occupy less
+	// air and the clock — and therefore access time at fixed bandwidth —
+	// advances by the bytes the server sends. An envelope is read whole: index
+	// tuning counts the whole compressed tier rather than the packets the
+	// lookup touches, and a lost reception (LossProb) costs the whole envelope
+	// (see broadcast.CheckCompress for the channel rule).
 	Compress bool
 }
 
@@ -222,30 +227,58 @@ type Result struct {
 // mid-cycle on an index repetition can catch documents beyond the server's
 // conservative commitment, so needed can drain ahead of remaining; the server
 // keeps a request active until its belief drains, exactly as the networked
-// server does for a subscriber it cannot observe. read is shared with every
+// server does for a subscriber it cannot observe. nav is shared with every
 // other client of the same query.
+//
+// On a single channel the client is netcast's reader fed the cycle's frames.
+// The server's belief retires with each document it receives, so it is
+// remaining — the answer, shared — until the reader knows the result set, and
+// the reader's remaining documents after; needed is not kept.
 type client struct {
 	id        int64
-	req       ClientRequest
-	read      *queryRead
-	docs      []xmldoc.DocID // full result set, known after first index read
+	nav       *core.Navigator
 	remaining []xmldoc.DocID
 	needed    []xmldoc.DocID
 	admit     int64 // cycle number that first covered the request
-	knowsDocs bool  // two-tier: first-tier already read
+	knowsDocs bool  // multichannel: first tier already read
 	stats     ClientStats
 	done      bool // server belief drained; request leaves the pending set
+
+	reader access.Reader
+	loss   *lossProcess
+	start  int64 // byte-time the cycle being read started
 }
 
-// receive records one successful document download.
+// receive records downloaded document id, whose last byte aired at end.
 func (cl *client) receive(id xmldoc.DocID, end int64) {
-	cl.needed = xmldoc.RemoveID(cl.needed, id)
-	if end > cl.stats.Completed {
-		cl.stats.Completed = end
+	left := cl.reader.Remaining()
+	if left == nil { // multichannel: the reader is not fed
+		cl.needed = xmldoc.RemoveID(cl.needed, id)
+		left = cl.needed
 	}
-	if len(cl.needed) == 0 {
+	cl.stats.Completed = max(cl.stats.Completed, end)
+	if len(left) == 0 {
 		cl.stats.AccessBytes = cl.stats.Completed - cl.stats.Arrival
 	}
+}
+
+// Lost implements access.Sink: one draw of the loss process per tuned
+// reception.
+func (cl *client) Lost() bool { return cl.loss.fail() }
+
+// Receive implements access.Sink: the document's last byte airs where the
+// reader stands in the cycle.
+func (cl *client) Receive(f *access.Frame) error {
+	cl.receive(f.Doc, cl.start+cl.reader.Offset())
+	return nil
+}
+
+// belief is the server's view of the documents cl still lacks.
+func (cl *client) belief() []xmldoc.DocID {
+	if rem := cl.reader.Remaining(); rem != nil {
+		return rem
+	}
+	return cl.remaining
 }
 
 // Run executes the simulation until every request completes.
@@ -278,37 +311,41 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 
-	// Clients sorted by arrival; original order retained for reporting.
-	// Clients of one query share its navigator and index read.
-	clients := make([]*client, len(cfg.Requests))
-	reads := make(map[string]*queryRead, len(answers))
-	for i, r := range cfg.Requests {
-		key := r.Query.String()
-		docs := answers[key]
-		read := reads[key]
-		if read == nil {
-			read = &queryRead{nav: core.NewNavigator(r.Query), cycle: -1}
-			reads[key] = read
-		}
-		clients[i] = &client{
-			id:        int64(i),
-			req:       r,
-			read:      read,
-			docs:      docs,
-			remaining: slices.Clone(docs), // answers are sorted, and shared
-			needed:    slices.Clone(docs),
-			stats:     ClientStats{Query: r.Query, Arrival: r.Arrival, Docs: docs},
-		}
-	}
-	byArrival := append([]*client(nil), clients...)
-	sort.SliceStable(byArrival, func(i, j int) bool { return byArrival[i].req.Arrival < byArrival[j].req.Arrival })
-
-	res := &Result{Mode: cfg.Mode, Clients: make([]ClientStats, 0, len(clients))}
-	sr := &succinctReader{}
 	var loss *lossProcess
 	if cfg.LossProb > 0 {
 		loss = &lossProcess{p: cfg.LossProb, rng: rand.New(rand.NewSource(cfg.LossSeed))}
 	}
+	// Clients sorted by arrival; original order retained for reporting.
+	// Clients of one query share its navigator.
+	clients := make([]*client, len(cfg.Requests))
+	navs := make(map[string]*core.Navigator, len(answers))
+	for i, r := range cfg.Requests {
+		key := r.Query.String()
+		docs := answers[key]
+		nav := navs[key]
+		if nav == nil {
+			nav = core.NewNavigator(r.Query)
+			navs[key] = nav
+		}
+		clients[i] = &client{
+			id:        int64(i),
+			nav:       nav,
+			remaining: docs, // shared, and only read, until the reader knows the result set
+			stats:     ClientStats{Query: r.Query, Arrival: r.Arrival, Docs: docs},
+			loss:      loss,
+		}
+		if cfg.Channels > 1 {
+			clients[i].remaining = slices.Clone(docs) // answers are sorted, and shared
+			clients[i].needed = slices.Clone(docs)
+		} else {
+			clients[i].reader.Init(nav, 1, clients[i])
+			clients[i].reader.WholeTier = cfg.WholeTierRead
+		}
+	}
+	byArrival := append([]*client(nil), clients...)
+	sort.SliceStable(byArrival, func(i, j int) bool { return byArrival[i].stats.Arrival < byArrival[j].stats.Arrival })
+
+	res := &Result{Mode: cfg.Mode}
 	var (
 		now      int64
 		admitted int // prefix of byArrival already active
@@ -316,6 +353,7 @@ func Run(cfg Config) (*Result, error) {
 		// clients, so they are sized once.
 		active    = make([]*client, 0, len(clients))
 		pending   = make([]engine.Pending, 0, len(clients))
+		frames    []access.Frame
 		cycleNum  int64
 		completed int
 	)
@@ -325,11 +363,11 @@ func Run(cfg Config) (*Result, error) {
 		}
 		// Admit arrivals; if idle, jump to the next arrival.
 		if len(active) == 0 && admitted < len(byArrival) {
-			if t := byArrival[admitted].req.Arrival; t > now {
+			if t := byArrival[admitted].stats.Arrival; t > now {
 				now = t
 			}
 		}
-		for admitted < len(byArrival) && byArrival[admitted].req.Arrival <= now {
+		for admitted < len(byArrival) && byArrival[admitted].stats.Arrival <= now {
 			byArrival[admitted].admit = cycleNum
 			active = append(active, byArrival[admitted])
 			admitted++
@@ -344,67 +382,95 @@ func Run(cfg Config) (*Result, error) {
 		schedNow := now
 		pending = pending[:0]
 		for _, cl := range active {
-			arrival := cl.req.Arrival
+			arrival := cl.stats.Arrival
 			if cfg.ScheduleClock == ClockCycles {
 				arrival = cl.admit
 			}
-			pending = append(pending, engine.Pending{ID: cl.id, Query: cl.req.Query, Arrival: arrival, Remaining: cl.remaining})
+			pending = append(pending, engine.Pending{ID: cl.id, Query: cl.stats.Query, Arrival: arrival, Remaining: cl.belief()})
 		}
 		if cfg.ScheduleClock == ClockCycles {
 			schedNow = cycleNum
 		}
-		ecy, err := eng.AssembleCycleAt(cycleNum, now, schedNow, pending)
+		cy, err := eng.AssembleCycleAt(cycleNum, now, schedNow, pending)
 		if err != nil {
 			return nil, fmt.Errorf("sim: %w", err)
 		}
-		if cfg.IndexEncoding == core.EncodingSuccinct && !cfg.WholeTierRead {
-			if err := sr.load(ecy); err != nil {
-				return nil, err
-			}
+		enc, err := eng.EncodeCycle(cy)
+		if err != nil {
+			return nil, fmt.Errorf("sim: %w", err)
 		}
-		var air *cycleAir
-		if cfg.Compress || cfg.CycleSink != nil {
-			enc, err := eng.EncodeCycle(ecy)
-			if err != nil {
-				return nil, fmt.Errorf("sim: %w", err)
-			}
-			if cfg.Compress {
-				air = newCycleAir(ecy, enc)
-			}
-			if cfg.CycleSink != nil {
-				cfg.CycleSink(ecy, enc)
-			}
-			eng.Recycle(enc)
+		if cfg.CycleSink != nil {
+			cfg.CycleSink(cy, enc)
 		}
-		cy := ecy
+		// The clients read channel 0's frames, decoded once for all of them:
+		// on a single channel the whole cycle, at K > 1 the first tier.
+		if frames, err = decodeAir(frames[:0], enc.Frames[0], cfg.Compress, cfg.Model); err != nil {
+			return nil, err
+		}
 		st := CycleStats{
-			Number:          cy.Number,
-			Start:           cy.Start,
-			HeadBytes:       cy.HeadBytes,
-			IndexBytes:      cy.IndexBytes,
-			SecondTierBytes: cy.SecondTierBytes,
-			DirBytes:        cy.DirBytes,
-			DocBytes:        cy.DocBytes,
-			DurationBytes:   cy.Duration(),
-			NumDocs:         len(cy.Docs),
-			IndexNodes:      cy.Index.NumNodes(),
-			Pending:         len(pending),
-		}
-		st.IndexRepetitions = cy.IndexRepetitions()
-		if air != nil {
-			// A compressed cycle occupies its transport-envelope total on
-			// air; the clock below advances by the same amount.
-			st.DurationBytes = air.total
+			Number:           cy.Number,
+			Start:            cy.Start,
+			HeadBytes:        cy.HeadBytes,
+			IndexBytes:       cy.IndexBytes,
+			SecondTierBytes:  cy.SecondTierBytes,
+			DirBytes:         cy.DirBytes,
+			DocBytes:         cy.DocBytes,
+			DurationBytes:    cy.Duration(),
+			IndexRepetitions: cy.IndexRepetitions(),
+			NumDocs:          len(cy.Docs),
+			IndexNodes:       cy.Index.NumNodes(),
+			Pending:          len(pending),
 		}
 		for i := range cy.Channels {
 			st.ChannelBytes = append(st.ChannelBytes, cy.Channels[i].Bytes)
 		}
+		var firstTier func(*client) (int64, error) // K > 1: a client's first-tier read
+		if len(cy.Channels) > 1 {
+			var head *wire.CycleHead
+			for i := range frames {
+				switch f := &frames[i]; f.Type {
+				case wire.FrameCycleHead:
+					head = f.Head
+				case wire.FrameIndex:
+					firstTier = func(cl *client) (int64, error) {
+						_, cost, err := f.Read(head, cl.nav, cfg.WholeTierRead)
+						return cost, err
+					}
+				}
+			}
+		} else {
+			st.DurationBytes = 0 // the frames' air: a compressed cycle's is its envelopes'
+			for i := range frames {
+				st.DurationBytes += frames[i].Air
+			}
+		}
 		res.Cycles = append(res.Cycles, st)
+		end := cy.Start + st.DurationBytes
 
-		// Clients: attend the cycle.
+		// Clients: attend the cycle. A lost reception still costs tuning
+		// bytes (the radio was awake) but delivers nothing: a lost first-tier
+		// read is retried next cycle, a lost per-cycle index read skips this
+		// cycle's documents, and a lost document stays in the remaining set
+		// and is rescheduled by the server.
 		stillActive := active[:0]
 		for _, cl := range active {
-			attendCycle(cl, cy, cfg, loss, sr, air)
+			if len(cy.Channels) > 1 {
+				err = attendMultichannel(cl, cy, loss, firstTier)
+			} else {
+				cl.start = cy.Start
+				for i := range frames {
+					if _, err = cl.reader.Feed(&frames[i]); err != nil {
+						break
+					}
+				}
+				if cl.done = cl.reader.Done(); cl.done {
+					st := cl.reader.Stats()
+					cl.stats.IndexTuningBytes, cl.stats.DocTuningBytes, cl.stats.CyclesListened = st.IndexTuning, st.DocTuning, st.Cycles
+				}
+			}
+			if err != nil {
+				return nil, fmt.Errorf("sim: cycle %d: %w", cy.Number, err)
+			}
 			if cl.done {
 				completed++
 			} else {
@@ -418,90 +484,64 @@ func Run(cfg Config) (*Result, error) {
 		// may catch documents already airing for earlier requests, before the
 		// server has even admitted them. (Multichannel only, so never on a
 		// compressed run.)
-		for i := admitted; i < len(byArrival); i++ {
-			if byArrival[i].req.Arrival >= cy.End() {
+		for i := admitted; firstTier != nil && i < len(byArrival); i++ {
+			if byArrival[i].stats.Arrival >= end {
 				break
 			}
-			eavesdropCycle(byArrival[i], cy, cfg, loss, sr)
+			if err := eavesdropCycle(byArrival[i], cy, loss, firstTier); err != nil {
+				return nil, fmt.Errorf("sim: cycle %d: %w", cy.Number, err)
+			}
 		}
-
-		now = cy.End()
-		if air != nil {
-			now = cy.Start + air.total
-		}
+		eng.Recycle(enc)
+		clear(frames) // the decoded cycle is garbage while the next assembles
+		now = end
 		cycleNum++
 	}
 
-	for _, cl := range clients {
-		res.Clients = append(res.Clients, cl.stats)
+	res.Clients = make([]ClientStats, len(clients))
+	for i, cl := range clients {
+		res.Clients[i] = cl.stats
 	}
 	res.Engine = eng.Metrics()
 	return res, nil
 }
 
-// cycleAir is one compressed single-channel cycle's on-air layout: its
-// segments' envelope sizes plus each document frame's end offset within the
-// doc region.
-type cycleAir struct {
-	head, index, secondTier int
-	doc                     []int
-	docEnd                  []int64
-	total                   int64
-}
+// decodeFrame decodes one frame for the clients of a cycle; a variable so
+// tests can count the decodes.
+var decodeFrame = access.Decode
 
-// newCycleAir reads a compressed cycle's layout off the lengths of the frames
-// the engine airs, in air order: the head, the index, the second tier when it
-// airs (two-tier mode), then one frame per document.
-func newCycleAir(cy *broadcast.Cycle, enc *engine.Encoded) *cycleAir {
-	frames := enc.Frames[0]
-	docs := frames[len(frames)-len(cy.Docs):]
-	air := &cycleAir{head: len(frames[0]), index: len(frames[1])}
-	for _, f := range frames[2 : len(frames)-len(docs)] {
-		air.secondTier += len(f)
+// decodeAir decodes the frames one channel of a cycle airs, as the engine
+// encoded them, into dst: bare wire frames at their access.Air, or transport
+// envelopes at their wire size, read whole.
+func decodeAir(dst []access.Frame, frames [][]byte, compressed bool, m core.SizeModel) ([]access.Frame, error) {
+	var tr *transport.Reader
+	if compressed {
+		tr = transport.NewReader(bytes.NewReader(slices.Concat(frames...)))
 	}
-	air.doc = make([]int, len(docs))
-	air.docEnd = make([]int64, len(docs))
-	off := int64(0)
-	for i, f := range docs {
-		air.doc[i] = len(f)
-		off += int64(len(f))
-		air.docEnd[i] = off
+	for _, b := range frames {
+		air := int64(len(b))
+		if compressed {
+			env, err := tr.Next()
+			if err != nil {
+				return nil, fmt.Errorf("sim: %w", err)
+			}
+			b = bytes.Clone(env.Inner)
+		}
+		t, payload, err := wire.ParseFrame(b)
+		if err != nil {
+			return nil, fmt.Errorf("sim: %w", err)
+		}
+		if !compressed {
+			air = access.Air(t, payload, m)
+		}
+		f, err := decodeFrame(t, payload, air, m)
+		if err != nil {
+			return nil, fmt.Errorf("sim: %w", err)
+		}
+		f.Whole = compressed
+		dst = append(dst, f)
 	}
-	air.total = int64(air.head+air.index+air.secondTier) + off
-	return air
-}
-
-// The three accessors below are the single-channel client's view of one
-// cycle's sizes: the plan's own on the bare wire (nil receiver), the measured
-// envelopes' on a compressed one.
-
-// indexRead is the cost of one index navigation. A compressed frame is
-// atomic — the radio must hold a whole envelope to inflate it — so it costs
-// the full compressed segment, whole-tier by construction.
-func (air *cycleAir) indexRead(cl *client, cy *broadcast.Cycle, cfg Config, sr *succinctReader) int {
-	if air == nil {
-		return indexReadBytes(cl, cy, cfg, sr)
-	}
-	return air.index
-}
-
-// secondTierRead is the cost of the per-cycle second-tier read.
-func (air *cycleAir) secondTierRead(cy *broadcast.Cycle) int {
-	if air == nil {
-		return cy.SecondTierBytes
-	}
-	return air.secondTier
-}
-
-// docRead is the download cost of the cycle's i-th document and the absolute
-// byte-time its last byte airs; on a compressed cycle that falls on an
-// envelope boundary.
-func (air *cycleAir) docRead(cy *broadcast.Cycle, i int) (size int, end int64) {
-	if air == nil {
-		p := cy.Docs[i]
-		return p.Size, cy.DocStart() + int64(p.Offset+p.Size)
-	}
-	return air.doc[i], cy.Start + int64(air.head+air.index+air.secondTier) + air.docEnd[i]
+	return dst, nil
 }
 
 // lossProcess draws independent reception failures.
@@ -516,66 +556,6 @@ func (l *lossProcess) fail() bool {
 	return l != nil && l.rng.Float64() < l.p
 }
 
-// attendCycle plays one client's protocol over one cycle. Lost receptions
-// still cost tuning bytes (the radio was awake) but deliver nothing: a lost
-// first-tier read is retried next cycle, a lost per-cycle index read skips
-// this cycle's documents, and a lost document stays in the remaining set and
-// is rescheduled by the server. air is the compressed layout of a
-// single-channel cycle, nil on the bare wire; segment sizes and document end
-// times are read through it either way.
-func attendCycle(cl *client, cy *broadcast.Cycle, cfg Config, loss *lossProcess, sr *succinctReader, air *cycleAir) {
-	if len(cy.Channels) > 1 {
-		attendMultichannel(cl, cy, cfg, loss, sr)
-		return
-	}
-	cl.stats.CyclesListened++
-	indexOK := true
-	switch cfg.Mode {
-	case broadcast.TwoTierMode:
-		// First-tier index search: once, on the client's first cycle
-		// (§3.4 improved access protocol).
-		if !cl.knowsDocs {
-			cl.stats.IndexTuningBytes += int64(air.indexRead(cl, cy, cfg, sr))
-			if loss.fail() {
-				indexOK = false
-			} else {
-				cl.knowsDocs = true
-			}
-		}
-		// Second-tier index search: every cycle.
-		cl.stats.IndexTuningBytes += int64(air.secondTierRead(cy))
-		if loss.fail() {
-			indexOK = false
-		}
-	case broadcast.OneTierMode:
-		// The embedded offsets change every cycle, so the index must be
-		// re-navigated every cycle.
-		cl.stats.IndexTuningBytes += int64(air.indexRead(cl, cy, cfg, sr))
-		if loss.fail() {
-			indexOK = false
-		}
-	}
-
-	// Document retrieval: download scheduled result documents. Without a
-	// successful index read this cycle the client has no offsets and must
-	// doze until the next cycle.
-	if indexOK {
-		for i, p := range cy.Docs {
-			if !xmldoc.HasID(cl.remaining, p.ID) {
-				continue
-			}
-			size, end := air.docRead(cy, i)
-			cl.stats.DocTuningBytes += int64(size)
-			if loss.fail() {
-				continue // stays remaining; the server reschedules it
-			}
-			cl.remaining = xmldoc.RemoveID(cl.remaining, p.ID)
-			cl.receive(p.ID, end)
-		}
-	}
-	cl.done = len(cl.remaining) == 0
-}
-
 // attendMultichannel plays one client's protocol over a K-channel cycle with
 // a single tuner. The server's belief (cl.remaining) retires by the cycle's
 // receivable commitment — the same rule the networked server applies, keyed
@@ -585,7 +565,7 @@ func attendCycle(cl *client, cy *broadcast.Cycle, cfg Config, loss *lossProcess,
 // the tuner's gaps with opportunistic catches: documents the conservative
 // commitment skipped but that a client already holding the directory — e.g.
 // one that synced mid-cycle on an index repetition — can still receive.
-func attendMultichannel(cl *client, cy *broadcast.Cycle, cfg Config, loss *lossProcess, sr *succinctReader) {
+func attendMultichannel(cl *client, cy *broadcast.Cycle, loss *lossProcess, firstTier func(*client) (int64, error)) error {
 	commit := cy.Commitments(nil, cl.remaining, cy.Number == cl.admit)
 	for _, p := range commit {
 		cl.remaining = xmldoc.RemoveID(cl.remaining, p.ID)
@@ -593,14 +573,18 @@ func attendMultichannel(cl *client, cy *broadcast.Cycle, cfg Config, loss *lossP
 	defer func() { cl.done = len(cl.remaining) == 0 }()
 
 	if len(cl.needed) == 0 {
-		return // already complete; the server drains its belief unattended
+		return nil // already complete; the server drains its belief unattended
 	}
 	cl.stats.CyclesListened++
 	firstListen := !cl.knowsDocs
 	cl.stats.IndexTuningBytes += int64(cy.DirBytes)
 	indexOK := !loss.fail()
 	if firstListen {
-		cl.stats.IndexTuningBytes += int64(indexReadBytes(cl, cy, cfg, sr))
+		cost, err := firstTier(cl)
+		if err != nil {
+			return err
+		}
+		cl.stats.IndexTuningBytes += cost
 		if loss.fail() {
 			indexOK = false
 		} else {
@@ -619,7 +603,7 @@ func attendMultichannel(cl *client, cy *broadcast.Cycle, cfg Config, loss *lossP
 				cl.remaining = xmldoc.InsertID(cl.remaining, p.ID)
 			}
 		}
-		return
+		return nil
 	}
 
 	var busy []broadcast.AirInterval
@@ -649,6 +633,7 @@ func attendMultichannel(cl *client, cy *broadcast.Cycle, cfg Config, loss *lossP
 	for _, cm := range cy.CommitmentsFrom(nil, extra, ready, busy) {
 		download(cm)
 	}
+	return nil
 }
 
 // eavesdropCycle models a client whose request arrives while a multichannel
@@ -658,18 +643,22 @@ func attendMultichannel(cl *client, cy *broadcast.Cycle, cfg Config, loss *lossP
 // — all before the server has admitted the request. This is the access-time
 // payoff of replicating the first tier on a dedicated channel: a serial
 // program's index has already flown past a mid-cycle joiner.
-func eavesdropCycle(cl *client, cy *broadcast.Cycle, cfg Config, loss *lossProcess, sr *succinctReader) {
+func eavesdropCycle(cl *client, cy *broadcast.Cycle, loss *lossProcess, firstTier func(*client) (int64, error)) error {
 	if cl.knowsDocs {
-		return
+		return nil
 	}
-	sync, ok := cy.SyncAfter(cl.req.Arrival)
+	sync, ok := cy.SyncAfter(cl.stats.Arrival)
 	if !ok {
-		return
+		return nil
+	}
+	cost, err := firstTier(cl)
+	if err != nil {
+		return err
 	}
 	cl.stats.CyclesListened++
-	cl.stats.IndexTuningBytes += int64(cy.DirBytes) + int64(indexReadBytes(cl, cy, cfg, sr))
+	cl.stats.IndexTuningBytes += int64(cy.DirBytes) + cost
 	if loss.fail() {
-		return
+		return nil
 	}
 	cl.knowsDocs = true
 	for _, cm := range cy.CommitmentsFrom(nil, cl.needed, sync, nil) {
@@ -680,63 +669,6 @@ func eavesdropCycle(cl *client, cy *broadcast.Cycle, cfg Config, loss *lossProce
 		cl.stats.EavesdropDocs++
 		cl.receive(cm.ID, cm.End)
 	}
-}
-
-// queryRead is one distinct query's navigator and the cost of its latest
-// index read, shared by every client of the query.
-type queryRead struct {
-	nav   *core.Navigator
-	cycle int64 // number of the cycle bytes was read on; -1 before any read
-	bytes int
-}
-
-// indexReadBytes is the cost of one index navigation: whole tier under
-// WholeTierRead, otherwise the distinct packets the lookup touches — of the
-// materialized index under node encoding, of the balanced-parentheses blob
-// (header, directories, BP words, labels, doc groups) under succinct. The
-// cost depends only on the cycle and the query, so the first client of a
-// query to read a cycle navigates it and the others reuse the count.
-func indexReadBytes(cl *client, cy *broadcast.Cycle, cfg Config, sr *succinctReader) int {
-	if cfg.WholeTierRead {
-		return cy.IndexBytes
-	}
-	r := cl.read
-	if r.cycle == cy.Number {
-		return r.bytes
-	}
-	if cfg.IndexEncoding == core.EncodingSuccinct {
-		sr.cursor.Lookup(r.nav.Filter())
-		r.bytes = sr.cursor.TouchedBytes()
-	} else {
-		r.bytes = cy.Packing.BytesFor(r.nav.Lookup(cy.Index).Visited)
-	}
-	r.cycle = cy.Number
-	return r.bytes
-}
-
-// succinctReader caches the encoded-and-parsed succinct tier plus a reusable
-// cursor for the cycle currently on air, so every index navigation this
-// cycle shares one parse and one scratch set.
-type succinctReader struct {
-	loaded bool
-	number int64
-	tier   *succinct.Tier
-	cursor *succinct.Cursor
-}
-
-func (s *succinctReader) load(cy *broadcast.Cycle) error {
-	if s.loaded && s.number == cy.Number {
-		return nil
-	}
-	blob, err := succinct.EncodeTier(cy.Index, cy.Catalog, cy.Packing.Model)
-	if err != nil {
-		return fmt.Errorf("sim: encode succinct tier: %w", err)
-	}
-	tier, err := succinct.Parse(blob, cy.Packing.Model, cy.Catalog)
-	if err != nil {
-		return fmt.Errorf("sim: parse succinct tier: %w", err)
-	}
-	s.loaded, s.number, s.tier, s.cursor = true, cy.Number, tier, tier.NewCursor()
 	return nil
 }
 

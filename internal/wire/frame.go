@@ -162,12 +162,22 @@ func ReadFrameInto(r io.Reader, buf *[]byte) (FrameType, []byte, error) {
 	if _, err := io.ReadFull(r, frame[FrameHeaderLen:]); err != nil {
 		return 0, nil, err
 	}
-	payload := frame[FrameHeaderLen : FrameHeaderLen+n]
-	got := binary.LittleEndian.Uint32(frame[FrameHeaderLen+n:])
-	if want := frameCRC(hdr[2:], payload); got != want {
+	return ParseFrame(frame)
+}
+
+// ParseFrame checks one whole frame held in memory, as ReadFrame checks a
+// frame it reads, and returns its type and payload, which aliases b.
+func ParseFrame(b []byte) (FrameType, []byte, error) {
+	if len(b) < FrameHeaderLen+FrameTrailerLen || b[0] != FrameSync0 || b[1] != FrameSync1 ||
+		int(binary.LittleEndian.Uint32(b[3:])) != len(b)-FrameHeaderLen-FrameTrailerLen {
+		return 0, nil, fmt.Errorf("%w: malformed frame of %d bytes", ErrFrameCorrupt, len(b))
+	}
+	payload := b[FrameHeaderLen : len(b)-FrameTrailerLen]
+	got, want := binary.LittleEndian.Uint32(b[len(b)-FrameTrailerLen:]), frameCRC(b[2:FrameHeaderLen], payload)
+	if got != want {
 		return 0, nil, fmt.Errorf("%w: checksum %#08x, want %#08x", ErrFrameCorrupt, got, want)
 	}
-	return FrameType(hdr[2]), payload, nil
+	return FrameType(b[2]), payload, nil
 }
 
 // ResyncFrame scans a desynchronised byte stream for the next well-formed

@@ -23,6 +23,11 @@ func FuzzDecodeIndex(f *testing.F) {
 			f.Add(data, tier == core.OneTier)
 		}
 	}
+	// A node past the flag's capacity, its counts escaped.
+	esc := escapeIndex(core.DefaultSizeModel(), 130, 200)
+	if data, err := EncodeIndex(esc, esc.Pack(core.FirstTier), BuildCatalog(esc), nil); err == nil {
+		f.Add(data, false)
+	}
 	f.Add([]byte{}, true)
 	f.Add([]byte{0, 0, 0, 1, 2, 3}, false)
 

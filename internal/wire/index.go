@@ -43,14 +43,17 @@ func AppendIndex(dst []byte, ix *core.Index, p *core.Packing, cat *Catalog, docO
 	for i := range ix.Nodes {
 		n := &ix.Nodes[i]
 		pos := p.NodeOffsets[i]
-		flag, err := fl.pack(n.Kind(), len(n.Children), len(n.Docs))
+		err := putUint(out, pos, m.FlagBytes, fl.pack(n.Kind(), len(n.Children), len(n.Docs)), "flag")
 		if err != nil {
 			return nil, err
 		}
-		if err := putUint(out, pos, m.FlagBytes, flag, "flag"); err != nil {
+		pos += m.FlagBytes
+		if pos, err = fl.putEscape(out, pos, len(n.Children), m.EntryLabelBytes); err != nil {
 			return nil, err
 		}
-		pos += m.FlagBytes
+		if pos, err = fl.putEscape(out, pos, len(n.Docs), m.DocIDBytes); err != nil {
+			return nil, err
+		}
 		for _, c := range n.Children {
 			id, ok := cat.ID(ix.Nodes[c].Label)
 			if !ok {
@@ -105,23 +108,34 @@ func grow(dst []byte, n int) []byte {
 // index and, for one-tier layout, the document offsets of the current cycle.
 // The returned index passes core.Index.Validate.
 func DecodeIndex(data []byte, m core.SizeModel, tier core.Tier, cat *Catalog) (*core.Index, DocOffsets, error) {
+	ix, _, offs, err := DecodeIndexLayout(data, m, tier, cat)
+	return ix, offs, err
+}
+
+// DecodeIndexLayout is DecodeIndex that also returns the stream's layout as
+// it aired, read off the stream itself: every node's byte offset and size,
+// so a receiver can count the packets a lookup touches (core.Packing.BytesFor).
+func DecodeIndexLayout(data []byte, m core.SizeModel, tier core.Tier, cat *Catalog) (*core.Index, *core.Packing, DocOffsets, error) {
 	fl, err := flagLayoutFor(m)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	ptrMax := uint64(1)<<(8*min(m.PointerBytes, 8)) - 1
 
 	type rawNode struct {
 		offset   int
-		label    string // filled in pass 2 via parent entries; roots keep ""
 		kind     core.NodeKind
 		children []uint64 // child byte offsets
 		labels   []uint32 // child label ids
 		docs     []xmldoc.DocID
-		offsets  DocOffsets
 	}
 	var raws []rawNode
+	var sizes []int
 	byOffset := make(map[int]int)
+	var offsets DocOffsets
+	if tier == core.OneTier {
+		offsets = make(DocOffsets)
+	}
 
 	pos := 0
 	for pos < len(data) {
@@ -131,22 +145,22 @@ func DecodeIndex(data []byte, m core.SizeModel, tier core.Tier, cat *Catalog) (*
 		}
 		start := pos
 		if pos+m.FlagBytes > len(data) {
-			return nil, nil, fmt.Errorf("wire: truncated flag at %d", pos)
+			return nil, nil, nil, fmt.Errorf("wire: truncated flag at %d", pos)
 		}
 		kind, nChildren, nDocs := fl.unpack(getUint(data, pos, m.FlagBytes))
 		if kind < core.KindRoot || kind > core.KindLeaf {
-			return nil, nil, fmt.Errorf("wire: invalid node kind %d at %d", kind, pos)
+			return nil, nil, nil, fmt.Errorf("wire: invalid node kind %d at %d", kind, pos)
 		}
 		pos += m.FlagBytes
-		rn := rawNode{offset: start, kind: kind, offsets: make(DocOffsets)}
-		need := nChildren * m.EntryBytes()
-		if tier == core.OneTier {
-			need += nDocs * (m.DocIDBytes + m.PointerBytes)
-		} else {
-			need += nDocs * m.DocIDBytes
+		if nChildren, pos, err = fl.readEscape(data, pos, nChildren, m.EntryLabelBytes); err != nil {
+			return nil, nil, nil, err
 		}
-		if pos+need > len(data) {
-			return nil, nil, fmt.Errorf("wire: truncated node at %d", start)
+		if nDocs, pos, err = fl.readEscape(data, pos, nDocs, m.DocIDBytes); err != nil {
+			return nil, nil, nil, err
+		}
+		rn := rawNode{offset: start, kind: kind}
+		if pos+nChildren*m.EntryBytes()+nDocs*m.DocTupleBytes(tier) > len(data) {
+			return nil, nil, nil, fmt.Errorf("wire: truncated node at %d", start)
 		}
 		for c := 0; c < nChildren; c++ {
 			rn.labels = append(rn.labels, uint32(getUint(data, pos, m.EntryLabelBytes)))
@@ -159,21 +173,22 @@ func DecodeIndex(data []byte, m core.SizeModel, tier core.Tier, cat *Catalog) (*
 			pos += m.DocIDBytes
 			rn.docs = append(rn.docs, id)
 			if tier == core.OneTier {
-				off := getUint(data, pos, m.PointerBytes)
-				pos += m.PointerBytes
-				if off != ptrMax {
-					rn.offsets[id] = off
+				if off := getUint(data, pos, m.PointerBytes); off != ptrMax {
+					offsets[id] = off
 				}
+				pos += m.PointerBytes
 			}
 		}
 		byOffset[start] = len(raws)
 		raws = append(raws, rn)
+		sizes = append(sizes, pos-start)
 	}
 
 	// Resolve child pointers; stream order is DFS pre-order, so raw indexes
 	// are the final node IDs.
 	ix := &core.Index{Model: m, Nodes: make([]core.Node, len(raws))}
-	allOffsets := make(DocOffsets)
+	p := &core.Packing{Tier: tier, Order: core.PackDFS, Model: m, NodeOffsets: make([]int, len(raws)), NodeSizes: sizes,
+		StreamBytes: len(data), NumPackets: (len(data) + m.PacketBytes - 1) / m.PacketBytes, FlagCountBits: fl.countBits}
 	labels := make([]string, len(raws))
 	parents := make([]core.NodeID, len(raws))
 	for i := range parents {
@@ -181,21 +196,19 @@ func DecodeIndex(data []byte, m core.SizeModel, tier core.Tier, cat *Catalog) (*
 	}
 	for i := range raws {
 		rn := &raws[i]
+		p.NodeOffsets[i] = rn.offset
 		for ci, childOff := range rn.children {
 			j, ok := byOffset[int(childOff)]
 			if !ok {
-				return nil, nil, fmt.Errorf("wire: node at %d points to missing child offset %d", rn.offset, childOff)
+				return nil, nil, nil, fmt.Errorf("wire: node at %d points to missing child offset %d", rn.offset, childOff)
 			}
 			label, ok := cat.Label(rn.labels[ci])
 			if !ok {
-				return nil, nil, fmt.Errorf("wire: node at %d has unknown label id %d", rn.offset, rn.labels[ci])
+				return nil, nil, nil, fmt.Errorf("wire: node at %d has unknown label id %d", rn.offset, rn.labels[ci])
 			}
 			labels[j] = label
 			parents[j] = core.NodeID(i)
 			ix.Nodes[i].Children = append(ix.Nodes[i].Children, core.NodeID(j))
-		}
-		for id, off := range rn.offsets {
-			allOffsets[id] = off
 		}
 	}
 	for i := range raws {
@@ -206,7 +219,7 @@ func DecodeIndex(data []byte, m core.SizeModel, tier core.Tier, cat *Catalog) (*
 		if parents[i] == core.NoNode {
 			ix.Roots = append(ix.Roots, core.NodeID(i))
 			if raws[i].kind != core.KindRoot {
-				return nil, nil, fmt.Errorf("wire: unreferenced node at %d has kind %v", raws[i].offset, raws[i].kind)
+				return nil, nil, nil, fmt.Errorf("wire: unreferenced node at %d has kind %v", raws[i].offset, raws[i].kind)
 			}
 		}
 	}
@@ -215,12 +228,9 @@ func DecodeIndex(data []byte, m core.SizeModel, tier core.Tier, cat *Catalog) (*
 	// k-th root takes the k-th root label (catalog order is label order, so
 	// encode/decode agree through RootLabels).
 	if err := ix.Validate(); err != nil {
-		return nil, nil, fmt.Errorf("wire: decoded index invalid: %w", err)
+		return nil, nil, nil, fmt.Errorf("wire: decoded index invalid: %w", err)
 	}
-	if tier != core.OneTier {
-		allOffsets = nil
-	}
-	return ix, allOffsets, nil
+	return ix, p, offsets, nil
 }
 
 // RootLabels returns the labels of the index roots in root order; they are

@@ -7,6 +7,10 @@
 //
 //	flag block   — FlagBytes; packs the node kind (2 bits) with the child
 //	               and document tuple counts (remaining bits split evenly)
+//	escapes      — a count at or above the flag's capacity (127 at the
+//	               default 2-byte flag) is written there as the capacity
+//	               and follows the flag block in full: the child count
+//	               (EntryLabelBytes), then the document count (DocIDBytes)
 //	entry tuples — child label ID (EntryLabelBytes) + child byte offset
 //	               (PointerBytes), label-sorted
 //	doc tuples   — document ID (DocIDBytes) [+ document byte offset within
@@ -156,12 +160,35 @@ func flagLayoutFor(m core.SizeModel) (flagLayout, error) {
 
 func (fl flagLayout) maxCount() int { return 1<<fl.countBits - 1 }
 
-func (fl flagLayout) pack(kind core.NodeKind, children, docs int) (uint64, error) {
-	if children > fl.maxCount() || docs > fl.maxCount() {
-		return 0, fmt.Errorf("wire: node with %d children / %d docs exceeds flag capacity %d (increase SizeModel.FlagBytes)",
-			children, docs, fl.maxCount())
+// pack packs a node header; a count at or above maxCount packs as maxCount,
+// the escape that announces the explicit count after the flag block.
+func (fl flagLayout) pack(kind core.NodeKind, children, docs int) uint64 {
+	return uint64(kind) | uint64(min(children, fl.maxCount()))<<2 | uint64(min(docs, fl.maxCount()))<<(2+fl.countBits)
+}
+
+// putEscape writes a count the flag block could not hold (see pack) in full
+// at pos, width bytes wide, and returns the position after it.
+func (fl flagLayout) putEscape(buf []byte, pos, n, width int) (int, error) {
+	if n < fl.maxCount() {
+		return pos, nil
 	}
-	return uint64(kind) | uint64(children)<<2 | uint64(docs)<<(2+fl.countBits), nil
+	return pos + width, putUint(buf, pos, width, uint64(n), "escaped count")
+}
+
+// readEscape is the inverse of putEscape for a count n unpacked from the
+// flag block. The escape is canonical: a count below the capacity is never
+// escaped.
+func (fl flagLayout) readEscape(data []byte, pos, n, width int) (int, int, error) {
+	if n < fl.maxCount() {
+		return n, pos, nil
+	}
+	if pos+width > len(data) {
+		return 0, 0, fmt.Errorf("wire: truncated count at %d", pos)
+	}
+	if n = int(getUint(data, pos, width)); n < fl.maxCount() {
+		return 0, 0, fmt.Errorf("wire: escaped count %d below flag capacity at %d", n, pos)
+	}
+	return n, pos + width, nil
 }
 
 func (fl flagLayout) unpack(v uint64) (kind core.NodeKind, children, docs int) {

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -187,13 +188,95 @@ func TestApplyRootLabelsMismatch(t *testing.T) {
 	}
 }
 
-func TestFlagCapacityError(t *testing.T) {
-	fl, err := flagLayoutFor(core.DefaultSizeModel())
-	if err != nil {
-		t.Fatalf("flagLayoutFor: %v", err)
+// escapeIndex is a root with children child leaves (labels l0, l1, …) and
+// docs documents attached to it.
+func escapeIndex(m core.SizeModel, children, docs int) *core.Index {
+	ix := &core.Index{Model: m, Roots: []core.NodeID{0}}
+	ix.Nodes = append(ix.Nodes, core.Node{ID: 0, Label: "r", Parent: core.NoNode})
+	for d := 0; d < docs; d++ {
+		ix.Nodes[0].Docs = append(ix.Nodes[0].Docs, xmldoc.DocID(d))
 	}
-	if _, err := fl.pack(core.KindLeaf, 0, fl.maxCount()+1); err == nil {
-		t.Error("over-capacity flag packed")
+	for c := 1; c <= children; c++ {
+		ix.Nodes[0].Children = append(ix.Nodes[0].Children, core.NodeID(c))
+		ix.Nodes = append(ix.Nodes, core.Node{ID: core.NodeID(c), Label: fmt.Sprintf("l%04d", c), Parent: 0, Docs: []xmldoc.DocID{0}})
+	}
+	return ix
+}
+
+// TestFlagEscape: a count the flag block cannot hold is escaped and the node
+// round-trips at the size core.Pack gave it; a count below the capacity
+// keeps the unescaped layout byte for byte.
+func TestFlagEscape(t *testing.T) {
+	m := core.DefaultSizeModel()
+	max := m.FlagCountMax()
+	if max != 127 {
+		t.Fatalf("FlagCountMax = %d at the default model, want 127", max)
+	}
+	for _, tc := range []struct{ children, docs int }{{0, 126}, {3, 127}, {2, 200}, {1, 1000}, {127, 5}, {300, 1000}} {
+		for _, tier := range []core.Tier{core.OneTier, core.FirstTier} {
+			ix := escapeIndex(m, tc.children, tc.docs)
+			p := ix.Pack(tier)
+			cat := BuildCatalog(ix)
+			offs := DocOffsets{}
+			for d := 0; d < tc.docs; d++ {
+				offs[xmldoc.DocID(d)] = uint64(10 * d)
+			}
+			data, err := EncodeIndex(ix, p, cat, offs)
+			if err != nil {
+				t.Fatalf("%+v %v: EncodeIndex: %v", tc, tier, err)
+			}
+			want := m.FlagBytes + tc.children*m.EntryBytes() + tc.docs*m.DocTupleBytes(tier)
+			if tc.children >= max {
+				want += m.EntryLabelBytes
+			}
+			if tc.docs >= max {
+				want += m.DocIDBytes
+			}
+			if p.NodeSizes[0] != want {
+				t.Errorf("%+v %v: root packs at %d bytes, want %d", tc, tier, p.NodeSizes[0], want)
+			}
+			if tc.children < max && tc.docs < max {
+				flag := getUint(data, 0, m.FlagBytes)
+				if flag != uint64(core.KindRoot)|uint64(tc.children)<<2|uint64(tc.docs)<<9 {
+					t.Errorf("%+v %v: unescaped flag %#x changed", tc, tier, flag)
+				}
+			}
+			back, gotP, gotOffs, err := DecodeIndexLayout(data, m, tier, cat)
+			if err != nil {
+				t.Fatalf("%+v %v: DecodeIndexLayout: %v", tc, tier, err)
+			}
+			_ = ApplyRootLabels(back, RootLabels(ix))
+			if !reflect.DeepEqual(back.Nodes, ix.Nodes) {
+				t.Errorf("%+v %v: decoded nodes differ", tc, tier)
+			}
+			if !reflect.DeepEqual(gotP.NodeOffsets, p.NodeOffsets) || !reflect.DeepEqual(gotP.NodeSizes, p.NodeSizes) ||
+				gotP.NumPackets != p.NumPackets {
+				t.Errorf("%+v %v: decoded layout %v/%v, packed %v/%v", tc, tier, gotP.NodeOffsets, gotP.NodeSizes, p.NodeOffsets, p.NodeSizes)
+			}
+			if tier == core.OneTier && !reflect.DeepEqual(gotOffs, offs) {
+				t.Errorf("%+v: one-tier offsets did not round-trip", tc)
+			}
+		}
+	}
+	// A non-canonical escape (a count the flag could have held) is refused.
+	ix := escapeIndex(m, 0, 127)
+	data, err := EncodeIndex(ix, ix.Pack(core.FirstTier), BuildCatalog(ix), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[m.FlagBytes] = 5 // the escaped document count, low byte
+	if _, _, err := DecodeIndex(data, m, core.FirstTier, BuildCatalog(ix)); err == nil {
+		t.Error("escaped count below the flag's capacity decoded")
+	}
+}
+
+// TestFlagCapacityError: a count past the escape's own field cannot be
+// written, and a flag block too small for node headers is refused.
+func TestFlagCapacityError(t *testing.T) {
+	m := core.SizeModel{FlagBytes: 1, EntryLabelBytes: 1, PointerBytes: 4, DocIDBytes: 1, PacketBytes: 64}
+	ix := escapeIndex(m, 0, 256)
+	if _, err := EncodeIndex(ix, ix.Pack(core.FirstTier), BuildCatalog(ix), nil); err == nil {
+		t.Error("256 documents escaped into a 1-byte count")
 	}
 	if _, err := flagLayoutFor(core.SizeModel{FlagBytes: 0, EntryLabelBytes: 1, PointerBytes: 1, DocIDBytes: 1, PacketBytes: 1}); err == nil {
 		t.Error("zero-byte flag layout accepted")
