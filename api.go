@@ -8,9 +8,9 @@ import (
 	"repro/internal/dtd"
 	"repro/internal/exp"
 	"repro/internal/gen"
+	"repro/internal/netcast"
 	"repro/internal/schedule"
 	"repro/internal/sim"
-	"repro/internal/wire"
 	"repro/internal/xmldoc"
 	"repro/internal/xpath"
 	"repro/internal/yfilter"
@@ -89,16 +89,32 @@ func BuildIndexWithModel(c *Collection, m SizeModel) (*Index, error) {
 	return core.BuildCI(c, m)
 }
 
-// SaveIndex persists an index to w as a standalone file in the given tier's
-// packed layout; LoadIndex is the inverse.
+// SaveIndex writes an index to w as a one-cycle broadcast capture in the
+// given tier's packed layout: the cycle head and the index frame a client
+// reads off the air. LoadIndex is the inverse. An index built under a
+// non-default size model is refused: a capture carries no model.
 func SaveIndex(w io.Writer, ix *Index, tier core.Tier) error {
-	return wire.WriteIndexFile(w, ix, ix.Pack(tier))
+	return netcast.WriteIndexSnapshot(w, ix, tier)
 }
 
-// LoadIndex reads an index file written by SaveIndex, returning the index
-// and the tier it was packed under.
+// LoadIndex reads a one-cycle capture, such as SaveIndex writes, returning
+// the cycle's index and the tier it was packed under.
 func LoadIndex(r io.Reader) (*Index, core.Tier, error) {
-	return wire.ReadIndexFile(r)
+	recs, err := netcast.ReadCapture(r)
+	if err != nil {
+		return nil, 0, err
+	}
+	if len(recs) != 1 {
+		return nil, 0, fmt.Errorf("repro: an index snapshot holds one cycle, the capture holds %d", len(recs))
+	}
+	ix, err := recs[0].DecodeIndex(core.DefaultSizeModel())
+	if err != nil {
+		return nil, 0, err
+	}
+	if recs[0].TwoTier {
+		return ix, core.FirstTier, nil
+	}
+	return ix, core.OneTier, nil
 }
 
 // FilterDocuments evaluates a query set over the collection with the shared

@@ -1,11 +1,12 @@
 // Command bcast-index builds the Compact Index of a document collection,
-// optionally prunes it to a pending query set, and saves it as a standalone
-// index file (inspectable with cmd/bcast-inspect -index).
+// optionally prunes it to a pending query set, and saves it as a one-cycle
+// broadcast capture: the cycle head and index frame a client reads off the
+// air (inspectable with cmd/bcast-inspect -in).
 //
 // Usage:
 //
-//	bcast-index -docs 100 -out ci.xidx
-//	bcast-index -data ./corpus -queries "/nitf/head/title,/nitf//p" -tier first -out pci.xidx
+//	bcast-index -docs 100 -out ci.xbc
+//	bcast-index -data ./corpus -queries "/nitf/head/title,/nitf//p" -tier first -out pci.xbc
 package main
 
 import (
@@ -33,7 +34,7 @@ func run(args []string) error {
 		seed    = fs.Int64("seed", 1, "random seed")
 		queries = fs.String("queries", "", "comma-separated pending queries; prunes the CI into a PCI")
 		tier    = fs.String("tier", "first", "packed layout: one or first")
-		out     = fs.String("out", "index.xidx", "output index file")
+		out     = fs.String("out", "index.xbc", "output index snapshot (a one-cycle capture)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err

@@ -3,14 +3,21 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro"
+	"repro/internal/core"
 )
 
-func TestBuildAndSaveCI(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "ci.xidx")
-	if err := run([]string{"-docs", "10", "-out", out}); err != nil {
+// saveAndLoad runs the command with args over 10 generated documents and
+// reads the snapshot it writes back through LoadIndex. It checks the tier
+// and that the index is node, attachment and root identical to one built in
+// memory from the same documents and pruned to pending.
+func saveAndLoad(t *testing.T, wantTier core.Tier, pending []string, args ...string) *repro.Index {
+	t.Helper()
+	out := filepath.Join(t.TempDir(), "index.xbc")
+	if err := run(append([]string{"-docs", "10", "-out", out}, args...)); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	f, err := os.Open(out)
@@ -18,39 +25,57 @@ func TestBuildAndSaveCI(t *testing.T) {
 		t.Fatalf("open: %v", err)
 	}
 	defer f.Close()
-	ix, tier, err := repro.LoadIndex(f)
+	got, tier, err := repro.LoadIndex(f)
 	if err != nil {
 		t.Fatalf("LoadIndex: %v", err)
 	}
-	if tier != repro.FirstTier {
-		t.Errorf("tier = %v", tier)
+	if tier != wantTier {
+		t.Errorf("tier = %v, want %v", tier, wantTier)
 	}
-	if ix.NumNodes() == 0 {
+	coll, err := repro.GenerateDocuments(repro.NITFSchema, 10, 1)
+	if err != nil {
+		t.Fatalf("GenerateDocuments: %v", err)
+	}
+	want, err := repro.BuildIndex(coll)
+	if err != nil {
+		t.Fatalf("BuildIndex: %v", err)
+	}
+	if pending != nil {
+		var qs []repro.Query
+		for _, p := range pending {
+			qs = append(qs, repro.MustParseQuery(p))
+		}
+		if want, _, err = want.Prune(qs); err != nil {
+			t.Fatalf("Prune: %v", err)
+		}
+	}
+	if !slices.Equal(got.Roots, want.Roots) || len(got.Nodes) != len(want.Nodes) {
+		t.Fatalf("roots %v over %d nodes, want %v over %d", got.Roots, len(got.Nodes), want.Roots, len(want.Nodes))
+	}
+	for i, n := range want.Nodes {
+		g := got.Nodes[i]
+		if g.Label != n.Label || g.Parent != n.Parent || !slices.Equal(g.Children, n.Children) || !slices.Equal(g.Docs, n.Docs) {
+			t.Errorf("node %d: got %+v, want %+v", i, g, n)
+		}
+	}
+	return got
+}
+
+func TestBuildAndSaveCI(t *testing.T) {
+	if ix := saveAndLoad(t, repro.FirstTier, nil); ix.NumNodes() == 0 {
 		t.Error("saved index empty")
 	}
+	saveAndLoad(t, repro.OneTier, nil, "-tier", "one")
 }
 
 func TestBuildPrunedOneTier(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "pci.xidx")
-	if err := run([]string{"-docs", "10", "-queries", "/nitf/head/title", "-tier", "one", "-out", out}); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	f, err := os.Open(out)
-	if err != nil {
-		t.Fatalf("open: %v", err)
-	}
-	defer f.Close()
-	ix, tier, err := repro.LoadIndex(f)
-	if err != nil {
-		t.Fatalf("LoadIndex: %v", err)
-	}
-	if tier != repro.OneTier {
-		t.Errorf("tier = %v", tier)
-	}
+	pending := []string{"/nitf/head/title"}
+	ix := saveAndLoad(t, repro.OneTier, pending, "-queries", pending[0], "-tier", "one")
 	// A PCI pruned to one exact query is a single root-to-leaf path.
 	if got := ix.NumNodes(); got != 3 {
 		t.Errorf("PCI nodes = %d, want 3 (/nitf/head/title)", got)
 	}
+	saveAndLoad(t, repro.FirstTier, pending, "-queries", pending[0], "-tier", "first")
 }
 
 func TestErrors(t *testing.T) {
@@ -59,7 +84,7 @@ func TestErrors(t *testing.T) {
 		{"-data", "/does/not/exist"},
 		{"-queries", "not a path", "-docs", "5"},
 		{"-tier", "third", "-docs", "5"},
-		{"-out", "/no/such/dir/x.xidx", "-docs", "5"},
+		{"-out", "/no/such/dir/x.xbc", "-docs", "5"},
 		{"-bogus"},
 	}
 	for _, args := range tests {

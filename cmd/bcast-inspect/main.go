@@ -1,11 +1,12 @@
-// Command bcast-inspect summarises a broadcast capture file produced by
-// cmd/bcast-capture: per-cycle segment sizes, decoded index structure and,
+// Command bcast-inspect summarises a broadcast capture file — a recording
+// made by cmd/bcast-capture or a one-cycle index snapshot written by
+// cmd/bcast-index: per-cycle segment sizes, decoded index structure and,
 // optionally, the answer a query would obtain from each captured index.
 //
 // Usage:
 //
 //	bcast-inspect -in session.xbc
-//	bcast-inspect -in session.xbc -query /nitf/head/title
+//	bcast-inspect -in index.xbc -query /nitf/head/title
 package main
 
 import (
@@ -26,18 +27,14 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("bcast-inspect", flag.ContinueOnError)
 	var (
-		in      = fs.String("in", "", "capture file from bcast-capture")
-		indexIn = fs.String("index", "", "standalone index file from bcast-index")
-		query   = fs.String("query", "", "optional XPath query to evaluate against each index")
+		in    = fs.String("in", "", "capture file from bcast-capture or bcast-index")
+		query = fs.String("query", "", "optional XPath query to evaluate against each index")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *indexIn != "" {
-		return inspectIndexFile(*indexIn, *query)
-	}
 	if *in == "" {
-		return fmt.Errorf("one of -in or -index is required")
+		return fmt.Errorf("-in is required")
 	}
 	f, err := os.Open(*in)
 	if err != nil {
@@ -83,34 +80,6 @@ func run(args []string) error {
 			res := ix.Lookup(q)
 			fmt.Printf("  %s -> %v (%d index nodes read)\n", q, res.Docs, len(res.Visited))
 		}
-	}
-	return nil
-}
-
-// inspectIndexFile summarises a standalone index file.
-func inspectIndexFile(path, query string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	ix, tier, err := repro.LoadIndex(f)
-	if err != nil {
-		return err
-	}
-	st := ix.Stats()
-	fmt.Printf("index file %s (%v layout)\n", path, tier)
-	fmt.Printf("  %d nodes (%d leaves), depth %d, max fanout %d (avg %.2f)\n",
-		st.Nodes, st.Leaves, st.MaxDepth, st.MaxFanout, st.AvgFanout)
-	fmt.Printf("  %d attachments over %d docs; %d B one-tier / %d B first-tier\n",
-		st.Attachments, st.Docs, st.OneTierBytes, st.FirstTierBytes)
-	if query != "" {
-		q, err := repro.ParseQuery(query)
-		if err != nil {
-			return err
-		}
-		res := ix.Lookup(q)
-		fmt.Printf("  %s -> %v (%d index nodes read)\n", q, res.Docs, len(res.Visited))
 	}
 	return nil
 }

@@ -130,6 +130,8 @@ func TestInspectErrors(t *testing.T) {
 	}
 }
 
+// An index snapshot, the one-cycle capture bcast-index writes with
+// SaveIndex, inspects like any recorded broadcast.
 func TestInspectIndexFile(t *testing.T) {
 	coll, err := repro.GenerateDocuments(repro.NITFSchema, 6, 2)
 	if err != nil {
@@ -139,7 +141,7 @@ func TestInspectIndexFile(t *testing.T) {
 	if err != nil {
 		t.Fatalf("BuildIndex: %v", err)
 	}
-	path := filepath.Join(t.TempDir(), "ci.xidx")
+	path := filepath.Join(t.TempDir(), "index.xbc")
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
@@ -148,24 +150,25 @@ func TestInspectIndexFile(t *testing.T) {
 		t.Fatalf("SaveIndex: %v", err)
 	}
 	f.Close()
-	out, err := capture(t, []string{"-index", path, "-query", "/nitf"})
+	out, err := capture(t, []string{"-in", path, "-query", "/nitf"})
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	if !strings.Contains(out, "index file") || !strings.Contains(out, "/nitf ->") {
-		t.Errorf("index inspection malformed:\n%s", out)
+	if !strings.HasPrefix(out, "1 captured cycles") || !strings.Contains(out, "(two-tier): index") ||
+		!strings.Contains(out, "/nitf -> [1 2 3 4 5 6]") {
+		t.Errorf("index snapshot inspection malformed:\n%s", out)
 	}
 }
 
 func TestInspectIndexFileErrors(t *testing.T) {
-	if err := run([]string{"-index", "/does/not/exist"}); err == nil {
-		t.Error("missing index file succeeded")
+	if err := run([]string{"-index", "index.xbc"}); err == nil {
+		t.Error("the retired -index flag was accepted")
 	}
-	path := filepath.Join(t.TempDir(), "junk.xidx")
-	if err := os.WriteFile(path, []byte("junk"), 0o644); err != nil {
+	path := filepath.Join(t.TempDir(), "junk.xbc")
+	if err := os.WriteFile(path, []byte("not a capture file at all"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := run([]string{"-index", path}); err == nil {
-		t.Error("junk index file succeeded")
+	if err := run([]string{"-in", path}); err == nil || !strings.Contains(err.Error(), "not a capture file") {
+		t.Errorf("a file of another format: got %v, want \"not a capture file\"", err)
 	}
 }

@@ -143,8 +143,8 @@ type Engine struct {
 	collector *Collector
 
 	builder  *broadcast.Builder
-	answers  *answerCache
-	payloads *payloadCache
+	answers  *lru[string, *answerEntry]
+	payloads *lru[xmldoc.DocID, *payloadEntry]
 
 	// view maintains the PCI incrementally across cycles (keyed on the CI
 	// pointer, which the builder replaces on every collection change).
@@ -213,8 +213,8 @@ func New(cfg Config) (*Engine, error) {
 		capacity:  cfg.CycleCapacity,
 		collector: NewCollector(),
 		builder:   builder,
-		answers:   newAnswerCache(cfg.Limits.MaxAnswerCacheEntries),
-		payloads:  newPayloadCache(cfg.Limits.MaxPayloadCacheBytes),
+		answers:   newLRU[string, *answerEntry](cfg.Limits.MaxAnswerCacheEntries),
+		payloads:  newLRU[xmldoc.DocID, *payloadEntry](cfg.Limits.MaxPayloadCacheBytes),
 		view:      core.NewPrunedView(0),
 		demand:    schedule.NewDemandIndex(),
 	}
@@ -274,14 +274,14 @@ func (e *Engine) Metrics() Metrics { return e.collector.Metrics() }
 // shared with the cache and never written again: treat it as read-only.
 func (e *Engine) Resolve(q xpath.Path) []xmldoc.DocID {
 	key := q.String()
-	if docs, ok := e.answers.get(key); ok {
+	if en := e.answers.get(key); en != nil {
 		e.probe.CacheAccess(true)
-		return docs
+		return en.docs
 	}
 	e.probe.CacheAccess(false)
 	start := time.Now()
 	docs := core.NewNavigator(q).Lookup(e.builder.CI()).Docs
-	e.collector.m.AnswerEvictions += int64(e.answers.put(key, q, docs))
+	e.collector.m.AnswerEvictions += int64(e.answers.put(&answerEntry{key: key, query: q, docs: docs}))
 	e.probe.StageDone(StageResolve, time.Since(start), 1, len(docs))
 	return docs
 }

@@ -30,77 +30,95 @@ type Limits struct {
 	MaxPayloadCacheBytes int
 }
 
-// answerEntry is one memoized query answer. The parsed query is retained so
-// a collection update can match the one changed document against the cached
-// queries and patch their answers. docs is shared with every caller it was
-// returned to, so an update replaces the slice and never writes through it.
-type answerEntry struct {
-	key   string
-	query xpath.Path
-	docs  []xmldoc.DocID
+// lru is a least-recently-used cache of entries by key, bounded by the summed
+// cost of its entries: an answer costs 1, a payload its bytes. max <= 0 means
+// unbounded. The entry just put is never evicted: costlier than max on its
+// own, it stays as the only entry until the next put. Not safe for concurrent
+// use, like the engine that owns it.
+type lru[K comparable, V lruEntry[K]] struct {
+	max, used int
+	ll        *list.List // front = most recently used; values are V
+	byKey     map[K]*list.Element
 }
 
-// answerCache is an LRU memo of query answers keyed by canonical query
-// string. maxEntries <= 0 means unbounded. Not safe for concurrent use, like
-// the engine that owns it.
-type answerCache struct {
-	maxEntries int
-	ll         *list.List // front = most recently used; values are *answerEntry
-	byKey      map[string]*list.Element
+// lruEntry is what an lru holds: an entry that knows its key and cost.
+type lruEntry[K comparable] interface {
+	lruKey() K
+	cost() int
 }
 
-func newAnswerCache(maxEntries int) *answerCache {
-	return &answerCache{maxEntries: maxEntries, ll: list.New(), byKey: make(map[string]*list.Element)}
+func newLRU[K comparable, V lruEntry[K]](max int) *lru[K, V] {
+	return &lru[K, V]{max: max, ll: list.New(), byKey: make(map[K]*list.Element)}
 }
 
-func (c *answerCache) len() int { return c.ll.Len() }
+func (c *lru[K, V]) len() int { return c.ll.Len() }
 
-func (c *answerCache) get(key string) ([]xmldoc.DocID, bool) {
-	el, ok := c.byKey[key]
-	if !ok {
-		return nil, false
-	}
-	c.ll.MoveToFront(el)
-	return el.Value.(*answerEntry).docs, true
-}
-
-// put inserts or refreshes an entry and returns how many entries were
-// evicted to stay within maxEntries.
-func (c *answerCache) put(key string, q xpath.Path, docs []xmldoc.DocID) int {
+// get returns the entry cached under key, marking it used, or the zero V.
+func (c *lru[K, V]) get(key K) (v V) {
 	if el, ok := c.byKey[key]; ok {
-		el.Value.(*answerEntry).docs = docs
 		c.ll.MoveToFront(el)
-		return 0
+		v = el.Value.(V)
 	}
-	c.byKey[key] = c.ll.PushFront(&answerEntry{key: key, query: q, docs: docs})
+	return v
+}
+
+// put caches en, replacing any older entry under its key, and returns how
+// many least recently used entries were evicted to fit max.
+func (c *lru[K, V]) put(en V) int {
+	c.remove(en.lruKey())
+	c.byKey[en.lruKey()] = c.ll.PushFront(en)
+	c.used += en.cost()
 	evicted := 0
-	for c.maxEntries > 0 && c.ll.Len() > c.maxEntries {
+	for c.max > 0 && c.used > c.max && c.ll.Len() > 1 {
 		c.removeElement(c.ll.Back())
 		evicted++
 	}
 	return evicted
 }
 
-func (c *answerCache) removeElement(el *list.Element) {
+func (c *lru[K, V]) remove(key K) {
+	if el, ok := c.byKey[key]; ok {
+		c.removeElement(el)
+	}
+}
+
+func (c *lru[K, V]) removeElement(el *list.Element) {
+	en := el.Value.(V)
 	c.ll.Remove(el)
-	delete(c.byKey, el.Value.(*answerEntry).key)
+	delete(c.byKey, en.lruKey())
+	c.used -= en.cost()
 }
 
 // entries returns the cached entries, most recently used first. The returned
 // slice is fresh; the entries are the cache's own, for a collection update to
 // patch (see answerEntry.docs). Walking them does not count as a use.
-func (c *answerCache) entries() []*answerEntry {
-	out := make([]*answerEntry, 0, c.ll.Len())
+func (c *lru[K, V]) entries() []V {
+	out := make([]V, 0, c.ll.Len())
 	for el := c.ll.Front(); el != nil; el = el.Next() {
-		out = append(out, el.Value.(*answerEntry))
+		out = append(out, el.Value.(V))
 	}
 	return out
 }
 
+// answerEntry is one memoized query answer, keyed by canonical query string.
+// The parsed query is retained so a collection update can match the one
+// changed document against the cached queries and patch their answers. docs
+// is shared with every caller it was returned to, so an update replaces the
+// slice and never writes through it.
+type answerEntry struct {
+	key   string
+	query xpath.Path
+	docs  []xmldoc.DocID
+}
+
+func (en *answerEntry) lruKey() string { return en.key }
+func (en *answerEntry) cost() int      { return 1 }
+
 // payloadEntry is one cached document: its frame, the payload marshalled in
 // place between header and checksum, and on a compressing engine the
 // transport envelope the frame airs in. The two share the entry's key and LRU
-// position and leave the cache together.
+// position and leave the cache together, and both count against the cache's
+// byte bound.
 type payloadEntry struct {
 	id    xmldoc.DocID
 	frame []byte
@@ -116,58 +134,5 @@ func (en *payloadEntry) onAir() []byte {
 	return en.frame
 }
 
-// size is what the entry counts against the cache's byte bound.
-func (en *payloadEntry) size() int { return len(en.frame) + len(en.env) }
-
-// payloadCache is an LRU cache of framed documents, bounded by the total
-// bytes of their frames and envelopes. maxBytes <= 0 means unbounded. Not
-// safe for concurrent use.
-type payloadCache struct {
-	maxBytes int
-	bytes    int
-	ll       *list.List // front = most recently used; values are *payloadEntry
-	byID     map[xmldoc.DocID]*list.Element
-}
-
-func newPayloadCache(maxBytes int) *payloadCache {
-	return &payloadCache{maxBytes: maxBytes, ll: list.New(), byID: make(map[xmldoc.DocID]*list.Element)}
-}
-
-// get returns the document's entry, or nil when it is not cached.
-func (c *payloadCache) get(id xmldoc.DocID) *payloadEntry {
-	el, ok := c.byID[id]
-	if !ok {
-		return nil
-	}
-	c.ll.MoveToFront(el)
-	return el.Value.(*payloadEntry)
-}
-
-// put caches an entry, replacing any older one for its document, and returns
-// how many least recently used entries were evicted to fit maxBytes. The
-// entry just put is never evicted: larger than maxBytes on its own, it stays
-// as the only entry until the next put.
-func (c *payloadCache) put(en *payloadEntry) int {
-	c.remove(en.id)
-	c.byID[en.id] = c.ll.PushFront(en)
-	c.bytes += en.size()
-	evicted := 0
-	for c.maxBytes > 0 && c.bytes > c.maxBytes && c.ll.Len() > 1 {
-		c.removeElement(c.ll.Back())
-		evicted++
-	}
-	return evicted
-}
-
-func (c *payloadCache) remove(id xmldoc.DocID) {
-	if el, ok := c.byID[id]; ok {
-		c.removeElement(el)
-	}
-}
-
-func (c *payloadCache) removeElement(el *list.Element) {
-	en := el.Value.(*payloadEntry)
-	c.ll.Remove(el)
-	delete(c.byID, en.id)
-	c.bytes -= en.size()
-}
+func (en *payloadEntry) lruKey() xmldoc.DocID { return en.id }
+func (en *payloadEntry) cost() int            { return len(en.frame) + len(en.env) }

@@ -123,7 +123,7 @@ func TestPayloadCacheByteBound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := e.payloads.bytes; got > maxBytes && e.payloads.ll.Len() > 1 {
+		if got := e.payloads.used; got > maxBytes && e.payloads.ll.Len() > 1 {
 			t.Fatalf("cycle %d: cache holds %d bytes in %d entries, cap %d", i, got, e.payloads.ll.Len(), maxBytes)
 		}
 		e.Recycle(enc)
@@ -131,7 +131,7 @@ func TestPayloadCacheByteBound(t *testing.T) {
 	// Documents average ~1 KB+, so a 4 KB bound forces evictions while the
 	// cycle rebroadcasts every scheduled document.
 	frames, envs := payloadCacheBytes(e)
-	if got := e.payloads.bytes; got != frames+envs || got > maxBytes {
+	if got := e.payloads.used; got != frames+envs || got > maxBytes {
 		t.Errorf("payload cache counts %d bytes, holds %d + %d, cap %d", got, frames, envs, maxBytes)
 	}
 	if envs == 0 {
@@ -151,7 +151,7 @@ func TestPayloadCacheByteBound(t *testing.T) {
 	if e.payloads.ll.Front().Value.(*payloadEntry) != big {
 		t.Error("the entry just put was evicted")
 	}
-	if got, want := e.payloads.bytes, big.size(); got != want {
+	if got, want := e.payloads.used, big.cost(); got != want {
 		t.Errorf("cache counts %d bytes, want %d", got, want)
 	}
 }

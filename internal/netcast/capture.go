@@ -87,6 +87,43 @@ func Record(ctx context.Context, broadcastAddr string, numCycles int, w io.Write
 	return recorded, nil
 }
 
+// WriteIndexSnapshot writes ix, packed under tier, to w as a one-cycle
+// capture: the capture magic, a cycle head whose organisation names the tier
+// and which carries the index's root labels and catalog, and one index frame.
+// ReadCapture reads it back like any recorded broadcast. A capture carries no
+// size model — its readers decode under the default one — so an index built
+// under another model is refused.
+func WriteIndexSnapshot(w io.Writer, ix *core.Index, tier core.Tier) error {
+	if ix.Model != core.DefaultSizeModel() {
+		return fmt.Errorf("netcast: a capture holds the default size model only, index has %+v", ix.Model)
+	}
+	if tier != core.OneTier && tier != core.FirstTier {
+		return fmt.Errorf("netcast: invalid tier %v", tier)
+	}
+	cat := wire.BuildCatalog(ix)
+	catBytes, err := cat.Encode()
+	if err != nil {
+		return err
+	}
+	head, err := (&wire.CycleHead{TwoTier: tier == core.FirstTier, RootLabels: wire.RootLabels(ix), Catalog: catBytes}).Append(nil)
+	if err != nil {
+		return err
+	}
+	seg, err := wire.AppendIndex(nil, ix, ix.Pack(tier), cat, nil)
+	if err != nil {
+		return err
+	}
+	out, err := wire.AppendFrame([]byte(captureMagic), wire.FrameCycleHead, head)
+	if err == nil {
+		out, err = wire.AppendFrame(out, wire.FrameIndex, seg)
+	}
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(out)
+	return err
+}
+
 // CycleRecord is one captured cycle — on a multichannel stream, one
 // channel's share of one cycle.
 type CycleRecord struct {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/broadcast"
 	"repro/internal/core"
 	"repro/internal/wire"
+	"repro/internal/xmldoc"
 	"repro/internal/xpath"
 )
 
@@ -116,6 +118,75 @@ func TestRecordAndReadCapture(t *testing.T) {
 			if !bytes.Equal(b.Docs[j], c.Docs[j]) {
 				t.Errorf("cycle %d doc %d: bare and compressed payloads differ", i, j)
 			}
+		}
+	}
+}
+
+// paperCollection is the paper's five-document running example.
+func paperCollection() *xmldoc.Collection {
+	c, err := xmldoc.NewCollection([]*xmldoc.Document{
+		xmldoc.NewDocument(1, xmldoc.El("a", xmldoc.El("b", xmldoc.El("a"), xmldoc.El("c")))),
+		xmldoc.NewDocument(2, xmldoc.El("a", xmldoc.El("b", xmldoc.El("a"), xmldoc.El("c")), xmldoc.El("c", xmldoc.El("b")))),
+		xmldoc.NewDocument(3, xmldoc.El("a", xmldoc.El("b"), xmldoc.El("c"))),
+		xmldoc.NewDocument(4, xmldoc.El("a", xmldoc.El("c", xmldoc.El("a")))),
+		xmldoc.NewDocument(5, xmldoc.El("a", xmldoc.El("b"), xmldoc.El("c", xmldoc.El("a")))),
+	})
+	if err != nil {
+		panic(err)
+	}
+	return c
+}
+
+// paperIndexes returns the running example's CI and a PCI of it pruned to
+// two queries.
+func paperIndexes(t *testing.T) (ci, pci *core.Index) {
+	t.Helper()
+	ci, err := core.BuildCI(paperCollection(), core.DefaultSizeModel())
+	if err != nil {
+		t.Fatalf("BuildCI: %v", err)
+	}
+	if pci, _, err = ci.Prune([]xpath.Path{xpath.MustParse("/a/b/c"), xpath.MustParse("/a/c/a")}); err != nil {
+		t.Fatalf("Prune: %v", err)
+	}
+	return ci, pci
+}
+
+// An index snapshot is a one-cycle capture: it reads back through
+// ReadCapture and DecodeIndex node, child, attachment and root identical,
+// with the tier it was written in named by the cycle head.
+func TestIndexSnapshotRoundTrip(t *testing.T) {
+	ci, pci := paperIndexes(t)
+	for name, ix := range map[string]*core.Index{"ci": ci, "pci": pci} {
+		for _, tier := range []core.Tier{core.OneTier, core.FirstTier} {
+			t.Run(name+"/"+tier.String(), func(t *testing.T) {
+				var buf bytes.Buffer
+				if err := WriteIndexSnapshot(&buf, ix, tier); err != nil {
+					t.Fatalf("WriteIndexSnapshot: %v", err)
+				}
+				recs, err := ReadCapture(&buf)
+				if err != nil {
+					t.Fatalf("ReadCapture: %v", err)
+				}
+				if len(recs) != 1 {
+					t.Fatalf("snapshot holds %d cycles, want 1", len(recs))
+				}
+				if recs[0].TwoTier != (tier == core.FirstTier) || recs[0].Succinct {
+					t.Errorf("head names two-tier=%v succinct=%v for %v", recs[0].TwoTier, recs[0].Succinct, tier)
+				}
+				back, err := recs[0].DecodeIndex(core.DefaultSizeModel())
+				if err != nil {
+					t.Fatalf("DecodeIndex: %v", err)
+				}
+				if !slices.Equal(back.Roots, ix.Roots) || len(back.Nodes) != len(ix.Nodes) {
+					t.Fatalf("roots %v over %d nodes, want %v over %d", back.Roots, len(back.Nodes), ix.Roots, len(ix.Nodes))
+				}
+				for i, n := range ix.Nodes {
+					b := back.Nodes[i]
+					if b.Label != n.Label || b.Parent != n.Parent || !slices.Equal(b.Children, n.Children) || !slices.Equal(b.Docs, n.Docs) {
+						t.Errorf("node %d: got %+v, want %+v", i, b, n)
+					}
+				}
+			})
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/netcast/transport"
 	"repro/internal/wire"
 )
@@ -53,7 +54,8 @@ func FuzzFrame(f *testing.F) {
 // FuzzReadCapture: arbitrary capture bytes — including truncated and
 // corrupted captures — must produce records or an error, never a
 // panic. The capture reader is the client's downlink reader, so this fuzzes
-// both; one seed is a bare stream, one a compressed stream with its hello.
+// both; one seed is a bare stream, one a compressed stream with its hello,
+// and one per tier an index snapshot.
 func FuzzReadCapture(f *testing.F) {
 	head, _ := (&wire.CycleHead{Number: 1, TwoTier: true, NumDocs: 1, Catalog: []byte{0, 0}}).Append(nil)
 	doc := append([]byte{7, 0}, bytes.Repeat([]byte("<x/>"), 64)...) // long enough to deflate
@@ -75,6 +77,17 @@ func FuzzReadCapture(f *testing.F) {
 	f.Add(compressed.Bytes())
 	f.Add(append([]byte("XBCAST2\n"), bare[len(captureMagic):]...)) // retired magic: refused, not parsed
 	f.Add([]byte(captureMagic))
+	ci, err := core.BuildCI(paperCollection(), core.DefaultSizeModel())
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, tier := range []core.Tier{core.OneTier, core.FirstTier} {
+		var snap bytes.Buffer
+		if err := WriteIndexSnapshot(&snap, ci, tier); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(snap.Bytes())
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		recs, err := ReadCapture(bytes.NewReader(data))
 		if err == nil {

@@ -278,14 +278,8 @@ func StartServer(cfg ServerConfig) (*Server, error) {
 			return nil, err
 		}
 	}
-	if cfg.Model == (core.SizeModel{}) {
-		cfg.Model = core.DefaultSizeModel()
-	}
 	if cfg.Mode == 0 {
 		cfg.Mode = broadcast.TwoTierMode
-	}
-	if cfg.Scheduler == nil {
-		cfg.Scheduler = schedule.LeeLo{}
 	}
 	if cfg.Channels == 0 {
 		cfg.Channels = 1

@@ -161,15 +161,6 @@ func RunRestart(cfg RestartConfig) (*RestartResult, error) {
 	if cfg.StateDir == "" {
 		return nil, fmt.Errorf("sim: RestartConfig.StateDir is required")
 	}
-	if cfg.Model == (core.SizeModel{}) {
-		cfg.Model = core.DefaultSizeModel()
-	}
-	if cfg.Scheduler == nil {
-		cfg.Scheduler = schedule.LeeLo{}
-	}
-	if cfg.Channels == 0 {
-		cfg.Channels = 1
-	}
 	res := &RestartResult{ServedCycle: make(map[int64]int64)}
 	crashed, err := restartLeg(cfg, res, false)
 	if err != nil {

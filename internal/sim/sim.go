@@ -125,12 +125,6 @@ type Config struct {
 }
 
 func (c *Config) applyDefaults() {
-	if c.Model == (core.SizeModel{}) {
-		c.Model = core.DefaultSizeModel()
-	}
-	if c.Scheduler == nil {
-		c.Scheduler = schedule.LeeLo{}
-	}
 	if c.MaxCycles == 0 {
 		c.MaxCycles = 100000
 	}
@@ -152,7 +146,7 @@ func (c *Config) validate() error {
 	if c.LossProb < 0 || c.LossProb >= 1 {
 		return fmt.Errorf("sim: Config.LossProb must be in [0, 1), got %g", c.LossProb)
 	}
-	return c.Model.Validate()
+	return nil
 }
 
 // ClientStats records one client's outcome.
@@ -404,7 +398,7 @@ func Run(cfg Config) (*Result, error) {
 		}
 		// The clients read channel 0's frames, decoded once for all of them:
 		// on a single channel the whole cycle, at K > 1 the first tier.
-		if frames, err = decodeAir(frames[:0], enc.Frames[0], cfg.Compress, cfg.Model); err != nil {
+		if frames, err = decodeAir(frames[:0], enc.Frames[0], cfg.Compress, cy.Index.Model); err != nil {
 			return nil, err
 		}
 		st := CycleStats{

@@ -3,6 +3,8 @@ package repro_test
 import (
 	"bytes"
 	"context"
+	"io"
+	"strings"
 	"testing"
 	"time"
 
@@ -114,4 +116,58 @@ func TestSaveLoadIndexFacade(t *testing.T) {
 	if len(back.Lookup(q).Docs) != len(ix.Lookup(q).Docs) {
 		t.Error("loaded index answers differently")
 	}
+}
+
+// TestLoadIndexErrors: LoadIndex reads exactly one checksummed cycle, and
+// SaveIndex refuses a tier or an index a capture cannot describe.
+func TestLoadIndexErrors(t *testing.T) {
+	coll, err := repro.GenerateDocuments(repro.NITFSchema, 6, 2)
+	if err != nil {
+		t.Fatalf("GenerateDocuments: %v", err)
+	}
+	ix, err := repro.BuildIndex(coll)
+	if err != nil {
+		t.Fatalf("BuildIndex: %v", err)
+	}
+	var buf bytes.Buffer
+	if err := repro.SaveIndex(&buf, ix, repro.OneTier); err != nil {
+		t.Fatalf("SaveIndex: %v", err)
+	}
+	good := buf.Bytes()
+	const magic = "XBCAST4\n"
+	flipped := bytes.Clone(good)
+	flipped[len(flipped)-8] ^= 0x01 // inside the index frame's payload
+	for _, tt := range []struct {
+		name, give, want string
+	}{
+		{"empty", "", "capture header"},
+		{"bad magic", "XBCAST3\nretired format", "not a capture file"},
+		{"zero cycles", magic, "holds 0"},
+		{"truncated stream", string(good[:len(good)-5]), "holds 0"}, // the partial cycle is dropped
+		{"two cycles", string(good) + string(good[len(magic):]), "holds 2"},
+		{"flipped byte", string(flipped), "checksum"},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			_, _, err := repro.LoadIndex(strings.NewReader(tt.give))
+			if err == nil || !strings.Contains(err.Error(), tt.want) {
+				t.Errorf("LoadIndex: got %v, want an error containing %q", err, tt.want)
+			}
+		})
+	}
+	t.Run("invalid tier", func(t *testing.T) {
+		if err := repro.SaveIndex(io.Discard, ix, repro.OneTier+repro.FirstTier); err == nil { // neither tier
+			t.Error("SaveIndex wrote an index under an invalid tier")
+		}
+	})
+	t.Run("non-default model", func(t *testing.T) {
+		m := repro.DefaultSizeModel()
+		m.PointerBytes = 8
+		wide, err := repro.BuildIndexWithModel(coll, m)
+		if err != nil {
+			t.Fatalf("BuildIndexWithModel: %v", err)
+		}
+		if err := repro.SaveIndex(io.Discard, wide, repro.FirstTier); err == nil {
+			t.Error("SaveIndex wrote an index under a non-default size model")
+		}
+	})
 }
