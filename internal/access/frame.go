@@ -11,6 +11,7 @@ package access
 import (
 	"encoding/binary"
 	"fmt"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/succinct"
@@ -85,10 +86,15 @@ func Decode(t wire.FrameType, payload []byte, air int64, m core.SizeModel) (Fram
 }
 
 // Index is one cycle's index segment, decoded on its first read and
-// navigated once per navigator: the readers of a shared frame share both.
+// navigated once per navigator: the readers of a shared frame share both,
+// and may read it from concurrent goroutines. The lock is held across a
+// navigation, so a navigator shared by readers of one frame is used by one
+// goroutine at a time.
 type Index struct {
-	seg  []byte
-	m    core.SizeModel
+	seg []byte
+	m   core.SizeModel
+
+	mu   sync.Mutex      // guards the rest
 	head *wire.CycleHead // decoded under; nil before the first read
 	err  error
 
@@ -107,16 +113,33 @@ type indexRead struct {
 }
 
 // Read navigates an index frame, announced by head, for nav. It returns the
-// query's result set and the read's cost: the packets (node stream) or blob
-// bytes (succinct tier) the lookup touches, or the frame's whole Air when
-// wholeTier is set or the frame is Whole.
-func (f *Frame) Read(head *wire.CycleHead, nav *core.Navigator, wholeTier bool) ([]xmldoc.DocID, int64, error) {
+// query's result set, where a one-tier index places the cycle's documents
+// (nil on a first tier), and the read's cost: the packets (node stream) or
+// blob bytes (succinct tier) the lookup touches, or the frame's whole Air
+// when wholeTier is set or the frame is Whole.
+func (f *Frame) Read(head *wire.CycleHead, nav *core.Navigator, wholeTier bool) ([]xmldoc.DocID, wire.DocOffsets, int64, error) {
 	x := f.Index
+	x.mu.Lock()
+	rd, err := x.read(head, nav)
+	offs := x.offs
+	x.mu.Unlock()
+	switch {
+	case err != nil:
+		return nil, nil, 0, err
+	case wholeTier || f.Whole:
+		return rd.docs, offs, f.Air, nil
+	}
+	return rd.docs, offs, min(rd.touched, f.Air), nil
+}
+
+// read is nav's read of the index as head describes it, decoded and
+// navigated on the first ask. Called with x.mu held.
+func (x *Index) read(head *wire.CycleHead, nav *core.Navigator) (indexRead, error) {
 	if x.head != head {
 		x.decode(head)
 	}
 	if x.err != nil {
-		return nil, 0, x.err
+		return indexRead{}, x.err
 	}
 	rd, ok := x.reads[nav]
 	if !ok {
@@ -135,17 +158,17 @@ func (f *Frame) Read(head *wire.CycleHead, nav *core.Navigator, wholeTier bool) 
 		}
 		x.reads[nav] = rd
 	}
-	if wholeTier || f.Whole {
-		return rd.docs, f.Air, nil
-	}
-	return rd.docs, min(rd.touched, f.Air), nil
+	return rd, nil
 }
 
 // decode decodes the segment as head describes it: the head's catalog, the
 // tier its organisation names, its root labels. A succinct first tier is
-// parsed, not materialised.
+// parsed, not materialised. What an earlier head decoded is dropped field by
+// field, the lock left alone.
 func (x *Index) decode(head *wire.CycleHead) {
-	*x = Index{seg: x.seg, m: x.m, head: head}
+	x.head, x.err = head, nil
+	x.ix, x.p, x.offs, x.st, x.cur = nil, nil, nil, nil, nil
+	clear(x.reads)
 	cat, err := wire.DecodeCatalog(head.Catalog)
 	switch {
 	case err != nil:

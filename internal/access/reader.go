@@ -1,7 +1,6 @@
 package access
 
 import (
-	"cmp"
 	"slices"
 
 	"repro/internal/core"
@@ -246,7 +245,7 @@ func (r *Reader) onIndex(f *Frame) error {
 	if r.head == nil || r.head.TwoTier && r.knowsDocs || r.head.Number < r.CoveredFrom {
 		r.stats.Doze += f.Air
 	} else {
-		docs, cost, err := f.Read(r.head, r.nav, r.WholeTier)
+		docs, offs, cost, err := f.Read(r.head, r.nav, r.WholeTier)
 		if err != nil {
 			return err
 		}
@@ -257,9 +256,7 @@ func (r *Reader) onIndex(f *Frame) error {
 		if !r.knowsDocs {
 			r.remaining, r.knowsDocs = append(r.remaining[:0], docs...), true
 		}
-		if !r.head.TwoTier {
-			r.inCycle = f.Index.offs
-		}
+		r.inCycle = offs
 	}
 	mc := r.mc
 	if mc == nil || mc.dir == nil || r.head == nil {
@@ -301,20 +298,28 @@ func (r *Reader) located(d xmldoc.DocID) bool {
 		_, ok := r.inCycle[d]
 		return ok
 	}
-	_, ok := slices.BinarySearchFunc(r.offsets, d, func(e wire.SecondTierEntry, d xmldoc.DocID) int { return cmp.Compare(e.Doc, d) })
-	return ok // the second tier is sorted by document
+	lo, hi := 0, len(r.offsets) // the second tier is sorted by document
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); r.offsets[m].Doc < d {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo < len(r.offsets) && r.offsets[lo].Doc == d
 }
 
 // onDoc downloads a located document of the result set and hands it to the
 // sink; any other document is dozed.
 func (r *Reader) onDoc(f *Frame) error {
 	mc := r.mc
-	if mc != nil && mc.stale || !xmldoc.HasID(r.remaining, f.Doc) || !r.located(f.Doc) {
+	i, wanted := slices.BinarySearch(r.remaining, f.Doc)
+	if mc != nil && mc.stale || !wanted || !r.located(f.Doc) {
 		r.stats.Doze += f.Air
 	} else if r.tune(f, &r.stats.DocTuning) {
-		r.remaining = xmldoc.RemoveID(r.remaining, f.Doc)
+		r.remaining = slices.Delete(r.remaining, i, i+1)
 		if err := r.sink.Receive(f); err != nil {
-			r.remaining = xmldoc.InsertID(r.remaining, f.Doc)
+			r.remaining = slices.Insert(r.remaining, i, f.Doc)
 			return err
 		}
 	}

@@ -666,19 +666,8 @@ func applyRecord(st *State, typ byte, p []byte) error {
 				continue
 			}
 			req := &st.Pending[i]
-			if len(d.Docs) > 0 {
-				drop := make(map[uint16]struct{}, len(d.Docs))
-				for _, doc := range d.Docs {
-					drop[doc] = struct{}{}
-				}
-				kept := req.Remaining[:0]
-				for _, doc := range req.Remaining {
-					if _, gone := drop[doc]; !gone {
-						kept = append(kept, doc)
-					}
-				}
-				req.Remaining = kept
-			}
+			// A delivery is a cycle's few documents: a scan beats a set.
+			req.Remaining = slices.DeleteFunc(req.Remaining, func(doc uint16) bool { return slices.Contains(d.Docs, doc) })
 			if d.Retired || len(req.Remaining) == 0 {
 				st.retire(i, cycle)
 			}

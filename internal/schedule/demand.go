@@ -27,6 +27,9 @@ type demandReq struct {
 	// planDelta is the bytes of docs picked for this request within the
 	// plan currently being built; always rolled back to 0 afterwards.
 	planDelta int
+	// inv is the request's LeeLo term 1/(remaining − planDelta), or 0 when
+	// that is not positive; reinv refreshes it after either changes.
+	inv float64
 	// zombie marks a request whose last doc was delivered by a plan; it is
 	// kept (with its seq) until the driver's next pending set confirms the
 	// completion, so a lossy delivery can resurrect it without changing the
@@ -455,6 +458,7 @@ func (x *DemandIndex) DeliverDoc(d xmldoc.DocID) {
 			copy(rs.docs[i:], rs.docs[i+1:])
 			rs.docs = rs.docs[:len(rs.docs)-1]
 			rs.remaining -= ds.size
+			rs.reinv()
 			x.edits++
 			if len(rs.docs) == 0 {
 				rs.zombie = true
@@ -506,6 +510,7 @@ func (x *DemandIndex) attach(rs *demandReq, d xmldoc.DocID, size func(xmldoc.Doc
 		x.insertAt(&ds.reqs, ds.reqs.search(rs.seq), rs)
 	}
 	rs.remaining += ds.size
+	rs.reinv()
 	x.markDirty(ds)
 	x.edits++
 }
@@ -516,6 +521,7 @@ func (x *DemandIndex) detach(rs *demandReq, d xmldoc.DocID) {
 	ds := x.doc(d)
 	x.removeAt(&ds.reqs, ds.reqs.search(rs.seq))
 	rs.remaining -= ds.size
+	rs.reinv()
 	x.edits++
 	if ds.reqs.n == 0 {
 		x.delDoc(d)
@@ -549,17 +555,24 @@ func (x *DemandIndex) refreshScores() {
 }
 
 // planScore is the doc's LeeLo score against the plan being built:
-// Σ 1/(remaining − planDelta) over requesters, in seq order.
+// Σ 1/(remaining − planDelta) over requesters, in seq order. A request with
+// nothing left adds its inv of 0, which leaves the sum's bits as they are.
 func (x *DemandIndex) planScore(ds *demandDoc) float64 {
 	s := 0.0
 	for c := range ds.reqs.chunks {
 		for _, rs := range ds.reqs.part(c) {
-			if rem := rs.remaining - rs.planDelta; rem > 0 {
-				s += 1 / float64(rem)
-			}
+			s += rs.inv
 		}
 	}
 	return s
+}
+
+// reinv refreshes rs.inv; called wherever remaining or planDelta is written.
+func (rs *demandReq) reinv() {
+	rs.inv = 0
+	if rem := rs.remaining - rs.planDelta; rem > 0 {
+		rs.inv = 1 / float64(rem)
+	}
 }
 
 func (x *DemandIndex) nextSeenGen() uint32 {
@@ -677,6 +690,7 @@ func (x *DemandIndex) Rebuild(reqs []Request, size func(xmldoc.DocID) int, worke
 				sum += x.docTab[d].size
 			}
 			rs.remaining = sum
+			rs.reinv()
 		}
 		mu.Lock()
 		for i := lo; i < hi; i++ {

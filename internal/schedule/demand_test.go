@@ -118,6 +118,9 @@ func checkInvariants(t *testing.T, x *DemandIndex) {
 		if sum != rs.remaining {
 			t.Fatalf("request %d remaining %d, want %d", id, rs.remaining, sum)
 		}
+		if sum > 0 && rs.inv != 1/float64(sum) || sum <= 0 && rs.inv != 0 {
+			t.Fatalf("request %d inv %v, remaining %d", id, rs.inv, sum)
+		}
 		live++
 	}
 	if nz != x.nzombie {

@@ -194,10 +194,10 @@ func (x *DemandIndex) planLeeLo(capacity int) []xmldoc.DocID {
 				if rs.planDelta == 0 {
 					touched = append(touched, rs)
 				}
-				rem := rs.remaining - rs.planDelta // ≥ s: rs still missed ds
+				old := rs.inv // 1/(remaining − planDelta), a gap ≥ s: rs still missed ds
 				rs.planDelta += s
-				if rem > s {
-					g += 1/float64(rem-s) - 1/float64(rem)
+				if rs.reinv(); rs.inv > 0 {
+					g += rs.inv - old
 				}
 			}
 		}
@@ -223,6 +223,7 @@ func (x *DemandIndex) planLeeLo(capacity int) []xmldoc.DocID {
 	}
 	for _, rs := range touched {
 		rs.planDelta = 0
+		rs.reinv()
 	}
 	x.touched = touched[:0]
 	x.cands, x.out = h[:0], out

@@ -10,15 +10,21 @@
 // (package access), on the simulator's byte clock. A cycle's frames are
 // decoded once for all of its clients, and since an index read depends only
 // on the cycle and the query (§3.4), the clients of one query share one
-// navigator and the index is navigated once per (cycle, query).
+// navigator and the index is navigated once per (cycle, query). Clients
+// attend a cycle in parallel, one shard of them per core, unless a loss
+// process, one random stream drawn in client order, orders them; the result
+// is the same either way.
 package sim
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sort"
+	"sync"
 
 	"repro/internal/access"
 	"repro/internal/broadcast"
@@ -427,7 +433,7 @@ func Run(cfg Config) (*Result, error) {
 					head = f.Head
 				case wire.FrameIndex:
 					firstTier = func(cl *client) (int64, error) {
-						_, cost, err := f.Read(head, cl.nav, cfg.WholeTierRead)
+						_, _, cost, err := f.Read(head, cl.nav, cfg.WholeTierRead)
 						return cost, err
 					}
 				}
@@ -446,25 +452,16 @@ func Run(cfg Config) (*Result, error) {
 		// read is retried next cycle, a lost per-cycle index read skips this
 		// cycle's documents, and a lost document stays in the remaining set
 		// and is rescheduled by the server.
+		if err := attendAll(active, loss, func(cl *client) error {
+			if len(cy.Channels) > 1 {
+				return attendMultichannel(cl, cy, loss, firstTier)
+			}
+			return attendFrames(cl, cy.Start, frames)
+		}); err != nil {
+			return nil, fmt.Errorf("sim: cycle %d: %w", cy.Number, err)
+		}
 		stillActive := active[:0]
 		for _, cl := range active {
-			if len(cy.Channels) > 1 {
-				err = attendMultichannel(cl, cy, loss, firstTier)
-			} else {
-				cl.start = cy.Start
-				for i := range frames {
-					if _, err = cl.reader.Feed(&frames[i]); err != nil {
-						break
-					}
-				}
-				if cl.done = cl.reader.Done(); cl.done {
-					st := cl.reader.Stats()
-					cl.stats.IndexTuningBytes, cl.stats.DocTuningBytes, cl.stats.CyclesListened = st.IndexTuning, st.DocTuning, st.Cycles
-				}
-			}
-			if err != nil {
-				return nil, fmt.Errorf("sim: cycle %d: %w", cy.Number, err)
-			}
 			if cl.done {
 				completed++
 			} else {
@@ -498,6 +495,63 @@ func Run(cfg Config) (*Result, error) {
 	}
 	res.Engine = eng.Metrics()
 	return res, nil
+}
+
+// minShard is the fewest clients attendAll hands a goroutine of its own:
+// fewer are not worth a goroutine's start and join.
+const minShard = 256
+
+// attendShards is how many goroutines attend a cycle's n active clients: one
+// per core, each with at least minShard clients. A variable so tests can fix
+// it.
+var attendShards = func(n int) int { return max(1, min(runtime.GOMAXPROCS(0), n/minShard)) }
+
+// attendAll plays one cycle for every active client through attend. Clients
+// are independent but for the index frame they read (access.Index serialises
+// that), so contiguous shards of them attend on their own goroutines. A loss
+// process is one random stream drawn in client order, so a lossy run attends
+// on one goroutine. The error is the first client's, in active order.
+func attendAll(active []*client, loss *lossProcess, attend func(*client) error) error {
+	shards := 1
+	if loss == nil {
+		shards = attendShards(len(active))
+	}
+	width := (len(active) + shards - 1) / shards
+	errs := make([]error, shards)
+	attendShard := func(s int) {
+		for _, cl := range active[min(s*width, len(active)):min((s+1)*width, len(active))] {
+			if errs[s] = attend(cl); errs[s] != nil {
+				return
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for s := 1; s < shards; s++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			attendShard(s)
+		}()
+	}
+	attendShard(0) // the calling goroutine attends the first shard
+	wg.Wait()
+	return cmp.Or(errs...) // the first shard's error is the first client's
+}
+
+// attendFrames feeds one client's reader a single-channel cycle that started
+// at byte-time start.
+func attendFrames(cl *client, start int64, frames []access.Frame) error {
+	cl.start = start
+	for i := range frames {
+		if _, err := cl.reader.Feed(&frames[i]); err != nil {
+			return err
+		}
+	}
+	if cl.done = cl.reader.Done(); cl.done {
+		st := cl.reader.Stats()
+		cl.stats.IndexTuningBytes, cl.stats.DocTuningBytes, cl.stats.CyclesListened = st.IndexTuning, st.DocTuning, st.Cycles
+	}
+	return nil
 }
 
 // decodeFrame decodes one frame for the clients of a cycle; a variable so
