@@ -44,7 +44,7 @@ func airedCycle(t testing.TB, l layout, queries []xpath.Path) ([][]Frame, *engin
 	for i, q := range queries {
 		pending = append(pending, engine.Pending{ID: int64(i), Query: q, Remaining: eng.Resolve(q)})
 	}
-	cy, err := eng.AssembleCycleAt(0, 0, 0, pending)
+	cy, err := eng.AssembleCycle(0, 0, pending)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -156,7 +156,7 @@ type Engine struct {
 	changeIdx []int
 	keepIDs   map[int64]struct{}
 
-	// reqs and queries are AssembleCycleAt's pending-view scratch.
+	// reqs and queries are AssembleCycle's pending-view scratch.
 	reqs    []schedule.Request
 	queries []xpath.Path
 
@@ -295,16 +295,6 @@ func (e *Engine) Resolve(q xpath.Path) []xmldoc.DocID {
 // The engine assembles whatever pending set it is given: admission, and with
 // it any cap on the pending set, is the driver's (Ledger.Admit). Every cycle
 // is pruned, so its bytes depend only on its inputs.
-func (e *Engine) AssembleCycle(number, start int64, pending []Pending) (*Cycle, error) {
-	return e.AssembleCycleAt(number, start, start, pending)
-}
-
-// AssembleCycleAt is AssembleCycle with the scheduler's "now" decoupled
-// from the cycle's start time, for drivers whose scheduling clock differs
-// from their layout clock: the simulator's ClockCycles option keeps
-// byte-time cycle starts while handing clock-sensitive policies (RxW) the
-// cycle number netcast schedules with. Arrival values in pending must be in
-// schedNow's unit.
 //
 // Incremental scheduling (see schedule.DemandIndex) additionally assumes
 // driver-shaped pending sets across consecutive calls: a request keeps its
@@ -312,7 +302,7 @@ func (e *Engine) AssembleCycle(number, start int64, pending []Pending) (*Cycle, 
 // non-empty, and new requests are appended after surviving ones. Both
 // drivers satisfy this; callers that mutate pending arbitrarily between
 // cycles still get correct plans whenever a count or arrival changes.
-func (e *Engine) AssembleCycleAt(number, start, schedNow int64, pending []Pending) (*Cycle, error) {
+func (e *Engine) AssembleCycle(number, start int64, pending []Pending) (*Cycle, error) {
 	if len(pending) == 0 {
 		return nil, fmt.Errorf("engine: AssembleCycle with no pending requests")
 	}
@@ -328,7 +318,7 @@ func (e *Engine) AssembleCycleAt(number, start, schedNow int64, pending []Pendin
 
 	schedStart := time.Now()
 	size := func(d xmldoc.DocID) int { return e.builder.DocByID(d).Size() }
-	plan, err := e.planCycle(reqs, size, schedNow)
+	plan, err := e.planCycle(reqs, size, start)
 	if err != nil {
 		return nil, fmt.Errorf("engine: %w", err)
 	}

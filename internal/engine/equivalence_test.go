@@ -16,7 +16,6 @@ import (
 	"repro/internal/gen"
 	"repro/internal/netcast"
 	"repro/internal/netcast/transport"
-	"repro/internal/schedule"
 	"repro/internal/sim"
 	"repro/internal/wire"
 	"repro/internal/xmldoc"
@@ -193,23 +192,13 @@ func airedCycles(t *testing.T, stream []byte) [][]byte {
 // simulator run of waves 0..w-1 — which is unchanged by adding wave w, since
 // wave w only joins at cycle w.
 //
-// The LeeLo variant runs with the simulator's default byte-time scheduler
-// clock: LeeLo plans from remaining-document sets only, so the clock unit is
-// irrelevant. The RxW variant is the interesting one — RxW scores depend on
-// arrival times and "now", so the simulator switches to sim.ClockCycles,
-// feeding the scheduler admission-cycle numbers exactly as the server does.
+// Both drivers run the default LeeLo policy, which plans from
+// remaining-document sets only, so the simulator's byte-time clock and the
+// server's cycle numbers schedule alike.
 func TestSimNetcastStaggeredEquivalence(t *testing.T) {
-	for _, tc := range []struct {
-		name  string
-		clock sim.ClockUnit
-	}{
-		{"leelo", sim.ClockBytes},
-		{"rxw", sim.ClockCycles},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			testStaggeredEquivalence(t, tc.name, tc.clock, 1)
-		})
-	}
+	t.Run("leelo", func(t *testing.T) {
+		testStaggeredEquivalence(t, 1)
+	})
 }
 
 // TestSimNetcastMultichannelEquivalence extends the staggered-arrival
@@ -221,12 +210,12 @@ func TestSimNetcastStaggeredEquivalence(t *testing.T) {
 func TestSimNetcastMultichannelEquivalence(t *testing.T) {
 	for _, k := range []int{1, 2, 4, 8} {
 		t.Run(fmt.Sprintf("k%d", k), func(t *testing.T) {
-			testStaggeredEquivalence(t, "leelo", sim.ClockBytes, k)
+			testStaggeredEquivalence(t, k)
 		})
 	}
 }
 
-func testStaggeredEquivalence(t *testing.T, policy string, clock sim.ClockUnit, channels int) {
+func testStaggeredEquivalence(t *testing.T, channels int) {
 	c, err := gen.Documents(gen.DocConfig{Schema: dtd.NITF(), NumDocs: 15, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
@@ -255,7 +244,7 @@ func testStaggeredEquivalence(t *testing.T, policy string, clock sim.ClockUnit, 
 	arrivals := make([]int64, len(queries))
 	for w := 1; w < numWaves; w++ {
 		n := w * waveSize
-		_, stats := runStaggeredSim(t, c, queries[:n], arrivals[:n], capacity, policy, clock, channels)
+		_, stats := runStaggeredSim(t, c, queries[:n], arrivals[:n], capacity, channels)
 		if len(stats) <= w {
 			t.Fatalf("waves 0..%d drained in %d cycles; fixture cannot stagger wave %d", w-1, len(stats), w)
 		}
@@ -264,21 +253,17 @@ func testStaggeredEquivalence(t *testing.T, policy string, clock sim.ClockUnit, 
 		}
 	}
 
-	simCycles, _ := runStaggeredSim(t, c, queries, arrivals, capacity, policy, clock, channels)
+	simCycles, _ := runStaggeredSim(t, c, queries, arrivals, capacity, channels)
 	if len(simCycles) <= numWaves {
 		t.Fatalf("staggered fixture produced %d cycles; want more than %d", len(simCycles), numWaves)
 	}
-	compareCycles(t, simCycles, runStaggeredNetcast(t, c, queries, waveSize, capacity, len(simCycles), policy, channels))
+	compareCycles(t, simCycles, runStaggeredNetcast(t, c, queries, waveSize, capacity, len(simCycles), channels))
 }
 
 // runStaggeredSim runs the simulator with per-request byte-time arrivals and
 // returns the captured cycles alongside their stats (for Start times).
-func runStaggeredSim(t *testing.T, c *xmldoc.Collection, queries []xpath.Path, arrivals []int64, capacity int, policy string, clock sim.ClockUnit, channels int) ([]capturedCycle, []sim.CycleStats) {
+func runStaggeredSim(t *testing.T, c *xmldoc.Collection, queries []xpath.Path, arrivals []int64, capacity int, channels int) ([]capturedCycle, []sim.CycleStats) {
 	t.Helper()
-	sched, err := schedule.New(policy)
-	if err != nil {
-		t.Fatal(err)
-	}
 	reqs := make([]sim.ClientRequest, 0, len(queries))
 	for i, q := range queries {
 		reqs = append(reqs, sim.ClientRequest{Query: q, Arrival: arrivals[i]})
@@ -287,8 +272,6 @@ func runStaggeredSim(t *testing.T, c *xmldoc.Collection, queries []xpath.Path, a
 	res, err := sim.Run(sim.Config{
 		Collection:    c,
 		Mode:          broadcast.TwoTierMode,
-		Scheduler:     sched,
-		ScheduleClock: clock,
 		Channels:      channels,
 		CycleCapacity: capacity,
 		Requests:      reqs,
@@ -304,16 +287,11 @@ func runStaggeredSim(t *testing.T, c *xmldoc.Collection, queries []xpath.Path, a
 // wave until the server has broadcast exactly one cycle per earlier wave, and
 // asserts every ack's covered cycle equals the wave number — the explicit
 // cycle-number half of the arrival-clock mapping.
-func runStaggeredNetcast(t *testing.T, c *xmldoc.Collection, queries []xpath.Path, waveSize, capacity, wantCycles int, policy string, channels int) [][]byte {
+func runStaggeredNetcast(t *testing.T, c *xmldoc.Collection, queries []xpath.Path, waveSize, capacity, wantCycles int, channels int) [][]byte {
 	t.Helper()
-	sched, err := schedule.New(policy)
-	if err != nil {
-		t.Fatal(err)
-	}
 	srv, err := netcast.StartServer(netcast.ServerConfig{
 		Collection:    c,
 		Mode:          broadcast.TwoTierMode,
-		Scheduler:     sched,
 		Channels:      channels,
 		CycleCapacity: capacity,
 		CycleInterval: 250 * time.Millisecond, // wide enough to land a whole wave between ticks

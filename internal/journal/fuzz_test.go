@@ -6,43 +6,41 @@ import (
 	"testing"
 )
 
-// FuzzJournalRecover feeds arbitrary bytes as the snapshot and log of a
-// state directory. Recovery must never panic: any corrupt prefix is either
-// rejected (snapshot) or truncated (log), and the journal that comes back
-// must accept appends and survive a second recovery.
+// FuzzJournalRecover feeds arbitrary bytes as the log of a state directory.
+// Recovery must never panic: a corrupt checkpoint is rejected and a corrupt
+// record after it truncated, and the journal that comes back must accept
+// appends and survive a second recovery.
 func FuzzJournalRecover(f *testing.F) {
-	// Seed with a well-formed snapshot + log pair, then torn/corrupt
-	// variants of each.
+	// Seed with a well-formed log — a checkpoint holding a pending request,
+	// then records after it — and torn or corrupt variants of it.
 	dir := f.TempDir()
-	j, _, err := Open(Options{Dir: dir, SnapshotEvery: -1, Epoch: 3})
+	j, _, err := Open(Options{Dir: dir, SnapshotEvery: -1})
 	if err != nil {
 		f.Fatal(err)
 	}
 	j.Admit(Request{ID: 1, Arrival: 0, Query: "/a/b", Remaining: []uint16{2, 5}})
-	j.Commit(0, []Delivery{{ID: 1, Docs: []uint16{2}}})
+	j.Snapshot()
+	checkpoint, _ := os.ReadFile(filepath.Join(dir, walName))
+	j.Admit(Request{ID: 2, Arrival: 0, Query: "//c", Remaining: []uint16{5}})
+	j.Commit(0, []Delivery{{ID: 1, Docs: []uint16{2}}, {ID: 2, Docs: []uint16{5}, Retired: true}})
 	j.DocAdded(0x1234)
 	j.Kill()
-	snap, _ := os.ReadFile(filepath.Join(dir, snapName))
 	wal, _ := os.ReadFile(filepath.Join(dir, walName))
-	f.Add(snap, wal)
-	f.Add(snap, wal[:len(wal)/2])
-	f.Add(snap[:len(snap)/2], wal)
-	f.Add([]byte{}, wal)
-	f.Add(snap, []byte{})
-	f.Add([]byte{recSync0, recSync1, 99, 0xFF, 0xFF, 0xFF, 0xFF}, []byte{recSync0, recSync1})
-	if len(wal) > 4 {
+	f.Add(wal)
+	f.Add(checkpoint)
+	f.Add(wal[:len(wal)/2])
+	f.Add(wal[:len(wal)-1])
+	f.Add(checkpoint[:len(checkpoint)/2])
+	f.Add(logMagic)
+	f.Add([]byte{})
+	for _, at := range []int{len(checkpoint) / 2, (len(checkpoint) + len(wal)) / 2} {
 		mut := append([]byte(nil), wal...)
-		mut[len(mut)/2] ^= 0xFF
-		f.Add(snap, mut)
+		mut[at] ^= 0xFF
+		f.Add(mut)
 	}
 
-	f.Fuzz(func(t *testing.T, snapData, walData []byte) {
+	f.Fuzz(func(t *testing.T, walData []byte) {
 		dir := t.TempDir()
-		if len(snapData) > 0 {
-			if err := os.WriteFile(filepath.Join(dir, snapName), snapData, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
 		if len(walData) > 0 {
 			if err := os.WriteFile(filepath.Join(dir, walName), walData, 0o644); err != nil {
 				t.Fatal(err)
@@ -50,7 +48,7 @@ func FuzzJournalRecover(f *testing.F) {
 		}
 		j, st, err := Open(Options{Dir: dir})
 		if err != nil {
-			// A corrupt snapshot is a hard error (lineage identity is
+			// A corrupt checkpoint is a hard error (lineage identity is
 			// gone); the one thing forbidden is a panic.
 			return
 		}

@@ -1,24 +1,27 @@
-// Package journal is the broadcast server's durability layer: an
-// append-only, CRC-framed write-ahead log of pending-set events (admissions,
-// cycle commits, request and document removals) compacted by periodic
-// snapshots, so a killed server restarts with the exact pending set it had
-// durably acknowledged and resumes cycle assembly from the last committed
-// cycle.
+// Package journal is the broadcast server's durability layer: one
+// append-only log of pending-set events (admissions, cycle commits, request
+// and document removals), so a killed server restarts with the exact pending
+// set it had durably acknowledged and resumes cycle assembly from the last
+// committed cycle.
 //
-// The design follows the classic WAL + checkpoint recipe:
+// The log, wal.log, is a magic followed by wire frames (internal/wire: sync
+// bytes, type, length, payload, CRC32C), one per record, each payload opening
+// with a sequence number one above the record before it:
 //
-//   - every state change is appended to wal.log as a sync-byte + CRC32C
-//     framed record carrying a monotonically increasing sequence number;
-//   - every Options.SnapshotEvery records (and on clean Close) the snapshot
-//     and the log are folded by the recovery code into a new state.snap,
-//     written via write-to-temp + atomic rename, and the log is truncated —
-//     replay after a checkpoint skips records whose sequence the snapshot
-//     already covers, so a crash between rename and truncate never
-//     double-applies. The journal keeps no state of its own between folds;
-//   - recovery (Open on a non-empty directory) loads the snapshot, replays
-//     the log, and stops at the first torn or corrupt record, truncating the
-//     tail — a crash mid-append loses at most the record being written,
-//     which by protocol was not yet acknowledged to anyone.
+//   - the first record is a checkpoint: the journal's counters, its served
+//     memory and the number of admit records that follow it, one per pending
+//     request;
+//   - every later record is an event, appended as it happens.
+//
+// A checkpoint rewrites the log: every Options.SnapshotEvery records, on
+// Snapshot and Close, and in Open, the recovery code folds the log into its
+// state, which is written to a temporary file, fsynced and renamed over
+// wal.log; appends continue on the renamed file. The journal keeps no state
+// of its own between folds. Recovery (Open on a non-empty directory) reads
+// the checkpoint, replays the records after it, and stops at the first torn
+// or corrupt one — a crash mid-append loses at most the record being
+// written, which by protocol was not yet acknowledged to anyone — and Open's
+// own checkpoint drops that tail.
 //
 // Appends are flushed to the OS on every call, so a killed *process* loses
 // nothing that was acknowledged; Options.Fsync additionally fsyncs each
@@ -27,59 +30,45 @@
 package journal
 
 import (
+	"bytes"
 	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 	"slices"
 	"sync"
 	"time"
+
+	"repro/internal/wire"
 )
 
-// File names inside Options.Dir.
+// walName is the log's file name inside Options.Dir.
+const walName = "wal.log"
+
+// logMagic opens the log.
+var logMagic = []byte("XBJWAL1\n")
+
+// Record types, each the type of its record's frame.
 const (
-	walName      = "wal.log"
-	snapName     = "state.snap"
-	snapTempName = "state.snap.tmp"
+	recAdmit      wire.FrameType = 1 // one request admitted to the pending set
+	recCommit     wire.FrameType = 2 // one cycle's deliveries applied, cycle counter advanced
+	recRemove     wire.FrameType = 3 // one request removed without delivery (administrative)
+	recDocAdd     wire.FrameType = 4 // collection grew; payload is the new fingerprint
+	recDocRemove  wire.FrameType = 5 // one document retired; pending remaining sets shrink
+	recCheckpoint wire.FrameType = 6 // the log's first record: counters, served memory, admit count
 )
 
-// snapMagic opens a snapshot file.
-var snapMagic = []byte("XBJSNP01")
-
-// Record sync bytes: every WAL record and snapshot body starts with this
-// pair, so recovery can distinguish a torn tail from garbage.
-const (
-	recSync0 = 0xD5
-	recSync1 = 0x1E
-)
-
-// Record types.
-const (
-	recAdmit     = 1 // one request admitted to the pending set
-	recCommit    = 2 // one cycle's deliveries applied, cycle counter advanced
-	recRemove    = 3 // one request removed without delivery (administrative)
-	recDocAdd    = 4 // collection grew; payload is the new fingerprint
-	recDocRemove = 5 // one document retired; pending remaining sets shrink
-	recSnapshot  = 6 // full state (snapshot files only)
-)
-
-// recHdrLen is sync(2) + type(1) + length(4); recCRCLen trails the payload.
-const (
-	recHdrLen = 7
-	recCRCLen = 4
-)
-
-// maxRecord bounds record payloads defensively (16 MiB).
-const maxRecord = 16 << 20
+// checkpointLen is the checkpoint's fixed part: epoch, generation, next ID,
+// cycle count, fingerprint and admit count. The served memory follows it,
+// 16 bytes an entry.
+const checkpointLen = 40
 
 // Defaults for Options zero values.
 const (
 	// DefaultSnapshotEvery is the number of appended records between
-	// automatic compacting snapshots.
+	// automatic checkpoints.
 	DefaultSnapshotEvery = 256
 	// DefaultServedHorizon is how many recently retired requests a
 	// ServedMemory keeps for the session-resume handshake's "already served"
@@ -87,16 +76,13 @@ const (
 	DefaultServedHorizon = 1024
 )
 
-// castagnoli is the CRC32C table shared by all record writers and readers.
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
 // ErrClosed is returned by appends after Close, Kill, or a crash-point
 // failure injected with CrashAfter.
 var ErrClosed = errors.New("journal: closed")
 
-// errCorrupt marks a record rejected during replay (bad sync, insane length,
-// checksum mismatch, or undecodable payload). Recovery treats it as the torn
-// tail of the log, not a fatal error.
+// errCorrupt marks a record rejected during replay (a gap in the sequence
+// or an undecodable payload). After the checkpoint, recovery treats it as
+// the torn tail of the log, not a fatal error.
 var errCorrupt = errors.New("journal: corrupt record")
 
 // Options parameterises Open.
@@ -108,12 +94,9 @@ type Options struct {
 	// can lose the unsynced tail.
 	Fsync bool
 	// SnapshotEvery is the number of appended records between automatic
-	// compacting snapshots. Zero selects DefaultSnapshotEvery; negative
-	// disables automatic snapshots (Close still writes one).
+	// checkpoints. Zero selects DefaultSnapshotEvery; negative disables
+	// automatic checkpoints (Close still writes one).
 	SnapshotEvery int
-	// Epoch identifies the journal lineage in the session-resume handshake.
-	// Used only when the directory is fresh; zero draws from the clock.
-	Epoch uint64
 }
 
 // Request is one pending request as the journal records it.
@@ -182,8 +165,8 @@ func (m *ServedMemory) Entries() []ServedEntry {
 	return append(slices.Clone(m.ring[m.head:]), m.ring[:m.head]...)
 }
 
-// State is what a state directory holds: the snapshot with the log's intact
-// prefix replayed over it.
+// State is what a state directory holds: the log's checkpoint with the
+// intact records after it replayed over it.
 type State struct {
 	// Epoch identifies the journal lineage; it survives restarts.
 	Epoch uint64
@@ -204,14 +187,10 @@ type State struct {
 	// Truncated reports that a torn or corrupt tail follows the log records
 	// replayed.
 	Truncated bool
-	// Replayed is the number of log records applied.
-	Replayed int
 
-	// seq is the last sequence number loaded: the snapshot's watermark, then
-	// each replayed record's. intact is the byte length of the log prefix
-	// replay read.
-	seq    uint64
-	intact int64
+	// seq is the sequence number of the last record read; 0 when there is no
+	// log.
+	seq uint64
 }
 
 // pendingIndex locates a request by ID, or -1.
@@ -224,7 +203,7 @@ func (s *State) pendingIndex(id int64) int {
 }
 
 // Journal is an open write-ahead log. It keeps no copy of the state it logs:
-// a compaction folds the files on disk through the recovery code. All methods
+// a checkpoint folds the log on disk through the recovery code. All methods
 // are safe for concurrent use.
 type Journal struct {
 	mu   sync.Mutex
@@ -234,19 +213,19 @@ type Journal struct {
 	f   *os.File // the log; nil once the journal is dead
 	buf []byte   // frame scratch
 
-	seq      uint64 // last assigned record sequence number
+	seq      uint64 // the last record's sequence number
 	lastID   int64  // the last request ID handed to the log: replay refuses an admit at or below it
-	appended int    // records since the last snapshot
+	appended int    // records since the last checkpoint
 
 	// crashBudget, when >= 0, is the number of bytes the log will still
 	// accept before the journal dies mid-write (torn append). -1 disables.
 	crashBudget int64
 }
 
-// Open recovers the journal in dir (creating it when missing), truncates the
-// log's torn tail, bumps the restart generation, checkpoints the recovered
-// state, and returns the journal ready for appends plus that state, which the
-// journal does not keep.
+// Open recovers the journal in dir (creating it when missing), bumps the
+// restart generation, checkpoints the recovered state, which drops the log's
+// torn tail, and returns the journal ready for appends plus that state, which
+// the journal does not keep.
 func Open(opts Options) (*Journal, *State, error) {
 	if opts.Dir == "" {
 		return nil, nil, fmt.Errorf("journal: Options.Dir is required")
@@ -257,99 +236,127 @@ func Open(opts Options) (*Journal, *State, error) {
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("journal: %w", err)
 	}
-	st, fresh, err := load(opts.Dir)
+	st, err := ReadState(opts.Dir)
 	if err != nil {
 		return nil, nil, err
 	}
-	walPath := filepath.Join(opts.Dir, walName)
-	if st.Truncated {
-		if err := os.Truncate(walPath, st.intact); err != nil {
-			return nil, nil, fmt.Errorf("journal: truncate torn tail: %w", err)
-		}
-	}
-	if fresh {
-		st.Epoch = opts.Epoch
-		if st.Epoch == 0 {
-			st.Epoch = uint64(time.Now().UnixNano())
-		}
+	if st.seq == 0 { // no log: a fresh directory draws its lineage
+		st.Epoch = uint64(time.Now().UnixNano())
 	}
 	st.Generation++
 
-	// Checkpoint immediately: the bumped generation (and the compacted
-	// recovered state) must be durable before any new appends.
-	j := &Journal{dir: opts.Dir, opts: opts, seq: st.seq, lastID: st.NextID, crashBudget: -1}
+	// Checkpoint immediately: the bumped generation must be durable before
+	// any new appends.
+	j := &Journal{dir: opts.Dir, opts: opts, lastID: st.NextID, crashBudget: -1}
 	if err := j.checkpoint(st); err != nil {
 		return nil, nil, err
 	}
-	f, err := os.OpenFile(walPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, nil, fmt.Errorf("journal: open log: %w", err)
-	}
-	j.f = f
 	return j, st, nil
 }
 
-// ReadState reads the state a recovery of dir would start from — the
-// snapshot with the log's intact prefix replayed over it — and changes
-// nothing on disk: no tail truncation, no generation bump. A directory
+// ReadState reads the state a recovery of dir would start from and changes
+// nothing on disk: no checkpoint, no generation bump. It is recovery's read
+// half, shared by Open and compaction: it reads the checkpoint, where any
+// fault is an error, and replays the records after it up to the first torn
+// or corrupt one, setting Truncated when bytes follow that point. A directory
 // without a journal reads as the zero State.
 func ReadState(dir string) (*State, error) {
-	st, _, err := load(dir)
-	return st, err
-}
-
-// load is recovery's read half, shared by Open, ReadState and compaction: it
-// decodes the snapshot and replays the log over it up to the first torn or
-// corrupt record, setting Truncated when bytes follow that point. Reports
-// whether the directory held no prior state.
-func load(dir string) (st *State, fresh bool, err error) {
-	st = &State{}
-	snapData, err := os.ReadFile(filepath.Join(dir, snapName))
-	switch {
-	case errors.Is(err, os.ErrNotExist):
-		fresh = true
-	case err != nil:
-		return nil, false, fmt.Errorf("journal: read snapshot: %w", err)
-	default:
-		if err := decodeSnapshot(snapData, st); err != nil {
-			return nil, false, fmt.Errorf("journal: %w", err)
-		}
+	// Open checkpoints at once, so a directory an older build wrote always
+	// holds that build's checkpoint file.
+	if _, err := os.Stat(filepath.Join(dir, "state.snap")); err == nil {
+		return nil, fmt.Errorf("journal: %s holds state.snap, an older journal format this build does not read", dir)
 	}
-
-	walData, err := os.ReadFile(filepath.Join(dir, walName))
+	st := &State{}
+	data, err := os.ReadFile(filepath.Join(dir, walName))
 	if errors.Is(err, os.ErrNotExist) {
-		return st, fresh, nil
+		return st, nil
 	}
 	if err != nil {
-		return nil, false, fmt.Errorf("journal: read log: %w", err)
+		return nil, fmt.Errorf("journal: read log: %w", err)
 	}
-	if len(walData) > 0 {
-		fresh = false
+	if !bytes.HasPrefix(data, logMagic) {
+		return nil, fmt.Errorf("journal: %s is not a journal log", filepath.Join(dir, walName))
 	}
-	st.intact = int64(replay(walData, st))
-	st.Truncated = st.intact < int64(len(walData))
-	return st, fresh, nil
+	r := bytes.NewReader(data[len(logMagic):])
+	var buf []byte
+	next := func() (wire.FrameType, []byte, error) {
+		typ, p, err := wire.ReadFrameInto(r, &buf)
+		if err == nil && (len(p) < 8 || binary.LittleEndian.Uint64(p) != st.seq+1) {
+			err = fmt.Errorf("%w: record out of sequence after %d", errCorrupt, st.seq)
+		}
+		if err != nil {
+			return 0, nil, err
+		}
+		st.seq++
+		return typ, p[8:], nil
+	}
+	if err := readCheckpoint(st, next); err != nil {
+		return nil, fmt.Errorf("journal: checkpoint: %w", err)
+	}
+	for r.Len() > 0 {
+		typ, p, err := next()
+		if err == nil {
+			err = applyRecord(st, typ, p)
+		}
+		if err != nil {
+			st.Truncated = true
+			break
+		}
+	}
+	return st, nil
+}
+
+// readCheckpoint reads the log's checkpoint into st, a zero State, with next
+// as ReadState reads records: the checkpoint record, then its admit records, whose
+// IDs must strictly increase and not exceed its next ID — the ledger serves
+// the pending set in ID order.
+func readCheckpoint(st *State, next func() (wire.FrameType, []byte, error)) error {
+	typ, p, err := next()
+	if err != nil {
+		return err
+	}
+	if typ != recCheckpoint || len(p) < checkpointLen || (len(p)-checkpointLen)%16 != 0 {
+		return fmt.Errorf("%w: type %d, %d bytes", errCorrupt, typ, len(p))
+	}
+	st.Epoch = binary.LittleEndian.Uint64(p)
+	st.Generation = binary.LittleEndian.Uint32(p[8:])
+	nextID := int64(binary.LittleEndian.Uint64(p[12:]))
+	st.Cycles = int64(binary.LittleEndian.Uint64(p[20:]))
+	st.Fingerprint = binary.LittleEndian.Uint64(p[28:])
+	admits := binary.LittleEndian.Uint32(p[36:])
+	for e := p[checkpointLen:]; len(e) > 0; e = e[16:] {
+		st.Served.Retire(int64(binary.LittleEndian.Uint64(e)), int64(binary.LittleEndian.Uint64(e[8:])))
+	}
+	for ; admits > 0; admits-- {
+		typ, p, err := next()
+		if err == nil && typ != recAdmit {
+			err = fmt.Errorf("%w: record type %d among the pending set", errCorrupt, typ)
+		}
+		if err == nil {
+			err = applyRecord(st, typ, p) // refuses an ID at or below the one before
+		}
+		if err != nil {
+			return err
+		}
+	}
+	if st.NextID > nextID {
+		return fmt.Errorf("%w: pending request %d above next ID %d", errCorrupt, st.NextID, nextID)
+	}
+	st.NextID = nextID
+	return nil
 }
 
 // Admit appends one admission. The request is durably logged before Admit
 // returns, so callers may acknowledge it to the client afterwards. IDs must
 // increase: an admission at or below the last one is refused, unwritten.
 func (j *Journal) Admit(r Request) error {
-	p := make([]byte, 0, 64+len(r.Query)+2*len(r.Remaining))
-	p = binary.LittleEndian.AppendUint64(p, uint64(r.ID))
-	p = binary.LittleEndian.AppendUint64(p, uint64(r.Arrival))
 	if len(r.Query) > 0xFFFF {
 		return fmt.Errorf("journal: query of %d bytes exceeds limit", len(r.Query))
 	}
-	p = binary.LittleEndian.AppendUint16(p, uint16(len(r.Query)))
-	p = append(p, r.Query...)
 	if len(r.Remaining) > 0xFFFF {
 		return fmt.Errorf("journal: %d remaining documents exceed limit", len(r.Remaining))
 	}
-	p = binary.LittleEndian.AppendUint16(p, uint16(len(r.Remaining)))
-	for _, d := range r.Remaining {
-		p = binary.LittleEndian.AppendUint16(p, d)
-	}
+	p := appendAdmit(make([]byte, 0, 64+len(r.Query)+2*len(r.Remaining)), r)
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if r.ID <= j.lastID {
@@ -359,6 +366,19 @@ func (j *Journal) Admit(r Request) error {
 	// may be on disk, and any error it returns leaves the journal dead.
 	j.lastID = r.ID
 	return j.appendLocked(recAdmit, p)
+}
+
+// appendAdmit appends an admit record's payload for r to dst.
+func appendAdmit(dst []byte, r Request) []byte {
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(r.ID))
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(r.Arrival))
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(r.Query)))
+	dst = append(dst, r.Query...)
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(r.Remaining)))
+	for _, d := range r.Remaining {
+		dst = binary.LittleEndian.AppendUint16(dst, d)
+	}
+	return dst
 }
 
 // Commit appends one cycle's deliveries: the remaining-set shrinkage per
@@ -409,8 +429,8 @@ func (j *Journal) DocRemoved(doc uint16, fingerprint uint64) error {
 	return j.append(recDocRemove, p)
 }
 
-// Snapshot compacts now: the snapshot and the log fold into a new snapshot
-// and the log is truncated. A failed compaction kills the journal.
+// Snapshot checkpoints now: the log is rewritten as its folded state. A
+// failed checkpoint kills the journal.
 func (j *Journal) Snapshot() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -420,7 +440,7 @@ func (j *Journal) Snapshot() error {
 	return j.compactLocked()
 }
 
-// Close compacts and closes the journal. Further appends fail with
+// Close checkpoints and closes the journal. Further appends fail with
 // ErrClosed.
 func (j *Journal) Close() error {
 	j.mu.Lock()
@@ -465,23 +485,26 @@ func (j *Journal) CrashAfter(n int64) {
 }
 
 // append frames and writes one record.
-func (j *Journal) append(typ byte, payload []byte) error {
+func (j *Journal) append(typ wire.FrameType, payload []byte) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.appendLocked(typ, payload)
 }
 
-// appendLocked frames and writes one record, then compacts when one is due;
-// the caller-visible error is nil only once the bytes reached the OS (and the
-// disk under Fsync). Every error leaves the journal dead. Called with j.mu
-// held.
-func (j *Journal) appendLocked(typ byte, payload []byte) error {
+// appendLocked frames and writes one record, then checkpoints when one is
+// due; the caller-visible error is nil only once the bytes reached the OS
+// (and the disk under Fsync). Every error after the record is framed leaves
+// the journal dead. Called with j.mu held.
+func (j *Journal) appendLocked(typ wire.FrameType, payload []byte) error {
 	if j.f == nil {
 		return ErrClosed
 	}
-	j.seq++
-	frame := appendRecord(j.buf[:0], typ, j.seq, payload)
+	frame, err := appendRecordFrame(j.buf[:0], typ, j.seq+1, payload)
+	if err != nil {
+		return fmt.Errorf("journal: %w", err)
+	}
 	j.buf = frame[:0]
+	j.seq++
 
 	if j.crashBudget >= 0 && int64(len(frame)) > j.crashBudget {
 		// Torn write: part of the frame lands, then the "machine" dies.
@@ -509,15 +532,14 @@ func (j *Journal) appendLocked(typ byte, payload []byte) error {
 	return nil
 }
 
-// compactLocked folds the snapshot and the log through load, the code Open
-// recovers with, and checkpoints the result. The log must read back to the
-// last record this journal wrote: a fold that stops short leaves both files
-// as they are, for Open to recover the intact prefix. A failed compaction
-// kills the journal, like a failed append: the records it could not fold
-// are on disk, and a live journal would re-read an ever longer log. Called
-// with j.mu held.
+// compactLocked folds the log through ReadState, the code Open recovers with,
+// and checkpoints the result. The log must read back to the last record this
+// journal wrote: a fold that stops short leaves the log as it is, for Open
+// to recover the intact prefix. A failed compaction kills the journal, like
+// a failed append: the records it could not fold are on disk, and a live
+// journal would re-read an ever longer log. Called with j.mu held.
 func (j *Journal) compactLocked() error {
-	st, _, err := load(j.dir)
+	st, err := ReadState(j.dir)
 	if err == nil && (st.Truncated || st.seq != j.seq) {
 		err = fmt.Errorf("journal: compaction read the log back to record %d of %d", st.seq, j.seq)
 	}
@@ -530,35 +552,76 @@ func (j *Journal) compactLocked() error {
 	return err
 }
 
-// checkpoint writes st as the snapshot at j.seq, atomically, and truncates
-// the log. Called with j.mu held, or by Open before the log is open.
+// checkpoint rewrites the log as st's checkpoint: written to a temporary
+// file, fsynced and renamed over the log, and kept open as the log the next
+// appends go to. A crash before the rename leaves the old log whole and the
+// temporary file, which nothing reads, behind. Called with j.mu held, or by
+// Open before the journal has a log.
 func (j *Journal) checkpoint(st *State) error {
-	snap := encodeSnapshot(st, j.seq)
-	tmp := filepath.Join(j.dir, snapTempName)
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	data, seq, err := encodeCheckpoint(st)
 	if err != nil {
-		return fmt.Errorf("journal: snapshot: %w", err)
+		return fmt.Errorf("journal: checkpoint: %w", err)
 	}
-	_, err = f.Write(snap)
+	path := filepath.Join(j.dir, walName)
+	f, err := os.OpenFile(path+".tmp", os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	if err != nil {
+		return fmt.Errorf("journal: checkpoint: %w", err)
+	}
+	_, err = f.Write(data)
 	if err == nil {
 		err = f.Sync()
 	}
-	if err = cmp.Or(err, f.Close()); err == nil {
-		err = os.Rename(tmp, filepath.Join(j.dir, snapName))
+	if j.f != nil {
+		j.f.Close() // the log it replaces
+		j.f = nil
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), path)
 	}
 	if err != nil {
-		return fmt.Errorf("journal: snapshot: %w", err)
+		f.Close()
+		return fmt.Errorf("journal: checkpoint: %w", err)
 	}
 	syncDir(j.dir)
-	// The snapshot covers every logged record; restart the log (it is open
-	// for appending, so the next write lands at the new end). A crash
-	// between the rename and this truncate double-covers records, which
-	// replay skips by sequence number.
-	if err := os.Truncate(filepath.Join(j.dir, walName), 0); err != nil && !errors.Is(err, os.ErrNotExist) {
-		return fmt.Errorf("journal: truncate log: %w", err)
-	}
-	j.appended = 0
+	j.f, j.seq, j.appended = f, seq, 0
 	return nil
+}
+
+// encodeCheckpoint encodes st as a log that holds only its checkpoint: the
+// magic, the checkpoint record and one admit record per pending request,
+// numbered from 1. It returns the log and its last sequence number.
+func encodeCheckpoint(st *State) ([]byte, uint64, error) {
+	served := st.Served.Entries()
+	p := make([]byte, 0, checkpointLen+16*len(served))
+	p = binary.LittleEndian.AppendUint64(p, st.Epoch)
+	p = binary.LittleEndian.AppendUint32(p, st.Generation)
+	p = binary.LittleEndian.AppendUint64(p, uint64(st.NextID))
+	p = binary.LittleEndian.AppendUint64(p, uint64(st.Cycles))
+	p = binary.LittleEndian.AppendUint64(p, st.Fingerprint)
+	p = binary.LittleEndian.AppendUint32(p, uint32(len(st.Pending)))
+	for _, e := range served {
+		p = binary.LittleEndian.AppendUint64(p, uint64(e.ID))
+		p = binary.LittleEndian.AppendUint64(p, uint64(e.Cycle))
+	}
+	out, err := appendRecordFrame(append([]byte(nil), logMagic...), recCheckpoint, 1, p)
+	seq := uint64(1)
+	for _, r := range st.Pending {
+		if err != nil {
+			break
+		}
+		seq++
+		p = appendAdmit(p[:0], r)
+		out, err = appendRecordFrame(out, recAdmit, seq, p)
+	}
+	return out, seq, err
+}
+
+// appendRecordFrame appends one record to dst: a wire frame of type typ
+// whose payload is seq, then body.
+func appendRecordFrame(dst []byte, typ wire.FrameType, seq uint64, body []byte) ([]byte, error) {
+	dst, start := wire.StartFrame(dst)
+	dst = binary.LittleEndian.AppendUint64(dst, seq)
+	return wire.FinishFrame(append(dst, body...), start, typ)
 }
 
 // syncDir best-effort fsyncs a directory so renames survive power loss.
@@ -569,81 +632,10 @@ func syncDir(dir string) {
 	}
 }
 
-// --- record framing -------------------------------------------------------
-
-// appendRecord frames one record: sync bytes, type, payload length, the
-// sequence number + payload, and a CRC32C trailer over type/length/body.
-func appendRecord(dst []byte, typ byte, seq uint64, payload []byte) []byte {
-	body := 8 + len(payload)
-	dst = append(dst, recSync0, recSync1, typ)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(body))
-	crcFrom := len(dst) - 5 // type + length
-	dst = binary.LittleEndian.AppendUint64(dst, seq)
-	dst = append(dst, payload...)
-	crc := crc32.Checksum(dst[crcFrom:], castagnoli)
-	return binary.LittleEndian.AppendUint32(dst, crc)
-}
-
-// readRecord parses one record at data[off:], returning the type, sequence,
-// payload and the offset past the record. Torn or corrupt data returns
-// errCorrupt (io.EOF when off is exactly at the end).
-func readRecord(data []byte, off int) (typ byte, seq uint64, payload []byte, next int, err error) {
-	if off == len(data) {
-		return 0, 0, nil, off, io.EOF
-	}
-	if off+recHdrLen > len(data) {
-		return 0, 0, nil, off, errCorrupt
-	}
-	if data[off] != recSync0 || data[off+1] != recSync1 {
-		return 0, 0, nil, off, errCorrupt
-	}
-	typ = data[off+2]
-	n := int(binary.LittleEndian.Uint32(data[off+3:]))
-	if n < 8 || n > maxRecord {
-		return 0, 0, nil, off, errCorrupt
-	}
-	end := off + recHdrLen + n + recCRCLen
-	if end > len(data) {
-		return 0, 0, nil, off, errCorrupt
-	}
-	body := data[off+recHdrLen : off+recHdrLen+n]
-	got := binary.LittleEndian.Uint32(data[off+recHdrLen+n:])
-	if want := crc32.Checksum(data[off+2:off+recHdrLen+n], castagnoli); got != want {
-		return 0, 0, nil, off, errCorrupt
-	}
-	seq = binary.LittleEndian.Uint64(body)
-	return typ, seq, body[8:], end, nil
-}
-
-// replay applies log records to st, skipping records the snapshot already
-// covers, and returns the byte offset of the last good record boundary.
-func replay(data []byte, st *State) (good int) {
-	off := 0
-	for {
-		typ, recSeq, payload, next, err := readRecord(data, off)
-		if err != nil {
-			return off
-		}
-		if recSeq > st.seq {
-			if recSeq != st.seq+1 {
-				// A gap means the log is not the snapshot's continuation;
-				// treat everything from here as corrupt.
-				return off
-			}
-			if err := applyRecord(st, typ, payload); err != nil {
-				return off
-			}
-			st.seq = recSeq
-			st.Replayed++
-		}
-		off = next
-	}
-}
-
 // applyRecord applies one record's payload to st. Decode errors, and an
 // admission whose ID does not exceed every ID before it, leave st untouched
 // and report errCorrupt.
-func applyRecord(st *State, typ byte, p []byte) error {
+func applyRecord(st *State, typ wire.FrameType, p []byte) error {
 	switch typ {
 	case recAdmit:
 		r, err := decodeAdmit(p)
@@ -779,127 +771,6 @@ func decodeCommit(p []byte) (int64, []Delivery, error) {
 		return 0, nil, fmt.Errorf("%w: commit trailing bytes", errCorrupt)
 	}
 	return cycle, deliveries, nil
-}
-
-// --- snapshot encoding ----------------------------------------------------
-
-// encodeSnapshot serialises the full state as the snapshot magic followed by
-// one framed recSnapshot record whose sequence is the log floor.
-func encodeSnapshot(st *State, seq uint64) []byte {
-	served := st.Served.Entries()
-	p := make([]byte, 0, 64+64*len(st.Pending)+16*len(served))
-	p = binary.LittleEndian.AppendUint64(p, st.Epoch)
-	p = binary.LittleEndian.AppendUint32(p, st.Generation)
-	p = binary.LittleEndian.AppendUint64(p, uint64(st.NextID))
-	p = binary.LittleEndian.AppendUint64(p, uint64(st.Cycles))
-	p = binary.LittleEndian.AppendUint64(p, st.Fingerprint)
-	p = binary.LittleEndian.AppendUint32(p, uint32(len(st.Pending)))
-	for _, r := range st.Pending {
-		p = binary.LittleEndian.AppendUint64(p, uint64(r.ID))
-		p = binary.LittleEndian.AppendUint64(p, uint64(r.Arrival))
-		p = binary.LittleEndian.AppendUint16(p, uint16(len(r.Query)))
-		p = append(p, r.Query...)
-		p = binary.LittleEndian.AppendUint16(p, uint16(len(r.Remaining)))
-		for _, d := range r.Remaining {
-			p = binary.LittleEndian.AppendUint16(p, d)
-		}
-	}
-	p = binary.LittleEndian.AppendUint32(p, uint32(len(served)))
-	for _, e := range served {
-		p = binary.LittleEndian.AppendUint64(p, uint64(e.ID))
-		p = binary.LittleEndian.AppendUint64(p, uint64(e.Cycle))
-	}
-	out := append([]byte(nil), snapMagic...)
-	return appendRecord(out, recSnapshot, seq, p)
-}
-
-// decodeSnapshot is the inverse of encodeSnapshot. It fills st, a zero
-// State, and its seq from the framed record. Pending IDs must increase and
-// not exceed NextID: the ledger serves the pending set in ID order.
-func decodeSnapshot(data []byte, st *State) error {
-	if len(data) < len(snapMagic) || string(data[:len(snapMagic)]) != string(snapMagic) {
-		return fmt.Errorf("%w: bad snapshot magic", errCorrupt)
-	}
-	typ, seq, p, next, err := readRecord(data, len(snapMagic))
-	if err != nil || typ != recSnapshot || next != len(data) {
-		return fmt.Errorf("%w: bad snapshot record", errCorrupt)
-	}
-	read := func(n int) ([]byte, bool) {
-		if len(p) < n {
-			return nil, false
-		}
-		out := p[:n]
-		p = p[n:]
-		return out, true
-	}
-	hdr, ok := read(36)
-	if !ok {
-		return fmt.Errorf("%w: snapshot header truncated", errCorrupt)
-	}
-	st.Epoch = binary.LittleEndian.Uint64(hdr)
-	st.Generation = binary.LittleEndian.Uint32(hdr[8:])
-	st.NextID = int64(binary.LittleEndian.Uint64(hdr[12:]))
-	st.Cycles = int64(binary.LittleEndian.Uint64(hdr[20:]))
-	st.Fingerprint = binary.LittleEndian.Uint64(hdr[28:])
-	nb, ok := read(4)
-	if !ok {
-		return fmt.Errorf("%w: snapshot pending count truncated", errCorrupt)
-	}
-	n := int(binary.LittleEndian.Uint32(nb))
-	if n > maxRecord {
-		return fmt.Errorf("%w: snapshot pending count %d", errCorrupt, n)
-	}
-	for i := 0; i < n; i++ {
-		hdr, ok := read(18)
-		if !ok {
-			return fmt.Errorf("%w: snapshot request truncated", errCorrupt)
-		}
-		var r Request
-		r.ID = int64(binary.LittleEndian.Uint64(hdr))
-		if r.ID > st.NextID || len(st.Pending) > 0 && r.ID <= st.Pending[len(st.Pending)-1].ID {
-			return fmt.Errorf("%w: snapshot pending request %d out of order", errCorrupt, r.ID)
-		}
-		r.Arrival = int64(binary.LittleEndian.Uint64(hdr[8:]))
-		qb, ok := read(int(binary.LittleEndian.Uint16(hdr[16:])))
-		if !ok {
-			return fmt.Errorf("%w: snapshot query truncated", errCorrupt)
-		}
-		r.Query = string(qb)
-		cb, ok := read(2)
-		if !ok {
-			return fmt.Errorf("%w: snapshot remaining truncated", errCorrupt)
-		}
-		nd := int(binary.LittleEndian.Uint16(cb))
-		db, ok := read(2 * nd)
-		if !ok {
-			return fmt.Errorf("%w: snapshot remaining truncated", errCorrupt)
-		}
-		r.Remaining = make([]uint16, nd)
-		for k := 0; k < nd; k++ {
-			r.Remaining[k] = binary.LittleEndian.Uint16(db[2*k:])
-		}
-		st.Pending = append(st.Pending, r)
-	}
-	nb, ok = read(4)
-	if !ok {
-		return fmt.Errorf("%w: snapshot served count truncated", errCorrupt)
-	}
-	n = int(binary.LittleEndian.Uint32(nb))
-	if n > maxRecord {
-		return fmt.Errorf("%w: snapshot served count %d", errCorrupt, n)
-	}
-	for i := 0; i < n; i++ {
-		eb, ok := read(16)
-		if !ok {
-			return fmt.Errorf("%w: snapshot served truncated", errCorrupt)
-		}
-		st.Served.Retire(int64(binary.LittleEndian.Uint64(eb)), int64(binary.LittleEndian.Uint64(eb[8:])))
-	}
-	if len(p) != 0 {
-		return fmt.Errorf("%w: snapshot trailing bytes", errCorrupt)
-	}
-	st.seq = seq
-	return nil
 }
 
 // Fingerprint is the order-independent collection fingerprint the server

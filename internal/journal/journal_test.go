@@ -2,12 +2,13 @@ package journal
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"repro/internal/wire"
 )
 
 func mustOpen(t *testing.T, opts Options) (*Journal, *State) {
@@ -48,12 +49,13 @@ func served(st *State, id int64) bool {
 }
 
 // TestRoundTrip admits, commits, kills and recovers: the recovered state
-// must be what the records add up to.
+// must be what the records add up to, under the epoch the first Open drew.
 func TestRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	j, st := mustOpen(t, Options{Dir: dir, Epoch: 42})
-	if st.Generation != 1 || st.Epoch != 42 {
-		t.Fatalf("fresh state: gen=%d epoch=%d", st.Generation, st.Epoch)
+	j, st := mustOpen(t, Options{Dir: dir})
+	epoch := st.Epoch
+	if st.Generation != 1 || epoch == 0 {
+		t.Fatalf("fresh state: gen=%d epoch=%d", st.Generation, epoch)
 	}
 
 	if err := j.Admit(req(1, 0, "/a/b", 3, 5, 9)); err != nil {
@@ -75,8 +77,8 @@ func TestRoundTrip(t *testing.T) {
 
 	j2, got := mustOpen(t, Options{Dir: dir})
 	defer j2.Close()
-	if got.Epoch != 42 {
-		t.Errorf("epoch: got %d want 42", got.Epoch)
+	if got.Epoch != epoch {
+		t.Errorf("epoch: got %d want %d", got.Epoch, epoch)
 	}
 	if got.Generation != 2 {
 		t.Errorf("generation: got %d want 2", got.Generation)
@@ -125,7 +127,6 @@ func TestTornTailTruncated(t *testing.T) {
 
 	for cut := len(prefix); cut < len(full); cut++ {
 		work := t.TempDir()
-		copyFile(t, filepath.Join(dir, snapName), filepath.Join(work, snapName))
 		if err := os.WriteFile(filepath.Join(work, walName), full[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -140,39 +141,42 @@ func TestTornTailTruncated(t *testing.T) {
 	}
 }
 
-// TestCorruptMiddleStopsReplay flips a byte inside the first record; replay
-// must stop there, losing both records but never panicking.
+// TestCorruptMiddleStopsReplay flips a byte inside the first record after
+// the checkpoint, or cuts that record out whole; replay must stop there,
+// losing both records but never panicking.
 func TestCorruptMiddleStopsReplay(t *testing.T) {
 	dir := t.TempDir()
 	j, _ := mustOpen(t, Options{Dir: dir, SnapshotEvery: -1})
+	checkpoint := logSize(t, dir)
 	if err := j.Admit(req(1, 0, "/a", 2)); err != nil {
 		t.Fatal(err)
 	}
+	first := logSize(t, dir)
 	if err := j.Admit(req(2, 0, "/b", 4)); err != nil {
 		t.Fatal(err)
 	}
 	j.Kill()
-	walPath := filepath.Join(dir, walName)
-	data, err := os.ReadFile(walPath)
+	data, err := os.ReadFile(filepath.Join(dir, walName))
 	if err != nil {
 		t.Fatal(err)
 	}
-	data[recHdrLen+3] ^= 0xFF // inside the first record's body
-	if err := os.WriteFile(walPath, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	j2, st := mustOpen(t, Options{Dir: dir})
-	defer j2.Close()
-	if !st.Truncated {
-		t.Error("corruption not reported as truncation")
-	}
-	if len(st.Pending) != 0 {
-		t.Errorf("pending after corrupt first record: %+v", st.Pending)
+	flipped := bytes.Clone(data)
+	flipped[checkpoint+wire.FrameHeaderLen+3] ^= 0xFF // inside the first record's body
+	for name, log := range map[string][]byte{"flipped": flipped, "gap": append(data[:checkpoint:checkpoint], data[first:]...)} {
+		work := t.TempDir()
+		if err := os.WriteFile(filepath.Join(work, walName), log, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		j2, st := mustOpen(t, Options{Dir: work})
+		if !st.Truncated || len(st.Pending) != 0 {
+			t.Errorf("%s: recovered pending %+v (truncated %v), want none, truncated", name, st.Pending, st.Truncated)
+		}
+		j2.Close()
 	}
 }
 
 // TestSnapshotCompaction drives enough appends to trigger automatic
-// snapshots and verifies the log is compacted and recovery still exact.
+// checkpoints and verifies the log is compacted and recovery still exact.
 func TestSnapshotCompaction(t *testing.T) {
 	dir := t.TempDir()
 	j, _ := mustOpen(t, Options{Dir: dir, SnapshotEvery: 8})
@@ -195,14 +199,11 @@ func TestSnapshotCompaction(t *testing.T) {
 			want = append(want, req(i, i/4, "/q", uint16(i), uint16(i+1)))
 		}
 	}
-	fi, err := os.Stat(filepath.Join(dir, walName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 48 appends at SnapshotEvery=8 → the log never holds more than 8
-	// records (~50 bytes each); well under the uncompacted ~2.5 KB.
-	if fi.Size() > 1024 {
-		t.Errorf("log not compacted: %d bytes", fi.Size())
+	// 48 appends at SnapshotEvery=8: the log holds its checkpoint (one
+	// record plus an admit per pending request) and fewer than 8 records
+	// after it.
+	if st := mustRead(t, dir); st.seq > uint64(1+len(st.Pending)+7) {
+		t.Errorf("log not compacted: %d records for %d pending requests", st.seq, len(st.Pending))
 	}
 	j.Kill()
 
@@ -257,10 +258,10 @@ func TestCrashAfterTornWrite(t *testing.T) {
 	}
 }
 
-// TestCrashBetweenSnapshotAndTruncate simulates the rename-then-crash
-// window: the snapshot covers the log's records, so replay must skip them
-// rather than double-apply.
-func TestCrashBetweenSnapshotAndTruncate(t *testing.T) {
+// TestCrashBeforeCheckpointRename simulates a crash after a checkpoint's
+// temporary file is written, whole or torn, but before the rename: recovery
+// must read the old log and ignore the temporary file.
+func TestCrashBeforeCheckpointRename(t *testing.T) {
 	dir := t.TempDir()
 	j, _ := mustOpen(t, Options{Dir: dir, SnapshotEvery: -1})
 	if err := j.Admit(req(1, 0, "/a", 2, 3)); err != nil {
@@ -269,10 +270,10 @@ func TestCrashBetweenSnapshotAndTruncate(t *testing.T) {
 	if err := j.Commit(0, []Delivery{{ID: 1, Docs: []uint16{2}}}); err != nil {
 		t.Fatal(err)
 	}
-	// Save the log, snapshot (which truncates it), then put the stale log
-	// back — as if the machine died between the rename and the truncate.
+	// Save the log, checkpoint, then put the old log back beside the new
+	// one as the temporary file — as if the machine died before the rename.
 	walPath := filepath.Join(dir, walName)
-	stale, err := os.ReadFile(walPath)
+	old, err := os.ReadFile(walPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,17 +281,49 @@ func TestCrashBetweenSnapshotAndTruncate(t *testing.T) {
 		t.Fatal(err)
 	}
 	j.Kill()
-	if err := os.WriteFile(walPath, stale, 0o644); err != nil {
+	temp, err := os.ReadFile(walPath)
+	if err != nil {
 		t.Fatal(err)
 	}
-
-	j2, got := mustOpen(t, Options{Dir: dir})
-	defer j2.Close()
-	if got.Replayed != 0 {
-		t.Errorf("replayed %d records the snapshot already covers", got.Replayed)
+	for name, temp := range map[string][]byte{"whole": temp, "torn": temp[:len(temp)/2]} {
+		work := t.TempDir()
+		if err := os.WriteFile(filepath.Join(work, walName), old, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(work, walName+".tmp"), temp, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		j2, got := mustOpen(t, Options{Dir: work})
+		if want := []Request{req(1, 0, "/a", 3)}; got.Truncated || got.Cycles != 1 || !reflect.DeepEqual(got.Pending, want) {
+			t.Errorf("%s temporary file: recovered pending %+v, cycles %d (truncated %v), want %+v, 1",
+				name, got.Pending, got.Cycles, got.Truncated, want)
+		}
+		j2.Close()
+		if _, err := os.Stat(filepath.Join(work, walName+".tmp")); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("%s temporary file outlived recovery's checkpoint (%v)", name, err)
+		}
 	}
-	if want := []Request{req(1, 0, "/a", 3)}; !reflect.DeepEqual(got.Pending, want) {
-		t.Errorf("double-apply:\n got  %+v\n want %+v", got.Pending, want)
+}
+
+// TestAppendAfterCompactionRecovered appends after a checkpoint renamed a new
+// log into place: the append must land in the renamed file.
+func TestAppendAfterCompactionRecovered(t *testing.T) {
+	dir := t.TempDir()
+	j, _ := mustOpen(t, Options{Dir: dir, SnapshotEvery: -1})
+	if err := j.Admit(req(1, 0, "/a", 2)); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Admit(req(2, 0, "/b", 4)); err != nil {
+		t.Fatal(err)
+	}
+	j.Kill()
+	j2, st := mustOpen(t, Options{Dir: dir})
+	defer j2.Close()
+	if want := []int64{1, 2}; st.Truncated || !reflect.DeepEqual(pendingIDs(st), want) {
+		t.Errorf("pending IDs %v (truncated %v), want %v", pendingIDs(st), st.Truncated, want)
 	}
 }
 
@@ -378,27 +411,24 @@ func TestFingerprintIncremental(t *testing.T) {
 	}
 }
 
-// TestMissingSnapshotWalOnly recovers from a directory holding only a log.
-func TestMissingSnapshotWalOnly(t *testing.T) {
-	dir := t.TempDir()
-	j, _ := mustOpen(t, Options{Dir: dir, SnapshotEvery: -1, Epoch: 7})
-	if err := j.Admit(req(1, 0, "/a", 2)); err != nil {
-		t.Fatal(err)
-	}
-	j.Kill()
-	if err := os.Remove(filepath.Join(dir, snapName)); err != nil {
-		t.Fatal(err)
-	}
-	j2, st := mustOpen(t, Options{Dir: dir})
-	defer j2.Close()
-	if want := []int64{1}; !reflect.DeepEqual(pendingIDs(st), want) {
-		t.Errorf("pending IDs %v, want %v", pendingIDs(st), want)
-	}
-	// The snapshot held the epoch; without it a fresh one is drawn, but the
-	// log's records must still be applied. (Directories that lose their
-	// snapshot lose lineage identity — clients resubmit, nothing is lost.)
-	if st.Generation != 1 {
-		t.Errorf("generation %d, want 1 for snapshot-less recovery", st.Generation)
+// TestOldFormatRefused: a directory an older build wrote holds its
+// state.snap, with that build's log or, after a crash in its first Open,
+// without one; Open must refuse it rather than recover it as empty.
+func TestOldFormatRefused(t *testing.T) {
+	for _, withLog := range []bool{true, false} {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "state.snap"), []byte("XBJSNP01"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if withLog {
+			if err := os.WriteFile(filepath.Join(dir, walName), nil, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if j, st, err := Open(Options{Dir: dir}); err == nil {
+			j.Kill()
+			t.Errorf("a directory holding state.snap (log %v) recovered as %+v", withLog, st)
+		}
 	}
 }
 
@@ -417,39 +447,56 @@ func TestCloseThenAppendFails(t *testing.T) {
 	}
 }
 
-func copyFile(t *testing.T, src, dst string) {
+// logSize is the length of dir's log.
+func logSize(t *testing.T, dir string) int {
 	t.Helper()
-	data, err := os.ReadFile(src)
+	fi, err := os.Stat(filepath.Join(dir, walName))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(dst, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	return int(fi.Size())
 }
 
-// TestRecordFraming round-trips the low-level framing.
+// TestRecordFraming flips every byte of a log in turn: a flip inside the
+// checkpoint makes recovery fail, and a flip in the record after it drops
+// that record as a corrupt tail.
 func TestRecordFraming(t *testing.T) {
-	frame := appendRecord(nil, recAdmit, 17, []byte("payload"))
-	typ, seq, payload, next, err := readRecord(frame, 0)
+	dir := t.TempDir()
+	j, _ := mustOpen(t, Options{Dir: dir, SnapshotEvery: -1})
+	if err := j.Admit(req(1, 0, "/a", 2)); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	checkpoint := logSize(t, dir)
+	if err := j.Admit(req(2, 0, "/b", 4)); err != nil {
+		t.Fatal(err)
+	}
+	j.Kill()
+	data, err := os.ReadFile(filepath.Join(dir, walName))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if typ != recAdmit || seq != 17 || !bytes.Equal(payload, []byte("payload")) || next != len(frame) {
-		t.Errorf("round trip: typ=%d seq=%d payload=%q next=%d", typ, seq, payload, next)
-	}
-	// Every single-byte corruption must be rejected.
-	for i := range frame {
-		mut := append([]byte(nil), frame...)
+	work := t.TempDir()
+	for i := range data {
+		mut := bytes.Clone(data)
 		mut[i] ^= 0x01
-		if _, _, _, _, err := readRecord(mut, 0); err == nil {
-			t.Errorf("corruption at byte %d accepted", i)
+		if err := os.WriteFile(filepath.Join(work, walName), mut, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		st, err := ReadState(work)
+		switch {
+		case i < checkpoint && err == nil:
+			t.Errorf("corruption at checkpoint byte %d recovered pending %v", i, pendingIDs(st))
+		case i >= checkpoint && (err != nil || !st.Truncated || !reflect.DeepEqual(pendingIDs(st), []int64{1})):
+			t.Errorf("corruption at record byte %d: %v", i, err)
 		}
 	}
 }
 
 // TestRecoveryRefusesOutOfOrderIDs: the ledger serves the pending set in ID
-// order, so recovery must not hand it anything else. A snapshot whose
+// order, so recovery must not hand it anything else. A checkpoint whose
 // pending IDs do not increase, or exceed NextID, is refused; a log admission
 // at or below an earlier ID is a corrupt tail.
 func TestRecoveryRefusesOutOfOrderIDs(t *testing.T) {
@@ -459,12 +506,16 @@ func TestRecoveryRefusesOutOfOrderIDs(t *testing.T) {
 		for _, id := range ids {
 			st.Pending = append(st.Pending, req(id, 0, "/a", 2))
 		}
-		if err := os.WriteFile(filepath.Join(dir, snapName), encodeSnapshot(st, 0), 0o644); err != nil {
+		data, _, err := encodeCheckpoint(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, walName), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		if j, st, err := Open(Options{Dir: dir}); err == nil {
 			j.Kill()
-			t.Errorf("%s: snapshot with pending IDs %v recovered as %v", name, ids, pendingIDs(st))
+			t.Errorf("%s: checkpoint with pending IDs %v recovered as %v", name, ids, pendingIDs(st))
 		}
 	}
 
@@ -484,13 +535,11 @@ func TestRecoveryRefusesOutOfOrderIDs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, seq, payload, _, err := readRecord(wal, 0)
+	wal, err = appendRecordFrame(wal, recAdmit, mustRead(t, dir).seq+1, appendAdmit(nil, req(1, 0, "/a", 2)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload = bytes.Clone(payload)
-	binary.LittleEndian.PutUint64(payload, 1)
-	if err := os.WriteFile(walPath, appendRecord(wal, recAdmit, seq+1, payload), 0o644); err != nil {
+	if err := os.WriteFile(walPath, wal, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	j2, st := mustOpen(t, Options{Dir: dir})
@@ -547,7 +596,7 @@ func TestCompactionRefusesUnreadableLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data[len(prefix)+recHdrLen+3] ^= 0xFF // inside the second record's body
+	data[len(prefix)+wire.FrameHeaderLen+3] ^= 0xFF // inside the second record's body
 	if err := os.WriteFile(walPath, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -575,7 +624,7 @@ func TestFailedCheckpointWritesNoIDTwice(t *testing.T) {
 	dir := t.TempDir()
 	j, _ := mustOpen(t, Options{Dir: dir, SnapshotEvery: 2})
 	// The checkpoint cannot create its temporary file.
-	if err := os.Mkdir(filepath.Join(dir, snapTempName), 0o755); err != nil {
+	if err := os.Mkdir(filepath.Join(dir, walName+".tmp"), 0o755); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Admit(req(1, 0, "/a", 2)); err != nil {
@@ -599,7 +648,7 @@ func TestFailedCheckpointWritesNoIDTwice(t *testing.T) {
 		t.Fatalf("the log changed after the failed checkpoint (%d bytes, want %d; %v)", len(got), len(wal), err)
 	}
 	j.Close()
-	if err := os.Remove(filepath.Join(dir, snapTempName)); err != nil {
+	if err := os.Remove(filepath.Join(dir, walName+".tmp")); err != nil {
 		t.Fatal(err)
 	}
 	j2, st := mustOpen(t, Options{Dir: dir})

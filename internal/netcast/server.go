@@ -105,8 +105,8 @@ type ServerConfig struct {
 	// without StateDir.
 	Fsync bool
 	// SnapshotEvery is the number of journal records between compacting
-	// snapshots. Zero selects journal.DefaultSnapshotEvery; negative
-	// disables automatic snapshots. Ignored without StateDir.
+	// checkpoints. Zero selects journal.DefaultSnapshotEvery; negative
+	// disables automatic checkpoints. Ignored without StateDir.
 	SnapshotEvery int
 	// Compress enables the transport layer on the downlink: every broadcast
 	// stream opens with a transport hello and carries per-frame DEFLATE

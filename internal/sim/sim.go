@@ -37,19 +37,6 @@ import (
 	"repro/internal/xpath"
 )
 
-// ClockUnit selects the clock the scheduler sees (request arrivals and the
-// planning "now").
-type ClockUnit int
-
-const (
-	// ClockBytes passes byte-time arrivals and the cycle-start byte-time,
-	// the simulator's native clock. Default.
-	ClockBytes ClockUnit = iota
-	// ClockCycles passes admission cycle numbers and the current cycle
-	// number, the networked server's clock.
-	ClockCycles
-)
-
 // ClientRequest is one query submitted by a mobile client.
 type ClientRequest struct {
 	// Query is the client's XPath request.
@@ -100,13 +87,6 @@ type Config struct {
 	// Result.Engine. The zero value imposes no limits. The simulator admits
 	// every configured request: there is no pending cap to shed against.
 	Limits engine.Limits
-	// ScheduleClock selects the clock unit the scheduler sees. The default
-	// ClockBytes hands it the simulator's native byte-time; ClockCycles
-	// hands it admission cycle numbers and the current cycle number,
-	// matching the networked server's clock so clock-sensitive policies
-	// (RxW) score identically across the two drivers. Byte-time cycle
-	// layout and client accounting are unaffected.
-	ScheduleClock ClockUnit
 	// CycleSink, if non-nil, receives every assembled cycle together with
 	// its encoded frames, exactly as the networked server broadcasts them
 	// and the simulated clients read them. The Encoded's frames are only
@@ -376,22 +356,13 @@ func Run(cfg Config) (*Result, error) {
 			return nil, fmt.Errorf("sim: no active clients but %d incomplete", len(clients)-completed)
 		}
 
-		// Server: hand the pending view to the shared assembly engine. The
-		// scheduler's clock follows cfg.ScheduleClock; cycle layout stays
-		// in byte-time regardless.
-		schedNow := now
+		// Server: hand the pending view to the shared assembly engine, in
+		// byte-time.
 		pending = pending[:0]
 		for _, cl := range active {
-			arrival := cl.stats.Arrival
-			if cfg.ScheduleClock == ClockCycles {
-				arrival = cl.admit
-			}
-			pending = append(pending, engine.Pending{ID: cl.id, Query: cl.stats.Query, Arrival: arrival, Remaining: cl.belief()})
+			pending = append(pending, engine.Pending{ID: cl.id, Query: cl.stats.Query, Arrival: cl.stats.Arrival, Remaining: cl.belief()})
 		}
-		if cfg.ScheduleClock == ClockCycles {
-			schedNow = cycleNum
-		}
-		cy, err := eng.AssembleCycleAt(cycleNum, now, schedNow, pending)
+		cy, err := eng.AssembleCycle(cycleNum, now, pending)
 		if err != nil {
 			return nil, fmt.Errorf("sim: %w", err)
 		}

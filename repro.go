@@ -118,9 +118,6 @@ type (
 	ClientStats = sim.ClientStats
 	// Scheduler plans the document content of broadcast cycles.
 	Scheduler = schedule.Scheduler
-	// ScheduleClockUnit selects the clock a simulation's scheduler sees
-	// (see SimulationConfig.ScheduleClock).
-	ScheduleClockUnit = sim.ClockUnit
 )
 
 // Crash-restart equivalence driver (see RunRestartSim): a deterministic
@@ -134,15 +131,6 @@ type (
 	RestartSimResult = sim.RestartResult
 	// ScriptedRequest is one admission of a restart-equivalence script.
 	ScriptedRequest = sim.ScriptedRequest
-)
-
-// Scheduler clock units.
-const (
-	// ClockBytes hands schedulers the simulator's native byte-time.
-	ClockBytes = sim.ClockBytes
-	// ClockCycles hands schedulers admission cycle numbers, matching the
-	// networked server's clock for clock-sensitive policies such as RxW.
-	ClockCycles = sim.ClockCycles
 )
 
 // Assembly-engine telemetry: the shared cycle-assembly pipeline behind both
