@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/dtd"
@@ -33,13 +34,22 @@ func benchFixtureSized(b testing.TB, numDocs int, textScale float64) (*xmldoc.Co
 	return c, ix, queries
 }
 
+// BenchmarkBuildCI builds the CI of 100 and 1 000 NITF documents with little
+// text: the DataGuide merge dominates.
 func BenchmarkBuildCI(b *testing.B) {
-	c, _, _ := benchFixture(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := BuildCI(c, DefaultSizeModel()); err != nil {
-			b.Fatal(err)
-		}
+	for _, n := range []int{100, 1000} {
+		b.Run(fmt.Sprintf("docs=%d", n), func(b *testing.B) {
+			c, err := gen.Documents(gen.DocConfig{Schema: dtd.NITF(), NumDocs: n, TextScale: 0.01, Seed: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := BuildCI(c, DefaultSizeModel()); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

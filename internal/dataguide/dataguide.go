@@ -14,7 +14,6 @@ package dataguide
 
 import (
 	"runtime"
-	"slices"
 	"sort"
 	"sync"
 
@@ -249,28 +248,27 @@ func mergeInto(dst, src *Guide) {
 	sort.Slice(dst.Children, func(i, j int) bool { return dst.Children[i].Label < dst.Children[j].Label })
 }
 
+// unionIDs returns the union of the sorted, duplicate-free sets a and b,
+// sorted and duplicate-free. Merging documents in collection order, b is
+// nearly always one ID above all of a's and is appended to a; otherwise the
+// two are merged into a new slice.
 func unionIDs(a, b []xmldoc.DocID) []xmldoc.DocID {
 	if len(b) == 0 {
 		return a
 	}
-	set := make(map[xmldoc.DocID]struct{}, len(a)+len(b))
-	for _, id := range a {
-		set[id] = struct{}{}
+	if len(a) == 0 || a[len(a)-1] < b[0] {
+		return append(a, b...)
 	}
-	for _, id := range b {
-		set[id] = struct{}{}
+	out := make([]xmldoc.DocID, 0, len(a)+len(b))
+	for len(a) > 0 && len(b) > 0 {
+		switch {
+		case a[0] < b[0]:
+			out, a = append(out, a[0]), a[1:]
+		case b[0] < a[0]:
+			out, b = append(out, b[0]), b[1:]
+		default:
+			out, a, b = append(out, a[0]), a[1:], b[1:]
+		}
 	}
-	return sortedIDs(set)
-}
-
-func sortedIDs(set map[xmldoc.DocID]struct{}) []xmldoc.DocID {
-	if len(set) == 0 {
-		return nil
-	}
-	out := make([]xmldoc.DocID, 0, len(set))
-	for id := range set {
-		out = append(out, id)
-	}
-	slices.Sort(out)
-	return out
+	return append(append(out, a...), b...)
 }

@@ -3,6 +3,7 @@ package dataguide
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -249,5 +250,61 @@ func TestQuickMergedGuideIsUnion(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
 		t.Error(err)
+	}
+}
+
+// mapUnion is the union as a set: the reference unionIDs is held to.
+func mapUnion(a, b []xmldoc.DocID) []xmldoc.DocID {
+	set := make(map[xmldoc.DocID]struct{}, len(a)+len(b))
+	for _, id := range a {
+		set[id] = struct{}{}
+	}
+	for _, id := range b {
+		set[id] = struct{}{}
+	}
+	if len(set) == 0 {
+		return nil
+	}
+	out := make([]xmldoc.DocID, 0, len(set))
+	for id := range set {
+		out = append(out, id)
+	}
+	slices.Sort(out)
+	return out
+}
+
+// TestUnionIDsMatchesMapUnion: on random sorted sets — b above all of a,
+// interleaved with it, overlapping it or equal to it — unionIDs is the set
+// union, and the elements of both arguments stay as they were.
+func TestUnionIDsMatchesMapUnion(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	randomSet := func(n, span int) []xmldoc.DocID {
+		var ids []xmldoc.DocID
+		for _, id := range rng.Perm(span)[:n] {
+			ids = append(ids, xmldoc.DocID(id))
+		}
+		slices.Sort(ids)
+		return ids
+	}
+	for i := 0; i < 5000; i++ {
+		span := 1 + rng.Intn(64)
+		a, b := randomSet(rng.Intn(min(span, 12)+1), span), randomSet(rng.Intn(min(span, 12)+1), span)
+		if i%3 == 0 && len(a) > 0 { // the common case: b's IDs follow a's
+			for j := range b {
+				b[j] += a[len(a)-1] + 1
+			}
+		}
+		want := mapUnion(a, b)
+		a0, b0 := slices.Clone(a), slices.Clone(b)
+		got := unionIDs(a, b)
+		if len(got) == 0 && len(want) == 0 {
+			continue
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("unionIDs(%v, %v) = %v, want %v", a0, b0, got, want)
+		}
+		if !slices.Equal(a, a0) || !slices.Equal(b, b0) {
+			t.Fatalf("unionIDs(%v, %v) changed its arguments to %v, %v", a0, b0, a, b)
+		}
 	}
 }

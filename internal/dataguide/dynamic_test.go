@@ -123,3 +123,19 @@ func TestQuickDynamicSequenceEquivalence(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// BenchmarkForestAdd adds 100 NITF documents, one at a time, to an empty
+// forest: the live server's path.
+func BenchmarkForestAdd(b *testing.B) {
+	c, err := gen.Documents(gen.DocConfig{Schema: dtd.NITF(), NumDocs: 100, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var f Forest
+		for _, d := range c.Docs() {
+			f.Add(d)
+		}
+	}
+}

@@ -147,12 +147,17 @@ func WriteHello(w io.Writer, h Hello) error {
 	return err
 }
 
-// ReadHello parses a hello off br (a *bufio.Reader, typically).
+// ReadHello parses a hello off br (a *bufio.Reader, typically). The stream
+// ending before the hello's first byte is io.EOF; ending inside it is
+// io.ErrUnexpectedEOF.
 func ReadHello(br io.ByteReader) (Hello, error) {
 	var hdr [len(helloMagic) + 2]byte
 	for i := range hdr {
 		var err error
 		if hdr[i], err = br.ReadByte(); err != nil {
+			if i > 0 {
+				err = cut(err)
+			}
 			return Hello{}, err
 		}
 	}
@@ -168,7 +173,7 @@ func ReadHello(br io.ByteReader) (Hello, error) {
 	}
 	credit, err := binary.ReadUvarint(br)
 	if err != nil {
-		return Hello{}, err
+		return Hello{}, cut(err)
 	}
 	if credit > 1<<20 {
 		return Hello{}, fmt.Errorf("transport: hello credit %d insane", credit)
@@ -316,10 +321,7 @@ func (r *Reader) Next() (Frame, error) {
 	}
 	b1, err := r.br.ReadByte()
 	if err != nil {
-		if errors.Is(err, io.EOF) {
-			return Frame{}, io.ErrUnexpectedEOF
-		}
-		return Frame{}, err
+		return Frame{}, cut(err)
 	}
 	if b0 != syncA || b1 != syncB {
 		return Frame{}, fmt.Errorf("%w: bad sync bytes %#02x %#02x", ErrCorrupt, b0, b1)
@@ -344,10 +346,7 @@ func (r *Reader) Resync() (Frame, int64, error) {
 		}
 		p, err := r.br.Peek(1)
 		if err != nil {
-			if errors.Is(err, io.EOF) {
-				return Frame{}, skipped, io.ErrUnexpectedEOF
-			}
-			return Frame{}, skipped, err
+			return Frame{}, skipped, cut(err)
 		}
 		if p[0] != syncB {
 			continue
@@ -401,7 +400,7 @@ func (r *Reader) readAfterSync() (Frame, error) {
 	bodyStart := len(r.raw)
 	r.raw = append(r.raw, make([]byte, n+4)...)
 	if _, err := io.ReadFull(r.br, r.raw[bodyStart:]); err != nil {
-		return Frame{}, err
+		return Frame{}, cut(err)
 	}
 	body := r.raw[bodyStart : bodyStart+int(n)]
 	got := binary.LittleEndian.Uint32(r.raw[bodyStart+int(n):])
@@ -449,13 +448,19 @@ func (r *Reader) inflate(body []byte) ([]byte, error) {
 func (r *Reader) readByte() (byte, error) {
 	b, err := r.br.ReadByte()
 	if err != nil {
-		if errors.Is(err, io.EOF) {
-			return 0, io.ErrUnexpectedEOF
-		}
-		return 0, err
+		return 0, cut(err)
 	}
 	r.raw = append(r.raw, b)
 	return b, nil
+}
+
+// cut is the error of a read past a frame's or a hello's first byte: there
+// the stream's end cuts it short.
+func cut(err error) error {
+	if errors.Is(err, io.EOF) {
+		return io.ErrUnexpectedEOF
+	}
+	return err
 }
 
 // readUvarint reads a uvarint byte by byte, appending to the raw envelope.

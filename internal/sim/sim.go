@@ -14,6 +14,16 @@
 // attend a cycle in parallel, one shard of them per core, unless a loss
 // process, one random stream drawn in client order, orders them; the result
 // is the same either way.
+//
+// As the paper's server does (§3.4, §4), a lossless single-channel run builds
+// the next cycle while the current one is on air: the server's belief of
+// what a request still lacks is taken from what each cycle aired, shared by
+// the clients of one query admitted in one cycle, so cycle N+1 assembles
+// while cycle N's clients attend, and the join checks every client against
+// that belief. A lossy run's belief follows each client's receptions, and a
+// multichannel run's each client's own receivable commitment; there the
+// clients attend a cycle before the next assembles. The results are the same
+// in either order.
 package sim
 
 import (
@@ -210,10 +220,12 @@ type Result struct {
 // server does for a subscriber it cannot observe. nav is shared with every
 // other client of the same query.
 //
-// On a single channel the client is netcast's reader fed the cycle's frames.
-// The server's belief retires with each document it receives, so it is
-// remaining — the answer, shared — until the reader knows the result set, and
-// the reader's remaining documents after; needed is not kept.
+// On a single channel the client is netcast's reader fed the cycle's frames,
+// and the server's belief is one of two things. On a lossless run it is the
+// client's class (see class), retired by what each cycle aired. Otherwise it
+// retires with each document the client receives: remaining — the answer,
+// shared — until the reader knows the result set, and the reader's remaining
+// documents after. needed is not kept.
 type client struct {
 	id        int64
 	nav       *core.Navigator
@@ -222,11 +234,20 @@ type client struct {
 	admit     int64 // cycle number that first covered the request
 	knowsDocs bool  // multichannel: first tier already read
 	stats     ClientStats
-	done      bool // server belief drained; request leaves the pending set
+	cls       *class // lossless single channel: the server's belief
 
 	reader access.Reader
 	loss   *lossProcess
 	start  int64 // byte-time the cycle being read started
+}
+
+// class is the clients of one query admitted in one cycle. On a lossless
+// single channel each of them receives every document of its result set that
+// a cycle airs, so they share one server belief — the result set less what
+// the cycles since their admission aired — retired once a cycle for all of
+// them: the rule engine.Ledger's commit applies at K = 1.
+type class struct {
+	belief []xmldoc.DocID
 }
 
 // receive records downloaded document id, whose last byte aired at end.
@@ -253,8 +274,12 @@ func (cl *client) Receive(f *access.Frame) error {
 	return nil
 }
 
-// belief is the server's view of the documents cl still lacks.
+// belief is the server's view of the documents cl still lacks; the request
+// leaves the pending set when it drains.
 func (cl *client) belief() []xmldoc.DocID {
+	if cl.cls != nil {
+		return cl.cls.belief
+	}
 	if rem := cl.reader.Remaining(); rem != nil {
 		return rem
 	}
@@ -325,18 +350,35 @@ func Run(cfg Config) (*Result, error) {
 	byArrival := append([]*client(nil), clients...)
 	sort.SliceStable(byArrival, func(i, j int) bool { return byArrival[i].stats.Arrival < byArrival[j].stats.Arrival })
 
+	// On a lossless single channel the server's belief is taken from what
+	// each cycle aired, not from the clients, so the next cycle assembles
+	// while this one's clients attend (see attendance).
+	overlap := overlapCycles(&cfg)
 	res := &Result{Mode: cfg.Mode}
 	var (
 		now      int64
 		admitted int // prefix of byArrival already active
-		// active and pending, reused across cycles, never outgrow the
-		// clients, so they are sized once.
+		// active, spare (the clients of the cycle still attending) and
+		// pending, reused across cycles, never outgrow the clients, so they
+		// are sized once.
 		active    = make([]*client, 0, len(clients))
+		spare     = make([]*client, 0, len(clients))
 		pending   = make([]engine.Pending, 0, len(clients))
-		frames    []access.Frame
+		frames    [2][]access.Frame // the cycle attending and the one assembled
+		fly       = attendance{done: make(chan error, 1)}
 		cycleNum  int64
 		completed int
+		// Overlapped runs: the classes whose belief has not drained, those
+		// admitted this cycle by query, and the documents a cycle aired.
+		classes []*class
+		fresh   map[*core.Navigator]*class
+		aired   []bool
 	)
+	defer fly.wait() // an error return leaves no client attending
+	if overlap {
+		fresh = make(map[*core.Navigator]*class)
+		aired = make([]bool, maxDocID(cfg.Collection)+1)
+	}
 	for completed < len(clients) {
 		if cycleNum >= int64(cfg.MaxCycles) {
 			return nil, fmt.Errorf("sim: exceeded MaxCycles=%d with %d clients outstanding", cfg.MaxCycles, len(clients)-completed)
@@ -348,16 +390,26 @@ func Run(cfg Config) (*Result, error) {
 			}
 		}
 		for admitted < len(byArrival) && byArrival[admitted].stats.Arrival <= now {
-			byArrival[admitted].admit = cycleNum
-			active = append(active, byArrival[admitted])
+			cl := byArrival[admitted]
+			cl.admit = cycleNum
+			if overlap {
+				if cl.cls = fresh[cl.nav]; cl.cls == nil {
+					cl.cls = &class{belief: slices.Clone(cl.stats.Docs)}
+					fresh[cl.nav] = cl.cls
+					classes = append(classes, cl.cls)
+				}
+			}
+			active = append(active, cl)
 			admitted++
 		}
+		clear(fresh)
 		if len(active) == 0 {
 			return nil, fmt.Errorf("sim: no active clients but %d incomplete", len(clients)-completed)
 		}
 
 		// Server: hand the pending view to the shared assembly engine, in
-		// byte-time.
+		// byte-time. Every client is a request of its own, whether or not
+		// its belief is shared.
 		pending = pending[:0]
 		for _, cl := range active {
 			pending = append(pending, engine.Pending{ID: cl.id, Query: cl.stats.Query, Arrival: cl.stats.Arrival, Remaining: cl.belief()})
@@ -375,7 +427,8 @@ func Run(cfg Config) (*Result, error) {
 		}
 		// The clients read channel 0's frames, decoded once for all of them:
 		// on a single channel the whole cycle, at K > 1 the first tier.
-		if frames, err = decodeAir(frames[:0], enc.Frames[0], cfg.Compress, cy.Index.Model); err != nil {
+		fb := &frames[cycleNum%2]
+		if *fb, err = decodeAir((*fb)[:0], enc.Frames[0], cfg.Compress, cy.Index.Model); err != nil {
 			return nil, err
 		}
 		st := CycleStats{
@@ -398,8 +451,8 @@ func Run(cfg Config) (*Result, error) {
 		var firstTier func(*client) (int64, error) // K > 1: a client's first-tier read
 		if len(cy.Channels) > 1 {
 			var head *wire.CycleHead
-			for i := range frames {
-				switch f := &frames[i]; f.Type {
+			for i := range *fb {
+				switch f := &(*fb)[i]; f.Type {
 				case wire.FrameCycleHead:
 					head = f.Head
 				case wire.FrameIndex:
@@ -411,35 +464,56 @@ func Run(cfg Config) (*Result, error) {
 			}
 		} else {
 			st.DurationBytes = 0 // the frames' air: a compressed cycle's is its envelopes'
-			for i := range frames {
-				st.DurationBytes += frames[i].Air
+			for i := range *fb {
+				st.DurationBytes += (*fb)[i].Air
 			}
 		}
 		res.Cycles = append(res.Cycles, st)
 		end := cy.Start + st.DurationBytes
 
-		// Clients: attend the cycle. A lost reception still costs tuning
-		// bytes (the radio was awake) but delivers nothing: a lost first-tier
-		// read is retried next cycle, a lost per-cycle index read skips this
-		// cycle's documents, and a lost document stays in the remaining set
-		// and is rescheduled by the server.
-		if err := attendAll(active, loss, func(cl *client) error {
-			if len(cy.Channels) > 1 {
-				return attendMultichannel(cl, cy, loss, firstTier)
-			}
-			return attendFrames(cl, cy.Start, frames)
-		}); err != nil {
-			return nil, fmt.Errorf("sim: cycle %d: %w", cy.Number, err)
+		// Clients: attend the cycle, once the cycle before has been attended.
+		// A lost reception still costs tuning bytes (the radio was awake) but
+		// delivers nothing: a lost first-tier read is retried next cycle, a
+		// lost per-cycle index read skips this cycle's documents, and a lost
+		// document stays in the remaining set and is rescheduled by the
+		// server.
+		if err := fly.join(eng); err != nil {
+			return nil, err
 		}
-		stillActive := active[:0]
+		start, single := cy.Start, len(cy.Channels) <= 1
+		fly = attendance{num: cy.Number, clients: active, enc: enc, frames: fb, done: fly.done, running: true,
+			attend: func(cl *client) error {
+				if single {
+					return attendFrames(cl, start, *fb)
+				}
+				return attendMultichannel(cl, cy, loss, firstTier)
+			}}
+		if overlap {
+			go fly.run(loss)
+		} else {
+			fly.run(loss)
+			if err := fly.wait(); err != nil {
+				return nil, err
+			}
+		}
+		// The server's belief, taken from the air on an overlapped run, drops
+		// the requests it drains.
+		if overlap {
+			for _, p := range cy.Docs {
+				aired[p.ID] = true
+			}
+			classes = retire(classes, aired)
+			clear(aired)
+		}
+		next := spare[:0]
 		for _, cl := range active {
-			if cl.done {
+			if len(cl.belief()) == 0 {
 				completed++
 			} else {
-				stillActive = append(stillActive, cl)
+				next = append(next, cl)
 			}
 		}
-		active = stillActive
+		active, spare = next, active
 
 		// Clients whose requests arrive while this cycle is on air eavesdrop
 		// on the index channel: they sync at the next index repetition and
@@ -454,10 +528,11 @@ func Run(cfg Config) (*Result, error) {
 				return nil, fmt.Errorf("sim: cycle %d: %w", cy.Number, err)
 			}
 		}
-		eng.Recycle(enc)
-		clear(frames) // the decoded cycle is garbage while the next assembles
 		now = end
 		cycleNum++
+	}
+	if err := fly.join(eng); err != nil {
+		return nil, err
 	}
 
 	res.Clients = make([]ClientStats, len(clients))
@@ -466,6 +541,90 @@ func Run(cfg Config) (*Result, error) {
 	}
 	res.Engine = eng.Metrics()
 	return res, nil
+}
+
+// overlapCycles reports whether a run takes the server's belief from the
+// air and attends each cycle while the next assembles: only a lossless
+// single-channel run, where every client receives every document of its
+// result set that a cycle airs. A loss process is one random stream drawn in
+// client order, and a multichannel client receives the receivable commitment
+// keyed on its own admission, so those runs attend each cycle before the
+// next assembles. A variable so tests can force that order on any run.
+var overlapCycles = func(cfg *Config) bool { return cfg.LossProb == 0 && cfg.Channels <= 1 }
+
+// retire drops the documents marked in aired from every class's belief and
+// returns the classes whose belief has not drained, in order.
+func retire(classes []*class, aired []bool) []*class {
+	live := classes[:0]
+	for _, c := range classes {
+		if c.belief = slices.DeleteFunc(c.belief, func(d xmldoc.DocID) bool { return aired[d] }); len(c.belief) > 0 {
+			live = append(live, c)
+		}
+	}
+	clear(classes[len(live):])
+	return live
+}
+
+// maxDocID is the largest document ID in c.
+func maxDocID(c *xmldoc.Collection) xmldoc.DocID {
+	var m xmldoc.DocID
+	for _, d := range c.Docs() {
+		m = max(m, d.ID)
+	}
+	return m
+}
+
+// attendance is one cycle's clients attending it. On an overlapped run they
+// attend on a goroutine of their own while the next cycle assembles, reading
+// the cycle's decoded frames, which stay valid until join hands them back.
+type attendance struct {
+	num     int64
+	clients []*client
+	enc     *engine.Encoded
+	frames  *[]access.Frame
+	attend  func(*client) error
+	done    chan error // run's result, read by wait
+	running bool       // run's result not yet read
+	err     error
+}
+
+// run attends the cycle for every client; it may run on its own goroutine.
+func (a *attendance) run(loss *lossProcess) {
+	a.done <- attendAll(a.clients, loss, a.attend)
+}
+
+// wait waits for the clients and returns the first one's error, in active
+// order.
+func (a *attendance) wait() error {
+	if a.running {
+		a.running = false
+		if err := <-a.done; err != nil {
+			a.err = fmt.Errorf("sim: cycle %d: %w", a.num, err)
+		}
+	}
+	return a.err
+}
+
+// join waits for the clients, checks each against the server's belief where
+// that was taken from the air — a client is done exactly when its class's
+// belief drained — and hands the cycle's frames back to the engine.
+func (a *attendance) join(eng *engine.Engine) error {
+	if a.enc == nil {
+		return nil // nothing attending, or joined already
+	}
+	if err := a.wait(); err != nil {
+		return err
+	}
+	for _, cl := range a.clients {
+		if cl.cls != nil && cl.reader.Done() != (len(cl.cls.belief) == 0) {
+			return fmt.Errorf("sim: cycle %d: client %d has %d result documents left, the server believes %d",
+				a.num, cl.id, len(cl.reader.Remaining()), len(cl.cls.belief))
+		}
+	}
+	eng.Recycle(a.enc)
+	clear(*a.frames)
+	a.enc = nil
+	return nil
 }
 
 // minShard is the fewest clients attendAll hands a goroutine of its own:
@@ -518,7 +677,7 @@ func attendFrames(cl *client, start int64, frames []access.Frame) error {
 			return err
 		}
 	}
-	if cl.done = cl.reader.Done(); cl.done {
+	if cl.reader.Done() {
 		st := cl.reader.Stats()
 		cl.stats.IndexTuningBytes, cl.stats.DocTuningBytes, cl.stats.CyclesListened = st.IndexTuning, st.DocTuning, st.Cycles
 	}
@@ -589,7 +748,6 @@ func attendMultichannel(cl *client, cy *broadcast.Cycle, loss *lossProcess, firs
 	for _, p := range commit {
 		cl.remaining = xmldoc.RemoveID(cl.remaining, p.ID)
 	}
-	defer func() { cl.done = len(cl.remaining) == 0 }()
 
 	if len(cl.needed) == 0 {
 		return nil // already complete; the server drains its belief unattended

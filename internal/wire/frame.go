@@ -131,7 +131,9 @@ func AppendFrame(dst []byte, t FrameType, payload []byte) ([]byte, error) {
 
 // ReadFrame reads one frame, verifying sync bytes and checksum. Corrupt
 // frames return an error satisfying IsCorrupt; I/O failures pass through
-// unwrapped so callers can distinguish resync from reconnect.
+// unwrapped so callers can distinguish resync from reconnect. The stream
+// ending before a frame's first byte is io.EOF, a clean end; ending anywhere
+// inside a frame is io.ErrUnexpectedEOF.
 func ReadFrame(r io.Reader) (FrameType, []byte, error) {
 	var buf []byte
 	return ReadFrameInto(r, &buf)
@@ -160,9 +162,18 @@ func ReadFrameInto(r io.Reader, buf *[]byte) (FrameType, []byte, error) {
 	frame := (*buf)[:need]
 	copy(frame, hdr[:])
 	if _, err := io.ReadFull(r, frame[FrameHeaderLen:]); err != nil {
-		return 0, nil, err
+		return 0, nil, cutFrame(err)
 	}
 	return ParseFrame(frame)
+}
+
+// cutFrame is the error of a read past a frame's first byte: there the
+// stream's end cuts the frame.
+func cutFrame(err error) error {
+	if errors.Is(err, io.EOF) {
+		return io.ErrUnexpectedEOF
+	}
+	return err
 }
 
 // ParseFrame checks one whole frame held in memory, as ReadFrame checks a
@@ -200,10 +211,7 @@ func ResyncFrame(br *bufio.Reader, want FrameType) (payload []byte, skipped int6
 		// so a false positive advances by only one byte.
 		hdr, err := br.Peek(FrameHeaderLen - 1)
 		if err != nil {
-			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-				return nil, skipped, io.ErrUnexpectedEOF
-			}
-			return nil, skipped, err
+			return nil, skipped, cutFrame(err)
 		}
 		t := FrameType(hdr[1])
 		n := binary.LittleEndian.Uint32(hdr[2:6])
@@ -217,7 +225,7 @@ func ResyncFrame(br *bufio.Reader, want FrameType) (payload []byte, skipped int6
 		skipped += FrameHeaderLen - 1
 		body := make([]byte, n+FrameTrailerLen)
 		if _, err := io.ReadFull(br, body); err != nil {
-			return nil, skipped, err
+			return nil, skipped, cutFrame(err)
 		}
 		var full [5]byte
 		full[0] = byte(t)
