@@ -14,7 +14,9 @@ package dataguide
 
 import (
 	"runtime"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 
 	"repro/internal/xmldoc"
@@ -50,22 +52,22 @@ func Build(d *xmldoc.Document) *Guide {
 }
 
 // buildNode merges a group of document nodes sharing the same label into one
-// guide node, recursing over their children grouped by label.
+// guide node, recursing over their children grouped by label: a stable sort
+// on label groups them, each group in document order.
 func buildNode(label string, group []*xmldoc.Node) *Guide {
 	g := &Guide{Label: label, Refs: 1}
-	byLabel := make(map[string][]*xmldoc.Node)
-	var order []string
+	var kids []*xmldoc.Node
 	for _, n := range group {
-		for _, c := range n.Children {
-			if _, ok := byLabel[c.Label]; !ok {
-				order = append(order, c.Label)
-			}
-			byLabel[c.Label] = append(byLabel[c.Label], c)
-		}
+		kids = append(kids, n.Children...)
 	}
-	sort.Strings(order)
-	for _, childLabel := range order {
-		g.Children = append(g.Children, buildNode(childLabel, byLabel[childLabel]))
+	slices.SortStableFunc(kids, func(a, b *xmldoc.Node) int { return strings.Compare(a.Label, b.Label) })
+	for i := 0; i < len(kids); {
+		j := i + 1
+		for j < len(kids) && kids[j].Label == kids[i].Label {
+			j++
+		}
+		g.Children = append(g.Children, buildNode(kids[i].Label, kids[i:j]))
+		i = j
 	}
 	return g
 }
@@ -238,6 +240,7 @@ func (f *Forest) Walk(visit func(path []string, node *Guide)) {
 func mergeInto(dst, src *Guide) {
 	dst.Docs = unionIDs(dst.Docs, src.Docs)
 	dst.Refs += src.Refs
+	n := len(dst.Children)
 	for _, sc := range src.Children {
 		if dc := dst.Child(sc.Label); dc != nil {
 			mergeInto(dc, sc)
@@ -245,7 +248,9 @@ func mergeInto(dst, src *Guide) {
 		}
 		dst.Children = append(dst.Children, sc)
 	}
-	sort.Slice(dst.Children, func(i, j int) bool { return dst.Children[i].Label < dst.Children[j].Label })
+	if len(dst.Children) > n {
+		sort.Slice(dst.Children, func(i, j int) bool { return dst.Children[i].Label < dst.Children[j].Label })
+	}
 }
 
 // unionIDs returns the union of the sorted, duplicate-free sets a and b,

@@ -308,3 +308,48 @@ func TestUnionIDsMatchesMapUnion(t *testing.T) {
 		}
 	}
 }
+
+// mapBuildNode is buildNode grouping the children with a map and a sorted
+// label list: the reference the stable-sort grouping is held to.
+func mapBuildNode(label string, group []*xmldoc.Node) *Guide {
+	g := &Guide{Label: label, Refs: 1}
+	byLabel := make(map[string][]*xmldoc.Node)
+	var order []string
+	for _, n := range group {
+		for _, c := range n.Children {
+			if _, ok := byLabel[c.Label]; !ok {
+				order = append(order, c.Label)
+			}
+			byLabel[c.Label] = append(byLabel[c.Label], c)
+		}
+	}
+	slices.Sort(order)
+	for _, childLabel := range order {
+		g.Children = append(g.Children, mapBuildNode(childLabel, byLabel[childLabel]))
+	}
+	return g
+}
+
+// TestBuildMatchesMapGrouping: on NITF (recursive) and NASA documents, Build
+// is the guide the map-based grouping builds, node for node, attachments
+// included, and so is the merge of the documents' guides.
+func TestBuildMatchesMapGrouping(t *testing.T) {
+	for _, schema := range []*dtd.Schema{dtd.NITF(), dtd.NASA()} {
+		c, err := gen.Documents(gen.DocConfig{Schema: schema, NumDocs: 60, Seed: 7, MaxDepth: 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []*Guide
+		for _, d := range c.Docs() {
+			ref := mapBuildNode(d.Root.Label, []*xmldoc.Node{d.Root})
+			ref.attachAtLeaves(d.ID)
+			if got := Build(d); !reflect.DeepEqual(got, ref) {
+				t.Fatalf("%s document %d: Build differs from the map-based grouping", schema.Name, d.ID)
+			}
+			want = append(want, ref)
+		}
+		if got := Merge(c); !reflect.DeepEqual(flatten(got), flatten(merge(want))) {
+			t.Errorf("%s: Merge differs from the merge of the map-based guides", schema.Name)
+		}
+	}
+}

@@ -91,8 +91,10 @@ type Pending struct {
 	ID int64
 	// Query is the request's XPath query.
 	Query xpath.Path
-	// Arrival is the request's arrival time in the driver's clock units
-	// (byte-time in sim, cycle number in netcast).
+	// Arrival is the request's arrival time in the driver's clock units, which
+	// the scheduler reads: byte-time in sim, the admission cycle in netcast
+	// and in a journaled Ledger. The ledger keeps a request's admission cycle
+	// apart from it.
 	Arrival int64
 	// Remaining are the result documents not yet delivered, sorted ascending
 	// without duplicates. The engine borrows the slice for the duration of
@@ -101,6 +103,8 @@ type Pending struct {
 	// scheduling code that reads it rejects an unsorted or duplicated set
 	// with an error naming the request.
 	Remaining []xmldoc.DocID
+
+	cls *reqClass // the request's class in a Ledger; nil elsewhere
 }
 
 // Cycle is one assembled broadcast cycle plus the pipeline inputs it was
@@ -299,8 +303,8 @@ func (e *Engine) Resolve(q xpath.Path) []xmldoc.DocID {
 // Incremental scheduling (see schedule.DemandIndex) additionally assumes
 // driver-shaped pending sets across consecutive calls: a request keeps its
 // ID and arrival, its Remaining set only shrinks, every Remaining is
-// non-empty, and new requests are appended after surviving ones. Both
-// drivers satisfy this; callers that mutate pending arbitrarily between
+// non-empty, and new requests are appended after surviving ones. The
+// ledger satisfies this; callers that mutate pending arbitrarily between
 // cycles still get correct plans whenever a count or arrival changes.
 func (e *Engine) AssembleCycle(number, start int64, pending []Pending) (*Cycle, error) {
 	if len(pending) == 0 {

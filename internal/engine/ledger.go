@@ -13,25 +13,27 @@ import (
 )
 
 // Ledger is the one owner of the list the paper's server keeps (§3.4): the
-// pending requests and the documents each still needs. The networked server
-// and the restart driver both serve requests through it, so admission, the
-// cycle snapshot and commit, document removal and recovery are written once,
-// each journaling before it changes the pending set (the journal is optional;
-// without one the lifecycle is in memory). Like the engine below it, a
-// Ledger is not safe for concurrent use: one goroutine owns it (the restart
-// driver's script, the server's cycle loop) and every other goroutine asks
-// that owner. A cycle is one call, Air, from snapshot to commit, so nothing
-// the owner runs lands inside a cycle: an admission or a document write is
-// covered by the next one.
+// pending requests and the documents each still needs. The networked server,
+// the restart driver and the simulator serve requests through it, so
+// admission, the cycle snapshot and commit, document removal and recovery are
+// written once, each journaling before it changes the pending set (the
+// journal is optional; without one the lifecycle is in memory). Like the
+// engine below it, a Ledger is not safe for concurrent use: one goroutine
+// owns it (the restart driver's script, the server's cycle loop, the
+// simulator's loop) and every other goroutine asks that owner. A cycle is one
+// call, Air, from snapshot to commit, so nothing the owner runs lands inside
+// a cycle: an admission or a document write is covered by the next one.
 type Ledger struct {
 	eng *Engine
 	jn  *journal.Journal // nil: in memory
 
-	// pending is in admission order, which is ID order. Each Remaining is the
-	// request's own sorted, duplicate-free set of undelivered documents: lent
-	// to the engine as is while a cycle assembles, shrunk in place otherwise.
+	// pending is in admission order, which is ID order. Each Remaining is its
+	// class's sorted, duplicate-free set of undelivered documents: lent to
+	// the engine as is while a cycle assembles, shrunk in place otherwise.
 	pending []Pending
-	nextID  int64 // the last ID assigned
+	classes []*reqClass          // the live classes
+	fresh   map[string]*reqClass // by query, those admitted this cycle
+	nextID  int64                // the last ID assigned
 	// cycles is the next cycle number: the last committed cycle + 1, which
 	// is also the journal's cycle counter.
 	cycles int64
@@ -39,11 +41,24 @@ type Ledger struct {
 	// (journaled ledgers only).
 	served journal.ServedMemory
 
+	airing *Cycle // the cycle air is airing: Missed's only window
+
 	// Per-cycle scratch, reused across cycles.
 	recv       []broadcast.Commitment
 	delivered  []uint16
 	deliveries []journal.Delivery
 	retired    []int64
+}
+
+// reqClass is the requests of one query admitted in one cycle with no document
+// write between: they share one remaining set, which a commit computes and
+// shrinks once. A request reported Missed leaves for a class of its own.
+type reqClass struct {
+	docs     []xmldoc.DocID
+	admitted int64 // the class's first covering cycle
+	members  int
+	missed   []xmldoc.DocID // what Missed kept back this cycle, sorted
+	from, to int            // the class's deliveries in the commit's buffer
 }
 
 // NewLedger starts the request lifecycle over eng. With a journal, st is the
@@ -57,7 +72,7 @@ type Ledger struct {
 // from it, agree with the ledger, and the live collection's fingerprint is
 // stamped for the next recovery to compare against.
 func NewLedger(eng *Engine, jn *journal.Journal, st *journal.State) (*Ledger, error) {
-	l := &Ledger{eng: eng, jn: jn}
+	l := &Ledger{eng: eng, jn: jn, fresh: make(map[string]*reqClass)}
 	if jn == nil {
 		return l, nil
 	}
@@ -99,7 +114,9 @@ func NewLedger(eng *Engine, jn *journal.Journal, st *journal.State) (*Ledger, er
 		if len(dropped) > 0 {
 			shrinks = append(shrinks, journal.Delivery{ID: jr.ID, Docs: dropped})
 		}
-		l.pending = append(l.pending, Pending{ID: jr.ID, Query: q, Arrival: jr.Arrival, Remaining: kept})
+		c := &reqClass{docs: kept, admitted: jr.Arrival, members: 1} // Arrival: the admission cycle
+		l.classes = append(l.classes, c)
+		l.pending = append(l.pending, Pending{ID: jr.ID, Query: q, Arrival: jr.Arrival, Remaining: kept, cls: c})
 	}
 	if len(shrinks) > 0 {
 		// A commit of the last committed cycle shrinks remaining sets without
@@ -114,13 +131,15 @@ func NewLedger(eng *Engine, jn *journal.Journal, st *journal.State) (*Ledger, er
 	return l, nil
 }
 
-// Admit registers query q and returns the number of the first cycle that
-// covers it — the next one to be snapshotted — and its ID. With max > 0 a
+// Admit registers query q, arrived at time arrival in the driver's clock (the
+// scheduler's), and returns the number of the first cycle that covers it — the
+// next one to be snapshotted, its admission cycle — and its ID. With max > 0 a
 // pending set already at max refuses it with a wrapped ErrOverload, before any
 // resolution work; a query with an empty answer is refused too. With a journal
 // the admission is durable before Admit returns, so an ack sent after it never
-// outruns the journal.
-func (l *Ledger) Admit(q xpath.Path, max int) (cycle, id int64, err error) {
+// outruns the journal. A journaled ledger must be cycle-clocked (arrival is
+// Cycles()): recovery reads a request's admission cycle back from its arrival.
+func (l *Ledger) Admit(q xpath.Path, max int, arrival int64) (cycle, id int64, err error) {
 	if max > 0 && len(l.pending) >= max {
 		return 0, 0, fmt.Errorf("engine: pending set at MaxPending %d: %w", max, ErrOverload)
 	}
@@ -128,52 +147,99 @@ func (l *Ledger) Admit(q xpath.Path, max int) (cycle, id int64, err error) {
 	if len(docs) == 0 {
 		return 0, 0, errors.New("query has an empty result set")
 	}
-	id = l.nextID + 1
+	id, key := l.nextID+1, q.String()
 	if l.jn != nil {
 		jrem := make([]uint16, len(docs))
 		for i, d := range docs {
 			jrem[i] = uint16(d)
 		}
-		if err := l.jn.Admit(journal.Request{ID: id, Arrival: l.cycles, Query: q.String(), Remaining: jrem}); err != nil {
+		if err := l.jn.Admit(journal.Request{ID: id, Arrival: arrival, Query: key, Remaining: jrem}); err != nil {
 			return 0, 0, err
 		}
 	}
 	l.nextID = id
-	// The answer is shared with the engine's cache; the request owns a copy
+	// The answer is shared with the engine's cache; the class owns a copy
 	// because it shrinks in place.
-	l.pending = append(l.pending, Pending{ID: id, Query: q, Arrival: l.cycles, Remaining: slices.Clone(docs)})
+	c := l.fresh[key]
+	if c == nil {
+		c = &reqClass{docs: slices.Clone(docs), admitted: l.cycles}
+		l.fresh[key] = c
+		l.classes = append(l.classes, c)
+	}
+	c.members++
+	if len(l.pending) == cap(l.pending) { // double: append grows a long slice by a quarter
+		l.pending = slices.Grow(l.pending, len(l.pending))
+	}
+	l.pending = append(l.pending, Pending{ID: id, Query: q, Arrival: arrival, Remaining: c.docs, cls: c})
 	return l.cycles, id, nil
 }
 
 // Air runs one cycle over the pending set, snapshot to commit: it lends the
-// set to the engine, assembles and encodes the next cycle — its number is the
-// scheduler's clock as well as the cycle's start — hands it to air, and
-// commits it once air returns. Every pending request loses what the cycle
-// committed to it (Cycle.Commitments: on a multichannel cycle only what a
-// single tuner could receive; the request's admission cycle is its first
-// covering cycle, where its client is still reading the first tier). The
-// commit is journaled first. A cycle that fails to assemble, air or commit
-// leaves the pending set and the cycle number as they were, so the cycle
-// re-airs. While nothing is pending Air does nothing and returns a nil
-// cycle. retired lists the requests the cycle drained, in ID order, and is
-// valid until the next commit.
-func (l *Ledger) Air(air func(*Cycle, *Encoded) error) (cy *Cycle, retired []int64, err error) {
+// set to the engine, assembles and encodes the next cycle — numbered Cycles(),
+// starting at start in the driver's clock, which is also the scheduler's
+// "now" — hands it to air, and commits it once air returns. Every pending
+// request loses what the cycle committed to it (Cycle.Commitments: on a
+// multichannel cycle only what a single tuner could receive; a request's
+// admission cycle is its first covering cycle, where its client is still
+// reading the first tier) but for what air reported Missed. The commit is
+// journaled first. A cycle that fails to assemble, air or commit leaves the
+// pending set and the cycle number as they were, so the cycle re-airs. While
+// nothing is pending Air does nothing and returns a nil cycle. retired lists
+// the requests the cycle drained, in ID order, and is valid until the next
+// commit.
+func (l *Ledger) Air(start int64, air func(*Cycle, *Encoded) error) (cy *Cycle, retired []int64, err error) {
 	if len(l.pending) == 0 {
 		return nil, nil, nil
 	}
 	num := l.cycles
-	if cy, err = l.eng.AssembleCycle(num, num, l.pending); err != nil {
+	if cy, err = l.eng.AssembleCycle(num, start, l.pending); err != nil {
 		return nil, nil, err
 	}
 	enc, err := l.eng.EncodeCycle(cy)
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := air(cy, enc); err != nil {
+	for _, c := range l.classes {
+		c.missed = c.missed[:0] // what a failed cycle's air reported
+	}
+	l.airing = cy
+	err = air(cy, enc)
+	l.airing = nil
+	if err != nil {
 		return nil, nil, err
 	}
 	retired, err = l.commit(num, cy)
 	return cy, retired, err
+}
+
+// Missed reports that request id's client did not receive document doc, which
+// the cycle being aired commits to it: the document stays in the request's
+// set past the commit, and the journaled delivery leaves it out. It is the
+// simulator's ideal uplink — a lost reception re-requested at no cost before
+// the cycle ends — which a networked client does not have. Missed may be
+// called only from Air's air function, for a document the cycle commits to a
+// pending request; any other call is an error.
+func (l *Ledger) Missed(id int64, doc xmldoc.DocID) error {
+	if l.airing == nil {
+		return fmt.Errorf("engine: Missed(%d, %d) outside a cycle's air", id, doc)
+	}
+	i, ok := l.find(id)
+	if !ok {
+		return fmt.Errorf("engine: Missed(%d, %d): request not pending", id, doc)
+	}
+	r, c := &l.pending[i], l.pending[i].cls
+	l.recv = l.airing.Commitments(l.recv[:0], c.docs, l.cycles == c.admitted)
+	if !slices.ContainsFunc(l.recv, func(cm broadcast.Commitment) bool { return cm.ID == doc }) {
+		return fmt.Errorf("engine: Missed(%d, %d): cycle %d does not commit the document to the request", id, doc, l.cycles)
+	}
+	if c.members > 1 { // the request leaves its class
+		c.members--
+		c = &reqClass{docs: slices.Clone(c.docs), admitted: c.admitted, members: 1}
+		l.classes = append(l.classes, c)
+		r.cls, r.Remaining = c, c.docs
+	}
+	c.missed = xmldoc.InsertID(c.missed, doc)
+	return nil
 }
 
 // Idle commits an empty cycle: it claims the next cycle number and journals
@@ -187,37 +253,42 @@ func (l *Ledger) Idle() error {
 
 // commit journals cycle num's deliveries — none for an idle cycle (nil cy) —
 // then shrinks the pending set by them, retires the requests they drain and
-// advances the cycle number past num.
+// advances the cycle number past num. The deliveries are computed, and the
+// sets shrunk, once per class.
 func (l *Ledger) commit(num int64, cy *Cycle) ([]int64, error) {
-	deliveries, delivered := l.deliveries[:0], l.delivered[:0]
-	if cy != nil {
-		for _, r := range l.pending {
-			l.recv = cy.Commitments(l.recv[:0], r.Remaining, num == r.Arrival)
-			if len(l.recv) == 0 {
-				continue
-			}
-			// The journal encodes the deliveries before Commit returns, so
-			// their document lists share one buffer reused across cycles.
-			from := len(delivered)
+	// The journal encodes the deliveries before Commit returns, so their
+	// document lists share one buffer reused across cycles.
+	delivered := l.delivered[:0]
+	for _, c := range l.classes {
+		c.from = len(delivered)
+		if cy != nil {
+			l.recv = cy.Commitments(l.recv[:0], c.docs, num == c.admitted)
 			for _, cm := range l.recv {
-				delivered = append(delivered, uint16(cm.ID))
+				if !xmldoc.HasID(c.missed, cm.ID) {
+					delivered = append(delivered, uint16(cm.ID))
+				}
 			}
-			deliveries = append(deliveries, journal.Delivery{ID: r.ID, Docs: delivered[from:], Retired: len(l.recv) == len(r.Remaining)})
 		}
+		c.to = len(delivered)
 	}
-	l.deliveries, l.delivered = deliveries, delivered
+	l.delivered = delivered
 	if l.jn != nil {
+		deliveries := l.deliveries[:0]
+		for _, r := range l.pending {
+			if c := r.cls; c.to > c.from {
+				deliveries = append(deliveries, journal.Delivery{ID: r.ID, Docs: delivered[c.from:c.to], Retired: c.to-c.from == len(c.docs)})
+			}
+		}
+		l.deliveries = deliveries
 		if err := l.jn.Commit(num, deliveries); err != nil {
 			return nil, err
 		}
 	}
 	l.cycles = num + 1
-	for i := range l.pending {
-		if r := &l.pending[i]; len(deliveries) > 0 && deliveries[0].ID == r.ID {
-			for _, d := range deliveries[0].Docs {
-				r.Remaining = xmldoc.RemoveID(r.Remaining, xmldoc.DocID(d))
-			}
-			deliveries = deliveries[1:]
+	clear(l.fresh)
+	for _, c := range l.classes {
+		for _, d := range delivered[c.from:c.to] {
+			c.docs = xmldoc.RemoveID(c.docs, xmldoc.DocID(d))
 		}
 	}
 	l.retired = l.drain(l.retired[:0])
@@ -232,8 +303,9 @@ func (l *Ledger) RemoveDocument(id xmldoc.DocID) error {
 	if err := l.eng.RemoveDocument(id); err != nil {
 		return err
 	}
-	for i := range l.pending {
-		l.pending[i].Remaining = xmldoc.RemoveID(l.pending[i].Remaining, id)
+	clear(l.fresh) // a later admission's answer differs
+	for _, c := range l.classes {
+		c.docs = xmldoc.RemoveID(c.docs, id)
 	}
 	l.remember(l.drain(nil), l.cycles)
 	if l.jn != nil {
@@ -242,12 +314,13 @@ func (l *Ledger) RemoveDocument(id xmldoc.DocID) error {
 	return nil
 }
 
-// drain drops the requests with nothing left to deliver, keeping the others
-// in order, and appends the dropped IDs to retired.
+// drain brings every request's Remaining up to its class's and drops the
+// requests, and classes, with nothing left to deliver, keeping the others in
+// order; it appends the dropped requests' IDs to retired.
 func (l *Ledger) drain(retired []int64) []int64 {
 	live := l.pending[:0]
 	for _, r := range l.pending {
-		if len(r.Remaining) == 0 {
+		if r.Remaining = r.cls.docs; len(r.Remaining) == 0 {
 			retired = append(retired, r.ID)
 		} else {
 			live = append(live, r)
@@ -255,6 +328,7 @@ func (l *Ledger) drain(retired []int64) []int64 {
 	}
 	clear(l.pending[len(live):])
 	l.pending = live
+	l.classes = slices.DeleteFunc(l.classes, func(c *reqClass) bool { return len(c.docs) == 0 })
 	return retired
 }
 
@@ -276,6 +350,7 @@ func (l *Ledger) AddDocument(d *xmldoc.Document) error {
 	if err := l.eng.AddDocument(d); err != nil {
 		return err
 	}
+	clear(l.fresh) // a later admission's answer differs
 	if l.jn == nil {
 		return nil
 	}
@@ -287,11 +362,26 @@ func (l *Ledger) AddDocument(d *xmldoc.Document) error {
 // horizon (cycle is the one that retired it), or neither — never admitted
 // here, or forgotten — and to be resubmitted.
 func (l *Ledger) Lookup(id int64) (pending, served bool, cycle int64) {
-	if _, pending = slices.BinarySearchFunc(l.pending, id, func(r Pending, id int64) int { return cmp.Compare(r.ID, id) }); pending {
+	if _, pending = l.find(id); pending {
 		return true, false, l.cycles
 	}
 	cycle, served = l.served.Lookup(id)
 	return false, served, cycle
+}
+
+// Remaining is pending request id's undelivered documents, nil if id is not
+// pending. The slice is the ledger's, shared with the request's class: read
+// it, never write it, and only until the ledger next changes.
+func (l *Ledger) Remaining(id int64) []xmldoc.DocID {
+	if i, ok := l.find(id); ok {
+		return l.pending[i].Remaining
+	}
+	return nil
+}
+
+// find locates pending request id.
+func (l *Ledger) find(id int64) (int, bool) {
+	return slices.BinarySearchFunc(l.pending, id, func(r Pending, id int64) int { return cmp.Compare(r.ID, id) })
 }
 
 // Len reports the number of pending requests.
@@ -306,7 +396,7 @@ func (l *Ledger) Cycles() int64 { return l.cycles }
 func (l *Ledger) Pending() []Pending {
 	out := slices.Clone(l.pending)
 	for i := range out {
-		out[i].Remaining = slices.Clone(out[i].Remaining)
+		out[i].Remaining, out[i].cls = slices.Clone(out[i].Remaining), nil
 	}
 	return out
 }

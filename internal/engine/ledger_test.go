@@ -14,13 +14,15 @@ import (
 )
 
 // TestLedgerMatchesJournal drives a journaled ledger through seeded random
-// sequences of admissions, cycles, document removals and kill-and-reopen
-// restarts — no sockets, no clock — and checks after every step that the
-// ledger's pending set and served memory are what a recovery at that instant
-// rebuilds from the state directory (journal.ReadState), with compactions
-// every 16 records inside the walk; a restart must recover exactly the
-// pending set the killed ledger held. It also checks that the cycle Admit
-// promises is the one that first covers the request.
+// sequences of admissions (some of one query within one cycle, which share a
+// class), cycles (with random Missed reports inside their air), document
+// removals and kill-and-reopen restarts — no sockets, no clock — and checks
+// after every step that the ledger's pending set and served memory are what a
+// recovery at that instant rebuilds from the state directory
+// (journal.ReadState), with compactions every 16 records inside the walk; a
+// restart must recover exactly the pending set the killed ledger held. It
+// also checks that the cycle Admit promises is the one that first covers the
+// request, and that a document reported missed stays pending.
 func TestLedgerMatchesJournal(t *testing.T) {
 	c, queries := fixture(t, 30, 20)
 	for seed := int64(1); seed <= 6; seed++ {
@@ -63,30 +65,48 @@ func ledgerWalk(t *testing.T, c *xmldoc.Collection, queries []xpath.Path, seed i
 		switch {
 		case op < 8:
 			q := queries[rng.Intn(len(queries))]
-			cycle, id, err := l.Admit(q, 0)
-			if err != nil {
-				if strings.Contains(err.Error(), "empty result set") {
-					break // a removal emptied its answer
+			for n := 1 + rng.Intn(3); n > 0; n-- { // the same query, admitted up to three times in one cycle
+				cycle, id, err := l.Admit(q, 0, l.Cycles())
+				if err != nil {
+					if strings.Contains(err.Error(), "empty result set") {
+						break // a removal emptied its answer
+					}
+					t.Fatalf("step %d: Admit: %v", step, err)
 				}
-				t.Fatalf("step %d: Admit: %v", step, err)
+				if cycle != l.Cycles() {
+					t.Fatalf("step %d: request %d covered from cycle %d, the next cycle is %d", step, id, cycle, l.Cycles())
+				}
+				covered[id] = cycle
 			}
-			if cycle != l.Cycles() {
-				t.Fatalf("step %d: request %d covered from cycle %d, the next cycle is %d", step, id, cycle, l.Cycles())
-			}
-			covered[id] = cycle
 		case op < 16:
-			_, _, err := l.Air(func(cy *Cycle, enc *Encoded) error {
+			var missed []Pending // one request and document per entry
+			_, _, err := l.Air(l.Cycles(), func(cy *Cycle, enc *Encoded) error {
 				l.eng.Recycle(enc)
 				for _, p := range l.Pending() { // the snapshot: nothing changed since
 					if want, ok := covered[p.ID]; ok && want != cy.Number {
 						t.Fatalf("step %d: request %d first snapshotted by cycle %d, promised cycle %d", step, p.ID, cy.Number, want)
 					}
 					delete(covered, p.ID)
+					// A journaled ledger's arrival is the admission cycle.
+					commit := cy.Commitments(nil, p.Remaining, cy.Number == p.Arrival)
+					if len(commit) == 0 || rng.Intn(3) > 0 {
+						continue
+					}
+					d := commit[rng.Intn(len(commit))].ID
+					if err := l.Missed(p.ID, d); err != nil {
+						t.Fatalf("step %d: Missed(%d, %d): %v", step, p.ID, d, err)
+					}
+					missed = append(missed, Pending{ID: p.ID, Remaining: []xmldoc.DocID{d}})
 				}
 				return nil
 			})
 			if err != nil {
 				t.Fatalf("step %d: Air: %v", step, err)
+			}
+			for _, m := range missed {
+				if !slices.Contains(l.Remaining(m.ID), m.Remaining[0]) {
+					t.Fatalf("step %d: request %d lost document %d it missed: %v", step, m.ID, m.Remaining[0], l.Remaining(m.ID))
+				}
 			}
 		case op < 19:
 			if len(live) <= 5 {
@@ -125,6 +145,114 @@ func ledgerWalk(t *testing.T, c *xmldoc.Collection, queries []xpath.Path, seed i
 	}
 }
 
+// TestLedgerMissedKeepsRequestPending: of two requests of one query admitted
+// in one cycle, which share a class, one reports every document the cycle
+// commits to it missed. It stays pending with its whole set, the other
+// retires, and the missed documents air again in the next cycle.
+func TestLedgerMissedKeepsRequestPending(t *testing.T) {
+	c, queries := fixture(t, 30, 20)
+	eng, err := New(Config{Collection: c, Mode: broadcast.TwoTierMode, CycleCapacity: c.TotalSize()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := NewLedger(eng, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := queries[0]
+	_, lost, err := l.Admit(q, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := l.Admit(q, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	want := slices.Clone(l.Remaining(lost))
+	var aired []xmldoc.DocID
+	cy, retired, err := l.Air(0, func(cy *Cycle, enc *Encoded) error {
+		eng.Recycle(enc)
+		for _, cm := range cy.Commitments(nil, l.Remaining(lost), true) {
+			if err := l.Missed(lost, cm.ID); err != nil {
+				return err
+			}
+			aired = append(aired, cm.ID)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(aired) != len(want) {
+		t.Fatalf("cycle %d committed %v of %v with the whole collection's capacity", cy.Number, aired, want)
+	}
+	if !slices.Equal(retired, []int64{lost + 1}) {
+		t.Fatalf("retired %v, want the other request %d", retired, lost+1)
+	}
+	if got := l.Remaining(lost); !slices.Equal(got, want) {
+		t.Fatalf("request %d keeps %v after missing it all, want %v", lost, got, want)
+	}
+	next, _, err := l.Air(1, func(_ *Cycle, enc *Encoded) error { eng.Recycle(enc); return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	var again []xmldoc.DocID
+	for _, p := range next.Docs {
+		again = append(again, p.ID)
+	}
+	if slices.Sort(again); !slices.Equal(again, want) {
+		t.Fatalf("cycle %d aired %v, want the missed %v", next.Number, again, want)
+	}
+	if l.Len() != 0 {
+		t.Fatalf("%d requests pending after the missed documents aired again", l.Len())
+	}
+}
+
+// TestLedgerMissedRefused: Missed outside a cycle's air, for a document the
+// cycle does not commit to the request, or for a request not pending, is an
+// error and changes nothing.
+func TestLedgerMissedRefused(t *testing.T) {
+	c, queries := fixture(t, 30, 20)
+	eng, err := New(Config{Collection: c, Mode: broadcast.TwoTierMode, CycleCapacity: c.TotalSize()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := NewLedger(eng, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, id, err := l.Admit(queries[0], 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := l.Remaining(id)[0]
+	if err := l.Missed(id, doc); err == nil {
+		t.Error("Missed outside a cycle's air accepted")
+	}
+	var absent xmldoc.DocID
+	for _, d := range c.Docs() {
+		if !slices.Contains(l.Remaining(id), d.ID) {
+			absent = d.ID
+			break
+		}
+	}
+	_, retired, err := l.Air(0, func(_ *Cycle, enc *Encoded) error {
+		eng.Recycle(enc)
+		if err := l.Missed(id, absent); err == nil {
+			t.Errorf("Missed of document %d, which the request does not want, accepted", absent)
+		}
+		if err := l.Missed(id+1, doc); err == nil {
+			t.Error("Missed of a request never admitted accepted")
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(retired, []int64{id}) {
+		t.Fatalf("retired %v, want %d: a refused Missed kept a document back", retired, id)
+	}
+}
+
 // TestLedgerServedHorizon retires more requests than the served horizon holds:
 // the ledger must remember the retirements replay remembers, in the same
 // order, forget the oldest and still answer for the newest.
@@ -147,14 +275,14 @@ func TestLedgerServedHorizon(t *testing.T) {
 	var ids []int64
 	for len(ids) < journal.DefaultServedHorizon+40 {
 		for _, q := range queries {
-			_, id, err := l.Admit(q, 0)
+			_, id, err := l.Admit(q, 0, l.Cycles())
 			if err != nil {
 				t.Fatal(err)
 			}
 			ids = append(ids, id)
 		}
 		for l.Len() > 0 {
-			if _, _, err := l.Air(func(_ *Cycle, enc *Encoded) error { l.eng.Recycle(enc); return nil }); err != nil {
+			if _, _, err := l.Air(l.Cycles(), func(_ *Cycle, enc *Encoded) error { l.eng.Recycle(enc); return nil }); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -815,7 +815,7 @@ func (s *Server) submit(expr string) (covered, id int64, err error) {
 		if stopped != nil {
 			return fmt.Errorf("broadcast stopped: %w", stopped)
 		}
-		covered, id, err = s.ledger.Admit(q, s.cfg.MaxPending)
+		covered, id, err = s.ledger.Admit(q, s.cfg.MaxPending, s.ledger.Cycles())
 		return err
 	})
 	return covered, id, err
@@ -913,7 +913,7 @@ func (s *Server) cycleLoop() {
 // exactly the pending set the commit leaves; a crash before it re-airs the
 // cycle from the unchanged state.
 func (s *Server) broadcastCycle() error {
-	_, _, err := s.ledger.Air(s.airCycle)
+	_, _, err := s.ledger.Air(s.ledger.Cycles(), s.airCycle)
 	return err
 }
 

@@ -15,10 +15,10 @@ import (
 )
 
 // TestOverlapMatchesSerial: a run that assembles each cycle while the one
-// before is attended, taking the server's belief from the air, ends exactly as
-// the serial order does — the clients attend a cycle before the next
-// assembles, the belief read back from their readers — client for client,
-// cycle for cycle and frame byte for frame byte, on every lossless
+// before is attended, the ledger committing without waiting for the clients,
+// ends exactly as the serial order does — the clients attend inside the
+// cycle's air and report what they missed before the commit — client for
+// client, cycle for cycle and frame byte for frame byte, on every lossless
 // single-channel leg. A lossy or multichannel run never overlaps.
 func TestOverlapMatchesSerial(t *testing.T) {
 	c, reqs := workload(t, 40, 1000, 13)

@@ -260,12 +260,12 @@ func restartLeg(cfg RestartConfig, res *RestartResult, recovery bool) (crashed b
 	for cycle := led.Cycles(); cycle < cfg.Cycles; cycle = led.Cycles() {
 		// Admit this cycle's scripted arrivals.
 		for ; si < len(cfg.Script) && cfg.Script[si].Cycle <= cycle; si++ {
-			if _, _, aerr := led.Admit(cfg.Script[si].Query, 0); aerr != nil {
+			if _, _, aerr := led.Admit(cfg.Script[si].Query, 0, cycle); aerr != nil {
 				return crashExit(cycle, aerr)
 			}
 		}
 		h := emptyCycleHash(cycle)
-		cy, retired, err := led.Air(func(cy *engine.Cycle, enc *engine.Encoded) error {
+		cy, retired, err := led.Air(cycle, func(cy *engine.Cycle, enc *engine.Encoded) error {
 			h = hashCycleWire(enc)
 			eng.Recycle(enc)
 			return nil

@@ -15,15 +15,14 @@
 // process, one random stream drawn in client order, orders them; the result
 // is the same either way.
 //
-// As the paper's server does (§3.4, §4), a lossless single-channel run builds
-// the next cycle while the current one is on air: the server's belief of
-// what a request still lacks is taken from what each cycle aired, shared by
-// the clients of one query admitted in one cycle, so cycle N+1 assembles
-// while cycle N's clients attend, and the join checks every client against
-// that belief. A lossy run's belief follows each client's receptions, and a
-// multichannel run's each client's own receivable commitment; there the
-// clients attend a cycle before the next assembles. The results are the same
-// in either order.
+// The server is an engine.Ledger on the byte clock, as in netcast: arrivals
+// are admitted into it and cycles air through it, and a client that did not
+// receive a document the cycle committed to it reports it Missed — the
+// simulator's ideal uplink — so it airs again. As the paper's server does
+// (§3.4, §4), a lossless single-channel run, whose clients miss nothing,
+// assembles cycle N+1 while cycle N's clients attend, and the join checks
+// each client against the ledger's commit; lossy and multichannel runs attend
+// inside the cycle's air. The results are the same in either order.
 package sim
 
 import (
@@ -82,9 +81,9 @@ type Config struct {
 	WholeTierRead bool
 	// LossProb injects wireless reception failures: each document download
 	// and each index read independently fails with this probability. A
-	// failed document stays in the client's remaining set (the server's
-	// pending view follows, so it is rescheduled); a failed first-tier read
-	// is retried next cycle. Zero disables loss. Must be in [0, 1).
+	// failed document is reported Missed to the server, which reschedules
+	// it; a failed first-tier read is retried next cycle. Zero disables
+	// loss. Must be in [0, 1).
 	LossProb float64
 	// LossSeed seeds the loss process deterministically.
 	LossSeed int64
@@ -208,46 +207,32 @@ type Result struct {
 	Engine engine.Metrics
 }
 
-// client is the in-flight state of one request. Two outstanding-document sets
-// evolve side by side, each the client's own sorted, duplicate-free slice:
-// remaining is the server's belief (retired by the same receivable commitment
-// the networked server applies, so scheduling matches the netcast driver cycle
-// for cycle; lent to the engine while a cycle assembles), while needed is what
-// the client has yet to download. On multichannel runs a client that synced
-// mid-cycle on an index repetition can catch documents beyond the server's
-// conservative commitment, so needed can drain ahead of remaining; the server
-// keeps a request active until its belief drains, exactly as the networked
-// server does for a subscriber it cannot observe. nav is shared with every
-// other client of the same query.
-//
-// On a single channel the client is netcast's reader fed the cycle's frames,
-// and the server's belief is one of two things. On a lossless run it is the
-// client's class (see class), retired by what each cycle aired. Otherwise it
-// retires with each document the client receives: remaining — the answer,
-// shared — until the reader knows the result set, and the reader's remaining
-// documents after. needed is not kept.
+// client is the in-flight state of one request, the client's side: what the
+// server believes it lacks is the ledger's. On a single channel the client is
+// netcast's reader fed the cycle's frames. On multichannel runs needed is
+// what it has yet to download, which can drain ahead of the ledger's set (a
+// client synced mid-cycle on an index repetition catches documents beyond the
+// conservative commitment); the request stays pending until the ledger's set
+// drains, as in the networked server.
 type client struct {
-	id        int64
-	nav       *core.Navigator
-	remaining []xmldoc.DocID
-	needed    []xmldoc.DocID
-	admit     int64 // cycle number that first covered the request
-	knowsDocs bool  // multichannel: first tier already read
+	index     int   // position in Config.Requests
+	id        int64 // the ledger's request ID
+	q         *query
+	needed    []xmldoc.DocID // multichannel only
+	admit     int64          // cycle number that first covered the request
+	knowsDocs bool           // multichannel: first tier already read
+	served    bool           // the ledger retired the request
 	stats     ClientStats
-	cls       *class // lossless single channel: the server's belief
 
 	reader access.Reader
 	loss   *lossProcess
 	start  int64 // byte-time the cycle being read started
 }
 
-// class is the clients of one query admitted in one cycle. On a lossless
-// single channel each of them receives every document of its result set that
-// a cycle airs, so they share one server belief — the result set less what
-// the cycles since their admission aired — retired once a cycle for all of
-// them: the rule engine.Ledger's commit applies at K = 1.
-type class struct {
-	belief []xmldoc.DocID
+// query is one distinct query: its clients' navigator and its answer.
+type query struct {
+	nav  *core.Navigator
+	docs []xmldoc.DocID
 }
 
 // receive records downloaded document id, whose last byte aired at end.
@@ -263,6 +248,15 @@ func (cl *client) receive(id xmldoc.DocID, end int64) {
 	}
 }
 
+// lacks reports whether cl has yet to receive document d of its result set.
+func (cl *client) lacks(d xmldoc.DocID) bool {
+	if cl.needed != nil {
+		return xmldoc.HasID(cl.needed, d)
+	}
+	rem := cl.reader.Remaining() // nil until the reader knows the result set
+	return !cl.reader.Done() && (rem == nil || xmldoc.HasID(rem, d))
+}
+
 // Lost implements access.Sink: one draw of the loss process per tuned
 // reception.
 func (cl *client) Lost() bool { return cl.loss.fail() }
@@ -272,18 +266,6 @@ func (cl *client) Lost() bool { return cl.loss.fail() }
 func (cl *client) Receive(f *access.Frame) error {
 	cl.receive(f.Doc, cl.start+cl.reader.Offset())
 	return nil
-}
-
-// belief is the server's view of the documents cl still lacks; the request
-// leaves the pending set when it drains.
-func (cl *client) belief() []xmldoc.DocID {
-	if cl.cls != nil {
-		return cl.cls.belief
-	}
-	if rem := cl.reader.Remaining(); rem != nil {
-		return rem
-	}
-	return cl.remaining
 }
 
 // Run executes the simulation until every request completes.
@@ -308,206 +290,171 @@ func Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	// Resolve every distinct query's answer once, server-side, through the
-	// engine.
-	answers, err := resolveAnswers(eng, cfg.Requests)
-	if err != nil {
-		return nil, err
-	}
+	led, _ := engine.NewLedger(eng, nil, nil) // the server, in memory: only a journal's recovery fails
 
 	var loss *lossProcess
 	if cfg.LossProb > 0 {
 		loss = &lossProcess{p: cfg.LossProb, rng: rand.New(rand.NewSource(cfg.LossSeed))}
 	}
-	// Clients sorted by arrival; original order retained for reporting.
-	// Clients of one query share its navigator.
+	// Clients sorted by arrival, stably: the ledger's IDs follow admission
+	// order, so the (arrival, ID) order the scheduler breaks ties by is the
+	// request order's.
 	clients := make([]*client, len(cfg.Requests))
-	navs := make(map[string]*core.Navigator, len(answers))
+	queries := make(map[string]*query)
 	for i, r := range cfg.Requests {
 		key := r.Query.String()
-		docs := answers[key]
-		nav := navs[key]
-		if nav == nil {
-			nav = core.NewNavigator(r.Query)
-			navs[key] = nav
+		q := queries[key]
+		if q == nil {
+			q = &query{nav: core.NewNavigator(r.Query)}
+			queries[key] = q
 		}
-		clients[i] = &client{
-			id:        int64(i),
-			nav:       nav,
-			remaining: docs, // shared, and only read, until the reader knows the result set
-			stats:     ClientStats{Query: r.Query, Arrival: r.Arrival, Docs: docs},
-			loss:      loss,
-		}
-		if cfg.Channels > 1 {
-			clients[i].remaining = slices.Clone(docs) // answers are sorted, and shared
-			clients[i].needed = slices.Clone(docs)
-		} else {
-			clients[i].reader.Init(nav, 1, clients[i])
+		clients[i] = &client{index: i, q: q, stats: ClientStats{Query: r.Query, Arrival: r.Arrival}, loss: loss}
+		if cfg.Channels <= 1 {
+			clients[i].reader.Init(q.nav, 1, clients[i])
 			clients[i].reader.WholeTier = cfg.WholeTierRead
 		}
 	}
 	byArrival := append([]*client(nil), clients...)
 	sort.SliceStable(byArrival, func(i, j int) bool { return byArrival[i].stats.Arrival < byArrival[j].stats.Arrival })
 
-	// On a lossless single channel the server's belief is taken from what
-	// each cycle aired, not from the clients, so the next cycle assembles
-	// while this one's clients attend (see attendance).
 	overlap := overlapCycles(&cfg)
 	res := &Result{Mode: cfg.Mode}
 	var (
 		now      int64
-		admitted int // prefix of byArrival already active
-		// active, spare (the clients of the cycle still attending) and
-		// pending, reused across cycles, never outgrow the clients, so they
-		// are sized once.
+		admitted int // prefix of byArrival already admitted
+		// active and spare (the clients of the cycle still attending), reused
+		// across cycles, never outgrow the clients, so they are sized once.
 		active    = make([]*client, 0, len(clients))
 		spare     = make([]*client, 0, len(clients))
-		pending   = make([]engine.Pending, 0, len(clients))
 		frames    [2][]access.Frame // the cycle attending and the one assembled
-		fly       = attendance{done: make(chan error, 1)}
-		cycleNum  int64
+		fly       attendance
 		completed int
-		// Overlapped runs: the classes whose belief has not drained, those
-		// admitted this cycle by query, and the documents a cycle aired.
-		classes []*class
-		fresh   map[*core.Navigator]*class
-		aired   []bool
 	)
 	defer fly.wait() // an error return leaves no client attending
-	if overlap {
-		fresh = make(map[*core.Navigator]*class)
-		aired = make([]bool, maxDocID(cfg.Collection)+1)
-	}
 	for completed < len(clients) {
-		if cycleNum >= int64(cfg.MaxCycles) {
+		if led.Cycles() >= int64(cfg.MaxCycles) {
 			return nil, fmt.Errorf("sim: exceeded MaxCycles=%d with %d clients outstanding", cfg.MaxCycles, len(clients)-completed)
 		}
 		// Admit arrivals; if idle, jump to the next arrival.
 		if len(active) == 0 && admitted < len(byArrival) {
-			if t := byArrival[admitted].stats.Arrival; t > now {
-				now = t
-			}
+			now = max(now, byArrival[admitted].stats.Arrival)
 		}
 		for admitted < len(byArrival) && byArrival[admitted].stats.Arrival <= now {
 			cl := byArrival[admitted]
-			cl.admit = cycleNum
-			if overlap {
-				if cl.cls = fresh[cl.nav]; cl.cls == nil {
-					cl.cls = &class{belief: slices.Clone(cl.stats.Docs)}
-					fresh[cl.nav] = cl.cls
-					classes = append(classes, cl.cls)
-				}
+			if cl.admit, cl.id, err = led.Admit(cl.stats.Query, 0, cl.stats.Arrival); err != nil {
+				return nil, fmt.Errorf("sim: request %d (%s): %w; the paper assumes satisfiable requests", cl.index, cl.stats.Query, err)
+			}
+			if cl.q.docs == nil { // the query's first admission: nothing has aired for it
+				cl.q.docs = slices.Clone(led.Remaining(cl.id))
+			}
+			cl.stats.Docs = cl.q.docs
+			if cfg.Channels > 1 && cl.needed == nil {
+				cl.needed = slices.Clone(cl.q.docs)
 			}
 			active = append(active, cl)
 			admitted++
 		}
-		clear(fresh)
 		if len(active) == 0 {
 			return nil, fmt.Errorf("sim: no active clients but %d incomplete", len(clients)-completed)
 		}
 
-		// Server: hand the pending view to the shared assembly engine, in
-		// byte-time. Every client is a request of its own, whether or not
-		// its belief is shared.
-		pending = pending[:0]
-		for _, cl := range active {
-			pending = append(pending, engine.Pending{ID: cl.id, Query: cl.stats.Query, Arrival: cl.stats.Arrival, Remaining: cl.belief()})
-		}
-		cy, err := eng.AssembleCycle(cycleNum, now, pending)
-		if err != nil {
-			return nil, fmt.Errorf("sim: %w", err)
-		}
-		enc, err := eng.EncodeCycle(cy)
-		if err != nil {
-			return nil, fmt.Errorf("sim: %w", err)
-		}
-		if cfg.CycleSink != nil {
-			cfg.CycleSink(cy, enc)
-		}
-		// The clients read channel 0's frames, decoded once for all of them:
-		// on a single channel the whole cycle, at K > 1 the first tier.
-		fb := &frames[cycleNum%2]
-		if *fb, err = decodeAir((*fb)[:0], enc.Frames[0], cfg.Compress, cy.Index.Model); err != nil {
-			return nil, err
-		}
-		st := CycleStats{
-			Number:           cy.Number,
-			Start:            cy.Start,
-			HeadBytes:        cy.HeadBytes,
-			IndexBytes:       cy.IndexBytes,
-			SecondTierBytes:  cy.SecondTierBytes,
-			DirBytes:         cy.DirBytes,
-			DocBytes:         cy.DocBytes,
-			DurationBytes:    cy.Duration(),
-			IndexRepetitions: cy.IndexRepetitions(),
-			NumDocs:          len(cy.Docs),
-			IndexNodes:       cy.Index.NumNodes(),
-			Pending:          len(pending),
-		}
-		for i := range cy.Channels {
-			st.ChannelBytes = append(st.ChannelBytes, cy.Channels[i].Bytes)
-		}
+		var end int64
 		var firstTier func(*client) (int64, error) // K > 1: a client's first-tier read
-		if len(cy.Channels) > 1 {
-			var head *wire.CycleHead
-			for i := range *fb {
-				switch f := &(*fb)[i]; f.Type {
-				case wire.FrameCycleHead:
-					head = f.Head
-				case wire.FrameIndex:
-					firstTier = func(cl *client) (int64, error) {
-						_, _, cost, err := f.Read(head, cl.nav, cfg.WholeTierRead)
-						return cost, err
+		cy, retired, err := led.Air(now, func(cy *engine.Cycle, enc *engine.Encoded) error {
+			if cfg.CycleSink != nil {
+				cfg.CycleSink(cy, enc)
+			}
+			// The clients read channel 0's frames, decoded once for all of them:
+			// on a single channel the whole cycle, at K > 1 the first tier.
+			fb := &frames[cy.Number%2]
+			var err error
+			if *fb, err = decodeAir((*fb)[:0], enc.Frames[0], cfg.Compress, cy.Index.Model); err != nil {
+				return err
+			}
+			st := CycleStats{
+				Number:           cy.Number,
+				Start:            cy.Start,
+				HeadBytes:        cy.HeadBytes,
+				IndexBytes:       cy.IndexBytes,
+				SecondTierBytes:  cy.SecondTierBytes,
+				DirBytes:         cy.DirBytes,
+				DocBytes:         cy.DocBytes,
+				DurationBytes:    cy.Duration(),
+				IndexRepetitions: cy.IndexRepetitions(),
+				NumDocs:          len(cy.Docs),
+				IndexNodes:       cy.Index.NumNodes(),
+				Pending:          led.Len(),
+			}
+			for i := range cy.Channels {
+				st.ChannelBytes = append(st.ChannelBytes, cy.Channels[i].Bytes)
+			}
+			single := len(cy.Channels) <= 1
+			if single {
+				st.DurationBytes = 0 // the frames' air: a compressed cycle's is its envelopes'
+				for i := range *fb {
+					st.DurationBytes += (*fb)[i].Air
+				}
+			} else {
+				var head *wire.CycleHead
+				for i := range *fb {
+					switch f := &(*fb)[i]; f.Type {
+					case wire.FrameCycleHead:
+						head = f.Head
+					case wire.FrameIndex:
+						firstTier = func(cl *client) (int64, error) {
+							_, _, cost, err := f.Read(head, cl.q.nav, cfg.WholeTierRead)
+							return cost, err
+						}
 					}
 				}
 			}
-		} else {
-			st.DurationBytes = 0 // the frames' air: a compressed cycle's is its envelopes'
-			for i := range *fb {
-				st.DurationBytes += (*fb)[i].Air
-			}
-		}
-		res.Cycles = append(res.Cycles, st)
-		end := cy.Start + st.DurationBytes
+			res.Cycles = append(res.Cycles, st)
+			end = cy.Start + st.DurationBytes
 
-		// Clients: attend the cycle, once the cycle before has been attended.
-		// A lost reception still costs tuning bytes (the radio was awake) but
-		// delivers nothing: a lost first-tier read is retried next cycle, a
-		// lost per-cycle index read skips this cycle's documents, and a lost
-		// document stays in the remaining set and is rescheduled by the
-		// server.
-		if err := fly.join(eng); err != nil {
-			return nil, err
-		}
-		start, single := cy.Start, len(cy.Channels) <= 1
-		fly = attendance{num: cy.Number, clients: active, enc: enc, frames: fb, done: fly.done, running: true,
-			attend: func(cl *client) error {
-				if single {
-					return attendFrames(cl, start, *fb)
-				}
-				return attendMultichannel(cl, cy, loss, firstTier)
-			}}
-		if overlap {
-			go fly.run(loss)
-		} else {
+			// Clients: attend the cycle, once the cycle before has been
+			// attended. A lost reception costs tuning bytes but delivers
+			// nothing: a lost first-tier read is retried next cycle, a lost
+			// per-cycle index read skips this cycle's documents, and a
+			// committed document not received is reported Missed.
+			if err := fly.join(eng, led); err != nil {
+				return err
+			}
+			start := cy.Start
+			fly = attendance{num: cy.Number, clients: active, enc: enc, frames: fb, done: make(chan error, 1), single: single,
+				attend: func(cl *client) error {
+					if single {
+						return attendFrames(cl, start, *fb)
+					}
+					return attendMultichannel(cl, cy, led.Remaining(cl.id), loss, firstTier)
+				}}
+			if overlap {
+				go fly.run(loss)
+				return nil
+			}
 			fly.run(loss)
 			if err := fly.wait(); err != nil {
-				return nil, err
+				return err
 			}
-		}
-		// The server's belief, taken from the air on an overlapped run, drops
-		// the requests it drains.
-		if overlap {
-			for _, p := range cy.Docs {
-				aired[p.ID] = true
+			var commit []broadcast.Commitment
+			for _, cl := range active {
+				commit = cy.Commitments(commit[:0], led.Remaining(cl.id), cy.Number == cl.admit)
+				for _, cm := range commit {
+					if cl.lacks(cm.ID) {
+						if err := led.Missed(cl.id, cm.ID); err != nil {
+							return fmt.Errorf("sim: %w", err)
+						}
+					}
+				}
 			}
-			classes = retire(classes, aired)
-			clear(aired)
+			return nil
+		})
+		if err != nil {
+			return nil, err
 		}
-		next := spare[:0]
+		next := spare[:0] // the clients still pending; both lists in ID order
 		for _, cl := range active {
-			if len(cl.belief()) == 0 {
+			if cl.served = len(retired) > 0 && retired[0] == cl.id; cl.served {
+				retired = retired[1:]
 				completed++
 			} else {
 				next = append(next, cl)
@@ -521,17 +468,20 @@ func Run(cfg Config) (*Result, error) {
 		// server has even admitted them. (Multichannel only, so never on a
 		// compressed run.)
 		for i := admitted; firstTier != nil && i < len(byArrival); i++ {
-			if byArrival[i].stats.Arrival >= end {
+			cl := byArrival[i]
+			if cl.stats.Arrival >= end {
 				break
 			}
-			if err := eavesdropCycle(byArrival[i], cy, loss, firstTier); err != nil {
-				return nil, fmt.Errorf("sim: cycle %d: %w", cy.Number, err)
+			if cl.needed == nil { // not admitted yet: the server's answer
+				cl.needed = slices.Clone(eng.Resolve(cl.stats.Query))
+			}
+			if err := eavesdropCycle(cl, cy, loss, firstTier); err != nil {
+				return nil, err
 			}
 		}
 		now = end
-		cycleNum++
 	}
-	if err := fly.join(eng); err != nil {
+	if err := fly.join(eng, led); err != nil {
 		return nil, err
 	}
 
@@ -543,36 +493,11 @@ func Run(cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// overlapCycles reports whether a run takes the server's belief from the
-// air and attends each cycle while the next assembles: only a lossless
-// single-channel run, where every client receives every document of its
-// result set that a cycle airs. A loss process is one random stream drawn in
-// client order, and a multichannel client receives the receivable commitment
-// keyed on its own admission, so those runs attend each cycle before the
-// next assembles. A variable so tests can force that order on any run.
+// overlapCycles reports whether a run attends each cycle while the next
+// assembles: only a lossless single-channel run, whose clients miss nothing,
+// so the ledger's commit need not wait for them. A variable so tests can
+// force the serial order on any run.
 var overlapCycles = func(cfg *Config) bool { return cfg.LossProb == 0 && cfg.Channels <= 1 }
-
-// retire drops the documents marked in aired from every class's belief and
-// returns the classes whose belief has not drained, in order.
-func retire(classes []*class, aired []bool) []*class {
-	live := classes[:0]
-	for _, c := range classes {
-		if c.belief = slices.DeleteFunc(c.belief, func(d xmldoc.DocID) bool { return aired[d] }); len(c.belief) > 0 {
-			live = append(live, c)
-		}
-	}
-	clear(classes[len(live):])
-	return live
-}
-
-// maxDocID is the largest document ID in c.
-func maxDocID(c *xmldoc.Collection) xmldoc.DocID {
-	var m xmldoc.DocID
-	for _, d := range c.Docs() {
-		m = max(m, d.ID)
-	}
-	return m
-}
 
 // attendance is one cycle's clients attending it. On an overlapped run they
 // attend on a goroutine of their own while the next cycle assembles, reading
@@ -583,8 +508,8 @@ type attendance struct {
 	enc     *engine.Encoded
 	frames  *[]access.Frame
 	attend  func(*client) error
-	done    chan error // run's result, read by wait
-	running bool       // run's result not yet read
+	done    chan error // run's result until wait reads it
+	single  bool       // a single-channel cycle: the readers are the clients' progress
 	err     error
 }
 
@@ -596,19 +521,20 @@ func (a *attendance) run(loss *lossProcess) {
 // wait waits for the clients and returns the first one's error, in active
 // order.
 func (a *attendance) wait() error {
-	if a.running {
-		a.running = false
+	if a.done != nil {
 		if err := <-a.done; err != nil {
 			a.err = fmt.Errorf("sim: cycle %d: %w", a.num, err)
 		}
+		a.done = nil
 	}
 	return a.err
 }
 
-// join waits for the clients, checks each against the server's belief where
-// that was taken from the air — a client is done exactly when its class's
-// belief drained — and hands the cycle's frames back to the engine.
-func (a *attendance) join(eng *engine.Engine) error {
+// join waits for the clients, checks each single-channel client against the
+// ledger's commit of the cycle — the client's reader is done exactly when the
+// commit retired its request — and hands the cycle's frames back to the
+// engine.
+func (a *attendance) join(eng *engine.Engine, led *engine.Ledger) error {
 	if a.enc == nil {
 		return nil // nothing attending, or joined already
 	}
@@ -616,9 +542,9 @@ func (a *attendance) join(eng *engine.Engine) error {
 		return err
 	}
 	for _, cl := range a.clients {
-		if cl.cls != nil && cl.reader.Done() != (len(cl.cls.belief) == 0) {
+		if a.single && cl.reader.Done() != cl.served {
 			return fmt.Errorf("sim: cycle %d: client %d has %d result documents left, the server believes %d",
-				a.num, cl.id, len(cl.reader.Remaining()), len(cl.cls.belief))
+				a.num, cl.index, len(cl.reader.Remaining()), len(led.Remaining(cl.id)))
 		}
 	}
 	eng.Recycle(a.enc)
@@ -735,23 +661,19 @@ func (l *lossProcess) fail() bool {
 }
 
 // attendMultichannel plays one client's protocol over a K-channel cycle with
-// a single tuner. The server's belief (cl.remaining) retires by the cycle's
-// receivable commitment — the same rule the networked server applies, keyed
-// on the admission cycle — so the pending view driving the scheduler evolves
-// identically across drivers. The client executes that commitment for the
-// documents it still needs (no commitment is ever starved) and then fills
-// the tuner's gaps with opportunistic catches: documents the conservative
-// commitment skipped but that a client already holding the directory — e.g.
-// one that synced mid-cycle on an index repetition — can still receive.
-func attendMultichannel(cl *client, cy *broadcast.Cycle, loss *lossProcess, firstTier func(*client) (int64, error)) error {
-	commit := cy.Commitments(nil, cl.remaining, cy.Number == cl.admit)
-	for _, p := range commit {
-		cl.remaining = xmldoc.RemoveID(cl.remaining, p.ID)
-	}
-
+// a single tuner. The ledger's set for the request (owed) shrinks by the
+// cycle's receivable commitment, keyed on the admission cycle; the client
+// executes that commitment for the documents it still needs (no commitment
+// is ever starved; what it does not receive is reported Missed after the
+// cycle) and then fills the tuner's gaps with opportunistic catches:
+// documents the conservative commitment skipped but that a client already
+// holding the directory — e.g. one that synced mid-cycle on an index
+// repetition — can still receive.
+func attendMultichannel(cl *client, cy *broadcast.Cycle, owed []xmldoc.DocID, loss *lossProcess, firstTier func(*client) (int64, error)) error {
 	if len(cl.needed) == 0 {
-		return nil // already complete; the server drains its belief unattended
+		return nil // already complete; the ledger drains its set unattended
 	}
+	commit := cy.Commitments(nil, owed, cy.Number == cl.admit)
 	cl.stats.CyclesListened++
 	firstListen := !cl.knowsDocs
 	cl.stats.IndexTuningBytes += int64(cy.DirBytes)
@@ -773,25 +695,16 @@ func attendMultichannel(cl *client, cy *broadcast.Cycle, loss *lossProcess, firs
 		ready = cy.IndexEnd()
 	}
 	if !indexOK {
-		// Lost the directory: nothing received this cycle. Still-needed
-		// committed documents are re-requested over the uplink.
-		for _, p := range commit {
-			if xmldoc.HasID(cl.needed, p.ID) {
-				cl.remaining = xmldoc.InsertID(cl.remaining, p.ID)
-			}
-		}
-		return nil
+		return nil // lost the directory: nothing received this cycle
 	}
 
 	var busy []broadcast.AirInterval
 	download := func(cm broadcast.Commitment) {
 		busy = append(busy, broadcast.AirInterval{Start: cm.Start, End: cm.End})
 		cl.stats.DocTuningBytes += int64(cm.Size)
-		if loss.fail() {
-			cl.remaining = xmldoc.InsertID(cl.remaining, cm.ID) // re-requested; rescheduled
-			return
+		if !loss.fail() {
+			cl.receive(cm.ID, cm.End)
 		}
-		cl.receive(cm.ID, cm.End)
 	}
 	extra := slices.Clone(cl.needed)
 	for _, cm := range commit {
@@ -800,10 +713,7 @@ func attendMultichannel(cl *client, cy *broadcast.Cycle, loss *lossProcess, firs
 		}
 		extra = xmldoc.RemoveID(extra, cm.ID)
 		if cm.Start < ready {
-			// Committed before this client could actually act on the
-			// directory (a lost earlier first-tier read); re-requested.
-			cl.remaining = xmldoc.InsertID(cl.remaining, cm.ID)
-			continue
+			continue // committed before this client could act on the directory (a lost earlier first-tier read)
 		}
 		download(cm)
 	}
@@ -841,26 +751,10 @@ func eavesdropCycle(cl *client, cy *broadcast.Cycle, loss *lossProcess, firstTie
 	for _, cm := range cy.CommitmentsFrom(nil, cl.needed, sync, nil) {
 		cl.stats.DocTuningBytes += int64(cm.Size)
 		if loss.fail() {
-			continue // still in the server's belief; rescheduled
+			continue // still in the ledger's set; rescheduled
 		}
 		cl.stats.EavesdropDocs++
 		cl.receive(cm.ID, cm.End)
 	}
 	return nil
-}
-
-// resolveAnswers resolves every distinct query once through the engine's
-// memoized resolver.
-func resolveAnswers(eng *engine.Engine, reqs []ClientRequest) (map[string][]xmldoc.DocID, error) {
-	out := make(map[string][]xmldoc.DocID, len(reqs))
-	for _, r := range reqs {
-		key := r.Query.String()
-		if _, ok := out[key]; ok {
-			continue
-		}
-		if out[key] = eng.Resolve(r.Query); len(out[key]) == 0 {
-			return nil, fmt.Errorf("sim: query %s has an empty result set; the paper assumes satisfiable requests", key)
-		}
-	}
-	return out, nil
 }
