@@ -425,9 +425,8 @@ type Commitment struct {
 // allocated when dst has room for the cycle's airings of the wanted
 // documents, so a caller retiring many requests reuses one buffer.
 //
-// Both the simulator's client model and the networked server's request
-// retirement use this commitment, so the two drivers' pending-set evolution
-// stays identical: a document no single-tuner client could have caught is
+// engine.Ledger applies it for every driver, and simulated clients execute
+// the ledger's copy: a document no single-tuner client could have caught is
 // rescheduled by the server instead of being counted as delivered.
 func (c *Cycle) Commitments(dst []Commitment, want []xmldoc.DocID, firstCycle bool) []Commitment {
 	ready := c.DirEnd()

@@ -41,9 +41,11 @@ type Ledger struct {
 	// (journaled ledgers only).
 	served journal.ServedMemory
 
-	airing *Cycle // the cycle air is airing: Missed's only window
+	airing *Cycle // the cycle air is airing: Missed's and Commitments' only window
 
-	// Per-cycle scratch, reused across cycles.
+	// Per-cycle scratch, reused across cycles. commits holds the classes'
+	// commitments asked for during the air.
+	commits    []broadcast.Commitment
 	recv       []broadcast.Commitment
 	delivered  []uint16
 	deliveries []journal.Delivery
@@ -51,12 +53,15 @@ type Ledger struct {
 }
 
 // reqClass is the requests of one query admitted in one cycle with no document
-// write between: they share one remaining set, which a commit computes and
-// shrinks once. A request reported Missed leaves for a class of its own.
+// write between: they share one remaining set, and the commitment a cycle
+// makes to it, which the ledger computes and a commit shrinks the set by
+// once. A request reported Missed leaves for a class of its own.
 type reqClass struct {
 	docs     []xmldoc.DocID
 	admitted int64 // the class's first covering cycle
 	members  int
+	commit   []broadcast.Commitment // the airing cycle's, once known
+	known    bool
 	missed   []xmldoc.DocID // what Missed kept back this cycle, sorted
 	from, to int            // the class's deliveries in the commit's buffer
 }
@@ -167,21 +172,20 @@ func (l *Ledger) Admit(q xpath.Path, max int, arrival int64) (cycle, id int64, e
 		l.classes = append(l.classes, c)
 	}
 	c.members++
-	if len(l.pending) == cap(l.pending) { // double: append grows a long slice by a quarter
-		l.pending = slices.Grow(l.pending, len(l.pending))
-	}
 	l.pending = append(l.pending, Pending{ID: id, Query: q, Arrival: arrival, Remaining: c.docs, cls: c})
 	return l.cycles, id, nil
 }
+
+// Reserve sizes the pending set for n more requests: a driver that knows its
+// workload (the simulator) admits it without growing the set.
+func (l *Ledger) Reserve(n int) { l.pending = slices.Grow(l.pending, n) }
 
 // Air runs one cycle over the pending set, snapshot to commit: it lends the
 // set to the engine, assembles and encodes the next cycle — numbered Cycles(),
 // starting at start in the driver's clock, which is also the scheduler's
 // "now" — hands it to air, and commits it once air returns. Every pending
-// request loses what the cycle committed to it (Cycle.Commitments: on a
-// multichannel cycle only what a single tuner could receive; a request's
-// admission cycle is its first covering cycle, where its client is still
-// reading the first tier) but for what air reported Missed. The commit is
+// request loses what the cycle committed to it (Commitments) but for what air
+// reported Missed. The commit is
 // journaled first. A cycle that fails to assemble, air or commit leaves the
 // pending set and the cycle number as they were, so the cycle re-airs. While
 // nothing is pending Air does nothing and returns a nil cycle. retired lists
@@ -199,8 +203,9 @@ func (l *Ledger) Air(start int64, air func(*Cycle, *Encoded) error) (cy *Cycle, 
 	if err != nil {
 		return nil, nil, err
 	}
+	l.commits = l.commits[:0]
 	for _, c := range l.classes {
-		c.missed = c.missed[:0] // what a failed cycle's air reported
+		c.missed, c.commit, c.known = c.missed[:0], nil, false // what a failed cycle's air reported, or the last cycle's
 	}
 	l.airing = cy
 	err = air(cy, enc)
@@ -210,6 +215,26 @@ func (l *Ledger) Air(start int64, air func(*Cycle, *Encoded) error) (cy *Cycle, 
 	}
 	retired, err = l.commit(num, cy)
 	return cy, retired, err
+}
+
+// Commitments is what the cycle being aired commits to pending request id:
+// Cycle.Commitments over its remaining set — at K > 1 only what a single
+// tuner can receive, and in its admission cycle, its first covering cycle,
+// only what airs after the first tier its client is still reading. It is nil
+// outside Air's air function and for a request not pending. A class's
+// requests share one commitment, computed on the first ask in a cycle; the
+// slice is the ledger's: read it, never write it, and only until air returns.
+func (l *Ledger) Commitments(id int64) []broadcast.Commitment {
+	i, ok := l.find(id)
+	if l.airing == nil || !ok {
+		return nil
+	}
+	if c := l.pending[i].cls; !c.known {
+		n := len(l.commits)
+		l.commits = l.airing.Commitments(l.commits, c.docs, l.cycles == c.admitted)
+		c.commit, c.known = l.commits[n:len(l.commits):len(l.commits)], true
+	}
+	return l.pending[i].cls.commit
 }
 
 // Missed reports that request id's client did not receive document doc, which
@@ -228,13 +253,12 @@ func (l *Ledger) Missed(id int64, doc xmldoc.DocID) error {
 		return fmt.Errorf("engine: Missed(%d, %d): request not pending", id, doc)
 	}
 	r, c := &l.pending[i], l.pending[i].cls
-	l.recv = l.airing.Commitments(l.recv[:0], c.docs, l.cycles == c.admitted)
-	if !slices.ContainsFunc(l.recv, func(cm broadcast.Commitment) bool { return cm.ID == doc }) {
+	if !slices.ContainsFunc(l.Commitments(id), func(cm broadcast.Commitment) bool { return cm.ID == doc }) {
 		return fmt.Errorf("engine: Missed(%d, %d): cycle %d does not commit the document to the request", id, doc, l.cycles)
 	}
-	if c.members > 1 { // the request leaves its class
+	if c.members > 1 { // the request leaves its class, with its set and commitment
 		c.members--
-		c = &reqClass{docs: slices.Clone(c.docs), admitted: c.admitted, members: 1}
+		c = &reqClass{docs: slices.Clone(c.docs), admitted: c.admitted, members: 1, commit: c.commit, known: true}
 		l.classes = append(l.classes, c)
 		r.cls, r.Remaining = c, c.docs
 	}
@@ -254,7 +278,8 @@ func (l *Ledger) Idle() error {
 // commit journals cycle num's deliveries — none for an idle cycle (nil cy) —
 // then shrinks the pending set by them, retires the requests they drain and
 // advances the cycle number past num. The deliveries are computed, and the
-// sets shrunk, once per class.
+// sets shrunk, once per class: from the commitment the air asked for, or, for
+// a class no one asked for, computed here into scratch.
 func (l *Ledger) commit(num int64, cy *Cycle) ([]int64, error) {
 	// The journal encodes the deliveries before Commit returns, so their
 	// document lists share one buffer reused across cycles.
@@ -262,8 +287,12 @@ func (l *Ledger) commit(num int64, cy *Cycle) ([]int64, error) {
 	for _, c := range l.classes {
 		c.from = len(delivered)
 		if cy != nil {
-			l.recv = cy.Commitments(l.recv[:0], c.docs, num == c.admitted)
-			for _, cm := range l.recv {
+			recv := c.commit
+			if !c.known {
+				l.recv = cy.Commitments(l.recv[:0], c.docs, num == c.admitted)
+				recv = l.recv
+			}
+			for _, cm := range recv {
 				if !xmldoc.HasID(c.missed, cm.ID) {
 					delivered = append(delivered, uint16(cm.ID))
 				}
@@ -367,16 +396,6 @@ func (l *Ledger) Lookup(id int64) (pending, served bool, cycle int64) {
 	}
 	cycle, served = l.served.Lookup(id)
 	return false, served, cycle
-}
-
-// Remaining is pending request id's undelivered documents, nil if id is not
-// pending. The slice is the ledger's, shared with the request's class: read
-// it, never write it, and only until the ledger next changes.
-func (l *Ledger) Remaining(id int64) []xmldoc.DocID {
-	if i, ok := l.find(id); ok {
-		return l.pending[i].Remaining
-	}
-	return nil
 }
 
 // find locates pending request id.

@@ -22,15 +22,21 @@ import (
 // (journal.ReadState), with compactions every 16 records inside the walk; a
 // restart must recover exactly the pending set the killed ledger held. It
 // also checks that the cycle Admit promises is the one that first covers the
-// request, and that a document reported missed stays pending.
+// request, that a document reported missed stays pending, and that inside a
+// cycle's air Commitments is Cycle.Commitments over each pending request's set
+// keyed on its admission cycle — asked before any Missed or not, and again
+// after Missed moved requests to classes of their own — and nil outside it.
+// The k4 walks air four channels, where the admission cycle's commitment
+// differs from a later cycle's.
 func TestLedgerMatchesJournal(t *testing.T) {
 	c, queries := fixture(t, 30, 20)
 	for seed := int64(1); seed <= 6; seed++ {
-		t.Run(fmt.Sprint(seed), func(t *testing.T) { ledgerWalk(t, c, queries, seed) })
+		t.Run(fmt.Sprint(seed), func(t *testing.T) { ledgerWalk(t, c, queries, seed, 1) })
+		t.Run(fmt.Sprintf("k4_%d", seed), func(t *testing.T) { ledgerWalk(t, c, queries, seed, 4) })
 	}
 }
 
-func ledgerWalk(t *testing.T, c *xmldoc.Collection, queries []xpath.Path, seed int64) {
+func ledgerWalk(t *testing.T, c *xmldoc.Collection, queries []xpath.Path, seed int64, channels int) {
 	rng := rand.New(rand.NewSource(seed))
 	dir := t.TempDir()
 	live := slices.Clone(c.Docs())
@@ -48,7 +54,7 @@ func ledgerWalk(t *testing.T, c *xmldoc.Collection, queries []xpath.Path, seed i
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng, err := New(Config{Collection: coll, Mode: broadcast.TwoTierMode, CycleCapacity: 2 * c.TotalSize() / c.Len()})
+		eng, err := New(Config{Collection: coll, Mode: broadcast.TwoTierMode, CycleCapacity: 2 * c.TotalSize() / c.Len(), Channels: channels})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,8 +86,19 @@ func ledgerWalk(t *testing.T, c *xmldoc.Collection, queries []xpath.Path, seed i
 			}
 		case op < 16:
 			var missed []Pending // one request and document per entry
+			checkCommitments := func(cy *Cycle, when string) {
+				for _, p := range l.Pending() {
+					// A journaled ledger's arrival is the admission cycle.
+					if got, want := l.Commitments(p.ID), cy.Commitments(nil, p.Remaining, cy.Number == p.Arrival); !slices.Equal(got, want) {
+						t.Fatalf("step %d, %s: request %d is committed %v, want %v", step, when, p.ID, got, want)
+					}
+				}
+			}
 			_, _, err := l.Air(l.Cycles(), func(cy *Cycle, enc *Encoded) error {
 				l.eng.Recycle(enc)
+				if rng.Intn(2) == 0 {
+					checkCommitments(cy, "before Missed")
+				}
 				for _, p := range l.Pending() { // the snapshot: nothing changed since
 					if want, ok := covered[p.ID]; ok && want != cy.Number {
 						t.Fatalf("step %d: request %d first snapshotted by cycle %d, promised cycle %d", step, p.ID, cy.Number, want)
@@ -98,14 +115,15 @@ func ledgerWalk(t *testing.T, c *xmldoc.Collection, queries []xpath.Path, seed i
 					}
 					missed = append(missed, Pending{ID: p.ID, Remaining: []xmldoc.DocID{d}})
 				}
+				checkCommitments(cy, "after Missed")
 				return nil
 			})
 			if err != nil {
 				t.Fatalf("step %d: Air: %v", step, err)
 			}
 			for _, m := range missed {
-				if !slices.Contains(l.Remaining(m.ID), m.Remaining[0]) {
-					t.Fatalf("step %d: request %d lost document %d it missed: %v", step, m.ID, m.Remaining[0], l.Remaining(m.ID))
+				if !slices.Contains(remaining(l, m.ID), m.Remaining[0]) {
+					t.Fatalf("step %d: request %d lost document %d it missed: %v", step, m.ID, m.Remaining[0], remaining(l, m.ID))
 				}
 			}
 		case op < 19:
@@ -142,6 +160,11 @@ func ledgerWalk(t *testing.T, c *xmldoc.Collection, queries []xpath.Path, seed i
 		if got, want := l.served.Entries(), st.Served.Entries(); !slices.Equal(got, want) {
 			t.Fatalf("step %d (op %d): ledger served %v, journal %v", step, op, got, want)
 		}
+		for _, p := range l.Pending() {
+			if cm := l.Commitments(p.ID); cm != nil {
+				t.Fatalf("step %d (op %d): request %d is committed %v outside a cycle's air", step, op, p.ID, cm)
+			}
+		}
 	}
 }
 
@@ -167,11 +190,11 @@ func TestLedgerMissedKeepsRequestPending(t *testing.T) {
 	if _, _, err := l.Admit(q, 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	want := slices.Clone(l.Remaining(lost))
+	want := slices.Clone(remaining(l, lost))
 	var aired []xmldoc.DocID
 	cy, retired, err := l.Air(0, func(cy *Cycle, enc *Encoded) error {
 		eng.Recycle(enc)
-		for _, cm := range cy.Commitments(nil, l.Remaining(lost), true) {
+		for _, cm := range l.Commitments(lost) {
 			if err := l.Missed(lost, cm.ID); err != nil {
 				return err
 			}
@@ -188,7 +211,7 @@ func TestLedgerMissedKeepsRequestPending(t *testing.T) {
 	if !slices.Equal(retired, []int64{lost + 1}) {
 		t.Fatalf("retired %v, want the other request %d", retired, lost+1)
 	}
-	if got := l.Remaining(lost); !slices.Equal(got, want) {
+	if got := remaining(l, lost); !slices.Equal(got, want) {
 		t.Fatalf("request %d keeps %v after missing it all, want %v", lost, got, want)
 	}
 	next, _, err := l.Air(1, func(_ *Cycle, enc *Encoded) error { eng.Recycle(enc); return nil })
@@ -224,13 +247,13 @@ func TestLedgerMissedRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	doc := l.Remaining(id)[0]
+	doc := remaining(l, id)[0]
 	if err := l.Missed(id, doc); err == nil {
 		t.Error("Missed outside a cycle's air accepted")
 	}
 	var absent xmldoc.DocID
 	for _, d := range c.Docs() {
-		if !slices.Contains(l.Remaining(id), d.ID) {
+		if !slices.Contains(remaining(l, id), d.ID) {
 			absent = d.ID
 			break
 		}
@@ -299,6 +322,15 @@ func TestLedgerServedHorizon(t *testing.T) {
 	if _, served, _ := l.Lookup(ids[len(ids)-1]); !served {
 		t.Errorf("newest request %d not served", ids[len(ids)-1])
 	}
+}
+
+// remaining is pending request id's undelivered documents, nil if id is not
+// pending.
+func remaining(l *Ledger, id int64) []xmldoc.DocID {
+	if i, ok := l.find(id); ok {
+		return l.pending[i].Remaining
+	}
+	return nil
 }
 
 // pendingIndex locates request id in ps, or -1.

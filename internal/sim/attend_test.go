@@ -26,6 +26,7 @@ func TestAttendParallelMatchesSerial(t *testing.T) {
 		{"compress", func(c *Config) { c.Compress = true }},
 		{"k4", func(c *Config) { c.Channels = 4 }},
 		{"loss", func(c *Config) { c.LossProb, c.LossSeed = 0.2, 3 }},
+		{"k4_loss", func(c *Config) { c.Channels, c.LossProb, c.LossSeed = 4, 0.2, 3 }},
 	}
 	defer func(f func(int) int) { attendShards = f }(attendShards)
 	for _, leg := range legs {

@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"repro/internal/broadcast"
+	"repro/internal/dtd"
+	"repro/internal/gen"
 	"repro/internal/xmldoc"
 	"repro/internal/xpath"
 )
@@ -96,5 +98,52 @@ func TestMultichannelReducesAccessTime(t *testing.T) {
 		if reps := multi.MeanIndexRepetitions(); reps <= 1 {
 			t.Errorf("seed %d: index channel aired %.1f repetitions per cycle; expected replication", seed, reps)
 		}
+	}
+}
+
+// TestMultichannelClientModelPinned pins the single-tuner client model's
+// absolute figures, where the other multichannel tests pin relative claims:
+// mean access time and index tuning at K = 2, 4 and 8 and at K = 4 with 10 %
+// loss, on the workload `bcast-sim -docs 100 -nq 2000` runs (100 generated
+// NITF documents, 2 000 requests 100 byte-ticks apart, 100 000-byte cycles),
+// which prints them rounded. The means are exact: every sum is an integer
+// below 2^53.
+func TestMultichannelClientModelPinned(t *testing.T) {
+	c, err := gen.Documents(gen.DocConfig{Schema: dtd.NITF(), NumDocs: 100, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	qs, err := gen.Queries(c, gen.QueryConfig{NumQueries: 2000, MaxDepth: 5, WildcardProb: 0.1, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs := make([]ClientRequest, len(qs))
+	for i, q := range qs {
+		reqs[i] = ClientRequest{Query: q, Arrival: int64(i) * 100}
+	}
+	for _, leg := range []struct {
+		name          string
+		k             int
+		loss          float64
+		access, index float64
+	}{
+		{"k2", 2, 0, 1230071.859, 2102.203},
+		{"k4", 4, 0, 3052586.21, 3489.8075},
+		{"k8", 8, 0, 6249855.68, 4066.296},
+		{"k4_loss", 4, 0.1, 5271865.79, 5510.514},
+	} {
+		t.Run(leg.name, func(t *testing.T) {
+			res, err := Run(Config{Collection: c, Mode: broadcast.TwoTierMode, CycleCapacity: 100_000, Requests: reqs,
+				Channels: leg.k, LossProb: leg.loss, LossSeed: 1, MaxCycles: 500})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := res.MeanAccessBytes(); got != leg.access {
+				t.Errorf("mean access %.3f B, want %.3f B", got, leg.access)
+			}
+			if got := res.MeanIndexTuningBytes(); got != leg.index {
+				t.Errorf("mean index tuning %.4f B, want %.4f B", got, leg.index)
+			}
+		})
 	}
 }

@@ -19,7 +19,9 @@ import (
 // ends exactly as the serial order does — the clients attend inside the
 // cycle's air and report what they missed before the commit — client for
 // client, cycle for cycle and frame byte for frame byte, on every lossless
-// single-channel leg. A lossy or multichannel run never overlaps.
+// leg, single-channel and multichannel. A lossy run never overlaps; at K = 4
+// its clients report Missed, which splits classes whose admission cycle keys
+// the ledger's commitment.
 func TestOverlapMatchesSerial(t *testing.T) {
 	c, reqs := workload(t, 40, 1000, 13)
 	base := Config{Collection: c, Mode: broadcast.TwoTierMode, CycleCapacity: capacityFor(c), Requests: reqs}
@@ -36,8 +38,9 @@ func TestOverlapMatchesSerial(t *testing.T) {
 		// Documents are evicted from the payload cache while an earlier
 		// cycle's clients still read their frames.
 		{"evicting", func(c *Config) { c.Limits.MaxPayloadCacheBytes = 4 << 10 }, true},
-		{"k4", func(c *Config) { c.Channels = 4 }, false},
+		{"k4", func(c *Config) { c.Channels = 4 }, true},
 		{"loss", func(c *Config) { c.LossProb, c.LossSeed = 0.2, 3 }, false},
+		{"k4_loss", func(c *Config) { c.Channels, c.LossProb, c.LossSeed = 4, 0.2, 3 }, false},
 	}
 	defer func(f func(*Config) bool) { overlapCycles = f }(overlapCycles)
 	defer func(f func(int) int) { attendShards = f }(attendShards)

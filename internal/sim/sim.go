@@ -16,13 +16,14 @@
 // is the same either way.
 //
 // The server is an engine.Ledger on the byte clock, as in netcast: arrivals
-// are admitted into it and cycles air through it, and a client that did not
-// receive a document the cycle committed to it reports it Missed — the
-// simulator's ideal uplink — so it airs again. As the paper's server does
-// (§3.4, §4), a lossless single-channel run, whose clients miss nothing,
-// assembles cycle N+1 while cycle N's clients attend, and the join checks
-// each client against the ledger's commit; lossy and multichannel runs attend
-// inside the cycle's air. The results are the same in either order.
+// are admitted into it and cycles air through it, and the ledger alone says
+// what a cycle commits to a request (Ledger.Commitments). A client that did
+// not receive a committed document reports it Missed — the simulator's ideal
+// uplink — so it airs again. As the paper's server does (§3.4, §4), a
+// lossless run, whose clients miss nothing, assembles cycle N+1 while cycle
+// N's clients attend, each with its own copy of its commitment, and the join
+// checks each client against the ledger's commit; a lossy run attends inside
+// the cycle's air. The results are the same in either order.
 package sim
 
 import (
@@ -119,22 +120,8 @@ type Config struct {
 	Compress bool
 }
 
-func (c *Config) applyDefaults() {
-	if c.MaxCycles == 0 {
-		c.MaxCycles = 100000
-	}
-}
-
+// validate checks what only the simulator reads; engine.New checks the rest.
 func (c *Config) validate() error {
-	if c.Collection == nil || c.Collection.Len() == 0 {
-		return fmt.Errorf("sim: Config.Collection is required")
-	}
-	if c.Mode != broadcast.OneTierMode && c.Mode != broadcast.TwoTierMode {
-		return fmt.Errorf("sim: Config.Mode is required")
-	}
-	if c.CycleCapacity <= 0 {
-		return fmt.Errorf("sim: Config.CycleCapacity must be positive, got %d", c.CycleCapacity)
-	}
 	if len(c.Requests) == 0 {
 		return fmt.Errorf("sim: Config.Requests is required")
 	}
@@ -218,10 +205,10 @@ type client struct {
 	index     int   // position in Config.Requests
 	id        int64 // the ledger's request ID
 	q         *query
-	needed    []xmldoc.DocID // multichannel only
-	admit     int64          // cycle number that first covered the request
-	knowsDocs bool           // multichannel: first tier already read
-	served    bool           // the ledger retired the request
+	needed    []xmldoc.DocID         // multichannel only
+	commit    []broadcast.Commitment // multichannel: the ledger's commitment in the cycle attended
+	knowsDocs bool                   // multichannel: first tier already read
+	served    bool                   // the ledger retired the request
 	stats     ClientStats
 
 	reader access.Reader
@@ -237,15 +224,21 @@ type query struct {
 
 // receive records downloaded document id, whose last byte aired at end.
 func (cl *client) receive(id xmldoc.DocID, end int64) {
-	left := cl.reader.Remaining()
-	if left == nil { // multichannel: the reader is not fed
+	if cl.needed != nil { // multichannel: the reader is not fed
 		cl.needed = xmldoc.RemoveID(cl.needed, id)
-		left = cl.needed
 	}
 	cl.stats.Completed = max(cl.stats.Completed, end)
-	if len(left) == 0 {
+	if cl.done() {
 		cl.stats.AccessBytes = cl.stats.Completed - cl.stats.Arrival
 	}
+}
+
+// done reports whether cl holds its whole result set.
+func (cl *client) done() bool {
+	if cl.needed != nil {
+		return len(cl.needed) == 0
+	}
+	return cl.reader.Done()
 }
 
 // lacks reports whether cl has yet to receive document d of its result set.
@@ -270,10 +263,10 @@ func (cl *client) Receive(f *access.Frame) error {
 
 // Run executes the simulation until every request completes.
 func Run(cfg Config) (*Result, error) {
-	cfg.applyDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
+	cfg.MaxCycles = cmp.Or(cfg.MaxCycles, 100000)
 
 	eng, err := engine.New(engine.Config{
 		Collection:    cfg.Collection,
@@ -291,6 +284,7 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	led, _ := engine.NewLedger(eng, nil, nil) // the server, in memory: only a journal's recovery fails
+	led.Reserve(len(cfg.Requests))
 
 	var loss *lossProcess
 	if cfg.LossProb > 0 {
@@ -298,21 +292,25 @@ func Run(cfg Config) (*Result, error) {
 	}
 	// Clients sorted by arrival, stably: the ledger's IDs follow admission
 	// order, so the (arrival, ID) order the scheduler breaks ties by is the
-	// request order's.
+	// request order's. Each distinct query is resolved once, here: the
+	// collection does not change during a run.
 	clients := make([]*client, len(cfg.Requests))
 	queries := make(map[string]*query)
 	for i, r := range cfg.Requests {
 		key := r.Query.String()
 		q := queries[key]
 		if q == nil {
-			q = &query{nav: core.NewNavigator(r.Query)}
+			q = &query{nav: core.NewNavigator(r.Query), docs: slices.Clone(eng.Resolve(r.Query))}
 			queries[key] = q
 		}
-		clients[i] = &client{index: i, q: q, stats: ClientStats{Query: r.Query, Arrival: r.Arrival}, loss: loss}
+		cl := &client{index: i, q: q, stats: ClientStats{Query: r.Query, Arrival: r.Arrival, Docs: q.docs}, loss: loss}
 		if cfg.Channels <= 1 {
-			clients[i].reader.Init(q.nav, 1, clients[i])
-			clients[i].reader.WholeTier = cfg.WholeTierRead
+			cl.reader.Init(q.nav, 1, cl)
+			cl.reader.WholeTier = cfg.WholeTierRead
+		} else {
+			cl.needed = slices.Clone(q.docs)
 		}
+		clients[i] = cl
 	}
 	byArrival := append([]*client(nil), clients...)
 	sort.SliceStable(byArrival, func(i, j int) bool { return byArrival[i].stats.Arrival < byArrival[j].stats.Arrival })
@@ -341,15 +339,8 @@ func Run(cfg Config) (*Result, error) {
 		}
 		for admitted < len(byArrival) && byArrival[admitted].stats.Arrival <= now {
 			cl := byArrival[admitted]
-			if cl.admit, cl.id, err = led.Admit(cl.stats.Query, 0, cl.stats.Arrival); err != nil {
+			if _, cl.id, err = led.Admit(cl.stats.Query, 0, cl.stats.Arrival); err != nil {
 				return nil, fmt.Errorf("sim: request %d (%s): %w; the paper assumes satisfiable requests", cl.index, cl.stats.Query, err)
-			}
-			if cl.q.docs == nil { // the query's first admission: nothing has aired for it
-				cl.q.docs = slices.Clone(led.Remaining(cl.id))
-			}
-			cl.stats.Docs = cl.q.docs
-			if cfg.Channels > 1 && cl.needed == nil {
-				cl.needed = slices.Clone(cl.q.docs)
 			}
 			active = append(active, cl)
 			admitted++
@@ -416,8 +407,13 @@ func Run(cfg Config) (*Result, error) {
 			// nothing: a lost first-tier read is retried next cycle, a lost
 			// per-cycle index read skips this cycle's documents, and a
 			// committed document not received is reported Missed.
-			if err := fly.join(eng, led); err != nil {
+			if err := fly.join(eng); err != nil {
 				return err
+			}
+			if !single {
+				for _, cl := range active {
+					cl.commit = append(cl.commit[:0], led.Commitments(cl.id)...)
+				}
 			}
 			start := cy.Start
 			fly = attendance{num: cy.Number, clients: active, enc: enc, frames: fb, done: make(chan error, 1), single: single,
@@ -425,7 +421,7 @@ func Run(cfg Config) (*Result, error) {
 					if single {
 						return attendFrames(cl, start, *fb)
 					}
-					return attendMultichannel(cl, cy, led.Remaining(cl.id), loss, firstTier)
+					return attendMultichannel(cl, cy, loss, firstTier)
 				}}
 			if overlap {
 				go fly.run(loss)
@@ -435,10 +431,8 @@ func Run(cfg Config) (*Result, error) {
 			if err := fly.wait(); err != nil {
 				return err
 			}
-			var commit []broadcast.Commitment
 			for _, cl := range active {
-				commit = cy.Commitments(commit[:0], led.Remaining(cl.id), cy.Number == cl.admit)
-				for _, cm := range commit {
+				for _, cm := range led.Commitments(cl.id) {
 					if cl.lacks(cm.ID) {
 						if err := led.Missed(cl.id, cm.ID); err != nil {
 							return fmt.Errorf("sim: %w", err)
@@ -472,16 +466,13 @@ func Run(cfg Config) (*Result, error) {
 			if cl.stats.Arrival >= end {
 				break
 			}
-			if cl.needed == nil { // not admitted yet: the server's answer
-				cl.needed = slices.Clone(eng.Resolve(cl.stats.Query))
-			}
 			if err := eavesdropCycle(cl, cy, loss, firstTier); err != nil {
 				return nil, err
 			}
 		}
 		now = end
 	}
-	if err := fly.join(eng, led); err != nil {
+	if err := fly.join(eng); err != nil {
 		return nil, err
 	}
 
@@ -494,10 +485,11 @@ func Run(cfg Config) (*Result, error) {
 }
 
 // overlapCycles reports whether a run attends each cycle while the next
-// assembles: only a lossless single-channel run, whose clients miss nothing,
-// so the ledger's commit need not wait for them. A variable so tests can
-// force the serial order on any run.
-var overlapCycles = func(cfg *Config) bool { return cfg.LossProb == 0 && cfg.Channels <= 1 }
+// assembles: a lossless run, whose clients receive everything the ledger
+// commits to them and so report nothing Missed, and the ledger's commit need
+// not wait for them. A variable so tests can force the serial order on any
+// run.
+var overlapCycles = func(cfg *Config) bool { return cfg.LossProb == 0 }
 
 // attendance is one cycle's clients attending it. On an overlapped run they
 // attend on a goroutine of their own while the next cycle assembles, reading
@@ -509,7 +501,7 @@ type attendance struct {
 	frames  *[]access.Frame
 	attend  func(*client) error
 	done    chan error // run's result until wait reads it
-	single  bool       // a single-channel cycle: the readers are the clients' progress
+	single  bool       // a single-channel cycle: a client is done exactly when served
 	err     error
 }
 
@@ -530,11 +522,12 @@ func (a *attendance) wait() error {
 	return a.err
 }
 
-// join waits for the clients, checks each single-channel client against the
-// ledger's commit of the cycle — the client's reader is done exactly when the
-// commit retired its request — and hands the cycle's frames back to the
-// engine.
-func (a *attendance) join(eng *engine.Engine, led *engine.Ledger) error {
+// join waits for the clients, checks each against the ledger's commit of the
+// cycle — a client whose request the commit retired holds its whole result
+// set, and a single-channel client holds it only then (a multichannel client
+// can finish ahead of the ledger's conservative commitment) — and hands the
+// cycle's frames back to the engine.
+func (a *attendance) join(eng *engine.Engine) error {
 	if a.enc == nil {
 		return nil // nothing attending, or joined already
 	}
@@ -542,9 +535,8 @@ func (a *attendance) join(eng *engine.Engine, led *engine.Ledger) error {
 		return err
 	}
 	for _, cl := range a.clients {
-		if a.single && cl.reader.Done() != cl.served {
-			return fmt.Errorf("sim: cycle %d: client %d has %d result documents left, the server believes %d",
-				a.num, cl.index, len(cl.reader.Remaining()), len(led.Remaining(cl.id)))
+		if done := cl.done(); done != cl.served && (a.single || cl.served) {
+			return fmt.Errorf("sim: cycle %d: client %d done %v, the server believes it served %v", a.num, cl.index, done, cl.served)
 		}
 	}
 	eng.Recycle(a.enc)
@@ -661,41 +653,31 @@ func (l *lossProcess) fail() bool {
 }
 
 // attendMultichannel plays one client's protocol over a K-channel cycle with
-// a single tuner. The ledger's set for the request (owed) shrinks by the
-// cycle's receivable commitment, keyed on the admission cycle; the client
-// executes that commitment for the documents it still needs (no commitment
-// is ever starved; what it does not receive is reported Missed after the
-// cycle) and then fills the tuner's gaps with opportunistic catches:
-// documents the conservative commitment skipped but that a client already
-// holding the directory — e.g. one that synced mid-cycle on an index
-// repetition — can still receive.
-func attendMultichannel(cl *client, cy *broadcast.Cycle, owed []xmldoc.DocID, loss *lossProcess, firstTier func(*client) (int64, error)) error {
+// a single tuner. The ledger's set for the request shrinks by the cycle's
+// commitment to it (cl.commit); the client executes that commitment for the
+// documents it still needs (no commitment is ever starved; what it does not
+// receive is reported Missed after the cycle) and then fills the tuner's gaps
+// with opportunistic catches: documents the conservative commitment skipped
+// but that a client already holding the directory — e.g. one that synced
+// mid-cycle on an index repetition — can still receive.
+func attendMultichannel(cl *client, cy *broadcast.Cycle, loss *lossProcess, firstTier func(*client) (int64, error)) error {
 	if len(cl.needed) == 0 {
 		return nil // already complete; the ledger drains its set unattended
 	}
-	commit := cy.Commitments(nil, owed, cy.Number == cl.admit)
 	cl.stats.CyclesListened++
-	firstListen := !cl.knowsDocs
 	cl.stats.IndexTuningBytes += int64(cy.DirBytes)
-	indexOK := !loss.fail()
-	if firstListen {
+	ready, indexOK := cy.DirEnd(), !loss.fail()
+	if !cl.knowsDocs { // the first listen: the first tier follows the directory
 		cost, err := firstTier(cl)
 		if err != nil {
 			return err
 		}
 		cl.stats.IndexTuningBytes += cost
-		if loss.fail() {
-			indexOK = false
-		} else {
-			cl.knowsDocs = true
-		}
-	}
-	ready := cy.DirEnd()
-	if firstListen {
-		ready = cy.IndexEnd()
+		ready, cl.knowsDocs = cy.IndexEnd(), !loss.fail()
+		indexOK = indexOK && cl.knowsDocs
 	}
 	if !indexOK {
-		return nil // lost the directory: nothing received this cycle
+		return nil // lost the directory or the first tier: nothing received this cycle
 	}
 
 	var busy []broadcast.AirInterval
@@ -707,7 +689,7 @@ func attendMultichannel(cl *client, cy *broadcast.Cycle, owed []xmldoc.DocID, lo
 		}
 	}
 	extra := slices.Clone(cl.needed)
-	for _, cm := range commit {
+	for _, cm := range cl.commit {
 		if !xmldoc.HasID(cl.needed, cm.ID) {
 			continue // already caught earlier; the tuner stays free
 		}
