@@ -40,16 +40,17 @@ func airedCycle(t testing.TB, l layout, queries []xpath.Path) ([][]Frame, *engin
 	if err != nil {
 		t.Fatal(err)
 	}
-	var pending []engine.Pending
-	for i, q := range queries {
-		pending = append(pending, engine.Pending{ID: int64(i), Query: q, Remaining: eng.Resolve(q)})
-	}
-	cy, err := eng.AssembleCycle(0, 0, pending)
+	led, err := engine.NewLedger(eng, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc, err := eng.EncodeCycle(cy)
-	if err != nil {
+	for _, q := range queries {
+		if _, _, err := led.Admit(q, 0, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var enc *engine.Encoded
+	if _, _, err := led.Air(0, func(_ *engine.Cycle, aired *engine.Encoded) error { enc = aired; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	out := make([][]Frame, len(enc.Frames))

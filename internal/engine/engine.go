@@ -13,10 +13,12 @@
 //   - the builder's merged DataGuide is constructed with per-document guides
 //     built in parallel (dataguide.MergeParallel via broadcast.NewBuilder);
 //   - there is one way to plan and one way to prune, and no option selects
-//     between ways: the demand index and the pruned view are maintained by
-//     deltas across cycles and rebuilt in full when the churn they observe
-//     exceeds a fixed quarter of the set. The references they are defined
-//     against (Scheduler.PlanCycle, core.Index.Prune) are what tests call;
+//     between ways: the scheduler plans from the demand index the Ledger
+//     keeps by the same deltas that change its pending set, and the pruned
+//     view follows the pending queries by deltas, re-pruning in full when
+//     their churn exceeds a fixed quarter of the set. The references they are
+//     defined against (Scheduler.PlanCycle, core.Index.Prune) are what tests
+//     call;
 //   - framing reuses pooled buffers and a per-document cache of frames (and,
 //     on a compressing engine, their transport envelopes), so steady-state
 //     cycles allocate O(1) buffers instead of O(docs) and deflate no
@@ -30,7 +32,6 @@ package engine
 import (
 	"encoding/binary"
 	"fmt"
-	"runtime"
 	"slices"
 	"sync"
 	"time"
@@ -62,9 +63,9 @@ type Config struct {
 	Scheduler schedule.Scheduler
 	// CycleCapacity is the document-byte budget per cycle. Required (> 0).
 	CycleCapacity int
-	// Probes receive pipeline telemetry, in order, after the engine's own
-	// collector. Nil entries are skipped. Optional.
-	Probes []Probe
+	// Probe receives pipeline telemetry after the engine's own collector.
+	// Optional.
+	Probe Probe
 	// Limits bounds the engine's memory; see Limits.
 	// The zero value imposes no limits.
 	Limits Limits
@@ -97,11 +98,7 @@ type Pending struct {
 	// apart from it.
 	Arrival int64
 	// Remaining are the result documents not yet delivered, sorted ascending
-	// without duplicates. The engine borrows the slice for the duration of
-	// AssembleCycle — no copy, no sort — so the driver must not mutate it
-	// until the call returns, and may mutate it in place afterwards. The
-	// scheduling code that reads it rejects an unsorted or duplicated set
-	// with an error naming the request.
+	// without duplicates.
 	Remaining []xmldoc.DocID
 
 	cls *reqClass // the request's class in a Ledger; nil elsewhere
@@ -153,16 +150,6 @@ type Engine struct {
 	// view maintains the PCI incrementally across cycles (keyed on the CI
 	// pointer, which the builder replaces on every collection change).
 	view *core.PrunedView
-
-	// demand maintains per-document demand aggregation across cycles by
-	// pending-set deltas. changeIdx and keepIDs are per-cycle diff scratch.
-	demand    *schedule.DemandIndex
-	changeIdx []int
-	keepIDs   map[int64]struct{}
-
-	// reqs and queries are AssembleCycle's pending-view scratch.
-	reqs    []schedule.Request
-	queries []xpath.Path
 
 	// fp is the order-independent collection fingerprint (XOR of
 	// journal.DocHash per live document), maintained incrementally so the
@@ -220,7 +207,6 @@ func New(cfg Config) (*Engine, error) {
 		answers:   newLRU[string, *answerEntry](cfg.Limits.MaxAnswerCacheEntries),
 		payloads:  newLRU[xmldoc.DocID, *payloadEntry](cfg.Limits.MaxPayloadCacheBytes),
 		view:      core.NewPrunedView(0),
-		demand:    schedule.NewDemandIndex(),
 	}
 	e.fpSizes = make(map[xmldoc.DocID]int, cfg.Collection.Len())
 	for _, d := range cfg.Collection.Docs() {
@@ -228,10 +214,8 @@ func New(cfg Config) (*Engine, error) {
 		e.fp ^= journal.DocHash(uint16(d.ID), d.Size())
 	}
 	e.probe = probes{e.collector}
-	for _, p := range cfg.Probes {
-		if p != nil {
-			e.probe = append(e.probe, p)
-		}
+	if cfg.Probe != nil {
+		e.probe = append(e.probe, cfg.Probe)
 	}
 	e.framePool.New = func() any { b := make([]byte, 0, 4096); return &b }
 	if cfg.Compress {
@@ -290,45 +274,23 @@ func (e *Engine) Resolve(q xpath.Path) []xmldoc.DocID {
 	return docs
 }
 
-// AssembleCycle plans and lays out one broadcast cycle: the scheduler fills
-// the capacity budget from the pending requests' remaining documents, and the
-// CI is pruned to the distinct pending queries and packed under the engine's
-// tier. start is both the cycle's start time and the scheduler's "now", in
-// the driver's clock units.
+// assembleCycle plans and lays out one broadcast cycle: the scheduler fills
+// the capacity budget from the demand index x, and the CI is pruned to the
+// pending queries and packed under the engine's tier. start is both the
+// cycle's start time and the scheduler's "now", in the driver's clock units.
+// Its one caller is Ledger.Air, which keeps x and hands over one query per
+// class of pending requests.
 //
-// The engine assembles whatever pending set it is given: admission, and with
-// it any cap on the pending set, is the driver's (Ledger.Admit). Every cycle
-// is pruned, so its bytes depend only on its inputs.
-//
-// Incremental scheduling (see schedule.DemandIndex) additionally assumes
-// driver-shaped pending sets across consecutive calls: a request keeps its
-// ID and arrival, its Remaining set only shrinks, every Remaining is
-// non-empty, and new requests are appended after surviving ones. The
-// ledger satisfies this; callers that mutate pending arbitrarily between
-// cycles still get correct plans whenever a count or arrival changes.
-func (e *Engine) AssembleCycle(number, start int64, pending []Pending) (*Cycle, error) {
-	if len(pending) == 0 {
-		return nil, fmt.Errorf("engine: AssembleCycle with no pending requests")
-	}
-
-	// The pending view is built in scratch reused across cycles. The view
-	// dedups the queries itself.
-	reqs, queries := e.reqs[:0], e.queries[:0]
-	for _, p := range pending {
-		reqs = append(reqs, schedule.Request{ID: p.ID, Arrival: p.Arrival, Docs: p.Remaining})
-		queries = append(queries, p.Query)
-	}
-	e.reqs, e.queries = reqs, queries
-
+// The engine assembles whatever is pending: admission, and with it any cap
+// on the pending set, is the ledger's (Ledger.Admit). Every cycle is pruned,
+// so its bytes depend only on its inputs.
+func (e *Engine) assembleCycle(number, start int64, x *schedule.DemandIndex, queries []xpath.Path) (*Cycle, error) {
 	schedStart := time.Now()
-	size := func(d xmldoc.DocID) int { return e.builder.DocByID(d).Size() }
-	plan, err := e.planCycle(reqs, size, start)
-	if err != nil {
-		return nil, fmt.Errorf("engine: %w", err)
-	}
-	e.probe.StageDone(StageSchedule, time.Since(schedStart), len(reqs), len(plan))
+	plan := e.scheduler.PlanIndexed(x, e.capacity, start)
+	e.probe.StageDone(StageSchedule, time.Since(schedStart), x.Len(), len(plan))
+	e.probe.ScheduleDone(ScheduleIncremental)
 	if len(plan) == 0 {
-		return nil, fmt.Errorf("engine: scheduler %q planned an empty cycle with %d pending", e.scheduler.Name(), len(reqs))
+		return nil, fmt.Errorf("engine: scheduler %q planned an empty cycle with %d pending", e.scheduler.Name(), x.Len())
 	}
 
 	buildStart := time.Now()
@@ -346,69 +308,8 @@ func (e *Engine) AssembleCycle(number, start int64, pending []Pending) (*Cycle, 
 	return cy, nil
 }
 
-// planCycle produces one cycle's document plan. It diffs the pending set
-// against the persistent demand index — cheap (count, arrival) probes decide
-// between applying the delta and a sharded full rebuild when churn exceeds
-// schedule.DefaultScheduleChurn — then plans from the index (the scheduler's
-// PlanIndexed, defined to equal its reference PlanCycle over the same pending
-// set) and applies the plan's predicted deliveries, so the next diff is
-// no-op-sized for well-behaved drivers. Requests that complete are kept as
-// zombies until the next pending set confirms them, which lets a lossy
-// delivery resurrect a request without perturbing LeeLo's summation order.
-func (e *Engine) planCycle(reqs []schedule.Request, size func(xmldoc.DocID) int, now int64) ([]xmldoc.DocID, error) {
-	x := e.demand
-	deltaStart := time.Now()
-	changed := e.changeIdx[:0]
-	matched := 0
-	for i := range reqs {
-		if n, arr, ok := x.Peek(reqs[i].ID); ok {
-			matched++
-			if n != len(reqs[i].Docs) || arr != reqs[i].Arrival {
-				changed = append(changed, i)
-			}
-		} else {
-			changed = append(changed, i)
-		}
-	}
-	e.changeIdx = changed
-	removed := x.Len() - matched
-	churn := len(changed) + removed
-	if x.Len() == 0 || float64(churn) > schedule.DefaultScheduleChurn*float64(len(reqs)+removed) {
-		// Rebuild caps its own sharding at one worker per 512 requests.
-		if err := x.Rebuild(reqs, size, runtime.GOMAXPROCS(0)); err != nil {
-			return nil, err
-		}
-		x.TakeEdits()
-		e.probe.ScheduleDone(ScheduleFull)
-	} else {
-		for _, i := range changed {
-			if err := x.Apply(reqs[i], size); err != nil {
-				return nil, err
-			}
-		}
-		if removed > 0 {
-			if x.Zombies() == removed {
-				x.ExpireZombies()
-			} else {
-				if e.keepIDs == nil {
-					e.keepIDs = make(map[int64]struct{}, len(reqs))
-				}
-				clear(e.keepIDs)
-				for i := range reqs {
-					e.keepIDs[reqs[i].ID] = struct{}{}
-				}
-				x.RemoveExcept(e.keepIDs)
-			}
-		}
-		e.probe.StageDone(StageScheduleDelta, time.Since(deltaStart), churn, x.TakeEdits())
-		e.probe.ScheduleDone(ScheduleIncremental)
-	}
-	plan := e.scheduler.PlanIndexed(x, e.capacity, now)
-	for _, d := range plan {
-		x.DeliverDoc(d)
-	}
-	return plan, nil
-}
+// docSize is a live document's size, the demand index's size function.
+func (e *Engine) docSize(d xmldoc.DocID) int { return e.builder.DocByID(d).Size() }
 
 // prune produces one cycle's PCI through the view — a delta update, or a
 // full prune on the view's first cycle, after the CI was rebuilt or when query
@@ -646,9 +547,5 @@ func (e *Engine) RemoveDocument(id xmldoc.DocID) error {
 			en.docs = xmldoc.RemoveID(slices.Clone(en.docs), id)
 		}
 	}
-	// Purge the doc from the demand index the same way a delivery would:
-	// requesters stop missing it, and requests it completed become zombies
-	// until the drivers' pending sets confirm.
-	e.demand.DeliverDoc(id)
 	return nil
 }

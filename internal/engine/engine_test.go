@@ -5,6 +5,7 @@ import (
 	"cmp"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/broadcast"
@@ -38,6 +39,36 @@ func newEngine(t testing.TB, c *xmldoc.Collection, capacity int) *Engine {
 		t.Fatal(err)
 	}
 	return e
+}
+
+// airOnce admits each query with a non-empty answer, in order and arrived at
+// time 0, into a fresh in-memory ledger over e, and airs the ledger's cycle
+// number (after number idle cycles) from start 0: the cycle and its frames.
+func airOnce(t testing.TB, e *Engine, number int64, queries []xpath.Path) (*Cycle, *Encoded) {
+	t.Helper()
+	l, err := NewLedger(e, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(0); i < number; i++ {
+		if err := l.Idle(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, q := range queries {
+		if _, _, err := l.Admit(q, 0, 0); err != nil && !strings.Contains(err.Error(), "empty result set") {
+			t.Fatal(err)
+		}
+	}
+	var enc *Encoded
+	cy, _, err := l.Air(0, func(_ *Cycle, aired *Encoded) error { enc = aired; return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cy == nil {
+		t.Fatal("no query has a non-empty answer")
+	}
+	return cy, enc
 }
 
 // resolveAll resolves each distinct query once and keys the answers by
@@ -118,14 +149,7 @@ func TestEncodedSegmentsMatchCycleSizes(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s K=%d: %v", org.name, k, err)
 			}
-			cy, err := e.AssembleCycle(3, 0, pendingFor(t, e, queries))
-			if err != nil {
-				t.Fatalf("%s K=%d: %v", org.name, k, err)
-			}
-			enc, err := e.EncodeCycle(cy)
-			if err != nil {
-				t.Fatalf("%s K=%d: %v", org.name, k, err)
-			}
+			cy, enc := airOnce(t, e, 3, queries)
 			if len(enc.Frames) != k {
 				t.Fatalf("%s K=%d: %d channels of frames", org.name, k, len(enc.Frames))
 			}
@@ -251,15 +275,8 @@ func TestAssembleCycleMatchesDirectBuilder(t *testing.T) {
 	capacity := c.TotalSize() / 3
 	e := newEngine(t, c, capacity)
 
-	answers := resolveAll(e, queries)
-	pending := make([]Pending, 0, len(queries))
-	for i, q := range queries {
-		pending = append(pending, Pending{ID: int64(i), Query: q, Arrival: 0, Remaining: answers[q.String()]})
-	}
-	cy, err := e.AssembleCycle(0, 0, pending)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cy, enc := airOnce(t, e, 0, queries)
+	pending := pendingFor(t, e, queries)
 
 	// Replay the same inputs against a standalone builder + scheduler: the
 	// engine must add nothing and lose nothing.
@@ -291,10 +308,6 @@ func TestAssembleCycleMatchesDirectBuilder(t *testing.T) {
 	}
 
 	// Encoded segments must match the builder's reference encoding.
-	enc, err := e.EncodeCycle(cy)
-	if err != nil {
-		t.Fatal(err)
-	}
 	wantSegs, err := builder.AppendEncoded(nil, want)
 	if err != nil {
 		t.Fatal(err)
@@ -340,16 +353,7 @@ func TestEncodeCycleReusesPayloadCache(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		answers := resolveAll(e, queries)
-		pending := []Pending{{ID: 1, Query: queries[0], Arrival: 0, Remaining: answers[queries[0].String()]}}
-		cy, err := e.AssembleCycle(0, 0, pending)
-		if err != nil {
-			t.Fatal(err)
-		}
-		enc1, err := e.EncodeCycle(cy)
-		if err != nil {
-			t.Fatal(err)
-		}
+		cy, enc1 := airOnce(t, e, 0, queries[:1])
 		// At K = 1 the documents are the channel's last frames.
 		docFrames := func(enc *Encoded) [][]byte { return enc.Frames[0][len(enc.Frames[0])-len(cy.Docs):] }
 		frames1 := slices.Clone(docFrames(enc1))
@@ -374,10 +378,20 @@ func TestEncodeCycleReusesPayloadCache(t *testing.T) {
 	}
 }
 
+// TestAssembleCycleEmptyPending: a ledger with nothing pending airs no cycle,
+// and the engine refuses to assemble one from an empty demand index.
 func TestAssembleCycleEmptyPending(t *testing.T) {
 	c, _ := fixture(t, 3, 3)
 	e := newEngine(t, c, 100_000)
-	if _, err := e.AssembleCycle(0, 0, nil); err == nil {
+	l, err := NewLedger(e, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cy, _, err := l.Air(0, func(*Cycle, *Encoded) error { t.Error("air called with nothing pending"); return nil })
+	if cy != nil || err != nil {
+		t.Errorf("Air with nothing pending = %v, %v; want no cycle and no error", cy, err)
+	}
+	if _, err := e.assembleCycle(0, 0, schedule.NewDemandIndex(), nil); err == nil {
 		t.Error("empty pending must error")
 	}
 }

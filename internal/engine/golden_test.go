@@ -6,14 +6,12 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
-	"sort"
 	"testing"
 
 	"repro/internal/broadcast"
 	"repro/internal/dtd"
 	"repro/internal/gen"
 	"repro/internal/wire"
-	"repro/internal/xmldoc"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
@@ -37,21 +35,20 @@ func goldenCycles(t *testing.T) []byte {
 		t.Fatal(err)
 	}
 
-	pending := make([]Pending, 0, len(queries))
+	l, err := NewLedger(eng, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, q := range queries {
-		docs := eng.Resolve(q)
-		if len(docs) == 0 {
+		if len(eng.Resolve(q)) == 0 {
 			continue
 		}
-		pending = append(pending, Pending{
-			ID:        int64(i),
-			Query:     q,
-			Arrival:   int64(i) * 64,
-			Remaining: append([]xmldoc.DocID(nil), docs...),
-		})
+		if _, _, err := l.Admit(q, 0, int64(i)*64); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if len(pending) < 4 {
-		t.Fatalf("fixture too small: %d pending requests", len(pending))
+	if l.Len() < 4 {
+		t.Fatalf("fixture too small: %d pending requests", l.Len())
 	}
 
 	var out bytes.Buffer
@@ -62,46 +59,26 @@ func goldenCycles(t *testing.T) []byte {
 		out.Write(seg)
 	}
 
+	// Each cycle's commit retires the delivered documents, so the next cycle
+	// schedules fresh work.
 	start := int64(0)
-	for number := int64(0); number < 3 && len(pending) > 0; number++ {
-		cy, err := eng.AssembleCycle(number, start, pending)
+	for l.Cycles() < 3 && l.Len() > 0 {
+		cy, _, err := l.Air(start, func(_ *Cycle, enc *Encoded) error {
+			writeSeg(payloads(t, enc, 0, wire.FrameIndex)[0])
+			writeSeg(payloads(t, enc, 0, wire.FrameSecondTier)[0])
+			docs := payloads(t, enc, 0, wire.FrameDoc)
+			var n [4]byte
+			binary.LittleEndian.PutUint32(n[:], uint32(len(docs)))
+			out.Write(n[:])
+			for _, d := range docs {
+				writeSeg(d)
+			}
+			eng.Recycle(enc)
+			return nil
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		enc, err := eng.EncodeCycle(cy)
-		if err != nil {
-			t.Fatal(err)
-		}
-		writeSeg(payloads(t, enc, 0, wire.FrameIndex)[0])
-		writeSeg(payloads(t, enc, 0, wire.FrameSecondTier)[0])
-		docs := payloads(t, enc, 0, wire.FrameDoc)
-		var n [4]byte
-		binary.LittleEndian.PutUint32(n[:], uint32(len(docs)))
-		out.Write(n[:])
-		for _, d := range docs {
-			writeSeg(d)
-		}
-		eng.Recycle(enc)
-
-		// Retire delivered documents so the next cycle schedules fresh work.
-		delivered := make(map[xmldoc.DocID]struct{}, len(cy.Docs))
-		for _, p := range cy.Docs {
-			delivered[p.ID] = struct{}{}
-		}
-		survivors := pending[:0]
-		for _, p := range pending {
-			rem := p.Remaining[:0]
-			for _, d := range p.Remaining {
-				if _, ok := delivered[d]; !ok {
-					rem = append(rem, d)
-				}
-			}
-			p.Remaining = rem
-			if len(p.Remaining) > 0 {
-				survivors = append(survivors, p)
-			}
-		}
-		pending = survivors
 		start = cy.End()
 	}
 	return out.Bytes()
@@ -139,19 +116,8 @@ func TestGoldenK1ByteIdentity(t *testing.T) {
 func TestGoldenK1PooledEncode(t *testing.T) {
 	c, queries := fixture(t, 15, 10)
 	eng := newEngine(t, c, 50_000)
-	var pending []Pending
-	for i, q := range queries {
-		docs := eng.Resolve(q)
-		if len(docs) == 0 {
-			continue
-		}
-		sort.Slice(docs, func(a, b int) bool { return docs[a] < docs[b] })
-		pending = append(pending, Pending{ID: int64(i), Query: q, Arrival: int64(i), Remaining: docs})
-	}
-	cy, err := eng.AssembleCycle(0, 0, pending)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cy, enc := airOnce(t, eng, 0, queries)
+	eng.Recycle(enc)
 	// Warm the pool and the payload cache.
 	for i := 0; i < 3; i++ {
 		enc, err := eng.EncodeCycle(cy)

@@ -5,9 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"time"
 
 	"repro/internal/broadcast"
 	"repro/internal/journal"
+	"repro/internal/schedule"
 	"repro/internal/xmldoc"
 	"repro/internal/xpath"
 )
@@ -23,14 +25,21 @@ import (
 // simulator's loop) and every other goroutine asks that owner. A cycle is one
 // call, Air, from snapshot to commit, so nothing the owner runs lands inside
 // a cycle: an admission or a document write is covered by the next one.
+//
+// The ledger is also the only writer of the demand index the engine plans
+// from: each change to the pending set is applied to it as it happens, so a
+// cycle plans without a pass over the pending set.
 type Ledger struct {
 	eng *Engine
 	jn  *journal.Journal // nil: in memory
 
 	// pending is in admission order, which is ID order. Each Remaining is its
-	// class's sorted, duplicate-free set of undelivered documents: lent to
-	// the engine as is while a cycle assembles, shrunk in place otherwise.
+	// class's sorted, duplicate-free set of undelivered documents, shrunk in
+	// place.
 	pending []Pending
+	// demand holds every pending request, in ID order, with the documents it
+	// still needs, as PlanIndexed reads them: a copy of the pending set.
+	demand  *schedule.DemandIndex
 	classes []*reqClass          // the live classes
 	fresh   map[string]*reqClass // by query, those admitted this cycle
 	nextID  int64                // the last ID assigned
@@ -44,7 +53,10 @@ type Ledger struct {
 	airing *Cycle // the cycle air is airing: Missed's and Commitments' only window
 
 	// Per-cycle scratch, reused across cycles. commits holds the classes'
-	// commitments asked for during the air.
+	// commitments asked for during the air, queries one query per class for
+	// the prune, planned a cycle's plan by document ID.
+	queries    []xpath.Path
+	planned    []bool
 	commits    []broadcast.Commitment
 	recv       []broadcast.Commitment
 	delivered  []uint16
@@ -57,6 +69,7 @@ type Ledger struct {
 // makes to it, which the ledger computes and a commit shrinks the set by
 // once. A request reported Missed leaves for a class of its own.
 type reqClass struct {
+	query    xpath.Path
 	docs     []xmldoc.DocID
 	admitted int64 // the class's first covering cycle
 	members  int
@@ -64,6 +77,7 @@ type reqClass struct {
 	known    bool
 	missed   []xmldoc.DocID // what Missed kept back this cycle, sorted
 	from, to int            // the class's deliveries in the commit's buffer
+	short    bool           // the commit delivered less of the plan than the class wanted
 }
 
 // NewLedger starts the request lifecycle over eng. With a journal, st is the
@@ -77,7 +91,7 @@ type reqClass struct {
 // from it, agree with the ledger, and the live collection's fingerprint is
 // stamped for the next recovery to compare against.
 func NewLedger(eng *Engine, jn *journal.Journal, st *journal.State) (*Ledger, error) {
-	l := &Ledger{eng: eng, jn: jn, fresh: make(map[string]*reqClass)}
+	l := &Ledger{eng: eng, jn: jn, demand: schedule.NewDemandIndex(), fresh: make(map[string]*reqClass)}
 	if jn == nil {
 		return l, nil
 	}
@@ -119,7 +133,10 @@ func NewLedger(eng *Engine, jn *journal.Journal, st *journal.State) (*Ledger, er
 		if len(dropped) > 0 {
 			shrinks = append(shrinks, journal.Delivery{ID: jr.ID, Docs: dropped})
 		}
-		c := &reqClass{docs: kept, admitted: jr.Arrival, members: 1} // Arrival: the admission cycle
+		if err := l.demand.Apply(schedule.Request{ID: jr.ID, Arrival: jr.Arrival, Docs: kept}, eng.docSize); err != nil {
+			return nil, fmt.Errorf("engine: %w", err)
+		}
+		c := &reqClass{query: q, docs: kept, admitted: jr.Arrival, members: 1} // Arrival: the admission cycle
 		l.classes = append(l.classes, c)
 		l.pending = append(l.pending, Pending{ID: jr.ID, Query: q, Arrival: jr.Arrival, Remaining: kept, cls: c})
 	}
@@ -140,10 +157,12 @@ func NewLedger(eng *Engine, jn *journal.Journal, st *journal.State) (*Ledger, er
 // scheduler's), and returns the number of the first cycle that covers it — the
 // next one to be snapshotted, its admission cycle — and its ID. With max > 0 a
 // pending set already at max refuses it with a wrapped ErrOverload, before any
-// resolution work; a query with an empty answer is refused too. With a journal
-// the admission is durable before Admit returns, so an ack sent after it never
-// outruns the journal. A journaled ledger must be cycle-clocked (arrival is
-// Cycles()): recovery reads a request's admission cycle back from its arrival.
+// resolution work; a query with an empty answer is refused too, and so is an
+// answer not sorted ascending without duplicates, with an error naming the
+// request. With a journal the admission is durable before Admit returns, so an
+// ack sent after it never outruns the journal. A journaled ledger must be
+// cycle-clocked (arrival is Cycles()): recovery reads a request's admission
+// cycle back from its arrival.
 func (l *Ledger) Admit(q xpath.Path, max int, arrival int64) (cycle, id int64, err error) {
 	if max > 0 && len(l.pending) >= max {
 		return 0, 0, fmt.Errorf("engine: pending set at MaxPending %d: %w", max, ErrOverload)
@@ -153,12 +172,16 @@ func (l *Ledger) Admit(q xpath.Path, max int, arrival int64) (cycle, id int64, e
 		return 0, 0, errors.New("query has an empty result set")
 	}
 	id, key := l.nextID+1, q.String()
+	if err := l.demand.Apply(schedule.Request{ID: id, Arrival: arrival, Docs: docs}, l.eng.docSize); err != nil {
+		return 0, 0, fmt.Errorf("engine: %w", err)
+	}
 	if l.jn != nil {
 		jrem := make([]uint16, len(docs))
 		for i, d := range docs {
 			jrem[i] = uint16(d)
 		}
 		if err := l.jn.Admit(journal.Request{ID: id, Arrival: arrival, Query: key, Remaining: jrem}); err != nil {
+			l.demand.Remove(id)
 			return 0, 0, err
 		}
 	}
@@ -167,7 +190,7 @@ func (l *Ledger) Admit(q xpath.Path, max int, arrival int64) (cycle, id int64, e
 	// because it shrinks in place.
 	c := l.fresh[key]
 	if c == nil {
-		c = &reqClass{docs: slices.Clone(docs), admitted: l.cycles}
+		c = &reqClass{query: q, docs: slices.Clone(docs), admitted: l.cycles}
 		l.fresh[key] = c
 		l.classes = append(l.classes, c)
 	}
@@ -180,10 +203,11 @@ func (l *Ledger) Admit(q xpath.Path, max int, arrival int64) (cycle, id int64, e
 // workload (the simulator) admits it without growing the set.
 func (l *Ledger) Reserve(n int) { l.pending = slices.Grow(l.pending, n) }
 
-// Air runs one cycle over the pending set, snapshot to commit: it lends the
-// set to the engine, assembles and encodes the next cycle — numbered Cycles(),
-// starting at start in the driver's clock, which is also the scheduler's
-// "now" — hands it to air, and commits it once air returns. Every pending
+// Air runs one cycle over the pending set: the engine plans the next cycle —
+// numbered Cycles(), starting at start in the driver's clock, which is also
+// the scheduler's "now" — from the ledger's demand index, prunes to one query
+// per class, and lays out and encodes it; Air hands it to air and commits it
+// once air returns. Every pending
 // request loses what the cycle committed to it (Commitments) but for what air
 // reported Missed. The commit is
 // journaled first. A cycle that fails to assemble, air or commit leaves the
@@ -196,7 +220,12 @@ func (l *Ledger) Air(start int64, air func(*Cycle, *Encoded) error) (cy *Cycle, 
 		return nil, nil, nil
 	}
 	num := l.cycles
-	if cy, err = l.eng.AssembleCycle(num, start, l.pending); err != nil {
+	queries := l.queries[:0]
+	for _, c := range l.classes {
+		queries = append(queries, c.query)
+	}
+	l.queries = queries
+	if cy, err = l.eng.assembleCycle(num, start, l.demand, queries); err != nil {
 		return nil, nil, err
 	}
 	enc, err := l.eng.EncodeCycle(cy)
@@ -258,7 +287,7 @@ func (l *Ledger) Missed(id int64, doc xmldoc.DocID) error {
 	}
 	if c.members > 1 { // the request leaves its class, with its set and commitment
 		c.members--
-		c = &reqClass{docs: slices.Clone(c.docs), admitted: c.admitted, members: 1, commit: c.commit, known: true}
+		c = &reqClass{query: c.query, docs: slices.Clone(c.docs), admitted: c.admitted, members: 1, commit: c.commit, known: true}
 		l.classes = append(l.classes, c)
 		r.cls, r.Remaining = c, c.docs
 	}
@@ -276,10 +305,11 @@ func (l *Ledger) Idle() error {
 }
 
 // commit journals cycle num's deliveries — none for an idle cycle (nil cy) —
-// then shrinks the pending set by them, retires the requests they drain and
-// advances the cycle number past num. The deliveries are computed, and the
-// sets shrunk, once per class: from the commitment the air asked for, or, for
-// a class no one asked for, computed here into scratch.
+// then shrinks the pending set by them, retires the requests they drain,
+// brings the demand index to the new pending set and advances the cycle
+// number past num. The deliveries are computed, and the sets shrunk, once per
+// class: from the commitment the air asked for, or, for a class no one asked
+// for, computed here into scratch.
 func (l *Ledger) commit(num int64, cy *Cycle) ([]int64, error) {
 	// The journal encodes the deliveries before Commit returns, so their
 	// document lists share one buffer reused across cycles.
@@ -321,8 +351,49 @@ func (l *Ledger) commit(num int64, cy *Cycle) ([]int64, error) {
 		}
 	}
 	l.retired = l.drain(l.retired[:0])
+	if cy != nil {
+		l.settle(cy, l.retired)
+	}
 	l.remember(l.retired, num)
 	return l.retired, nil
+}
+
+// settle applies a commit of cy to the demand index: every planned document
+// leaves every request's set, the requests whose class still wants a planned
+// document — a K > 1 commitment fell short of the plan, or air reported a
+// document Missed — get their sets back, and the retired requests leave. The
+// upkeep reports as StageScheduleDelta.
+func (l *Ledger) settle(cy *Cycle, retired []int64) {
+	start := time.Now()
+	x := l.demand
+	for _, p := range cy.Docs {
+		x.DeliverDoc(p.ID)
+		if int(p.ID) >= len(l.planned) {
+			l.planned = append(l.planned, make([]bool, int(p.ID)+1-len(l.planned))...)
+		}
+		l.planned[p.ID] = true
+	}
+	wants := func(d xmldoc.DocID) bool { return int(d) < len(l.planned) && l.planned[d] }
+	short := false
+	for _, c := range l.classes {
+		c.short = slices.ContainsFunc(c.docs, wants)
+		short = short || c.short
+	}
+	reconciled := 0
+	for i := 0; short && i < len(l.pending); i++ {
+		if r := &l.pending[i]; r.cls.short {
+			// The class's set is sorted and duplicate-free, so Apply accepts it.
+			_ = x.Apply(schedule.Request{ID: r.ID, Arrival: r.Arrival, Docs: r.Remaining}, l.eng.docSize)
+			reconciled++
+		}
+	}
+	for _, id := range retired {
+		x.Remove(id)
+	}
+	for _, p := range cy.Docs {
+		l.planned[p.ID] = false
+	}
+	l.eng.probe.StageDone(StageScheduleDelta, time.Since(start), reconciled+len(retired), x.TakeEdits())
 }
 
 // RemoveDocument retires document id from the live collection: every pending
@@ -336,7 +407,12 @@ func (l *Ledger) RemoveDocument(id xmldoc.DocID) error {
 	for _, c := range l.classes {
 		c.docs = xmldoc.RemoveID(c.docs, id)
 	}
-	l.remember(l.drain(nil), l.cycles)
+	l.demand.DeliverDoc(id)
+	retired := l.drain(nil)
+	for _, r := range retired {
+		l.demand.Remove(r)
+	}
+	l.remember(retired, l.cycles)
 	if l.jn != nil {
 		return l.jn.DocRemoved(uint16(id), l.eng.CollectionFingerprint())
 	}
@@ -402,6 +478,11 @@ func (l *Ledger) Lookup(id int64) (pending, served bool, cycle int64) {
 func (l *Ledger) find(id int64) (int, bool) {
 	return slices.BinarySearchFunc(l.pending, id, func(r Pending, id int64) int { return cmp.Compare(r.ID, id) })
 }
+
+// Delivered reports how many documents the last commit delivered, counting a
+// document once for the requests of one class: zero when the cycle gave no
+// request anything.
+func (l *Ledger) Delivered() int { return len(l.delivered) }
 
 // Len reports the number of pending requests.
 func (l *Ledger) Len() int { return len(l.pending) }

@@ -13,7 +13,7 @@ import (
 	"repro/internal/yfilter"
 )
 
-func limitedEngine(t testing.TB, numDocs, numQueries int, lim Limits, compress bool) (*Engine, []Pending) {
+func limitedEngine(t testing.TB, numDocs, numQueries int, lim Limits, compress bool) (*Engine, []xpath.Path) {
 	t.Helper()
 	c, queries := fixture(t, numDocs, numQueries)
 	e, err := New(Config{Collection: c, Mode: broadcast.TwoTierMode, CycleCapacity: c.TotalSize(), Limits: lim, Compress: compress})
@@ -21,16 +21,11 @@ func limitedEngine(t testing.TB, numDocs, numQueries int, lim Limits, compress b
 		t.Fatal(err)
 	}
 	answers := resolveAll(e, queries)
-	pending := make([]Pending, 0, len(queries))
-	for i, q := range queries {
-		if docs := answers[q.String()]; len(docs) > 0 {
-			pending = append(pending, Pending{ID: int64(i), Query: q, Remaining: docs})
-		}
+	queries = slices.DeleteFunc(queries, func(q xpath.Path) bool { return len(answers[q.String()]) == 0 })
+	if len(queries) < 2 {
+		t.Fatalf("fixture yielded only %d non-empty queries", len(queries))
 	}
-	if len(pending) < 2 {
-		t.Fatalf("fixture yielded only %d non-empty queries", len(pending))
-	}
-	return e, pending
+	return e, queries
 }
 
 func TestAnswerCacheLRUEviction(t *testing.T) {
@@ -113,16 +108,9 @@ func TestPayloadCacheByteBound(t *testing.T) {
 	const maxBytes = 4 << 10
 	// A compressing engine: every entry holds a frame and its envelope, and
 	// the bound covers both.
-	e, pending := limitedEngine(t, 12, 12, Limits{MaxPayloadCacheBytes: maxBytes}, true)
+	e, queries := limitedEngine(t, 12, 12, Limits{MaxPayloadCacheBytes: maxBytes}, true)
 	for i := 0; i < 3; i++ {
-		cy, err := e.AssembleCycle(int64(i), int64(i), pending)
-		if err != nil {
-			t.Fatal(err)
-		}
-		enc, err := e.EncodeCycle(cy)
-		if err != nil {
-			t.Fatal(err)
-		}
+		_, enc := airOnce(t, e, int64(i), queries)
 		if got := e.payloads.used; got > maxBytes && e.payloads.ll.Len() > 1 {
 			t.Fatalf("cycle %d: cache holds %d bytes in %d entries, cap %d", i, got, e.payloads.ll.Len(), maxBytes)
 		}

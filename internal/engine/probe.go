@@ -9,9 +9,9 @@ import (
 	"repro/internal/broadcast"
 )
 
-// Pipeline stage names reported through Probe. Each AssembleCycle runs
-// schedule then build; EncodeCycle runs encode; Resolve runs resolve on a
-// cache miss.
+// Pipeline stage names reported through Probe. Each Ledger.Air runs
+// schedule, build and encode, and its commit schedule-delta; Resolve runs
+// resolve on a cache miss.
 const (
 	// StageResolve is answering one query the answer cache does not hold:
 	// one navigator lookup over the unpruned CI. Input is 1, the query,
@@ -30,13 +30,11 @@ const (
 	// Full prunes do not report this stage; their time lands in StageBuild
 	// only.
 	StagePruneDelta = "prune-delta"
-	// StageScheduleDelta is the incremental-scheduling sub-span of the
-	// schedule stage: the time spent diffing the pending set against the
-	// persistent demand index and applying the delta instead of rebuilding
-	// the aggregation from scratch. Input is the delta size (requests
-	// added, reconciled or removed), output the number of requester-list
-	// edits applied. Full rebuilds do not report this stage; their time
-	// lands in StageSchedule only.
+	// StageScheduleDelta is a commit's upkeep of the ledger's demand index:
+	// delivering the planned documents, re-applying what a request did not
+	// receive and removing the retired requests. Input is the requests
+	// reconciled or removed, output the requester-list edits applied since
+	// the last commit, the admissions' included.
 	StageScheduleDelta = "schedule-delta"
 	// StageEncode is framing the cycle as it airs: encoding and framing the
 	// head, index, directory and second-tier segments, framing the
@@ -49,10 +47,11 @@ const (
 // Schedule kinds reported through Probe.ScheduleDone.
 const (
 	// ScheduleIncremental is a cycle planned from the delta-maintained
-	// demand index.
+	// demand index: every cycle.
 	ScheduleIncremental = "incremental"
 	// ScheduleFull is a cycle planned after a from-scratch demand
-	// aggregation: the index's first cycle or a churn fallback rebuild.
+	// aggregation. The engine no longer plans one; the kind stays for
+	// observers that count both.
 	ScheduleFull = "full"
 )
 
@@ -145,8 +144,8 @@ type Metrics struct {
 	// query-set churn or a CI change.
 	IncrementalPrunes, FullPrunes, PruneFallbacks int64
 	// IncrementalSchedules counts cycles planned from the delta-maintained
-	// demand index; FullSchedules counts cycles planned after a
-	// from-scratch demand aggregation (cold start or churn fallback).
+	// demand index; FullSchedules counts ScheduleFull reports, which the
+	// engine no longer makes.
 	IncrementalSchedules, FullSchedules int64
 	// Channels holds per-channel aggregates, indexed by channel ID; empty
 	// on single-channel runs. The engine adds them itself, no Probe event
@@ -305,7 +304,7 @@ func (c *Collector) Metrics() Metrics {
 }
 
 // probes fans telemetry out to the internal collector plus the configured
-// probes (Config.Probes).
+// probe (Config.Probe).
 type probes []Probe
 
 func (p probes) StageDone(stage string, wall time.Duration, in, out int) {

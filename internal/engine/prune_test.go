@@ -13,26 +13,18 @@ import (
 	"repro/internal/xpath"
 )
 
-// pendingFor resolves the given queries into one pending request each.
+// pendingFor resolves the given queries into one pending request each, but
+// for those with an empty answer: the set airOnce admits, for the references.
 func pendingFor(t *testing.T, e *Engine, queries []xpath.Path) []Pending {
 	t.Helper()
 	answers := resolveAll(e, queries)
 	pending := make([]Pending, 0, len(queries))
 	for i, q := range queries {
-		pending = append(pending, Pending{ID: int64(i), Query: q, Arrival: 0, Remaining: answers[q.String()]})
+		if docs := answers[q.String()]; len(docs) > 0 {
+			pending = append(pending, Pending{ID: int64(i), Query: q, Arrival: 0, Remaining: docs})
+		}
 	}
 	return pending
-}
-
-// assembleWith resolves the given queries and assembles one cycle pending
-// exactly that set.
-func assembleWith(t *testing.T, e *Engine, number int64, queries []xpath.Path) *Cycle {
-	t.Helper()
-	cy, err := e.AssembleCycle(number, 0, pendingFor(t, e, queries))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return cy
 }
 
 // referenceBuilder is the bare two-tier builder referenceCycle lays cycles out
@@ -84,7 +76,7 @@ func TestPruneIncrementalAcrossCycles(t *testing.T) {
 	e := newEngine(t, c, c.TotalSize())
 
 	// Cycle 0 over queries[0:8] is the view's first prune: full.
-	assembleWith(t, e, 0, queries[:8])
+	airOnce(t, e, 0, queries[:8])
 	m := e.Metrics()
 	if m.FullPrunes != 1 || m.IncrementalPrunes != 0 {
 		t.Fatalf("after first cycle: %d full / %d incremental prunes, want 1/0", m.FullPrunes, m.IncrementalPrunes)
@@ -92,7 +84,7 @@ func TestPruneIncrementalAcrossCycles(t *testing.T) {
 
 	// Cycle 1 swaps one query (≈12% churn, under the default threshold).
 	drifted := append(append([]xpath.Path(nil), queries[1:8]...), queries[8])
-	cy := assembleWith(t, e, 1, drifted)
+	cy, encGot := airOnce(t, e, 1, drifted)
 	m = e.Metrics()
 	if m.IncrementalPrunes != 1 {
 		t.Fatalf("after drifted cycle: IncrementalPrunes = %d, want 1", m.IncrementalPrunes)
@@ -103,10 +95,6 @@ func TestPruneIncrementalAcrossCycles(t *testing.T) {
 
 	// The incremental PCI must air exactly what a from-scratch prune airs.
 	_, wantIndex, wantSecondTier := referenceCycle(t, referenceBuilder(t, c), e.Scheduler(), c.TotalSize(), 1, 0, pendingFor(t, e, drifted))
-	encGot, err := e.EncodeCycle(cy)
-	if err != nil {
-		t.Fatal(err)
-	}
 	if !bytes.Equal(payloads(t, encGot, 0, wire.FrameIndex)[0], wantIndex) {
 		t.Error("incremental PCI index segment differs from from-scratch prune")
 	}
@@ -116,7 +104,7 @@ func TestPruneIncrementalAcrossCycles(t *testing.T) {
 	e.Recycle(encGot)
 
 	// An unchanged query set is the degenerate incremental update.
-	assembleWith(t, e, 2, drifted)
+	airOnce(t, e, 2, drifted)
 	if m = e.Metrics(); m.IncrementalPrunes != 2 {
 		t.Errorf("repeat cycle: IncrementalPrunes = %d, want 2", m.IncrementalPrunes)
 	}
@@ -125,7 +113,7 @@ func TestPruneIncrementalAcrossCycles(t *testing.T) {
 	if err := e.RemoveDocument(cy.Docs[0].ID); err != nil {
 		t.Fatal(err)
 	}
-	assembleWith(t, e, 3, drifted)
+	airOnce(t, e, 3, drifted)
 	m = e.Metrics()
 	if m.PruneFallbacks != 1 {
 		t.Errorf("after collection change: PruneFallbacks = %d, want 1", m.PruneFallbacks)
@@ -140,9 +128,9 @@ func TestPruneIncrementalAcrossCycles(t *testing.T) {
 func TestPruneChurnFallback(t *testing.T) {
 	c, queries := fixture(t, 20, 16)
 	e := newEngine(t, c, c.TotalSize())
-	assembleWith(t, e, 0, queries[:8]) // full (initial)
+	airOnce(t, e, 0, queries[:8]) // full (initial)
 	// Replace all eight queries: 100% churn.
-	assembleWith(t, e, 1, queries[8:16])
+	airOnce(t, e, 1, queries[8:16])
 	m := e.Metrics()
 	if m.PruneFallbacks != 1 {
 		t.Errorf("PruneFallbacks = %d, want 1 after full query-set turnover", m.PruneFallbacks)
@@ -164,7 +152,8 @@ func TestEncodeCycleErrorRecyclesBuffer(t *testing.T) {
 
 	c, queries := fixture(t, 6, 4)
 	e := newEngine(t, c, c.TotalSize())
-	cy := assembleWith(t, e, 0, queries)
+	cy, enc := airOnce(t, e, 0, queries)
+	e.Recycle(enc)
 
 	// Retire a scheduled document so the docs loop fails mid-encode, and
 	// drop its cached payload so the miss hits the collection lookup.

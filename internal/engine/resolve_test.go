@@ -127,9 +127,9 @@ func TestResolveResultImmutableAcrossUpdates(t *testing.T) {
 // TestInterleavedResolveAndUpdates drives one engine, on one goroutine as its
 // owner does, through a seeded interleaving of single and batch resolves, two
 // writers adding, removing and re-adding their own IDs with a different tree
-// each time, and cycle assembly and encoding over the documents no writer
-// touches. Every cached answer must equal a fresh scan of what the writers
-// have left, at every assembly and at the end.
+// each time, and cycles aired over the current answers of six queries, each
+// through a ledger of its own. Every cached answer must equal a fresh scan of
+// what the writers have left, at every assembly and at the end.
 func TestInterleavedResolveAndUpdates(t *testing.T) {
 	for _, bound := range []int{0, 4} {
 		t.Run(fmt.Sprintf("cache=%d", bound), func(t *testing.T) {
@@ -139,7 +139,6 @@ func TestInterleavedResolveAndUpdates(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			base := xmldoc.DocID(c.Len()) // fixture IDs are 1..Len; the writers work above them
 			spare, err := gen.Documents(gen.DocConfig{Schema: dtd.NITF(), NumDocs: 16, Seed: 41, FirstID: 1000})
 			if err != nil {
 				t.Fatal(err)
@@ -169,23 +168,8 @@ func TestInterleavedResolveAndUpdates(t *testing.T) {
 						live[id] = d
 					}
 					writes++
-				default: // a cycle over the fixture's own documents
-					answers := resolveAll(e, queries[:6])
-					var pending []Pending
-					for j, q := range queries[:6] {
-						docs := answers[q.String()]
-						if n, _ := slices.BinarySearch(docs, base+1); n > 0 {
-							pending = append(pending, Pending{ID: int64(j), Query: q, Remaining: docs[:n]})
-						}
-					}
-					cy, err := e.AssembleCycle(int64(cycles), int64(cycles), pending)
-					if err != nil {
-						t.Fatal(err)
-					}
-					enc, err := e.EncodeCycle(cy)
-					if err != nil {
-						t.Fatal(err)
-					}
+				default: // a cycle over the queries' current answers
+					_, enc := airOnce(t, e, 0, queries[:6])
 					e.Recycle(enc)
 					cycles++
 					checkCacheAgainstScan(t, e, live)

@@ -1,133 +1,142 @@
 package engine
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/broadcast"
 	"repro/internal/schedule"
 	"repro/internal/xmldoc"
+	"repro/internal/xpath"
 )
 
-// TestIncrementalScheduleMatchesReference drives an engine through a
-// randomized pending-set evolution (arrivals, lossy deliveries, abandons,
-// completions, and one high-churn burst that trips the rebuild fallback) and
-// requires every cycle's placed documents to equal the reference's —
-// PlanCycle over the pending slice, laid out around a from-scratch prune —
-// for all four policies.
+// TestIncrementalScheduleMatchesReference walks an in-memory ledger through
+// seeded admissions (up to three of one query at once, which share a class),
+// cycles whose air reports random documents Missed, and document removals, on
+// one channel and on four (where a commitment can fall short of the plan), with
+// each policy planning the walk's cycles. Before every cycle and after every
+// removal, each of the four policies must plan from the demand index the
+// ledger feeds exactly what its PlanCycle plans over l.Pending(), the index
+// must hold exactly the pending requests, and each request's class must hand
+// the prune the request's query. Every cycle is planned incrementally
+// and its commit reports the index's upkeep.
 func TestIncrementalScheduleMatchesReference(t *testing.T) {
 	c, queries := fixture(t, 30, 60)
-	capacity := c.TotalSize() / 10
-
 	for _, name := range schedule.Names() {
 		t.Run(name, func(t *testing.T) {
-			sched, err := schedule.New(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			inc, err := New(Config{
-				Collection:    c,
-				Mode:          broadcast.TwoTierMode,
-				Scheduler:     sched,
-				CycleCapacity: capacity,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			ref := referenceBuilder(t, c)
-
-			answers := resolveAll(inc, queries)
-
-			rng := rand.New(rand.NewSource(7))
-			type client struct {
-				p    Pending
-				lost map[xmldoc.DocID]int // deliveries this client missed
-			}
-			var live []*client
-			nextID := int64(0)
-			for cycle := int64(0); cycle < 40; cycle++ {
-				// Arrivals; cycle 20 replaces the whole audience — churn 1.0,
-				// which must trip the fallback to a full rebuild.
-				n := 1 + rng.Intn(4)
-				if cycle == 20 {
-					live = live[:0]
-					n = 30
-				}
-				for i := 0; i < n; i++ {
-					q := queries[rng.Intn(len(queries))]
-					docs := answers[q.String()]
-					if len(docs) == 0 {
-						continue
-					}
-					live = append(live, &client{
-						p: Pending{
-							ID:        nextID,
-							Query:     q,
-							Arrival:   cycle,
-							Remaining: append([]xmldoc.DocID(nil), docs...),
-						},
-						lost: map[xmldoc.DocID]int{},
-					})
-					nextID++
-				}
-				// Random abandons.
-				keep := live[:0]
-				for _, cl := range live {
-					if rng.Intn(20) != 0 {
-						keep = append(keep, cl)
-					}
-				}
-				live = keep
-
-				pending := make([]Pending, len(live))
-				for i, cl := range live {
-					pending[i] = cl.p
-				}
-				got, err := inc.AssembleCycle(cycle, cycle, pending)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, _, _ := referenceCycle(t, ref, sched, capacity, cycle, cycle, pending)
-				if !reflect.DeepEqual(got.Docs, want.Docs) {
-					t.Fatalf("cycle %d: incremental plan %v, reference %v", cycle, got.Docs, want.Docs)
-				}
-
-				// Lossy delivery: 15% of (client, doc) tunes are missed, so
-				// those Remaining sets stay unshrunk and the next diff must
-				// reconcile them against the index's post-plan state.
-				aired := make(map[xmldoc.DocID]struct{}, len(got.Docs))
-				for _, p := range got.Docs {
-					aired[p.ID] = struct{}{}
-				}
-				keep = live[:0]
-				for _, cl := range live {
-					rem := cl.p.Remaining[:0]
-					for _, d := range cl.p.Remaining {
-						if _, ok := aired[d]; ok && rng.Intn(100) >= 15 {
-							continue
-						}
-						rem = append(rem, d)
-					}
-					cl.p.Remaining = rem
-					if len(rem) > 0 {
-						keep = append(keep, cl)
-					}
-				}
-				live = keep
-			}
-
-			im := inc.Metrics()
-			if im.IncrementalSchedules == 0 {
-				t.Error("incremental engine never took the delta path")
-			}
-			if im.FullSchedules == 0 {
-				t.Error("churn burst never forced a full rebuild")
-			}
-			if im.Stages[StageScheduleDelta].Count == 0 {
-				t.Error("schedule-delta stage never reported")
+			for _, k := range []int{1, 4} {
+				t.Run(fmt.Sprintf("k%d", k), func(t *testing.T) { demandWalk(t, c, queries, name, k) })
 			}
 		})
+	}
+}
+
+func demandWalk(t *testing.T, c *xmldoc.Collection, queries []xpath.Path, name string, channels int) {
+	sched, err := schedule.New(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := slices.Clone(c.Docs())
+	coll, err := xmldoc.NewCollection(live) // RemoveDocument writes to it
+	if err != nil {
+		t.Fatal(err)
+	}
+	capacity := 2 * c.TotalSize() / c.Len()
+	e, err := New(Config{Collection: coll, Mode: broadcast.TwoTierMode, Scheduler: sched, CycleCapacity: capacity, Channels: channels})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := NewLedger(e, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	policies := make([]schedule.Scheduler, 0, len(schedule.Names()))
+	for _, n := range schedule.Names() {
+		p, err := schedule.New(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		policies = append(policies, p)
+	}
+	check := func(step int, now int64) {
+		t.Helper()
+		pending := l.Pending()
+		if l.demand.Len() != len(pending) {
+			t.Fatalf("step %d: the demand index tracks %d requests, %d are pending", step, l.demand.Len(), len(pending))
+		}
+		reqs := make([]schedule.Request, len(pending))
+		for i, p := range pending {
+			reqs[i] = schedule.Request{ID: p.ID, Arrival: p.Arrival, Docs: p.Remaining}
+			if q := l.pending[i].cls.query; q.String() != p.Query.String() {
+				t.Fatalf("step %d: request %d asked %s, its class prunes for %s", step, p.ID, p.Query, q)
+			}
+		}
+		for _, p := range policies {
+			want := p.PlanCycle(reqs, e.docSize, capacity, now)
+			if got := p.PlanIndexed(l.demand, capacity, now); !reflect.DeepEqual(got, want) {
+				t.Fatalf("step %d: %s plans %v from the ledger's index, %v over its pending set", step, p.Name(), got, want)
+			}
+		}
+	}
+
+	rng := rand.New(rand.NewSource(int64(7 + channels)))
+	now, aired, missed := int64(0), 0, 0
+	for step := 0; step < 300; step++ {
+		now += int64(1 + rng.Intn(50))
+		switch op := rng.Intn(10); {
+		case op < 4:
+			q := queries[rng.Intn(len(queries))]
+			for n := 1 + rng.Intn(3); n > 0; n-- {
+				if _, _, err := l.Admit(q, 0, now); err != nil && len(e.Resolve(q)) > 0 {
+					t.Fatalf("step %d: Admit: %v", step, err)
+				}
+			}
+		case op < 9:
+			if l.Len() == 0 {
+				continue
+			}
+			check(step, now)
+			cy, _, err := l.Air(now, func(_ *Cycle, enc *Encoded) error {
+				e.Recycle(enc)
+				for _, p := range l.Pending() {
+					if cm := l.Commitments(p.ID); len(cm) > 0 && rng.Intn(4) == 0 {
+						if err := l.Missed(p.ID, cm[rng.Intn(len(cm))].ID); err != nil {
+							return err
+						}
+						missed++
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatalf("step %d: Air: %v", step, err)
+			}
+			aired++
+			now = cy.End()
+		default:
+			if len(live) <= 5 {
+				continue
+			}
+			i := rng.Intn(len(live))
+			if err := l.RemoveDocument(live[i].ID); err != nil {
+				t.Fatalf("step %d: RemoveDocument(%d): %v", step, live[i].ID, err)
+			}
+			live = slices.Delete(live, i, i+1)
+			check(step, now)
+		}
+	}
+	check(300, now)
+	if aired < 50 || missed == 0 {
+		t.Fatalf("the walk aired %d cycles with %d documents missed: too few to exercise the upkeep", aired, missed)
+	}
+	m := e.Metrics()
+	if m.IncrementalSchedules != int64(aired) || m.FullSchedules != 0 {
+		t.Errorf("%d cycles planned: %d incremental, %d full schedules reported", aired, m.IncrementalSchedules, m.FullSchedules)
+	}
+	if got := m.Stages[StageScheduleDelta].Count; got != int64(aired) {
+		t.Errorf("%d commits reported the index's upkeep, %d cycles aired", got, aired)
 	}
 }

@@ -313,7 +313,7 @@ func StartServer(cfg ServerConfig) (*Server, error) {
 		Scheduler:     cfg.Scheduler,
 		Channels:      cfg.Channels,
 		CycleCapacity: cfg.CycleCapacity,
-		Probes:        []engine.Probe{cfg.Probe},
+		Probe:         cfg.Probe,
 		Limits:        cfg.Limits,
 		Compress:      cfg.Compress,
 	})

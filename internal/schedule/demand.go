@@ -7,12 +7,6 @@ import (
 	"repro/internal/xmldoc"
 )
 
-// DefaultScheduleChurn is the pending-set churn fraction (changed plus
-// removed requests over the union of the incoming and indexed sets) above
-// which the engine abandons delta maintenance of the demand index and
-// rebuilds it from scratch, mirroring core.DefaultPruneChurn for the PCI.
-const DefaultScheduleChurn = 0.25
-
 // demandReq is one pending request's scheduling state inside a DemandIndex.
 type demandReq struct {
 	id      int64
@@ -29,13 +23,8 @@ type demandReq struct {
 	planDelta int
 	// inv is the request's LeeLo term 1/(remaining − planDelta), or 0 when
 	// that is not positive; reinv refreshes it after either changes.
-	inv float64
-	// zombie marks a request whose last doc was delivered by a plan; it is
-	// kept (with its seq) until the driver's next pending set confirms the
-	// completion, so a lossy delivery can resurrect it without changing the
-	// summation order.
-	zombie bool
-	dead   bool // removed; awaiting byArrival compaction
+	inv  float64
+	dead bool // removed; awaiting byArrival compaction
 }
 
 // reqChunkLen is the number of requesters one chunk of a requester list
@@ -116,27 +105,29 @@ type docHeapEntry struct {
 }
 
 // DemandIndex is persistent per-document demand aggregation maintained
-// across broadcast cycles by pending-set deltas instead of being rebuilt
+// across broadcast cycles by its driver's deltas instead of being rebuilt
 // from each cycle's full pending slice: per-document requester lists with
 // refcounts-by-construction, arrival extrema for RxW, and cached LeeLo
 // scores with dirty tracking. Every policy's PlanIndexed plans directly from
 // it and is defined to produce exactly the plan the reference PlanCycle would
-// produce for the equivalent pending slice.
+// produce for the equivalent pending slice. engine.Ledger is its one driver:
+// it adds each request at admission, delivers each aired document, re-applies
+// what a request did not receive and removes each request it retires.
 //
-// Contracts, matching how the engine's drivers behave:
+// Contracts:
 //   - Request.Docs handed to Apply/Rebuild are sorted ascending without
-//     duplicates (checked: a violation is an error naming the request) and
-//     non-empty. The index copies them, so callers may lend a slice they
-//     mutate between calls.
-//   - A request keeps its arrival time for its whole life; between
-//     consecutive reconciles of the same ID its doc set only shrinks
-//     (documents are delivered, never re-demanded with others swapped in at
-//     equal count). Arbitrary same-size substitutions require a Rebuild.
-//   - Requester-list order is first-seen (Apply/Rebuild) order, so callers
-//     must present pending slices with new requests appended after old ones
-//     for LeeLo plan identity with the reference oracle.
+//     duplicates (checked: a violation is an error naming the request). The
+//     index copies them, so callers may lend a slice they mutate between
+//     calls.
+//   - A request keeps its arrival time for its whole life; Apply of a known
+//     ID reconciles its doc set against the incoming one.
+//   - Requester-list order is first-seen (Apply/Rebuild) order, so new
+//     requests must be added in the order the equivalent pending slice lists
+//     them for LeeLo plan identity with the reference oracle.
+//   - A request DeliverDoc empties stays tracked, on no requester list and
+//     adding nothing to any plan, until Remove drops it.
 //
-// Not safe for concurrent use; the engine drives it from one goroutine.
+// Not safe for concurrent use; its driver calls it from one goroutine.
 type DemandIndex struct {
 	reqs map[int64]*demandReq
 	// docTab is the per-document state, dense-indexed by DocID (a uint16):
@@ -160,9 +151,7 @@ type DemandIndex struct {
 	tombs     int
 	sortDirty bool
 
-	seq     int64
-	nzombie int
-	zombies []*demandReq // may hold resurrected entries; filtered lazily
+	seq int64
 
 	dirty []xmldoc.DocID // docs whose cached LeeLo score is stale
 	edits int            // requester-list edits since TakeEdits
@@ -297,27 +286,12 @@ func (x *DemandIndex) release(l *reqList) {
 	l.chunks, l.n = l.chunks[:0], 0
 }
 
-// Len is the number of tracked requests, including zombies awaiting their
-// driver-confirmed completion.
+// Len is the number of tracked requests, including those DeliverDoc
+// emptied that the driver has not removed yet.
 func (x *DemandIndex) Len() int { return len(x.reqs) }
 
 // NumDocs is the number of distinct demanded documents.
 func (x *DemandIndex) NumDocs() int { return x.ndocs }
-
-// Zombies is the number of tracked requests whose completion a plan
-// predicted but the driver has not yet confirmed.
-func (x *DemandIndex) Zombies() int { return x.nzombie }
-
-// Peek reports a tracked request's still-missing doc count and arrival.
-// The engine's per-cycle diff uses it: under the shrink-only contract,
-// equal (count, arrival) implies the doc sets are equal too.
-func (x *DemandIndex) Peek(id int64) (docs int, arrival int64, ok bool) {
-	rs := x.reqs[id]
-	if rs == nil {
-		return 0, 0, false
-	}
-	return len(rs.docs), rs.arrival, true
-}
 
 // TakeEdits returns and resets the number of requester-list edits applied
 // since the last call (the schedule-delta probe's output unit).
@@ -345,10 +319,6 @@ func (x *DemandIndex) Apply(r Request, size func(xmldoc.DocID) int) error {
 		x.Remove(r.ID)
 		x.addRequest(r, size)
 		return nil
-	}
-	if rs.zombie {
-		rs.zombie = false
-		x.nzombie--
 	}
 	before := rs.remaining
 	old, incoming := rs.docs, r.Docs
@@ -379,7 +349,7 @@ func (x *DemandIndex) Apply(r Request, size func(xmldoc.DocID) int) error {
 	return nil
 }
 
-// Remove drops one tracked request (driver abandoned or retired it).
+// Remove drops one tracked request (the driver retired it).
 func (x *DemandIndex) Remove(id int64) {
 	rs := x.reqs[id]
 	if rs == nil {
@@ -391,10 +361,6 @@ func (x *DemandIndex) Remove(id int64) {
 func (x *DemandIndex) removeReq(rs *demandReq) {
 	for _, d := range rs.docs {
 		x.detach(rs, d)
-	}
-	if rs.zombie {
-		rs.zombie = false
-		x.nzombie--
 	}
 	rs.dead = true
 	rs.docs = nil
@@ -412,35 +378,12 @@ func (x *DemandIndex) removeReq(rs *demandReq) {
 	}
 }
 
-// RemoveExcept drops every tracked request whose ID is not in keep.
-func (x *DemandIndex) RemoveExcept(keep map[int64]struct{}) {
-	for id, rs := range x.reqs {
-		if _, ok := keep[id]; !ok {
-			x.removeReq(rs)
-		}
-	}
-}
-
-// ExpireZombies drops every request whose plan-predicted completion was not
-// contradicted by a reconcile since. The engine uses it as the cheap sweep
-// when the only requests missing from a cycle's pending set are exactly the
-// previous plan's completions.
-func (x *DemandIndex) ExpireZombies() {
-	for _, rs := range x.zombies {
-		if rs.zombie && !rs.dead {
-			x.removeReq(rs)
-		}
-	}
-	x.zombies = x.zombies[:0]
-	x.nzombie = 0
-}
-
-// DeliverDoc applies one planned document's predicted delivery: the
-// document leaves every requester's missing set (and the index), and
-// requesters left with nothing become zombies until the driver confirms.
-// The documents whose scores go stale are found as planLeeLo finds a pick's
-// sharers (sharersFromTable); a cached score recomputed without cause comes
-// out the same.
+// DeliverDoc delivers one document to every requester: it leaves their
+// missing sets and the index. A requester left with nothing stays tracked,
+// on no requester list, until the driver removes it. The documents whose
+// scores go stale are found as planLeeLo finds a pick's sharers
+// (sharersFromTable); a cached score recomputed without cause comes out the
+// same.
 func (x *DemandIndex) DeliverDoc(d xmldoc.DocID) {
 	ds := x.doc(d)
 	if ds == nil {
@@ -460,12 +403,6 @@ func (x *DemandIndex) DeliverDoc(d xmldoc.DocID) {
 			rs.remaining -= ds.size
 			rs.reinv()
 			x.edits++
-			if len(rs.docs) == 0 {
-				rs.zombie = true
-				x.nzombie++
-				x.zombies = append(x.zombies, rs)
-				continue
-			}
 			if !dirtyAll {
 				for _, d2 := range rs.docs {
 					x.markDirty(x.doc(d2))
@@ -600,15 +537,16 @@ func grow[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// Rebuild replaces the index content from a full pending slice: the cold
-// start and high-churn fallback path. Request state construction is sharded
-// across workers; per-document aggregation is serial (document sizes are
-// resolved serially because xmldoc.Document.Size caches lazily): every
-// requester list goes back to the free list and is laid out again by
-// appending the requests in seq order. Remaining-byte sums are sharded
-// again. All scratch, the chunks and every document's chunk directory are
-// retained and reused by later rebuilds. A request violating the Docs
-// contract fails the rebuild before the index is touched.
+// Rebuild replaces the index content from a full pending slice, as applying
+// each request in order to an empty index would; no driver calls it, the
+// benchmark's planner comparison and the tests do. Request state
+// construction is sharded across workers; per-document aggregation is serial
+// (document sizes are resolved serially because xmldoc.Document.Size caches
+// lazily): every requester list goes back to the free list and is laid out
+// again by appending the requests in seq order. Remaining-byte sums are
+// sharded again. All scratch, the chunks and every document's chunk
+// directory are retained and reused by later rebuilds. A request violating
+// the Docs contract fails the rebuild before the index is touched.
 func (x *DemandIndex) Rebuild(reqs []Request, size func(xmldoc.DocID) int, workers int) error {
 	for i := range reqs {
 		if err := reqs[i].Validate(); err != nil {
@@ -626,8 +564,6 @@ func (x *DemandIndex) Rebuild(reqs []Request, size func(xmldoc.DocID) int, worke
 	x.byArrival = x.byArrival[:0]
 	x.tombs = 0
 	x.sortDirty = false
-	x.zombies = x.zombies[:0]
-	x.nzombie = 0
 	x.dirty = x.dirty[:0]
 	x.seq = int64(len(reqs))
 

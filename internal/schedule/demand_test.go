@@ -11,8 +11,8 @@ import (
 
 // checkInvariants verifies the DemandIndex's internal consistency: doc
 // lists sorted, requester lists in seq order in well-formed chunks, a
-// cleared free list, remaining-byte sums exact, arrival extrema correct,
-// zombie accounting balanced, plan deltas rolled back, and the FCFS order
+// cleared free list, remaining-byte sums exact, arrival extrema correct, a
+// request with no docs on no list, plan deltas rolled back, and the FCFS order
 // sorted whenever it claims to be. It runs in time linear in the links and
 // chunks, so the fuzzer can call it after every op.
 func checkInvariants(t *testing.T, x *DemandIndex) {
@@ -84,7 +84,7 @@ func checkInvariants(t *testing.T, x *DemandIndex) {
 		}
 	}
 
-	live, nz := 0, 0
+	live := 0
 	for id, rs := range x.reqs {
 		if rs.dead {
 			t.Fatalf("request %d tracked but dead", id)
@@ -94,12 +94,6 @@ func checkInvariants(t *testing.T, x *DemandIndex) {
 		}
 		if rs.planDelta != 0 {
 			t.Fatalf("request %d planDelta %d not rolled back", id, rs.planDelta)
-		}
-		if rs.zombie != (len(rs.docs) == 0) {
-			t.Fatalf("request %d zombie=%v with %d docs", id, rs.zombie, len(rs.docs))
-		}
-		if rs.zombie {
-			nz++
 		}
 		sum := 0
 		for k, d := range rs.docs {
@@ -122,9 +116,6 @@ func checkInvariants(t *testing.T, x *DemandIndex) {
 			t.Fatalf("request %d inv %v, remaining %d", id, rs.inv, sum)
 		}
 		live++
-	}
-	if nz != x.nzombie {
-		t.Fatalf("nzombie %d, counted %d", x.nzombie, nz)
 	}
 	seen := 0
 	for _, rs := range x.byArrival {
@@ -169,8 +160,8 @@ func randomSortedDocs(rng *rand.Rand, nDocs, k int) []xmldoc.DocID {
 
 // TestIncrementalMatchesReferenceUnderChurn drives a DemandIndex and a
 // mirror pending slice through randomized multi-cycle churn — arrivals,
-// abandons, plan-predicted deliveries with client-side loss forcing
-// reconciles, zombie expiry and periodic sharded rebuilds — asserting after
+// removals, each plan's deliveries with client-side loss re-applied as a
+// ledger does, retirements and periodic sharded rebuilds — asserting after
 // every cycle that PlanIndexed equals the reference PlanCycle oracle
 // exactly, for all four policies.
 func TestIncrementalMatchesReferenceUnderChurn(t *testing.T) {
@@ -226,12 +217,12 @@ func TestIncrementalMatchesReferenceUnderChurn(t *testing.T) {
 							add(0)
 						}
 					}
-					if len(mirror) > 0 && rng.Intn(4) == 0 { // abandon
+					if len(mirror) > 0 && rng.Intn(4) == 0 { // remove
 						i := rng.Intn(len(mirror))
 						x.Remove(mirror[i].ID)
 						mirror = append(mirror[:i], mirror[i+1:]...)
 					}
-					if step%9 == 5 { // cold-start / high-churn fallback path
+					if step%9 == 5 { // a rebuild must leave the index as the applies did
 						x.Rebuild(mirror, size, 1+rng.Intn(4))
 					}
 					checkInvariants(t, x)
@@ -259,23 +250,26 @@ func TestIncrementalMatchesReferenceUnderChurn(t *testing.T) {
 					for i := range mirror {
 						r := mirror[i]
 						kept := r.Docs[:0]
+						lost := false
 						for _, d := range r.Docs {
-							if _, ok := planned[d]; ok && rng.Float64() >= 0.15 {
+							_, ok := planned[d]
+							if ok && rng.Float64() >= 0.15 {
 								continue // delivered
 							}
+							lost = lost || ok
 							kept = append(kept, d) // not planned, or lost
 						}
 						r.Docs = kept
 						if len(r.Docs) == 0 {
-							continue // completed: driver retires it
+							x.Remove(r.ID) // completed: the driver retires it
+							continue
 						}
-						if n, _, ok := x.Peek(r.ID); !ok || n != len(r.Docs) {
+						if lost {
 							x.Apply(r, size) // lossy delivery: reconcile
 						}
 						liveMirror = append(liveMirror, r)
 					}
 					mirror = liveMirror
-					x.ExpireZombies()
 					checkInvariants(t, x)
 				}
 				if name == "leelo" && oversizedAlone == 0 {
@@ -370,7 +364,7 @@ func TestIncrementalContractsAtScale(t *testing.T) {
 
 // TestLeeLoSharerPaths: planLeeLo re-sums a document's score only while a
 // bound on it can still win the pick, and must plan exactly as the
-// reference, cycle after cycle of predicted deliveries, whether requests
+// reference, cycle after cycle of deliveries and retirements, whether requests
 // share most of their answers (dense: every request wants about half of a
 // small collection, and a pick's growth goes to every candidate) or none
 // (sparse: groups of requests with disjoint answers, and the growth goes to
@@ -459,10 +453,11 @@ func TestLeeLoSharerPaths(t *testing.T) {
 					r.Docs = slices.DeleteFunc(r.Docs, func(d xmldoc.DocID) bool { return slices.Contains(want, d) })
 					if len(r.Docs) > 0 {
 						rest = append(rest, r)
+					} else {
+						x.Remove(r.ID)
 					}
 				}
 				mirror = rest
-				x.ExpireZombies()
 				checkInvariants(t, x)
 			}
 			if tc.counted {
@@ -600,8 +595,8 @@ func TestReqListChunks(t *testing.T) {
 
 // TestListStorageRecycled pins the requester lists' storage to the index:
 // driver-shaped cycles over a pending set topped up to a fixed size —
-// arrivals appended, a LeeLo plan, its predicted deliveries, the driver's
-// retirements and zombie expiry — replayed on an index that has run them
+// arrivals appended, a LeeLo plan, its deliveries and the driver's
+// retirements — replayed on an index that has run them
 // once take every chunk and directory from storage it already holds, and a
 // Rebuild of the same pending set allocates none either.
 func TestListStorageRecycled(t *testing.T) {
@@ -636,10 +631,11 @@ func TestListStorageRecycled(t *testing.T) {
 				r.Docs = slices.DeleteFunc(r.Docs, func(d xmldoc.DocID) bool { return slices.Contains(plan, d) })
 				if len(r.Docs) > 0 {
 					rest = append(rest, r)
+				} else {
+					x.Remove(r.ID)
 				}
 			}
 			pending = rest
-			x.ExpireZombies()
 		}
 		checkInvariants(t, x)
 	}

@@ -2,16 +2,19 @@ package schedule
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/xmldoc"
 )
 
 // FuzzDemandIndex interprets the input as an op stream over a DemandIndex —
-// add, shrink-reconcile, remove, deliver, plan (with its plan-delta
-// rollback), zombie expiry and sharded rebuild — mirrored against a plain
-// pending slice. After every op the index invariants must hold and all four
-// incremental planners must equal their reference oracles.
+// add, shrink-reconcile, remove, deliver (with the requests that lost the
+// document re-applied), plan (with its plan-delta rollback) and sharded
+// rebuild — mirrored against a plain pending slice. A request a delivery
+// empties stays in both, with no documents, until a remove drops it. After
+// every op the index invariants must hold and all four incremental planners
+// must equal their reference oracles.
 func FuzzDemandIndex(f *testing.F) {
 	f.Add([]byte{0x10, 0x23, 0x31, 0x42, 0x00, 0x57, 0x68})
 	f.Add([]byte{0x00, 0x00, 0x10, 0x20, 0x30, 0x40, 0x50, 0x60, 0x70, 0x80})
@@ -84,24 +87,18 @@ func FuzzDemandIndex(f *testing.F) {
 					r.Docs = append(r.Docs[:j], r.Docs[j+1:]...)
 					x.Apply(*r, size)
 				}
-			case 3: // deliver one doc everywhere, retire completions
+			case 3: // deliver one doc everywhere; the high nibble picks, by
+				// position mod 4, the requests that lost it and re-apply it
 				d := xmldoc.DocID(arg % nDocs)
 				x.DeliverDoc(d)
-				live := mirror[:0]
-				for _, r := range mirror {
-					kept := r.Docs[:0]
-					for _, rd := range r.Docs {
-						if rd != d {
-							kept = append(kept, rd)
-						}
-					}
-					r.Docs = kept
-					if len(r.Docs) > 0 {
-						live = append(live, r)
+				for i := range mirror {
+					r := &mirror[i]
+					if j, ok := slices.BinarySearch(r.Docs, d); ok && arg>>(4+i%4)&1 == 0 {
+						r.Docs = slices.Delete(r.Docs, j, j+1)
+					} else if ok {
+						x.Apply(*r, size)
 					}
 				}
-				mirror = live
-				x.ExpireZombies()
 			case 4: // plan and compare all four policies
 				if len(mirror) == 0 {
 					continue

@@ -209,10 +209,12 @@ func restartLeg(cfg RestartConfig, res *RestartResult, recovery bool) (crashed b
 		crasher = chaos.NewCrasher(cfg.CrashSeed, int(cfg.Cycles), jn.Kill)
 		probe = crasher
 	}
-	// The recovered engine starts cold — an empty demand index and pruned
-	// view — while an uncrashed control has maintained both by deltas since
-	// cycle 0, so equivalence between the two also says the delta paths air
-	// what a fresh engine computes from the recovered state alone.
+	// The recovered engine starts cold — a pruned view with no history and
+	// a demand index its ledger builds by applying the recovered requests in
+	// ID order — while an uncrashed control has maintained both by deltas
+	// (admissions, commits, removals) since cycle 0, so equivalence between
+	// the two also says the delta paths air what a fresh engine computes
+	// from the recovered state alone.
 	eng, err := engine.New(engine.Config{
 		Collection:    cfg.Collection,
 		Model:         cfg.Model,
@@ -220,7 +222,7 @@ func restartLeg(cfg RestartConfig, res *RestartResult, recovery bool) (crashed b
 		Scheduler:     cfg.Scheduler,
 		Channels:      cfg.Channels,
 		CycleCapacity: cfg.CycleCapacity,
-		Probes:        []engine.Probe{probe},
+		Probe:         probe,
 	})
 	if err != nil {
 		return false, err

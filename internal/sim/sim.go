@@ -88,7 +88,8 @@ type Config struct {
 	LossProb float64
 	// LossSeed seeds the loss process deterministically.
 	LossSeed int64
-	// MaxCycles aborts runaway simulations. Default 100000.
+	// MaxCycles aborts runaway simulations. Default 100000. A lossless run
+	// also fails once stallCycles cycles in a row deliver nothing.
 	MaxCycles int
 	// Probe receives engine pipeline telemetry in addition to the built-in
 	// collector that fills Result.Engine. Optional.
@@ -275,7 +276,7 @@ func Run(cfg Config) (*Result, error) {
 		IndexEncoding: cfg.IndexEncoding,
 		Scheduler:     cfg.Scheduler,
 		CycleCapacity: cfg.CycleCapacity,
-		Probes:        []engine.Probe{cfg.Probe},
+		Probe:         cfg.Probe,
 		Limits:        cfg.Limits,
 		Channels:      cfg.Channels,
 		Compress:      cfg.Compress,
@@ -327,6 +328,7 @@ func Run(cfg Config) (*Result, error) {
 		frames    [2][]access.Frame // the cycle attending and the one assembled
 		fly       attendance
 		completed int
+		barren    int // lossless cycles in a row that delivered nothing
 	)
 	defer fly.wait() // an error return leaves no client attending
 	for completed < len(clients) {
@@ -445,6 +447,11 @@ func Run(cfg Config) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
+		if loss != nil || led.Delivered() > 0 {
+			barren = 0
+		} else if barren++; barren == stallCycles {
+			return nil, fmt.Errorf("sim: cycle %d delivered nothing to its %d pending requests, nor did the %d cycles before it: the run stalled", cy.Number, led.Len(), stallCycles-1)
+		}
 		next := spare[:0] // the clients still pending; both lists in ID order
 		for _, cl := range active {
 			if cl.served = len(retired) > 0 && retired[0] == cl.id; cl.served {
@@ -483,6 +490,12 @@ func Run(cfg Config) (*Result, error) {
 	res.Engine = eng.Metrics()
 	return res, nil
 }
+
+// stallCycles is how many cycles in a row a lossless run may deliver nothing
+// before it fails. Every document a K = 1 cycle plans is wanted by a pending
+// request and received by it; at K > 1 a cycle can commit nothing to requests
+// admitted for it, which all receive something the cycle after.
+const stallCycles = 3
 
 // overlapCycles reports whether a run attends each cycle while the next
 // assembles: a lossless run, whose clients receive everything the ledger

@@ -1,7 +1,10 @@
 package sim
 
 import (
+	"fmt"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -214,6 +217,49 @@ func TestMaxCyclesGuard(t *testing.T) {
 	_, err := Run(Config{Collection: c, Mode: broadcast.TwoTierMode, CycleCapacity: capacityFor(c), Requests: reqs, MaxCycles: 1})
 	if err == nil {
 		t.Error("MaxCycles=1 should abort a multi-cycle run")
+	}
+}
+
+// unwantedPlan airs document doc, which no request wants, every cycle.
+type unwantedPlan struct {
+	schedule.LeeLo
+	doc xmldoc.DocID
+}
+
+func (u unwantedPlan) PlanIndexed(*schedule.DemandIndex, int, int64) []xmldoc.DocID {
+	return []xmldoc.DocID{u.doc}
+}
+
+// TestStalledRunFailsFast: a run whose cycles deliver nothing never drains its
+// ledger. Lossless, at K = 1 and K = 4, it fails at its third such cycle, with
+// no MaxCycles set; a lossy run, whose cycles can legitimately lose
+// everything, runs on to MaxCycles.
+func TestStalledRunFailsFast(t *testing.T) {
+	c, reqs := workload(t, 15, 10, 29)
+	// One request, of the query with the fewest answers, and a document it
+	// does not want.
+	q := reqs[0].Query
+	for _, r := range reqs {
+		if len(r.Query.MatchingDocs(c)) < len(q.MatchingDocs(c)) {
+			q = r.Query
+		}
+	}
+	unwanted := slices.IndexFunc(c.IDs(), func(d xmldoc.DocID) bool { return !slices.Contains(q.MatchingDocs(c), d) })
+	if unwanted < 0 {
+		t.Fatalf("query %s wants every document", q)
+	}
+	cfg := Config{Collection: c, Mode: broadcast.TwoTierMode, CycleCapacity: capacityFor(c),
+		Requests: []ClientRequest{{Query: q}}, Scheduler: unwantedPlan{doc: c.IDs()[unwanted]}}
+	for _, k := range []int{1, 4} {
+		cfg.Channels = k
+		_, err := Run(cfg)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("cycle %d ", stallCycles-1)) || !strings.Contains(err.Error(), "stalled") {
+			t.Errorf("K=%d: Run error = %v, want the stall named at cycle %d", k, err, stallCycles-1)
+		}
+	}
+	cfg.Channels, cfg.LossProb, cfg.MaxCycles = 1, 0.1, 20
+	if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "MaxCycles=20") {
+		t.Errorf("lossy: Run error = %v, want MaxCycles to stop it", err)
 	}
 }
 
