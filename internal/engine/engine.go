@@ -260,8 +260,11 @@ func (e *Engine) Metrics() Metrics { return e.collector.Metrics() }
 // the documents; the first miss after a collection update also pays the CI's
 // lazy rebuild, as the next cycle otherwise would. The returned slice is
 // shared with the cache and never written again: treat it as read-only.
-func (e *Engine) Resolve(q xpath.Path) []xmldoc.DocID {
-	key := q.String()
+func (e *Engine) Resolve(q xpath.Path) []xmldoc.DocID { return e.resolve(q, q.String()) }
+
+// resolve is Resolve for a caller that holds the query's canonical string,
+// key.
+func (e *Engine) resolve(q xpath.Path, key string) []xmldoc.DocID {
 	if en := e.answers.get(key); en != nil {
 		e.probe.CacheAccess(true)
 		return en.docs

@@ -1,14 +1,17 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/broadcast"
 	"repro/internal/journal"
+	"repro/internal/schedule"
 	"repro/internal/xmldoc"
 	"repro/internal/xpath"
 )
@@ -26,6 +29,10 @@ import (
 // cycle's air Commitments is Cycle.Commitments over each pending request's set
 // keyed on its admission cycle — asked before any Missed or not, and again
 // after Missed moved requests to classes of their own — and nil outside it.
+// A restart must also recover the killed ledger's classes, and so its plans
+// (sameClasses), whatever Missed splits, removals and failed cycles came
+// between the admissions; a cycle that fails in its air leaves the pending
+// set and the cycle number as they were.
 // The k4 walks air four channels, where the admission cycle's commitment
 // differs from a later cycle's.
 func TestLedgerMatchesJournal(t *testing.T) {
@@ -35,6 +42,8 @@ func TestLedgerMatchesJournal(t *testing.T) {
 		t.Run(fmt.Sprintf("k4_%d", seed), func(t *testing.T) { ledgerWalk(t, c, queries, seed, 4) })
 	}
 }
+
+var errAirFailed = errors.New("air failed")
 
 func ledgerWalk(t *testing.T, c *xmldoc.Collection, queries []xpath.Path, seed int64, channels int) {
 	rng := rand.New(rand.NewSource(seed))
@@ -86,6 +95,11 @@ func ledgerWalk(t *testing.T, c *xmldoc.Collection, queries []xpath.Path, seed i
 			}
 		case op < 16:
 			var missed []Pending // one request and document per entry
+			// One cycle in six fails in its air, after its Missed reports: the
+			// pending set and the cycle number stay as they were. (With
+			// nothing pending there is no cycle to fail.)
+			before, cycles := l.Pending(), l.Cycles()
+			fail := rng.Intn(6) == 0 && len(before) > 0
 			checkCommitments := func(cy *Cycle, when string) {
 				for _, p := range l.Pending() {
 					// A journaled ledger's arrival is the admission cycle.
@@ -116,8 +130,17 @@ func ledgerWalk(t *testing.T, c *xmldoc.Collection, queries []xpath.Path, seed i
 					missed = append(missed, Pending{ID: p.ID, Remaining: []xmldoc.DocID{d}})
 				}
 				checkCommitments(cy, "after Missed")
+				if fail {
+					return errAirFailed
+				}
 				return nil
 			})
+			if fail {
+				if !errors.Is(err, errAirFailed) || l.Cycles() != cycles || !samePending(l.Pending(), before) {
+					t.Fatalf("step %d: a failed air returned %v and left cycle %d (was %d), pending %v (was %v)", step, err, l.Cycles(), cycles, l.Pending(), before)
+				}
+				break
+			}
 			if err != nil {
 				t.Fatalf("step %d: Air: %v", step, err)
 			}
@@ -142,13 +165,14 @@ func ledgerWalk(t *testing.T, c *xmldoc.Collection, queries []xpath.Path, seed i
 				}
 			}
 		default:
-			before := l.Pending()
+			before, killed := l.Pending(), l
 			jn.Kill()
 			open()
 			clear(covered)
 			if !samePending(l.Pending(), before) {
 				t.Fatalf("step %d: recovered %v, the killed ledger held %v", step, l.Pending(), before)
 			}
+			sameClasses(t, fmt.Sprintf("step %d", step), killed, l)
 		}
 		st, err := journal.ReadState(dir)
 		if err != nil {
@@ -165,6 +189,95 @@ func ledgerWalk(t *testing.T, c *xmldoc.Collection, queries []xpath.Path, seed i
 				t.Fatalf("step %d (op %d): request %d is committed %v outside a cycle's air", step, op, p.ID, cm)
 			}
 		}
+	}
+}
+
+// TestLedgerRecoversClasses: within one admission cycle, a document added
+// between two admissions of one query puts them in two classes, its removal
+// merges them again, and after another removal a third admission still
+// joins the class; a restart recovers that one class, open to the cycle's
+// next admission.
+func TestLedgerRecoversClasses(t *testing.T) {
+	c, queries := fixture(t, 30, 20)
+	e := newEngine(t, c, c.TotalSize())
+	var q xpath.Path
+	var answer []xmldoc.DocID
+	for _, cand := range queries {
+		if answer = e.Resolve(cand); len(answer) >= 3 {
+			q = cand
+			break
+		}
+	}
+	if len(answer) < 3 {
+		t.Fatal("no query answers three documents")
+	}
+	d, other := answer[0], answer[1]
+	var held *xmldoc.Document
+	live := slices.DeleteFunc(slices.Clone(c.Docs()), func(doc *xmldoc.Document) bool {
+		if doc.ID == d {
+			held = doc
+		}
+		return doc.ID == d
+	})
+	dir := t.TempDir()
+	var jn *journal.Journal
+	open := func() *Ledger {
+		var st *journal.State
+		var err error
+		if jn, st, err = journal.Open(journal.Options{Dir: dir}); err != nil {
+			t.Fatal(err)
+		}
+		coll, err := xmldoc.NewCollection(live)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l, err := NewLedger(newEngine(t, coll, c.TotalSize()), jn, st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return l
+	}
+	l := open()
+	defer func() { jn.Kill() }()
+	admit := func(l *Ledger) {
+		t.Helper()
+		if _, _, err := l.Admit(q, 0, l.Cycles()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	weights := func(l *Ledger) []int {
+		var w []int
+		for _, c := range l.classes {
+			w = append(w, c.members)
+		}
+		return w
+	}
+	admit(l)
+	if err := l.AddDocument(held); err != nil {
+		t.Fatal(err)
+	}
+	live = append(live, held)
+	admit(l)
+	if got := weights(l); !slices.Equal(got, []int{1, 1}) {
+		t.Fatalf("after an added document, class weights %v, want [1 1]", got)
+	}
+	for _, id := range []xmldoc.DocID{d, other} {
+		if err := l.RemoveDocument(id); err != nil {
+			t.Fatal(err)
+		}
+		live = slices.DeleteFunc(live, func(doc *xmldoc.Document) bool { return doc.ID == id })
+	}
+	admit(l)
+	if got := weights(l); !slices.Equal(got, []int{3}) {
+		t.Fatalf("after the removals, class weights %v, want [3]", got)
+	}
+	killed := l
+	jn.Kill()
+	l = open()
+	sameClasses(t, "recovered", killed, l)
+	admit(l)
+	if got := weights(l); !slices.Equal(got, []int{4}) {
+		t.Fatalf("recovered, then admitted again: class weights %v, want [4]", got)
 	}
 }
 
@@ -321,6 +434,49 @@ func TestLedgerServedHorizon(t *testing.T) {
 	}
 	if _, served, _ := l.Lookup(ids[len(ids)-1]); !served {
 		t.Errorf("newest request %d not served", ids[len(ids)-1])
+	}
+}
+
+// sameClasses fails unless ledger b holds a's classes — each one's key,
+// arrival, weight, set, query and admission cycle, in order — and the same
+// classes open to admissions in the current cycle, and unless every policy
+// plans the same cycle from the two ledgers' demand indexes.
+func sameClasses(t *testing.T, when string, a, b *Ledger) {
+	t.Helper()
+	type class struct {
+		entry    schedule.Request
+		key      string
+		admitted int64
+	}
+	classes := func(l *Ledger) (cs []class, fresh map[string][]int64) {
+		fresh = make(map[string][]int64)
+		for _, c := range l.classes {
+			e := c.entry()
+			e.Docs = slices.Clone(e.Docs)
+			cs = append(cs, class{e, c.query.String(), c.admitted})
+			if slices.Contains(l.fresh[c.key], c) {
+				fresh[c.key] = append(fresh[c.key], c.id)
+			}
+		}
+		return cs, fresh
+	}
+	ac, af := classes(a)
+	bc, bf := classes(b)
+	if !reflect.DeepEqual(ac, bc) {
+		t.Fatalf("%s: classes %+v, the killed ledger's %+v", when, bc, ac)
+	}
+	if !reflect.DeepEqual(af, bf) {
+		t.Fatalf("%s: classes open to admission %v, the killed ledger's %v", when, bf, af)
+	}
+	capacity := a.eng.capacity
+	for _, n := range schedule.Names() {
+		p, err := schedule.New(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := p.PlanIndexed(b.demand, capacity, a.Cycles()), p.PlanIndexed(a.demand, capacity, a.Cycles()); !slices.Equal(got, want) {
+			t.Fatalf("%s: %s plans %v, from the killed ledger's index %v", when, n, got, want)
+		}
 	}
 }
 

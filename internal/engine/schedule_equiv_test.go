@@ -15,14 +15,18 @@ import (
 
 // TestIncrementalScheduleMatchesReference walks an in-memory ledger through
 // seeded admissions (up to three of one query at once, which share a class),
-// cycles whose air reports random documents Missed, and document removals, on
-// one channel and on four (where a commitment can fall short of the plan), with
-// each policy planning the walk's cycles. Before every cycle and after every
-// removal, each of the four policies must plan from the demand index the
-// ledger feeds exactly what its PlanCycle plans over l.Pending(), the index
-// must hold exactly the pending requests, and each request's class must hand
-// the prune the request's query. Every cycle is planned incrementally
-// and its commit reports the index's upkeep.
+// cycles whose air reports random documents Missed — which splits classes,
+// re-keying those whose keying member leaves — and document removals, on one channel and on four (where a
+// commitment can fall short of the plan), with each policy planning the
+// walk's cycles. Before every cycle and after every removal, each of the four
+// policies must plan from the demand index the ledger feeds exactly what its
+// PlanCycle plans over the ledger's weighted entries, one per class in the
+// index's order; FCFS, MRF and RxW must also plan what they plan over
+// l.Pending(), one entry per request. The entries must group the pending set
+// exactly — each class's weight its members, its key its first member, its
+// set theirs — and each request's class must hand the
+// prune the request's query. Every cycle is planned incrementally and its
+// commit reports the index's upkeep.
 func TestIncrementalScheduleMatchesReference(t *testing.T) {
 	c, queries := fixture(t, 30, 60)
 	for _, name := range schedule.Names() {
@@ -68,22 +72,47 @@ func demandWalk(t *testing.T, c *xmldoc.Collection, queries []xpath.Path, name s
 			t.Fatalf("step %d: the demand index tracks %d requests, %d are pending", step, l.demand.Len(), len(pending))
 		}
 		reqs := make([]schedule.Request, len(pending))
+		members := make(map[*reqClass]int)
 		for i, p := range pending {
 			reqs[i] = schedule.Request{ID: p.ID, Arrival: p.Arrival, Docs: p.Remaining}
-			if q := l.pending[i].cls.query; q.String() != p.Query.String() {
+			c := l.pending[i].cls
+			if q := c.query; q.String() != p.Query.String() {
 				t.Fatalf("step %d: request %d asked %s, its class prunes for %s", step, p.ID, p.Query, q)
 			}
+			if !slices.Equal(p.Remaining, c.docs) {
+				t.Fatalf("step %d: request %d lacks %v, its class %v", step, p.ID, p.Remaining, c.docs)
+			}
+			if members[c] == 0 && (c.id != p.ID || c.arrival != p.Arrival) {
+				t.Fatalf("step %d: request %d (arrival %d) is its class's first member, the class is keyed %d (arrival %d)", step, p.ID, p.Arrival, c.id, c.arrival)
+			}
+			members[c]++
+		}
+		entries := make([]schedule.Request, len(l.classes))
+		for i, c := range l.classes {
+			if members[c] != c.members {
+				t.Fatalf("step %d: class of request %d counts %d members, %d are pending", step, c.id, c.members, members[c])
+			}
+			entries[i] = c.entry()
+		}
+		if len(members) != len(l.classes) {
+			t.Fatalf("step %d: %d classes, the pending requests belong to %d", step, len(l.classes), len(members))
 		}
 		for _, p := range policies {
-			want := p.PlanCycle(reqs, e.docSize, capacity, now)
+			want := p.PlanCycle(entries, e.docSize, capacity, now)
 			if got := p.PlanIndexed(l.demand, capacity, now); !reflect.DeepEqual(got, want) {
-				t.Fatalf("step %d: %s plans %v from the ledger's index, %v over its pending set", step, p.Name(), got, want)
+				t.Fatalf("step %d: %s plans %v from the ledger's index, %v over its entries", step, p.Name(), got, want)
+			}
+			if p.Name() == "leelo" {
+				continue // its terms round by weight: only the entries define its plan
+			}
+			if got := p.PlanCycle(reqs, e.docSize, capacity, now); !reflect.DeepEqual(got, want) {
+				t.Fatalf("step %d: %s plans %v over the pending set, %v over its entries", step, p.Name(), got, want)
 			}
 		}
 	}
 
 	rng := rand.New(rand.NewSource(int64(7 + channels)))
-	now, aired, missed := int64(0), 0, 0
+	now, aired, missed, splits, rekeys := int64(0), 0, 0, 0, 0
 	for step := 0; step < 300; step++ {
 		now += int64(1 + rng.Intn(50))
 		switch op := rng.Intn(10); {
@@ -103,6 +132,12 @@ func demandWalk(t *testing.T, c *xmldoc.Collection, queries []xpath.Path, name s
 				e.Recycle(enc)
 				for _, p := range l.Pending() {
 					if cm := l.Commitments(p.ID); len(cm) > 0 && rng.Intn(4) == 0 {
+						if i, _ := l.find(p.ID); l.pending[i].cls.members > 1 {
+							splits++
+							if l.pending[i].cls.id == p.ID {
+								rekeys++
+							}
+						}
 						if err := l.Missed(p.ID, cm[rng.Intn(len(cm))].ID); err != nil {
 							return err
 						}
@@ -129,8 +164,8 @@ func demandWalk(t *testing.T, c *xmldoc.Collection, queries []xpath.Path, name s
 		}
 	}
 	check(300, now)
-	if aired < 50 || missed == 0 {
-		t.Fatalf("the walk aired %d cycles with %d documents missed: too few to exercise the upkeep", aired, missed)
+	if aired < 50 || missed == 0 || rekeys == 0 || splits == rekeys {
+		t.Fatalf("the walk aired %d cycles with %d documents missed, %d splitting a class, %d of them re-keying it: too few to exercise the upkeep", aired, missed, splits, rekeys)
 	}
 	m := e.Metrics()
 	if m.IncrementalSchedules != int64(aired) || m.FullSchedules != 0 {

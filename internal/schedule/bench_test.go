@@ -2,6 +2,7 @@ package schedule
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/xmldoc"
@@ -60,7 +61,9 @@ const benchChurnSwap = 500 // of 10k pending: 5% churn per cycle
 // performs versus delta maintenance of a persistent DemandIndex (target
 // ≥5×), over 4 000 documents and, sparser still, over 10 000. bench/
 // replays the 4 000-document pair at the benchmark's own scale as
-// schedule.plan_full_us / schedule.plan_indexed_us.
+// schedule.plan_full_us / schedule.plan_indexed_us. The paper pair is a
+// ledger's cycle on paper_sim's shape (see benchPaperCycles), with one entry
+// per request and with one weighted entry per class.
 func BenchmarkScheduleIncremental(b *testing.B) {
 	for _, v := range []struct {
 		suffix string
@@ -106,6 +109,95 @@ func BenchmarkScheduleIncremental(b *testing.B) {
 			}
 		})
 	}
+	for _, v := range []struct {
+		name     string
+		weighted bool
+	}{{"paper-requests", false}, {"paper-classes", true}} {
+		b.Run(v.name, func(b *testing.B) { benchPaperCycles(b, v.weighted) })
+	}
+}
+
+// The paper pair's shape: paper_sim's 100 documents of 2–20 KB and its 82
+// distinct queries, here with answers of 60–100 documents, and cycles of
+// 100 KB that each admit paperCycleReqs requests for uniform queries. A
+// request is served in ≈ 10 cycles, as on paper_sim, so ≈ 10 000 requests in
+// ≈ 820 classes (a query's requests of one cycle) are pending.
+const (
+	paperQueries   = 82
+	paperCycleReqs = 1_000
+)
+
+// benchPaperCycles runs a ledger's cycle on the demand index per op: it
+// admits a cycle's requests — one entry each, or, weighted, one per class
+// whose weight each repeat raises — plans with LeeLo, delivers the plan and
+// retires the classes it drains, whose entries the deliveries emptied.
+func benchPaperCycles(b *testing.B, weighted bool) {
+	r := rand.New(rand.NewSource(3))
+	sizes := make([]int, 100)
+	for d := range sizes {
+		sizes[d] = 2000 + r.Intn(18000)
+	}
+	size := func(d xmldoc.DocID) int { return sizes[d] }
+	answers := make([][]xmldoc.DocID, paperQueries)
+	for q := range answers {
+		answers[q] = randomSortedDocs(r, len(sizes), 60+r.Intn(41))
+	}
+	type class struct {
+		entry Request
+		ids   []int64 // its entries: the class's, or one per member
+	}
+	x := NewDemandIndex()
+	var classes []*class
+	nextID := int64(0)
+	cycle := func(c int64) {
+		fresh := make(map[int]*class, paperQueries)
+		for k := 0; k < paperCycleReqs; k++ {
+			q := r.Intn(paperQueries)
+			cl := fresh[q]
+			if cl == nil {
+				cl = &class{entry: Request{ID: nextID, Arrival: c, Docs: slices.Clone(answers[q])}}
+				fresh[q] = cl
+				classes = append(classes, cl)
+			}
+			switch {
+			case !weighted:
+				x.Apply(Request{ID: nextID, Arrival: c, Docs: cl.entry.Docs}, size)
+				cl.ids = append(cl.ids, nextID)
+			case cl.ids == nil:
+				x.Apply(cl.entry, size)
+				cl.ids = append(cl.ids, nextID)
+			default:
+				cl.entry.Weight = cl.entry.weight() + 1
+				x.Apply(cl.entry, size)
+			}
+			nextID++
+		}
+		plan := LeeLo{}.PlanIndexed(x, 100_000, c)
+		for _, d := range plan {
+			x.DeliverDoc(d)
+		}
+		classes = slices.DeleteFunc(classes, func(cl *class) bool {
+			cl.entry.Docs = slices.DeleteFunc(cl.entry.Docs, func(d xmldoc.DocID) bool { return slices.Contains(plan, d) })
+			if len(cl.entry.Docs) > 0 {
+				return false
+			}
+			for _, id := range cl.ids {
+				x.Remove(id)
+			}
+			return true
+		})
+	}
+	for c := int64(0); c < 40; c++ { // to the steady state
+		cycle(c)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cycle(int64(40 + i))
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(x.Len()), "pending")
+	b.ReportMetric(float64(len(classes)), "classes")
 }
 
 func BenchmarkLeeLo(b *testing.B) { benchScheduler(b, LeeLo{}) }

@@ -1,31 +1,36 @@
 package schedule
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"sync"
 
 	"repro/internal/xmldoc"
 )
 
-// demandReq is one pending request's scheduling state inside a DemandIndex.
+// demandReq is one entry's scheduling state inside a DemandIndex: a pending
+// request, or a class of them that lack the same documents.
 type demandReq struct {
 	id      int64
 	arrival int64
-	// seq is the request's first-seen order. Requester lists are kept in
-	// seq order so LeeLo's float score sums run in exactly the pending-slice
-	// order the reference PlanCycle uses — bit-identical summation.
-	seq  int64
-	docs []xmldoc.DocID // still-missing docs, sorted ascending
+	// weight is the number of requests the entry stands for, ≥ 1 while it
+	// is tracked; 0 marks a removed entry awaiting byArrival compaction.
+	weight int
+	docs   []xmldoc.DocID // still-missing docs, sorted ascending
 	// remaining is the byte sum of docs (LeeLo's denominator base).
 	remaining int
 	// planDelta is the bytes of docs picked for this request within the
 	// plan currently being built; always rolled back to 0 afterwards.
 	planDelta int
-	// inv is the request's LeeLo term 1/(remaining − planDelta), or 0 when
-	// that is not positive; reinv refreshes it after either changes.
-	inv  float64
-	dead bool // removed; awaiting byArrival compaction
+	// inv is the entry's LeeLo term weight·(1/(remaining − planDelta)), or
+	// 0 when that is not positive; reinv refreshes it after any of them
+	// changes.
+	inv float64
 }
+
+// dead reports whether rs was removed.
+func (rs *demandReq) dead() bool { return rs.weight == 0 }
 
 // reqChunkLen is the number of requesters one chunk of a requester list
 // holds. Every chunk has this size, so a chunk one document frees serves any
@@ -34,10 +39,13 @@ const reqChunkLen = 128
 
 type reqChunk [reqChunkLen]*demandReq
 
-// reqList is a document's requesters in seq order (see demandReq.seq): the
-// first n slots of its chunks, in directory order. Chunks come from the
-// index's free list and go back to it, cleared, as the list shrinks; the
-// directory keeps its capacity, so a document demanded again reuses it.
+// reqList is a document's requesters in ID order, so LeeLo's float score
+// sums run in exactly the order the reference PlanCycle sums the entries
+// sorted by ID — bit-identical summation, whatever order the entries were
+// applied in. Its requesters are the first n slots of its chunks, in
+// directory order. Chunks come from the index's free list and go back to it,
+// cleared, as the list shrinks; the directory keeps its capacity, so a
+// document demanded again reuses it.
 type reqList struct {
 	chunks []*reqChunk // len(chunks) == ⌈n / reqChunkLen⌉
 	n      int
@@ -46,7 +54,7 @@ type reqList struct {
 func (l *reqList) at(i int) *demandReq { return l.chunks[i/reqChunkLen][i%reqChunkLen] }
 
 // part returns the used slots of chunk c. Walking part(0), part(1), … visits
-// the requesters in seq order.
+// the requesters in ID order.
 func (l *reqList) part(c int) []*demandReq {
 	if end := l.n - c*reqChunkLen; end < reqChunkLen {
 		return l.chunks[c][:end]
@@ -54,10 +62,10 @@ func (l *reqList) part(c int) []*demandReq {
 	return l.chunks[c][:]
 }
 
-// search returns the position of the first requester whose seq is at least
-// seq.
-func (l *reqList) search(seq int64) int {
-	return sort.Search(l.n, func(i int) bool { return l.at(i).seq >= seq })
+// search returns the position of the first requester whose ID is at least
+// id.
+func (l *reqList) search(id int64) int {
+	return sort.Search(l.n, func(i int) bool { return l.at(i).id >= id })
 }
 
 // minArrival returns the earliest arrival among the requesters of a
@@ -79,6 +87,7 @@ type demandDoc struct {
 	id         xmldoc.DocID
 	size       int
 	reqs       reqList
+	count      int64 // Σ weight over reqs: MRF's count, RxW's R
 	minArrival int64
 	// score is the cached LeeLo base score Σ 1/remaining over reqs, valid
 	// when dirty is false. Plans never write it.
@@ -107,29 +116,35 @@ type docHeapEntry struct {
 // DemandIndex is persistent per-document demand aggregation maintained
 // across broadcast cycles by its driver's deltas instead of being rebuilt
 // from each cycle's full pending slice: per-document requester lists with
-// refcounts-by-construction, arrival extrema for RxW, and cached LeeLo
+// weight sums for MRF and RxW, arrival extrema for RxW, and cached LeeLo
 // scores with dirty tracking. Every policy's PlanIndexed plans directly from
 // it and is defined to produce exactly the plan the reference PlanCycle would
-// produce for the equivalent pending slice. engine.Ledger is its one driver:
-// it adds each request at admission, delivers each aired document, re-applies
-// what a request did not receive and removes each request it retires.
+// produce for the equivalent pending slice. Its entries are Requests, each of
+// which may stand for several requests (Request.Weight). engine.Ledger is its
+// one driver: it keeps one entry per class of requests, adds a class at its
+// first admission and raises its weight at each further one, delivers each
+// aired document, hands over a cycle's class splits at once (ApplyAll),
+// re-applies what a class did not receive and removes each class it retires
+// or merges away.
 //
 // Contracts:
 //   - Request.Docs handed to Apply/Rebuild are sorted ascending without
-//     duplicates (checked: a violation is an error naming the request). The
-//     index copies them, so callers may lend a slice they mutate between
-//     calls.
-//   - A request keeps its arrival time for its whole life; Apply of a known
-//     ID reconciles its doc set against the incoming one.
-//   - Requester-list order is first-seen (Apply/Rebuild) order, so new
-//     requests must be added in the order the equivalent pending slice lists
-//     them for LeeLo plan identity with the reference oracle.
-//   - A request DeliverDoc empties stays tracked, on no requester list and
+//     duplicates and Weight is not negative (checked: a violation is an error
+//     naming the request). The index copies Docs, so callers may lend a slice
+//     they mutate between calls.
+//   - An entry keeps its arrival time for its whole life; Apply of a known
+//     ID reconciles its doc set and weight against the incoming ones.
+//   - Requester lists are in ID order: the equivalent pending slice lists
+//     the entries sorted by ID, whatever order they were applied in, and
+//     re-applying a known ID keeps its place.
+//   - An entry DeliverDoc empties stays tracked, on no requester list and
 //     adding nothing to any plan, until Remove drops it.
+//   - Len counts requests, Σ Weight, not entries.
 //
 // Not safe for concurrent use; its driver calls it from one goroutine.
 type DemandIndex struct {
 	reqs map[int64]*demandReq
+	n    int // Σ weight over reqs
 	// docTab is the per-document state, dense-indexed by DocID (a uint16):
 	// slice indexing keeps the planners' inner loops off map hashing, which
 	// dominated the dense-sharing profile. nil slots are undemanded docs.
@@ -151,8 +166,6 @@ type DemandIndex struct {
 	tombs     int
 	sortDirty bool
 
-	seq int64
-
 	dirty []xmldoc.DocID // docs whose cached LeeLo score is stale
 	edits int            // requester-list edits since TakeEdits
 
@@ -169,9 +182,14 @@ type DemandIndex struct {
 	cands   []*demandDoc
 	out     []xmldoc.DocID
 	touched []*demandReq
+	// ApplyAll scratch
+	fresh     []*demandReq
+	linkStart []int
+	links     []*demandReq
 
 	// rebuild scratch, reused across rebuilds
 	reqSlab   []demandReq
+	byID      []*demandReq
 	docIDSlab []xmldoc.DocID
 	offs      []int
 }
@@ -286,9 +304,10 @@ func (x *DemandIndex) release(l *reqList) {
 	l.chunks, l.n = l.chunks[:0], 0
 }
 
-// Len is the number of tracked requests, including those DeliverDoc
-// emptied that the driver has not removed yet.
-func (x *DemandIndex) Len() int { return len(x.reqs) }
+// Len is the number of requests the tracked entries stand for, Σ weight,
+// including the entries DeliverDoc emptied that the driver has not removed
+// yet.
+func (x *DemandIndex) Len() int { return x.n }
 
 // NumDocs is the number of distinct demanded documents.
 func (x *DemandIndex) NumDocs() int { return x.ndocs }
@@ -301,11 +320,12 @@ func (x *DemandIndex) TakeEdits() int {
 	return e
 }
 
-// Apply upserts one request: unknown IDs are added, known IDs are
-// reconciled against the incoming doc set (documents delivered elsewhere
-// are detached, lost documents re-attached) preserving the request's seq so
-// summation order is stable. An arrival change is treated as a new request.
-// A request violating the Docs contract is refused and the index left as is.
+// Apply upserts one entry: unknown IDs are added, known IDs are reconciled
+// against the incoming weight and doc set (documents delivered elsewhere are
+// detached, lost documents re-attached) keeping the entry's place on every
+// list. An arrival change is treated as a new entry. A
+// request violating the Request contract is refused and the index left as
+// is.
 func (x *DemandIndex) Apply(r Request, size func(xmldoc.DocID) int) error {
 	if err := r.Validate(); err != nil {
 		return err
@@ -320,7 +340,10 @@ func (x *DemandIndex) Apply(r Request, size func(xmldoc.DocID) int) error {
 		x.addRequest(r, size)
 		return nil
 	}
-	before := rs.remaining
+	before, reweighted := rs.remaining, rs.weight != r.weight()
+	if reweighted {
+		x.setWeight(rs, r.weight())
+	}
 	old, incoming := rs.docs, r.Docs
 	i, j := 0, 0
 	changed := false
@@ -341,12 +364,118 @@ func (x *DemandIndex) Apply(r Request, size func(xmldoc.DocID) int) error {
 	if changed {
 		rs.docs = append(rs.docs[:0], incoming...)
 	}
-	if rs.remaining != before {
+	if rs.remaining != before || reweighted {
 		for _, d := range rs.docs {
 			x.markDirty(x.doc(d))
 		}
 	}
 	return nil
+}
+
+// ApplyAll applies every entry of reqs, whose IDs are distinct, leaving the
+// index as Apply on each in turn would (in any order: requester lists are in
+// ID order), but links the new entries into each document's requester list
+// in one merge pass, where Apply's insertions below a list's tail each move
+// its tail on. A request violating the Request contract is refused, naming
+// it, and the index left as is.
+func (x *DemandIndex) ApplyAll(reqs []Request, size func(xmldoc.DocID) int) error {
+	for _, r := range reqs {
+		if err := r.Validate(); err != nil {
+			return err
+		}
+	}
+	fresh := x.fresh[:0]
+	top := 0 // past the highest document a new entry asks for
+	for _, r := range reqs {
+		if rs := x.reqs[r.ID]; rs != nil {
+			if rs.arrival == r.Arrival {
+				_ = x.Apply(r, size) // validated above
+				continue
+			}
+			x.Remove(r.ID)
+		}
+		fresh = append(fresh, x.track(r))
+		if n := len(r.Docs); n > 0 {
+			top = max(top, int(r.Docs[n-1])+1)
+		}
+	}
+	// The new entries' links, by document (a counting sort), each
+	// document's in ID order: the order its list takes them in.
+	slices.SortFunc(fresh, byID)
+	start := grow(x.linkStart, top+1)
+	clear(start)
+	for _, rs := range fresh {
+		for _, d := range rs.docs {
+			start[d+1]++
+		}
+	}
+	for d := 1; d <= top; d++ {
+		start[d] += start[d-1]
+	}
+	links := grow(x.links, start[top])
+	for _, rs := range fresh {
+		for _, d := range rs.docs {
+			links[start[d]] = rs
+			start[d]++
+		}
+	}
+	// start[d] is now where document d's links end.
+	for d, begin := 0, 0; d < top; d++ {
+		if end := start[d]; end > begin {
+			x.merge(xmldoc.DocID(d), links[begin:end], size)
+			begin = end
+		}
+	}
+	for _, rs := range fresh {
+		rs.reinv()
+	}
+	clear(links)
+	clear(fresh)
+	x.links, x.fresh, x.linkStart = links[:0], fresh[:0], start
+	return nil
+}
+
+// merge links run, new entries for document d in ID order, into d's
+// requester list, as attach does each, moving each old requester once.
+func (x *DemandIndex) merge(d xmldoc.DocID, run []*demandReq, size func(xmldoc.DocID) int) {
+	ds := x.doc(d)
+	if ds == nil {
+		ds = x.newDoc(d, size(d), run[0].arrival)
+	}
+	l := &ds.reqs
+	old := l.n
+	for range run {
+		x.push(l, nil)
+	}
+	// Fill the list from its end: each slot takes the larger-ID of the old
+	// requesters and the new entries not yet placed.
+	i, j := old-1, len(run)-1
+	for w := l.n - 1; j >= 0; w-- {
+		var rs *demandReq
+		if i >= 0 && l.at(i).id > run[j].id {
+			rs, i = l.at(i), i-1
+		} else {
+			rs, j = run[j], j-1
+			ds.count += int64(rs.weight)
+			rs.remaining += ds.size
+			ds.minArrival = min(ds.minArrival, rs.arrival)
+			x.edits++
+		}
+		l.chunks[w/reqChunkLen][w%reqChunkLen] = rs
+	}
+	x.markDirty(ds)
+}
+
+// setWeight changes what rs stands for to w requests, on every list it is
+// on.
+func (x *DemandIndex) setWeight(rs *demandReq, w int) {
+	dw := int64(w - rs.weight)
+	for _, d := range rs.docs {
+		x.doc(d).count += dw
+	}
+	x.n += w - rs.weight
+	rs.weight = w
+	rs.reinv()
 }
 
 // Remove drops one tracked request (the driver retired it).
@@ -362,14 +491,14 @@ func (x *DemandIndex) removeReq(rs *demandReq) {
 	for _, d := range rs.docs {
 		x.detach(rs, d)
 	}
-	rs.dead = true
-	rs.docs = nil
+	x.n -= rs.weight
+	rs.weight, rs.docs = 0, nil
 	x.tombs++
 	delete(x.reqs, rs.id)
 	if x.tombs > 64 && x.tombs*2 > len(x.byArrival) {
 		live := x.byArrival[:0]
 		for _, r := range x.byArrival {
-			if !r.dead {
+			if !r.dead() {
 				live = append(live, r)
 			}
 		}
@@ -414,12 +543,18 @@ func (x *DemandIndex) DeliverDoc(d xmldoc.DocID) {
 }
 
 func (x *DemandIndex) addRequest(r Request, size func(xmldoc.DocID) int) {
-	rs := &demandReq{id: r.ID, arrival: r.Arrival, seq: x.seq}
-	x.seq++
-	rs.docs = append(make([]xmldoc.DocID, 0, len(r.Docs)), r.Docs...)
+	rs := x.track(r)
 	for _, d := range r.Docs {
 		x.attach(rs, d, size)
 	}
+}
+
+// track makes r a tracked entry on no requester list yet, with its own copy
+// of r.Docs and no remaining bytes.
+func (x *DemandIndex) track(r Request) *demandReq {
+	rs := &demandReq{id: r.ID, arrival: r.Arrival, weight: r.weight()}
+	x.n += rs.weight
+	rs.docs = append(make([]xmldoc.DocID, 0, len(r.Docs)), r.Docs...)
 	x.reqs[r.ID] = rs
 	if n := len(x.byArrival); n > 0 {
 		if last := x.byArrival[n-1]; r.Arrival < last.arrival ||
@@ -428,11 +563,13 @@ func (x *DemandIndex) addRequest(r Request, size func(xmldoc.DocID) int) {
 		}
 	}
 	x.byArrival = append(x.byArrival, rs)
+	return rs
 }
 
-// attach adds rs to d's requester list at its seq position and folds the
+// attach adds rs to d's requester list at its ID position and folds the
 // doc's size into the request's remaining bytes. Only a document new to the
-// index asks size for it; the newest request (always, from addRequest)
+// index asks size for it; a request with a higher ID than the list's last
+// (a new one, from a driver that numbers requests as it admits them)
 // appends.
 func (x *DemandIndex) attach(rs *demandReq, d xmldoc.DocID, size func(xmldoc.DocID) int) {
 	ds := x.doc(d)
@@ -441,11 +578,12 @@ func (x *DemandIndex) attach(rs *demandReq, d xmldoc.DocID, size func(xmldoc.Doc
 	} else if rs.arrival < ds.minArrival {
 		ds.minArrival = rs.arrival
 	}
-	if n := ds.reqs.n; n == 0 || ds.reqs.at(n-1).seq < rs.seq {
+	if n := ds.reqs.n; n == 0 || ds.reqs.at(n-1).id < rs.id {
 		x.push(&ds.reqs, rs)
 	} else {
-		x.insertAt(&ds.reqs, ds.reqs.search(rs.seq), rs)
+		x.insertAt(&ds.reqs, ds.reqs.search(rs.id), rs)
 	}
+	ds.count += int64(rs.weight)
 	rs.remaining += ds.size
 	rs.reinv()
 	x.markDirty(ds)
@@ -456,7 +594,8 @@ func (x *DemandIndex) attach(rs *demandReq, d xmldoc.DocID, size func(xmldoc.Doc
 // extremum when rs held it, and drops the doc once undemanded.
 func (x *DemandIndex) detach(rs *demandReq, d xmldoc.DocID) {
 	ds := x.doc(d)
-	x.removeAt(&ds.reqs, ds.reqs.search(rs.seq))
+	x.removeAt(&ds.reqs, ds.reqs.search(rs.id))
+	ds.count -= int64(rs.weight)
 	rs.remaining -= ds.size
 	rs.reinv()
 	x.edits++
@@ -478,8 +617,8 @@ func (x *DemandIndex) markDirty(ds *demandDoc) {
 }
 
 // refreshScores recomputes the cached LeeLo base score of every dirtied
-// doc. Summation runs over the seq-ordered requester list, which is the
-// reference oracle's pending-slice order, so cached and from-scratch scores
+// doc. Summation runs over the ID-ordered requester list, which is the
+// reference oracle's order over the entries sorted by ID, so cached and from-scratch scores
 // are bit-identical.
 func (x *DemandIndex) refreshScores() {
 	for _, d := range x.dirty {
@@ -492,8 +631,9 @@ func (x *DemandIndex) refreshScores() {
 }
 
 // planScore is the doc's LeeLo score against the plan being built:
-// Σ 1/(remaining − planDelta) over requesters, in seq order. A request with
-// nothing left adds its inv of 0, which leaves the sum's bits as they are.
+// Σ weight·(1/(remaining − planDelta)) over requesters, in ID order. An
+// entry with nothing left adds its inv of 0, which leaves the sum's bits as
+// they are.
 func (x *DemandIndex) planScore(ds *demandDoc) float64 {
 	s := 0.0
 	for c := range ds.reqs.chunks {
@@ -504,11 +644,13 @@ func (x *DemandIndex) planScore(ds *demandDoc) float64 {
 	return s
 }
 
-// reinv refreshes rs.inv; called wherever remaining or planDelta is written.
+// reinv refreshes rs.inv; called wherever weight, remaining or planDelta is
+// written. The product is the reference's term, and at weight 1 it is
+// 1/rem exactly.
 func (rs *demandReq) reinv() {
 	rs.inv = 0
 	if rem := rs.remaining - rs.planDelta; rem > 0 {
-		rs.inv = 1 / float64(rem)
+		rs.inv = float64(rs.weight) * (1 / float64(rem))
 	}
 }
 
@@ -543,7 +685,7 @@ func grow[T any](s []T, n int) []T {
 // construction is sharded across workers; per-document aggregation is serial
 // (document sizes are resolved serially because xmldoc.Document.Size caches
 // lazily): every requester list goes back to the free list and is laid out
-// again by appending the requests in seq order. Remaining-byte sums are
+// again by appending the requests in ID order. Remaining-byte sums are
 // sharded again. All scratch, the chunks and every document's chunk
 // directory are retained and reused by later rebuilds. A request violating
 // the Docs contract fails the rebuild before the index is touched.
@@ -554,6 +696,7 @@ func (x *DemandIndex) Rebuild(reqs []Request, size func(xmldoc.DocID) int, worke
 		}
 	}
 	clear(x.reqs)
+	x.n = 0
 	for _, ds := range x.docTab {
 		if ds != nil {
 			x.release(&ds.reqs)
@@ -565,7 +708,6 @@ func (x *DemandIndex) Rebuild(reqs []Request, size func(xmldoc.DocID) int, worke
 	x.tombs = 0
 	x.sortDirty = false
 	x.dirty = x.dirty[:0]
-	x.seq = int64(len(reqs))
 
 	n := len(reqs)
 	if n == 0 {
@@ -596,14 +738,20 @@ func (x *DemandIndex) Rebuild(reqs []Request, size func(xmldoc.DocID) int, worke
 			off, end := x.offs[i], x.offs[i+1]
 			docs := x.docIDSlab[off:end:end]
 			copy(docs, r.Docs)
-			x.reqSlab[i] = demandReq{id: r.ID, arrival: r.Arrival, seq: int64(i), docs: docs}
+			x.reqSlab[i] = demandReq{id: r.ID, arrival: r.Arrival, weight: r.weight(), docs: docs}
 		}
 	})
 
-	// Phase 2 (serial): resolve sizes and lay out the requester lists.
-	// Appending in request order keeps every list in seq order.
+	// Phase 2 (serial): resolve sizes and lay out the requester lists,
+	// appending the requests in ID order.
+	x.byID = grow(x.byID, n)
 	for i := range x.reqSlab[:n] {
-		rs := &x.reqSlab[i]
+		x.byID[i] = &x.reqSlab[i]
+	}
+	if !slices.IsSortedFunc(x.byID, byID) {
+		slices.SortFunc(x.byID, byID)
+	}
+	for _, rs := range x.byID {
 		for _, d := range rs.docs {
 			ds := x.doc(d)
 			if ds == nil {
@@ -613,7 +761,9 @@ func (x *DemandIndex) Rebuild(reqs []Request, size func(xmldoc.DocID) int, worke
 				ds.minArrival = rs.arrival
 			}
 			x.push(&ds.reqs, rs)
+			ds.count += int64(rs.weight)
 		}
+		x.n += rs.weight
 	}
 
 	// Phase 3 (sharded): remaining-byte sums and the reqs map refill.
@@ -649,6 +799,8 @@ func (x *DemandIndex) Rebuild(reqs []Request, size func(xmldoc.DocID) int, worke
 	x.edits += total
 	return nil
 }
+
+func byID(a, b *demandReq) int { return cmp.Compare(a.id, b.id) }
 
 // runShards runs fn over [0,n) in contiguous ranges of the given width,
 // serially when one worker suffices.

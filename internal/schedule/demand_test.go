@@ -10,15 +10,16 @@ import (
 )
 
 // checkInvariants verifies the DemandIndex's internal consistency: doc
-// lists sorted, requester lists in seq order in well-formed chunks, a
-// cleared free list, remaining-byte sums exact, arrival extrema correct, a
-// request with no docs on no list, plan deltas rolled back, and the FCFS order
+// lists sorted, requester lists in ID order in well-formed chunks, a
+// cleared free list, remaining-byte sums and per-document weight sums exact,
+// arrival extrema correct, an entry with no docs on no list, plan deltas
+// rolled back, Len equal to the entries' summed weight, and the FCFS order
 // sorted whenever it claims to be. It runs in time linear in the links and
 // chunks, so the fuzzer can call it after every op.
 func checkInvariants(t *testing.T, x *DemandIndex) {
 	t.Helper()
 	// listed counts the requester lists each request appears in. Each list
-	// holds a request at most once (seq order is strict) and only for a
+	// holds a request at most once (ID order is strict) and only for a
 	// document it demands, so a count equal to its doc count means it is on
 	// every list it should be.
 	listed := make(map[*demandReq]int, len(x.reqs))
@@ -46,20 +47,21 @@ func checkInvariants(t *testing.T, x *DemandIndex) {
 			t.Fatalf("doc %d: requester slots past the list end are not cleared", d)
 		}
 		min := l.at(0).arrival
+		count := int64(0)
 		var prev *demandReq
 		for c := range l.chunks {
 			for _, rs := range l.part(c) {
 				if rs == nil {
 					t.Fatalf("doc %d requester list holds nil", d)
 				}
-				if prev != nil && prev.seq >= rs.seq {
-					t.Fatalf("doc %d requester list not in seq order", d)
+				if prev != nil && prev.id >= rs.id {
+					t.Fatalf("doc %d requester list not in ID order", d)
 				}
 				prev = rs
 				if rs.arrival < min {
 					min = rs.arrival
 				}
-				if rs.dead {
+				if rs.dead() {
 					t.Fatalf("doc %d lists dead request %d", d, rs.id)
 				}
 				if x.reqs[rs.id] != rs {
@@ -69,7 +71,11 @@ func checkInvariants(t *testing.T, x *DemandIndex) {
 					t.Fatalf("doc %d lists request %d that no longer demands it", d, rs.id)
 				}
 				listed[rs]++
+				count += int64(rs.weight)
 			}
+		}
+		if count != ds.count {
+			t.Fatalf("doc %d weight sum %d, want %d", d, ds.count, count)
 		}
 		if min != ds.minArrival {
 			t.Fatalf("doc %d minArrival %d, want %d", d, ds.minArrival, min)
@@ -84,9 +90,13 @@ func checkInvariants(t *testing.T, x *DemandIndex) {
 		}
 	}
 
-	live := 0
+	live, weight := 0, 0
 	for id, rs := range x.reqs {
-		if rs.dead {
+		if rs.weight < 1 {
+			t.Fatalf("request %d weight %d", id, rs.weight)
+		}
+		weight += rs.weight
+		if rs.dead() {
 			t.Fatalf("request %d tracked but dead", id)
 		}
 		if rs.id != id {
@@ -112,14 +122,17 @@ func checkInvariants(t *testing.T, x *DemandIndex) {
 		if sum != rs.remaining {
 			t.Fatalf("request %d remaining %d, want %d", id, rs.remaining, sum)
 		}
-		if sum > 0 && rs.inv != 1/float64(sum) || sum <= 0 && rs.inv != 0 {
+		if sum > 0 && rs.inv != float64(rs.weight)*(1/float64(sum)) || sum <= 0 && rs.inv != 0 {
 			t.Fatalf("request %d inv %v, remaining %d", id, rs.inv, sum)
 		}
 		live++
 	}
+	if x.Len() != weight {
+		t.Fatalf("Len %d, the entries stand for %d requests", x.Len(), weight)
+	}
 	seen := 0
 	for _, rs := range x.byArrival {
-		if rs.dead {
+		if rs.dead() {
 			continue
 		}
 		seen++

@@ -14,7 +14,7 @@ func (FCFS) PlanIndexed(x *DemandIndex, capacity int, _ int64) []xmldoc.DocID {
 // PlanIndexed implements Scheduler.
 func (MRF) PlanIndexed(x *DemandIndex, capacity int, _ int64) []xmldoc.DocID {
 	return x.planByCount(capacity, func(ds *demandDoc) int64 {
-		return int64(ds.reqs.n)
+		return ds.count
 	})
 }
 
@@ -27,7 +27,7 @@ func (RxW) PlanIndexed(x *DemandIndex, capacity int, now int64) []xmldoc.DocID {
 		if oldest < 1 {
 			oldest = 1 // fresh requests still compete on R
 		}
-		return int64(ds.reqs.n) * oldest
+		return ds.count * oldest
 	})
 }
 
@@ -57,7 +57,7 @@ func (x *DemandIndex) planFCFS(capacity int) []xmldoc.DocID {
 	out := x.out[:0]
 	used := 0
 	for _, rs := range x.byArrival {
-		if rs.dead {
+		if rs.dead() {
 			continue
 		}
 		for _, d := range rs.docs {
@@ -320,21 +320,29 @@ func leeLoDown(h []*demandDoc, i int) {
 }
 
 // leeLoSlack returns μ for planLeeLo's bound, given n at least the
-// requesters of any document and the picks of a plan.
+// requesters (entries, not the requests they stand for) of any document and
+// the picks of a plan.
 //
 // With u = 2⁻⁵³ and γ = γₙ = n·u/(1 − n·u), a float sum of at most n
 // non-negative terms is within a factor 1 ± γ of their exact sum. Both
-// planners add the same float terms 1/rem; let S be their exact sum. A
+// planners add the same float terms t = fl(w·fl(1/rem)) in the same order;
+// let S be the exact sum of a document's current terms. The two roundings
+// inside a term are not errors here: S is a sum of the float terms
+// themselves, which is what both planners compare. They matter only
+// through monotonicity: rounding is monotone, so as a plan's picks shrink
+// rem a term never falls, except to 0 when its requester completes. A
 // summed score s is then at least (1−γ)·S. Until the next summation S rises
-// by at most the exact growth of the picks since: a shared requester's rise
-// is part of its pick's growth, and a term that falls only lowers S. grow
-// is at least (1−u)(1−γ)² of that growth (each rise is a rounded
-// difference, summed per pick and then over picks). The current score is
-// therefore at most (1+γ)·(s/(1−γ) + grow/(1−γ)³) ≤ (1+γ)/(1−γ)³·(s + grow),
-// while the bound's add, the rounding of 1+μ and its multiply each lose at
-// most a factor 1−u ≥ 1−γ. The bound holds when 1+μ ≥ (1+γ)/(1−γ)⁶, which
-// μ = 8γ meets for γ ≤ 1/64 (n ≤ 2⁴⁶). There 16·n·u ≥ 8γ, and n·2⁻⁴⁹ is
-// exact in floating point.
+// by at most the exact growth of the picks since: a shared requester's
+// rise t_new − t_old ≥ 0 is part of its pick's growth, and a term that falls
+// to 0 only lowers S. grow is at least (1−u)(1−γ)² of that growth (each rise
+// is a rounded difference of two terms, summed per pick and then over
+// picks, all non-negative). The current score is therefore at most
+// (1+γ)·(s/(1−γ) + grow/(1−γ)³) ≤ (1+γ)/(1−γ)³·(s + grow), while the
+// bound's add, the rounding of 1+μ and its multiply each lose at most a
+// factor 1−u ≥ 1−γ. The bound holds when 1+μ ≥ (1+γ)/(1−γ)⁶, which μ = 8γ
+// meets for γ ≤ 1/64 (n ≤ 2⁴⁶). There 16·n·u ≥ 8γ, and n·2⁻⁴⁹ is exact in
+// floating point. Weights change no factor: they are inside the terms, and
+// a weighted entry is one term of a sum, so n counts entries.
 func leeLoSlack(n int) float64 {
 	return float64(n) * 0x1p-49
 }

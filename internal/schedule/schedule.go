@@ -18,7 +18,9 @@ import (
 
 // Request is one pending query at the server, reduced to what scheduling
 // needs: its identity, arrival time (in broadcast bytes) and the result
-// documents the client still lacks.
+// documents the client still lacks. One Request may stand for several
+// requests that lack the same documents (Weight): the requests of a class,
+// keyed by the ID and Arrival of the one that sorts first by (Arrival, ID).
 type Request struct {
 	// ID uniquely identifies the request.
 	ID int64
@@ -28,13 +30,25 @@ type Request struct {
 	// duplicates. Schedulers only read them during the call, so a driver may
 	// lend its own slice (see Validate).
 	Docs []xmldoc.DocID
+	// Weight is the number of requests the Request stands for; 0 means 1.
+	// FCFS plans a weighted Request as the same number of requests with its
+	// Docs that sort no earlier would plan, and MRF and RxW count its
+	// weight; LeeLo's term for it is float64(Weight)·(1/remaining), which is
+	// one rounding away from that many terms 1/remaining.
+	Weight int
 }
 
-// Validate checks the Docs contract. Plans depend on it — FCFS packs a
-// request's documents in Docs order, and the demand index merges Docs against
-// its own sorted copy — so the code that reads Docs rejects a violation
-// instead of planning from it.
+// weight is the number of requests r stands for.
+func (r Request) weight() int { return max(r.Weight, 1) }
+
+// Validate checks the Docs contract and that Weight is not negative. Plans
+// depend on it — FCFS packs a request's documents in Docs order, and the
+// demand index merges Docs against its own sorted copy — so the code that
+// reads Docs rejects a violation instead of planning from it.
 func (r Request) Validate() error {
+	if r.Weight < 0 {
+		return fmt.Errorf("schedule: request %d: negative weight %d", r.ID, r.Weight)
+	}
 	for i := 1; i < len(r.Docs); i++ {
 		if r.Docs[i-1] >= r.Docs[i] {
 			return fmt.Errorf("schedule: request %d: documents not sorted and distinct (%d before %d)", r.ID, r.Docs[i-1], r.Docs[i])
@@ -81,20 +95,23 @@ func New(name string) (Scheduler, error) {
 // Names lists the available scheduler names.
 func Names() []string { return []string{"leelo", "fcfs", "mrf", "rxw"} }
 
-// demand aggregates, per document, which pending requests need it.
+// demand aggregates, per document, which pending requests need it and how
+// many requests they stand for.
 type demand struct {
-	docs []xmldoc.DocID
-	need map[xmldoc.DocID][]int // doc -> indexes into pending
+	docs  []xmldoc.DocID
+	need  map[xmldoc.DocID][]int // doc -> indexes into pending
+	count map[xmldoc.DocID]int64 // doc -> Σ weight over need
 }
 
 func buildDemand(pending []Request) demand {
-	d := demand{need: make(map[xmldoc.DocID][]int)}
+	d := demand{need: make(map[xmldoc.DocID][]int), count: make(map[xmldoc.DocID]int64)}
 	for ri := range pending {
 		for _, doc := range pending[ri].Docs {
 			if _, ok := d.need[doc]; !ok {
 				d.docs = append(d.docs, doc)
 			}
 			d.need[doc] = append(d.need[doc], ri)
+			d.count[doc] += int64(pending[ri].weight())
 		}
 	}
 	sort.Slice(d.docs, func(i, j int) bool { return d.docs[i] < d.docs[j] })
@@ -154,7 +171,7 @@ func (FCFS) PlanCycle(pending []Request, size func(xmldoc.DocID) int, capacity i
 }
 
 // MRF (most requested first) broadcasts the documents demanded by the most
-// pending requests.
+// pending requests, counting a weighted request as its weight.
 type MRF struct{}
 
 // Name implements Scheduler.
@@ -165,7 +182,7 @@ func (MRF) PlanCycle(pending []Request, size func(xmldoc.DocID) int, capacity in
 	d := buildDemand(pending)
 	order := append([]xmldoc.DocID(nil), d.docs...)
 	sort.SliceStable(order, func(i, j int) bool {
-		ci, cj := len(d.need[order[i]]), len(d.need[order[j]])
+		ci, cj := d.count[order[i]], d.count[order[j]]
 		if ci != cj {
 			return ci > cj
 		}
@@ -195,7 +212,7 @@ func (RxW) PlanCycle(pending []Request, size func(xmldoc.DocID) int, capacity in
 		if oldest < 1 {
 			oldest = 1 // fresh requests still compete on R
 		}
-		score[doc] = int64(len(d.need[doc])) * oldest
+		score[doc] = d.count[doc] * oldest
 	}
 	order := append([]xmldoc.DocID(nil), d.docs...)
 	sort.SliceStable(order, func(i, j int) bool {
@@ -212,8 +229,9 @@ func (RxW) PlanCycle(pending []Request, size func(xmldoc.DocID) int, capacity in
 // result set has been received, so the scheduler favours documents that
 // bring popular, nearly-complete queries to completion. Each candidate
 // document is scored by Σ over the requests needing it of
-// 1 / (remaining result bytes of that request), and documents are chosen
-// greedily, rescoring as requests shrink within the cycle plan.
+// weight · (1 / remaining result bytes of that request), summed in pending
+// order, and documents are chosen greedily, rescoring as requests shrink
+// within the cycle plan.
 type LeeLo struct{}
 
 // Name implements Scheduler.
@@ -246,7 +264,7 @@ func (LeeLo) PlanCycle(pending []Request, size func(xmldoc.DocID) int, capacity 
 			score := 0.0
 			for _, ri := range d.need[doc] {
 				if remaining[ri] > 0 {
-					score += 1 / float64(remaining[ri])
+					score += float64(pending[ri].weight()) * (1 / float64(remaining[ri]))
 				}
 			}
 			if score > bestScore {

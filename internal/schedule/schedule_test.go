@@ -197,3 +197,39 @@ func TestQuickLeeLoNeverIdles(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestWeightedPlansMatchExpanded: FCFS, MRF and RxW plan a weighted Request
+// as the requests it stands for. On seeded pending sets of entries of weight
+// 0 (one) to 5, each policy's PlanCycle must plan the same as over the
+// entries expanded to one request per member — the entry itself and members
+// with its documents that sort after it by (Arrival, ID) — shuffled.
+func TestWeightedPlansMatchExpanded(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		nDocs := 2 + rng.Intn(30)
+		sizes := make([]int, nDocs)
+		for d := range sizes {
+			sizes[d] = 100 + rng.Intn(900)
+		}
+		size := func(d xmldoc.DocID) int { return sizes[d] }
+		var entries, expanded []Request
+		nextMember := int64(1000)
+		for i := 0; i < 1+rng.Intn(12); i++ {
+			e := Request{ID: int64(i), Arrival: int64(rng.Intn(50)), Docs: randomSortedDocs(rng, nDocs, 1+rng.Intn(min(nDocs, 6))), Weight: rng.Intn(6)}
+			entries = append(entries, e)
+			expanded = append(expanded, Request{ID: e.ID, Arrival: e.Arrival, Docs: e.Docs})
+			for k := 1; k < e.weight(); k++ {
+				expanded = append(expanded, Request{ID: nextMember, Arrival: e.Arrival + int64(rng.Intn(3)), Docs: e.Docs})
+				nextMember++
+			}
+		}
+		rng.Shuffle(len(expanded), func(i, j int) { expanded[i], expanded[j] = expanded[j], expanded[i] })
+		capacity, now := 500+rng.Intn(3000), int64(60+rng.Intn(20))
+		for _, s := range []Scheduler{FCFS{}, MRF{}, RxW{}} {
+			got, want := s.PlanCycle(entries, size, capacity, now), s.PlanCycle(expanded, size, capacity, now)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d: %s plans %v over weighted entries, %v over their members", seed, s.Name(), got, want)
+			}
+		}
+	}
+}

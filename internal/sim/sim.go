@@ -10,10 +10,15 @@
 // (package access), on the simulator's byte clock. A cycle's frames are
 // decoded once for all of its clients, and since an index read depends only
 // on the cycle and the query (§3.4), the clients of one query share one
-// navigator and the index is navigated once per (cycle, query). Clients
-// attend a cycle in parallel, one shard of them per core, unless a loss
-// process, one random stream drawn in client order, orders them; the result
-// is the same either way.
+// navigator and the index is navigated once per (cycle, query). A reader's
+// course depends only on its query, the cycles it is fed and its losses, so
+// on a lossless single channel the clients the ledger admits into one class
+// (engine.Ledger.Class) share one reader, fed once per cycle; each client
+// copies its tuning, cycles and completion and counts access time from its
+// own arrival. Readers attend a cycle in
+// parallel, one shard of them per core, unless a loss process, one random
+// stream drawn in client order, orders them; the result is the same either
+// way.
 //
 // The server is an engine.Ledger on the byte clock, as in netcast: arrivals
 // are admitted into it and cycles air through it, and the ledger alone says
@@ -197,7 +202,8 @@ type Result struct {
 
 // client is the in-flight state of one request, the client's side: what the
 // server believes it lacks is the ledger's. On a single channel the client is
-// netcast's reader fed the cycle's frames. On multichannel runs needed is
+// netcast's reader fed the cycle's frames, a reader it may share with the
+// other clients of its class. On multichannel runs needed is
 // what it has yet to download, which can drain ahead of the ledger's set (a
 // client synced mid-cycle on an index repetition catches documents beyond the
 // conservative commitment); the request stays pending until the ledger's set
@@ -212,7 +218,11 @@ type client struct {
 	served    bool                   // the ledger retired the request
 	stats     ClientStats
 
-	reader access.Reader
+	// reader is the reader the client receives on (nil at K > 1): its own,
+	// or, when lead is not nil, the reader of the client it shares one with,
+	// which is fed, and whose account this client copies.
+	reader *access.Reader
+	lead   *client
 	loss   *lossProcess
 	start  int64 // byte-time the cycle being read started
 }
@@ -240,6 +250,15 @@ func (cl *client) done() bool {
 		return len(cl.needed) == 0
 	}
 	return cl.reader.Done()
+}
+
+// copyLead takes the account of the reader cl shares: its tuning, cycles
+// and completion, with the access time from cl's own arrival.
+func (cl *client) copyLead() {
+	ld := &cl.lead.stats
+	cl.stats.IndexTuningBytes, cl.stats.DocTuningBytes, cl.stats.CyclesListened = ld.IndexTuningBytes, ld.DocTuningBytes, ld.CyclesListened
+	cl.stats.Completed = ld.Completed
+	cl.stats.AccessBytes = cl.stats.Completed - cl.stats.Arrival
 }
 
 // lacks reports whether cl has yet to receive document d of its result set.
@@ -305,10 +324,7 @@ func Run(cfg Config) (*Result, error) {
 			queries[key] = q
 		}
 		cl := &client{index: i, q: q, stats: ClientStats{Query: r.Query, Arrival: r.Arrival, Docs: q.docs}, loss: loss}
-		if cfg.Channels <= 1 {
-			cl.reader.Init(q.nav, 1, cl)
-			cl.reader.WholeTier = cfg.WholeTierRead
-		} else {
+		if cfg.Channels > 1 {
 			cl.needed = slices.Clone(q.docs)
 		}
 		clients[i] = cl
@@ -316,7 +332,7 @@ func Run(cfg Config) (*Result, error) {
 	byArrival := append([]*client(nil), clients...)
 	sort.SliceStable(byArrival, func(i, j int) bool { return byArrival[i].stats.Arrival < byArrival[j].stats.Arrival })
 
-	overlap := overlapCycles(&cfg)
+	overlap, share := overlapCycles(&cfg), shareReaders(&cfg)
 	res := &Result{Mode: cfg.Mode}
 	var (
 		now      int64
@@ -325,7 +341,9 @@ func Run(cfg Config) (*Result, error) {
 		// across cycles, never outgrow the clients, so they are sized once.
 		active    = make([]*client, 0, len(clients))
 		spare     = make([]*client, 0, len(clients))
-		frames    [2][]access.Frame // the cycle attending and the one assembled
+		leadsBuf  []*client                 // the active clients that read for themselves
+		byClass   = make(map[int64]*client) // reader owners, by the ID keying their class
+		frames    [2][]access.Frame         // the cycle attending and the one assembled
 		fly       attendance
 		completed int
 		barren    int // lossless cycles in a row that delivered nothing
@@ -343,6 +361,20 @@ func Run(cfg Config) (*Result, error) {
 			cl := byArrival[admitted]
 			if _, cl.id, err = led.Admit(cl.stats.Query, 0, cl.stats.Arrival); err != nil {
 				return nil, fmt.Errorf("sim: request %d (%s): %w; the paper assumes satisfiable requests", cl.index, cl.stats.Query, err)
+			}
+			// lead is the reader owner of the class the ledger put the request
+			// in, if it joined one: only a sharing run files owners.
+			switch lead := byClass[led.Class(cl.id)]; {
+			case cfg.Channels > 1: // no reader: attendMultichannel plays the tuner
+			case lead != nil:
+				cl.lead, cl.reader = lead, lead.reader
+			default:
+				cl.reader = new(access.Reader)
+				cl.reader.Init(cl.q.nav, 1, cl)
+				cl.reader.WholeTier = cfg.WholeTierRead
+				if share {
+					byClass[cl.id] = cl // the request starts its class
+				}
 			}
 			active = append(active, cl)
 			admitted++
@@ -417,8 +449,18 @@ func Run(cfg Config) (*Result, error) {
 					cl.commit = append(cl.commit[:0], led.Commitments(cl.id)...)
 				}
 			}
+			leads := active
+			if share {
+				leads = leadsBuf[:0]
+				for _, cl := range active {
+					if cl.lead == nil {
+						leads = append(leads, cl)
+					}
+				}
+				leadsBuf = leads
+			}
 			start := cy.Start
-			fly = attendance{num: cy.Number, clients: active, enc: enc, frames: fb, done: make(chan error, 1), single: single,
+			fly = attendance{num: cy.Number, clients: active, leads: leads, enc: enc, frames: fb, done: make(chan error, 1), single: single,
 				attend: func(cl *client) error {
 					if single {
 						return attendFrames(cl, start, *fb)
@@ -485,6 +527,9 @@ func Run(cfg Config) (*Result, error) {
 
 	res.Clients = make([]ClientStats, len(clients))
 	for i, cl := range clients {
+		if cl.lead != nil {
+			cl.copyLead()
+		}
 		res.Clients[i] = cl.stats
 	}
 	res.Engine = eng.Metrics()
@@ -497,6 +542,12 @@ func Run(cfg Config) (*Result, error) {
 // admitted for it, which all receive something the cycle after.
 const stallCycles = 3
 
+// shareReaders reports whether the clients the ledger admits into one class
+// share one reader: a lossless single-channel run, whose readers follow the
+// same course. A variable so tests can give every client its own reader on
+// any run.
+var shareReaders = func(cfg *Config) bool { return cfg.LossProb == 0 && cfg.Channels <= 1 }
+
 // overlapCycles reports whether a run attends each cycle while the next
 // assembles: a lossless run, whose clients receive everything the ledger
 // commits to them and so report nothing Missed, and the ledger's commit need
@@ -507,9 +558,12 @@ var overlapCycles = func(cfg *Config) bool { return cfg.LossProb == 0 }
 // attendance is one cycle's clients attending it. On an overlapped run they
 // attend on a goroutine of their own while the next cycle assembles, reading
 // the cycle's decoded frames, which stay valid until join hands them back.
+// leads are the clients that read for themselves; the others share their
+// readers.
 type attendance struct {
 	num     int64
 	clients []*client
+	leads   []*client
 	enc     *engine.Encoded
 	frames  *[]access.Frame
 	attend  func(*client) error
@@ -520,7 +574,7 @@ type attendance struct {
 
 // run attends the cycle for every client; it may run on its own goroutine.
 func (a *attendance) run(loss *lossProcess) {
-	a.done <- attendAll(a.clients, loss, a.attend)
+	a.done <- attendAll(a.leads, loss, a.attend)
 }
 
 // wait waits for the clients and returns the first one's error, in active
