@@ -83,25 +83,17 @@ type Config struct {
 	Compress bool
 }
 
-// Pending is one outstanding request as the scheduler sees it: the query (for
-// index pruning), the arrival time in the driver's clock, and the result
-// documents the client still lacks.
+// Pending is a copy of one outstanding request, for inspection
+// (Ledger.Pending): the ledger keeps its requests by class.
 type Pending struct {
-	// ID uniquely identifies the request; relative order must follow
-	// submission order for deterministic tie-breaking.
-	ID int64
-	// Query is the request's XPath query.
+	ID    int64 // assigned in admission order
 	Query xpath.Path
-	// Arrival is the request's arrival time in the driver's clock units, which
-	// the scheduler reads: byte-time in sim, the admission cycle in netcast
-	// and in a journaled Ledger. The ledger keeps a request's admission cycle
-	// apart from it.
+	// Arrival is the request's arrival time in the driver's clock: byte-time
+	// in sim, the admission cycle in netcast and in a journaled Ledger.
 	Arrival int64
 	// Remaining are the result documents not yet delivered, sorted ascending
 	// without duplicates.
 	Remaining []xmldoc.DocID
-
-	cls *reqClass // the request's class in a Ledger; nil elsewhere
 }
 
 // Cycle is one assembled broadcast cycle plus the pipeline inputs it was

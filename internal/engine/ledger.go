@@ -26,21 +26,23 @@ import (
 // call, Air, from snapshot to commit, so nothing the owner runs lands inside
 // a cycle: an admission or a document write is covered by the next one.
 //
-// The ledger is also the only writer of the demand index the engine plans
-// from: each change to the pending set is applied to it as it happens, so a
-// cycle plans without a pass over the pending set. The index holds one entry
-// per class of requests, weighted by the class's members. Which requests
-// form a class is a function of the pending set alone (see reqClass), so the
-// classes a recovery rebuilds, and the plans made from them, are the ones
-// the killed ledger held.
+// A pending request is a member of one class (reqClass), which holds the
+// documents its members still need; the class is the ledger's only record of
+// it, so a commit or a removal works per class and visits a request only to
+// journal its delivery or to retire it. The ledger is also the only writer
+// of the demand index the engine plans from: each change to the pending set
+// is applied to it as it happens, so a cycle plans without a pass over the
+// pending set. The index holds one entry per class, weighted by the class's
+// members. Which requests form a class is a function of the pending set
+// alone (see reqClass), so the classes a recovery rebuilds, and the plans
+// made from them, are the ones the killed ledger held.
 type Ledger struct {
 	eng *Engine
 	jn  *journal.Journal // nil: in memory
 
-	// pending is in admission order, which is ID order. Each Remaining is its
-	// class's sorted, duplicate-free set of undelivered documents, shrunk in
-	// place.
-	pending []Pending
+	// pending maps each pending request's ID to its class, which holds the
+	// request's arrival and undelivered documents.
+	pending map[int64]*reqClass
 	// demand holds one entry per live class (reqClass.entry) with the
 	// documents it still needs, as PlanIndexed reads them: the pending set,
 	// grouped.
@@ -88,18 +90,26 @@ type reqClass struct {
 	key      string // the query's canonical string
 	docs     []xmldoc.DocID
 	admitted int64 // the class's first covering cycle
-	members  int
-	// id and arrival key the class's demand-index entry: those of its
-	// lowest-ID member. Drivers admit in arrival order, so that member sorts
-	// first by (Arrival, ID), as FCFS and RxW read the members.
-	id, arrival int64
-	commit      []broadcast.Commitment // the airing cycle's, once known
-	known       bool
-	missed      []xmldoc.DocID // what Missed kept back this cycle, sorted
-	from, to    int            // the class's deliveries in the commit's buffer
-	into        *reqClass      // the class a merge folded this one into
-	split       bool           // listed in the ledger's split
+	// members are the class's pending requests, sorted by ID; a class a merge
+	// emptied has none. The first keys the class's demand-index entry, whose
+	// weight is their number. Drivers admit in arrival order, so that member
+	// sorts first by (Arrival, ID), as FCFS and RxW read the members.
+	members  []member
+	commit   []broadcast.Commitment // the airing cycle's, once known
+	known    bool
+	missed   []xmldoc.DocID // what Missed kept back this cycle, sorted
+	from, to int            // the class's deliveries in the commit's buffer
+	split    bool           // listed in the ledger's split
 }
+
+// member is one pending request of a class.
+type member struct{ id, arrival int64 }
+
+// id is the ID that keys c's demand-index entry.
+func (c *reqClass) id() int64 { return c.members[0].id }
+
+// byID orders members by ID.
+func byID(a, b member) int { return cmp.Compare(a.id, b.id) }
 
 // holds reports whether a request of query key, admitted in cycle admitted
 // and lacking docs, belongs to class c.
@@ -139,7 +149,7 @@ func (g classGroups) file(c *reqClass) *reqClass {
 // from it, agree with the ledger, and the live collection's fingerprint is
 // stamped for the next recovery to compare against.
 func NewLedger(eng *Engine, jn *journal.Journal, st *journal.State) (*Ledger, error) {
-	l := &Ledger{eng: eng, jn: jn, demand: schedule.NewDemandIndex(), fresh: make(map[string][]*reqClass)}
+	l := &Ledger{eng: eng, jn: jn, pending: make(map[int64]*reqClass), demand: schedule.NewDemandIndex(), fresh: make(map[string][]*reqClass)}
 	if jn == nil {
 		return l, nil
 	}
@@ -185,8 +195,8 @@ func NewLedger(eng *Engine, jn *journal.Journal, st *journal.State) (*Ledger, er
 			shrinks = append(shrinks, journal.Delivery{ID: jr.ID, Docs: dropped})
 		}
 		// Arrival is the admission cycle; the journal stores the query as Admit
-		// keyed it.
-		c := &reqClass{query: q, key: jr.Query, docs: kept, admitted: jr.Arrival, id: jr.ID, arrival: jr.Arrival}
+		// keyed it, and its requests in ID order.
+		c := &reqClass{query: q, key: jr.Query, docs: kept, admitted: jr.Arrival}
 		if o := groups.file(c); o != c {
 			c = o
 		} else {
@@ -196,8 +206,8 @@ func NewLedger(eng *Engine, jn *journal.Journal, st *journal.State) (*Ledger, er
 				l.fresh[c.key] = append(l.fresh[c.key], c)
 			}
 		}
-		c.members++
-		l.pending = append(l.pending, Pending{ID: jr.ID, Query: q, Arrival: jr.Arrival, Remaining: c.docs, cls: c})
+		c.members = append(c.members, member{jr.ID, jr.Arrival})
+		l.pending[jr.ID] = c
 	}
 	for _, c := range l.classes {
 		if err := l.demand.Apply(c.entry(), eng.docSize); err != nil {
@@ -224,12 +234,16 @@ func NewLedger(eng *Engine, jn *journal.Journal, st *journal.State) (*Ledger, er
 // resolution work; a query with an empty answer is refused too, and so is an
 // answer not sorted ascending without duplicates, with an error naming the
 // request. With a journal the admission is durable before Admit returns, so an
-// ack sent after it never outruns the journal. A journaled ledger must be
-// cycle-clocked (arrival is Cycles()): recovery reads a request's admission
-// cycle back from its arrival.
+// ack sent after it never outruns the journal, and at most
+// journal.MaxDeliveries requests are pending, as max were that. A journaled
+// ledger must be cycle-clocked (arrival is Cycles()): recovery reads a
+// request's admission cycle back from its arrival.
 func (l *Ledger) Admit(q xpath.Path, max int, arrival int64) (cycle, id int64, err error) {
 	if max > 0 && len(l.pending) >= max {
 		return 0, 0, fmt.Errorf("engine: pending set at MaxPending %d: %w", max, ErrOverload)
+	}
+	if l.jn != nil && len(l.pending) >= journal.MaxDeliveries {
+		return 0, 0, fmt.Errorf("engine: pending set at the journal's %d: %w", journal.MaxDeliveries, ErrOverload)
 	}
 	key := q.String()
 	docs := l.eng.resolve(q, key)
@@ -264,38 +278,32 @@ func (l *Ledger) Admit(q xpath.Path, max int, arrival int64) (cycle, id int64, e
 		}
 	}
 	if c == nil {
-		c = &reqClass{query: q, key: key, docs: slices.Clone(docs), admitted: l.cycles, id: id, arrival: arrival}
+		c = &reqClass{query: q, key: key, docs: slices.Clone(docs), admitted: l.cycles}
 		l.twins = l.twins || len(fresh) > 0
 		l.fresh[key] = append(fresh, c)
 		l.classes = append(l.classes, c) // the highest ID yet: entry-ID order holds
 	}
-	c.members++
+	c.members = append(c.members, member{id, arrival}) // the highest ID yet
+	l.pending[id] = c
 	_ = l.demand.Apply(c.entry(), l.eng.docSize) // validated above
-	l.pending = append(l.pending, Pending{ID: id, Query: q, Arrival: arrival, Remaining: c.docs, cls: c})
 	return l.cycles, id, nil
 }
 
 // entry is c's demand-index entry.
 func (c *reqClass) entry() schedule.Request {
-	return schedule.Request{ID: c.id, Arrival: c.arrival, Docs: c.docs, Weight: c.members}
+	return schedule.Request{ID: c.id(), Arrival: c.members[0].arrival, Docs: c.docs, Weight: len(c.members)}
 }
-
-// Reserve sizes the pending set for n more requests: a driver that knows its
-// workload (the simulator) admits it without growing the set.
-func (l *Ledger) Reserve(n int) { l.pending = slices.Grow(l.pending, n) }
 
 // Air runs one cycle over the pending set: the engine plans the next cycle —
 // numbered Cycles(), starting at start in the driver's clock, which is also
 // the scheduler's "now" — from the ledger's demand index, prunes to one query
 // per class, and lays out and encodes it; Air hands it to air and commits it
-// once air returns. Every pending
-// request loses what the cycle committed to it (Commitments) but for what air
-// reported Missed. The commit is
-// journaled first. A cycle that fails to assemble, air or commit leaves the
-// pending set and the cycle number as they were, so the cycle re-airs. While
-// nothing is pending Air does nothing and returns a nil cycle. retired lists
-// the requests the cycle drained, in ID order, and is valid until the next
-// commit.
+// once air returns. Every pending request loses what the cycle committed to it
+// (Commitments) but for what air reported Missed. The commit is journaled
+// first. A cycle that fails to assemble, air or commit leaves the pending set
+// and the cycle number as they were, so the cycle re-airs. While nothing is
+// pending Air does nothing and returns a nil cycle. retired lists the
+// requests the cycle drained, in ID order, and is valid until the next commit.
 func (l *Ledger) Air(start int64, air func(*Cycle, *Encoded) error) (cy *Cycle, retired []int64, err error) {
 	if len(l.pending) == 0 {
 		return nil, nil, nil
@@ -342,11 +350,11 @@ func (l *Ledger) Air(start int64, air func(*Cycle, *Encoded) error) (cy *Cycle, 
 // requests share one commitment, computed on the first ask in a cycle; the
 // slice is the ledger's: read it, never write it, and only until air returns.
 func (l *Ledger) Commitments(id int64) []broadcast.Commitment {
-	i, ok := l.find(id)
-	if l.airing == nil || !ok {
+	c := l.pending[id]
+	if l.airing == nil || c == nil {
 		return nil
 	}
-	return l.commitment(l.pending[i].cls)
+	return l.commitment(c)
 }
 
 // commitment is what the cycle being aired commits to class c.
@@ -372,29 +380,24 @@ func (l *Ledger) Missed(id int64, doc xmldoc.DocID) error {
 	if l.airing == nil {
 		return fmt.Errorf("engine: Missed(%d, %d) outside a cycle's air", id, doc)
 	}
-	i, ok := l.find(id)
-	if !ok {
+	c := l.pending[id]
+	if c == nil {
 		return fmt.Errorf("engine: Missed(%d, %d): request not pending", id, doc)
 	}
-	r, c := &l.pending[i], l.pending[i].cls
 	if !slices.ContainsFunc(l.commitment(c), func(cm broadcast.Commitment) bool { return cm.ID == doc }) {
 		return fmt.Errorf("engine: Missed(%d, %d): cycle %d does not commit the document to the request", id, doc, l.cycles)
 	}
-	if c.members > 1 { // the request leaves its class, with its set and commitment
-		solo := &reqClass{query: c.query, key: c.key, docs: slices.Clone(c.docs), admitted: c.admitted, members: 1,
-			commit: c.commit, known: true, id: r.ID, arrival: r.Arrival}
-		c.members--
-		r.cls, r.Remaining = solo, solo.docs
-		if c.id == r.ID {
+	if len(c.members) > 1 { // the request leaves its class, with its set and commitment
+		i, _ := slices.BinarySearchFunc(c.members, member{id: id}, byID)
+		solo := &reqClass{query: c.query, key: c.key, docs: slices.Clone(c.docs), admitted: c.admitted,
+			members: []member{c.members[i]}, commit: c.commit, known: true}
+		c.members = slices.Delete(c.members, i, i+1)
+		l.pending[id] = solo
+		if i == 0 {
 			// The request keyed the class: its entry, and its place among the
 			// classes, stay the request's, and the rest of the class is keyed
 			// anew by its next member.
-			j := i + 1
-			for l.pending[j].cls != c {
-				j++
-			}
-			c.id, c.arrival = l.pending[j].ID, l.pending[j].Arrival
-			l.classes[l.classAt(r.ID)] = solo
+			l.classes[l.classAt(id)] = solo
 			l.insertClass(c)
 		} else {
 			l.insertClass(solo)
@@ -451,12 +454,17 @@ func (l *Ledger) commit(num int64, cy *Cycle) ([]int64, error) {
 	}
 	l.delivered = delivered
 	if l.jn != nil {
+		// One delivery per request, in ID order, as replay reads them.
 		deliveries := l.deliveries[:0]
-		for _, r := range l.pending {
-			if c := r.cls; c.to > c.from {
-				deliveries = append(deliveries, journal.Delivery{ID: r.ID, Docs: delivered[c.from:c.to], Retired: c.to-c.from == len(c.docs)})
+		for _, c := range l.classes {
+			if c.to == c.from {
+				continue
+			}
+			for _, m := range c.members {
+				deliveries = append(deliveries, journal.Delivery{ID: m.id, Docs: delivered[c.from:c.to], Retired: c.to-c.from == len(c.docs)})
 			}
 		}
+		slices.SortFunc(deliveries, func(a, b journal.Delivery) int { return cmp.Compare(a.ID, b.ID) })
 		l.deliveries = deliveries
 		if err := l.jn.Commit(num, deliveries); err != nil {
 			return nil, err
@@ -553,29 +561,25 @@ func (l *Ledger) RemoveDocument(id xmldoc.DocID) error {
 	return nil
 }
 
-// drain brings every request's Remaining up to its class's and drops the
-// requests, and classes, with nothing left to deliver, keeping the others in
-// order; it appends the dropped requests' IDs to retired and lists the
-// dropped classes' entry keys in l.drained.
+// drain drops the classes with nothing left to deliver, keeping the others in
+// order, and their members from the pending set; it appends the dropped
+// requests' IDs to retired in ID order and lists the dropped classes' entry
+// keys in l.drained.
 func (l *Ledger) drain(retired []int64) []int64 {
-	live := l.pending[:0]
-	for _, r := range l.pending {
-		if r.Remaining = r.cls.docs; len(r.Remaining) == 0 {
-			retired = append(retired, r.ID)
-		} else {
-			live = append(live, r)
-		}
-	}
-	clear(l.pending[len(live):])
-	l.pending = live
 	l.drained = l.drained[:0]
+	n := len(retired)
 	l.classes = slices.DeleteFunc(l.classes, func(c *reqClass) bool {
 		if len(c.docs) > 0 {
 			return false
 		}
-		l.drained = append(l.drained, c.id)
+		l.drained = append(l.drained, c.id())
+		for _, m := range c.members {
+			delete(l.pending, m.id)
+			retired = append(retired, m.id)
+		}
 		return true
 	})
+	slices.Sort(retired[n:]) // the classes' members interleave
 	return retired
 }
 
@@ -599,34 +603,33 @@ func (l *Ledger) merge() {
 			l.twins = l.twins || len(groups[classGroup{c.key, c.admitted}]) > 1
 			return false
 		}
-		o.members += c.members
-		c.into, merged = o, true
-		l.demand.Remove(c.id)
+		l.demand.Remove(c.id()) // o, filed first, keeps its key
+		for _, m := range c.members {
+			l.pending[m.id] = o
+		}
+		o.members = append(o.members, c.members...)
+		slices.SortFunc(o.members, byID)
+		c.members, merged = nil, true
 		_ = l.demand.Apply(o.entry(), l.eng.docSize) // o's set is sorted and duplicate-free
 		return true
 	})
 	if !merged {
 		return
 	}
-	for i := range l.pending {
-		if o := l.pending[i].cls.into; o != nil {
-			l.pending[i].cls, l.pending[i].Remaining = o, o.docs
-		}
-	}
 	for key, cs := range l.fresh {
-		l.fresh[key] = slices.DeleteFunc(cs, func(c *reqClass) bool { return c.into != nil })
+		l.fresh[key] = slices.DeleteFunc(cs, func(c *reqClass) bool { return len(c.members) == 0 })
 	}
 }
 
 // classAt returns the position of the class keyed id in l.classes.
 func (l *Ledger) classAt(id int64) int {
-	i, _ := slices.BinarySearchFunc(l.classes, id, func(c *reqClass, id int64) int { return cmp.Compare(c.id, id) })
+	i, _ := slices.BinarySearchFunc(l.classes, id, func(c *reqClass, id int64) int { return cmp.Compare(c.id(), id) })
 	return i
 }
 
 // insertClass puts c among the classes at its entry ID's place.
 func (l *Ledger) insertClass(c *reqClass) {
-	l.classes = slices.Insert(l.classes, l.classAt(c.id), c)
+	l.classes = slices.Insert(l.classes, l.classAt(c.id()), c)
 }
 
 // remember records the requests ids as retired by cycle. An in-memory ledger
@@ -658,16 +661,11 @@ func (l *Ledger) AddDocument(d *xmldoc.Document) error {
 // horizon (cycle is the one that retired it), or neither — never admitted
 // here, or forgotten — and to be resubmitted.
 func (l *Ledger) Lookup(id int64) (pending, served bool, cycle int64) {
-	if _, pending = l.find(id); pending {
+	if l.pending[id] != nil {
 		return true, false, l.cycles
 	}
 	cycle, served = l.served.Lookup(id)
 	return false, served, cycle
-}
-
-// find locates pending request id.
-func (l *Ledger) find(id int64) (int, bool) {
-	return slices.BinarySearchFunc(l.pending, id, func(r Pending, id int64) int { return cmp.Compare(r.ID, id) })
 }
 
 // Class reports the ID that keys pending request id's class: that of the
@@ -675,11 +673,10 @@ func (l *Ledger) find(id int64) (int, bool) {
 // id itself when the request is its class's first — or 0 for a request not
 // pending.
 func (l *Ledger) Class(id int64) int64 {
-	i, ok := l.find(id)
-	if !ok {
-		return 0
+	if c := l.pending[id]; c != nil {
+		return c.id()
 	}
-	return l.pending[i].cls.id
+	return 0
 }
 
 // Delivered reports how many documents the last commit delivered, counting a
@@ -694,12 +691,15 @@ func (l *Ledger) Len() int { return len(l.pending) }
 // number.
 func (l *Ledger) Cycles() int64 { return l.cycles }
 
-// Pending copies the pending set in admission order; every Remaining is the
-// caller's own.
+// Pending copies the pending set in admission order, which is ID order; every
+// Remaining is the caller's own.
 func (l *Ledger) Pending() []Pending {
-	out := slices.Clone(l.pending)
-	for i := range out {
-		out[i].Remaining, out[i].cls = slices.Clone(out[i].Remaining), nil
+	out := make([]Pending, 0, len(l.pending))
+	for _, c := range l.classes {
+		for _, m := range c.members {
+			out = append(out, Pending{ID: m.id, Query: c.query, Arrival: m.arrival, Remaining: slices.Clone(c.docs)})
+		}
 	}
+	slices.SortFunc(out, func(a, b Pending) int { return cmp.Compare(a.ID, b.ID) })
 	return out
 }

@@ -32,7 +32,8 @@ import (
 // A restart must also recover the killed ledger's classes, and so its plans
 // (sameClasses), whatever Missed splits, removals and failed cycles came
 // between the admissions; a cycle that fails in its air leaves the pending
-// set and the cycle number as they were.
+// set and the cycle number as they were. After every step the classes must
+// hold the pending set exactly (classEntries).
 // The k4 walks air four channels, where the admission cycle's commitment
 // differs from a later cycle's.
 func TestLedgerMatchesJournal(t *testing.T) {
@@ -174,6 +175,7 @@ func ledgerWalk(t *testing.T, c *xmldoc.Collection, queries []xpath.Path, seed i
 			}
 			sameClasses(t, fmt.Sprintf("step %d", step), killed, l)
 		}
+		classEntries(t, fmt.Sprintf("step %d (op %d)", step, op), l)
 		st, err := journal.ReadState(dir)
 		if err != nil {
 			t.Fatalf("step %d: ReadState: %v", step, err)
@@ -248,7 +250,7 @@ func TestLedgerRecoversClasses(t *testing.T) {
 	weights := func(l *Ledger) []int {
 		var w []int
 		for _, c := range l.classes {
-			w = append(w, c.members)
+			w = append(w, len(c.members))
 		}
 		return w
 	}
@@ -437,6 +439,132 @@ func TestLedgerServedHorizon(t *testing.T) {
 	}
 }
 
+// TestLedgerRetiresInIDOrder: two queries admitted alternately form two
+// classes whose members interleave (1, 3 and 2, 4). When both drain at once —
+// in one cycle, or by one document removal — the retired requests come back,
+// and are remembered, in ID order, as replay retires them; a retired request
+// is no longer pending to Lookup, Class or Commitments.
+func TestLedgerRetiresInIDOrder(t *testing.T) {
+	c, queries := fixture(t, 30, 20)
+	d := c.IDs()[0]
+	for _, removal := range []bool{false, true} {
+		for _, journaled := range []bool{false, true} {
+			t.Run(fmt.Sprintf("removal=%v/journaled=%v", removal, journaled), func(t *testing.T) {
+				e := newEngine(t, c, c.TotalSize())
+				qa, qb := queries[0], queries[1]
+				setAnswer(e, qa, []xmldoc.DocID{d})
+				setAnswer(e, qb, []xmldoc.DocID{d})
+				var jn *journal.Journal
+				var st *journal.State
+				dir := t.TempDir()
+				if journaled {
+					var err error
+					if jn, st, err = journal.Open(journal.Options{Dir: dir}); err != nil {
+						t.Fatal(err)
+					}
+					defer jn.Kill()
+				}
+				l, err := NewLedger(e, jn, st)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, q := range []xpath.Path{qa, qb, qa, qb} {
+					if _, _, err := l.Admit(q, 0, l.Cycles()); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if len(l.classes) != 2 || l.Class(3) != 1 || l.Class(4) != 2 {
+					t.Fatalf("%d classes, requests 3 and 4 keyed by %d and %d: want two, keyed by 1 and 2", len(l.classes), l.Class(3), l.Class(4))
+				}
+				want := []int64{1, 2, 3, 4}
+				if removal {
+					if err := l.RemoveDocument(d); err != nil {
+						t.Fatal(err)
+					}
+				} else {
+					_, retired, err := l.Air(0, func(_ *Cycle, enc *Encoded) error { e.Recycle(enc); return nil })
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !slices.Equal(retired, want) {
+						t.Fatalf("retired %v, want %v", retired, want)
+					}
+				}
+				if journaled {
+					rs, err := journal.ReadState(dir)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got, want := l.served.Entries(), rs.Served.Entries(); len(got) != 4 || !slices.Equal(got, want) {
+						t.Fatalf("the ledger remembers %v retired, the journal %v", got, want)
+					}
+				}
+				for _, id := range want {
+					if pending, served, _ := l.Lookup(id); pending || served != journaled || l.Class(id) != 0 {
+						t.Fatalf("retired request %d: Lookup pending %v, served %v; Class %d", id, pending, served, l.Class(id))
+					}
+				}
+				if l.Len() != 0 {
+					t.Fatalf("%d requests pending after both classes drained", l.Len())
+				}
+				// Commitments answers only inside a cycle's air: air one more.
+				if !removal {
+					if _, _, err := l.Admit(qa, 0, l.Cycles()); err != nil {
+						t.Fatal(err)
+					}
+					if _, _, err := l.Air(1, func(_ *Cycle, enc *Encoded) error {
+						e.Recycle(enc)
+						for _, id := range want {
+							if cm := l.Commitments(id); cm != nil {
+								t.Errorf("retired request %d is committed %v", id, cm)
+							}
+						}
+						return nil
+					}); err != nil {
+						t.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestLedgerJournaledPendingCap: a journal's commit record holds at most
+// journal.MaxDeliveries deliveries, so a journaled ledger refuses an
+// admission beyond that many pending requests as overload, and the cycle
+// that delivers to all of them commits.
+func TestLedgerJournaledPendingCap(t *testing.T) {
+	c, queries := fixture(t, 30, 20)
+	e := newEngine(t, c, c.TotalSize())
+	q := queries[0]
+	setAnswer(e, q, c.IDs()[:1])
+	jn, st, err := journal.Open(journal.Options{Dir: t.TempDir(), SnapshotEvery: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jn.Kill()
+	l, err := NewLedger(e, jn, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refused := 0
+	for i := 0; i < 1<<16; i++ {
+		if _, _, err := l.Admit(q, 0, l.Cycles()); errors.Is(err, ErrOverload) {
+			refused++
+		} else if err != nil {
+			t.Fatalf("admission %d: %v", i+1, err)
+		}
+	}
+	pending := l.Len()
+	_, retired, err := l.Air(0, func(_ *Cycle, enc *Encoded) error { e.Recycle(enc); return nil })
+	if err != nil {
+		t.Fatalf("a cycle over %d pending requests: %v", pending, err)
+	}
+	if refused != 1 || pending != journal.MaxDeliveries || len(retired) != pending {
+		t.Fatalf("%d of %d admissions refused, %d pending, %d retired: want one refused and the rest retired", refused, 1<<16, pending, len(retired))
+	}
+}
+
 // sameClasses fails unless ledger b holds a's classes — each one's key,
 // arrival, weight, set, query and admission cycle, in order — and the same
 // classes open to admissions in the current cycle, and unless every policy
@@ -455,7 +583,7 @@ func sameClasses(t *testing.T, when string, a, b *Ledger) {
 			e.Docs = slices.Clone(e.Docs)
 			cs = append(cs, class{e, c.query.String(), c.admitted})
 			if slices.Contains(l.fresh[c.key], c) {
-				fresh[c.key] = append(fresh[c.key], c.id)
+				fresh[c.key] = append(fresh[c.key], c.id())
 			}
 		}
 		return cs, fresh
@@ -483,8 +611,8 @@ func sameClasses(t *testing.T, when string, a, b *Ledger) {
 // remaining is pending request id's undelivered documents, nil if id is not
 // pending.
 func remaining(l *Ledger, id int64) []xmldoc.DocID {
-	if i, ok := l.find(id); ok {
-		return l.pending[i].Remaining
+	if c := l.pending[id]; c != nil {
+		return c.docs
 	}
 	return nil
 }

@@ -22,11 +22,9 @@ import (
 // policies must plan from the demand index the ledger feeds exactly what its
 // PlanCycle plans over the ledger's weighted entries, one per class in the
 // index's order; FCFS, MRF and RxW must also plan what they plan over
-// l.Pending(), one entry per request. The entries must group the pending set
-// exactly — each class's weight its members, its key its first member, its
-// set theirs — and each request's class must hand the
-// prune the request's query. Every cycle is planned incrementally and its
-// commit reports the index's upkeep.
+// l.Pending(), one entry per request. The classes must hold the pending set
+// exactly (classEntries). Every cycle is planned incrementally and its commit
+// reports the index's upkeep.
 func TestIncrementalScheduleMatchesReference(t *testing.T) {
 	c, queries := fixture(t, 30, 60)
 	for _, name := range schedule.Names() {
@@ -67,35 +65,11 @@ func demandWalk(t *testing.T, c *xmldoc.Collection, queries []xpath.Path, name s
 	}
 	check := func(step int, now int64) {
 		t.Helper()
+		entries := classEntries(t, fmt.Sprintf("step %d", step), l)
 		pending := l.Pending()
-		if l.demand.Len() != len(pending) {
-			t.Fatalf("step %d: the demand index tracks %d requests, %d are pending", step, l.demand.Len(), len(pending))
-		}
 		reqs := make([]schedule.Request, len(pending))
-		members := make(map[*reqClass]int)
 		for i, p := range pending {
 			reqs[i] = schedule.Request{ID: p.ID, Arrival: p.Arrival, Docs: p.Remaining}
-			c := l.pending[i].cls
-			if q := c.query; q.String() != p.Query.String() {
-				t.Fatalf("step %d: request %d asked %s, its class prunes for %s", step, p.ID, p.Query, q)
-			}
-			if !slices.Equal(p.Remaining, c.docs) {
-				t.Fatalf("step %d: request %d lacks %v, its class %v", step, p.ID, p.Remaining, c.docs)
-			}
-			if members[c] == 0 && (c.id != p.ID || c.arrival != p.Arrival) {
-				t.Fatalf("step %d: request %d (arrival %d) is its class's first member, the class is keyed %d (arrival %d)", step, p.ID, p.Arrival, c.id, c.arrival)
-			}
-			members[c]++
-		}
-		entries := make([]schedule.Request, len(l.classes))
-		for i, c := range l.classes {
-			if members[c] != c.members {
-				t.Fatalf("step %d: class of request %d counts %d members, %d are pending", step, c.id, c.members, members[c])
-			}
-			entries[i] = c.entry()
-		}
-		if len(members) != len(l.classes) {
-			t.Fatalf("step %d: %d classes, the pending requests belong to %d", step, len(l.classes), len(members))
 		}
 		for _, p := range policies {
 			want := p.PlanCycle(entries, e.docSize, capacity, now)
@@ -132,9 +106,9 @@ func demandWalk(t *testing.T, c *xmldoc.Collection, queries []xpath.Path, name s
 				e.Recycle(enc)
 				for _, p := range l.Pending() {
 					if cm := l.Commitments(p.ID); len(cm) > 0 && rng.Intn(4) == 0 {
-						if i, _ := l.find(p.ID); l.pending[i].cls.members > 1 {
+						if c := l.pending[p.ID]; len(c.members) > 1 {
 							splits++
-							if l.pending[i].cls.id == p.ID {
+							if c.id() == p.ID {
 								rekeys++
 							}
 						}
@@ -174,4 +148,38 @@ func demandWalk(t *testing.T, c *xmldoc.Collection, queries []xpath.Path, name s
 	if got := m.Stages[StageScheduleDelta].Count; got != int64(aired) {
 		t.Errorf("%d commits reported the index's upkeep, %d cycles aired", got, aired)
 	}
+}
+
+// classEntries fails unless l's classes hold its pending set exactly: each
+// class's members sorted by ID, every member mapped to its class — so no
+// request is in two — and the map holding nothing else, the classes in
+// entry-ID order and the demand index standing for every pending request. It
+// returns the classes' demand-index entries, each keyed by the first member's
+// ID and arrival and weighted by the members, in the index's order.
+func classEntries(t *testing.T, when string, l *Ledger) []schedule.Request {
+	t.Helper()
+	entries := make([]schedule.Request, len(l.classes))
+	members := 0
+	for i, c := range l.classes {
+		if len(c.members) == 0 {
+			t.Fatalf("%s: class %d has no members", when, i)
+		}
+		for j, m := range c.members {
+			if j > 0 && c.members[j-1].id >= m.id {
+				t.Fatalf("%s: class %d lists members %v, not in ID order", when, i, c.members)
+			}
+			if o := l.pending[m.id]; o != c {
+				t.Fatalf("%s: request %d is a member of class %d, the ledger maps it to %p (class %p)", when, m.id, i, o, c)
+			}
+		}
+		members += len(c.members)
+		entries[i] = schedule.Request{ID: c.members[0].id, Arrival: c.members[0].arrival, Docs: c.docs, Weight: len(c.members)}
+		if i > 0 && entries[i-1].ID >= entries[i].ID {
+			t.Fatalf("%s: class %d keyed %d after one keyed %d", when, i, entries[i].ID, entries[i-1].ID)
+		}
+	}
+	if len(l.pending) != members || l.demand.Len() != members {
+		t.Fatalf("%s: %d requests pending, %d in the index, the classes hold %d", when, len(l.pending), l.demand.Len(), members)
+	}
+	return entries
 }

@@ -60,6 +60,11 @@ const (
 	recCheckpoint wire.FrameType = 6 // the log's first record: counters, served memory, admit count
 )
 
+// MaxDeliveries is the most deliveries one commit record holds: it stores
+// their count in 16 bits. A server that journals keeps no more requests
+// pending, so that a cycle delivering to each of them can count them.
+const MaxDeliveries = 0xFFFF
+
 // checkpointLen is the checkpoint's fixed part: epoch, generation, next ID,
 // cycle count, fingerprint and admit count. The served memory follows it,
 // 16 bytes an entry.
@@ -386,7 +391,7 @@ func appendAdmit(dst []byte, r Request) []byte {
 func (j *Journal) Commit(cycle int64, deliveries []Delivery) error {
 	p := make([]byte, 0, 16+32*len(deliveries))
 	p = binary.LittleEndian.AppendUint64(p, uint64(cycle))
-	if len(deliveries) > 0xFFFF {
+	if len(deliveries) > MaxDeliveries {
 		return fmt.Errorf("journal: %d deliveries exceed limit", len(deliveries))
 	}
 	p = binary.LittleEndian.AppendUint16(p, uint16(len(deliveries)))

@@ -73,11 +73,12 @@ type ServerConfig struct {
 	// Limits bounds engine memory (see engine.Limits).
 	// The zero value imposes no limits.
 	Limits engine.Limits
-	// MaxPending is the server's one cap on the pending set, checked at
+	// MaxPending is the server's cap on the pending set, checked at
 	// admission only (engine.Ledger.Admit): a submission arriving while the
 	// set holds MaxPending requests is refused with wire.FrameReject before
 	// any resolution work. Requests already pending — a restart may recover more
-	// than the cap — always air. Zero means unlimited.
+	// than the cap — always air. Zero means unlimited, but a journaled server
+	// holds at most journal.MaxDeliveries.
 	MaxPending int
 	// UplinkRate is the per-connection sustained submission rate in
 	// queries per second, enforced by a token bucket of UplinkBurst
@@ -803,9 +804,10 @@ func (s *Server) resumeEntries(ids []int64) []resumeEntry {
 // returns the number of the first broadcast cycle whose index is guaranteed
 // to cover it plus the request's durable ID. A stopped broadcast refuses it (a
 // request admitted now would never air), and so does a pending set at
-// ServerConfig.MaxPending, with a wrapped engine.ErrOverload. On a journaled
-// server the admit record is durable before submit returns, so the caller's
-// ack never outruns the journal: a crash after the ack recovers the request.
+// ServerConfig.MaxPending or, journaled, at journal.MaxDeliveries, with a
+// wrapped engine.ErrOverload. On a journaled server the admit record is
+// durable before submit returns, so the caller's ack never outruns the
+// journal: a crash after the ack recovers the request.
 func (s *Server) submit(expr string) (covered, id int64, err error) {
 	q, err := xpath.Parse(strings.TrimSpace(expr))
 	if err != nil {

@@ -304,7 +304,6 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	led, _ := engine.NewLedger(eng, nil, nil) // the server, in memory: only a journal's recovery fails
-	led.Reserve(len(cfg.Requests))
 
 	var loss *lossProcess
 	if cfg.LossProb > 0 {
