@@ -10,6 +10,7 @@ import (
 	"repro/internal/broadcast"
 	"repro/internal/journal"
 	"repro/internal/schedule"
+	"repro/internal/wire"
 	"repro/internal/xmldoc"
 	"repro/internal/xpath"
 )
@@ -29,23 +30,26 @@ import (
 // A pending request is a member of one class (reqClass), which holds the
 // documents its members still need; the class is the ledger's only record of
 // it, so a commit or a removal works per class and visits a request only to
-// journal its delivery or to retire it. The ledger is also the only writer
-// of the demand index the engine plans from: each change to the pending set
-// is applied to it as it happens, so a cycle plans without a pass over the
-// pending set. The index holds one entry per class, weighted by the class's
-// members. Which requests form a class is a function of the pending set
-// alone (see reqClass), so the classes a recovery rebuilds, and the plans
-// made from them, are the ones the killed ledger held.
+// journal its delivery or to retire it. An admission of a query that formed
+// or joined a class this cycle, with no document written since, joins that
+// class and costs a count. The ledger is also the only writer of the demand
+// index the engine plans from, which holds one entry per class, weighted by
+// the class's members. The index is current when Air plans: the classes an
+// admission formed or grew, and those Missed split, are staged and enter it
+// in one batch then (enter); a commit and a removal apply their own deltas.
+// Which requests form a class is a function of the pending set alone (see
+// reqClass), so the classes a recovery rebuilds, and the plans made from
+// them, are the ones the killed ledger held.
 type Ledger struct {
 	eng *Engine
 	jn  *journal.Journal // nil: in memory
 
 	// pending maps each pending request's ID to its class, which holds the
 	// request's arrival and undelivered documents.
-	pending map[int64]*reqClass
+	pending pendingTable
 	// demand holds one entry per live class (reqClass.entry) with the
 	// documents it still needs, as PlanIndexed reads them: the pending set,
-	// grouped.
+	// grouped, as of the last plan and the deltas since (see stale).
 	demand  *schedule.DemandIndex
 	classes []*reqClass            // the live classes, in entry-ID order
 	fresh   map[string][]*reqClass // by query, the classes admitted this cycle
@@ -54,6 +58,12 @@ type Ledger struct {
 	// sets a later commit or write can make equal; merge clears it.
 	twins  bool
 	nextID int64 // the last ID assigned
+	// writes counts the document writes (AddDocument, RemoveDocument), from
+	// 1: an answer resolved at one count holds until the next write.
+	writes uint64
+	// owed is the documents the pending requests still need, summed over the
+	// requests: with the pending count it bounds a commit record's size.
+	owed int
 	// cycles is the next cycle number: the last committed cycle + 1, which
 	// is also the journal's cycle counter.
 	cycles int64
@@ -62,10 +72,17 @@ type Ledger struct {
 	served journal.ServedMemory
 
 	airing *Cycle // the cycle air is airing: Missed's and Commitments' only window
+	// stale lists the classes whose demand-index entries lag their sets or
+	// weights — formed or grown by an admission, split or re-keyed by Missed,
+	// grown by a merge — for enter to apply.
+	stale []*reqClass
 
-	// Per-cycle scratch, reused across cycles. commits holds the classes'
-	// commitments asked for during the air, queries one query per class for
-	// the prune, planned a cycle's plan by document ID.
+	// Scratch, reused: key renders an admitted query, jrem its journaled
+	// answer. Per cycle: commits holds the classes' commitments asked for
+	// during the air, queries one query per class for the prune, planned a
+	// cycle's plan by document ID.
+	key        []byte
+	jrem       []uint16
 	queries    []xpath.Path
 	planned    []bool
 	commits    []broadcast.Commitment
@@ -73,8 +90,7 @@ type Ledger struct {
 	delivered  []uint16
 	deliveries []journal.Delivery
 	retired    []int64
-	drained    []int64     // the drained classes' entry keys
-	split      []*reqClass // the classes Missed split or split off this cycle
+	drained    []int64 // the drained classes' entry keys
 	entries    []schedule.Request
 }
 
@@ -94,12 +110,16 @@ type reqClass struct {
 	// emptied has none. The first keys the class's demand-index entry, whose
 	// weight is their number. Drivers admit in arrival order, so that member
 	// sorts first by (Arrival, ID), as FCFS and RxW read the members.
-	members  []member
+	members []member
+	// answered is the ledger's write count when an admission last found the
+	// class's set to be its query's answer (0: never): until the next write,
+	// a further admission of the query joins the class unresolved.
+	answered uint64
 	commit   []broadcast.Commitment // the airing cycle's, once known
 	known    bool
 	missed   []xmldoc.DocID // what Missed kept back this cycle, sorted
 	from, to int            // the class's deliveries in the commit's buffer
-	split    bool           // listed in the ledger's split
+	stale    bool           // listed in the ledger's stale
 }
 
 // member is one pending request of a class.
@@ -110,6 +130,90 @@ func (c *reqClass) id() int64 { return c.members[0].id }
 
 // byID orders members by ID.
 func byID(a, b member) int { return cmp.Compare(a.id, b.id) }
+
+// pendingTable maps each pending request's ID to its class. The ledger
+// assigns IDs in order, so the table is dense: request id's class is in slot
+// id − base. When the slots run out of room and their lower half holds few
+// pending requests, that half is dropped instead of the table growing, its
+// stragglers moved to old, so a request pending long holds no span open.
+type pendingTable struct {
+	base  int64
+	slots []*reqClass
+	live  int                 // the requests in slots
+	old   map[int64]*reqClass // pending requests below base
+}
+
+// get returns request id's class, nil if it is not pending.
+func (p *pendingTable) get(id int64) *reqClass {
+	if i := id - p.base; i >= 0 && i < int64(len(p.slots)) {
+		return p.slots[i]
+	}
+	return p.old[id]
+}
+
+// set moves pending request id to class c.
+func (p *pendingTable) set(id int64, c *reqClass) {
+	if i := id - p.base; i >= 0 {
+		p.slots[i] = c
+	} else {
+		p.old[id] = c
+	}
+}
+
+// add enters request id, above every ID entered before it, in class c.
+func (p *pendingTable) add(id int64, c *reqClass) {
+	if p.live == 0 {
+		clear(p.slots)
+		p.slots, p.base = p.slots[:0], id
+	}
+	if int(id-p.base) >= cap(p.slots) {
+		p.shed()
+	}
+	for int64(len(p.slots)) < id-p.base {
+		p.slots = append(p.slots, nil)
+	}
+	p.slots = append(p.slots, c)
+	p.live++
+}
+
+// shed drops the slots' lower half when at most an eighth of it is pending,
+// moving those requests to old.
+func (p *pendingTable) shed() {
+	h := len(p.slots) / 2
+	n := 0
+	for _, c := range p.slots[:h] {
+		if c != nil {
+			n++
+		}
+	}
+	if h == 0 || n > h/8 {
+		return
+	}
+	for i, c := range p.slots[:h] {
+		if c != nil {
+			if p.old == nil {
+				p.old = make(map[int64]*reqClass)
+			}
+			p.old[p.base+int64(i)] = c
+		}
+	}
+	k := copy(p.slots, p.slots[h:])
+	clear(p.slots[k:])
+	p.slots, p.base, p.live = p.slots[:k], p.base+int64(h), p.live-n
+}
+
+// del drops pending request id.
+func (p *pendingTable) del(id int64) {
+	if i := id - p.base; i >= 0 {
+		p.slots[i] = nil
+		p.live--
+	} else {
+		delete(p.old, id)
+	}
+}
+
+// len is the number of pending requests.
+func (p *pendingTable) len() int { return p.live + len(p.old) }
 
 // holds reports whether a request of query key, admitted in cycle admitted
 // and lacking docs, belongs to class c.
@@ -149,7 +253,7 @@ func (g classGroups) file(c *reqClass) *reqClass {
 // from it, agree with the ledger, and the live collection's fingerprint is
 // stamped for the next recovery to compare against.
 func NewLedger(eng *Engine, jn *journal.Journal, st *journal.State) (*Ledger, error) {
-	l := &Ledger{eng: eng, jn: jn, pending: make(map[int64]*reqClass), demand: schedule.NewDemandIndex(), fresh: make(map[string][]*reqClass)}
+	l := &Ledger{eng: eng, jn: jn, demand: schedule.NewDemandIndex(), fresh: make(map[string][]*reqClass), writes: 1}
 	if jn == nil {
 		return l, nil
 	}
@@ -207,12 +311,11 @@ func NewLedger(eng *Engine, jn *journal.Journal, st *journal.State) (*Ledger, er
 			}
 		}
 		c.members = append(c.members, member{jr.ID, jr.Arrival})
-		l.pending[jr.ID] = c
+		l.pending.add(jr.ID, c)
+		l.owed += len(kept)
 	}
 	for _, c := range l.classes {
-		if err := l.demand.Apply(c.entry(), eng.docSize); err != nil {
-			return nil, fmt.Errorf("engine: %w", err)
-		}
+		l.stage(c)
 	}
 	if len(shrinks) > 0 {
 		// A commit of the last committed cycle shrinks remaining sets without
@@ -234,59 +337,95 @@ func NewLedger(eng *Engine, jn *journal.Journal, st *journal.State) (*Ledger, er
 // resolution work; a query with an empty answer is refused too, and so is an
 // answer not sorted ascending without duplicates, with an error naming the
 // request. With a journal the admission is durable before Admit returns, so an
-// ack sent after it never outruns the journal, and at most
-// journal.MaxDeliveries requests are pending, as max were that. A journaled
-// ledger must be cycle-clocked (arrival is Cycles()): recovery reads a
-// request's admission cycle back from its arrival.
+// ack sent after it never outruns the journal; at most journal.MaxDeliveries
+// requests are pending, as max were that, and an admission that would let a
+// cycle delivering every pending request its whole set outgrow one journal
+// record is refused as overload too. A journaled ledger must be cycle-clocked
+// (arrival is Cycles()): recovery reads a request's admission cycle back from
+// its arrival.
+//
+// A repeat admission — of a query an admission this cycle already resolved,
+// with no document written since — joins that admission's class as it is:
+// no resolve, no check of the answer, and no index edit until the cycle
+// plans.
 func (l *Ledger) Admit(q xpath.Path, max int, arrival int64) (cycle, id int64, err error) {
-	if max > 0 && len(l.pending) >= max {
+	n := l.pending.len()
+	if max > 0 && n >= max {
 		return 0, 0, fmt.Errorf("engine: pending set at MaxPending %d: %w", max, ErrOverload)
 	}
-	if l.jn != nil && len(l.pending) >= journal.MaxDeliveries {
+	if l.jn != nil && n >= journal.MaxDeliveries {
 		return 0, 0, fmt.Errorf("engine: pending set at the journal's %d: %w", journal.MaxDeliveries, ErrOverload)
 	}
-	key := q.String()
-	docs := l.eng.resolve(q, key)
-	if len(docs) == 0 {
-		return 0, 0, errors.New("query has an empty result set")
-	}
 	id = l.nextID + 1
-	if err := (schedule.Request{ID: id, Docs: docs}).Validate(); err != nil {
-		return 0, 0, fmt.Errorf("engine: %w", err)
+	l.key = q.AppendString(l.key[:0])
+	fresh := l.fresh[string(l.key)]
+	var c *reqClass
+	for _, o := range fresh {
+		if o.answered == l.writes {
+			c = o
+			break
+		}
+	}
+	var key string
+	var docs []xmldoc.DocID
+	if c != nil {
+		key, docs = c.key, c.docs
+	} else {
+		if key = string(l.key); len(fresh) > 0 {
+			key = fresh[0].key
+		}
+		if docs = l.eng.resolve(q, key); len(docs) == 0 {
+			return 0, 0, errors.New("query has an empty result set")
+		}
+		if err := (schedule.Request{ID: id, Docs: docs}).Validate(); err != nil {
+			return 0, 0, fmt.Errorf("engine: %w", err)
+		}
+		// A document write since the query's class formed may have moved the
+		// answer off the class's set: then the request starts a class of its
+		// own, the query's second this cycle.
+		for _, o := range fresh {
+			if o.holds(key, l.cycles, docs) {
+				c = o
+				break
+			}
+		}
 	}
 	if l.jn != nil {
-		jrem := make([]uint16, len(docs))
-		for i, d := range docs {
-			jrem[i] = uint16(d)
+		if size := journal.CommitLen(n+1, l.owed+len(docs)); size > wire.MaxFramePayload {
+			return 0, 0, fmt.Errorf("engine: a commit to every pending request would take %d bytes, over a journal record's %d: %w", size, wire.MaxFramePayload, ErrOverload)
 		}
+		jrem := l.jrem[:0]
+		for _, d := range docs {
+			jrem = append(jrem, uint16(d))
+		}
+		l.jrem = jrem
 		if err := l.jn.Admit(journal.Request{ID: id, Arrival: arrival, Query: key, Remaining: jrem}); err != nil {
 			return 0, 0, err
 		}
 	}
 	l.nextID = id
-	// The answer is shared with the engine's cache; the class owns a copy
-	// because it shrinks in place. A repeat admission raises the weight of
-	// its class's entry. A document write since the class's first admission
-	// may have moved the answer off the class's set: then the request starts
-	// a class of its own, the query's second this cycle.
-	var c *reqClass
-	fresh := l.fresh[key]
-	for _, o := range fresh {
-		if o.holds(key, l.cycles, docs) {
-			c = o
-			break
-		}
-	}
 	if c == nil {
+		// The answer is shared with the engine's cache; the class owns a copy
+		// because it shrinks in place.
 		c = &reqClass{query: q, key: key, docs: slices.Clone(docs), admitted: l.cycles}
 		l.twins = l.twins || len(fresh) > 0
 		l.fresh[key] = append(fresh, c)
 		l.classes = append(l.classes, c) // the highest ID yet: entry-ID order holds
 	}
+	c.answered = l.writes
 	c.members = append(c.members, member{id, arrival}) // the highest ID yet
-	l.pending[id] = c
-	_ = l.demand.Apply(c.entry(), l.eng.docSize) // validated above
+	l.pending.add(id, c)
+	l.owed += len(docs)
+	l.stage(c)
 	return l.cycles, id, nil
+}
+
+// stage lists c for enter, once.
+func (l *Ledger) stage(c *reqClass) {
+	if !c.stale {
+		c.stale = true
+		l.stale = append(l.stale, c)
+	}
 }
 
 // entry is c's demand-index entry.
@@ -296,19 +435,21 @@ func (c *reqClass) entry() schedule.Request {
 
 // Air runs one cycle over the pending set: the engine plans the next cycle —
 // numbered Cycles(), starting at start in the driver's clock, which is also
-// the scheduler's "now" — from the ledger's demand index, prunes to one query
-// per class, and lays out and encodes it; Air hands it to air and commits it
-// once air returns. Every pending request loses what the cycle committed to it
-// (Commitments) but for what air reported Missed. The commit is journaled
-// first. A cycle that fails to assemble, air or commit leaves the pending set
-// and the cycle number as they were, so the cycle re-airs. While nothing is
-// pending Air does nothing and returns a nil cycle. retired lists the
-// requests the cycle drained, in ID order, and is valid until the next commit.
+// the scheduler's "now" — from the ledger's demand index, brought up to date
+// first (enter), prunes to one query per class, and lays out and encodes it;
+// Air hands it to air and commits it once air returns. Every pending request
+// loses what the cycle committed to it (Commitments) but for what air
+// reported Missed. The commit is journaled first. A cycle that fails to
+// assemble, air or commit leaves the pending set and the cycle number as they
+// were, so the cycle re-airs. While nothing is pending Air does nothing and
+// returns a nil cycle. retired lists the requests the cycle drained, in ID
+// order, and is valid until the next commit.
 func (l *Ledger) Air(start int64, air func(*Cycle, *Encoded) error) (cy *Cycle, retired []int64, err error) {
-	if len(l.pending) == 0 {
+	if l.pending.len() == 0 {
 		return nil, nil, nil
 	}
 	num := l.cycles
+	l.enter()
 	queries := l.queries[:0]
 	for _, c := range l.classes {
 		queries = append(queries, c.query)
@@ -329,14 +470,12 @@ func (l *Ledger) Air(start int64, air func(*Cycle, *Encoded) error) (cy *Cycle, 
 	err = air(cy, enc)
 	l.airing = nil
 	if err != nil {
-		// The splits Missed made reach the index, and fold back where merge
-		// merges: the sets are as they were.
-		l.enter()
+		// The splits Missed made stay staged for the next plan, and fold back
+		// where merge merges: the sets are as they were.
 		l.merge()
 		return nil, nil, err
 	}
 	if retired, err = l.commit(num, cy); err != nil {
-		l.enter()
 		l.merge()
 	}
 	return cy, retired, err
@@ -350,7 +489,7 @@ func (l *Ledger) Air(start int64, air func(*Cycle, *Encoded) error) (cy *Cycle, 
 // requests share one commitment, computed on the first ask in a cycle; the
 // slice is the ledger's: read it, never write it, and only until air returns.
 func (l *Ledger) Commitments(id int64) []broadcast.Commitment {
-	c := l.pending[id]
+	c := l.pending.get(id)
 	if l.airing == nil || c == nil {
 		return nil
 	}
@@ -371,16 +510,17 @@ func (l *Ledger) commitment(c *reqClass) []broadcast.Commitment {
 // the cycle being aired commits to it: the document stays in the request's
 // set past the commit, and the journaled delivery leaves it out. A request
 // of a class of several leaves it for one of its own; the demand index takes
-// the split when the cycle ends (enter). It is the
-// simulator's ideal uplink — a lost reception re-requested at no cost before
-// the cycle ends — which a networked client does not have. Missed may be
-// called only from Air's air function, for a document the cycle commits to a
-// pending request; any other call is an error.
+// the split when the cycle commits, or at the next plan if the cycle fails
+// (enter). It is the simulator's ideal uplink — a lost reception
+// re-requested at no cost before the cycle ends — which a networked client
+// does not have. Missed may be called only from Air's air function, for a
+// document the cycle commits to a pending request; any other call is an
+// error.
 func (l *Ledger) Missed(id int64, doc xmldoc.DocID) error {
 	if l.airing == nil {
 		return fmt.Errorf("engine: Missed(%d, %d) outside a cycle's air", id, doc)
 	}
-	c := l.pending[id]
+	c := l.pending.get(id)
 	if c == nil {
 		return fmt.Errorf("engine: Missed(%d, %d): request not pending", id, doc)
 	}
@@ -392,7 +532,7 @@ func (l *Ledger) Missed(id int64, doc xmldoc.DocID) error {
 		solo := &reqClass{query: c.query, key: c.key, docs: slices.Clone(c.docs), admitted: c.admitted,
 			members: []member{c.members[i]}, commit: c.commit, known: true}
 		c.members = slices.Delete(c.members, i, i+1)
-		l.pending[id] = solo
+		l.pending.set(id, solo)
 		if i == 0 {
 			// The request keyed the class: its entry, and its place among the
 			// classes, stay the request's, and the rest of the class is keyed
@@ -405,11 +545,8 @@ func (l *Ledger) Missed(id int64, doc xmldoc.DocID) error {
 		if c.admitted == l.cycles { // open to admissions until the cycle commits
 			l.fresh[c.key] = append(l.fresh[c.key], solo)
 		}
-		l.split = append(l.split, solo)
-		if !c.split {
-			c.split = true
-			l.split = append(l.split, c)
-		}
+		l.stage(solo)
+		l.stage(c)
 		l.twins = true
 		c = solo
 	}
@@ -473,9 +610,11 @@ func (l *Ledger) commit(num int64, cy *Cycle) ([]int64, error) {
 	l.cycles = num + 1
 	clear(l.fresh)
 	for _, c := range l.classes {
+		n := len(c.docs)
 		for _, d := range delivered[c.from:c.to] {
 			c.docs = xmldoc.RemoveID(c.docs, xmldoc.DocID(d))
 		}
+		l.owed -= len(c.members) * (n - len(c.docs))
 	}
 	l.retired = l.drain(l.retired[:0])
 	if cy != nil {
@@ -487,10 +626,10 @@ func (l *Ledger) commit(num int64, cy *Cycle) ([]int64, error) {
 }
 
 // settle applies a commit of cy to the demand index: every planned document
-// leaves every class's entry, the classes that still want a planned document
-// — a K > 1 commitment fell short of the plan, or air reported a document
-// Missed — get their sets back, and the drained classes leave. The upkeep
-// reports as StageScheduleDelta.
+// leaves every class's entry, the classes Missed split enter, the classes that
+// still want a planned document — a K > 1 commitment fell short of the plan,
+// or air reported a document Missed — get their sets back, and the drained
+// classes leave. The upkeep reports as StageScheduleDelta.
 func (l *Ledger) settle(cy *Cycle) {
 	start := time.Now()
 	x := l.demand
@@ -520,20 +659,21 @@ func (l *Ledger) settle(cy *Cycle) {
 	l.eng.probe.StageDone(StageScheduleDelta, time.Since(start), reconciled+len(l.drained), x.TakeEdits())
 }
 
-// enter hands the demand index the classes Missed split this cycle: the
-// new weights of those split, and the entries of those split off or
-// re-keyed, added at once (ApplyAll), each with its set as it stands. A class
-// a commit drained is left out: settle removes its key.
+// enter hands the demand index the staged classes at once (ApplyAll), each
+// with its set and weight as they stand: the entries of classes admissions
+// formed, and of those Missed split off or re-keyed, and the new weights of
+// those an admission, a split or a merge changed. A class a drain or a merge
+// emptied is left out: its key has left the index, or never entered it.
 func (l *Ledger) enter() {
 	entries := l.entries[:0]
-	for _, c := range l.split {
-		if c.split = false; len(c.docs) > 0 {
+	for _, c := range l.stale {
+		if c.stale = false; len(c.docs) > 0 && len(c.members) > 0 {
 			entries = append(entries, c.entry())
 		}
 	}
 	_ = l.demand.ApplyAll(entries, l.eng.docSize) // the sets are sorted and duplicate-free
-	clear(l.split)
-	l.split = l.split[:0]
+	clear(l.stale)
+	l.stale = l.stale[:0]
 	clear(entries)
 	l.entries = entries[:0]
 }
@@ -542,11 +682,14 @@ func (l *Ledger) enter() {
 // request loses it, requests it drains retire as served at the journal's next
 // cycle, and the removal is journaled, whose replay does the same.
 func (l *Ledger) RemoveDocument(id xmldoc.DocID) error {
+	l.writes++ // a failed write counts too: the answers it touched are in doubt
 	if err := l.eng.RemoveDocument(id); err != nil {
 		return err
 	}
 	for _, c := range l.classes {
+		n := len(c.docs)
 		c.docs = xmldoc.RemoveID(c.docs, id)
+		l.owed -= len(c.members) * (n - len(c.docs))
 	}
 	l.demand.DeliverDoc(id)
 	retired := l.drain(nil)
@@ -574,7 +717,7 @@ func (l *Ledger) drain(retired []int64) []int64 {
 		}
 		l.drained = append(l.drained, c.id())
 		for _, m := range c.members {
-			delete(l.pending, m.id)
+			l.pending.del(m.id)
 			retired = append(retired, m.id)
 		}
 		return true
@@ -605,12 +748,12 @@ func (l *Ledger) merge() {
 		}
 		l.demand.Remove(c.id()) // o, filed first, keeps its key
 		for _, m := range c.members {
-			l.pending[m.id] = o
+			l.pending.set(m.id, o)
 		}
 		o.members = append(o.members, c.members...)
 		slices.SortFunc(o.members, byID)
 		c.members, merged = nil, true
-		_ = l.demand.Apply(o.entry(), l.eng.docSize) // o's set is sorted and duplicate-free
+		l.stage(o)
 		return true
 	})
 	if !merged {
@@ -647,6 +790,7 @@ func (l *Ledger) remember(ids []int64, cycle int64) {
 // schedulable from the next cycle, and journals the grown collection's
 // fingerprint so that recovery can detect drift.
 func (l *Ledger) AddDocument(d *xmldoc.Document) error {
+	l.writes++
 	if err := l.eng.AddDocument(d); err != nil {
 		return err
 	}
@@ -661,7 +805,7 @@ func (l *Ledger) AddDocument(d *xmldoc.Document) error {
 // horizon (cycle is the one that retired it), or neither — never admitted
 // here, or forgotten — and to be resubmitted.
 func (l *Ledger) Lookup(id int64) (pending, served bool, cycle int64) {
-	if l.pending[id] != nil {
+	if l.pending.get(id) != nil {
 		return true, false, l.cycles
 	}
 	cycle, served = l.served.Lookup(id)
@@ -673,7 +817,7 @@ func (l *Ledger) Lookup(id int64) (pending, served bool, cycle int64) {
 // id itself when the request is its class's first — or 0 for a request not
 // pending.
 func (l *Ledger) Class(id int64) int64 {
-	if c := l.pending[id]; c != nil {
+	if c := l.pending.get(id); c != nil {
 		return c.id()
 	}
 	return 0
@@ -685,7 +829,7 @@ func (l *Ledger) Class(id int64) int64 {
 func (l *Ledger) Delivered() int { return len(l.delivered) }
 
 // Len reports the number of pending requests.
-func (l *Ledger) Len() int { return len(l.pending) }
+func (l *Ledger) Len() int { return l.pending.len() }
 
 // Cycles reports how many cycles have been committed: the next cycle's
 // number.
@@ -694,7 +838,7 @@ func (l *Ledger) Cycles() int64 { return l.cycles }
 // Pending copies the pending set in admission order, which is ID order; every
 // Remaining is the caller's own.
 func (l *Ledger) Pending() []Pending {
-	out := make([]Pending, 0, len(l.pending))
+	out := make([]Pending, 0, l.pending.len())
 	for _, c := range l.classes {
 		for _, m := range c.members {
 			out = append(out, Pending{ID: m.id, Query: c.query, Arrival: m.arrival, Remaining: slices.Clone(c.docs)})

@@ -12,6 +12,7 @@ import (
 	"repro/internal/broadcast"
 	"repro/internal/journal"
 	"repro/internal/schedule"
+	"repro/internal/wire"
 	"repro/internal/xmldoc"
 	"repro/internal/xpath"
 )
@@ -33,7 +34,8 @@ import (
 // (sameClasses), whatever Missed splits, removals and failed cycles came
 // between the admissions; a cycle that fails in its air leaves the pending
 // set and the cycle number as they were. After every step the classes must
-// hold the pending set exactly (classEntries).
+// hold the pending set exactly (classEntries), and at every cycle's plan the
+// demand index must hold the classes exactly (indexAtPlan).
 // The k4 walks air four channels, where the admission cycle's commitment
 // differs from a later cycle's.
 func TestLedgerMatchesJournal(t *testing.T) {
@@ -111,6 +113,7 @@ func ledgerWalk(t *testing.T, c *xmldoc.Collection, queries []xpath.Path, seed i
 			}
 			_, _, err := l.Air(l.Cycles(), func(cy *Cycle, enc *Encoded) error {
 				l.eng.Recycle(enc)
+				indexAtPlan(t, fmt.Sprintf("step %d", step), l, cy.Start)
 				if rng.Intn(2) == 0 {
 					checkCommitments(cy, "before Missed")
 				}
@@ -565,12 +568,141 @@ func TestLedgerJournaledPendingCap(t *testing.T) {
 	}
 }
 
+// TestLedgerJournaledCommitFits: a journaled commit delivering every pending
+// request its whole set is one record, which must fit one frame. With 130
+// documents to each request, a frame fills before journal.MaxDeliveries
+// requests are pending, so admission refuses as overload once another request
+// could outgrow it — a repeat admission, which resolves nothing, as well —
+// and a cycle at the whole collection's capacity commits to them all. The
+// retired requests free their share: as many are admitted again.
+func TestLedgerJournaledCommitFits(t *testing.T) {
+	c, queries := fixture(t, 140, 20)
+	e := newEngine(t, c, c.TotalSize())
+	q := queries[0]
+	const perReq = 130
+	setAnswer(e, q, c.IDs()[:perReq])
+	jn, st, err := journal.Open(journal.Options{Dir: t.TempDir(), SnapshotEvery: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jn.Kill()
+	l, err := NewLedger(e, jn, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fill := func() int {
+		var err error
+		for i := 0; i < journal.MaxDeliveries; i++ {
+			if _, _, err = l.Admit(q, 0, l.Cycles()); err != nil {
+				break
+			}
+		}
+		pending := l.Len()
+		if !errors.Is(err, ErrOverload) {
+			t.Fatalf("after %d admissions: %v, want overload", pending, err)
+		}
+		return pending
+	}
+	pending := fill()
+	if journal.CommitLen(pending+1, perReq*(pending+1)) <= wire.MaxFramePayload {
+		t.Fatalf("refused the admission past %d pending, whose commit would still fit a frame", pending)
+	}
+	_, retired, err := l.Air(l.Cycles(), func(_ *Cycle, enc *Encoded) error { e.Recycle(enc); return nil })
+	if err != nil {
+		t.Fatalf("a cycle over %d pending requests: %v", pending, err)
+	}
+	if len(retired) != pending || l.Len() != 0 {
+		t.Fatalf("%d of %d pending requests retired, %d left", len(retired), pending, l.Len())
+	}
+	if again := fill(); again != pending {
+		t.Fatalf("%d admitted after the cycle retired all %d pending, want as many", again, pending)
+	}
+}
+
+// TestPendingTableSheds: the pending table keeps its slots to the span of
+// recent IDs — a request left pending while many after it retire moves out
+// of the slots instead of holding them open — and still finds every pending
+// request.
+func TestPendingTableSheds(t *testing.T) {
+	var p pendingTable
+	c := &reqClass{}
+	const n = 1 << 16
+	for id := int64(1); id <= n; id++ {
+		p.add(id, c)
+		if id > 1 && (id-1)%1000 != 0 {
+			p.del(id - 1) // every thousandth request stays pending
+		}
+	}
+	if want := n/1000 + 1; p.len() != want {
+		t.Fatalf("%d pending, want %d", p.len(), want)
+	}
+	for id := int64(1); id <= n; id++ {
+		if pending := id%1000 == 0 || id == n; (p.get(id) != nil) != pending {
+			t.Fatalf("request %d: found %v, pending %v", id, p.get(id) != nil, pending)
+		}
+	}
+	if cap(p.slots) > 1<<10 {
+		t.Fatalf("%d slots for %d requests pending", cap(p.slots), p.len())
+	}
+	moved := &reqClass{}
+	for id := int64(1000); id < n; id += 1000 {
+		if p.set(id, moved); p.get(id) != moved {
+			t.Fatalf("request %d not moved to its new class", id)
+		}
+		p.del(id)
+	}
+	if p.len() != 1 || p.get(n) != c {
+		t.Fatalf("%d pending after the stragglers left, want the last request alone", p.len())
+	}
+}
+
+// TestRepeatAdmitAllocFree: a repeat admission — a query whose class this
+// cycle already holds its answer, no document written since — allocates
+// nothing once the ledger's tables are warm and makes no edit to the demand
+// index; the cycle's plan takes its weight.
+func TestRepeatAdmitAllocFree(t *testing.T) {
+	if raceDetectorEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	l := ledgerOf(t, nil, 40_000, 1, 100)
+	q := l.classes[0].query
+	admit := func() {
+		if _, _, err := l.Admit(q, 0, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 1000; i++ { // warm the member list and the pending table
+		admit()
+	}
+	l.demand.TakeEdits()
+	indexed := l.demand.Len()
+	if allocs := testing.AllocsPerRun(1000, admit); allocs != 0 {
+		t.Errorf("a repeat admission allocates %.0f objects, want 0", allocs)
+	}
+	if edits := l.demand.TakeEdits(); edits != 0 || l.demand.Len() != indexed {
+		t.Errorf("%d repeat admissions made %d demand-index edits and moved its weight %d → %d, want neither", l.Len()-1001, edits, indexed, l.demand.Len())
+	}
+	if len(l.classes) != 1 {
+		t.Fatalf("%d admissions of one query formed %d classes, want 1", l.Len(), len(l.classes))
+	}
+	if _, _, err := l.Air(0, func(cy *Cycle, enc *Encoded) error {
+		l.eng.Recycle(enc)
+		indexAtPlan(t, "at the plan", l, cy.Start)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // sameClasses fails unless ledger b holds a's classes — each one's key,
 // arrival, weight, set, query and admission cycle, in order — and the same
 // classes open to admissions in the current cycle, and unless every policy
-// plans the same cycle from the two ledgers' demand indexes.
+// plans the same cycle from the two ledgers' demand indexes, each brought up
+// to date as Air brings it before it plans.
 func sameClasses(t *testing.T, when string, a, b *Ledger) {
 	t.Helper()
+	a.enter()
+	b.enter()
 	type class struct {
 		entry    schedule.Request
 		key      string
@@ -611,7 +743,7 @@ func sameClasses(t *testing.T, when string, a, b *Ledger) {
 // remaining is pending request id's undelivered documents, nil if id is not
 // pending.
 func remaining(l *Ledger, id int64) []xmldoc.DocID {
-	if c := l.pending[id]; c != nil {
+	if c := l.pending.get(id); c != nil {
 		return c.docs
 	}
 	return nil

@@ -141,7 +141,8 @@ func TestAssembleCycleCostIndependentOfAnswerSize(t *testing.T) {
 // TestUnsortedRemainingRejected: the demand index copies an admitted answer
 // without sorting it, so admission must refuse a set that is out of order or
 // holds a duplicate — on a fresh index and on one a cycle has aired from
-// alike — with an error naming the request, and admit nothing.
+// alike — with an error naming the request, and admit nothing: the next
+// cycle plans from an index that holds only the admitted requests.
 func TestUnsortedRemainingRejected(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -166,8 +167,15 @@ func TestUnsortedRemainingRejected(t *testing.T) {
 			if err == nil || !strings.Contains(err.Error(), "request 6") {
 				t.Fatalf("Admit error = %v, want one naming request 6", err)
 			}
-			if l.Len() != pending || l.demand.Len() != pending {
-				t.Fatalf("%d pending and %d in the demand index after the refusal, want %d", l.Len(), l.demand.Len(), pending)
+			if l.Len() != pending {
+				t.Fatalf("%d pending after the refusal, want %d", l.Len(), pending)
+			}
+			if _, _, err := l.Air(l.Cycles(), func(cy *Cycle, enc *Encoded) error {
+				l.eng.Recycle(enc)
+				indexAtPlan(t, "after the refusal", l, cy.Start)
+				return nil
+			}); err != nil {
+				t.Fatal(err)
 			}
 		})
 	}

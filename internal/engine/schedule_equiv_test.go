@@ -16,15 +16,13 @@ import (
 // TestIncrementalScheduleMatchesReference walks an in-memory ledger through
 // seeded admissions (up to three of one query at once, which share a class),
 // cycles whose air reports random documents Missed — which splits classes,
-// re-keying those whose keying member leaves — and document removals, on one channel and on four (where a
-// commitment can fall short of the plan), with each policy planning the
-// walk's cycles. Before every cycle and after every removal, each of the four
-// policies must plan from the demand index the ledger feeds exactly what its
-// PlanCycle plans over the ledger's weighted entries, one per class in the
-// index's order; FCFS, MRF and RxW must also plan what they plan over
-// l.Pending(), one entry per request. The classes must hold the pending set
-// exactly (classEntries). Every cycle is planned incrementally and its commit
-// reports the index's upkeep.
+// re-keying those whose keying member leaves — and document removals, on one
+// channel and on four (where a commitment can fall short of the plan), with
+// each policy planning the walk's cycles. At every cycle's plan the demand
+// index the ledger feeds must hold its classes exactly (indexAtPlan); after
+// every removal the classes must hold the pending set exactly
+// (classEntries). Every cycle is planned incrementally and its commit reports
+// the index's upkeep.
 func TestIncrementalScheduleMatchesReference(t *testing.T) {
 	c, queries := fixture(t, 30, 60)
 	for _, name := range schedule.Names() {
@@ -55,36 +53,6 @@ func demandWalk(t *testing.T, c *xmldoc.Collection, queries []xpath.Path, name s
 	if err != nil {
 		t.Fatal(err)
 	}
-	policies := make([]schedule.Scheduler, 0, len(schedule.Names()))
-	for _, n := range schedule.Names() {
-		p, err := schedule.New(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		policies = append(policies, p)
-	}
-	check := func(step int, now int64) {
-		t.Helper()
-		entries := classEntries(t, fmt.Sprintf("step %d", step), l)
-		pending := l.Pending()
-		reqs := make([]schedule.Request, len(pending))
-		for i, p := range pending {
-			reqs[i] = schedule.Request{ID: p.ID, Arrival: p.Arrival, Docs: p.Remaining}
-		}
-		for _, p := range policies {
-			want := p.PlanCycle(entries, e.docSize, capacity, now)
-			if got := p.PlanIndexed(l.demand, capacity, now); !reflect.DeepEqual(got, want) {
-				t.Fatalf("step %d: %s plans %v from the ledger's index, %v over its entries", step, p.Name(), got, want)
-			}
-			if p.Name() == "leelo" {
-				continue // its terms round by weight: only the entries define its plan
-			}
-			if got := p.PlanCycle(reqs, e.docSize, capacity, now); !reflect.DeepEqual(got, want) {
-				t.Fatalf("step %d: %s plans %v over the pending set, %v over its entries", step, p.Name(), got, want)
-			}
-		}
-	}
-
 	rng := rand.New(rand.NewSource(int64(7 + channels)))
 	now, aired, missed, splits, rekeys := int64(0), 0, 0, 0, 0
 	for step := 0; step < 300; step++ {
@@ -101,12 +69,12 @@ func demandWalk(t *testing.T, c *xmldoc.Collection, queries []xpath.Path, name s
 			if l.Len() == 0 {
 				continue
 			}
-			check(step, now)
 			cy, _, err := l.Air(now, func(_ *Cycle, enc *Encoded) error {
 				e.Recycle(enc)
+				indexAtPlan(t, fmt.Sprintf("step %d", step), l, now)
 				for _, p := range l.Pending() {
 					if cm := l.Commitments(p.ID); len(cm) > 0 && rng.Intn(4) == 0 {
-						if c := l.pending[p.ID]; len(c.members) > 1 {
+						if c := l.pending.get(p.ID); len(c.members) > 1 {
 							splits++
 							if c.id() == p.ID {
 								rekeys++
@@ -134,10 +102,9 @@ func demandWalk(t *testing.T, c *xmldoc.Collection, queries []xpath.Path, name s
 				t.Fatalf("step %d: RemoveDocument(%d): %v", step, live[i].ID, err)
 			}
 			live = slices.Delete(live, i, i+1)
-			check(step, now)
+			classEntries(t, fmt.Sprintf("step %d", step), l)
 		}
 	}
-	check(300, now)
 	if aired < 50 || missed == 0 || rekeys == 0 || splits == rekeys {
 		t.Fatalf("the walk aired %d cycles with %d documents missed, %d splitting a class, %d of them re-keying it: too few to exercise the upkeep", aired, missed, splits, rekeys)
 	}
@@ -150,12 +117,47 @@ func demandWalk(t *testing.T, c *xmldoc.Collection, queries []xpath.Path, name s
 	}
 }
 
+// indexAtPlan fails unless l's demand index, as Air plans from it (called
+// from the air function, before any Missed), holds l's classes exactly: it
+// stands for every pending request, and each of the four policies plans from
+// it exactly what its PlanCycle plans over the classes' weighted entries
+// (classEntries), and FCFS, MRF and RxW what they plan over l.Pending(), one
+// entry per request.
+func indexAtPlan(t *testing.T, when string, l *Ledger, now int64) {
+	t.Helper()
+	entries := classEntries(t, when, l)
+	if l.demand.Len() != l.Len() {
+		t.Fatalf("%s: %d requests pending, the demand index stands for %d", when, l.Len(), l.demand.Len())
+	}
+	pending := l.Pending()
+	reqs := make([]schedule.Request, len(pending))
+	for i, p := range pending {
+		reqs[i] = schedule.Request{ID: p.ID, Arrival: p.Arrival, Docs: p.Remaining}
+	}
+	for _, n := range schedule.Names() {
+		p, err := schedule.New(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := p.PlanCycle(entries, l.eng.docSize, l.eng.capacity, now)
+		if got := p.PlanIndexed(l.demand, l.eng.capacity, now); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: %s plans %v from the ledger's index, %v over its entries", when, n, got, want)
+		}
+		if n == "leelo" {
+			continue // its terms round by weight: only the entries define its plan
+		}
+		if got := p.PlanCycle(reqs, l.eng.docSize, l.eng.capacity, now); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: %s plans %v over the pending set, %v over its entries", when, n, got, want)
+		}
+	}
+}
+
 // classEntries fails unless l's classes hold its pending set exactly: each
 // class's members sorted by ID, every member mapped to its class — so no
-// request is in two — and the map holding nothing else, the classes in
-// entry-ID order and the demand index standing for every pending request. It
-// returns the classes' demand-index entries, each keyed by the first member's
-// ID and arrival and weighted by the members, in the index's order.
+// request is in two — and the table holding nothing else, and the classes in
+// entry-ID order. It returns the classes' demand-index entries, each keyed by
+// the first member's ID and arrival and weighted by the members, in the
+// index's order.
 func classEntries(t *testing.T, when string, l *Ledger) []schedule.Request {
 	t.Helper()
 	entries := make([]schedule.Request, len(l.classes))
@@ -168,7 +170,7 @@ func classEntries(t *testing.T, when string, l *Ledger) []schedule.Request {
 			if j > 0 && c.members[j-1].id >= m.id {
 				t.Fatalf("%s: class %d lists members %v, not in ID order", when, i, c.members)
 			}
-			if o := l.pending[m.id]; o != c {
+			if o := l.pending.get(m.id); o != c {
 				t.Fatalf("%s: request %d is a member of class %d, the ledger maps it to %p (class %p)", when, m.id, i, o, c)
 			}
 		}
@@ -178,8 +180,8 @@ func classEntries(t *testing.T, when string, l *Ledger) []schedule.Request {
 			t.Fatalf("%s: class %d keyed %d after one keyed %d", when, i, entries[i].ID, entries[i-1].ID)
 		}
 	}
-	if len(l.pending) != members || l.demand.Len() != members {
-		t.Fatalf("%s: %d requests pending, %d in the index, the classes hold %d", when, len(l.pending), l.demand.Len(), members)
+	if l.Len() != members {
+		t.Fatalf("%s: %d requests pending, the classes hold %d", when, l.Len(), members)
 	}
 	return entries
 }

@@ -65,6 +65,13 @@ const (
 // pending, so that a cycle delivering to each of them can count them.
 const MaxDeliveries = 0xFFFF
 
+// CommitLen is the frame payload length of a commit record of deliveries
+// deliveries that carry docs documents in all: the record's sequence number,
+// cycle and count, then each delivery's ID, count, documents and retired
+// flag. A record must fit wire.MaxFramePayload, so a server that journals
+// keeps this within it for a commit of every pending request's whole set.
+func CommitLen(deliveries, docs int) int { return 8 + 8 + 2 + deliveries*(8+2+1) + 2*docs }
+
 // checkpointLen is the checkpoint's fixed part: epoch, generation, next ID,
 // cycle count, fingerprint and admit count. The served memory follows it,
 // 16 bytes an entry.
@@ -657,17 +664,22 @@ func applyRecord(st *State, typ wire.FrameType, p []byte) error {
 		if err != nil {
 			return err
 		}
+		retired := false
 		for _, d := range deliveries {
 			i := st.pendingIndex(d.ID)
-			if i < 0 {
-				continue
+			if i < 0 || st.Pending[i].Remaining == nil {
+				continue // not pending, or retired by this record
 			}
 			req := &st.Pending[i]
 			// A delivery is a cycle's few documents: a scan beats a set.
 			req.Remaining = slices.DeleteFunc(req.Remaining, func(doc uint16) bool { return slices.Contains(d.Docs, doc) })
 			if d.Retired || len(req.Remaining) == 0 {
-				st.retire(i, cycle)
+				st.retire(req, cycle)
+				retired = true
 			}
+		}
+		if retired {
+			st.sweep()
 		}
 		if cycle+1 > st.Cycles {
 			st.Cycles = cycle + 1
@@ -691,7 +703,7 @@ func applyRecord(st *State, typ wire.FrameType, p []byte) error {
 		}
 		st.Fingerprint = binary.LittleEndian.Uint64(p)
 		doc := binary.LittleEndian.Uint16(p[8:])
-		for i := 0; i < len(st.Pending); {
+		for i := range st.Pending {
 			req := &st.Pending[i]
 			kept := req.Remaining[:0]
 			for _, d := range req.Remaining {
@@ -701,21 +713,27 @@ func applyRecord(st *State, typ wire.FrameType, p []byte) error {
 			}
 			req.Remaining = kept
 			if len(kept) == 0 {
-				st.retire(i, st.Cycles)
-				continue
+				st.retire(req, st.Cycles)
 			}
-			i++
 		}
+		st.sweep()
 	default:
 		return fmt.Errorf("%w: unknown record type %d", errCorrupt, typ)
 	}
 	return nil
 }
 
-// retire moves Pending[i] into the served memory.
-func (s *State) retire(i int, cycle int64) {
-	s.Served.Retire(s.Pending[i].ID, cycle)
-	s.Pending = append(s.Pending[:i], s.Pending[i+1:]...)
+// retire moves pending request r into the served memory and marks it
+// retired (a nil Remaining) for sweep to drop, so that a record retiring
+// many requests costs one pass over the pending set.
+func (s *State) retire(r *Request, cycle int64) {
+	s.Served.Retire(r.ID, cycle)
+	r.Remaining = nil
+}
+
+// sweep drops the requests retire marked, keeping the rest in ID order.
+func (s *State) sweep() {
+	s.Pending = slices.DeleteFunc(s.Pending, func(r Request) bool { return r.Remaining == nil })
 }
 
 func decodeAdmit(p []byte) (Request, error) {

@@ -3,10 +3,12 @@ package journal
 import (
 	"bytes"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/wire"
 )
@@ -655,5 +657,79 @@ func TestFailedCheckpointWritesNoIDTwice(t *testing.T) {
 	defer j2.Close()
 	if want := []Request{req(1, 0, "/a", 2), req(2, 0, "/b", 4)}; st.Truncated || !reflect.DeepEqual(st.Pending, want) {
 		t.Errorf("recovered pending %+v (truncated %v), want %+v", st.Pending, st.Truncated, want)
+	}
+}
+
+// retireAllLog writes a log that admits n requests and retires them all in
+// one commit, and returns its directory.
+func retireAllLog(tb testing.TB, n int) string {
+	tb.Helper()
+	dir := tb.TempDir()
+	j, _, err := Open(Options{Dir: dir, SnapshotEvery: -1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	defer j.Kill()
+	deliveries := make([]Delivery, n)
+	for i := range deliveries {
+		id := int64(i + 1)
+		if err := j.Admit(req(id, 0, "/q", 1)); err != nil {
+			tb.Fatal(err)
+		}
+		deliveries[i] = Delivery{ID: id, Docs: []uint16{1}, Retired: true}
+	}
+	if err := j.Commit(0, deliveries); err != nil {
+		tb.Fatal(err)
+	}
+	return dir
+}
+
+// TestReplayRetiresInLinearTime: a commit that retires every one of
+// MaxDeliveries pending requests replays to an empty pending set, the served
+// memory holding the newest DefaultServedHorizon of them in ID order, and
+// replaying it takes about 16 times as long as replaying a log of a
+// sixteenth the requests — not 256 times, as when each retirement copied the
+// pending set's tail.
+func TestReplayRetiresInLinearTime(t *testing.T) {
+	const n = MaxDeliveries
+	big, small := retireAllLog(t, n), retireAllLog(t, n/16)
+	replay := func(dir string) time.Duration {
+		best := time.Duration(math.MaxInt64)
+		for i := 0; i < 3; i++ {
+			start := time.Now()
+			mustRead(t, dir)
+			best = min(best, time.Since(start))
+		}
+		return best
+	}
+	st := mustRead(t, big)
+	if len(st.Pending) != 0 || st.Cycles != 1 {
+		t.Fatalf("replay left %d pending at cycle %d, want none at cycle 1", len(st.Pending), st.Cycles)
+	}
+	entries := st.Served.Entries()
+	if len(entries) != DefaultServedHorizon {
+		t.Fatalf("served memory holds %d, want %d", len(entries), DefaultServedHorizon)
+	}
+	for k, e := range entries {
+		if want := (ServedEntry{ID: int64(n - DefaultServedHorizon + 1 + k), Cycle: 0}); e != want {
+			t.Fatalf("served entry %d is %+v, want %+v", k, e, want)
+		}
+	}
+	tb, ts := replay(big), replay(small)
+	t.Logf("replay of %d retirements %v, of %d %v", n, tb, n/16, ts)
+	if tb > 64*ts {
+		t.Errorf("replaying %d retirements took %v, %.0f times the %v of %d", n, tb, float64(tb)/float64(ts), ts, n/16)
+	}
+}
+
+// BenchmarkReadStateRetireAll replays a log whose one commit retires
+// MaxDeliveries requests.
+func BenchmarkReadStateRetireAll(b *testing.B) {
+	dir := retireAllLog(b, MaxDeliveries)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ReadState(dir); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -121,11 +121,12 @@ type docHeapEntry struct {
 // it and is defined to produce exactly the plan the reference PlanCycle would
 // produce for the equivalent pending slice. Its entries are Requests, each of
 // which may stand for several requests (Request.Weight). engine.Ledger is its
-// one driver: it keeps one entry per class of requests, adds a class at its
-// first admission and raises its weight at each further one, delivers each
-// aired document, hands over a cycle's class splits at once (ApplyAll),
-// re-applies what a class did not receive and removes each class it retires
-// or merges away.
+// one driver, and keeps it current when a cycle plans, not after each
+// admission: it keeps one entry per class of requests, hands over at each
+// plan, at once (ApplyAll), the classes admitted since and the new weights of
+// those admissions grew, delivers each aired document, enters a cycle's class
+// splits at its commit the same way, re-applies what a class did not receive
+// and removes each class it retires or merges away.
 //
 // Contracts:
 //   - Request.Docs handed to Apply/Rebuild are sorted ascending without
@@ -145,6 +146,9 @@ type docHeapEntry struct {
 type DemandIndex struct {
 	reqs map[int64]*demandReq
 	n    int // Σ weight over reqs
+	// maxID is the highest ID ever tracked: no requester list holds a
+	// higher one, so ApplyAll appends new entries above it.
+	maxID int64
 	// docTab is the per-document state, dense-indexed by DocID (a uint16):
 	// slice indexing keeps the planners' inner loops off map hashing, which
 	// dominated the dense-sharing profile. nil slots are undemanded docs.
@@ -376,15 +380,16 @@ func (x *DemandIndex) Apply(r Request, size func(xmldoc.DocID) int) error {
 // index as Apply on each in turn would (in any order: requester lists are in
 // ID order), but links the new entries into each document's requester list
 // in one merge pass, where Apply's insertions below a list's tail each move
-// its tail on. A request violating the Request contract is refused, naming
-// it, and the index left as is.
+// its tail on; new entries whose IDs exceed every ID tracked before, as a
+// driver's newly admitted ones do, are appended. A request violating the
+// Request contract is refused, naming it, and the index left as is.
 func (x *DemandIndex) ApplyAll(reqs []Request, size func(xmldoc.DocID) int) error {
 	for _, r := range reqs {
 		if err := r.Validate(); err != nil {
 			return err
 		}
 	}
-	fresh := x.fresh[:0]
+	fresh, above := x.fresh[:0], x.maxID
 	top := 0 // past the highest document a new entry asks for
 	for _, r := range reqs {
 		if rs := x.reqs[r.ID]; rs != nil {
@@ -402,6 +407,18 @@ func (x *DemandIndex) ApplyAll(reqs []Request, size func(xmldoc.DocID) int) erro
 	// The new entries' links, by document (a counting sort), each
 	// document's in ID order: the order its list takes them in.
 	slices.SortFunc(fresh, byID)
+	if len(fresh) > 0 && fresh[0].id > above {
+		// The new entries sort after every requester: appending each, in ID
+		// order, is the merge.
+		for _, rs := range fresh {
+			for _, d := range rs.docs {
+				x.attach(rs, d, size)
+			}
+		}
+		clear(fresh)
+		x.fresh = fresh[:0]
+		return nil
+	}
 	start := grow(x.linkStart, top+1)
 	clear(start)
 	for _, rs := range fresh {
@@ -554,6 +571,7 @@ func (x *DemandIndex) addRequest(r Request, size func(xmldoc.DocID) int) {
 func (x *DemandIndex) track(r Request) *demandReq {
 	rs := &demandReq{id: r.ID, arrival: r.Arrival, weight: r.weight()}
 	x.n += rs.weight
+	x.maxID = max(x.maxID, r.ID)
 	rs.docs = append(make([]xmldoc.DocID, 0, len(r.Docs)), r.Docs...)
 	x.reqs[r.ID] = rs
 	if n := len(x.byArrival); n > 0 {
@@ -751,6 +769,7 @@ func (x *DemandIndex) Rebuild(reqs []Request, size func(xmldoc.DocID) int, worke
 	if !slices.IsSortedFunc(x.byID, byID) {
 		slices.SortFunc(x.byID, byID)
 	}
+	x.maxID = max(x.maxID, x.byID[n-1].id)
 	for _, rs := range x.byID {
 		for _, d := range rs.docs {
 			ds := x.doc(d)
