@@ -2,17 +2,15 @@
 // benchmark's trajectory: one JSON object per change, appended by the change
 // that measured it.
 //
-// A line holds the commit measured, the change's number, the Go version,
-// GOMAXPROCS, NumCPU, the load average and a calibration loop's time; the
-// median over -runs runs of every end-to-end metric of `go run ./bench -json
-// -trace 0` on each workload; and the -benchmem figures of the named
+// A line holds the commit measured (`git describe --always --dirty=+`: a
+// line measured on a working tree before it is committed reads "<parent>+"),
+// the change's number, the Go version, GOMAXPROCS and NumCPU; the median over
+// three runs of every end-to-end metric of `go run ./bench -json -trace 0
+// -seconds 10` on each workload; and the -benchmem figures of the named
 // micro-benchmarks. Run it from the repository root on an otherwise idle
 // machine:
 //
 //	go run .github/scripts/bench-history.go -pr N >> BENCH_history.jsonl
-//
-// -commit defaults to `git describe --always --dirty=+`: a line measured on
-// a working tree before it is committed reads "<parent>+".
 //
 // With -check FILE it runs paper_sim once and fails unless its access and
 // tuning byte means equal those of FILE's last line exactly: paper_sim counts
@@ -23,7 +21,6 @@ package main
 import (
 	"bufio"
 	"bytes"
-	"crypto/sha256"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -34,7 +31,12 @@ import (
 	"slices"
 	"strconv"
 	"strings"
-	"time"
+)
+
+// A line's medians are over runs bench runs of seconds each.
+const (
+	runs    = 3
+	seconds = 10
 )
 
 // micro names the micro-benchmarks a line records, by package.
@@ -56,10 +58,8 @@ type line struct {
 	Go         string                        `json:"go"`
 	GOMAXPROCS int                           `json:"gomaxprocs"`
 	NumCPU     int                           `json:"num_cpu"`
-	LoadAvg    string                        `json:"loadavg,omitempty"`
-	CalibMS    float64                       `json:"calib_ms"`
 	Runs       int                           `json:"runs"`
-	Seconds    float64                       `json:"seconds"`
+	Seconds    int                           `json:"seconds"`
 	Workloads  map[string]workload           `json:"workloads"`
 	Micro      map[string]map[string]float64 `json:"micro"`
 }
@@ -84,18 +84,15 @@ type benchOut struct {
 
 func main() {
 	pr := flag.Int("pr", 0, "the change's number")
-	commit := flag.String("commit", "", "the commit measured; empty asks git")
-	runs := flag.Int("runs", 3, "bench runs the medians are taken over")
-	seconds := flag.Float64("seconds", 10, "bench's measured window per workload and run")
 	check := flag.String("check", "", "check paper_sim's byte means against this file's last line")
 	flag.Parse()
-	if err := run(*pr, *commit, *runs, *seconds, *check); err != nil {
+	if err := run(*pr, *check); err != nil {
 		fmt.Fprintln(os.Stderr, "bench-history:", err)
 		os.Exit(1)
 	}
 }
 
-func run(pr int, commit string, runs int, seconds float64, check string) error {
+func run(pr int, check string) error {
 	dir, err := os.MkdirTemp("", "bench-history")
 	if err != nil {
 		return err
@@ -108,24 +105,15 @@ func run(pr int, commit string, runs int, seconds float64, check string) error {
 	if check != "" {
 		return checkLast(bin, check)
 	}
-	if runs < 1 {
-		return fmt.Errorf("-runs must be at least 1")
+	commit, err := command("git", "describe", "--always", "--dirty=+").Output()
+	if err != nil {
+		return fmt.Errorf("git describe: %w", err)
 	}
-	if commit == "" {
-		out, err := command("git", "describe", "--always", "--dirty=+").Output()
-		if err != nil {
-			return fmt.Errorf("git describe: %w", err)
-		}
-		commit = strings.TrimSpace(string(out))
-	}
-	l := line{Commit: commit, PR: pr, Go: runtime.Version(), GOMAXPROCS: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU(),
-		CalibMS: calibrate(), Runs: runs, Seconds: seconds, Workloads: map[string]workload{}, Micro: map[string]map[string]float64{}}
-	if b, err := os.ReadFile("/proc/loadavg"); err == nil {
-		l.LoadAvg = strings.Join(strings.Fields(string(b))[:3], " ")
-	}
+	l := line{Commit: strings.TrimSpace(string(commit)), PR: pr, Go: runtime.Version(), GOMAXPROCS: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU(),
+		Runs: runs, Seconds: seconds, Workloads: map[string]workload{}, Micro: map[string]map[string]float64{}}
 	samples := map[string]map[string][]float64{}
 	for i := 0; i < runs; i++ {
-		out, err := runBench(bin, "-seconds", strconv.FormatFloat(seconds, 'g', -1, 64))
+		out, err := runBench(bin, "-seconds", strconv.Itoa(seconds))
 		if err != nil {
 			return err
 		}
@@ -245,22 +233,6 @@ func runMicro(into map[string]map[string]float64, pkg, name string, procs int) e
 		into[bench] = figures
 	}
 	return sc.Err()
-}
-
-// calibrate times a fixed CPU-bound loop, the best of three, in
-// milliseconds: a machine's speed to read the line's timings against.
-func calibrate() float64 {
-	buf := make([]byte, 1<<20)
-	best := time.Duration(1<<63 - 1)
-	for i := 0; i < 3; i++ {
-		start := time.Now()
-		for j := 0; j < 64; j++ {
-			sum := sha256.Sum256(buf)
-			buf[j] = sum[0]
-		}
-		best = min(best, time.Since(start))
-	}
-	return float64(best.Microseconds()) / 1000
 }
 
 func median(vs []float64) float64 {

@@ -149,6 +149,10 @@ type Engine struct {
 	// fpSizes remembers each live document's size for removal.
 	fp      uint64
 	fpSizes map[xmldoc.DocID]int
+	// writes counts the collection writes attempted (AddDocument,
+	// RemoveDocument), from 1, failed ones too: an answer resolved at one
+	// count is the query's answer until the next (Ledger.Admit reads it).
+	writes uint64
 
 	// segs is EncodeCycle's scratch for the cycle's segments before they are
 	// framed; framePool recycles the frames' backing buffers. env builds the
@@ -199,6 +203,7 @@ func New(cfg Config) (*Engine, error) {
 		answers:   newLRU[string, *answerEntry](cfg.Limits.MaxAnswerCacheEntries),
 		payloads:  newLRU[xmldoc.DocID, *payloadEntry](cfg.Limits.MaxPayloadCacheBytes),
 		view:      core.NewPrunedView(0),
+		writes:    1,
 	}
 	e.fpSizes = make(map[xmldoc.DocID]int, cfg.Collection.Len())
 	for _, d := range cfg.Collection.Docs() {
@@ -500,6 +505,7 @@ func (e *Engine) Recycle(enc *Encoded) {
 // their answers (slices already handed out by Resolve stay as they were).
 // Every entry stays cached and keeps its LRU position.
 func (e *Engine) AddDocument(d *xmldoc.Document) error {
+	e.writes++ // a failed write counts too: the answers it touched are in doubt
 	if err := e.builder.AddDocument(d); err != nil {
 		return err
 	}
@@ -527,6 +533,7 @@ func (e *Engine) AddDocument(d *xmldoc.Document) error {
 // that contains the ID (a binary search per entry) is replaced by a copy
 // without it, and one the removal empties stays cached as empty.
 func (e *Engine) RemoveDocument(id xmldoc.DocID) error {
+	e.writes++
 	if err := e.builder.RemoveDocument(id); err != nil {
 		return err
 	}

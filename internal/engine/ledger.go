@@ -58,9 +58,6 @@ type Ledger struct {
 	// sets a later commit or write can make equal; merge clears it.
 	twins  bool
 	nextID int64 // the last ID assigned
-	// writes counts the document writes (AddDocument, RemoveDocument), from
-	// 1: an answer resolved at one count holds until the next write.
-	writes uint64
 	// owed is the documents the pending requests still need, summed over the
 	// requests: with the pending count it bounds a commit record's size.
 	owed int
@@ -111,9 +108,10 @@ type reqClass struct {
 	// weight is their number. Drivers admit in arrival order, so that member
 	// sorts first by (Arrival, ID), as FCFS and RxW read the members.
 	members []member
-	// answered is the ledger's write count when an admission last found the
-	// class's set to be its query's answer (0: never): until the next write,
-	// a further admission of the query joins the class unresolved.
+	// answered is the engine's write count (Engine.writes) when an admission
+	// last found the class's set to be its query's answer (0: never): until
+	// the engine's next write, a further admission of the query joins the
+	// class unresolved.
 	answered uint64
 	commit   []broadcast.Commitment // the airing cycle's, once known
 	known    bool
@@ -133,9 +131,12 @@ func byID(a, b member) int { return cmp.Compare(a.id, b.id) }
 
 // pendingTable maps each pending request's ID to its class. The ledger
 // assigns IDs in order, so the table is dense: request id's class is in slot
-// id − base. When the slots run out of room and their lower half holds few
-// pending requests, that half is dropped instead of the table growing, its
-// stragglers moved to old, so a request pending long holds no span open.
+// id − base. When the slots run out of room, their lower half is dropped if
+// at most an eighth of it is pending, and every slot if at most an eighth of
+// the span the new ID needs would be: the dropped slots' requests move to old.
+// So a request pending long holds no span open, and neither does a gap in the
+// IDs (recovery enters the journal's pending IDs, which retired ones
+// separate, and admissions resume at its next ID).
 type pendingTable struct {
 	base  int64
 	slots []*reqClass
@@ -166,8 +167,20 @@ func (p *pendingTable) add(id int64, c *reqClass) {
 		clear(p.slots)
 		p.slots, p.base = p.slots[:0], id
 	}
-	if int(id-p.base) >= cap(p.slots) {
-		p.shed()
+	if id-p.base >= int64(cap(p.slots)) {
+		h, n := len(p.slots)/2, 0
+		for _, c := range p.slots[:h] {
+			if c != nil {
+				n++
+			}
+		}
+		if n <= h/8 {
+			p.drop(h)
+		}
+		if int64(p.live) <= (id-p.base)/8 {
+			p.drop(len(p.slots))
+			p.base = id
+		}
 	}
 	for int64(len(p.slots)) < id-p.base {
 		p.slots = append(p.slots, nil)
@@ -176,30 +189,20 @@ func (p *pendingTable) add(id int64, c *reqClass) {
 	p.live++
 }
 
-// shed drops the slots' lower half when at most an eighth of it is pending,
-// moving those requests to old.
-func (p *pendingTable) shed() {
-	h := len(p.slots) / 2
-	n := 0
-	for _, c := range p.slots[:h] {
-		if c != nil {
-			n++
-		}
-	}
-	if h == 0 || n > h/8 {
-		return
-	}
-	for i, c := range p.slots[:h] {
+// drop drops the lowest n slots, moving their requests to old.
+func (p *pendingTable) drop(n int) {
+	for i, c := range p.slots[:n] {
 		if c != nil {
 			if p.old == nil {
 				p.old = make(map[int64]*reqClass)
 			}
 			p.old[p.base+int64(i)] = c
+			p.live--
 		}
 	}
-	k := copy(p.slots, p.slots[h:])
+	k := copy(p.slots, p.slots[n:])
 	clear(p.slots[k:])
-	p.slots, p.base, p.live = p.slots[:k], p.base+int64(h), p.live-n
+	p.slots, p.base = p.slots[:k], p.base+int64(n)
 }
 
 // del drops pending request id.
@@ -253,7 +256,7 @@ func (g classGroups) file(c *reqClass) *reqClass {
 // from it, agree with the ledger, and the live collection's fingerprint is
 // stamped for the next recovery to compare against.
 func NewLedger(eng *Engine, jn *journal.Journal, st *journal.State) (*Ledger, error) {
-	l := &Ledger{eng: eng, jn: jn, demand: schedule.NewDemandIndex(), fresh: make(map[string][]*reqClass), writes: 1}
+	l := &Ledger{eng: eng, jn: jn, demand: schedule.NewDemandIndex(), fresh: make(map[string][]*reqClass)}
 	if jn == nil {
 		return l, nil
 	}
@@ -361,7 +364,7 @@ func (l *Ledger) Admit(q xpath.Path, max int, arrival int64) (cycle, id int64, e
 	fresh := l.fresh[string(l.key)]
 	var c *reqClass
 	for _, o := range fresh {
-		if o.answered == l.writes {
+		if o.answered == l.eng.writes {
 			c = o
 			break
 		}
@@ -412,7 +415,7 @@ func (l *Ledger) Admit(q xpath.Path, max int, arrival int64) (cycle, id int64, e
 		l.fresh[key] = append(fresh, c)
 		l.classes = append(l.classes, c) // the highest ID yet: entry-ID order holds
 	}
-	c.answered = l.writes
+	c.answered = l.eng.writes
 	c.members = append(c.members, member{id, arrival}) // the highest ID yet
 	l.pending.add(id, c)
 	l.owed += len(docs)
@@ -682,7 +685,6 @@ func (l *Ledger) enter() {
 // request loses it, requests it drains retire as served at the journal's next
 // cycle, and the removal is journaled, whose replay does the same.
 func (l *Ledger) RemoveDocument(id xmldoc.DocID) error {
-	l.writes++ // a failed write counts too: the answers it touched are in doubt
 	if err := l.eng.RemoveDocument(id); err != nil {
 		return err
 	}
@@ -790,7 +792,6 @@ func (l *Ledger) remember(ids []int64, cycle int64) {
 // schedulable from the next cycle, and journals the grown collection's
 // fingerprint so that recovery can detect drift.
 func (l *Ledger) AddDocument(d *xmldoc.Document) error {
-	l.writes++
 	if err := l.eng.AddDocument(d); err != nil {
 		return err
 	}

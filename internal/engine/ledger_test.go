@@ -656,6 +656,57 @@ func TestPendingTableSheds(t *testing.T) {
 	}
 }
 
+// TestPendingTableSpansNoGap: a gap in the IDs holds no span open. The table
+// finds a request entered far above the last, without a slot for every ID
+// between; and a journaled ledger that recovers one request long pending,
+// with the journal's ID counter far past it, admits above the counter into a
+// table of a few slots.
+func TestPendingTableSpansNoGap(t *testing.T) {
+	var p pendingTable
+	a, b := &reqClass{}, &reqClass{}
+	p.add(1, a)
+	// Far enough that a slot per ID shows, near enough that a table that
+	// keeps them costs tens of megabytes, not the machine.
+	const far = 1 << 22
+	p.add(far, b)
+	if cap(p.slots) > 16 || p.get(1) != a || p.get(far) != b || p.len() != 2 {
+		t.Fatalf("IDs 1 and %d: %d slots, found %v and %v, %d pending", far, cap(p.slots), p.get(1) == a, p.get(far) == b, p.len())
+	}
+
+	c, queries := fixture(t, 30, 20)
+	dir := t.TempDir()
+	jn, _, err := journal.Open(journal.Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := queries[0].String()
+	for _, r := range []journal.Request{{ID: 5, Query: q, Remaining: []uint16{uint16(c.IDs()[0])}}, {ID: far, Query: q, Remaining: []uint16{uint16(c.IDs()[0])}}} {
+		if err := jn.Admit(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := jn.Remove(far); err != nil {
+		t.Fatal(err)
+	}
+	jn.Kill()
+	jn, st, err := journal.Open(journal.Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jn.Kill()
+	l, err := NewLedger(newEngine(t, c, c.TotalSize()), jn, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, id, err := l.Admit(queries[1], 0, l.Cycles())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pending, _, _ := l.Lookup(5); id != far+1 || !pending || l.Len() != 2 || cap(l.pending.slots) > 16 {
+		t.Fatalf("admitted %d after recovering request 5 under counter %d: request 5 pending %v, %d pending, %d slots", id, far, pending, l.Len(), cap(l.pending.slots))
+	}
+}
+
 // TestRepeatAdmitAllocFree: a repeat admission — a query whose class this
 // cycle already holds its answer, no document written since — allocates
 // nothing once the ledger's tables are warm and makes no edit to the demand
@@ -691,6 +742,30 @@ func TestRepeatAdmitAllocFree(t *testing.T) {
 		return nil
 	}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRepeatAdmitSeesEngineWrites: whether an answer still holds is the
+// engine's to say, so a document write made on the engine, not through the
+// ledger, ends the repeat admissions of a query as one through the ledger
+// does: the next admission resolves and gets the written answer.
+func TestRepeatAdmitSeesEngineWrites(t *testing.T) {
+	l := ledgerOf(t, nil, 40_000, 1, 3)
+	q := l.classes[0].query
+	_, id, err := l.Admit(q, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := slices.Clone(remaining(l, id))
+	if err := l.eng.RemoveDocument(before[0]); err != nil {
+		t.Fatal(err)
+	}
+	_, id, err = l.Admit(q, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := remaining(l, id), before[1:]; !slices.Equal(got, want) || len(l.classes) != 2 {
+		t.Fatalf("admitted after the engine removed document %d: set %v in one of %d classes, want %v in a class of its own", before[0], got, len(l.classes), want)
 	}
 }
 
