@@ -14,8 +14,10 @@
 //
 // With -check FILE it runs paper_sim once and fails unless its access and
 // tuning byte means equal those of FILE's last line exactly: paper_sim counts
-// bytes on a byte clock, so they repeat on every machine. A change meant to
-// move them appends its own line.
+// bytes on a byte clock, so they repeat on every machine. It then runs the
+// micro-benchmarks at the line's GOMAXPROCS and fails if any one's allocs/op
+// exceeds the line's by more than allocSlack. A change meant to move either
+// appends its own line.
 package main
 
 import (
@@ -51,6 +53,14 @@ var micro = []struct{ pkg, name string }{
 
 // exact are the paper_sim metrics -check compares.
 var exact = []string{"access_bytes_mean", "tuning_bytes_mean"}
+
+// allocSlack is the share by which -check lets a micro-benchmark's allocs/op
+// exceed the last line's. At 1 % one allocation more fails every benchmark
+// of fewer than 100 allocs/op, while the drift of the large amortised counts
+// passes: BenchmarkScheduleIncremental/full read 16 071 and 16 079 allocs/op
+// on one build, 0.05 % apart. One allocation more per DemandIndex.Apply adds
+// 500 to its incremental pair's ≈ 1 500.
+const allocSlack = 0.01
 
 type line struct {
 	Commit     string                        `json:"commit"`
@@ -138,10 +148,8 @@ func run(pr int, check string) error {
 		}
 		l.Workloads[name] = w
 	}
-	for _, m := range micro {
-		if err := runMicro(l.Micro, m.pkg, m.name, l.GOMAXPROCS); err != nil {
-			return err
-		}
+	if err := runMicros(l.Micro, l.GOMAXPROCS); err != nil {
+		return err
 	}
 	b, err := json.Marshal(l)
 	if err != nil {
@@ -151,8 +159,8 @@ func run(pr int, check string) error {
 	return err
 }
 
-// checkLast runs paper_sim once and compares its exact metrics with the last
-// line of file.
+// checkLast runs paper_sim once and compares its exact metrics, then the
+// micro-benchmarks' allocs/op, with the last line of file.
 func checkLast(bin, file string) error {
 	data, err := os.ReadFile(file)
 	if err != nil {
@@ -187,6 +195,34 @@ func checkLast(bin, file string) error {
 	if bad {
 		return fmt.Errorf("paper_sim's byte means moved since %s's last line: a change meant to move them appends its own", file)
 	}
+	procs := last.GOMAXPROCS
+	if procs == 0 {
+		procs = runtime.GOMAXPROCS(0)
+	}
+	micros := map[string]map[string]float64{}
+	if err := runMicros(micros, procs); err != nil {
+		return err
+	}
+	names := make([]string, 0, len(last.Micro))
+	for name := range last.Micro {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	for _, name := range names {
+		w, recorded := last.Micro[name]["allocs/op"]
+		g, ran := micros[name]["allocs/op"]
+		if !recorded || !ran {
+			continue
+		}
+		status := "ok"
+		if g > w*(1+allocSlack) {
+			status, bad = "OVER", true
+		}
+		fmt.Printf("%s allocs/op: %v, %s %v: %s\n", name, g, file, w, status)
+	}
+	if bad {
+		return fmt.Errorf("allocs/op rose more than %g %% over %s's last line: a change meant to raise them appends its own", 100*allocSlack, file)
+	}
 	return nil
 }
 
@@ -205,10 +241,21 @@ func runBench(bin string, args ...string) (*benchOut, error) {
 	return &out, nil
 }
 
-// runMicro runs one micro-benchmark with -benchmem and records each of its
-// results, named without the GOMAXPROCS suffix, as unit → value.
+// runMicros runs the micro-benchmarks at GOMAXPROCS procs.
+func runMicros(into map[string]map[string]float64, procs int) error {
+	for _, m := range micro {
+		if err := runMicro(into, m.pkg, m.name, procs); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// runMicro runs one micro-benchmark with -benchmem at GOMAXPROCS procs and
+// records each of its results, named without the GOMAXPROCS suffix, as
+// unit → value.
 func runMicro(into map[string]map[string]float64, pkg, name string, procs int) error {
-	out, err := command("go", "test", "-run", "^$", "-bench", "^Benchmark"+name+"$", "-benchmem", pkg).Output()
+	out, err := command("go", "test", "-run", "^$", "-bench", "^Benchmark"+name+"$", "-benchmem", "-cpu", strconv.Itoa(procs), pkg).Output()
 	if err != nil {
 		return fmt.Errorf("benchmark %s in %s: %w", name, pkg, err)
 	}

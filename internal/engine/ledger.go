@@ -34,9 +34,10 @@ import (
 // or joined a class this cycle, with no document written since, joins that
 // class and costs a count. The ledger is also the only writer of the demand
 // index the engine plans from, which holds one entry per class, weighted by
-// the class's members. The index is current when Air plans: the classes an
-// admission formed or grew, and those Missed split, are staged and enter it
-// in one batch then (enter); a commit and a removal apply their own deltas.
+// the class's members, and it writes it one way: every change that makes a
+// class's entry lag stages the class, and enter writes the staged entries in
+// one batch — when Air plans, and at the end of a commit or a removal, whose
+// delivered or removed documents first leave every entry (DeliverDoc).
 // Which requests form a class is a function of the pending set alone (see
 // reqClass), so the classes a recovery rebuilds, and the plans made from
 // them, are the ones the killed ledger held.
@@ -70,43 +71,43 @@ type Ledger struct {
 
 	airing *Cycle // the cycle air is airing: Missed's and Commitments' only window
 	// stale lists the classes whose demand-index entries lag their sets or
-	// weights — formed or grown by an admission, split or re-keyed by Missed,
-	// grown by a merge — for enter to apply.
+	// weights — formed or grown by an admission or a merge, recovered, split
+	// or re-keyed by Missed or keeping a document it reported, short of a
+	// K > 1 plan, drained or emptied by a merge — for enter to write.
 	stale []*reqClass
 
 	// Scratch, reused: key renders an admitted query, jrem its journaled
 	// answer. Per cycle: commits holds the classes' commitments asked for
-	// during the air, queries one query per class for the prune, planned a
-	// cycle's plan by document ID.
+	// during the air, queries one query per class for the prune.
 	key        []byte
 	jrem       []uint16
 	queries    []xpath.Path
-	planned    []bool
 	commits    []broadcast.Commitment
 	recv       []broadcast.Commitment
 	delivered  []uint16
 	deliveries []journal.Delivery
 	retired    []int64
-	drained    []int64 // the drained classes' entry keys
 	entries    []schedule.Request
 }
 
 // reqClass is the pending requests of one query, admitted in one cycle, that
 // lack the same documents (holds is the rule, for admission, merge and
 // recovery alike): they share one remaining set, and the commitment a cycle
-// makes to it, which the ledger computes and a commit shrinks the set by
-// once, and one demand-index entry. A request reported Missed leaves for a
-// class of its own; in a journaled ledger, once the cycle commits or fails,
-// classes whose sets came out equal merge again (see merge).
+// makes to it, which the ledger computes and a commit shrinks the set by in
+// one pass, and one demand-index entry, which only enter writes. A request
+// reported Missed leaves for a class of its own; in a journaled ledger, once
+// the cycle commits or fails, classes whose sets came out equal merge again
+// (see merge).
 type reqClass struct {
 	query    xpath.Path
 	key      string // the query's canonical string
 	docs     []xmldoc.DocID
 	admitted int64 // the class's first covering cycle
 	// members are the class's pending requests, sorted by ID; a class a merge
-	// emptied has none. The first keys the class's demand-index entry, whose
-	// weight is their number. Drivers admit in arrival order, so that member
-	// sorts first by (Arrival, ID), as FCFS and RxW read the members.
+	// emptied keeps them, and no docs. The first keys the class's
+	// demand-index entry, whose weight is their number. Drivers admit in
+	// arrival order, so that member sorts first by (Arrival, ID), as FCFS and
+	// RxW read the members.
 	members []member
 	// answered is the engine's write count (Engine.writes) when an admission
 	// last found the class's set to be its query's answer (0: never): until
@@ -512,11 +513,11 @@ func (l *Ledger) commitment(c *reqClass) []broadcast.Commitment {
 // Missed reports that request id's client did not receive document doc, which
 // the cycle being aired commits to it: the document stays in the request's
 // set past the commit, and the journaled delivery leaves it out. A request
-// of a class of several leaves it for one of its own; the demand index takes
-// the split when the cycle commits, or at the next plan if the cycle fails
-// (enter). It is the simulator's ideal uplink — a lost reception
-// re-requested at no cost before the cycle ends — which a networked client
-// does not have. Missed may be called only from Air's air function, for a
+// of a class of several leaves it for one of its own. The classes Missed
+// changes are staged: the demand index takes them when the cycle commits, or
+// at the next plan if the cycle fails (enter). It is the simulator's ideal
+// uplink — a lost reception re-requested at no cost before the cycle ends —
+// which a networked client does not have. Missed may be called only from Air's air function, for a
 // document the cycle commits to a pending request; any other call is an
 // error.
 func (l *Ledger) Missed(id int64, doc xmldoc.DocID) error {
@@ -548,12 +549,12 @@ func (l *Ledger) Missed(id int64, doc xmldoc.DocID) error {
 		if c.admitted == l.cycles { // open to admissions until the cycle commits
 			l.fresh[c.key] = append(l.fresh[c.key], solo)
 		}
-		l.stage(solo)
 		l.stage(c)
 		l.twins = true
 		c = solo
 	}
 	c.missed = xmldoc.InsertID(c.missed, doc)
+	l.stage(c) // doc leaves every entry at the commit, and comes back to c's
 	return nil
 }
 
@@ -567,11 +568,11 @@ func (l *Ledger) Idle() error {
 }
 
 // commit journals cycle num's deliveries — none for an idle cycle (nil cy) —
-// then shrinks the pending set by them, retires the requests they drain,
-// brings the demand index to the new pending set and advances the cycle
-// number past num. The deliveries are computed, and the sets shrunk, once per
-// class: from the commitment the air asked for, or, for a class no one asked
-// for, computed here into scratch.
+// and settles them, computed once per class: from the commitment the air
+// asked for, or, for a class no one asked for, here into scratch. Every
+// planned document leaves every entry; a class that still wants one is staged
+// to enter again: by Missed, or at K > 1, where a single tuner may receive
+// less than the plan, as every class is.
 func (l *Ledger) commit(num int64, cy *Cycle) ([]int64, error) {
 	// The journal encodes the deliveries before Commit returns, so their
 	// document lists share one buffer reused across cycles.
@@ -612,73 +613,17 @@ func (l *Ledger) commit(num int64, cy *Cycle) ([]int64, error) {
 	}
 	l.cycles = num + 1
 	clear(l.fresh)
-	for _, c := range l.classes {
-		n := len(c.docs)
-		for _, d := range delivered[c.from:c.to] {
-			c.docs = xmldoc.RemoveID(c.docs, xmldoc.DocID(d))
-		}
-		l.owed -= len(c.members) * (n - len(c.docs))
-	}
-	l.retired = l.drain(l.retired[:0])
+	var left []broadcast.DocPlacement
 	if cy != nil {
-		l.settle(cy)
+		left = cy.Docs
+		if len(cy.Channels) > 1 {
+			for _, c := range l.classes {
+				l.stage(c)
+			}
+		}
 	}
-	l.merge()
-	l.remember(l.retired, num)
+	l.retired = l.settle(func(c *reqClass) []uint16 { return delivered[c.from:c.to] }, left, cy != nil, l.retired[:0], num)
 	return l.retired, nil
-}
-
-// settle applies a commit of cy to the demand index: every planned document
-// leaves every class's entry, the classes Missed split enter, the classes that
-// still want a planned document — a K > 1 commitment fell short of the plan,
-// or air reported a document Missed — get their sets back, and the drained
-// classes leave. The upkeep reports as StageScheduleDelta.
-func (l *Ledger) settle(cy *Cycle) {
-	start := time.Now()
-	x := l.demand
-	for _, p := range cy.Docs {
-		x.DeliverDoc(p.ID)
-		if int(p.ID) >= len(l.planned) {
-			l.planned = append(l.planned, make([]bool, int(p.ID)+1-len(l.planned))...)
-		}
-		l.planned[p.ID] = true
-	}
-	l.enter()
-	wants := func(d xmldoc.DocID) bool { return int(d) < len(l.planned) && l.planned[d] }
-	reconciled := 0
-	for _, c := range l.classes {
-		if slices.ContainsFunc(c.docs, wants) {
-			// The class's set is sorted and duplicate-free, so Apply accepts it.
-			_ = x.Apply(c.entry(), l.eng.docSize)
-			reconciled++
-		}
-	}
-	for _, id := range l.drained {
-		x.Remove(id)
-	}
-	for _, p := range cy.Docs {
-		l.planned[p.ID] = false
-	}
-	l.eng.probe.StageDone(StageScheduleDelta, time.Since(start), reconciled+len(l.drained), x.TakeEdits())
-}
-
-// enter hands the demand index the staged classes at once (ApplyAll), each
-// with its set and weight as they stand: the entries of classes admissions
-// formed, and of those Missed split off or re-keyed, and the new weights of
-// those an admission, a split or a merge changed. A class a drain or a merge
-// emptied is left out: its key has left the index, or never entered it.
-func (l *Ledger) enter() {
-	entries := l.entries[:0]
-	for _, c := range l.stale {
-		if c.stale = false; len(c.docs) > 0 && len(c.members) > 0 {
-			entries = append(entries, c.entry())
-		}
-	}
-	_ = l.demand.ApplyAll(entries, l.eng.docSize) // the sets are sorted and duplicate-free
-	clear(l.stale)
-	l.stale = l.stale[:0]
-	clear(entries)
-	l.entries = entries[:0]
 }
 
 // RemoveDocument retires document id from the live collection: every pending
@@ -688,54 +633,104 @@ func (l *Ledger) RemoveDocument(id xmldoc.DocID) error {
 	if err := l.eng.RemoveDocument(id); err != nil {
 		return err
 	}
-	for _, c := range l.classes {
-		n := len(c.docs)
-		c.docs = xmldoc.RemoveID(c.docs, id)
-		l.owed -= len(c.members) * (n - len(c.docs))
-	}
-	l.demand.DeliverDoc(id)
-	retired := l.drain(nil)
-	for _, key := range l.drained {
-		l.demand.Remove(key)
-	}
-	l.merge()
-	l.remember(retired, l.cycles)
+	gone := []uint16{uint16(id)}
+	l.settle(func(*reqClass) []uint16 { return gone }, []broadcast.DocPlacement{{ID: id}}, false, nil, l.cycles)
 	if l.jn != nil {
 		return l.jn.DocRemoved(uint16(id), l.eng.CollectionFingerprint())
 	}
 	return nil
 }
 
-// drain drops the classes with nothing left to deliver, keeping the others in
-// order, and their members from the pending set; it appends the dropped
-// requests' IDs to retired in ID order and lists the dropped classes' entry
-// keys in l.drained.
-func (l *Ledger) drain(retired []int64) []int64 {
-	l.drained = l.drained[:0]
-	n := len(retired)
+// settle is the one sequence a commit and a document removal end with: each
+// class loses the documents lost lists for it, sorted here in place, in one
+// pass over its set; the classes left with nothing drain, staged, their
+// requests appended to retired in ID order; the documents in left leave
+// every demand-index entry (DeliverDoc) and the staged classes enter it;
+// classes left equal merge; and the drained requests are remembered as
+// retired by cycle. The index upkeep reports as StageScheduleDelta if aired.
+func (l *Ledger) settle(lost func(*reqClass) []uint16, left []broadcast.DocPlacement, aired bool, retired []int64, cycle int64) []int64 {
+	for _, c := range l.classes {
+		if drop := lost(c); len(drop) > 0 {
+			slices.Sort(drop)
+			n := len(c.docs)
+			c.docs = without(c.docs, drop)
+			l.owed -= len(c.members) * (n - len(c.docs))
+		}
+	}
 	l.classes = slices.DeleteFunc(l.classes, func(c *reqClass) bool {
 		if len(c.docs) > 0 {
 			return false
 		}
-		l.drained = append(l.drained, c.id())
+		l.stage(c)
 		for _, m := range c.members {
 			l.pending.del(m.id)
 			retired = append(retired, m.id)
 		}
 		return true
 	})
-	slices.Sort(retired[n:]) // the classes' members interleave
+	slices.Sort(retired) // the classes' members interleave
+	start := time.Now()
+	for _, p := range left {
+		l.demand.DeliverDoc(p.ID)
+	}
+	if staged := l.enter(); aired {
+		l.eng.probe.StageDone(StageScheduleDelta, time.Since(start), staged, l.demand.TakeEdits())
+	}
+	l.merge()
+	if l.jn != nil { // an in-memory ledger has no lineage for a client to resume
+		for _, id := range retired {
+			l.served.Retire(id, cycle)
+		}
+	}
 	return retired
+}
+
+// without drops the sorted IDs drop from the sorted set docs in place,
+// moving each run between two of them once.
+func without(docs []xmldoc.DocID, drop []uint16) []xmldoc.DocID {
+	n, _ := slices.BinarySearch(docs, xmldoc.DocID(drop[0]))
+	i := n
+	for _, d := range drop {
+		if j, ok := slices.BinarySearch(docs[i:], xmldoc.DocID(d)); ok {
+			n += copy(docs[n:], docs[i:i+j])
+			i += j + 1
+		}
+	}
+	return append(docs[:n], docs[i:]...)
+}
+
+// enter writes the demand index: every staged class that still has documents
+// enters with its set and weight as they stand, in one ApplyAll, and every
+// one that has none — drained, or emptied by a merge — leaves. Besides the
+// DeliverDoc of a commit or a removal, it is the ledger's only write to the
+// index. It returns the number of classes written.
+func (l *Ledger) enter() int {
+	entries := l.entries[:0]
+	for _, c := range l.stale {
+		if c.stale = false; len(c.docs) > 0 {
+			entries = append(entries, c.entry())
+		} else {
+			l.demand.Remove(c.id())
+		}
+	}
+	_ = l.demand.ApplyAll(entries, l.eng.docSize) // the sets are sorted and duplicate-free
+	n := len(l.stale)
+	clear(l.stale)
+	l.stale = l.stale[:0]
+	clear(entries)
+	l.entries = entries[:0]
+	return n
 }
 
 // merge folds together the classes of one query and admission cycle whose
 // sets a commit, a document write or a failed cycle left equal, into the
 // lowest-ID one, so the classes are again those holds draws over the pending
-// set, as recovery draws them. It does nothing unless twins is set, and
-// leaves twins set only while such classes remain apart. An in-memory
-// ledger, which nothing recovers, leaves them apart: in a lossy simulation
-// the requests Missed split off would merge a cycle later and split again at
-// their next miss, each time moving an entry on ≈ 90 requester lists.
+// set, as recovery draws them; both are staged, the emptied one to leave the
+// index. It does nothing unless twins is set, and leaves twins set only while
+// such classes remain apart. An in-memory ledger, which nothing recovers,
+// leaves them apart: in a lossy simulation the requests Missed split off
+// would merge a cycle later and split again at their next miss, each time
+// moving an entry on ≈ 90 requester lists.
 func (l *Ledger) merge() {
 	if !l.twins || l.jn == nil {
 		return
@@ -748,21 +743,21 @@ func (l *Ledger) merge() {
 			l.twins = l.twins || len(groups[classGroup{c.key, c.admitted}]) > 1
 			return false
 		}
-		l.demand.Remove(c.id()) // o, filed first, keeps its key
 		for _, m := range c.members {
 			l.pending.set(m.id, o)
 		}
 		o.members = append(o.members, c.members...)
 		slices.SortFunc(o.members, byID)
-		c.members, merged = nil, true
+		c.docs, merged = nil, true // o, filed first, keeps its key
 		l.stage(o)
+		l.stage(c)
 		return true
 	})
 	if !merged {
 		return
 	}
 	for key, cs := range l.fresh {
-		l.fresh[key] = slices.DeleteFunc(cs, func(c *reqClass) bool { return len(c.members) == 0 })
+		l.fresh[key] = slices.DeleteFunc(cs, func(c *reqClass) bool { return len(c.docs) == 0 })
 	}
 }
 
@@ -775,17 +770,6 @@ func (l *Ledger) classAt(id int64) int {
 // insertClass puts c among the classes at its entry ID's place.
 func (l *Ledger) insertClass(c *reqClass) {
 	l.classes = slices.Insert(l.classes, l.classAt(c.id()), c)
-}
-
-// remember records the requests ids as retired by cycle. An in-memory ledger
-// remembers nothing: it has no lineage for a client to resume.
-func (l *Ledger) remember(ids []int64, cycle int64) {
-	if l.jn == nil {
-		return
-	}
-	for _, id := range ids {
-		l.served.Retire(id, cycle)
-	}
 }
 
 // AddDocument admits d to the live collection, visible to queries and

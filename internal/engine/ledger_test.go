@@ -532,6 +532,62 @@ func TestLedgerRetiresInIDOrder(t *testing.T) {
 	}
 }
 
+// TestLedgerRemovalKeepsCommitResults: a commit and a document removal end
+// in one sequence, but a removal leaves the last commit's results as they
+// were: Delivered still counts that commit's deliveries, and the retired
+// list Air returned keeps its IDs, though the removal drains a class of its
+// own.
+func TestLedgerRemovalKeepsCommitResults(t *testing.T) {
+	c, queries := fixture(t, 30, 20)
+	ids := c.IDs()
+	for _, journaled := range []bool{false, true} {
+		t.Run(fmt.Sprintf("journaled=%v", journaled), func(t *testing.T) {
+			e := newEngine(t, c, c.TotalSize())
+			qa, qb := queries[0], queries[1]
+			setAnswer(e, qa, ids[:2])
+			setAnswer(e, qb, ids[2:3])
+			var jn *journal.Journal
+			var st *journal.State
+			if journaled {
+				var err error
+				if jn, st, err = journal.Open(journal.Options{Dir: t.TempDir()}); err != nil {
+					t.Fatal(err)
+				}
+				defer jn.Kill()
+			}
+			l, err := NewLedger(e, jn, st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 2; i++ {
+				if _, _, err := l.Admit(qa, 0, l.Cycles()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			_, retired, err := l.Air(0, func(_ *Cycle, enc *Encoded) error { e.Recycle(enc); return nil })
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := []int64{1, 2}
+			if !slices.Equal(retired, want) || l.Delivered() != 2 {
+				t.Fatalf("the cycle retired %v and delivered %d documents, want %v and 2", retired, l.Delivered(), want)
+			}
+			if _, _, err := l.Admit(qb, 0, l.Cycles()); err != nil {
+				t.Fatal(err)
+			}
+			if err := l.RemoveDocument(ids[2]); err != nil {
+				t.Fatal(err)
+			}
+			if l.Len() != 0 {
+				t.Fatalf("%d requests pending after the removal drained request 3", l.Len())
+			}
+			if !slices.Equal(retired, want) || l.Delivered() != 2 {
+				t.Fatalf("after the removal the cycle's retired list reads %v and Delivered %d, want %v and 2", retired, l.Delivered(), want)
+			}
+		})
+	}
+}
+
 // TestLedgerJournaledPendingCap: a journal's commit record holds at most
 // journal.MaxDeliveries deliveries, so a journaled ledger refuses an
 // admission beyond that many pending requests as overload, and the cycle

@@ -31,10 +31,11 @@ const (
 	// only.
 	StagePruneDelta = "prune-delta"
 	// StageScheduleDelta is a commit's upkeep of the ledger's demand index:
-	// delivering the planned documents, re-applying what a request did not
-	// receive and removing the retired requests. Input is the requests
-	// reconciled or removed, output the requester-list edits applied since
-	// the last commit, the admissions' included.
+	// delivering the planned documents and entering the classes the commit
+	// staged, which gives back what a class did not receive and removes the
+	// drained classes. Input is the classes entered or removed, output the
+	// requester-list edits applied since the last commit, the admissions'
+	// included.
 	StageScheduleDelta = "schedule-delta"
 	// StageEncode is framing the cycle as it airs: encoding and framing the
 	// head, index, directory and second-tier segments, framing the

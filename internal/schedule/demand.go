@@ -122,11 +122,11 @@ type docHeapEntry struct {
 // produce for the equivalent pending slice. Its entries are Requests, each of
 // which may stand for several requests (Request.Weight). engine.Ledger is its
 // one driver, and keeps it current when a cycle plans, not after each
-// admission: it keeps one entry per class of requests, hands over at each
-// plan, at once (ApplyAll), the classes admitted since and the new weights of
-// those admissions grew, delivers each aired document, enters a cycle's class
-// splits at its commit the same way, re-applies what a class did not receive
-// and removes each class it retires or merges away.
+// admission. It keeps one entry per class of requests and writes them one
+// way: it stages each class whose entry lags, and hands the staged classes
+// over at once (ApplyAll), removing those left with no documents (Remove),
+// when a cycle plans and after a commit or a document removal has delivered
+// each document that left (DeliverDoc).
 //
 // Contracts:
 //   - Request.Docs handed to Apply/Rebuild are sorted ascending without
